@@ -50,6 +50,11 @@ pub struct Router<T: LpmTable> {
     cards: Vec<LineCard>,
     core: ReferenceRouter<T>,
     ripng: RipngEngine,
+    /// [`RipngEngine::route_changes`] at the last FIB sync.  Nothing but
+    /// that sync writes the table (no `&mut` to it ever leaves the
+    /// router), so while the engine still reports this value the FIB is
+    /// exact.
+    fib_synced_at: u64,
     started: bool,
 }
 
@@ -63,7 +68,8 @@ impl<T: LpmTable> Router<T> {
         let ripng = RipngEngine::new(interfaces);
         let mut core = ReferenceRouter::new(table, local_addrs);
         ripng.sync_fib(core.table_mut());
-        Router { cards, core, ripng, started: false }
+        let fib_synced_at = ripng.route_changes();
+        Router { cards, core, ripng, fib_synced_at, started: false }
     }
 
     /// The line card serving `port`.
@@ -105,8 +111,10 @@ impl<T: LpmTable> Router<T> {
         self.cards.iter().map(|c| c.pending()).sum()
     }
 
-    /// Processes all pending input, runs protocol timers at `now`, and
-    /// refreshes the forwarding table from the RIB.
+    /// Processes all pending input, runs protocol timers at `now`, and —
+    /// when the tick changed the RIB's live routes — reloads the
+    /// forwarding table from it.  Datagrams serviced in a tick are
+    /// forwarded with the table as the previous tick left it.
     pub fn tick(&mut self, now: SimTime) -> TickReport {
         self.tick_budgeted(now, usize::MAX)
     }
@@ -131,25 +139,25 @@ impl<T: LpmTable> Router<T> {
         }
 
         // 1. Drain line-card inputs through the forwarding core.
-        let ports: Vec<PortId> = self.cards.iter().map(|c| c.port()).collect();
-        'service: for port in &ports {
+        'service: for card in 0..self.cards.len() {
+            let port = self.cards[card].port();
             loop {
                 if budget == 0 {
                     break 'service;
                 }
-                let Some(frame) = self.card_mut(*port).poll_input() else {
+                let Some(frame) = self.cards[card].poll_input() else {
                     break;
                 };
                 budget -= 1;
                 let bytes = frame.into_bytes();
-                match self.core.process(*port, &bytes) {
+                match self.core.process(port, &bytes) {
                     ForwardDecision::Forward { out_port, datagram } => {
                         report.forwarded += 1;
                         self.card_mut(out_port).transmit(datagram);
                     }
                     ForwardDecision::Deliver { datagram } => {
                         report.delivered += 1;
-                        report.ripng_sent += self.deliver(*port, &datagram, now);
+                        report.ripng_sent += self.deliver(port, &datagram, now);
                     }
                     ForwardDecision::Drop { icmp, reason } => {
                         report.dropped += 1;
@@ -159,7 +167,7 @@ impl<T: LpmTable> Router<T> {
                             _ => {}
                         }
                         if let Some(err) = icmp {
-                            self.card_mut(*port).transmit(err);
+                            self.cards[card].transmit(err);
                         }
                     }
                 }
@@ -172,8 +180,13 @@ impl<T: LpmTable> Router<T> {
             report.ripng_sent += 1;
         }
 
-        // 3. Forwarding table follows the RIB.
-        self.ripng.sync_fib(self.core.table_mut());
+        // 3. Forwarding table follows the RIB — by change: a tick that
+        //    left the live routes alone leaves the table alone.
+        let changes = self.ripng.route_changes();
+        if changes != self.fib_synced_at {
+            self.ripng.sync_fib(self.core.table_mut());
+            self.fib_synced_at = changes;
+        }
         report
     }
 

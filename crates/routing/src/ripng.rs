@@ -127,6 +127,9 @@ pub struct RipngEngine {
     rib: BTreeMap<Ipv6Prefix, RibRoute>,
     next_periodic: SimTime,
     stats: RipngStats,
+    /// Bumped wherever the live route set changes; see
+    /// [`RipngEngine::route_changes`].
+    route_changes: u64,
     /// Timer constants, overridable for accelerated tests.
     update_interval: SimTime,
     route_timeout: SimTime,
@@ -143,12 +146,14 @@ impl RipngEngine {
             rib: BTreeMap::new(),
             next_periodic: SimTime::ZERO,
             stats: RipngStats::default(),
+            route_changes: 0,
             update_interval: SimTime::from_secs(30),
             route_timeout: SimTime::from_secs(180),
             gc_interval: SimTime::from_secs(120),
         };
-        for iface in engine.interfaces.clone() {
+        for iface in &engine.interfaces {
             for prefix in &iface.connected {
+                engine.route_changes += 1;
                 engine.rib.insert(
                     *prefix,
                     RibRoute {
@@ -193,13 +198,23 @@ impl RipngEngine {
         self.rib.values().filter(|r| r.route.metric() < INFINITY_METRIC).map(|r| &r.route)
     }
 
-    /// Writes the live routes into a forwarding table, replacing its
-    /// contents.
+    /// How many times the live route set ([`RipngEngine::routes`]) has
+    /// changed: a route installed, withdrawn, timed out, or replaced by a
+    /// different metric or gateway.  Refreshes, garbage collection of
+    /// already-dead routes and the passing of time leave it alone, so a
+    /// forwarding table synced at one value is still exact for as long as
+    /// the value stands.
+    pub fn route_changes(&self) -> u64 {
+        self.route_changes
+    }
+
+    /// Replaces `fib`'s contents with the live routes in one bulk
+    /// [`LpmTable::reload`].  This is a full reload and costs accordingly:
+    /// a caller keeping a table in step with the engine calls it only when
+    /// [`RipngEngine::route_changes`] has moved since its last sync.
     pub fn sync_fib<T: LpmTable + ?Sized>(&self, fib: &mut T) {
-        fib.clear();
-        for r in self.routes() {
-            fib.insert(*r);
-        }
+        let live: Vec<Route> = self.routes().copied().collect();
+        fib.reload(&live);
     }
 
     /// The whole-table requests a router broadcasts when it first comes up
@@ -273,6 +288,7 @@ impl RipngEngine {
                         changed: true,
                     },
                 );
+                self.route_changes += 1;
                 true
             }
             Some(existing) => {
@@ -288,10 +304,15 @@ impl RipngEngine {
                         let went_dead = candidate.metric() >= INFINITY_METRIC;
                         existing.route = candidate;
                         existing.changed = true;
+                        self.route_changes += 1;
                         if went_dead {
                             self.stats.routes_expired += 1;
                             existing.expires_at = None;
                             existing.gc_at = Some(now + self.gc_interval);
+                        } else {
+                            // RFC 2080 §2.3: a route re-established while
+                            // its deletion is pending cancels the deletion.
+                            existing.gc_at = None;
                         }
                         return true;
                     }
@@ -303,6 +324,7 @@ impl RipngEngine {
                     existing.expires_at = Some(now + self.route_timeout);
                     existing.gc_at = None;
                     existing.changed = true;
+                    self.route_changes += 1;
                     true
                 } else {
                     false
@@ -356,6 +378,7 @@ impl RipngEngine {
                     rib_route.gc_at = Some(now + self.gc_interval);
                     rib_route.changed = true;
                     self.stats.routes_expired += 1;
+                    self.route_changes += 1;
                 }
             }
         }
@@ -386,20 +409,22 @@ impl RipngEngine {
     }
 
     /// Builds triggered updates (changed routes only) and clears the change
-    /// flags.
+    /// flags.  Nothing flagged — every idle tick — costs one RIB scan and
+    /// no allocation.
     fn triggered_updates(&mut self, _now: SimTime) -> Vec<(PortId, RipngPacket)> {
-        let mut out = Vec::new();
-        for iface in self.interfaces.clone() {
-            let entries: Vec<RouteEntry> = self
+        if !self.rib.values().any(|r| r.changed) {
+            return Vec::new();
+        }
+        let mut out = Vec::with_capacity(self.interfaces.len());
+        for iface in &self.interfaces {
+            let entries = self
                 .rib
                 .values()
                 .filter(|r| r.changed)
                 .map(|r| self.rte_for(&r.route, iface.port))
                 .collect();
-            if !entries.is_empty() {
-                out.push((iface.port, RipngPacket { command: Command::Response, entries }));
-                self.stats.triggered_updates_sent += 1;
-            }
+            out.push((iface.port, RipngPacket { command: Command::Response, entries }));
+            self.stats.triggered_updates_sent += 1;
         }
         for r in self.rib.values_mut() {
             r.changed = false;
@@ -707,6 +732,107 @@ mod tests {
         assert_eq!(fib.len(), 3);
         use crate::table::LpmTable;
         assert!(fib.lookup(&"2001:db8:c::1".parse().unwrap()).is_hit());
+    }
+
+    #[test]
+    fn route_changes_moves_exactly_when_the_live_set_does() {
+        let mut e = engine_two_ports();
+        let advertise = |e: &mut RipngEngine, from: &str, port: u16, metric: u8, at: u64| {
+            e.handle_response(
+                PortId(port),
+                ll(from),
+                &response(vec![RouteEntry::new(p("2001:db8:c::/48"), 0, metric)]),
+                SimTime::from_secs(at),
+            );
+        };
+        assert_eq!(e.route_changes(), 2, "one per connected route");
+        e.tick(SimTime::ZERO);
+        assert_eq!(e.route_changes(), 2, "a periodic update changes no route");
+
+        advertise(&mut e, "fe80::2", 0, 5, 1);
+        assert_eq!(e.route_changes(), 3, "learned");
+        advertise(&mut e, "fe80::2", 0, 5, 2);
+        assert_eq!(e.route_changes(), 3, "a refresh only restarts the timeout");
+        advertise(&mut e, "fe80::3", 1, 9, 3);
+        assert_eq!(e.route_changes(), 3, "a worse offer from another gateway is ignored");
+        advertise(&mut e, "fe80::3", 1, 2, 4);
+        assert_eq!(e.route_changes(), 4, "a better gateway takes the route over");
+        advertise(&mut e, "fe80::3", 1, 4, 5);
+        assert_eq!(e.route_changes(), 5, "the current gateway's new metric is adopted");
+        e.tick(SimTime::from_secs(100));
+        assert_eq!(e.route_changes(), 5, "time passing short of the timeout");
+        e.tick(SimTime::from_secs(5 + 180));
+        assert_eq!(e.route_changes(), 6, "timed out");
+        e.tick(SimTime::from_secs(5 + 180 + 120));
+        assert_eq!(e.stats().routes_deleted, 1);
+        assert_eq!(e.route_changes(), 6, "collecting a dead route leaves the live set alone");
+
+        advertise(&mut e, "fe80::2", 0, 1, 400);
+        advertise(&mut e, "fe80::2", 0, INFINITY_METRIC, 401);
+        assert_eq!(e.route_changes(), 8, "learned again, then withdrawn");
+        advertise(&mut e, "fe80::9", 1, INFINITY_METRIC, 402);
+        assert_eq!(e.route_changes(), 8, "a withdrawal of a dead route is no news");
+    }
+
+    #[test]
+    fn readvertised_route_cancels_its_pending_deletion() {
+        // RFC 2080 §2.3: a route re-established while the garbage-collection
+        // timer runs must clear that timer, or the collector would later
+        // delete a live route behind every forwarding table's back.
+        let mut e = engine_two_ports();
+        let from_gateway = |e: &mut RipngEngine, metric: u8, at: u64| {
+            e.handle_response(
+                PortId(0),
+                ll("fe80::2"),
+                &response(vec![RouteEntry::new(p("2001:db8:c::/48"), 0, metric)]),
+                SimTime::from_secs(at),
+            );
+        };
+        from_gateway(&mut e, 1, 0);
+        from_gateway(&mut e, INFINITY_METRIC, 10); // deletion due at 130 s
+        from_gateway(&mut e, 1, 20); // same gateway brings it back
+        from_gateway(&mut e, 1, 120); // ... and keeps refreshing it
+        let changes = e.route_changes();
+        e.tick(SimTime::from_secs(131));
+        assert!(e.routes().any(|r| r.prefix() == p("2001:db8:c::/48")));
+        assert_eq!(e.stats().routes_deleted, 0);
+        assert_eq!(e.route_changes(), changes);
+    }
+
+    #[test]
+    fn triggered_updates_skip_idle_ticks_and_keep_interface_order() {
+        // Periodic timer pushed out of the way so only triggered updates
+        // can answer a tick.
+        let mut e = engine_two_ports().with_timers(
+            SimTime::from_secs(10_000),
+            SimTime::from_secs(180),
+            SimTime::from_secs(120),
+        );
+        e.tick(SimTime::ZERO);
+        let learned = e.handle_response(
+            PortId(0),
+            ll("fe80::2"),
+            &response(vec![
+                RouteEntry::new(p("2001:db8:c::/48"), 0, 1),
+                RouteEntry::new(p("2001:db8:d::/48"), 0, 1),
+            ]),
+            SimTime::from_secs(2),
+        );
+        assert_eq!(learned.len(), 2);
+        assert!(e.tick(SimTime::from_secs(3)).is_empty(), "nothing flagged, nothing sent");
+        assert_eq!(e.stats().triggered_updates_sent, 2);
+
+        // Both routes time out on one tick: one update per interface, in
+        // interface order, each carrying both routes at infinity.
+        let out = e.tick(SimTime::from_secs(182));
+        assert_eq!(out.iter().map(|(port, _)| port.0).collect::<Vec<_>>(), vec![0, 1]);
+        for (_, packet) in &out {
+            let prefixes: Vec<_> = packet.entries.iter().map(|rte| rte.prefix).collect();
+            assert_eq!(prefixes, vec![p("2001:db8:c::/48"), p("2001:db8:d::/48")]);
+            assert!(packet.entries.iter().all(|rte| rte.metric == INFINITY_METRIC));
+        }
+        assert_eq!(e.stats().triggered_updates_sent, 4);
+        assert!(e.tick(SimTime::from_secs(183)).is_empty());
     }
 
     #[test]

@@ -169,6 +169,23 @@ pub trait LpmTable {
     /// Removes every route.
     fn clear(&mut self);
 
+    /// Replaces the table's contents with `routes` in one step — how a
+    /// forwarding table follows a RIB whose route set changed
+    /// ([`RipngEngine::sync_fib`](crate::ripng::RipngEngine::sync_fib)).
+    ///
+    /// Equivalent to [`clear`](LpmTable::clear) followed by
+    /// [`insert`](LpmTable::insert) in slice order, which is what the
+    /// default does: entry order (sequential, CAM) and arena footprint
+    /// (the tries) come out exactly as if the routes had been streamed
+    /// in.  An engine whose single inserts are expensive overrides this
+    /// with a bulk build that leaves the same state.
+    fn reload(&mut self, routes: &[Route]) {
+        self.clear();
+        for route in routes {
+            self.insert(*route);
+        }
+    }
+
     /// The table's memory footprint in 32-bit words, under the same
     /// serialised formats the cycle router loads into processor memory
     /// (entry/node word counts mirror `taco-router`'s layout constants).
@@ -208,6 +225,10 @@ impl LpmTable for Box<dyn LpmTable> {
 
     fn clear(&mut self) {
         (**self).clear()
+    }
+
+    fn reload(&mut self, routes: &[Route]) {
+        (**self).reload(routes)
     }
 
     fn memory_words(&self) -> usize {
@@ -294,6 +315,55 @@ mod tests {
         let cam = TableKind::Cam.build(&routes);
         assert_eq!(cam.len(), 9000);
         assert!(cam.lookup(&"2001:1234::1".parse().unwrap()).is_hit());
+    }
+
+    #[test]
+    fn reload_leaves_the_state_of_clear_then_inserts() {
+        let route = |p: &str, port: u16| {
+            Route::new(p.parse().unwrap(), "fe80::1".parse().unwrap(), PortId(port), 1)
+        };
+        // What the table holds beforehand, with a removal so the tries go
+        // in with slots on their free lists.
+        let before = [route("2001:db8::/32", 1), route("2001:db8:1::/48", 2), route("::/0", 3)];
+        let nested = [
+            route("2001:db8:aa::/48", 4),
+            route("2001:db8::/32", 5),
+            route("2001:db8:aa:1::/64", 6),
+            route("3000::/4", 7),
+            route("2001:db8:aa::7/128", 8),
+        ];
+        // A repeated prefix: the later route replaces the earlier one.
+        let repeated = [route("2001:db8::/32", 1), route("3000::/4", 2), route("2001:db8::/32", 9)];
+        let probes: Vec<Ipv6Address> =
+            ["2001:db8:aa::7", "2001:db8:aa:1::5", "2001:db8:aa:2::5", "2001:db8:1::1", "3fff::1"]
+                .iter()
+                .map(|a| a.parse().unwrap())
+                .chain([Ipv6Address::UNSPECIFIED, "ffff::1".parse().unwrap()])
+                .collect();
+
+        for kind in TableKind::ALL_KINDS {
+            for target in [&nested[..], &repeated[..], &[]] {
+                let mut reloaded = kind.build(&before);
+                reloaded.remove(&before[1].prefix());
+                let mut streamed = kind.build(&before);
+                streamed.remove(&before[1].prefix());
+
+                reloaded.reload(target);
+                streamed.clear();
+                for r in target {
+                    streamed.insert(*r);
+                }
+
+                let what = format!("{kind}, {} routes", target.len());
+                assert_eq!(reloaded.routes(), streamed.routes(), "{what}");
+                assert_eq!(reloaded.len(), streamed.len(), "{what}");
+                assert_eq!(reloaded.memory_words(), streamed.memory_words(), "{what}");
+                for probe in &probes {
+                    // `Lookup` equality covers the route and the probe count.
+                    assert_eq!(reloaded.lookup(probe), streamed.lookup(probe), "{what}: {probe}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -113,9 +113,17 @@ impl BalancedTreeTable {
     /// This is the "much more complex" mutation cost of the paper.  Prefix
     /// intervals form a laminar family (two prefixes either nest or are
     /// disjoint), so a single sweep with a nesting stack yields every
-    /// segment's longest covering prefix in O(n log n) — fast enough that
-    /// scenario engines can stream routes in one at a time.
+    /// segment's longest covering prefix in O(n log n).  Every single
+    /// [`insert`](LpmTable::insert)/[`remove`](LpmTable::remove) pays it in
+    /// full, so whoever replaces the whole route set goes through
+    /// [`reload`](LpmTable::reload) — one rebuild, not one per route.
+    ///
+    /// An empty route set has no segments at all, however it was reached.
     fn rebuild(&mut self) {
+        if self.routes.is_empty() {
+            self.segments.clear();
+            return;
+        }
         let mut points: Vec<u128> = vec![0];
         for p in self.routes.keys() {
             let (lo, hi) = prefix_interval(p);
@@ -224,6 +232,11 @@ impl LpmTable for BalancedTreeTable {
         self.segments.clear();
     }
 
+    fn reload(&mut self, routes: &[Route]) {
+        self.routes = routes.iter().map(|r| (r.prefix(), *r)).collect();
+        self.rebuild();
+    }
+
     fn memory_words(&self) -> usize {
         // 8 words per serialised tree node (`TREE_NODE_WORDS`), one node
         // per range segment (up to `2n + 1` segments for `n` routes).
@@ -317,6 +330,28 @@ mod tests {
         assert_eq!(t.lookup(&a("2001:db8::1")).route().unwrap().interface(), PortId(1));
         t.remove(&"2001:db8::/32".parse().unwrap());
         assert!(!t.lookup(&a("2001:db8::1")).is_hit());
+    }
+
+    #[test]
+    fn every_way_of_being_empty_agrees() {
+        let only = r("2001:db8::/32", 1);
+        let mut removed = BalancedTreeTable::from_routes([only]);
+        removed.remove(&only.prefix());
+        let mut cleared = BalancedTreeTable::from_routes([only]);
+        cleared.clear();
+        let mut reloaded = BalancedTreeTable::from_routes([only]);
+        reloaded.reload(&[]);
+        let built = BalancedTreeTable::from_routes([]);
+        for (how, t) in [
+            ("new", BalancedTreeTable::new()),
+            ("from_routes([])", built),
+            ("last route removed", removed),
+            ("cleared", cleared),
+            ("reload(&[])", reloaded),
+        ] {
+            assert_eq!((t.len(), t.segment_count(), t.memory_words()), (0, 0, 0), "{how}");
+            assert_eq!(t.lookup(&a("2001:db8::1")), Lookup::miss(0), "{how}");
+        }
     }
 
     #[test]

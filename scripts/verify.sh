@@ -39,6 +39,21 @@ cargo test -q --offline -p taco-workload --test differential malformed_frames_dr
 cargo test -q --offline -p taco-core --test fault_determinism
 
 echo
+echo "== tier-1: scenario golden + FIB-follows-RIB suites (explicit) =="
+# The 30-line scenario fixture (six builtin workloads x five table kinds,
+# `tests/golden/scenarios.json`) is the before/after guard for anything
+# that touches the router, the RIPng engine or an LPM table; regenerate
+# an intentional change with
+#   BLESS=1 cargo test --test golden_scenarios
+# The FIB-sync suite pins the contract that makes skipping idle syncs
+# safe: every RIB change (learn, better gateway, withdrawal, timeout)
+# reaches the forwarding table on its own tick, idle ticks never write
+# the table, and `reload` leaves every engine exactly as clear + inserts.
+cargo test -q --offline --test golden_scenarios
+cargo test -q --offline -p taco-router --test fib_sync
+cargo test -q --offline -p taco-routing --lib reload_leaves_the_state_of_clear_then_inserts
+
+echo
 echo "== tier-1: cross-engine LPM oracle + internet-scale churn suites (explicit) =="
 # The randomized five-kind LPM differential oracle (every organisation
 # agrees with a reference longest-prefix scan at 10k BGP-shaped prefixes)
@@ -243,6 +258,20 @@ if ! timeout 120 ./target/release/loadgen \
     exit 1
 fi
 echo "loadgen smoke ok: BENCH_served.json regenerated"
+
+echo
+echo "== benchmark smoke: scenario-mix through benchmarks/run.sh =="
+# The repo benchmark (BENCHMARK.json) end to end on the workload the
+# scenario engine dominates, at a tenth of the measuring time.  run.sh
+# builds the stand-alone benchmarks/ package offline and exits non-zero
+# when any operation failed its correctness check; the hard timeout
+# covers a hung child.  The numbers it prints are a smoke, not a
+# measurement — EXPERIMENTS.md "Scenario engine cost" has those.
+if ! timeout 300 bash benchmarks/run.sh --quick --workload scenario-mix > /dev/null; then
+    echo "benchmark smoke FAILED (failed operations, non-zero exit or 300 s timeout)"
+    exit 1
+fi
+echo "benchmark smoke ok"
 
 echo
 echo "== tier-1 passed =="

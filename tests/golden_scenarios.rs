@@ -59,6 +59,7 @@ fn scenarios_match_golden_fixture() {
         )
     });
     assert_eq!(golden.lines().count(), 30, "six workloads x five table kinds");
+    // Cell by cell first: one drifted line reads better than a 30-line diff.
     for (got, want) in current.lines().zip(golden.lines()) {
         assert_eq!(
             got, want,
