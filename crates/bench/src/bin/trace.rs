@@ -6,7 +6,8 @@
 //! ```
 //!
 //! `kind` is a routing-table organisation (`sequential`, `balanced-tree`,
-//! `cam`, `trie`) and `config` a machine shape (`1x1`, `3x1`, `3x3`).
+//! `cam`, `trie`, `patricia`) and `config` a machine shape (`1x1`, `3x1`,
+//! `3x3`).
 //! Renders an ASCII per-cycle bus-occupancy strip (one row per bus, one
 //! column per cycle) for the chosen cell, from a `RingTracer` capture of
 //! the measurement run.  `--chrome PATH` additionally writes the same run
@@ -14,33 +15,16 @@
 //! `chrome://tracing`).
 //!
 //! `--smoke ITERS` runs the perf-gate smoke instead: ITERS uncached
-//! nine-cell Table 1 evaluations with the tracer disabled, printing the
+//! twelve-cell Table 1 evaluations with the tracer disabled, printing the
 //! total wall time in milliseconds on stdout (the number
 //! `scripts/verify.sh` compares against its checked-in baseline).
-//!
-//! `--bench-json PATH` additionally measures every cell under both
-//! simulator step modes (compiled vs interpretive, ITERS uncached runs
-//! each) and writes the per-cell wall times, totals, and speedups as JSON
-//! — the `BENCH_table1.json` artefact `scripts/verify.sh` refreshes.
 
 use std::time::Instant;
 
 use taco_bench::cli::Cli;
 use taco_core::api::{parse_machine_spec, parse_table_kind};
-use taco_core::{evaluate_request, trace_request, ArchConfig, EvalRequest, StepMode};
+use taco_core::{evaluate_request, trace_request, ArchConfig, EvalRequest};
 use taco_sim::{ChromeTracer, RingTracer, TraceEvent};
-
-/// Wall milliseconds for `iters` uncached evaluations of `cell` under
-/// `mode` — straight through the pipeline, deliberately no EvalCache, so
-/// every iteration pays the full simulation cost.
-fn time_cell(cell: &ArchConfig, mode: StepMode, iters: u32) -> f64 {
-    let start = Instant::now();
-    for _ in 0..iters {
-        let report = evaluate_request(&EvalRequest::new(cell.clone()).step_mode(mode));
-        assert!(report.sim_error.is_none(), "smoke cell failed: {report}");
-    }
-    start.elapsed().as_secs_f64() * 1e3
-}
 
 fn smoke(iters: u32) {
     let start = Instant::now();
@@ -52,73 +36,6 @@ fn smoke(iters: u32) {
     }
     let ms = start.elapsed().as_secs_f64() * 1e3;
     println!("{ms:.0}");
-}
-
-/// The perf-gate baseline (total nine-cell ms), when running from the repo
-/// root; `null` in the JSON otherwise.
-fn read_baseline() -> Option<f64> {
-    std::fs::read_to_string("scripts/table1-smoke-baseline.txt").ok()?.trim().parse().ok()
-}
-
-fn bench_json(iters: u32, path: &str) {
-    let cells = ArchConfig::table1_cells();
-    // Warm the process-global program cache so both modes measure the
-    // steady state (scheduling cost is paid once per process, not per
-    // evaluation, and must not be charged to whichever mode runs first).
-    for cell in &cells {
-        let _ = evaluate_request(&EvalRequest::new(cell.clone()));
-    }
-    let rows: Vec<(String, f64, f64)> = cells
-        .iter()
-        .map(|cell| {
-            let interpretive = time_cell(cell, StepMode::Interpretive, iters);
-            let compiled = time_cell(cell, StepMode::Compiled, iters);
-            (cell.label(), compiled, interpretive)
-        })
-        .collect();
-    let compiled_total: f64 = rows.iter().map(|r| r.1).sum();
-    let interpretive_total: f64 = rows.iter().map(|r| r.2).sum();
-
-    let mut json = String::from("{\n");
-    json.push_str(&format!("  \"iters\": {iters},\n"));
-    json.push_str("  \"cells\": [\n");
-    for (i, (label, compiled, interpretive)) in rows.iter().enumerate() {
-        let sep = if i + 1 < rows.len() { "," } else { "" };
-        json.push_str(&format!(
-            "    {{\"label\": \"{label}\", \"compiled_ms\": {compiled:.2}, \
-             \"interpretive_ms\": {interpretive:.2}, \"speedup\": {:.2}}}{sep}\n",
-            interpretive / compiled
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!("  \"compiled_total_ms\": {compiled_total:.2},\n"));
-    json.push_str(&format!("  \"interpretive_total_ms\": {interpretive_total:.2},\n"));
-    json.push_str(&format!(
-        "  \"speedup_vs_interpretive\": {:.2},\n",
-        interpretive_total / compiled_total
-    ));
-    match read_baseline() {
-        Some(baseline) => {
-            json.push_str(&format!("  \"baseline_total_ms\": {baseline:.2},\n"));
-            json.push_str(&format!(
-                "  \"speedup_vs_baseline\": {:.2}\n",
-                baseline / compiled_total
-            ));
-        }
-        None => {
-            json.push_str("  \"baseline_total_ms\": null,\n");
-            json.push_str("  \"speedup_vs_baseline\": null\n");
-        }
-    }
-    json.push_str("}\n");
-    if let Err(e) = std::fs::write(path, &json) {
-        eprintln!("could not write {path}: {e}");
-        std::process::exit(1);
-    }
-    eprintln!(
-        "bench: compiled {compiled_total:.0} ms vs interpretive {interpretive_total:.0} ms \
-         over {iters} runs -> {path}"
-    );
 }
 
 /// Renders the first `limit` cycles of the capture as one character per
@@ -210,17 +127,16 @@ fn main() {
     let cli = Cli::new("trace", "cycle-level trace inspection for any Table 1 cell")
         .opt("--cycles", "N", "cycles of the occupancy strip to render")
         .opt("--chrome", "PATH", "also write the run as Chrome about://tracing JSON")
-        .opt("--smoke", "ITERS", "perf-gate smoke: ITERS uncached nine-cell runs, print wall ms")
-        .opt("--bench-json", "PATH", "write per-cell compiled-vs-interpretive wall times as JSON")
-        .positional("kind", "table organisation: sequential, balanced-tree, cam, trie", Some("cam"))
+        .opt("--smoke", "ITERS", "perf-gate smoke: ITERS uncached twelve-cell runs, print wall ms")
+        .positional(
+            "kind",
+            "table organisation: sequential, balanced-tree, cam, trie, patricia",
+            Some("cam"),
+        )
         .positional("config", "machine shape: 1x1, 3x1, 3x3 (Table 1 labels accepted)", Some("3x1"))
         .positional("entries", "routing-table size", Some("16"));
     let args = cli.parse_or_exit();
     let smoke_iters = args.opt_parsed::<u32>("--smoke").unwrap_or_else(|e| cli.fail(&e));
-    if let Some(path) = args.opt("--bench-json") {
-        bench_json(smoke_iters.unwrap_or(10), path);
-        return;
-    }
     if let Some(iters) = smoke_iters {
         smoke(iters);
         return;

@@ -57,7 +57,6 @@ use taco_isa::{
     CacheConfig, CoherenceProtocol, InterconnectConfig, SystemConfig, Topology, MAX_CORES,
 };
 use taco_routing::TableKind;
-use taco_sim::StepMode;
 use taco_workload::{FaultPlan, FlowTrace, Workload};
 
 use crate::arch::ArchConfig;
@@ -369,16 +368,6 @@ pub fn parse_machine_spec(kind: TableKind, shape: &str) -> Result<MachineSpec, S
     Err(format!("unknown machine config {shape:?}; expected one of: {}", accepted.join(", ")))
 }
 
-/// Parses a machine shape into an architecture instance over `kind`.
-#[deprecated(
-    note = "use parse_machine_spec, which returns the wire-level MachineSpec and accepts \
-            every documented alias"
-)]
-pub fn parse_machine_shape(kind: TableKind, shape: &str) -> Result<ArchConfig, String> {
-    parse_machine_spec(kind, shape)
-        .map(|spec| spec.to_config().expect("builtin shapes construct valid machines"))
-}
-
 /// Looks a builtin workload up by name; the error lists the valid names
 /// (the single source the `dse --scenario` flag and the wire share).
 pub fn parse_workload_name(name: &str) -> Result<Workload, String> {
@@ -395,25 +384,6 @@ pub fn parse_fault_plan_name(name: &str) -> Result<FaultPlan, String> {
         let names: Vec<&str> = FaultPlan::builtin().iter().map(|(n, _)| *n).collect();
         format!("unknown fault plan {name:?}; expected one of: {}", names.join(", "))
     })
-}
-
-/// Parses a simulator step mode by its wire spelling (`compiled`,
-/// `interpretive`) — the single source the wire schema and the CLI flags
-/// share, mirroring `TACO_STEP_MODE`'s accepted values.
-pub fn parse_step_mode(name: &str) -> Result<StepMode, String> {
-    match name {
-        "compiled" => Ok(StepMode::Compiled),
-        "interpretive" => Ok(StepMode::Interpretive),
-        other => Err(format!("unknown step mode {other:?}; expected compiled or interpretive")),
-    }
-}
-
-/// The wire spelling of a step mode ([`parse_step_mode`]'s inverse).
-pub fn step_mode_name(mode: StepMode) -> &'static str {
-    match mode {
-        StepMode::Compiled => "compiled",
-        StepMode::Interpretive => "interpretive",
-    }
 }
 
 /// Validates a line rate the way [`LineRate::new`] does, as a `Result`
@@ -1013,18 +983,11 @@ pub struct EvalSpec {
     /// workload must equal the trace's descriptor — a mismatch is a
     /// structured bad request, not a silent override.
     pub trace: Option<TraceRef>,
-    /// Which simulator step loop runs the measurement (wire spelling
-    /// `"step_mode"`, omitted when [`StepMode::Compiled`] — the default —
-    /// so pre-existing request lines keep their bytes).  Interpretive
-    /// requests deliberately bypass the [`EvalCache`](crate::EvalCache)
-    /// memo end to end: a reference double-check answered from cache would
-    /// check nothing.
-    pub step_mode: StepMode,
 }
 
 impl EvalSpec {
     /// A spec for `config` with the paper's defaults (10 GbE, 100 entries,
-    /// no workload, no faults, compiled step loop).  Accepts a bare
+    /// no workload, no faults).  Accepts a bare
     /// [`ConfigSpec`] (single-core) or a full [`MachineSpec`].
     pub fn new(config: impl Into<MachineSpec>) -> Self {
         EvalSpec {
@@ -1034,7 +997,6 @@ impl EvalSpec {
             workload: None,
             faults: None,
             trace: None,
-            step_mode: StepMode::Compiled,
         }
     }
 
@@ -1066,7 +1028,7 @@ impl EvalSpec {
             }
             request = request.flow_trace(Arc::new(trace));
         }
-        Ok(request.step_mode(self.step_mode))
+        Ok(request)
     }
 
     /// The wire spelling of `request` (Chrome-timeline path dropped — it
@@ -1081,7 +1043,6 @@ impl EvalSpec {
             workload: request.workload,
             faults: request.faults,
             trace: request.flow_trace.as_ref().map(|t| TraceRef::inline(t)),
-            step_mode: request.step_mode,
         })
     }
 
@@ -1105,11 +1066,6 @@ impl EvalSpec {
         if let Some(t) = &self.trace {
             s.push_str(",\"trace\":");
             s.push_str(&t.to_json());
-        }
-        if self.step_mode != StepMode::Compiled {
-            s.push_str(",\"step_mode\":\"");
-            s.push_str(step_mode_name(self.step_mode));
-            s.push('"');
         }
         s
     }
@@ -1141,15 +1097,6 @@ impl EvalSpec {
             workload: f.get_non_null("workload").map(workload_from_value).transpose()?,
             faults: f.get_non_null("faults").map(fault_plan_from_value).transpose()?,
             trace: f.get_non_null("trace").map(TraceRef::from_value).transpose()?,
-            step_mode: match f.get_non_null("step_mode") {
-                None => StepMode::Compiled,
-                Some(v) => {
-                    let name = v.as_str().ok_or_else(|| {
-                        ApiError::bad_request("eval spec: \"step_mode\" must be a string")
-                    })?;
-                    parse_step_mode(name).map_err(ApiError::bad_request)?
-                }
-            },
         };
         if spec.entries == 0 {
             return Err(ApiError::bad_request("entries must be >= 1"));
@@ -2176,10 +2123,20 @@ mod tests {
 
     #[test]
     fn unknown_fields_are_rejected() {
-        let line = ApiRequest::Status.to_json().replace('}', ",\"bogus\":1}");
-        let err = ApiRequest::from_json(&line).unwrap_err();
-        assert_eq!(err.code, ApiErrorCode::BadRequest);
-        assert!(err.message.contains("bogus"), "{err}");
+        for (request, name, value) in [
+            (ApiRequest::Status, "bogus", "1"),
+            (ApiRequest::Eval(cam_spec()), "step_mode", "\"interpretive\""),
+        ] {
+            let with_field =
+                |line: String| format!("{},\"{name}\":{value}}}", line.strip_suffix('}').unwrap());
+            let v1 = ApiRequest::from_json(&with_field(request.to_json())).unwrap_err();
+            let wire = WireRequest { id: Some(7), request };
+            let v2 = WireRequest::from_json(&with_field(wire.to_json())).unwrap_err();
+            for err in [v1, v2] {
+                assert_eq!(err.code, ApiErrorCode::BadRequest);
+                assert!(err.message.contains(&format!("unknown field {name:?}")), "{err}");
+            }
+        }
     }
 
     #[test]
@@ -2278,14 +2235,6 @@ mod tests {
             for name in names {
                 assert!(err.contains(name), "{name} missing from {err}");
             }
-        }
-        // The deprecated wrapper keeps working (the trace binary's old
-        // callers) and funnels through the same table.
-        #[allow(deprecated)]
-        {
-            assert!(parse_machine_shape(TableKind::Cam, "3x1").is_ok());
-            let err = parse_machine_shape(TableKind::Cam, "9x9").unwrap_err();
-            assert!(err.contains("3bus/3CNT,3CMP,3M"), "{err}");
         }
     }
 
@@ -2439,37 +2388,6 @@ mod tests {
                 ApiResponse::ShutdownAck { persisted }
             );
         }
-    }
-
-    #[test]
-    fn step_mode_is_omitted_at_default_and_round_trips_otherwise() {
-        // Compiled (the default) must not change pre-existing v1 bytes.
-        let line = ApiRequest::Eval(cam_spec()).to_json();
-        assert!(!line.contains("step_mode"), "{line}");
-
-        let mut spec = cam_spec();
-        spec.step_mode = StepMode::Interpretive;
-        let request = ApiRequest::Eval(spec);
-        let line = request.to_json();
-        assert!(line.contains("\"step_mode\":\"interpretive\""), "{line}");
-        assert_eq!(ApiRequest::from_json(&line).unwrap(), request);
-        assert_eq!(ApiRequest::from_json(&line).unwrap().to_json(), line);
-
-        // Unknown modes are structured bad requests naming the options.
-        let bad = line.replace("interpretive", "warp-speed");
-        let err = ApiRequest::from_json(&bad).unwrap_err();
-        assert_eq!(err.code, ApiErrorCode::BadRequest);
-        assert!(err.message.contains("warp-speed"), "{err}");
-        assert!(err.message.contains("compiled"), "{err}");
-    }
-
-    #[test]
-    fn step_mode_survives_the_request_round_trip() {
-        let mut spec = cam_spec();
-        spec.step_mode = StepMode::Interpretive;
-        let request = spec.to_request().unwrap();
-        assert_eq!(request.step_mode, StepMode::Interpretive);
-        assert_eq!(EvalSpec::from_request(&request).unwrap().step_mode, StepMode::Interpretive);
     }
 
     #[test]

@@ -22,7 +22,6 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
-use taco_sim::StepMode;
 use taco_workload::{FaultPlan, Workload};
 
 use crate::arch::ArchConfig;
@@ -66,9 +65,7 @@ impl EvalKey {
 
     /// Rebuilds the request this key was derived from (the key is a
     /// lossless projection of every field but the cache-excluded trace
-    /// path and step mode) — what snapshot persistence serialises.  Only
-    /// compiled-mode results enter the cache, so the rebuilt request is
-    /// pinned to [`StepMode::Compiled`] regardless of the process default.
+    /// path) — what snapshot persistence serialises.
     fn to_request(&self) -> EvalRequest {
         EvalRequest {
             config: self.config.clone(),
@@ -81,7 +78,6 @@ impl EvalKey {
             faults: self.faults,
             trace: None,
             flow_trace: None,
-            step_mode: StepMode::Compiled,
         }
     }
 }
@@ -208,12 +204,8 @@ impl EvalCache {
     /// because the caller is expected to follow up with
     /// `evaluate_recorded`, which records the miss when the simulation
     /// actually runs — so the counters add up identically whichever path
-    /// answered.  Interpretive requests always return `None` without
-    /// touching the counters: they bypass the memo by design.
+    /// answered.
     pub fn lookup_recorded(&self, request: &EvalRequest) -> Option<EvalReport> {
-        if request.step_mode != StepMode::Compiled {
-            return None;
-        }
         let key = EvalKey::new(request);
         let report = self.reports.lock().expect("cache lock").get(&key).cloned()?;
         self.hits.fetch_add(1, Ordering::Relaxed);
@@ -223,13 +215,6 @@ impl EvalCache {
     /// [`EvalCache::evaluate`], also reporting whether the result came from
     /// the cache (`true` = hit) — the flag sweep observers record.
     pub fn evaluate_recorded(&self, request: &EvalRequest) -> (EvalReport, bool) {
-        // Interpretive-mode runs exist to double-check the compiled path;
-        // memoizing them (or answering them from compiled-mode entries)
-        // would defeat that purpose, so they bypass the cache entirely.
-        if request.step_mode != StepMode::Compiled {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return (evaluate_request(request), false);
-        }
         let key = EvalKey::new(request);
         if let Some(report) = self.reports.lock().expect("cache lock").get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
@@ -454,29 +439,6 @@ mod tests {
     }
 
     #[test]
-    fn interpretive_requests_bypass_the_memo() {
-        let cache = EvalCache::new();
-        let compiled = request(ArchConfig::three_bus_one_fu(TableKind::Cam), LineRate::TEN_GBE, 8);
-        let interpretive = compiled.clone().step_mode(StepMode::Interpretive);
-
-        let (reference, hit) = cache.evaluate_recorded(&interpretive);
-        assert!(!hit);
-        assert!(cache.is_empty(), "interpretive runs must not populate the cache");
-
-        // A second interpretive run re-evaluates rather than hitting.
-        let (again, hit2) = cache.evaluate_recorded(&interpretive);
-        assert!(!hit2);
-        assert_eq!(reference, again);
-
-        // The compiled twin misses (nothing was cached for it), lands in the
-        // cache, and agrees with the interpretive reference.
-        let (fast, hit3) = cache.evaluate_recorded(&compiled);
-        assert!(!hit3);
-        assert_eq!(cache.len(), 1);
-        assert_eq!(fast, reference, "both step modes must report identically");
-    }
-
-    #[test]
     fn distinct_keys_do_not_collide() {
         let cache = EvalCache::new();
         let cam = ArchConfig::three_bus_one_fu(TableKind::Cam);
@@ -606,12 +568,6 @@ mod tests {
         assert_eq!((cache.hits(), cache.misses()), (0, 1));
         assert_eq!(cache.lookup_recorded(&req), Some(stored));
         assert_eq!((cache.hits(), cache.misses()), (1, 1), "a lookup hit counts as a hit");
-
-        // Interpretive requests never consult the memo, even when the
-        // compiled twin is cached.
-        let interpretive = req.step_mode(StepMode::Interpretive);
-        assert_eq!(cache.lookup_recorded(&interpretive), None);
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
     }
 
     #[test]

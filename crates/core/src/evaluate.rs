@@ -10,7 +10,7 @@ use taco_router::microcode::MicrocodeOptions;
 use taco_router::traffic::TrafficGen;
 use taco_routing::cam::CamSpec;
 use taco_routing::{PortId, Route, SequentialTable, TableKind};
-use taco_sim::{SimError, SimStats, StepMode};
+use taco_sim::{NoFaults, NullTracer, SimError, SimStats};
 use taco_workload::{
     run_scenario_with_faults, run_trace_replay, FaultPlan, ScenarioConfig, ScenarioMetrics,
 };
@@ -161,13 +161,9 @@ fn build_router(
     config: &ArchConfig,
     routes: &[Route],
     rtu_latency: u32,
-    mode: StepMode,
 ) -> Result<CycleRouter, SimError> {
     let opts = MicrocodeOptions::default();
-    let mut router =
-        CycleRouter::for_kind(config.table, &config.machine, routes, rtu_latency, &opts)?;
-    router.set_step_mode(mode);
-    Ok(router)
+    CycleRouter::for_kind(config.table, &config.machine, routes, rtu_latency, &opts)
 }
 
 /// Builds the transient-stall injector a fault plan asks for, if any; the
@@ -191,15 +187,14 @@ fn measure(
     routes: &[Route],
     rtu_latency: u32,
     faults: Option<&FaultPlan>,
-    mode: StepMode,
 ) -> Result<(f64, f64, SimStats), SimError> {
-    let mut router = build_router(config, routes, rtu_latency, mode)?;
+    let mut router = build_router(config, routes, rtu_latency)?;
     let datagrams = measurement_datagrams(routes);
     router
         .enqueue_batch(datagrams.iter().map(|d| (PortId(0), d)))
         .expect("measurement datagrams fit the buffer");
     let stats = match stall_injector(faults) {
-        Some(mut injector) => router.run_fault_injected(CYCLE_BUDGET, &mut injector)?,
+        Some(mut injector) => router.run_with(CYCLE_BUDGET, &mut NullTracer, &mut injector)?,
         None => router.run(CYCLE_BUDGET)?,
     };
     let n = router.forwarded().len().max(1);
@@ -215,17 +210,16 @@ fn traced_measure(
     routes: &[Route],
     rtu_latency: u32,
     faults: Option<&FaultPlan>,
-    mode: StepMode,
     tracer: &mut dyn taco_sim::Tracer,
 ) -> Result<SimStats, SimError> {
-    let mut router = build_router(config, routes, rtu_latency, mode)?;
+    let mut router = build_router(config, routes, rtu_latency)?;
     let datagrams = measurement_datagrams(routes);
     router
         .enqueue_batch(datagrams.iter().map(|d| (PortId(0), d)))
         .expect("measurement datagrams fit the buffer");
     match stall_injector(faults) {
-        Some(mut injector) => router.run_fault_traced(CYCLE_BUDGET, &mut injector, tracer),
-        None => router.run_traced(CYCLE_BUDGET, tracer),
+        Some(mut injector) => router.run_with(CYCLE_BUDGET, tracer, &mut injector),
+        None => router.run_with(CYCLE_BUDGET, tracer, &mut NoFaults),
     }
 }
 
@@ -258,7 +252,6 @@ pub fn trace_request(
         &routes,
         report.rtu_latency_cycles,
         request.faults.as_ref(),
-        request.step_mode,
         tracer,
     )
 }
@@ -375,8 +368,7 @@ pub fn evaluate_request(request: &EvalRequest) -> EvalReport {
     let mut rtu_latency = 1u32;
     let (cycles, util, freq, stats) = loop {
         let (cycles, util, stats) =
-            match measure(config, &routes, rtu_latency, request.faults.as_ref(), request.step_mode)
-            {
+            match measure(config, &routes, rtu_latency, request.faults.as_ref()) {
                 Ok(m) => m,
                 Err(e) => return error_report(request, rtu_latency, e),
             };
@@ -392,7 +384,7 @@ pub fn evaluate_request(request: &EvalRequest) -> EvalReport {
     };
 
     // Charge the program store for the actual microcode image.
-    let program_bits = match build_router(config, &routes, rtu_latency, request.step_mode) {
+    let program_bits = match build_router(config, &routes, rtu_latency) {
         Ok(router) => taco_isa::encode(router.processor().program(), &config.machine)
             .map(|e| e.total_bits())
             .unwrap_or(0),
@@ -419,14 +411,7 @@ pub fn evaluate_request(request: &EvalRequest) -> EvalReport {
     // must not be silently dropped, and must not change the evaluation.
     let trace_error = request.trace.as_ref().and_then(|path| {
         let mut chrome = taco_sim::ChromeTracer::new(config.machine.buses());
-        match traced_measure(
-            config,
-            &routes,
-            rtu_latency,
-            request.faults.as_ref(),
-            request.step_mode,
-            &mut chrome,
-        ) {
+        match traced_measure(config, &routes, rtu_latency, request.faults.as_ref(), &mut chrome) {
             Ok(traced_stats) => std::fs::write(path, chrome.finish(traced_stats.cycles))
                 .err()
                 .map(|e| TraceError { path: path.display().to_string(), message: e.to_string() }),
@@ -471,9 +456,7 @@ pub fn evaluate_request(request: &EvalRequest) -> EvalReport {
 /// is wanted).  Infinite when the instance cannot be simulated.
 pub fn cycles_per_datagram(config: &ArchConfig, table_entries: usize) -> f64 {
     let routes = benchmark_routes(table_entries);
-    measure(config, &routes, 2, None, StepMode::default())
-        .map(|(cycles, _, _)| cycles)
-        .unwrap_or(f64::INFINITY)
+    measure(config, &routes, 2, None).map(|(cycles, _, _)| cycles).unwrap_or(f64::INFINITY)
 }
 
 #[cfg(test)]
@@ -506,8 +489,7 @@ pub fn max_sustainable_rate_bps(
     let routes = benchmark_routes(table_entries);
     let f_max = Estimator::new().max_frequency_hz() * 0.999; // just under NA
     let rtu_latency = CamSpec::paper_default().search_cycles(f_max) as u32;
-    let Ok((cycles, _, _)) = measure(config, &routes, rtu_latency, None, StepMode::default())
-    else {
+    let Ok((cycles, _, _)) = measure(config, &routes, rtu_latency, None) else {
         return 0.0;
     };
     (f_max / cycles) * 8.0 * f64::from(packet_bytes)

@@ -51,9 +51,9 @@ pub mod request;
 pub mod table1;
 
 pub use api::{
-    parse_machine_spec, parse_step_mode, salvage_request_id, step_mode_name,
-    supported_features_json, ApiError, ApiErrorCode, ApiRequest, ApiResponse, ConfigSpec, EvalSpec,
-    MachineSpec, StatusInfo, SweepShard, TraceRef, WireRequest, WireResponse,
+    parse_machine_spec, salvage_request_id, supported_features_json, ApiError, ApiErrorCode,
+    ApiRequest, ApiResponse, ConfigSpec, EvalSpec, MachineSpec, StatusInfo, SweepShard, TraceRef,
+    WireRequest, WireResponse,
 };
 pub use arch::{ArchConfig, RoutingTableKind};
 pub use cache::{EvalCache, SnapshotError, SnapshotStats};
@@ -69,7 +69,6 @@ pub use observer::{PointRecord, Silent, StderrProgress, SweepObserver, SweepSumm
 pub use rate::LineRate;
 pub use request::EvalRequest;
 pub use table1::table1;
-pub use taco_sim::StepMode;
 pub use taco_workload::{
     FaultMetrics, FaultPlan, FlowStats, FlowTrace, ScenarioMetrics, TraceFormatError, TraceGen,
     Workload, DEFAULT_FAULT_SEED,

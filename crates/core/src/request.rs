@@ -30,7 +30,6 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use taco_isa::{CoherenceProtocol, InterconnectConfig, Topology, MAX_CORES};
-use taco_sim::StepMode;
 use taco_workload::{FaultPlan, FlowTrace, Workload};
 
 use crate::arch::ArchConfig;
@@ -71,12 +70,6 @@ pub struct EvalRequest {
     /// digest **is** part of the cache key.  `Arc` keeps the request cheap
     /// to clone even for large traces.
     pub flow_trace: Option<Arc<FlowTrace>>,
-    /// Which simulator step loop the measurement uses (see
-    /// [`taco_sim::StepMode`]).  Both loops produce identical metrics —
-    /// the interpretive path exists as the executable reference for
-    /// debugging — so only [`StepMode::Compiled`] results are memoized in
-    /// the evaluation cache.
-    pub step_mode: StepMode,
 }
 
 impl EvalRequest {
@@ -94,7 +87,6 @@ impl EvalRequest {
             faults: None,
             trace: None,
             flow_trace: None,
-            step_mode: StepMode::default(),
         }
     }
 
@@ -178,14 +170,6 @@ impl EvalRequest {
         self
     }
 
-    /// Overrides the simulator step loop ([`StepMode::Interpretive`] forces
-    /// the reference path; useful when bisecting a suspected compiled-path
-    /// divergence).
-    pub fn step_mode(mut self, mode: StepMode) -> Self {
-        self.step_mode = mode;
-        self
-    }
-
     /// Runs the full co-analysis pipeline for this request.
     pub fn run(&self) -> EvalReport {
         evaluate_request(self)
@@ -206,7 +190,6 @@ mod tests {
         assert!(r.faults.is_none());
         assert!(r.trace.is_none());
         assert!(r.flow_trace.is_none());
-        assert_eq!(r.step_mode, StepMode::Compiled);
     }
 
     #[test]

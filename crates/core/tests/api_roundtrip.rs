@@ -12,9 +12,7 @@
 //! over *randomised* specs, registry-gated.)
 
 use taco_core::api::{ApiRequest, ConfigSpec, EvalSpec, MachineSpec, SweepShard, WireRequest};
-use taco_core::{
-    Constraints, FaultPlan, LineRate, RoutingTableKind, StepMode, SweepSpec, Workload,
-};
+use taco_core::{Constraints, FaultPlan, LineRate, RoutingTableKind, SweepSpec, Workload};
 use taco_isa::{CacheConfig, CoherenceProtocol, SystemConfig, Topology, MAX_CORES};
 
 const KINDS: [RoutingTableKind; 5] = [
@@ -203,12 +201,10 @@ fn assert_round_trip_v2(request: &ApiRequest, id: u64) {
 }
 
 /// The v2-only wire surface: session ids on every kind, sweep shards,
-/// explicit step modes, and the cache-exchange kinds.
+/// and the cache-exchange kinds.
 #[test]
 fn v2_session_kinds_round_trip() {
-    let mut interpretive = EvalSpec::new(ConfigSpec::new(RoutingTableKind::Cam, 3, 1));
-    interpretive.step_mode = StepMode::Interpretive;
-    assert_round_trip(&ApiRequest::Eval(interpretive.clone()));
+    let eval = EvalSpec::new(ConfigSpec::new(RoutingTableKind::Cam, 3, 1));
     let sharded = ApiRequest::Sweep {
         spec: SweepSpec::default(),
         rate: LineRate::TEN_GBE,
@@ -216,7 +212,7 @@ fn v2_session_kinds_round_trip() {
         shard: Some(SweepShard { offset: 2, stride: 3 }),
     };
     for (id, request) in [
-        (0u64, ApiRequest::Eval(interpretive)),
+        (0u64, ApiRequest::Eval(eval)),
         (7, sharded),
         (u64::MAX, ApiRequest::CacheExport),
         (31, ApiRequest::CacheImport { body: "snapshot\ntext\n".into() }),

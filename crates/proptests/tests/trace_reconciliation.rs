@@ -15,7 +15,7 @@ use proptest::prelude::*;
 
 use taco::isa::{schedule, CodeBuilder, FuKind, MachineConfig, MoveSeq};
 use taco::sim::{
-    MapRtu, Processor, RingTracer, RtuConfig, RtuResult, TraceCounters,
+    MapRtu, NoFaults, Processor, RingTracer, RtuConfig, RtuResult, TraceCounters,
 };
 
 /// One straight-line template; every template terminates, so any program
@@ -111,7 +111,9 @@ proptest! {
         cpu.set_rtu(RtuConfig::new(Box::new(backend())).with_latency(rtu_latency));
 
         let mut ring = RingTracer::new(1 << 20);
-        let stats = cpu.run_traced(1_000_000, &mut ring).expect("straight-line code halts");
+        let stats = cpu
+            .run_with(1_000_000, &mut ring, &mut NoFaults)
+            .expect("straight-line code halts");
         prop_assert!(ring.is_complete(), "capture evicted {} events", ring.dropped());
 
         let replayed = TraceCounters::from_events(ring.events());
@@ -134,7 +136,7 @@ proptest! {
             cpu.set_rtu(RtuConfig::new(Box::new(backend())).with_latency(rtu_latency));
             let stats = if traced {
                 let mut ring = RingTracer::new(1 << 20);
-                cpu.run_traced(1_000_000, &mut ring).expect("halts")
+                cpu.run_with(1_000_000, &mut ring, &mut NoFaults).expect("halts")
             } else {
                 cpu.run(1_000_000).expect("halts")
             };

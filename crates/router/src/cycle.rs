@@ -12,7 +12,9 @@ use std::sync::{Arc, Mutex, OnceLock};
 use taco_ipv6::Datagram;
 use taco_isa::{opt, schedule, MachineConfig, MoveSeq, Program};
 use taco_routing::{BalancedTreeTable, CamTable, LpmTable, PortId, TableKind};
-use taco_sim::{Processor, RtuBackend, RtuConfig, RtuResult, SimError, SimStats, StepMode};
+use taco_sim::{
+    FaultInjector, Processor, RtuBackend, RtuConfig, RtuResult, SimError, SimStats, Tracer,
+};
 
 use crate::layout::{
     bytes_to_words, datagram_to_words, dgram_slot, serialize_sequential, serialize_tree,
@@ -253,19 +255,6 @@ impl CycleRouter {
         &self.processor
     }
 
-    /// Which step loop the underlying simulator uses (see
-    /// [`taco_sim::StepMode`]).
-    pub fn step_mode(&self) -> StepMode {
-        self.processor.step_mode()
-    }
-
-    /// Selects the simulator step loop — compiled (pre-decoded schedule)
-    /// or interpretive (the reference path).  Metrics are identical either
-    /// way; this is a perf/debug switch.
-    pub fn set_step_mode(&mut self, mode: StepMode) {
-        self.processor.set_step_mode(mode);
-    }
-
     /// Enqueues a whole batch of `(port, datagram)` pairs back-to-back, so
     /// one `run` drains them through the pipeline in a single compiled
     /// schedule walk instead of paying per-datagram setup.
@@ -361,46 +350,35 @@ impl CycleRouter {
     }
 
     /// Like [`CycleRouter::run`], reporting cycle-level events to `tracer`
-    /// (see [`taco_sim::trace`]).
-    ///
-    /// # Errors
-    ///
-    /// See [`CycleRouter::run`].
-    pub fn run_traced(
-        &mut self,
-        budget: u64,
-        tracer: &mut dyn taco_sim::Tracer,
-    ) -> Result<SimStats, SimError> {
-        self.processor.run_traced(budget, tracer)
-    }
-
-    /// Like [`CycleRouter::run`], with `faults` injecting transient bus/FU
+    /// (see [`taco_sim::trace`]) with `faults` injecting transient bus/FU
     /// stalls (see [`taco_sim::FaultInjector`]).
     ///
     /// # Errors
     ///
     /// See [`CycleRouter::run`].
-    pub fn run_fault_injected(
+    pub fn run_with<T: Tracer + ?Sized, F: FaultInjector + ?Sized>(
         &mut self,
         budget: u64,
-        faults: &mut dyn taco_sim::FaultInjector,
+        tracer: &mut T,
+        faults: &mut F,
     ) -> Result<SimStats, SimError> {
-        self.processor.run_fault_injected(budget, faults)
+        self.processor.run_with(budget, tracer, faults)
     }
 
-    /// [`CycleRouter::run_fault_injected`] with a tracer attached, so the
-    /// injected fault spans land in the trace.
+    /// [`CycleRouter::run_with`] on the simulator's reference interpreter
+    /// ([`Processor::run_reference`]) — how tests reach the oracle on real
+    /// microcode; nothing else calls it.
     ///
     /// # Errors
     ///
     /// See [`CycleRouter::run`].
-    pub fn run_fault_traced(
+    pub fn run_reference<T: Tracer + ?Sized, F: FaultInjector + ?Sized>(
         &mut self,
         budget: u64,
-        faults: &mut dyn taco_sim::FaultInjector,
-        tracer: &mut dyn taco_sim::Tracer,
+        tracer: &mut T,
+        faults: &mut F,
     ) -> Result<SimStats, SimError> {
-        self.processor.run_fault_traced(budget, faults, tracer)
+        self.processor.run_reference(budget, tracer, faults)
     }
 
     /// Forwarded datagrams in emission order, parsed back out of data
@@ -791,20 +769,6 @@ mod tests {
         single.enqueue(PortId(1), &d2).unwrap();
         assert_eq!(batched.run(1_000_000).unwrap(), single.run(1_000_000).unwrap());
         assert_eq!(batched.forwarded(), single.forwarded());
-    }
-
-    #[test]
-    fn step_modes_forward_identically() {
-        let mut outputs = Vec::new();
-        for mode in [taco_sim::StepMode::Compiled, taco_sim::StepMode::Interpretive] {
-            let mut r = seq_router(MachineConfig::three_bus_one_fu());
-            r.set_step_mode(mode);
-            assert_eq!(r.step_mode(), mode);
-            r.enqueue(PortId(0), &dgram("2001:db8:aa::5", 64)).unwrap();
-            r.enqueue(PortId(0), &dgram("9999::1", 64)).unwrap();
-            outputs.push((r.run(1_000_000).unwrap(), r.forwarded()));
-        }
-        assert_eq!(outputs[0], outputs[1]);
     }
 
     #[test]

@@ -62,5 +62,4 @@ pub use microcode::MicrocodeOptions;
 pub use reference::{DropReason, ForwardDecision, ForwardingStats, ReferenceRouter};
 pub use rng::SplitMix64;
 pub use router::{Router, TickReport};
-pub use taco_sim::StepMode;
 pub use traffic::{ripng_datagram, TrafficGen};

@@ -918,8 +918,7 @@ impl<'a> EventLoop<'a> {
                 Err(e) => self.respond(conn, envelope, &ApiResponse::Error(e)),
                 Ok(eval_request) => {
                     // The inline fast path: a cache hit is answered by the
-                    // loop itself without consuming a job slot (interpretive
-                    // requests never hit — they bypass the memo).  The
+                    // loop itself without consuming a job slot.  The
                     // serialised body is remembered so the next identical
                     // request short-circuits in `try_memo`.
                     match self.shared.cache.lookup_recorded(&eval_request) {

@@ -15,7 +15,7 @@ use std::time::Duration;
 
 use taco_core::api::{ApiErrorCode, ConfigSpec, EvalSpec};
 use taco_core::{
-    explore, ApiRequest, ApiResponse, Constraints, EvalCache, LineRate, RoutingTableKind, StepMode,
+    explore, ApiRequest, ApiResponse, Constraints, EvalCache, LineRate, RoutingTableKind,
     SweepSpec, WireRequest, WireResponse,
 };
 use taco_served::{request_lines, sharded_sweep, Server, ServerConfig, Session};
@@ -313,66 +313,6 @@ fn v2_session_survives_malformed_frames_and_requires_ids() {
     line.clear();
     reader.read_line(&mut line).expect("final response");
     assert_eq!(WireResponse::from_json(line.trim_end()).expect("parse").id, Some(2));
-    shut_down(addr);
-    handle.join().expect("join").expect("clean exit");
-}
-
-// ---------------------------------------------------------------------------
-// step_mode through the daemon.
-// ---------------------------------------------------------------------------
-
-#[test]
-fn unknown_step_mode_is_a_structured_bad_request() {
-    let (addr, handle) = start(ServerConfig::default());
-    let valid =
-        ApiRequest::Eval(EvalSpec::new(ConfigSpec::new(RoutingTableKind::Cam, 3, 1))).to_json();
-    let request =
-        format!("{},\"step_mode\":\"speculative\"}}", valid.strip_suffix('}').expect("object"));
-    let lines = request_lines(addr, &request).expect("response");
-    match ApiResponse::from_json(&lines[0]).expect("parse") {
-        ApiResponse::Error(e) => {
-            assert_eq!(e.code, ApiErrorCode::BadRequest);
-            assert!(e.message.contains("speculative"), "{}", e.message);
-        }
-        other => panic!("expected error, got {other:?}"),
-    }
-    shut_down(addr);
-    handle.join().expect("join").expect("clean exit");
-}
-
-#[test]
-fn interpretive_evals_bypass_the_memo_end_to_end() {
-    let (addr, handle) = start(ServerConfig::default());
-    let mut spec = EvalSpec::new(ConfigSpec::new(RoutingTableKind::Cam, 3, 1));
-    spec.entries = 8;
-    spec.step_mode = StepMode::Interpretive;
-    let interpretive = ApiRequest::Eval(spec.clone()).to_json();
-    let first = request_lines(addr, &interpretive).expect("first interpretive");
-    let second = request_lines(addr, &interpretive).expect("second interpretive");
-    // Same numbers both times — interpretive stepping is a cross-check
-    // path, not a different model.
-    assert_eq!(first, second);
-    let status = |addr| {
-        let lines = request_lines(addr, &ApiRequest::Status.to_json()).expect("status");
-        match ApiResponse::from_json(&lines[0]).expect("parse") {
-            ApiResponse::Status(info) => info,
-            other => panic!("expected status_result, got {other:?}"),
-        }
-    };
-    let after_interpretive = status(addr);
-    assert_eq!(after_interpretive.cache_entries, 0, "interpretive results must never be memoised");
-    assert_eq!(after_interpretive.cache_hits, 0);
-    assert_eq!(after_interpretive.cache_misses, 2, "each interpretive run recounts as a miss");
-
-    // The compiled flavour of the same point memoises as usual.
-    spec.step_mode = StepMode::Compiled;
-    let compiled = ApiRequest::Eval(spec).to_json();
-    request_lines(addr, &compiled).expect("cold compiled");
-    request_lines(addr, &compiled).expect("warm compiled");
-    let after_compiled = status(addr);
-    assert_eq!(after_compiled.cache_entries, 1);
-    assert_eq!(after_compiled.cache_hits, 1);
-    assert_eq!(after_compiled.cache_misses, 3);
     shut_down(addr);
     handle.join().expect("join").expect("clean exit");
 }

@@ -49,7 +49,7 @@ pub mod memory;
 pub mod multicore;
 pub mod processor;
 pub mod rtu;
-pub mod sched;
+mod sched;
 pub mod stats;
 pub mod trace;
 pub mod units;
@@ -58,10 +58,7 @@ pub use coherence::{CoherenceStats, LineState};
 pub use error::SimError;
 pub use memory::DataMemory;
 pub use multicore::MulticoreSim;
-pub use processor::{
-    FaultInjector, NoFaults, PeriodicStall, Processor, StepOutcome, Trace, DEFAULT_MEMORY_WORDS,
-};
+pub use processor::{FaultInjector, NoFaults, PeriodicStall, Processor, DEFAULT_MEMORY_WORDS};
 pub use rtu::{MapRtu, NullRtu, RtuBackend, RtuConfig, RtuResult};
-pub use sched::StepMode;
 pub use stats::SimStats;
 pub use trace::{ChromeTracer, NullTracer, RingTracer, TraceCounters, TraceEvent, Tracer};

@@ -23,26 +23,20 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use taco_isa::{FuKind, FuRef, Instruction, MachineConfig, PortDir, PortRef, Program, Source};
+use taco_isa::{FuKind, FuRef, MachineConfig, PortDir, PortRef, Program, Source};
 
 use crate::error::SimError;
 use crate::memory::DataMemory;
 use crate::rtu::{RtuConfig, RtuResult};
-use crate::sched::{self, DDst, DGuard, DSrc, DTrig, DecodedProgram, StepMode};
+use crate::sched::{self, DDst, DGuard, DSrc, DTrig, DecodedProgram};
 use crate::stats::SimStats;
 use crate::trace::{NullTracer, TraceEvent, Tracer};
 use crate::units::DatapathFu;
 
-/// Outcome of a single [`Processor::step`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StepOutcome {
-    /// An instruction executed.
-    Executed,
-    /// The processor stalled waiting for the RTU.
-    Stalled,
-    /// The program has halted; no state changed.
-    Halted,
-}
+// A child module, so the reference interpreter sees the same private
+// machine state as the loop it checks and nothing else in the crate does.
+#[path = "reference.rs"]
+mod reference;
 
 /// Decides, cycle by cycle, whether a transient hardware fault steals the
 /// cycle — modelling bus glitches or FU brown-outs that freeze the
@@ -65,7 +59,7 @@ pub trait FaultInjector {
 }
 
 /// The no-fault injector: never steals a cycle.  Monomorphising the step
-/// loop with this (as [`Processor::step`] and [`Processor::run`] do) keeps
+/// loop with this (as [`Processor::run`] does) keeps
 /// the fault-free path as fast as before the fault subsystem existed —
 /// the same discipline [`NullTracer`] applies to tracing.
 #[derive(Debug, Clone, Copy, Default)]
@@ -155,7 +149,6 @@ pub struct Processor {
     config: MachineConfig,
     program: Arc<Program>,
     decoded: Arc<DecodedProgram>,
-    step_mode: StepMode,
     trigger_counts: Vec<u64>,
     pc: usize,
     halted: bool,
@@ -172,38 +165,8 @@ pub struct Processor {
     oppu_out: Vec<(u32, u32)>,
     liu_table: Vec<u32>,
     stats: SimStats,
-    trace: Option<Trace>,
     stall_open: bool,
     fault_open: bool,
-}
-
-/// A bounded execution trace (see [`Processor::enable_trace`]).
-#[derive(Debug, Clone, Default)]
-pub struct Trace {
-    limit: usize,
-    lines: Vec<String>,
-    truncated: bool,
-}
-
-impl Trace {
-    /// The recorded lines, one per executed (or stalled) cycle, oldest
-    /// first.
-    pub fn lines(&self) -> &[String] {
-        &self.lines
-    }
-
-    /// Returns `true` if the run outlived the trace buffer.
-    pub fn is_truncated(&self) -> bool {
-        self.truncated
-    }
-
-    fn record(&mut self, line: String) {
-        if self.lines.len() < self.limit {
-            self.lines.push(line);
-        } else {
-            self.truncated = true;
-        }
-    }
 }
 
 /// Default data memory size in 32-bit words (256 KiB).
@@ -287,7 +250,6 @@ impl Processor {
             config,
             program,
             decoded,
-            step_mode: StepMode::default(),
             trigger_counts,
             pc: 0,
             halted: false,
@@ -304,7 +266,6 @@ impl Processor {
             oppu_out: Vec::new(),
             liu_table: Vec::new(),
             stats,
-            trace: None,
             stall_open: false,
             fault_open: false,
         })
@@ -318,19 +279,6 @@ impl Processor {
     /// The loaded program.
     pub fn program(&self) -> &Program {
         &self.program
-    }
-
-    /// Which step loop [`Processor::run`] and friends use (see
-    /// [`StepMode`]); defaults to [`StepMode::env_default`].
-    pub fn step_mode(&self) -> StepMode {
-        self.step_mode
-    }
-
-    /// Selects the step loop for subsequent runs.  Both modes execute the
-    /// same cycle semantics — this is a perf/debug switch, not a
-    /// behavioural one.
-    pub fn set_step_mode(&mut self, mode: StepMode) {
-        self.step_mode = mode;
     }
 
     /// The instantiated datapath FU layout, in decode order (used by the
@@ -456,18 +404,6 @@ impl Processor {
         &self.stats
     }
 
-    /// Turns on execution tracing: every subsequent cycle appends one line
-    /// (`c<cycle> pc=<pc>: <executed moves>` with `~` marking squashed
-    /// guards and `<stall>` marking RTU stalls), up to `limit` lines.
-    pub fn enable_trace(&mut self, limit: usize) {
-        self.trace = Some(Trace { limit, ..Trace::default() });
-    }
-
-    /// The trace recorded so far, if tracing is enabled.
-    pub fn trace(&self) -> Option<&Trace> {
-        self.trace.as_ref()
-    }
-
     fn datapath_ref(&self, fu: FuRef) -> Option<&DatapathFu> {
         self.datapath.iter().find(|(f, _)| *f == fu).map(|(_, d)| d)
     }
@@ -489,347 +425,30 @@ impl Processor {
         }
     }
 
-    fn read_port(&self, p: PortRef) -> Result<u32, SimError> {
-        match p.fu.kind {
-            FuKind::Regs => Ok(self.regs[register_index(p)?]),
-            FuKind::Mmu => Ok(self.mmus[usize::from(p.fu.index)].r),
-            FuKind::Rtu => Ok(match p.port {
-                "iface" => self.rtu.iface,
-                _ => self.rtu.nh,
-            }),
-            FuKind::Ippu => Ok(match p.port {
-                "ptr" => self.ippu_ptr,
-                _ => self.ippu_iface,
-            }),
-            FuKind::Liu => Ok(self.datapath_ref(p.fu).map(|d| d.read_result(p.port)).unwrap_or(0)),
-            _ => self.datapath_ref(p.fu).map(|d| d.read_result(p.port)).ok_or(
-                SimError::InvalidFuIndex { fu: p.fu, available: self.config.fu_count(p.fu.kind) },
-            ),
-        }
-    }
-
-    /// Returns `true` if the instruction must stall for the RTU this cycle.
-    fn must_stall(&self, ins: &Instruction) -> bool {
-        if self.cycle >= self.rtu.ready_at {
-            return false;
-        }
-        ins.moves().any(|m| {
-            let reads_rtu = matches!(&m.src, Source::Port(p) if p.fu.kind == FuKind::Rtu);
-            let guards_rtu = m.guard.as_ref().is_some_and(|g| g.fu.kind == FuKind::Rtu);
-            reads_rtu || guards_rtu
-        })
-    }
-
-    /// Executes one cycle.
-    ///
-    /// # Errors
-    ///
-    /// Propagates memory faults, port/PC write conflicts and out-of-range
-    /// jumps.
-    pub fn step(&mut self) -> Result<StepOutcome, SimError> {
-        self.step_with(&mut NullTracer)
-    }
-
-    /// Executes one cycle, reporting cycle-level events to `tracer`.
-    ///
-    /// # Errors
-    ///
-    /// See [`Processor::step`].
-    pub fn step_traced(&mut self, tracer: &mut dyn Tracer) -> Result<StepOutcome, SimError> {
-        self.step_with(tracer)
-    }
-
-    /// The real step loop, generic over the tracer so the untraced entry
-    /// points ([`Processor::step`], [`Processor::run`]) monomorphise with
-    /// [`NullTracer`] and pay nothing for instrumentation.
-    fn step_with<T: Tracer + ?Sized>(&mut self, tracer: &mut T) -> Result<StepOutcome, SimError> {
-        self.step_with_faults(tracer, &mut NoFaults)
-    }
-
-    /// [`Processor::step_with`] with a fault injector consulted first; the
-    /// fault-free entry points monomorphise with [`NoFaults`], whose
-    /// `active()` is a constant `false`, so the injected branch disappears
-    /// from the hot loop.
-    fn step_with_faults<T: Tracer + ?Sized, F: FaultInjector + ?Sized>(
-        &mut self,
-        tracer: &mut T,
-        faults: &mut F,
-    ) -> Result<StepOutcome, SimError> {
-        if self.halted {
-            return Ok(StepOutcome::Halted);
-        }
-        if self.pc >= self.program.instructions.len() {
-            self.halted = true;
-            return Ok(StepOutcome::Halted);
-        }
-        if faults.active() {
-            if faults.steals_cycle(self.cycle) {
-                if !self.fault_open {
-                    self.fault_open = true;
-                    tracer.event(&TraceEvent::FaultStallBegin { cycle: self.cycle });
-                }
-                if let Some(t) = &mut self.trace {
-                    t.record(format!("c{:04} pc={:03}: <stall: fault>", self.cycle, self.pc));
-                }
-                self.cycle += 1;
-                self.stats.cycles += 1;
-                self.stats.injected_stall_cycles += 1;
-                return Ok(StepOutcome::Stalled);
-            }
-            if self.fault_open {
-                self.fault_open = false;
-                tracer.event(&TraceEvent::FaultStallEnd { cycle: self.cycle });
-            }
-        }
-        let ins = self.program.instructions[self.pc].clone();
-
-        if self.must_stall(&ins) {
-            if !self.stall_open {
-                self.stall_open = true;
-                tracer.event(&TraceEvent::StallBegin { cycle: self.cycle });
-            }
-            if let Some(t) = &mut self.trace {
-                t.record(format!("c{:04} pc={:03}: <stall: rtu busy>", self.cycle, self.pc));
-            }
-            self.cycle += 1;
-            self.stats.cycles += 1;
-            self.stats.stall_cycles += 1;
-            return Ok(StepOutcome::Stalled);
-        }
-        if self.stall_open {
-            self.stall_open = false;
-            tracer.event(&TraceEvent::StallEnd { cycle: self.cycle });
-        }
-
-        // --- read phase ---------------------------------------------------
-        struct PendingWrite {
-            dst: PortRef,
-            value: u32,
-        }
-        let mut trace_line =
-            self.trace.as_ref().map(|_| format!("c{:04} pc={:03}:", self.cycle, self.pc));
-        let mut writes: Vec<PendingWrite> = Vec::new();
-        for (bus, mv) in ins.slots.iter().enumerate().filter_map(|(b, s)| Some((b, s.as_ref()?))) {
-            let pass = match &mv.guard {
-                None => true,
-                Some(g) => self.guard_bit(g.fu, g.signal) != g.negate,
-            };
-            if let Some(line) = &mut trace_line {
-                line.push_str(&format!(" {}{}{}", if pass { "" } else { "~" }, mv, ";"));
-            }
-            if !pass {
-                self.stats.moves_squashed += 1;
-                tracer.event(&TraceEvent::MoveSquashed {
-                    cycle: self.cycle,
-                    bus: bus as u8,
-                    pc: self.pc as u32,
-                });
-                continue;
-            }
-            let value = match &mv.src {
-                Source::Imm(v) => *v,
-                Source::Port(p) => self.read_port(*p)?,
-                Source::Label(l) => return Err(SimError::UnresolvedLabel(l.clone())),
-            };
-            self.stats.moves_executed += 1;
-            tracer.event(&TraceEvent::MoveExecuted {
-                cycle: self.cycle,
-                bus: bus as u8,
-                pc: self.pc as u32,
-            });
-            writes.push(PendingWrite { dst: mv.dst, value });
-        }
-
-        // Conflict detection.
-        for (i, w) in writes.iter().enumerate() {
-            if writes[..i].iter().any(|e| e.dst == w.dst) {
-                return Err(if w.dst.fu.kind == FuKind::Nc {
-                    SimError::DoublePcWrite { cycle: self.cycle }
-                } else {
-                    SimError::PortConflict { port: w.dst, cycle: self.cycle }
-                });
-            }
-        }
-
-        // --- write phase: operands and registers first, then triggers -----
-        let mut jump: Option<u32> = None;
-        for w in writes.iter().filter(|w| !w.dst.is_trigger()) {
-            self.write_plain(w.dst, w.value)?;
-        }
-        for w in writes.iter().filter(|w| w.dst.is_trigger()) {
-            if w.dst.fu.kind == FuKind::Nc {
-                jump = Some(w.value);
-            } else {
-                tracer.event(&TraceEvent::FuTriggered { cycle: self.cycle, fu: w.dst.fu });
-                self.fire_trigger(w.dst, w.value, tracer)?;
-                // Results become architecturally visible the next cycle —
-                // except RTU lookups, which retire when the interlock opens.
-                let retire = if w.dst.fu.kind == FuKind::Rtu {
-                    self.rtu.ready_at.max(self.cycle + 1)
-                } else {
-                    self.cycle + 1
-                };
-                tracer.event(&TraceEvent::FuRetired { cycle: retire, fu: w.dst.fu });
-                *self.stats.fu_triggers.entry(w.dst.fu.kind).or_insert(0) += 1;
-                *self.stats.fu_instance_triggers.entry(w.dst.fu).or_insert(0) += 1;
-            }
-        }
-
-        if let (Some(t), Some(line)) = (&mut self.trace, trace_line) {
-            t.record(line);
-        }
-
-        // --- PC update -----------------------------------------------------
-        self.cycle += 1;
-        self.stats.cycles += 1;
-        let len = self.program.instructions.len();
-        match jump {
-            Some(t) if (t as usize) < len => self.pc = t as usize,
-            Some(t) if t as usize == len => self.halted = true,
-            Some(t) => return Err(SimError::JumpOutOfRange { target: t, len }),
-            None => {
-                self.pc += 1;
-                if self.pc >= len {
-                    self.halted = true;
-                }
-            }
-        }
-        Ok(StepOutcome::Executed)
-    }
-
-    fn write_plain(&mut self, dst: PortRef, value: u32) -> Result<(), SimError> {
-        match dst.fu.kind {
-            FuKind::Regs => self.regs[register_index(dst)?] = value,
-            FuKind::Mmu => self.mmus[usize::from(dst.fu.index)].addr = value,
-            FuKind::Rtu => {
-                let i = match dst.port {
-                    "k0" => 0,
-                    "k1" => 1,
-                    _ => 2,
-                };
-                self.rtu.k[i] = value;
-            }
-            FuKind::Oppu => self.oppu_iface = value,
-            _ => self.datapath_mut(dst.fu)?.write_operand(dst.port, value),
-        }
-        Ok(())
-    }
-
-    fn fire_trigger<T: Tracer + ?Sized>(
-        &mut self,
-        dst: PortRef,
-        value: u32,
-        tracer: &mut T,
-    ) -> Result<(), SimError> {
-        match dst.fu.kind {
-            FuKind::Mmu => {
-                let port_index = usize::from(dst.fu.index);
-                let addr = self.mmus[port_index].addr;
-                match dst.port {
-                    "tread" => {
-                        self.mmus[port_index].r = self.mem.read(addr)?;
-                    }
-                    _ => {
-                        self.mem.write(addr, value)?;
-                    }
-                }
-            }
-            FuKind::Rtu => {
-                let key = [self.rtu.k[0], self.rtu.k[1], self.rtu.k[2], value];
-                match self.rtu.config.backend.lookup(key) {
-                    Some(RtuResult { iface, handle }) => {
-                        self.rtu.iface = iface;
-                        self.rtu.nh = handle;
-                        self.rtu.hit = true;
-                    }
-                    None => {
-                        self.rtu.iface = u32::MAX;
-                        self.rtu.nh = 0;
-                        self.rtu.hit = false;
-                    }
-                }
-                self.rtu.ready_at = self.cycle + u64::from(self.rtu.config.latency);
-            }
-            FuKind::Ippu => {
-                if let Some((ptr, iface)) = self.ippu_queue.pop_front() {
-                    self.ippu_ptr = ptr;
-                    self.ippu_iface = iface;
-                    tracer.event(&TraceEvent::DatagramBegin { cycle: self.cycle, ptr, iface });
-                }
-            }
-            FuKind::Oppu => {
-                tracer.event(&TraceEvent::DatagramEnd {
-                    cycle: self.cycle,
-                    ptr: value,
-                    iface: self.oppu_iface,
-                });
-                self.oppu_out.push((value, self.oppu_iface));
-            }
-            _ => self.datapath_mut(dst.fu)?.trigger(dst.port, value),
-        }
-        Ok(())
-    }
-
     /// Runs until the program halts.
     ///
     /// # Errors
     ///
-    /// Everything [`Processor::step`] can raise, plus
-    /// [`SimError::Watchdog`] if the program has not halted within `budget`
-    /// cycles.
+    /// Propagates memory faults, port/PC write conflicts and out-of-range
+    /// jumps, plus [`SimError::Watchdog`] if the program has not halted
+    /// within `budget` cycles.
     pub fn run(&mut self, budget: u64) -> Result<SimStats, SimError> {
-        self.run_with(budget, &mut NullTracer)
+        self.run_with(budget, &mut NullTracer, &mut NoFaults)
     }
 
-    /// Runs until the program halts, reporting cycle-level events to
-    /// `tracer`.
+    /// [`Processor::run`] reporting cycle-level events to `tracer`, with
+    /// `faults` injecting transient stall cycles (see [`FaultInjector`]).
+    /// Generic over both, so [`NullTracer`] and [`NoFaults`] monomorphise
+    /// to nothing.
+    ///
+    /// The flat per-slot trigger counters are folded into the `BTreeMap`
+    /// statistics on every exit path, so stats stay complete even when the
+    /// run errors out mid-cycle.
     ///
     /// # Errors
     ///
     /// See [`Processor::run`].
-    pub fn run_traced(
-        &mut self,
-        budget: u64,
-        tracer: &mut dyn Tracer,
-    ) -> Result<SimStats, SimError> {
-        self.run_with(budget, tracer)
-    }
-
-    fn run_with<T: Tracer + ?Sized>(
-        &mut self,
-        budget: u64,
-        tracer: &mut T,
-    ) -> Result<SimStats, SimError> {
-        self.run_with_faults(budget, tracer, &mut NoFaults)
-    }
-
-    fn run_with_faults<T: Tracer + ?Sized, F: FaultInjector + ?Sized>(
-        &mut self,
-        budget: u64,
-        tracer: &mut T,
-        faults: &mut F,
-    ) -> Result<SimStats, SimError> {
-        // The text trace formats each instruction word per cycle, which
-        // only the interpretive loop can do; everything else (tracers,
-        // fault injectors) runs compiled.
-        if self.step_mode == StepMode::Compiled && self.trace.is_none() {
-            return self.run_compiled_with(budget, tracer, faults);
-        }
-        let start = self.cycle;
-        while !self.halted {
-            if self.cycle - start >= budget {
-                return Err(SimError::Watchdog { budget });
-            }
-            self.step_with_faults(tracer, faults)?;
-        }
-        Ok(self.stats.clone())
-    }
-
-    /// Runs the pre-decoded schedule to completion, then folds the flat
-    /// per-slot trigger counters into the `BTreeMap` statistics — on every
-    /// exit path, so stats agree with the interpretive loop even when the
-    /// run errors out mid-cycle.
-    fn run_compiled_with<T: Tracer + ?Sized, F: FaultInjector + ?Sized>(
+    pub fn run_with<T: Tracer + ?Sized, F: FaultInjector + ?Sized>(
         &mut self,
         budget: u64,
         tracer: &mut T,
@@ -853,8 +472,8 @@ impl Processor {
     }
 
     /// The compiled step loop: a walk over the flat [`DecodedProgram`]
-    /// built at construction.  Replays the interpretive loop
-    /// ([`Processor::step_with_faults`]) phase for phase — same stall and
+    /// built at construction.  Replays the reference interpreter
+    /// ([`Processor::run_reference`]) phase for phase — same stall and
     /// fault bookkeeping, same read/conflict/write ordering, same trace
     /// events in the same order — with all decoding already done.
     fn compiled_loop<T: Tracer + ?Sized, F: FaultInjector + ?Sized>(
@@ -1067,35 +686,6 @@ impl Processor {
         }
         Ok(())
     }
-
-    /// Runs until the program halts, with `faults` injecting transient
-    /// stall cycles (see [`FaultInjector`]).
-    ///
-    /// # Errors
-    ///
-    /// See [`Processor::run`].
-    pub fn run_fault_injected(
-        &mut self,
-        budget: u64,
-        faults: &mut dyn FaultInjector,
-    ) -> Result<SimStats, SimError> {
-        self.run_with_faults(budget, &mut NullTracer, faults)
-    }
-
-    /// [`Processor::run_fault_injected`] with a tracer attached, so fault
-    /// spans appear alongside the normal cycle-level events.
-    ///
-    /// # Errors
-    ///
-    /// See [`Processor::run`].
-    pub fn run_fault_traced(
-        &mut self,
-        budget: u64,
-        faults: &mut dyn FaultInjector,
-        tracer: &mut dyn Tracer,
-    ) -> Result<SimStats, SimError> {
-        self.run_with_faults(budget, tracer, faults)
-    }
 }
 
 /// Maps a register-file port (`r0`..`r15`) to its index.
@@ -1186,7 +776,7 @@ fn validate(config: &MachineConfig, program: &Program) -> Result<(), SimError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use taco_isa::asm;
+    use taco_isa::{asm, Instruction};
 
     fn load(text: &str, config: MachineConfig) -> Processor {
         let mut prog = asm::parse(text).unwrap();
@@ -1515,52 +1105,6 @@ mod determinism_tests {
 }
 
 #[cfg(test)]
-mod trace_tests {
-    use super::*;
-    use taco_isa::asm;
-
-    #[test]
-    fn trace_records_moves_squashes_and_stalls() {
-        let mut prog = asm::parse(
-            "1 -> rtu0.t\n\
-             ?rtu0.hit 1 -> regs0.r0 | !rtu0.hit 2 -> regs0.r1\n",
-        )
-        .unwrap();
-        prog.resolve_labels().unwrap();
-        let mut p = Processor::new(MachineConfig::new(2), prog).unwrap();
-        p.set_rtu(crate::rtu::RtuConfig::default().with_latency(3));
-        p.enable_trace(100);
-        p.run(100).unwrap();
-        let trace = p.trace().unwrap();
-        let text = trace.lines().join("\n");
-        assert!(text.contains("rtu0.t"), "{text}");
-        assert!(text.contains("<stall"), "{text}");
-        assert!(text.contains("~?rtu0.hit"), "{text}"); // squashed hit-guarded move
-        assert!(!trace.is_truncated());
-    }
-
-    #[test]
-    fn trace_respects_its_limit() {
-        let mut prog = asm::parse("loop: 1 -> cnt0.tinc\n@loop -> nc0.pc\n").unwrap();
-        prog.resolve_labels().unwrap();
-        let mut p = Processor::new(MachineConfig::new(1), prog).unwrap();
-        p.enable_trace(5);
-        assert!(matches!(p.run(50), Err(SimError::Watchdog { .. })));
-        let trace = p.trace().unwrap();
-        assert_eq!(trace.lines().len(), 5);
-        assert!(trace.is_truncated());
-    }
-
-    #[test]
-    fn tracing_off_by_default() {
-        let mut prog = asm::parse("1 -> regs0.r0\n").unwrap();
-        prog.resolve_labels().unwrap();
-        let p = Processor::new(MachineConfig::new(1), prog).unwrap();
-        assert!(p.trace().is_none());
-    }
-}
-
-#[cfg(test)]
 mod fault_tests {
     use super::*;
     use crate::trace::{RingTracer, TraceEvent};
@@ -1584,7 +1128,7 @@ mod fault_tests {
         let clean_stats = clean.run(1_000).unwrap();
         let mut faulty = load(LOOP);
         let mut plan = PeriodicStall::new(4, 1);
-        let faulty_stats = faulty.run_fault_injected(1_000, &mut plan).unwrap();
+        let faulty_stats = faulty.run_with(1_000, &mut NullTracer, &mut plan).unwrap();
         assert_eq!(clean.reg(0), faulty.reg(0)); // same architectural result
         assert!(faulty_stats.injected_stall_cycles > 0);
         assert_eq!(clean_stats.injected_stall_cycles, 0);
@@ -1597,7 +1141,7 @@ mod fault_tests {
         let mut p = load(LOOP);
         // len >= every would freeze forever; the clamp must prevent that.
         let mut plan = PeriodicStall::new(3, 99);
-        p.run_fault_injected(10_000, &mut plan).unwrap();
+        p.run_with(10_000, &mut NullTracer, &mut plan).unwrap();
         assert!(p.is_halted());
     }
 
@@ -1606,7 +1150,7 @@ mod fault_tests {
         let mut p = load(LOOP);
         let mut plan = PeriodicStall::new(5, 2);
         let mut ring = RingTracer::new(4096);
-        let stats = p.run_fault_traced(1_000, &mut plan, &mut ring).unwrap();
+        let stats = p.run_with(1_000, &mut ring, &mut plan).unwrap();
         let begins = ring
             .events()
             .iter()
@@ -1625,169 +1169,10 @@ mod fault_tests {
         let run = || {
             let mut p = load(LOOP);
             let mut plan = PeriodicStall::new(7, 3);
-            let stats = p.run_fault_injected(1_000, &mut plan).unwrap();
+            let stats = p.run_with(1_000, &mut NullTracer, &mut plan).unwrap();
             (stats, p.reg(0))
         };
         assert_eq!(run(), run());
-    }
-}
-
-#[cfg(test)]
-mod step_mode_tests {
-    use super::*;
-    use crate::rtu::{MapRtu, RtuResult};
-    use crate::trace::RingTracer;
-    use taco_isa::asm;
-
-    /// Builds the same processor twice — one per step mode — from `text`.
-    fn pair(text: &str, config: MachineConfig) -> (Processor, Processor) {
-        let mut prog = asm::parse(text).unwrap();
-        prog.resolve_labels().unwrap();
-        let prog = Arc::new(prog);
-        let mut compiled = Processor::new_shared(config.clone(), Arc::clone(&prog)).unwrap();
-        compiled.set_step_mode(StepMode::Compiled);
-        let mut interp = Processor::new_shared(config, prog).unwrap();
-        interp.set_step_mode(StepMode::Interpretive);
-        (compiled, interp)
-    }
-
-    fn routed_rtu() -> RtuConfig {
-        let mut backend = MapRtu::new();
-        backend.insert([1, 2, 3, 4], RtuResult { iface: 9, handle: 1 });
-        RtuConfig::new(Box::new(backend)).with_latency(5)
-    }
-
-    /// Programs covering every decoded source/destination/guard shape,
-    /// including RTU stalls, guard squashes and PPU datagram flow.
-    const PROGRAMS: &[&str] = &[
-        "0 -> cnt0.tset | 9 -> cnt0.stop
-         loop: 1 -> cnt0.tinc | cnt0.r -> regs0.r1
-         !cnt0.done @loop -> nc0.pc
-         cnt0.r -> regs0.r0
-",
-        "1 -> rtu0.k0 | ?rtu0.hit 1 -> regs0.r1
-         2 -> rtu0.k1
-         3 -> rtu0.k2
-         4 -> rtu0.t
-         rtu0.iface -> regs0.r0 | !rtu0.hit 7 -> regs0.r2
-",
-        "0 -> ippu0.tpop
-         ippu0.iface -> oppu0.iface
-         ippu0.ptr -> oppu0.t
-         ?ippu0.pending 1 -> regs0.r0
-",
-        "16 -> mmu0.addr
-         77 -> mmu0.twrite
-         0 -> mmu0.tread
-         mmu0.r -> regs0.r2 | 1 -> liu0.t
-         liu0.r -> regs0.r3
-         0 -> csum0.tclr
-         0x00010203 -> csum0.tadd
-         csum0.r -> regs0.r4
-",
-    ];
-
-    fn prep(p: &mut Processor) {
-        p.set_rtu(routed_rtu());
-        p.set_local_info(vec![0x11, 0x22]);
-        p.push_input(0x100, 2);
-        p.push_input(0x140, 3);
-    }
-
-    #[test]
-    fn both_modes_agree_on_state_stats_and_events() {
-        for text in PROGRAMS {
-            let (mut compiled, mut interp) = pair(text, MachineConfig::new(2));
-            prep(&mut compiled);
-            prep(&mut interp);
-            let mut ring_c = RingTracer::new(65_536);
-            let mut ring_i = RingTracer::new(65_536);
-            let stats_c = compiled.run_traced(10_000, &mut ring_c).unwrap();
-            let stats_i = interp.run_traced(10_000, &mut ring_i).unwrap();
-            assert_eq!(stats_c, stats_i, "stats diverged for {text:?}");
-            assert_eq!(compiled.cycles(), interp.cycles());
-            assert_eq!(compiled.pc(), interp.pc());
-            for r in 0..16 {
-                assert_eq!(compiled.reg(r), interp.reg(r), "r{r} diverged for {text:?}");
-            }
-            assert_eq!(compiled.outputs(), interp.outputs());
-            assert_eq!(compiled.pending_inputs(), interp.pending_inputs());
-            assert_eq!(ring_c.events(), ring_i.events(), "trace events diverged for {text:?}");
-        }
-    }
-
-    #[test]
-    fn both_modes_agree_under_fault_injection() {
-        for text in PROGRAMS {
-            let (mut compiled, mut interp) = pair(text, MachineConfig::new(2));
-            prep(&mut compiled);
-            prep(&mut interp);
-            let mut ring_c = RingTracer::new(65_536);
-            let mut ring_i = RingTracer::new(65_536);
-            let stats_c = compiled
-                .run_fault_traced(10_000, &mut PeriodicStall::new(5, 2), &mut ring_c)
-                .unwrap();
-            let stats_i = interp
-                .run_fault_traced(10_000, &mut PeriodicStall::new(5, 2), &mut ring_i)
-                .unwrap();
-            assert_eq!(stats_c, stats_i, "fault-injected stats diverged for {text:?}");
-            assert!(stats_c.injected_stall_cycles > 0);
-            assert_eq!(ring_c.events(), ring_i.events());
-            assert_eq!(compiled.outputs(), interp.outputs());
-        }
-    }
-
-    #[test]
-    fn both_modes_agree_on_errors() {
-        let cases: &[(&str, u64)] = &[
-            ("1 -> regs0.r0 | 2 -> regs0.r0\n", 10), // port conflict
-            ("0 -> nc0.pc | 0 -> nc0.pc\n", 10),     // double PC write
-            ("3 -> nc0.pc\n", 10),                   // jump out of range
-            ("loop: @loop -> nc0.pc\n", 50),         // watchdog
-        ];
-        for &(text, budget) in cases {
-            let (mut compiled, mut interp) = pair(text, MachineConfig::new(2));
-            let err_c = compiled.run(budget).unwrap_err();
-            let err_i = interp.run(budget).unwrap_err();
-            assert_eq!(err_c, err_i, "errors diverged for {text:?}");
-            assert_eq!(compiled.stats(), interp.stats());
-        }
-    }
-
-    #[test]
-    fn memory_fault_leaves_identical_stats_in_both_modes() {
-        let text = "1 -> cnt0.tinc\n9999999 -> mmu0.addr\n0 -> mmu0.tread\n";
-        let build = |mode: StepMode| {
-            let mut prog = asm::parse(text).unwrap();
-            prog.resolve_labels().unwrap();
-            let mut p = Processor::with_memory(MachineConfig::new(1), prog, 16).unwrap();
-            p.set_step_mode(mode);
-            p
-        };
-        let mut compiled = build(StepMode::Compiled);
-        let mut interp = build(StepMode::Interpretive);
-        let err_c = compiled.run(10).unwrap_err();
-        let err_i = interp.run(10).unwrap_err();
-        assert_eq!(err_c, err_i);
-        // The counter trigger before the fault must be folded into the
-        // compiled stats too.
-        assert_eq!(compiled.stats(), interp.stats());
-        assert_eq!(compiled.stats().triggers(FuKind::Counter), 1);
-    }
-
-    #[test]
-    fn compiled_runs_resume_across_run_calls() {
-        let text = "0 -> ippu0.tpop\nippu0.iface -> oppu0.iface\nippu0.ptr -> oppu0.t\n";
-        let (mut compiled, mut interp) = pair(text, MachineConfig::new(1));
-        for p in [&mut compiled, &mut interp] {
-            p.push_input(0xa, 1);
-            p.run(1_000).unwrap();
-            // A second run on the halted processor is a clean no-op in
-            // both modes.
-            p.run(1_000).unwrap();
-        }
-        assert_eq!(compiled.stats(), interp.stats());
-        assert_eq!(compiled.drain_outputs(), interp.drain_outputs());
     }
 }
 
@@ -1815,7 +1200,7 @@ mod event_trace_tests {
         );
         p.set_rtu(RtuConfig::new(Box::new(backend)).with_latency(5));
         let mut ring = RingTracer::new(4096);
-        let stats = p.run_traced(100, &mut ring).unwrap();
+        let stats = p.run_with(100, &mut ring, &mut NoFaults).unwrap();
         assert!(ring.is_complete());
         assert!(stats.stall_cycles > 0);
         assert!(stats.moves_squashed > 0);
@@ -1831,7 +1216,7 @@ mod event_trace_tests {
         );
         p.push_input(0x100, 2);
         let mut ring = RingTracer::new(64);
-        p.run_traced(10, &mut ring).unwrap();
+        p.run_with(10, &mut ring, &mut NoFaults).unwrap();
         let begins: Vec<_> = ring
             .events()
             .iter()
@@ -1857,7 +1242,7 @@ mod event_trace_tests {
         let plain_stats = plain.run(1_000).unwrap();
         let mut traced = load(text, MachineConfig::new(3));
         let mut ring = RingTracer::new(4096);
-        let traced_stats = traced.run_traced(1_000, &mut ring).unwrap();
+        let traced_stats = traced.run_with(1_000, &mut ring, &mut NoFaults).unwrap();
         assert_eq!(plain_stats, traced_stats);
         assert_eq!(plain.reg(0), traced.reg(0));
         assert_eq!(

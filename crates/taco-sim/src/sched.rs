@@ -1,80 +1,32 @@
-//! Pre-decoded move schedules — the compiled simulation path.
+//! Pre-decoded move schedules — the one form [`Processor`](crate::Processor)
+//! executes.
 //!
-//! The interpretive step loop re-decodes every occupied bus slot each
-//! cycle: it clones the instruction word, matches on the source and
-//! destination port vocabulary, linearly searches the datapath for the
-//! addressed FU instance and re-parses `"rN"` register names.  None of
-//! that depends on machine state, so [`DecodedProgram`] hoists it all to
-//! [`Processor`](crate::Processor) construction time: every move becomes a
-//! flat [`DMove`] whose guard, source and destination are dense indices
-//! into the processor's state arrays, every trigger gets a pre-assigned
-//! statistics slot, and every instruction carries precomputed RTU-stall
-//! and conflict flags.  The per-cycle work left for the compiled loop is
-//! an array walk (see `Processor::run_compiled_with`), which is what makes
-//! the uncached Table 1 smoke several times faster — the "compile, don't
-//! interpret" result of the cycle-accurate-simulator-generation
-//! literature, applied to TTA move schedules.
+//! Resolving a move's ports costs a match on the source and destination
+//! vocabulary, a linear search of the datapath for the addressed FU
+//! instance and a parse of each `"rN"` register name.  None of that
+//! depends on machine state, so [`decode`] does it once, at processor
+//! construction: every move becomes a flat [`DMove`] whose guard, source
+//! and destination are dense indices into the processor's state arrays,
+//! every trigger gets a pre-assigned statistics slot, and every
+//! instruction carries precomputed RTU-stall and conflict flags.  The
+//! per-cycle work left for `Processor::run_with` is an array walk — the
+//! "compile, don't interpret" result of the
+//! cycle-accurate-simulator-generation literature, applied to TTA move
+//! schedules.
 //!
-//! Decoding is semantics-preserving by construction: conflict detection
-//! compares decoded destinations with exactly the equality [`PortRef`]
-//! has (instance indices are kept even where the architectural state is
-//! shared), and the compiled loop replays the interpretive loop's phase
-//! structure and trace-event order move for move.  The differential test
-//! tiers pin the two paths cycle-for-cycle.
-
-use std::sync::OnceLock;
+//! Decoding must preserve semantics: conflict detection compares decoded
+//! destinations with exactly the equality [`taco_isa::PortRef`] has
+//! (instance indices are kept even where the architectural state is
+//! shared), and the loop keeps the phase structure and trace-event order
+//! of the instruction words it replaces.  What checks that is the
+//! reference interpreter in `reference.rs`, which executes the words
+//! directly and shares nothing with this module; `tests/step_reference.rs`
+//! holds the two to equal statistics, events and machine state.
 
 use taco_isa::{FuKind, FuRef, MachineConfig, Program, Source};
 
 use crate::error::SimError;
 use crate::units::DatapathFu;
-
-/// Which step loop a [`Processor`](crate::Processor) runs.
-///
-/// Both paths execute the same cycle semantics and produce identical
-/// statistics, trace events and architectural state; `Compiled` walks the
-/// pre-decoded schedule, `Interpretive` re-decodes each instruction word
-/// every cycle.  The interpretive path is kept as the executable
-/// specification — force it with `TACO_STEP_MODE=interpretive` when
-/// debugging a suspected compiled-path divergence.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum StepMode {
-    /// Walk the pre-decoded move schedule (the fast path, the default).
-    Compiled,
-    /// Re-decode every instruction word each cycle (the reference path).
-    Interpretive,
-}
-
-impl StepMode {
-    /// The process-wide default: `TACO_STEP_MODE` if set (`compiled` or
-    /// `interpretive`), otherwise [`StepMode::Compiled`].  Read once and
-    /// latched for the life of the process.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any other value — a misspelt mode silently running the
-    /// wrong path would invalidate every measurement, so it is a loud
-    /// startup error (the same policy the CLIs apply to unknown flags).
-    pub fn env_default() -> StepMode {
-        static MODE: OnceLock<StepMode> = OnceLock::new();
-        *MODE.get_or_init(|| match std::env::var("TACO_STEP_MODE") {
-            Err(_) => StepMode::Compiled,
-            Ok(v) => match v.trim() {
-                "" | "compiled" => StepMode::Compiled,
-                "interpretive" => StepMode::Interpretive,
-                other => panic!(
-                    "invalid TACO_STEP_MODE {other:?}: expected \"compiled\" or \"interpretive\""
-                ),
-            },
-        })
-    }
-}
-
-impl Default for StepMode {
-    fn default() -> Self {
-        StepMode::env_default()
-    }
-}
 
 /// A decoded move source: everything resolved to a direct state access.
 #[derive(Debug, Clone, Copy)]
@@ -113,7 +65,7 @@ pub(crate) enum DGuard {
 /// A decoded trigger destination.  Instance indices are carried even where
 /// the architectural state is shared (RTU, iPPU, oPPU are singletons) so
 /// that [`DDst`] equality coincides with [`taco_isa::PortRef`] equality —
-/// the relation the interpretive conflict check uses.
+/// the relation the reference interpreter's conflict check uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum DTrig {
     /// `mmuN.tread`.
@@ -374,11 +326,5 @@ mod tests {
         assert_eq!(dp.trigger_fus.len(), 2);
         assert_eq!(dp.trigger_fus[0], FuRef::new(FuKind::Counter, 0));
         assert_eq!(dp.trigger_fus[1], FuRef::new(FuKind::Checksum, 0));
-    }
-
-    #[test]
-    fn env_default_is_compiled_when_unset() {
-        // The test harness does not set TACO_STEP_MODE.
-        assert_eq!(StepMode::default(), StepMode::Compiled);
     }
 }

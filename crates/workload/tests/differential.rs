@@ -324,43 +324,6 @@ fn malformed_frames_drop_in_the_same_class_on_both_routers() {
 }
 
 #[test]
-fn step_modes_forward_identically_on_every_kind() {
-    // The compiled step loop must be invisible at the router's observable
-    // surface: same forwarded datagrams (bytes, ports, emission order) and
-    // same simulator counters as the interpretive reference, for every
-    // organisation, on a full builtin-workload sample plus edge datagrams.
-    use taco_router::StepMode;
-    let config = MachineConfig::three_bus_one_fu();
-    let (routes, traffic) = traffic_for(&Workload::steady_forward());
-    for kind in ALL_KINDS {
-        let routes = routes_for_kind(kind, &routes);
-        let run = |mode: StepMode| {
-            let mut router = CycleRouter::for_kind(
-                kind,
-                &config,
-                routes,
-                CAM_LATENCY,
-                &MicrocodeOptions::default(),
-            )
-            .expect("microcode validates");
-            router.set_step_mode(mode);
-            for d in &traffic {
-                router.enqueue(PortId(0), d).expect("traffic fits the buffer area");
-            }
-            let stats = router.run(50_000_000).expect("batch run halts");
-            let out: Vec<(u16, Vec<u8>)> =
-                router.forwarded().iter().map(|(p, d)| (p.0, d.to_bytes())).collect();
-            (out, stats)
-        };
-        let (compiled_out, compiled_stats) = run(StepMode::Compiled);
-        let (interp_out, interp_stats) = run(StepMode::Interpretive);
-        assert_eq!(compiled_out, interp_out, "{kind}: forwarded streams diverged");
-        assert_eq!(compiled_stats, interp_stats, "{kind}: simulator counters diverged");
-        assert!(!compiled_out.is_empty(), "{kind}: vacuous sample");
-    }
-}
-
-#[test]
 fn verdict_transcripts_are_seeded_and_deterministic() {
     let w = Workload::burst_overload();
     let transcript = || -> String {

@@ -63,12 +63,16 @@ cargo test -q --offline -p taco-router --test lpm_oracle
 cargo test -q --offline -p taco-workload --test churn_scale
 
 echo
-echo "== tier-1: compiled-vs-interpretive step-mode differential (explicit) =="
-# Every builtin workload x table kind x fault preset must produce
-# byte-identical scenario metrics and simulator counters under both step
-# loops, independent of pool worker count.
-cargo test -q --offline -p taco-core --test step_mode_differential
-cargo test -q --offline -p taco-workload --test differential step_modes_forward_identically_on_every_kind
+echo "== tier-1: decoded schedule vs reference interpreter (explicit) =="
+# The schedule Processor executes must agree with the instruction-word
+# interpreter (taco-sim/src/reference.rs) on statistics, trace events,
+# registers and forwarded bytes: every table kind x Table 1 machine x
+# {10, 100} entries x {no faults, periodic stalls}, hand-written programs
+# and every run-time error.  The guard keeps the deleted step-loop switch
+# and the deprecated shape parser from growing back (the brackets stop the
+# pattern from matching this file).
+cargo test -q --offline --test step_reference
+if grep -rnE '[S]tepMode|TACO_STEP_[M]ODE|set_step_[m]ode|parse_machine_[s]hape' crates src tests examples scripts; then exit 1; fi
 
 echo
 echo "== tier-1: trace-replay suites (explicit) =="
@@ -86,13 +90,13 @@ echo "== tier-1: multicore determinism (explicit) =="
 # The coherent multicore layer must be as deterministic as the rest of
 # the simulator: a multicore sweep (cores x topology x protocol, with
 # coherence traffic from table churn) is byte-identical across worker
-# counts and step loops, the MachineSpec wire grid round-trips
-# exhaustively, and a single-core request keeps the exact pre-multicore
-# bytes.  The release-built `scenarios` bin then re-measures 2- and
+# counts, the MachineSpec wire grid round-trips exhaustively, and a
+# single-core request keeps the exact pre-multicore bytes.  The
+# release-built `scenarios` bin then re-measures 2- and
 # 4-core cells under its hard wall-clock timeout, so a coherence
 # livelock fails loudly here instead of hanging a later job.
 cargo test -q --offline -p taco-core --test parallel_equivalence \
-    multicore_sweep_is_byte_identical_across_threads_and_step_modes
+    multicore_sweep_is_byte_identical_across_threads
 cargo test -q --offline -p taco-core --test api_roundtrip every_machine_spec_combination_round_trips
 cargo test -q --offline -p taco-core --test api_roundtrip single_core_machine_specs_keep_the_flat_wire_form
 cargo build --release --offline -q -p taco-bench --bin scenarios
@@ -152,12 +156,6 @@ else
         fi
         echo "perf gate ok: best-of-3 ${best} ms <= ${limit} ms (baseline ${baseline} ms; runs ${runs[*]} ms)"
     fi
-
-    echo
-    echo "== bench artefact: compiled vs interpretive Table 1 cells =="
-    # Per-cell wall times for both step loops, written to the checked-in
-    # BENCH_table1.json so the measured speedup travels with the repo.
-    ./target/release/trace --smoke 10 --bench-json BENCH_table1.json
 fi
 
 echo

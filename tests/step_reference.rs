@@ -1,0 +1,266 @@
+//! The decoded schedule against the reference interpreter.
+//!
+//! `Processor::run_with` executes the schedule `sched::decode` produced at
+//! construction; `Processor::run_reference` executes the instruction words
+//! themselves and shares nothing with the decoder.  Every input here runs
+//! once on each and must leave the same result (or error), statistics,
+//! trace-event stream, program counter, registers and oPPU output behind.
+//!
+//! The evaluation pipeline hands the simulator a table kind, a machine, a
+//! route list, an RTU latency, a stall injector and a tracer — the
+//! workload never reaches it — so the matrix is over exactly those.
+
+use taco::eval::{benchmark_routes, FaultPlan};
+use taco::ipv6::{Datagram, NextHeader};
+use taco::isa::{asm, FuKind, MachineConfig, PortRef};
+use taco::router::{CycleRouter, MicrocodeOptions, TrafficGen};
+use taco::routing::{PortId, Route, TableKind};
+use taco::sim::{
+    FaultInjector, MapRtu, NoFaults, PeriodicStall, Processor, RingTracer, RtuConfig, RtuResult,
+    SimError, SimStats, TraceEvent,
+};
+
+/// One way of running a machine to completion.
+type Run<M> = fn(
+    &mut M,
+    u64,
+    &mut RingTracer,
+    &mut (dyn FaultInjector + 'static),
+) -> Result<SimStats, SimError>;
+
+/// Everything a run leaves behind that a caller can see.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    result: Result<SimStats, SimError>,
+    stats: SimStats,
+    events: Vec<TraceEvent>,
+    cycles: u64,
+    pc: usize,
+    halted: bool,
+    regs: [u32; 16],
+    outputs: Vec<(u32, u32)>,
+    pending_inputs: usize,
+}
+
+fn observe<M>(
+    machine: &mut M,
+    run: Run<M>,
+    cpu: fn(&M) -> &Processor,
+    budget: u64,
+    stall: Option<PeriodicStall>,
+) -> Observed {
+    let mut ring = RingTracer::new(1 << 22);
+    let result = match stall {
+        Some(mut stall) => run(machine, budget, &mut ring, &mut stall),
+        None => run(machine, budget, &mut ring, &mut NoFaults),
+    };
+    assert!(ring.is_complete(), "capture evicted {} events", ring.dropped());
+    let cpu = cpu(machine);
+    Observed {
+        result,
+        stats: cpu.stats().clone(),
+        events: ring.events().iter().cloned().collect(),
+        cycles: cpu.cycles(),
+        pc: cpu.pc(),
+        halted: cpu.is_halted(),
+        regs: std::array::from_fn(|i| cpu.reg(i as u8)),
+        outputs: cpu.outputs().to_vec(),
+        pending_inputs: cpu.pending_inputs(),
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Real microcode: every table kind x Table 1 machine x table size x injector.
+// ---------------------------------------------------------------------------
+
+/// Long enough that an RTU read issued right after the trigger stalls.
+const CAM_LATENCY: u32 = 5;
+
+/// The unibit trie serialises ~4 words per prefix bit, so 100 entries
+/// overflow the simulator's 64 Ki-word data memory; its rows load a slice.
+const TRIE_ROUTE_CAP: usize = 32;
+
+/// Hits on the first, middle and last route (the sequential scan's best
+/// and worst case), a miss (the benchmark table has no default route) and
+/// an expiring hop limit, so forward and both drop paths execute.
+fn traffic(routes: &[Route]) -> Vec<Datagram> {
+    let mut gen = TrafficGen::new(0x5EF, 4);
+    let dgram = |dst, hop_limit| {
+        Datagram::builder("2001:db8:ffff::1".parse().expect("valid"), dst)
+            .hop_limit(hop_limit)
+            .payload(NextHeader::Udp, vec![0u8; 32])
+            .build()
+    };
+    let mut out = Vec::new();
+    for route in [&routes[0], &routes[routes.len() / 2], &routes[routes.len() - 1]] {
+        let dst = gen.addr_in(&route.prefix());
+        out.push(dgram(dst, 64));
+    }
+    out.push(dgram("4000::1".parse().expect("valid"), 64));
+    let dst = gen.addr_in(&routes[0].prefix());
+    out.push(dgram(dst, 1));
+    out
+}
+
+fn forwarded_bytes(router: &CycleRouter) -> Vec<(u16, Vec<u8>)> {
+    router.forwarded().iter().map(|(port, d)| (port.0, d.to_bytes())).collect()
+}
+
+#[test]
+fn every_kind_machine_size_and_injector_agrees_on_real_microcode() {
+    let machines = [
+        MachineConfig::one_bus_one_fu(),
+        MachineConfig::three_bus_one_fu(),
+        MachineConfig::three_bus_three_fu(),
+    ];
+    let plan = FaultPlan::stalls();
+    let stalls = PeriodicStall::new(plan.stall_every_cycles.into(), plan.stall_cycles.into());
+    for entries in [10, 100] {
+        let all_routes = benchmark_routes(entries);
+        for kind in TableKind::ALL_KINDS {
+            let routes = match kind {
+                TableKind::Trie => &all_routes[..entries.min(TRIE_ROUTE_CAP)],
+                _ => &all_routes[..],
+            };
+            let traffic = traffic(routes);
+            for machine in &machines {
+                for stall in [None, Some(stalls)] {
+                    let label = format!("{kind} {machine} n={entries} stall={}", stall.is_some());
+                    let build = || {
+                        let opts = MicrocodeOptions::default();
+                        let mut router =
+                            CycleRouter::for_kind(kind, machine, routes, CAM_LATENCY, &opts)
+                                .unwrap_or_else(|e| panic!("{label}: {e}"));
+                        router
+                            .enqueue_batch(traffic.iter().map(|d| (PortId(0), d)))
+                            .expect("traffic fits the buffer area");
+                        router
+                    };
+                    let (mut decoded, mut reference) = (build(), build());
+                    let d = observe(
+                        &mut decoded,
+                        CycleRouter::run_with,
+                        CycleRouter::processor,
+                        50_000_000,
+                        stall,
+                    );
+                    let r = observe(
+                        &mut reference,
+                        CycleRouter::run_reference,
+                        CycleRouter::processor,
+                        50_000_000,
+                        stall,
+                    );
+                    assert_eq!(d, r, "{label}");
+                    assert_eq!(forwarded_bytes(&decoded), forwarded_bytes(&reference), "{label}");
+
+                    // Not vacuous: the run halted, forwarded the three hits
+                    // in order and dropped the rest, and the injector bit.
+                    let stats = d.result.as_ref().unwrap_or_else(|e| panic!("{label}: {e}"));
+                    assert_eq!(d.outputs.len(), 3, "{label}");
+                    assert_eq!(stats.injected_stall_cycles > 0, stall.is_some(), "{label}");
+                    if kind == TableKind::Cam {
+                        assert!(stats.stall_cycles > 0, "{label}: the RTU interlock never closed");
+                    }
+                }
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Hand-written programs: every decoded source, destination and guard shape.
+// ---------------------------------------------------------------------------
+
+/// RTU stalls, guard squashes in both polarities, PPU datagram flow, MMU
+/// round trips, the LIU and a datapath FU behind a loop.
+const PROGRAMS: &[&str] = &[
+    "0 -> cnt0.tset | 9 -> cnt0.stop
+     loop: 1 -> cnt0.tinc | cnt0.r -> regs0.r1
+     !cnt0.done @loop -> nc0.pc
+     cnt0.r -> regs0.r0
+",
+    "1 -> rtu0.k0 | ?rtu0.hit 1 -> regs0.r1
+     2 -> rtu0.k1
+     3 -> rtu0.k2
+     4 -> rtu0.t
+     rtu0.iface -> regs0.r0 | !rtu0.hit 7 -> regs0.r2
+",
+    "0 -> ippu0.tpop
+     ippu0.iface -> oppu0.iface
+     ippu0.ptr -> oppu0.t
+     ?ippu0.pending 1 -> regs0.r0
+",
+    "16 -> mmu0.addr
+     77 -> mmu0.twrite
+     0 -> mmu0.tread
+     mmu0.r -> regs0.r2 | 1 -> liu0.t
+     liu0.r -> regs0.r3
+     0 -> csum0.tclr
+     0x00010203 -> csum0.tadd
+     csum0.r -> regs0.r4
+",
+];
+
+fn load(text: &str, memory_words: u32) -> Processor {
+    let mut program = asm::parse(text).expect("assembles");
+    program.resolve_labels().expect("labels resolve");
+    let mut cpu =
+        Processor::with_memory(MachineConfig::new(2), program, memory_words).expect("validates");
+    let mut backend = MapRtu::new();
+    backend.insert([1, 2, 3, 4], RtuResult { iface: 9, handle: 1 });
+    cpu.set_rtu(RtuConfig::new(Box::new(backend)).with_latency(5));
+    cpu.set_local_info(vec![0x11, 0x22]);
+    cpu.push_input(0x100, 2);
+    cpu.push_input(0x140, 3);
+    cpu
+}
+
+fn identity(cpu: &Processor) -> &Processor {
+    cpu
+}
+
+#[test]
+fn hand_written_programs_agree_and_resume_cleanly() {
+    for text in PROGRAMS {
+        for stall in [None, Some(PeriodicStall::new(5, 2))] {
+            let (mut decoded, mut reference) = (load(text, 1 << 16), load(text, 1 << 16));
+            let d = observe(&mut decoded, Processor::run_with, identity, 10_000, stall);
+            let r = observe(&mut reference, Processor::run_reference, identity, 10_000, stall);
+            assert_eq!(d, r, "{text}");
+            assert!(d.result.is_ok() && d.halted, "{text}");
+
+            // A second run on the halted processor changes nothing on
+            // either side.
+            let again = observe(&mut decoded, Processor::run_with, identity, 10_000, stall);
+            assert_eq!((&again.result, &again.stats), (&d.result, &d.stats), "{text}");
+            let again = observe(&mut reference, Processor::run_reference, identity, 10_000, stall);
+            assert_eq!((&again.result, &again.stats), (&r.result, &r.stats), "{text}");
+        }
+    }
+}
+
+#[test]
+fn errors_agree_and_leave_the_same_statistics() {
+    let r0 = PortRef::new(FuKind::Regs, 0, "r0");
+    let out_of_bounds = SimError::MemoryOutOfBounds { addr: 9_999_999, size: 16 };
+    let cases = [
+        ("1 -> regs0.r0 | 2 -> regs0.r0\n", 10, SimError::PortConflict { port: r0, cycle: 0 }),
+        ("0 -> nc0.pc | 0 -> nc0.pc\n", 10, SimError::DoublePcWrite { cycle: 0 }),
+        ("3 -> nc0.pc\n", 10, SimError::JumpOutOfRange { target: 3, len: 1 }),
+        ("loop: @loop -> nc0.pc\n", 50, SimError::Watchdog { budget: 50 }),
+        ("1 -> cnt0.tinc\n9999999 -> mmu0.addr\n0 -> mmu0.tread\n", 10, out_of_bounds.clone()),
+    ];
+    for (text, budget, error) in cases {
+        let (mut decoded, mut reference) = (load(text, 16), load(text, 16));
+        let d = observe(&mut decoded, Processor::run_with, identity, budget, None);
+        let r = observe(&mut reference, Processor::run_reference, identity, budget, None);
+        assert_eq!(d, r, "{text}");
+        assert_eq!(d.result, Err(error.clone()), "{text}");
+        // The counter trigger before the memory fault must already be
+        // folded into the decoded side's statistics when the error surfaces.
+        if error == out_of_bounds {
+            assert_eq!(d.stats.triggers(FuKind::Counter), 1);
+        }
+    }
+}
