@@ -16,17 +16,14 @@
 //!    over a single persistent session with a window of in-flight
 //!    requests each — recording per-request latency into per-thread
 //!    [`LatencyHistogram`]s (microsecond ticks) that merge into the
-//!    percentile report;
-//! 3. a cold default sweep is then timed through the sharding
-//!    coordinator at each requested worker count.
+//!    percentile report.
 //!
 //! `--json PATH` writes the `BENCH_served.json` artefact that
 //! `scripts/verify.sh` regenerates and EXPERIMENTS.md quotes.
 //!
 //! ```text
 //! cargo run -p taco-bench --release --bin loadgen -- \
-//!     [--clients LIST] [--requests N] [--window N] [--shards LIST] \
-//!     [--json PATH]
+//!     [--clients LIST] [--requests N] [--window N] [--json PATH]
 //! ```
 
 use std::collections::HashMap;
@@ -38,8 +35,8 @@ use std::time::Instant;
 
 use taco_bench::cli::Cli;
 use taco_core::api::{ApiRequest, ApiResponse, ConfigSpec, EvalSpec, WireResponse};
-use taco_core::{Constraints, LineRate, RoutingTableKind, SweepSpec};
-use taco_served::{request_lines, sharded_sweep, Server, ServerConfig, Session};
+use taco_core::RoutingTableKind;
+use taco_served::{request_lines, Server, ServerConfig, Session};
 use taco_workload::LatencyHistogram;
 
 /// The measured request: a single-bus CAM evaluation, tiny table.  It is
@@ -197,39 +194,6 @@ struct LoadRow {
     session: Measured,
 }
 
-struct ShardRow {
-    shards: usize,
-    sweep_ms: f64,
-    points: usize,
-}
-
-/// Times one cold sharded sweep across `shards` fresh workers.
-fn run_shards(shards: usize) -> ShardRow {
-    let mut workers = Vec::new();
-    let mut handles = Vec::new();
-    for _ in 0..shards {
-        let (addr, handle) = start_server();
-        workers.push(addr);
-        handles.push(handle);
-    }
-    let spec = SweepSpec::default();
-    let constraints = Constraints::default();
-    let started = Instant::now();
-    let exploration = sharded_sweep(&workers, &spec, LineRate::TEN_GBE, &constraints)
-        .unwrap_or_else(|e| {
-            eprintln!("loadgen: sharded sweep failed: {e}");
-            exit(1);
-        });
-    let sweep_ms = started.elapsed().as_secs_f64() * 1e3;
-    for addr in workers {
-        shut_down(addr);
-    }
-    for handle in handles {
-        let _ = handle.join();
-    }
-    ShardRow { shards, sweep_ms, points: exploration.all.len() }
-}
-
 fn parse_list(cli: &Cli, what: &str, raw: &str) -> Vec<usize> {
     let list: Result<Vec<usize>, _> =
         raw.split(',').map(|part| part.trim().parse::<usize>()).collect();
@@ -239,7 +203,7 @@ fn parse_list(cli: &Cli, what: &str, raw: &str) -> Vec<usize> {
     }
 }
 
-fn render_json(rows: &[LoadRow], shards: &[ShardRow], requests: usize, window: usize) -> String {
+fn render_json(rows: &[LoadRow], requests: usize, window: usize) -> String {
     let mut json = String::from("{\n");
     json.push_str(&format!("  \"requests_per_client\": {requests},\n"));
     json.push_str(&format!("  \"session_window\": {window},\n"));
@@ -261,15 +225,6 @@ fn render_json(rows: &[LoadRow], shards: &[ShardRow], requests: usize, window: u
             row.session.latency.p99(),
         ));
     }
-    json.push_str("  ],\n");
-    json.push_str("  \"sharded_sweep\": [\n");
-    for (i, row) in shards.iter().enumerate() {
-        let sep = if i + 1 < shards.len() { "," } else { "" };
-        json.push_str(&format!(
-            "    {{\"shards\": {}, \"points\": {}, \"cold_sweep_ms\": {:.1}}}{sep}\n",
-            row.shards, row.points, row.sweep_ms
-        ));
-    }
     json.push_str("  ]\n}\n");
     json
 }
@@ -279,7 +234,6 @@ fn main() {
         .opt("--clients", "LIST", "comma-separated concurrent client counts (default 8,64,256)")
         .opt("--requests", "N", "measured requests per client (default 200)")
         .opt("--window", "N", "in-flight requests per v2 session (default 8)")
-        .opt("--shards", "LIST", "comma-separated shard worker counts (default 1,3)")
         .opt("--json", "PATH", "also write the measurements as a JSON artefact");
     let args = cli.parse_or_exit();
     let clients = parse_list(&cli, "--clients", args.opt("--clients").unwrap_or("8,64,256"));
@@ -287,7 +241,6 @@ fn main() {
         args.opt_parsed("--requests").unwrap_or_else(|e| cli.fail(&e)).unwrap_or(200);
     let window: usize =
         args.opt_parsed("--window").unwrap_or_else(|e| cli.fail(&e)).unwrap_or(8).max(1);
-    let shard_counts = parse_list(&cli, "--shards", args.opt("--shards").unwrap_or("1,3"));
 
     let (addr, handle) = start_server();
     // Warm the probe point: the measured phases must hit the inline
@@ -322,18 +275,8 @@ fn main() {
     shut_down(addr);
     let _ = handle.join();
 
-    let mut shard_rows = Vec::new();
-    for &count in &shard_counts {
-        let row = run_shards(count);
-        println!(
-            "sharded sweep: {} worker(s), {} points, cold wall {:.1} ms",
-            row.shards, row.points, row.sweep_ms
-        );
-        shard_rows.push(row);
-    }
-
     if let Some(path) = args.opt("--json") {
-        let json = render_json(&rows, &shard_rows, requests, window);
+        let json = render_json(&rows, requests, window);
         let mut file = std::fs::File::create(path).unwrap_or_else(|e| {
             eprintln!("loadgen: cannot write {path}: {e}");
             exit(1);

@@ -5,8 +5,7 @@
 //! cargo run -p taco-bench --release --bin taco-cli -- serve [--addr A] \
 //!     [--max-pending N] [--snapshot PATH] [--threads N]
 //! cargo run -p taco-bench --release --bin taco-cli -- submit --addr A \
-//!     [--table1 | --sweep | --trace FILE] [--kind NAME] [--entries N] \
-//!     [--shards A,B,C]
+//!     [--table1 | --sweep | --trace FILE] [--kind NAME] [--entries N]
 //! cargo run -p taco-bench --release --bin taco-cli -- status --addr A
 //! cargo run -p taco-bench --release --bin taco-cli -- shutdown --addr A
 //! ```
@@ -15,22 +14,19 @@
 //! on stdout (ask for port 0 to get an ephemeral one).  `submit` sends
 //! jobs: `--table1` submits the twelve extended Table 1 cells (the
 //! paper's nine plus the PATRICIA column) as single evaluations,
-//! `--sweep` submits the default design-space grid as one
-//! batch job (per-point progress streams back while it runs), and with
-//! neither flag one raw `v1` request line is read from stdin and sent
-//! verbatim.  `--trace FILE` submits one evaluation that replays the
-//! binary flow trace at FILE (shipped inline over the wire; `--kind`
-//! picks the table organisation, default `cam`).  `--sweep --shards A,B,C` instead splits the grid across
-//! several daemons through the v2 sharding coordinator and prints the
-//! merged result (identical bytes to an unsharded sweep result, minus
-//! the progress lines).  All responses are printed to stdout exactly as
-//! received — one JSON line each, byte-stable, pipeable into `jq` or a
-//! golden diff.  A structured `busy` rejection is retried with bounded
-//! exponential backoff before it is surfaced.  The exit code is 0 only
-//! if the daemon answered without a protocol error.
+//! `--sweep` submits the default design-space grid as one batch job
+//! (per-point progress streams back while it runs; the daemon fans it
+//! over its `--threads` pool), and with neither flag one raw `v1` request
+//! line is read from stdin and sent verbatim.  `--trace FILE` submits one
+//! evaluation that replays the binary flow trace at FILE (shipped inline
+//! over the wire; `--kind` picks the table organisation, default `cam`).
+//! All responses are printed to stdout exactly as received — one JSON
+//! line each, byte-stable, pipeable into `jq` or a golden diff.  A
+//! structured `busy` rejection is retried with bounded exponential
+//! backoff before it is surfaced.  The exit code is 0 only if the daemon
+//! answered without a protocol error.
 
 use std::io::{BufRead, Write};
-use std::net::{SocketAddr, ToSocketAddrs};
 use std::path::PathBuf;
 use std::process::exit;
 use std::time::Duration;
@@ -38,7 +34,7 @@ use std::time::Duration;
 use taco_bench::cli::{Cli, Parsed};
 use taco_core::api::{parse_table_kind, ApiRequest, ApiResponse, ConfigSpec, EvalSpec, TraceRef};
 use taco_core::{ArchConfig, Constraints, FlowTrace, LineRate, SweepSpec};
-use taco_served::{open_request, sharded_sweep, Server, ServerConfig};
+use taco_served::{open_request, Server, ServerConfig};
 
 fn print_overview() {
     println!("taco-cli — client/server front end for the taco-served evaluation daemon");
@@ -118,44 +114,19 @@ fn required_addr(cli: &Cli, args: &Parsed) -> String {
     }
 }
 
-/// Sends one request line, echoes every response line to stdout, and
-/// returns the last line (the final response of a streamed job).
-fn exchange(addr: &str, request_line: &str) -> String {
-    let reader = open_request(addr, request_line).unwrap_or_else(|e| {
-        eprintln!("taco-cli: cannot reach the daemon at {addr}: {e}");
-        exit(1);
-    });
-    let mut last = String::new();
-    for line in reader.lines() {
-        match line {
-            Ok(line) => {
-                println!("{line}");
-                last = line;
-            }
-            Err(e) => {
-                eprintln!("taco-cli: connection lost mid-response: {e}");
-                exit(1);
-            }
-        }
-    }
-    if last.is_empty() {
-        eprintln!("taco-cli: the daemon closed the connection without answering");
-        exit(1);
-    }
-    last
-}
-
 /// How many times `submit` retries a `busy` rejection, and the backoff
 /// schedule's bounds: 50 ms doubling per attempt, capped at 800 ms.
 const BUSY_RETRIES: u32 = 5;
 const BUSY_BASE_DELAY: Duration = Duration::from_millis(50);
 const BUSY_MAX_DELAY: Duration = Duration::from_millis(800);
 
-/// [`exchange`], but a structured `busy` answer — the daemon's explicit
-/// "try again later" ([`taco_core::ApiErrorCode::is_retryable`]) — is retried with
-/// bounded exponential backoff instead of surfacing immediately.  The
-/// transient rejections go to stderr; stdout only carries the attempt
-/// that produced a real response stream.
+/// Sends one request line, echoes every response line to stdout, and
+/// returns the last line (the final response of a streamed job).  A
+/// structured `busy` answer — the daemon's explicit "try again later"
+/// ([`taco_core::ApiErrorCode::is_retryable`]) — is retried with bounded
+/// exponential backoff instead of surfacing immediately.  The transient
+/// rejections go to stderr; stdout only carries the attempt that produced
+/// a real response stream.
 fn exchange_retrying(addr: &str, request_line: &str) -> String {
     let mut delay = BUSY_BASE_DELAY;
     let mut attempts = 0u32;
@@ -220,29 +191,15 @@ fn control(rest: Vec<String>, name: &'static str, request: ApiRequest) {
     let cli = Cli::new(name, about).opt("--addr", "ADDR", "daemon address (required)");
     let args = cli.parse_args_or_exit(rest);
     let addr = required_addr(&cli, &args);
-    check(&exchange(&addr, &request.to_json()));
-}
-
-/// Resolves every comma-separated address in `--shards`.
-fn parse_shards(cli: &Cli, raw: &str) -> Vec<SocketAddr> {
-    raw.split(',')
-        .map(str::trim)
-        .map(|part| {
-            part.to_socket_addrs()
-                .ok()
-                .and_then(|mut addrs| addrs.next())
-                .unwrap_or_else(|| cli.fail(&format!("--shards: cannot resolve {part:?}")))
-        })
-        .collect()
+    check(&exchange_retrying(&addr, &request.to_json()));
 }
 
 fn submit(rest: Vec<String>) {
     let cli = Cli::new("taco-cli submit", "submit evaluation jobs to a running daemon")
         .flag("--table1", "submit the twelve extended Table 1 cells as eval requests")
         .flag("--sweep", "submit the default design-space grid as one batch job")
-        .opt("--addr", "ADDR", "daemon address (required unless --shards is given)")
+        .opt("--addr", "ADDR", "daemon address (required)")
         .opt("--entries", "N", "override the routing-table size for --table1/--sweep")
-        .opt("--shards", "A,B,C", "split --sweep across these worker daemons (v2 sharding)")
         .opt("--trace", "FILE", "submit one eval replaying the binary flow trace at FILE")
         .opt("--kind", "NAME", "table organisation for --trace (default cam)");
     let args = cli.parse_args_or_exit(rest);
@@ -250,26 +207,6 @@ fn submit(rest: Vec<String>) {
     let exclusive = [args.flag("--table1"), args.flag("--sweep"), args.opt("--trace").is_some()];
     if exclusive.iter().filter(|&&given| given).count() > 1 {
         cli.fail("--table1, --sweep and --trace are mutually exclusive");
-    }
-    if let Some(raw) = args.opt("--shards") {
-        if !args.flag("--sweep") {
-            cli.fail("--shards only applies to --sweep");
-        }
-        let workers = parse_shards(&cli, raw);
-        let mut spec = SweepSpec::default();
-        if let Some(n) = entries {
-            spec.entries = n;
-        }
-        let constraints = Constraints::default();
-        let exploration = sharded_sweep(&workers, &spec, LineRate::TEN_GBE, &constraints)
-            .unwrap_or_else(|e| {
-                eprintln!("taco-cli: sharded sweep failed: {e}");
-                exit(1);
-            });
-        let merged =
-            ApiResponse::SweepResult { admitted: exploration.admitted, reports: exploration.all };
-        println!("{}", merged.to_json());
-        return;
     }
     let addr = required_addr(&cli, &args);
     if let Some(file) = args.opt("--trace") {
@@ -306,7 +243,6 @@ fn submit(rest: Vec<String>) {
             spec,
             rate: LineRate::TEN_GBE,
             constraints: Constraints::default(),
-            shard: None,
         };
         check(&exchange_retrying(&addr, &request.to_json()));
     } else {

@@ -294,11 +294,9 @@ impl EvalCache {
         Ok(stats)
     }
 
-    /// Serialises the cache in the [`EvalCache::save_snapshot`] format
-    /// without touching the filesystem — what the daemon's `cache_export`
-    /// request ships over the wire so a sweep coordinator can pool what
-    /// each shard learned.  Byte-stable for a given cache content.
-    pub fn to_snapshot_string(&self) -> (String, SnapshotStats) {
+    /// The [`EvalCache::save_snapshot`] file content.  Byte-stable for a
+    /// given cache content.
+    fn to_snapshot_string(&self) -> (String, SnapshotStats) {
         let mut lines = Vec::new();
         let mut skipped = 0u64;
         {
@@ -354,14 +352,9 @@ impl EvalCache {
         self.load_snapshot_str(&text)
     }
 
-    /// [`EvalCache::load_snapshot`] from an in-memory string — the receive
-    /// side of [`EvalCache::to_snapshot_string`], used by the daemon's
-    /// `cache_import` request.  Same all-or-nothing strictness.
-    ///
-    /// # Errors
-    ///
-    /// Every non-IO [`SnapshotError`] variant.
-    pub fn load_snapshot_str(&self, text: &str) -> Result<u64, SnapshotError> {
+    /// [`EvalCache::load_snapshot`] once the file is read: parses the whole
+    /// text, then merges it.
+    fn load_snapshot_str(&self, text: &str) -> Result<u64, SnapshotError> {
         let Some((header, rest)) = text.split_once('\n') else {
             return Err(SnapshotError::MissingHeader);
         };

