@@ -3,25 +3,19 @@
 //! models.
 
 use taco_estimate::{Estimate, Estimator, ExternalCam};
-use taco_ipv6::{Datagram, NextHeader};
 use taco_isa::{CoherenceProtocol, SystemConfig, Topology};
 use taco_router::cycle::CycleRouter;
-use taco_router::microcode::MicrocodeOptions;
-use taco_router::traffic::TrafficGen;
 use taco_routing::cam::CamSpec;
-use taco_routing::{PortId, Route, SequentialTable, TableKind};
-use taco_sim::{NoFaults, NullTracer, SimError, SimStats};
+use taco_routing::{PortId, TableKind};
+use taco_sim::{NoFaults, NullTracer, SimError, SimStats, Tracer};
 use taco_workload::{
     run_scenario_with_faults, run_trace_replay, FaultPlan, ScenarioConfig, ScenarioMetrics,
 };
 
 use crate::arch::ArchConfig;
+use crate::prepared::PreparedInput;
 use crate::rate::LineRate;
 use crate::request::EvalRequest;
-
-/// Number of measurement datagrams per evaluation (amortises the once-off
-/// envelope of a batch run).
-const MEASURE_DATAGRAMS: usize = 8;
 
 /// Simulation watchdog per evaluation.
 const CYCLE_BUDGET: u64 = 50_000_000;
@@ -125,47 +119,6 @@ impl std::fmt::Display for EvalReport {
     }
 }
 
-/// Builds the deterministic benchmark routing table used by every
-/// evaluation: `entries` prefixes of mixed length under a shared global
-/// prefix (which is what makes the sequential screen pass earn its keep),
-/// with no default route so misses are possible.
-pub fn benchmark_routes(entries: usize) -> Vec<Route> {
-    let mut gen = TrafficGen::new(0x7AC0, 4);
-    gen.table(entries, false)
-}
-
-/// The measurement workload: every datagram's destination matches the entry
-/// the sequential scan reaches *last*, so each organisation is charged its
-/// worst case — the "required speed" of Table 1 must *guarantee* line rate,
-/// not merely sustain it on friendly traffic.
-fn measurement_datagrams(routes: &[Route]) -> Vec<Datagram> {
-    let mut gen = TrafficGen::new(0x0DA7A, 4);
-    let table = SequentialTable::from_routes(routes.iter().copied());
-    let deepest = *table.entries().last().expect("non-empty table");
-    (0..MEASURE_DATAGRAMS)
-        .map(|_| {
-            let dst = gen.addr_in(&deepest.prefix());
-            Datagram::builder("2001:db8:ffff::1".parse().expect("valid"), dst)
-                .hop_limit(64)
-                .payload(NextHeader::Udp, vec![0u8; 32])
-                .build()
-        })
-        .collect()
-}
-
-/// Builds the cycle router for `config` over `routes`, with `rtu_latency`
-/// for the CAM case.  A [`SimError`] means the generated microcode does
-/// not fit (or does not validate on) the configured machine — reported as
-/// structured infeasibility rather than a panic.
-fn build_router(
-    config: &ArchConfig,
-    routes: &[Route],
-    rtu_latency: u32,
-) -> Result<CycleRouter, SimError> {
-    let opts = MicrocodeOptions::default();
-    CycleRouter::for_kind(config.table, &config.machine, routes, rtu_latency, &opts)
-}
-
 /// Builds the transient-stall injector a fault plan asks for, if any; the
 /// fault-free path never constructs one, so it keeps the exact pre-fault
 /// `run()` entry point (the `NullTracer` monomorphisation discipline).
@@ -180,47 +133,36 @@ fn stall_injector(faults: Option<&FaultPlan>) -> Option<taco_sim::PeriodicStall>
     ))
 }
 
-/// Measures cycles per datagram and bus utilisation for one configuration,
-/// returning the raw simulator counters alongside.
-fn measure(
-    config: &ArchConfig,
-    routes: &[Route],
-    rtu_latency: u32,
+/// Runs the measurement workload through `router` under `tracer`, returning
+/// cycles per datagram and bus utilisation with the raw simulator counters
+/// alongside.  The router must be freshly built or re-armed.  With
+/// [`NullTracer`] (and no fault plan) this is exactly `router.run`: the
+/// tracer and injector monomorphise to nothing.
+fn measure<T: Tracer + ?Sized>(
+    router: &mut CycleRouter,
+    input: &PreparedInput,
     faults: Option<&FaultPlan>,
+    tracer: &mut T,
 ) -> Result<(f64, f64, SimStats), SimError> {
-    let mut router = build_router(config, routes, rtu_latency)?;
-    let datagrams = measurement_datagrams(routes);
-    router
-        .enqueue_batch(datagrams.iter().map(|d| (PortId(0), d)))
-        .expect("measurement datagrams fit the buffer");
+    router.enqueue_batch(input.datagrams().iter().map(|d| (PortId(0), d)))?;
     let stats = match stall_injector(faults) {
-        Some(mut injector) => router.run_with(CYCLE_BUDGET, &mut NullTracer, &mut injector)?,
-        None => router.run(CYCLE_BUDGET)?,
+        Some(mut injector) => router.run_with(CYCLE_BUDGET, tracer, &mut injector)?,
+        None => router.run_with(CYCLE_BUDGET, tracer, &mut NoFaults)?,
     };
-    let n = router.forwarded().len().max(1);
+    let n = router.processor().outputs().len().max(1);
     Ok((stats.cycles as f64 / n as f64, stats.bus_utilization(), stats))
 }
 
-/// Replays the measurement workload under `tracer` — same router, same
-/// datagrams, same budget (and same injected stalls) as [`measure`], so the
-/// captured events describe exactly the run the report's counters came
-/// from.
-fn traced_measure(
+/// One measurement of `config` at `table_entries` entries and a fixed RTU
+/// latency — the analyses that want cycles without the fixed point.
+fn measure_at(
     config: &ArchConfig,
-    routes: &[Route],
+    table_entries: usize,
     rtu_latency: u32,
-    faults: Option<&FaultPlan>,
-    tracer: &mut dyn taco_sim::Tracer,
-) -> Result<SimStats, SimError> {
-    let mut router = build_router(config, routes, rtu_latency)?;
-    let datagrams = measurement_datagrams(routes);
-    router
-        .enqueue_batch(datagrams.iter().map(|d| (PortId(0), d)))
-        .expect("measurement datagrams fit the buffer");
-    match stall_injector(faults) {
-        Some(mut injector) => router.run_with(CYCLE_BUDGET, tracer, &mut injector),
-        None => router.run_with(CYCLE_BUDGET, tracer, &mut NoFaults),
-    }
+) -> Result<(f64, f64, SimStats), SimError> {
+    let input = PreparedInput::shared(table_entries);
+    let mut router = input.router(config, rtu_latency)?;
+    measure(&mut router, &input, None, &mut NullTracer)
 }
 
 /// Re-runs `request`'s measurement under an arbitrary [`Tracer`] — the
@@ -228,32 +170,23 @@ fn traced_measure(
 ///
 /// Evaluates the request first (through the global cache, so repeat traces
 /// of an already-swept point cost one extra simulation, not two) to learn
-/// the converged RTU latency, then replays that exact measurement run with
-/// `tracer` observing.
+/// the converged RTU latency, then replays that exact measurement run — same
+/// prepared input, same budget, same injected stalls — with `tracer`
+/// observing.
 ///
 /// # Errors
 ///
 /// Returns the structured [`SimError`] if the instance cannot execute its
 /// microcode — the same condition that makes the report infeasible.
-///
-/// [`Tracer`]: taco_sim::Tracer
-pub fn trace_request(
-    request: &EvalRequest,
-    tracer: &mut dyn taco_sim::Tracer,
-) -> Result<SimStats, SimError> {
+pub fn trace_request(request: &EvalRequest, tracer: &mut dyn Tracer) -> Result<SimStats, SimError> {
     let plain = EvalRequest { trace: None, ..request.clone() };
     let report = crate::cache::EvalCache::global().evaluate(&plain);
     if let Some(e) = report.sim_error {
         return Err(e);
     }
-    let routes = benchmark_routes(request.entries);
-    traced_measure(
-        &request.config,
-        &routes,
-        report.rtu_latency_cycles,
-        request.faults.as_ref(),
-        tracer,
-    )
+    let input = PreparedInput::shared(request.entries);
+    let mut router = input.router(&request.config, report.rtu_latency_cycles)?;
+    measure(&mut router, &input, request.faults.as_ref(), tracer).map(|(_, _, stats)| stats)
 }
 
 /// The report an un-simulatable instance earns: infinite required clock,
@@ -362,16 +295,23 @@ fn system_estimate(per_core: Estimate, system: &SystemConfig) -> Estimate {
 /// ```
 pub fn evaluate_request(request: &EvalRequest) -> EvalReport {
     let config = &request.config;
-    let routes = benchmark_routes(request.entries);
+    let faults = request.faults.as_ref();
+    let input = PreparedInput::shared(request.entries);
     let cam_spec = CamSpec::paper_default();
 
+    // One router per evaluation: the fixed point re-arms it, the program
+    // store is charged from it, a requested trace replays on it.
     let mut rtu_latency = 1u32;
+    let mut router = match input.router(config, rtu_latency) {
+        Ok(router) => router,
+        Err(e) => return error_report(request, rtu_latency, e),
+    };
+    let program_bits = router.program_bits();
     let (cycles, util, freq, stats) = loop {
-        let (cycles, util, stats) =
-            match measure(config, &routes, rtu_latency, request.faults.as_ref()) {
-                Ok(m) => m,
-                Err(e) => return error_report(request, rtu_latency, e),
-            };
+        let (cycles, util, stats) = match measure(&mut router, &input, faults, &mut NullTracer) {
+            Ok(m) => m,
+            Err(e) => return error_report(request, rtu_latency, e),
+        };
         let freq = request.line_rate.required_frequency_hz(cycles);
         if config.table != TableKind::Cam {
             break (cycles, util, freq, stats);
@@ -381,15 +321,29 @@ pub fn evaluate_request(request: &EvalRequest) -> EvalReport {
             break (cycles, util, freq, stats);
         }
         rtu_latency = next;
+        router.rearm(rtu_latency);
     };
 
-    // Charge the program store for the actual microcode image.
-    let program_bits = match build_router(config, &routes, rtu_latency) {
-        Ok(router) => taco_isa::encode(router.processor().program(), &config.machine)
-            .map(|e| e.total_bits())
-            .unwrap_or(0),
-        Err(e) => return error_report(request, rtu_latency, e),
-    };
+    // Side effect on the report, never on the numbers: replay the converged
+    // measurement run under a ChromeTracer and write the timeline out.  IO
+    // problems surface as a structured `trace_error` — an unwritable path
+    // must not be silently dropped, and must not change the evaluation.
+    let trace_error = request.trace.as_ref().and_then(|path| {
+        let mut chrome = taco_sim::ChromeTracer::new(config.machine.buses());
+        router.rearm(rtu_latency);
+        match measure(&mut router, &input, faults, &mut chrome) {
+            Ok((_, _, traced)) => std::fs::write(path, chrome.finish(traced.cycles))
+                .err()
+                .map(|e| TraceError { path: path.display().to_string(), message: e.to_string() }),
+            Err(e) => Some(TraceError {
+                path: path.display().to_string(),
+                message: format!("traced replay failed: {e}"),
+            }),
+        }
+    });
+    // The router is not needed past this point; the scenario replay below
+    // allocates its own tables.
+    drop(router);
 
     // Multi-core scaling: the load fans out over the cores, cutting the
     // required per-core clock; gates, area and power replicate per core
@@ -405,23 +359,6 @@ pub fn evaluate_request(request: &EvalRequest) -> EvalReport {
     }
     let estimate = system_estimate(estimator.estimate(&config.machine, freq), &config.system);
 
-    // Side effect on the report, never on the numbers: replay the converged
-    // measurement run under a ChromeTracer and write the timeline out.  IO
-    // problems surface as a structured `trace_error` — an unwritable path
-    // must not be silently dropped, and must not change the evaluation.
-    let trace_error = request.trace.as_ref().and_then(|path| {
-        let mut chrome = taco_sim::ChromeTracer::new(config.machine.buses());
-        match traced_measure(config, &routes, rtu_latency, request.faults.as_ref(), &mut chrome) {
-            Ok(traced_stats) => std::fs::write(path, chrome.finish(traced_stats.cycles))
-                .err()
-                .map(|e| TraceError { path: path.display().to_string(), message: e.to_string() }),
-            Err(e) => Some(TraceError {
-                path: path.display().to_string(),
-                message: format!("traced replay failed: {e}"),
-            }),
-        }
-    });
-
     let scenario = request.workload.as_ref().map(|workload| {
         let service = scenario_service_per_tick(cycles);
         let scenario_config =
@@ -429,8 +366,8 @@ pub fn evaluate_request(request: &EvalRequest) -> EvalReport {
         match &request.flow_trace {
             // An attached flow trace is replayed verbatim; the workload
             // descriptor only names its parameters in the report.
-            Some(trace) => run_trace_replay(trace, &scenario_config, request.faults.as_ref()),
-            None => run_scenario_with_faults(workload, &scenario_config, request.faults.as_ref()),
+            Some(trace) => run_trace_replay(trace, &scenario_config, faults),
+            None => run_scenario_with_faults(workload, &scenario_config, faults),
         }
     });
 
@@ -455,8 +392,7 @@ pub fn evaluate_request(request: &EvalRequest) -> EvalReport {
 /// table size (used by the scaling ablation, where no line-rate conversion
 /// is wanted).  Infinite when the instance cannot be simulated.
 pub fn cycles_per_datagram(config: &ArchConfig, table_entries: usize) -> f64 {
-    let routes = benchmark_routes(table_entries);
-    measure(config, &routes, 2, None).map(|(cycles, _, _)| cycles).unwrap_or(f64::INFINITY)
+    measure_at(config, table_entries, 2).map_or(f64::INFINITY, |(cycles, _, _)| cycles)
 }
 
 #[cfg(test)]
@@ -486,10 +422,9 @@ pub fn max_sustainable_rate_bps(
     table_entries: usize,
     packet_bytes: u32,
 ) -> f64 {
-    let routes = benchmark_routes(table_entries);
     let f_max = Estimator::new().max_frequency_hz() * 0.999; // just under NA
     let rtu_latency = CamSpec::paper_default().search_cycles(f_max) as u32;
-    let Ok((cycles, _, _)) = measure(config, &routes, rtu_latency, None) else {
+    let Ok((cycles, _, _)) = measure_at(config, table_entries, rtu_latency) else {
         return 0.0;
     };
     (f_max / cycles) * 8.0 * f64::from(packet_bytes)
@@ -502,14 +437,6 @@ mod tests {
 
     fn report(config: ArchConfig, line_rate: LineRate, entries: usize) -> EvalReport {
         EvalRequest::new(config).rate(line_rate).entries(entries).run()
-    }
-
-    #[test]
-    fn benchmark_routes_deterministic_and_sized() {
-        let a = benchmark_routes(50);
-        let b = benchmark_routes(50);
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 50);
     }
 
     #[test]

@@ -46,6 +46,7 @@ pub mod evaluate;
 pub mod explorer;
 pub mod observer;
 pub mod pool;
+mod prepared;
 pub mod rate;
 pub mod request;
 pub mod table1;
@@ -58,14 +59,15 @@ pub use api::{
 pub use arch::{ArchConfig, RoutingTableKind};
 pub use cache::{EvalCache, SnapshotError, SnapshotStats};
 pub use evaluate::{
-    benchmark_routes, cycles_per_datagram, evaluate_request, max_sustainable_rate_bps,
-    trace_request, EvalReport, TraceError,
+    cycles_per_datagram, evaluate_request, max_sustainable_rate_bps, trace_request, EvalReport,
+    TraceError,
 };
 pub use explorer::{
     explore, explore_serial, explore_with, grid, rank_reports, scaling_sweep, scaling_sweep_with,
     Constraints, Exploration, ExploreOptions, SweepSpec,
 };
 pub use observer::{PointRecord, Silent, StderrProgress, SweepObserver, SweepSummary};
+pub use prepared::benchmark_routes;
 pub use rate::LineRate;
 pub use request::EvalRequest;
 pub use table1::table1;

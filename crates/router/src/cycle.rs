@@ -10,24 +10,28 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use taco_ipv6::Datagram;
-use taco_isa::{opt, schedule, MachineConfig, MoveSeq, Program};
-use taco_routing::{BalancedTreeTable, CamTable, LpmTable, PortId, TableKind};
+use taco_isa::{opt, schedule, MachineConfig};
+use taco_routing::{BalancedTreeTable, CamTable, LpmTable, PortId, Route, TableKind};
 use taco_sim::{
-    FaultInjector, Processor, RtuBackend, RtuConfig, RtuResult, SimError, SimStats, Tracer,
+    CompiledProgram, FaultInjector, Processor, RtuBackend, RtuConfig, RtuResult, SimError,
+    SimStats, Tracer, DEFAULT_MEMORY_WORDS,
 };
 
 use crate::layout::{
-    bytes_to_words, datagram_to_words, dgram_slot, serialize_sequential, serialize_tree,
-    words_to_bytes, DGRAM_SLOT_WORDS, TABLE_BASE,
+    bytes_to_words, datagram_to_words, dgram_base, serialize_sequential, serialize_tree,
+    words_to_bytes, DGRAM_SLOT_WORDS, SEQ_ENTRY_WORDS, TABLE_BASE,
 };
 use crate::microcode::{
-    cam_program, pad_sequential_image, sequential_program, tree_program, MicrocodeOptions,
+    cam_program, choose_screen_word, pad_sequential_image, patricia_program, sequential_program,
+    tree_program, trie_program, MicrocodeOptions,
 };
 
 /// The Routing Table Unit backend that wraps the CAM model: keys are the
 /// four destination-address words, answers carry the output interface.
+/// The table is shared, so every router built from one [`TableImage`]
+/// searches the same copy.
 #[derive(Debug)]
-pub struct CamBackend(pub CamTable);
+pub struct CamBackend(pub Arc<CamTable>);
 
 impl RtuBackend for CamBackend {
     fn lookup(&self, key: [u32; 4]) -> Option<RtuResult> {
@@ -39,101 +43,225 @@ impl RtuBackend for CamBackend {
     }
 }
 
+/// A routing table prepared for one organisation's cycle router: the words
+/// loaded at [`TABLE_BASE`] (or, for the CAM, the shared behavioural table
+/// behind the RTU) plus the generator options tuned to it.  Immutable and
+/// independent of the machine shape, so one image serves every design
+/// point that sweeps over the same table ([`CycleRouter::from_image`]).
+#[derive(Debug)]
+pub struct TableImage {
+    kind: TableKind,
+    words: Vec<u32>,
+    cam: Option<Arc<CamTable>>,
+    /// Sequential scan only: the entry count after padding to the unroll
+    /// factor — the size parameter of its microcode.  Zero otherwise.
+    padded_entries: usize,
+    /// `opts` with the sequential screening word chosen from the table.
+    opts: MicrocodeOptions,
+}
+
+impl TableImage {
+    /// Builds and serialises the `kind` table holding `routes` — the one
+    /// dispatch point over the per-organisation constructors (each
+    /// serialises a different concrete engine, so the dispatch cannot go
+    /// through `Box<dyn LpmTable>`).
+    pub fn new(kind: TableKind, routes: &[Route], opts: &MicrocodeOptions) -> Self {
+        let routes = routes.iter().copied();
+        match kind {
+            TableKind::Sequential => {
+                Self::sequential(&taco_routing::SequentialTable::from_routes(routes), opts)
+            }
+            TableKind::BalancedTree => Self::tree(&BalancedTreeTable::from_routes(routes), opts),
+            TableKind::Trie => Self::trie(&taco_routing::TrieTable::from_routes(routes), opts),
+            TableKind::Patricia => {
+                Self::patricia(&taco_routing::PatriciaTable::from_routes(routes), opts)
+            }
+            TableKind::Cam => Self::cam(Arc::new(CamTable::from_routes(routes)), opts),
+        }
+    }
+
+    /// The **sequential** image: scan-ordered entries padded to a multiple
+    /// of `opts.unroll`, screened on the word [`choose_screen_word`] picks.
+    pub fn sequential(table: &taco_routing::SequentialTable, opts: &MicrocodeOptions) -> Self {
+        let mut words = serialize_sequential(table);
+        pad_sequential_image(&mut words, opts.unroll);
+        TableImage {
+            kind: TableKind::Sequential,
+            padded_entries: words.len() / SEQ_ENTRY_WORDS as usize,
+            words,
+            cam: None,
+            opts: MicrocodeOptions { screen_word: choose_screen_word(table), ..*opts },
+        }
+    }
+
+    /// The **balanced-tree** image.
+    pub fn tree(table: &BalancedTreeTable, opts: &MicrocodeOptions) -> Self {
+        Self::in_memory(TableKind::BalancedTree, serialize_tree(table), opts)
+    }
+
+    /// The **unibit-trie** image.
+    pub fn trie(table: &taco_routing::TrieTable, opts: &MicrocodeOptions) -> Self {
+        Self::in_memory(TableKind::Trie, crate::layout::serialize_trie(table), opts)
+    }
+
+    /// The **PATRICIA** image.
+    pub fn patricia(table: &taco_routing::PatriciaTable, opts: &MicrocodeOptions) -> Self {
+        Self::in_memory(TableKind::Patricia, crate::layout::serialize_patricia(table), opts)
+    }
+
+    /// The **CAM** "image": nothing in data memory, the table behind the RTU.
+    pub fn cam(table: Arc<CamTable>, opts: &MicrocodeOptions) -> Self {
+        TableImage {
+            kind: TableKind::Cam,
+            words: Vec::new(),
+            cam: Some(table),
+            padded_entries: 0,
+            opts: *opts,
+        }
+    }
+
+    fn in_memory(kind: TableKind, words: Vec<u32>, opts: &MicrocodeOptions) -> Self {
+        TableImage { kind, words, cam: None, padded_entries: 0, opts: *opts }
+    }
+
+    /// The table organisation this image serialises.
+    pub fn kind(&self) -> TableKind {
+        self.kind
+    }
+
+    /// First word address past the image in data memory.
+    pub fn end(&self) -> u32 {
+        TABLE_BASE.saturating_add(u32::try_from(self.words.len()).unwrap_or(u32::MAX))
+    }
+
+    fn microcode(&self) -> taco_isa::MoveSeq {
+        match self.kind {
+            TableKind::Sequential => sequential_program(self.padded_entries, &self.opts),
+            TableKind::BalancedTree => tree_program(&self.opts),
+            TableKind::Trie => trie_program(&self.opts),
+            TableKind::Patricia => patricia_program(&self.opts),
+            TableKind::Cam => cam_program(&self.opts),
+        }
+    }
+}
+
 /// A ready-to-run cycle-accurate router instance.
 #[derive(Debug)]
 pub struct CycleRouter {
     kind: TableKind,
     processor: Processor,
-    slots: Vec<(u32, usize)>,
+    /// Where the table image ends; datagram slot 0 starts at or above it
+    /// (see [`dgram_base`]).
+    image_end: u32,
+    /// `(address, words loaded, wire bytes)` per enqueued datagram.
+    slots: Vec<(u32, u32, usize)>,
     malformed_rejected: u64,
 }
 
-/// Cache key for scheduled forwarding programs: the microcode is a pure
+/// Cache key for compiled forwarding programs: the microcode is a pure
 /// function of the table kind, the machine shape, the generator options and
 /// one size parameter (the padded entry count for the sequential scan, zero
 /// for the fixed-shape engines).
 type ProgramKey = (TableKind, MachineConfig, MicrocodeOptions, usize);
 
-fn program_cache() -> &'static Mutex<HashMap<ProgramKey, Arc<Program>>> {
-    static CACHE: OnceLock<Mutex<HashMap<ProgramKey, Arc<Program>>>> = OnceLock::new();
+fn program_cache() -> &'static Mutex<HashMap<ProgramKey, Arc<CompiledProgram>>> {
+    static CACHE: OnceLock<Mutex<HashMap<ProgramKey, Arc<CompiledProgram>>>> = OnceLock::new();
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
-/// Returns the scheduled, label-resolved program for `key`, generating (and
-/// memoizing) it on first use.  Scheduling and optimising microcode costs
-/// far more than a simulator run over a handful of datagrams, and the
-/// evaluation pipeline rebuilds routers constantly — per measurement, per
-/// CAM-latency fixed-point iteration, per scenario tick — always from the
-/// same few (kind, machine, options) triples, so the hit rate is high and
-/// the cache stays small.  The entries are immutable and shared by `Arc`.
-fn cached_program(
-    kind: TableKind,
+/// Returns the compiled program for `image` on `config` — scheduled,
+/// label-resolved, validated and pre-decoded — generating (and memoizing)
+/// it on first use.  Scheduling, optimising and decoding microcode costs
+/// far more than a simulator run over a handful of datagrams, and every
+/// evaluation builds its router from one of the same few (kind, machine,
+/// options) triples, so the hit rate is high and the cache stays small.
+/// The entries are immutable and shared by `Arc`.
+fn compiled_program(
     config: &MachineConfig,
-    opts: &MicrocodeOptions,
-    param: usize,
-    generate: impl FnOnce() -> MoveSeq,
-) -> Result<Arc<Program>, SimError> {
-    let key = (kind, config.clone(), *opts, param);
+    image: &TableImage,
+) -> Result<Arc<CompiledProgram>, SimError> {
+    let key = (image.kind, config.clone(), image.opts, image.padded_entries);
     if let Some(p) = program_cache().lock().expect("program cache poisoned").get(&key) {
         return Ok(Arc::clone(p));
     }
-    let mut seq = generate();
+    let mut seq = image.microcode();
     opt::optimize(&mut seq);
     let mut program = schedule(&seq, config);
     program.resolve_labels().map_err(SimError::UnresolvedLabel)?;
     debug_assert_eq!(
         taco_isa::validate_schedule(&program, config),
         Ok(()),
-        "generated {kind} microcode failed structural validation"
+        "generated {} microcode failed structural validation",
+        image.kind
     );
-    let program = Arc::new(program);
-    program_cache()
-        .lock()
-        .expect("program cache poisoned")
-        .entry(key)
-        .or_insert_with(|| Arc::clone(&program));
-    Ok(program)
+    let compiled = CompiledProgram::compile(config.clone(), Arc::new(program))?;
+    Ok(Arc::clone(
+        program_cache().lock().expect("program cache poisoned").entry(key).or_insert(compiled),
+    ))
 }
 
 impl CycleRouter {
-    /// Builds a router whose table is scanned **sequentially** in memory.
+    /// Builds a router over `image` on the machine `config` — the one
+    /// construction path: the compiled program comes from the process-wide
+    /// cache, the image words are loaded at [`TABLE_BASE`], a CAM image's
+    /// table goes behind the RTU with `rtu_latency` cycles of search
+    /// latency (`ceil(40 ns × f_clk)` for the paper's part — see
+    /// [`CamSpec::search_cycles`]; ignored by the other organisations), and
+    /// the datagram slots start above the image.
     ///
     /// # Errors
     ///
     /// Propagates simulator construction errors (they indicate microcode
-    /// bugs, not user error) and fails if the table image does not fit the
-    /// memory map.
+    /// bugs, not user error) and fails with
+    /// [`SimError::MemoryOutOfBounds`] if the image does not fit data
+    /// memory.
+    ///
+    /// [`CamSpec::search_cycles`]: taco_routing::cam::CamSpec::search_cycles
+    pub fn from_image(
+        config: &MachineConfig,
+        image: &TableImage,
+        rtu_latency: u32,
+    ) -> Result<Self, SimError> {
+        let compiled = compiled_program(config, image)?;
+        let mut processor = Processor::instantiate(compiled, DEFAULT_MEMORY_WORDS);
+        processor.memory_mut().load(TABLE_BASE, &image.words)?;
+        if let Some(table) = &image.cam {
+            let backend = Box::new(CamBackend(Arc::clone(table)));
+            processor.set_rtu(RtuConfig::new(backend).with_latency(rtu_latency));
+        }
+        Ok(CycleRouter {
+            kind: image.kind,
+            processor,
+            image_end: image.end(),
+            slots: Vec::new(),
+            malformed_rejected: 0,
+        })
+    }
+
+    /// Builds a router whose table is scanned **sequentially** in memory.
+    ///
+    /// # Errors
+    ///
+    /// See [`CycleRouter::from_image`].
     pub fn sequential(
         config: &MachineConfig,
         table: &taco_routing::SequentialTable,
         opts: &MicrocodeOptions,
     ) -> Result<Self, SimError> {
-        let mut image = serialize_sequential(table);
-        pad_sequential_image(&mut image, opts.unroll);
-        let padded_entries = image.len() / crate::layout::SEQ_ENTRY_WORDS as usize;
-        let tuned =
-            MicrocodeOptions { screen_word: crate::microcode::choose_screen_word(table), ..*opts };
-        let program =
-            cached_program(TableKind::Sequential, config, &tuned, padded_entries, || {
-                sequential_program(padded_entries, &tuned)
-            })?;
-        Self::build(TableKind::Sequential, config, program, image, None)
+        Self::from_image(config, &TableImage::sequential(table, opts), 1)
     }
 
     /// Builds a router over the **balanced-tree** image.
     ///
     /// # Errors
     ///
-    /// See [`CycleRouter::sequential`].
+    /// See [`CycleRouter::from_image`].
     pub fn tree(
         config: &MachineConfig,
         table: &BalancedTreeTable,
         opts: &MicrocodeOptions,
     ) -> Result<Self, SimError> {
-        let image = serialize_tree(table);
-        let program =
-            cached_program(TableKind::BalancedTree, config, opts, 0, || tree_program(opts))?;
-        Self::build(TableKind::BalancedTree, config, program, image, None)
+        Self::from_image(config, &TableImage::tree(table, opts), 1)
     }
 
     /// Builds a router over the **unibit-trie** image — the software
@@ -142,17 +270,13 @@ impl CycleRouter {
     ///
     /// # Errors
     ///
-    /// See [`CycleRouter::sequential`].
+    /// See [`CycleRouter::from_image`].
     pub fn trie(
         config: &MachineConfig,
         table: &taco_routing::TrieTable,
         opts: &MicrocodeOptions,
     ) -> Result<Self, SimError> {
-        let image = crate::layout::serialize_trie(table);
-        let program = cached_program(TableKind::Trie, config, opts, 0, || {
-            crate::microcode::trie_program(opts)
-        })?;
-        Self::build(TableKind::Trie, config, program, image, None)
+        Self::from_image(config, &TableImage::trie(table, opts), 1)
     }
 
     /// Builds a router over the **PATRICIA** image — the path-compressed
@@ -161,88 +285,64 @@ impl CycleRouter {
     ///
     /// # Errors
     ///
-    /// See [`CycleRouter::sequential`].
+    /// See [`CycleRouter::from_image`].
     pub fn patricia(
         config: &MachineConfig,
         table: &taco_routing::PatriciaTable,
         opts: &MicrocodeOptions,
     ) -> Result<Self, SimError> {
-        let image = crate::layout::serialize_patricia(table);
-        let program = cached_program(TableKind::Patricia, config, opts, 0, || {
-            crate::microcode::patricia_program(opts)
-        })?;
-        Self::build(TableKind::Patricia, config, program, image, None)
+        Self::from_image(config, &TableImage::patricia(table, opts), 1)
     }
 
     /// Builds a router whose lookups go to a **CAM-backed RTU** with the
-    /// given search latency in cycles (`ceil(40 ns × f_clk)` for the
-    /// paper's part — see [`CamSpec::search_cycles`]).
+    /// given search latency in cycles.
     ///
     /// # Errors
     ///
-    /// See [`CycleRouter::sequential`].
-    ///
-    /// [`CamSpec::search_cycles`]: taco_routing::cam::CamSpec::search_cycles
+    /// See [`CycleRouter::from_image`].
     pub fn cam(
         config: &MachineConfig,
         table: CamTable,
         rtu_latency: u32,
         opts: &MicrocodeOptions,
     ) -> Result<Self, SimError> {
-        let program = cached_program(TableKind::Cam, config, opts, 0, || cam_program(opts))?;
-        let rtu = RtuConfig::new(Box::new(CamBackend(table))).with_latency(rtu_latency);
-        Self::build(TableKind::Cam, config, program, Vec::new(), Some(rtu))
+        Self::from_image(config, &TableImage::cam(Arc::new(table), opts), rtu_latency)
     }
 
-    /// Builds a router for any table organisation from a plain route list —
-    /// the one dispatch point over [`CycleRouter::sequential`],
-    /// [`CycleRouter::tree`], [`CycleRouter::trie`] and [`CycleRouter::cam`]
-    /// (each serialises a different concrete engine, so the dispatch cannot
-    /// go through `Box<dyn LpmTable>`).
+    /// Builds a router for any table organisation from a plain route list:
+    /// [`TableImage::new`] followed by [`CycleRouter::from_image`].
     ///
     /// `rtu_latency` is only consulted for [`TableKind::Cam`].
     ///
     /// # Errors
     ///
-    /// See [`CycleRouter::sequential`].
+    /// See [`CycleRouter::from_image`].
     pub fn for_kind(
         kind: TableKind,
         config: &MachineConfig,
-        routes: &[taco_routing::Route],
+        routes: &[Route],
         rtu_latency: u32,
         opts: &MicrocodeOptions,
     ) -> Result<Self, SimError> {
-        let routes = routes.iter().copied();
-        match kind {
-            TableKind::Sequential => {
-                Self::sequential(config, &taco_routing::SequentialTable::from_routes(routes), opts)
-            }
-            TableKind::BalancedTree => {
-                Self::tree(config, &BalancedTreeTable::from_routes(routes), opts)
-            }
-            TableKind::Trie => {
-                Self::trie(config, &taco_routing::TrieTable::from_routes(routes), opts)
-            }
-            TableKind::Patricia => {
-                Self::patricia(config, &taco_routing::PatriciaTable::from_routes(routes), opts)
-            }
-            TableKind::Cam => Self::cam(config, CamTable::from_routes(routes), rtu_latency, opts),
-        }
+        Self::from_image(config, &TableImage::new(kind, routes, opts), rtu_latency)
     }
 
-    fn build(
-        kind: TableKind,
-        config: &MachineConfig,
-        program: Arc<Program>,
-        image: Vec<u32>,
-        rtu: Option<RtuConfig>,
-    ) -> Result<Self, SimError> {
-        let mut processor = Processor::new_shared(config.clone(), program)?;
-        processor.memory_mut().load(TABLE_BASE, &image)?;
-        if let Some(rtu) = rtu {
-            processor.set_rtu(rtu);
+    /// Re-arms the router for another run with a new RTU search latency:
+    /// the processor is reset to power-on, the datagram slots are cleared
+    /// and released, and the table image (or CAM table) stays loaded — the
+    /// state [`CycleRouter::from_image`] would return for `rtu_latency`,
+    /// without rebuilding anything.  This is what the CAM latency fixed
+    /// point iterates on.
+    pub fn rearm(&mut self, rtu_latency: u32) {
+        self.processor.reset();
+        if self.kind == TableKind::Cam {
+            self.processor.set_rtu_latency(rtu_latency);
         }
-        Ok(CycleRouter { kind, processor, slots: Vec::new(), malformed_rejected: 0 })
+        for (addr, words, _) in self.slots.drain(..) {
+            let zeros = &[0u32; DGRAM_SLOT_WORDS as usize][..words as usize];
+            self.processor.memory_mut().load(addr, zeros).expect("slot was loaded before");
+        }
+        self.malformed_rejected = 0;
     }
 
     /// The table organisation this instance implements.
@@ -253,6 +353,12 @@ impl CycleRouter {
     /// The underlying simulator, for fine-grained inspection.
     pub fn processor(&self) -> &Processor {
         &self.processor
+    }
+
+    /// Encoded size in bits of the program this router runs (instruction
+    /// store + literal pool), computed once per compiled program.
+    pub fn program_bits(&self) -> u64 {
+        self.processor.compiled().program_bits()
     }
 
     /// Enqueues a whole batch of `(port, datagram)` pairs back-to-back, so
@@ -279,21 +385,10 @@ impl CycleRouter {
     /// # Errors
     ///
     /// Fails when the buffer area is exhausted (or the datagram exceeds a
-    /// slot) — enqueue at most ~100 datagrams per run.
+    /// slot) — enqueue at most ~100 datagrams per run, fewer above a large
+    /// table image.
     pub fn enqueue(&mut self, port: PortId, datagram: &Datagram) -> Result<(), SimError> {
-        let slot = self.slots.len() as u32;
-        let addr = dgram_slot(slot);
-        let words = datagram_to_words(datagram);
-        if words.len() as u32 > DGRAM_SLOT_WORDS {
-            return Err(SimError::MemoryOutOfBounds {
-                addr: addr + words.len() as u32,
-                size: self.processor.memory().size(),
-            });
-        }
-        self.processor.memory_mut().load(addr, &words)?;
-        self.processor.push_input(addr, u32::from(port.0));
-        self.slots.push((addr, datagram.wire_len()));
-        Ok(())
+        self.enqueue_words(port, &datagram_to_words(datagram), datagram.wire_len())
     }
 
     /// Queues raw wire bytes — possibly malformed — the way a line card
@@ -319,19 +414,29 @@ impl CycleRouter {
             self.malformed_rejected += 1;
             return Ok(false);
         }
-        let slot = self.slots.len() as u32;
-        let addr = dgram_slot(slot);
-        let words = bytes_to_words(bytes);
+        self.enqueue_words(port, &bytes_to_words(bytes), bytes.len())?;
+        Ok(true)
+    }
+
+    fn enqueue_words(
+        &mut self,
+        port: PortId,
+        words: &[u32],
+        byte_len: usize,
+    ) -> Result<(), SimError> {
+        let addr =
+            dgram_base(self.image_end).saturating_add(self.slots.len() as u32 * DGRAM_SLOT_WORDS);
+        assert!(addr >= self.image_end, "datagram slot {addr:#x} intersects the table image");
         if words.len() as u32 > DGRAM_SLOT_WORDS {
             return Err(SimError::MemoryOutOfBounds {
-                addr: addr + words.len() as u32,
+                addr: addr.saturating_add(words.len() as u32),
                 size: self.processor.memory().size(),
             });
         }
-        self.processor.memory_mut().load(addr, &words)?;
+        self.processor.memory_mut().load(addr, words)?;
         self.processor.push_input(addr, u32::from(port.0));
-        self.slots.push((addr, bytes.len()));
-        Ok(true)
+        self.slots.push((addr, words.len() as u32, byte_len));
+        Ok(())
     }
 
     /// Frames [`CycleRouter::enqueue_raw`] refused at the card.
@@ -394,17 +499,17 @@ impl CycleRouter {
             .outputs()
             .iter()
             .map(|&(ptr, iface)| {
-                let &(addr, byte_len) = self
+                let &(addr, _, byte_len) = self
                     .slots
                     .iter()
-                    .find(|(a, _)| *a == ptr)
+                    .find(|(a, ..)| *a == ptr)
                     .unwrap_or_else(|| panic!("oppu emitted unknown pointer {ptr:#x}"));
                 let words = self
                     .processor
                     .memory()
                     .read_block(addr, byte_len.div_ceil(4) as u32)
                     .expect("slot fits memory");
-                let bytes = words_to_bytes(words, byte_len);
+                let bytes = words_to_bytes(&words, byte_len);
                 let datagram = Datagram::parse(&bytes).expect("forwarded datagram reparses");
                 (PortId(iface as u16), datagram)
             })

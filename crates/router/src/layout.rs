@@ -16,7 +16,8 @@ use taco_routing::{BalancedTreeTable, SequentialTable};
 /// First word address of the routing table image.
 pub const TABLE_BASE: u32 = 0x100;
 
-/// First word address of the datagram buffer area.
+/// First word address of the datagram buffer area, for table images that
+/// end below it (see [`dgram_base`]).
 pub const DGRAM_BASE: u32 = 0x2000;
 
 /// Words reserved per buffered datagram (2 KiB — enough for any packet the
@@ -97,9 +98,18 @@ pub fn words_to_bytes(words: &[u32], byte_len: usize) -> Vec<u8> {
     out
 }
 
-/// Word address of datagram slot `i`.
+/// Word address of datagram slot `i` of a buffer area at [`DGRAM_BASE`].
 pub fn dgram_slot(i: u32) -> u32 {
     DGRAM_BASE + i * DGRAM_SLOT_WORDS
+}
+
+/// First word address of the datagram buffer area above a table image that
+/// ends at `image_end`: [`DGRAM_BASE`], or the next slot boundary past the
+/// image when the image reaches beyond it (more than 7936 words — 661
+/// sequential entries), so a datagram is never written over table entries.
+pub fn dgram_base(image_end: u32) -> u32 {
+    DGRAM_BASE
+        .max(image_end.saturating_add(DGRAM_SLOT_WORDS - 1) / DGRAM_SLOT_WORDS * DGRAM_SLOT_WORDS)
 }
 
 /// Serialises a sequential table into its memory image.
@@ -407,5 +417,17 @@ mod tests {
         let img_end = TABLE_BASE + serialize_sequential(&t).len() as u32;
         assert!(img_end < DGRAM_BASE, "table image ({img_end:#x}) runs into datagram area");
         assert_eq!(dgram_slot(2), DGRAM_BASE + 1024);
+        assert_eq!(dgram_base(img_end), DGRAM_BASE);
+    }
+
+    #[test]
+    fn dgram_area_moves_above_an_image_that_outgrows_the_table_area() {
+        // 661 sequential entries are the last to end below DGRAM_BASE.
+        assert_eq!(dgram_base(TABLE_BASE + 661 * SEQ_ENTRY_WORDS), DGRAM_BASE);
+        let end = TABLE_BASE + 662 * SEQ_ENTRY_WORDS;
+        assert_eq!(dgram_base(end), DGRAM_BASE + DGRAM_SLOT_WORDS);
+        assert!(dgram_base(end) >= end && dgram_base(end) % DGRAM_SLOT_WORDS == 0);
+        assert_eq!(dgram_base(DGRAM_BASE + DGRAM_SLOT_WORDS), DGRAM_BASE + DGRAM_SLOT_WORDS);
+        assert_eq!(dgram_base(u32::MAX), u32::MAX / DGRAM_SLOT_WORDS * DGRAM_SLOT_WORDS);
     }
 }

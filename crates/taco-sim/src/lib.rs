@@ -60,5 +60,6 @@ pub use memory::DataMemory;
 pub use multicore::MulticoreSim;
 pub use processor::{FaultInjector, NoFaults, PeriodicStall, Processor, DEFAULT_MEMORY_WORDS};
 pub use rtu::{MapRtu, NullRtu, RtuBackend, RtuConfig, RtuResult};
+pub use sched::CompiledProgram;
 pub use stats::SimStats;
 pub use trace::{ChromeTracer, NullTracer, RingTracer, TraceCounters, TraceEvent, Tracer};

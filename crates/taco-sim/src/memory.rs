@@ -4,9 +4,17 @@
 //! memory; this module is that memory.  TACO has a 32-bit datapath, so the
 //! memory is an array of 32-bit words addressed by word index.
 
+use std::borrow::Cow;
+
 use crate::error::SimError;
 
-/// Data memory: a flat array of 32-bit words.
+/// Data memory: a flat array of 32-bit words, zero at power-on.
+///
+/// Only the prefix that has been written is materialised: a router that
+/// loads a table and eight datagrams into a 65 536-word memory touches a
+/// few thousand words, and building it costs those, not a 256 KiB
+/// allocation zeroed per instance.  Every word past the prefix reads as
+/// zero, so the laziness is unobservable — equality included.
 ///
 /// # Examples
 ///
@@ -17,23 +25,41 @@ use crate::error::SimError;
 /// let mut mem = DataMemory::new(1024);
 /// mem.write(0x10, 0xdead_beef)?;
 /// assert_eq!(mem.read(0x10)?, 0xdead_beef);
+/// assert_eq!(mem.read(0x3ff)?, 0);
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct DataMemory {
+    /// The materialised prefix; words in `words.len()..size` are zero.
     words: Vec<u32>,
+    size: u32,
 }
+
+impl PartialEq for DataMemory {
+    fn eq(&self, other: &Self) -> bool {
+        let shared = self.words.len().min(other.words.len());
+        self.size == other.size
+            && self.words[..shared] == other.words[..shared]
+            && self.words[shared..].iter().chain(&other.words[shared..]).all(|w| *w == 0)
+    }
+}
+
+impl Eq for DataMemory {}
 
 impl DataMemory {
     /// Creates a zeroed memory of `size` words.
     pub fn new(size: u32) -> Self {
-        DataMemory { words: vec![0; size as usize] }
+        DataMemory { words: Vec::new(), size }
     }
 
     /// Memory size in words.
     pub fn size(&self) -> u32 {
-        self.words.len() as u32
+        self.size
+    }
+
+    fn out_of_bounds(&self, addr: u32) -> SimError {
+        SimError::MemoryOutOfBounds { addr, size: self.size }
     }
 
     /// Reads the word at `addr`.
@@ -42,10 +68,11 @@ impl DataMemory {
     ///
     /// [`SimError::MemoryOutOfBounds`] if `addr` is outside memory.
     pub fn read(&self, addr: u32) -> Result<u32, SimError> {
-        self.words
-            .get(addr as usize)
-            .copied()
-            .ok_or(SimError::MemoryOutOfBounds { addr, size: self.size() })
+        match self.words.get(addr as usize) {
+            Some(w) => Ok(*w),
+            None if addr < self.size => Ok(0),
+            None => Err(self.out_of_bounds(addr)),
+        }
     }
 
     /// Writes `value` at `addr`.
@@ -54,14 +81,16 @@ impl DataMemory {
     ///
     /// [`SimError::MemoryOutOfBounds`] if `addr` is outside memory.
     pub fn write(&mut self, addr: u32, value: u32) -> Result<(), SimError> {
-        let size = self.size();
-        match self.words.get_mut(addr as usize) {
-            Some(w) => {
-                *w = value;
-                Ok(())
-            }
-            None => Err(SimError::MemoryOutOfBounds { addr, size }),
+        if let Some(w) = self.words.get_mut(addr as usize) {
+            *w = value;
+            return Ok(());
         }
+        if addr >= self.size {
+            return Err(self.out_of_bounds(addr));
+        }
+        self.words.resize(addr as usize + 1, 0);
+        self.words[addr as usize] = value;
+        Ok(())
     }
 
     /// Copies `data` into memory starting at `addr`.
@@ -71,16 +100,15 @@ impl DataMemory {
     /// [`SimError::MemoryOutOfBounds`] if the block does not fit.
     pub fn load(&mut self, addr: u32, data: &[u32]) -> Result<(), SimError> {
         let start = addr as usize;
-        let end = start.checked_add(data.len());
-        match end {
-            Some(end) if end <= self.words.len() => {
+        match start.checked_add(data.len()) {
+            Some(end) if end <= self.size as usize => {
+                if end > self.words.len() {
+                    self.words.resize(end, 0);
+                }
                 self.words[start..end].copy_from_slice(data);
                 Ok(())
             }
-            _ => Err(SimError::MemoryOutOfBounds {
-                addr: addr.saturating_add(data.len() as u32),
-                size: self.size(),
-            }),
+            _ => Err(self.out_of_bounds(addr.saturating_add(data.len() as u32))),
         }
     }
 
@@ -89,21 +117,17 @@ impl DataMemory {
     /// # Errors
     ///
     /// [`SimError::MemoryOutOfBounds`] if the block does not fit.
-    pub fn read_block(&self, addr: u32, len: u32) -> Result<&[u32], SimError> {
+    pub fn read_block(&self, addr: u32, len: u32) -> Result<Cow<'_, [u32]>, SimError> {
         let start = addr as usize;
-        let end = start.checked_add(len as usize);
-        match end {
-            Some(end) if end <= self.words.len() => Ok(&self.words[start..end]),
-            _ => Err(SimError::MemoryOutOfBounds {
-                addr: addr.saturating_add(len),
-                size: self.size(),
-            }),
+        match start.checked_add(len as usize) {
+            Some(end) if end <= self.words.len() => Ok(Cow::Borrowed(&self.words[start..end])),
+            Some(end) if end <= self.size as usize => {
+                let mut block = self.words.get(start..).unwrap_or(&[]).to_vec();
+                block.resize(len as usize, 0);
+                Ok(Cow::Owned(block))
+            }
+            _ => Err(self.out_of_bounds(addr.saturating_add(len))),
         }
-    }
-
-    /// A view of the whole memory.
-    pub fn as_slice(&self) -> &[u32] {
-        &self.words
     }
 }
 
@@ -130,7 +154,9 @@ mod tests {
     fn block_load_and_read() {
         let mut m = DataMemory::new(8);
         m.load(2, &[1, 2, 3]).unwrap();
-        assert_eq!(m.read_block(2, 3).unwrap(), &[1, 2, 3]);
+        assert_eq!(*m.read_block(2, 3).unwrap(), [1, 2, 3]);
+        assert_eq!(*m.read_block(4, 4).unwrap(), [3, 0, 0, 0]);
+        assert_eq!(*m.read_block(6, 2).unwrap(), [0, 0]);
         assert!(m.load(6, &[1, 2, 3]).is_err());
         assert!(m.read_block(7, 2).is_err());
     }
@@ -143,9 +169,18 @@ mod tests {
     }
 
     #[test]
-    fn size_and_slice() {
-        let m = DataMemory::new(32);
-        assert_eq!(m.size(), 32);
-        assert_eq!(m.as_slice().len(), 32);
+    fn unwritten_words_read_zero_and_do_not_affect_equality() {
+        let mut a = DataMemory::new(32);
+        assert_eq!((a.size(), a.read(31)), (32, Ok(0)));
+        let mut b = a.clone();
+        a.write(3, 5).unwrap();
+        assert_ne!(a, b);
+        b.write(3, 5).unwrap();
+        b.write(20, 0).unwrap();
+        b.load(24, &[0, 0]).unwrap();
+        assert_eq!(a, b);
+        b.write(31, 1).unwrap();
+        assert_ne!(a, b);
+        assert_ne!(DataMemory::new(4), DataMemory::new(8));
     }
 }

@@ -28,7 +28,7 @@ use taco_isa::{FuKind, FuRef, MachineConfig, PortDir, PortRef, Program, Source};
 use crate::error::SimError;
 use crate::memory::DataMemory;
 use crate::rtu::{RtuConfig, RtuResult};
-use crate::sched::{self, DDst, DGuard, DSrc, DTrig, DecodedProgram};
+use crate::sched::{CompiledProgram, DDst, DGuard, DSrc, DTrig};
 use crate::stats::SimStats;
 use crate::trace::{NullTracer, TraceEvent, Tracer};
 use crate::units::DatapathFu;
@@ -146,9 +146,7 @@ struct RtuState {
 /// ```
 #[derive(Debug)]
 pub struct Processor {
-    config: MachineConfig,
-    program: Arc<Program>,
-    decoded: Arc<DecodedProgram>,
+    compiled: Arc<CompiledProgram>,
     trigger_counts: Vec<u64>,
     pc: usize,
     halted: bool,
@@ -172,6 +170,30 @@ pub struct Processor {
 /// Default data memory size in 32-bit words (256 KiB).
 pub const DEFAULT_MEMORY_WORDS: u32 = 65_536;
 
+/// The datapath FU instances `config` provides, in the order
+/// [`sched::decode`] indexes them.
+pub(crate) fn datapath_for(config: &MachineConfig) -> Vec<(FuRef, DatapathFu)> {
+    let mut datapath = Vec::new();
+    for kind in FuKind::ALL {
+        let make: Option<fn() -> DatapathFu> = match kind {
+            FuKind::Matcher => Some(DatapathFu::new_matcher),
+            FuKind::Comparator => Some(DatapathFu::new_comparator),
+            FuKind::Counter => Some(DatapathFu::new_counter),
+            FuKind::Checksum => Some(DatapathFu::new_checksum),
+            FuKind::Shifter => Some(DatapathFu::new_shifter),
+            FuKind::Masker => Some(DatapathFu::new_masker),
+            _ => None,
+        };
+        if let Some(make) = make {
+            for i in 0..config.fu_count(kind) {
+                datapath.push((FuRef::new(kind, i), make()));
+            }
+        }
+    }
+    datapath.push((FuRef::new(FuKind::Liu, 0), DatapathFu::new_liu(Vec::new())));
+    datapath
+}
+
 impl Processor {
     /// Builds a processor for `config` loaded with `program`, with
     /// [`DEFAULT_MEMORY_WORDS`] of data memory.
@@ -185,7 +207,7 @@ impl Processor {
     /// * [`SimError::InvalidFuIndex`] if the program references FU instances
     ///   the configuration lacks.
     pub fn new(config: MachineConfig, program: Program) -> Result<Self, SimError> {
-        Self::with_memory_shared(config, Arc::new(program), DEFAULT_MEMORY_WORDS)
+        Self::with_memory(config, program, DEFAULT_MEMORY_WORDS)
     }
 
     /// Like [`Processor::new`] with an explicit memory size in words.
@@ -198,94 +220,88 @@ impl Processor {
         program: Program,
         memory_words: u32,
     ) -> Result<Self, SimError> {
-        Self::with_memory_shared(config, Arc::new(program), memory_words)
+        let compiled = CompiledProgram::compile(config, Arc::new(program))?;
+        Ok(Self::instantiate(compiled, memory_words))
     }
 
-    /// Like [`Processor::new`] but sharing an already-built program, so
-    /// many processors instantiated from the same microcode (the
-    /// cycle-router program cache, the CAM latency fixed point) skip the
-    /// per-instance clone.
+    /// Like [`Processor::new`] but sharing an already-built program:
+    /// [`CompiledProgram::compile`] followed by [`Processor::instantiate`].
+    /// Callers that build many processors from the same microcode keep the
+    /// compiled handle and skip the first half.
     ///
     /// # Errors
     ///
     /// See [`Processor::new`].
     pub fn new_shared(config: MachineConfig, program: Arc<Program>) -> Result<Self, SimError> {
-        Self::with_memory_shared(config, program, DEFAULT_MEMORY_WORDS)
+        let compiled = CompiledProgram::compile(config, program)?;
+        Ok(Self::instantiate(compiled, DEFAULT_MEMORY_WORDS))
     }
 
-    /// [`Processor::new_shared`] with an explicit memory size in words.
-    ///
-    /// # Errors
-    ///
-    /// See [`Processor::new`].
-    pub fn with_memory_shared(
-        config: MachineConfig,
-        program: Arc<Program>,
-        memory_words: u32,
-    ) -> Result<Self, SimError> {
-        validate(&config, &program)?;
-        let config_mmu_ports = config.fu_count(FuKind::Mmu);
-        let mut datapath = Vec::new();
-        for kind in FuKind::ALL {
-            let make: Option<fn() -> DatapathFu> = match kind {
-                FuKind::Matcher => Some(DatapathFu::new_matcher),
-                FuKind::Comparator => Some(DatapathFu::new_comparator),
-                FuKind::Counter => Some(DatapathFu::new_counter),
-                FuKind::Checksum => Some(DatapathFu::new_checksum),
-                FuKind::Shifter => Some(DatapathFu::new_shifter),
-                FuKind::Masker => Some(DatapathFu::new_masker),
-                _ => None,
-            };
-            if let Some(make) = make {
-                for i in 0..config.fu_count(kind) {
-                    datapath.push((FuRef::new(kind, i), make()));
-                }
-            }
-        }
-        datapath.push((FuRef::new(FuKind::Liu, 0), DatapathFu::new_liu(Vec::new())));
-        let stats = SimStats { buses: config.buses(), ..SimStats::default() };
-        let decoded = Arc::new(sched::decode(&config, &program, &datapath)?);
-        let trigger_counts = vec![0; decoded.trigger_fus.len()];
-        Ok(Processor {
-            config,
-            program,
-            decoded,
-            trigger_counts,
+    /// A powered-on processor executing `compiled`, with `memory_words` of
+    /// zeroed data memory, an always-missing RTU and an empty LIU.
+    pub fn instantiate(compiled: Arc<CompiledProgram>, memory_words: u32) -> Self {
+        Self::power_on(compiled, DataMemory::new(memory_words), RtuConfig::default(), Vec::new())
+    }
+
+    /// Returns the machine to its power-on state — PC, cycle count,
+    /// registers, FU state, iPPU queue, oPPU output and statistics — while
+    /// keeping what was *loaded into* it: the program, the data-memory
+    /// contents, the RTU backend and latency, and the local-info table.
+    pub fn reset(&mut self) {
+        let mem = std::mem::replace(&mut self.mem, DataMemory::new(0));
+        let rtu = std::mem::take(&mut self.rtu.config);
+        let liu_table = std::mem::take(&mut self.liu_table);
+        *self = Self::power_on(Arc::clone(&self.compiled), mem, rtu, liu_table);
+    }
+
+    /// The one place a `Processor` is assembled: [`Processor::instantiate`]
+    /// and [`Processor::reset`] both come through here, so a field added
+    /// later cannot be initialised by one and forgotten by the other.
+    fn power_on(
+        compiled: Arc<CompiledProgram>,
+        mem: DataMemory,
+        rtu: RtuConfig,
+        liu_table: Vec<u32>,
+    ) -> Self {
+        let config = &compiled.config;
+        let mut cpu = Processor {
+            trigger_counts: vec![0; compiled.decoded.trigger_fus.len()],
             pc: 0,
             halted: false,
             cycle: 0,
-            datapath,
+            datapath: datapath_for(config),
             regs: [0; 16],
-            mem: DataMemory::new(memory_words),
-            mmus: (0..config_mmu_ports).map(|_| MmuState::default()).collect(),
-            rtu: RtuState::default(),
+            mem,
+            mmus: (0..config.fu_count(FuKind::Mmu)).map(|_| MmuState::default()).collect(),
+            rtu: RtuState { config: rtu, ..RtuState::default() },
             ippu_queue: VecDeque::new(),
             ippu_ptr: 0,
             ippu_iface: 0,
             oppu_iface: 0,
             oppu_out: Vec::new(),
             liu_table: Vec::new(),
-            stats,
+            stats: SimStats { buses: config.buses(), ..SimStats::default() },
             stall_open: false,
             fault_open: false,
-        })
+            compiled,
+        };
+        cpu.set_local_info(liu_table);
+        cpu
     }
 
     /// The architecture this processor instantiates.
     pub fn config(&self) -> &MachineConfig {
-        &self.config
+        &self.compiled.config
     }
 
     /// The loaded program.
     pub fn program(&self) -> &Program {
-        &self.program
+        &self.compiled.program
     }
 
-    /// The instantiated datapath FU layout, in decode order (used by the
-    /// pre-decoder's tests).
-    #[cfg(test)]
-    pub(crate) fn datapath_layout(&self) -> &[(FuRef, DatapathFu)] {
-        &self.datapath
+    /// The compiled handle this processor was instantiated from.
+    pub fn compiled(&self) -> &Arc<CompiledProgram> {
+        &self.compiled
     }
 
     /// Data memory (read side).
@@ -302,6 +318,16 @@ impl Processor {
     /// Installs the Routing Table Unit's backend and latency.
     pub fn set_rtu(&mut self, config: RtuConfig) {
         self.rtu.config = config;
+    }
+
+    /// Changes the installed RTU's search latency, keeping its backend.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `latency` is zero.
+    pub fn set_rtu_latency(&mut self, latency: u32) {
+        assert!(latency >= 1, "rtu latency must be at least one cycle");
+        self.rtu.config.latency = latency;
     }
 
     /// Sets the Local Information Unit contents (the router's own
@@ -375,7 +401,7 @@ impl Processor {
             _ => self
                 .datapath_ref(fu)
                 .map(|d| d.read_result(port))
-                .ok_or(SimError::InvalidFuIndex { fu, available: self.config.fu_count(kind) }),
+                .ok_or(SimError::InvalidFuIndex { fu, available: self.config().fu_count(kind) }),
         }
     }
 
@@ -409,7 +435,7 @@ impl Processor {
     }
 
     fn datapath_mut(&mut self, fu: FuRef) -> Result<&mut DatapathFu, SimError> {
-        let available = self.config.fu_count(fu.kind);
+        let available = self.config().fu_count(fu.kind);
         self.datapath
             .iter_mut()
             .find(|(f, _)| *f == fu)
@@ -461,8 +487,8 @@ impl Processor {
     }
 
     fn fold_trigger_counts(&mut self) {
-        let decoded = Arc::clone(&self.decoded);
-        for (slot, fu) in decoded.trigger_fus.iter().enumerate() {
+        let compiled = Arc::clone(&self.compiled);
+        for (slot, fu) in compiled.decoded.trigger_fus.iter().enumerate() {
             let n = std::mem::take(&mut self.trigger_counts[slot]);
             if n > 0 {
                 *self.stats.fu_triggers.entry(fu.kind).or_insert(0) += n;
@@ -482,10 +508,12 @@ impl Processor {
         tracer: &mut T,
         faults: &mut F,
     ) -> Result<(), SimError> {
-        let decoded = Arc::clone(&self.decoded);
+        let compiled = Arc::clone(&self.compiled);
+        let decoded = &compiled.decoded;
         let start = self.cycle;
-        let len = self.program.instructions.len();
-        let mut writes: Vec<(DDst, u32, u8)> = Vec::with_capacity(usize::from(self.config.buses()));
+        let len = compiled.program.instructions.len();
+        let mut writes: Vec<(DDst, u32, u8)> =
+            Vec::with_capacity(usize::from(compiled.config.buses()));
         while !self.halted {
             if self.cycle - start >= budget {
                 return Err(SimError::Watchdog { budget });
@@ -577,10 +605,11 @@ impl Processor {
                         } else {
                             // Recover the original PortRef for the error
                             // from the instruction word (cold path).
-                            let port = self.program.instructions[self.pc].slots[usize::from(w.2)]
-                                .as_ref()
-                                .expect("decoded move maps to an occupied slot")
-                                .dst;
+                            let port = compiled.program.instructions[self.pc].slots
+                                [usize::from(w.2)]
+                            .as_ref()
+                            .expect("decoded move maps to an occupied slot")
+                            .dst;
                             SimError::PortConflict { port, cycle: self.cycle }
                         });
                     }
@@ -708,7 +737,7 @@ pub(crate) fn register_index(p: PortRef) -> Result<usize, SimError> {
 /// return structured [`SimError`]s instead of panicking: microcode built by
 /// hand (bypassing the assembler and `PortRef::new`) is rejected at
 /// construction with [`SimError::InvalidPort`] / [`SimError::InvalidGuard`].
-fn validate(config: &MachineConfig, program: &Program) -> Result<(), SimError> {
+pub(crate) fn validate(config: &MachineConfig, program: &Program) -> Result<(), SimError> {
     for (idx, ins) in program.instructions.iter().enumerate() {
         if ins.slots.len() > usize::from(config.buses()) {
             return Err(SimError::TooManySlots {
@@ -847,6 +876,48 @@ mod tests {
         prog.resolve_labels().unwrap();
         let mut p = Processor::with_memory(MachineConfig::new(1), prog, 0).unwrap();
         assert!(matches!(p.run(10), Err(SimError::MemoryOutOfBounds { .. })));
+    }
+
+    #[test]
+    fn reset_restores_power_on_state_and_keeps_what_was_loaded() {
+        use crate::rtu::{MapRtu, RtuResult};
+        // Touches every kind of volatile state: registers, a counter, an
+        // MMU port, the RTU (with a stall), the LIU, both PPUs, a squash.
+        let text = "0 -> ippu0.tpop | 3 -> cnt0.stop\n\
+                    ippu0.iface -> oppu0.iface | 1 -> rtu0.k0\n\
+                    ippu0.ptr -> oppu0.t | 9 -> rtu0.t\n\
+                    rtu0.iface -> regs0.r5 | 1 -> liu0.t\n\
+                    liu0.r -> regs0.r6 | 20 -> mmu0.addr\n\
+                    regs0.r6 -> mmu0.twrite | ?cnt0.done 1 -> regs0.r7\n";
+        let build = || {
+            let mut prog = asm::parse(text).unwrap();
+            prog.resolve_labels().unwrap();
+            let mut cpu = Processor::with_memory(MachineConfig::new(2), prog, 32).unwrap();
+            let mut backend = MapRtu::new();
+            backend.insert([1, 0, 0, 9], RtuResult { iface: 4, handle: 2 });
+            cpu.set_rtu(RtuConfig::new(Box::new(backend)).with_latency(3));
+            cpu.set_local_info(vec![0x11, 0x22]);
+            cpu.memory_mut().write(7, 0xabcd).unwrap();
+            cpu
+        };
+        let mut used = build();
+        used.push_input(0x40, 2);
+        used.push_input(0x50, 3); // left pending: the program pops once
+        let first = used.run(100).unwrap();
+        assert!(first.stall_cycles > 0 && used.reg(5) == 4 && used.reg(6) == 0x22);
+        assert_eq!(used.memory().read(20).unwrap(), 0x22);
+
+        used.reset();
+        // Data memory is contents, not machine state: the write survives.
+        let mut fresh = build();
+        fresh.memory_mut().write(20, 0x22).unwrap();
+        assert_eq!(format!("{used:?}"), format!("{fresh:?}"), "a field survived reset");
+
+        // ... and the machine runs again exactly as the first time.
+        used.push_input(0x40, 2);
+        used.push_input(0x50, 3);
+        assert_eq!(used.run(100).unwrap(), first);
+        assert_eq!(used.outputs(), &[(0x40, 2)]);
     }
 
     #[test]

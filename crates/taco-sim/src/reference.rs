@@ -35,7 +35,8 @@ impl Processor {
         tracer: &mut T,
         faults: &mut F,
     ) -> Result<SimStats, SimError> {
-        let program = Arc::clone(&self.program);
+        let compiled = Arc::clone(&self.compiled);
+        let program = &compiled.program;
         let start = self.cycle;
         while !self.halted {
             if self.cycle - start >= budget {
@@ -199,7 +200,7 @@ impl Processor {
             }),
             FuKind::Liu => Ok(self.datapath_ref(p.fu).map(|d| d.read_result(p.port)).unwrap_or(0)),
             _ => self.datapath_ref(p.fu).map(|d| d.read_result(p.port)).ok_or(
-                SimError::InvalidFuIndex { fu: p.fu, available: self.config.fu_count(p.fu.kind) },
+                SimError::InvalidFuIndex { fu: p.fu, available: self.config().fu_count(p.fu.kind) },
             ),
         }
     }

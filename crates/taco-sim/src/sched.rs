@@ -23,6 +23,8 @@
 //! directly and shares nothing with this module; `tests/step_reference.rs`
 //! holds the two to equal statistics, events and machine state.
 
+use std::sync::{Arc, OnceLock};
+
 use taco_isa::{FuKind, FuRef, MachineConfig, Program, Source};
 
 use crate::error::SimError;
@@ -148,6 +150,44 @@ pub(crate) struct DecodedProgram {
     pub trigger_fus: Vec<FuRef>,
 }
 
+/// A program compiled for one machine: validated, pre-decoded and sized.
+///
+/// Everything [`Processor`](crate::Processor) construction used to redo per
+/// instance — structural validation, [`decode`], and (for callers that
+/// charge the program store) the encoded image size — is a pure function of
+/// `(config, program)`, so it is done once here and shared behind an `Arc`
+/// by every processor instantiated from it
+/// ([`Processor::instantiate`](crate::Processor::instantiate)).
+#[derive(Debug)]
+pub struct CompiledProgram {
+    pub(crate) config: MachineConfig,
+    pub(crate) program: Arc<Program>,
+    pub(crate) decoded: DecodedProgram,
+    bits: OnceLock<u64>,
+}
+
+impl CompiledProgram {
+    /// Validates `program` against `config` and pre-decodes it.
+    ///
+    /// # Errors
+    ///
+    /// See [`Processor::new`](crate::Processor::new).
+    pub fn compile(config: MachineConfig, program: Arc<Program>) -> Result<Arc<Self>, SimError> {
+        crate::processor::validate(&config, &program)?;
+        let decoded = decode(&config, &program, &crate::processor::datapath_for(&config))?;
+        Ok(Arc::new(CompiledProgram { config, program, decoded, bits: OnceLock::new() }))
+    }
+
+    /// Encoded program-image size in bits (instruction store + literal
+    /// pool) — what the area estimate charges the program store.  Encoded
+    /// on first use; zero for a program the encoder rejects.
+    pub fn program_bits(&self) -> u64 {
+        *self.bits.get_or_init(|| {
+            taco_isa::encode(&self.program, &self.config).map_or(0, |e| e.total_bits())
+        })
+    }
+}
+
 /// Decodes `program` (already validated against `config`) into a flat
 /// schedule over the given datapath layout.
 ///
@@ -271,6 +311,10 @@ pub(crate) fn decode(
             slice.iter().enumerate().any(|(i, m)| slice[..i].iter().any(|e| e.dst == m.dst));
         ins.push(InsMeta { start, end, rtu_sensitive, may_conflict });
     }
+    // Compiled programs are retained for the life of the process; do not
+    // retain the vectors' growth slack with them.
+    moves.shrink_to_fit();
+    trigger_fus.shrink_to_fit();
     Ok(DecodedProgram { moves, ins, trigger_fus })
 }
 
@@ -282,8 +326,8 @@ mod tests {
     fn decoded(text: &str, config: MachineConfig) -> (DecodedProgram, Program) {
         let mut prog = asm::parse(text).unwrap();
         prog.resolve_labels().unwrap();
-        let cpu = crate::Processor::new(config.clone(), prog.clone()).unwrap();
-        let dp = decode(&config, &prog, cpu.datapath_layout()).unwrap();
+        crate::processor::validate(&config, &prog).unwrap();
+        let dp = decode(&config, &prog, &crate::processor::datapath_for(&config)).unwrap();
         (dp, prog)
     }
 

@@ -78,6 +78,33 @@ cargo test -q --offline --test step_reference
 if grep -rnE '[S]tepMode|TACO_STEP_[M]ODE|set_step_[m]ode|parse_machine_[s]hape|sharded_[s]weep|Sweep[S]hard|Shard[R]esult|Cache[E]xport|Cache[I]mport|Cache[S]napshot|Cache[L]oaded|cache_[e]xport|cache_[i]mport' crates src tests examples scripts; then exit 1; fi
 
 echo
+echo "== tier-1: evaluate once per input (explicit) =="
+# One shared PreparedInput per table size, one compiled program per
+# (kind, machine, options, size), one router per evaluation, re-armed by
+# the CAM fixed point: evaluate_request must equal a from-scratch
+# for_kind build (5 kinds x 6 sizes x 3 machines, cold, warm, raced and
+# after eviction), a re-armed router must equal a fresh one, the datagram
+# slots must sit above any table image, and a warm evaluation's
+# allocation count must stay under its ceiling -- the stopwatch-free gate
+# against a return to rebuild-per-round.  The guard keeps the deleted
+# second construction path from growing back (brackets as above): neither
+# the per-round build helper nor the traced twin of measure anywhere, and
+# evaluate.rs never builds from routes.
+cargo test -q --offline --test prepared_input
+cargo test -q --offline --test rearm
+cargo test -q --offline --test table_overlap
+cargo test -q --offline --test eval_allocs
+if grep -rnE 'build_[r]outer|traced_[m]easure' crates src tests examples scripts; then exit 1; fi
+if grep -nE 'for_[k]ind|TableImage::[n]ew|benchmark_[r]outes\(' crates/core/src/evaluate.rs; then
+    echo "evaluate.rs must build routers only through PreparedInput::router"
+    exit 1
+fi
+if [[ "$(grep -c 'from_[i]mage(' crates/core/src/prepared.rs)" != 1 ]]; then
+    echo "prepared.rs must hold exactly one router construction site"
+    exit 1
+fi
+
+echo
 echo "== tier-1: trace-replay suites (explicit) =="
 # The binary flow-trace pipeline: the blessed reference trace and its
 # replay metrics (regenerate intentional changes with
@@ -127,7 +154,9 @@ echo "== perf gate: disabled-tracer table1 smoke =="
 # uncached twelve-cell Table 1 sweeps with the NullTracer and prints the
 # wall time in ms; the best of three runs must stay within 5% (+25 ms
 # measurement grace) of the checked-in baseline.  The iteration count is
-# deliberately low so offline CI pays ~1 s for the gate.
+# deliberately low so offline CI pays ~1 s for the gate.  (The grace is
+# wider than a whole sweep costs, so this gate does not see a return to
+# rebuild-per-round; the allocation ceiling in tests/eval_allocs.rs does.)
 #
 #   PERF_GATE=off    skip (e.g. on emulated/shared hardware)
 #   PERF_GATE=bless  re-baseline on this machine, then review the diff

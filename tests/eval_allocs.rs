@@ -1,0 +1,80 @@
+//! Heap allocations of one warm `evaluate_request`, counted — the
+//! stopwatch-free regression gate for "evaluate once per input".
+//!
+//! With the routes, datagrams, table image and compiled program shared, a
+//! warm evaluation allocates for one router (data memory, machine state),
+//! the datagram words it enqueues per fixed-point round, and its report.
+//! Rebuilding any of the shared pieces per evaluation — or the router per
+//! round — multiplies the count: the same cells cost 146 / 184 / 210 / 159
+//! allocations before the pieces were shared.
+//!
+//! One test in a binary of its own, so no other test's allocations land in
+//! the window.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use taco::eval::{evaluate_request, ArchConfig, EvalRequest};
+use taco::routing::TableKind;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+/// The system allocator, counting calls that obtain memory.
+struct Counting;
+
+// SAFETY: every method forwards to `System` with the caller's arguments
+// unchanged; the counter is a relaxed statistic that publishes nothing.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller upholds `GlobalAlloc::dealloc`'s contract.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+#[test]
+fn a_warm_evaluation_allocates_for_one_router_not_for_its_input() {
+    // Ceilings, not exact counts (34 / 34 / 64 / 34 when written): headroom
+    // for the standard library, not for regenerated routes or datagrams, a
+    // rebuilt or re-serialised table, or a re-decoded program — each costs
+    // more than the whole margin.  The CAM cell pays its datagram words
+    // once per fixed-point round.
+    let cells = [
+        (TableKind::Sequential, 45),
+        (TableKind::BalancedTree, 45),
+        (TableKind::Cam, 80),
+        (TableKind::Patricia, 45),
+    ];
+    for (kind, ceiling) in cells {
+        let request = EvalRequest::new(ArchConfig::three_bus_one_fu(kind));
+        let cold = evaluate_request(&request);
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let warm = evaluate_request(&request);
+        let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+        assert_eq!(warm, cold);
+        assert!(
+            allocations <= ceiling,
+            "{kind}: a warm evaluation made {allocations} allocations (ceiling {ceiling})"
+        );
+    }
+}
