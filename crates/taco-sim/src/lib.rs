@@ -52,7 +52,7 @@ pub mod rtu;
 mod sched;
 pub mod stats;
 pub mod trace;
-pub mod units;
+mod units;
 
 pub use coherence::{CoherenceStats, LineState};
 pub use error::SimError;

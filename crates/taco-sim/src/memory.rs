@@ -58,6 +58,7 @@ impl DataMemory {
         self.size
     }
 
+    #[cold]
     fn out_of_bounds(&self, addr: u32) -> SimError {
         SimError::MemoryOutOfBounds { addr, size: self.size }
     }
@@ -67,6 +68,7 @@ impl DataMemory {
     /// # Errors
     ///
     /// [`SimError::MemoryOutOfBounds`] if `addr` is outside memory.
+    #[inline]
     pub fn read(&self, addr: u32) -> Result<u32, SimError> {
         match self.words.get(addr as usize) {
             Some(w) => Ok(*w),
@@ -80,6 +82,7 @@ impl DataMemory {
     /// # Errors
     ///
     /// [`SimError::MemoryOutOfBounds`] if `addr` is outside memory.
+    #[inline]
     pub fn write(&mut self, addr: u32, value: u32) -> Result<(), SimError> {
         if let Some(w) = self.words.get_mut(addr as usize) {
             *w = value;

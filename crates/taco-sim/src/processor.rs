@@ -23,15 +23,15 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use taco_isa::{FuKind, FuRef, MachineConfig, PortDir, PortRef, Program, Source};
+use taco_isa::{FuKind, FuRef, Guard, MachineConfig, PortDir, PortRef, Program, Source};
 
 use crate::error::SimError;
 use crate::memory::DataMemory;
-use crate::rtu::{RtuConfig, RtuResult};
-use crate::sched::{CompiledProgram, DDst, DGuard, DSrc, DTrig};
+use crate::rtu::RtuConfig;
+use crate::sched::{CompiledProgram, DMove, IMM};
 use crate::stats::SimStats;
 use crate::trace::{NullTracer, TraceEvent, Tracer};
-use crate::units::DatapathFu;
+use crate::units::{Op, Ports, RtuState};
 
 // A child module, so the reference interpreter sees the same private
 // machine state as the loop it checks and nothing else in the crate does.
@@ -104,22 +104,6 @@ impl FaultInjector for PeriodicStall {
     }
 }
 
-#[derive(Debug, Default)]
-struct MmuState {
-    addr: u32,
-    r: u32,
-}
-
-#[derive(Debug, Default)]
-struct RtuState {
-    k: [u32; 3],
-    iface: u32,
-    nh: u32,
-    hit: bool,
-    ready_at: u64,
-    config: RtuConfig,
-}
-
 /// A simulated TACO processor.
 ///
 /// # Examples
@@ -151,15 +135,13 @@ pub struct Processor {
     pc: usize,
     halted: bool,
     cycle: u64,
-    datapath: Vec<(FuRef, DatapathFu)>,
-    regs: [u32; 16],
+    /// Every port register, laid out by `compiled.map`.
+    file: Vec<u32>,
+    /// Every guard bit, likewise; slot 0 is constant-true.
+    guards: Vec<bool>,
     mem: DataMemory,
-    mmus: Vec<MmuState>,
     rtu: RtuState,
     ippu_queue: VecDeque<(u32, u32)>,
-    ippu_ptr: u32,
-    ippu_iface: u32,
-    oppu_iface: u32,
     oppu_out: Vec<(u32, u32)>,
     liu_table: Vec<u32>,
     stats: SimStats,
@@ -169,30 +151,6 @@ pub struct Processor {
 
 /// Default data memory size in 32-bit words (256 KiB).
 pub const DEFAULT_MEMORY_WORDS: u32 = 65_536;
-
-/// The datapath FU instances `config` provides, in the order
-/// [`sched::decode`] indexes them.
-pub(crate) fn datapath_for(config: &MachineConfig) -> Vec<(FuRef, DatapathFu)> {
-    let mut datapath = Vec::new();
-    for kind in FuKind::ALL {
-        let make: Option<fn() -> DatapathFu> = match kind {
-            FuKind::Matcher => Some(DatapathFu::new_matcher),
-            FuKind::Comparator => Some(DatapathFu::new_comparator),
-            FuKind::Counter => Some(DatapathFu::new_counter),
-            FuKind::Checksum => Some(DatapathFu::new_checksum),
-            FuKind::Shifter => Some(DatapathFu::new_shifter),
-            FuKind::Masker => Some(DatapathFu::new_masker),
-            _ => None,
-        };
-        if let Some(make) = make {
-            for i in 0..config.fu_count(kind) {
-                datapath.push((FuRef::new(kind, i), make()));
-            }
-        }
-    }
-    datapath.push((FuRef::new(FuKind::Liu, 0), DatapathFu::new_liu(Vec::new())));
-    datapath
-}
 
 impl Processor {
     /// Builds a processor for `config` loaded with `program`, with
@@ -263,30 +221,24 @@ impl Processor {
         rtu: RtuConfig,
         liu_table: Vec<u32>,
     ) -> Self {
-        let config = &compiled.config;
-        let mut cpu = Processor {
+        let (file, guards) = compiled.map.power_on();
+        Processor {
             trigger_counts: vec![0; compiled.decoded.trigger_fus.len()],
             pc: 0,
             halted: false,
             cycle: 0,
-            datapath: datapath_for(config),
-            regs: [0; 16],
+            file,
+            guards,
             mem,
-            mmus: (0..config.fu_count(FuKind::Mmu)).map(|_| MmuState::default()).collect(),
-            rtu: RtuState { config: rtu, ..RtuState::default() },
+            rtu: RtuState { ready_at: 0, config: rtu },
             ippu_queue: VecDeque::new(),
-            ippu_ptr: 0,
-            ippu_iface: 0,
-            oppu_iface: 0,
             oppu_out: Vec::new(),
-            liu_table: Vec::new(),
-            stats: SimStats { buses: config.buses(), ..SimStats::default() },
+            liu_table,
+            stats: SimStats { buses: compiled.config.buses(), ..SimStats::default() },
             stall_open: false,
             fault_open: false,
             compiled,
-        };
-        cpu.set_local_info(liu_table);
-        cpu
+        }
     }
 
     /// The architecture this processor instantiates.
@@ -333,17 +285,16 @@ impl Processor {
     /// Sets the Local Information Unit contents (the router's own
     /// addresses, port count, …).
     pub fn set_local_info(&mut self, table: Vec<u32>) {
-        self.liu_table = table.clone();
-        if let Ok(DatapathFu::Liu { table: t, .. }) = self.datapath_mut(FuRef::new(FuKind::Liu, 0))
-        {
-            *t = table;
-        }
+        self.liu_table = table;
     }
 
     /// Queues a pending datagram `(memory pointer, input interface)` at the
     /// iPPU, as a line card would.
     pub fn push_input(&mut self, ptr: u32, iface: u32) {
         self.ippu_queue.push_back((ptr, iface));
+        let ippu = FuRef::new(FuKind::Ippu, 0);
+        let pending = self.compiled.map.fu(ippu).expect("every machine has one iPPU").1;
+        self.guards[pending] = true;
     }
 
     /// Number of datagrams still waiting at the iPPU.
@@ -368,7 +319,7 @@ impl Processor {
     ///
     /// Panics if `i >= 16`.
     pub fn reg(&self, i: u8) -> u32 {
-        self.regs[usize::from(i)]
+        self.file[self.reg_slot(i)]
     }
 
     /// Sets general-purpose register `i` (test and setup convenience).
@@ -377,7 +328,16 @@ impl Processor {
     ///
     /// Panics if `i >= 16`.
     pub fn set_reg(&mut self, i: u8, v: u32) {
-        self.regs[usize::from(i)] = v;
+        let slot = self.reg_slot(i);
+        self.file[slot] = v;
+    }
+
+    /// The register file is sixteen words of a larger file, so the bound
+    /// is checked here: a bad index must not read another FU's port.
+    fn reg_slot(&self, i: u8) -> usize {
+        assert!(i < 16, "no general-purpose register r{i}");
+        let regs = FuRef::new(FuKind::Regs, 0);
+        self.compiled.map.fu(regs).expect("every machine has one register file").0 + usize::from(i)
     }
 
     /// Reads an FU result register by kind/instance/port, for assertions.
@@ -386,28 +346,23 @@ impl Processor {
     ///
     /// Returns [`SimError::InvalidFuIndex`] for instances the configuration
     /// lacks.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `kind` has no port called `port`.
     pub fn fu_result(&self, kind: FuKind, index: u8, port: &str) -> Result<u32, SimError> {
-        let fu = FuRef::new(kind, index);
-        match kind {
-            FuKind::Mmu => Ok(self.mmus[usize::from(index)].r),
-            FuKind::Rtu => Ok(match port {
-                "iface" => self.rtu.iface,
-                _ => self.rtu.nh,
-            }),
-            FuKind::Ippu => Ok(match port {
-                "ptr" => self.ippu_ptr,
-                _ => self.ippu_iface,
-            }),
-            _ => self
-                .datapath_ref(fu)
-                .map(|d| d.read_result(port))
-                .ok_or(SimError::InvalidFuIndex { fu, available: self.config().fu_count(kind) }),
-        }
+        Ok(self.file[self.compiled.map.port(PortRef::new(kind, index, port))?.1])
     }
 
-    /// Samples a guard signal, for assertions.
+    /// Samples a guard signal, for assertions; `false` for an instance the
+    /// configuration lacks.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `kind` drives no guard signal called `signal`.
     pub fn guard_value(&self, kind: FuKind, index: u8, signal: &str) -> bool {
-        self.guard_bit(FuRef::new(kind, index), signal)
+        let g = Guard::new(kind, index, signal, false);
+        self.compiled.map.guard(g.fu, g.signal).is_ok_and(|slot| self.guards[slot])
     }
 
     /// Elapsed cycles.
@@ -428,27 +383,6 @@ impl Processor {
     /// Statistics collected so far.
     pub fn stats(&self) -> &SimStats {
         &self.stats
-    }
-
-    fn datapath_ref(&self, fu: FuRef) -> Option<&DatapathFu> {
-        self.datapath.iter().find(|(f, _)| *f == fu).map(|(_, d)| d)
-    }
-
-    fn datapath_mut(&mut self, fu: FuRef) -> Result<&mut DatapathFu, SimError> {
-        let available = self.config().fu_count(fu.kind);
-        self.datapath
-            .iter_mut()
-            .find(|(f, _)| *f == fu)
-            .map(|(_, d)| d)
-            .ok_or(SimError::InvalidFuIndex { fu, available })
-    }
-
-    fn guard_bit(&self, fu: FuRef, signal: &str) -> bool {
-        match fu.kind {
-            FuKind::Rtu => self.rtu.hit,
-            FuKind::Ippu => !self.ippu_queue.is_empty(),
-            _ => self.datapath_ref(fu).map(|d| d.guard(signal)).unwrap_or(false),
-        }
     }
 
     /// Runs until the program halts.
@@ -497,11 +431,31 @@ impl Processor {
         }
     }
 
+    /// The machine state a move can touch, as disjoint borrows: what the
+    /// step loop and the reference interpreter both execute against.
+    pub(crate) fn ports(&mut self) -> Ports<'_> {
+        Ports {
+            file: &mut self.file,
+            guards: &mut self.guards,
+            mem: &mut self.mem,
+            rtu: &mut self.rtu,
+            ippu_queue: &mut self.ippu_queue,
+            oppu_out: &mut self.oppu_out,
+            liu_table: &self.liu_table,
+            trigger_counts: &mut self.trigger_counts,
+        }
+    }
+
     /// The compiled step loop: a walk over the flat [`DecodedProgram`]
     /// built at construction.  Replays the reference interpreter
     /// ([`Processor::run_reference`]) phase for phase — same stall and
     /// fault bookkeeping, same read/conflict/write ordering, same trace
     /// events in the same order — with all decoding already done.
+    ///
+    /// The cycle, PC, halt and stall flags and the move counters live in
+    /// locals while it runs and are folded into `self` once, on every exit
+    /// path; each instruction is executed by the [`instruction`] instance
+    /// for its width.
     fn compiled_loop<T: Tracer + ?Sized, F: FaultInjector + ?Sized>(
         &mut self,
         budget: u64,
@@ -510,224 +464,232 @@ impl Processor {
     ) -> Result<(), SimError> {
         let compiled = Arc::clone(&self.compiled);
         let decoded = &compiled.decoded;
+        let (ins, all_moves) = (&decoded.ins[..], &decoded.moves[..]);
+        let len = ins.len();
         let start = self.cycle;
-        let len = compiled.program.instructions.len();
-        let mut writes: Vec<(DDst, u32, u8)> =
-            Vec::with_capacity(usize::from(compiled.config.buses()));
-        while !self.halted {
-            if self.cycle - start >= budget {
-                return Err(SimError::Watchdog { budget });
+        let deadline = start.saturating_add(budget);
+        let (mut cycle, mut pc, mut halted) = (self.cycle, self.pc, self.halted);
+        let (mut stall_open, mut fault_open) = (self.stall_open, self.fault_open);
+        let (mut stalled, mut stolen) = (0u64, 0u64);
+        let (mut executed, mut squashed) = (0u64, 0u64);
+        // Scratch for instructions wider than the widest array instance;
+        // no workload in BENCHMARK.json has one, so usually not allocated.
+        let wide = if decoded.max_width > 4 { decoded.max_width } else { 0 };
+        let (mut wide_values, mut wide_pass) = (vec![0u32; wide], vec![false; wide]);
+        let mut ports = self.ports();
+
+        let result = loop {
+            if halted {
+                break Ok(());
             }
-            if self.pc >= len {
-                self.halted = true;
-                break;
+            if cycle >= deadline {
+                break Err(SimError::Watchdog { budget });
+            }
+            if pc >= len {
+                halted = true;
+                break Ok(());
             }
             if faults.active() {
-                if faults.steals_cycle(self.cycle) {
-                    if !self.fault_open {
-                        self.fault_open = true;
-                        tracer.event(&TraceEvent::FaultStallBegin { cycle: self.cycle });
+                if faults.steals_cycle(cycle) {
+                    if !fault_open {
+                        fault_open = true;
+                        tracer.event(&TraceEvent::FaultStallBegin { cycle });
                     }
-                    self.cycle += 1;
-                    self.stats.cycles += 1;
-                    self.stats.injected_stall_cycles += 1;
+                    cycle += 1;
+                    stolen += 1;
                     continue;
                 }
-                if self.fault_open {
-                    self.fault_open = false;
-                    tracer.event(&TraceEvent::FaultStallEnd { cycle: self.cycle });
+                if fault_open {
+                    fault_open = false;
+                    tracer.event(&TraceEvent::FaultStallEnd { cycle });
                 }
             }
-            let meta = decoded.ins[self.pc];
+            let meta = ins[pc];
 
-            if meta.rtu_sensitive && self.cycle < self.rtu.ready_at {
-                if !self.stall_open {
-                    self.stall_open = true;
-                    tracer.event(&TraceEvent::StallBegin { cycle: self.cycle });
+            if meta.rtu_sensitive && cycle < ports.rtu.ready_at {
+                if !stall_open {
+                    stall_open = true;
+                    tracer.event(&TraceEvent::StallBegin { cycle });
                 }
-                self.cycle += 1;
-                self.stats.cycles += 1;
-                self.stats.stall_cycles += 1;
+                cycle += 1;
+                stalled += 1;
                 continue;
             }
-            if self.stall_open {
-                self.stall_open = false;
-                tracer.event(&TraceEvent::StallEnd { cycle: self.cycle });
+            if stall_open {
+                stall_open = false;
+                tracer.event(&TraceEvent::StallEnd { cycle });
             }
 
-            // --- read phase -----------------------------------------------
-            writes.clear();
-            for mv in &decoded.moves[meta.start as usize..meta.end as usize] {
-                let pass = match mv.guard {
-                    DGuard::Always => true,
-                    DGuard::Rtu { negate } => self.rtu.hit != negate,
-                    DGuard::IppuPending { negate } => self.ippu_queue.is_empty() == negate,
-                    DGuard::Datapath { index, signal, negate } => {
-                        self.datapath[usize::from(index)].1.guard(signal) != negate
-                    }
-                };
-                if !pass {
-                    self.stats.moves_squashed += 1;
-                    tracer.event(&TraceEvent::MoveSquashed {
-                        cycle: self.cycle,
-                        bus: mv.bus,
-                        pc: self.pc as u32,
-                    });
-                    continue;
+            let moves = &all_moves[meta.start as usize..meta.end as usize];
+            let mut cx = Cycle {
+                ports: &mut ports,
+                executed: &mut executed,
+                squashed: &mut squashed,
+                compiled: &compiled,
+                may_conflict: meta.may_conflict,
+                cycle,
+                pc,
+            };
+            let jump = match moves.len() {
+                1 => instruction(&mut cx, moves, &mut [0; 1], &mut [false; 1], tracer),
+                2 => instruction(&mut cx, moves, &mut [0; 2], &mut [false; 2], tracer),
+                3 => instruction(&mut cx, moves, &mut [0; 3], &mut [false; 3], tracer),
+                4 => instruction(&mut cx, moves, &mut [0; 4], &mut [false; 4], tracer),
+                n => {
+                    instruction(&mut cx, moves, &mut wide_values[..n], &mut wide_pass[..n], tracer)
                 }
-                let value = match mv.src {
-                    DSrc::Imm(v) => v,
-                    DSrc::Reg(i) => self.regs[usize::from(i)],
-                    DSrc::MmuResult(i) => self.mmus[usize::from(i)].r,
-                    DSrc::RtuIface => self.rtu.iface,
-                    DSrc::RtuNh => self.rtu.nh,
-                    DSrc::IppuPtr => self.ippu_ptr,
-                    DSrc::IppuIface => self.ippu_iface,
-                    DSrc::Datapath(i, port) => self.datapath[usize::from(i)].1.read_result(port),
-                };
-                self.stats.moves_executed += 1;
-                tracer.event(&TraceEvent::MoveExecuted {
-                    cycle: self.cycle,
-                    bus: mv.bus,
-                    pc: self.pc as u32,
-                });
-                writes.push((mv.dst, value, mv.bus));
-            }
-
-            // Conflict detection — only instructions with statically
-            // aliased destinations can conflict dynamically, so the scan is
-            // skipped for the (vast) conflict-free majority.
-            if meta.may_conflict {
-                for (i, w) in writes.iter().enumerate() {
-                    if writes[..i].iter().any(|e| e.0 == w.0) {
-                        return Err(if matches!(w.0, DDst::Jump(_)) {
-                            SimError::DoublePcWrite { cycle: self.cycle }
-                        } else {
-                            // Recover the original PortRef for the error
-                            // from the instruction word (cold path).
-                            let port = compiled.program.instructions[self.pc].slots
-                                [usize::from(w.2)]
-                            .as_ref()
-                            .expect("decoded move maps to an occupied slot")
-                            .dst;
-                            SimError::PortConflict { port, cycle: self.cycle }
-                        });
-                    }
-                }
-            }
-
-            // --- write phase: operands and registers first, then triggers -
-            let mut jump: Option<u32> = None;
-            for &(dst, value, _) in writes.iter().filter(|w| !w.0.is_trigger()) {
-                match dst {
-                    DDst::Reg { idx, .. } => self.regs[usize::from(idx)] = value,
-                    DDst::MmuAddr(i) => self.mmus[usize::from(i)].addr = value,
-                    DDst::RtuKey { k, .. } => self.rtu.k[usize::from(k)] = value,
-                    DDst::OppuIface(_) => self.oppu_iface = value,
-                    DDst::DatapathOperand(i, port) => {
-                        self.datapath[usize::from(i)].1.write_operand(port, value);
-                    }
-                    DDst::Jump(_) | DDst::Trigger { .. } => unreachable!(),
-                }
-            }
-            for &(dst, value, _) in writes.iter().filter(|w| w.0.is_trigger()) {
-                let (kind, slot) = match dst {
-                    DDst::Jump(_) => {
-                        jump = Some(value);
-                        continue;
-                    }
-                    DDst::Trigger { kind, slot } => (kind, usize::from(slot)),
-                    _ => unreachable!(),
-                };
-                let fu = decoded.trigger_fus[slot];
-                tracer.event(&TraceEvent::FuTriggered { cycle: self.cycle, fu });
-                match kind {
-                    DTrig::MmuRead(i) => {
-                        let addr = self.mmus[usize::from(i)].addr;
-                        self.mmus[usize::from(i)].r = self.mem.read(addr)?;
-                    }
-                    DTrig::MmuWrite(i) => {
-                        let addr = self.mmus[usize::from(i)].addr;
-                        self.mem.write(addr, value)?;
-                    }
-                    DTrig::Rtu(_) => {
-                        let key = [self.rtu.k[0], self.rtu.k[1], self.rtu.k[2], value];
-                        match self.rtu.config.backend.lookup(key) {
-                            Some(RtuResult { iface, handle }) => {
-                                self.rtu.iface = iface;
-                                self.rtu.nh = handle;
-                                self.rtu.hit = true;
-                            }
-                            None => {
-                                self.rtu.iface = u32::MAX;
-                                self.rtu.nh = 0;
-                                self.rtu.hit = false;
-                            }
-                        }
-                        self.rtu.ready_at = self.cycle + u64::from(self.rtu.config.latency);
-                    }
-                    DTrig::IppuPop(_) => {
-                        if let Some((ptr, iface)) = self.ippu_queue.pop_front() {
-                            self.ippu_ptr = ptr;
-                            self.ippu_iface = iface;
-                            tracer.event(&TraceEvent::DatagramBegin {
-                                cycle: self.cycle,
-                                ptr,
-                                iface,
-                            });
-                        }
-                    }
-                    DTrig::OppuEmit(_) => {
-                        tracer.event(&TraceEvent::DatagramEnd {
-                            cycle: self.cycle,
-                            ptr: value,
-                            iface: self.oppu_iface,
-                        });
-                        self.oppu_out.push((value, self.oppu_iface));
-                    }
-                    DTrig::Datapath(i, port) => {
-                        self.datapath[usize::from(i)].1.trigger(port, value);
-                    }
-                }
-                let retire = if matches!(kind, DTrig::Rtu(_)) {
-                    self.rtu.ready_at.max(self.cycle + 1)
-                } else {
-                    self.cycle + 1
-                };
-                tracer.event(&TraceEvent::FuRetired { cycle: retire, fu });
-                self.trigger_counts[slot] += 1;
-            }
+            };
 
             // --- PC update -------------------------------------------------
-            self.cycle += 1;
-            self.stats.cycles += 1;
+            let jump = match jump {
+                Ok(jump) => jump,
+                Err(e) => break Err(e),
+            };
+            cycle += 1;
             match jump {
-                Some(t) if (t as usize) < len => self.pc = t as usize,
-                Some(t) if t as usize == len => self.halted = true,
-                Some(t) => return Err(SimError::JumpOutOfRange { target: t, len }),
                 None => {
-                    self.pc += 1;
-                    if self.pc >= len {
-                        self.halted = true;
-                    }
+                    pc += 1;
+                    halted = pc >= len;
                 }
+                Some(t) if (t as usize) < len => pc = t as usize,
+                Some(t) if t as usize == len => halted = true,
+                Some(t) => break Err(SimError::JumpOutOfRange { target: t, len }),
             }
-        }
-        Ok(())
+        };
+
+        self.cycle = cycle;
+        self.pc = pc;
+        self.halted = halted;
+        self.stall_open = stall_open;
+        self.fault_open = fault_open;
+        self.stats.cycles += cycle - start;
+        self.stats.stall_cycles += stalled;
+        self.stats.injected_stall_cycles += stolen;
+        self.stats.moves_executed += executed;
+        self.stats.moves_squashed += squashed;
+        result
     }
 }
 
-/// Maps a register-file port (`r0`..`r15`) to its index.
+/// What one instruction executes against: the machine, the counters, and
+/// where in the run it is.
+struct Cycle<'a, 'p> {
+    ports: &'a mut Ports<'p>,
+    executed: &'a mut u64,
+    squashed: &'a mut u64,
+    compiled: &'a CompiledProgram,
+    may_conflict: bool,
+    cycle: u64,
+    pc: usize,
+}
+
+/// One instruction word: read phase, conflict check, write phase.  Returns
+/// the jump target a move into `nc0.pc` delivered, if any.
 ///
-/// `PortRef::new` canonicalises against the register vocabulary, so this
-/// can only fail for struct-literal `PortRef`s carrying a bogus name —
-/// exactly the malformed-microcode case [`validate`] screens for.
-pub(crate) fn register_index(p: PortRef) -> Result<usize, SimError> {
-    p.port
-        .strip_prefix('r')
-        .and_then(|s| s.parse::<usize>().ok())
-        .filter(|&i| i < 16)
-        .ok_or(SimError::InvalidPort { port: p, why: "not a register r0..r15" })
+/// Generic over the scratch that carries sampled values and guard outcomes
+/// from the read phase to the write phase: with `[u32; N]` / `[bool; N]`
+/// every loop below has a constant trip count and the scratch lives in
+/// registers; with slices the same body serves any width.
+#[inline(always)]
+fn instruction<V, P, T>(
+    cx: &mut Cycle<'_, '_>,
+    moves: &[DMove],
+    values: &mut V,
+    pass: &mut P,
+    tracer: &mut T,
+) -> Result<Option<u32>, SimError>
+where
+    V: AsMut<[u32]> + ?Sized,
+    P: AsMut<[bool]> + ?Sized,
+    T: Tracer + ?Sized,
+{
+    let values = values.as_mut();
+    let n = values.len();
+    let (moves, pass) = (&moves[..n], &mut pass.as_mut()[..n]);
+    let (cycle, pc) = (cx.cycle, cx.pc as u32);
+
+    // --- read phase -------------------------------------------------------
+    for i in 0..n {
+        let mv = &moves[i];
+        pass[i] = cx.ports.guards[usize::from(mv.guard)] != mv.negate;
+        if pass[i] {
+            values[i] = if mv.src == IMM { mv.imm } else { cx.ports.file[usize::from(mv.src)] };
+            *cx.executed += 1;
+            tracer.event(&TraceEvent::MoveExecuted { cycle, bus: mv.bus, pc });
+        } else {
+            *cx.squashed += 1;
+            tracer.event(&TraceEvent::MoveSquashed { cycle, bus: mv.bus, pc });
+        }
+    }
+
+    // Only instructions with statically aliased destinations can conflict
+    // dynamically, so the scan is skipped for the (vast) conflict-free
+    // majority.
+    if cx.may_conflict {
+        conflict(cx.compiled, moves, cx.ports.guards, cycle, cx.pc)?;
+    }
+
+    // --- write phase: operands and registers first, then triggers ---------
+    for i in 0..n {
+        let mv = &moves[i];
+        if pass[i] && !mv.op.is_trigger() {
+            cx.ports.store(mv.op, usize::from(mv.dst), usize::from(mv.gbase), values[i]);
+        }
+    }
+    let mut jump = None;
+    for i in 0..n {
+        let mv = &moves[i];
+        if !pass[i] || !mv.op.is_trigger() {
+            continue;
+        }
+        if mv.op == Op::Jump {
+            jump = Some(values[i]);
+            continue;
+        }
+        let fu = mv.fu;
+        tracer.event(&TraceEvent::FuTriggered { cycle, fu });
+        let (base, gbase) = (usize::from(mv.dst), usize::from(mv.gbase));
+        cx.ports.apply(mv.op, base, gbase, values[i], cycle, tracer)?;
+        // Results become architecturally visible the next cycle — except
+        // RTU lookups, which retire when the interlock opens.
+        let retire =
+            if mv.op == Op::Rtu { cx.ports.rtu.ready_at.max(cycle + 1) } else { cycle + 1 };
+        tracer.event(&TraceEvent::FuRetired { cycle: retire, fu });
+        cx.ports.trigger_counts[usize::from(mv.slot)] += 1;
+    }
+    Ok(jump)
+}
+
+/// The dynamic conflict scan, out of line: two passing moves of one
+/// instruction wrote the same port.  Runs between the phases, when no
+/// guard has been written yet, and re-derives which moves pass from the
+/// guard file, so the caller's scratch never has its address taken and
+/// can live in registers.
+#[cold]
+#[inline(never)]
+fn conflict(
+    compiled: &CompiledProgram,
+    moves: &[DMove],
+    guards: &[bool],
+    cycle: u64,
+    pc: usize,
+) -> Result<(), SimError> {
+    let live = || moves.iter().filter(|m| guards[usize::from(m.guard)] != m.negate);
+    for (i, mv) in live().enumerate() {
+        if live().take(i).any(|e| (e.op, e.dst) == (mv.op, mv.dst)) {
+            return Err(if mv.op == Op::Jump {
+                SimError::DoublePcWrite { cycle }
+            } else {
+                // Recover the original PortRef from the instruction word.
+                let port = compiled.program.instructions[pc].slots[usize::from(mv.bus)]
+                    .as_ref()
+                    .expect("decoded move maps to an occupied slot")
+                    .dst;
+                SimError::PortConflict { port, cycle }
+            });
+        }
+    }
+    Ok(())
 }
 
 /// Validates `program` against `config` (slot widths, FU instance indices,
@@ -1107,6 +1069,50 @@ mod tests {
         );
         p.run(10).unwrap();
         assert_eq!(p.reg(0), (!(0x0001u32 + 0x0203) & 0xffff));
+
+        // 40 000 all-ones words: an unfolded u32 accumulator overflows at
+        // the 32 769th.  The one's-complement sum of all-ones is 0xffff.
+        let mut p = load(
+            "0 -> csum0.tclr | 0 -> cnt0.tset | 40000 -> cnt0.stop\n\
+             loop: 0xffffffff -> csum0.tadd | 1 -> cnt0.tinc\n\
+             !cnt0.done @loop -> nc0.pc\ncsum0.r -> regs0.r0\n",
+            MachineConfig::new(3),
+        );
+        let stats = p.run(100_000).unwrap();
+        assert_eq!((stats.triggers(FuKind::Checksum), p.reg(0)), (40_001, 0));
+    }
+
+    #[test]
+    fn power_on_state_matches_the_combinational_reads_it_replaced() {
+        let mut p = load("0 -> ippu0.tpop\n", MachineConfig::three_bus_three_fu());
+        let pending = |p: &Processor| p.guard_value(FuKind::Ippu, 0, "pending");
+        for check in 0..2 {
+            for i in 0..3 {
+                // 0 == stop and 0 == 0 on a zeroed counter; !0 & 0xffff.
+                assert!(p.guard_value(FuKind::Counter, i, "done"), "{check}");
+                assert!(p.guard_value(FuKind::Counter, i, "zero"), "{check}");
+                assert!(!p.guard_value(FuKind::Matcher, i, "match"), "{check}");
+            }
+            assert_eq!(p.fu_result(FuKind::Checksum, 0, "r"), Ok(0xffff), "{check}");
+            assert!(!pending(&p) && !p.guard_value(FuKind::Rtu, 0, "hit"), "{check}");
+            // `pending` follows the queue: two pushes, one pop, a reset.
+            p.push_input(0x40, 1);
+            p.push_input(0x80, 2);
+            assert!(pending(&p));
+            p.run(10).unwrap();
+            assert!(pending(&p) && p.pending_inputs() == 1);
+            p.reset();
+        }
+        p.push_input(0x40, 1);
+        p.run(10).unwrap();
+        assert!(!pending(&p));
+        assert!(!p.guard_value(FuKind::Counter, 3, "done")); // no such instance
+    }
+
+    #[test]
+    #[should_panic(expected = "no general-purpose register r16")]
+    fn a_register_index_cannot_reach_another_units_port() {
+        load("1 -> regs0.r0\n", MachineConfig::new(1)).reg(16);
     }
 }
 

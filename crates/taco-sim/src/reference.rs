@@ -2,10 +2,14 @@
 //! schedule is checked against.
 //!
 //! [`Processor::run_reference`] executes the instruction words themselves,
-//! one per cycle, resolving every port, guard and register name as it goes
-//! — none of [`sched::decode`](crate::sched)'s work is reused, which is
-//! what makes it an oracle for the decoder and for
-//! [`Processor::run_with`]'s loop.  It is not a mode: nothing in the
+//! one per cycle, resolving every port, guard and register name through
+//! the [`PortMap`](crate::units::PortMap) as it goes — none of
+//! [`sched::decode`](crate::sched)'s work is reused, which is what makes it
+//! an oracle for the decoder and for [`Processor::run_with`]'s loop.  What
+//! it does share is the layout and [`Ports::apply`](crate::units::Ports):
+//! one port file, one copy of each FU's behaviour, so the two forms cannot
+//! disagree about what a matcher does, only about which moves reach it.
+//! It is not a mode: nothing in the
 //! workspace outside tests calls it, and no option selects it.
 //! `tests/step_reference.rs` (root package) drives both forms over real
 //! microcode and hand-written programs and demands equal statistics, event
@@ -16,9 +20,9 @@ use std::sync::Arc;
 
 use taco_isa::{FuKind, Instruction, PortRef, Source};
 
-use super::{register_index, FaultInjector, Processor};
+use super::{FaultInjector, Processor};
 use crate::error::SimError;
-use crate::rtu::RtuResult;
+use crate::sched::CompiledProgram;
 use crate::stats::SimStats;
 use crate::trace::{TraceEvent, Tracer};
 
@@ -43,9 +47,7 @@ impl Processor {
                 return Err(SimError::Watchdog { budget });
             }
             match program.instructions.get(self.pc) {
-                Some(ins) => {
-                    self.reference_cycle(ins, program.instructions.len(), tracer, faults)?
-                }
+                Some(ins) => self.reference_cycle(&compiled, ins, tracer, faults)?,
                 None => self.halted = true,
             }
         }
@@ -55,8 +57,8 @@ impl Processor {
     /// One cycle: a stolen or stalled beat, or one instruction word.
     fn reference_cycle<T: Tracer + ?Sized, F: FaultInjector + ?Sized>(
         &mut self,
+        compiled: &CompiledProgram,
         ins: &Instruction,
-        len: usize,
         tracer: &mut T,
         faults: &mut F,
     ) -> Result<(), SimError> {
@@ -97,7 +99,7 @@ impl Processor {
         for (bus, mv) in ins.slots.iter().enumerate().filter_map(|(b, s)| Some((b, s.as_ref()?))) {
             let pass = match &mv.guard {
                 None => true,
-                Some(g) => self.guard_bit(g.fu, g.signal) != g.negate,
+                Some(g) => self.guards[compiled.map.guard(g.fu, g.signal)?] != g.negate,
             };
             if !pass {
                 self.stats.moves_squashed += 1;
@@ -110,7 +112,7 @@ impl Processor {
             }
             let value = match &mv.src {
                 Source::Imm(v) => *v,
-                Source::Port(p) => self.read_port(*p)?,
+                Source::Port(p) => self.file[compiled.map.port(*p)?.1],
                 Source::Label(l) => return Err(SimError::UnresolvedLabel(l.clone())),
             };
             self.stats.moves_executed += 1;
@@ -135,21 +137,24 @@ impl Processor {
 
         // --- write phase: operands and registers first, then triggers -----
         let mut jump: Option<u32> = None;
+        let cycle = self.cycle;
         for &(dst, value) in writes.iter().filter(|w| !w.0.is_trigger()) {
-            self.write_plain(dst, value)?;
+            let (op, slot, gbase) = compiled.map.port(dst)?;
+            self.ports().store(op, slot, gbase, value);
         }
         for &(dst, value) in writes.iter().filter(|w| w.0.is_trigger()) {
             if dst.fu.kind == FuKind::Nc {
                 jump = Some(value);
             } else {
-                tracer.event(&TraceEvent::FuTriggered { cycle: self.cycle, fu: dst.fu });
-                self.fire_trigger(dst, value, tracer)?;
+                tracer.event(&TraceEvent::FuTriggered { cycle, fu: dst.fu });
+                let (op, base, gbase) = compiled.map.port(dst)?;
+                self.ports().apply(op, base, gbase, value, cycle, tracer)?;
                 // Results become architecturally visible the next cycle —
                 // except RTU lookups, which retire when the interlock opens.
                 let retire = if dst.fu.kind == FuKind::Rtu {
-                    self.rtu.ready_at.max(self.cycle + 1)
+                    self.rtu.ready_at.max(cycle + 1)
                 } else {
-                    self.cycle + 1
+                    cycle + 1
                 };
                 tracer.event(&TraceEvent::FuRetired { cycle: retire, fu: dst.fu });
                 *self.stats.fu_triggers.entry(dst.fu.kind).or_insert(0) += 1;
@@ -158,6 +163,7 @@ impl Processor {
         }
 
         // --- PC update -----------------------------------------------------
+        let len = compiled.program.instructions.len();
         self.cycle += 1;
         self.stats.cycles += 1;
         match jump {
@@ -184,97 +190,5 @@ impl Processor {
             let guards_rtu = m.guard.as_ref().is_some_and(|g| g.fu.kind == FuKind::Rtu);
             reads_rtu || guards_rtu
         })
-    }
-
-    fn read_port(&self, p: PortRef) -> Result<u32, SimError> {
-        match p.fu.kind {
-            FuKind::Regs => Ok(self.regs[register_index(p)?]),
-            FuKind::Mmu => Ok(self.mmus[usize::from(p.fu.index)].r),
-            FuKind::Rtu => Ok(match p.port {
-                "iface" => self.rtu.iface,
-                _ => self.rtu.nh,
-            }),
-            FuKind::Ippu => Ok(match p.port {
-                "ptr" => self.ippu_ptr,
-                _ => self.ippu_iface,
-            }),
-            FuKind::Liu => Ok(self.datapath_ref(p.fu).map(|d| d.read_result(p.port)).unwrap_or(0)),
-            _ => self.datapath_ref(p.fu).map(|d| d.read_result(p.port)).ok_or(
-                SimError::InvalidFuIndex { fu: p.fu, available: self.config().fu_count(p.fu.kind) },
-            ),
-        }
-    }
-
-    fn write_plain(&mut self, dst: PortRef, value: u32) -> Result<(), SimError> {
-        match dst.fu.kind {
-            FuKind::Regs => self.regs[register_index(dst)?] = value,
-            FuKind::Mmu => self.mmus[usize::from(dst.fu.index)].addr = value,
-            FuKind::Rtu => {
-                let i = match dst.port {
-                    "k0" => 0,
-                    "k1" => 1,
-                    _ => 2,
-                };
-                self.rtu.k[i] = value;
-            }
-            FuKind::Oppu => self.oppu_iface = value,
-            _ => self.datapath_mut(dst.fu)?.write_operand(dst.port, value),
-        }
-        Ok(())
-    }
-
-    fn fire_trigger<T: Tracer + ?Sized>(
-        &mut self,
-        dst: PortRef,
-        value: u32,
-        tracer: &mut T,
-    ) -> Result<(), SimError> {
-        match dst.fu.kind {
-            FuKind::Mmu => {
-                let port_index = usize::from(dst.fu.index);
-                let addr = self.mmus[port_index].addr;
-                match dst.port {
-                    "tread" => {
-                        self.mmus[port_index].r = self.mem.read(addr)?;
-                    }
-                    _ => {
-                        self.mem.write(addr, value)?;
-                    }
-                }
-            }
-            FuKind::Rtu => {
-                let key = [self.rtu.k[0], self.rtu.k[1], self.rtu.k[2], value];
-                match self.rtu.config.backend.lookup(key) {
-                    Some(RtuResult { iface, handle }) => {
-                        self.rtu.iface = iface;
-                        self.rtu.nh = handle;
-                        self.rtu.hit = true;
-                    }
-                    None => {
-                        self.rtu.iface = u32::MAX;
-                        self.rtu.nh = 0;
-                        self.rtu.hit = false;
-                    }
-                }
-                self.rtu.ready_at = self.cycle + u64::from(self.rtu.config.latency);
-            }
-            FuKind::Ippu => {
-                if let Some((ptr, iface)) = self.ippu_queue.pop_front() {
-                    self.ippu_ptr = ptr;
-                    self.ippu_iface = iface;
-                    tracer.event(&TraceEvent::DatagramBegin { cycle: self.cycle, ptr, iface });
-                }
-            }
-            FuKind::Oppu => {
-                tracer.event(&TraceEvent::DatagramEnd {
-                    cycle: self.cycle,
-                    ptr: value,
-                    iface: self.oppu_iface,
-                });
-                self.oppu_out.push((value, self.oppu_iface));
-            }
-            _ => self.datapath_mut(dst.fu)?.trigger(dst.port, value),
-        }
-        Ok(())
     }
 }

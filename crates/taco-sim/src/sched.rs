@@ -1,124 +1,59 @@
 //! Pre-decoded move schedules — the one form [`Processor`](crate::Processor)
 //! executes.
 //!
-//! Resolving a move's ports costs a match on the source and destination
-//! vocabulary, a linear search of the datapath for the addressed FU
-//! instance and a parse of each `"rN"` register name.  None of that
-//! depends on machine state, so [`decode`] does it once, at processor
-//! construction: every move becomes a flat [`DMove`] whose guard, source
-//! and destination are dense indices into the processor's state arrays,
-//! every trigger gets a pre-assigned statistics slot, and every
-//! instruction carries precomputed RTU-stall and conflict flags.  The
-//! per-cycle work left for `Processor::run_with` is an array walk — the
-//! "compile, don't interpret" result of the
-//! cycle-accurate-simulator-generation literature, applied to TTA move
+//! Resolving a move's ports costs a walk of the port vocabulary by name and
+//! a parse of each `"rN"` register name.  None of that depends on machine
+//! state, so [`decode`] does it once per program: every move becomes a flat
+//! [`DMove`] whose guard, source and destination are slots in the
+//! processor's port file ([`PortMap`]), every trigger gets a pre-assigned
+//! statistics slot, and every instruction carries precomputed RTU-stall and
+//! conflict flags.  The per-cycle work left for `Processor::run_with` is a
+//! guard-bit test, a load and a store per move, with a dispatch on [`Op`]
+//! only where a trigger fires — the "compile, don't interpret" result of
+//! the cycle-accurate-simulator-generation literature, applied to TTA move
 //! schedules.
 //!
-//! Decoding must preserve semantics: conflict detection compares decoded
-//! destinations with exactly the equality [`taco_isa::PortRef`] has
-//! (instance indices are kept even where the architectural state is
-//! shared), and the loop keeps the phase structure and trace-event order
+//! Decoding must preserve semantics: conflict detection compares `(op,
+//! dst)`, which is exactly the equality [`taco_isa::PortRef`] has (a port
+//! is its FU's slot plus what writing it does, and singleton FUs have one
+//! instance), and the loop keeps the phase structure and trace-event order
 //! of the instruction words it replaces.  What checks that is the
 //! reference interpreter in `reference.rs`, which executes the words
-//! directly and shares nothing with this module; `tests/step_reference.rs`
-//! holds the two to equal statistics, events and machine state.
+//! directly, resolving every port by name through the same [`PortMap`] and
+//! firing the same [`Ports::apply`](crate::units::Ports::apply), but shares
+//! nothing with this module; `tests/step_reference.rs` holds the two to
+//! equal statistics, events and machine state.
 
 use std::sync::{Arc, OnceLock};
 
 use taco_isa::{FuKind, FuRef, MachineConfig, Program, Source};
 
 use crate::error::SimError;
-use crate::units::DatapathFu;
+use crate::units::{Op, PortMap};
 
-/// A decoded move source: everything resolved to a direct state access.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum DSrc {
-    /// A folded immediate (resolved labels included).
-    Imm(u32),
-    /// General-purpose register, index pre-parsed from the `"rN"` name.
-    Reg(u8),
-    /// MMU port result register.
-    MmuResult(u8),
-    /// `rtu0.iface`.
-    RtuIface,
-    /// `rtu0.nh`.
-    RtuNh,
-    /// `ippu0.ptr`.
-    IppuPtr,
-    /// `ippu0.iface`.
-    IppuIface,
-    /// Result port of a datapath FU, by dense datapath index.
-    Datapath(u16, &'static str),
-}
+/// `DMove::src` of a move whose source is its immediate.
+pub(crate) const IMM: u16 = u16::MAX;
 
-/// A decoded guard condition.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum DGuard {
-    /// Unguarded move.
-    Always,
-    /// `rtu.hit` (possibly negated).
-    Rtu { negate: bool },
-    /// `ippu.pending` (possibly negated).
-    IppuPending { negate: bool },
-    /// A datapath FU guard signal, by dense datapath index.
-    Datapath { index: u16, signal: &'static str, negate: bool },
-}
-
-/// A decoded trigger destination.  Instance indices are carried even where
-/// the architectural state is shared (RTU, iPPU, oPPU are singletons) so
-/// that [`DDst`] equality coincides with [`taco_isa::PortRef`] equality —
-/// the relation the reference interpreter's conflict check uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum DTrig {
-    /// `mmuN.tread`.
-    MmuRead(u8),
-    /// `mmuN.twrite`.
-    MmuWrite(u8),
-    /// `rtuN.t`.
-    Rtu(u8),
-    /// `ippuN.tpop`.
-    IppuPop(u8),
-    /// `oppuN.t`.
-    OppuEmit(u8),
-    /// Trigger port of a datapath FU, by dense datapath index.
-    Datapath(u16, &'static str),
-}
-
-/// A decoded move destination (see [`DTrig`] on instance indices).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum DDst {
-    /// General-purpose register (instance kept for conflict equality only).
-    Reg { inst: u8, idx: u8 },
-    /// `mmuN.addr`.
-    MmuAddr(u8),
-    /// `rtuN.k{0,1,2}`.
-    RtuKey { inst: u8, k: u8 },
-    /// `oppuN.iface`.
-    OppuIface(u8),
-    /// Operand port of a datapath FU, by dense datapath index.
-    DatapathOperand(u16, &'static str),
-    /// `ncN.pc` — the jump "trigger".
-    Jump(u8),
-    /// A real FU trigger; `slot` indexes [`DecodedProgram::trigger_fus`].
-    Trigger { kind: DTrig, slot: u16 },
-}
-
-impl DDst {
-    /// Mirrors [`taco_isa::PortRef::is_trigger`] for the write-phase
-    /// ordering: operand and register writes land before triggers fire.
-    pub(crate) fn is_trigger(self) -> bool {
-        matches!(self, DDst::Jump(_) | DDst::Trigger { .. })
-    }
-}
-
-/// One decoded move: `bus` is kept for trace events and for recovering the
-/// original [`taco_isa::PortRef`] on the cold conflict-error path.
+/// One decoded move.  The guard passes iff `guards[guard] != negate`
+/// (slot 0 is constant-true for unguarded moves); the value is `imm` when
+/// `src` is [`IMM`], else `file[src]`; `dst` is the written word for a
+/// plain destination and the FU's first word for a trigger, `gbase` the
+/// FU's first guard slot.  `slot` indexes [`DecodedProgram::trigger_fus`]
+/// (FU triggers only); `fu` (the destination's) and `bus` are kept for
+/// trace events, `bus` also for recovering the original
+/// [`taco_isa::PortRef`] on the cold conflict-error path.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct DMove {
+    pub imm: u32,
+    pub src: u16,
+    pub guard: u16,
+    pub dst: u16,
+    pub gbase: u16,
+    pub slot: u16,
+    pub fu: FuRef,
+    pub op: Op,
+    pub negate: bool,
     pub bus: u8,
-    pub guard: DGuard,
-    pub src: DSrc,
-    pub dst: DDst,
 }
 
 /// Per-instruction metadata precomputed at decode time.
@@ -136,18 +71,19 @@ pub(crate) struct InsMeta {
     pub may_conflict: bool,
 }
 
-/// A program pre-decoded against a machine configuration and its datapath
-/// layout.  Immutable once built; the processor shares it behind an `Arc`
-/// so the hot loop can walk it while mutating machine state.
+/// A program pre-decoded against a machine's port layout.  Immutable once
+/// built; the processor shares it behind an `Arc` so the hot loop can walk
+/// it while mutating machine state.
 #[derive(Debug)]
 pub(crate) struct DecodedProgram {
     pub moves: Vec<DMove>,
     pub ins: Vec<InsMeta>,
     /// Trigger statistics slots: one entry per distinct triggered [`FuRef`],
-    /// indexed by the `slot` field of [`DDst::Trigger`].  The compiled loop
-    /// bumps a flat counter per slot and folds into the `BTreeMap` stats
-    /// only on exit.
+    /// indexed by [`DMove::slot`].  The compiled loop bumps a flat counter
+    /// per slot and folds into the `BTreeMap` stats only on exit.
     pub trigger_fus: Vec<FuRef>,
+    /// Moves in the widest instruction.
+    pub max_width: usize,
 }
 
 /// A program compiled for one machine: validated, pre-decoded and sized.
@@ -162,6 +98,7 @@ pub(crate) struct DecodedProgram {
 pub struct CompiledProgram {
     pub(crate) config: MachineConfig,
     pub(crate) program: Arc<Program>,
+    pub(crate) map: PortMap,
     pub(crate) decoded: DecodedProgram,
     bits: OnceLock<u64>,
 }
@@ -174,8 +111,9 @@ impl CompiledProgram {
     /// See [`Processor::new`](crate::Processor::new).
     pub fn compile(config: MachineConfig, program: Arc<Program>) -> Result<Arc<Self>, SimError> {
         crate::processor::validate(&config, &program)?;
-        let decoded = decode(&config, &program, &crate::processor::datapath_for(&config))?;
-        Ok(Arc::new(CompiledProgram { config, program, decoded, bits: OnceLock::new() }))
+        let map = PortMap::new(&config);
+        let decoded = decode(&map, &program)?;
+        Ok(Arc::new(CompiledProgram { config, program, map, decoded, bits: OnceLock::new() }))
     }
 
     /// Encoded program-image size in bits (instruction store + literal
@@ -188,155 +126,128 @@ impl CompiledProgram {
     }
 }
 
-/// Decodes `program` (already validated against `config`) into a flat
-/// schedule over the given datapath layout.
+/// Decodes `program` into a flat schedule over the port layout `map`.
 ///
 /// # Errors
 ///
-/// Decoding re-surfaces the same structural errors
-/// [`Processor`](crate::Processor) construction screens for; after a
-/// successful `validate()` none of them are reachable.
-pub(crate) fn decode(
-    config: &MachineConfig,
-    program: &Program,
-    datapath: &[(FuRef, DatapathFu)],
-) -> Result<DecodedProgram, SimError> {
-    let dp_index = |fu: FuRef| -> Result<u16, SimError> {
-        datapath
-            .iter()
-            .position(|(f, _)| *f == fu)
-            .map(|i| i as u16)
-            .ok_or(SimError::InvalidFuIndex { fu, available: config.fu_count(fu.kind) })
-    };
-    let mut moves = Vec::new();
+/// Decoding re-surfaces the structural errors
+/// [`Processor`](crate::Processor) construction screens for — an FU
+/// instance, port or guard signal the machine lacks; after a successful
+/// `validate()` none of them are reachable.
+pub(crate) fn decode(map: &PortMap, program: &Program) -> Result<DecodedProgram, SimError> {
+    let mut moves: Vec<DMove> = Vec::new();
     let mut ins = Vec::with_capacity(program.instructions.len());
     let mut trigger_fus: Vec<FuRef> = Vec::new();
 
     for instruction in &program.instructions {
-        let start = moves.len() as u32;
+        let start = moves.len();
         let mut rtu_sensitive = false;
         for (bus, mv) in
             instruction.slots.iter().enumerate().filter_map(|(b, s)| Some((b, s.as_ref()?)))
         {
-            let guard = match &mv.guard {
-                None => DGuard::Always,
-                Some(g) => match g.fu.kind {
-                    FuKind::Rtu => {
-                        rtu_sensitive = true;
-                        DGuard::Rtu { negate: g.negate }
-                    }
-                    FuKind::Ippu => DGuard::IppuPending { negate: g.negate },
-                    _ => DGuard::Datapath {
-                        index: dp_index(g.fu)?,
-                        signal: g.signal,
-                        negate: g.negate,
-                    },
-                },
+            let (guard, negate) = match &mv.guard {
+                None => (0, false),
+                Some(g) => {
+                    rtu_sensitive |= g.fu.kind == FuKind::Rtu;
+                    (map.guard(g.fu, g.signal)?, g.negate)
+                }
             };
-            let src = match &mv.src {
-                Source::Imm(v) => DSrc::Imm(*v),
+            let (imm, src) = match &mv.src {
+                Source::Imm(v) => (*v, IMM),
                 Source::Label(l) => return Err(SimError::UnresolvedLabel(l.clone())),
-                Source::Port(p) => match p.fu.kind {
-                    FuKind::Regs => DSrc::Reg(crate::processor::register_index(*p)? as u8),
-                    FuKind::Mmu => DSrc::MmuResult(p.fu.index),
-                    FuKind::Rtu => {
-                        rtu_sensitive = true;
-                        if p.port == "iface" {
-                            DSrc::RtuIface
-                        } else {
-                            DSrc::RtuNh
-                        }
-                    }
-                    FuKind::Ippu => {
-                        if p.port == "ptr" {
-                            DSrc::IppuPtr
-                        } else {
-                            DSrc::IppuIface
-                        }
-                    }
-                    _ => DSrc::Datapath(dp_index(p.fu)?, p.port),
-                },
-            };
-            let d = mv.dst;
-            let dst = if d.is_trigger() {
-                if d.fu.kind == FuKind::Nc {
-                    DDst::Jump(d.fu.index)
-                } else {
-                    let kind = match d.fu.kind {
-                        FuKind::Mmu => {
-                            if d.port == "tread" {
-                                DTrig::MmuRead(d.fu.index)
-                            } else {
-                                DTrig::MmuWrite(d.fu.index)
-                            }
-                        }
-                        FuKind::Rtu => DTrig::Rtu(d.fu.index),
-                        FuKind::Ippu => DTrig::IppuPop(d.fu.index),
-                        FuKind::Oppu => DTrig::OppuEmit(d.fu.index),
-                        _ => DTrig::Datapath(dp_index(d.fu)?, d.port),
-                    };
-                    let slot = match trigger_fus.iter().position(|f| *f == d.fu) {
-                        Some(i) => i as u16,
-                        None => {
-                            trigger_fus.push(d.fu);
-                            (trigger_fus.len() - 1) as u16
-                        }
-                    };
-                    DDst::Trigger { kind, slot }
-                }
-            } else {
-                match d.fu.kind {
-                    FuKind::Regs => DDst::Reg {
-                        inst: d.fu.index,
-                        idx: crate::processor::register_index(d)? as u8,
-                    },
-                    FuKind::Mmu => DDst::MmuAddr(d.fu.index),
-                    FuKind::Rtu => {
-                        let k = match d.port {
-                            "k0" => 0,
-                            "k1" => 1,
-                            _ => 2,
-                        };
-                        DDst::RtuKey { inst: d.fu.index, k }
-                    }
-                    FuKind::Oppu => DDst::OppuIface(d.fu.index),
-                    _ => DDst::DatapathOperand(dp_index(d.fu)?, d.port),
+                Source::Port(p) => {
+                    rtu_sensitive |= p.fu.kind == FuKind::Rtu;
+                    (0, map.port(*p)?.1 as u16)
                 }
             };
-            moves.push(DMove { bus: bus as u8, guard, src, dst });
+            let (op, dst, gbase) = map.port(mv.dst)?;
+            let mut slot = 0;
+            if op.is_trigger() && op != Op::Jump {
+                slot = trigger_fus.iter().position(|f| *f == mv.dst.fu).unwrap_or_else(|| {
+                    trigger_fus.push(mv.dst.fu);
+                    trigger_fus.len() - 1
+                });
+            }
+            moves.push(DMove {
+                imm,
+                src,
+                guard: guard as u16,
+                dst: dst as u16,
+                gbase: gbase as u16,
+                slot: slot as u16,
+                fu: mv.dst.fu,
+                op,
+                negate,
+                bus: bus as u8,
+            });
         }
-        let end = moves.len() as u32;
-        let slice = &moves[start as usize..end as usize];
-        let may_conflict =
-            slice.iter().enumerate().any(|(i, m)| slice[..i].iter().any(|e| e.dst == m.dst));
+        let slice = &moves[start..];
+        let may_conflict = slice
+            .iter()
+            .enumerate()
+            .any(|(i, m)| slice[..i].iter().any(|e| (e.op, e.dst) == (m.op, m.dst)));
+        let (start, end) = (start as u32, moves.len() as u32);
         ins.push(InsMeta { start, end, rtu_sensitive, may_conflict });
     }
     // Compiled programs are retained for the life of the process; do not
     // retain the vectors' growth slack with them.
     moves.shrink_to_fit();
     trigger_fus.shrink_to_fit();
-    Ok(DecodedProgram { moves, ins, trigger_fus })
+    let max_width = ins.iter().map(|m| (m.end - m.start) as usize).max().unwrap_or(0);
+    Ok(DecodedProgram { moves, ins, trigger_fus, max_width })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use taco_isa::asm;
+    use taco_isa::{asm, Instruction, Move, PortRef};
 
-    fn decoded(text: &str, config: MachineConfig) -> (DecodedProgram, Program) {
+    fn decoded(text: &str, config: MachineConfig) -> (DecodedProgram, PortMap) {
         let mut prog = asm::parse(text).unwrap();
         prog.resolve_labels().unwrap();
         crate::processor::validate(&config, &prog).unwrap();
-        let dp = decode(&config, &prog, &crate::processor::datapath_for(&config)).unwrap();
-        (dp, prog)
+        let map = PortMap::new(&config);
+        (decode(&map, &prog).unwrap(), map)
     }
 
     #[test]
-    fn register_names_fold_to_indices() {
-        let (dp, _) = decoded("7 -> regs0.r13\nregs0.r13 -> regs0.r2\n", MachineConfig::new(1));
-        assert!(matches!(dp.moves[0].dst, DDst::Reg { idx: 13, .. }));
-        assert!(matches!(dp.moves[1].src, DSrc::Reg(13)));
-        assert!(matches!(dp.moves[1].dst, DDst::Reg { idx: 2, .. }));
+    fn ports_fold_to_file_slots() {
+        let (dp, map) = decoded(
+            "7 -> regs0.r13\nregs0.r13 -> regs0.r2\n?cnt0.zero mmu0.r -> cnt0.stop\n",
+            MachineConfig::new(1),
+        );
+        let r13 = map.port(PortRef::new(FuKind::Regs, 0, "r13")).unwrap().1 as u16;
+        assert_eq!((dp.moves[0].imm, dp.moves[0].src, dp.moves[0].dst), (7, IMM, r13));
+        assert_eq!((dp.moves[0].guard, dp.moves[0].negate, dp.moves[0].op), (0, false, Op::Store));
+        assert_eq!((dp.moves[1].src, dp.moves[1].dst), (r13, r13 - 11));
+        let cnt0 = FuRef::new(FuKind::Counter, 0);
+        assert_eq!(usize::from(dp.moves[2].guard), map.guard(cnt0, "zero").unwrap());
+        assert_eq!(usize::from(dp.moves[2].gbase), map.fu(cnt0).unwrap().1);
+        assert_eq!(dp.moves[2].op, Op::CounterStop);
+        assert!(std::mem::size_of::<DMove>() <= 20);
+    }
+
+    #[test]
+    fn ports_the_machine_lacks_are_rejected_at_decode() {
+        // What the string-port FU models used to panic on at run time, for
+        // microcode that reaches `decode` without passing `validate`.
+        let map = PortMap::new(&MachineConfig::new(1));
+        let program = |mv| Program {
+            instructions: vec![Instruction::single(mv, 1)],
+            labels: Default::default(),
+        };
+        let r0 = PortRef::new(FuKind::Regs, 0, "r0");
+        let bad_trigger = PortRef { fu: FuRef::new(FuKind::Checksum, 0), port: "t" };
+        assert_eq!(
+            decode(&map, &program(Move::new(0u32, bad_trigger))).err(),
+            Some(SimError::InvalidPort { port: bad_trigger, why: "no such port on this FU" })
+        );
+        let shft0 = FuRef::new(FuKind::Shifter, 0);
+        let bad_guard = taco_isa::Guard { fu: shft0, signal: "match", negate: false };
+        assert_eq!(
+            decode(&map, &program(Move::new(0u32, r0).with_guard(bad_guard))).err(),
+            Some(SimError::InvalidGuard { fu: shft0, signal: "match" })
+        );
     }
 
     #[test]
@@ -354,11 +265,16 @@ mod tests {
 
     #[test]
     fn static_conflicts_are_flagged() {
-        let (dp, _) = decoded("1 -> regs0.r0 | 2 -> regs0.r1\n1 -> regs0.r3 | 2 -> regs0.r3\n", {
-            MachineConfig::new(2)
-        });
-        assert!(!dp.ins[0].may_conflict);
-        assert!(dp.ins[1].may_conflict);
+        // Two triggers of one FU are different ports; two stores to one
+        // register (or two jumps) are the same.
+        let (dp, _) = decoded(
+            "1 -> regs0.r0 | 2 -> regs0.r1\n1 -> regs0.r3 | 2 -> regs0.r3\n\
+             1 -> cnt0.tinc | 2 -> cnt0.tadd\n0 -> nc0.pc | 0 -> nc0.pc\n",
+            MachineConfig::new(2),
+        );
+        let flags: Vec<bool> = dp.ins.iter().map(|m| m.may_conflict).collect();
+        assert_eq!(flags, [false, true, false, true]);
+        assert_eq!(dp.max_width, 2);
     }
 
     #[test]

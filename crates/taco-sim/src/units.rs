@@ -1,331 +1,493 @@
-//! Behavioural models of the pure-datapath functional units.
+//! The port file: where every architecturally visible register and guard
+//! bit lives, and what a move into a port does.
 //!
-//! These are the units whose behaviour is a function of their own registers
-//! only: Matcher, Comparator, Counter, Checksum, Shifter, Masker and the
-//! Local Information Unit.  Units with external state (MMU → data memory,
-//! RTU → routing table, iPPU/oPPU → line-card queues, the register file and
-//! the network controller) are modelled directly in
-//! [`processor`](crate::processor).
+//! A TTA's programmer-visible state *is* its port registers and a program
+//! *is* copies between them, so the machine state is two flat arrays: a
+//! file of 32-bit words (`r0..r15`, each MMU's `addr`/`r`, the RTU's keys
+//! and results, the PPU registers and three words per datapath FU) and a
+//! file of guard bits, written where they change instead of recomputed
+//! where they are read.  [`PortMap`] assigns the slots from a
+//! [`MachineConfig`]; [`Op`] says what writing a port does; and
+//! [`Ports::store`] / [`Ports::apply`] are the one copy of every FU's
+//! behaviour, called by the decoded loop and by the reference interpreter
+//! alike.
 //!
 //! All units follow the TACO contract: operands are plain registers, a write
 //! to a trigger register performs the whole operation in one cycle, and the
 //! result register plus any guard bits are readable from the next cycle on
 //! (the simulator's read-then-write cycle structure enforces the timing).
 
-/// State of one datapath FU instance.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DatapathFu {
-    /// Bitstring match under a mask: `match` ⇔ `(t & mask) == (refv & mask)`.
-    Matcher {
-        /// Mask operand.
-        mask: u32,
-        /// Reference operand.
-        refv: u32,
-        /// Pass-through of the last triggered datum.
-        r: u32,
-        /// Guard bit latched at trigger.
-        matched: bool,
-    },
-    /// Magnitude comparison of the triggered datum against `refv`.
-    Comparator {
-        /// Reference operand.
-        refv: u32,
-        /// Pass-through of the last triggered datum.
-        r: u32,
-        /// `t == refv`, latched at trigger.
-        eq: bool,
-        /// `t < refv` (unsigned), latched at trigger.
-        lt: bool,
-        /// `t > refv` (unsigned), latched at trigger.
-        gt: bool,
-    },
-    /// Set / increment / decrement / add / subtract, with a `stop`
-    /// comparand; `done` and `zero` track the current count combinationally
-    /// (the paper's "counting … from a start value to a stop value").
-    Counter {
-        /// Stop comparand for the `done` guard.
-        stop: u32,
-        /// The count register.
-        r: u32,
-    },
-    /// One's-complement Internet-checksum accumulator (RFC 1071), fed 32-bit
-    /// words; `r` reads back the folded, complemented 16-bit checksum.
-    Checksum {
-        /// Unfolded running sum.
-        sum: u32,
-    },
-    /// Logical shifter; `tshl` also serves as multiply-by-2ⁿ and `tshr` as
-    /// divide-by-2ⁿ, as the paper notes.
-    Shifter {
-        /// Shift distance operand (mod 32).
-        amount: u32,
-        /// Result register.
-        r: u32,
-    },
-    /// Bitfield insert: `r = (t & !mask) | (value & mask)`.
-    Masker {
-        /// Which bits to replace.
-        mask: u32,
-        /// Replacement bits.
-        value: u32,
-        /// Result register.
-        r: u32,
-    },
-    /// Local Information Unit: a small ROM of router-local words (own
-    /// addresses, port count, …) indexed by the trigger datum.
-    Liu {
-        /// The configured words.
-        table: Vec<u32>,
-        /// Result register.
-        r: u32,
-    },
+use std::collections::VecDeque;
+
+use taco_isa::{FuKind, FuRef, MachineConfig, PortRef};
+
+use crate::error::SimError;
+use crate::memory::DataMemory;
+use crate::rtu::{RtuConfig, RtuResult};
+use crate::trace::{TraceEvent, Tracer};
+
+/// What a move into a port does.  Everything from [`Op::Jump`] on is a
+/// trigger and fires in the second half of the write phase.
+#[repr(u8)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum Op {
+    /// A register or operand port: `file[dst] = v`.
+    Store,
+    /// `cntN.stop`: a store that also moves the counter's `done` guard.
+    CounterStop,
+    /// `nc0.pc`.
+    Jump,
+    MmuRead,
+    MmuWrite,
+    Rtu,
+    IppuPop,
+    OppuEmit,
+    Match,
+    Compare,
+    CntSet,
+    CntInc,
+    CntDec,
+    CntAdd,
+    CntSub,
+    CsumClr,
+    CsumAdd,
+    Shl,
+    Shr,
+    Mask,
+    Liu,
 }
 
-impl DatapathFu {
-    /// Fresh power-on state for a unit of the given kind-specific variant.
-    pub fn new_matcher() -> Self {
-        DatapathFu::Matcher { mask: 0, refv: 0, r: 0, matched: false }
+impl Op {
+    /// Mirrors [`taco_isa::PortRef::is_trigger`].
+    #[inline(always)]
+    pub(crate) fn is_trigger(self) -> bool {
+        self >= Op::Jump
+    }
+}
+
+// Word offsets inside a datapath FU's three slots (first operand or
+// running state, second operand, result) and guard offsets inside an FU's
+// guard slots, in `FuKind::guards()` order.
+const A: usize = 0;
+const B: usize = 1;
+const R: usize = 2;
+const EQ: usize = 0;
+const LT: usize = 1;
+const GT: usize = 2;
+const DONE: usize = 0;
+const ZERO: usize = 1;
+
+/// File words one instance of `kind` occupies.
+fn words(kind: FuKind) -> usize {
+    match kind {
+        FuKind::Regs => 16,
+        FuKind::Rtu => 5,
+        FuKind::Mmu | FuKind::Ippu => 2,
+        FuKind::Oppu => 1,
+        FuKind::Nc => 0,
+        _ => 3,
+    }
+}
+
+/// The write op and word offset of `kind.port`, by name.
+fn port_of(kind: FuKind, port: &str) -> Option<(Op, usize)> {
+    use FuKind::*;
+    Some(match (kind, port) {
+        (Matcher | Comparator | Counter | Checksum | Shifter | Masker | Liu, "r") => (Op::Store, R),
+        (Matcher | Masker, "mask") | (Comparator, "refv") | (Shifter, "amount") => (Op::Store, A),
+        (Matcher, "refv") | (Masker, "value") => (Op::Store, B),
+        (Counter, "stop") => (Op::CounterStop, A),
+        (Matcher, "t") => (Op::Match, 0),
+        (Comparator, "t") => (Op::Compare, 0),
+        (Counter, "tset") => (Op::CntSet, 0),
+        (Counter, "tinc") => (Op::CntInc, 0),
+        (Counter, "tdec") => (Op::CntDec, 0),
+        (Counter, "tadd") => (Op::CntAdd, 0),
+        (Counter, "tsub") => (Op::CntSub, 0),
+        (Checksum, "tclr") => (Op::CsumClr, 0),
+        (Checksum, "tadd") => (Op::CsumAdd, 0),
+        (Shifter, "tshl") => (Op::Shl, 0),
+        (Shifter, "tshr") => (Op::Shr, 0),
+        (Masker, "t") => (Op::Mask, 0),
+        (Liu, "t") => (Op::Liu, 0),
+        (Mmu, "addr") | (Rtu, "k0") | (Ippu, "ptr") | (Oppu, "iface") => (Op::Store, 0),
+        (Mmu, "r") | (Rtu, "k1") | (Ippu, "iface") => (Op::Store, 1),
+        (Rtu, "k2") => (Op::Store, 2),
+        (Rtu, "iface") => (Op::Store, 3),
+        (Rtu, "nh") => (Op::Store, 4),
+        (Mmu, "tread") => (Op::MmuRead, 0),
+        (Mmu, "twrite") => (Op::MmuWrite, 0),
+        (Rtu, "t") => (Op::Rtu, 0),
+        (Ippu, "tpop") => (Op::IppuPop, 0),
+        (Oppu, "t") => (Op::OppuEmit, 0),
+        (Nc, "pc") => (Op::Jump, 0),
+        (Regs, name) => {
+            (Op::Store, name.strip_prefix('r')?.parse().ok().filter(|i| *i < words(Regs))?)
+        }
+        _ => return None,
+    })
+}
+
+/// The slot assignment for one machine: FU instances laid out kind by kind
+/// in [`FuKind::ALL`] order, guard slot 0 reserved as the constant `true`
+/// unguarded moves test.  At most 255 instances of a kind keep every slot
+/// far below `u16::MAX`, which the `u16` fields of a `DMove` rely on.
+#[derive(Debug)]
+pub(crate) struct PortMap {
+    base: [usize; FuKind::ALL.len()],
+    gbase: [usize; FuKind::ALL.len()],
+    count: [u8; FuKind::ALL.len()],
+    /// Length of the word file.
+    pub file_len: usize,
+    /// Length of the guard file.
+    pub guards_len: usize,
+}
+
+impl PortMap {
+    pub(crate) fn new(config: &MachineConfig) -> Self {
+        let mut map = PortMap {
+            base: Default::default(),
+            gbase: Default::default(),
+            count: Default::default(),
+            file_len: 0,
+            guards_len: 1,
+        };
+        for kind in FuKind::ALL {
+            let n = config.fu_count(kind);
+            map.base[kind as usize] = map.file_len;
+            map.gbase[kind as usize] = map.guards_len;
+            map.count[kind as usize] = n;
+            map.file_len += usize::from(n) * words(kind);
+            map.guards_len += usize::from(n) * kind.guards().len();
+        }
+        map
     }
 
-    /// Fresh comparator state.
-    pub fn new_comparator() -> Self {
-        DatapathFu::Comparator { refv: 0, r: 0, eq: false, lt: false, gt: false }
+    /// First word slot and first guard slot of an FU instance.
+    pub(crate) fn fu(&self, fu: FuRef) -> Result<(usize, usize), SimError> {
+        let (k, i) = (fu.kind as usize, usize::from(fu.index));
+        if fu.index >= self.count[k] {
+            return Err(SimError::InvalidFuIndex { fu, available: self.count[k] });
+        }
+        Ok((self.base[k] + i * words(fu.kind), self.gbase[k] + i * fu.kind.guards().len()))
     }
 
-    /// Fresh counter state.
-    pub fn new_counter() -> Self {
-        DatapathFu::Counter { stop: 0, r: 0 }
+    /// What a move into `port` does, the slot it names — the word itself
+    /// for a register, operand or result port, the FU's first word for a
+    /// trigger — and the FU's first guard slot.
+    pub(crate) fn port(&self, port: PortRef) -> Result<(Op, usize, usize), SimError> {
+        let (base, gbase) = self.fu(port.fu)?;
+        let (op, offset) = port_of(port.fu.kind, port.port)
+            .ok_or(SimError::InvalidPort { port, why: "no such port on this FU" })?;
+        Ok((op, base + offset, gbase))
     }
 
-    /// Fresh checksum state.
-    pub fn new_checksum() -> Self {
-        DatapathFu::Checksum { sum: 0 }
+    /// The guard slot of `fu.signal`.
+    pub(crate) fn guard(&self, fu: FuRef, signal: &'static str) -> Result<usize, SimError> {
+        let gbase = self.fu(fu)?.1;
+        let offset = fu.kind.guards().iter().position(|g| *g == signal);
+        Ok(gbase + offset.ok_or(SimError::InvalidGuard { fu, signal })?)
     }
 
-    /// Fresh shifter state.
-    pub fn new_shifter() -> Self {
-        DatapathFu::Shifter { amount: 0, r: 0 }
+    /// Power-on contents of both files: zero, except what is true of a
+    /// zeroed machine — `cnt.r == stop`, `cnt.r == 0`, `csum.r == !0 & 0xffff`.
+    pub(crate) fn power_on(&self) -> (Vec<u32>, Vec<bool>) {
+        let (mut file, mut guards) = (vec![0; self.file_len], vec![false; self.guards_len]);
+        guards[0] = true;
+        let counters = self.gbase[FuKind::Counter as usize];
+        guards[counters..counters + 2 * usize::from(self.count[FuKind::Counter as usize])]
+            .fill(true);
+        for i in 0..usize::from(self.count[FuKind::Checksum as usize]) {
+            file[self.base[FuKind::Checksum as usize] + i * words(FuKind::Checksum) + R] = 0xffff;
+        }
+        (file, guards)
     }
+}
 
-    /// Fresh masker state.
-    pub fn new_masker() -> Self {
-        DatapathFu::Masker { mask: 0, value: 0, r: 0 }
-    }
+/// The RTU state that is not a port: when the pending lookup completes,
+/// and the installed backend.
+#[derive(Debug, Default)]
+pub(crate) struct RtuState {
+    pub ready_at: u64,
+    pub config: RtuConfig,
+}
 
-    /// Fresh LIU state with the given contents.
-    pub fn new_liu(table: Vec<u32>) -> Self {
-        DatapathFu::Liu { table, r: 0 }
-    }
+/// The machine state a move can touch, as disjoint borrows — a step loop
+/// holding one keeps the slice pointers in registers across stores.
+pub(crate) struct Ports<'a> {
+    pub file: &'a mut [u32],
+    pub guards: &'a mut [bool],
+    pub mem: &'a mut DataMemory,
+    pub rtu: &'a mut RtuState,
+    pub ippu_queue: &'a mut VecDeque<(u32, u32)>,
+    pub oppu_out: &'a mut Vec<(u32, u32)>,
+    pub liu_table: &'a [u32],
+    /// Fires per [`DMove::slot`](crate::sched::DMove), bumped by the step
+    /// loop and folded into the statistics when a run ends.
+    pub trigger_counts: &'a mut [u64],
+}
 
-    /// Writes an operand register.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a port name the unit does not have — the processor
-    /// validates programs before running, so this indicates an internal bug.
-    pub fn write_operand(&mut self, port: &str, v: u32) {
-        match (self, port) {
-            (DatapathFu::Matcher { mask, .. }, "mask") => *mask = v,
-            (DatapathFu::Matcher { refv, .. }, "refv") => *refv = v,
-            (DatapathFu::Comparator { refv, .. }, "refv") => *refv = v,
-            (DatapathFu::Counter { stop, .. }, "stop") => *stop = v,
-            (DatapathFu::Shifter { amount, .. }, "amount") => *amount = v,
-            (DatapathFu::Masker { mask, .. }, "mask") => *mask = v,
-            (DatapathFu::Masker { value, .. }, "value") => *value = v,
-            (fu, port) => panic!("no operand port {port:?} on {fu:?}"),
+impl Ports<'_> {
+    /// A move into a non-trigger port (`op`, `dst`, `gbase` from
+    /// [`PortMap::port`]).
+    #[inline(always)]
+    pub(crate) fn store(&mut self, op: Op, dst: usize, gbase: usize, v: u32) {
+        self.file[dst] = v;
+        if op == Op::CounterStop {
+            self.guards[gbase + DONE] = self.file[dst + R] == v;
         }
     }
 
-    /// Fires a trigger port with datum `v`, performing the operation.
+    /// Fires trigger `op` of the FU at `base`/`gbase` with datum `v`.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on a port name the unit does not have (see
-    /// [`DatapathFu::write_operand`]).
-    pub fn trigger(&mut self, port: &str, v: u32) {
-        match (self, port) {
-            (DatapathFu::Matcher { mask, refv, r, matched }, "t") => {
-                *r = v;
-                *matched = (v & *mask) == (*refv & *mask);
+    /// [`SimError::MemoryOutOfBounds`] from an MMU access.
+    #[inline(always)]
+    pub(crate) fn apply<T: Tracer + ?Sized>(
+        &mut self,
+        op: Op,
+        base: usize,
+        gbase: usize,
+        v: u32,
+        cycle: u64,
+        tracer: &mut T,
+    ) -> Result<(), SimError> {
+        let Ports { file, guards, mem, rtu, ippu_queue, oppu_out, liu_table, .. } = self;
+        match op {
+            Op::Store | Op::CounterStop | Op::Jump => unreachable!("{op:?} is not an FU trigger"),
+            Op::MmuRead => file[base + 1] = mem.read(file[base])?,
+            Op::MmuWrite => mem.write(file[base], v)?,
+            Op::Rtu => {
+                let key = [file[base], file[base + 1], file[base + 2], v];
+                let (iface, nh, hit) = match rtu.config.backend.lookup(key) {
+                    Some(RtuResult { iface, handle }) => (iface, handle, true),
+                    None => (u32::MAX, 0, false),
+                };
+                file[base + 3] = iface;
+                file[base + 4] = nh;
+                guards[gbase] = hit;
+                rtu.ready_at = cycle + u64::from(rtu.config.latency);
             }
-            (DatapathFu::Comparator { refv, r, eq, lt, gt }, "t") => {
-                *r = v;
-                *eq = v == *refv;
-                *lt = v < *refv;
-                *gt = v > *refv;
+            Op::IppuPop => {
+                if let Some((ptr, iface)) = ippu_queue.pop_front() {
+                    file[base] = ptr;
+                    file[base + 1] = iface;
+                    tracer.event(&TraceEvent::DatagramBegin { cycle, ptr, iface });
+                }
+                guards[gbase] = !ippu_queue.is_empty();
             }
-            (DatapathFu::Counter { r, .. }, trig) => match trig {
-                "tset" => *r = v,
-                "tinc" => *r = r.wrapping_add(1),
-                "tdec" => *r = r.wrapping_sub(1),
-                "tadd" => *r = r.wrapping_add(v),
-                "tsub" => *r = r.wrapping_sub(v),
-                other => panic!("no trigger port {other:?} on a counter"),
-            },
-            (DatapathFu::Checksum { sum }, "tclr") => *sum = 0,
-            (DatapathFu::Checksum { sum }, "tadd") => {
-                *sum += (v >> 16) + (v & 0xffff);
+            Op::OppuEmit => {
+                let iface = file[base];
+                tracer.event(&TraceEvent::DatagramEnd { cycle, ptr: v, iface });
+                oppu_out.push((v, iface));
             }
-            (DatapathFu::Shifter { amount, r }, "tshl") => *r = v << (*amount & 31),
-            (DatapathFu::Shifter { amount, r }, "tshr") => *r = v >> (*amount & 31),
-            (DatapathFu::Masker { mask, value, r }, "t") => {
-                *r = (v & !*mask) | (*value & *mask);
+            // Bitstring match under a mask; `r` passes the datum through.
+            Op::Match => {
+                file[base + R] = v;
+                guards[gbase] = (v & file[base + A]) == (file[base + B] & file[base + A]);
             }
-            (DatapathFu::Liu { table, r }, "t") => {
-                *r = table.get(v as usize).copied().unwrap_or(0);
+            // Relations against `refv`, latched at the trigger.
+            Op::Compare => {
+                let refv = file[base + A];
+                file[base + R] = v;
+                guards[gbase + EQ] = v == refv;
+                guards[gbase + LT] = v < refv;
+                guards[gbase + GT] = v > refv;
             }
-            (fu, port) => panic!("no trigger port {port:?} on {fu:?}"),
-        }
-    }
-
-    /// Reads a result register.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a port name the unit does not have (see
-    /// [`DatapathFu::write_operand`]).
-    pub fn read_result(&self, port: &str) -> u32 {
-        match (self, port) {
-            (DatapathFu::Matcher { r, .. }, "r")
-            | (DatapathFu::Comparator { r, .. }, "r")
-            | (DatapathFu::Counter { r, .. }, "r")
-            | (DatapathFu::Shifter { r, .. }, "r")
-            | (DatapathFu::Masker { r, .. }, "r")
-            | (DatapathFu::Liu { r, .. }, "r") => *r,
-            (DatapathFu::Checksum { sum }, "r") => {
-                let mut s = *sum;
-                while s > 0xffff {
+            Op::CntSet | Op::CntInc | Op::CntDec | Op::CntAdd | Op::CntSub => {
+                let r = match op {
+                    Op::CntSet => v,
+                    Op::CntInc => file[base + R].wrapping_add(1),
+                    Op::CntDec => file[base + R].wrapping_sub(1),
+                    Op::CntAdd => file[base + R].wrapping_add(v),
+                    _ => file[base + R].wrapping_sub(v),
+                };
+                file[base + R] = r;
+                guards[gbase + DONE] = r == file[base + A];
+                guards[gbase + ZERO] = r == 0;
+            }
+            // RFC 1071 accumulator fed 32-bit words.  The end-around carry
+            // is folded here, so the running sum in `A` never exceeds
+            // 0xffff and `r` is always the complemented checksum.
+            Op::CsumClr | Op::CsumAdd => {
+                let mut s = 0;
+                if op == Op::CsumAdd {
+                    s = file[base + A] + (v >> 16) + (v & 0xffff);
+                    s = (s & 0xffff) + (s >> 16);
                     s = (s & 0xffff) + (s >> 16);
                 }
-                !s & 0xffff
+                file[base + A] = s;
+                file[base + R] = !s & 0xffff;
             }
-            (fu, port) => panic!("no result port {port:?} on {fu:?}"),
+            // Shift distances wrap at 32; `tshl`/`tshr` double as multiply
+            // and divide by 2^n, as the paper notes.
+            Op::Shl => file[base + R] = v << (file[base + A] & 31),
+            Op::Shr => file[base + R] = v >> (file[base + A] & 31),
+            // Bitfield insert.
+            Op::Mask => file[base + R] = (v & !file[base + A]) | (file[base + B] & file[base + A]),
+            // A ROM of router-local words; out of range reads zero.
+            Op::Liu => file[base + R] = liu_table.get(v as usize).copied().unwrap_or(0),
         }
-    }
-
-    /// Samples a guard signal.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a signal the unit does not drive (see
-    /// [`DatapathFu::write_operand`]).
-    pub fn guard(&self, signal: &str) -> bool {
-        match (self, signal) {
-            (DatapathFu::Matcher { matched, .. }, "match") => *matched,
-            (DatapathFu::Comparator { eq, .. }, "eq") => *eq,
-            (DatapathFu::Comparator { lt, .. }, "lt") => *lt,
-            (DatapathFu::Comparator { gt, .. }, "gt") => *gt,
-            (DatapathFu::Counter { r, stop }, "done") => r == stop,
-            (DatapathFu::Counter { r, .. }, "zero") => *r == 0,
-            (fu, signal) => panic!("no guard signal {signal:?} on {fu:?}"),
-        }
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::NullTracer;
+    use crate::Processor;
+    use std::collections::BTreeSet;
+    use taco_isa::Program;
+
+    /// One power-on machine driven move by move, ports named as in assembly.
+    struct Bench(Processor);
+
+    impl Bench {
+        fn new() -> Self {
+            let mut cpu = Processor::new(MachineConfig::new(1), Program::new()).unwrap();
+            cpu.set_local_info(vec![0xaaaa, 0xbbbb]);
+            Bench(cpu)
+        }
+
+        fn mv(&mut self, v: u32, kind: FuKind, port: &str) {
+            let (op, slot, gbase) =
+                self.0.compiled().map.port(PortRef::new(kind, 0, port)).unwrap();
+            if op.is_trigger() {
+                self.0.ports().apply(op, slot, gbase, v, 0, &mut NullTracer).unwrap();
+            } else {
+                self.0.ports().store(op, slot, gbase, v);
+            }
+        }
+
+        fn r(&self, kind: FuKind) -> u32 {
+            self.0.fu_result(kind, 0, "r").unwrap()
+        }
+
+        fn guard(&self, kind: FuKind, signal: &str) -> bool {
+            self.0.guard_value(kind, 0, signal)
+        }
+    }
+
+    #[test]
+    fn layout_is_injective_in_range_and_keeps_port_equality() {
+        let config = MachineConfig::three_bus_three_fu().with_fu_count(FuKind::Mmu, 2);
+        let map = PortMap::new(&config);
+        let (mut words, mut ports, mut guards) =
+            (BTreeSet::new(), BTreeSet::new(), BTreeSet::new());
+        for (kind, count) in config.fu_counts() {
+            for fu in (0..count).map(|i| FuRef::new(kind, i)) {
+                let (base, gbase) = map.fu(fu).unwrap();
+                for spec in kind.ports() {
+                    let port = PortRef { fu, port: spec.name };
+                    let (op, slot, _) = map.port(port).unwrap();
+                    assert_eq!(op.is_trigger(), port.is_trigger(), "{port}");
+                    // Conflict detection compares (op, slot): distinct per port.
+                    assert!(ports.insert((op, slot)), "{port} aliases another port");
+                    if op.is_trigger() {
+                        assert_eq!(slot, base, "{port}");
+                    } else {
+                        assert!(slot < map.file_len && words.insert(slot), "{port} -> {slot}");
+                    }
+                }
+                for (i, signal) in kind.guards().iter().enumerate() {
+                    let slot = map.guard(fu, signal).unwrap();
+                    assert_eq!(slot, gbase + i);
+                    assert!((1..map.guards_len).contains(&slot) && guards.insert(slot), "{fu}");
+                }
+            }
+            assert!(map.fu(FuRef::new(kind, count)).is_err(), "{kind}");
+        }
+        // Every word of the file is some port, bar the unused second
+        // operand of the two-word datapath units.
+        assert!(words.len() <= map.file_len && guards.len() + 1 == map.guards_len);
+        assert!(map.port(PortRef { fu: FuRef::new(FuKind::Regs, 0), port: "r16" }).is_err());
+    }
 
     #[test]
     fn matcher_respects_mask() {
-        let mut m = DatapathFu::new_matcher();
-        m.write_operand("mask", 0xffff_0000);
-        m.write_operand("refv", 0x2001_0db8);
-        m.trigger("t", 0x2001_ffff);
-        assert!(m.guard("match")); // only upper half compared
-        assert_eq!(m.read_result("r"), 0x2001_ffff);
-        m.trigger("t", 0x2002_0db8);
-        assert!(!m.guard("match"));
+        let mut b = Bench::new();
+        b.mv(0xffff_0000, FuKind::Matcher, "mask");
+        b.mv(0x2001_0db8, FuKind::Matcher, "refv");
+        b.mv(0x2001_ffff, FuKind::Matcher, "t");
+        assert!(b.guard(FuKind::Matcher, "match")); // only upper half compared
+        assert_eq!(b.r(FuKind::Matcher), 0x2001_ffff);
+        b.mv(0x2002_0db8, FuKind::Matcher, "t");
+        assert!(!b.guard(FuKind::Matcher, "match"));
     }
 
     #[test]
     fn comparator_latches_relations() {
-        let mut c = DatapathFu::new_comparator();
-        c.write_operand("refv", 100);
-        c.trigger("t", 100);
-        assert!(c.guard("eq") && !c.guard("lt") && !c.guard("gt"));
-        c.trigger("t", 99);
-        assert!(!c.guard("eq") && c.guard("lt"));
-        c.trigger("t", 101);
-        assert!(c.guard("gt"));
+        let mut b = Bench::new();
+        let relations = |b: &Bench| ["eq", "lt", "gt"].map(|s| b.guard(FuKind::Comparator, s));
+        b.mv(100, FuKind::Comparator, "refv");
+        b.mv(100, FuKind::Comparator, "t");
+        assert_eq!(relations(&b), [true, false, false]);
+        b.mv(99, FuKind::Comparator, "t");
+        assert_eq!(relations(&b), [false, true, false]);
+        b.mv(101, FuKind::Comparator, "t");
         // Rewriting refv does not change latched guards.
-        c.write_operand("refv", 0);
-        assert!(c.guard("gt"));
+        b.mv(0, FuKind::Comparator, "refv");
+        assert_eq!((relations(&b), b.r(FuKind::Comparator)), ([false, false, true], 101));
     }
 
     #[test]
     fn counter_operations_and_guards() {
-        let mut c = DatapathFu::new_counter();
-        c.write_operand("stop", 3);
-        c.trigger("tset", 0);
-        assert!(c.guard("zero") && !c.guard("done"));
-        c.trigger("tinc", 0);
-        c.trigger("tinc", 0);
-        c.trigger("tinc", 0);
-        assert!(c.guard("done"));
-        assert_eq!(c.read_result("r"), 3);
-        c.trigger("tadd", 10);
-        assert_eq!(c.read_result("r"), 13);
-        c.trigger("tsub", 13);
-        assert!(c.guard("zero"));
-        c.trigger("tdec", 0);
-        assert_eq!(c.read_result("r"), u32::MAX); // wrapping
+        let mut b = Bench::new();
+        let guards =
+            |b: &Bench| (b.guard(FuKind::Counter, "done"), b.guard(FuKind::Counter, "zero"));
+        assert_eq!(guards(&b), (true, true)); // power-on: 0 == stop, 0 == 0
+        b.mv(3, FuKind::Counter, "stop");
+        assert_eq!(guards(&b), (false, true)); // `done` follows a stop write
+        for _ in 0..3 {
+            b.mv(0, FuKind::Counter, "tinc");
+        }
+        assert_eq!((guards(&b), b.r(FuKind::Counter)), ((true, false), 3));
+        b.mv(10, FuKind::Counter, "tadd");
+        assert_eq!(b.r(FuKind::Counter), 13);
+        b.mv(13, FuKind::Counter, "tsub");
+        assert_eq!(guards(&b), (false, true));
+        b.mv(0, FuKind::Counter, "tdec");
+        assert_eq!(b.r(FuKind::Counter), u32::MAX); // wrapping
+        b.mv(u32::MAX, FuKind::Counter, "stop");
+        b.mv(7, FuKind::Counter, "tset");
+        assert_eq!((guards(&b), b.r(FuKind::Counter)), ((false, false), 7));
     }
 
     #[test]
     fn checksum_matches_reference_implementation() {
-        let mut c = DatapathFu::new_checksum();
-        c.trigger("tclr", 0);
-        c.trigger("tadd", 0x0001_f203);
-        c.trigger("tadd", 0xf4f5_f6f7);
+        let mut b = Bench::new();
+        assert_eq!(b.r(FuKind::Checksum), 0xffff); // power-on reads as cleared
+        b.mv(0x0001_f203, FuKind::Checksum, "tadd");
+        b.mv(0xf4f5_f6f7, FuKind::Checksum, "tadd");
         // RFC 1071 worked example folds to 0xddf2 before complement.
-        assert_eq!(c.read_result("r"), (!0xddf2u16) as u32);
-        c.trigger("tclr", 0);
-        assert_eq!(c.read_result("r"), 0xffff);
+        assert_eq!(b.r(FuKind::Checksum), u32::from(!0xddf2u16));
+        b.mv(0, FuKind::Checksum, "tclr");
+        assert_eq!(b.r(FuKind::Checksum), 0xffff);
     }
 
     #[test]
-    fn shifter_multiplies_and_divides() {
-        let mut s = DatapathFu::new_shifter();
-        s.write_operand("amount", 1);
-        s.trigger("tshl", 21);
-        assert_eq!(s.read_result("r"), 42);
-        s.write_operand("amount", 2);
-        s.trigger("tshr", 44);
-        assert_eq!(s.read_result("r"), 11);
-        // Shift distances wrap at 32.
-        s.write_operand("amount", 33);
-        s.trigger("tshl", 1);
-        assert_eq!(s.read_result("r"), 2);
-    }
+    fn shifter_masker_and_liu() {
+        let mut b = Bench::new();
+        b.mv(1, FuKind::Shifter, "amount");
+        b.mv(21, FuKind::Shifter, "tshl");
+        assert_eq!(b.r(FuKind::Shifter), 42);
+        b.mv(2, FuKind::Shifter, "amount");
+        b.mv(44, FuKind::Shifter, "tshr");
+        assert_eq!(b.r(FuKind::Shifter), 11);
+        b.mv(33, FuKind::Shifter, "amount"); // shift distances wrap at 32
+        b.mv(1, FuKind::Shifter, "tshl");
+        assert_eq!(b.r(FuKind::Shifter), 2);
 
-    #[test]
-    fn masker_inserts_bitfield() {
-        let mut m = DatapathFu::new_masker();
-        m.write_operand("mask", 0x0000_ff00);
-        m.write_operand("value", 0x0000_4200);
-        m.trigger("t", 0x1234_5678);
-        assert_eq!(m.read_result("r"), 0x1234_4278);
-    }
+        b.mv(0x0000_ff00, FuKind::Masker, "mask");
+        b.mv(0x0000_4200, FuKind::Masker, "value");
+        b.mv(0x1234_5678, FuKind::Masker, "t");
+        assert_eq!(b.r(FuKind::Masker), 0x1234_4278);
 
-    #[test]
-    fn liu_reads_table() {
-        let mut l = DatapathFu::new_liu(vec![0xaaaa, 0xbbbb]);
-        l.trigger("t", 1);
-        assert_eq!(l.read_result("r"), 0xbbbb);
-        l.trigger("t", 99); // out of range reads zero
-        assert_eq!(l.read_result("r"), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "no trigger port")]
-    fn wrong_trigger_panics() {
-        DatapathFu::new_checksum().trigger("t", 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "no guard signal")]
-    fn wrong_guard_panics() {
-        let _ = DatapathFu::new_shifter().guard("match");
+        b.mv(1, FuKind::Liu, "t");
+        assert_eq!(b.r(FuKind::Liu), 0xbbbb);
+        b.mv(99, FuKind::Liu, "t"); // out of range reads zero
+        assert_eq!(b.r(FuKind::Liu), 0);
     }
 }

@@ -8,7 +8,12 @@
 //!
 //! The evaluation pipeline hands the simulator a table kind, a machine, a
 //! route list, an RTU latency, a stall injector and a tracer — the
-//! workload never reaches it — so the matrix is over exactly those.
+//! workload never reaches it — so the matrix is over exactly those, plus
+//! what the step loop itself branches on: the instruction width (one
+//! instance of the loop body per width 1..=4 and a slice instance above),
+//! the port-file layout (replicated FUs, a second memory port) and the
+//! tracer/injector monomorphisation (`run()` is the `NullTracer`/`NoFaults`
+//! instance every benchmark workload executes).
 
 use taco::eval::{benchmark_routes, FaultPlan};
 use taco::ipv6::{Datagram, NextHeader};
@@ -102,6 +107,20 @@ fn traffic(routes: &[Route]) -> Vec<Datagram> {
     out
 }
 
+/// `run()` on a third, identically built machine must leave what the
+/// reference left, minus the event stream it does not record.
+fn assert_untraced_agrees<M>(
+    machine: &mut M,
+    run: Run<M>,
+    cpu: fn(&M) -> &Processor,
+    budget: u64,
+    mut reference: Observed,
+    label: &str,
+) {
+    reference.events.clear();
+    assert_eq!(observe(machine, run, cpu, budget, None), reference, "run(): {label}");
+}
+
 fn forwarded_bytes(router: &CycleRouter) -> Vec<(u16, Vec<u8>)> {
     router.forwarded().iter().map(|(port, d)| (port.0, d.to_bytes())).collect()
 }
@@ -112,6 +131,10 @@ fn every_kind_machine_size_and_injector_agrees_on_real_microcode() {
         MachineConfig::one_bus_one_fu(),
         MachineConfig::three_bus_one_fu(),
         MachineConfig::three_bus_three_fu(),
+        // Every instantiated width, and MMU ports at two bases.
+        MachineConfig::new(2),
+        MachineConfig::new(4),
+        MachineConfig::three_bus_one_fu().with_fu_count(FuKind::Mmu, 2),
     ];
     let plan = FaultPlan::stalls();
     let stalls = PeriodicStall::new(plan.stall_every_cycles.into(), plan.stall_cycles.into());
@@ -162,6 +185,11 @@ fn every_kind_machine_size_and_injector_agrees_on_real_microcode() {
                     if kind == TableKind::Cam {
                         assert!(stats.stall_cycles > 0, "{label}: the RTU interlock never closed");
                     }
+                    if stall.is_none() {
+                        let run: Run<CycleRouter> = |m, budget, _, _| m.run(budget);
+                        let cpu = CycleRouter::processor;
+                        assert_untraced_agrees(&mut build(), run, cpu, 50_000_000, r, &label);
+                    }
                 }
             }
         }
@@ -200,13 +228,32 @@ const PROGRAMS: &[&str] = &[
      0x00010203 -> csum0.tadd
      csum0.r -> regs0.r4
 ",
+    // A squashed move conflicts with nothing (`done` is true at power-on),
+    // and a `stop` write moves `done` without a trigger.
+    "!cnt0.done 5 -> regs0.r0 | 1 -> regs0.r0
+     7 -> cnt0.stop | ?cnt0.done 2 -> regs0.r1
+     ?cnt0.done 3 -> regs0.r2 | !cnt0.done 4 -> regs0.r2
+",
 ];
 
-fn load(text: &str, memory_words: u32) -> Processor {
+/// Five and six moves a word — wider than the widest array instance of the
+/// step loop's body, so the slice instance runs — over two memory ports.
+const WIDE: &str = "1 -> regs0.r0 | 16 -> mmu0.addr | 17 -> mmu1.addr | 3 -> cnt0.tset | 4 -> cnt0.stop | ?cnt0.done 9 -> regs0.r2
+     regs0.r0 -> mmu0.twrite | 8 -> mmu1.twrite | 1 -> cnt0.tinc | cnt0.r -> regs0.r3 | !cnt0.done 5 -> regs0.r4 | 0 -> ippu0.tpop
+     17 -> mmu0.addr | 16 -> mmu1.addr | !cnt0.done 7 -> regs0.r5 | 1 -> rtu0.k0 | 2 -> rtu0.k1 | 3 -> rtu0.k2
+     0 -> mmu0.tread | 0 -> mmu1.tread | ippu0.iface -> oppu0.iface | 4 -> rtu0.t | 1 -> liu0.t
+     mmu0.r -> regs0.r6 | mmu1.r -> regs0.r7 | ippu0.ptr -> oppu0.t | rtu0.iface -> regs0.r8 | ?rtu0.hit liu0.r -> regs0.r9 | 6 -> nc0.pc
+     99 -> regs0.r10
+";
+
+fn wide_machine() -> MachineConfig {
+    MachineConfig::new(6).with_fu_count(FuKind::Mmu, 2)
+}
+
+fn load_on(machine: MachineConfig, text: &str, memory_words: u32) -> Processor {
     let mut program = asm::parse(text).expect("assembles");
     program.resolve_labels().expect("labels resolve");
-    let mut cpu =
-        Processor::with_memory(MachineConfig::new(2), program, memory_words).expect("validates");
+    let mut cpu = Processor::with_memory(machine, program, memory_words).expect("validates");
     let mut backend = MapRtu::new();
     backend.insert([1, 2, 3, 4], RtuResult { iface: 9, handle: 1 });
     cpu.set_rtu(RtuConfig::new(Box::new(backend)).with_latency(5));
@@ -222,7 +269,9 @@ fn identity(cpu: &Processor) -> &Processor {
 
 #[test]
 fn hand_written_programs_agree_and_resume_cleanly() {
-    for text in PROGRAMS {
+    let narrow = PROGRAMS.iter().map(|text| (MachineConfig::new(2), *text));
+    for (machine, text) in narrow.chain([(wide_machine(), WIDE)]) {
+        let load = |text, words| load_on(machine.clone(), text, words);
         for stall in [None, Some(PeriodicStall::new(5, 2))] {
             let (mut decoded, mut reference) = (load(text, 1 << 16), load(text, 1 << 16));
             let d = observe(&mut decoded, Processor::run_with, identity, 10_000, stall);
@@ -236,6 +285,10 @@ fn hand_written_programs_agree_and_resume_cleanly() {
             assert_eq!((&again.result, &again.stats), (&d.result, &d.stats), "{text}");
             let again = observe(&mut reference, Processor::run_reference, identity, 10_000, stall);
             assert_eq!((&again.result, &again.stats), (&r.result, &r.stats), "{text}");
+            if stall.is_none() {
+                let run: Run<Processor> = |cpu, budget, _, _| cpu.run(budget);
+                assert_untraced_agrees(&mut load(text, 1 << 16), run, identity, 10_000, r, text);
+            }
         }
     }
 }
@@ -251,7 +304,13 @@ fn errors_agree_and_leave_the_same_statistics() {
         ("loop: @loop -> nc0.pc\n", 50, SimError::Watchdog { budget: 50 }),
         ("1 -> cnt0.tinc\n9999999 -> mmu0.addr\n0 -> mmu0.tread\n", 10, out_of_bounds.clone()),
     ];
-    for (text, budget, error) in cases {
+    // Past the array instances: the conflict is the fifth move's.
+    let wide = "1 -> regs0.r1 | 2 -> regs0.r2 | 3 -> regs0.r0 | 4 -> regs0.r3 | 5 -> regs0.r0\n";
+    let wide = (wide_machine(), (wide, 10, SimError::PortConflict { port: r0, cycle: 0 }));
+    for (machine, (text, budget, error)) in
+        cases.into_iter().map(|case| (MachineConfig::new(2), case)).chain([wide])
+    {
+        let load = |text, words| load_on(machine.clone(), text, words);
         let (mut decoded, mut reference) = (load(text, 16), load(text, 16));
         let d = observe(&mut decoded, Processor::run_with, identity, budget, None);
         let r = observe(&mut reference, Processor::run_reference, identity, budget, None);
@@ -262,5 +321,7 @@ fn errors_agree_and_leave_the_same_statistics() {
         if error == out_of_bounds {
             assert_eq!(d.stats.triggers(FuKind::Counter), 1);
         }
+        let run: Run<Processor> = |cpu, budget, _, _| cpu.run(budget);
+        assert_untraced_agrees(&mut load(text, 16), run, identity, budget, r, text);
     }
 }
