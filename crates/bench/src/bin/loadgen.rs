@@ -18,8 +18,10 @@
 //!    [`LatencyHistogram`]s (microsecond ticks) that merge into the
 //!    percentile report.
 //!
-//! `--json PATH` writes the `BENCH_served.json` artefact that
-//! `scripts/verify.sh` regenerates and EXPERIMENTS.md quotes.
+//! `scripts/verify.sh` runs it as the event loop's deadlock smoke; for
+//! serving numbers with a stated variance use `benchmarks/run.sh`
+//! (`served-hot`, `served-oneshot`).  `--json PATH` also writes the
+//! measurements to a file.
 //!
 //! ```text
 //! cargo run -p taco-bench --release --bin loadgen -- \

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cargo run -p taco-bench --release --bin trace -- [kind] [config] [entries] \
-//!     [--cycles N] [--chrome PATH] [--smoke ITERS]
+//!     [--cycles N] [--chrome PATH]
 //! ```
 //!
 //! `kind` is a routing-table organisation (`sequential`, `balanced-tree`,
@@ -13,30 +13,11 @@
 //! the measurement run.  `--chrome PATH` additionally writes the same run
 //! as Chrome `about://tracing` JSON (load it in Perfetto or
 //! `chrome://tracing`).
-//!
-//! `--smoke ITERS` runs the perf-gate smoke instead: ITERS uncached
-//! twelve-cell Table 1 evaluations with the tracer disabled, printing the
-//! total wall time in milliseconds on stdout (the number
-//! `scripts/verify.sh` compares against its checked-in baseline).
-
-use std::time::Instant;
 
 use taco_bench::cli::Cli;
 use taco_core::api::{parse_machine_spec, parse_table_kind};
-use taco_core::{evaluate_request, trace_request, ArchConfig, EvalRequest};
+use taco_core::{trace_request, EvalRequest};
 use taco_sim::{ChromeTracer, RingTracer, TraceEvent};
-
-fn smoke(iters: u32) {
-    let start = Instant::now();
-    for _ in 0..iters {
-        for cell in ArchConfig::table1_cells() {
-            let report = evaluate_request(&EvalRequest::new(cell.clone()));
-            assert!(report.sim_error.is_none(), "smoke cell failed: {report}");
-        }
-    }
-    let ms = start.elapsed().as_secs_f64() * 1e3;
-    println!("{ms:.0}");
-}
 
 /// Renders the first `limit` cycles of the capture as one character per
 /// bus-cycle: `#` executed move, `~` squashed move, `.` idle; plus a stall
@@ -127,7 +108,6 @@ fn main() {
     let cli = Cli::new("trace", "cycle-level trace inspection for any Table 1 cell")
         .opt("--cycles", "N", "cycles of the occupancy strip to render")
         .opt("--chrome", "PATH", "also write the run as Chrome about://tracing JSON")
-        .opt("--smoke", "ITERS", "perf-gate smoke: ITERS uncached twelve-cell runs, print wall ms")
         .positional(
             "kind",
             "table organisation: sequential, balanced-tree, cam, trie, patricia",
@@ -136,11 +116,6 @@ fn main() {
         .positional("config", "machine shape: 1x1, 3x1, 3x3 (Table 1 labels accepted)", Some("3x1"))
         .positional("entries", "routing-table size", Some("16"));
     let args = cli.parse_or_exit();
-    let smoke_iters = args.opt_parsed::<u32>("--smoke").unwrap_or_else(|e| cli.fail(&e));
-    if let Some(iters) = smoke_iters {
-        smoke(iters);
-        return;
-    }
     let limit: usize = args.opt_parsed("--cycles").unwrap_or_else(|e| cli.fail(&e)).unwrap_or(300);
     let chrome_path = args.opt("--chrome").map(str::to_owned);
     // The same name parsers the wire API uses — one validation dialect

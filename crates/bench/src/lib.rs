@@ -2,7 +2,8 @@
 //!
 //! The library part is small: the [`cli`] argument parser every binary
 //! shares (one dialect, one tested `--help` generator) plus a few sweep
-//! constants.  The rest is the binaries and Criterion benches:
+//! constants.  The rest is the binaries (timing lives in the stand-alone
+//! `benchmarks/` package, not here):
 //!
 //! | target | regenerates |
 //! |---|---|
@@ -13,12 +14,8 @@
 //! | `cargo run -p taco-bench --release --bin sensitivity` | required clock vs packet-size assumption |
 //! | `cargo run -p taco-bench --release --bin report` | a live markdown reproduction report with a paper-claim checklist |
 //! | `cargo run -p taco-bench --release --bin scenarios` | the built-in behavioural workloads across the three table organisations |
-//! | `cargo bench -p taco-bench --bench table1` | per-cell evaluation latency |
-//! | `cargo bench -p taco-bench --bench lookup_scaling` | behavioural LPM engines across table sizes |
-//! | `cargo bench -p taco-bench --bench optimizer` | the Fig. 3 schedule pipeline |
-//! | `cargo bench -p taco-bench --bench simulator` | raw simulator throughput |
 //! | `cargo run -p taco-bench --release --bin taco-cli` | client/server front end for the `taco-served` daemon |
-//! | `cargo run -p taco-bench --release --bin loadgen` | daemon throughput/latency under concurrent persistent clients (`BENCH_served.json`) |
+//! | `cargo run -p taco-bench --release --bin loadgen` | the event loop under 8/64/256 concurrent one-shot and session clients (deadlock smoke) |
 
 pub mod cli;
 

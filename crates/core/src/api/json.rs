@@ -107,11 +107,13 @@ impl Json {
         }
     }
 
-    /// The number as an `f64` (exact for every finite shortest-round-trip
-    /// literal).
+    /// The number as a finite `f64` (exact for every shortest-round-trip
+    /// literal).  A literal too large for the type (`1e400`) is not a
+    /// number here: infinity is spelled `null` on the wire, and reading it
+    /// from a numeral would give values the encoder cannot write back.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
-            Json::Num(raw) => raw.parse().ok(),
+            Json::Num(raw) => raw.parse().ok().filter(|v: &f64| v.is_finite()),
             _ => None,
         }
     }
@@ -179,7 +181,7 @@ impl Json {
 
     /// Parses one JSON document; trailing non-whitespace is an error.
     pub fn parse(text: &str) -> Result<Json, JsonParseError> {
-        let mut p = Parser { bytes: text.as_bytes(), at: 0 };
+        let mut p = Parser { bytes: text.as_bytes(), at: 0, depth: 0 };
         let value = p.value()?;
         p.skip_ws();
         if p.at != p.bytes.len() {
@@ -209,9 +211,25 @@ fn encode_str(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// Deepest nesting of arrays and objects the parser follows.  Wire values
+/// nest half a dozen deep; the parser recurses per level, so without a bound a
+/// frame of `[[[[…` overflows the stack of whichever thread reads it.
+const MAX_DEPTH: usize = 32;
+
+/// Most members one object may have.  Key uniqueness is checked by scanning
+/// the members so far — the cheapest way for the dozen a wire object has,
+/// quadratic for the hundred thousand a hostile 1 MiB frame can carry
+/// (16 s of the daemon's only event-loop thread).  The one object whose
+/// width depends on its input is a report's per-instance trigger counts,
+/// and it lists only the instances a program triggered: the generated
+/// microcode reaches 22 of them at 255-way replication (`api::report`
+/// round-trips that report), though such a machine has over 1020.
+const MAX_MEMBERS: usize = 1024;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     at: usize,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -250,8 +268,13 @@ impl<'a> Parser<'a> {
     fn value(&mut self) -> Result<Json, JsonParseError> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => Err(self.err("shallower nesting")),
+            Some(open @ (b'{' | b'[')) => {
+                self.depth += 1;
+                let nested = if open == b'{' { self.object() } else { self.array() };
+                self.depth -= 1;
+                nested
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -274,6 +297,9 @@ impl<'a> Parser<'a> {
             let key = self.string()?;
             if members.iter().any(|(k, _)| *k == key) {
                 return Err(self.err("unique object keys"));
+            }
+            if members.len() == MAX_MEMBERS {
+                return Err(self.err("fewer object members"));
             }
             self.skip_ws();
             self.expect(b':', "':'")?;
@@ -520,6 +546,30 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} must be rejected");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded_not_recursed_into_the_guard_page() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&nested(MAX_DEPTH + 1)).is_err());
+        // An 8 MiB frame of brackets (the daemon's frame limit) used to
+        // overflow the event-loop thread's stack.
+        for open in ["[", "{\"a\":", "[{\"a\":"] {
+            assert!(Json::parse(&open.repeat(1 << 20)).is_err(), "{open}");
+        }
+    }
+
+    #[test]
+    fn object_width_is_bounded_not_scanned_quadratically() {
+        let object = |members: usize| {
+            let members: Vec<String> = (0..members).map(|i| format!("\"k{i}\":0")).collect();
+            format!("{{{}}}", members.join(","))
+        };
+        assert!(Json::parse(&object(MAX_MEMBERS)).is_ok());
+        assert!(Json::parse(&object(MAX_MEMBERS + 1)).is_err());
+        // 1 MiB of distinct keys used to hold the parser for 16 s.
+        assert!(Json::parse(&object(100_000)).is_err());
     }
 
     #[test]

@@ -887,14 +887,11 @@ pub(crate) fn hex_decode(s: &str) -> Result<Vec<u8>, String> {
 }
 
 /// A flow trace in wire form: the full binary body shipped inline
-/// (hex-encoded), or a path on the **server's** filesystem for traces too
-/// large to inline.
+/// (hex-encoded).  The daemon reads no file a client names.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceRef {
     /// The [`FlowTrace::to_bytes`] body, hex-encoded.
     Inline(String),
-    /// A trace file path resolved server-side at evaluation time.
-    Path(String),
 }
 
 impl TraceRef {
@@ -903,49 +900,29 @@ impl TraceRef {
         TraceRef::Inline(hex_encode(&trace.to_bytes()))
     }
 
-    /// Decodes or loads the referenced trace; every failure (bad hex, IO,
-    /// a corrupt or version-skewed file) is a structured bad request.
+    /// Decodes the referenced trace; every failure (bad hex, a corrupt or
+    /// version-skewed body) is a structured bad request.
     pub fn resolve(&self) -> Result<FlowTrace, ApiError> {
-        match self {
-            TraceRef::Inline(hex) => {
-                let bytes =
-                    hex_decode(hex).map_err(|e| ApiError::bad_request(format!("trace: {e}")))?;
-                FlowTrace::from_bytes(&bytes)
-                    .map_err(|e| ApiError::bad_request(format!("trace: {e}")))
-            }
-            TraceRef::Path(path) => FlowTrace::read(std::path::Path::new(path))
-                .map_err(|e| ApiError::bad_request(format!("trace {path:?}: {e}"))),
-        }
+        let TraceRef::Inline(hex) = self;
+        let bytes = hex_decode(hex).map_err(|e| ApiError::bad_request(format!("trace: {e}")))?;
+        FlowTrace::from_bytes(&bytes).map_err(|e| ApiError::bad_request(format!("trace: {e}")))
     }
 
     fn to_json(&self) -> String {
-        match self {
-            // Hex is [0-9a-f] only: no JSON escaping needed.
-            TraceRef::Inline(hex) => format!("{{\"inline\":\"{hex}\"}}"),
-            TraceRef::Path(path) => format!("{{\"path\":{}}}", Json::str(path.clone()).encode()),
-        }
+        // Hex is [0-9a-f] only: no JSON escaping needed.
+        let TraceRef::Inline(hex) = self;
+        format!("{{\"inline\":\"{hex}\"}}")
     }
 
     fn from_value(value: &Json) -> Result<TraceRef, ApiError> {
         let mut f = Fields::new("trace", value)?;
-        let inline = f.get_non_null("inline").map(|v| {
-            v.as_str()
-                .map(str::to_owned)
-                .ok_or_else(|| ApiError::bad_request("trace: \"inline\" must be a hex string"))
-        });
-        let path = f.get_non_null("path").map(|v| {
-            v.as_str()
-                .map(str::to_owned)
-                .ok_or_else(|| ApiError::bad_request("trace: \"path\" must be a string"))
-        });
+        let inline = f.get("inline");
+        // Unknown members first: `{"path":…}` dies naming the field.
         f.finish()?;
-        match (inline, path) {
-            (Some(hex), None) => Ok(TraceRef::Inline(hex?)),
-            (None, Some(p)) => Ok(TraceRef::Path(p?)),
-            _ => Err(ApiError::bad_request(
-                "trace: exactly one of \"inline\" or \"path\" is required",
-            )),
-        }
+        inline
+            .and_then(Json::as_str)
+            .map(|hex| TraceRef::Inline(hex.to_owned()))
+            .ok_or_else(|| ApiError::bad_request("trace: \"inline\" must be a hex string"))
     }
 }
 
@@ -953,15 +930,24 @@ impl TraceRef {
 // EvalSpec: the validated construction path for one evaluation.
 // ---------------------------------------------------------------------------
 
+/// Refuses a table size no evaluation can use: zero, or more entries than
+/// data memory has words (every organisation spends at least a word or a
+/// CAM row per entry).  Checked where a spec is parsed, so an absurd size
+/// costs a `bad_request`, not minutes of route generation on a runner.
+fn check_entries(ctx: &str, entries: usize) -> Result<(), ApiError> {
+    const MAX: usize = taco_sim::DEFAULT_MEMORY_WORDS as usize;
+    if (1..=MAX).contains(&entries) {
+        return Ok(());
+    }
+    Err(ApiError::bad_request(format!("{ctx}: \"entries\" must be in 1..={MAX}, got {entries}")))
+}
+
 /// One evaluation, in wire form: the validated front door that the JSON
 /// schema, the CLI and programmatic callers share before an
 /// [`EvalRequest`] is built.
 ///
-/// The builder's Chrome-timeline side channel ([`EvalRequest::trace`]) is
-/// deliberately absent: it names an output file on the *server's*
-/// filesystem and is not part of the result.  The `trace` member here is
-/// different — it is an **input** flow trace ([`TraceRef`]) the scenario
-/// replays verbatim.
+/// The `trace` member is an **input**: a flow trace ([`TraceRef`]) the
+/// scenario replays verbatim.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EvalSpec {
     /// The machine under evaluation: per-core shape plus the multi-core
@@ -969,15 +955,14 @@ pub struct EvalSpec {
     pub config: MachineSpec,
     /// Line-rate target.
     pub rate: LineRate,
-    /// Routing-table size (≥ 1).
+    /// Routing-table size (1 to [`taco_sim::DEFAULT_MEMORY_WORDS`]).
     pub entries: usize,
     /// Optional behavioural workload.
     pub workload: Option<Workload>,
     /// Optional deterministic fault plan.
     pub faults: Option<FaultPlan>,
-    /// Optional explicit flow trace (inline body or server-side path),
-    /// replayed verbatim instead of regenerating from the workload
-    /// descriptor.  When both `workload` and `trace` are present the
+    /// Optional explicit flow trace (inline body), replayed verbatim
+    /// instead of regenerating from the workload descriptor.  When both `workload` and `trace` are present the
     /// workload must equal the trace's descriptor — a mismatch is a
     /// structured bad request, not a silent override.
     pub trace: Option<TraceRef>,
@@ -998,14 +983,11 @@ impl EvalSpec {
         }
     }
 
-    /// Builds the validated [`EvalRequest`], resolving any flow-trace
-    /// reference (an inline body decodes here; a path reads the server's
-    /// filesystem here, so a missing or corrupt file rejects the request
-    /// before any simulation runs).
+    /// Builds the validated [`EvalRequest`], decoding any inline flow
+    /// trace, so a corrupt body rejects the request before any simulation
+    /// runs.
     pub fn to_request(&self) -> Result<EvalRequest, ApiError> {
-        if self.entries == 0 {
-            return Err(ApiError::bad_request("entries must be >= 1"));
-        }
+        check_entries("eval spec", self.entries)?;
         let mut request =
             EvalRequest::new(self.config.to_config()?).rate(self.rate).entries(self.entries);
         if let Some(workload) = self.workload {
@@ -1029,10 +1011,9 @@ impl EvalSpec {
         Ok(request)
     }
 
-    /// The wire spelling of `request` (Chrome-timeline path dropped — it
-    /// is not part of the schema; an attached flow trace becomes an inline
-    /// [`TraceRef`]), or `None` when the machine configuration is not
-    /// expressible on the wire.
+    /// The wire spelling of `request` (an attached flow trace becomes an
+    /// inline [`TraceRef`]), or `None` when the machine configuration is
+    /// not expressible on the wire.
     pub fn from_request(request: &EvalRequest) -> Option<EvalSpec> {
         Some(EvalSpec {
             config: MachineSpec::from_config(&request.config)?,
@@ -1096,9 +1077,7 @@ impl EvalSpec {
             faults: f.get_non_null("faults").map(fault_plan_from_value).transpose()?,
             trace: f.get_non_null("trace").map(TraceRef::from_value).transpose()?,
         };
-        if spec.entries == 0 {
-            return Err(ApiError::bad_request("entries must be >= 1"));
-        }
+        check_entries("eval spec", spec.entries)?;
         spec.config.to_config()?;
         Ok(spec)
     }
@@ -1238,9 +1217,7 @@ pub(crate) fn sweep_spec_from_value(value: &Json) -> Result<SweepSpec, ApiError>
         topologies,
         protocols,
     };
-    if spec.entries == 0 {
-        return Err(ApiError::bad_request("sweep spec: entries must be >= 1"));
-    }
+    check_entries("sweep spec", spec.entries)?;
     f.finish()?;
     Ok(spec)
 }
@@ -1872,19 +1849,16 @@ mod tests {
     }
 
     #[test]
-    fn trace_eval_requests_round_trip_inline_and_path() {
+    fn trace_eval_requests_round_trip_inline() {
         let trace = taco_workload::TraceGen::generate(9, 30, 5, 8);
         let mut spec = cam_spec();
         spec.entries = 8;
-        for trace_ref in [TraceRef::inline(&trace), TraceRef::Path("traces/reference.trace".into())]
-        {
-            spec.trace = Some(trace_ref);
-            let request = ApiRequest::Eval(spec.clone());
-            let line = request.to_json();
-            assert!(line.contains("\"trace\":{"), "{line}");
-            assert_eq!(ApiRequest::from_json(&line).unwrap(), request);
-            assert_eq!(ApiRequest::from_json(&line).unwrap().to_json(), line);
-        }
+        spec.trace = Some(TraceRef::inline(&trace));
+        let request = ApiRequest::Eval(spec);
+        let line = request.to_json();
+        assert!(line.contains("\"trace\":{\"inline\":\""), "{line}");
+        assert_eq!(ApiRequest::from_json(&line).unwrap(), request);
+        assert_eq!(ApiRequest::from_json(&line).unwrap().to_json(), line);
     }
 
     #[test]
@@ -1913,16 +1887,18 @@ mod tests {
     }
 
     #[test]
-    fn trace_refs_require_exactly_one_of_inline_or_path() {
+    fn trace_refs_are_inline_only() {
         let parse = |json: &str| TraceRef::from_value(&Json::parse(json).unwrap());
-        for bad in
-            ["{}", "{\"inline\":\"00\",\"path\":\"x\"}", "{\"inline\":1}", "{\"other\":true}"]
-        {
+        for bad in ["{}", "{\"inline\":1}", "{\"inline\":null}", "{\"other\":true}"] {
             let err = parse(bad).expect_err(bad);
             assert_eq!(err.code, ApiErrorCode::BadRequest, "{bad}");
         }
+        // The daemon opens no file a client names: `path` is not a member.
+        for bad in ["{\"path\":\"t.bin\"}", "{\"inline\":\"00\",\"path\":\"x\"}"] {
+            let err = parse(bad).expect_err(bad);
+            assert!(err.message.contains("unknown field \"path\""), "{bad}: {}", err.message);
+        }
         assert_eq!(parse("{\"inline\":\"00ff\"}").unwrap(), TraceRef::Inline("00ff".into()));
-        assert_eq!(parse("{\"path\":\"t.bin\"}").unwrap(), TraceRef::Path("t.bin".into()));
     }
 
     #[test]
@@ -2011,11 +1987,29 @@ mod tests {
     }
 
     #[test]
-    fn zero_entries_and_zero_buses_are_rejected_not_panics() {
-        let mut spec = cam_spec();
-        spec.entries = 0;
-        let err = ApiRequest::from_json(&ApiRequest::Eval(spec).to_json()).unwrap_err();
-        assert!(err.message.contains("entries"), "{err}");
+    fn out_of_range_entries_and_zero_buses_are_rejected_not_panics() {
+        // More entries than data memory has words: refused at the parse,
+        // before a runner generates a million routes to find that out.
+        let max = taco_sim::DEFAULT_MEMORY_WORDS as usize;
+        for (entries, ok) in [(0, false), (max, true), (max + 1, false), (1 << 40, false)] {
+            let mut spec = cam_spec();
+            spec.entries = entries;
+            assert_eq!(spec.to_request().is_ok(), ok, "{entries}");
+            let sweep = ApiRequest::Sweep {
+                spec: SweepSpec { entries, ..SweepSpec::default() },
+                rate: LineRate::TEN_GBE,
+                constraints: Constraints::default(),
+            };
+            for request in [ApiRequest::Eval(spec), sweep] {
+                match ApiRequest::from_json(&request.to_json()) {
+                    Ok(parsed) => assert!(ok && parsed == request, "{entries}"),
+                    Err(err) => {
+                        assert_eq!(err.code, ApiErrorCode::BadRequest);
+                        assert!(!ok && err.message.contains("\"entries\" must be in"), "{err}");
+                    }
+                }
+            }
+        }
 
         let line = ApiRequest::Eval(cam_spec()).to_json().replace("\"buses\":3", "\"buses\":0");
         let err = ApiRequest::from_json(&line).unwrap_err();

@@ -31,7 +31,7 @@ use super::{
     f64_json, parse_table_kind, rate_from_value, rate_to_json, ApiError, ConfigSpec, Fields,
     MachineSpec,
 };
-use crate::evaluate::{EvalReport, TraceError};
+use crate::evaluate::EvalReport;
 
 /// One golden-fixture cell line for `report` — exactly the format pinned
 /// by `crates/core/tests/golden/table1.json` (label, min frequency, bus
@@ -303,12 +303,12 @@ fn scenario_from_value(value: &Json) -> Result<ScenarioMetrics, ApiError> {
 
 /// Serialises a full report as one line of JSON with a fixed key order.
 ///
-/// `scenario`, `sim_error` and `trace_error` are omitted when absent, so
-/// plain reports stay byte-identical as features accrete.  The machine
-/// configuration is emitted as its [`MachineSpec`] wire form (flat for
-/// single-core systems, nested for multi-core); for the
-/// (in-tree-unreachable) case of a hand-built machine outside that family,
-/// the nearest spec is emitted and the round trip is lossy.
+/// `scenario` and `sim_error` are omitted when absent, so plain reports
+/// stay byte-identical as features accrete.  The machine configuration is
+/// emitted as its [`MachineSpec`] wire form (flat for single-core systems,
+/// nested for multi-core); for the (in-tree-unreachable) case of a
+/// hand-built machine outside that family, the nearest spec is emitted and
+/// the round trip is lossy.
 pub fn report_to_json(report: &EvalReport) -> String {
     let config_spec = MachineSpec::from_config(&report.config).unwrap_or(MachineSpec {
         core: ConfigSpec {
@@ -343,13 +343,6 @@ pub fn report_to_json(report: &EvalReport) -> String {
         s.push_str(",\"sim_error\":");
         s.push_str(&Json::str(error.to_string()).encode());
     }
-    if let Some(error) = &report.trace_error {
-        s.push_str(",\"trace_error\":{\"path\":");
-        s.push_str(&Json::str(error.path.clone()).encode());
-        s.push_str(",\"message\":");
-        s.push_str(&Json::str(error.message.clone()).encode());
-        s.push('}');
-    }
     s.push('}');
     s
 }
@@ -371,18 +364,6 @@ pub(crate) fn report_from_value(value: &Json) -> Result<EvalReport, ApiError> {
             config.label()
         )));
     }
-    let trace_error = f
-        .get_non_null("trace_error")
-        .map(|v| {
-            let mut t = Fields::new("trace error", v)?;
-            let error = TraceError {
-                path: t.req_str("path")?.to_owned(),
-                message: t.req_str("message")?.to_owned(),
-            };
-            t.finish()?;
-            Ok::<_, ApiError>(error)
-        })
-        .transpose()?;
     let report = EvalReport {
         config,
         line_rate: rate_from_value(f.req("rate")?)?,
@@ -396,7 +377,6 @@ pub(crate) fn report_from_value(value: &Json) -> Result<EvalReport, ApiError> {
         stats: stats_from_value(f.req("stats")?)?,
         scenario: f.get_non_null("scenario").map(scenario_from_value).transpose()?,
         sim_error: None,
-        trace_error,
     };
     f.finish()?;
     Ok(report)
@@ -439,6 +419,20 @@ mod tests {
     }
 
     #[test]
+    fn widest_machine_report_round_trips() {
+        // `fu_instance_triggers` is the one object that grows with the
+        // machine, and only by the instances the microcode triggers — well
+        // inside the parser's member bound at the widest wire-legal shape.
+        let config =
+            ArchConfig::with_replication(TableKind::Sequential, 255, 255).with_memory_ports(255);
+        let report = EvalRequest::new(config).entries(64).run();
+        assert!(report.is_feasible());
+        let instances = report.stats.fu_instance_triggers.len();
+        assert!(instances < 64, "{instances} triggered instances (22 when written)");
+        roundtrip(&report);
+    }
+
+    #[test]
     fn infeasible_report_round_trips() {
         let report =
             EvalRequest::new(ArchConfig::one_bus_one_fu(TableKind::Sequential)).entries(64).run();
@@ -466,17 +460,6 @@ mod tests {
         assert!(line.contains("\"label\":\"cam 3BUS/1FU 4c-mesh-mesi\""), "{line}");
         assert!(line.contains("\"config\":{\"core\":{"), "{line}");
         assert!(line.contains("\"coherence\":{\"reads\":"), "{line}");
-        roundtrip(&report);
-    }
-
-    #[test]
-    fn trace_error_round_trips() {
-        let mut report =
-            EvalRequest::new(ArchConfig::three_bus_one_fu(TableKind::Cam)).entries(8).run();
-        report.trace_error = Some(TraceError {
-            path: "/no/such/dir/trace.json".into(),
-            message: "No such file or directory (os error 2)".into(),
-        });
         roundtrip(&report);
     }
 

@@ -64,8 +64,8 @@ impl EvalKey {
     }
 
     /// Rebuilds the request this key was derived from (the key is a
-    /// lossless projection of every field but the cache-excluded trace
-    /// path) — what snapshot persistence serialises.
+    /// lossless projection of every field but the flow-trace records, kept
+    /// only as their digest) — what snapshot persistence serialises.
     fn to_request(&self) -> EvalRequest {
         EvalRequest {
             config: self.config.clone(),
@@ -76,7 +76,6 @@ impl EvalKey {
             entries: self.entries,
             workload: self.workload,
             faults: self.faults,
-            trace: None,
             flow_trace: None,
         }
     }

@@ -29,25 +29,6 @@ const CYCLE_BUDGET: u64 = 50_000_000;
 /// the regime where queueing and overload are actually visible.)
 const SCENARIO_TICK_SECONDS: f64 = 10e-6;
 
-/// A failure of the [`EvalRequest::trace`](EvalRequest::trace) side
-/// channel: the evaluation itself succeeded, but the Chrome timeline could
-/// not be produced (unwritable path, failed replay).  Carried on the
-/// report instead of being dropped on stderr so programmatic callers — and
-/// the wire API — can see it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceError {
-    /// The path the timeline was meant to be written to.
-    pub path: String,
-    /// What went wrong.
-    pub message: String,
-}
-
-impl std::fmt::Display for TraceError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "could not write trace {}: {}", self.path, self.message)
-    }
-}
-
 /// The co-analysis result for one architecture instance — one cell of
 /// Table 1.
 #[derive(Debug, Clone, PartialEq)]
@@ -88,10 +69,6 @@ pub struct EvalReport {
     /// any.  A report carrying one is infeasible by construction: the
     /// instance cannot execute its own microcode, so no clock rescues it.
     pub sim_error: Option<SimError>,
-    /// A failure of the requested trace side channel, if any.  Unlike
-    /// [`EvalReport::sim_error`] this does not invalidate the report: the
-    /// measurement completed, only the timeline file is missing.
-    pub trace_error: Option<TraceError>,
 }
 
 impl EvalReport {
@@ -165,8 +142,9 @@ fn measure_at(
     measure(&mut router, &input, None, &mut NullTracer)
 }
 
-/// Re-runs `request`'s measurement under an arbitrary [`Tracer`] — the
-/// entry point the `trace` and `dse --trace-best` binaries capture through.
+/// Re-runs `request`'s measurement under an arbitrary [`Tracer`] — the one
+/// way to a timeline of an evaluation (a [`taco_sim::ChromeTracer`] for
+/// Perfetto, a [`taco_sim::RingTracer`] for the `trace` binary's strip).
 ///
 /// Evaluates the request first (through the global cache, so repeat traces
 /// of an already-swept point cost one extra simulation, not two) to learn
@@ -179,8 +157,7 @@ fn measure_at(
 /// Returns the structured [`SimError`] if the instance cannot execute its
 /// microcode — the same condition that makes the report infeasible.
 pub fn trace_request(request: &EvalRequest, tracer: &mut dyn Tracer) -> Result<SimStats, SimError> {
-    let plain = EvalRequest { trace: None, ..request.clone() };
-    let report = crate::cache::EvalCache::global().evaluate(&plain);
+    let report = crate::cache::EvalCache::global().evaluate(request);
     if let Some(e) = report.sim_error {
         return Err(e);
     }
@@ -209,7 +186,6 @@ fn error_report(request: &EvalRequest, rtu_latency: u32, error: SimError) -> Eva
         stats: SimStats::default(),
         scenario: None,
         sim_error: Some(error),
-        trace_error: None,
     }
 }
 
@@ -299,8 +275,8 @@ pub fn evaluate_request(request: &EvalRequest) -> EvalReport {
     let input = PreparedInput::shared(request.entries);
     let cam_spec = CamSpec::paper_default();
 
-    // One router per evaluation: the fixed point re-arms it, the program
-    // store is charged from it, a requested trace replays on it.
+    // One router per evaluation: the fixed point re-arms it and the program
+    // store is charged from it.
     let mut rtu_latency = 1u32;
     let mut router = match input.router(config, rtu_latency) {
         Ok(router) => router,
@@ -324,23 +300,6 @@ pub fn evaluate_request(request: &EvalRequest) -> EvalReport {
         router.rearm(rtu_latency);
     };
 
-    // Side effect on the report, never on the numbers: replay the converged
-    // measurement run under a ChromeTracer and write the timeline out.  IO
-    // problems surface as a structured `trace_error` — an unwritable path
-    // must not be silently dropped, and must not change the evaluation.
-    let trace_error = request.trace.as_ref().and_then(|path| {
-        let mut chrome = taco_sim::ChromeTracer::new(config.machine.buses());
-        router.rearm(rtu_latency);
-        match measure(&mut router, &input, faults, &mut chrome) {
-            Ok((_, _, traced)) => std::fs::write(path, chrome.finish(traced.cycles))
-                .err()
-                .map(|e| TraceError { path: path.display().to_string(), message: e.to_string() }),
-            Err(e) => Some(TraceError {
-                path: path.display().to_string(),
-                message: format!("traced replay failed: {e}"),
-            }),
-        }
-    });
     // The router is not needed past this point; the scenario replay below
     // allocates its own tables.
     drop(router);
@@ -384,7 +343,6 @@ pub fn evaluate_request(request: &EvalRequest) -> EvalReport {
         stats,
         scenario,
         sim_error: None,
-        trace_error,
     }
 }
 
@@ -553,19 +511,6 @@ mod tests {
         let cam = cycles_per_datagram(&ArchConfig::three_bus_one_fu(TableKind::Cam), 64);
         assert!(scenario_service_per_tick(seq) < scenario_service_per_tick(cam));
         assert!(scenario_service_per_tick(f64::INFINITY) >= 1, "budget is never zero");
-    }
-
-    #[test]
-    fn unwritable_trace_path_surfaces_as_a_structured_error() {
-        let path = std::env::temp_dir().join("taco-no-such-dir").join("trace.json");
-        let config = ArchConfig::three_bus_one_fu(TableKind::Cam);
-        let traced = EvalRequest::new(config.clone()).entries(8).trace(&path).run();
-        let err = traced.trace_error.clone().expect("unwritable path must be surfaced");
-        assert!(err.path.contains("taco-no-such-dir"), "{err}");
-        assert!(!err.message.is_empty());
-        // Only the side channel failed: the measurement matches a plain run.
-        let plain = EvalRequest::new(config).entries(8).run();
-        assert_eq!(EvalReport { trace_error: None, ..traced }, plain);
     }
 
     #[test]

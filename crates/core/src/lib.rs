@@ -60,7 +60,6 @@ pub use arch::{ArchConfig, RoutingTableKind};
 pub use cache::{EvalCache, SnapshotError, SnapshotStats};
 pub use evaluate::{
     cycles_per_datagram, evaluate_request, max_sustainable_rate_bps, trace_request, EvalReport,
-    TraceError,
 };
 pub use explorer::{
     explore, explore_serial, explore_with, grid, rank_reports, scaling_sweep, scaling_sweep_with,

@@ -72,7 +72,7 @@ pub(crate) struct PreparedInput {
     entries: usize,
     datagrams: Vec<Datagram>,
     routes: Vec<Route>,
-    images: [OnceLock<TableImage>; TableKind::ALL_KINDS.len()],
+    images: [OnceLock<Result<TableImage, SimError>>; TableKind::ALL_KINDS.len()],
 }
 
 impl PreparedInput {
@@ -120,7 +120,7 @@ impl PreparedInput {
     /// Builds the cycle router for `config` over this input's table, with
     /// `rtu_latency` for the CAM case.  A [`SimError`] means the generated
     /// microcode does not fit (or does not validate on) the configured
-    /// machine, or the table does not fit data memory — reported as
+    /// machine, or the table does not fit data memory or the CAM — reported as
     /// structured infeasibility rather than a panic.
     pub(crate) fn router(
         &self,
@@ -131,7 +131,7 @@ impl PreparedInput {
         let at = TableKind::ALL_KINDS.iter().position(|k| *k == kind).expect("every kind listed");
         let image = self.images[at]
             .get_or_init(|| TableImage::new(kind, &self.routes, &MicrocodeOptions::default()));
-        CycleRouter::from_image(&config.machine, image, rtu_latency)
+        CycleRouter::from_image(&config.machine, image.as_ref().map_err(Clone::clone)?, rtu_latency)
     }
 }
 

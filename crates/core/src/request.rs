@@ -26,7 +26,6 @@
 //! assert!(report.scenario.is_some());
 //! ```
 
-use std::path::PathBuf;
 use std::sync::Arc;
 
 use taco_isa::{CoherenceProtocol, InterconnectConfig, Topology, MAX_CORES};
@@ -58,12 +57,6 @@ pub struct EvalRequest {
     /// transient stalls (cycle-accurate measurement).  Part of the cache
     /// key — a faulted evaluation is a different result.
     pub faults: Option<FaultPlan>,
-    /// Optional path a Chrome-trace JSON of the measurement run is written
-    /// to (see [`taco_sim::ChromeTracer`]).  Deliberately **not** part of
-    /// the evaluation cache key: the trace is a side effect, not a result,
-    /// so a cache hit skips it — trace through an uncached
-    /// [`run`](EvalRequest::run) when the file matters.
-    pub trace: Option<PathBuf>,
     /// Optional explicit flow trace to replay.  When present (and the
     /// workload is a trace replay), the scenario replays these records
     /// verbatim instead of regenerating from the descriptor; the trace
@@ -85,7 +78,6 @@ impl EvalRequest {
             entries: Self::DEFAULT_ENTRIES,
             workload: None,
             faults: None,
-            trace: None,
             flow_trace: None,
         }
     }
@@ -118,16 +110,6 @@ impl EvalRequest {
     /// transient stalls.
     pub fn faults(mut self, plan: FaultPlan) -> Self {
         self.faults = Some(plan);
-        self
-    }
-
-    /// Requests a Chrome-trace capture of the measurement run (the final
-    /// fixed-point iteration), written to `path` as `about://tracing` /
-    /// Perfetto-loadable JSON.  IO failures surface as a structured
-    /// [`EvalReport::trace_error`], never a panic — a missing trace must
-    /// not change the evaluation's numbers.
-    pub fn trace(mut self, path: impl Into<PathBuf>) -> Self {
-        self.trace = Some(path.into());
         self
     }
 
@@ -188,26 +170,7 @@ mod tests {
         assert_eq!(r.entries, 100);
         assert!(r.workload.is_none());
         assert!(r.faults.is_none());
-        assert!(r.trace.is_none());
         assert!(r.flow_trace.is_none());
-    }
-
-    #[test]
-    fn trace_writes_a_chrome_timeline() {
-        let path = std::env::temp_dir().join("taco-request-trace-test.json");
-        let _ = std::fs::remove_file(&path);
-        let traced = EvalRequest::new(ArchConfig::three_bus_one_fu(TableKind::Cam))
-            .entries(8)
-            .trace(&path)
-            .run();
-        let plain = EvalRequest::new(ArchConfig::three_bus_one_fu(TableKind::Cam)).entries(8).run();
-        // The trace must be a pure side effect: the report is unchanged.
-        assert_eq!(traced, plain);
-        let json = std::fs::read_to_string(&path).expect("trace file written");
-        assert!(json.starts_with("{\"traceEvents\":["), "{json}");
-        assert!(json.contains("\"thread_name\""), "{json}");
-        assert!(json.contains("\"ph\":\"X\""), "{json}");
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

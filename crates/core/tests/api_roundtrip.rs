@@ -8,8 +8,8 @@
 //! builtin cross product — every routing-table organisation × machine
 //! shape × workload × fault plan × line rate — rather than sampling it;
 //! the grid is a few thousand encode/parse pairs and no simulation, so it
-//! stays cheap.  (The `crates/proptests` package runs the same property
-//! over *randomised* specs, registry-gated.)
+//! stays cheap.  (The root package's `tests/fuzz_wire.rs` runs the same
+//! property over *randomised* specs, and mutates them.)
 
 use taco_core::api::{ApiRequest, ConfigSpec, EvalSpec, MachineSpec, WireRequest};
 use taco_core::{Constraints, FaultPlan, LineRate, RoutingTableKind, SweepSpec, Workload};

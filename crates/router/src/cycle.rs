@@ -65,9 +65,19 @@ impl TableImage {
     /// dispatch point over the per-organisation constructors (each
     /// serialises a different concrete engine, so the dispatch cannot go
     /// through `Box<dyn LpmTable>`).
-    pub fn new(kind: TableKind, routes: &[Route], opts: &MicrocodeOptions) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::MemoryOutOfBounds`] when the routes outnumber the CAM's
+    /// rows — the error [`CycleRouter::from_image`] gives an in-memory
+    /// image that overruns data memory, not a panic.
+    pub fn new(
+        kind: TableKind,
+        routes: &[Route],
+        opts: &MicrocodeOptions,
+    ) -> Result<Self, SimError> {
         let routes = routes.iter().copied();
-        match kind {
+        Ok(match kind {
             TableKind::Sequential => {
                 Self::sequential(&taco_routing::SequentialTable::from_routes(routes), opts)
             }
@@ -76,8 +86,17 @@ impl TableImage {
             TableKind::Patricia => {
                 Self::patricia(&taco_routing::PatriciaTable::from_routes(routes), opts)
             }
-            TableKind::Cam => Self::cam(Arc::new(CamTable::from_routes(routes)), opts),
-        }
+            TableKind::Cam => {
+                let mut table = CamTable::new();
+                for route in routes {
+                    if table.try_insert(route).is_err() {
+                        let rows = u32::try_from(table.len()).unwrap_or(u32::MAX);
+                        return Err(SimError::MemoryOutOfBounds { addr: rows, size: rows });
+                    }
+                }
+                Self::cam(Arc::new(table), opts)
+            }
+        })
     }
 
     /// The **sequential** image: scan-ordered entries padded to a multiple
@@ -324,7 +343,7 @@ impl CycleRouter {
         rtu_latency: u32,
         opts: &MicrocodeOptions,
     ) -> Result<Self, SimError> {
-        Self::from_image(config, &TableImage::new(kind, routes, opts), rtu_latency)
+        Self::from_image(config, &TableImage::new(kind, routes, opts)?, rtu_latency)
     }
 
     /// Re-arms the router for another run with a new RTU search latency:

@@ -8,8 +8,11 @@
 //! nesting and aliasing of a real feed), so a correctness bug in any engine
 //! surfaces as a disagreement instead of silently skewing Table 1.
 
-use taco_ipv6::Ipv6Address;
+use std::collections::BTreeMap;
+
+use taco_ipv6::{Ipv6Address, Ipv6Prefix};
 use taco_router::traffic::TrafficGen;
+use taco_router::SplitMix64;
 use taco_routing::{LpmTable, PortId, Route, TableKind};
 
 /// The observable answer of one lookup, compared byte-for-byte.
@@ -123,6 +126,92 @@ fn five_engines_agree_under_seeded_random_tables_of_many_sizes() {
             })
             .collect();
         assert_all_kinds_agree(&routes, &probes);
+    }
+}
+
+/// Any address at all.
+fn address(rng: &mut SplitMix64) -> Ipv6Address {
+    let mut octets = [0u8; 16];
+    rng.fill_bytes(&mut octets);
+    Ipv6Address::new(octets)
+}
+
+/// `noise` with its first `prefix.len()` bits replaced by the prefix's.
+fn inside(prefix: &Ipv6Prefix, mut noise: Ipv6Address) -> Ipv6Address {
+    for bit in 0..prefix.len() {
+        noise = noise.with_bit(bit, prefix.addr().bit(bit));
+    }
+    noise
+}
+
+/// Cases and seed of the history differential below; case `n` runs over
+/// `SplitMix64::new(HISTORY_SEED ^ n)`.
+const HISTORY_CASES: u64 = 64;
+const HISTORY_SEED: u64 = 0xB6F_0005;
+
+#[test]
+fn five_engines_follow_a_model_through_arbitrary_insert_and_remove_histories() {
+    // The tables above come from `TrafficGen`: global-unicast prefixes of
+    // plausible lengths, built once.  Here every bit of a prefix is
+    // arbitrary (lengths 0 and 128, top bits anywhere), routes are
+    // replaced and removed as often as added, and after every step each
+    // engine must equal a `BTreeMap` scanned for the longest match: what
+    // `insert` and `remove` return, `len`, `get`, and the route a lookup
+    // finds from inside a stored prefix and from a random address.
+    for case in 0..HISTORY_CASES {
+        let mut rng = SplitMix64::new(HISTORY_SEED ^ case);
+        let what = |step: u64| format!("seed {HISTORY_SEED:#x}, case {case}, step {step}");
+        // A small pool, half of it nested inside the other half, so
+        // replacement, removal and more-specific matches all recur.
+        let mut pool: Vec<Ipv6Prefix> = Vec::new();
+        for _ in 0..12 {
+            let outer =
+                Ipv6Prefix::new(address(&mut rng), rng.range_inclusive(0, 128) as u8).unwrap();
+            let longer = rng.range_inclusive(u64::from(outer.len()), 128) as u8;
+            let nested = Ipv6Prefix::new(inside(&outer, address(&mut rng)), longer).unwrap();
+            pool.extend([outer, nested]);
+        }
+
+        let mut model: BTreeMap<Ipv6Prefix, Route> = BTreeMap::new();
+        let mut tables: Vec<(TableKind, Box<dyn LpmTable>)> =
+            TableKind::ALL_KINDS.iter().map(|k| (*k, k.build(&[]))).collect();
+        for step in 0..rng.range_inclusive(1, 60) {
+            let prefix = pool[rng.below(pool.len() as u64) as usize];
+            if rng.below(3) == 0 {
+                let expected = model.remove(&prefix);
+                for (kind, table) in &mut tables {
+                    assert_eq!(table.remove(&prefix), expected, "{kind} remove, {}", what(step));
+                }
+            } else {
+                let route = Route::new(
+                    prefix,
+                    address(&mut rng),
+                    PortId(rng.below(8) as u16),
+                    rng.range_inclusive(1, 15) as u8,
+                );
+                let expected = model.insert(prefix, route);
+                for (kind, table) in &mut tables {
+                    assert_eq!(table.insert(route), expected, "{kind} insert, {}", what(step));
+                }
+            }
+            let probes = [inside(&prefix, address(&mut rng)), address(&mut rng)];
+            for (kind, table) in &tables {
+                assert_eq!(table.len(), model.len(), "{kind} len, {}", what(step));
+                assert_eq!(table.get(&prefix), model.get(&prefix).copied(), "{kind} get");
+                for probe in probes {
+                    let expected = model
+                        .values()
+                        .filter(|r| r.prefix().contains(&probe))
+                        .max_by_key(|r| r.prefix().len());
+                    assert_eq!(
+                        table.lookup(&probe).into_route(),
+                        expected.copied(),
+                        "{kind} lookup of {probe}, {}",
+                        what(step)
+                    );
+                }
+            }
+        }
     }
 }
 

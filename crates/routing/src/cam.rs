@@ -139,6 +139,20 @@ impl CamTable {
         &self.rows
     }
 
+    /// [`LpmTable::insert`] that reports a full chip instead of panicking:
+    /// `Err` hands back the route that needs a row the CAM does not have
+    /// (replacing the route of a stored prefix always fits).
+    pub fn try_insert(&mut self, route: Route) -> Result<Option<Route>, Route> {
+        match self.position(&route.prefix()) {
+            Ok(i) => Ok(Some(std::mem::replace(&mut self.rows[i], route))),
+            Err(_) if self.rows.len() >= self.spec.capacity => Err(route),
+            Err(i) => {
+                self.rows.insert(i, route);
+                Ok(None)
+            }
+        }
+    }
+
     fn position(&self, prefix: &Ipv6Prefix) -> Result<usize, usize> {
         self.rows.binary_search_by(|r| {
             prefix.len().cmp(&r.prefix().len()).then_with(|| r.prefix().cmp(prefix))
@@ -159,18 +173,8 @@ impl LpmTable for CamTable {
     /// for the whole table (100 entries against 8 K rows), so overflow is a
     /// configuration bug, not a runtime condition.
     fn insert(&mut self, route: Route) -> Option<Route> {
-        match self.position(&route.prefix()) {
-            Ok(i) => Some(std::mem::replace(&mut self.rows[i], route)),
-            Err(i) => {
-                assert!(
-                    self.rows.len() < self.spec.capacity,
-                    "cam capacity {} exceeded",
-                    self.spec.capacity
-                );
-                self.rows.insert(i, route);
-                None
-            }
-        }
+        self.try_insert(route)
+            .unwrap_or_else(|_| panic!("cam capacity {} exceeded", self.spec.capacity))
     }
 
     fn remove(&mut self, prefix: &Ipv6Prefix) -> Option<Route> {
@@ -267,6 +271,16 @@ mod tests {
         t.insert(r("2001:db8:1::/48", 1));
         t.insert(r("2001:db8:2::/48", 2));
         t.insert(r("2001:db8:3::/48", 3));
+    }
+
+    #[test]
+    fn try_insert_refuses_a_new_row_on_a_full_chip_but_still_replaces() {
+        let mut t = CamTable::with_spec(CamSpec { capacity: 2, ..CamSpec::paper_default() });
+        assert_eq!(t.try_insert(r("2001:db8:1::/48", 1)), Ok(None));
+        assert_eq!(t.try_insert(r("2001:db8:2::/48", 2)), Ok(None));
+        assert_eq!(t.try_insert(r("2001:db8:3::/48", 3)), Err(r("2001:db8:3::/48", 3)));
+        assert_eq!(t.try_insert(r("2001:db8:2::/48", 4)), Ok(Some(r("2001:db8:2::/48", 2))));
+        assert_eq!(t.len(), 2);
     }
 
     #[test]

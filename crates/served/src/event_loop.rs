@@ -7,6 +7,7 @@ use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Condvar, Mutex};
 use std::thread;
@@ -184,7 +185,18 @@ fn run_jobs(runners: &Runners, shared: &Shared, tx: &Sender<LoopMsg>, waker: &Un
                 q = runners.work.wait(q).unwrap();
             }
         };
-        execute(shared, &job, tx, waker);
+        // A panicking evaluation costs its own request an `internal` error,
+        // never the runner or the job slot: `Done` is sent on every path.
+        let run = AssertUnwindSafe(|| execute(shared, &job, tx, waker));
+        if let Err(panic) = catch_unwind(run) {
+            let what = panic
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| panic.downcast_ref::<&str>().copied())
+                .unwrap_or("non-string panic payload");
+            let error = ApiError::internal(format!("evaluation panicked: {what}"));
+            emit(tx, waker, job.token, job.envelope.line(&ApiResponse::Error(error)));
+        }
         let _ = tx.send(LoopMsg::Done { token: job.token });
         poke(waker);
     }
@@ -833,6 +845,45 @@ fn drain_waker(waker: &UnixStream) {
             Ok(_) => continue,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(_) => break,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use taco_core::{Constraints, LineRate, SweepSpec};
+
+    #[test]
+    fn a_panicking_job_is_answered_internal_and_still_frees_its_slot() {
+        let server = crate::Server::bind(crate::ServerConfig::default()).expect("bind loopback");
+        let (_loop_end, runner_end) = UnixStream::pair().expect("waker pair");
+        let (tx, rx) = mpsc::channel();
+        let runners = Runners::default();
+        // Zero cores cannot come off the wire (the sweep parser refuses
+        // them) and `grid()` panics on them: a stand-in for whatever the
+        // evaluator's next reachable panic turns out to be.
+        let request = ApiRequest::Sweep {
+            spec: SweepSpec { cores: vec![0], ..SweepSpec::default() },
+            rate: LineRate::TEN_GBE,
+            constraints: Constraints::default(),
+        };
+        {
+            let mut queue = runners.queue.lock().unwrap();
+            queue.jobs.push_back(Job { token: 9, envelope: Envelope::V2(Some(4)), request });
+            queue.stop = true;
+        }
+        run_jobs(&runners, &server.shared, &tx, &runner_end);
+        match &rx.try_iter().collect::<Vec<_>>()[..] {
+            [LoopMsg::Line { token: 9, line }, LoopMsg::Done { token: 9 }] => {
+                assert!(
+                    line.starts_with("{\"api_version\":\"v2\",\"id\":4,\"kind\":\"error\""),
+                    "{line}"
+                );
+                assert!(line.contains("\"code\":\"internal\""), "{line}");
+                assert!(line.contains("cores must be"), "{line}");
+            }
+            _ => panic!("expected one error line, then Done"),
         }
     }
 }

@@ -128,14 +128,11 @@ fn twelve_cell_batch_matches_golden_cold_and_from_persisted_snapshot() {
 
 #[test]
 fn trace_replay_over_the_wire_matches_in_process_replay_byte_for_byte() {
-    use taco_core::{explore, EvalRequest, FlowTrace, TraceGen, TraceRef};
+    use taco_core::{explore, EvalRequest, TraceGen, TraceRef};
 
-    let dir = temp_dir("trace");
-    let path = dir.join("reference.trace");
-    TraceGen::generate(404, 80, 12, 8).write(&path).expect("write trace");
-    let trace = FlowTrace::read(&path).expect("read trace back");
+    let trace = TraceGen::generate(404, 80, 12, 8);
 
-    // The in-process reference replay of the same on-disk trace.
+    // The in-process reference replay of the same trace.
     let local = EvalRequest::new(ArchConfig::three_bus_one_fu(RoutingTableKind::Cam))
         .entries(8)
         .flow_trace(std::sync::Arc::new(trace.clone()))
@@ -158,10 +155,6 @@ fn trace_replay_over_the_wire_matches_in_process_replay_byte_for_byte() {
         }
     };
     assert_eq!(wire_json(&spec), local_json, "inline trace replay drifted from in-process");
-
-    // A server-side path reference resolves to the same bytes.
-    spec.trace = Some(TraceRef::Path(path.display().to_string()));
-    assert_eq!(wire_json(&spec), local_json, "path trace replay drifted from in-process");
 
     // A sweep carrying only a trace (no workload) replays it on every
     // point, exactly as the local explorer does.
@@ -191,11 +184,10 @@ fn trace_replay_over_the_wire_matches_in_process_replay_byte_for_byte() {
 
     shut_down(addr);
     handle.join().expect("server thread").expect("clean exit");
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
-fn corrupt_and_missing_wire_traces_are_structured_bad_requests() {
+fn corrupt_wire_traces_are_structured_bad_requests() {
     use taco_core::TraceRef;
 
     let (addr, handle) = start(ServerConfig::default());
@@ -219,10 +211,6 @@ fn corrupt_and_missing_wire_traces_are_structured_bad_requests() {
 
     // Valid hex that is not a trace body.
     spec.trace = Some(TraceRef::Inline("00ff".into()));
-    expect_bad_request(&spec, "trace");
-
-    // A server-side path that does not exist.
-    spec.trace = Some(TraceRef::Path("/nonexistent/taco.trace".into()));
     expect_bad_request(&spec, "trace");
 
     shut_down(addr);

@@ -313,10 +313,9 @@ mod tests {
         assert!(big.feasible().unwrap().area_mm2 > small.feasible().unwrap().area_mm2);
     }
 
-    // The proptest-based property suite for this model lives in the
-    // workspace-excluded `crates/proptests` package
-    // (`tests/estimate_properties.rs`): proptest is a registry dependency
-    // and the workspace must build offline.
+    // The monotonicity and threshold properties of this model over random
+    // machines and clocks are the root package's
+    // `tests/estimate_properties.rs`.
 
     #[test]
     fn newer_technology_unlocks_higher_clocks() {

@@ -317,19 +317,21 @@ impl Program {
 
 impl fmt::Display for Program {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let by_index: BTreeMap<usize, &str> =
-            self.labels.iter().map(|(n, i)| (*i, n.as_str())).collect();
+        // Every label, not one per index: two names for one instruction
+        // both stay resolvable in the printed text.
+        let mut by_index: BTreeMap<usize, Vec<&str>> = BTreeMap::new();
+        for (name, i) in &self.labels {
+            by_index.entry(*i).or_default().push(name);
+        }
+        let labels_at = |f: &mut fmt::Formatter<'_>, i: usize| {
+            by_index.get(&i).into_iter().flatten().try_for_each(|name| writeln!(f, "{name}:"))
+        };
         for (i, ins) in self.instructions.iter().enumerate() {
-            if let Some(name) = by_index.get(&i) {
-                writeln!(f, "{name}:")?;
-            }
+            labels_at(f, i)?;
             writeln!(f, "  {ins}")?;
         }
         // Labels past the last instruction (the clean-halt target).
-        if let Some(name) = by_index.get(&self.instructions.len()) {
-            writeln!(f, "{name}:")?;
-        }
-        Ok(())
+        labels_at(f, self.instructions.len())
     }
 }
 

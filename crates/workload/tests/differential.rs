@@ -10,10 +10,12 @@
 //! simulator.  Traffic is seeded from each workload's own seed, so the
 //! whole suite is reproducible bit for bit.
 
-use taco_ipv6::{Datagram, NextHeader};
+use taco_ipv6::exthdr::{FragmentHeader, OptionsHeader, RoutingHeader};
+use taco_ipv6::{Datagram, ExtensionHeader, NextHeader};
 use taco_isa::MachineConfig;
 use taco_router::{
-    CycleRouter, DropReason, ForwardDecision, MicrocodeOptions, ReferenceRouter, TrafficGen,
+    CycleRouter, DropReason, ForwardDecision, MicrocodeOptions, ReferenceRouter, SplitMix64,
+    TrafficGen,
 };
 use taco_routing::{PortId, Route, SequentialTable, TableKind};
 use taco_workload::Workload;
@@ -119,18 +121,18 @@ fn cycle_outcomes(
     traffic.iter().map(|d| out.get(&d.to_bytes()).copied()).collect()
 }
 
-/// Asserts agreement for one workload × organisation, returning the
-/// verdict transcript (used by the determinism test).
+/// Asserts agreement for one workload × organisation × machine, returning
+/// the verdict transcript (used by the determinism test).
 fn check_agreement(
     label: &str,
     kind: TableKind,
+    config: &MachineConfig,
     routes: &[Route],
     traffic: &[Datagram],
 ) -> Vec<Verdict> {
-    let config = MachineConfig::three_bus_one_fu();
     let routes = routes_for_kind(kind, routes);
     let reference = reference_verdicts(routes, traffic);
-    let cycle = cycle_outcomes(kind, &config, routes, traffic);
+    let cycle = cycle_outcomes(kind, config, routes, traffic);
     for (i, (r, c)) in reference.iter().zip(&cycle).enumerate() {
         let agree = match (r, c) {
             (Verdict::Forwarded { port, hop_limit }, Some((p, h))) => port == p && hop_limit == h,
@@ -139,7 +141,8 @@ fn check_agreement(
         };
         assert!(
             agree,
-            "{label} on {kind}: datagram {i} (dst {:?}): reference says {r}, cycle says {c:?}",
+            "{label} on {kind} {config}: datagram {i} (dst {:?}): reference says {r}, \
+             cycle says {c:?}",
             traffic[i].header().dst,
         );
     }
@@ -182,13 +185,67 @@ fn traffic_for(w: &Workload) -> (Vec<Route>, Vec<Datagram>) {
             .build(),
     );
 
-    // Unique-ify by flow label so output matching by bytes is exact.
+    uniquify(&mut traffic);
+    (routes, traffic)
+}
+
+/// Stamps each datagram's index into its flow label, so matching outputs
+/// to inputs by byte image is exact.
+fn uniquify(traffic: &mut [Datagram]) {
     for (i, d) in traffic.iter_mut().enumerate() {
         let mut bytes = d.to_bytes();
         bytes[2] = i as u8;
         *d = Datagram::parse(&bytes).expect("reparse");
     }
-    (routes, traffic)
+}
+
+/// One cell of the seeded matrix: a `table_size`-entry table (with a
+/// default route on even seeds) and twelve datagrams, 70 % of them routed,
+/// all drawn from `seed`.
+fn random_table_agrees(seed: u64, table_size: usize, kind: TableKind, config: &MachineConfig) {
+    let mut gen = TrafficGen::new(seed, 4);
+    let routes = gen.table(table_size, seed % 2 == 0);
+    let mut traffic: Vec<Datagram> =
+        gen.forwarding_workload(&routes, 12, 0.7, 24).into_iter().map(|(_, d)| d).collect();
+    uniquify(&mut traffic);
+    check_agreement(&format!("seed {seed}, {table_size} entries"), kind, config, &routes, &traffic);
+}
+
+/// Cases and seed of the matrix below; case `n` draws its cell from
+/// `SplitMix64::new(MATRIX_SEED ^ n)`.
+const MATRIX_CASES: u64 = 48;
+const MATRIX_SEED: u64 = 0xD1FF_0001;
+
+#[test]
+fn random_small_tables_agree_on_every_kind_and_paper_machine() {
+    // The builtin workloads above fix the machine and the table size; this
+    // walks what they leave out: 1- to 23-entry tables, with and without a
+    // default route, on all three Table 1 machines.
+    let machines = [
+        MachineConfig::one_bus_one_fu(),
+        MachineConfig::three_bus_one_fu(),
+        MachineConfig::three_bus_three_fu(),
+    ];
+    for case in 0..MATRIX_CASES {
+        let mut rng = SplitMix64::new(MATRIX_SEED ^ case);
+        let seed = rng.next_u64();
+        let table_size = rng.range_inclusive(1, 23) as usize;
+        let kind = ALL_KINDS[rng.below(ALL_KINDS.len() as u64) as usize];
+        let config = &machines[rng.below(3) as usize];
+        random_table_agrees(seed, table_size, kind, config);
+    }
+}
+
+/// `equivalence.proptest-regressions`, the one saved case: a one-entry
+/// sequential table (padded up to the scan's unroll factor) on 3BUS/1FU.
+#[test]
+fn regression_one_entry_sequential_table_on_three_buses() {
+    random_table_agrees(
+        17_263_102_533_039_964_278,
+        1,
+        TableKind::Sequential,
+        &MachineConfig::three_bus_one_fu(),
+    );
 }
 
 #[test]
@@ -196,7 +253,13 @@ fn builtin_workloads_agree_with_the_reference_on_every_kind() {
     for w in Workload::builtin() {
         let (routes, traffic) = traffic_for(&w);
         for kind in ALL_KINDS {
-            let verdicts = check_agreement(w.name(), kind, &routes, &traffic);
+            let verdicts = check_agreement(
+                w.name(),
+                kind,
+                &MachineConfig::three_bus_one_fu(),
+                &routes,
+                &traffic,
+            );
             // The sample must exercise both paths, or the test is vacuous.
             let forwarded =
                 verdicts.iter().filter(|v| matches!(v, Verdict::Forwarded { .. })).count();
@@ -226,6 +289,21 @@ fn edge_datagrams_classify_as_the_rfc_says() {
         dgram("2001:db8:aa::7", 64, 3), // longest match wins: port 2
         dgram("9999::1", 64, 4),        // no route: ICMP destination unreachable
         dgram("ff02::1", 64, 5),        // unserved multicast: silent drop
+        dgram("2001:db8:5::1", 255, 6), // the largest hop limit decrements like any other
+        // The paper keeps whole datagrams in memory because of extension
+        // headers: the fast path reads the destination at its fixed offset
+        // and forwards the chain untouched (outputs are matched by bytes).
+        Datagram::builder(src, "2001:db8:aa::42".parse().unwrap())
+            .hop_limit(9)
+            .extension(ExtensionHeader::HopByHop(OptionsHeader::new()))
+            .extension(ExtensionHeader::Routing(RoutingHeader {
+                routing_type: 0,
+                segments_left: 1,
+                addresses: vec![[7u8; 16]],
+            }))
+            .extension(ExtensionHeader::Fragment(FragmentHeader { offset: 4, more: true, id: 99 }))
+            .payload(NextHeader::Udp, vec![0xab; 32])
+            .build(),
     ];
     let expected = vec![
         Verdict::Dropped { icmp_error: true },
@@ -234,9 +312,12 @@ fn edge_datagrams_classify_as_the_rfc_says() {
         Verdict::Forwarded { port: 2, hop_limit: 63 },
         Verdict::Dropped { icmp_error: true },
         Verdict::Dropped { icmp_error: false },
+        Verdict::Forwarded { port: 1, hop_limit: 254 },
+        Verdict::Forwarded { port: 2, hop_limit: 8 },
     ];
     for kind in ALL_KINDS {
-        let verdicts = check_agreement("edges", kind, &routes, &traffic);
+        let verdicts =
+            check_agreement("edges", kind, &MachineConfig::three_bus_one_fu(), &routes, &traffic);
         assert_eq!(verdicts, expected, "{kind}");
     }
 }
@@ -330,7 +411,13 @@ fn verdict_transcripts_are_seeded_and_deterministic() {
         let (routes, traffic) = traffic_for(&w);
         let mut out = String::new();
         for kind in ALL_KINDS {
-            for v in check_agreement(w.name(), kind, &routes, &traffic) {
+            for v in check_agreement(
+                w.name(),
+                kind,
+                &MachineConfig::three_bus_one_fu(),
+                &routes,
+                &traffic,
+            ) {
                 out.push_str(&format!("{kind}:{v}\n"));
             }
         }

@@ -1,0 +1,168 @@
+//! What the seeded randomised suites in this directory share: the case
+//! loop and the generators more than one suite draws from.
+//!
+//! A suite is `cases(SEED, CASES, |rng| …)` — `CASES` runs of the body,
+//! case `n` over `SplitMix64::new(SEED ^ n)` — with both numbers constants
+//! in its file.  There is no shrinking, no feature, no flag and no
+//! environment variable: `cargo test` runs every case every time, offline,
+//! and a failure prints the seed and case that reproduce it.
+
+#![allow(dead_code)] // every suite uses its own subset
+
+use taco::ipv6::exthdr::{FragmentHeader, OptionsHeader, RoutingHeader};
+use taco::ipv6::ripng::{Command, RipngPacket, RouteEntry};
+use taco::ipv6::{Datagram, ExtensionHeader, Ipv6Address, Ipv6Prefix, NextHeader};
+pub use taco::router::SplitMix64;
+
+/// Names the failing case on the way out of a panicking body.
+struct Case {
+    seed: u64,
+    case: u64,
+}
+
+impl Drop for Case {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            eprintln!(
+                "randomised case failed: seed {:#x}, case {} — re-run it alone with \
+                 SplitMix64::new({:#x} ^ {})",
+                self.seed, self.case, self.seed, self.case
+            );
+        }
+    }
+}
+
+/// Runs `body` once per case, case `n` over `SplitMix64::new(seed ^ n)`.
+pub fn cases(seed: u64, cases: u64, mut body: impl FnMut(&mut SplitMix64)) {
+    for case in 0..cases {
+        let _named_on_panic = Case { seed, case };
+        body(&mut SplitMix64::new(seed ^ case));
+    }
+}
+
+/// A uniform index into a non-empty collection of `len` items.
+pub fn index(rng: &mut SplitMix64, len: usize) -> usize {
+    rng.below(len as u64) as usize
+}
+
+/// A uniform element of `items`.
+pub fn pick<T: Copy>(rng: &mut SplitMix64, items: &[T]) -> T {
+    items[index(rng, items.len())]
+}
+
+/// `0..=max_len` uniformly random bytes.
+pub fn bytes(rng: &mut SplitMix64, max_len: usize) -> Vec<u8> {
+    let mut buf = vec![0u8; index(rng, max_len + 1)];
+    rng.fill_bytes(&mut buf);
+    buf
+}
+
+/// Sixteen uniformly random octets.
+fn octets(rng: &mut SplitMix64) -> [u8; 16] {
+    let mut buf = [0u8; 16];
+    rng.fill_bytes(&mut buf);
+    buf
+}
+
+/// Any address at all.
+pub fn addr(rng: &mut SplitMix64) -> Ipv6Address {
+    Ipv6Address::new(octets(rng))
+}
+
+/// Any prefix at all: any network bits, any length `0..=128`.
+pub fn prefix(rng: &mut SplitMix64) -> Ipv6Prefix {
+    let len = rng.range_inclusive(0, 128) as u8;
+    Ipv6Prefix::new(addr(rng), len).expect("length in range")
+}
+
+/// `0..=max_len` characters drawn from `alphabet`.
+pub fn text(rng: &mut SplitMix64, alphabet: &[char], max_len: usize) -> String {
+    (0..index(rng, max_len + 1)).map(|_| pick(rng, alphabet)).collect()
+}
+
+/// `0..=max_len` arbitrary `char`s: mostly ASCII and Latin-1, the rest from
+/// anywhere in Unicode, so multi-byte boundaries land everywhere.
+pub fn unicode(rng: &mut SplitMix64, max_len: usize) -> String {
+    (0..index(rng, max_len + 1))
+        .map(|_| {
+            let limit = pick(rng, &[0x80, 0x80, 0x100, 0x11_0000]);
+            // Surrogates are not `char`s; any other draw below the limit is.
+            char::from_u32(rng.below(limit) as u32).unwrap_or('\u{fffd}')
+        })
+        .collect()
+}
+
+/// One random in-place corruption of `buf`: a bit flip, a byte overwrite, a
+/// truncation (anywhere, or — where off-by-one length checks live — of the
+/// last one to four bytes), an insertion or a duplicated tail.  Empty input
+/// stays empty except under insertion.
+pub fn corrupt(rng: &mut SplitMix64, buf: &mut Vec<u8>) {
+    let at = index(rng, buf.len() + 1);
+    match rng.below(6) {
+        0 if at < buf.len() => buf[at] ^= 1 << rng.below(8),
+        1 if at < buf.len() => buf[at] = pick(rng, &[0x00, 0x01, 0x7f, 0x80, 0xfe, 0xff]),
+        2 => buf.truncate(at),
+        3 => buf.truncate(buf.len().saturating_sub(rng.range_inclusive(1, 4) as usize)),
+        4 => buf.insert(at, rng.next_u64() as u8),
+        _ => buf.extend_from_within(at..),
+    }
+}
+
+/// `buf` after one to three corruptions.
+pub fn corrupted(rng: &mut SplitMix64, mut buf: Vec<u8>) -> Vec<u8> {
+    for _ in 0..=rng.below(3) {
+        corrupt(rng, &mut buf);
+    }
+    buf
+}
+
+/// A RIPng packet of up to 24 entries over arbitrary prefixes.
+pub fn ripng_packet(rng: &mut SplitMix64) -> RipngPacket {
+    let command = if rng.chance(0.5) { Command::Request } else { Command::Response };
+    let entries = (0..rng.below(25))
+        .map(|_| {
+            let (tag, metric) = (rng.next_u64() as u16, rng.range_inclusive(1, 16) as u8);
+            RouteEntry::new(prefix(rng), tag, metric)
+        })
+        .collect();
+    RipngPacket { command, entries }
+}
+
+/// One extension header in canonical form (what `encode_chain` emits and
+/// `parse_chain` returns unchanged): options bodies are a single
+/// experimental TLV, type 0x3e.
+fn extension(rng: &mut SplitMix64) -> ExtensionHeader {
+    let options = |rng: &mut SplitMix64| {
+        let body = bytes(rng, 15);
+        let mut tlv = vec![0x3e, body.len() as u8];
+        tlv.extend(body);
+        OptionsHeader { options: tlv }
+    };
+    match rng.below(4) {
+        0 => ExtensionHeader::HopByHop(options(rng)),
+        1 => ExtensionHeader::DestinationOptions(options(rng)),
+        2 => ExtensionHeader::Routing(RoutingHeader {
+            routing_type: 0,
+            segments_left: rng.next_u64() as u8,
+            addresses: (0..rng.below(3)).map(|_| octets(rng)).collect(),
+        }),
+        _ => ExtensionHeader::Fragment(FragmentHeader {
+            offset: rng.below(8192) as u16,
+            more: rng.chance(0.5),
+            id: rng.next_u32(),
+        }),
+    }
+}
+
+/// A well-formed datagram: any addresses, class, flow label and hop limit,
+/// up to two extension headers in any order, up to 127 payload bytes.
+pub fn datagram(rng: &mut SplitMix64) -> Datagram {
+    let mut builder = Datagram::builder(addr(rng), addr(rng))
+        .traffic_class(rng.next_u64() as u8)
+        .flow_label(rng.below(1 << 20) as u32)
+        .hop_limit(rng.next_u64() as u8);
+    for _ in 0..rng.below(3) {
+        builder = builder.extension(extension(rng));
+    }
+    builder.payload(NextHeader::Udp, bytes(rng, 127)).build()
+}

@@ -1,0 +1,133 @@
+//! Tier-1 fails when serving is broken.
+//!
+//! One daemon on an ephemeral loopback port, driven the way a client
+//! drives it: `status`, the twelve Table 1 cells (each answered with the
+//! bytes of `crates/core/tests/golden/table1.json`), then the well-formed
+//! one-line requests that used to take the daemon down — each five times
+//! over, each answered by a structured error — and the daemon must still
+//! report every job slot free and acknowledge `shutdown`.  Every socket
+//! read runs under a timeout, so a request the daemon never answers fails
+//! the test instead of hanging it.
+
+use std::io::BufRead;
+use std::net::SocketAddr;
+use std::time::Duration;
+
+use taco::eval::api::{ApiRequest, ApiResponse, ConfigSpec, EvalSpec, StatusInfo};
+use taco::eval::{ArchConfig, Constraints, LineRate, RoutingTableKind, SweepSpec};
+use taco::served::{open_request, Server, ServerConfig};
+
+/// Longest wait for any one response line.  The slowest legitimate answer
+/// here (a 8193-entry table prepared in a debug build) takes well under a
+/// second; a wedged runner never answers.
+const READ_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// How often each poison line is sent: one more than the daemon's four job
+/// slots, so leaking a slot per line would end in `busy`.
+const REPEATS: usize = 5;
+
+/// Sends one v1 request and collects its response lines until the daemon
+/// closes the connection.
+fn exchange(addr: SocketAddr, request: &str) -> Vec<String> {
+    let reader = open_request(addr, request).expect("connect and send");
+    reader.get_ref().set_read_timeout(Some(READ_TIMEOUT)).expect("set read timeout");
+    reader
+        .lines()
+        .collect::<Result<Vec<_>, _>>()
+        .unwrap_or_else(|e| panic!("no answer within {READ_TIMEOUT:?} ({e}) to {request}"))
+}
+
+fn status(addr: SocketAddr) -> StatusInfo {
+    let lines = exchange(addr, &ApiRequest::Status.to_json());
+    match ApiResponse::from_json(&lines[0]).expect("parse status") {
+        ApiResponse::Status(info) => info,
+        other => panic!("expected status_result, got {other:?}"),
+    }
+}
+
+fn cam_eval(entries: usize) -> String {
+    let mut spec = EvalSpec::new(ConfigSpec::new(RoutingTableKind::Cam, 3, 1));
+    spec.entries = entries;
+    ApiRequest::Eval(spec).to_json()
+}
+
+fn cam_sweep(entries: usize) -> String {
+    let spec = SweepSpec {
+        buses: vec![3],
+        replication: vec![1],
+        kinds: vec![RoutingTableKind::Cam],
+        entries,
+        ..SweepSpec::default()
+    };
+    ApiRequest::Sweep { spec, rate: LineRate::TEN_GBE, constraints: Constraints::default() }
+        .to_json()
+}
+
+#[test]
+fn status_table1_poison_lines_status_shutdown() {
+    let server = Server::bind(ServerConfig::default()).expect("bind loopback");
+    let addr = server.local_addr();
+    let daemon = std::thread::spawn(move || server.run());
+
+    let idle = status(addr);
+    assert_eq!((idle.in_flight, idle.queued, idle.max_pending, idle.draining), (0, 0, 4, false));
+    assert_eq!(idle.cache_entries, 0);
+
+    // The twelve Table 1 cells, in the fixture's line order.
+    let golden = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/crates/core/tests/golden/table1.json"
+    ))
+    .expect("golden Table 1 fixture");
+    let cells = ArchConfig::table1_cells();
+    assert_eq!(golden.lines().count(), cells.len());
+    for (config, cell) in cells.iter().zip(golden.lines()) {
+        let spec = ConfigSpec::from_config(config).expect("every Table 1 cell is wire-expressible");
+        let lines = exchange(addr, &ApiRequest::Eval(EvalSpec::new(spec)).to_json());
+        assert_eq!(lines.len(), 1, "an eval answers with exactly one line");
+        let head = format!("{{\"api_version\":\"v1\",\"kind\":\"eval_result\",\"cell\":{cell},");
+        assert!(lines[0].starts_with(&head), "{} drifted from the fixture: {}", config, lines[0]);
+    }
+
+    // Each of these is well-formed JSON of a known kind.  The first four
+    // ran (or tried to run) on a runner thread: one more CAM row than the
+    // chip has panicked there and leaked the job slot; 10^12 entries kept
+    // it busy until the machine ran out of memory.  The last named a file
+    // for the event-loop thread itself to read.  (Never a FIFO or
+    // /dev/zero here: against a daemon that still opens the path those
+    // hang or kill the test runner, not just the test.)
+    let with_path = cam_eval(8).replacen(
+        "\"entries\":8",
+        "\"entries\":8,\"trace\":{\"path\":\"/nonexistent/taco.trace\"}",
+        1,
+    );
+    // What a structured refusal looks like: an error naming the field, or a
+    // report that says why the instance cannot be simulated.
+    let too_many = "\\\"entries\\\" must be in 1..=65536";
+    let cam_full = "\"sim_error\":\"memory access at word 0x2000 outside 0x2000-word memory\"";
+    let poison = [
+        ("eval cam 8193", cam_eval(8193), cam_full),
+        ("eval 10^12", cam_eval(1_000_000_000_000), too_many),
+        ("sweep cam 8193", cam_sweep(8193), cam_full),
+        ("sweep 10^12", cam_sweep(1_000_000_000_000), too_many),
+        ("trace path", with_path, "unknown field \\\"path\\\""),
+    ];
+    for round in 0..REPEATS {
+        for (name, request, refusal) in &poison {
+            let lines = exchange(addr, request);
+            let last =
+                lines.last().unwrap_or_else(|| panic!("{name}: connection closed unanswered"));
+            assert!(last.contains(refusal), "{name}, round {round}: {last}");
+        }
+    }
+
+    let after = status(addr);
+    assert_eq!((after.in_flight, after.queued), (0, 0), "a poison line leaked a job slot");
+
+    let ack = exchange(addr, &ApiRequest::Shutdown.to_json());
+    assert!(
+        matches!(ApiResponse::from_json(&ack[0]), Ok(ApiResponse::ShutdownAck { .. })),
+        "{ack:?}"
+    );
+    daemon.join().expect("server thread").expect("clean exit");
+}

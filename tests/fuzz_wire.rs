@@ -1,0 +1,446 @@
+//! The wire, attacked offline (seeded; see `common/mod.rs`).
+//!
+//! Four parsers read bytes a client or an operator chose — request and
+//! response lines of both dialects, `taco-flowtrace` bodies, the boot cache
+//! snapshot — and each must answer any input with a value or a structured
+//! error: never a panic, a hang or a stack overflow.  Random requests must
+//! round-trip exactly; and one daemon must answer every mutated v2 frame
+//! with the same bytes whether or not the frame's unmutated body has been
+//! memoised, since the memo fast path and the strict parser are two
+//! readers of one grammar.
+
+mod common;
+
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
+use std::sync::OnceLock;
+use std::time::Duration;
+
+use common::{bytes, cases, corrupt, corrupted, index, pick, unicode, SplitMix64};
+use taco::eval::api::json::Json;
+use taco::eval::api::{
+    ApiError, ApiRequest, ApiResponse, ConfigSpec, EvalSpec, StatusInfo, TraceRef, WireRequest,
+    WireResponse,
+};
+use taco::eval::{
+    Constraints, EvalCache, EvalRequest, FaultPlan, FlowTrace, LineRate, RoutingTableKind,
+    SweepSpec, TraceGen, Workload,
+};
+use taco::isa::MAX_CORES;
+use taco::served::{Server, ServerConfig};
+use taco_workload::trace::trace_fnv1a64;
+
+const SEED: u64 = 0xF022_0001;
+const CASES: u64 = 256;
+
+/// Any single-core machine the wire can spell (the multi-core grid is
+/// enumerated in `crates/core/tests/api_roundtrip.rs`).
+fn config(rng: &mut SplitMix64) -> ConfigSpec {
+    ConfigSpec {
+        table: pick(rng, &RoutingTableKind::ALL_KINDS),
+        buses: rng.range_inclusive(1, 8) as u8,
+        replication: rng.range_inclusive(1, 4) as u8,
+        memory_ports: rng.range_inclusive(1, 4) as u8,
+    }
+}
+
+/// Positive normal floats and non-zero packet sizes: the domain
+/// `validated_rate` admits.
+fn rate(rng: &mut SplitMix64) -> LineRate {
+    LineRate::new(1.0 + rng.next_f64() * 1e13, rng.range_inclusive(1, 65_535) as u32)
+}
+
+/// A reseeded builtin workload and fault plan, each half the time.
+fn scenario(rng: &mut SplitMix64) -> (Option<Workload>, Option<FaultPlan>) {
+    let workload = pick(rng, &Workload::builtin()).with_seed(rng.next_u64());
+    let faults = FaultPlan { seed: rng.next_u64(), ..pick(rng, &FaultPlan::builtin()).1 };
+    (rng.chance(0.5).then_some(workload), rng.chance(0.5).then_some(faults))
+}
+
+fn eval(rng: &mut SplitMix64) -> ApiRequest {
+    let mut spec = EvalSpec::new(config(rng));
+    spec.rate = rate(rng);
+    spec.entries = rng.range_inclusive(1, 65_536) as usize;
+    (spec.workload, spec.faults) = scenario(rng);
+    if rng.below(4) == 0 {
+        // An inline trace; its descriptor is the only workload it admits.
+        let trace = TraceGen::generate(rng.next_u64(), 6, 3, 4);
+        spec.workload = rng.chance(0.5).then(|| trace.descriptor());
+        spec.trace = Some(TraceRef::inline(&trace));
+    }
+    ApiRequest::Eval(spec)
+}
+
+fn sweep(rng: &mut SplitMix64) -> ApiRequest {
+    let some = |rng: &mut SplitMix64, hi: u64| -> Vec<u8> {
+        (0..rng.range_inclusive(1, 3)).map(|_| rng.range_inclusive(1, hi) as u8).collect()
+    };
+    let (workload, faults) = scenario(rng);
+    let spec = SweepSpec {
+        buses: some(rng, 8),
+        replication: some(rng, 4),
+        kinds: (0..rng.range_inclusive(1, 4)).map(|_| config(rng).table).collect(),
+        entries: rng.range_inclusive(1, 4096) as usize,
+        workload,
+        faults,
+        cores: if rng.chance(0.5) { vec![1] } else { some(rng, u64::from(MAX_CORES)) },
+        ..SweepSpec::default()
+    };
+    let constraints = Constraints {
+        max_power_w: (rng.next_f64() - 0.5) * 2e6,
+        max_area_mm2: (rng.next_f64() - 0.5) * 2e6,
+        max_scenario_drops: rng.chance(0.5).then(|| rng.next_u64()),
+        max_unrecovered_faults: rng.chance(0.5).then(|| rng.next_u64()),
+    };
+    ApiRequest::Sweep { spec, rate: rate(rng), constraints }
+}
+
+/// A request line of any kind in either dialect.
+fn request_line(rng: &mut SplitMix64) -> String {
+    let request = match rng.below(8) {
+        0 => ApiRequest::Status,
+        1 => ApiRequest::Shutdown,
+        2 | 3 => sweep(rng),
+        _ => eval(rng),
+    };
+    WireRequest { id: rng.chance(0.5).then(|| pick(rng, &[0, 7, u64::MAX])), request }.to_json()
+}
+
+/// Real response lines of every kind in both dialects: three simulated
+/// reports (plain; with scenario, fault and coherence sections; one that
+/// could not be simulated) and the small kinds built by hand.
+fn response_lines() -> &'static [String] {
+    static LINES: OnceLock<Vec<String>> = OnceLock::new();
+    LINES.get_or_init(|| {
+        let cam = |entries| {
+            let spec = ConfigSpec::new(RoutingTableKind::Cam, 3, 1);
+            EvalRequest::new(spec.to_config().expect("valid")).entries(entries)
+        };
+        let small = Workload::SteadyForward { seed: 3, ticks: 20, packets_per_tick: 4, entries: 8 };
+        let plain = cam(8).run();
+        let full = cam(8).cores(2).workload(small).faults(FaultPlan::storm()).run();
+        let status = StatusInfo {
+            in_flight: 1,
+            queued: 0,
+            max_pending: 4,
+            draining: true,
+            cache_entries: 12,
+            cache_hits: u64::MAX,
+            cache_misses: 3,
+        };
+        let label = full.config.label();
+        let responses = [
+            ApiResponse::EvalResult(Box::new(plain.clone())),
+            ApiResponse::EvalResult(Box::new(full.clone())),
+            ApiResponse::EvalResult(Box::new(cam(8193).run())),
+            ApiResponse::SweepPoint { index: 1, total: 2, label, cache_hit: true, feasible: false },
+            ApiResponse::SweepResult { admitted: vec![1, 0], reports: vec![plain, full] },
+            ApiResponse::Status(status),
+            ApiResponse::ShutdownAck { persisted: Some(12) },
+            ApiResponse::ShutdownAck { persisted: None },
+            ApiResponse::Error(ApiError::busy("4 of 4 job slots in use; \"retry\"\n")),
+        ];
+        let dialects = |r: &ApiResponse| [r.to_json(), r.to_json_v2(Some(9)), r.to_json_v2(None)];
+        responses.iter().flat_map(dialects).collect()
+    })
+}
+
+/// Number spellings a field is unlikely to expect: the boundaries of every
+/// integer width the codec reads, values a float loses or overflows on,
+/// and two spellings (`007`, `+5`) that are not JSON at all.  None of them
+/// is a *valid and expensive* table size, so a daemon may be sent any.
+const NUMBERS: &str = "0 -0 -1 1 2 256 65537 4294967296 9007199254740993 18446744073709551615 \
+    18446744073709551616 1e400 -1e400 1e-400 5e-324 1.7976931348623157e308 1.5 1E2 007 +5";
+
+fn number(rng: &mut SplitMix64) -> Json {
+    Json::Num(pick(rng, &NUMBERS.split_whitespace().collect::<Vec<_>>()).to_owned())
+}
+
+/// Strings that are none of the request kinds `status`, `shutdown` and
+/// `sweep` — a mutated `eval` stays an `eval` or becomes an error.
+const STRINGS: [&str; 10] =
+    ["", "cam", "CAM", "sequential", "eval", "v0", "v1", "v2", "\0", "é\"\\"];
+
+/// Calls `visit` on node `n` of `json` in depth-first order; returns the
+/// number of nodes seen so far.
+fn nth_node(json: &mut Json, n: &mut usize, visit: &mut dyn FnMut(&mut Json)) {
+    if *n == 0 {
+        visit(json);
+    }
+    *n = n.wrapping_sub(1);
+    match json {
+        Json::Arr(items) => items.iter_mut().for_each(|item| nth_node(item, n, visit)),
+        Json::Obj(members) => members.iter_mut().for_each(|(_, v)| nth_node(v, n, visit)),
+        _ => {}
+    }
+}
+
+fn count_nodes(json: &mut Json) -> usize {
+    let mut n = usize::MAX;
+    nth_node(json, &mut n, &mut |_| {});
+    usize::MAX - n
+}
+
+/// One structural mutation of a random node: members duplicated, renamed,
+/// reordered or dropped; a number respelled; a value replaced by one of
+/// another type, by an object wider than any parser scans, or by more
+/// nesting than any parser follows.
+fn mutate_node(rng: &mut SplitMix64, json: &mut Json) {
+    let mut n = index(rng, count_nodes(json));
+    nth_node(json, &mut n, &mut |node| match node {
+        Json::Obj(members) if !members.is_empty() && rng.chance(0.7) => {
+            let at = index(rng, members.len());
+            match rng.below(4) {
+                0 => members.push(members[at].clone()),
+                1 => {
+                    members[at].0 = pick(rng, &["", "id", "kind", "Entries", "entries "]).to_owned()
+                }
+                2 => members.rotate_left(at),
+                _ => drop(members.remove(at)),
+            }
+        }
+        Json::Num(_) if rng.chance(0.8) => *node = number(rng),
+        Json::Str(s) if rng.chance(0.5) => *s = pick(rng, &STRINGS).to_owned(),
+        other => {
+            let depth = pick(rng, &[1, 33, 100_000]);
+            *other = match rng.below(7) {
+                0 => Json::Null,
+                1 => Json::Bool(true),
+                2 => number(rng),
+                3 => Json::Obj(Vec::new()),
+                4 => Json::Str(pick(rng, &STRINGS).to_owned()),
+                5 => Json::Obj((0..2000).map(|i| (format!("k{i}"), Json::Null)).collect()),
+                _ => Json::Str(format!("{}{}", "[".repeat(depth), "]".repeat(depth))),
+            };
+        }
+    });
+}
+
+/// A valid line after one to three mutations, structural or bytewise.  The
+/// deep-nesting placeholder is unquoted last, so the brackets are syntax.
+fn mutated(rng: &mut SplitMix64, line: &str) -> String {
+    let mut json = Json::parse(line).expect("the unmutated line is valid");
+    let mut raw = None;
+    for _ in 0..=rng.below(3) {
+        if raw.is_none() && rng.chance(0.6) {
+            mutate_node(rng, &mut json);
+        } else {
+            let buf = raw.get_or_insert_with(|| json.encode().into_bytes());
+            corrupt(rng, buf);
+        }
+    }
+    let raw = raw.unwrap_or_else(|| json.encode().into_bytes());
+    // One frame stays one frame: the daemon splits on newlines.
+    String::from_utf8_lossy(&raw).replace("\"[[", "[[").replace("]]\"", "]]").replace('\n', " ")
+}
+
+fn assert_identity(request: &ApiRequest, id: Option<u64>) {
+    let wire = WireRequest { id, request: request.clone() };
+    let line = wire.to_json();
+    let parsed = WireRequest::from_json(&line).unwrap_or_else(|e| panic!("{e}: {line}"));
+    assert_eq!(parsed, wire, "{line}");
+    assert_eq!(parsed.to_json(), line, "re-serialisation drifted");
+}
+
+#[test]
+fn random_eval_requests_round_trip() {
+    cases(SEED, CASES, |rng| {
+        let request = eval(rng);
+        assert_identity(&request, None);
+        assert_identity(&request, Some(rng.next_u64()));
+    });
+}
+
+#[test]
+fn random_sweep_requests_round_trip() {
+    cases(SEED, CASES, |rng| {
+        let request = sweep(rng);
+        assert_identity(&request, None);
+        assert_identity(&request, Some(rng.next_u64()));
+    });
+}
+
+#[test]
+fn arbitrary_input_never_panics_the_strict_parsers() {
+    cases(SEED, CASES, |rng| {
+        let line = unicode(rng, 200);
+        let _ = ApiRequest::from_json(&line);
+        let _ = ApiResponse::from_json(&line);
+        let _ = WireRequest::from_json(&line);
+        let _ = WireResponse::from_json(&line);
+    });
+}
+
+#[test]
+fn mutated_requests_parse_to_a_value_or_a_structured_error() {
+    cases(SEED, 4 * CASES, |rng| {
+        let valid = request_line(rng);
+        let line = mutated(rng, &valid);
+        if let Ok(parsed) = WireRequest::from_json(&line) {
+            // What was accepted is a value: it has a canonical spelling
+            // that reads back as itself.
+            let canonical = parsed.to_json();
+            assert_eq!(WireRequest::from_json(&canonical).as_ref(), Ok(&parsed), "{line}");
+        }
+        let _ = ApiRequest::from_json(&line);
+        let _ = taco::eval::api::salvage_request_id(&line);
+    });
+}
+
+#[test]
+fn mutated_responses_parse_to_a_value_or_a_structured_error() {
+    cases(SEED, 4 * CASES, |rng| {
+        let valid = &response_lines()[index(rng, response_lines().len())];
+        let line = mutated(rng, valid);
+        if let Ok(parsed) = WireResponse::from_json(&line) {
+            let canonical = parsed.to_json();
+            // Reports of instances that could not be simulated serialise
+            // but do not read back (the error type has no wire schema).
+            if !canonical.contains("\"sim_error\":") {
+                assert_eq!(WireResponse::from_json(&canonical).as_ref(), Ok(&parsed), "{line}");
+            }
+        }
+        let _ = ApiResponse::from_json(&line);
+    });
+}
+
+/// Header lines of a `taco-flowtrace` file before its binary body.
+const TRACE_HEADER_LINES: usize = 7;
+
+/// Rewrites the header's record count and checksum to fit the body, so a
+/// corrupted record is parsed instead of failing the checksum.
+fn repair_trace(buf: &[u8]) -> Option<Vec<u8>> {
+    let newlines: Vec<usize> = (0..buf.len()).filter(|&i| buf[i] == b'\n').collect();
+    let body = buf.get(*newlines.get(TRACE_HEADER_LINES - 1)? + 1..)?;
+    let keep = *newlines.get(TRACE_HEADER_LINES - 3)? + 1;
+    let mut out = buf[..keep].to_vec();
+    let header = format!("records {}\nchecksum {:016x}\n", body.len() / 44, trace_fnv1a64(body));
+    out.extend_from_slice(header.as_bytes());
+    out.extend_from_slice(body);
+    Some(out)
+}
+
+#[test]
+fn mutated_flow_traces_parse_to_a_value_or_a_structured_error() {
+    cases(SEED, CASES, |rng| {
+        let trace = TraceGen::generate(rng.next_u64(), 12, 4, 6);
+        let buf = if rng.below(8) == 0 { bytes(rng, 300) } else { trace.to_bytes() };
+        let mut buf = corrupted(rng, buf);
+        if rng.chance(0.5) {
+            buf = repair_trace(&buf).unwrap_or(buf);
+        }
+        if let Ok(parsed) = FlowTrace::from_bytes(&buf) {
+            assert_eq!(FlowTrace::from_bytes(&parsed.to_bytes()).ok().as_ref(), Some(&parsed));
+        }
+    });
+}
+
+#[test]
+fn mutated_snapshots_load_whole_or_not_at_all() {
+    // A real snapshot of two entries, written by the cache itself.
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let path = dir.join(format!("fuzz-wire-{}.snapshot", std::process::id()));
+    let cache = EvalCache::new();
+    for entries in [4, 8] {
+        let spec = ConfigSpec::new(RoutingTableKind::Cam, 3, 1);
+        cache.evaluate(&EvalRequest::new(spec.to_config().expect("valid")).entries(entries));
+    }
+    cache.save_snapshot(&path).expect("write snapshot");
+    let pristine = std::fs::read_to_string(&path).expect("read snapshot back");
+    let (header, body) =
+        pristine.split_at(pristine.match_indices('\n').nth(1).expect("header").0 + 1);
+    assert_eq!(EvalCache::new().load_snapshot(&path).expect("pristine loads"), 2);
+
+    cases(SEED, CASES / 2, |rng| {
+        // Corrupt the file bytewise, or mutate one entry's JSON and repair
+        // the checksum so the entry parser sees it.
+        let content = if rng.chance(0.5) {
+            let mut buf = pristine.clone().into_bytes();
+            corrupt(rng, &mut buf);
+            buf
+        } else {
+            let mut lines: Vec<String> = body.lines().map(str::to_owned).collect();
+            let at = index(rng, lines.len());
+            lines[at] = mutated(rng, &lines[at]);
+            let body = lines.join("\n") + "\n";
+            let magic = header.lines().next().expect("magic line");
+            format!("{magic}\nchecksum {:016x}\n{body}", trace_fnv1a64(body.as_bytes()))
+                .into_bytes()
+        };
+        std::fs::write(&path, content).expect("write mutated snapshot");
+        let cache = EvalCache::new();
+        match cache.load_snapshot(&path) {
+            Ok(loaded) => assert!(cache.len() as u64 <= loaded, "more entries than lines"),
+            Err(_) => {
+                assert!(cache.is_empty(), "a rejected snapshot must leave the cache untouched")
+            }
+        }
+    });
+    std::fs::remove_file(&path).ok();
+}
+
+/// Cases of the differential: each simulates one small CAM cell and makes
+/// some forty exchanges.
+const MEMO_CASES: u64 = 24;
+
+#[test]
+fn memo_and_strict_paths_answer_mutated_v2_frames_identically() {
+    let server = Server::bind(ServerConfig::default()).expect("bind loopback");
+    let addr = server.local_addr();
+    let daemon = std::thread::spawn(move || server.run());
+    // One persistent connection; every read runs under a timeout, and every
+    // frame is answered with exactly one line.
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(30))).expect("set read timeout");
+    let mut reader = BufReader::new(stream);
+    let mut ask = |frame: &str| {
+        reader.get_ref().write_all(format!("{frame}\n").as_bytes()).expect("send frame");
+        let mut line = String::new();
+        let read = reader.read_line(&mut line);
+        assert!(matches!(read, Ok(n) if n > 0), "no answer ({read:?}) to {frame}");
+        line
+    };
+    // The first frame fixes the connection's dialect.
+    assert!(ask(&ApiRequest::Status.to_json_v2(0)).contains("\"kind\":\"status_result\""));
+
+    cases(SEED, MEMO_CASES, |rng| {
+        // A body this daemon has not seen: the rate is drawn per case, from
+        // 1–10 Gbit/s (terabit rates put the CAM's 40 ns search at tens of
+        // thousands of cycles and the cell at seconds).
+        let mut spec = EvalSpec::new(ConfigSpec::new(RoutingTableKind::Cam, 3, 1));
+        spec.entries = rng.range_inclusive(1, 16) as usize;
+        spec.rate = LineRate::new(1e9 + rng.next_f64() * 9e9, rng.range_inclusive(64, 1500) as u32);
+        let request = ApiRequest::Eval(spec);
+        let canonical = request.to_json_v2(5);
+        let body =
+            canonical.strip_prefix("{\"api_version\":\"v2\",\"id\":5,").expect("canonical head");
+
+        // Envelopes the memo's splitter must read exactly as the strict
+        // parser does, then mutations of the whole frame.
+        let mut frames: Vec<String> = ["+5", "007", "5.0", "5e0", " 5", "-0", "05", "5 ", "null"]
+            .iter()
+            .chain(&["\"5\"", "18446744073709551615", "18446744073709551616", "", "5,\"id\":6"])
+            .map(|id| format!("{{\"api_version\":\"v2\",\"id\":{id},{body}"))
+            .collect();
+        frames.push(request.to_json());
+        frames.push(format!("{{\"id\":5,\"api_version\":\"v2\",{body}"));
+        frames.push(format!("{canonical} "));
+        frames.push(format!("{canonical}}}"));
+        frames.extend((0..12).map(|_| mutated(rng, &canonical)));
+
+        let strict: Vec<String> = frames.iter().map(|frame| ask(frame)).collect();
+        // The first canonical send may be a miss or a hit (a mutation can
+        // have been a valid respelling); the second is served inline and
+        // memoises the body; the third comes from the memo.
+        let answers: Vec<String> = (0..3).map(|_| ask(&canonical)).collect();
+        assert!(answers[0].starts_with("{\"api_version\":\"v2\",\"id\":5,\"kind\":\"eval_result\""));
+        assert!(answers.iter().all(|a| *a == answers[0]), "cold, warm and memoised bytes differ");
+        for (frame, before) in frames.iter().zip(&strict) {
+            assert_eq!(&ask(frame), before, "memoising changed the answer to {frame}");
+        }
+    });
+
+    let ack = ask(&ApiRequest::Shutdown.to_json_v2(1));
+    assert!(ack.contains("\"kind\":\"shutdown_ack\""), "{ack}");
+    daemon.join().expect("server thread").expect("clean exit");
+}

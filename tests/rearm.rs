@@ -80,7 +80,7 @@ fn a_rearmed_router_equals_a_freshly_built_one() {
     let routes = benchmark_routes(ENTRIES);
     let datagrams = traffic(&routes);
     for kind in TableKind::ALL_KINDS {
-        let image = TableImage::new(kind, &routes, &MicrocodeOptions::default());
+        let image = TableImage::new(kind, &routes, &MicrocodeOptions::default()).unwrap();
         for machine in machines() {
             let mut reused = CycleRouter::from_image(&machine, &image, 1).expect("builds");
             // Each round enqueues fewer datagrams than the one before, so a
@@ -103,7 +103,7 @@ fn rearm_after_a_watchdog_mid_run_leaves_no_trace() {
     let routes = benchmark_routes(ENTRIES);
     let datagrams = traffic(&routes);
     for kind in TableKind::ALL_KINDS {
-        let image = TableImage::new(kind, &routes, &MicrocodeOptions::default());
+        let image = TableImage::new(kind, &routes, &MicrocodeOptions::default()).unwrap();
         let machine = MachineConfig::three_bus_one_fu();
         let mut fresh = CycleRouter::from_image(&machine, &image, 4).expect("builds");
         let expected = run_and_observe(&mut fresh, &datagrams, BUDGET);

@@ -51,4 +51,10 @@ fn a_table_that_fills_data_memory_is_infeasible_not_a_panic() {
     assert!(matches!(patricia.sim_error, Some(SimError::MemoryOutOfBounds { .. })), "{patricia}");
     assert!(!patricia.is_feasible());
     assert_eq!(patricia.program_bits, 0);
+    // The CAM holds its table in 8192 rows of its own, not in data memory:
+    // one route more used to panic inside `CamTable::insert`.
+    let cam = evaluate(TableKind::Cam, 8193);
+    assert_eq!(cam.sim_error, Some(SimError::MemoryOutOfBounds { addr: 8192, size: 8192 }));
+    assert!(!cam.is_feasible());
+    assert_eq!(evaluate(TableKind::Cam, 8192).sim_error, None);
 }
