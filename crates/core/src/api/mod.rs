@@ -54,8 +54,9 @@ use std::sync::Arc;
 use taco_isa::{
     CacheConfig, CoherenceProtocol, InterconnectConfig, SystemConfig, Topology, MAX_CORES,
 };
+use taco_router::traffic::TrafficGen;
 use taco_routing::TableKind;
-use taco_workload::{FaultPlan, FlowTrace, Workload};
+use taco_workload::{FaultPlan, FlowTrace, Workload, MAX_FLOW_LEN, MAX_OFFERED};
 
 use crate::arch::ArchConfig;
 use crate::evaluate::EvalReport;
@@ -815,6 +816,7 @@ pub(crate) fn workload_from_value(value: &Json) -> Result<Workload, ApiError> {
         }
     };
     f.finish()?;
+    check_workload("workload", &workload)?;
     Ok(workload)
 }
 
@@ -905,7 +907,11 @@ impl TraceRef {
     pub fn resolve(&self) -> Result<FlowTrace, ApiError> {
         let TraceRef::Inline(hex) = self;
         let bytes = hex_decode(hex).map_err(|e| ApiError::bad_request(format!("trace: {e}")))?;
-        FlowTrace::from_bytes(&bytes).map_err(|e| ApiError::bad_request(format!("trace: {e}")))
+        let trace = FlowTrace::from_bytes(&bytes)
+            .map_err(|e| ApiError::bad_request(format!("trace: {e}")))?;
+        // The header's ticks and entries size the replay the records ride on.
+        check_workload("trace header", &trace.descriptor())?;
+        Ok(trace)
     }
 
     fn to_json(&self) -> String {
@@ -934,12 +940,84 @@ impl TraceRef {
 /// data memory has words (every organisation spends at least a word or a
 /// CAM row per entry).  Checked where a spec is parsed, so an absurd size
 /// costs a `bad_request`, not minutes of route generation on a runner.
-fn check_entries(ctx: &str, entries: usize) -> Result<(), ApiError> {
-    const MAX: usize = taco_sim::DEFAULT_MEMORY_WORDS as usize;
+/// `members` is the quoted wire member (or product of members) that
+/// carries the size.
+fn check_entries(ctx: &str, members: &str, entries: u64) -> Result<(), ApiError> {
+    const MAX: u64 = taco_sim::DEFAULT_MEMORY_WORDS as u64;
     if (1..=MAX).contains(&entries) {
         return Ok(());
     }
-    Err(ApiError::bad_request(format!("{ctx}: \"entries\" must be in 1..={MAX}, got {entries}")))
+    Err(ApiError::bad_request(format!("{ctx}: {members} must be in 1..={MAX}, got {entries}")))
+}
+
+/// Refuses a workload descriptor that sizes more work than one request may
+/// occupy a runner with: a table outside [`check_entries`]' range, or more
+/// than [`MAX_OFFERED`] ticks or offered datagrams — `ticks ×` the peak
+/// per-tick arrivals, or `flows ×` the longest flow the horizon admits for
+/// a trace descriptor.  Checked at the wire only (a parsed `workload`
+/// member, a resolved inline trace's header — `ctx` says which): in-process
+/// callers, such as the `churn` bin at 100k prefixes, size their own runs.
+fn check_workload(ctx: &str, workload: &Workload) -> Result<(), ApiError> {
+    let u = u64::from;
+    let ticks = u(workload.ticks());
+    // (members that size the table, the size; members that size the
+    // offered budget, the most datagrams they can offer)
+    let (table_members, table, budget_members, offered) = match *workload {
+        Workload::SteadyForward { packets_per_tick, entries, .. }
+        | Workload::TableChurn { packets_per_tick, entries, .. } => (
+            "\"entries\"",
+            u(entries),
+            "\"ticks\" × \"packets_per_tick\"",
+            ticks * u(packets_per_tick),
+        ),
+        Workload::BurstOverload { mean_per_tick_milli, burst_multiplier, entries, .. } => (
+            "\"entries\"",
+            u(entries),
+            "\"ticks\" × \"mean_per_tick_milli\" × \"burst_multiplier\"",
+            (mean_per_tick_milli / 1000 + TrafficGen::MAX_ARRIVAL_JITTER)
+                .saturating_mul(u(burst_multiplier.max(1)))
+                .saturating_mul(ticks),
+        ),
+        Workload::RipngConvergence {
+            neighbours, routes_per_neighbour, packets_per_tick, ..
+        } => (
+            "\"neighbours\" × \"routes_per_neighbour\"",
+            u(neighbours) * u(routes_per_neighbour),
+            "\"ticks\" × \"packets_per_tick\"",
+            ticks * u(packets_per_tick),
+        ),
+        Workload::MixedPlane {
+            neighbours,
+            routes_per_neighbour,
+            packets_per_tick,
+            burst_multiplier,
+            ..
+        } => (
+            "\"neighbours\" × \"routes_per_neighbour\"",
+            u(neighbours) * u(routes_per_neighbour),
+            "\"ticks\" × \"packets_per_tick\" × \"burst_multiplier\"",
+            (ticks * u(packets_per_tick)).saturating_mul(u(burst_multiplier.max(1))),
+        ),
+        Workload::TraceReplay { ticks, flows, entries, .. } => (
+            "\"entries\"",
+            u(entries),
+            "\"flows\" × the longest flow \"ticks\" admits",
+            u(flows) * u(ticks.min(MAX_FLOW_LEN)),
+        ),
+    };
+    check_entries(ctx, table_members, table)?;
+    if ticks > MAX_OFFERED {
+        return Err(ApiError::bad_request(format!(
+            "{ctx}: \"ticks\" must be at most {MAX_OFFERED}, got {ticks}"
+        )));
+    }
+    if offered > MAX_OFFERED {
+        return Err(ApiError::bad_request(format!(
+            "{ctx}: {budget_members} offers up to {offered} datagrams, more than the \
+             {MAX_OFFERED} one request may"
+        )));
+    }
+    Ok(())
 }
 
 /// One evaluation, in wire form: the validated front door that the JSON
@@ -987,7 +1065,7 @@ impl EvalSpec {
     /// trace, so a corrupt body rejects the request before any simulation
     /// runs.
     pub fn to_request(&self) -> Result<EvalRequest, ApiError> {
-        check_entries("eval spec", self.entries)?;
+        check_entries("eval spec", "\"entries\"", self.entries as u64)?;
         let mut request =
             EvalRequest::new(self.config.to_config()?).rate(self.rate).entries(self.entries);
         if let Some(workload) = self.workload {
@@ -1077,7 +1155,7 @@ impl EvalSpec {
             faults: f.get_non_null("faults").map(fault_plan_from_value).transpose()?,
             trace: f.get_non_null("trace").map(TraceRef::from_value).transpose()?,
         };
-        check_entries("eval spec", spec.entries)?;
+        check_entries("eval spec", "\"entries\"", spec.entries as u64)?;
         spec.config.to_config()?;
         Ok(spec)
     }
@@ -1217,7 +1295,7 @@ pub(crate) fn sweep_spec_from_value(value: &Json) -> Result<SweepSpec, ApiError>
         topologies,
         protocols,
     };
-    check_entries("sweep spec", spec.entries)?;
+    check_entries("sweep spec", "\"entries\"", spec.entries as u64)?;
     f.finish()?;
     Ok(spec)
 }

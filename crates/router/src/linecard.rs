@@ -200,6 +200,13 @@ impl LineCard {
         std::mem::take(&mut self.output)
     }
 
+    /// Discards everything transmitted so far and keeps the buffer, for a
+    /// caller that does not read the output (a scenario tick): the next
+    /// tick's transmissions reuse the allocation instead of regrowing it.
+    pub fn clear_transmitted(&mut self) {
+        self.output.clear();
+    }
+
     /// Oversize datagrams rejected at ingress.
     pub fn dropped_oversize(&self) -> u64 {
         self.dropped_oversize
@@ -291,6 +298,9 @@ mod tests {
         assert_eq!(lc.transmitted().len(), 2);
         let all = lc.drain_transmitted();
         assert_eq!(all.len(), 2);
+        assert!(lc.transmitted().is_empty());
+        lc.transmit(dgram(3));
+        lc.clear_transmitted();
         assert!(lc.transmitted().is_empty());
     }
 

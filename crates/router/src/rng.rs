@@ -37,6 +37,39 @@ impl SplitMix64 {
         z ^ (z >> 31)
     }
 
+    /// The outcomes of the next `n` fair coin tosses in the low `n` bits of
+    /// a `u128`, first toss most significant (bit `n - 1`), a set bit for
+    /// `true`; the bits above `n` are zero.
+    ///
+    /// This is the one way to draw many coins, and it consumes **exactly**
+    /// the stream `n` sequential [`chance`](Self::chance)`(0.5)` calls — or
+    /// `n` sequential [`below`](Self::below)`(2) == 0` calls — consume, one
+    /// step per toss, with the same outcomes:
+    ///
+    /// * `chance(0.5)` is `(x >> 11) as f64 · 2⁻⁵³ < 0.5`.  `x >> 11` has at
+    ///   most 53 bits, so the conversion and the scaling by a power of two
+    ///   are exact in `f64`, and the comparison is `x >> 11 < 2⁵²`, that is
+    ///   `x >> 63 == 0`.
+    /// * `below(2)` is Lemire's multiply-shift with `n = 2`: the result
+    ///   `(x · 2) >> 64` is `x >> 63`, and its rejection threshold
+    ///   `2⁶⁴ mod 2 = 0` never rejects, so it is one step and
+    ///   `below(2) == 0` is again `x >> 63 == 0`.
+    ///
+    /// So a toss is the complement of its step's top bit.  Step `i`'s
+    /// output is a pure function of `state + i·γ` (γ the Weyl increment),
+    /// so all that one toss hands the next is a one-cycle add: the `n`
+    /// mixes have no serial dependency on one another and the loop
+    /// pipelines — which a `chance(0.5)` per toss, with its `u64 → f64`
+    /// conversion, clamp and float compare, does not.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` exceeds 128.
+    pub fn coin_tosses(&mut self, n: u32) -> u128 {
+        assert!(n <= 128, "{n} tosses do not fit a u128");
+        (0..n).fold(0u128, |tosses, _| tosses << 1 | u128::from(!self.next_u64() >> 63))
+    }
+
     /// The next 32 uniformly distributed bits (the high half of a step).
     pub fn next_u32(&mut self) -> u32 {
         (self.next_u64() >> 32) as u32
@@ -186,5 +219,58 @@ mod tests {
     #[should_panic(expected = "empty range")]
     fn below_zero_rejected() {
         SplitMix64::new(1).below(0);
+    }
+
+    /// `n` sequential draws of `coin`, packed the way `coin_tosses` packs.
+    fn sequential_tosses(rng: &mut SplitMix64, n: u32, coin: fn(&mut SplitMix64) -> bool) -> u128 {
+        (0..n).fold(0, |tosses, _| tosses << 1 | u128::from(coin(rng)))
+    }
+
+    #[test]
+    fn coin_tosses_are_sequential_chance_and_below_draws() {
+        for seed in (0..64u64).map(|i| i.wrapping_mul(0xD1B5_4A32_D192_ED03) ^ i) {
+            for n in 0..=128u32 {
+                let mut packed = SplitMix64::new(seed);
+                let mut by_chance = packed.clone();
+                let mut by_below = packed.clone();
+                let tosses = packed.coin_tosses(n);
+                assert_eq!(
+                    tosses,
+                    sequential_tosses(&mut by_chance, n, |r| r.chance(0.5)),
+                    "chance(0.5): seed {seed:#x}, n {n}"
+                );
+                assert_eq!(
+                    tosses,
+                    sequential_tosses(&mut by_below, n, |r| r.below(2) == 0),
+                    "below(2) == 0: seed {seed:#x}, n {n}"
+                );
+                // Same stream position afterwards: n steps, no more.
+                let next = packed.next_u64();
+                assert_eq!(next, by_chance.next_u64(), "seed {seed:#x}, n {n}");
+                assert_eq!(next, by_below.next_u64(), "seed {seed:#x}, n {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn coin_tosses_pack_first_toss_most_significant() {
+        let mut rng = SplitMix64::new(21);
+        let mut one_by_one = rng.clone();
+        let tosses = rng.coin_tosses(128);
+        for i in 0..128 {
+            assert_eq!(tosses >> (127 - i) & 1 == 1, one_by_one.chance(0.5), "toss {i}");
+        }
+        // Nothing above the n-th bit, nothing drawn for n = 0.
+        let mut rng = SplitMix64::new(22);
+        assert_eq!(rng.coin_tosses(5) >> 5, 0);
+        let before = rng.clone();
+        assert_eq!(rng.coin_tosses(0), 0);
+        assert_eq!(rng, before);
+    }
+
+    #[test]
+    #[should_panic(expected = "do not fit")]
+    fn more_tosses_than_bits_rejected() {
+        SplitMix64::new(1).coin_tosses(129);
     }
 }

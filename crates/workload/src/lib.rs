@@ -45,10 +45,10 @@ pub use metrics::{
 };
 pub use scenario::{
     run_scenario, run_scenario_with_faults, run_trace_replay, ScenarioConfig, Workload,
-    DEFAULT_SEED, PORTS, TICK_MILLIS,
+    DEFAULT_SEED, MAX_OFFERED, PORTS, TICK_MILLIS,
 };
 pub use taco_sim::CoherenceStats;
 pub use trace::{
-    FlowTrace, TraceFormatError, TraceGen, TraceRecord, MAX_PAYLOAD, RECORD_BYTES, TRACE_MAGIC,
-    TRACE_VERSION,
+    FlowTrace, TraceFormatError, TraceGen, TraceRecord, MAX_FLOW_LEN, MAX_PAYLOAD, RECORD_BYTES,
+    TRACE_MAGIC, TRACE_VERSION,
 };

@@ -35,7 +35,7 @@ pub const PORTS: u16 = 4;
 /// Simulated duration of one engine tick in milliseconds.
 pub const TICK_MILLIS: u64 = 100;
 
-/// Fraction of data destinations that hit the routing table (per mille).
+/// Fraction of data destinations that hit the routing table.
 const HIT_RATIO: f64 = 0.9;
 
 /// Payload bytes per data datagram.
@@ -46,6 +46,14 @@ const ADVERT_CHUNK: usize = 60;
 
 /// Seed used by the built-in scenario set ([`Workload::builtin`]).
 pub const DEFAULT_SEED: u64 = 0x7AC0_2003;
+
+/// The most ticks, and the most offered datagrams, a workload descriptor
+/// arriving over the wire may ask one runner for.  An offered datagram
+/// costs about 0.5 µs end to end at the builtin table size (generate,
+/// queue, parse, look up, fold; EXPERIMENTS.md "Traffic generator cost"),
+/// so `2²⁴ × 0.5 µs` is eight to ten seconds of a runner; the builtin
+/// workloads offer 425 to 15 409.  In-process callers are not bound by it.
+pub const MAX_OFFERED: u64 = 1 << 24;
 
 /// A named, seeded traffic pattern.
 ///
@@ -874,7 +882,7 @@ impl Harness {
             let card = self.router.card_mut(PortId(i as u16));
             let polled = card.polled();
             let depth = card.pending() as u64;
-            card.drain_transmitted(); // keep memory bounded; output is not measured
+            card.clear_transmitted(); // keep memory bounded; output is not measured
             self.metrics.max_queue_depth = self.metrics.max_queue_depth.max(depth);
             for _ in self.last_polled[i]..polled {
                 let Some((arrived, kind)) = self.fifos[i].pop_front() else {

@@ -23,7 +23,7 @@ use std::fmt;
 use std::path::Path;
 
 use taco_ipv6::Ipv6Address;
-use taco_router::traffic::TrafficGen;
+use taco_router::traffic::{fill_host_bits, TrafficGen};
 use taco_router::SplitMix64;
 use taco_routing::Route;
 
@@ -406,9 +406,13 @@ pub struct TraceGen {
 /// Per-mille probability a flow's destination hits the routing table.
 const HIT_MILLE: u64 = 900;
 
-/// Octave cap for flow lengths (longest flow ≤ `2^11` packets before the
+/// Octave cap for flow lengths (longest flow < `2^11` packets before the
 /// horizon truncates it).
 const FLOW_OCTAVES: u32 = 10;
+
+/// The longest flow [`TraceGen`] draws, in packets, before the horizon
+/// truncates it — what bounds the records a descriptor can ask for.
+pub const MAX_FLOW_LEN: u32 = (2 << FLOW_OCTAVES) - 1;
 
 impl TraceGen {
     /// A generator over `seed`'s stream.
@@ -492,11 +496,7 @@ impl TraceGen {
             span = span.div_ceil(2);
         }
         let prefix = routes[self.rng.below(span as u64) as usize].prefix();
-        let mut addr = prefix.addr();
-        for bit in prefix.len()..128 {
-            addr = addr.with_bit(bit, self.rng.below(2) == 0);
-        }
-        addr
+        fill_host_bits(&mut self.rng, &prefix)
     }
 }
 
@@ -506,6 +506,54 @@ mod tests {
 
     fn reference() -> FlowTrace {
         TraceGen::generate(7, 120, 48, 40)
+    }
+
+    /// `TraceGen::destination` as it was before `fill_host_bits`: one
+    /// `below(2) == 0` coin per host bit, written with `with_bit`.
+    fn destination_reference(rng: &mut SplitMix64, routes: &[Route]) -> Ipv6Address {
+        if routes.is_empty() || rng.below(1000) >= HIT_MILLE {
+            let mut octets = [0u8; 16];
+            rng.fill_bytes(&mut octets);
+            octets[0] = 0x40 | (octets[0] & 0x0f);
+            return Ipv6Address::new(octets);
+        }
+        let mut span = routes.len();
+        while span > 1 && rng.below(2) == 0 {
+            span = span.div_ceil(2);
+        }
+        let prefix = routes[rng.below(span as u64) as usize].prefix();
+        let mut addr = prefix.addr();
+        for bit in prefix.len()..128 {
+            addr = addr.with_bit(bit, rng.below(2) == 0);
+        }
+        addr
+    }
+
+    #[test]
+    fn destination_draws_the_per_bit_loops_stream() {
+        // Every prefix length the host-bit draw can meet, /0 and /128
+        // (no draw) included, so hits exercise each mask.
+        let mut tables = vec![trace_table(5, 40)];
+        tables.push(
+            (0..=128u8)
+                .map(|len| {
+                    let addr = Ipv6Address::new([0xa5; 16]);
+                    let prefix = taco_ipv6::Ipv6Prefix::new(addr, len).unwrap();
+                    Route::new(prefix, Ipv6Address::LOOPBACK, taco_routing::PortId(0), 1)
+                })
+                .collect(),
+        );
+        for routes in &tables {
+            for seed in 0..32u64 {
+                let mut g = TraceGen::new(seed);
+                let mut reference = g.rng.clone();
+                for draw in 0..64 {
+                    let want = destination_reference(&mut reference, routes);
+                    assert_eq!(g.destination(routes), want, "seed {seed}, draw {draw}");
+                    assert_eq!(g.rng, reference, "seed {seed}, draw {draw}: the stream moved");
+                }
+            }
+        }
     }
 
     #[test]

@@ -47,6 +47,15 @@ if [[ "$(grep -c 'from_[i]mage(' crates/core/src/prepared.rs)" != 1 ]]; then
     echo "prepared.rs must hold exactly one router construction site"
     exit 1
 fi
+# PR 19, one way to draw host bits: no `with_bit(` fed from an rng draw in
+# product code.  A file's product code ends at its first `#[cfg(test)]`;
+# the deleted per-bit loops live on below it as the tests' references.
+if awk 'FNR == 1 { product = 1 } /#\[cfg\(test\)\]/ { product = 0 }
+        product && /with_[b]it\(.*rng/ { print FILENAME ":" FNR ": " $0; found = 1 }
+        END { exit !found }' $(find crates/*/src -name '*.rs'); then
+    echo "host bits are drawn by SplitMix64::coin_tosses (traffic::fill_host_bits), not bit by bit"
+    exit 1
+fi
 echo "guards ok"
 
 echo
@@ -165,7 +174,8 @@ echo "== benchmark smoke: scenario-mix and seq-scan-1k through benchmarks/run.sh
 # operation failed its correctness check (seq-scan-1k checks every cell
 # against a from-scratch router); the hard timeout covers a hung child.
 # The numbers it prints are a smoke, not a measurement — EXPERIMENTS.md
-# "Scenario engine cost" and "Port file" have those.
+# "Scenario engine cost", "Traffic generator cost" and "Port file" have
+# those.
 for workload in scenario-mix seq-scan-1k; do
     if ! timeout 300 bash benchmarks/run.sh --quick --workload "$workload" > /dev/null; then
         echo "benchmark smoke FAILED on $workload (failed operations, non-zero exit or 300 s timeout)"

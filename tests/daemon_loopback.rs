@@ -3,18 +3,20 @@
 //! One daemon on an ephemeral loopback port, driven the way a client
 //! drives it: `status`, the twelve Table 1 cells (each answered with the
 //! bytes of `crates/core/tests/golden/table1.json`), then the well-formed
-//! one-line requests that used to take the daemon down — each five times
-//! over, each answered by a structured error — and the daemon must still
-//! report every job slot free and acknowledge `shutdown`.  Every socket
-//! read runs under a timeout, so a request the daemon never answers fails
-//! the test instead of hanging it.
+//! one-line requests that used to take the daemon down or occupy it for
+//! hours — each five times over, each answered by a structured error — and
+//! the daemon must still report every job slot free and acknowledge
+//! `shutdown`.  Every socket read runs under a timeout, so a request the
+//! daemon never answers fails the test instead of hanging it.
 
 use std::io::BufRead;
 use std::net::SocketAddr;
 use std::time::Duration;
 
-use taco::eval::api::{ApiRequest, ApiResponse, ConfigSpec, EvalSpec, StatusInfo};
-use taco::eval::{ArchConfig, Constraints, LineRate, RoutingTableKind, SweepSpec};
+use taco::eval::api::{ApiRequest, ApiResponse, ConfigSpec, EvalSpec, StatusInfo, TraceRef};
+use taco::eval::{
+    ArchConfig, Constraints, FlowTrace, LineRate, RoutingTableKind, SweepSpec, Workload,
+};
 use taco::served::{open_request, Server, ServerConfig};
 
 /// Longest wait for any one response line.  The slowest legitimate answer
@@ -92,10 +94,12 @@ fn status_table1_poison_lines_status_shutdown() {
     // Each of these is well-formed JSON of a known kind.  The first four
     // ran (or tried to run) on a runner thread: one more CAM row than the
     // chip has panicked there and leaked the job slot; 10^12 entries kept
-    // it busy until the machine ran out of memory.  The last named a file
+    // it busy until the machine ran out of memory.  The fifth named a file
     // for the event-loop thread itself to read.  (Never a FIFO or
     // /dev/zero here: against a daemon that still opens the path those
-    // hang or kill the test runner, not just the test.)
+    // hang or kill the test runner, not just the test.)  The last two size
+    // a scenario instead of a table — 2^32 - 1 ticks in a workload member
+    // and in an inline trace's header — and kept a runner for hours.
     let with_path = cam_eval(8).replacen(
         "\"entries\":8",
         "\"entries\":8,\"trace\":{\"path\":\"/nonexistent/taco.trace\"}",
@@ -105,12 +109,26 @@ fn status_table1_poison_lines_status_shutdown() {
     // report that says why the instance cannot be simulated.
     let too_many = "\\\"entries\\\" must be in 1..=65536";
     let cam_full = "\"sim_error\":\"memory access at word 0x2000 outside 0x2000-word memory\"";
+    let mut greedy = EvalSpec::new(ConfigSpec::new(RoutingTableKind::Cam, 3, 1));
+    greedy.workload = Some(Workload::SteadyForward {
+        seed: 1,
+        ticks: u32::MAX,
+        packets_per_tick: 24,
+        entries: 8,
+    });
+    let greedy_workload = ApiRequest::Eval(greedy.clone()).to_json();
+    greedy.workload = None;
+    let endless = FlowTrace::from_records(1, u32::MAX, 1, 8, Vec::new()).expect("no records");
+    greedy.trace = Some(TraceRef::inline(&endless));
+    let greedy_trace = ApiRequest::Eval(greedy).to_json();
     let poison = [
         ("eval cam 8193", cam_eval(8193), cam_full),
         ("eval 10^12", cam_eval(1_000_000_000_000), too_many),
         ("sweep cam 8193", cam_sweep(8193), cam_full),
         ("sweep 10^12", cam_sweep(1_000_000_000_000), too_many),
         ("trace path", with_path, "unknown field \\\"path\\\""),
+        ("workload 2^32-1 ticks", greedy_workload, "workload: \\\"ticks\\\" must be at most"),
+        ("trace 2^32-1 ticks", greedy_trace, "trace header: \\\"ticks\\\" must be at most"),
     ];
     for round in 0..REPEATS {
         for (name, request, refusal) in &poison {

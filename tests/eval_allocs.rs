@@ -8,13 +8,15 @@
 //! round — multiplies the count: the same cells cost 146 / 184 / 210 / 159
 //! allocations before the pieces were shared.
 //!
+//! The last row counts a behavioural scenario per offered datagram.
+//!
 //! One test in a binary of its own, so no other test's allocations land in
 //! the window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use taco::eval::{evaluate_request, ArchConfig, EvalRequest};
+use taco::eval::{evaluate_request, ArchConfig, EvalRequest, Workload};
 use taco::routing::TableKind;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
@@ -77,4 +79,27 @@ fn a_warm_evaluation_allocates_for_one_router_not_for_its_input() {
             "{kind}: a warm evaluation made {allocations} allocations (ceiling {ceiling})"
         );
     }
+
+    // The scenario row: allocations per offered datagram of one warm
+    // `steady-forward` evaluation, in thousandths (3486 when written: the
+    // payload, `to_bytes`, `parse`, an ICMPv6 error on the 10 % misses, and
+    // the per-tick workload `Vec` and queue growth spread over the tick's
+    // 24 datagrams; 3711 while every card's output `Vec` regrew from empty
+    // each tick).  The count an allocation-free datagram path would move;
+    // one more allocation per datagram reads 1000 higher.
+    const PER_DATAGRAM_MILLI_CEILING: u64 = 4000;
+    let request = EvalRequest::new(ArchConfig::three_bus_one_fu(TableKind::BalancedTree))
+        .workload(Workload::steady_forward());
+    let cold = evaluate_request(&request);
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let warm = evaluate_request(&request);
+    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert_eq!(warm, cold);
+    let offered = warm.scenario.as_ref().expect("the request carries a workload").offered;
+    let per_datagram_milli = allocations * 1000 / offered;
+    assert!(
+        per_datagram_milli <= PER_DATAGRAM_MILLI_CEILING,
+        "steady-forward: {allocations} allocations over {offered} offered datagrams is \
+         {per_datagram_milli}/1000 each (ceiling {PER_DATAGRAM_MILLI_CEILING}/1000)"
+    );
 }

@@ -19,8 +19,8 @@ use std::time::Duration;
 use common::{bytes, cases, corrupt, corrupted, index, pick, unicode, SplitMix64};
 use taco::eval::api::json::Json;
 use taco::eval::api::{
-    ApiError, ApiRequest, ApiResponse, ConfigSpec, EvalSpec, StatusInfo, TraceRef, WireRequest,
-    WireResponse,
+    ApiError, ApiErrorCode, ApiRequest, ApiResponse, ConfigSpec, EvalSpec, StatusInfo, TraceRef,
+    WireRequest, WireResponse,
 };
 use taco::eval::{
     Constraints, EvalCache, EvalRequest, FaultPlan, FlowTrace, LineRate, RoutingTableKind,
@@ -302,6 +302,108 @@ fn mutated_responses_parse_to_a_value_or_a_structured_error() {
         }
         let _ = ApiResponse::from_json(&line);
     });
+}
+
+/// Integer members of a `workload` object that shape a run without sizing
+/// it: any `u32` is admitted.  Every other integer member but `seed` sizes
+/// the table, the tick count or the offered-datagram budget.
+const SHAPE_MEMBERS: [&str; 5] =
+    ["burst_every", "burst_len", "churn_every", "churn_size", "phase_len"];
+
+/// The members of `request`'s `workload` object.
+fn workload_members(request: &mut Json) -> &mut Vec<(String, Json)> {
+    let Json::Obj(top) = request else { panic!("a request is an object") };
+    let workload = top.iter_mut().find(|(k, _)| k == "workload").expect("carries a workload");
+    let Json::Obj(members) = &mut workload.1 else { panic!("a workload is an object") };
+    members
+}
+
+#[test]
+fn workloads_round_trip_and_oversize_members_are_refused_by_name() {
+    // NUMBERS' unsigned spellings (the width boundaries), the first value
+    // past the work bound, and the line the issue was filed for: a valid
+    // u32 that asks a runner for hours.
+    const GREEDY: u64 = u32::MAX as u64;
+    let values: Vec<u64> = NUMBERS
+        .split_whitespace()
+        .filter_map(|n| n.parse().ok())
+        .chain([taco_workload::MAX_OFFERED + 1, GREEDY])
+        .collect();
+    for workload in Workload::builtin() {
+        let mut spec = EvalSpec::new(ConfigSpec::new(RoutingTableKind::Cam, 3, 1));
+        spec.workload = Some(workload);
+        let request = ApiRequest::Eval(spec);
+        assert_identity(&request, None);
+        assert_identity(&request, Some(7));
+        for line in [request.to_json(), request.to_json_v2(7)] {
+            let mut json = Json::parse(&line).expect("canonical line");
+            for at in 0..workload_members(&mut json).len() {
+                let (member, canonical) = workload_members(&mut json)[at].clone();
+                if member == "name" || member == "seed" {
+                    continue;
+                }
+                let shape = SHAPE_MEMBERS.contains(&member.as_str());
+                for &value in &values {
+                    workload_members(&mut json)[at].1 = Json::u64(value);
+                    let bent = json.encode();
+                    let parsed = WireRequest::from_json(&bent);
+                    match &parsed {
+                        // What is admitted is a value within the bound.
+                        Ok(parsed) => {
+                            assert_eq!(
+                                WireRequest::from_json(&parsed.to_json()).as_ref(),
+                                Ok(parsed)
+                            );
+                            assert!(shape || value <= taco_workload::MAX_OFFERED, "{bent}");
+                        }
+                        Err(e) => {
+                            assert_eq!(e.code, ApiErrorCode::BadRequest);
+                            assert!(e.message.contains(&format!("{member:?}")), "{e}: {bent}");
+                        }
+                    }
+                    if value == GREEDY {
+                        assert_eq!(parsed.is_ok(), shape, "{bent}");
+                    }
+                }
+                workload_members(&mut json)[at].1 = canonical;
+            }
+        }
+    }
+}
+
+#[test]
+fn oversize_trace_headers_are_refused_by_name() {
+    let record = TraceGen::generate(3, 6, 3, 4).records()[0];
+    let fits = |ticks, flows, entries| {
+        FlowTrace::from_records(3, ticks, flows, entries, vec![record]).expect("valid records")
+    };
+    let cases = [
+        (fits(u32::MAX, 3, 4), "\"ticks\""),
+        (fits(6, 3, 0), "\"entries\""),
+        (fits(6, 3, 65_537), "\"entries\""),
+        (fits(4096, 1 << 20, 4), "\"flows\""),
+    ];
+    for (trace, member) in cases {
+        let mut spec = EvalSpec::new(ConfigSpec::new(RoutingTableKind::Cam, 3, 1));
+        spec.trace = Some(TraceRef::inline(&trace));
+        // An eval resolves its trace before it is queued...
+        let e = spec.to_request().expect_err("over-size header");
+        assert!(e.message.starts_with("trace header: ") && e.message.contains(member), "{e}");
+        // ...a sweep as it is parsed, in either dialect.
+        let sweep = ApiRequest::Sweep {
+            spec: SweepSpec { trace: Some(trace.into()), ..SweepSpec::default() },
+            rate: LineRate::TEN_GBE,
+            constraints: Constraints::default(),
+        };
+        for line in [sweep.to_json(), sweep.to_json_v2(7)] {
+            let e = WireRequest::from_json(&line).expect_err("over-size header");
+            assert!(e.message.starts_with("trace header: ") && e.message.contains(member), "{e}");
+        }
+    }
+    // The same records under a header within the bounds pass.
+    let mut spec = EvalSpec::new(ConfigSpec::new(RoutingTableKind::Cam, 3, 1));
+    spec.trace = Some(TraceRef::inline(&fits(6, 3, 4)));
+    assert!(spec.to_request().is_ok());
 }
 
 /// Header lines of a `taco-flowtrace` file before its binary body.
