@@ -9,9 +9,18 @@
 
 #![allow(dead_code)] // every suite uses its own subset
 
+use std::sync::OnceLock;
+
+use taco::eval::api::{
+    ApiError, ApiRequest, ApiResponse, ConfigSpec, EvalSpec, StatusInfo, TraceRef,
+};
+use taco::eval::{
+    Constraints, EvalRequest, FaultPlan, LineRate, RoutingTableKind, SweepSpec, TraceGen, Workload,
+};
 use taco::ipv6::exthdr::{FragmentHeader, OptionsHeader, RoutingHeader};
 use taco::ipv6::ripng::{Command, RipngPacket, RouteEntry};
 use taco::ipv6::{Datagram, ExtensionHeader, Ipv6Address, Ipv6Prefix, NextHeader};
+use taco::isa::MAX_CORES;
 pub use taco::router::SplitMix64;
 
 /// Names the failing case on the way out of a panicking body.
@@ -165,4 +174,105 @@ pub fn datagram(rng: &mut SplitMix64) -> Datagram {
         builder = builder.extension(extension(rng));
     }
     builder.payload(NextHeader::Udp, bytes(rng, 127)).build()
+}
+
+/// Any single-core machine the wire can spell (the multi-core grid is
+/// enumerated in `crates/core/tests/api_roundtrip.rs`).
+fn config(rng: &mut SplitMix64) -> ConfigSpec {
+    ConfigSpec {
+        table: pick(rng, &RoutingTableKind::ALL_KINDS),
+        buses: rng.range_inclusive(1, 8) as u8,
+        replication: rng.range_inclusive(1, 4) as u8,
+        memory_ports: rng.range_inclusive(1, 4) as u8,
+    }
+}
+
+/// Positive normal floats and non-zero packet sizes: the domain
+/// `validated_rate` admits.
+fn rate(rng: &mut SplitMix64) -> LineRate {
+    LineRate::new(1.0 + rng.next_f64() * 1e13, rng.range_inclusive(1, 65_535) as u32)
+}
+
+/// A reseeded builtin workload and fault plan, each half the time.
+fn scenario(rng: &mut SplitMix64) -> (Option<Workload>, Option<FaultPlan>) {
+    let workload = pick(rng, &Workload::builtin()).with_seed(rng.next_u64());
+    let faults = FaultPlan { seed: rng.next_u64(), ..pick(rng, &FaultPlan::builtin()).1 };
+    (rng.chance(0.5).then_some(workload), rng.chance(0.5).then_some(faults))
+}
+
+pub fn eval(rng: &mut SplitMix64) -> ApiRequest {
+    let mut spec = EvalSpec::new(config(rng));
+    spec.rate = rate(rng);
+    spec.entries = rng.range_inclusive(1, 65_536) as usize;
+    (spec.workload, spec.faults) = scenario(rng);
+    if rng.below(4) == 0 {
+        // An inline trace; its descriptor is the only workload it admits.
+        let trace = TraceGen::generate(rng.next_u64(), 6, 3, 4);
+        spec.workload = rng.chance(0.5).then(|| trace.descriptor());
+        spec.trace = Some(TraceRef::inline(&trace));
+    }
+    ApiRequest::Eval(spec)
+}
+
+pub fn sweep(rng: &mut SplitMix64) -> ApiRequest {
+    let some = |rng: &mut SplitMix64, hi: u64| -> Vec<u8> {
+        (0..rng.range_inclusive(1, 3)).map(|_| rng.range_inclusive(1, hi) as u8).collect()
+    };
+    let (workload, faults) = scenario(rng);
+    let spec = SweepSpec {
+        buses: some(rng, 8),
+        replication: some(rng, 4),
+        kinds: (0..rng.range_inclusive(1, 4)).map(|_| config(rng).table).collect(),
+        entries: rng.range_inclusive(1, 4096) as usize,
+        workload,
+        faults,
+        cores: if rng.chance(0.5) { vec![1] } else { some(rng, u64::from(MAX_CORES)) },
+        ..SweepSpec::default()
+    };
+    let constraints = Constraints {
+        max_power_w: (rng.next_f64() - 0.5) * 2e6,
+        max_area_mm2: (rng.next_f64() - 0.5) * 2e6,
+        max_scenario_drops: rng.chance(0.5).then(|| rng.next_u64()),
+        max_unrecovered_faults: rng.chance(0.5).then(|| rng.next_u64()),
+    };
+    ApiRequest::Sweep { spec, rate: rate(rng), constraints }
+}
+
+/// Real response lines of every kind in both dialects: three simulated
+/// reports (plain; with scenario, fault and coherence sections; one that
+/// could not be simulated) and the small kinds built by hand.
+pub fn response_lines() -> &'static [String] {
+    static LINES: OnceLock<Vec<String>> = OnceLock::new();
+    LINES.get_or_init(|| {
+        let cam = |entries| {
+            let spec = ConfigSpec::new(RoutingTableKind::Cam, 3, 1);
+            EvalRequest::new(spec.to_config().expect("valid")).entries(entries)
+        };
+        let small = Workload::SteadyForward { seed: 3, ticks: 20, packets_per_tick: 4, entries: 8 };
+        let plain = cam(8).run();
+        let full = cam(8).cores(2).workload(small).faults(FaultPlan::storm()).run();
+        let status = StatusInfo {
+            in_flight: 1,
+            queued: 0,
+            max_pending: 4,
+            draining: true,
+            cache_entries: 12,
+            cache_hits: u64::MAX,
+            cache_misses: 3,
+        };
+        let label = full.config.label();
+        let responses = [
+            ApiResponse::EvalResult(Box::new(plain.clone())),
+            ApiResponse::EvalResult(Box::new(full.clone())),
+            ApiResponse::EvalResult(Box::new(cam(8193).run())),
+            ApiResponse::SweepPoint { index: 1, total: 2, label, cache_hit: true, feasible: false },
+            ApiResponse::SweepResult { admitted: vec![1, 0], reports: vec![plain, full] },
+            ApiResponse::Status(status),
+            ApiResponse::ShutdownAck { persisted: Some(12) },
+            ApiResponse::ShutdownAck { persisted: None },
+            ApiResponse::Error(ApiError::busy("4 of 4 job slots in use; \"retry\"\n")),
+        ];
+        let dialects = |r: &ApiResponse| [r.to_json(), r.to_json_v2(Some(9)), r.to_json_v2(None)];
+        responses.iter().flat_map(dialects).collect()
+    })
 }
