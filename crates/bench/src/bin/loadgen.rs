@@ -36,7 +36,7 @@ use std::thread;
 use std::time::Instant;
 
 use taco_bench::cli::Cli;
-use taco_core::api::{ApiRequest, ApiResponse, ConfigSpec, EvalSpec, WireResponse};
+use taco_core::api::{ApiRequest, ApiResponse, ConfigSpec, Envelope, EvalSpec, WireResponse};
 use taco_core::RoutingTableKind;
 use taco_served::{request_lines, Server, ServerConfig, Session};
 use taco_workload::LatencyHistogram;
@@ -67,16 +67,6 @@ fn expect_eval(response: &ApiResponse) {
         eprintln!("loadgen: daemon answered {response:?} instead of an eval_result");
         exit(1);
     }
-}
-
-/// The daemon serialises canonically, so a v2 response's id sits at a
-/// fixed prefix.  Parsing just the envelope head keeps the measured hot
-/// loop cheap on the client side — on small machines a full
-/// [`ApiResponse`] parse per response would contend with the daemon for
-/// CPU and the benchmark would measure the client, not the server.
-fn fast_id(line: &str) -> Option<u64> {
-    let rest = line.strip_prefix("{\"api_version\":\"v2\",\"id\":")?;
-    rest[..rest.find(',')?].parse().ok()
 }
 
 /// Cheap response validation for the measured loops: the first response
@@ -169,9 +159,14 @@ fn run_session(addr: SocketAddr, clients: usize, requests: usize, window: usize)
                             eprintln!("loadgen: session recv failed: {e}");
                             exit(1);
                         });
-                        let t0 = fast_id(&line)
-                            .and_then(|id| sent_at.remove(&id))
-                            .expect("response for an in-flight id");
+                        // The daemon writes the encoder's spelling, so the
+                        // envelope splits off unparsed: a full parse per
+                        // response would measure this client, not the server.
+                        let t0 = match Envelope::split(&line) {
+                            Some((Envelope::V2(Some(id)), _)) => sent_at.remove(&id),
+                            _ => None,
+                        }
+                        .expect("response for an in-flight id");
                         histogram.record(t0.elapsed().as_micros() as u64);
                         expect_eval_line(&line, done == 0);
                         done += 1;

@@ -55,7 +55,6 @@ fn main() {
             report: &base,
             cache_hit,
             wall: started.elapsed(),
-            stats_json: base.stats.to_json(),
         });
         print!("{:<16}", kind.to_string());
         for bytes in PACKET_BYTES {

@@ -193,7 +193,7 @@ impl Json {
 
 /// Serialises a string with the minimal escape set (quotes, backslash,
 /// control characters).
-fn encode_str(s: &str, out: &mut String) {
+pub(crate) fn encode_str(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {

@@ -24,6 +24,8 @@ use std::sync::{Mutex, OnceLock};
 
 use taco_workload::{FaultPlan, Workload};
 
+use crate::api::table::{record, Record};
+use crate::api::EvalSpec;
 use crate::arch::ArchConfig;
 use crate::evaluate::{cycles_per_datagram, evaluate_request, EvalReport};
 use crate::rate::LineRate;
@@ -87,6 +89,14 @@ const SNAPSHOT_MAGIC: &str = "taco-evalcache-snapshot";
 /// The snapshot format version (second header token); bump on any change
 /// to the entry schema so stale snapshots are discarded, not misread.
 const SNAPSHOT_VERSION: &str = "v1";
+
+/// One snapshot line: an evaluation's request beside its report.
+struct SnapshotEntry {
+    request: EvalSpec,
+    report: EvalReport,
+}
+
+record!(SnapshotEntry as "snapshot entry" { request, report, });
 
 /// FNV-1a 64-bit over the snapshot body — cheap, std-only corruption
 /// detection (truncated writes, hand edits), not cryptographic integrity.
@@ -305,16 +315,14 @@ impl EvalCache {
                 // from the key alone (the records live outside the cache),
                 // so they are process-local: skipped on export, recounted.
                 let spec = if report.sim_error.is_none() && key.trace_digest == 0 {
-                    crate::api::EvalSpec::from_request(&key.to_request())
+                    EvalSpec::from_request(&key.to_request())
                 } else {
                     None
                 };
                 match spec {
-                    Some(spec) => lines.push(format!(
-                        "{{\"request\":{},\"report\":{}}}",
-                        spec.to_json(),
-                        crate::api::report_to_json(report)
-                    )),
+                    Some(request) => {
+                        lines.push(SnapshotEntry { request, report: report.clone() }.encode())
+                    }
                     None => skipped += 1,
                 }
             }
@@ -381,17 +389,9 @@ impl EvalCache {
         let mut entries = Vec::new();
         for (i, line) in body.lines().enumerate() {
             let file_line = i + 3;
-            let entry = (|| -> Result<(EvalKey, EvalReport), crate::api::ApiError> {
-                let value = crate::api::json::Json::parse(line)
-                    .map_err(|e| crate::api::ApiError::bad_request(e.to_string()))?;
-                let mut f = crate::api::Fields::new("snapshot entry", &value)?;
-                let spec = crate::api::EvalSpec::from_value(f.req("request")?)?;
-                let report = crate::api::report_from_value(f.req("report")?)?;
-                f.finish()?;
-                let request = spec.to_request()?;
-                Ok((EvalKey::new(&request), report))
-            })()
-            .map_err(|e| SnapshotError::Entry { line: file_line, message: e.to_string() })?;
+            let entry = SnapshotEntry::decode(line)
+                .and_then(|entry| Ok((EvalKey::new(&entry.request.to_request()?), entry.report)))
+                .map_err(|e| SnapshotError::Entry { line: file_line, message: e.to_string() })?;
             entries.push(entry);
         }
         let count = entries.len() as u64;
@@ -682,6 +682,22 @@ mod tests {
         }
         assert!(warm.is_empty(), "a rejected snapshot must not half-load");
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn the_snapshot_entry_table_is_strict() {
+        let cache = EvalCache::new();
+        cache.evaluate(&request(
+            ArchConfig::three_bus_one_fu(TableKind::Cam),
+            LineRate::TEN_GBE,
+            8,
+        ));
+        let (content, _) = cache.to_snapshot_string();
+        let entry = content.lines().nth(2).expect("header, checksum, one entry");
+        let members = crate::api::tests::table_grid(entry, |line| {
+            SnapshotEntry::decode(line).map(|entry| entry.encode())
+        });
+        assert!(SnapshotEntry::MEMBERS.iter().all(|m| members.iter().any(|seen| seen == m)));
     }
 
     #[test]

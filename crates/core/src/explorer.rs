@@ -300,7 +300,6 @@ pub fn explore_with(
             report: &report,
             cache_hit,
             wall: point_started.elapsed(),
-            stats_json: report.stats.to_json(),
         });
         report
     });

@@ -27,9 +27,6 @@ pub struct PointRecord<'a> {
     /// Wall time spent obtaining the result (lookup time for hits,
     /// simulation time for misses).
     pub wall: Duration,
-    /// The raw simulator counters, serialised as one line of JSON
-    /// ([`taco_sim::SimStats::to_json`]).
-    pub stats_json: String,
 }
 
 /// End-of-sweep totals, delivered to [`SweepObserver::on_summary`].
@@ -113,7 +110,7 @@ impl SweepObserver for StderrProgress {
         );
         if self.verbose {
             line.push_str("  ");
-            line.push_str(&record.stats_json);
+            line.push_str(&record.report.stats.to_json());
         }
         eprintln!("{line}");
     }
@@ -147,7 +144,6 @@ mod tests {
             report: &report,
             cache_hit: false,
             wall: Duration::from_millis(5),
-            stats_json: report.stats.to_json(),
         };
         obs.on_point(&record);
         obs.on_summary(&SweepSummary { points: 1, cache_hits: 0, admitted: 1, wall_ms: 5 });

@@ -32,7 +32,7 @@ impl SweepObserver for Recorder {
             self.cache_hits.fetch_add(1, Ordering::Relaxed);
         }
         assert!(record.index < record.total);
-        assert!(record.stats_json.contains("\"cycles\":"), "{}", record.stats_json);
+        assert!(record.report.stats.cycles > 0, "{}", record.report.stats.to_json());
     }
 
     fn on_summary(&self, summary: &SweepSummary) {

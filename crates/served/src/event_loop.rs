@@ -14,8 +14,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use taco_core::api::{
-    salvage_request_id, ApiError, ApiRequest, ApiResponse, StatusInfo, WireRequest, API_VERSION,
-    API_VERSION_V2,
+    salvage_request_id, ApiError, ApiRequest, ApiResponse, Envelope, StatusInfo, WireRequest,
 };
 use taco_core::{explore_with, ExploreOptions, PointRecord, SweepObserver};
 
@@ -39,54 +38,9 @@ const SHUTDOWN_FLUSH_DEADLINE: Duration = Duration::from_secs(10);
 /// overflow only costs re-serialisation.
 const HIT_MEMO_BOUND: usize = 4096;
 
-/// Which envelope a response line must wear: the request's dialect, plus
-/// the id to echo for v2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Envelope {
-    /// The one-shot dialect.
-    V1,
-    /// The session dialect; `None` = `"id":null` (unsalvageable frame).
-    V2(Option<u64>),
-}
-
-impl Envelope {
-    fn line(self, response: &ApiResponse) -> String {
-        self.line_from_body(&response.body_json())
-    }
-
-    /// Wraps an already-serialised response body
-    /// ([`ApiResponse::body_json`]) in this envelope — the bytes
-    /// [`ApiResponse::to_json`] / [`ApiResponse::to_json_v2`] emit.
-    fn line_from_body(self, body: &str) -> String {
-        match self {
-            Envelope::V1 => format!("{{\"api_version\":\"{API_VERSION}\",{body}}}"),
-            Envelope::V2(id) => {
-                let id = id.map_or_else(|| "null".to_owned(), |n| n.to_string());
-                format!("{{\"api_version\":\"{API_VERSION_V2}\",\"id\":{id},{body}}}")
-            }
-        }
-    }
-}
-
-/// Splits a request line with a canonical envelope head (the byte order
-/// [`ApiRequest::to_json`] / [`ApiRequest::to_json_v2`] emit) into its
-/// envelope and its envelope-independent body.  Lines with any other
-/// member order return `None` and take the full parse path — as do ids
-/// in any spelling but the encoder's (digits, no sign, no leading zero),
-/// which the strict parser rejects and the memo must not answer.
-fn split_canonical(line: &str) -> Option<(Envelope, &str)> {
-    if let Some(body) = line.strip_prefix("{\"api_version\":\"v1\",") {
-        return Some((Envelope::V1, body));
-    }
-    let rest = line.strip_prefix("{\"api_version\":\"v2\",\"id\":")?;
-    let comma = rest.find(',')?;
-    let digits = &rest[..comma];
-    if !digits.bytes().all(|b| b.is_ascii_digit()) || (digits.len() > 1 && digits.starts_with('0'))
-    {
-        return None;
-    }
-    let id: u64 = digits.parse().ok()?;
-    Some((Envelope::V2(Some(id)), &rest[comma + 1..]))
+/// One response line in the envelope its request came in.
+fn line(envelope: Envelope, response: &ApiResponse) -> String {
+    envelope.wrap(&response.body_json())
 }
 
 /// A connection's sniffed dialect (decided by its first frame).
@@ -195,7 +149,7 @@ fn run_jobs(runners: &Runners, shared: &Shared, tx: &Sender<LoopMsg>, waker: &Un
                 .or_else(|| panic.downcast_ref::<&str>().copied())
                 .unwrap_or("non-string panic payload");
             let error = ApiError::internal(format!("evaluation panicked: {what}"));
-            emit(tx, waker, job.token, job.envelope.line(&ApiResponse::Error(error)));
+            emit(tx, waker, job.token, line(job.envelope, &ApiResponse::Error(error)));
         }
         let _ = tx.send(LoopMsg::Done { token: job.token });
         poke(waker);
@@ -217,20 +171,20 @@ struct Progress<'a> {
 
 impl SweepObserver for Progress<'_> {
     fn on_point(&self, record: &PointRecord<'_>) {
-        let line = self.envelope.line(&ApiResponse::SweepPoint {
+        let point = ApiResponse::SweepPoint {
             index: record.index,
             total: record.total,
             label: record.report.config.label(),
             cache_hit: record.cache_hit,
             feasible: record.report.is_feasible(),
-        });
-        emit(&self.tx.lock().unwrap(), self.waker, self.token, line);
+        };
+        emit(&self.tx.lock().unwrap(), self.waker, self.token, line(self.envelope, &point));
     }
 }
 
 /// Runs one queued job, streaming its response lines to the loop.
 fn execute(shared: &Shared, job: &Job, tx: &Sender<LoopMsg>, waker: &UnixStream) {
-    let respond = |response: ApiResponse| emit(tx, waker, job.token, job.envelope.line(&response));
+    let respond = |response: ApiResponse| emit(tx, waker, job.token, line(job.envelope, &response));
     match &job.request {
         ApiRequest::Eval(spec) => match spec.to_request() {
             Ok(request) => {
@@ -600,18 +554,18 @@ impl<'a> EventLoop<'a> {
         conn.rbuf.clear();
     }
 
-    /// The inline fast path: a byte-canonical request line whose body is
-    /// already in the hit memo is answered without parsing or
-    /// re-serialising anything.  Returns `false` when the slow path must
-    /// run (unknown body, non-canonical envelope, or a dialect the
-    /// connection must not speak).
+    /// The inline fast path: a request line in the encoder's own spelling
+    /// ([`Envelope::split`]) whose body is already in the hit memo is
+    /// answered without parsing or re-serialising anything.  Returns
+    /// `false` when the slow path must run (unknown body, an envelope in
+    /// any other spelling, or a dialect the connection must not speak).
     fn try_memo(&mut self, conn: &mut Conn, line: &str) -> bool {
-        let Some((envelope, body)) = split_canonical(line) else { return false };
+        let Some((envelope, body)) = Envelope::split(line) else { return false };
         // Dialect discipline matches the slow path: a v2 session rejects
         // id-less frames, a fresh connection may speak either.
         match (conn.dialect, envelope) {
             (None | Some(Dialect::V1), Envelope::V1) => {}
-            (None | Some(Dialect::V2), Envelope::V2(_)) => {}
+            (None | Some(Dialect::V2), Envelope::V2(Some(_))) => {}
             _ => return false,
         }
         let Some(response_body) = self.hit_memo.get(body) else { return false };
@@ -623,7 +577,7 @@ impl<'a> EventLoop<'a> {
             }
             Envelope::V2(_) => conn.dialect = Some(Dialect::V2),
         }
-        conn.push_response(&envelope.line_from_body(response_body));
+        conn.push_response(&envelope.wrap(response_body));
         true
     }
 
@@ -711,13 +665,13 @@ impl<'a> EventLoop<'a> {
                     match self.shared.cache.lookup_recorded(&eval_request) {
                         Some(report) => {
                             let body = ApiResponse::EvalResult(Box::new(report)).body_json();
-                            if let Some((_, key)) = split_canonical(raw) {
+                            if let Some((_, key)) = Envelope::split(raw) {
                                 if self.hit_memo.len() >= HIT_MEMO_BOUND {
                                     self.hit_memo.clear();
                                 }
                                 self.hit_memo.insert(key.to_owned(), body.clone());
                             }
-                            conn.push_response(&envelope.line_from_body(&body));
+                            conn.push_response(&envelope.wrap(&body));
                         }
                         None => self.enqueue(conn, token, envelope, ApiRequest::Eval(spec)),
                     }
@@ -749,7 +703,7 @@ impl<'a> EventLoop<'a> {
 
     /// Pushes one inline response line (see [`Conn::push_response`]).
     fn respond(&mut self, conn: &mut Conn, envelope: Envelope, response: &ApiResponse) {
-        conn.push_response(&envelope.line(response));
+        conn.push_response(&line(envelope, response));
     }
 
     fn status(&self) -> StatusInfo {

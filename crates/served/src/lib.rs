@@ -208,43 +208,6 @@ mod tests {
     }
 
     #[test]
-    fn status_then_shutdown_completes_the_run() {
-        let (addr, handle) = start(ServerConfig::default());
-        let lines = request_lines(addr, &ApiRequest::Status.to_json()).expect("status");
-        assert_eq!(lines.len(), 1);
-        match ApiResponse::from_json(&lines[0]).expect("parse status") {
-            ApiResponse::Status(info) => {
-                assert_eq!(info.in_flight, 0);
-                assert_eq!(info.queued, 0);
-                assert_eq!(info.max_pending, 4);
-                assert!(!info.draining);
-                assert_eq!(info.cache_entries, 0);
-            }
-            other => panic!("expected status_result, got {other:?}"),
-        }
-        shut_down(addr);
-        handle.join().expect("server thread").expect("clean exit");
-    }
-
-    #[test]
-    fn eval_responses_are_byte_stable_across_cache_hits() {
-        let (addr, handle) = start(ServerConfig::default());
-        let mut spec = EvalSpec::new(ConfigSpec::new(RoutingTableKind::Cam, 3, 1));
-        spec.entries = 8;
-        let line = ApiRequest::Eval(spec).to_json();
-        let cold = request_lines(addr, &line).expect("cold eval");
-        let warm = request_lines(addr, &line).expect("warm eval");
-        assert_eq!(cold, warm, "cache hits must not change response bytes");
-        assert_eq!(cold.len(), 1);
-        match ApiResponse::from_json(&cold[0]).expect("parse eval result") {
-            ApiResponse::EvalResult(report) => assert_eq!(report.table_entries, 8),
-            other => panic!("expected eval_result, got {other:?}"),
-        }
-        shut_down(addr);
-        handle.join().expect("server thread").expect("clean exit");
-    }
-
-    #[test]
     fn malformed_and_version_skewed_requests_get_structured_errors() {
         let (addr, handle) = start(ServerConfig::default());
         // The last two are the removed cache-exchange kinds (spelled in

@@ -579,8 +579,7 @@ mod tests {
         assert!(json.contains("\"name\":\"rtu stall\""), "{json}");
         assert!(json.contains("\"dur\":3"), "stall span is 3 cycles: {json}");
         assert!(json.contains("\"out_iface\":3"), "{json}");
-        // Balanced braces/brackets — the cheap structural check; full JSON
-        // validation happens in the stats_json integration suite.
+        // Balanced braces/brackets — the cheap structural check.
         let opens = json.matches('{').count();
         let closes = json.matches('}').count();
         assert_eq!(opens, closes, "{json}");

@@ -21,7 +21,7 @@ cargo build --release --offline
 # an intentional change regenerate a fixture with
 #   BLESS=1 cargo test -p taco-core --test golden_table1    (or golden_scaling)
 #   BLESS=1 cargo test -p taco-workload --test golden_trace
-#   BLESS=1 cargo test --test golden_scenarios
+#   BLESS=1 cargo test --test golden_scenarios                (or golden_wire)
 cargo test -q --offline --workspace
 
 echo
@@ -54,6 +54,17 @@ if awk 'FNR == 1 { product = 1 } /#\[cfg\(test\)\]/ { product = 0 }
         product && /with_[b]it\(.*rng/ { print FILENAME ":" FNR ": " $0; found = 1 }
         END { exit !found }' $(find crates/*/src -name '*.rs'); then
     echo "host bits are drawn by SplitMix64::coin_tosses (traffic::fill_host_bits), not bit by bit"
+    exit 1
+fi
+# PR 20, one member table per wire record and one owner of the envelope:
+# no second envelope splitter, no stored copy of a report's counters, and
+# the envelope's head is spelled only in taco-core's api module (doc
+# comments and tests aside).
+if grep -rnE 'split_[c]anonical|fast_[i]d|stats_[j]son' crates src tests examples scripts; then exit 1; fi
+if awk 'FNR == 1 { product = 1 } /#\[cfg\(test\)\]/ { product = 0 }
+        product && !/^[[:space:]]*\/\/[\/!]/ && /api_[v]ersion/ { print FILENAME ":" FNR ": " $0; found = 1 }
+        END { exit !found }' $(find crates/served/src crates/bench/src -name '*.rs'); then
+    echo "the envelope is written and split by taco_core::api::Envelope"
     exit 1
 fi
 echo "guards ok"

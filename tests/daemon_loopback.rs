@@ -15,7 +15,7 @@ use std::time::Duration;
 
 use taco::eval::api::{ApiRequest, ApiResponse, ConfigSpec, EvalSpec, StatusInfo, TraceRef};
 use taco::eval::{
-    ArchConfig, Constraints, FlowTrace, LineRate, RoutingTableKind, SweepSpec, Workload,
+    ArchConfig, Constraints, FaultPlan, FlowTrace, LineRate, RoutingTableKind, SweepSpec, Workload,
 };
 use taco::served::{open_request, Server, ServerConfig};
 
@@ -97,7 +97,7 @@ fn status_table1_poison_lines_status_shutdown() {
     // it busy until the machine ran out of memory.  The fifth named a file
     // for the event-loop thread itself to read.  (Never a FIFO or
     // /dev/zero here: against a daemon that still opens the path those
-    // hang or kill the test runner, not just the test.)  The last two size
+    // hang or kill the test runner, not just the test.)  The next two size
     // a scenario instead of a table — 2^32 - 1 ticks in a workload member
     // and in an inline trace's header — and kept a runner for hours.
     let with_path = cam_eval(8).replacen(
@@ -121,6 +121,12 @@ fn status_table1_poison_lines_status_shutdown() {
     let endless = FlowTrace::from_records(1, u32::MAX, 1, 8, Vec::new()).expect("no records");
     greedy.trace = Some(TraceRef::inline(&endless));
     let greedy_trace = ApiRequest::Eval(greedy).to_json();
+    // 2^63 thousandths of a malformed frame a tick: the plan's own loop,
+    // which no workload member sizes.
+    let mut stormy = EvalSpec::new(ConfigSpec::new(RoutingTableKind::Cam, 3, 1));
+    stormy.workload = Some(Workload::steady_forward());
+    stormy.faults = Some(FaultPlan { malformed_per_tick_milli: 1 << 63, ..FaultPlan::none() });
+    let greedy_faults = ApiRequest::Eval(stormy).to_json();
     let poison = [
         ("eval cam 8193", cam_eval(8193), cam_full),
         ("eval 10^12", cam_eval(1_000_000_000_000), too_many),
@@ -129,6 +135,7 @@ fn status_table1_poison_lines_status_shutdown() {
         ("trace path", with_path, "unknown field \\\"path\\\""),
         ("workload 2^32-1 ticks", greedy_workload, "workload: \\\"ticks\\\" must be at most"),
         ("trace 2^32-1 ticks", greedy_trace, "trace header: \\\"ticks\\\" must be at most"),
+        ("faults 2^63 frames a tick", greedy_faults, "eval spec: \\\"faults\\\" injects up to"),
     ];
     for round in 0..REPEATS {
         for (name, request, refusal) in &poison {

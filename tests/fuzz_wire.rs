@@ -16,7 +16,7 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use common::{
-    bytes, cases, corrupt, corrupted, eval, index, pick, response_lines, sweep, unicode, SplitMix64,
+    bytes, cases, corrupt, corrupted, eval, index, pick, response_lines, unicode, SplitMix64,
 };
 use taco::eval::api::json::Json;
 use taco::eval::api::{
@@ -24,14 +24,30 @@ use taco::eval::api::{
     WireResponse,
 };
 use taco::eval::{
-    Constraints, EvalCache, EvalRequest, FlowTrace, LineRate, RoutingTableKind, SweepSpec,
-    TraceGen, Workload,
+    Constraints, EvalCache, EvalRequest, FaultPlan, FlowTrace, LineRate, RoutingTableKind,
+    SweepSpec, TraceGen, Workload,
 };
 use taco::served::{Server, ServerConfig};
 use taco_workload::trace::trace_fnv1a64;
 
 const SEED: u64 = 0xF022_0001;
 const CASES: u64 = 256;
+
+/// `common::sweep`, one time in four with a constraint that is no bound at
+/// all (`null` on the wire).  Drawn here and not in the shared generator,
+/// whose stream `golden_wire` pins; −∞ and NaN also encode as `null` and so
+/// cannot read back as themselves.
+fn sweep(rng: &mut SplitMix64) -> ApiRequest {
+    let mut request = common::sweep(rng);
+    if let ApiRequest::Sweep { constraints, .. } = &mut request {
+        match rng.below(8) {
+            0 => constraints.max_power_w = f64::INFINITY,
+            1 => constraints.max_area_mm2 = f64::INFINITY,
+            _ => {}
+        }
+    }
+    request
+}
 
 /// A request line of any kind in either dialect.
 fn request_line(rng: &mut SplitMix64) -> String {
@@ -231,6 +247,21 @@ fn workloads_round_trip_and_oversize_members_are_refused_by_name() {
     for workload in Workload::builtin() {
         let mut spec = EvalSpec::new(ConfigSpec::new(RoutingTableKind::Cam, 3, 1));
         spec.workload = Some(workload);
+        // A fault plan's frames ride on the same budget: every builtin plan
+        // fits beside every builtin workload, 2^64 - 1 thousandths a tick
+        // are refused naming the member.
+        for (_, plan) in FaultPlan::builtin() {
+            spec.faults = Some(plan);
+            assert_identity(&ApiRequest::Eval(spec.clone()), Some(7));
+            spec.faults = Some(FaultPlan { hop_limit_zero_per_tick_milli: u64::MAX, ..plan });
+            let greedy = ApiRequest::Eval(spec.clone());
+            for line in [greedy.to_json(), greedy.to_json_v2(7)] {
+                let e = WireRequest::from_json(&line).expect_err("an over-rate fault plan");
+                assert_eq!(e.code, ApiErrorCode::BadRequest);
+                assert!(e.message.contains("\"faults\""), "{e}: {line}");
+            }
+        }
+        spec.faults = None;
         let request = ApiRequest::Eval(spec);
         assert_identity(&request, None);
         assert_identity(&request, Some(7));
