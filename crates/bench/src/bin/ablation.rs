@@ -47,7 +47,7 @@ fn clustered_routes() -> Vec<Route> {
 
 fn measure(config: &MachineConfig, routes: &[Route], opts: &MicrocodeOptions) -> u64 {
     // Build the router by hand so the ablation controls the exact options
-    // (CycleRouter::sequential would re-tune the screen word).
+    // (`TableImage::new` would re-tune the screen word).
     let table = SequentialTable::from_routes(routes.iter().copied());
     let mut image = layout::serialize_sequential(&table);
     taco_router::microcode::pad_sequential_image(&mut image, opts.unroll);

@@ -1,5 +1,5 @@
 //! Internet-scale BGP churn smoke: the `table-churn` scenario at 100k
-//! prefixes, proving the arena-backed engines stay memory-bounded while
+//! prefixes, proving the arena-backed PATRICIA engine stays memory-bounded while
 //! routes are withdrawn and re-advertised under live traffic.
 //!
 //! ```text
@@ -15,8 +15,8 @@
 //! `ScenarioMetrics` JSON line per kind with `--json`) is byte-stable,
 //! so `scripts/verify.sh` gates it against a committed baseline.
 //!
-//! The default kind list is `patricia,trie` — the arena engines the
-//! invariant is about.  The paper's own organisations are *structurally*
+//! The default kind list is `patricia` — the arena engine the invariant
+//! is about.  The paper's own organisations are *structurally*
 //! unable to churn at this scale (the balanced tree rebuilds its segment
 //! array on every single route update, the sequential scan pays O(n) per
 //! probe), which is exactly the Table 1 scaling story EXPERIMENTS.md
@@ -50,7 +50,7 @@ fn churn_workload(entries: u32, ticks: u32) -> Workload {
 fn main() {
     let cli = Cli::new("churn", "internet-scale table-churn smoke with a bounded-arena gate")
         .flag("--json", "print one ScenarioMetrics JSON line per kind instead of the table")
-        .opt("--kinds", "LIST", "comma-separated table kinds to smoke (default patricia,trie)")
+        .opt("--kinds", "LIST", "comma-separated table kinds to smoke (default patricia)")
         .opt("--ticks", "N", "measured ticks for the long run (default 200)")
         .positional("entries", "BGP-shaped routing-table size", Some("100000"));
     let args = cli.parse_or_exit();
@@ -59,7 +59,7 @@ fn main() {
     let ticks: u32 = args.opt_parsed("--ticks").unwrap_or_else(|e| cli.fail(&e)).unwrap_or(200);
     let kinds: Vec<TableKind> = args
         .opt("--kinds")
-        .unwrap_or("patricia,trie")
+        .unwrap_or("patricia")
         .split(',')
         .map(|name| parse_table_kind(name.trim()).unwrap_or_else(|e| cli.fail(&e)))
         .collect();

@@ -249,15 +249,7 @@ fn main() {
     // The replication heuristic of the paper's future-work tool: where does
     // the winning configuration's microcode put its trigger pressure?
     let opts = taco_router::microcode::MicrocodeOptions::default();
-    let seq = match best.config.table {
-        taco_routing::TableKind::Sequential => {
-            taco_router::microcode::sequential_program(spec.entries, &opts)
-        }
-        taco_routing::TableKind::BalancedTree => taco_router::microcode::tree_program(&opts),
-        taco_routing::TableKind::Trie => taco_router::microcode::trie_program(&opts),
-        taco_routing::TableKind::Patricia => taco_router::microcode::patricia_program(&opts),
-        taco_routing::TableKind::Cam => taco_router::microcode::cam_program(&opts),
-    };
+    let seq = taco_router::microcode::program_for(best.config.table, spec.entries, &opts);
     let program = taco_isa::schedule(&seq, &best.config.machine);
     let mut pressure: Vec<(taco_isa::FuKind, usize)> = program.fu_pressure().into_iter().collect();
     pressure.sort_by_key(|(_, n)| std::cmp::Reverse(*n));

@@ -1,110 +1,17 @@
-//! Generates a self-contained markdown reproduction report with *live*
-//! numbers: Table 1 at both traffic operating points, the scaling sweep and
-//! the paper-claim checklist — the data behind EXPERIMENTS.md, regenerated
-//! on demand so readers can diff their machine's results against the
-//! shipped ones.
+//! Prints the markdown reproduction report — Table 1 at both traffic
+//! operating points, the scaling sweep and the paper-claim checklist —
+//! measured live.  The rendering is `taco_core::report::render`, the text
+//! `tests/golden/report.md` pins and EXPERIMENTS.md quotes, so a reader can
+//! diff their machine's numbers against the shipped ones.
 //!
 //! ```text
 //! cargo run -p taco-bench --release --bin report > report.md
 //! ```
 
 use taco_bench::cli::Cli;
-use taco_bench::SCALING_SIZES;
-use taco_core::{scaling_sweep, table1, ArchConfig, LineRate};
-use taco_estimate::Estimator;
-use taco_routing::TableKind;
 
 fn main() {
     Cli::new("report", "live markdown reproduction report with the paper-claim checklist")
         .parse_or_exit();
-    println!("# TACO IPv6 reproduction report (generated)");
-    println!();
-    println!(
-        "Technology ceiling: {:.0} MHz (0.18 um).  All numbers measured live by",
-        Estimator::new().max_frequency_hz() / 1e6
-    );
-    println!("cycle-accurate simulation on this machine; see EXPERIMENTS.md for the");
-    println!("paper-vs-measured discussion.");
-
-    for (label, rate, entries) in [
-        ("1040 B average packets", LineRate::TEN_GBE, 100usize),
-        ("84 B minimum frames", LineRate::TEN_GBE_MIN_FRAMES, 100),
-    ] {
-        println!();
-        println!("## Table 1 at {label} ({rate})");
-        println!();
-        println!("| table | config | cycles/datagram | bus util | required | estimate |");
-        println!("|---|---|---|---|---|---|");
-        for r in table1::table1(rate, entries) {
-            println!(
-                "| {} | {} | {:.0} | {:.0}% | {} | {} |",
-                r.config.table,
-                r.config.machine.label(),
-                r.cycles_per_datagram,
-                r.bus_utilization * 100.0,
-                table1::format_frequency(r.required_frequency_hz),
-                r.estimate
-            );
-        }
-    }
-
-    println!();
-    println!("## Scaling: cycles per datagram vs routing-table size");
-    println!();
-    print!("| table \\ entries |");
-    for n in SCALING_SIZES {
-        print!(" {n} |");
-    }
-    println!();
-    print!("|---|");
-    for _ in SCALING_SIZES {
-        print!("---|");
-    }
-    println!();
-    let mut kinds = TableKind::PAPER_KINDS.to_vec();
-    kinds.push(TableKind::Trie);
-    kinds.push(TableKind::Patricia);
-    for kind in kinds {
-        let config = ArchConfig::one_bus_one_fu(kind);
-        print!("| {kind} (1 bus) |");
-        for (_, cycles) in scaling_sweep(&config, &SCALING_SIZES) {
-            print!(" {cycles:.0} |");
-        }
-        println!();
-    }
-
-    println!();
-    println!("## Paper-claim checklist");
-    println!();
-    let t = table1::table1(LineRate::TEN_GBE, 100);
-    let f = |k: TableKind, c: usize| {
-        let row = TableKind::PAPER_KINDS.iter().position(|x| *x == k).expect("paper kind");
-        t[row * 3 + c].required_frequency_hz
-    };
-    let checks: Vec<(bool, String)> = vec![
-        (
-            f(TableKind::Sequential, 0) > f(TableKind::BalancedTree, 0)
-                && f(TableKind::BalancedTree, 0) > f(TableKind::Cam, 0),
-            "sequential > tree > CAM in required clock (every config)".into(),
-        ),
-        (
-            f(TableKind::Sequential, 0) / f(TableKind::Sequential, 1) > 1.8,
-            format!(
-                "3 buses cut the sequential clock by {:.1}x (paper: 3.0x)",
-                f(TableKind::Sequential, 0) / f(TableKind::Sequential, 1)
-            ),
-        ),
-        (
-            f(TableKind::Cam, 1) / f(TableKind::Cam, 2) < 1.25,
-            "extra FUs barely help the CAM row (paper's conclusion)".into(),
-        ),
-        (!t[0].is_feasible(), "sequential 1-bus is NA on 0.18 um".into()),
-        (
-            t[7].is_feasible() && f(TableKind::Cam, 1) < 150e6,
-            "CAM 3-bus runs at tens of MHz".into(),
-        ),
-    ];
-    for (ok, what) in checks {
-        println!("- [{}] {}", if ok { 'x' } else { ' ' }, what);
-    }
+    print!("{}", taco_core::report::render());
 }

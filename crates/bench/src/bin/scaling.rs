@@ -15,8 +15,8 @@
 use std::time::Instant;
 
 use taco_bench::cli::Cli;
-use taco_bench::SCALING_SIZES;
-use taco_core::{pool, scaling_sweep, ArchConfig, EvalCache, RoutingTableKind};
+use taco_core::report::SCALING_SIZES;
+use taco_core::{pool, scaling_sweep, ArchConfig, EvalCache};
 use taco_routing::TableKind;
 
 fn main() {
@@ -30,10 +30,8 @@ fn main() {
         pool::default_threads(),
         pool::THREADS_ENV
     );
-    let mut kinds = TableKind::PAPER_KINDS.to_vec();
-    kinds.push(TableKind::Trie); // the software baseline, as a fourth series
-    kinds.push(TableKind::Patricia); // path-compressed: depth tracks branching, not size
-    for kind in kinds {
+    // PATRICIA rides as a fourth series: depth tracks branching, not size.
+    for kind in TableKind::ALL_KINDS {
         println!("== {kind} ==");
         print!("{:<22}", "config \\ entries");
         for n in SCALING_SIZES {
@@ -57,5 +55,4 @@ fn main() {
     }
     let cache = EvalCache::global();
     eprintln!("evaluation cache: {} hits, {} misses", cache.hits(), cache.misses());
-    let _: RoutingTableKind = TableKind::Trie; // same enum, two names
 }

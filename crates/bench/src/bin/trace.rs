@@ -6,8 +6,7 @@
 //! ```
 //!
 //! `kind` is a routing-table organisation (`sequential`, `balanced-tree`,
-//! `cam`, `trie`, `patricia`) and `config` a machine shape (`1x1`, `3x1`,
-//! `3x3`).
+//! `cam`, `patricia`) and `config` a machine shape (`1x1`, `3x1`, `3x3`).
 //! Renders an ASCII per-cycle bus-occupancy strip (one row per bus, one
 //! column per cycle) for the chosen cell, from a `RingTracer` capture of
 //! the measurement run.  `--chrome PATH` additionally writes the same run
@@ -17,6 +16,7 @@
 use taco_bench::cli::Cli;
 use taco_core::api::{parse_machine_spec, parse_table_kind};
 use taco_core::{trace_request, EvalRequest};
+use taco_routing::TableKind;
 use taco_sim::{ChromeTracer, RingTracer, TraceEvent};
 
 /// Renders the first `limit` cycles of the capture as one character per
@@ -105,14 +105,11 @@ fn render_strip(events: &RingTracer, buses: u8, limit: usize) -> String {
 }
 
 fn main() {
+    let kinds = TableKind::ALL_KINDS.map(|kind| kind.to_string()).join(", ");
     let cli = Cli::new("trace", "cycle-level trace inspection for any Table 1 cell")
         .opt("--cycles", "N", "cycles of the occupancy strip to render")
         .opt("--chrome", "PATH", "also write the run as Chrome about://tracing JSON")
-        .positional(
-            "kind",
-            "table organisation: sequential, balanced-tree, cam, trie, patricia",
-            Some("cam"),
-        )
+        .positional("kind", &format!("table organisation: {kinds}"), Some("cam"))
         .positional("config", "machine shape: 1x1, 3x1, 3x3 (Table 1 labels accepted)", Some("3x1"))
         .positional("entries", "routing-table size", Some("16"));
     let args = cli.parse_or_exit();

@@ -25,7 +25,7 @@ pub struct Cli {
     about: &'static str,
     flags: Vec<(&'static str, &'static str)>,
     opts: Vec<(&'static str, &'static str, &'static str)>,
-    positionals: Vec<(&'static str, &'static str, Option<String>)>,
+    positionals: Vec<(&'static str, String, Option<String>)>,
 }
 
 /// The outcome of a successful parse: either the user asked for help, or
@@ -66,13 +66,8 @@ impl Cli {
     /// Declares a positional argument.  With a default it may be omitted;
     /// without one it is required.  Declaration order is argv order, and
     /// required positionals must precede defaulted ones.
-    pub fn positional(
-        mut self,
-        name: &'static str,
-        help: &'static str,
-        default: Option<&str>,
-    ) -> Cli {
-        self.positionals.push((name, help, default.map(str::to_owned)));
+    pub fn positional(mut self, name: &'static str, help: &str, default: Option<&str>) -> Cli {
+        self.positionals.push((name, help.to_owned(), default.map(str::to_owned)));
         self
     }
 

@@ -1,8 +1,7 @@
 //! Benchmark harness for the TACO IPv6 reproduction.
 //!
 //! The library part is small: the [`cli`] argument parser every binary
-//! shares (one dialect, one tested `--help` generator) plus a few sweep
-//! constants.  The rest is the binaries (timing lives in the stand-alone
+//! shares (one dialect, one tested `--help` generator).  The rest is the binaries (timing lives in the stand-alone
 //! `benchmarks/` package, not here):
 //!
 //! | target | regenerates |
@@ -12,12 +11,9 @@
 //! | `cargo run -p taco-bench --release --bin dse` | the automated design-space exploration (paper's future work) |
 //! | `cargo run -p taco-bench --release --bin ablation` | sequential-scan microcode tunables (unroll, screening word) |
 //! | `cargo run -p taco-bench --release --bin sensitivity` | required clock vs packet-size assumption |
-//! | `cargo run -p taco-bench --release --bin report` | a live markdown reproduction report with a paper-claim checklist |
+//! | `cargo run -p taco-bench --release --bin report` | the markdown reproduction report `tests/golden/report.md` pins (`taco_core::report::render`) |
 //! | `cargo run -p taco-bench --release --bin scenarios` | the built-in behavioural workloads across the three table organisations |
 //! | `cargo run -p taco-bench --release --bin taco-cli` | client/server front end for the `taco-served` daemon |
 //! | `cargo run -p taco-bench --release --bin loadgen` | the event loop under 8/64/256 concurrent one-shot and session clients (deadlock smoke) |
 
 pub mod cli;
-
-/// The routing-table sizes the scaling targets sweep.
-pub const SCALING_SIZES: [usize; 6] = [4, 16, 32, 64, 128, 256];

@@ -243,21 +243,20 @@ impl<'a> Fields<'a> {
 // ---------------------------------------------------------------------------
 
 /// Parses a routing-table organisation by its display name (`sequential`,
-/// `balanced-tree`, `cam`, `trie`, `patricia`; aliases `seq`, `tree`,
-/// `pat`).  The error message lists the accepted names — shared verbatim
-/// by the `trace` binary and the wire schema (both v1 and v2 dialects
-/// funnel through here, so an unknown kind is a structured `bad_request`
-/// on every path).
+/// `balanced-tree`, `cam`, `patricia`; aliases `seq`, `tree`, `pat`).  The
+/// error message lists [`TableKind::ALL_KINDS`] — shared verbatim by the
+/// `trace` binary and the wire schema (both v1 and v2 dialects funnel
+/// through here, so an unknown kind is a structured `bad_request` on every
+/// path).
 pub fn parse_table_kind(name: &str) -> Result<TableKind, String> {
     match name {
         "sequential" | "seq" => Ok(TableKind::Sequential),
         "balanced-tree" | "tree" => Ok(TableKind::BalancedTree),
         "cam" => Ok(TableKind::Cam),
-        "trie" => Ok(TableKind::Trie),
         "patricia" | "pat" => Ok(TableKind::Patricia),
         other => Err(format!(
-            "unknown table kind {other:?}; expected sequential, balanced-tree, cam, trie or \
-             patricia (aliases: seq, tree, pat)"
+            "unknown table kind {other:?}; expected one of: {} (aliases: seq, tree, pat)",
+            one_of(TableKind::ALL_KINDS)
         )),
     }
 }
@@ -1838,7 +1837,7 @@ pub(crate) mod tests {
     #[test]
     fn config_spec_inverts_every_in_tree_shape() {
         let mut shapes = ArchConfig::table1_cells();
-        shapes.push(ArchConfig::with_replication(TableKind::Trie, 4, 2));
+        shapes.push(ArchConfig::with_replication(TableKind::Patricia, 4, 2));
         shapes.push(ArchConfig::with_replication(TableKind::Cam, 2, 1).with_memory_ports(3));
         for config in shapes {
             let spec = ConfigSpec::from_config(&config)

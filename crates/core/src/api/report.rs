@@ -429,7 +429,7 @@ mod tests {
     fn label_config_mismatch_is_rejected() {
         let report =
             EvalRequest::new(ArchConfig::three_bus_one_fu(TableKind::Cam)).entries(8).run();
-        let line = report_to_json(&report).replace("\"table\":\"cam\"", "\"table\":\"trie\"");
+        let line = report_to_json(&report).replace("\"table\":\"cam\"", "\"table\":\"patricia\"");
         let err = report_from_json(&line).unwrap_err();
         assert!(err.message.contains("label"), "{err}");
     }

@@ -17,7 +17,9 @@
 //!    (`taco-estimate`) — producing an [`EvalReport`] with required speed,
 //!    bus utilisation, area, power and feasibility;
 //! 3. [`table1()`](table1()) evaluates the paper's nine cells and [`table1::render`]
-//!    prints them in the paper's layout;
+//!    prints them in the paper's layout; [`report::render`] is the whole
+//!    reproduction report (both operating points, the scaling ablation, the
+//!    paper-claim checklist) that EXPERIMENTS.md quotes;
 //! 4. [`explore`] automates the design-space sweep the paper lists as
 //!    future work: grid × constraints → ranked surviving configurations;
 //! 5. [`api`] is the versioned JSON wire form of all of the above — the
@@ -48,6 +50,7 @@ pub mod observer;
 pub mod pool;
 mod prepared;
 pub mod rate;
+pub mod report;
 pub mod request;
 pub mod table1;
 

@@ -3,11 +3,11 @@
 //!
 //! Table 1 stops at 100 entries; this fixture pins what each organisation
 //! *becomes* at BGP size — all-integer, so the snapshot is byte-stable on
-//! every platform.  For each of the five table kinds it records, over the
+//! every platform.  For each of the four table kinds it records, over the
 //! same seeded table and 1000-probe mix:
 //!
 //! * `max_probes` / `total_probes` — the engine's search cost signature
-//!   (constant CAM, logarithmic tree, bounded-depth tries, linear scan);
+//!   (constant CAM, logarithmic tree, branching-bound PATRICIA, linear scan);
 //! * `memory_words` — the serialised footprint of the built table;
 //! * `hits` — identical for every kind by the LPM oracle, pinned once.
 //!

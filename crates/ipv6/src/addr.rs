@@ -2,8 +2,8 @@
 //!
 //! [`Ipv6Address`] is a thin newtype over `[u8; 16]` that adds the accessors
 //! the rest of the framework needs: word-level views matching the 32-bit
-//! datapath of the TACO functional units, bit extraction for the trie and
-//! tree lookup engines, and scope classification for the router's input
+//! datapath of the TACO functional units, bit extraction for the PATRICIA
+//! and range-tree lookup engines, and scope classification for the router's input
 //! validation microcode.
 
 use std::fmt;
@@ -131,7 +131,7 @@ impl Ipv6Address {
     /// Length of the longest common leading bit string shared with `other`,
     /// in bits (0..=128).
     ///
-    /// This is the primitive the tree- and trie-based longest-prefix-match
+    /// This is the primitive the PATRICIA and range-tree longest-prefix-match
     /// engines are built on.
     pub fn common_prefix_len(&self, other: &Ipv6Address) -> u8 {
         let mut len = 0u8;

@@ -11,20 +11,19 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use taco_ipv6::Datagram;
 use taco_isa::{opt, schedule, MachineConfig};
-use taco_routing::{BalancedTreeTable, CamTable, LpmTable, PortId, Route, TableKind};
+use taco_routing::{
+    BalancedTreeTable, CamTable, LpmTable, PatriciaTable, PortId, Route, SequentialTable, TableKind,
+};
 use taco_sim::{
     CompiledProgram, FaultInjector, Processor, RtuBackend, RtuConfig, RtuResult, SimError,
     SimStats, Tracer, DEFAULT_MEMORY_WORDS,
 };
 
 use crate::layout::{
-    bytes_to_words, datagram_to_words, dgram_base, serialize_sequential, serialize_tree,
-    words_to_bytes, DGRAM_SLOT_WORDS, SEQ_ENTRY_WORDS, TABLE_BASE,
+    bytes_to_words, datagram_to_words, dgram_base, serialize_patricia, serialize_sequential,
+    serialize_tree, words_to_bytes, DGRAM_SLOT_WORDS, SEQ_ENTRY_WORDS, TABLE_BASE,
 };
-use crate::microcode::{
-    cam_program, choose_screen_word, pad_sequential_image, patricia_program, sequential_program,
-    tree_program, trie_program, MicrocodeOptions,
-};
+use crate::microcode::{choose_screen_word, pad_sequential_image, program_for, MicrocodeOptions};
 
 /// The Routing Table Unit backend that wraps the CAM model: keys are the
 /// four destination-address words, answers carry the output interface.
@@ -61,86 +60,54 @@ pub struct TableImage {
 }
 
 impl TableImage {
-    /// Builds and serialises the `kind` table holding `routes` — the one
-    /// dispatch point over the per-organisation constructors (each
-    /// serialises a different concrete engine, so the dispatch cannot go
-    /// through `Box<dyn LpmTable>`).
+    /// Builds and serialises the `kind` table holding `routes`: one arm per
+    /// organisation (each serialises a different concrete engine, so the
+    /// dispatch cannot go through `Box<dyn LpmTable>`).
     ///
     /// # Errors
     ///
-    /// [`SimError::MemoryOutOfBounds`] when the routes outnumber the CAM's
-    /// rows — the error [`CycleRouter::from_image`] gives an in-memory
-    /// image that overruns data memory, not a panic.
+    /// [`SimError::TableFull`] when the routes outnumber the CAM's rows —
+    /// an error like the [`SimError::MemoryOutOfBounds`] that
+    /// [`CycleRouter::from_image`] gives an in-memory image that overruns
+    /// data memory, not a panic.
     pub fn new(
         kind: TableKind,
         routes: &[Route],
         opts: &MicrocodeOptions,
     ) -> Result<Self, SimError> {
         let routes = routes.iter().copied();
+        let in_memory =
+            |words| TableImage { kind, words, cam: None, padded_entries: 0, opts: *opts };
         Ok(match kind {
+            // Scan-ordered entries padded to a multiple of `opts.unroll`,
+            // screened on the word `choose_screen_word` picks.
             TableKind::Sequential => {
-                Self::sequential(&taco_routing::SequentialTable::from_routes(routes), opts)
+                let table = SequentialTable::from_routes(routes);
+                let mut words = serialize_sequential(&table);
+                pad_sequential_image(&mut words, opts.unroll);
+                TableImage {
+                    padded_entries: words.len() / SEQ_ENTRY_WORDS as usize,
+                    opts: MicrocodeOptions { screen_word: choose_screen_word(&table), ..*opts },
+                    ..in_memory(words)
+                }
             }
-            TableKind::BalancedTree => Self::tree(&BalancedTreeTable::from_routes(routes), opts),
-            TableKind::Trie => Self::trie(&taco_routing::TrieTable::from_routes(routes), opts),
+            TableKind::BalancedTree => {
+                in_memory(serialize_tree(&BalancedTreeTable::from_routes(routes)))
+            }
             TableKind::Patricia => {
-                Self::patricia(&taco_routing::PatriciaTable::from_routes(routes), opts)
+                in_memory(serialize_patricia(&PatriciaTable::from_routes(routes)))
             }
+            // Nothing in data memory: the table sits behind the RTU.
             TableKind::Cam => {
                 let mut table = CamTable::new();
                 for route in routes {
                     if table.try_insert(route).is_err() {
-                        let rows = u32::try_from(table.len()).unwrap_or(u32::MAX);
-                        return Err(SimError::MemoryOutOfBounds { addr: rows, size: rows });
+                        return Err(SimError::TableFull { capacity: table.spec().capacity });
                     }
                 }
-                Self::cam(Arc::new(table), opts)
+                TableImage { cam: Some(Arc::new(table)), ..in_memory(Vec::new()) }
             }
         })
-    }
-
-    /// The **sequential** image: scan-ordered entries padded to a multiple
-    /// of `opts.unroll`, screened on the word [`choose_screen_word`] picks.
-    pub fn sequential(table: &taco_routing::SequentialTable, opts: &MicrocodeOptions) -> Self {
-        let mut words = serialize_sequential(table);
-        pad_sequential_image(&mut words, opts.unroll);
-        TableImage {
-            kind: TableKind::Sequential,
-            padded_entries: words.len() / SEQ_ENTRY_WORDS as usize,
-            words,
-            cam: None,
-            opts: MicrocodeOptions { screen_word: choose_screen_word(table), ..*opts },
-        }
-    }
-
-    /// The **balanced-tree** image.
-    pub fn tree(table: &BalancedTreeTable, opts: &MicrocodeOptions) -> Self {
-        Self::in_memory(TableKind::BalancedTree, serialize_tree(table), opts)
-    }
-
-    /// The **unibit-trie** image.
-    pub fn trie(table: &taco_routing::TrieTable, opts: &MicrocodeOptions) -> Self {
-        Self::in_memory(TableKind::Trie, crate::layout::serialize_trie(table), opts)
-    }
-
-    /// The **PATRICIA** image.
-    pub fn patricia(table: &taco_routing::PatriciaTable, opts: &MicrocodeOptions) -> Self {
-        Self::in_memory(TableKind::Patricia, crate::layout::serialize_patricia(table), opts)
-    }
-
-    /// The **CAM** "image": nothing in data memory, the table behind the RTU.
-    pub fn cam(table: Arc<CamTable>, opts: &MicrocodeOptions) -> Self {
-        TableImage {
-            kind: TableKind::Cam,
-            words: Vec::new(),
-            cam: Some(table),
-            padded_entries: 0,
-            opts: *opts,
-        }
-    }
-
-    fn in_memory(kind: TableKind, words: Vec<u32>, opts: &MicrocodeOptions) -> Self {
-        TableImage { kind, words, cam: None, padded_entries: 0, opts: *opts }
     }
 
     /// The table organisation this image serialises.
@@ -151,16 +118,6 @@ impl TableImage {
     /// First word address past the image in data memory.
     pub fn end(&self) -> u32 {
         TABLE_BASE.saturating_add(u32::try_from(self.words.len()).unwrap_or(u32::MAX))
-    }
-
-    fn microcode(&self) -> taco_isa::MoveSeq {
-        match self.kind {
-            TableKind::Sequential => sequential_program(self.padded_entries, &self.opts),
-            TableKind::BalancedTree => tree_program(&self.opts),
-            TableKind::Trie => trie_program(&self.opts),
-            TableKind::Patricia => patricia_program(&self.opts),
-            TableKind::Cam => cam_program(&self.opts),
-        }
     }
 }
 
@@ -203,7 +160,7 @@ fn compiled_program(
     if let Some(p) = program_cache().lock().expect("program cache poisoned").get(&key) {
         return Ok(Arc::clone(p));
     }
-    let mut seq = image.microcode();
+    let mut seq = program_for(image.kind, image.padded_entries, &image.opts);
     opt::optimize(&mut seq);
     let mut program = schedule(&seq, config);
     program.resolve_labels().map_err(SimError::UnresolvedLabel)?;
@@ -255,77 +212,6 @@ impl CycleRouter {
             slots: Vec::new(),
             malformed_rejected: 0,
         })
-    }
-
-    /// Builds a router whose table is scanned **sequentially** in memory.
-    ///
-    /// # Errors
-    ///
-    /// See [`CycleRouter::from_image`].
-    pub fn sequential(
-        config: &MachineConfig,
-        table: &taco_routing::SequentialTable,
-        opts: &MicrocodeOptions,
-    ) -> Result<Self, SimError> {
-        Self::from_image(config, &TableImage::sequential(table, opts), 1)
-    }
-
-    /// Builds a router over the **balanced-tree** image.
-    ///
-    /// # Errors
-    ///
-    /// See [`CycleRouter::from_image`].
-    pub fn tree(
-        config: &MachineConfig,
-        table: &BalancedTreeTable,
-        opts: &MicrocodeOptions,
-    ) -> Result<Self, SimError> {
-        Self::from_image(config, &TableImage::tree(table, opts), 1)
-    }
-
-    /// Builds a router over the **unibit-trie** image — the software
-    /// baseline whose probe count tracks prefix depth rather than table
-    /// size.
-    ///
-    /// # Errors
-    ///
-    /// See [`CycleRouter::from_image`].
-    pub fn trie(
-        config: &MachineConfig,
-        table: &taco_routing::TrieTable,
-        opts: &MicrocodeOptions,
-    ) -> Result<Self, SimError> {
-        Self::from_image(config, &TableImage::trie(table, opts), 1)
-    }
-
-    /// Builds a router over the **PATRICIA** image — the path-compressed
-    /// engine whose walk visits one node per *branching* bit, keeping both
-    /// probes and table words bounded at internet-size tables.
-    ///
-    /// # Errors
-    ///
-    /// See [`CycleRouter::from_image`].
-    pub fn patricia(
-        config: &MachineConfig,
-        table: &taco_routing::PatriciaTable,
-        opts: &MicrocodeOptions,
-    ) -> Result<Self, SimError> {
-        Self::from_image(config, &TableImage::patricia(table, opts), 1)
-    }
-
-    /// Builds a router whose lookups go to a **CAM-backed RTU** with the
-    /// given search latency in cycles.
-    ///
-    /// # Errors
-    ///
-    /// See [`CycleRouter::from_image`].
-    pub fn cam(
-        config: &MachineConfig,
-        table: CamTable,
-        rtu_latency: u32,
-        opts: &MicrocodeOptions,
-    ) -> Result<Self, SimError> {
-        Self::from_image(config, &TableImage::cam(Arc::new(table), opts), rtu_latency)
     }
 
     /// Builds a router for any table organisation from a plain route list:
@@ -540,7 +426,6 @@ impl CycleRouter {
 mod tests {
     use super::*;
     use taco_ipv6::NextHeader;
-    use taco_routing::{Route, SequentialTable};
 
     fn route(p: &str, port: u16) -> Route {
         Route::new(p.parse().unwrap(), "fe80::1".parse().unwrap(), PortId(port), 1)
@@ -553,13 +438,16 @@ mod tests {
             .build()
     }
 
+    fn router(kind: TableKind, config: MachineConfig, routes: &[Route]) -> CycleRouter {
+        CycleRouter::for_kind(kind, &config, routes, 1, &MicrocodeOptions::default()).unwrap()
+    }
+
+    fn nested_routes() -> [Route; 3] {
+        [route("2001:db8::/32", 1), route("2001:db8:aa::/48", 2), route("::/0", 3)]
+    }
+
     fn seq_router(config: MachineConfig) -> CycleRouter {
-        let table = SequentialTable::from_routes([
-            route("2001:db8::/32", 1),
-            route("2001:db8:aa::/48", 2),
-            route("::/0", 3),
-        ]);
-        CycleRouter::sequential(&config, &table, &MicrocodeOptions::default()).unwrap()
+        router(TableKind::Sequential, config, &nested_routes())
     }
 
     #[test]
@@ -617,13 +505,11 @@ mod tests {
 
     #[test]
     fn sequential_miss_drops() {
-        let table = SequentialTable::from_routes([route("2001:db8::/32", 1)]);
-        let mut r = CycleRouter::sequential(
-            &MachineConfig::three_bus_one_fu(),
-            &table,
-            &MicrocodeOptions::default(),
-        )
-        .unwrap();
+        let mut r = router(
+            TableKind::Sequential,
+            MachineConfig::three_bus_one_fu(),
+            &[route("2001:db8::/32", 1)],
+        );
         r.enqueue(PortId(0), &dgram("9999::1", 64)).unwrap();
         r.run(1_000_000).unwrap();
         assert!(r.forwarded().is_empty());
@@ -631,17 +517,8 @@ mod tests {
 
     #[test]
     fn tree_forwards_longest_match() {
-        let table = BalancedTreeTable::from_routes([
-            route("2001:db8::/32", 1),
-            route("2001:db8:aa::/48", 2),
-            route("::/0", 3),
-        ]);
-        let mut r = CycleRouter::tree(
-            &MachineConfig::three_bus_one_fu(),
-            &table,
-            &MicrocodeOptions::default(),
-        )
-        .unwrap();
+        let mut r =
+            router(TableKind::BalancedTree, MachineConfig::three_bus_one_fu(), &nested_routes());
         r.enqueue(PortId(0), &dgram("2001:db8:aa::5", 64)).unwrap();
         r.enqueue(PortId(0), &dgram("2001:db8:bb::5", 64)).unwrap();
         r.enqueue(PortId(0), &dgram("9999::1", 64)).unwrap();
@@ -651,75 +528,9 @@ mod tests {
     }
 
     #[test]
-    fn trie_forwards_longest_match() {
-        let table = taco_routing::TrieTable::from_routes([
-            route("2001:db8::/32", 1),
-            route("2001:db8:aa::/48", 2),
-            route("::/0", 3),
-        ]);
-        let mut r = CycleRouter::trie(
-            &MachineConfig::three_bus_one_fu(),
-            &table,
-            &MicrocodeOptions::default(),
-        )
-        .unwrap();
-        r.enqueue(PortId(0), &dgram("2001:db8:aa::5", 64)).unwrap();
-        r.enqueue(PortId(0), &dgram("2001:db8:bb::5", 64)).unwrap();
-        r.enqueue(PortId(0), &dgram("9999::1", 64)).unwrap();
-        r.run(10_000_000).unwrap();
-        let ports: Vec<u16> = r.forwarded().iter().map(|(p, _)| p.0).collect();
-        assert_eq!(ports, vec![2, 1, 3]);
-    }
-
-    #[test]
-    fn trie_handles_host_route_and_miss() {
-        let table = taco_routing::TrieTable::from_routes([route("2001:db8::7/128", 5)]);
-        let mut r = CycleRouter::trie(
-            &MachineConfig::three_bus_one_fu(),
-            &table,
-            &MicrocodeOptions::default(),
-        )
-        .unwrap();
-        r.enqueue(PortId(0), &dgram("2001:db8::7", 64)).unwrap(); // exact /128 hit
-        r.enqueue(PortId(0), &dgram("2001:db8::8", 64)).unwrap(); // miss
-        r.run(10_000_000).unwrap();
-        let ports: Vec<u16> = r.forwarded().iter().map(|(p, _)| p.0).collect();
-        assert_eq!(ports, vec![5]);
-    }
-
-    #[test]
-    fn trie_cost_tracks_prefix_depth_not_size() {
-        let cost = |routes: Vec<taco_routing::Route>| -> u64 {
-            let table = taco_routing::TrieTable::from_routes(routes);
-            let mut r = CycleRouter::trie(
-                &MachineConfig::one_bus_one_fu(),
-                &table,
-                &MicrocodeOptions::default(),
-            )
-            .unwrap();
-            r.enqueue(PortId(0), &dgram("2001:db8:1::9", 64)).unwrap();
-            r.run(10_000_000).unwrap().cycles
-        };
-        // Same /48 depth, 4 vs 64 entries: near-identical cost.
-        let small = cost((0..4u16).map(|i| route(&format!("2001:db8:{i:x}::/48"), i)).collect());
-        let large = cost((0..64u16).map(|i| route(&format!("2001:db8:{i:x}::/48"), i)).collect());
-        let ratio = large as f64 / small as f64;
-        assert!(ratio < 1.15, "trie cost must track depth, not size: {small} vs {large}");
-    }
-
-    #[test]
     fn patricia_forwards_longest_match() {
-        let table = taco_routing::PatriciaTable::from_routes([
-            route("2001:db8::/32", 1),
-            route("2001:db8:aa::/48", 2),
-            route("::/0", 3),
-        ]);
-        let mut r = CycleRouter::patricia(
-            &MachineConfig::three_bus_one_fu(),
-            &table,
-            &MicrocodeOptions::default(),
-        )
-        .unwrap();
+        let mut r =
+            router(TableKind::Patricia, MachineConfig::three_bus_one_fu(), &nested_routes());
         r.enqueue(PortId(0), &dgram("2001:db8:aa::5", 64)).unwrap();
         r.enqueue(PortId(0), &dgram("2001:db8:bb::5", 64)).unwrap();
         r.enqueue(PortId(0), &dgram("9999::1", 64)).unwrap();
@@ -730,13 +541,11 @@ mod tests {
 
     #[test]
     fn patricia_handles_host_route_and_miss() {
-        let table = taco_routing::PatriciaTable::from_routes([route("2001:db8::7/128", 5)]);
-        let mut r = CycleRouter::patricia(
-            &MachineConfig::three_bus_one_fu(),
-            &table,
-            &MicrocodeOptions::default(),
-        )
-        .unwrap();
+        let mut r = router(
+            TableKind::Patricia,
+            MachineConfig::three_bus_one_fu(),
+            &[route("2001:db8::7/128", 5)],
+        );
         r.enqueue(PortId(0), &dgram("2001:db8::7", 64)).unwrap(); // exact /128 hit
         r.enqueue(PortId(0), &dgram("2001:db8::8", 64)).unwrap(); // miss
         r.run(10_000_000).unwrap();
@@ -746,14 +555,8 @@ mod tests {
 
     #[test]
     fn patricia_cost_tracks_branching_depth_not_size() {
-        let cost = |routes: Vec<taco_routing::Route>| -> u64 {
-            let table = taco_routing::PatriciaTable::from_routes(routes);
-            let mut r = CycleRouter::patricia(
-                &MachineConfig::one_bus_one_fu(),
-                &table,
-                &MicrocodeOptions::default(),
-            )
-            .unwrap();
+        let cost = |routes: Vec<Route>| -> u64 {
+            let mut r = router(TableKind::Patricia, MachineConfig::one_bus_one_fu(), &routes);
             r.enqueue(PortId(0), &dgram("2001:db8:1::9", 64)).unwrap();
             r.run(10_000_000).unwrap().cycles
         };
@@ -768,10 +571,10 @@ mod tests {
 
     #[test]
     fn cam_forwards_and_stalls() {
-        let table = CamTable::from_routes([route("2001:db8::/32", 1), route("::/0", 3)]);
-        let mut r = CycleRouter::cam(
+        let mut r = CycleRouter::for_kind(
+            TableKind::Cam,
             &MachineConfig::three_bus_one_fu(),
-            table,
+            &[route("2001:db8::/32", 1), route("::/0", 3)],
             8,
             &MicrocodeOptions::default(),
         )
@@ -785,15 +588,9 @@ mod tests {
     #[test]
     fn per_datagram_cost_is_linear_in_table_size_for_sequential() {
         let cost = |n: usize| -> u64 {
-            let table = SequentialTable::from_routes(
-                (0..n as u16).map(|i| route(&format!("2001:db8:{i:x}::/48"), i)),
-            );
-            let mut r = CycleRouter::sequential(
-                &MachineConfig::one_bus_one_fu(),
-                &table,
-                &MicrocodeOptions::default(),
-            )
-            .unwrap();
+            let routes: Vec<Route> =
+                (0..n as u16).map(|i| route(&format!("2001:db8:{i:x}::/48"), i)).collect();
+            let mut r = router(TableKind::Sequential, MachineConfig::one_bus_one_fu(), &routes);
             // Worst case: no entry matches.
             r.enqueue(PortId(0), &dgram("9999::1", 64)).unwrap();
             r.run(10_000_000).unwrap().cycles
@@ -807,15 +604,9 @@ mod tests {
     #[test]
     fn tree_cost_is_logarithmic() {
         let cost = |n: usize| -> u64 {
-            let table = BalancedTreeTable::from_routes(
-                (0..n as u16).map(|i| route(&format!("2001:db8:{i:x}::/48"), i)),
-            );
-            let mut r = CycleRouter::tree(
-                &MachineConfig::one_bus_one_fu(),
-                &table,
-                &MicrocodeOptions::default(),
-            )
-            .unwrap();
+            let routes: Vec<Route> =
+                (0..n as u16).map(|i| route(&format!("2001:db8:{i:x}::/48"), i)).collect();
+            let mut r = router(TableKind::BalancedTree, MachineConfig::one_bus_one_fu(), &routes);
             r.enqueue(PortId(0), &dgram("9999::1", 64)).unwrap();
             r.run(10_000_000).unwrap().cycles
         };
@@ -827,35 +618,13 @@ mod tests {
 
     #[test]
     fn empty_tables_drop_everything_on_all_engines() {
-        let config = MachineConfig::three_bus_one_fu();
-        let opts = MicrocodeOptions::default();
         let d = dgram("2001:db8::1", 64);
-        let mut routers: Vec<CycleRouter> = vec![
-            CycleRouter::sequential(&config, &SequentialTable::new(), &opts).unwrap(),
-            CycleRouter::tree(&config, &BalancedTreeTable::new(), &opts).unwrap(),
-            CycleRouter::trie(&config, &taco_routing::TrieTable::new(), &opts).unwrap(),
-            CycleRouter::patricia(&config, &taco_routing::PatriciaTable::new(), &opts).unwrap(),
-            CycleRouter::cam(&config, CamTable::new(), 2, &opts).unwrap(),
-        ];
-        for r in &mut routers {
-            r.enqueue(PortId(0), &d).unwrap();
-            r.run(1_000_000).unwrap_or_else(|e| panic!("{:?} hung: {e}", r.kind()));
-            assert!(r.forwarded().is_empty(), "{:?}", r.kind());
-        }
-    }
-
-    #[test]
-    fn for_kind_matches_dedicated_constructors() {
-        let config = MachineConfig::three_bus_one_fu();
-        let opts = MicrocodeOptions::default();
-        let routes =
-            vec![route("2001:db8::/32", 1), route("2001:db8:aa::/48", 2), route("::/0", 3)];
         for kind in TableKind::ALL_KINDS {
-            let mut r = CycleRouter::for_kind(kind, &config, &routes, 4, &opts).unwrap();
+            let mut r = router(kind, MachineConfig::three_bus_one_fu(), &[]);
             assert_eq!(r.kind(), kind);
-            r.enqueue(PortId(0), &dgram("2001:db8:aa::5", 64)).unwrap();
-            r.run(10_000_000).unwrap();
-            assert_eq!(r.forwarded()[0].0, PortId(2), "{kind}");
+            r.enqueue(PortId(0), &d).unwrap();
+            r.run(1_000_000).unwrap_or_else(|e| panic!("{kind} hung: {e}"));
+            assert!(r.forwarded().is_empty(), "{kind}");
         }
     }
 
@@ -873,12 +642,10 @@ mod tests {
     #[test]
     fn different_table_sizes_get_different_sequential_programs() {
         let config = MachineConfig::three_bus_one_fu();
-        let small = SequentialTable::from_routes([route("2001:db8::/32", 1)]);
-        let large = SequentialTable::from_routes(
-            (0..50u16).map(|i| route(&format!("2001:db8:{i:x}::/48"), i)),
-        );
-        let a = CycleRouter::sequential(&config, &small, &MicrocodeOptions::default()).unwrap();
-        let b = CycleRouter::sequential(&config, &large, &MicrocodeOptions::default()).unwrap();
+        let large: Vec<Route> =
+            (0..50u16).map(|i| route(&format!("2001:db8:{i:x}::/48"), i)).collect();
+        let a = router(TableKind::Sequential, config.clone(), &[route("2001:db8::/32", 1)]);
+        let b = router(TableKind::Sequential, config, &large);
         assert!(!std::ptr::eq(a.processor().program(), b.processor().program()));
     }
 

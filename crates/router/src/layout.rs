@@ -212,34 +212,6 @@ pub fn tree_depth(n_segments: usize) -> u32 {
     (usize::BITS - n_segments.leading_zeros()).max(1)
 }
 
-/// Words per unibit-trie node: `[left, right, iface, handle]`, where the
-/// children are absolute word addresses or [`NULL_PTR`] and `iface` is
-/// [`MISS_IFACE`] for pass-through nodes.
-pub const TRIE_NODE_WORDS: u32 = 4;
-
-/// Serialises a unibit trie into its memory image, rooted at
-/// [`TABLE_BASE`].
-///
-/// The microcode walks one destination-address bit per node, remembering
-/// the last node that carried a route (`iface != MISS_IFACE`); a null child
-/// ends the walk.
-pub fn serialize_trie(table: &taco_routing::TrieTable) -> Vec<u32> {
-    let addr_of = |idx: Option<usize>| -> u32 {
-        match idx {
-            Some(i) => TABLE_BASE + i as u32 * TRIE_NODE_WORDS,
-            None => NULL_PTR,
-        }
-    };
-    let mut out = Vec::new();
-    for (k, (left, right, route)) in table.flat_nodes().enumerate() {
-        out.push(addr_of(left));
-        out.push(addr_of(right));
-        out.push(route.map_or(MISS_IFACE, |r| u32::from(r.interface().0)));
-        out.push(k as u32);
-    }
-    out
-}
-
 /// Words per PATRICIA node:
 /// `[left, right, iface, handle, branch_off, branch_mask, mask0, pfx0,
 /// mask1, pfx1, mask2, pfx2, mask3, pfx3, 0, 0]`.
@@ -399,9 +371,8 @@ mod tests {
 
     #[test]
     fn full_patricia_workload_table_fits_the_table_area() {
-        // Path compression is what makes the full 100-entry table image fit
-        // where the unibit trie's (4 words x ~1 node per prefix bit) could
-        // not — the patricia column needs no differential route cap.
+        // Path compression keeps the full 100-entry image (at most 2n - 1
+        // 16-word nodes) inside the table area.
         let t = taco_routing::PatriciaTable::from_routes(
             (0..100u16).map(|i| r(&format!("2001:db8:{i:x}::/48"), i)),
         );

@@ -5,7 +5,7 @@
 //! This crate assembles the substrates into the system the paper evaluates:
 //!
 //! * [`layout`] — the data-memory map (whole datagrams in main memory,
-//!   routing-table images for the scan and tree engines);
+//!   routing-table images for the scan, tree and PATRICIA engines);
 //! * [`microcode`] — generated TTA move programs for the forwarding fast
 //!   path, one per routing-table organisation, written against *virtual*
 //!   FU instances so the same code exploits whatever buses and FUs an
@@ -26,15 +26,13 @@
 //! use taco_isa::MachineConfig;
 //! use taco_router::cycle::CycleRouter;
 //! use taco_router::microcode::MicrocodeOptions;
-//! use taco_routing::{CamTable, PortId, Route};
+//! use taco_routing::{PortId, Route, TableKind};
 //! use taco_ipv6::{Datagram, NextHeader};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let table = CamTable::from_routes([Route::new(
-//!     "2001:db8::/32".parse()?, "fe80::1".parse()?, PortId(2), 1,
-//! )]);
-//! let mut router = CycleRouter::cam(
-//!     &MachineConfig::three_bus_one_fu(), table, 2, &MicrocodeOptions::default())?;
+//! let routes = [Route::new("2001:db8::/32".parse()?, "fe80::1".parse()?, PortId(2), 1)];
+//! let mut router = CycleRouter::for_kind(
+//!     TableKind::Cam, &MachineConfig::three_bus_one_fu(), &routes, 2, &MicrocodeOptions::default())?;
 //! let d = Datagram::builder("2001:db8:9::1".parse()?, "2001:db8::42".parse()?)
 //!     .hop_limit(64)
 //!     .payload(NextHeader::Udp, vec![0u8; 16])

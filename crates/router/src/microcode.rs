@@ -11,13 +11,15 @@
 //! * [`tree_program`] — descends the balanced BST with a predecessor
 //!   search (remember the node and go right when its key ≤ destination);
 //! * [`cam_program`] — hands the whole lookup to the Routing Table Unit
-//!   (CAM + SRAM) and waits out its fixed search latency.
+//!   (CAM + SRAM) and waits out its fixed search latency;
+//! * [`patricia_program`] — walks the path-compressed radix tree, one node
+//!   per branching bit, verifying each node's whole prefix.
 //!
-//! All three share the same per-datagram envelope: pop a pending pointer
-//! from the iPPU, validate the version nibble, check and decrement the hop
-//! limit (writing it back to memory), load the destination address, and —
-//! after the lookup — hand the pointer to the oPPU with the resolved output
-//! interface.
+//! [`program_for`] is the one kind → generator dispatch.  All four share
+//! the same per-datagram envelope: pop a pending pointer from the iPPU,
+//! validate the version nibble, check and decrement the hop limit (writing
+//! it back to memory), load the destination address, and — after the
+//! lookup — hand the pointer to the oPPU with the resolved output interface.
 //!
 //! **Folding discipline.**  Virtual FU instances are folded onto physical
 //! ones by the scheduler (`virtual mod physical`).  Generated code
@@ -34,17 +36,18 @@
 //! | r2  | header word 1 (payload len / next header / hop limit) |
 //! | r4–r7 | destination address words 0–3 |
 //! | r3  | full-match accumulator (sequential verify pass) |
-//! | r8  | current node (tree) / shifting-word register (trie uses r3) |
-//! | r9  | scan block counter (sequential) / per-word level counter (trie) |
+//! | r8  | current node (tree, PATRICIA) |
+//! | r9  | scan block counter (sequential) / branch-word offset (PATRICIA) |
 //! | r10 | match candidate (entry/node address) |
 //! | r11 | resolved output interface |
 //! | r12–r14 | per-lane entry pointers (sequential) |
 
 use taco_isa::{CodeBuilder, FuKind, MoveSeq};
+use taco_routing::TableKind;
 
 use crate::layout::{MISS_IFACE, NULL_PTR, SEQ_ENTRY_WORDS, TABLE_BASE};
 
-/// Options shared by the three generators.
+/// Options shared by the generators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MicrocodeOptions {
     /// Parallel scan lanes for the sequential table (1..=3).  Three lanes
@@ -425,109 +428,6 @@ pub fn tree_program(opts: &MicrocodeOptions) -> MoveSeq {
     b.finish()
 }
 
-/// Generates the forwarding program for a **unibit-trie** routing table
-/// serialised by [`serialize_trie`](crate::layout::serialize_trie) — the
-/// classic "software-based algorithm" alternative the paper's related work
-/// discusses.
-///
-/// The walk consumes one destination-address bit per node: the current
-/// address word shifts left through the Shifter while the Matcher tests its
-/// most-significant bit to pick the left or right child; every node
-/// carrying a route becomes the candidate.  Four unrolled sections walk the
-/// four address words, each with a 32-level counted loop.
-///
-/// The probe count is bounded by the *longest stored prefix*, not the table
-/// size — flat like the CAM, but at tens of cycles per bit, which is the
-/// quantitative reason unibit tries that served IPv4 become painful at
-/// IPv6's 128-bit keys (the asymmetry behind the paper's CAM discussion).
-pub fn trie_program(opts: &MicrocodeOptions) -> MoveSeq {
-    let mut b = CodeBuilder::new();
-    envelope_prologue(&mut b, opts);
-
-    let mmu = b.fu(FuKind::Mmu, 0);
-    let sh = b.fu(FuKind::Shifter, 0);
-    let m_bit = b.alloc(FuKind::Matcher);
-    let p_null = b.alloc(FuKind::Comparator);
-    let p_miss = b.alloc(FuKind::Comparator);
-    let c_iface = b.alloc(FuKind::Counter);
-    let c_child = b.alloc(FuKind::Counter);
-    let c_level = b.alloc(FuKind::Counter);
-
-    // r8 = current node, r10 = candidate node, r3 = shifting address word,
-    // r9 = level counter within the current word.
-    b.mv(TABLE_BASE, b.reg(8));
-    b.mv(NULL_PTR, b.reg(10));
-    b.mv(1u32, sh.port("amount")); // the only shifter user: set once
-
-    for w in 0..4u8 {
-        let loop_label = format!("trie_w{w}");
-        b.mv(b.reg(4 + w), b.reg(3));
-        b.mv(0u32, b.reg(9));
-        b.label(loop_label.clone());
-
-        // Candidate: does this node carry a route? (iface word at +2)
-        b.mv(b.reg(8), c_iface.port("tset"));
-        b.mv(2u32, c_iface.port("tadd"));
-        b.mv(c_iface.port("r"), mmu.port("addr"));
-        b.mv(0u32, mmu.port("tread"));
-        b.mv(MISS_IFACE, p_miss.port("refv"));
-        b.mv(mmu.port("r"), p_miss.port("t"));
-        b.mv_unless(p_miss.guard("eq"), b.reg(8), b.reg(10));
-
-        // Child select on the MSB of the shifting word.
-        b.mv(0x8000_0000u32, m_bit.port("mask"));
-        b.mv(0x8000_0000u32, m_bit.port("refv"));
-        b.mv(b.reg(3), m_bit.port("t"));
-        b.mv(b.reg(8), c_child.port("tset"));
-        b.mv_if(m_bit.guard("match"), 1u32, c_child.port("tinc"));
-        b.mv(c_child.port("r"), mmu.port("addr"));
-        b.mv(0u32, mmu.port("tread"));
-        b.mv(mmu.port("r"), b.reg(8));
-
-        // Null child ends the walk.
-        b.mv(NULL_PTR, p_null.port("refv"));
-        b.mv(b.reg(8), p_null.port("t"));
-        b.jump_if(p_null.guard("eq"), "trie_resolve");
-
-        // Shift to the next bit; after 32 of them, the next word.
-        b.mv(b.reg(3), sh.port("tshl"));
-        b.mv(sh.port("r"), b.reg(3));
-        b.mv(b.reg(9), c_level.port("tset"));
-        b.mv(32u32, c_level.port("stop"));
-        b.mv(0u32, c_level.port("tinc"));
-        b.mv(c_level.port("r"), b.reg(9));
-        b.jump_unless(c_level.guard("done"), loop_label);
-    }
-
-    // On bit exhaustion (a /128 route) the final node was entered but not
-    // yet candidate-checked; do it now — unless the walk ended on a null.
-    b.label("trie_resolve");
-    b.mv(NULL_PTR, p_null.port("refv"));
-    b.mv(b.reg(8), p_null.port("t"));
-    b.jump_if(p_null.guard("eq"), "trie_final");
-    b.mv(b.reg(8), c_iface.port("tset"));
-    b.mv(2u32, c_iface.port("tadd"));
-    b.mv(c_iface.port("r"), mmu.port("addr"));
-    b.mv(0u32, mmu.port("tread"));
-    b.mv(MISS_IFACE, p_miss.port("refv"));
-    b.mv(mmu.port("r"), p_miss.port("t"));
-    b.mv_unless(p_miss.guard("eq"), b.reg(8), b.reg(10));
-
-    b.label("trie_final");
-    b.mv(NULL_PTR, p_null.port("refv"));
-    b.mv(b.reg(10), p_null.port("t"));
-    b.jump_if(p_null.guard("eq"), "drop");
-    b.mv(b.reg(10), c_iface.port("tset"));
-    b.mv(2u32, c_iface.port("tadd"));
-    b.mv(c_iface.port("r"), mmu.port("addr"));
-    b.mv(0u32, mmu.port("tread"));
-    b.mv(mmu.port("r"), b.reg(11));
-    b.jump("found");
-
-    envelope_epilogue(&mut b);
-    b.finish()
-}
-
 /// Generates the forwarding program for a **PATRICIA** routing table
 /// serialised by [`serialize_patricia`](crate::layout::serialize_patricia)
 /// — path-compressed per Click's `BSDIP6Lookup` ("fast database updates,
@@ -541,8 +441,8 @@ pub fn trie_program(opts: &MicrocodeOptions) -> MoveSeq {
 /// (`branch_off`/`branch_mask`) to pick the left or right child.  A null
 /// child or a verify failure resolves to the deepest candidate.  The walk
 /// visits one node per *branching* bit instead of one per prefix bit,
-/// which is what lets internet-size tables keep O(W) probes with a
-/// fraction of the unibit trie's nodes.
+/// which is what lets internet-size tables keep O(W) probes with at most
+/// `2n − 1` nodes.
 pub fn patricia_program(opts: &MicrocodeOptions) -> MoveSeq {
     let mut b = CodeBuilder::new();
     envelope_prologue(&mut b, opts);
@@ -664,6 +564,24 @@ pub fn cam_program(opts: &MicrocodeOptions) -> MoveSeq {
     b.finish()
 }
 
+/// Generates the forwarding program for a `kind` table — the one
+/// kind → generator dispatch, so an organisation added or removed is one
+/// arm here.  `entries` is the sequential scan's size parameter (what
+/// [`pad_sequential_image`] leaves in the image); the fixed-shape engines
+/// ignore it.
+///
+/// # Panics
+///
+/// See [`sequential_program`].
+pub fn program_for(kind: TableKind, entries: usize, opts: &MicrocodeOptions) -> MoveSeq {
+    match kind {
+        TableKind::Sequential => sequential_program(entries, opts),
+        TableKind::BalancedTree => tree_program(opts),
+        TableKind::Cam => cam_program(opts),
+        TableKind::Patricia => patricia_program(opts),
+    }
+}
+
 /// Generates a standalone slow-path routine: the RFC 1071 Internet
 /// checksum of `words` consecutive 32-bit words starting at word address
 /// `start`, left in register r0.
@@ -712,13 +630,7 @@ mod tests {
     #[test]
     fn all_programs_schedule_on_all_paper_configs() {
         let opts = MicrocodeOptions::default();
-        let seqs = [
-            sequential_program(100, &opts),
-            tree_program(&opts),
-            cam_program(&opts),
-            trie_program(&opts),
-            patricia_program(&opts),
-        ];
+        let seqs = TableKind::ALL_KINDS.map(|kind| program_for(kind, 100, &opts));
         for config in [
             MachineConfig::one_bus_one_fu(),
             MachineConfig::three_bus_one_fu(),

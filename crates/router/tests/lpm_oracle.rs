@@ -3,7 +3,7 @@
 //! Every routing-table organisation must give *identical* longest-prefix
 //! match answers — hit/miss, egress interface, next hop — because they all
 //! implement the same RFC 4632 semantics; only their cost models differ.
-//! These tests pit all five engines ([`TableKind::ALL_KINDS`]) against each
+//! These tests pit every engine ([`TableKind::ALL_KINDS`]) against each
 //! other on seeded randomized tables up to BGP size (10k prefixes, with the
 //! nesting and aliasing of a real feed), so a correctness bug in any engine
 //! surfaces as a disagreement instead of silently skewing Table 1.
@@ -23,7 +23,7 @@ fn answer(
     table.lookup(dst).into_route().map(|r| (r.prefix(), r.next_hop(), r.interface()))
 }
 
-/// Asserts all five organisations answer `probes` identically over
+/// Asserts every organisation answers `probes` identically over
 /// `routes`, returning the number of hits for sanity checks.
 fn assert_all_kinds_agree(routes: &[Route], probes: &[Ipv6Address]) -> usize {
     let tables: Vec<(TableKind, Box<dyn LpmTable>)> =
@@ -41,7 +41,7 @@ fn assert_all_kinds_agree(routes: &[Route], probes: &[Ipv6Address]) -> usize {
 }
 
 #[test]
-fn five_engines_agree_on_a_bgp_table_at_10k_prefixes() {
+fn all_engines_agree_on_a_bgp_table_at_10k_prefixes() {
     let mut g = TrafficGen::new(0xB6F_0001, 8);
     let routes = g.bgp_table(10_000, false);
     // Probe mix: mostly addresses inside some route (often several nested
@@ -62,7 +62,7 @@ fn five_engines_agree_on_a_bgp_table_at_10k_prefixes() {
 }
 
 #[test]
-fn five_engines_agree_with_a_default_route_catching_the_misses() {
+fn all_engines_agree_with_a_default_route_catching_the_misses() {
     let mut g = TrafficGen::new(0xB6F_0002, 8);
     let routes = g.bgp_table(10_000, true);
     let probes: Vec<Ipv6Address> =
@@ -72,7 +72,7 @@ fn five_engines_agree_with_a_default_route_catching_the_misses() {
 }
 
 #[test]
-fn five_engines_agree_on_aliased_and_nested_prefixes() {
+fn all_engines_agree_on_aliased_and_nested_prefixes() {
     // A hand-built worst case: a full nesting chain under one /16, two
     // sibling /48s differing only in their last prefix bit (aliases), a
     // host route, and a default — the shapes that break naive LPM.
@@ -111,7 +111,7 @@ fn five_engines_agree_on_aliased_and_nested_prefixes() {
 }
 
 #[test]
-fn five_engines_agree_under_seeded_random_tables_of_many_sizes() {
+fn all_engines_agree_under_seeded_random_tables_of_many_sizes() {
     for (seed, n) in [(1u64, 10usize), (2, 100), (3, 1_000), (4, 4_000)] {
         let mut g = TrafficGen::new(seed, 8);
         let routes = g.bgp_table(n, seed % 2 == 0);
@@ -150,7 +150,7 @@ const HISTORY_CASES: u64 = 64;
 const HISTORY_SEED: u64 = 0xB6F_0005;
 
 #[test]
-fn five_engines_follow_a_model_through_arbitrary_insert_and_remove_histories() {
+fn all_engines_follow_a_model_through_arbitrary_insert_and_remove_histories() {
     // The tables above come from `TrafficGen`: global-unicast prefixes of
     // plausible lengths, built once.  Here every bit of a prefix is
     // arbitrary (lengths 0 and 128, top bits anywhere), routes are
@@ -218,7 +218,7 @@ fn five_engines_follow_a_model_through_arbitrary_insert_and_remove_histories() {
 #[test]
 fn probe_counts_scale_the_way_each_organisation_promises() {
     // Not just the answers: the *cost* signatures must keep their shapes
-    // at internet size — constant CAM, log tree, bounded-depth tries,
+    // at internet size — constant CAM, log tree, branching-bound PATRICIA,
     // linear scan — since Table 1's frequencies are probes x cycle cost.
     let mut g = TrafficGen::new(0xB6F_0004, 8);
     let routes = g.bgp_table(10_000, false);
@@ -229,7 +229,6 @@ fn probe_counts_scale_the_way_each_organisation_promises() {
     };
     assert_eq!(max_steps(TableKind::Cam), 1);
     assert!(max_steps(TableKind::BalancedTree) <= 64);
-    assert!(max_steps(TableKind::Trie) <= 129, "unibit depth is prefix length");
     assert!(max_steps(TableKind::Patricia) <= 65, "one probe per branching bit");
     assert!(max_steps(TableKind::Sequential) > 1_000, "linear scan at 10k");
 }

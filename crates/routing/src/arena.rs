@@ -1,8 +1,7 @@
-//! Shared arena + free-list node storage for the pointer-based LPM engines.
+//! Arena + free-list node storage for the pointer-based LPM engine.
 //!
-//! Both tries ([`TrieTable`](crate::TrieTable) and
-//! [`PatriciaTable`](crate::PatriciaTable)) store their nodes in a flat
-//! `Vec` and link them by index; removal returns pruned slots to a free
+//! [`PatriciaTable`](crate::PatriciaTable) stores its nodes in a flat
+//! `Vec` and links them by index; removal returns pruned slots to a free
 //! list that the next inserts draw from before growing the vector.  Under
 //! churn (route flaps, link flaps) the arena therefore stays at its
 //! high-water mark instead of leaking one slot per pruned node — the

@@ -15,12 +15,11 @@
 //!   SRAM, searching in a fixed ~40 ns regardless of table size (the paper's
 //!   third case);
 //!
-//! plus two trie organisations: the unibit [`TrieTable`] baseline for
-//! cross-checking, and the path-compressed [`PatriciaTable`] that scales
+//! plus the path-compressed [`PatriciaTable`] radix tree that scales
 //! longest-prefix match to internet-size (BGP, ~200k-prefix) tables.  Every
-//! engine must produce identical longest-prefix-match answers; the
-//! pointer-based engines share the [`arena::Arena`] free-list node store so
-//! route churn keeps their memory bounded.
+//! engine must produce identical longest-prefix-match answers; PATRICIA
+//! keeps its nodes in the [`arena::Arena`] free-list store so route churn
+//! keeps its memory bounded.
 //!
 //! All engines implement [`LpmTable`] and report the number of elementary
 //! probes each lookup performed ([`Lookup::steps`]); the cycle-accurate
@@ -56,7 +55,6 @@ pub mod route;
 pub mod sequential;
 pub mod table;
 pub mod tree;
-pub mod trie;
 
 pub use arena::Arena;
 pub use cam::{CamSpec, CamTable};
@@ -66,4 +64,3 @@ pub use route::{PortId, Route};
 pub use sequential::SequentialTable;
 pub use table::{Lookup, LpmTable, TableKind};
 pub use tree::BalancedTreeTable;
-pub use trie::TrieTable;

@@ -1,8 +1,8 @@
 //! A path-compressed (PATRICIA) binary radix trie — internet-scale LPM.
 //!
-//! The unibit [`TrieTable`](crate::TrieTable) spends one node per prefix
-//! *bit*; at BGP size (~200k prefixes, most of them /32–/64) that is tens
-//! of nodes per route and a pointer chase per bit on every lookup.  The
+//! A bitwise radix trie spends one node per prefix *bit*; at BGP size
+//! (~200k prefixes, most of them /32–/64) that is tens of nodes per route
+//! and a pointer chase per bit on every lookup.  The
 //! PATRICIA organisation — per Click's `BSDIP6Lookup` exemplar, "fast
 //! database updates, O(W) lookups" — collapses every non-branching chain
 //! into a single node carrying the full prefix, so the node count is
@@ -293,7 +293,7 @@ impl FromIterator<Route> for PatriciaTable {
 mod tests {
     use super::*;
     use crate::route::PortId;
-    use crate::trie::TrieTable;
+    use crate::sequential::SequentialTable;
 
     fn r(p: &str, port: u16) -> Route {
         Route::new(p.parse().unwrap(), "fe80::1".parse().unwrap(), PortId(port), 1)
@@ -433,8 +433,8 @@ mod tests {
 
     #[test]
     fn churn_keeps_the_arena_bounded() {
-        // Mirrors the TrieTable free-list regression: a flapping route must
-        // not grow the arena past its high-water mark.
+        // The free-list regression: a flapping route must not grow the
+        // arena past its high-water mark.
         let mut t = PatriciaTable::from_routes([r("::/0", 0), r("2001:db8::/32", 1)]);
         let high_water = {
             t.insert(r("2001:db8:aaaa::/48", 7));
@@ -458,16 +458,16 @@ mod tests {
     }
 
     #[test]
-    fn churn_agrees_with_the_trie_oracle_at_every_step() {
+    fn churn_agrees_with_the_linear_scan_oracle_at_every_step() {
         // Seeded pseudo-random insert/remove history; after every step the
-        // patricia table and the unibit trie oracle agree on a probe batch.
+        // patricia table and the linear-scan oracle agree on a probe batch.
         let mut state = 0x9e3779b97f4a7c15u64;
         let mut next = move || {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             state
         };
         let mut pat = PatriciaTable::new();
-        let mut trie = TrieTable::new();
+        let mut scan = SequentialTable::new();
         let mut live: Vec<Route> = Vec::new();
         for step in 0..400 {
             let x = next();
@@ -487,7 +487,7 @@ mod tests {
                     1,
                 );
                 assert_eq!(pat.insert(route).map(|r| r.interface()), {
-                    let old = trie.insert(route).map(|r| r.interface());
+                    let old = scan.insert(route).map(|r| r.interface());
                     if old.is_none() {
                         live.push(route);
                     }
@@ -497,12 +497,12 @@ mod tests {
                 let victim = live.swap_remove((x >> 16) as usize % live.len());
                 assert_eq!(
                     pat.remove(&victim.prefix()).map(|r| r.interface()),
-                    trie.remove(&victim.prefix()).map(|r| r.interface()),
+                    scan.remove(&victim.prefix()).map(|r| r.interface()),
                     "step {step}: removal of {} diverged",
                     victim.prefix()
                 );
             }
-            assert_eq!(pat.len(), trie.len(), "step {step}");
+            assert_eq!(pat.len(), scan.len(), "step {step}");
             for probe in 0..8u64 {
                 let y = next() ^ probe;
                 let addr = Ipv6Address::from_words([
@@ -513,7 +513,7 @@ mod tests {
                 ]);
                 assert_eq!(
                     pat.lookup(&addr).route().map(|r| (r.prefix(), r.interface())),
-                    trie.lookup(&addr).route().map(|r| (r.prefix(), r.interface())),
+                    scan.lookup(&addr).route().map(|r| (r.prefix(), r.interface())),
                     "step {step}: lookup {addr} diverged"
                 );
             }

@@ -8,9 +8,8 @@ use crate::route::Route;
 
 /// Which routing-table organisation an engine implements.
 ///
-/// These are the three alternatives of the paper's Table 1 plus the two
-/// trie organisations: the unibit baseline used for cross-checking and the
-/// path-compressed PATRICIA engine that scales to internet-size tables.
+/// These are the three alternatives of the paper's Table 1 plus the
+/// path-compressed PATRICIA radix tree that scales to internet-size tables.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TableKind {
     /// Entries laid out sequentially in a cache memory; linear scan.
@@ -19,8 +18,6 @@ pub enum TableKind {
     BalancedTree,
     /// Content-addressable memory + SRAM; constant-time search.
     Cam,
-    /// Bitwise binary trie (reference baseline, not in the paper's table).
-    Trie,
     /// Path-compressed binary radix trie (PATRICIA); one node per
     /// branching bit, internet-scale.
     Patricia,
@@ -33,13 +30,8 @@ impl TableKind {
 
     /// Every organisation the repo implements, paper rows first — the
     /// enumeration the differential oracles and the wire schema iterate.
-    pub const ALL_KINDS: [TableKind; 5] = [
-        TableKind::Sequential,
-        TableKind::BalancedTree,
-        TableKind::Cam,
-        TableKind::Trie,
-        TableKind::Patricia,
-    ];
+    pub const ALL_KINDS: [TableKind; 4] =
+        [TableKind::Sequential, TableKind::BalancedTree, TableKind::Cam, TableKind::Patricia];
 
     /// Builds an engine of this organisation, seeded with `routes` — the
     /// one construction path shared by the evaluation pipeline, the
@@ -69,7 +61,6 @@ impl TableKind {
                 }
                 Box::new(cam)
             }
-            TableKind::Trie => Box::new(crate::TrieTable::from_routes(routes)),
             TableKind::Patricia => Box::new(crate::PatriciaTable::from_routes(routes)),
         }
     }
@@ -81,7 +72,6 @@ impl fmt::Display for TableKind {
             TableKind::Sequential => write!(f, "sequential"),
             TableKind::BalancedTree => write!(f, "balanced-tree"),
             TableKind::Cam => write!(f, "cam"),
-            TableKind::Trie => write!(f, "trie"),
             TableKind::Patricia => write!(f, "patricia"),
         }
     }
@@ -91,7 +81,7 @@ impl fmt::Display for TableKind {
 /// elementary probes the engine made to find it.
 ///
 /// "Probes" are the engine's natural unit of work — entries scanned for the
-/// sequential table, nodes visited for trees and tries, always 1 for the
+/// sequential table, nodes visited for the two trees, always 1 for the
 /// CAM.  The cycle-accurate router multiplies probes by a per-kind cycle
 /// cost, which is what turns table organisation into required clock
 /// frequency in the paper's Table 1.
@@ -176,7 +166,7 @@ pub trait LpmTable {
     /// Equivalent to [`clear`](LpmTable::clear) followed by
     /// [`insert`](LpmTable::insert) in slice order, which is what the
     /// default does: entry order (sequential, CAM) and arena footprint
-    /// (the tries) come out exactly as if the routes had been streamed
+    /// (PATRICIA) come out exactly as if the routes had been streamed
     /// in.  An engine whose single inserts are expensive overrides this
     /// with a bulk build that leaves the same state.
     fn reload(&mut self, routes: &[Route]) {
@@ -190,7 +180,7 @@ pub trait LpmTable {
     /// serialised formats the cycle router loads into processor memory
     /// (entry/node word counts mirror `taco-router`'s layout constants).
     /// All-integer, so scenario metrics stay byte-stable; under churn the
-    /// arena-backed engines report their bounded high-water mark.
+    /// arena-backed PATRICIA reports its bounded high-water mark.
     fn memory_words(&self) -> usize;
 }
 
@@ -261,7 +251,6 @@ mod tests {
         assert_eq!(TableKind::Sequential.to_string(), "sequential");
         assert_eq!(TableKind::BalancedTree.to_string(), "balanced-tree");
         assert_eq!(TableKind::Cam.to_string(), "cam");
-        assert_eq!(TableKind::Trie.to_string(), "trie");
         assert_eq!(TableKind::Patricia.to_string(), "patricia");
     }
 
@@ -272,7 +261,7 @@ mod tests {
             [TableKind::Sequential, TableKind::BalancedTree, TableKind::Cam]
         );
         assert_eq!(&TableKind::ALL_KINDS[..3], &TableKind::PAPER_KINDS);
-        assert_eq!(TableKind::ALL_KINDS.len(), 5);
+        assert_eq!(TableKind::ALL_KINDS.len(), 4);
     }
 
     #[test]
@@ -322,8 +311,8 @@ mod tests {
         let route = |p: &str, port: u16| {
             Route::new(p.parse().unwrap(), "fe80::1".parse().unwrap(), PortId(port), 1)
         };
-        // What the table holds beforehand, with a removal so the tries go
-        // in with slots on their free lists.
+        // What the table holds beforehand, with a removal so PATRICIA
+        // goes in with slots on its free list.
         let before = [route("2001:db8::/32", 1), route("2001:db8:1::/48", 2), route("::/0", 3)];
         let nested = [
             route("2001:db8:aa::/48", 4),

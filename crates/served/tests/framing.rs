@@ -317,8 +317,9 @@ fn v2_session_survives_malformed_frames_and_requires_ids() {
     }
     let respelt =
         |id: &str| small_eval().to_json_v2(5).replacen("\"id\":5", &format!("\"id\":{id}"), 1);
-    // The shard member and the cache-exchange kinds are gone from both
-    // dialects (spelled in halves: verify.sh fails if the names reappear).
+    // The shard member, the cache-exchange kinds and the unibit table kind
+    // are gone from both dialects (the first two spelled in halves:
+    // verify.sh fails if the names reappear).
     let status = ApiRequest::Status.to_json_v2(6);
     let sweep = ApiRequest::Sweep {
         spec: tiny_sweep(),
@@ -335,6 +336,10 @@ fn v2_session_survives_malformed_frames_and_requires_ids() {
         (sharded, Some(6)),
         (status.replace("status", &format!("cache_{}", "export")), Some(6)),
         (status.replace("status", &format!("cache_{}", "import")), Some(6)),
+        (
+            small_eval().to_json_v2(6).replacen("\"table\":\"cam\"", "\"table\":\"trie\"", 1),
+            Some(6),
+        ),
     ];
     for (frame, id) in rejected {
         stream.write_all(format!("{frame}\n").as_bytes()).expect("write");
@@ -370,7 +375,7 @@ fn patricia_sweep_is_byte_identical_to_the_local_explorer() {
     let spec = SweepSpec {
         buses: vec![1, 3],
         replication: vec![1],
-        kinds: vec![RoutingTableKind::Patricia, RoutingTableKind::Trie],
+        kinds: vec![RoutingTableKind::Patricia, RoutingTableKind::Cam],
         entries: 8,
         ..SweepSpec::default()
     };

@@ -56,6 +56,12 @@ pub enum SimError {
         /// Memory size in words.
         size: u32,
     },
+    /// The routing table has more routes than the CAM behind the Routing
+    /// Table Unit has rows.
+    TableFull {
+        /// Rows the CAM provides.
+        capacity: usize,
+    },
     /// Two moves wrote the same port in the same cycle.
     PortConflict {
         /// The doubly written port.
@@ -103,6 +109,9 @@ impl fmt::Display for SimError {
             SimError::MemoryOutOfBounds { addr, size } => {
                 write!(f, "memory access at word {addr:#x} outside {size:#x}-word memory")
             }
+            SimError::TableFull { capacity } => {
+                write!(f, "routing table does not fit: CAM holds {capacity} rows")
+            }
             SimError::PortConflict { port, cycle } => {
                 write!(f, "two moves wrote {port} in cycle {cycle}")
             }
@@ -132,6 +141,8 @@ mod tests {
         assert!(e.to_string().contains("mtch2"));
         let e = SimError::Watchdog { budget: 100 };
         assert!(e.to_string().contains("100"));
+        let e = SimError::TableFull { capacity: 8192 };
+        assert!(e.to_string().contains("CAM holds 8192 rows"));
     }
 
     #[test]

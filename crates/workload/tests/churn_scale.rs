@@ -1,6 +1,6 @@
 //! Internet-scale churn regression: the `table-churn` scenario on a
 //! BGP-shaped table far beyond the paper's 100-entry cap, proving the
-//! arena-backed engines recycle freed slots instead of leaking them.
+//! arena-backed PATRICIA engine recycles freed slots instead of leaking them.
 //!
 //! The debug-tier size here is 20k prefixes (the release-built 100k smoke
 //! lives in `scripts/verify.sh` via the `churn` bench bin).  The bounded
@@ -30,18 +30,16 @@ fn run(kind: TableKind, ticks: u32) -> ScenarioMetrics {
 }
 
 #[test]
-fn arena_engines_stay_bounded_across_churn_cycles_at_20k_prefixes() {
-    for kind in [TableKind::Patricia, TableKind::Trie] {
-        let short = run(kind, 60);
-        let long = run(kind, 120);
-        assert!(long.forwarded > 0, "{kind}: churn run forwarded nothing");
-        assert!(long.table_updates > 0, "{kind}: no churn updates were serviced");
-        assert!(long.table_memory_words > 0, "{kind}: footprint metric never sampled");
-        assert_eq!(
-            short.table_memory_words, long.table_memory_words,
-            "{kind}: arena grew with extra churn cycles — the free list is leaking"
-        );
-    }
+fn the_arena_stays_bounded_across_churn_cycles_at_20k_prefixes() {
+    let short = run(TableKind::Patricia, 60);
+    let long = run(TableKind::Patricia, 120);
+    assert!(long.forwarded > 0, "churn run forwarded nothing");
+    assert!(long.table_updates > 0, "no churn updates were serviced");
+    assert!(long.table_memory_words > 0, "footprint metric never sampled");
+    assert_eq!(
+        short.table_memory_words, long.table_memory_words,
+        "arena grew with extra churn cycles — the free list is leaking"
+    );
 }
 
 #[test]

@@ -32,26 +32,8 @@ const CAM_LATENCY: u32 = 3;
 const ROUTER_ADDR: &str = "fe80::fe";
 
 /// Every routing-table organisation the repo implements — the paper's
-/// three plus the software trie baseline and the path-compressed
-/// PATRICIA engine.
-const ALL_KINDS: [TableKind; 5] = TableKind::ALL_KINDS;
-
-/// The unibit trie serialises ~4 words per prefix bit, so a full
-/// 100-entry workload table overflows the simulator's 64 Ki-word data
-/// memory.  The trie rows run on a truncated slice — the reference sees
-/// the same slice, so agreement is unaffected (traffic to truncated
-/// routes becomes a no-route drop on both sides).  PATRICIA needs no cap:
-/// path compression keeps a 100-entry table at ≤201 16-word nodes, well
-/// inside the table area.
-const TRIE_ROUTE_CAP: usize = 32;
-
-/// The route slice organisation `kind` actually loads.
-fn routes_for_kind(kind: TableKind, routes: &[Route]) -> &[Route] {
-    match kind {
-        TableKind::Trie => &routes[..routes.len().min(TRIE_ROUTE_CAP)],
-        _ => routes,
-    }
-}
+/// three plus the path-compressed PATRICIA engine.
+const ALL_KINDS: [TableKind; 4] = TableKind::ALL_KINDS;
 
 /// The projection of a forwarding decision both routers can express.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -130,7 +112,6 @@ fn check_agreement(
     routes: &[Route],
     traffic: &[Datagram],
 ) -> Vec<Verdict> {
-    let routes = routes_for_kind(kind, routes);
     let reference = reference_verdicts(routes, traffic);
     let cycle = cycle_outcomes(kind, config, routes, traffic);
     for (i, (r, c)) in reference.iter().zip(&cycle).enumerate() {

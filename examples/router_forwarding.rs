@@ -16,7 +16,7 @@ use taco::router::cycle::CycleRouter;
 use taco::router::microcode::MicrocodeOptions;
 use taco::router::{Router, TrafficGen};
 use taco::routing::ripng::InterfaceConfig;
-use taco::routing::{PortId, SequentialTable, SimTime};
+use taco::routing::{PortId, SequentialTable, SimTime, TableKind};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     behavioural_router()?;
@@ -64,7 +64,6 @@ fn cycle_accurate_router() -> Result<(), Box<dyn std::error::Error>> {
     println!("== cycle-accurate router: TACO microcode, sequential table ==");
     let mut gen = TrafficGen::new(43, 4);
     let routes = gen.table(32, true);
-    let table = SequentialTable::from_routes(routes.iter().copied());
     let workload = gen.forwarding_workload(&routes, 16, 1.0, 64);
 
     for config in [
@@ -72,7 +71,8 @@ fn cycle_accurate_router() -> Result<(), Box<dyn std::error::Error>> {
         MachineConfig::three_bus_one_fu(),
         MachineConfig::three_bus_three_fu(),
     ] {
-        let mut router = CycleRouter::sequential(&config, &table, &MicrocodeOptions::default())?;
+        let opts = MicrocodeOptions::default();
+        let mut router = CycleRouter::for_kind(TableKind::Sequential, &config, &routes, 1, &opts)?;
         for (port, dgram) in &workload {
             router.enqueue(*port, dgram)?;
         }

@@ -21,7 +21,7 @@ cargo build --release --offline
 # an intentional change regenerate a fixture with
 #   BLESS=1 cargo test -p taco-core --test golden_table1    (or golden_scaling)
 #   BLESS=1 cargo test -p taco-workload --test golden_trace
-#   BLESS=1 cargo test --test golden_scenarios                (or golden_wire)
+#   BLESS=1 cargo test --test golden_scenarios   (or golden_wire, golden_report)
 cargo test -q --offline --workspace
 
 echo
@@ -67,6 +67,11 @@ if awk 'FNR == 1 { product = 1 } /#\[cfg\(test\)\]/ { product = 0 }
     echo "the envelope is written and split by taco_core::api::Envelope"
     exit 1
 fi
+# PR 21, four table organisations and one way to a router: no unibit trie
+# in any layer, no per-kind router constructor beside `for_kind` /
+# `TableImage::new` + `from_image`.
+if grep -rnE '[T]rieTable|trie_[p]rogram|serialize_[t]rie|TableKind::[T]rie|TRIE_[R]OUTE_CAP' crates src tests examples scripts; then exit 1; fi
+if grep -rnE 'CycleRouter::([s]equential|[t]ree|[p]atricia|[c]am)\(' crates src tests examples scripts; then exit 1; fi
 echo "guards ok"
 
 echo
@@ -88,7 +93,7 @@ echo
 echo "== churn gate: 100k-prefix bounded-arena smoke =="
 # Internet-scale churn end-to-end: the release-built `churn` bin seeds a
 # 100k-prefix BGP-shaped table, withdraws/re-advertises routes under live
-# traffic, and exits non-zero if the arena engines' footprint high-water
+# traffic, and exits non-zero if the PATRICIA arena's footprint high-water
 # mark moves when the churn window doubles.  Its --json output is
 # all-integer and seeded, hence byte-stable across machines, so it is
 # diffed against a committed baseline.  The hard timeout turns a

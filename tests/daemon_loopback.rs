@@ -7,7 +7,8 @@
 //! hours — each five times over, each answered by a structured error — and
 //! the daemon must still report every job slot free and acknowledge
 //! `shutdown`.  Every socket read runs under a timeout, so a request the
-//! daemon never answers fails the test instead of hanging it.
+//! daemon never answers fails the test instead of hanging it.  A second
+//! daemon is handed a snapshot this build cannot read and must boot cold.
 
 use std::io::BufRead;
 use std::net::SocketAddr;
@@ -15,9 +16,11 @@ use std::time::Duration;
 
 use taco::eval::api::{ApiRequest, ApiResponse, ConfigSpec, EvalSpec, StatusInfo, TraceRef};
 use taco::eval::{
-    ArchConfig, Constraints, FaultPlan, FlowTrace, LineRate, RoutingTableKind, SweepSpec, Workload,
+    ArchConfig, Constraints, EvalCache, EvalRequest, FaultPlan, FlowTrace, LineRate,
+    RoutingTableKind, SnapshotError, SweepSpec, Workload,
 };
 use taco::served::{open_request, Server, ServerConfig};
+use taco_workload::trace::trace_fnv1a64;
 
 /// Longest wait for any one response line.  The slowest legitimate answer
 /// here (a 8193-entry table prepared in a debug build) takes well under a
@@ -108,7 +111,10 @@ fn status_table1_poison_lines_status_shutdown() {
     // What a structured refusal looks like: an error naming the field, or a
     // report that says why the instance cannot be simulated.
     let too_many = "\\\"entries\\\" must be in 1..=65536";
-    let cam_full = "\"sim_error\":\"memory access at word 0x2000 outside 0x2000-word memory\"";
+    let cam_full = "\"sim_error\":\"routing table does not fit: CAM holds 8192 rows\"";
+    // A kind the wire spelled through PR 20 is what any unknown kind is.
+    let trie_eval = cam_eval(8).replacen("\"table\":\"cam\"", "\"table\":\"trie\"", 1);
+    let four_kinds = "\\\"table\\\" must be one of: sequential, balanced-tree, cam, patricia";
     let mut greedy = EvalSpec::new(ConfigSpec::new(RoutingTableKind::Cam, 3, 1));
     greedy.workload = Some(Workload::SteadyForward {
         seed: 1,
@@ -133,6 +139,7 @@ fn status_table1_poison_lines_status_shutdown() {
         ("sweep cam 8193", cam_sweep(8193), cam_full),
         ("sweep 10^12", cam_sweep(1_000_000_000_000), too_many),
         ("trace path", with_path, "unknown field \\\"path\\\""),
+        ("eval trie", trie_eval, four_kinds),
         ("workload 2^32-1 ticks", greedy_workload, "workload: \\\"ticks\\\" must be at most"),
         ("trace 2^32-1 ticks", greedy_trace, "trace header: \\\"ticks\\\" must be at most"),
         ("faults 2^63 frames a tick", greedy_faults, "eval spec: \\\"faults\\\" injects up to"),
@@ -155,4 +162,45 @@ fn status_table1_poison_lines_status_shutdown() {
         "{ack:?}"
     );
     daemon.join().expect("server thread").expect("clean exit");
+}
+
+#[test]
+fn a_snapshot_holding_a_trie_entry_is_refused_whole_and_the_daemon_boots_cold() {
+    // What a daemon could persist through PR 20: one entry this build still
+    // reads and one whose table kind it no longer has, under a valid
+    // checksum.
+    let cache = EvalCache::new();
+    for kind in [RoutingTableKind::Cam, RoutingTableKind::Patricia] {
+        cache.evaluate(&EvalRequest::new(ArchConfig::three_bus_one_fu(kind)).entries(8));
+    }
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("trie-entry-{}.snapshot", std::process::id()));
+    cache.save_snapshot(&path).expect("write snapshot");
+    let saved = std::fs::read_to_string(&path).expect("read snapshot back");
+    let body: String =
+        saved.lines().skip(2).map(|line| line.replace("patricia", "trie") + "\n").collect();
+    assert!(body.contains("\"table\":\"trie\"") && body.contains("\"table\":\"cam\""), "{body}");
+    let content = format!(
+        "taco-evalcache-snapshot v1\nchecksum {:016x}\n{body}",
+        trace_fnv1a64(body.as_bytes())
+    );
+    std::fs::write(&path, content).expect("write snapshot");
+
+    let cold = EvalCache::new();
+    match cold.load_snapshot(&path) {
+        Err(SnapshotError::Entry { message, .. }) => {
+            assert!(message.contains("\"table\" must be one of"), "{message}");
+        }
+        other => panic!("expected the trie entry to be refused, got {other:?}"),
+    }
+    assert!(cold.is_empty(), "the readable entry must not load either");
+
+    let config = ServerConfig { snapshot: Some(path.clone()), ..ServerConfig::default() };
+    let server = Server::bind(config).expect("bind loopback");
+    let addr = server.local_addr();
+    let daemon = std::thread::spawn(move || server.run());
+    assert_eq!(status(addr).cache_entries, 0);
+    exchange(addr, &ApiRequest::Shutdown.to_json());
+    daemon.join().expect("server thread").expect("clean exit");
+    std::fs::remove_file(&path).ok();
 }

@@ -235,6 +235,16 @@ fn workload_members(request: &mut Json) -> &mut Vec<(String, Json)> {
 
 #[test]
 fn workloads_round_trip_and_oversize_members_are_refused_by_name() {
+    // A table kind the wire spelled through PR 20 is what any unknown kind
+    // is: refused naming the member and the accepted names, in both dialects.
+    let cam = ApiRequest::Eval(EvalSpec::new(ConfigSpec::new(RoutingTableKind::Cam, 3, 1)));
+    for line in [cam.to_json(), cam.to_json_v2(7)] {
+        let line = line.replacen("\"table\":\"cam\"", "\"table\":\"trie\"", 1);
+        let e = WireRequest::from_json(&line).expect_err("a retired table kind");
+        assert_eq!(e.code, ApiErrorCode::BadRequest);
+        let names = "\"table\" must be one of: sequential, balanced-tree, cam, patricia";
+        assert!(e.message.contains(names), "{e}: {line}");
+    }
     // NUMBERS' unsigned spellings (the width boundaries), the first value
     // past the work bound, and the line the issue was filed for: a valid
     // u32 that asks a runner for hours.

@@ -1,8 +1,8 @@
 //! Golden snapshot of the behavioural scenarios.
 //!
 //! Pins `ScenarioMetrics::to_json()` for the six builtin workloads on all
-//! five table organisations (3BUS/1FU) as a byte-stable fixture in
-//! `tests/golden/scenarios.json` — 30 lines, workload-major.  The
+//! four table organisations (3BUS/1FU) as a byte-stable fixture in
+//! `tests/golden/scenarios.json` — 24 lines, workload-major.  The
 //! scenario engine's own determinism suites compare a run with another
 //! run of the same build; this fixture is what fails when a change to
 //! the router, the RIPng engine or an LPM table moves scenario bytes
@@ -58,8 +58,12 @@ fn scenarios_match_golden_fixture() {
             path.display()
         )
     });
-    assert_eq!(golden.lines().count(), 30, "six workloads x five table kinds");
-    // Cell by cell first: one drifted line reads better than a 30-line diff.
+    assert_eq!(
+        golden.lines().count(),
+        Workload::builtin().len() * TableKind::ALL_KINDS.len(),
+        "one line per workload x table kind"
+    );
+    // Cell by cell first: one drifted line reads better than a 24-line diff.
     for (got, want) in current.lines().zip(golden.lines()) {
         assert_eq!(
             got, want,

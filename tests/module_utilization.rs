@@ -6,19 +6,22 @@ use taco::ipv6::{Datagram, NextHeader};
 use taco::isa::{FuKind, FuRef, MachineConfig};
 use taco::router::cycle::CycleRouter;
 use taco::router::microcode::MicrocodeOptions;
-use taco::routing::{PortId, Route, SequentialTable};
+use taco::routing::{PortId, Route, TableKind};
 
 fn run(config: &MachineConfig) -> taco::sim::SimStats {
-    let table = SequentialTable::from_routes((0..24u16).map(|i| {
-        Route::new(
-            format!("2001:db8:{i:x}::/48").parse().expect("valid"),
-            "fe80::1".parse().expect("valid"),
-            PortId(i % 4),
-            1,
-        )
-    }));
+    let routes: Vec<Route> = (0..24u16)
+        .map(|i| {
+            Route::new(
+                format!("2001:db8:{i:x}::/48").parse().expect("valid"),
+                "fe80::1".parse().expect("valid"),
+                PortId(i % 4),
+                1,
+            )
+        })
+        .collect();
+    let opts = MicrocodeOptions::default();
     let mut router =
-        CycleRouter::sequential(config, &table, &MicrocodeOptions::default()).expect("valid");
+        CycleRouter::for_kind(TableKind::Sequential, config, &routes, 1, &opts).expect("valid");
     let d = Datagram::builder(
         "2001:db8:ff::1".parse().expect("valid"),
         "2001:db8:17::9".parse().expect("valid"),

@@ -90,8 +90,7 @@ fn every_kind_size_and_shape_equals_a_freshly_built_router() {
                 let request = EvalRequest::new(shape(kind)).entries(entries);
                 let report = evaluate_request(&request);
                 assert_matches_a_fresh_build(&request, &report);
-                // Only the unibit trie outgrows data memory at these sizes.
-                assert!(kind == TableKind::Trie || report.sim_error.is_none(), "{report}");
+                assert_eq!(report.sim_error, None, "{report}");
                 // Warm: same input, same compiled program, new router.
                 assert_eq!(evaluate_request(&request), report, "{kind} n={entries}");
             }

@@ -81,10 +81,6 @@ fn observe<M>(
 /// Long enough that an RTU read issued right after the trigger stalls.
 const CAM_LATENCY: u32 = 5;
 
-/// The unibit trie serialises ~4 words per prefix bit, so 100 entries
-/// overflow the simulator's 64 Ki-word data memory; its rows load a slice.
-const TRIE_ROUTE_CAP: usize = 32;
-
 /// Hits on the first, middle and last route (the sequential scan's best
 /// and worst case), a miss (the benchmark table has no default route) and
 /// an expiring hop limit, so forward and both drop paths execute.
@@ -139,20 +135,16 @@ fn every_kind_machine_size_and_injector_agrees_on_real_microcode() {
     let plan = FaultPlan::stalls();
     let stalls = PeriodicStall::new(plan.stall_every_cycles.into(), plan.stall_cycles.into());
     for entries in [10, 100] {
-        let all_routes = benchmark_routes(entries);
+        let routes = benchmark_routes(entries);
+        let traffic = traffic(&routes);
         for kind in TableKind::ALL_KINDS {
-            let routes = match kind {
-                TableKind::Trie => &all_routes[..entries.min(TRIE_ROUTE_CAP)],
-                _ => &all_routes[..],
-            };
-            let traffic = traffic(routes);
             for machine in &machines {
                 for stall in [None, Some(stalls)] {
                     let label = format!("{kind} {machine} n={entries} stall={}", stall.is_some());
                     let build = || {
                         let opts = MicrocodeOptions::default();
                         let mut router =
-                            CycleRouter::for_kind(kind, machine, routes, CAM_LATENCY, &opts)
+                            CycleRouter::for_kind(kind, machine, &routes, CAM_LATENCY, &opts)
                                 .unwrap_or_else(|e| panic!("{label}: {e}"));
                         router
                             .enqueue_batch(traffic.iter().map(|d| (PortId(0), d)))

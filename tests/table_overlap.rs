@@ -42,9 +42,9 @@ fn a_tree_reaching_past_the_old_slot_base_still_simulates() {
 
 #[test]
 fn a_table_that_fills_data_memory_is_infeasible_not_a_panic() {
-    // The image itself does not fit (72 912 words against 65 536) ...
-    let trie = evaluate(TableKind::Trie, 661);
-    assert!(matches!(trie.sim_error, Some(SimError::MemoryOutOfBounds { .. })), "{trie}");
+    // The image itself does not fit (~127 k words against 65 536) ...
+    let oversize = evaluate(TableKind::Patricia, 4096);
+    assert!(matches!(oversize.sim_error, Some(SimError::MemoryOutOfBounds { .. })), "{oversize}");
     // ... or it fits and leaves no room above it for the eight measurement
     // datagrams: a structured report, where `measure` used to `expect`.
     let patricia = evaluate(TableKind::Patricia, 2048);
@@ -52,9 +52,11 @@ fn a_table_that_fills_data_memory_is_infeasible_not_a_panic() {
     assert!(!patricia.is_feasible());
     assert_eq!(patricia.program_bits, 0);
     // The CAM holds its table in 8192 rows of its own, not in data memory:
-    // one route more used to panic inside `CamTable::insert`.
+    // one route more used to panic inside `CamTable::insert`, and says what
+    // is full rather than naming a memory address.
     let cam = evaluate(TableKind::Cam, 8193);
-    assert_eq!(cam.sim_error, Some(SimError::MemoryOutOfBounds { addr: 8192, size: 8192 }));
+    assert_eq!(cam.sim_error, Some(SimError::TableFull { capacity: 8192 }));
     assert!(!cam.is_feasible());
+    assert_eq!(cam.program_bits, 0);
     assert_eq!(evaluate(TableKind::Cam, 8192).sim_error, None);
 }
