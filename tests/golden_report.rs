@@ -19,6 +19,7 @@
 //!
 //! then copy the changed blocks into EXPERIMENTS.md and review both diffs.
 
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 fn repo_file(path: &str) -> PathBuf {
@@ -31,6 +32,19 @@ fn golden() -> String {
     std::fs::read_to_string(repo_file(FIXTURE)).unwrap_or_else(|e| {
         panic!("missing fixture {FIXTURE} ({e}); regenerate with BLESS=1 cargo test --test golden_report")
     })
+}
+
+/// The marked blocks of `text`, by name.
+fn blocks(text: &str) -> BTreeMap<&str, &str> {
+    let mut found = BTreeMap::new();
+    let mut rest = text;
+    while let Some((_, after)) = rest.split_once("<!-- report:") {
+        let (name, after) = after.split_once(" -->\n").expect("a marker ends its line");
+        let (body, after) = after.split_once("<!-- /report -->").expect("every block is closed");
+        assert!(found.insert(name, body).is_none(), "block {name} is marked twice");
+        rest = after;
+    }
+    found
 }
 
 #[test]
@@ -51,4 +65,19 @@ fn report_matches_golden_fixture() {
         );
     }
     assert_eq!(current, golden);
+}
+
+#[test]
+fn experiments_md_quotes_the_fixture() {
+    let golden = golden();
+    let document = std::fs::read_to_string(repo_file("EXPERIMENTS.md")).expect("EXPERIMENTS.md");
+    let (pinned, quoted) = (blocks(&golden), blocks(&document));
+    assert_eq!(
+        quoted.keys().collect::<Vec<_>>(),
+        pinned.keys().collect::<Vec<_>>(),
+        "EXPERIMENTS.md quotes every marked block of the report"
+    );
+    for (name, body) in quoted {
+        assert_eq!(body, pinned[name], "EXPERIMENTS.md's {name} block is not {FIXTURE}'s");
+    }
 }
