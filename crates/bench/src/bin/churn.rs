@@ -1,6 +1,6 @@
 //! Internet-scale BGP churn smoke: the `table-churn` scenario at 100k
-//! prefixes, proving the arena-backed PATRICIA engine stays memory-bounded while
-//! routes are withdrawn and re-advertised under live traffic.
+//! prefixes, proving the arena-backed PATRICIA engine stays memory-bounded
+//! while routes are withdrawn and re-advertised under live traffic.
 //!
 //! ```text
 //! cargo run -p taco-bench --release --bin churn \

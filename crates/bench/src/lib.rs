@@ -1,8 +1,8 @@
 //! Benchmark harness for the TACO IPv6 reproduction.
 //!
-//! The library part is small: the [`cli`] argument parser every binary
-//! shares (one dialect, one tested `--help` generator).  The rest is the binaries (timing lives in the stand-alone
-//! `benchmarks/` package, not here):
+//! The library part is the [`cli`] argument parser every binary shares (one
+//! dialect, one tested `--help` generator).  The rest is the binaries
+//! (timing lives in the stand-alone `benchmarks/` package, not here):
 //!
 //! | target | regenerates |
 //! |---|---|

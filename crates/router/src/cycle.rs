@@ -66,10 +66,9 @@ impl TableImage {
     ///
     /// # Errors
     ///
-    /// [`SimError::TableFull`] when the routes outnumber the CAM's rows —
-    /// an error like the [`SimError::MemoryOutOfBounds`] that
-    /// [`CycleRouter::from_image`] gives an in-memory image that overruns
-    /// data memory, not a panic.
+    /// [`SimError::TableFull`] when the routes outnumber the CAM's rows.  (An
+    /// in-memory image that overruns data memory fails later, in
+    /// [`CycleRouter::from_image`].)
     pub fn new(
         kind: TableKind,
         routes: &[Route],
@@ -108,16 +107,6 @@ impl TableImage {
                 TableImage { cam: Some(Arc::new(table)), ..in_memory(Vec::new()) }
             }
         })
-    }
-
-    /// The table organisation this image serialises.
-    pub fn kind(&self) -> TableKind {
-        self.kind
-    }
-
-    /// First word address past the image in data memory.
-    pub fn end(&self) -> u32 {
-        TABLE_BASE.saturating_add(u32::try_from(self.words.len()).unwrap_or(u32::MAX))
     }
 }
 
@@ -208,7 +197,8 @@ impl CycleRouter {
         Ok(CycleRouter {
             kind: image.kind,
             processor,
-            image_end: image.end(),
+            image_end: TABLE_BASE
+                .saturating_add(u32::try_from(image.words.len()).unwrap_or(u32::MAX)),
             slots: Vec::new(),
             malformed_rejected: 0,
         })
@@ -450,20 +440,32 @@ mod tests {
         router(TableKind::Sequential, config, &nested_routes())
     }
 
+    fn siblings(n: u16) -> Vec<Route> {
+        (0..n).map(|i| route(&format!("2001:db8:{i:x}::/48"), i)).collect()
+    }
+
+    /// Cycles a 1BUS/1FU router over `n` sibling /48s spends on one datagram.
+    fn cost(kind: TableKind, n: u16, dst: &str) -> u64 {
+        let mut r = router(kind, MachineConfig::one_bus_one_fu(), &siblings(n));
+        r.enqueue(PortId(0), &dgram(dst, 64)).unwrap();
+        r.run(10_000_000).unwrap().cycles
+    }
+
     #[test]
-    fn sequential_forwards_longest_match() {
-        let mut r = seq_router(MachineConfig::three_bus_one_fu());
-        r.enqueue(PortId(0), &dgram("2001:db8:aa::5", 64)).unwrap();
-        r.enqueue(PortId(0), &dgram("2001:db8:bb::5", 64)).unwrap();
-        r.enqueue(PortId(0), &dgram("9999::1", 64)).unwrap();
-        r.run(1_000_000).unwrap();
-        let out = r.forwarded();
-        assert_eq!(out.len(), 3);
-        assert_eq!(out[0].0, PortId(2));
-        assert_eq!(out[1].0, PortId(1));
-        assert_eq!(out[2].0, PortId(3));
-        // Hop limits decremented in memory.
-        assert!(out.iter().all(|(_, d)| d.header().hop_limit == 63));
+    fn every_kind_forwards_longest_match() {
+        for kind in TableKind::ALL_KINDS {
+            let mut r = router(kind, MachineConfig::three_bus_one_fu(), &nested_routes());
+            assert_eq!(r.kind(), kind);
+            r.enqueue(PortId(0), &dgram("2001:db8:aa::5", 64)).unwrap();
+            r.enqueue(PortId(0), &dgram("2001:db8:bb::5", 64)).unwrap();
+            r.enqueue(PortId(0), &dgram("9999::1", 64)).unwrap();
+            r.run(10_000_000).unwrap();
+            let out = r.forwarded();
+            let ports: Vec<u16> = out.iter().map(|(p, _)| p.0).collect();
+            assert_eq!(ports, vec![2, 1, 3], "{kind}");
+            // Hop limits decremented in memory.
+            assert!(out.iter().all(|(_, d)| d.header().hop_limit == 63), "{kind}");
+        }
     }
 
     #[test]
@@ -516,30 +518,6 @@ mod tests {
     }
 
     #[test]
-    fn tree_forwards_longest_match() {
-        let mut r =
-            router(TableKind::BalancedTree, MachineConfig::three_bus_one_fu(), &nested_routes());
-        r.enqueue(PortId(0), &dgram("2001:db8:aa::5", 64)).unwrap();
-        r.enqueue(PortId(0), &dgram("2001:db8:bb::5", 64)).unwrap();
-        r.enqueue(PortId(0), &dgram("9999::1", 64)).unwrap();
-        r.run(1_000_000).unwrap();
-        let ports: Vec<u16> = r.forwarded().iter().map(|(p, _)| p.0).collect();
-        assert_eq!(ports, vec![2, 1, 3]);
-    }
-
-    #[test]
-    fn patricia_forwards_longest_match() {
-        let mut r =
-            router(TableKind::Patricia, MachineConfig::three_bus_one_fu(), &nested_routes());
-        r.enqueue(PortId(0), &dgram("2001:db8:aa::5", 64)).unwrap();
-        r.enqueue(PortId(0), &dgram("2001:db8:bb::5", 64)).unwrap();
-        r.enqueue(PortId(0), &dgram("9999::1", 64)).unwrap();
-        r.run(10_000_000).unwrap();
-        let ports: Vec<u16> = r.forwarded().iter().map(|(p, _)| p.0).collect();
-        assert_eq!(ports, vec![2, 1, 3]);
-    }
-
-    #[test]
     fn patricia_handles_host_route_and_miss() {
         let mut r = router(
             TableKind::Patricia,
@@ -555,16 +533,11 @@ mod tests {
 
     #[test]
     fn patricia_cost_tracks_branching_depth_not_size() {
-        let cost = |routes: Vec<Route>| -> u64 {
-            let mut r = router(TableKind::Patricia, MachineConfig::one_bus_one_fu(), &routes);
-            r.enqueue(PortId(0), &dgram("2001:db8:1::9", 64)).unwrap();
-            r.run(10_000_000).unwrap().cycles
-        };
         // Same /48 depth, 4 vs 64 entries: the walk only pays for the extra
         // *branching* levels (log2 of the fan-out), nowhere near the 16x a
         // linear scan would charge for 16x the entries.
-        let small = cost((0..4u16).map(|i| route(&format!("2001:db8:{i:x}::/48"), i)).collect());
-        let large = cost((0..64u16).map(|i| route(&format!("2001:db8:{i:x}::/48"), i)).collect());
+        let small = cost(TableKind::Patricia, 4, "2001:db8:1::9");
+        let large = cost(TableKind::Patricia, 64, "2001:db8:1::9");
         let ratio = large as f64 / small as f64;
         assert!(ratio < 2.5, "patricia cost must track branch depth, not size: {small} vs {large}");
     }
@@ -587,31 +560,17 @@ mod tests {
 
     #[test]
     fn per_datagram_cost_is_linear_in_table_size_for_sequential() {
-        let cost = |n: usize| -> u64 {
-            let routes: Vec<Route> =
-                (0..n as u16).map(|i| route(&format!("2001:db8:{i:x}::/48"), i)).collect();
-            let mut r = router(TableKind::Sequential, MachineConfig::one_bus_one_fu(), &routes);
-            // Worst case: no entry matches.
-            r.enqueue(PortId(0), &dgram("9999::1", 64)).unwrap();
-            r.run(10_000_000).unwrap().cycles
-        };
-        let c25 = cost(25);
-        let c100 = cost(100);
+        // Worst case: no entry matches.
+        let c25 = cost(TableKind::Sequential, 25, "9999::1");
+        let c100 = cost(TableKind::Sequential, 100, "9999::1");
         let ratio = c100 as f64 / c25 as f64;
         assert!((3.0..5.0).contains(&ratio), "expected ~4x, got {ratio} ({c25} vs {c100})");
     }
 
     #[test]
     fn tree_cost_is_logarithmic() {
-        let cost = |n: usize| -> u64 {
-            let routes: Vec<Route> =
-                (0..n as u16).map(|i| route(&format!("2001:db8:{i:x}::/48"), i)).collect();
-            let mut r = router(TableKind::BalancedTree, MachineConfig::one_bus_one_fu(), &routes);
-            r.enqueue(PortId(0), &dgram("9999::1", 64)).unwrap();
-            r.run(10_000_000).unwrap().cycles
-        };
-        let c25 = cost(25);
-        let c100 = cost(100);
+        let c25 = cost(TableKind::BalancedTree, 25, "9999::1");
+        let c100 = cost(TableKind::BalancedTree, 100, "9999::1");
         // log2(201)/log2(51) ≈ 1.35 — nowhere near the 4x of a linear scan.
         assert!((c100 as f64) < 1.8 * c25 as f64, "tree should be logarithmic: {c25} vs {c100}");
     }
@@ -621,7 +580,6 @@ mod tests {
         let d = dgram("2001:db8::1", 64);
         for kind in TableKind::ALL_KINDS {
             let mut r = router(kind, MachineConfig::three_bus_one_fu(), &[]);
-            assert_eq!(r.kind(), kind);
             r.enqueue(PortId(0), &d).unwrap();
             r.run(1_000_000).unwrap_or_else(|e| panic!("{kind} hung: {e}"));
             assert!(r.forwarded().is_empty(), "{kind}");
@@ -642,10 +600,8 @@ mod tests {
     #[test]
     fn different_table_sizes_get_different_sequential_programs() {
         let config = MachineConfig::three_bus_one_fu();
-        let large: Vec<Route> =
-            (0..50u16).map(|i| route(&format!("2001:db8:{i:x}::/48"), i)).collect();
         let a = router(TableKind::Sequential, config.clone(), &[route("2001:db8::/32", 1)]);
-        let b = router(TableKind::Sequential, config, &large);
+        let b = router(TableKind::Sequential, config, &siblings(50));
         assert!(!std::ptr::eq(a.processor().program(), b.processor().program()));
     }
 

@@ -50,7 +50,7 @@ pub const DEFAULT_SEED: u64 = 0x7AC0_2003;
 /// The most ticks, and the most offered datagrams, a workload descriptor
 /// arriving over the wire may ask one runner for.  An offered datagram
 /// costs about 0.5 µs end to end at the builtin table size (generate,
-/// queue, parse, look up, fold; EXPERIMENTS.md "Traffic generator cost"),
+/// queue, parse, look up, fold; ENGINEERING_LOG.md "Traffic generator cost"),
 /// so `2²⁴ × 0.5 µs` is eight to ten seconds of a runner; the builtin
 /// workloads offer 425 to 15 409.  In-process callers are not bound by it.
 pub const MAX_OFFERED: u64 = 1 << 24;

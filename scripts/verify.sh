@@ -189,7 +189,7 @@ echo "== benchmark smoke: scenario-mix and seq-scan-1k through benchmarks/run.sh
 # stand-alone benchmarks/ package offline and exits non-zero when any
 # operation failed its correctness check (seq-scan-1k checks every cell
 # against a from-scratch router); the hard timeout covers a hung child.
-# The numbers it prints are a smoke, not a measurement — EXPERIMENTS.md
+# The numbers it prints are a smoke, not a measurement — ENGINEERING_LOG.md
 # "Scenario engine cost", "Traffic generator cost" and "Port file" have
 # those.
 for workload in scenario-mix seq-scan-1k; do

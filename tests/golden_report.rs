@@ -1,23 +1,16 @@
 //! Golden snapshot of the reproduction report, and the check that
 //! EXPERIMENTS.md quotes it.
 //!
-//! Pins `taco_core::report::render()` — Table 1 at both traffic operating
-//! points, the scaling ablation, the paper-claim checklist — as
-//! `tests/golden/report.md`.  The report wraps each of those in a
-//! `report:NAME` marker comment; EXPERIMENTS.md carries the same markers
-//! around its measured tables, and the second test fails when a marked
-//! block of the document is not the fixture's block of that name, byte for
-//! byte.  Paper values live outside the markers.  So a change that moves a
-//! Table 1 cell fails here twice: once until the fixture is re-blessed,
-//! once until the document quotes the new fixture.
+//! `tests/golden/report.md` pins `taco_core::report::render()`: Table 1 at
+//! both traffic operating points, the scaling ablation, the paper-claim
+//! checklist, each inside a `report:NAME` marker comment.  EXPERIMENTS.md
+//! carries the same markers around its measured tables (paper values stay
+//! outside them), and a marked block of the document that is not the
+//! fixture's block of that name, byte for byte, fails the second test.
 //!
-//! To regenerate after an intentional change:
-//!
-//! ```text
-//! BLESS=1 cargo test --test golden_report
-//! ```
-//!
-//! then copy the changed blocks into EXPERIMENTS.md and review both diffs.
+//! To regenerate after an intentional change, `BLESS=1 cargo test --test
+//! golden_report`, then copy the changed blocks into EXPERIMENTS.md and
+//! review both diffs.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
