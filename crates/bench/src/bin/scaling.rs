@@ -8,9 +8,11 @@
 //! cargo run -p taco-bench --release --bin scaling
 //! ```
 //!
-//! Each series' sizes are simulated in parallel (`TACO_THREADS`
-//! overrides the worker count) and memoised in the process-global
-//! evaluation cache, so re-running a series within one process is free.
+//! Every cell is one full evaluation at 10 GbE / 1040 B (`scaling_sweep`),
+//! so the 100-entry column would be Table 1's.  Each series' sizes are
+//! evaluated in parallel (`TACO_THREADS` overrides the worker count) and
+//! memoised in the process-global evaluation cache, so re-running a series
+//! within one process is free.
 
 use std::time::Instant;
 

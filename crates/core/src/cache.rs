@@ -27,7 +27,7 @@ use taco_workload::{FaultPlan, Workload};
 use crate::api::table::{record, Record};
 use crate::api::EvalSpec;
 use crate::arch::ArchConfig;
-use crate::evaluate::{cycles_per_datagram, evaluate_request, EvalReport};
+use crate::evaluate::{evaluate_request, EvalReport};
 use crate::rate::LineRate;
 use crate::request::EvalRequest;
 
@@ -179,7 +179,6 @@ pub struct SnapshotStats {
 #[derive(Debug, Default)]
 pub struct EvalCache {
     reports: Mutex<HashMap<EvalKey, EvalReport>>,
-    cycles: Mutex<HashMap<(ArchConfig, usize), f64>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -235,20 +234,6 @@ impl EvalCache {
         (report, false)
     }
 
-    /// Memoised [`cycles_per_datagram()`] (the scaling ablation's
-    /// rate-independent measurement), with the same hit flag.
-    pub fn cycles_recorded(&self, config: &ArchConfig, entries: usize) -> (f64, bool) {
-        let key = (config.clone(), entries);
-        if let Some(&cycles) = self.cycles.lock().expect("cache lock").get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return (cycles, true);
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let cycles = cycles_per_datagram(config, entries);
-        self.cycles.lock().expect("cache lock").insert(key, cycles);
-        (cycles, false)
-    }
-
     /// Lookups answered from the map since creation (or [`Self::reset_counters`]).
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
@@ -259,10 +244,9 @@ impl EvalCache {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Number of distinct points stored (full reports + cycles-only).
+    /// Number of distinct points stored.
     pub fn len(&self) -> usize {
         self.reports.lock().expect("cache lock").len()
-            + self.cycles.lock().expect("cache lock").len()
     }
 
     /// `true` if nothing has been cached yet.
@@ -274,7 +258,6 @@ impl EvalCache {
     /// [`Self::reset_counters`] for a full reset).
     pub fn clear(&self) {
         self.reports.lock().expect("cache lock").clear();
-        self.cycles.lock().expect("cache lock").clear();
     }
 
     /// Zeroes the hit/miss counters.
@@ -291,8 +274,7 @@ impl EvalCache {
     /// `{"request":…,"report":…}` JSON line per entry (the wire codecs
     /// from [`crate::api`]), sorted so the file is byte-stable for a given
     /// cache content.  Reports with no wire form are skipped and counted
-    /// (see [`SnapshotStats`]); the rate-independent cycles memo is *not*
-    /// persisted — it backs only the in-process scaling ablation.
+    /// (see [`SnapshotStats`]).
     ///
     /// # Errors
     ///
@@ -513,18 +495,6 @@ mod tests {
         assert_eq!(warm.load_snapshot_str(&body).expect("load"), 1);
         let (_, desc_hit) = warm.evaluate_recorded(&descriptor);
         assert!(desc_hit);
-    }
-
-    #[test]
-    fn cycles_cache_is_separate_and_hit_counted() {
-        let cache = EvalCache::new();
-        let config = ArchConfig::three_bus_one_fu(TableKind::Cam);
-        let (cy1, hit1) = cache.cycles_recorded(&config, 8);
-        let (cy2, hit2) = cache.cycles_recorded(&config, 8);
-        assert!(!hit1);
-        assert!(hit2);
-        assert_eq!(cy1, cy2);
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
     }
 
     #[test]

@@ -130,18 +130,6 @@ fn measure<T: Tracer + ?Sized>(
     Ok((stats.cycles as f64 / n as f64, stats.bus_utilization(), stats))
 }
 
-/// One measurement of `config` at `table_entries` entries and a fixed RTU
-/// latency — the analyses that want cycles without the fixed point.
-fn measure_at(
-    config: &ArchConfig,
-    table_entries: usize,
-    rtu_latency: u32,
-) -> Result<(f64, f64, SimStats), SimError> {
-    let input = PreparedInput::shared(table_entries);
-    let mut router = input.router(config, rtu_latency)?;
-    measure(&mut router, &input, None, &mut NullTracer)
-}
-
 /// Re-runs `request`'s measurement under an arbitrary [`Tracer`] — the one
 /// way to a timeline of an evaluation (a [`taco_sim::ChromeTracer`] for
 /// Perfetto, a [`taco_sim::RingTracer`] for the `trace` binary's strip).
@@ -346,16 +334,14 @@ pub fn evaluate_request(request: &EvalRequest) -> EvalReport {
     }
 }
 
-/// Measures only the cycles-per-datagram of a configuration at a given
-/// table size (used by the scaling ablation, where no line-rate conversion
-/// is wanted).  Infinite when the instance cannot be simulated.
-pub fn cycles_per_datagram(config: &ArchConfig, table_entries: usize) -> f64 {
-    measure_at(config, table_entries, 2).map_or(f64::INFINITY, |(cycles, _, _)| cycles)
-}
-
 #[cfg(test)]
-mod stats_field_tests {
+mod tests {
     use super::*;
+    use taco_workload::Workload;
+
+    fn report(config: ArchConfig, line_rate: LineRate, entries: usize) -> EvalReport {
+        EvalRequest::new(config).rate(line_rate).entries(entries).run()
+    }
 
     #[test]
     fn report_carries_the_measurement_counters() {
@@ -364,37 +350,6 @@ mod stats_field_tests {
         assert!((r.stats.bus_utilization() - r.bus_utilization).abs() < 1e-12);
         let json = r.stats.to_json();
         assert!(json.contains("\"cycles\":"), "{json}");
-    }
-}
-
-/// The inverse analysis: the highest line rate (bits per second) this
-/// configuration can guarantee when clocked at the technology ceiling,
-/// assuming `packet_bytes` per packet on the wire (zero when the instance
-/// cannot be simulated).
-///
-/// This answers the designer's converse question — "the clock is whatever
-/// the library gives me; what wire speed does that buy?" — and locates the
-/// crossovers of the paper's Table 1 from the other side.
-pub fn max_sustainable_rate_bps(
-    config: &ArchConfig,
-    table_entries: usize,
-    packet_bytes: u32,
-) -> f64 {
-    let f_max = Estimator::new().max_frequency_hz() * 0.999; // just under NA
-    let rtu_latency = CamSpec::paper_default().search_cycles(f_max) as u32;
-    let Ok((cycles, _, _)) = measure_at(config, table_entries, rtu_latency) else {
-        return 0.0;
-    };
-    (f_max / cycles) * 8.0 * f64::from(packet_bytes)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use taco_workload::Workload;
-
-    fn report(config: ArchConfig, line_rate: LineRate, entries: usize) -> EvalReport {
-        EvalRequest::new(config).rate(line_rate).entries(entries).run()
     }
 
     #[test]
@@ -431,24 +386,6 @@ mod tests {
         let est = r.estimate.feasible().unwrap();
         assert!(est.cam.is_some());
         assert!(est.total_power_w() > est.power_w);
-    }
-
-    #[test]
-    fn inverse_analysis_agrees_with_forward_analysis() {
-        // A configuration whose required clock is feasible must sustain at
-        // least the target rate when clocked at the ceiling, and vice versa.
-        let config = ArchConfig::three_bus_one_fu(TableKind::Cam);
-        let fwd = report(config.clone(), LineRate::TEN_GBE, 64);
-        let max_rate = max_sustainable_rate_bps(&config, 64, LineRate::TEN_GBE.packet_bytes);
-        assert!(fwd.is_feasible());
-        assert!(max_rate > LineRate::TEN_GBE.bits_per_second, "{max_rate}");
-
-        let slow = ArchConfig::one_bus_one_fu(TableKind::Sequential);
-        let slow_max = max_sustainable_rate_bps(&slow, 64, 84);
-        assert!(
-            slow_max < LineRate::TEN_GBE_MIN_FRAMES.bits_per_second,
-            "sequential cannot do min-frame 10G: {slow_max}"
-        );
     }
 
     #[test]
@@ -507,9 +444,12 @@ mod tests {
     fn slower_organisations_get_smaller_scenario_budgets() {
         // The service budget is derived from measured cycles, so the
         // sequential scan must serve fewer datagrams per tick than the CAM.
-        let seq = cycles_per_datagram(&ArchConfig::one_bus_one_fu(TableKind::Sequential), 64);
-        let cam = cycles_per_datagram(&ArchConfig::three_bus_one_fu(TableKind::Cam), 64);
-        assert!(scenario_service_per_tick(seq) < scenario_service_per_tick(cam));
+        let seq = report(ArchConfig::one_bus_one_fu(TableKind::Sequential), LineRate::TEN_GBE, 64);
+        let cam = report(ArchConfig::three_bus_one_fu(TableKind::Cam), LineRate::TEN_GBE, 64);
+        assert!(
+            scenario_service_per_tick(seq.cycles_per_datagram)
+                < scenario_service_per_tick(cam.cycles_per_datagram)
+        );
         assert!(scenario_service_per_tick(f64::INFINITY) >= 1, "budget is never zero");
     }
 

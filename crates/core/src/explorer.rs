@@ -17,7 +17,7 @@ use taco_workload::{FaultPlan, FlowTrace, Workload};
 
 use crate::arch::ArchConfig;
 use crate::cache::EvalCache;
-use crate::evaluate::{cycles_per_datagram, evaluate_request, EvalReport};
+use crate::evaluate::{evaluate_request, EvalReport};
 use crate::observer::{PointRecord, Silent, SweepObserver, SweepSummary};
 use crate::pool;
 use crate::rate::LineRate;
@@ -200,6 +200,17 @@ impl Default for ExploreOptions<'_> {
     }
 }
 
+impl ExploreOptions<'_> {
+    /// One evaluation through this run's memo, with its hit flag — or from
+    /// scratch (never a hit) when the run has no memo.
+    fn evaluate(&self, request: &EvalRequest) -> (EvalReport, bool) {
+        match self.cache {
+            Some(cache) => cache.evaluate_recorded(request),
+            None => (evaluate_request(request), false),
+        }
+    }
+}
+
 /// The sweep grid of `spec`, in sweep order (kinds × buses × replication
 /// × cores × topologies × protocols, innermost last) — the order
 /// `Exploration::all` is laid out in.  A single-core count collapses the
@@ -286,11 +297,7 @@ pub fn explore_with(
 
     let all: Vec<EvalReport> = pool::ordered_map(&configs, opts.threads, |index, config| {
         let point_started = Instant::now();
-        let request = spec.request(config, line_rate);
-        let (report, cache_hit) = match opts.cache {
-            Some(cache) => cache.evaluate_recorded(&request),
-            None => (evaluate_request(&request), false),
-        };
+        let (report, cache_hit) = opts.evaluate(&spec.request(config, line_rate));
         if cache_hit {
             sweep_hits.fetch_add(1, Ordering::Relaxed);
         }
@@ -333,26 +340,23 @@ pub fn explore_serial(
 /// of routing-table size, for one configuration.  Returns `(size, cycles)`
 /// pairs.
 ///
-/// Sizes are measured in parallel and memoised in the global [`EvalCache`]
-/// (the measurement is line-rate independent, so it is keyed on
-/// configuration × size only).
+/// Each size is one full evaluation at [`LineRate::TEN_GBE`] — the CAM's
+/// cycle count depends on the clock its 40 ns search is converted at, so
+/// the pair is what Table 1 prints for the same machine and size.  Sizes
+/// are evaluated in parallel and memoised in the global [`EvalCache`].
 pub fn scaling_sweep(config: &ArchConfig, sizes: &[usize]) -> Vec<(usize, f64)> {
     scaling_sweep_with(config, sizes, &ExploreOptions::default())
 }
 
-/// [`scaling_sweep`] with explicit threads/cache (the observer is unused:
-/// cycles-only points carry no [`EvalReport`] to record).
+/// [`scaling_sweep`] with explicit threads/cache (the observer is unused).
 pub fn scaling_sweep_with(
     config: &ArchConfig,
     sizes: &[usize],
     opts: &ExploreOptions<'_>,
 ) -> Vec<(usize, f64)> {
     pool::ordered_map(sizes, opts.threads, |_, &n| {
-        let cycles = match opts.cache {
-            Some(cache) => cache.cycles_recorded(config, n).0,
-            None => cycles_per_datagram(config, n),
-        };
-        (n, cycles)
+        let request = EvalRequest::new(config.clone()).rate(LineRate::TEN_GBE).entries(n);
+        (n, opts.evaluate(&request).0.cycles_per_datagram)
     })
 }
 

@@ -61,9 +61,7 @@ pub use api::{
 };
 pub use arch::{ArchConfig, RoutingTableKind};
 pub use cache::{EvalCache, SnapshotError, SnapshotStats};
-pub use evaluate::{
-    cycles_per_datagram, evaluate_request, max_sustainable_rate_bps, trace_request, EvalReport,
-};
+pub use evaluate::{evaluate_request, trace_request, EvalReport};
 pub use explorer::{
     explore, explore_serial, explore_with, grid, rank_reports, scaling_sweep, scaling_sweep_with,
     Constraints, Exploration, ExploreOptions, SweepSpec,

@@ -1,6 +1,6 @@
 //! The reproduction report: Table 1 at both traffic operating points, the
-//! scaling ablation and the machine-checked paper-claim checklist, as one
-//! markdown document.
+//! packet-size sensitivity of its 3BUS/1FU column, the scaling ablation and
+//! the machine-checked paper-claim checklist, as one markdown document.
 //!
 //! `tests/golden/report.md` pins [`render`]'s bytes and EXPERIMENTS.md
 //! quotes that fixture between the `<!-- report:NAME -->` …
@@ -15,13 +15,19 @@ use taco_estimate::Estimator;
 use taco_routing::TableKind;
 
 use crate::arch::ArchConfig;
+use crate::cache::EvalCache;
 use crate::evaluate::EvalReport;
 use crate::explorer::scaling_sweep;
 use crate::rate::LineRate;
+use crate::request::EvalRequest;
 use crate::table1::{format_frequency, table1};
 
 /// The routing-table sizes the scaling ablation sweeps.
 pub const SCALING_SIZES: [usize; 6] = [4, 16, 32, 64, 128, 256];
+
+/// The wire footprints the sensitivity block sweeps at 10 Gbps, minimum
+/// frame to jumbo; 84 and 1040 are the two Table 1 operating points.
+const PACKET_BYTES: [u32; 6] = [84, 256, 512, 1040, 4096, 9018];
 
 /// The paper's routing-table size constraint.
 const ENTRIES: usize = 100;
@@ -51,8 +57,40 @@ fn table1_block(reports: &[EvalReport]) -> String {
     body
 }
 
-/// Renders the report.  Cells come from the process-global
-/// [`EvalCache`](crate::EvalCache), like [`table1`]'s.
+/// The 3BUS/1FU column of Table 1 across [`PACKET_BYTES`]: one cached
+/// evaluation per cell at the cell's own rate (`*` marks a clock above the
+/// technology ceiling).  The 84 B and 1040 B columns are Table 1's cells —
+/// the same cache keys.
+fn sensitivity_block() -> String {
+    let cache = EvalCache::global();
+    let mut body = String::from("| table \\ bytes per packet |");
+    for bytes in PACKET_BYTES {
+        let _ = write!(body, " {bytes} |");
+    }
+    let _ = writeln!(body, "\n|---|{}", "---|".repeat(PACKET_BYTES.len()));
+    for kind in TableKind::PAPER_KINDS {
+        let _ = write!(body, "| {kind} |");
+        for bytes in PACKET_BYTES {
+            let r = cache.evaluate(
+                &EvalRequest::new(ArchConfig::three_bus_one_fu(kind))
+                    .rate(LineRate::new(10e9, bytes))
+                    .entries(ENTRIES),
+            );
+            let _ = write!(
+                body,
+                " {}{} ({:.0}) |",
+                format_frequency(r.required_frequency_hz),
+                if r.is_feasible() { "" } else { "*" },
+                r.cycles_per_datagram
+            );
+        }
+        body.push('\n');
+    }
+    body
+}
+
+/// Renders the report.  Cells come from the process-global [`EvalCache`],
+/// like [`table1`]'s.
 pub fn render() -> String {
     let at_1040 = table1(LineRate::TEN_GBE, ENTRIES);
     let at_84 = table1(LineRate::TEN_GBE_MIN_FRAMES, ENTRIES);
@@ -82,6 +120,13 @@ pub fn render() -> String {
         let _ = writeln!(out, "\n## Table 1 at {label} ({rate})\n");
         block(&mut out, name, &table1_block(reports));
     }
+
+    let _ = writeln!(
+        out,
+        "\n## Packet-size sensitivity: 3BUS/1FU required clock (cycles per datagram) at 10 Gbps\n\n\
+         One evaluation per cell at the cell's own packet rate; `*` marks a clock above the ceiling.\n"
+    );
+    block(&mut out, "sensitivity", &sensitivity_block());
 
     let _ = writeln!(out, "\n## Scaling: cycles per datagram vs routing-table size\n");
     let mut body = String::from("| table \\ entries |");
