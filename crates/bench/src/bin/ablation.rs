@@ -115,8 +115,7 @@ fn main() {
         .iter()
         .flat_map(|config| {
             (1..=3u8).map(|unroll| {
-                let opts =
-                    MicrocodeOptions { unroll, screen_word: best(&diverse), halt_when_idle: true };
+                let opts = MicrocodeOptions { unroll, screen_word: best(&diverse) };
                 (config.clone(), diverse.as_slice(), opts)
             })
         })
@@ -138,7 +137,7 @@ fn main() {
         .iter()
         .flat_map(|&(_, routes)| {
             (0..4u8).map(move |word| {
-                let opts = MicrocodeOptions { unroll: 3, screen_word: word, halt_when_idle: true };
+                let opts = MicrocodeOptions { unroll: 3, screen_word: word };
                 (MachineConfig::three_bus_one_fu(), routes, opts)
             })
         })
@@ -177,11 +176,7 @@ fn main() {
         .flat_map(|(_, base)| {
             (1..=3u8).map(|ports| {
                 let config = base.clone().with_fu_count(taco_isa::FuKind::Mmu, ports);
-                let opts = MicrocodeOptions {
-                    unroll: 3,
-                    screen_word: best(&diverse),
-                    halt_when_idle: true,
-                };
+                let opts = MicrocodeOptions { unroll: 3, screen_word: best(&diverse) };
                 (config, diverse.as_slice(), opts)
             })
         })

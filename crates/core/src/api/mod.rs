@@ -1532,10 +1532,10 @@ pub(crate) mod tests {
             },
         });
 
-        let cam = |entries| {
-            EvalRequest::new(ArchConfig::three_bus_one_fu(TableKind::Cam)).entries(entries)
-        };
-        let feasible = cam(8).cores(2).workload(Workload::steady_forward()).run();
+        let two_cores =
+            ArchConfig::three_bus_one_fu(TableKind::Cam).with_system(SystemConfig::with_cores(2));
+        let feasible =
+            EvalRequest::new(two_cores).entries(8).workload(Workload::steady_forward()).run();
         let infeasible =
             EvalRequest::new(ArchConfig::one_bus_one_fu(TableKind::Sequential)).entries(64).run();
         assert!(feasible.estimate.feasible().is_some_and(|e| e.cam.is_some()));

@@ -28,7 +28,6 @@
 
 use std::sync::Arc;
 
-use taco_isa::{CoherenceProtocol, InterconnectConfig, Topology, MAX_CORES};
 use taco_workload::{FaultPlan, FlowTrace, Workload};
 
 use crate::arch::ArchConfig;
@@ -122,36 +121,6 @@ impl EvalRequest {
         self
     }
 
-    /// Scales the evaluated system to `cores` cores (private coherent
-    /// table caches over the configured interconnect); `1` restores the
-    /// single-core default, whose evaluation is byte-identical to the
-    /// pre-multicore path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cores` is zero or above [`MAX_CORES`] — wire callers are
-    /// range-checked before this builder runs.
-    pub fn cores(mut self, cores: u8) -> Self {
-        assert!((1..=MAX_CORES).contains(&cores), "cores must be 1..={MAX_CORES}");
-        self.config.system.cores = cores;
-        self
-    }
-
-    /// Overrides the on-chip interconnect: `topology` plus the cycles per
-    /// bus transaction ([`Topology::SharedBus`]) or per hop
-    /// ([`Topology::Mesh`]).
-    pub fn interconnect(mut self, topology: Topology, latency: u8) -> Self {
-        self.config.system.interconnect = InterconnectConfig { topology, latency };
-        self
-    }
-
-    /// Overrides the cache-coherence protocol run by the per-core table
-    /// caches.
-    pub fn coherence(mut self, protocol: CoherenceProtocol) -> Self {
-        self.config.system.protocol = protocol;
-        self
-    }
-
     /// Runs the full co-analysis pipeline for this request.
     pub fn run(&self) -> EvalReport {
         evaluate_request(self)
@@ -182,29 +151,6 @@ mod tests {
         assert_eq!(r.line_rate, LineRate::GIGE);
         assert_eq!(r.entries, 7);
         assert_eq!(r.workload, Some(Workload::steady_forward()));
-    }
-
-    #[test]
-    fn multicore_builders_shape_the_system() {
-        let r = EvalRequest::new(ArchConfig::three_bus_one_fu(TableKind::Cam))
-            .cores(4)
-            .interconnect(Topology::Mesh, 3)
-            .coherence(CoherenceProtocol::Msi);
-        assert_eq!(r.config.system.cores, 4);
-        assert_eq!(r.config.system.interconnect.topology, Topology::Mesh);
-        assert_eq!(r.config.system.interconnect.latency, 3);
-        assert_eq!(r.config.system.protocol, CoherenceProtocol::Msi);
-        assert_eq!(r.config.label(), "cam 3BUS/1FU 4c-mesh-msi");
-        // `.cores(1)` with otherwise-default system fields restores the
-        // byte-identical single-core evaluation path.
-        let single = EvalRequest::new(ArchConfig::three_bus_one_fu(TableKind::Cam)).cores(1);
-        assert!(single.config.system.is_default());
-    }
-
-    #[test]
-    #[should_panic(expected = "cores must be")]
-    fn out_of_range_cores_panic_in_the_builder() {
-        let _ = EvalRequest::new(ArchConfig::three_bus_one_fu(TableKind::Cam)).cores(0);
     }
 
     #[test]

@@ -47,7 +47,9 @@ use taco_routing::TableKind;
 
 use crate::layout::{MISS_IFACE, NULL_PTR, SEQ_ENTRY_WORDS, TABLE_BASE};
 
-/// Options shared by the generators.
+/// Options shared by the generators.  Both shape the sequential scan; the
+/// three fixed-shape generators take the record unread, so the four keep
+/// the one signature [`program_for`] and `benchmarks/` spell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MicrocodeOptions {
     /// Parallel scan lanes for the sequential table (1..=3).  Three lanes
@@ -59,36 +61,28 @@ pub struct MicrocodeOptions {
     /// everything under `2001::/16`), so the discriminating word is usually
     /// word 1; [`choose_screen_word`] picks it from the table.
     pub screen_word: u8,
-    /// If `true` the program halts when the iPPU queue is empty (batch
-    /// measurement mode); if `false` it spins waiting for more traffic
-    /// (live router mode).
-    pub halt_when_idle: bool,
 }
 
 impl Default for MicrocodeOptions {
     fn default() -> Self {
-        MicrocodeOptions { unroll: 3, screen_word: 1, halt_when_idle: true }
+        MicrocodeOptions { unroll: 3, screen_word: 1 }
     }
 }
 
-/// Emits the shared prologue: wait/pop a datagram, validate, decrement hop
-/// limit, load the destination into r4–r7.
+/// Emits the shared prologue: pop a datagram (or halt when the iPPU queue
+/// is empty), validate, decrement hop limit, load the destination into
+/// r4–r7.
 ///
 /// Control flow defined here: `top` (per-datagram entry), `drop`
 /// (validation failures and lookup misses re-enter `top`), `end` (halt).
-fn envelope_prologue(b: &mut CodeBuilder, opts: &MicrocodeOptions) {
+fn envelope_prologue(b: &mut CodeBuilder) {
     let ippu = b.fu(FuKind::Ippu, 0);
     let mmu = b.fu(FuKind::Mmu, 0);
     let m = b.alloc(FuKind::Matcher);
     let c = b.alloc(FuKind::Counter);
 
     b.label("top");
-    if opts.halt_when_idle {
-        b.jump_unless(ippu.guard("pending"), "end");
-    } else {
-        // Spin until a line card delivers something.
-        b.jump_unless(ippu.guard("pending"), "top");
-    }
+    b.jump_unless(ippu.guard("pending"), "end");
     b.mv(0u32, ippu.port("tpop"));
     b.mv(ippu.port("ptr"), b.reg(0));
 
@@ -198,7 +192,7 @@ pub fn sequential_program(entries: usize, opts: &MicrocodeOptions) -> MoveSeq {
     let table_limit = TABLE_BASE + blocks * opts.unroll as u32 * stride;
 
     let mut b = CodeBuilder::new();
-    envelope_prologue(&mut b, opts);
+    envelope_prologue(&mut b);
 
     let mmu = b.fu(FuKind::Mmu, 0);
     // Per-lane virtual units (fold onto physical instances as available).
@@ -357,9 +351,9 @@ pub fn pad_sequential_image(image: &mut Vec<u32>, unroll: u8) {
 /// smaller than or equal to the destination make the node the candidate
 /// and send the walk right, larger keys send it left; a null pointer ends
 /// the walk and the candidate's interface word resolves the lookup.
-pub fn tree_program(opts: &MicrocodeOptions) -> MoveSeq {
+pub fn tree_program(_opts: &MicrocodeOptions) -> MoveSeq {
     let mut b = CodeBuilder::new();
-    envelope_prologue(&mut b, opts);
+    envelope_prologue(&mut b);
 
     let mmu = b.fu(FuKind::Mmu, 0);
     let p_null = b.alloc(FuKind::Comparator);
@@ -443,9 +437,9 @@ pub fn tree_program(opts: &MicrocodeOptions) -> MoveSeq {
 /// visits one node per *branching* bit instead of one per prefix bit,
 /// which is what lets internet-size tables keep O(W) probes with at most
 /// `2n − 1` nodes.
-pub fn patricia_program(opts: &MicrocodeOptions) -> MoveSeq {
+pub fn patricia_program(_opts: &MicrocodeOptions) -> MoveSeq {
     let mut b = CodeBuilder::new();
-    envelope_prologue(&mut b, opts);
+    envelope_prologue(&mut b);
 
     let mmu = b.fu(FuKind::Mmu, 0);
     let mf = b.alloc(FuKind::Matcher); // prefix-verify matcher
@@ -546,9 +540,9 @@ pub fn patricia_program(opts: &MicrocodeOptions) -> MoveSeq {
 /// trigger starts the external search, and the result read stalls the
 /// processor for the CAM's fixed latency — "a major boost in router
 /// performance in detriment of high implementation cost".
-pub fn cam_program(opts: &MicrocodeOptions) -> MoveSeq {
+pub fn cam_program(_opts: &MicrocodeOptions) -> MoveSeq {
     let mut b = CodeBuilder::new();
-    envelope_prologue(&mut b, opts);
+    envelope_prologue(&mut b);
 
     let rtu = b.fu(FuKind::Rtu, 0);
 
@@ -708,15 +702,5 @@ mod tests {
             }
             assert_eq!(cpu.reg(0), u32::from(reference.finish()), "{label}");
         }
-    }
-
-    #[test]
-    fn live_mode_spins_instead_of_halting() {
-        let opts = MicrocodeOptions { halt_when_idle: false, ..MicrocodeOptions::default() };
-        let seq = cam_program(&opts);
-        // The spin form jumps back to "top" rather than referencing "end"
-        // from the wait; "end" is still defined by the epilogue.
-        let prog = scheduled(&seq, &MachineConfig::three_bus_one_fu());
-        assert!(prog.labels.contains_key("top"));
     }
 }

@@ -20,7 +20,7 @@ use taco::eval::{
 use taco::ipv6::exthdr::{FragmentHeader, OptionsHeader, RoutingHeader};
 use taco::ipv6::ripng::{Command, RipngPacket, RouteEntry};
 use taco::ipv6::{Datagram, ExtensionHeader, Ipv6Address, Ipv6Prefix, NextHeader};
-use taco::isa::MAX_CORES;
+use taco::isa::{SystemConfig, MAX_CORES};
 pub use taco::router::SplitMix64;
 
 /// Names the failing case on the way out of a panicking body.
@@ -244,13 +244,15 @@ pub fn sweep(rng: &mut SplitMix64) -> ApiRequest {
 pub fn response_lines() -> &'static [String] {
     static LINES: OnceLock<Vec<String>> = OnceLock::new();
     LINES.get_or_init(|| {
-        let cam = |entries| {
-            let spec = ConfigSpec::new(RoutingTableKind::Cam, 3, 1);
-            EvalRequest::new(spec.to_config().expect("valid")).entries(entries)
-        };
+        let config = ConfigSpec::new(RoutingTableKind::Cam, 3, 1).to_config().expect("valid");
+        let cam = |entries| EvalRequest::new(config.clone()).entries(entries);
         let small = Workload::SteadyForward { seed: 3, ticks: 20, packets_per_tick: 4, entries: 8 };
         let plain = cam(8).run();
-        let full = cam(8).cores(2).workload(small).faults(FaultPlan::storm()).run();
+        let full = EvalRequest::new(config.clone().with_system(SystemConfig::with_cores(2)))
+            .entries(8)
+            .workload(small)
+            .faults(FaultPlan::storm())
+            .run();
         let status = StatusInfo {
             in_flight: 1,
             queued: 0,
