@@ -17,6 +17,7 @@ use std::fmt;
 use taco_ipv6::{Ipv6Address, Ipv6Prefix};
 
 use crate::route::Route;
+use crate::sequential::SequentialTable;
 use crate::table::{Lookup, LpmTable, TableKind};
 
 /// Datasheet-style parameters of the CAM + SRAM pair.
@@ -99,8 +100,9 @@ impl fmt::Display for CamSpec {
 #[derive(Debug, Clone, Default)]
 pub struct CamTable {
     spec: CamSpec,
-    /// Rows in priority order: descending prefix length, then prefix order.
-    rows: Vec<Route>,
+    /// Rows in priority order, which is the sequential scan's order:
+    /// descending prefix length, then prefix order.
+    rows: SequentialTable,
 }
 
 impl CamTable {
@@ -111,7 +113,7 @@ impl CamTable {
 
     /// Creates an empty table with explicit chip parameters.
     pub fn with_spec(spec: CamSpec) -> Self {
-        CamTable { spec, rows: Vec::new() }
+        CamTable { spec, rows: SequentialTable::new() }
     }
 
     /// Creates a table from an iterator of routes.
@@ -136,27 +138,17 @@ impl CamTable {
     /// The rows in CAM priority order — the image the router would program
     /// into the chip.
     pub fn rows(&self) -> &[Route] {
-        &self.rows
+        self.rows.entries()
     }
 
     /// [`LpmTable::insert`] that reports a full chip instead of panicking:
     /// `Err` hands back the route that needs a row the CAM does not have
     /// (replacing the route of a stored prefix always fits).
     pub fn try_insert(&mut self, route: Route) -> Result<Option<Route>, Route> {
-        match self.position(&route.prefix()) {
-            Ok(i) => Ok(Some(std::mem::replace(&mut self.rows[i], route))),
-            Err(_) if self.rows.len() >= self.spec.capacity => Err(route),
-            Err(i) => {
-                self.rows.insert(i, route);
-                Ok(None)
-            }
+        if self.rows.len() >= self.spec.capacity && self.rows.get(&route.prefix()).is_none() {
+            return Err(route);
         }
-    }
-
-    fn position(&self, prefix: &Ipv6Prefix) -> Result<usize, usize> {
-        self.rows.binary_search_by(|r| {
-            prefix.len().cmp(&r.prefix().len()).then_with(|| r.prefix().cmp(prefix))
-        })
+        Ok(self.rows.insert(route))
     }
 }
 
@@ -178,23 +170,20 @@ impl LpmTable for CamTable {
     }
 
     fn remove(&mut self, prefix: &Ipv6Prefix) -> Option<Route> {
-        match self.position(prefix) {
-            Ok(i) => Some(self.rows.remove(i)),
-            Err(_) => None,
-        }
+        self.rows.remove(prefix)
     }
 
     fn lookup(&self, addr: &Ipv6Address) -> Lookup {
-        // Hardware compares every row in parallel; priority encoder picks
-        // the first match.  Cost: one probe.
-        match self.rows.iter().find(|r| r.prefix().contains(addr)) {
-            Some(r) => Lookup::hit(*r, 1),
+        // Hardware compares every row in parallel; the priority encoder
+        // picks the first match.  Cost: one probe, hit or miss.
+        match self.rows.lookup(addr).into_route() {
+            Some(r) => Lookup::hit(r, 1),
             None => Lookup::miss(1),
         }
     }
 
     fn get(&self, prefix: &Ipv6Prefix) -> Option<Route> {
-        self.position(prefix).ok().map(|i| self.rows[i])
+        self.rows.get(prefix)
     }
 
     fn len(&self) -> usize {
@@ -202,7 +191,7 @@ impl LpmTable for CamTable {
     }
 
     fn routes(&self) -> Vec<Route> {
-        self.rows.clone()
+        self.rows.routes()
     }
 
     fn clear(&mut self) {
