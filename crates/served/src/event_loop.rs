@@ -16,7 +16,10 @@ use std::time::{Duration, Instant};
 use taco_core::api::{
     salvage_request_id, ApiError, ApiRequest, ApiResponse, Envelope, StatusInfo, WireRequest,
 };
-use taco_core::{explore_with, ExploreOptions, PointRecord, SweepObserver};
+use taco_core::{
+    explore_with, Constraints, EvalRequest, ExploreOptions, LineRate, PointRecord, SweepObserver,
+    SweepSpec,
+};
 
 use crate::{poll, Shared};
 
@@ -54,7 +57,14 @@ enum Dialect {
 struct Job {
     token: u64,
     envelope: Envelope,
-    request: ApiRequest,
+    work: Work,
+}
+
+/// What a runner simulates, as the loop's dispatch already built and
+/// range-checked it.
+enum Work {
+    Eval(EvalRequest),
+    Sweep { spec: SweepSpec, rate: LineRate, constraints: Constraints },
 }
 
 /// A response fragment flowing from a runner back to the event loop.
@@ -185,15 +195,12 @@ impl SweepObserver for Progress<'_> {
 /// Runs one queued job, streaming its response lines to the loop.
 fn execute(shared: &Shared, job: &Job, tx: &Sender<LoopMsg>, waker: &UnixStream) {
     let respond = |response: ApiResponse| emit(tx, waker, job.token, line(job.envelope, &response));
-    match &job.request {
-        ApiRequest::Eval(spec) => match spec.to_request() {
-            Ok(request) => {
-                let (report, _cache_hit) = shared.cache.evaluate_recorded(&request);
-                respond(ApiResponse::EvalResult(Box::new(report)));
-            }
-            Err(e) => respond(ApiResponse::Error(e)),
-        },
-        ApiRequest::Sweep { spec, rate, constraints } => {
+    match &job.work {
+        Work::Eval(request) => {
+            let (report, _cache_hit) = shared.cache.evaluate_recorded(request);
+            respond(ApiResponse::EvalResult(Box::new(report)));
+        }
+        Work::Sweep { spec, rate, constraints } => {
             let progress =
                 Progress { tx: Mutex::new(tx), waker, token: job.token, envelope: job.envelope };
             let opts = ExploreOptions {
@@ -206,12 +213,6 @@ fn execute(shared: &Shared, job: &Job, tx: &Sender<LoopMsg>, waker: &UnixStream)
                 admitted: exploration.admitted,
                 reports: exploration.all,
             });
-        }
-        // The event loop answers these inline; they are never queued.
-        ApiRequest::Status | ApiRequest::Shutdown => {
-            respond(ApiResponse::Error(ApiError::internal(
-                "control requests are answered inline, never queued",
-            )));
         }
     }
 }
@@ -673,16 +674,18 @@ impl<'a> EventLoop<'a> {
                             }
                             conn.push_response(&envelope.wrap(&body));
                         }
-                        None => self.enqueue(conn, token, envelope, ApiRequest::Eval(spec)),
+                        None => self.enqueue(conn, token, envelope, Work::Eval(eval_request)),
                     }
                 }
             },
-            sweep @ ApiRequest::Sweep { .. } => self.enqueue(conn, token, envelope, sweep),
+            ApiRequest::Sweep { spec, rate, constraints } => {
+                self.enqueue(conn, token, envelope, Work::Sweep { spec, rate, constraints });
+            }
         }
     }
 
     /// Admission control for simulation-heavy jobs.
-    fn enqueue(&mut self, conn: &mut Conn, token: u64, envelope: Envelope, request: ApiRequest) {
+    fn enqueue(&mut self, conn: &mut Conn, token: u64, envelope: Envelope, work: Work) {
         if self.draining {
             self.respond(conn, envelope, &ApiResponse::Error(ApiError::shutting_down()));
             return;
@@ -697,7 +700,7 @@ impl<'a> EventLoop<'a> {
         }
         self.in_flight += 1;
         conn.pending_jobs += 1;
-        self.runners.queue.lock().unwrap().jobs.push_back(Job { token, envelope, request });
+        self.runners.queue.lock().unwrap().jobs.push_back(Job { token, envelope, work });
         self.runners.work.notify_one();
     }
 
@@ -806,7 +809,6 @@ fn drain_waker(waker: &UnixStream) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use taco_core::{Constraints, LineRate, SweepSpec};
 
     #[test]
     fn a_panicking_job_is_answered_internal_and_still_frees_its_slot() {
@@ -817,14 +819,14 @@ mod tests {
         // Zero cores cannot come off the wire (the sweep parser refuses
         // them) and `grid()` panics on them: a stand-in for whatever the
         // evaluator's next reachable panic turns out to be.
-        let request = ApiRequest::Sweep {
+        let work = Work::Sweep {
             spec: SweepSpec { cores: vec![0], ..SweepSpec::default() },
             rate: LineRate::TEN_GBE,
             constraints: Constraints::default(),
         };
         {
             let mut queue = runners.queue.lock().unwrap();
-            queue.jobs.push_back(Job { token: 9, envelope: Envelope::V2(Some(4)), request });
+            queue.jobs.push_back(Job { token: 9, envelope: Envelope::V2(Some(4)), work });
             queue.stop = true;
         }
         run_jobs(&runners, &server.shared, &tx, &runner_end);
