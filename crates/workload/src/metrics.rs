@@ -299,6 +299,34 @@ pub fn coherence_to_json(c: &CoherenceStats) -> String {
 }
 
 impl ScenarioMetrics {
+    /// The record of a run that has measured nothing yet: the four
+    /// identifying members as given, every counter zero, every optional
+    /// section absent.
+    pub fn new(scenario: &'static str, kind: TableKind, seed: u64, ticks: u64) -> Self {
+        ScenarioMetrics {
+            scenario,
+            kind,
+            seed,
+            ticks,
+            offered: 0,
+            forwarded: 0,
+            delivered: 0,
+            dropped_no_route: 0,
+            dropped_overflow: 0,
+            max_queue_depth: 0,
+            final_backlog: 0,
+            latency: LatencyHistogram::new(),
+            table_updates: 0,
+            update_latency: LatencyHistogram::new(),
+            ripng_sent: 0,
+            throughput_milli: 0,
+            table_memory_words: 0,
+            flows: None,
+            faults: None,
+            coherence: None,
+        }
+    }
+
     /// Serialises to a single-line JSON object with a fixed key order —
     /// byte-stable across runs, threads and platforms.
     pub fn to_json(&self) -> String {

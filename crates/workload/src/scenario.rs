@@ -26,7 +26,7 @@ use taco_routing::{LpmTable, PortId, Route, SimTime, TableKind};
 use taco_sim::MulticoreSim;
 
 use crate::fault::{FaultMetrics, FaultPlan};
-use crate::metrics::{FlowStats, LatencyHistogram, ScenarioMetrics};
+use crate::metrics::{FlowStats, ScenarioMetrics};
 use crate::trace::{FlowTrace, TraceGen, TraceRecord};
 
 /// Router ports every scenario drives.
@@ -521,28 +521,7 @@ impl Harness {
         for i in 0..PORTS {
             router.card_mut(PortId(i)).set_capacity(cfg.queue_capacity as usize);
         }
-        let metrics = ScenarioMetrics {
-            scenario: w.name(),
-            kind: cfg.kind,
-            seed: w.seed(),
-            ticks: u64::from(w.ticks()),
-            offered: 0,
-            forwarded: 0,
-            delivered: 0,
-            dropped_no_route: 0,
-            dropped_overflow: 0,
-            max_queue_depth: 0,
-            final_backlog: 0,
-            latency: LatencyHistogram::new(),
-            table_updates: 0,
-            update_latency: LatencyHistogram::new(),
-            ripng_sent: 0,
-            throughput_milli: 0,
-            table_memory_words: 0,
-            flows: None,
-            faults: None,
-            coherence: None,
-        };
+        let metrics = ScenarioMetrics::new(w.name(), cfg.kind, w.seed(), u64::from(w.ticks()));
         // N cores service N datagrams where one serviced one; the
         // coherence stalls then claw some of that back as budget debt.
         let multicore = cfg.system.cores > 1;
@@ -585,28 +564,7 @@ impl Harness {
     /// measured window; the scenario record must not include it).
     fn reset_measurement(&mut self) {
         let keep = &self.metrics;
-        self.metrics = ScenarioMetrics {
-            scenario: keep.scenario,
-            kind: keep.kind,
-            seed: keep.seed,
-            ticks: keep.ticks,
-            offered: 0,
-            forwarded: 0,
-            delivered: 0,
-            dropped_no_route: 0,
-            dropped_overflow: 0,
-            max_queue_depth: 0,
-            final_backlog: 0,
-            latency: LatencyHistogram::new(),
-            table_updates: 0,
-            update_latency: LatencyHistogram::new(),
-            ripng_sent: 0,
-            throughput_milli: 0,
-            table_memory_words: 0,
-            flows: None,
-            faults: None,
-            coherence: None,
-        };
+        self.metrics = ScenarioMetrics::new(keep.scenario, keep.kind, keep.seed, keep.ticks);
         // Seeding traffic warmed the caches; the measured record starts
         // from zeroed counters over that warm state.
         if let Some(c) = &mut self.coherence {
