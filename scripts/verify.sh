@@ -72,6 +72,11 @@ fi
 # `TableImage::new` + `from_image`.
 if grep -rnE '[T]rieTable|trie_[p]rogram|serialize_[t]rie|TableKind::[T]rie|TRIE_[R]OUTE_CAP' crates src tests examples scripts; then exit 1; fi
 if grep -rnE 'CycleRouter::([s]equential|[t]ree|[p]atricia|[c]am)\(' crates src tests examples scripts; then exit 1; fi
+# PR 22, one way to measure a point: every printed cycle count is an
+# `EvalReport`'s (the report *field* `cycles_per_datagram` stays; calls and
+# definitions of the fixed-latency function do not), the cache holds one
+# map, and the microcode has no idle-spin form.
+if grep -rnE 'cycles_per_[d]atagram\(|measure_[a]t\(|max_sustainable_[r]ate|cycles_[r]ecorded|halt_when_[i]dle' crates src tests examples scripts; then exit 1; fi
 echo "guards ok"
 
 echo
