@@ -57,36 +57,44 @@ fn table1_block(reports: &[EvalReport]) -> String {
     body
 }
 
+/// A markdown grid: one column per `columns` value under `corner`, one
+/// `(label, cells)` per row.
+fn grid<C: std::fmt::Display>(
+    corner: &str,
+    columns: &[C],
+    rows: impl IntoIterator<Item = (String, Vec<String>)>,
+) -> String {
+    let mut body = format!("| {corner} |");
+    for column in columns {
+        let _ = write!(body, " {column} |");
+    }
+    let _ = writeln!(body, "\n|---|{}", "---|".repeat(columns.len()));
+    for (label, cells) in rows {
+        let _ = writeln!(body, "| {label} | {} |", cells.join(" | "));
+    }
+    body
+}
+
 /// The 3BUS/1FU column of Table 1 across [`PACKET_BYTES`]: one cached
 /// evaluation per cell at the cell's own rate (`*` marks a clock above the
 /// technology ceiling).  The 84 B and 1040 B columns are Table 1's cells —
 /// the same cache keys.
 fn sensitivity_block() -> String {
     let cache = EvalCache::global();
-    let mut body = String::from("| table \\ bytes per packet |");
-    for bytes in PACKET_BYTES {
-        let _ = write!(body, " {bytes} |");
-    }
-    let _ = writeln!(body, "\n|---|{}", "---|".repeat(PACKET_BYTES.len()));
-    for kind in TableKind::PAPER_KINDS {
-        let _ = write!(body, "| {kind} |");
-        for bytes in PACKET_BYTES {
+    let rows = TableKind::PAPER_KINDS.map(|kind| {
+        let cells = PACKET_BYTES.map(|bytes| {
             let r = cache.evaluate(
                 &EvalRequest::new(ArchConfig::three_bus_one_fu(kind))
                     .rate(LineRate::new(10e9, bytes))
                     .entries(ENTRIES),
             );
-            let _ = write!(
-                body,
-                " {}{} ({:.0}) |",
-                format_frequency(r.required_frequency_hz),
-                if r.is_feasible() { "" } else { "*" },
-                r.cycles_per_datagram
-            );
-        }
-        body.push('\n');
-    }
-    body
+            let mark = if r.is_feasible() { "" } else { "*" };
+            let clock = format_frequency(r.required_frequency_hz);
+            format!("{clock}{mark} ({:.0})", r.cycles_per_datagram)
+        });
+        (kind.to_string(), cells.to_vec())
+    });
+    grid("table \\ bytes per packet", &PACKET_BYTES, rows)
 }
 
 /// Renders the report.  Cells come from the process-global [`EvalCache`],
@@ -129,19 +137,10 @@ pub fn render() -> String {
     block(&mut out, "sensitivity", &sensitivity_block());
 
     let _ = writeln!(out, "\n## Scaling: cycles per datagram vs routing-table size\n");
-    let mut body = String::from("| table \\ entries |");
-    for n in SCALING_SIZES {
-        let _ = write!(body, " {n} |");
-    }
-    let _ = writeln!(body, "\n|---|{}", "---|".repeat(SCALING_SIZES.len()));
-    for (kind, series) in TableKind::ALL_KINDS.iter().zip(&scaling) {
-        let _ = write!(body, "| {kind} (1 bus) |");
-        for cycles in series {
-            let _ = write!(body, " {cycles:.0} |");
-        }
-        body.push('\n');
-    }
-    block(&mut out, "scaling", &body);
+    let rows = TableKind::ALL_KINDS.iter().zip(&scaling).map(|(kind, series)| {
+        (format!("{kind} (1 bus)"), series.iter().map(|cycles| format!("{cycles:.0}")).collect())
+    });
+    block(&mut out, "scaling", &grid("table \\ entries", &SCALING_SIZES, rows));
 
     let _ = writeln!(out, "\n## Paper-claim checklist\n");
     let mut body = String::new();
