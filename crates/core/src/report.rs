@@ -82,7 +82,7 @@ fn grid<C: std::fmt::Display>(
 fn sensitivity_block() -> String {
     let cache = EvalCache::global();
     let rows = TableKind::PAPER_KINDS.map(|kind| {
-        let cells = PACKET_BYTES.map(|bytes| {
+        let cells = PACKET_BYTES.iter().map(|&bytes| {
             let r = cache.evaluate(
                 &EvalRequest::new(ArchConfig::three_bus_one_fu(kind))
                     .rate(LineRate::new(10e9, bytes))
@@ -92,7 +92,7 @@ fn sensitivity_block() -> String {
             let clock = format_frequency(r.required_frequency_hz);
             format!("{clock}{mark} ({:.0})", r.cycles_per_datagram)
         });
-        (kind.to_string(), cells.to_vec())
+        (kind.to_string(), cells.collect())
     });
     grid("table \\ bytes per packet", &PACKET_BYTES, rows)
 }

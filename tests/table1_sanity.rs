@@ -3,7 +3,7 @@
 //! `cargo run -p taco-bench --bin table1`; here a reduced routing table
 //! keeps CI fast while preserving every ordering the paper reports.)
 
-use taco::eval::{report, scaling_sweep, table1, ArchConfig, EvalRequest, LineRate};
+use taco::eval::{scaling_sweep, table1, ArchConfig, EvalRequest, LineRate};
 use taco::routing::TableKind;
 
 const ENTRIES: usize = 32;
@@ -109,49 +109,4 @@ fn sequential_scales_linearly_tree_logarithmically() {
     assert!(t64 / t16 < 1.6, "tree must not scale linearly: {t16} -> {t64}");
     let (c16, c64) = growth(TableKind::Cam);
     assert!(c64 / c16 < 1.1, "cam must be flat: {c16} -> {c64}");
-}
-
-#[test]
-fn the_tables_agree_where_they_overlap() {
-    // One machine at one size and rate has one cycle count, whichever table
-    // prints it: the scaling sweep reads Table 1's cells at 100 entries...
-    let cells = table1::table1(LineRate::TEN_GBE, 100);
-    for cell in &cells {
-        assert_eq!(
-            scaling_sweep(&cell.config, &[100]),
-            [(100, cell.cycles_per_datagram)],
-            "{}: the scaling sweep and Table 1 disagree",
-            cell.config
-        );
-    }
-    // ...and the sensitivity block's 84 B and 1040 B columns are the 3BUS/1FU
-    // cells of the two Table 1 blocks, clock and cycle count.
-    let report = report::render();
-    // A block's rows (header first, separator dropped) as trimmed cells.
-    let block = |name: &str| -> Vec<Vec<&str>> {
-        let (_, after) = report.split_once(&format!("<!-- report:{name} -->\n")).expect(name);
-        let (body, _) = after.split_once("<!-- /report -->").expect("every block is closed");
-        let rows = body.lines().filter(|row| !row.starts_with("|---"));
-        rows.map(|row| row.trim_matches('|').split('|').map(str::trim).collect()).collect()
-    };
-    let sensitivity = block("sensitivity");
-    assert_eq!(sensitivity.len(), 1 + TableKind::PAPER_KINDS.len());
-    for (table1_name, bytes) in [("table1-84", "84"), ("table1-1040", "1040")] {
-        let column = sensitivity[0].iter().position(|b| *b == bytes).expect("a swept size");
-        let table1 = block(table1_name);
-        for row in &sensitivity[1..] {
-            let cell = table1
-                .iter()
-                .find(|cell| cell[0] == row[0] && cell[1] == "3BUS/1FU")
-                .expect("every paper kind has a 3BUS/1FU cell");
-            // "832 MHz (692)", or "10.30 GHz* (692)" above the ceiling.
-            let mark = if cell[5].starts_with("NA") { "*" } else { "" };
-            assert_eq!(
-                row[column],
-                format!("{}{mark} ({})", cell[4], cell[2]),
-                "{} at {bytes} B",
-                row[0]
-            );
-        }
-    }
 }
