@@ -578,10 +578,6 @@ impl MachineSpec {
 /// `status_result` carries: the core-count ceiling and the known
 /// interconnect topologies and coherence protocols, generated from the
 /// same constants the [`MachineSpec`] parser accepts.
-pub fn supported_features_json() -> String {
-    Features::supported().encode()
-}
-
 struct Features {
     max_cores: u8,
     topologies: Vec<String>,
@@ -1158,68 +1154,29 @@ pub struct StatusInfo {
     pub max_pending: u64,
     /// `true` once a shutdown has been requested.
     pub draining: bool,
+    /// The evaluation cache's counters, nested as the wire nests them.
+    pub cache: CacheCounters,
+}
+
+/// The `"cache"` object of a `status` response.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CacheCounters {
     /// Evaluations stored in the cache.
-    pub cache_entries: u64,
+    pub entries: u64,
     /// Cache lookups answered from the map.
-    pub cache_hits: u64,
+    pub hits: u64,
     /// Cache lookups that had to simulate.
-    pub cache_misses: u64,
+    pub misses: u64,
 }
 
-/// [`StatusInfo`] as the wire nests it: the cache counters in an object of
-/// their own, then what this build supports.  `features` is advisory and
-/// written afresh every time, so a reader checks it and keeps nothing;
-/// lines from before multicore lack it and still read.
-struct StatusLine {
-    in_flight: u64,
-    queued: u64,
-    max_pending: u64,
-    draining: bool,
-    cache: CacheCounters,
-    features: Option<Features>,
-}
-
-struct CacheCounters {
-    entries: u64,
-    hits: u64,
-    misses: u64,
-}
-
-record!(StatusLine as "response" {
-    in_flight, queued, max_pending, draining, cache, features [or None],
+// `features` is advisory and written afresh every time, so a reader checks
+// it and keeps nothing; lines from before multicore lack it and still read.
+record!(StatusInfo as "response" {
+    in_flight, queued, max_pending, draining, cache,
+    #features [or None]: Option<Features> = Some(Features::supported()),
 });
 
 record!(CacheCounters as "status cache" { entries, hits, misses, });
-
-impl Record for StatusInfo {
-    const CTX: &'static str = StatusLine::CTX;
-    const MEMBERS: &'static [&'static str] = StatusLine::MEMBERS;
-
-    fn put_members(&self, out: &mut String) {
-        let StatusInfo { in_flight, queued, max_pending, draining, .. } = *self;
-        let cache = CacheCounters {
-            entries: self.cache_entries,
-            hits: self.cache_hits,
-            misses: self.cache_misses,
-        };
-        let features = Some(Features::supported());
-        StatusLine { in_flight, queued, max_pending, draining, cache, features }.put_members(out);
-    }
-
-    fn get_members(f: &mut Fields<'_>) -> Result<Self, ApiError> {
-        let StatusLine { in_flight, queued, max_pending, draining, cache, .. } =
-            StatusLine::get_members(f)?;
-        Ok(StatusInfo {
-            in_flight,
-            queued,
-            max_pending,
-            draining,
-            cache_entries: cache.entries,
-            cache_hits: cache.hits,
-            cache_misses: cache.misses,
-        })
-    }
-}
 
 record!(ApiError as "response" { code, message, });
 
@@ -1545,9 +1502,7 @@ pub(crate) mod tests {
             queued: 1,
             max_pending: 8,
             draining: false,
-            cache_entries: 11,
-            cache_hits: 40,
-            cache_misses: 11,
+            cache: CacheCounters { entries: 11, hits: 40, misses: 11 },
         };
         let responses = [
             ApiResponse::EvalResult(Box::new(feasible.clone())),
@@ -1605,7 +1560,7 @@ pub(crate) mod tests {
             SweepSpec::MEMBERS,
             Constraints::MEMBERS,
             ApiRequest::MEMBERS,
-            StatusLine::MEMBERS,
+            StatusInfo::MEMBERS,
             CacheCounters::MEMBERS,
             ApiError::MEMBERS,
             ApiResponse::MEMBERS,
@@ -1933,18 +1888,18 @@ pub(crate) mod tests {
             queued: 0,
             max_pending: 4,
             draining: false,
-            cache_entries: 0,
-            cache_hits: 0,
-            cache_misses: 0,
+            cache: CacheCounters { entries: 0, hits: 0, misses: 0 },
         });
         let line = response.to_json();
         let features = ",\"features\":{\"max_cores\":8,\"topologies\":[\"shared-bus\",\"mesh\"],\
                         \"protocols\":[\"msi\",\"mesi\"]}";
         assert!(line.contains(features), "{line}");
-        assert!(line.contains(&supported_features_json()), "{line}");
+        assert!(line.contains(&Features::supported().encode()), "{line}");
         // A line from a build that knows another topology still reads.
         let newer = line.replace("\"mesh\"]", "\"mesh\",\"torus\"]");
         assert_eq!(ApiResponse::from_json(&newer).unwrap(), response);
+        // So does a line from before multicore, which has no `features`.
+        assert_eq!(ApiResponse::from_json(&line.replace(features, "")).unwrap(), response);
     }
 
     #[test]

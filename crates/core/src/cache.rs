@@ -22,6 +22,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
+use taco_workload::trace::trace_fnv1a64;
 use taco_workload::{FaultPlan, Workload};
 
 use crate::api::table::{record, Record};
@@ -97,17 +98,6 @@ struct SnapshotEntry {
 }
 
 record!(SnapshotEntry as "snapshot entry" { request, report, });
-
-/// FNV-1a 64-bit over the snapshot body — cheap, std-only corruption
-/// detection (truncated writes, hand edits), not cryptographic integrity.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
-}
 
 /// Why a cache snapshot could not be written or read back.
 #[derive(Debug)]
@@ -270,7 +260,8 @@ impl EvalCache {
     /// snapshot the daemon reloads on boot.
     ///
     /// Format: a `taco-evalcache-snapshot v1` header line, a
-    /// `checksum <fnv1a64-hex>` line over the body, then one
+    /// `checksum <fnv1a64-hex>` line over the body (corruption detection —
+    /// truncated writes, hand edits — not cryptographic integrity), then one
     /// `{"request":…,"report":…}` JSON line per entry (the wire codecs
     /// from [`crate::api`]), sorted so the file is byte-stable for a given
     /// cache content.  Reports with no wire form are skipped and counted
@@ -317,7 +308,7 @@ impl EvalCache {
         }
         let content = format!(
             "{SNAPSHOT_MAGIC} {SNAPSHOT_VERSION}\nchecksum {:016x}\n{body}",
-            fnv1a64(body.as_bytes())
+            trace_fnv1a64(body.as_bytes())
         );
         (content, SnapshotStats { persisted: lines.len() as u64, skipped })
     }
@@ -363,7 +354,7 @@ impl EvalCache {
             .strip_prefix("checksum ")
             .and_then(|hex| u64::from_str_radix(hex, 16).ok())
             .ok_or(SnapshotError::MissingHeader)?;
-        if fnv1a64(body.as_bytes()) != recorded {
+        if trace_fnv1a64(body.as_bytes()) != recorded {
             return Err(SnapshotError::ChecksumMismatch);
         }
         // Parse the whole body before touching the cache: a bad entry must
@@ -639,7 +630,7 @@ mod tests {
         let bad_body = body.replacen("{\"request\":", "{\"zzz\":1,\"request\":", 1);
         let content = format!(
             "{header_and_sum}\nchecksum {:016x}\n{bad_body}",
-            super::fnv1a64(bad_body.as_bytes())
+            trace_fnv1a64(bad_body.as_bytes())
         );
         std::fs::write(&path, content).unwrap();
         let warm = EvalCache::new();

@@ -55,9 +55,8 @@ pub mod request;
 pub mod table1;
 
 pub use api::{
-    parse_machine_spec, salvage_request_id, supported_features_json, ApiError, ApiErrorCode,
-    ApiRequest, ApiResponse, ConfigSpec, EvalSpec, MachineSpec, StatusInfo, TraceRef, WireRequest,
-    WireResponse,
+    parse_machine_spec, salvage_request_id, ApiError, ApiErrorCode, ApiRequest, ApiResponse,
+    ConfigSpec, EvalSpec, MachineSpec, StatusInfo, TraceRef, WireRequest, WireResponse,
 };
 pub use arch::{ArchConfig, RoutingTableKind};
 pub use cache::{EvalCache, SnapshotError, SnapshotStats};

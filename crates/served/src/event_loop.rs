@@ -14,7 +14,8 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use taco_core::api::{
-    salvage_request_id, ApiError, ApiRequest, ApiResponse, Envelope, StatusInfo, WireRequest,
+    salvage_request_id, ApiError, ApiRequest, ApiResponse, CacheCounters, Envelope, StatusInfo,
+    WireRequest,
 };
 use taco_core::{
     explore_with, Constraints, EvalRequest, ExploreOptions, LineRate, PointRecord, SweepObserver,
@@ -169,11 +170,8 @@ fn run_jobs(runners: &Runners, shared: &Shared, tx: &Sender<LoopMsg>, waker: &Un
 /// Streams [`ApiResponse::SweepPoint`] lines into the loop channel as
 /// sweep workers finish points (completion order), wearing the job's
 /// envelope.
-///
-/// The sender sits behind a mutex only because [`SweepObserver`] requires
-/// `Sync` and `Sender` is not.
 struct Progress<'a> {
-    tx: Mutex<&'a Sender<LoopMsg>>,
+    tx: &'a Sender<LoopMsg>,
     waker: &'a UnixStream,
     token: u64,
     envelope: Envelope,
@@ -188,7 +186,7 @@ impl SweepObserver for Progress<'_> {
             cache_hit: record.cache_hit,
             feasible: record.report.is_feasible(),
         };
-        emit(&self.tx.lock().unwrap(), self.waker, self.token, line(self.envelope, &point));
+        emit(self.tx, self.waker, self.token, line(self.envelope, &point));
     }
 }
 
@@ -201,8 +199,7 @@ fn execute(shared: &Shared, job: &Job, tx: &Sender<LoopMsg>, waker: &UnixStream)
             respond(ApiResponse::EvalResult(Box::new(report)));
         }
         Work::Sweep { spec, rate, constraints } => {
-            let progress =
-                Progress { tx: Mutex::new(tx), waker, token: job.token, envelope: job.envelope };
+            let progress = Progress { tx, waker, token: job.token, envelope: job.envelope };
             let opts = ExploreOptions {
                 threads: shared.threads,
                 cache: Some(&shared.cache),
@@ -715,9 +712,11 @@ impl<'a> EventLoop<'a> {
             queued: self.runners.queue.lock().unwrap().jobs.len() as u64,
             max_pending: self.shared.max_pending as u64,
             draining: self.draining,
-            cache_entries: self.shared.cache.len() as u64,
-            cache_hits: self.shared.cache.hits() + self.memo_hits,
-            cache_misses: self.shared.cache.misses(),
+            cache: CacheCounters {
+                entries: self.shared.cache.len() as u64,
+                hits: self.shared.cache.hits() + self.memo_hits,
+                misses: self.shared.cache.misses(),
+            },
         }
     }
 

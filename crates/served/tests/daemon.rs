@@ -99,14 +99,14 @@ fn twelve_cell_batch_matches_golden_cold_and_from_persisted_snapshot() {
     // The batch was computed cold: twelve lookups, twelve misses.
     let cold_status = status(addr);
     assert_eq!(
-        (cold_status.cache_entries, cold_status.cache_hits, cold_status.cache_misses),
+        (cold_status.cache.entries, cold_status.cache.hits, cold_status.cache.misses),
         (12, 0, 12)
     );
 
     // A warm re-submission in the same process is answered from memory,
     // byte-identically.
     assert_eq!(submit_batch(addr, &requests), cold);
-    assert_eq!(status(addr).cache_hits, 12);
+    assert_eq!(status(addr).cache.hits, 12);
 
     // Graceful shutdown persists all twelve entries...
     assert_eq!(shut_down(addr), Some(12));
@@ -118,7 +118,7 @@ fn twelve_cell_batch_matches_golden_cold_and_from_persisted_snapshot() {
     assert_eq!(submit_batch(addr, &requests), cold, "snapshot-warmed responses drifted");
     let warm_status = status(addr);
     assert_eq!(
-        (warm_status.cache_entries, warm_status.cache_hits, warm_status.cache_misses),
+        (warm_status.cache.entries, warm_status.cache.hits, warm_status.cache.misses),
         (12, 12, 0)
     );
     assert_eq!(shut_down(addr), Some(12));
@@ -290,7 +290,7 @@ fn corrupt_snapshots_are_discarded_not_fatal() {
     let (addr, handle) = start(config);
 
     // The daemon must come up serving, with an empty cache.
-    assert_eq!(status(addr).cache_entries, 0);
+    assert_eq!(status(addr).cache.entries, 0);
 
     // And shutdown replaces the garbage with a valid (empty) snapshot.
     assert_eq!(shut_down(addr), Some(0));

@@ -192,7 +192,7 @@ impl From<std::io::Error> for TraceFormatError {
 pub type TraceResult<T> = Result<T, TraceFormatError>;
 
 /// FNV-1a 64-bit over `bytes` — the checksum and digest function of the
-/// trace format (same constants as the `EvalCache` snapshot checksum).
+/// trace format, and the `EvalCache` snapshot's checksum.
 pub fn trace_fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {

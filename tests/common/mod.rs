@@ -12,7 +12,7 @@
 use std::sync::OnceLock;
 
 use taco::eval::api::{
-    ApiError, ApiRequest, ApiResponse, ConfigSpec, EvalSpec, StatusInfo, TraceRef,
+    ApiError, ApiRequest, ApiResponse, CacheCounters, ConfigSpec, EvalSpec, StatusInfo, TraceRef,
 };
 use taco::eval::{
     Constraints, EvalRequest, FaultPlan, LineRate, RoutingTableKind, SweepSpec, TraceGen, Workload,
@@ -258,9 +258,7 @@ pub fn response_lines() -> &'static [String] {
             queued: 0,
             max_pending: 4,
             draining: true,
-            cache_entries: 12,
-            cache_hits: u64::MAX,
-            cache_misses: 3,
+            cache: CacheCounters { entries: 12, hits: u64::MAX, misses: 3 },
         };
         let label = full.config.label();
         let responses = [

@@ -76,7 +76,7 @@ fn status_table1_poison_lines_status_shutdown() {
 
     let idle = status(addr);
     assert_eq!((idle.in_flight, idle.queued, idle.max_pending, idle.draining), (0, 0, 4, false));
-    assert_eq!(idle.cache_entries, 0);
+    assert_eq!(idle.cache.entries, 0);
 
     // The twelve Table 1 cells, in the fixture's line order.
     let golden = std::fs::read_to_string(concat!(
@@ -199,7 +199,7 @@ fn a_snapshot_holding_a_trie_entry_is_refused_whole_and_the_daemon_boots_cold() 
     let server = Server::bind(config).expect("bind loopback");
     let addr = server.local_addr();
     let daemon = std::thread::spawn(move || server.run());
-    assert_eq!(status(addr).cache_entries, 0);
+    assert_eq!(status(addr).cache.entries, 0);
     exchange(addr, &ApiRequest::Shutdown.to_json());
     daemon.join().expect("server thread").expect("clean exit");
     std::fs::remove_file(&path).ok();
