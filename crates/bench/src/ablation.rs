@@ -1,5 +1,5 @@
-//! Ablation of the sequential-scan microcode's design choices (DESIGN.md
-//! §5): the lane-unroll factor and the screening-word selection.
+//! `taco-cli ablation` — the sequential-scan microcode's design choices
+//! (DESIGN.md §5): the lane-unroll factor and the screening-word selection.
 //!
 //! * **unroll** — how many entries one scan block screens with distinct
 //!   virtual Matcher/Counter instances.  More lanes help exactly when the
@@ -9,10 +9,6 @@
 //!   screening on word 0 false-positives on every entry and degrades the
 //!   scan to full 128-bit verification.
 //!
-//! ```text
-//! cargo run -p taco-bench --release --bin ablation
-//! ```
-//!
 //! Every cell is an independent cycle-accurate run, so each grid is
 //! measured in parallel on the `taco-core` worker pool (`TACO_THREADS`
 //! overrides the worker count); cells print in grid order regardless of
@@ -20,7 +16,7 @@
 
 use std::time::Instant;
 
-use taco_bench::cli::Cli;
+use crate::cli::Cli;
 use taco_core::{benchmark_routes, pool};
 use taco_ipv6::{Datagram, NextHeader};
 use taco_isa::MachineConfig;
@@ -45,14 +41,21 @@ fn clustered_routes() -> Vec<Route> {
         .collect()
 }
 
-fn measure(config: &MachineConfig, routes: &[Route], opts: &MicrocodeOptions) -> u64 {
-    // Build the router by hand so the ablation controls the exact options
-    // (`TableImage::new` would re-tune the screen word).
+/// Datagrams per measurement run, as `taco_core`'s measurement workload.
+const DATAGRAMS: u32 = 8;
+
+/// Cycles per datagram of the scan built with exactly `opts` on `config`.
+fn measure(config: &MachineConfig, routes: &[Route], opts: &MicrocodeOptions) -> f64 {
+    // The router is built by hand because `TableImage::new` would re-tune
+    // the screen word this ablation has to force; nothing else differs from
+    // the product path (`taco_router::cycle::compiled_program`, then
+    // `taco_core`'s `evaluate.rs::measure`).
     let table = SequentialTable::from_routes(routes.iter().copied());
     let mut image = layout::serialize_sequential(&table);
     taco_router::microcode::pad_sequential_image(&mut image, opts.unroll);
     let padded = image.len() / layout::SEQ_ENTRY_WORDS as usize;
-    let seq = sequential_program(padded, opts);
+    let mut seq = sequential_program(padded, opts);
+    taco_isa::optimize(&mut seq);
 
     let mut program = taco_isa::schedule(&seq, config);
     program.resolve_labels().expect("labels defined");
@@ -61,7 +64,7 @@ fn measure(config: &MachineConfig, routes: &[Route], opts: &MicrocodeOptions) ->
 
     let mut gen = TrafficGen::new(0x0DA7A, 4);
     let deepest = *table.entries().last().expect("non-empty");
-    for _ in 0..8 {
+    for _ in 0..DATAGRAMS {
         let d = Datagram::builder(
             "2001:db8:ffff::1".parse().expect("valid"),
             gen.addr_in(&deepest.prefix()),
@@ -74,12 +77,22 @@ fn measure(config: &MachineConfig, routes: &[Route], opts: &MicrocodeOptions) ->
         cpu.memory_mut().load(addr, &words).expect("fits");
         cpu.push_input(addr, 0);
     }
-    cpu.run(50_000_000).expect("halts").cycles / 8
+    cpu.run(50_000_000).expect("halts").cycles as f64 / f64::from(DATAGRAMS)
 }
 
-/// Measures a grid of `(config, routes, opts)` cells in parallel, in grid
-/// order, with one stderr progress line per grid.
-fn measure_grid(label: &str, cells: &[(MachineConfig, &[Route], MicrocodeOptions)]) -> Vec<u64> {
+/// One grid cell: the machine, the table and the options it is built with.
+type Cell<'a> = (MachineConfig, &'a [Route], MicrocodeOptions);
+
+/// Measures `cells` — row-major, one row per name — in parallel, with one
+/// stderr progress line, and prints the rows in grid order; `tail(row)`
+/// ends each.
+fn print_grid(
+    label: &str,
+    names: &[String],
+    width: usize,
+    cells: &[Cell<'_>],
+    tail: impl Fn(usize) -> String,
+) {
     let threads = pool::default_threads();
     let started = Instant::now();
     let results = pool::ordered_map(cells, threads, |_, (config, routes, opts)| {
@@ -90,12 +103,21 @@ fn measure_grid(label: &str, cells: &[(MachineConfig, &[Route], MicrocodeOptions
         cells.len(),
         started.elapsed().as_secs_f64() * 1e3
     );
-    results
+    for (row, chunk) in results.chunks(cells.len() / names.len()).enumerate() {
+        print!("{:<width$}", names[row]);
+        for cycles in chunk {
+            print!(" {cycles:>8.0}");
+        }
+        println!("{}", tail(row));
+    }
 }
 
-fn main() {
-    Cli::new("ablation", "sequential-scan microcode tunables: unroll factor, screening word")
-        .parse_or_exit();
+pub fn run(args: Vec<String>) {
+    Cli::new(
+        "taco-cli ablation",
+        "sequential-scan microcode tunables: unroll factor, screening word",
+    )
+    .parse_args_or_exit(args);
     let diverse = benchmark_routes(ENTRIES);
     let clustered = clustered_routes();
     let best = |routes: &[Route]| {
@@ -111,7 +133,7 @@ fn main() {
         MachineConfig::three_bus_one_fu(),
         MachineConfig::three_bus_three_fu(),
     ];
-    let unroll_cells: Vec<(MachineConfig, &[Route], MicrocodeOptions)> = configs
+    let unroll_cells: Vec<Cell<'_>> = configs
         .iter()
         .flat_map(|config| {
             (1..=3u8).map(|unroll| {
@@ -120,20 +142,15 @@ fn main() {
             })
         })
         .collect();
-    for (row, chunk) in measure_grid("unroll grid", &unroll_cells).chunks(3).enumerate() {
-        print!("{:<22}", configs[row].label());
-        for cycles in chunk {
-            print!(" {cycles:>8}");
-        }
-        println!();
-    }
+    let names: Vec<String> = configs.iter().map(MachineConfig::label).collect();
+    print_grid("unroll grid", &names, 22, &unroll_cells, |_| String::new());
 
     println!();
     println!("— screening word (unroll 3, 3BUS/1FU) —");
     println!("{:<30} {:>8} {:>8} {:>8} {:>8}  {:>6}", r"table \ word", 0, 1, 2, 3, "auto");
     let tables: [(&str, &[Route]); 2] =
         [("diverse (random /16-/64)", &diverse), ("clustered (2001:db8::/32)", &clustered)];
-    let screen_cells: Vec<(MachineConfig, &[Route], MicrocodeOptions)> = tables
+    let screen_cells: Vec<Cell<'_>> = tables
         .iter()
         .flat_map(|&(_, routes)| {
             (0..4u8).map(move |word| {
@@ -142,14 +159,10 @@ fn main() {
             })
         })
         .collect();
-    for (row, chunk) in measure_grid("screen-word grid", &screen_cells).chunks(4).enumerate() {
-        let (name, routes) = tables[row];
-        print!("{name:<30}");
-        for cycles in chunk {
-            print!(" {cycles:>8}");
-        }
-        println!("  {:>6}", best(routes));
-    }
+    let names = tables.map(|(name, _)| name.to_owned());
+    print_grid("screen-word grid", &names, 30, &screen_cells, |row| {
+        format!("  {:>6}", best(tables[row].1))
+    });
     println!();
     println!("on a clustered table every prefix shares address word 0, so screening");
     println!("on it false-positives on every entry and the scan pays the full 128-bit");
@@ -171,7 +184,7 @@ fn main() {
                 .with_fu_count(taco_isa::FuKind::Matcher, 3),
         ),
     ];
-    let port_cells: Vec<(MachineConfig, &[Route], MicrocodeOptions)> = bases
+    let port_cells: Vec<Cell<'_>> = bases
         .iter()
         .flat_map(|(_, base)| {
             (1..=3u8).map(|ports| {
@@ -181,11 +194,36 @@ fn main() {
             })
         })
         .collect();
-    for (row, chunk) in measure_grid("memory-port grid", &port_cells).chunks(3).enumerate() {
-        print!("{:<26}", bases[row].0);
-        for cycles in chunk {
-            print!(" {cycles:>8}");
+    let names: Vec<String> = bases.iter().map(|(name, _)| name.to_string()).collect();
+    print_grid("memory-port grid", &names, 26, &port_cells, |_| String::new());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use taco_core::{ArchConfig, EvalRequest};
+    use taco_routing::TableKind;
+
+    /// The cells the unroll grid shares with Table 1 — unroll 3, the
+    /// auto-chosen screen word, the three paper machine shapes — are the
+    /// product path's numbers exactly, not a second measurement of them.
+    #[test]
+    fn the_shared_cells_are_table_1s() {
+        let routes = benchmark_routes(ENTRIES);
+        let screen_word = choose_screen_word(&SequentialTable::from_routes(routes.iter().copied()));
+        let opts = MicrocodeOptions { unroll: 3, screen_word };
+        for config in [
+            ArchConfig::one_bus_one_fu(TableKind::Sequential),
+            ArchConfig::three_bus_one_fu(TableKind::Sequential),
+            ArchConfig::three_bus_three_fu(TableKind::Sequential),
+        ] {
+            let report = EvalRequest::new(config.clone()).entries(ENTRIES).run();
+            assert_eq!(
+                measure(&config.machine, &routes, &opts),
+                report.cycles_per_datagram,
+                "{}",
+                config.label()
+            );
         }
-        println!();
     }
 }

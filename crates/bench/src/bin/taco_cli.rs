@@ -1,14 +1,6 @@
-//! `taco-cli` — the client/server front end for the `taco-served` batch
-//! evaluation daemon.
-//!
-//! ```text
-//! cargo run -p taco-bench --release --bin taco-cli -- serve [--addr A] \
-//!     [--max-pending N] [--snapshot PATH] [--threads N]
-//! cargo run -p taco-bench --release --bin taco-cli -- submit --addr A \
-//!     [--table1 | --sweep | --trace FILE] [--kind NAME] [--entries N]
-//! cargo run -p taco-bench --release --bin taco-cli -- status --addr A
-//! cargo run -p taco-bench --release --bin taco-cli -- shutdown --addr A
-//! ```
+//! `taco-cli` — the repo's one executable: the subcommands that regenerate
+//! the paper's evaluation (one `taco_bench` module each) and the
+//! client/server front end of the `taco-served` batch evaluation daemon.
 //!
 //! `serve` runs the daemon in the foreground and prints the bound address
 //! on stdout (ask for port 0 to get an ephemeral one).  `submit` sends
@@ -32,39 +24,63 @@ use std::process::exit;
 use std::time::Duration;
 
 use taco_bench::cli::{Cli, Parsed};
+use taco_bench::{
+    ablation, churn, dse, loadgen, report, scaling, scenarios, table1, trace, tracegen,
+};
 use taco_core::api::{parse_table_kind, ApiRequest, ApiResponse, ConfigSpec, EvalSpec, TraceRef};
 use taco_core::{ArchConfig, Constraints, FlowTrace, LineRate, SweepSpec};
 use taco_served::{open_request, Server, ServerConfig};
 
+const STATUS: &str = "print the daemon's queue and cache statistics";
+const SHUTDOWN: &str = "drain the daemon, persist its cache and stop it";
+
+/// Every subcommand: its name, its line of the overview, its entry point.
+const SUBCOMMANDS: [(&str, &str, fn(Vec<String>)); 14] = [
+    ("table1", "regenerate the paper's Table 1", table1::run),
+    ("scaling", "cycles per datagram against routing-table size", scaling::run),
+    ("report", "the markdown reproduction report, or one section of it", report::run),
+    ("dse", "design-space exploration under power and area constraints", dse::run),
+    ("ablation", "the sequential scan's unroll factor and screening word", ablation::run),
+    ("scenarios", "every built-in workload over the three table kinds", scenarios::run),
+    ("churn", "the 100k-prefix bounded-arena churn smoke", churn::run),
+    ("trace", "a per-cycle bus-occupancy strip of one Table 1 cell", trace::run),
+    ("tracegen", "generate, round-trip and replay a flow trace", tracegen::run),
+    ("loadgen", "the daemon under concurrent one-shot and session clients", loadgen::run),
+    ("serve", "run the daemon in the foreground (prints the bound address)", serve),
+    ("submit", "send eval/sweep jobs to a running daemon", submit),
+    ("status", STATUS, |args| control(args, "taco-cli status", STATUS, ApiRequest::Status)),
+    ("shutdown", SHUTDOWN, |args| {
+        control(args, "taco-cli shutdown", SHUTDOWN, ApiRequest::Shutdown)
+    }),
+];
+
 fn print_overview() {
-    println!("taco-cli — client/server front end for the taco-served evaluation daemon");
+    let names: Vec<&str> = SUBCOMMANDS.iter().map(|&(name, ..)| name).collect();
+    println!("taco-cli — the paper's evaluation, and the taco-served daemon's front end");
     println!();
-    println!("usage: taco-cli <serve|submit|status|shutdown> [options]");
+    println!("usage: taco-cli <{}> [options]", names.join("|"));
     println!();
     println!("subcommands:");
-    println!("  serve     run the daemon in the foreground (prints the bound address)");
-    println!("  submit    send eval/sweep jobs to a running daemon");
-    println!("  status    print the daemon's queue and cache statistics");
-    println!("  shutdown  drain the daemon, persist its cache and stop it");
+    for (name, summary, _) in SUBCOMMANDS {
+        println!("  {name:<9} {summary}");
+    }
     println!();
     println!("run `taco-cli <subcommand> --help` for the subcommand's options.");
 }
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
+    let mut args = std::env::args().skip(1);
+    let Some(subcommand) = args.next() else {
         print_overview();
         exit(2);
+    };
+    if subcommand == "--help" || subcommand == "-h" {
+        return print_overview();
     }
-    let subcommand = args.remove(0);
-    match subcommand.as_str() {
-        "--help" | "-h" => print_overview(),
-        "serve" => serve(args),
-        "submit" => submit(args),
-        "status" => control(args, "status", ApiRequest::Status),
-        "shutdown" => control(args, "shutdown", ApiRequest::Shutdown),
-        other => {
-            eprintln!("taco-cli: unknown subcommand {other:?}");
+    match SUBCOMMANDS.iter().find(|&&(name, ..)| name == subcommand) {
+        Some((_, _, run)) => run(args.collect()),
+        None => {
+            eprintln!("taco-cli: unknown subcommand {subcommand:?}");
             eprintln!();
             print_overview();
             exit(2);
@@ -183,11 +199,7 @@ fn check(final_line: &str) {
     }
 }
 
-fn control(rest: Vec<String>, name: &'static str, request: ApiRequest) {
-    let about = match name {
-        "status" => "print the daemon's queue and cache statistics",
-        _ => "drain the daemon, persist its cache and stop it",
-    };
+fn control(rest: Vec<String>, name: &'static str, about: &'static str, request: ApiRequest) {
     let cli = Cli::new(name, about).opt("--addr", "ADDR", "daemon address (required)");
     let args = cli.parse_args_or_exit(rest);
     let addr = required_addr(&cli, &args);

@@ -1,28 +1,23 @@
-//! Internet-scale BGP churn smoke: the `table-churn` scenario at 100k
-//! prefixes, proving the arena-backed PATRICIA engine stays memory-bounded
-//! while routes are withdrawn and re-advertised under live traffic.
+//! `taco-cli churn` — internet-scale BGP churn smoke: the `table-churn`
+//! scenario at 100k prefixes, proving the arena-backed PATRICIA engine
+//! stays memory-bounded while routes are withdrawn and re-advertised under
+//! live traffic.
 //!
-//! ```text
-//! cargo run -p taco-bench --release --bin churn \
-//!     [entries] [--kinds LIST] [--ticks N] [--json]
-//! ```
-//!
-//! For every requested organisation the bin replays the same seeded
-//! BGP-shaped churn workload twice — at `ticks` and at `2 x ticks` — and
-//! requires the `table_memory_words` high-water mark to be identical and
-//! non-zero in both runs: twice the churn cycles, zero extra memory, or
-//! the arena leaks and the bin exits non-zero.  Output (one
-//! `ScenarioMetrics` JSON line per kind with `--json`) is byte-stable,
-//! so `scripts/verify.sh` gates it against a committed baseline.
+//! For every requested organisation the same seeded BGP-shaped churn
+//! workload is replayed twice — at `ticks / 2` and at `ticks` — and the
+//! `table_memory_words` high-water mark must be identical and non-zero in
+//! both runs: twice the churn cycles, zero extra memory, or the arena leaks
+//! and the exit code is 1.  The `--json` output is byte-stable, so
+//! `scripts/verify.sh` gates it against a committed baseline.
 //!
 //! The default kind list is `patricia` — the arena engine the invariant
-//! is about.  The paper's own organisations are *structurally*
-//! unable to churn at this scale (the balanced tree rebuilds its segment
-//! array on every single route update, the sequential scan pays O(n) per
-//! probe), which is exactly the Table 1 scaling story EXPERIMENTS.md
-//! tells; asking for them here is allowed but will be slow.
+//! is about.  The paper's own organisations are *structurally* unable to
+//! churn at this scale (the balanced tree rebuilds its segment array on
+//! every single route update, the sequential scan pays O(n) per probe),
+//! which is exactly the Table 1 scaling story EXPERIMENTS.md tells; asking
+//! for them here is allowed but will be slow.
 
-use taco_bench::cli::Cli;
+use crate::cli::Cli;
 use taco_core::api::parse_table_kind;
 use taco_routing::TableKind;
 use taco_workload::{run_scenario, ScenarioConfig, ScenarioMetrics, Workload, DEFAULT_SEED};
@@ -47,22 +42,21 @@ fn churn_workload(entries: u32, ticks: u32) -> Workload {
     }
 }
 
-fn main() {
-    let cli = Cli::new("churn", "internet-scale table-churn smoke with a bounded-arena gate")
-        .flag("--json", "print one ScenarioMetrics JSON line per kind instead of the table")
-        .opt("--kinds", "LIST", "comma-separated table kinds to smoke (default patricia)")
-        .opt("--ticks", "N", "measured ticks for the long run (default 200)")
-        .positional("entries", "BGP-shaped routing-table size", Some("100000"));
-    let args = cli.parse_or_exit();
+pub fn run(args: Vec<String>) {
+    let cli =
+        Cli::new("taco-cli churn", "internet-scale table-churn smoke with a bounded-arena gate")
+            .flag("--json", "print one ScenarioMetrics JSON line per kind instead of the table")
+            .opt("--kinds", "LIST", "comma-separated table kinds to smoke (default patricia)")
+            .opt("--ticks", "N", "measured ticks for the long run (default 200)")
+            .positional("entries", "BGP-shaped routing-table size", Some("100000"));
+    let args = cli.parse_args_or_exit(args);
     let json = args.flag("--json");
     let entries: u32 = args.pos_parsed("entries").unwrap_or_else(|e| cli.fail(&e));
     let ticks: u32 = args.opt_parsed("--ticks").unwrap_or_else(|e| cli.fail(&e)).unwrap_or(200);
-    let kinds: Vec<TableKind> = args
-        .opt("--kinds")
-        .unwrap_or("patricia")
-        .split(',')
-        .map(|name| parse_table_kind(name.trim()).unwrap_or_else(|e| cli.fail(&e)))
-        .collect();
+    let kinds = args
+        .opt_list("--kinds", parse_table_kind)
+        .unwrap_or_else(|e| cli.fail(&e))
+        .unwrap_or_else(|| vec![TableKind::Patricia]);
 
     eprintln!(
         "churn smoke: {entries} BGP prefixes, {CHURN_SIZE} routes churned every \

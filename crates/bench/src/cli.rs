@@ -1,8 +1,5 @@
-//! The shared argument parser behind every `taco-bench` binary.
-//!
-//! Eight binaries used to hand-roll eight slightly different argv loops;
-//! this module replaces them with one declarative, testable parser so
-//! every tool speaks the same dialect:
+//! What every `taco-cli` subcommand shares: one declarative, testable
+//! argument parser, so every subcommand speaks the same dialect —
 //!
 //! * `--help`/`-h` prints a generated usage page and exits 0;
 //! * boolean flags (`--csv`), valued options (`--scenario NAME`) and
@@ -12,11 +9,16 @@
 //!   instead of the old silent fall-back-to-default behaviour.
 //!
 //! The parse step ([`Cli::try_parse`]) is pure (no process exit, no IO),
-//! which is what the unit tests drive; binaries use the
-//! [`Cli::parse_or_exit`] wrapper.
+//! which is what the unit tests drive; subcommands use the
+//! [`Cli::parse_args_or_exit`] wrapper.  Below the parser sit the two
+//! things more than one subcommand does after parsing: the evaluation
+//! cache's tally line and the Chrome trace of a request.
 
 use std::fmt::Write as _;
 use std::str::FromStr;
+
+use taco_core::{trace_request, EvalCache, EvalRequest};
+use taco_sim::ChromeTracer;
 
 /// A declared command-line interface: name, one-line description and the
 /// accepted flags/options/positionals.
@@ -99,7 +101,8 @@ impl Cli {
             let width = self.positionals.iter().map(|(n, _, _)| n.len()).max().unwrap_or(0);
             for (name, help, default) in &self.positionals {
                 let _ = write!(s, "  {name:<width$}  {help}");
-                if let Some(d) = default {
+                // An empty default is "may be left out", not a value.
+                if let Some(d) = default.as_ref().filter(|d| !d.is_empty()) {
                     let _ = write!(s, " (default: {d})");
                 }
                 s.push('\n');
@@ -169,14 +172,9 @@ impl Cli {
         Ok(Parse::Args(Parsed { flags, opts, positionals }))
     }
 
-    /// [`Cli::try_parse`] over the process arguments, with the standard
-    /// exits: help → stdout + exit 0, errors → stderr + exit 2.
-    pub fn parse_or_exit(&self) -> Parsed {
-        self.parse_args_or_exit(std::env::args().skip(1).collect())
-    }
-
-    /// [`Cli::parse_or_exit`] over an explicit argument list — what
-    /// subcommand-style binaries use after peeling the subcommand off.
+    /// [`Cli::try_parse`] over the arguments left once the subcommand is
+    /// peeled off, with the standard exits: help → stdout + exit 0, errors →
+    /// stderr + exit 2.
     pub fn parse_args_or_exit(&self, args: Vec<String>) -> Parsed {
         match self.try_parse(args) {
             Ok(Parse::Help) => {
@@ -189,7 +187,7 @@ impl Cli {
     }
 
     /// Reports a usage error the standard way: message plus synopsis on
-    /// stderr, exit 2.  Binaries use it for post-parse validation too
+    /// stderr, exit 2.  Subcommands use it for post-parse validation too
     /// (bad numbers, unknown scenario names, …).
     pub fn fail(&self, message: &str) -> ! {
         eprintln!("{}: {message}", self.name);
@@ -231,11 +229,46 @@ impl Parsed {
     pub fn opt_parsed<T: FromStr>(&self, name: &str) -> Result<Option<T>, String> {
         self.opt(name).map(|raw| parse_value(name, raw)).transpose()
     }
+
+    /// A comma-separated option read item by item (each trimmed) with
+    /// `parse`, failing on the first item it rejects; `None` when absent.
+    pub fn opt_list<T>(
+        &self,
+        name: &str,
+        parse: impl Fn(&str) -> Result<T, String>,
+    ) -> Result<Option<Vec<T>>, String> {
+        self.opt(name)
+            .map(|raw| raw.split(',').map(|item| parse(item.trim())).collect())
+            .transpose()
+    }
 }
 
 /// Parses `raw` as `T`, naming `what` in the error message.
 pub fn parse_value<T: FromStr>(what: &str, raw: &str) -> Result<T, String> {
     raw.parse().map_err(|_| format!("{what}: cannot parse {raw:?}"))
+}
+
+/// The process-global evaluation cache's tally, on stderr.
+pub fn report_cache() {
+    let cache = EvalCache::global();
+    eprintln!(
+        "evaluation cache: {} hits, {} misses, {} points stored",
+        cache.hits(),
+        cache.misses(),
+        cache.len()
+    );
+}
+
+/// Re-runs `request`'s measurement under a Chrome tracer and writes the
+/// timeline JSON (Perfetto, `chrome://tracing`) to `path`.  Through
+/// [`trace_request`], not the cache: a cache hit has no simulation to
+/// observe.
+pub fn write_chrome_trace(request: &EvalRequest, path: &str) -> Result<(), String> {
+    let mut chrome = ChromeTracer::new(request.config.machine.buses());
+    let stats =
+        trace_request(request, &mut chrome).map_err(|e| format!("traced replay failed: {e}"))?;
+    std::fs::write(path, chrome.finish(stats.cycles))
+        .map_err(|e| format!("could not write {path}: {e}"))
 }
 
 #[cfg(test)]
@@ -314,6 +347,20 @@ mod tests {
         assert!(matches!(missing, Err(e) if e.contains("needs a value")));
         let twice = cli.try_parse(args(&["--scenario", "a", "--scenario", "b"]));
         assert!(matches!(twice, Err(e) if e.contains("given twice")));
+    }
+
+    #[test]
+    fn lists_are_read_item_by_item_and_fail_loudly() {
+        let cli = Cli::new("loadgen", "load").opt("--clients", "LIST", "client counts");
+        let number = |item: &str| parse_value::<usize>("--clients", item);
+        let list = |raw: &str| parsed(&cli, &["--clients", raw]).opt_list("--clients", number);
+        assert_eq!(parsed(&cli, &[]).opt_list("--clients", number), Ok(None));
+        assert_eq!(list("8, 64,256"), Ok(Some(vec![8, 64, 256])));
+        // An empty item, a trailing comma and a bad number all name the
+        // item; none is skipped or defaulted.
+        assert!(list("8,,64").unwrap_err().contains("cannot parse \"\""));
+        assert!(list("8,64,").unwrap_err().contains("cannot parse \"\""));
+        assert!(list("8,many").unwrap_err().contains("\"many\""));
     }
 
     #[test]

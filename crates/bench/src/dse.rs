@@ -1,38 +1,15 @@
-//! The automated design-space exploration the paper lists as future work:
-//! sweep buses × FU replication × routing-table organisation, evaluate each
-//! instance, filter by power/area constraints and print the ranking.
-//!
-//! ```text
-//! cargo run -p taco-bench --release --bin dse \
-//!     [max_power_w] [max_area_mm2] [--stats] [--scenario NAME] [--max-drops N] \
-//!     [--faults NAME] [--max-unrecovered N] [--trace FILE] [--trace-best PATH]
-//! ```
+//! `taco-cli dse` — the automated design-space exploration the paper lists
+//! as future work: sweep buses × FU replication × routing-table
+//! organisation, evaluate each instance, filter by power/area constraints
+//! and print the ranking.
 //!
 //! The sweep fans out across all cores (`TACO_THREADS` overrides) through
-//! the process-global evaluation cache, with per-point progress on stderr;
-//! `--stats` appends each point's raw simulator counters as JSON.
-//! `--scenario` replays a named behavioural workload (`steady-forward`,
-//! `burst-overload`, `ripng-convergence`, `table-churn`, `mixed-plane`,
-//! `trace-replay`) on every grid point, and `--max-drops` disqualifies
-//! instances whose scenario dropped more than N datagrams.  `--trace FILE`
-//! instead replays the binary flow trace at FILE verbatim on every grid
-//! point (one in-memory copy shared by all workers).  `--faults` overlays a named deterministic fault
-//! plan (`storm`, `malformed`, `corruption`, `flaps`, `stalls`) on the
-//! scenario — defaulting the workload to `steady-forward` if `--scenario`
-//! was not given — and `--max-unrecovered` disqualifies instances that
-//! left more than N injected faults unrecovered.  `--trace-best PATH`
-//! re-runs the winning design point's measurement under a Chrome tracer
-//! and writes the timeline JSON to PATH (load it in Perfetto or
-//! `chrome://tracing`).
-//!
-//! `--cores`, `--topology` and `--coherence` take comma-separated lists
-//! and extend the sweep with multicore axes (e.g. `--cores 4 --topology
-//! mesh --coherence mesi`): each grid point is then also evaluated as an
-//! N-core system with private coherent table caches over the chosen
-//! interconnect.  A core count of 1 collapses the interconnect axes to
-//! the single-core default, exactly as the wire `SweepSpec` does.
+//! the process-global evaluation cache, with per-point progress on stderr.
+//! A fault plan defaults the workload to `steady-forward` if `--scenario`
+//! was not given; a core count of 1 collapses the interconnect axes to the
+//! single-core default, exactly as the wire `SweepSpec` does.
 
-use taco_bench::cli::Cli;
+use crate::cli::{report_cache, write_chrome_trace, Cli};
 use taco_core::api::{parse_fault_plan_name, parse_workload_name};
 use taco_core::{
     explore_with, pool, table1, Constraints, EvalCache, ExploreOptions, LineRate, StderrProgress,
@@ -40,27 +17,26 @@ use taco_core::{
 };
 use taco_isa::{CoherenceProtocol, Topology, MAX_CORES};
 
-/// Parses a comma-separated list with `parse`, failing the CLI on the
-/// first element `parse` rejects.
-fn parse_list<T>(cli: &Cli, raw: &str, parse: impl Fn(&str) -> Result<T, String>) -> Vec<T> {
-    raw.split(',').map(|item| parse(item.trim()).unwrap_or_else(|e| cli.fail(&e))).collect()
-}
-
-fn main() {
-    let cli = Cli::new("dse", "automated design-space exploration with constraint filtering")
-        .flag("--stats", "append each point's raw simulator counters as JSON on stderr")
-        .opt("--scenario", "NAME", "replay the named workload on every grid point")
-        .opt("--max-drops", "N", "disqualify instances dropping more than N datagrams")
-        .opt("--faults", "NAME", "overlay the named deterministic fault plan")
-        .opt("--max-unrecovered", "N", "disqualify instances leaving more than N faults open")
-        .opt("--trace", "FILE", "replay the binary flow trace at FILE on every grid point")
-        .opt("--trace-best", "PATH", "write a Chrome trace of the winning point to PATH")
-        .opt("--cores", "LIST", "core counts to sweep, comma-separated (default 1)")
-        .opt("--topology", "LIST", "interconnects to sweep: shared-bus, mesh (default shared-bus)")
-        .opt("--coherence", "LIST", "coherence protocols to sweep: msi, mesi (default mesi)")
-        .positional("max_power_w", "power constraint, watts", Some("2.0"))
-        .positional("max_area_mm2", "area constraint, mm^2", Some("50.0"));
-    let args = cli.parse_or_exit();
+pub fn run(args: Vec<String>) {
+    let cli =
+        Cli::new("taco-cli dse", "automated design-space exploration with constraint filtering")
+            .flag("--stats", "append each point's raw simulator counters as JSON on stderr")
+            .opt("--scenario", "NAME", "replay the named workload on every grid point")
+            .opt("--max-drops", "N", "disqualify instances dropping more than N datagrams")
+            .opt("--faults", "NAME", "overlay the named deterministic fault plan")
+            .opt("--max-unrecovered", "N", "disqualify instances leaving more than N faults open")
+            .opt("--trace", "FILE", "replay the binary flow trace at FILE on every grid point")
+            .opt("--trace-best", "PATH", "write a Chrome trace of the winning point to PATH")
+            .opt("--cores", "LIST", "core counts to sweep, comma-separated (default 1)")
+            .opt(
+                "--topology",
+                "LIST",
+                "interconnects to sweep: shared-bus, mesh (default shared-bus)",
+            )
+            .opt("--coherence", "LIST", "coherence protocols to sweep: msi, mesi (default mesi)")
+            .positional("max_power_w", "power constraint, watts", Some("2.0"))
+            .positional("max_area_mm2", "area constraint, mm^2", Some("50.0"));
+    let args = cli.parse_args_or_exit(args);
     let stats = args.flag("--stats");
     // Names resolve through the same `taco_core::api` parsers the wire
     // protocol uses, so CLI and daemon reject exactly the same inputs
@@ -75,7 +51,6 @@ fn main() {
         .map(|name| parse_fault_plan_name(name).unwrap_or_else(|e| cli.fail(&e)));
     let max_unrecovered_faults: Option<u64> =
         args.opt_parsed("--max-unrecovered").unwrap_or_else(|e| cli.fail(&e));
-    let trace_best = args.opt("--trace-best").map(str::to_owned);
     let max_power_w: f64 = args.pos_parsed("max_power_w").unwrap_or_else(|e| cli.fail(&e));
     let max_area_mm2: f64 = args.pos_parsed("max_area_mm2").unwrap_or_else(|e| cli.fail(&e));
     let constraints =
@@ -102,43 +77,36 @@ fn main() {
     };
     // The multicore axes resolve through the same name tables the wire
     // protocol uses, so `dse` and the daemon reject the same spellings.
-    let cores = args.opt("--cores").map_or_else(
-        || vec![1],
-        |raw| {
-            parse_list(&cli, raw, |item| {
-                item.parse::<u8>()
-                    .ok()
-                    .filter(|&n| (1..=MAX_CORES).contains(&n))
-                    .ok_or_else(|| format!("--cores entries must be 1..={MAX_CORES}, got {item:?}"))
+    let cores = args
+        .opt_list("--cores", |item| {
+            item.parse::<u8>()
+                .ok()
+                .filter(|&n| (1..=MAX_CORES).contains(&n))
+                .ok_or_else(|| format!("--cores entries must be 1..={MAX_CORES}, got {item:?}"))
+        })
+        .unwrap_or_else(|e| cli.fail(&e))
+        .unwrap_or_else(|| vec![1]);
+    let topologies = args
+        .opt_list("--topology", |item| {
+            Topology::by_name(item).ok_or_else(|| {
+                let names: Vec<&str> = Topology::ALL.iter().map(|t| t.name()).collect();
+                format!("unknown topology {item:?}; expected one of: {}", names.join(", "))
             })
-        },
-    );
-    let topologies = args.opt("--topology").map_or_else(
-        || vec![Topology::SharedBus],
-        |raw| {
-            parse_list(&cli, raw, |item| {
-                Topology::by_name(item).ok_or_else(|| {
-                    let names: Vec<&str> = Topology::ALL.iter().map(|t| t.name()).collect();
-                    format!("unknown topology {item:?}; expected one of: {}", names.join(", "))
-                })
+        })
+        .unwrap_or_else(|e| cli.fail(&e))
+        .unwrap_or_else(|| vec![Topology::SharedBus]);
+    let protocols = args
+        .opt_list("--coherence", |item| {
+            CoherenceProtocol::by_name(item).ok_or_else(|| {
+                let names: Vec<&str> = CoherenceProtocol::ALL.iter().map(|p| p.name()).collect();
+                format!(
+                    "unknown coherence protocol {item:?}; expected one of: {}",
+                    names.join(", ")
+                )
             })
-        },
-    );
-    let protocols = args.opt("--coherence").map_or_else(
-        || vec![CoherenceProtocol::Mesi],
-        |raw| {
-            parse_list(&cli, raw, |item| {
-                CoherenceProtocol::by_name(item).ok_or_else(|| {
-                    let names: Vec<&str> =
-                        CoherenceProtocol::ALL.iter().map(|p| p.name()).collect();
-                    format!(
-                        "unknown coherence protocol {item:?}; expected one of: {}",
-                        names.join(", ")
-                    )
-                })
-            })
-        },
-    );
+        })
+        .unwrap_or_else(|e| cli.fail(&e))
+        .unwrap_or_else(|| vec![CoherenceProtocol::Mesi]);
     let spec =
         SweepSpec { workload, faults, trace, cores, topologies, protocols, ..SweepSpec::default() };
 
@@ -181,19 +149,13 @@ fn main() {
     let threads = pool::default_threads();
     eprintln!("sweeping on {threads} worker thread(s) (set {} to override)", pool::THREADS_ENV);
     let observer = if stats { StderrProgress::verbose() } else { StderrProgress::new() };
-    let cache = EvalCache::global();
     let ex = explore_with(
         &spec,
         LineRate::TEN_GBE,
         &constraints,
-        &ExploreOptions { threads, cache: Some(cache), observer: &observer },
+        &ExploreOptions { threads, cache: Some(EvalCache::global()), observer: &observer },
     );
-    eprintln!(
-        "evaluation cache: {} hits, {} misses, {} points stored",
-        cache.hits(),
-        cache.misses(),
-        cache.len()
-    );
+    report_cache();
 
     println!("all {} evaluated instances:", ex.all.len());
     print!("{}", table1::render(&ex.all));
@@ -229,20 +191,13 @@ fn main() {
     println!();
     println!("suggested configuration: {}", best.config.label());
 
-    if let Some(path) = &trace_best {
-        // Re-run the winner's measurement under a Chrome tracer.  Going
-        // through `trace_request` (not the cache) is deliberate: a cache
-        // hit has no simulation to observe.
+    if let Some(path) = args.opt("--trace-best") {
         let request = taco_core::EvalRequest::new(best.config.clone())
             .rate(best.line_rate)
             .entries(best.table_entries);
-        let mut chrome = taco_sim::ChromeTracer::new(best.config.machine.buses());
-        match taco_core::trace_request(&request, &mut chrome) {
-            Ok(stats) => match std::fs::write(path, chrome.finish(stats.cycles)) {
-                Ok(()) => println!("chrome trace of {} written to {path}", best.config.label()),
-                Err(e) => eprintln!("could not write {path}: {e}"),
-            },
-            Err(e) => eprintln!("could not trace best point: {e}"),
+        match write_chrome_trace(&request, path) {
+            Ok(()) => println!("chrome trace of {} written to {path}", best.config.label()),
+            Err(e) => eprintln!("{e}"),
         }
     }
 

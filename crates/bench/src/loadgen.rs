@@ -1,11 +1,11 @@
-//! `loadgen` — concurrent-client load generator for the `taco-served`
+//! `taco-cli loadgen` — concurrent-client load generator for the `taco-served`
 //! daemon.
 //!
 //! The daemon's event-loop rewrite claims one thing above all: a
 //! persistent v2 session with in-flight pipelining sustains far more
 //! evaluations per second than the v1 one-request-per-connection
 //! dialect, because the per-request accept/handshake/teardown work
-//! disappears.  This binary measures that claim on loopback:
+//! disappears.  This measures that claim on loopback:
 //!
 //! 1. an in-process daemon is started and one evaluation point is warmed
 //!    into its cache, so every measured request takes the inline
@@ -20,13 +20,7 @@
 //!
 //! `scripts/verify.sh` runs it as the event loop's deadlock smoke; for
 //! serving numbers with a stated variance use `benchmarks/run.sh`
-//! (`served-hot`, `served-oneshot`).  `--json PATH` also writes the
-//! measurements to a file.
-//!
-//! ```text
-//! cargo run -p taco-bench --release --bin loadgen -- \
-//!     [--clients LIST] [--requests N] [--window N] [--json PATH]
-//! ```
+//! (`served-hot`, `served-oneshot`).
 
 use std::collections::HashMap;
 use std::io::Write;
@@ -35,7 +29,7 @@ use std::process::exit;
 use std::thread;
 use std::time::Instant;
 
-use taco_bench::cli::Cli;
+use crate::cli::Cli;
 use taco_core::api::{ApiRequest, ApiResponse, ConfigSpec, Envelope, EvalSpec, WireResponse};
 use taco_core::RoutingTableKind;
 use taco_served::{request_lines, Server, ServerConfig, Session};
@@ -94,30 +88,16 @@ impl Measured {
     }
 }
 
-/// N clients, each opening a fresh connection per request — the v1
-/// one-shot baseline.
-fn run_oneshot(addr: SocketAddr, clients: usize, requests: usize) -> Measured {
-    let line = probe().to_json();
+/// Runs `client` on `clients` concurrent threads — each returns the
+/// latencies of its `requests` requests — and merges what they measured.
+fn run_clients(
+    clients: usize,
+    requests: usize,
+    client: impl Fn() -> LatencyHistogram + Sync,
+) -> Measured {
     let started = Instant::now();
     let histograms: Vec<LatencyHistogram> = thread::scope(|s| {
-        let handles: Vec<_> = (0..clients)
-            .map(|_| {
-                let line = &line;
-                s.spawn(move || {
-                    let mut histogram = LatencyHistogram::new();
-                    for i in 0..requests {
-                        let t0 = Instant::now();
-                        let lines = request_lines(addr, line).unwrap_or_else(|e| {
-                            eprintln!("loadgen: one-shot request failed: {e}");
-                            exit(1);
-                        });
-                        histogram.record(t0.elapsed().as_micros() as u64);
-                        expect_eval_line(&lines[0], i == 0);
-                    }
-                    histogram
-                })
-            })
-            .collect();
+        let handles: Vec<_> = (0..clients).map(|_| s.spawn(&client)).collect();
         handles.into_iter().map(|h| h.join().expect("client thread")).collect()
     });
     let wall_secs = started.elapsed().as_secs_f64();
@@ -126,78 +106,73 @@ fn run_oneshot(addr: SocketAddr, clients: usize, requests: usize) -> Measured {
         latency.merge(h);
     }
     Measured { wall_secs, requests: (clients * requests) as u64, latency }
+}
+
+/// N clients, each opening a fresh connection per request — the v1
+/// one-shot baseline.
+fn run_oneshot(addr: SocketAddr, clients: usize, requests: usize) -> Measured {
+    let line = probe().to_json();
+    run_clients(clients, requests, || {
+        let mut histogram = LatencyHistogram::new();
+        for i in 0..requests {
+            let t0 = Instant::now();
+            let lines = request_lines(addr, &line).unwrap_or_else(|e| {
+                eprintln!("loadgen: one-shot request failed: {e}");
+                exit(1);
+            });
+            histogram.record(t0.elapsed().as_micros() as u64);
+            expect_eval_line(&lines[0], i == 0);
+        }
+        histogram
+    })
 }
 
 /// N clients, each holding one persistent v2 session with `window`
 /// requests in flight — the event loop's native mode.
 fn run_session(addr: SocketAddr, clients: usize, requests: usize, window: usize) -> Measured {
     let request = probe();
-    let started = Instant::now();
-    let histograms: Vec<LatencyHistogram> = thread::scope(|s| {
-        let handles: Vec<_> = (0..clients)
-            .map(|_| {
-                let request = &request;
-                s.spawn(move || {
-                    let mut histogram = LatencyHistogram::new();
-                    let mut session = Session::connect(addr).unwrap_or_else(|e| {
-                        eprintln!("loadgen: cannot open a session: {e}");
-                        exit(1);
-                    });
-                    let mut sent_at: HashMap<u64, Instant> = HashMap::new();
-                    let mut sent = 0usize;
-                    let mut done = 0usize;
-                    while done < requests {
-                        while sent < requests && sent_at.len() < window {
-                            let id = session.send(request).unwrap_or_else(|e| {
-                                eprintln!("loadgen: session send failed: {e}");
-                                exit(1);
-                            });
-                            sent_at.insert(id, Instant::now());
-                            sent += 1;
-                        }
-                        let line = session.recv_line().unwrap_or_else(|e| {
-                            eprintln!("loadgen: session recv failed: {e}");
-                            exit(1);
-                        });
-                        // The daemon writes the encoder's spelling, so the
-                        // envelope splits off unparsed: a full parse per
-                        // response would measure this client, not the server.
-                        let t0 = match Envelope::split(&line) {
-                            Some((Envelope::V2(Some(id)), _)) => sent_at.remove(&id),
-                            _ => None,
-                        }
-                        .expect("response for an in-flight id");
-                        histogram.record(t0.elapsed().as_micros() as u64);
-                        expect_eval_line(&line, done == 0);
-                        done += 1;
-                    }
-                    histogram
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("client thread")).collect()
-    });
-    let wall_secs = started.elapsed().as_secs_f64();
-    let mut latency = LatencyHistogram::new();
-    for h in &histograms {
-        latency.merge(h);
-    }
-    Measured { wall_secs, requests: (clients * requests) as u64, latency }
+    run_clients(clients, requests, || {
+        let mut histogram = LatencyHistogram::new();
+        let mut session = Session::connect(addr).unwrap_or_else(|e| {
+            eprintln!("loadgen: cannot open a session: {e}");
+            exit(1);
+        });
+        let mut sent_at: HashMap<u64, Instant> = HashMap::new();
+        let mut sent = 0usize;
+        let mut done = 0usize;
+        while done < requests {
+            while sent < requests && sent_at.len() < window {
+                let id = session.send(&request).unwrap_or_else(|e| {
+                    eprintln!("loadgen: session send failed: {e}");
+                    exit(1);
+                });
+                sent_at.insert(id, Instant::now());
+                sent += 1;
+            }
+            let line = session.recv_line().unwrap_or_else(|e| {
+                eprintln!("loadgen: session recv failed: {e}");
+                exit(1);
+            });
+            // The daemon writes the encoder's spelling, so the envelope
+            // splits off unparsed: a full parse per response would measure
+            // this client, not the server.
+            let t0 = match Envelope::split(&line) {
+                Some((Envelope::V2(Some(id)), _)) => sent_at.remove(&id),
+                _ => None,
+            }
+            .expect("response for an in-flight id");
+            histogram.record(t0.elapsed().as_micros() as u64);
+            expect_eval_line(&line, done == 0);
+            done += 1;
+        }
+        histogram
+    })
 }
 
 struct LoadRow {
     clients: usize,
     baseline: Measured,
     session: Measured,
-}
-
-fn parse_list(cli: &Cli, what: &str, raw: &str) -> Vec<usize> {
-    let list: Result<Vec<usize>, _> =
-        raw.split(',').map(|part| part.trim().parse::<usize>()).collect();
-    match list {
-        Ok(values) if !values.is_empty() && values.iter().all(|&v| v > 0) => values,
-        _ => cli.fail(&format!("{what} must be a comma-separated list of positive integers")),
-    }
 }
 
 fn render_json(rows: &[LoadRow], requests: usize, window: usize) -> String {
@@ -226,14 +201,23 @@ fn render_json(rows: &[LoadRow], requests: usize, window: usize) -> String {
     json
 }
 
-fn main() {
-    let cli = Cli::new("loadgen", "measure taco-served throughput and latency on loopback")
-        .opt("--clients", "LIST", "comma-separated concurrent client counts (default 8,64,256)")
-        .opt("--requests", "N", "measured requests per client (default 200)")
-        .opt("--window", "N", "in-flight requests per v2 session (default 8)")
-        .opt("--json", "PATH", "also write the measurements as a JSON artefact");
-    let args = cli.parse_or_exit();
-    let clients = parse_list(&cli, "--clients", args.opt("--clients").unwrap_or("8,64,256"));
+pub fn run(args: Vec<String>) {
+    let cli =
+        Cli::new("taco-cli loadgen", "measure taco-served throughput and latency on loopback")
+            .opt("--clients", "LIST", "comma-separated concurrent client counts (default 8,64,256)")
+            .opt("--requests", "N", "measured requests per client (default 200)")
+            .opt("--window", "N", "in-flight requests per v2 session (default 8)")
+            .opt("--json", "PATH", "also write the measurements as a JSON artefact");
+    let args = cli.parse_args_or_exit(args);
+    let clients = args
+        .opt_list("--clients", |item| {
+            item.parse::<usize>()
+                .ok()
+                .filter(|&n| n > 0)
+                .ok_or_else(|| format!("--clients entries must be positive integers, got {item:?}"))
+        })
+        .unwrap_or_else(|e| cli.fail(&e))
+        .unwrap_or_else(|| vec![8, 64, 256]);
     let requests: usize =
         args.opt_parsed("--requests").unwrap_or_else(|e| cli.fail(&e)).unwrap_or(200);
     let window: usize =

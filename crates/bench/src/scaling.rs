@@ -1,29 +1,24 @@
-//! The scaling ablation behind Table 1: cycles per forwarded datagram as a
-//! function of routing-table size, for each routing-table organisation and
-//! architecture configuration.  This is the curve that explains *why* the
-//! sequential organisation's required clock explodes while the CAM's stays
-//! flat.
-//!
-//! ```text
-//! cargo run -p taco-bench --release --bin scaling
-//! ```
+//! `taco-cli scaling` — the scaling ablation behind Table 1: cycles per
+//! forwarded datagram as a function of routing-table size, for each
+//! organisation and machine shape.  This is the curve that explains *why*
+//! the sequential organisation's required clock explodes while the CAM's
+//! stays flat.
 //!
 //! Every cell is one full evaluation at 10 GbE / 1040 B (`scaling_sweep`),
 //! so the 100-entry column would be Table 1's.  Each series' sizes are
 //! evaluated in parallel (`TACO_THREADS` overrides the worker count) and
-//! memoised in the process-global evaluation cache, so re-running a series
-//! within one process is free.
+//! memoised in the process-global evaluation cache.
 
 use std::time::Instant;
 
-use taco_bench::cli::Cli;
+use crate::cli::{report_cache, Cli};
 use taco_core::report::SCALING_SIZES;
-use taco_core::{pool, scaling_sweep, ArchConfig, EvalCache};
+use taco_core::{pool, scaling_sweep, ArchConfig};
 use taco_routing::TableKind;
 
-fn main() {
-    Cli::new("scaling", "cycles per datagram vs routing-table size, per organisation")
-        .parse_or_exit();
+pub fn run(args: Vec<String>) {
+    Cli::new("taco-cli scaling", "cycles per datagram vs routing-table size, per organisation")
+        .parse_args_or_exit(args);
     println!("cycles per datagram vs routing-table size (cycle-accurate simulation)");
     println!();
     eprintln!(
@@ -55,6 +50,5 @@ fn main() {
         }
         println!();
     }
-    let cache = EvalCache::global();
-    eprintln!("evaluation cache: {} hits, {} misses", cache.hits(), cache.misses());
+    report_cache();
 }

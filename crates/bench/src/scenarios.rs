@@ -1,31 +1,27 @@
-//! Behavioural scenario sweep: every built-in workload replayed over the
-//! paper's three routing-table organisations.
-//!
-//! ```text
-//! cargo run -p taco-bench --release --bin scenarios [seed] [--json]
-//! ```
+//! `taco-cli scenarios` — every built-in behavioural workload replayed
+//! over the paper's three routing-table organisations.
 //!
 //! Each run is fully deterministic in the printed seed: the grid is fanned
 //! out over the worker pool (`TACO_THREADS` overrides) and then re-run
-//! serially, and the two passes must agree byte-for-byte — the bin fails
-//! loudly if they ever diverge.  A multicore smoke follows: `table-churn`
-//! replayed on 2- and 4-core systems under a hard wall-clock timeout, so
-//! a coherence livelock fails the bin instead of hanging CI.  `--json`
-//! prints one `ScenarioMetrics` JSON line per cell instead of the table.
+//! serially, and the two passes must agree byte-for-byte — the subcommand
+//! fails loudly if they ever diverge.  A multicore smoke follows:
+//! `table-churn` replayed on 2- and 4-core systems under a hard wall-clock
+//! timeout, so a coherence livelock fails instead of hanging CI.
 
 use std::sync::mpsc;
 use std::time::Duration;
 
-use taco_bench::cli::Cli;
+use crate::cli::Cli;
 use taco_core::pool;
 use taco_isa::{SystemConfig, Topology};
 use taco_routing::TableKind;
 use taco_workload::{run_scenario, ScenarioConfig, ScenarioMetrics, Workload, DEFAULT_SEED};
 
-/// Per-tick service budget for the standalone sweep; kept fixed (rather
-/// than derived from a cycle measurement, as `EvalRequest::workload` does)
-/// so this bin isolates the *scenario* behaviour of the table kinds.
-const SERVICE_PER_TICK: u32 = 24;
+/// Per-tick service budget for the standalone sweep and `tracegen`'s
+/// replay; kept fixed (rather than derived from a cycle measurement, as
+/// `EvalRequest::workload` does) so they isolate the *scenario* behaviour
+/// of the table kinds, not a measured processor speed.
+pub(crate) const SERVICE_PER_TICK: u32 = 24;
 
 /// Input-buffer bound per line card, in datagrams.
 const QUEUE_CAPACITY: u32 = 48;
@@ -46,8 +42,7 @@ fn sweep(seed: u64, threads: usize) -> Vec<ScenarioMetrics> {
 
 /// Wall-clock ceiling for one multicore smoke cell.  The cells finish in
 /// well under a second; the ceiling exists so a coherence-protocol
-/// regression that livelocks the snooping loop fails this bin loudly
-/// instead of hanging CI forever.
+/// regression that livelocks the snooping loop fails loudly instead of hanging CI forever.
 const SMOKE_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// Replays `table-churn` on multicore systems (the workload whose table
@@ -95,12 +90,13 @@ fn multicore_smoke(seed: u64) {
     }
 }
 
-fn main() {
+pub fn run(args: Vec<String>) {
     let default_seed = DEFAULT_SEED.to_string();
-    let cli = Cli::new("scenarios", "replay every built-in workload over the three table kinds")
-        .flag("--json", "print one ScenarioMetrics JSON line per cell instead of the table")
-        .positional("seed", "deterministic scenario seed", Some(&default_seed));
-    let args = cli.parse_or_exit();
+    let cli =
+        Cli::new("taco-cli scenarios", "replay every built-in workload over the three table kinds")
+            .flag("--json", "print one ScenarioMetrics JSON line per cell instead of the table")
+            .positional("seed", "deterministic scenario seed", Some(&default_seed));
+    let args = cli.parse_args_or_exit(args);
     let json = args.flag("--json");
     let seed: u64 = args.pos_parsed("seed").unwrap_or_else(|e| cli.fail(&e));
 

@@ -1,23 +1,12 @@
-//! Cycle-level trace inspection for any Table 1 cell.
-//!
-//! ```text
-//! cargo run -p taco-bench --release --bin trace -- [kind] [config] [entries] \
-//!     [--cycles N] [--chrome PATH]
-//! ```
-//!
-//! `kind` is a routing-table organisation (`sequential`, `balanced-tree`,
-//! `cam`, `patricia`) and `config` a machine shape (`1x1`, `3x1`, `3x3`).
-//! Renders an ASCII per-cycle bus-occupancy strip (one row per bus, one
-//! column per cycle) for the chosen cell, from a `RingTracer` capture of
-//! the measurement run.  `--chrome PATH` additionally writes the same run
-//! as Chrome `about://tracing` JSON (load it in Perfetto or
-//! `chrome://tracing`).
+//! `taco-cli trace` — cycle-level trace inspection for any Table 1 cell:
+//! an ASCII per-cycle bus-occupancy strip (one row per bus, one column per
+//! cycle) from a `RingTracer` capture of the measurement run.
 
-use taco_bench::cli::Cli;
+use crate::cli::{write_chrome_trace, Cli};
 use taco_core::api::{parse_machine_spec, parse_table_kind};
 use taco_core::{trace_request, EvalRequest};
 use taco_routing::TableKind;
-use taco_sim::{ChromeTracer, RingTracer, TraceEvent};
+use taco_sim::{RingTracer, TraceEvent};
 
 /// Renders the first `limit` cycles of the capture as one character per
 /// bus-cycle: `#` executed move, `~` squashed move, `.` idle; plus a stall
@@ -104,17 +93,16 @@ fn render_strip(events: &RingTracer, buses: u8, limit: usize) -> String {
     out
 }
 
-fn main() {
+pub fn run(args: Vec<String>) {
     let kinds = TableKind::ALL_KINDS.map(|kind| kind.to_string()).join(", ");
-    let cli = Cli::new("trace", "cycle-level trace inspection for any Table 1 cell")
+    let cli = Cli::new("taco-cli trace", "cycle-level trace inspection for any Table 1 cell")
         .opt("--cycles", "N", "cycles of the occupancy strip to render")
         .opt("--chrome", "PATH", "also write the run as Chrome about://tracing JSON")
         .positional("kind", &format!("table organisation: {kinds}"), Some("cam"))
         .positional("config", "machine shape: 1x1, 3x1, 3x3 (Table 1 labels accepted)", Some("3x1"))
         .positional("entries", "routing-table size", Some("16"));
-    let args = cli.parse_or_exit();
+    let args = cli.parse_args_or_exit(args);
     let limit: usize = args.opt_parsed("--cycles").unwrap_or_else(|e| cli.fail(&e)).unwrap_or(300);
-    let chrome_path = args.opt("--chrome").map(str::to_owned);
     // The same name parsers the wire API uses — one validation dialect
     // across the CLI, the daemon and the builder.
     let kind = parse_table_kind(args.pos("kind")).unwrap_or_else(|e| cli.fail(&e));
@@ -154,20 +142,11 @@ fn main() {
         println!("... {} more cycles (raise --cycles to see them)", stats.cycles as usize - limit);
     }
 
-    if let Some(path) = chrome_path {
-        let mut chrome = ChromeTracer::new(config.machine.buses());
-        match trace_request(&request, &mut chrome) {
-            Ok(stats) => match std::fs::write(&path, chrome.finish(stats.cycles)) {
-                Ok(()) => println!("\nchrome trace written to {path}"),
-                Err(e) => {
-                    eprintln!("could not write {path}: {e}");
-                    std::process::exit(1);
-                }
-            },
-            Err(e) => {
-                eprintln!("chrome replay failed: {e}");
-                std::process::exit(1);
-            }
+    if let Some(path) = args.opt("--chrome") {
+        if let Err(e) = write_chrome_trace(&request, path) {
+            eprintln!("{e}");
+            std::process::exit(1);
         }
+        println!("\nchrome trace written to {path}");
     }
 }

@@ -1,19 +1,13 @@
-//! `tracegen` — flow-trace generator and replay micro-benchmark.
+//! `taco-cli tracegen` — flow-trace generator and replay micro-benchmark.
 //!
 //! Exercises the whole `taco_workload::trace` pipeline end to end:
 //! generate a Raicu-shaped binary flow trace, write it to disk, read it
 //! back through the strict parser, and replay it through the scenario
 //! engine — timing each stage and printing one JSON line with the
 //! measurements.  The read-back trace must digest-match the generated
-//! one and the replay must account for every packet; the bin fails
-//! loudly otherwise, which is what makes it a useful smoke test
+//! one and the replay must account for every packet; it fails loudly
+//! otherwise, which is what makes it a useful smoke test
 //! (`scripts/verify.sh` runs it under a hard timeout).
-//!
-//! ```text
-//! cargo run -p taco-bench --release --bin tracegen -- \
-//!     [--seed N] [--ticks N] [--flows N] [--entries N] \
-//!     [--out PATH] [--json PATH]
-//! ```
 //!
 //! Without `--out` the trace round-trips through a temporary file that is
 //! removed afterwards; with it, the written trace is kept — the way the
@@ -24,26 +18,23 @@ use std::path::PathBuf;
 use std::process::exit;
 use std::time::Instant;
 
-use taco_bench::cli::Cli;
+use crate::cli::Cli;
+use crate::scenarios::SERVICE_PER_TICK;
 use taco_workload::{run_trace_replay, FlowTrace, ScenarioConfig, TraceGen};
-
-/// Per-tick service budget, matching the standalone `scenarios` bin: the
-/// replay isolates trace mechanics, not a measured processor speed.
-const SERVICE_PER_TICK: u32 = 24;
 
 fn millis(from: Instant) -> u128 {
     from.elapsed().as_millis()
 }
 
-fn main() {
-    let cli = Cli::new("tracegen", "flow-trace generator and replay micro-benchmark")
+pub fn run(args: Vec<String>) {
+    let cli = Cli::new("taco-cli tracegen", "flow-trace generator and replay micro-benchmark")
         .opt("--seed", "N", "trace seed (default 1)")
         .opt("--ticks", "N", "trace length in ticks (default 2000)")
         .opt("--flows", "N", "concurrent flow target (default 64)")
         .opt("--entries", "N", "routing-table entries (default 100)")
         .opt("--out", "PATH", "keep the written trace at PATH")
         .opt("--json", "PATH", "also write the timing JSON artefact to PATH");
-    let args = cli.parse_or_exit();
+    let args = cli.parse_args_or_exit(args);
     let seed: u64 = args.opt_parsed("--seed").unwrap_or_else(|e| cli.fail(&e)).unwrap_or(1);
     let ticks: u32 = args.opt_parsed("--ticks").unwrap_or_else(|e| cli.fail(&e)).unwrap_or(2000);
     let flows: u32 = args.opt_parsed("--flows").unwrap_or_else(|e| cli.fail(&e)).unwrap_or(64);
