@@ -34,8 +34,10 @@ use taco_served::{open_request, Server, ServerConfig};
 const STATUS: &str = "print the daemon's queue and cache statistics";
 const SHUTDOWN: &str = "drain the daemon, persist its cache and stop it";
 
-/// Every subcommand: its name, its line of the overview, its entry point.
-const SUBCOMMANDS: [(&str, &str, fn(Vec<String>)); 14] = [
+/// A subcommand: its name, its line of the overview, its entry point.
+type Subcommand = (&'static str, &'static str, fn(Vec<String>));
+
+const SUBCOMMANDS: [Subcommand; 14] = [
     ("table1", "regenerate the paper's Table 1", table1::run),
     ("scaling", "cycles per datagram against routing-table size", scaling::run),
     ("report", "the markdown reproduction report, or one section of it", report::run),

@@ -74,7 +74,7 @@ impl Cli {
     }
 
     /// The one-line synopsis, e.g.
-    /// `usage: table1 [options] [entries] [packet_bytes]`.
+    /// `usage: taco-cli table1 [options] [entries] [packet_bytes]`.
     pub fn usage(&self) -> String {
         let mut s = format!("usage: {}", self.name);
         if !self.flags.is_empty() || !self.opts.is_empty() {
@@ -197,14 +197,6 @@ impl Cli {
 }
 
 impl Parsed {
-    fn declared(&self, name: &str) -> &str {
-        self.positionals
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, v)| v.as_str())
-            .unwrap_or_else(|| panic!("positional {name:?} was never declared"))
-    }
-
     /// Was the boolean flag given?
     pub fn flag(&self, name: &str) -> bool {
         self.flags.contains(&name)
@@ -217,12 +209,16 @@ impl Parsed {
 
     /// The raw value of a positional (its default when omitted).
     pub fn pos(&self, name: &str) -> &str {
-        self.declared(name)
+        self.positionals
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map(|(_, v)| v.as_str())
+            .unwrap_or_else(|| panic!("positional {name:?} was never declared"))
     }
 
     /// A positional parsed to `T`, with a readable error.
     pub fn pos_parsed<T: FromStr>(&self, name: &str) -> Result<T, String> {
-        parse_value(name, self.declared(name))
+        parse_value(name, self.pos(name))
     }
 
     /// An option parsed to `T`, with a readable error; `None` when absent.

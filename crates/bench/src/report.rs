@@ -6,18 +6,16 @@
 
 use crate::cli::Cli;
 
-/// The names of `report`'s `<!-- report:NAME -->` markers, in order.
-fn sections(report: &str) -> Vec<&str> {
-    report
-        .split("<!-- report:")
-        .skip(1)
-        .map(|after| after.split_once(" -->").expect("a marker ends its line").0)
-        .collect()
-}
-
 pub fn run(args: Vec<String>) {
     let report = taco_core::report::render();
-    let names = sections(&report).join(", ");
+    // The section names are the report's own `<!-- report:NAME -->` markers.
+    let names: Vec<&str> = report
+        .split("<!-- report:")
+        .skip(1)
+        .filter_map(|s| s.split_once(" -->"))
+        .map(|s| s.0)
+        .collect();
+    let names = names.join(", ");
     let cli = Cli::new(
         "taco-cli report",
         "live markdown reproduction report with the paper-claim checklist",

@@ -26,7 +26,7 @@
 //! validated construction path for [`EvalRequest`], and the name-based
 //! parsers ([`parse_table_kind`], [`parse_workload_name`],
 //! [`parse_fault_plan_name`], [`parse_machine_spec`]) are the single
-//! source of truth the `dse`/`trace` binaries and the wire layer share, so
+//! source of truth `taco-cli dse`/`trace` and the wire layer share, so
 //! a workload name means the same thing on a command line and on a socket.
 //!
 //! Machine configurations cross the wire as a [`MachineSpec`]: the
@@ -245,7 +245,7 @@ impl<'a> Fields<'a> {
 /// Parses a routing-table organisation by its display name (`sequential`,
 /// `balanced-tree`, `cam`, `patricia`; aliases `seq`, `tree`, `pat`).  The
 /// error message lists [`TableKind::ALL_KINDS`] — shared verbatim by the
-/// `trace` binary and the wire schema (both v1 and v2 dialects funnel
+/// `trace` subcommand and the wire schema (both v1 and v2 dialects funnel
 /// through here, so an unknown kind is a structured `bad_request` on every
 /// path).
 pub fn parse_table_kind(name: &str) -> Result<TableKind, String> {
@@ -275,7 +275,7 @@ const MACHINE_SPELLINGS: &[(&[&str], u8, u8)] = &[
 /// Parses a machine shape (`1x1`, `3x1`, `3x3`, or the Table 1 label
 /// aliases `1BUS/1FU`, `3BUS/1FU`, `3bus/3CNT,3CMP,3M`) into a
 /// single-core [`MachineSpec`] over `kind` — the one shape parser the
-/// wire schema, `taco-cli` and the bench binaries share.  Compose with
+/// wire schema and every `taco-cli` subcommand share.  Compose with
 /// [`MachineSpec::with_system`] to scale the parsed shape to a multi-core
 /// system.  The error message lists every accepted spelling, generated
 /// from the same table the parser matches against.
@@ -727,7 +727,7 @@ fn check_entries(ctx: &str, members: &str, entries: u64) -> Result<(), ApiError>
 /// per-tick arrivals, or `flows ×` the longest flow the horizon admits for
 /// a trace descriptor.  Checked at the wire only (a parsed `workload`
 /// member, a resolved inline trace's header — `ctx` says which): in-process
-/// callers, such as the `churn` bin at 100k prefixes, size their own runs.
+/// callers, such as `taco-cli churn` at 100k prefixes, size their own runs.
 /// Returns the most datagrams the workload can offer.
 fn check_workload(ctx: &str, workload: &Workload) -> Result<u64, ApiError> {
     let u = u64::from;

@@ -7,8 +7,8 @@
 //! traffic, the simulator and the scenario engine are all deterministic.
 //! That makes the result safely memoisable, and repeated points across
 //! [`explore()`](crate::explorer::explore),
-//! [`scaling_sweep()`](crate::explorer::scaling_sweep) and the bench
-//! binaries evaluate exactly once per process.
+//! [`scaling_sweep()`](crate::explorer::scaling_sweep) and `taco-cli`'s
+//! subcommands evaluate exactly once per process.
 //!
 //! The cache is a mutexed map, not a lock-free structure: the lock is held
 //! only for lookups and inserts (microseconds), never across a simulation
@@ -181,7 +181,7 @@ impl EvalCache {
 
     /// The process-wide cache shared by [`explore()`](crate::explorer::explore),
     /// [`scaling_sweep()`](crate::explorer::scaling_sweep),
-    /// [`table1()`](crate::table1::table1) and the bench binaries.
+    /// [`table1()`](crate::table1::table1) and `taco-cli`'s subcommands.
     pub fn global() -> &'static EvalCache {
         static GLOBAL: OnceLock<EvalCache> = OnceLock::new();
         GLOBAL.get_or_init(EvalCache::new)

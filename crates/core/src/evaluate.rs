@@ -132,7 +132,7 @@ fn measure<T: Tracer + ?Sized>(
 
 /// Re-runs `request`'s measurement under an arbitrary [`Tracer`] — the one
 /// way to a timeline of an evaluation (a [`taco_sim::ChromeTracer`] for
-/// Perfetto, a [`taco_sim::RingTracer`] for the `trace` binary's strip).
+/// Perfetto, a [`taco_sim::RingTracer`] for `taco-cli trace`'s strip).
 ///
 /// Evaluates the request first (through the global cache, so repeat traces
 /// of an already-swept point cost one extra simulation, not two) to learn

@@ -1,7 +1,7 @@
 //! Sweep observability.
 //!
 //! The explorer reports per-point progress through the [`SweepObserver`]
-//! trait: library callers get the silent default, the bench binaries wire
+//! trait: library callers get the silent default, `taco-cli dse` wires
 //! in [`StderrProgress`] so long sweeps show what they are doing (and what
 //! the evaluation cache is saving) without polluting the stdout tables.
 

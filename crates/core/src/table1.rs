@@ -145,7 +145,7 @@ mod tests {
     fn render_shapes_na_cells() {
         // A fast end-to-end check on a tiny table (3 entries) so the CI
         // cost stays low; the full 100-entry table is exercised by the
-        // table1 bench binary and the integration tests.
+        // `taco-cli table1` and the integration tests.
         let reports = table1(LineRate::TEN_GBE_MIN_FRAMES, 3);
         assert_eq!(reports.len(), 12);
         let text = render(&reports);

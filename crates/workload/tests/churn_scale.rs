@@ -3,7 +3,7 @@
 //! arena-backed PATRICIA engine recycles freed slots instead of leaking them.
 //!
 //! The debug-tier size here is 20k prefixes (the release-built 100k smoke
-//! lives in `scripts/verify.sh` via the `churn` bench bin).  The bounded
+//! lives in `scripts/verify.sh` via `taco-cli churn`).  The bounded
 //! arena invariant is stated as *no growth with churn cycles*: doubling
 //! the measured window doubles the withdraw/re-advertise events, and the
 //! footprint high-water mark must not move by a single word.

@@ -1,6 +1,6 @@
 //! The paper's future-work tool, implemented: automatic design-space
 //! exploration.  Sweeps a small architecture grid (to keep the example
-//! fast — the `dse` bench binary runs the full one), evaluates each
+//! fast — `taco-cli dse` runs the full one), evaluates each
 //! instance with the simulate-then-estimate pipeline, and suggests the
 //! lowest-power configuration that satisfies the constraints.
 //!

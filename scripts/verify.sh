@@ -77,18 +77,31 @@ if grep -rnE 'CycleRouter::([s]equential|[t]ree|[p]atricia|[c]am)\(' crates src 
 # definitions of the fixed-latency function do not), the cache holds one
 # map, and the microcode has no idle-spin form.
 if grep -rnE 'cycles_per_[d]atagram\(|measure_[a]t\(|max_sustainable_[r]ate|cycles_[r]ecorded|halt_when_[i]dle' crates src tests examples scripts; then exit 1; fi
+# PR 23, one executable: `taco-bench` builds `taco-cli` and nothing else, the
+# eleven folded binaries are its subcommands (modules of the library, not
+# files under src/bin), argv has one parse entry point, and a status line is
+# its own member table.
+if [[ "$(grep -c '^\[\[bin\]\]' crates/bench/Cargo.toml)" != 1 ]]; then
+    echo "crates/bench builds exactly one executable, taco-cli"
+    exit 1
+fi
+if ls crates/bench/src/bin/{table1,scaling,sensitivity,report,dse,ablation,scenarios,churn,trace,tracegen,loadgen}.rs 2>/dev/null; then
+    echo "a folded binary is a subcommand module under crates/bench/src, not a file under src/bin"
+    exit 1
+fi
+if grep -rnE 'parse_or_[e]xit\(|supported_features_[j]son|Status[L]ine' crates src tests examples scripts; then exit 1; fi
 echo "guards ok"
 
 echo
-echo "== release binaries =="
+echo "== release binary =="
 cargo build --release --offline -q -p taco-bench
 
 echo
 echo "== multicore smoke: 2- and 4-core cells under a hard timeout =="
-# The release-built `scenarios` bin re-measures 2- and 4-core cells and
-# checks parallel == serial bytes itself; the timeout turns a coherence
+# The release-built `scenarios` subcommand re-measures 2- and 4-core cells
+# and checks parallel == serial bytes itself; the timeout turns a coherence
 # livelock into a loud failure here instead of a hung later job.
-if ! timeout 180 ./target/release/scenarios > /dev/null; then
+if ! timeout 180 ./target/release/taco-cli scenarios > /dev/null; then
     echo "multicore scenarios smoke FAILED (non-zero exit or 180 s timeout)"
     exit 1
 fi
@@ -96,7 +109,7 @@ echo "multicore smoke ok"
 
 echo
 echo "== churn gate: 100k-prefix bounded-arena smoke =="
-# Internet-scale churn end-to-end: the release-built `churn` bin seeds a
+# Internet-scale churn end-to-end: the release-built `churn` subcommand seeds a
 # 100k-prefix BGP-shaped table, withdraws/re-advertises routes under live
 # traffic, and exits non-zero if the PATRICIA arena's footprint high-water
 # mark moves when the churn window doubles.  Its --json output is
@@ -110,7 +123,7 @@ churn_baseline=scripts/churn-smoke-baseline.json
 if [[ "${CHURN_GATE:-on}" == "off" ]]; then
     echo "CHURN_GATE=off: skipped"
 else
-    if ! churn_actual=$(timeout 300 ./target/release/churn --json); then
+    if ! churn_actual=$(timeout 300 ./target/release/taco-cli churn --json); then
         echo "churn gate FAILED (unbounded arena, non-zero exit, or 300 s timeout)"
         exit 1
     fi
@@ -166,7 +179,7 @@ echo "== tracegen smoke: generate / write / read / replay =="
 # self-checks digests and packet accounting — any failure is a non-zero
 # exit.  The hard timeout turns a generator or replay livelock into a
 # loud failure instead of a hung CI job.
-if ! timeout 120 ./target/release/tracegen --seed 7 --ticks 4000 --flows 128 --entries 256; then
+if ! timeout 120 ./target/release/taco-cli tracegen --seed 7 --ticks 4000 --flows 128 --entries 256; then
     echo "tracegen smoke FAILED (non-zero exit or 120 s timeout)"
     exit 1
 fi
@@ -180,7 +193,7 @@ echo "== loadgen smoke: concurrent one-shot and session clients =="
 # event-loop deadlock — a reader waiting on a writer that will never
 # flush — into a loud failure instead of a hung CI job.  The rates it
 # prints are one uncalibrated run; benchmarks/run.sh is the stopwatch.
-if ! timeout 120 ./target/release/loadgen --clients 8,64,256 --requests 200 > /dev/null; then
+if ! timeout 120 ./target/release/taco-cli loadgen --clients 8,64,256 --requests 200 > /dev/null; then
     echo "loadgen smoke FAILED (non-zero exit or 120 s deadlock timeout)"
     exit 1
 fi

@@ -1,6 +1,6 @@
 //! Integration test over the headline result: the reproduced Table 1 has
 //! the paper's qualitative structure.  (The full-size table is printed by
-//! `cargo run -p taco-bench --bin table1`; here a reduced routing table
+//! `cargo run -p taco-bench --bin taco-cli -- table1`; here a reduced routing table
 //! keeps CI fast while preserving every ordering the paper reports.)
 
 use taco::eval::{scaling_sweep, table1, ArchConfig, EvalRequest, LineRate};
