@@ -41,6 +41,11 @@ fn clustered_routes() -> Vec<Route> {
         .collect()
 }
 
+/// The screen word `TableImage::new` would choose for `routes`.
+fn auto_word(routes: &[Route]) -> u8 {
+    choose_screen_word(&SequentialTable::from_routes(routes.iter().copied()))
+}
+
 /// Datagrams per measurement run, as `taco_core`'s measurement workload.
 const DATAGRAMS: u32 = 8;
 
@@ -88,7 +93,7 @@ type Cell<'a> = (MachineConfig, &'a [Route], MicrocodeOptions);
 /// ends each.
 fn print_grid(
     label: &str,
-    names: &[String],
+    names: &[impl std::fmt::Display],
     width: usize,
     cells: &[Cell<'_>],
     tail: impl Fn(usize) -> String,
@@ -120,13 +125,10 @@ pub fn run(args: Vec<String>) {
     .parse_args_or_exit(args);
     let diverse = benchmark_routes(ENTRIES);
     let clustered = clustered_routes();
-    let best = |routes: &[Route]| {
-        choose_screen_word(&SequentialTable::from_routes(routes.iter().copied()))
-    };
     println!("sequential-scan ablation, {ENTRIES} entries, worst-case traffic");
     println!();
 
-    println!("— unroll factor (diverse table, screen word {}) —", best(&diverse));
+    println!("— unroll factor (diverse table, screen word {}) —", auto_word(&diverse));
     println!("{:<22} {:>8} {:>8} {:>8}", r"config \ unroll", 1, 2, 3);
     let configs = [
         MachineConfig::one_bus_one_fu(),
@@ -137,7 +139,7 @@ pub fn run(args: Vec<String>) {
         .iter()
         .flat_map(|config| {
             (1..=3u8).map(|unroll| {
-                let opts = MicrocodeOptions { unroll, screen_word: best(&diverse) };
+                let opts = MicrocodeOptions { unroll, screen_word: auto_word(&diverse) };
                 (config.clone(), diverse.as_slice(), opts)
             })
         })
@@ -159,9 +161,9 @@ pub fn run(args: Vec<String>) {
             })
         })
         .collect();
-    let names = tables.map(|(name, _)| name.to_owned());
+    let names = tables.map(|(name, _)| name);
     print_grid("screen-word grid", &names, 30, &screen_cells, |row| {
-        format!("  {:>6}", best(tables[row].1))
+        format!("  {:>6}", auto_word(tables[row].1))
     });
     println!();
     println!("on a clustered table every prefix shares address word 0, so screening");
@@ -189,12 +191,12 @@ pub fn run(args: Vec<String>) {
         .flat_map(|(_, base)| {
             (1..=3u8).map(|ports| {
                 let config = base.clone().with_fu_count(taco_isa::FuKind::Mmu, ports);
-                let opts = MicrocodeOptions { unroll: 3, screen_word: best(&diverse) };
+                let opts = MicrocodeOptions { unroll: 3, screen_word: auto_word(&diverse) };
                 (config, diverse.as_slice(), opts)
             })
         })
         .collect();
-    let names: Vec<String> = bases.iter().map(|(name, _)| name.to_string()).collect();
+    let names: Vec<&str> = bases.iter().map(|&(name, _)| name).collect();
     print_grid("memory-port grid", &names, 26, &port_cells, |_| String::new());
 }
 
@@ -210,8 +212,7 @@ mod tests {
     #[test]
     fn the_shared_cells_are_table_1s() {
         let routes = benchmark_routes(ENTRIES);
-        let screen_word = choose_screen_word(&SequentialTable::from_routes(routes.iter().copied()));
-        let opts = MicrocodeOptions { unroll: 3, screen_word };
+        let opts = MicrocodeOptions { unroll: 3, screen_word: auto_word(&routes) };
         for config in [
             ArchConfig::one_bus_one_fu(TableKind::Sequential),
             ArchConfig::three_bus_one_fu(TableKind::Sequential),
