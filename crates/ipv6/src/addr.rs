@@ -133,18 +133,11 @@ impl Ipv6Address {
     ///
     /// This is the primitive the PATRICIA and range-tree longest-prefix-match
     /// engines are built on.
+    #[inline]
     pub fn common_prefix_len(&self, other: &Ipv6Address) -> u8 {
-        let mut len = 0u8;
-        for i in 0..16 {
-            let x = self.0[i] ^ other.0[i];
-            if x == 0 {
-                len += 8;
-            } else {
-                len += x.leading_zeros() as u8;
-                break;
-            }
-        }
-        len
+        // One XOR of the two 128-bit words; equal addresses leave zero,
+        // whose `leading_zeros` is the full 128.
+        (u128::from_be_bytes(self.0) ^ u128::from_be_bytes(other.0)).leading_zeros() as u8
     }
 
     /// Returns `true` for multicast addresses (`ff00::/8`).

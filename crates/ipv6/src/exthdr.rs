@@ -53,28 +53,13 @@ impl OptionsHeader {
         }
     }
 
-    fn decode(bytes: &[u8]) -> Result<(Self, u8, usize), ParseError> {
-        if bytes.len() < 2 {
-            return Err(ParseError::Truncated {
-                what: "options header",
-                needed: 2,
-                got: bytes.len(),
-            });
-        }
-        let next = bytes[0];
-        let len = (usize::from(bytes[1]) + 1) * 8;
-        if bytes.len() < len {
-            return Err(ParseError::Truncated {
-                what: "options header",
-                needed: len,
-                got: bytes.len(),
-            });
-        }
-        let mut options = bytes[2..len].to_vec();
+    /// Decodes one whole header, as [`span`] measured it.
+    fn decode(header: &[u8]) -> Self {
+        let mut options = header[2..].to_vec();
         if let Some(end) = Self::last_non_pad_end(&options) {
             options.truncate(end);
         }
-        Ok((OptionsHeader { options }, next, len))
+        OptionsHeader { options }
     }
 
     /// Walks the TLV list and returns the byte offset just past the last
@@ -131,41 +116,13 @@ impl RoutingHeader {
         }
     }
 
-    fn decode(bytes: &[u8]) -> Result<(Self, u8, usize), ParseError> {
-        if bytes.len() < 8 {
-            return Err(ParseError::Truncated {
-                what: "routing header",
-                needed: 8,
-                got: bytes.len(),
-            });
-        }
-        let next = bytes[0];
-        let ext_len = usize::from(bytes[1]);
-        let len = 8 + ext_len * 8;
-        if bytes.len() < len {
-            return Err(ParseError::Truncated {
-                what: "routing header",
-                needed: len,
-                got: bytes.len(),
-            });
-        }
-        if ext_len % 2 != 0 {
-            return Err(ParseError::BadField {
-                field: "routing hdr ext len",
-                value: ext_len as u64,
-            });
-        }
-        let mut addresses = Vec::with_capacity(ext_len / 2);
-        for i in 0..ext_len / 2 {
-            let mut a = [0u8; 16];
-            a.copy_from_slice(&bytes[8 + i * 16..8 + (i + 1) * 16]);
-            addresses.push(a);
-        }
-        Ok((
-            RoutingHeader { routing_type: bytes[2], segments_left: bytes[3], addresses },
-            next,
-            len,
-        ))
+    /// Decodes one whole header, as [`span`] measured it.
+    fn decode(header: &[u8]) -> Self {
+        let addresses = header[8..]
+            .chunks_exact(16)
+            .map(|chunk| chunk.try_into().expect("chunks_exact(16)"))
+            .collect();
+        RoutingHeader { routing_type: header[2], segments_left: header[3], addresses }
     }
 }
 
@@ -195,25 +152,14 @@ impl FragmentHeader {
         out.extend_from_slice(&self.id.to_be_bytes());
     }
 
-    fn decode(bytes: &[u8]) -> Result<(Self, u8, usize), ParseError> {
-        if bytes.len() < Self::LEN {
-            return Err(ParseError::Truncated {
-                what: "fragment header",
-                needed: Self::LEN,
-                got: bytes.len(),
-            });
+    /// Decodes one whole header, as [`span`] measured it.
+    fn decode(header: &[u8]) -> Self {
+        let off_flags = u16::from_be_bytes([header[2], header[3]]);
+        FragmentHeader {
+            offset: off_flags >> 3,
+            more: off_flags & 1 == 1,
+            id: u32::from_be_bytes([header[4], header[5], header[6], header[7]]),
         }
-        let next = bytes[0];
-        let off_flags = u16::from_be_bytes([bytes[2], bytes[3]]);
-        Ok((
-            FragmentHeader {
-                offset: off_flags >> 3,
-                more: off_flags & 1 == 1,
-                id: u32::from_be_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]),
-            },
-            next,
-            Self::LEN,
-        ))
     }
 }
 
@@ -262,6 +208,59 @@ impl ExtensionHeader {
     }
 }
 
+/// Measures the extension header of type `kind` at the front of `bytes`:
+/// its next-header byte and its wire length.  Every check a chain walk
+/// makes is made here, once — the three `decode`s take a header this
+/// function measured and cannot fail.
+fn span(kind: NextHeader, bytes: &[u8]) -> Result<(u8, usize), ParseError> {
+    let (what, prologue) = match kind {
+        NextHeader::Routing => ("routing header", 8),
+        NextHeader::Fragment => ("fragment header", FragmentHeader::LEN),
+        _ => ("options header", 2),
+    };
+    if bytes.len() < prologue {
+        return Err(ParseError::Truncated { what, needed: prologue, got: bytes.len() });
+    }
+    let ext_len = usize::from(bytes[1]);
+    let len = if kind == NextHeader::Fragment { FragmentHeader::LEN } else { (ext_len + 1) * 8 };
+    if bytes.len() < len {
+        return Err(ParseError::Truncated { what, needed: len, got: bytes.len() });
+    }
+    if kind == NextHeader::Routing && ext_len % 2 != 0 {
+        return Err(ParseError::BadField { field: "routing hdr ext len", value: ext_len as u64 });
+    }
+    Ok((bytes[0], len))
+}
+
+/// Walks an extension-header chain starting with header type `first`,
+/// handing each header's kind and wire bytes to `visit`.
+///
+/// Returns the next-header value of the upper-layer protocol and the byte
+/// offset at which the upper-layer payload starts.  With a `visit` that
+/// does nothing this is the borrowing validator
+/// [`DatagramView::parse`](crate::DatagramView::parse) runs; with one that
+/// decodes it is [`parse_chain`] — one walk, one set of checks.
+///
+/// # Errors
+///
+/// Truncation and malformed-length errors of the individual headers.
+pub fn walk_chain<'a>(
+    first: NextHeader,
+    bytes: &'a [u8],
+    mut visit: impl FnMut(NextHeader, &'a [u8]),
+) -> Result<(NextHeader, usize), ParseError> {
+    let mut kind = first;
+    let mut offset = 0usize;
+    while kind.is_extension() {
+        let rest = &bytes[offset..];
+        let (next, len) = span(kind, rest)?;
+        visit(kind, &rest[..len]);
+        kind = NextHeader::from(next);
+        offset += len;
+    }
+    Ok((kind, offset))
+}
+
 /// Walks an extension-header chain starting with header type `first`.
 ///
 /// Returns the parsed chain, the next-header value of the upper-layer
@@ -276,34 +275,18 @@ pub fn parse_chain(
     bytes: &[u8],
 ) -> Result<(Vec<ExtensionHeader>, NextHeader, usize), ParseError> {
     let mut chain = Vec::new();
-    let mut kind = first;
-    let mut offset = 0usize;
-    while kind.is_extension() {
-        let rest = &bytes[offset..];
-        let (hdr, next, len) = match kind {
-            NextHeader::HopByHop => {
-                let (o, n, l) = OptionsHeader::decode(rest)?;
-                (ExtensionHeader::HopByHop(o), n, l)
-            }
+    let (upper, consumed) = walk_chain(first, bytes, |kind, header| {
+        chain.push(match kind {
+            NextHeader::HopByHop => ExtensionHeader::HopByHop(OptionsHeader::decode(header)),
             NextHeader::DestinationOptions => {
-                let (o, n, l) = OptionsHeader::decode(rest)?;
-                (ExtensionHeader::DestinationOptions(o), n, l)
+                ExtensionHeader::DestinationOptions(OptionsHeader::decode(header))
             }
-            NextHeader::Routing => {
-                let (r, n, l) = RoutingHeader::decode(rest)?;
-                (ExtensionHeader::Routing(r), n, l)
-            }
-            NextHeader::Fragment => {
-                let (fh, n, l) = FragmentHeader::decode(rest)?;
-                (ExtensionHeader::Fragment(fh), n, l)
-            }
-            _ => unreachable!("is_extension() guards the match"),
-        };
-        chain.push(hdr);
-        kind = NextHeader::from(next);
-        offset += len;
-    }
-    Ok((chain, kind, offset))
+            NextHeader::Routing => ExtensionHeader::Routing(RoutingHeader::decode(header)),
+            NextHeader::Fragment => ExtensionHeader::Fragment(FragmentHeader::decode(header)),
+            _ => unreachable!("walk_chain visits extension headers only"),
+        });
+    })?;
+    Ok((chain, upper, consumed))
 }
 
 /// Encodes a chain of extension headers followed by upper-layer protocol
@@ -343,9 +326,8 @@ mod tests {
             let mut buf = Vec::new();
             o.encode(58, &mut buf);
             assert_eq!(buf.len() % 8, 0);
-            let (dec, next, len) = OptionsHeader::decode(&buf).unwrap();
-            assert_eq!(next, 58);
-            assert_eq!(len, buf.len());
+            assert_eq!(span(NextHeader::HopByHop, &buf), Ok((58, buf.len())));
+            let dec = OptionsHeader::decode(&buf);
             // Decoded options include padding bytes; the prefix must match.
             assert_eq!(&dec.options[..o.options.len()], &o.options[..]);
         }
@@ -361,8 +343,8 @@ mod tests {
         let mut buf = Vec::new();
         r.encode(6, &mut buf);
         assert_eq!(buf.len(), r.wire_len());
-        let (dec, next, len) = RoutingHeader::decode(&buf).unwrap();
-        assert_eq!((dec, next, len), (r, 6, 40));
+        assert_eq!(span(NextHeader::Routing, &buf), Ok((6, 40)));
+        assert_eq!(RoutingHeader::decode(&buf), r);
     }
 
     #[test]
@@ -370,8 +352,8 @@ mod tests {
         let fh = FragmentHeader { offset: 185, more: true, id: 0xdead_beef };
         let mut buf = Vec::new();
         fh.encode(17, &mut buf);
-        let (dec, next, len) = FragmentHeader::decode(&buf).unwrap();
-        assert_eq!((dec, next, len), (fh, 17, 8));
+        assert_eq!(span(NextHeader::Fragment, &buf), Ok((17, 8)));
+        assert_eq!(FragmentHeader::decode(&buf), fh);
     }
 
     #[test]
@@ -417,7 +399,7 @@ mod tests {
         let mut buf = vec![17u8, 1, 0, 0, 0, 0, 0, 0];
         buf.extend_from_slice(&[0u8; 8]);
         assert!(matches!(
-            RoutingHeader::decode(&buf),
+            span(NextHeader::Routing, &buf),
             Err(ParseError::BadField { field: "routing hdr ext len", .. })
         ));
     }

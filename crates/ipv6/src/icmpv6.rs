@@ -8,6 +8,7 @@
 use crate::addr::Ipv6Address;
 use crate::checksum::pseudo_header_checksum;
 use crate::error::ParseError;
+use crate::header::{Ipv6Header, NextHeader};
 
 /// Protocol number of ICMPv6 in the IPv6 next-header field.
 pub const PROTOCOL: u8 = 58;
@@ -188,12 +189,60 @@ impl Icmpv6Message {
     }
 }
 
-/// Truncates an invoking datagram to the RFC 2463 limit: as much as fits in
-/// a 1280-byte minimum-MTU IPv6 packet with the ICMPv6 error wrapped around
+/// The RFC 2463 limit on the invoking bytes an error quotes: what fits in a
+/// 1280-byte minimum-MTU IPv6 packet with the ICMPv6 error wrapped around
 /// it (40-byte IPv6 header + 8-byte ICMP prologue).
+const MAX_INVOKING: usize = 1280 - Ipv6Header::LEN - 8;
+
+/// Truncates an invoking datagram to the RFC 2463 limit.
 pub fn truncate_invoking(packet: &[u8]) -> Vec<u8> {
-    const MAX: usize = 1280 - 40 - 8;
-    packet[..packet.len().min(MAX)].to_vec()
+    packet[..packet.len().min(MAX_INVOKING)].to_vec()
+}
+
+/// A *time exceeded* error about `invoking`, from `src` to `dst`, as one
+/// complete wire frame (see [`unreachable_frame`]).
+pub fn time_exceeded_frame(src: &Ipv6Address, dst: &Ipv6Address, invoking: &[u8]) -> Vec<u8> {
+    error_frame(src, dst, (3, 0), invoking)
+}
+
+/// A *destination unreachable* error about `invoking`, from `src` to `dst`,
+/// as one complete wire frame: the fixed header (hop limit 64), the ICMPv6
+/// prologue and the invoking bytes up to the RFC 2463 limit, written once
+/// into one buffer.  Byte for byte what wrapping
+/// [`Icmpv6Message::to_bytes`] of [`truncate_invoking`] in a
+/// [`Datagram`](crate::Datagram) serialises to.
+pub fn unreachable_frame(
+    src: &Ipv6Address,
+    dst: &Ipv6Address,
+    code: UnreachableCode,
+    invoking: &[u8],
+) -> Vec<u8> {
+    error_frame(src, dst, (1, code.into()), invoking)
+}
+
+fn error_frame(
+    src: &Ipv6Address,
+    dst: &Ipv6Address,
+    (ty, code): (u8, u8),
+    invoking: &[u8],
+) -> Vec<u8> {
+    let quoted = &invoking[..invoking.len().min(MAX_INVOKING)];
+    let header = Ipv6Header {
+        traffic_class: 0,
+        flow_label: 0,
+        payload_len: (8 + quoted.len()) as u16,
+        next_header: NextHeader::Icmpv6,
+        hop_limit: 64,
+        src: *src,
+        dst: *dst,
+    };
+    let mut frame = Vec::with_capacity(Ipv6Header::LEN + 8 + quoted.len());
+    frame.extend_from_slice(&header.to_bytes());
+    frame.extend_from_slice(&[ty, code, 0, 0, 0, 0, 0, 0]); // checksum below; 4 unused
+    frame.extend_from_slice(quoted);
+    let sum = pseudo_header_checksum(src, dst, PROTOCOL, &frame[Ipv6Header::LEN..]);
+    frame[Ipv6Header::LEN + 2..Ipv6Header::LEN + 4].copy_from_slice(&sum.to_be_bytes());
+    frame
 }
 
 #[cfg(test)]
@@ -266,6 +315,35 @@ mod tests {
     fn unreachable_code_round_trip() {
         for v in 0..=255u8 {
             assert_eq!(u8::from(UnreachableCode::from(v)), v);
+        }
+    }
+
+    #[test]
+    fn error_frames_are_the_message_wrapped_in_a_datagram() {
+        use crate::Datagram;
+        let (s, d) = addrs();
+        for invoking in [vec![0x60u8; 48], vec![7u8; 4000]] {
+            let cases = [
+                (
+                    time_exceeded_frame(&s, &d, &invoking),
+                    Icmpv6Message::TimeExceeded { invoking: truncate_invoking(&invoking) },
+                ),
+                (
+                    unreachable_frame(&s, &d, UnreachableCode::NoRoute, &invoking),
+                    Icmpv6Message::DestinationUnreachable {
+                        code: UnreachableCode::NoRoute,
+                        invoking: truncate_invoking(&invoking),
+                    },
+                ),
+            ];
+            for (frame, message) in cases {
+                let wrapped = Datagram::builder(s, d)
+                    .hop_limit(64)
+                    .payload(NextHeader::Icmpv6, message.to_bytes(&s, &d))
+                    .build();
+                assert_eq!(frame, wrapped.to_bytes());
+                assert!(frame.len() <= 1280);
+            }
         }
     }
 

@@ -13,7 +13,8 @@
 //! * [`Ipv6Header`] and the extension-header chain ([`exthdr`]) — parse and
 //!   build, including the variable-length chains that motivated the paper's
 //!   decision to copy whole datagrams into processor memory;
-//! * [`Datagram`] — a full packet with builder-style construction;
+//! * [`Datagram`] — a full packet with builder-style construction, and
+//!   [`DatagramView`] — the same checks over a frame left where it is;
 //! * [`checksum`] — the RFC 1071 Internet checksum and the IPv6 pseudo-header
 //!   sum used by UDP and ICMPv6 (the TACO `Checksum` functional unit computes
 //!   exactly this);
@@ -56,5 +57,5 @@ pub use addr::Ipv6Address;
 pub use error::ParseError;
 pub use exthdr::{ExtensionHeader, FragmentHeader, OptionsHeader, RoutingHeader};
 pub use header::{Ipv6Header, NextHeader};
-pub use packet::{Datagram, DatagramBuilder};
+pub use packet::{Datagram, DatagramBuilder, DatagramView};
 pub use prefix::Ipv6Prefix;

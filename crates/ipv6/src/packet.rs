@@ -2,8 +2,104 @@
 
 use crate::addr::Ipv6Address;
 use crate::error::ParseError;
-use crate::exthdr::{encode_chain, parse_chain, ExtensionHeader};
+use crate::exthdr::{encode_chain, parse_chain, walk_chain, ExtensionHeader};
 use crate::header::{Ipv6Header, NextHeader};
+
+/// A wire frame that passed every check [`Datagram::parse`] makes, still in
+/// the buffer it arrived in: the fixed header by value, the extension chain
+/// and the payload as slices of the frame.
+///
+/// This is how the forwarding path reads a datagram — the paper's processor
+/// is handed a pointer to a datagram the line card assembled and never
+/// copies it — and it is the only validator: [`Datagram::parse`] is
+/// `DatagramView::parse` followed by [`DatagramView::to_owned`].
+///
+/// # Examples
+///
+/// ```
+/// use taco_ipv6::{Datagram, DatagramView, NextHeader};
+///
+/// # fn main() -> Result<(), taco_ipv6::ParseError> {
+/// let mut frame = Datagram::builder("2001:db8::1".parse()?, "2001:db8::99".parse()?)
+///     .payload(NextHeader::Udp, vec![7; 11])
+///     .build()
+///     .to_bytes();
+/// frame.extend([0; 5]); // link-layer padding
+/// let view = DatagramView::parse(&frame)?;
+/// assert_eq!(view.wire_len(), 40 + 11);
+/// assert_eq!(view.payload(), &[7; 11]);
+/// assert_eq!(view.to_owned(), Datagram::parse(&frame)?);
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DatagramView<'a> {
+    header: Ipv6Header,
+    upper: NextHeader,
+    chain: &'a [u8],
+    payload: &'a [u8],
+}
+
+impl<'a> DatagramView<'a> {
+    /// Validates a datagram in place, allocating nothing.
+    ///
+    /// # Errors
+    ///
+    /// * header/extension errors from the underlying codecs;
+    /// * [`ParseError::LengthMismatch`] if the buffer is shorter than the
+    ///   declared payload length (extra trailing bytes are ignored, as a
+    ///   link layer may pad frames).
+    pub fn parse(bytes: &'a [u8]) -> Result<Self, ParseError> {
+        let header = Ipv6Header::parse(bytes)?;
+        let declared = usize::from(header.payload_len);
+        let rest = &bytes[Ipv6Header::LEN..];
+        if rest.len() < declared {
+            return Err(ParseError::LengthMismatch { declared, actual: rest.len() });
+        }
+        let body = &rest[..declared];
+        let (upper, consumed) = walk_chain(header.next_header, body, |_, _| {})?;
+        let (chain, payload) = body.split_at(consumed);
+        Ok(DatagramView { header, upper, chain, payload })
+    }
+
+    /// The fixed header.
+    pub fn header(&self) -> &Ipv6Header {
+        &self.header
+    }
+
+    /// The upper-layer protocol carried after the extension chain.
+    pub fn upper_protocol(&self) -> NextHeader {
+        self.upper
+    }
+
+    /// The extension chain's wire bytes (empty when there is none).
+    pub fn extension_bytes(&self) -> &'a [u8] {
+        self.chain
+    }
+
+    /// The upper-layer payload bytes.
+    pub fn payload(&self) -> &'a [u8] {
+        self.payload
+    }
+
+    /// The datagram's on-the-wire size in bytes; whatever the frame holds
+    /// beyond it is link-layer padding.
+    pub fn wire_len(&self) -> usize {
+        Ipv6Header::LEN + usize::from(self.header.payload_len)
+    }
+
+    /// Copies the datagram out of the frame, decoding its extension chain.
+    pub fn to_owned(self) -> Datagram {
+        let (extensions, ..) = parse_chain(self.header.next_header, self.chain)
+            .expect("DatagramView::parse walked this chain");
+        Datagram {
+            header: self.header,
+            extensions,
+            upper: self.upper,
+            payload: self.payload.to_vec(),
+        }
+    }
+}
 
 /// A complete IPv6 datagram as the line cards hand it to the processor.
 ///
@@ -52,25 +148,14 @@ impl Datagram {
         }
     }
 
-    /// Parses a datagram from wire bytes.
+    /// Parses a datagram from wire bytes: [`DatagramView::parse`], then a
+    /// copy out of the buffer.
     ///
     /// # Errors
     ///
-    /// * header/extension errors from the underlying codecs;
-    /// * [`ParseError::LengthMismatch`] if the buffer is shorter than the
-    ///   declared payload length (extra trailing bytes are ignored, as a
-    ///   link layer may pad frames).
+    /// Those of [`DatagramView::parse`].
     pub fn parse(bytes: &[u8]) -> Result<Self, ParseError> {
-        let header = Ipv6Header::parse(bytes)?;
-        let declared = usize::from(header.payload_len);
-        let rest = &bytes[Ipv6Header::LEN..];
-        if rest.len() < declared {
-            return Err(ParseError::LengthMismatch { declared, actual: rest.len() });
-        }
-        let body = &rest[..declared];
-        let (extensions, upper, consumed) = parse_chain(header.next_header, body)?;
-        let payload = body[consumed..].to_vec();
-        Ok(Datagram { header, extensions, upper, payload })
+        DatagramView::parse(bytes).map(|view| view.to_owned())
     }
 
     /// The fixed header (payload length and next header reflect the current

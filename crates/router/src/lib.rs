@@ -55,7 +55,7 @@ pub mod router;
 pub mod traffic;
 
 pub use cycle::{CamBackend, CycleRouter};
-pub use linecard::{Frame, LineCard};
+pub use linecard::LineCard;
 pub use microcode::MicrocodeOptions;
 pub use reference::{DropReason, ForwardDecision, ForwardingStats, ReferenceRouter};
 pub use rng::SplitMix64;

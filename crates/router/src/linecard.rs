@@ -10,7 +10,10 @@
 //! The paper treats line cards as commercial black boxes (Intel IFX18103,
 //! Cisco GigE); [`LineCard`] models exactly the visible behaviour: an input
 //! queue of complete datagrams and an output buffer, with an MTU check on
-//! ingress.
+//! ingress.  Both hold wire frames — the bytes as they crossed the link —
+//! and nothing else: the card never parses, so whatever is wrong with a
+//! frame beyond its length is the forwarding core's to detect, and a frame
+//! the core forwards is the buffer that arrived.
 
 use std::collections::VecDeque;
 
@@ -20,28 +23,6 @@ use taco_routing::PortId;
 /// Default Ethernet MTU in bytes.
 pub const DEFAULT_MTU: usize = 1500;
 
-/// One queued input frame: either a datagram the card parsed, or raw wire
-/// bytes (possibly malformed) handed to the core as-is — fault injection
-/// uses the raw form, so the forwarding core's parse failures are exercised
-/// instead of being screened out here.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Frame {
-    /// A well-formed datagram.
-    Parsed(Datagram),
-    /// Raw wire bytes, not validated beyond the MTU check.
-    Raw(Vec<u8>),
-}
-
-impl Frame {
-    /// The frame's wire image.
-    pub fn into_bytes(self) -> Vec<u8> {
-        match self {
-            Frame::Parsed(d) => d.to_bytes(),
-            Frame::Raw(b) => b,
-        }
-    }
-}
-
 /// One line card: a router port with input and output buffers.
 #[derive(Debug, Clone)]
 pub struct LineCard {
@@ -49,8 +30,8 @@ pub struct LineCard {
     mtu: usize,
     capacity: usize,
     link_up: bool,
-    input: VecDeque<Frame>,
-    output: Vec<Datagram>,
+    input: VecDeque<Vec<u8>>,
+    output: Vec<Vec<u8>>,
     dropped_oversize: u64,
     dropped_overflow: u64,
     dropped_link_down: u64,
@@ -112,31 +93,18 @@ impl LineCard {
         self.mtu
     }
 
-    /// A frame arrives from the wire.  Oversize datagrams are dropped (the
-    /// real card would never have reassembled them), as are arrivals to a
-    /// full input buffer or a card whose link is down; returns `true` if
-    /// the datagram was queued.
-    pub fn receive(&mut self, datagram: Datagram) -> bool {
-        if !self.link_up {
-            self.dropped_link_down += 1;
-            return false;
-        }
-        if datagram.wire_len() > self.mtu {
-            self.dropped_oversize += 1;
-            return false;
-        }
-        if self.input.len() >= self.capacity {
-            self.dropped_overflow += 1;
-            return false;
-        }
-        self.input.push_back(Frame::Parsed(datagram));
-        true
+    /// `datagram` arrives from the wire: [`LineCard::receive_raw`] of its
+    /// wire image.
+    pub fn receive(&mut self, datagram: &Datagram) -> bool {
+        self.receive_raw(datagram.to_bytes())
     }
 
-    /// Raw wire bytes arrive — possibly truncated or otherwise malformed.
-    /// The card only enforces physical-layer limits (link up, MTU,
-    /// capacity); anything deeper is the forwarding core's to detect and
-    /// drop gracefully.
+    /// A frame arrives from the wire — possibly truncated or otherwise
+    /// malformed.  The card only enforces physical-layer limits: oversize
+    /// frames are dropped (the real card would never have reassembled
+    /// them), as are arrivals to a full input buffer or a card whose link
+    /// is down; anything deeper is the forwarding core's to detect and
+    /// drop gracefully.  Returns `true` if the frame was queued.
     pub fn receive_raw(&mut self, bytes: Vec<u8>) -> bool {
         if !self.link_up {
             self.dropped_link_down += 1;
@@ -150,12 +118,12 @@ impl LineCard {
             self.dropped_overflow += 1;
             return false;
         }
-        self.input.push_back(Frame::Raw(bytes));
+        self.input.push_back(bytes);
         true
     }
 
     /// The processor polls the input buffer (the iPPU's scan).
-    pub fn poll_input(&mut self) -> Option<Frame> {
+    pub fn poll_input(&mut self) -> Option<Vec<u8>> {
         let d = self.input.pop_front();
         if d.is_some() {
             self.polled += 1;
@@ -184,19 +152,19 @@ impl LineCard {
         self.input.len()
     }
 
-    /// The processor writes a finished datagram to the output buffer (the
+    /// The processor writes a finished frame to the output buffer (the
     /// oPPU's drain).
-    pub fn transmit(&mut self, datagram: Datagram) {
-        self.output.push(datagram);
+    pub fn transmit(&mut self, frame: Vec<u8>) {
+        self.output.push(frame);
     }
 
-    /// Datagrams the card has put on the wire so far.
-    pub fn transmitted(&self) -> &[Datagram] {
+    /// Frames the card has put on the wire so far.
+    pub fn transmitted(&self) -> &[Vec<u8>] {
         &self.output
     }
 
     /// Removes and returns everything transmitted so far.
-    pub fn drain_transmitted(&mut self) -> Vec<Datagram> {
+    pub fn drain_transmitted(&mut self) -> Vec<Vec<u8>> {
         std::mem::take(&mut self.output)
     }
 
@@ -246,11 +214,11 @@ mod tests {
         let mut lc = LineCard::new(PortId(0));
         let a = dgram(1);
         let b = dgram(2);
-        lc.receive(a.clone());
-        lc.receive(b.clone());
+        lc.receive(&a);
+        lc.receive(&b);
         assert_eq!(lc.pending(), 2);
-        assert_eq!(lc.poll_input(), Some(Frame::Parsed(a)));
-        assert_eq!(lc.poll_input(), Some(Frame::Parsed(b)));
+        assert_eq!(lc.poll_input(), Some(a.to_bytes()));
+        assert_eq!(lc.poll_input(), Some(b.to_bytes()));
         assert_eq!(lc.poll_input(), None);
     }
 
@@ -259,8 +227,7 @@ mod tests {
         let mut lc = LineCard::new(PortId(0));
         let garbage = vec![0xde, 0xad, 0xbe, 0xef];
         assert!(lc.receive_raw(garbage.clone()));
-        assert_eq!(lc.poll_input(), Some(Frame::Raw(garbage.clone())));
-        assert_eq!(Frame::Raw(garbage.clone()).into_bytes(), garbage);
+        assert_eq!(lc.poll_input(), Some(garbage));
         // The MTU check still applies to raw bytes.
         let mut small = LineCard::with_mtu(PortId(1), 8);
         assert!(!small.receive_raw(vec![0u8; 9]));
@@ -272,20 +239,20 @@ mod tests {
         let mut lc = LineCard::new(PortId(0));
         assert!(lc.link_up());
         lc.set_link_up(false);
-        assert!(!lc.receive(dgram(1)));
+        assert!(!lc.receive(&dgram(1)));
         assert!(!lc.receive_raw(vec![1, 2, 3]));
         assert_eq!(lc.dropped_link_down(), 2);
         assert_eq!(lc.pending(), 0);
         lc.set_link_up(true);
-        assert!(lc.receive(dgram(1)));
+        assert!(lc.receive(&dgram(1)));
         assert_eq!(lc.dropped_link_down(), 2);
     }
 
     #[test]
     fn oversize_dropped() {
         let mut lc = LineCard::with_mtu(PortId(1), 100);
-        assert!(!lc.receive(dgram(200)));
-        assert!(lc.receive(dgram(10)));
+        assert!(!lc.receive(&dgram(200)));
+        assert!(lc.receive(&dgram(10)));
         assert_eq!(lc.dropped_oversize(), 1);
         assert_eq!(lc.pending(), 1);
     }
@@ -293,13 +260,13 @@ mod tests {
     #[test]
     fn transmit_accumulates_and_drains() {
         let mut lc = LineCard::new(PortId(2));
-        lc.transmit(dgram(1));
-        lc.transmit(dgram(2));
+        lc.transmit(dgram(1).to_bytes());
+        lc.transmit(dgram(2).to_bytes());
         assert_eq!(lc.transmitted().len(), 2);
         let all = lc.drain_transmitted();
         assert_eq!(all.len(), 2);
         assert!(lc.transmitted().is_empty());
-        lc.transmit(dgram(3));
+        lc.transmit(dgram(3).to_bytes());
         lc.clear_transmitted();
         assert!(lc.transmitted().is_empty());
     }
@@ -315,15 +282,15 @@ mod tests {
     #[test]
     fn bounded_buffer_tail_drops() {
         let mut lc = LineCard::new(PortId(4)).with_capacity(2);
-        assert!(lc.receive(dgram(1)));
-        assert!(lc.receive(dgram(2)));
-        assert!(!lc.receive(dgram(3)));
+        assert!(lc.receive(&dgram(1)));
+        assert!(lc.receive(&dgram(2)));
+        assert!(!lc.receive(&dgram(3)));
         assert_eq!(lc.dropped_overflow(), 2 - 1); // one drop so far
-        assert!(!lc.receive(dgram(4)));
+        assert!(!lc.receive(&dgram(4)));
         assert_eq!(lc.dropped_overflow(), 2);
         // Draining frees the slot again.
         assert!(lc.poll_input().is_some());
         assert_eq!(lc.polled(), 1);
-        assert!(lc.receive(dgram(5)));
+        assert!(lc.receive(&dgram(5)));
     }
 }

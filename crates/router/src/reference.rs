@@ -8,8 +8,8 @@
 //! * the router's *slow path*: ICMPv6 error generation and local delivery
 //!   (RIPng), which the paper's fast path hands off.
 
-use taco_ipv6::icmpv6::{truncate_invoking, Icmpv6Message, UnreachableCode};
-use taco_ipv6::{Datagram, Ipv6Address, NextHeader, ParseError};
+use taco_ipv6::icmpv6::{time_exceeded_frame, unreachable_frame, UnreachableCode};
+use taco_ipv6::{Datagram, DatagramView, Ipv6Address};
 use taco_routing::{LpmTable, PortId};
 
 /// Why a datagram was not forwarded.
@@ -25,15 +25,18 @@ pub enum DropReason {
     UnservedMulticast,
 }
 
-/// The outcome of processing one received datagram.
+/// The outcome of processing one received frame.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ForwardDecision {
-    /// Send `datagram` (hop limit already decremented) out of `out_port`.
+    /// Send `frame` out of `out_port`: the buffer that arrived, link-layer
+    /// padding cut and the hop limit (byte 7) decremented in place —
+    /// nothing else is touched, so a chain the sender padded generously
+    /// leaves as it came.
     Forward {
         /// The chosen output interface.
         out_port: PortId,
-        /// The rewritten datagram.
-        datagram: Datagram,
+        /// The rewritten wire frame.
+        frame: Vec<u8>,
     },
     /// The datagram is addressed to the router itself (or to a multicast
     /// group it listens to) — hand it to the control plane.
@@ -45,9 +48,9 @@ pub enum ForwardDecision {
     Drop {
         /// The classified reason.
         reason: DropReason,
-        /// An error to transmit back through the input port, if the RFC
-        /// calls for one.
-        icmp: Option<Datagram>,
+        /// An ICMPv6 error, as a wire frame, to transmit back through the
+        /// input port — if the RFC calls for one.
+        icmp: Option<Vec<u8>>,
     },
 }
 
@@ -91,10 +94,10 @@ pub struct ForwardingStats {
 ///     .hop_limit(64)
 ///     .payload(NextHeader::Udp, vec![0u8; 8])
 ///     .build();
-/// match router.process(PortId(0), &d.to_bytes()) {
-///     ForwardDecision::Forward { out_port, datagram } => {
+/// match router.process(PortId(0), d.to_bytes()) {
+///     ForwardDecision::Forward { out_port, frame } => {
 ///         assert_eq!(out_port, PortId(2));
-///         assert_eq!(datagram.header().hop_limit, 63);
+///         assert_eq!(Datagram::parse(&frame)?.header().hop_limit, 63);
 ///     }
 ///     other => panic!("expected forward, got {other:?}"),
 /// }
@@ -138,23 +141,24 @@ impl<T: LpmTable> ReferenceRouter<T> {
         self.local_addrs.first().copied().unwrap_or(Ipv6Address::UNSPECIFIED)
     }
 
-    /// Processes one received datagram (raw bytes, as the line card
-    /// delivers them).
-    pub fn process(&mut self, _in_port: PortId, bytes: &[u8]) -> ForwardDecision {
-        let datagram = match Datagram::parse(bytes) {
-            Ok(d) => d,
-            Err(_e @ ParseError::BadVersion(_)) | Err(_e) => {
+    /// Processes one received frame (raw bytes, as the line card delivers
+    /// them), validating it where it lies.  Only local delivery copies the
+    /// datagram out of the frame: the control plane reads its parsed form.
+    pub fn process(&mut self, _in_port: PortId, mut frame: Vec<u8>) -> ForwardDecision {
+        let view = match DatagramView::parse(&frame) {
+            Ok(view) => view,
+            Err(_) => {
                 self.stats.dropped += 1;
                 self.stats.dropped_malformed += 1;
                 return ForwardDecision::Drop { reason: DropReason::Malformed, icmp: None };
             }
         };
-        let dst = datagram.header().dst;
+        let (src, dst) = (view.header().src, view.header().dst);
 
         // Local delivery (control traffic, including RIPng's ff02::9).
         if self.local_addrs.contains(&dst) || dst == Ipv6Address::ALL_RIPNG_ROUTERS {
             self.stats.delivered += 1;
-            return ForwardDecision::Deliver { datagram };
+            return ForwardDecision::Deliver { datagram: view.to_owned() };
         }
         if dst.is_multicast() {
             self.stats.dropped += 1;
@@ -163,58 +167,50 @@ impl<T: LpmTable> ReferenceRouter<T> {
         }
 
         // Hop limit must survive the decrement.
-        if datagram.header().hop_limit < 2 {
+        if view.header().hop_limit < 2 {
             self.stats.dropped += 1;
             self.stats.dropped_hop_limit += 1;
-            let icmp = self.icmp_error(
-                &datagram,
-                Icmpv6Message::TimeExceeded { invoking: truncate_invoking(bytes) },
-            );
+            let icmp = self.error_source(src).map(|own| time_exceeded_frame(&own, &src, &frame));
             return ForwardDecision::Drop { reason: DropReason::HopLimitExceeded, icmp };
         }
 
         // Longest-prefix match.
+        let wire_len = view.wire_len();
         match self.table.lookup(&dst).into_route() {
             Some(route) => {
-                let mut out = datagram;
-                out.decrement_hop_limit();
+                frame.truncate(wire_len);
+                frame[7] -= 1; // the hop limit, checked above to be at least 2
                 self.stats.forwarded += 1;
-                ForwardDecision::Forward { out_port: route.interface(), datagram: out }
+                ForwardDecision::Forward { out_port: route.interface(), frame }
             }
             None => {
                 self.stats.dropped += 1;
                 self.stats.dropped_no_route += 1;
-                let icmp = self.icmp_error(
-                    &datagram,
-                    Icmpv6Message::DestinationUnreachable {
-                        code: UnreachableCode::NoRoute,
-                        invoking: truncate_invoking(bytes),
-                    },
-                );
+                let icmp = self
+                    .error_source(src)
+                    .map(|own| unreachable_frame(&own, &src, UnreachableCode::NoRoute, &frame));
                 ForwardDecision::Drop { reason: DropReason::NoRoute, icmp }
             }
         }
     }
 
-    fn icmp_error(&mut self, invoking: &Datagram, message: Icmpv6Message) -> Option<Datagram> {
-        let src = self.own_addr();
-        if src.is_unspecified() {
-            return None;
-        }
+    /// The address an ICMPv6 error to `to` leaves from, counting the error;
+    /// `None` when none may be sent.
+    fn error_source(&mut self, to: Ipv6Address) -> Option<Ipv6Address> {
+        let own = self.own_addr();
         // RFC 2463 §2.4: never answer a multicast/unspecified source.
-        let to = invoking.header().src;
-        if to.is_multicast() || to.is_unspecified() {
+        if own.is_unspecified() || to.is_multicast() || to.is_unspecified() {
             return None;
         }
         self.stats.icmp_errors += 1;
-        let payload = message.to_bytes(&src, &to);
-        Some(Datagram::builder(src, to).hop_limit(64).payload(NextHeader::Icmpv6, payload).build())
+        Some(own)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use taco_ipv6::NextHeader;
     use taco_routing::{Route, SequentialTable};
 
     fn table() -> SequentialTable {
@@ -238,10 +234,15 @@ mod tests {
     #[test]
     fn forwards_with_decrement() {
         let mut r = router();
-        match r.process(PortId(0), &dgram("2001:db8:5::1", 10).to_bytes()) {
-            ForwardDecision::Forward { out_port, datagram } => {
+        let mut arrived = dgram("2001:db8:5::1", 10).to_bytes();
+        arrived.extend([0xee; 6]); // link-layer padding
+        match r.process(PortId(0), arrived.clone()) {
+            ForwardDecision::Forward { out_port, frame } => {
                 assert_eq!(out_port, PortId(1));
-                assert_eq!(datagram.header().hop_limit, 9);
+                assert_eq!(frame[7], 9);
+                // The same bytes but for the hop limit and the padding.
+                arrived[7] = 9;
+                assert_eq!(frame, arrived[..arrived.len() - 6]);
             }
             other => panic!("{other:?}"),
         }
@@ -251,7 +252,7 @@ mod tests {
     #[test]
     fn default_route_catches_everything() {
         let mut r = router();
-        match r.process(PortId(0), &dgram("abcd::1", 10).to_bytes()) {
+        match r.process(PortId(0), dgram("abcd::1", 10).to_bytes()) {
             ForwardDecision::Forward { out_port, .. } => assert_eq!(out_port, PortId(2)),
             other => panic!("{other:?}"),
         }
@@ -266,8 +267,9 @@ mod tests {
             1,
         )]);
         let mut r = ReferenceRouter::new(table, vec!["2001:db8::ffff".parse().unwrap()]);
-        match r.process(PortId(0), &dgram("abcd::1", 10).to_bytes()) {
+        match r.process(PortId(0), dgram("abcd::1", 10).to_bytes()) {
             ForwardDecision::Drop { reason: DropReason::NoRoute, icmp: Some(err) } => {
+                let err = Datagram::parse(&err).unwrap();
                 assert_eq!(err.header().dst, "2001:db8:9::1".parse().unwrap());
                 assert_eq!(err.upper_protocol(), NextHeader::Icmpv6);
             }
@@ -279,13 +281,13 @@ mod tests {
     #[test]
     fn hop_limit_one_bounces_time_exceeded() {
         let mut r = router();
-        match r.process(PortId(0), &dgram("2001:db8:5::1", 1).to_bytes()) {
+        match r.process(PortId(0), dgram("2001:db8:5::1", 1).to_bytes()) {
             ForwardDecision::Drop { reason: DropReason::HopLimitExceeded, icmp: Some(_) } => {}
             other => panic!("{other:?}"),
         }
         // Hop limit 0 likewise.
         assert!(matches!(
-            r.process(PortId(0), &dgram("2001:db8:5::1", 0).to_bytes()),
+            r.process(PortId(0), dgram("2001:db8:5::1", 0).to_bytes()),
             ForwardDecision::Drop { reason: DropReason::HopLimitExceeded, .. }
         ));
     }
@@ -294,13 +296,13 @@ mod tests {
     fn local_delivery_beats_hop_limit() {
         let mut r = router();
         // Addressed to the router itself with hop limit 1: delivered.
-        match r.process(PortId(0), &dgram("2001:db8::ffff", 1).to_bytes()) {
+        match r.process(PortId(0), dgram("2001:db8::ffff", 1).to_bytes()) {
             ForwardDecision::Deliver { .. } => {}
             other => panic!("{other:?}"),
         }
         // RIPng multicast is also local.
         assert!(matches!(
-            r.process(PortId(0), &dgram("ff02::9", 255).to_bytes()),
+            r.process(PortId(0), dgram("ff02::9", 255).to_bytes()),
             ForwardDecision::Deliver { .. }
         ));
     }
@@ -309,7 +311,7 @@ mod tests {
     fn other_multicast_dropped_quietly() {
         let mut r = router();
         assert!(matches!(
-            r.process(PortId(0), &dgram("ff02::1", 10).to_bytes()),
+            r.process(PortId(0), dgram("ff02::1", 10).to_bytes()),
             ForwardDecision::Drop { reason: DropReason::UnservedMulticast, icmp: None }
         ));
     }
@@ -318,7 +320,7 @@ mod tests {
     fn malformed_dropped_quietly() {
         let mut r = router();
         assert!(matches!(
-            r.process(PortId(0), &[0x45, 0, 0, 0]),
+            r.process(PortId(0), vec![0x45, 0, 0, 0]),
             ForwardDecision::Drop { reason: DropReason::Malformed, icmp: None }
         ));
         assert_eq!(r.stats().dropped_malformed, 1);
@@ -327,12 +329,12 @@ mod tests {
     #[test]
     fn drops_are_classified_per_reason() {
         let mut r = router();
-        let _ = r.process(PortId(0), &[0xde, 0xad]); // malformed
-        let _ = r.process(PortId(0), &dgram("2001:db8:5::1", 0).to_bytes()); // expires
-        let _ = r.process(PortId(0), &dgram("ff02::1", 10).to_bytes()); // multicast
+        let _ = r.process(PortId(0), vec![0xde, 0xad]); // malformed
+        let _ = r.process(PortId(0), dgram("2001:db8:5::1", 0).to_bytes()); // expires
+        let _ = r.process(PortId(0), dgram("ff02::1", 10).to_bytes()); // multicast
         let table = SequentialTable::new();
         let mut empty = ReferenceRouter::new(table, vec!["2001:db8::ffff".parse().unwrap()]);
-        let _ = empty.process(PortId(0), &dgram("abcd::1", 10).to_bytes()); // no route
+        let _ = empty.process(PortId(0), dgram("abcd::1", 10).to_bytes()); // no route
         let s = r.stats();
         assert_eq!((s.dropped_malformed, s.dropped_hop_limit, s.dropped_multicast), (1, 1, 1));
         assert_eq!(s.dropped, 3);
@@ -348,7 +350,7 @@ mod tests {
             .hop_limit(1)
             .payload(NextHeader::Udp, vec![])
             .build();
-        match r.process(PortId(0), &bad_src.to_bytes()) {
+        match r.process(PortId(0), bad_src.to_bytes()) {
             ForwardDecision::Drop { icmp: None, .. } => {}
             other => panic!("{other:?}"),
         }

@@ -149,11 +149,10 @@ impl<T: LpmTable> Router<T> {
                     break;
                 };
                 budget -= 1;
-                let bytes = frame.into_bytes();
-                match self.core.process(port, &bytes) {
-                    ForwardDecision::Forward { out_port, datagram } => {
+                match self.core.process(port, frame) {
+                    ForwardDecision::Forward { out_port, frame } => {
                         report.forwarded += 1;
-                        self.card_mut(out_port).transmit(datagram);
+                        self.card_mut(out_port).transmit(frame);
                     }
                     ForwardDecision::Deliver { datagram } => {
                         report.delivered += 1;
@@ -258,7 +257,7 @@ impl<T: LpmTable> Router<T> {
                     .payload(NextHeader::Udp, udp.to_bytes())
                     .build()
             };
-            self.card_mut(port).transmit(datagram);
+            self.card_mut(port).transmit(datagram.to_bytes());
         }
     }
 }
@@ -287,6 +286,12 @@ mod tests {
         Router::new(interfaces(), SequentialTable::new())
     }
 
+    /// Everything `port`'s card has put on the wire, parsed back.
+    fn sent(r: &mut Router<SequentialTable>, port: PortId) -> Vec<Datagram> {
+        let frames = r.card_mut(port).drain_transmitted();
+        frames.iter().map(|f| Datagram::parse(f).expect("the router emits datagrams")).collect()
+    }
+
     fn dgram(dst: &str) -> Datagram {
         Datagram::builder("2001:db8:a::5".parse().unwrap(), dst.parse().unwrap())
             .hop_limit(64)
@@ -297,10 +302,10 @@ mod tests {
     #[test]
     fn forwards_between_connected_networks() {
         let mut r = router();
-        r.card_mut(PortId(0)).receive(dgram("2001:db8:b::7"));
+        r.card_mut(PortId(0)).receive(&dgram("2001:db8:b::7"));
         let report = r.tick(SimTime::ZERO);
         assert_eq!(report.forwarded, 1);
-        let out = r.card_mut(PortId(1)).drain_transmitted();
+        let out = sent(&mut r, PortId(1));
         // Output card carries the forwarded datagram plus its periodic
         // RIPng update; find the forwarded one.
         assert!(out.iter().any(|d| d.header().hop_limit == 63));
@@ -312,7 +317,7 @@ mod tests {
         let report = r.tick(SimTime::ZERO);
         assert_eq!(report.ripng_sent, 4); // request + periodic per interface
                                           // The startup request is a whole-table RIPng request on the wire.
-        let out = r.card_mut(PortId(0)).drain_transmitted();
+        let out = sent(&mut r, PortId(0));
         let has_request = out.iter().any(|d| {
             UdpDatagram::parse(d.payload(), &d.header().src, &d.header().dst)
                 .ok()
@@ -338,10 +343,10 @@ mod tests {
         );
         let pkt = g.ripng_response(&[foreign]);
         let adv = ripng_datagram("fe80::2".parse().unwrap(), &pkt);
-        r.card_mut(PortId(0)).receive(adv);
+        r.card_mut(PortId(0)).receive(&adv);
         r.tick(SimTime::from_secs(1));
         // The learned route is now in the FIB: traffic to it forwards.
-        r.card_mut(PortId(1)).receive(dgram("2001:db8:c::1"));
+        r.card_mut(PortId(1)).receive(&dgram("2001:db8:c::1"));
         let report = r.tick(SimTime::from_secs(2));
         assert_eq!(report.forwarded, 1);
     }
@@ -357,9 +362,9 @@ mod tests {
             .hop_limit(255)
             .payload(NextHeader::Udp, udp.to_bytes())
             .build();
-        r.card_mut(PortId(0)).receive(d);
+        r.card_mut(PortId(0)).receive(&d);
         r.tick(SimTime::from_secs(1));
-        let out = r.card_mut(PortId(0)).drain_transmitted();
+        let out = sent(&mut r, PortId(0));
         let reply =
             out.iter().find(|d| d.header().dst == from).expect("unicast reply to the requester");
         let udp = UdpDatagram::parse(reply.payload(), &reply.header().src, &from).unwrap();
@@ -380,12 +385,12 @@ mod tests {
         for chunk in foreign.chunks(60) {
             let pkt = g.ripng_response(chunk);
             let adv = ripng_datagram("fe80::2".parse().unwrap(), &pkt);
-            assert!(r.card_mut(PortId(0)).receive(adv), "advertisement exceeds the MTU");
+            assert!(r.card_mut(PortId(0)).receive(&adv), "advertisement exceeds the MTU");
         }
         r.tick(SimTime::ZERO);
         r.card_mut(PortId(1)).drain_transmitted();
         r.tick(SimTime::from_secs(30)); // periodic update with the full RIB
-        let out = r.card_mut(PortId(1)).drain_transmitted();
+        let out = sent(&mut r, PortId(1));
         let mut total_entries = 0;
         let mut update_packets = 0;
         for d in &out {
@@ -407,7 +412,7 @@ mod tests {
     fn budgeted_tick_leaves_backlog_queued() {
         let mut r = router();
         for _ in 0..5 {
-            r.card_mut(PortId(0)).receive(dgram("2001:db8:b::7"));
+            r.card_mut(PortId(0)).receive(&dgram("2001:db8:b::7"));
         }
         assert_eq!(r.pending(), 5);
         let report = r.tick_budgeted(SimTime::ZERO, 2);
@@ -422,7 +427,7 @@ mod tests {
     #[test]
     fn no_route_counts_drop() {
         let mut r = router();
-        r.card_mut(PortId(0)).receive(dgram("9999::1"));
+        r.card_mut(PortId(0)).receive(&dgram("9999::1"));
         let report = r.tick(SimTime::ZERO);
         assert_eq!(report.dropped, 1);
         assert_eq!(report.forwarded, 0);
@@ -447,7 +452,7 @@ mod tests {
                 .hop_limit(0)
                 .payload(NextHeader::Udp, vec![0u8; 4])
                 .build();
-        assert!(r.card_mut(PortId(0)).receive(expired));
+        assert!(r.card_mut(PortId(0)).receive(&expired));
 
         let report = r.tick(SimTime::from_secs(1));
         assert_eq!(report.dropped, 3);
@@ -456,7 +461,7 @@ mod tests {
         assert_eq!(report.forwarded, 0);
         // The expiring datagram bounced an ICMPv6 time-exceeded; malformed
         // frames are dropped silently per RFC 2460.
-        let out = r.card_mut(PortId(0)).drain_transmitted();
+        let out = sent(&mut r, PortId(0));
         assert_eq!(out.iter().filter(|d| d.upper_protocol() == NextHeader::Icmpv6).count(), 1);
     }
 }

@@ -8,7 +8,7 @@
 //! cycle-accurate and behavioural) consume.
 
 use taco_ipv6::ripng::{Command, RipngPacket, RouteEntry};
-use taco_ipv6::{Datagram, Ipv6Address, Ipv6Prefix, NextHeader};
+use taco_ipv6::{Datagram, Ipv6Address, Ipv6Header, Ipv6Prefix, NextHeader};
 use taco_routing::{PortId, Route};
 
 use crate::rng::SplitMix64;
@@ -208,20 +208,42 @@ impl TrafficGen {
         }
     }
 
-    /// A forwarding datagram to `dst` with `payload_len` payload bytes.
-    pub fn datagram(&mut self, dst: Ipv6Address, payload_len: usize) -> Datagram {
+    /// The wire frame of a forwarding datagram to `dst` with `payload_len`
+    /// zeroed payload bytes, written once ([`data_frame`]).  The one place a
+    /// data datagram's fields are drawn: source, hop limit, flow label.
+    pub fn frame(&mut self, dst: Ipv6Address, payload_len: usize) -> Vec<u8> {
         let mut src = [0u8; 16];
         self.rng.fill_bytes(&mut src);
         src[0] = 0x20;
-        Datagram::builder(Ipv6Address::new(src), dst)
-            .hop_limit(self.rng.range_inclusive(2, 255) as u8)
-            .flow_label(self.rng.below(1 << 20) as u32)
-            .payload(NextHeader::Udp, vec![0u8; payload_len])
-            .build()
+        let hop_limit = self.rng.range_inclusive(2, 255) as u8;
+        let flow_label = self.rng.below(1 << 20) as u32;
+        data_frame(Ipv6Address::new(src), dst, hop_limit, flow_label, payload_len)
+    }
+
+    /// A forwarding datagram to `dst` with `payload_len` payload bytes:
+    /// [`TrafficGen::frame`], parsed.
+    pub fn datagram(&mut self, dst: Ipv6Address, payload_len: usize) -> Datagram {
+        parsed(&self.frame(dst, payload_len))
+    }
+
+    /// One arrival of a forwarding workload over `routes`: the port it
+    /// arrives on and its wire frame.  Draws, in this order, the
+    /// destination ([`TrafficGen::destination`]), the port, and the
+    /// frame's own fields ([`TrafficGen::frame`]).
+    pub fn forwarding_frame(
+        &mut self,
+        routes: &[Route],
+        hit_ratio: f64,
+        payload_len: usize,
+    ) -> (PortId, Vec<u8>) {
+        let dst = self.destination(routes, hit_ratio);
+        let port = PortId(self.rng.below(u64::from(self.ports)) as u16);
+        (port, self.frame(dst, payload_len))
     }
 
     /// A batch of `k` forwarding datagrams over `routes` as
-    /// `(arrival port, datagram)` pairs.
+    /// `(arrival port, datagram)` pairs: `k` [`TrafficGen::forwarding_frame`]s,
+    /// parsed.
     pub fn forwarding_workload(
         &mut self,
         routes: &[Route],
@@ -231,9 +253,8 @@ impl TrafficGen {
     ) -> Vec<(PortId, Datagram)> {
         (0..k)
             .map(|_| {
-                let dst = self.destination(routes, hit_ratio);
-                let port = PortId(self.rng.below(u64::from(self.ports)) as u16);
-                (port, self.datagram(dst, payload_len))
+                let (port, frame) = self.forwarding_frame(routes, hit_ratio, payload_len);
+                (port, parsed(&frame))
             })
             .collect()
     }
@@ -307,6 +328,43 @@ pub fn fill_host_bits(rng: &mut SplitMix64, prefix: &Ipv6Prefix) -> Ipv6Address 
     let network = u128::from_be_bytes(prefix.addr().octets());
     let host = rng.coin_tosses(128 - u32::from(prefix.len()));
     Ipv6Address::new((network | host).to_be_bytes())
+}
+
+/// The wire frame of a UDP-typed data datagram carrying `payload_len` zero
+/// bytes: the fixed header and the payload written into one buffer, with no
+/// [`Datagram`] in between.  Byte for byte what
+/// `Datagram::builder(src, dst).hop_limit(..).flow_label(..)
+/// .payload(NextHeader::Udp, vec![0; payload_len]).build().to_bytes()`
+/// returns.
+///
+/// # Panics
+///
+/// Panics if `payload_len` does not fit the header's 16-bit length field or
+/// `flow_label` its 20 bits.
+pub fn data_frame(
+    src: Ipv6Address,
+    dst: Ipv6Address,
+    hop_limit: u8,
+    flow_label: u32,
+    payload_len: usize,
+) -> Vec<u8> {
+    let header = Ipv6Header {
+        traffic_class: 0,
+        flow_label,
+        payload_len: u16::try_from(payload_len).expect("a payload length fits 16 bits"),
+        next_header: NextHeader::Udp,
+        hop_limit,
+        src,
+        dst,
+    };
+    let mut frame = Vec::with_capacity(Ipv6Header::LEN + payload_len);
+    frame.extend_from_slice(&header.to_bytes());
+    frame.resize(Ipv6Header::LEN + payload_len, 0);
+    frame
+}
+
+fn parsed(frame: &[u8]) -> Datagram {
+    Datagram::parse(frame).expect("the frame writer emits well-formed datagrams")
 }
 
 /// Wraps a RIPng packet in UDP/IPv6 multicast to `ff02::9`, as RIPng
@@ -417,12 +475,32 @@ mod tests {
             "the stream moved"
         );
         let dst = g.destination(&routes, 0.9);
+        // The frame writer and the datagram it parses to: one draw, one
+        // image.
+        let mut again = g.clone();
+        let frame = g.frame(dst, 8);
         assert_eq!(
-            hex(&g.datagram(dst, 8).to_bytes()),
+            hex(&frame),
             "6006f3780008115220f02be62f52e72f470bcfe451e0dd0a\
              2eec825a95d43bbe6b1b878c7d45c69f0000000000000000",
             "the stream moved"
         );
+        assert_eq!(again.datagram(dst, 8).to_bytes(), frame);
+        assert_eq!(again.rng, g.rng, "datagram() draws what frame() draws");
+    }
+
+    #[test]
+    fn data_frame_is_the_builders_image() {
+        let mut g = TrafficGen::new(21, 4);
+        for payload_len in [0usize, 1, 64, 1460] {
+            let (src, dst) = (g.link_local(), g.link_local());
+            let built = Datagram::builder(src, dst)
+                .hop_limit(7)
+                .flow_label(0xf_ffff)
+                .payload(NextHeader::Udp, vec![0u8; payload_len])
+                .build();
+            assert_eq!(data_frame(src, dst, 7, 0xf_ffff, payload_len), built.to_bytes());
+        }
     }
 
     #[test]

@@ -41,7 +41,7 @@ fn advertise<T: LpmTable>(router: &mut Router<T>, n: u16, prefixes: &[Ipv6Prefix
         command: Command::Response,
         entries: prefixes.iter().map(|p| RouteEntry::new(*p, 0, metric)).collect(),
     };
-    assert!(router.card_mut(PortId(n)).receive(ripng_datagram(neighbour(n), &packet)));
+    assert!(router.card_mut(PortId(n)).receive(&ripng_datagram(neighbour(n), &packet)));
 }
 
 fn datagram(dst: Ipv6Address) -> Datagram {
@@ -51,17 +51,23 @@ fn datagram(dst: Ipv6Address) -> Datagram {
         .build()
 }
 
+/// Whether a transmitted frame is a datagram for `dst`.
+fn sent_to(frame: &[u8], dst: Ipv6Address) -> bool {
+    Datagram::parse(frame).expect("the router emits datagrams").header().dst == dst
+}
+
 /// Sends one datagram for `dst` in on port 3 and reports which port it
 /// left on, if it was forwarded at all.
 fn out_port_of<T: LpmTable>(router: &mut Router<T>, dst: Ipv6Address, now: SimTime) -> Option<u16> {
     for card in 0..PORTS {
         router.card_mut(PortId(card)).drain_transmitted();
     }
-    assert!(router.card_mut(PortId(3)).receive(datagram(dst)));
+    assert!(router.card_mut(PortId(3)).receive(&datagram(dst)));
     let report = router.tick(now);
     assert_eq!(report.forwarded + report.dropped, 1);
-    (0..PORTS)
-        .find(|card| router.card(PortId(*card)).transmitted().iter().any(|d| d.header().dst == dst))
+    (0..PORTS).find(|card| {
+        router.card(PortId(*card)).transmitted().iter().any(|frame| sent_to(frame, dst))
+    })
 }
 
 #[test]
@@ -173,7 +179,7 @@ fn idle_ticks_never_write_the_table_and_a_learning_tick_reloads_it_once() {
     // 100 ticks of 100 ms with data traffic, crossing no route change but
     // including the startup requests and the first periodic update.
     for tick in 0..100u64 {
-        r.card_mut(PortId(3)).receive(datagram("2001:db8:1::9".parse().unwrap()));
+        r.card_mut(PortId(3)).receive(&datagram("2001:db8:1::9".parse().unwrap()));
         let report = r.tick(SimTime::from_millis(tick * 100));
         assert_eq!(report.forwarded, 1);
     }

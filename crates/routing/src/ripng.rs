@@ -57,7 +57,7 @@ enum Origin {
     Rip { learned_from: Ipv6Address },
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct RibRoute {
     route: Route,
     origin: Origin,
@@ -130,6 +130,16 @@ pub struct RipngEngine {
     /// Bumped wherever the live route set changes; see
     /// [`RipngEngine::route_changes`].
     route_changes: u64,
+    /// No `expires_at` or `gc_at` in the RIB is earlier than this (`None`:
+    /// no timer is armed).  A lower bound, not the minimum: arming a timer
+    /// lowers it, refreshing one leaves it stale, and the timer scan it
+    /// lets through makes it exact again.  Until `now` reaches it,
+    /// [`RipngEngine::tick`] has no timer to look at.
+    next_deadline: Option<SimTime>,
+    /// Whether any route is flagged `changed`; set wherever the flag is,
+    /// cleared with the flags.  While it is clear there is no triggered
+    /// update to build.
+    dirty: bool,
     /// Timer constants, overridable for accelerated tests.
     update_interval: SimTime,
     route_timeout: SimTime,
@@ -147,6 +157,8 @@ impl RipngEngine {
             next_periodic: SimTime::ZERO,
             stats: RipngStats::default(),
             route_changes: 0,
+            next_deadline: None,
+            dirty: false,
             update_interval: SimTime::from_secs(30),
             route_timeout: SimTime::from_secs(180),
             gc_interval: SimTime::from_secs(120),
@@ -154,6 +166,7 @@ impl RipngEngine {
         for iface in &engine.interfaces {
             for prefix in &iface.connected {
                 engine.route_changes += 1;
+                engine.dirty = true;
                 engine.rib.insert(
                     *prefix,
                     RibRoute {
@@ -273,6 +286,7 @@ impl RipngEngine {
     /// Returns `true` if the RIB changed.
     fn consider(&mut self, candidate: Route, from: Ipv6Address, now: SimTime) -> bool {
         let prefix = candidate.prefix();
+        let expires_at = now + self.route_timeout;
         match self.rib.get_mut(&prefix) {
             None => {
                 if candidate.metric() >= INFINITY_METRIC {
@@ -283,11 +297,13 @@ impl RipngEngine {
                     RibRoute {
                         route: candidate,
                         origin: Origin::Rip { learned_from: from },
-                        expires_at: Some(now + self.route_timeout),
+                        expires_at: Some(expires_at),
                         gc_at: None,
                         changed: true,
                     },
                 );
+                lower(&mut self.next_deadline, expires_at);
+                self.dirty = true;
                 self.route_changes += 1;
                 true
             }
@@ -299,16 +315,19 @@ impl RipngEngine {
                     matches!(existing.origin, Origin::Rip { learned_from } if learned_from == from);
                 if same_gateway {
                     // Same gateway: refresh, adopt whatever metric it says.
-                    existing.expires_at = Some(now + self.route_timeout);
+                    existing.expires_at = Some(expires_at);
+                    lower(&mut self.next_deadline, expires_at);
                     if candidate.metric() != existing.route.metric() {
                         let went_dead = candidate.metric() >= INFINITY_METRIC;
                         existing.route = candidate;
                         existing.changed = true;
+                        self.dirty = true;
                         self.route_changes += 1;
                         if went_dead {
                             self.stats.routes_expired += 1;
                             existing.expires_at = None;
                             existing.gc_at = Some(now + self.gc_interval);
+                            lower(&mut self.next_deadline, now + self.gc_interval);
                         } else {
                             // RFC 2080 §2.3: a route re-established while
                             // its deletion is pending cancels the deletion.
@@ -321,9 +340,11 @@ impl RipngEngine {
                     // Different gateway, strictly better metric: switch.
                     existing.route = candidate;
                     existing.origin = Origin::Rip { learned_from: from };
-                    existing.expires_at = Some(now + self.route_timeout);
+                    existing.expires_at = Some(expires_at);
+                    lower(&mut self.next_deadline, expires_at);
                     existing.gc_at = None;
                     existing.changed = true;
+                    self.dirty = true;
                     self.route_changes += 1;
                     true
                 } else {
@@ -368,7 +389,50 @@ impl RipngEngine {
 
     /// Advances time: expires routes, garbage-collects, and emits periodic
     /// plus triggered updates that fall due at `now`.
+    ///
+    /// An idle tick — no timer due, no route flagged, no periodic update —
+    /// touches no route: the timer scan runs only once `now` has reached
+    /// `next_deadline`, the triggered-update scan only while `dirty`.  The
+    /// scan itself is the plain walk in prefix order, so expiry order,
+    /// [`RipngEngine::route_changes`] and every packet are what walking on
+    /// every tick produced (`tests::gated_tick_equals_the_walk_on_every_tick`).
+    /// A watermark and not an ordered deadline map: a tick that does have a
+    /// timer due still walks the whole RIB, but no builtin workload (at
+    /// most 400 ticks of 100 ms) lives to see the 120 s and 180 s timers
+    /// fire, so the walk a map would shorten never runs there and the
+    /// per-refresh map upkeep would.  `ticks × table` therefore stays
+    /// unbounded on the wire for a run long enough to expire routes on many
+    /// distinct ticks.
     pub fn tick(&mut self, now: SimTime) -> Vec<(PortId, RipngPacket)> {
+        if self.next_deadline.is_some_and(|due| now >= due) {
+            self.run_timers(now);
+        }
+
+        let mut out = Vec::new();
+        if now >= self.next_periodic {
+            // Periodic update.
+            self.next_periodic = now + self.update_interval;
+            for iface in &self.interfaces {
+                let entries = self.advertisement_for(iface.port, true);
+                if !entries.is_empty() {
+                    out.push((iface.port, RipngPacket { command: Command::Response, entries }));
+                    self.stats.periodic_updates_sent += 1;
+                }
+            }
+            self.clear_changed();
+        } else {
+            // Triggered updates for changed routes.
+            out.extend(self.triggered_updates(now));
+        }
+        out
+    }
+
+    /// The timer scan: marks overdue routes dead, drops long-dead ones, and
+    /// leaves both gates exact — `next_deadline` the earliest timer still
+    /// armed, `dirty` whether a route that is still there is flagged (a
+    /// zero garbage-collection interval deletes a route on the tick that
+    /// flagged it).
+    fn run_timers(&mut self, now: SimTime) {
         // 1. Timeout: mark overdue routes dead.
         for rib_route in self.rib.values_mut() {
             if let Some(t) = rib_route.expires_at {
@@ -384,35 +448,27 @@ impl RipngEngine {
         }
         // 2. Garbage collection: drop long-dead routes.
         let before = self.rib.len();
-        self.rib.retain(|_, r| r.gc_at.map_or(true, |t| now < t));
-        self.stats.routes_deleted += (before - self.rib.len()) as u64;
-
-        // 3. Periodic update.
-        let mut out = Vec::new();
-        if now >= self.next_periodic {
-            self.next_periodic = now + self.update_interval;
-            for iface in &self.interfaces {
-                let entries = self.advertisement_for(iface.port, true);
-                if !entries.is_empty() {
-                    out.push((iface.port, RipngPacket { command: Command::Response, entries }));
-                    self.stats.periodic_updates_sent += 1;
+        let (mut earliest, mut flagged) = (None, false);
+        self.rib.retain(|_, r| {
+            let keep = r.gc_at.map_or(true, |t| now < t);
+            if keep {
+                flagged |= r.changed;
+                for t in [r.expires_at, r.gc_at].into_iter().flatten() {
+                    lower(&mut earliest, t);
                 }
             }
-            for r in self.rib.values_mut() {
-                r.changed = false;
-            }
-        } else {
-            // 4. Triggered updates for changed routes.
-            out.extend(self.triggered_updates(now));
-        }
-        out
+            keep
+        });
+        self.stats.routes_deleted += (before - self.rib.len()) as u64;
+        self.next_deadline = earliest;
+        self.dirty = flagged;
     }
 
     /// Builds triggered updates (changed routes only) and clears the change
-    /// flags.  Nothing flagged — every idle tick — costs one RIB scan and
-    /// no allocation.
+    /// flags.  Nothing flagged — every idle tick — costs one test of
+    /// `dirty`.
     fn triggered_updates(&mut self, _now: SimTime) -> Vec<(PortId, RipngPacket)> {
-        if !self.rib.values().any(|r| r.changed) {
+        if !self.dirty {
             return Vec::new();
         }
         let mut out = Vec::with_capacity(self.interfaces.len());
@@ -426,10 +482,18 @@ impl RipngEngine {
             out.push((iface.port, RipngPacket { command: Command::Response, entries }));
             self.stats.triggered_updates_sent += 1;
         }
-        for r in self.rib.values_mut() {
-            r.changed = false;
-        }
+        self.clear_changed();
         out
+    }
+
+    /// Every route's changes have been advertised.
+    fn clear_changed(&mut self) {
+        if self.dirty {
+            for r in self.rib.values_mut() {
+                r.changed = false;
+            }
+            self.dirty = false;
+        }
     }
 
     /// All routes as RTEs for an update on `iface`, with split horizon and
@@ -454,6 +518,11 @@ impl RipngEngine {
         };
         RouteEntry::new(route.prefix(), route.route_tag(), metric.max(1))
     }
+}
+
+/// Lowers `deadline` to `t` if `t` is earlier (or the first).
+fn lower(deadline: &mut Option<SimTime>, t: SimTime) {
+    *deadline = Some(deadline.map_or(t, |d| d.min(t)));
 }
 
 #[cfg(test)]
@@ -855,5 +924,165 @@ mod tests {
         e.handle_response(PortId(0), ll("fe80::2"), &pkt, SimTime::ZERO);
         assert!(e.routes().all(|r| r.prefix() != p("2001:db8:c::/48")));
         assert!(e.handle_request(PortId(0), &response(vec![]), SimTime::ZERO).is_none());
+    }
+
+    impl RipngEngine {
+        /// `tick` as it was before the gates, kept as the reference: every
+        /// route's timers walked, the RIB retained and every change flag
+        /// scanned on every tick.  It reads neither `next_deadline` nor
+        /// `dirty`.
+        fn tick_reference(&mut self, now: SimTime) -> Vec<(PortId, RipngPacket)> {
+            for rib_route in self.rib.values_mut() {
+                if let Some(t) = rib_route.expires_at {
+                    if now >= t {
+                        rib_route.route = rib_route.route.with_metric(INFINITY_METRIC);
+                        rib_route.expires_at = None;
+                        rib_route.gc_at = Some(now + self.gc_interval);
+                        rib_route.changed = true;
+                        self.stats.routes_expired += 1;
+                        self.route_changes += 1;
+                    }
+                }
+            }
+            let before = self.rib.len();
+            self.rib.retain(|_, r| r.gc_at.map_or(true, |t| now < t));
+            self.stats.routes_deleted += (before - self.rib.len()) as u64;
+
+            let mut out = Vec::new();
+            if now >= self.next_periodic {
+                self.next_periodic = now + self.update_interval;
+                for iface in &self.interfaces {
+                    let entries = self.advertisement_for(iface.port, true);
+                    if !entries.is_empty() {
+                        out.push((iface.port, RipngPacket { command: Command::Response, entries }));
+                        self.stats.periodic_updates_sent += 1;
+                    }
+                }
+            } else if self.rib.values().any(|r| r.changed) {
+                for iface in &self.interfaces {
+                    let entries = self
+                        .rib
+                        .values()
+                        .filter(|r| r.changed)
+                        .map(|r| self.rte_for(&r.route, iface.port))
+                        .collect();
+                    out.push((iface.port, RipngPacket { command: Command::Response, entries }));
+                    self.stats.triggered_updates_sent += 1;
+                }
+            } else {
+                return out;
+            }
+            for r in self.rib.values_mut() {
+                r.changed = false;
+            }
+            out
+        }
+    }
+
+    /// SplitMix64, as `taco_router::SplitMix64` steps it (that crate sits
+    /// above this one).
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % n
+        }
+    }
+
+    /// Cases and seed of the property below; case `n` runs over
+    /// `Rng(GATE_SEED ^ n)` and a failure names it.
+    const GATE_CASES: u64 = 192;
+    const GATE_SEED: u64 = 0x71C4_0001;
+
+    #[test]
+    fn gated_tick_equals_the_walk_on_every_tick() {
+        // Three neighbours on two ports advertise, withdraw, re-advertise
+        // and fall silent over six prefixes, under timers short enough
+        // that timeouts, garbage collection (a zero interval included) and
+        // periodic updates all fire many times in a 120-step history.
+        let neighbours = [(0u16, "fe80::2"), (0, "fe80::3"), (1, "fe80::4")];
+        let prefixes: Vec<Ipv6Prefix> =
+            (0..6).map(|i| p(&format!("2001:db8:{:x}::/48", 0xc0 + i))).collect();
+        // Scans the gate let through, scans it skipped, routes expired and
+        // routes deleted, over all cases: the property is vacuous if any
+        // stays zero.
+        let mut seen = [0u64; 4];
+        for case in 0..GATE_CASES {
+            let mut rng = Rng(GATE_SEED ^ case);
+            let millis = |rng: &mut Rng, choices: &[u64]| {
+                SimTime::from_millis(choices[rng.below(choices.len() as u64) as usize])
+            };
+            let timers = (
+                millis(&mut rng, &[500, 700, 5000]),
+                millis(&mut rng, &[300, 1500, 2000]),
+                millis(&mut rng, &[0, 300, 900, 2500]),
+            );
+            let mut gated = engine_two_ports().with_timers(timers.0, timers.1, timers.2);
+            let mut walked = gated.clone();
+            let mut now = SimTime::ZERO;
+            // Neighbours go quiet for stretches, so routes age out.
+            let mut silent_until = SimTime::ZERO;
+            for step in 0..120 {
+                let at = format!("seed {GATE_SEED:#x}, case {case}, step {step}, {now}");
+                if rng.below(12) == 0 {
+                    silent_until = now + SimTime::from_millis(rng.below(4000));
+                }
+                if now >= silent_until && rng.below(3) != 0 {
+                    let (port, from) = neighbours[rng.below(3) as usize];
+                    let entries = (0..1 + rng.below(4))
+                        .map(|_| {
+                            let prefix = prefixes[rng.below(6) as usize];
+                            let metric =
+                                if rng.below(4) == 0 { 16 } else { 1 + rng.below(15) as u8 };
+                            RouteEntry::new(prefix, 0, metric)
+                        })
+                        .collect();
+                    let packet = response(entries);
+                    assert_eq!(
+                        gated.handle_response(PortId(port), ll(from), &packet, now),
+                        walked.handle_response(PortId(port), ll(from), &packet, now),
+                        "{at}: triggered by the response"
+                    );
+                }
+                seen[usize::from(gated.next_deadline.map_or(true, |due| now < due))] += 1;
+                assert_eq!(gated.tick(now), walked.tick_reference(now), "{at}: packets");
+                assert_eq!(gated.route_changes(), walked.route_changes(), "{at}");
+                assert_eq!(gated.stats(), walked.stats(), "{at}");
+                assert_eq!(gated.rib, walked.rib, "{at}: RIB");
+                now += SimTime::from_millis(rng.below(5) * 100);
+            }
+            seen[2] += gated.stats().routes_expired;
+            seen[3] += gated.stats().routes_deleted;
+        }
+        assert!(seen.iter().all(|&n| n > 500), "scanned, skipped, expired, deleted: {seen:?}");
+    }
+
+    #[test]
+    fn next_deadline_is_lowered_when_armed_and_exact_after_a_scan() {
+        let mut e = engine_two_ports().with_timers(
+            SimTime::from_millis(700),
+            SimTime::from_millis(300),
+            SimTime::from_millis(300),
+        );
+        e.handle_response(
+            PortId(0),
+            ll("fe80::2"),
+            &response(vec![RouteEntry::new(p("2001:db8:c::/48"), 0, 1)]),
+            SimTime::ZERO,
+        );
+        assert_eq!(e.next_deadline, Some(SimTime::from_millis(300)));
+        e.tick(SimTime::from_millis(299));
+        assert_eq!(e.stats().routes_expired, 0);
+        e.tick(SimTime::from_millis(300));
+        assert_eq!(e.stats().routes_expired, 1);
+        assert_eq!(e.next_deadline, Some(SimTime::from_millis(600)), "exact after the scan");
+        e.tick(SimTime::from_millis(600));
+        assert_eq!(e.stats().routes_deleted, 1);
+        assert_eq!(e.next_deadline, None, "no timer left armed");
+        assert!(!e.dirty);
     }
 }

@@ -19,7 +19,7 @@ use std::collections::VecDeque;
 use taco_ipv6::{Datagram, Ipv6Address, NextHeader};
 use taco_isa::SystemConfig;
 use taco_router::router::Router;
-use taco_router::traffic::{ripng_datagram, TrafficGen};
+use taco_router::traffic::{data_frame, ripng_datagram, TrafficGen};
 use taco_router::SplitMix64;
 use taco_routing::ripng::InterfaceConfig;
 use taco_routing::{LpmTable, PortId, Route, SimTime, TableKind};
@@ -49,10 +49,11 @@ pub const DEFAULT_SEED: u64 = 0x7AC0_2003;
 
 /// The most ticks, and the most offered datagrams, a workload descriptor
 /// arriving over the wire may ask one runner for.  An offered datagram
-/// costs about 0.5 µs end to end at the builtin table size (generate,
-/// queue, parse, look up, fold; ENGINEERING_LOG.md "Traffic generator cost"),
-/// so `2²⁴ × 0.5 µs` is eight to ten seconds of a runner; the builtin
-/// workloads offer 425 to 15 409.  In-process callers are not bound by it.
+/// costs 0.3 to 0.4 µs end to end at the builtin table size (draw, write
+/// the frame, queue, check in place, look up, fold; ENGINEERING_LOG.md "The
+/// frame is the data path's currency"), so `2²⁴ × 0.4 µs` is five to seven
+/// seconds of a runner; the builtin workloads offer 425 to 15 409.
+/// In-process callers are not bound by it.
 pub const MAX_OFFERED: u64 = 1 << 24;
 
 /// A named, seeded traffic pattern.
@@ -589,7 +590,7 @@ impl Harness {
             } else {
                 self.gen.ripng_response(chunk)
             };
-            if self.router.card_mut(port).receive(ripng_datagram(from, &pkt)) {
+            if self.router.card_mut(port).receive(&ripng_datagram(from, &pkt)) {
                 self.fifos[usize::from(port.0)].push_back((self.tick, ArrivalKind::Update));
             }
         }
@@ -606,7 +607,7 @@ impl Harness {
         let mut tagged = false;
         for chunk in routes.chunks(ADVERT_CHUNK) {
             let pkt = self.gen.ripng_response(chunk);
-            if self.router.card_mut(port).receive(ripng_datagram(from, &pkt)) {
+            if self.router.card_mut(port).receive(&ripng_datagram(from, &pkt)) {
                 let kind =
                     if tagged { ArrivalKind::Update } else { ArrivalKind::Repair { injected } };
                 tagged = true;
@@ -616,11 +617,13 @@ impl Harness {
         tagged
     }
 
-    /// Injects `k` data datagrams over `routes` at random ports.
+    /// Injects `k` data datagrams over `routes` at random ports, each
+    /// written as the wire frame the card queues.
     fn inject_data(&mut self, routes: &[Route], k: usize) {
-        for (port, datagram) in self.gen.forwarding_workload(routes, k, HIT_RATIO, PAYLOAD_BYTES) {
+        for _ in 0..k {
+            let (port, frame) = self.gen.forwarding_frame(routes, HIT_RATIO, PAYLOAD_BYTES);
             self.metrics.offered += 1;
-            if self.router.card_mut(port).receive(datagram) {
+            if self.router.card_mut(port).receive_raw(frame) {
                 self.fifos[usize::from(port.0)].push_back((self.tick, ArrivalKind::Data));
             }
         }
@@ -630,13 +633,15 @@ impl Harness {
     /// replay is the trace and nothing else.
     fn inject_record(&mut self, r: &TraceRecord) {
         self.metrics.offered += 1;
-        let datagram = Datagram::builder(Ipv6Address::new(r.src), Ipv6Address::new(r.dst))
-            .hop_limit(64)
-            .flow_label(r.flow_id & 0xf_ffff)
-            .payload(NextHeader::Udp, vec![0u8; usize::from(r.payload_len)])
-            .build();
+        let frame = data_frame(
+            Ipv6Address::new(r.src),
+            Ipv6Address::new(r.dst),
+            64,
+            r.flow_id & 0xf_ffff,
+            usize::from(r.payload_len),
+        );
         let port = PortId(u16::from(r.linecard) % PORTS);
-        if self.router.card_mut(port).receive(datagram) {
+        if self.router.card_mut(port).receive_raw(frame) {
             self.fifos[usize::from(port.0)].push_back((self.tick, ArrivalKind::Data));
         }
     }
@@ -778,7 +783,7 @@ impl Harness {
             f.metrics.injected_malformed += 1;
             let port = PortId(f.rng.below(u64::from(PORTS)) as u16);
             let dst = f.fault_dst(routes);
-            let mut bytes = f.fgen.datagram(dst, 8).to_bytes();
+            let mut bytes = f.fgen.frame(dst, 8);
             if f.rng.below(2) == 0 {
                 // Truncated below the 40-byte fixed header.
                 bytes.truncate(f.rng.range_inclusive(1, 39) as usize);
@@ -805,7 +810,7 @@ impl Harness {
                 .hop_limit(hl)
                 .payload(NextHeader::Udp, vec![0xfa])
                 .build();
-            if self.router.card_mut(port).receive(d) {
+            if self.router.card_mut(port).receive(&d) {
                 self.fifos[usize::from(port.0)].push_back((tick, ArrivalKind::FaultNoise));
             }
         }

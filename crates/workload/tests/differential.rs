@@ -1,6 +1,6 @@
 //! Differential forwarding test: the behavioural reference router and the
 //! cycle-accurate microcoded router must hand down the same per-datagram
-//! verdict — forwarded (same port, same rewritten hop limit), dropped, or
+//! verdict — forwarded (same port, same bytes on the wire), dropped, or
 //! dropped-with-ICMP-error — for traffic drawn from **every builtin
 //! workload** over **every routing-table organisation**.
 //!
@@ -55,17 +55,20 @@ impl std::fmt::Display for Verdict {
     }
 }
 
-/// The oracle's verdicts, one per datagram.
-fn reference_verdicts(routes: &[Route], traffic: &[Datagram]) -> Vec<Verdict> {
+/// The oracle's verdicts, one per datagram, each with the frame it put on
+/// the wire when it forwarded.
+fn reference_verdicts(routes: &[Route], traffic: &[Datagram]) -> Vec<(Verdict, Option<Vec<u8>>)> {
     let table = SequentialTable::from_routes(routes.iter().copied());
     let mut reference = ReferenceRouter::new(table, vec![ROUTER_ADDR.parse().unwrap()]);
     traffic
         .iter()
-        .map(|d| match reference.process(PortId(0), &d.to_bytes()) {
-            ForwardDecision::Forward { out_port, datagram } => {
-                Verdict::Forwarded { port: out_port.0, hop_limit: datagram.header().hop_limit }
+        .map(|d| match reference.process(PortId(0), d.to_bytes()) {
+            ForwardDecision::Forward { out_port, frame } => {
+                (Verdict::Forwarded { port: out_port.0, hop_limit: frame[7] }, Some(frame))
             }
-            ForwardDecision::Drop { icmp, .. } => Verdict::Dropped { icmp_error: icmp.is_some() },
+            ForwardDecision::Drop { icmp, .. } => {
+                (Verdict::Dropped { icmp_error: icmp.is_some() }, None)
+            }
             ForwardDecision::Deliver { datagram } => {
                 panic!("differential traffic must not be local: {:?}", datagram.header().dst)
             }
@@ -73,14 +76,15 @@ fn reference_verdicts(routes: &[Route], traffic: &[Datagram]) -> Vec<Verdict> {
         .collect()
 }
 
-/// The subject's observable outcome per datagram: `Some((port, hop_limit))`
-/// when the datagram came back out of the oPPU, `None` when it was dropped.
+/// The subject's observable outcome per datagram: `Some((port, bytes))` —
+/// the forwarded datagram re-encoded — when it came back out of the oPPU,
+/// `None` when it was dropped.
 fn cycle_outcomes(
     kind: TableKind,
     config: &MachineConfig,
     routes: &[Route],
     traffic: &[Datagram],
-) -> Vec<Option<(u16, u8)>> {
+) -> Vec<Option<(u16, Vec<u8>)>> {
     let mut router =
         CycleRouter::for_kind(kind, config, routes, CAM_LATENCY, &MicrocodeOptions::default())
             .expect("microcode validates");
@@ -91,16 +95,17 @@ fn cycle_outcomes(
 
     // Match outputs to inputs by byte image with the hop-limit decrement
     // undone (traffic is unique-ified below, so the mapping is exact).
-    let out: std::collections::BTreeMap<Vec<u8>, (u16, u8)> = router
+    let out: std::collections::BTreeMap<Vec<u8>, (u16, Vec<u8>)> = router
         .forwarded()
         .iter()
         .map(|(p, d)| {
-            let mut bytes = d.to_bytes();
-            bytes[7] += 1; // byte 7 of the IPv6 header is the hop limit
-            (bytes, (p.0, d.header().hop_limit))
+            let sent = d.to_bytes();
+            let mut arrived = sent.clone();
+            arrived[7] += 1; // byte 7 of the IPv6 header is the hop limit
+            (arrived, (p.0, sent))
         })
         .collect();
-    traffic.iter().map(|d| out.get(&d.to_bytes()).copied()).collect()
+    traffic.iter().map(|d| out.get(&d.to_bytes()).cloned()).collect()
 }
 
 /// Asserts agreement for one workload × organisation × machine, returning
@@ -114,20 +119,24 @@ fn check_agreement(
 ) -> Vec<Verdict> {
     let reference = reference_verdicts(routes, traffic);
     let cycle = cycle_outcomes(kind, config, routes, traffic);
-    for (i, (r, c)) in reference.iter().zip(&cycle).enumerate() {
+    for (i, ((r, frame), c)) in reference.iter().zip(&cycle).enumerate() {
+        // Both routers forward the bytes they were given, so a forwarded
+        // datagram is one image on both sides, hop limit included.
         let agree = match (r, c) {
-            (Verdict::Forwarded { port, hop_limit }, Some((p, h))) => port == p && hop_limit == h,
+            (Verdict::Forwarded { port, .. }, Some((p, sent))) => {
+                port == p && frame.as_ref() == Some(sent)
+            }
             (Verdict::Dropped { .. }, None) => true,
             _ => false,
         };
         assert!(
             agree,
-            "{label} on {kind} {config}: datagram {i} (dst {:?}): reference says {r}, \
-             cycle says {c:?}",
+            "{label} on {kind} {config}: datagram {i} (dst {:?}): reference says {r} \
+             ({frame:02x?}), cycle says {c:02x?}",
             traffic[i].header().dst,
         );
     }
-    reference
+    reference.into_iter().map(|(verdict, _)| verdict).collect()
 }
 
 /// Seeded routes + traffic for one builtin workload: a sample of its data
@@ -339,13 +348,13 @@ fn malformed_frames_drop_in_the_same_class_on_both_routers() {
     let table = SequentialTable::from_routes(routes.iter().copied());
     let mut reference = ReferenceRouter::new(table, vec![ROUTER_ADDR.parse().unwrap()]);
     for bytes in truncated.iter().chain(&bad_version) {
-        match reference.process(PortId(0), bytes) {
+        match reference.process(PortId(0), bytes.clone()) {
             ForwardDecision::Drop { reason: DropReason::Malformed, icmp: None } => {}
             other => panic!("reference must drop malformed frames silently, got {other:?}"),
         }
     }
     assert!(matches!(
-        reference.process(PortId(0), &good),
+        reference.process(PortId(0), good.clone()),
         ForwardDecision::Forward { out_port: PortId(1), .. }
     ));
     assert_eq!(reference.stats().dropped_malformed, (truncated.len() + bad_version.len()) as u64);

@@ -34,10 +34,10 @@ fn router(name: u16, connected: &str) -> Router<SequentialTable> {
     Router::new(interfaces, SequentialTable::new())
 }
 
-/// Moves transmitted datagrams from one router port onto another's input.
+/// Moves transmitted frames from one router port onto another's input.
 fn wire(a: &mut Router<SequentialTable>, pa: PortId, b: &mut Router<SequentialTable>, pb: PortId) {
-    for d in a.card_mut(pa).drain_transmitted() {
-        b.card_mut(pb).receive(d);
+    for frame in a.card_mut(pa).drain_transmitted() {
+        b.card_mut(pb).receive_raw(frame);
     }
 }
 

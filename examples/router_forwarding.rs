@@ -42,8 +42,9 @@ fn behavioural_router() -> Result<(), Box<dyn std::error::Error>> {
     // 60 datagrams between the connected networks, plus strays.
     let mut gen = TrafficGen::new(42, 4);
     let routes: Vec<_> = router.ripng().routes().copied().collect();
-    for (port, dgram) in gen.forwarding_workload(&routes, 60, 0.8, 64) {
-        router.card_mut(port).receive(dgram);
+    for _ in 0..60 {
+        let (port, frame) = gen.forwarding_frame(&routes, 0.8, 64);
+        router.card_mut(port).receive_raw(frame);
     }
     let report = router.tick(SimTime::ZERO);
     println!(

@@ -90,6 +90,10 @@ if ls crates/bench/src/bin/{table1,scaling,sensitivity,report,dse,ablation,scena
     exit 1
 fi
 if grep -rnE 'parse_or_[e]xit\(|supported_features_[j]son|Status[L]ine' crates src tests examples scripts; then exit 1; fi
+# PR 24, the wire frame is the data path's one currency: a line card queues
+# `Vec<u8>`, not a parsed-or-raw pair serialised on the way out (a bare
+# `into_bytes` is `String`'s, in trace.rs and fuzz_wire.rs).
+if grep -rnE 'Frame::[P]arsed|Frame::[R]aw|frame\.into_[b]ytes' crates src tests examples scripts; then exit 1; fi
 echo "guards ok"
 
 echo

@@ -70,6 +70,38 @@ fn common_prefix_len_is_symmetric_and_exact() {
     });
 }
 
+/// The byte-at-a-time loop `common_prefix_len` was before it became one
+/// 128-bit XOR, kept as the reference.
+fn common_prefix_len_bytewise(a: &Ipv6Address, b: &Ipv6Address) -> u8 {
+    let mut len = 0u8;
+    for (x, y) in a.octets().iter().zip(b.octets()) {
+        let diff = x ^ y;
+        if diff != 0 {
+            return len + diff.leading_zeros() as u8;
+        }
+        len += 8;
+    }
+    len
+}
+
+#[test]
+fn common_prefix_len_equals_the_bytewise_loop_at_every_length() {
+    cases(SEED, CASES, |rng| {
+        let (a, noise) = (addr(rng), addr(rng));
+        assert_eq!(a.common_prefix_len(&noise), common_prefix_len_bytewise(&a, &noise));
+        // All 129 answers: `b` agrees with `a` on exactly `len` bits, then
+        // differs, then is noise.
+        for len in 0..=128u8 {
+            let mut b = within(&Ipv6Prefix::new(a, len).expect("in range"), noise);
+            if len < 128 {
+                b = b.with_bit(len, !a.bit(len));
+            }
+            assert_eq!(a.common_prefix_len(&b), len, "{a} / {b}");
+            assert_eq!(common_prefix_len_bytewise(&a, &b), len, "{a} / {b}");
+        }
+    });
+}
+
 #[test]
 fn truncated_matches_mask_words() {
     cases(SEED, CASES, |rng| {

@@ -29,8 +29,8 @@ fn router(name: u16, stub: Option<&str>) -> R {
 }
 
 fn wire(a: &mut R, pa: PortId, b: &mut R, pb: PortId) {
-    for d in a.card_mut(pa).drain_transmitted() {
-        b.card_mut(pb).receive(d);
+    for frame in a.card_mut(pa).drain_transmitted() {
+        b.card_mut(pb).receive_raw(frame);
     }
 }
 

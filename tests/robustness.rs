@@ -18,7 +18,7 @@ use taco::ipv6::checksum::pseudo_header_checksum;
 use taco::ipv6::icmpv6::Icmpv6Message;
 use taco::ipv6::ripng::RipngPacket;
 use taco::ipv6::udp::UdpDatagram;
-use taco::ipv6::{exthdr, Datagram, Ipv6Address, Ipv6Header, Ipv6Prefix, NextHeader};
+use taco::ipv6::{exthdr, Datagram, DatagramView, Ipv6Address, Ipv6Header, Ipv6Prefix, NextHeader};
 use taco::isa::asm;
 use taco::router::layout::words_to_bytes;
 use taco::router::reference::{ForwardDecision, ReferenceRouter};
@@ -60,6 +60,29 @@ fn datagram_parse_never_panics() {
         let input = hostile(rng, 511, valid);
         if let Ok(parsed) = Datagram::parse(&input) {
             assert!(parsed.wire_len() <= input.len(), "what parsed is inside what was given");
+        }
+    });
+}
+
+#[test]
+fn the_borrowing_view_and_the_owned_parse_return_the_same_result() {
+    cases(SEED, CASES, |rng| {
+        let valid = datagram(rng).to_bytes();
+        let input = hostile(rng, 511, valid);
+        let view = DatagramView::parse(&input);
+        let owned = Datagram::parse(&input);
+        assert_eq!(view.clone().map(|v| v.to_owned()), owned, "same datagram or same error");
+        if let (Ok(view), Ok(owned)) = (view, owned) {
+            assert_eq!(view.header(), owned.header());
+            assert_eq!(view.upper_protocol(), owned.upper_protocol());
+            assert_eq!(view.payload(), owned.payload());
+            assert_eq!(view.wire_len(), owned.wire_len());
+            let chain = view.extension_bytes();
+            assert_eq!(chain.len() + view.payload().len() + Ipv6Header::LEN, view.wire_len());
+            assert_eq!(
+                exthdr::parse_chain(view.header().next_header, chain).map(|(c, ..)| c).as_deref(),
+                Ok(owned.extensions()),
+            );
         }
     });
 }
@@ -215,9 +238,62 @@ fn malformed_traffic_never_kills_the_reference_router() {
         let mut router = ReferenceRouter::new(table, vec!["fe80::1".parse().expect("valid")]);
         let valid = datagram(rng).to_bytes();
         let input = hostile(rng, 127, valid);
-        let decision = router.process(PortId(0), &input);
+        let decision = router.process(PortId(0), input.clone());
         let malformed =
             matches!(decision, ForwardDecision::Drop { reason: DropReason::Malformed, .. });
         assert_eq!(malformed, Datagram::parse(&input).is_err(), "malformed = does not parse");
+        // What is forwarded is what arrived: a different hop limit, no
+        // link-layer padding, and still a datagram.
+        if let ForwardDecision::Forward { frame, .. } = decision {
+            assert_eq!(frame[..7], input[..7]);
+            assert_eq!(frame[7], input[7] - 1);
+            assert_eq!(frame[8..], input[8..frame.len()]);
+            let (out, was) = (Datagram::parse(&frame), Datagram::parse(&input));
+            assert_eq!(out.map(|d| d.wire_len()), was.map(|d| d.wire_len()));
+        }
     });
+}
+
+/// Known deviation D6, closed: a hop-by-hop header padded to 16 bytes where
+/// 8 would do is legal, and the reference router forwards it as it came.
+/// While the router re-serialised what it had parsed, the padding was
+/// canonicalised away under an unchanged payload length and the forwarded
+/// frame no longer parsed (`LengthMismatch`).
+#[test]
+fn an_over_padded_options_header_is_forwarded_as_it_arrived() {
+    let routes = [Route::new("8000::/1".parse().unwrap(), Ipv6Address::LOOPBACK, PortId(1), 1)];
+    let table = SequentialTable::from_routes(routes);
+    let mut router = ReferenceRouter::new(table, vec!["fe80::1".parse().expect("valid")]);
+
+    let payload = [0xabu8; 12];
+    let header = Ipv6Header {
+        traffic_class: 0,
+        flow_label: 0x1_2345,
+        payload_len: 16 + payload.len() as u16,
+        next_header: NextHeader::HopByHop,
+        hop_limit: 9,
+        src: "2001:db8::1".parse().unwrap(),
+        dst: "8000::42".parse().unwrap(),
+    };
+    let mut arrived = header.to_bytes().to_vec();
+    // next header UDP, length 1 (16 bytes), one PadN filling the other 14.
+    arrived.extend([17, 1, 1, 12]);
+    arrived.extend([0u8; 12]);
+    arrived.extend(payload);
+    let wire_len = arrived.len();
+    arrived.extend([0x55u8; 6]); // link-layer padding
+    let before = Datagram::parse(&arrived).expect("legal, if generous");
+    assert_eq!(before.wire_len(), wire_len);
+
+    let ForwardDecision::Forward { out_port, frame } = router.process(PortId(0), arrived.clone())
+    else {
+        panic!("routed and alive: must be forwarded");
+    };
+    assert_eq!(out_port, PortId(1));
+    let mut expected = arrived[..wire_len].to_vec();
+    expected[7] = 8;
+    assert_eq!(frame, expected, "the input but for byte 7 and the trailing padding");
+    let after = Datagram::parse(&frame).expect("what is forwarded re-parses");
+    assert_eq!(after.header().hop_limit, 8);
+    assert_eq!((after.extensions(), after.payload()), (before.extensions(), before.payload()));
 }
