@@ -133,7 +133,7 @@ impl Ipv6Address {
     ///
     /// This is the primitive the PATRICIA and range-tree longest-prefix-match
     /// engines are built on.
-    #[inline]
+    #[inline] // the linear scans call it per entry from another crate
     pub fn common_prefix_len(&self, other: &Ipv6Address) -> u8 {
         // One XOR of the two 128-bit words; equal addresses leave zero,
         // whose `leading_zeros` is the full 128.

@@ -244,7 +244,7 @@ fn span(kind: NextHeader, bytes: &[u8]) -> Result<(u8, usize), ParseError> {
 /// # Errors
 ///
 /// Truncation and malformed-length errors of the individual headers.
-pub fn walk_chain<'a>(
+pub(crate) fn walk_chain<'a>(
     first: NextHeader,
     bytes: &'a [u8],
     mut visit: impl FnMut(NextHeader, &'a [u8]),

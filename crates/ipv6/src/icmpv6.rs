@@ -194,11 +194,6 @@ impl Icmpv6Message {
 /// it (40-byte IPv6 header + 8-byte ICMP prologue).
 const MAX_INVOKING: usize = 1280 - Ipv6Header::LEN - 8;
 
-/// Truncates an invoking datagram to the RFC 2463 limit.
-pub fn truncate_invoking(packet: &[u8]) -> Vec<u8> {
-    packet[..packet.len().min(MAX_INVOKING)].to_vec()
-}
-
 /// A *time exceeded* error about `invoking`, from `src` to `dst`, as one
 /// complete wire frame (see [`unreachable_frame`]).
 pub fn time_exceeded_frame(src: &Ipv6Address, dst: &Ipv6Address, invoking: &[u8]) -> Vec<u8> {
@@ -209,7 +204,7 @@ pub fn time_exceeded_frame(src: &Ipv6Address, dst: &Ipv6Address, invoking: &[u8]
 /// as one complete wire frame: the fixed header (hop limit 64), the ICMPv6
 /// prologue and the invoking bytes up to the RFC 2463 limit, written once
 /// into one buffer.  Byte for byte what wrapping
-/// [`Icmpv6Message::to_bytes`] of [`truncate_invoking`] in a
+/// [`Icmpv6Message::to_bytes`] of the truncated invoking bytes in a
 /// [`Datagram`](crate::Datagram) serialises to.
 pub fn unreachable_frame(
     src: &Ipv6Address,
@@ -322,17 +317,20 @@ mod tests {
     fn error_frames_are_the_message_wrapped_in_a_datagram() {
         use crate::Datagram;
         let (s, d) = addrs();
-        for invoking in [vec![0x60u8; 48], vec![7u8; 4000]] {
+        // A short invoking datagram is quoted whole; a long one up to what
+        // fills the 1280-byte minimum MTU.
+        for (invoking, frame_len) in [(vec![0x60u8; 60], 48 + 60), (vec![7u8; 4000], 1280)] {
+            let quoted = invoking[..frame_len - 48].to_vec();
             let cases = [
                 (
                     time_exceeded_frame(&s, &d, &invoking),
-                    Icmpv6Message::TimeExceeded { invoking: truncate_invoking(&invoking) },
+                    Icmpv6Message::TimeExceeded { invoking: quoted.clone() },
                 ),
                 (
                     unreachable_frame(&s, &d, UnreachableCode::NoRoute, &invoking),
                     Icmpv6Message::DestinationUnreachable {
                         code: UnreachableCode::NoRoute,
-                        invoking: truncate_invoking(&invoking),
+                        invoking: quoted,
                     },
                 ),
             ];
@@ -342,17 +340,8 @@ mod tests {
                     .payload(NextHeader::Icmpv6, message.to_bytes(&s, &d))
                     .build();
                 assert_eq!(frame, wrapped.to_bytes());
-                assert!(frame.len() <= 1280);
+                assert_eq!(frame.len(), frame_len);
             }
         }
-    }
-
-    #[test]
-    fn truncate_invoking_respects_min_mtu() {
-        let big = vec![0u8; 4000];
-        let t = truncate_invoking(&big);
-        assert_eq!(t.len(), 1280 - 48);
-        let small = vec![0u8; 60];
-        assert_eq!(truncate_invoking(&small).len(), 60);
     }
 }

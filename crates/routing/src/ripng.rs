@@ -326,8 +326,9 @@ impl RipngEngine {
                         if went_dead {
                             self.stats.routes_expired += 1;
                             existing.expires_at = None;
-                            existing.gc_at = Some(now + self.gc_interval);
-                            lower(&mut self.next_deadline, now + self.gc_interval);
+                            let gc_at = now + self.gc_interval;
+                            existing.gc_at = Some(gc_at);
+                            lower(&mut self.next_deadline, gc_at);
                         } else {
                             // RFC 2080 §2.3: a route re-established while
                             // its deletion is pending cancels the deletion.
