@@ -641,7 +641,7 @@ pub(crate) fn hex_encode(bytes: &[u8]) -> String {
 
 /// Decodes [`hex_encode`] output (either nibble case accepted).
 pub(crate) fn hex_decode(s: &str) -> Result<Vec<u8>, String> {
-    if s.len() % 2 != 0 {
+    if !s.len().is_multiple_of(2) {
         return Err(format!("hex body has odd length {}", s.len()));
     }
     s.as_bytes()

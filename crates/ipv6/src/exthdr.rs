@@ -48,7 +48,7 @@ impl OptionsHeader {
                 // PadN: type 1, length n-2, zero body.
                 out.push(1);
                 out.push((n - 2) as u8);
-                out.extend(std::iter::repeat(0).take(n - 2));
+                out.extend(std::iter::repeat_n(0, n - 2));
             }
         }
     }

@@ -207,7 +207,7 @@ impl RipngPacket {
             return Err(ParseError::BadField { field: "ripng version", value: bytes[1].into() });
         }
         let body = &bytes[4..];
-        if body.len() % RouteEntry::LEN != 0 {
+        if !body.len().is_multiple_of(RouteEntry::LEN) {
             return Err(ParseError::Truncated {
                 what: "ripng rte",
                 needed: body.len().div_ceil(RouteEntry::LEN) * RouteEntry::LEN,

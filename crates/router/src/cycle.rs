@@ -96,14 +96,16 @@ impl TableImage {
             TableKind::Patricia => {
                 in_memory(serialize_patricia(&PatriciaTable::from_routes(routes)))
             }
-            // Nothing in data memory: the table sits behind the RTU.
+            // Nothing in data memory: the table sits behind the RTU.  The
+            // rows are counted before they are loaded, so a full chip is an
+            // error here and not `reload`'s panic.
             TableKind::Cam => {
+                let rows = SequentialTable::from_routes(routes);
                 let mut table = CamTable::new();
-                for route in routes {
-                    if table.try_insert(route).is_err() {
-                        return Err(SimError::TableFull { capacity: table.spec().capacity });
-                    }
+                if rows.len() > table.spec().capacity {
+                    return Err(SimError::TableFull { capacity: table.spec().capacity });
                 }
+                table.reload(rows.entries());
                 TableImage { cam: Some(Arc::new(table)), ..in_memory(Vec::new()) }
             }
         })

@@ -397,7 +397,7 @@ mod tests {
         assert_eq!(dgram_base(TABLE_BASE + 661 * SEQ_ENTRY_WORDS), DGRAM_BASE);
         let end = TABLE_BASE + 662 * SEQ_ENTRY_WORDS;
         assert_eq!(dgram_base(end), DGRAM_BASE + DGRAM_SLOT_WORDS);
-        assert!(dgram_base(end) >= end && dgram_base(end) % DGRAM_SLOT_WORDS == 0);
+        assert!(dgram_base(end) >= end && dgram_base(end).is_multiple_of(DGRAM_SLOT_WORDS));
         assert_eq!(dgram_base(DGRAM_BASE + DGRAM_SLOT_WORDS), DGRAM_BASE + DGRAM_SLOT_WORDS);
         assert_eq!(dgram_base(u32::MAX), u32::MAX / DGRAM_SLOT_WORDS * DGRAM_SLOT_WORDS);
     }

@@ -13,6 +13,9 @@
 //! output for every seed (including 0), and a trivially auditable
 //! xorshift-multiply finalizer.
 
+/// The Weyl increment γ every step adds to the state.
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
 /// A SplitMix64 pseudo-random number generator.
 ///
 /// Identical seeds produce identical streams on every platform — the
@@ -30,7 +33,7 @@ impl SplitMix64 {
 
     /// The next 64 uniformly distributed bits.
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        self.state = self.state.wrapping_add(GAMMA);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -62,11 +65,27 @@ impl SplitMix64 {
     /// pipelines — which a `chance(0.5)` per toss, with its `u64 → f64`
     /// conversion, clamp and float compare, does not.
     ///
+    /// The same independence lets a CPU with AVX-512 DQ mix eight steps per
+    /// 512-bit vector (`avx512::coin_tosses`); every other CPU folds one step
+    /// at a time, and that fold is the reference the kernel is tested
+    /// against.  The CPU picks, not an option: both give the same bits.
+    ///
     /// # Panics
     ///
     /// Panics if `n` exceeds 128.
     pub fn coin_tosses(&mut self, n: u32) -> u128 {
         assert!(n <= 128, "{n} tosses do not fit a u128");
+        #[cfg(target_arch = "x86_64")]
+        if avx512::detected() {
+            // SAFETY: `detected` has just seen avx512f and avx512dq, the
+            // kernel's two target features, on the running CPU.
+            return unsafe { avx512::coin_tosses(&mut self.state, n) };
+        }
+        self.coin_tosses_fold(n)
+    }
+
+    /// [`coin_tosses`](Self::coin_tosses) one step at a time.
+    fn coin_tosses_fold(&mut self, n: u32) -> u128 {
         (0..n).fold(0u128, |tosses, _| tosses << 1 | u128::from(!self.next_u64() >> 63))
     }
 
@@ -126,6 +145,60 @@ impl SplitMix64 {
     /// `true` with probability `p` (clamped to `0.0..=1.0`).
     pub fn chance(&mut self, p: f64) -> bool {
         self.next_f64() < p.clamp(0.0, 1.0)
+    }
+}
+
+/// The host-bit kernel behind [`SplitMix64::coin_tosses`] on CPUs with
+/// AVX-512 DQ, whose 64-bit `mullo` mixes eight steps per `__m512i`.
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use std::arch::x86_64::*;
+
+    use super::GAMMA;
+
+    /// Whether the running CPU has the kernel's two target features.
+    pub(super) fn detected() -> bool {
+        is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512dq")
+    }
+
+    /// `n <= 128` tosses of the generator whose state is `*state`, packed
+    /// as `coin_tosses` packs them, with the state advanced by `n` steps.
+    ///
+    /// Block `b` covers steps `8b + 1 ..= 8b + 8`, lane `7 - j` holding step
+    /// `8b + j + 1`, so the block's sign-bit mask has its first step in the
+    /// top bit and the mask's complement is the block's eight tosses in
+    /// order.  A toss reads only the top bit of the mix, which the final
+    /// `z ^ z >> 31` leaves alone, so that xor-shift is skipped.  Steps of a
+    /// partial last block past `n` are mixed and shifted out, not stepped.
+    #[target_feature(enable = "avx512f,avx512dq")]
+    pub(super) fn coin_tosses(state: &mut u64, n: u32) -> u128 {
+        if n == 0 {
+            return 0;
+        }
+        let s = *state;
+        let step = |k: u64| s.wrapping_add(k.wrapping_mul(GAMMA)) as i64;
+        let mut z = _mm512_set_epi64(
+            step(1),
+            step(2),
+            step(3),
+            step(4),
+            step(5),
+            step(6),
+            step(7),
+            step(8),
+        );
+        let stride = _mm512_set1_epi64(GAMMA.wrapping_mul(8) as i64);
+        let m1 = _mm512_set1_epi64(0xBF58_476D_1CE4_E5B9_u64 as i64);
+        let m2 = _mm512_set1_epi64(0x94D0_49BB_1331_11EB_u64 as i64);
+        let mut bytes = [0u8; 16];
+        for byte in &mut bytes[..n.div_ceil(8) as usize] {
+            let x = _mm512_mullo_epi64(_mm512_xor_si512(z, _mm512_srli_epi64::<30>(z)), m1);
+            let x = _mm512_mullo_epi64(_mm512_xor_si512(x, _mm512_srli_epi64::<27>(x)), m2);
+            *byte = !_mm512_movepi64_mask(x);
+            z = _mm512_add_epi64(z, stride);
+        }
+        *state = s.wrapping_add(GAMMA.wrapping_mul(u64::from(n)));
+        u128::from_be_bytes(bytes) >> (128 - n)
     }
 }
 
@@ -250,6 +323,29 @@ mod tests {
                 assert_eq!(next, by_below.next_u64(), "seed {seed:#x}, n {n}");
             }
         }
+    }
+
+    #[test]
+    fn the_kernel_equals_the_fold_where_the_cpu_picks_it() {
+        // Where the kernel is picked, `coin_tosses` never reaches the fold,
+        // so the test above covers the kernel and this one the reference.
+        #[cfg(target_arch = "x86_64")]
+        if avx512::detected() {
+            for seed in (0..64u64).map(|i| i.wrapping_mul(0x9FB2_1C65_1E98_DF25) ^ !i) {
+                for n in 0..=128u32 {
+                    let mut kernel = SplitMix64::new(seed);
+                    let mut fold = kernel.clone();
+                    assert_eq!(
+                        kernel.coin_tosses(n),
+                        fold.coin_tosses_fold(n),
+                        "seed {seed:#x}, n {n}"
+                    );
+                    assert_eq!(kernel, fold, "stream position: seed {seed:#x}, n {n}");
+                }
+            }
+            return;
+        }
+        eprintln!("no AVX-512 DQ here: coin_tosses is the fold, covered above");
     }
 
     #[test]

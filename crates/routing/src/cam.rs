@@ -117,11 +117,13 @@ impl CamTable {
     }
 
     /// Creates a table from an iterator of routes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the routes need more rows than the chip has.
     pub fn from_routes<I: IntoIterator<Item = Route>>(routes: I) -> Self {
         let mut t = Self::new();
-        for r in routes {
-            t.insert(r);
-        }
+        t.reload(&routes.into_iter().collect::<Vec<_>>());
         t
     }
 
@@ -198,6 +200,19 @@ impl LpmTable for CamTable {
         self.rows.clear();
     }
 
+    /// The rows' bulk load, then [`insert`](LpmTable::insert)'s capacity
+    /// check.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the routes need more rows than the chip has.
+    fn reload(&mut self, routes: &[Route]) {
+        self.rows.reload(routes);
+        if self.rows.len() > self.spec.capacity {
+            panic!("cam capacity {} exceeded", self.spec.capacity);
+        }
+    }
+
     fn memory_words(&self) -> usize {
         // 10 words per occupied row: the 136-bit match plane (4 value +
         // 4 mask words) plus the result SRAM (interface, handle).
@@ -260,6 +275,16 @@ mod tests {
         t.insert(r("2001:db8:1::/48", 1));
         t.insert(r("2001:db8:2::/48", 2));
         t.insert(r("2001:db8:3::/48", 3));
+    }
+
+    #[test]
+    #[should_panic(expected = "cam capacity 2 exceeded")]
+    fn reload_over_capacity_panics_as_insert_does() {
+        let mut t = CamTable::with_spec(CamSpec { capacity: 2, ..CamSpec::paper_default() });
+        // A repeated prefix needs no second row: three routes fit two rows.
+        t.reload(&[r("2001:db8:1::/48", 1), r("2001:db8:2::/48", 2), r("2001:db8:1::/48", 3)]);
+        assert_eq!(t.len(), 2);
+        t.reload(&[r("2001:db8:1::/48", 1), r("2001:db8:2::/48", 2), r("2001:db8:3::/48", 3)]);
     }
 
     #[test]

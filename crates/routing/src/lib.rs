@@ -64,3 +64,25 @@ pub use route::{PortId, Route};
 pub use sequential::SequentialTable;
 pub use table::{Lookup, LpmTable, TableKind};
 pub use tree::BalancedTreeTable;
+
+/// The seeded draws of this crate's randomised tests.
+#[cfg(test)]
+mod test_rng {
+    /// SplitMix64, as `taco_router::SplitMix64` steps it (that crate sits
+    /// above this one).
+    pub(crate) struct Rng(pub(crate) u64);
+
+    impl Rng {
+        pub(crate) fn next_u64(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        pub(crate) fn below(&mut self, n: u64) -> u64 {
+            self.next_u64() % n
+        }
+    }
+}

@@ -451,7 +451,7 @@ impl RipngEngine {
         let before = self.rib.len();
         let (mut earliest, mut flagged) = (None, false);
         self.rib.retain(|_, r| {
-            let keep = r.gc_at.map_or(true, |t| now < t);
+            let keep = r.gc_at.is_none_or(|t| now < t);
             if keep {
                 flagged |= r.changed;
                 for t in [r.expires_at, r.gc_at].into_iter().flatten() {
@@ -530,6 +530,7 @@ fn lower(deadline: &mut Option<SimTime>, t: SimTime) {
 mod tests {
     use super::*;
     use crate::sequential::SequentialTable;
+    use crate::test_rng::Rng;
 
     fn engine_two_ports() -> RipngEngine {
         RipngEngine::new(vec![
@@ -946,7 +947,7 @@ mod tests {
                 }
             }
             let before = self.rib.len();
-            self.rib.retain(|_, r| r.gc_at.map_or(true, |t| now < t));
+            self.rib.retain(|_, r| r.gc_at.is_none_or(|t| now < t));
             self.stats.routes_deleted += (before - self.rib.len()) as u64;
 
             let mut out = Vec::new();
@@ -977,20 +978,6 @@ mod tests {
                 r.changed = false;
             }
             out
-        }
-    }
-
-    /// SplitMix64, as `taco_router::SplitMix64` steps it (that crate sits
-    /// above this one).
-    struct Rng(u64);
-
-    impl Rng {
-        fn below(&mut self, n: u64) -> u64 {
-            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            (z ^ (z >> 31)) % n
         }
     }
 
@@ -1049,7 +1036,7 @@ mod tests {
                         "{at}: triggered by the response"
                     );
                 }
-                seen[usize::from(gated.next_deadline.map_or(true, |due| now < due))] += 1;
+                seen[usize::from(gated.next_deadline.is_none_or(|due| now < due))] += 1;
                 assert_eq!(gated.tick(now), walked.tick_reference(now), "{at}: packets");
                 assert_eq!(gated.route_changes(), walked.route_changes(), "{at}");
                 assert_eq!(gated.stats(), walked.stats(), "{at}");

@@ -42,10 +42,10 @@ impl TableKind {
     /// every organisation.
     pub fn build(&self, routes: &[Route]) -> Box<dyn LpmTable> {
         let n = routes.len();
-        let routes = routes.iter().copied();
+        let each = routes.iter().copied();
         match self {
-            TableKind::Sequential => Box::new(crate::SequentialTable::from_routes(routes)),
-            TableKind::BalancedTree => Box::new(crate::BalancedTreeTable::from_routes(routes)),
+            TableKind::Sequential => Box::new(crate::SequentialTable::from_routes(each)),
+            TableKind::BalancedTree => Box::new(crate::BalancedTreeTable::from_routes(each)),
             TableKind::Cam => {
                 let spec = crate::CamSpec::paper_default();
                 let mut cam = if n > spec.capacity {
@@ -56,12 +56,10 @@ impl TableKind {
                 } else {
                     crate::CamTable::new()
                 };
-                for r in routes {
-                    cam.insert(r);
-                }
+                cam.reload(routes);
                 Box::new(cam)
             }
-            TableKind::Patricia => Box::new(crate::PatriciaTable::from_routes(routes)),
+            TableKind::Patricia => Box::new(crate::PatriciaTable::from_routes(each)),
         }
     }
 }
@@ -330,6 +328,9 @@ mod tests {
                 .chain([Ipv6Address::UNSPECIFIED, "ffff::1".parse().unwrap()])
                 .collect();
 
+        // The sequential table, the CAM (its rows) and the tree override
+        // `reload` with a bulk build; PATRICIA takes the default.  Lookups
+        // read the sequential rows' scan keys, so they check those too.
         for kind in TableKind::ALL_KINDS {
             for target in [&nested[..], &repeated[..], &[]] {
                 let mut reloaded = kind.build(&before);

@@ -194,7 +194,7 @@ fn uniquify(traffic: &mut [Datagram]) {
 /// all drawn from `seed`.
 fn random_table_agrees(seed: u64, table_size: usize, kind: TableKind, config: &MachineConfig) {
     let mut gen = TrafficGen::new(seed, 4);
-    let routes = gen.table(table_size, seed % 2 == 0);
+    let routes = gen.table(table_size, seed.is_multiple_of(2));
     let mut traffic: Vec<Datagram> =
         gen.forwarding_workload(&routes, 12, 0.7, 24).into_iter().map(|(_, d)| d).collect();
     uniquify(&mut traffic);

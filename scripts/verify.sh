@@ -94,6 +94,14 @@ if grep -rnE 'parse_or_[e]xit\(|supported_features_[j]son|Status[L]ine' crates s
 # `Vec<u8>`, not a parsed-or-raw pair serialised on the way out (a bare
 # `into_bytes` is `String`'s, in trace.rs and fuzz_wire.rs).
 if grep -rnE 'Frame::[P]arsed|Frame::[R]aw|frame\.into_[b]ytes' crates src tests examples scripts; then exit 1; fi
+# PR 25, the `unsafe` surface stays where it is: the poll(2) FFI, the one
+# call into the host-bit kernel, and the allocation-counting allocator of
+# `eval_allocs` (a `GlobalAlloc` cannot be implemented without it).
+if grep -rnw 'unsafe' crates src tests examples |
+        grep -vE '^(crates/served/src/poll|crates/router/src/rng|tests/eval_allocs)\.rs:'; then
+    echo "unsafe only in crates/served/src/poll.rs, crates/router/src/rng.rs, tests/eval_allocs.rs"
+    exit 1
+fi
 echo "guards ok"
 
 echo
