@@ -49,10 +49,11 @@ pub const DEFAULT_SEED: u64 = 0x7AC0_2003;
 
 /// The most ticks, and the most offered datagrams, a workload descriptor
 /// arriving over the wire may ask one runner for.  An offered datagram
-/// costs 0.3 to 0.4 µs end to end at the builtin table size (draw, write
-/// the frame, queue, check in place, look up, fold; ENGINEERING_LOG.md "The
-/// frame is the data path's currency"), so `2²⁴ × 0.4 µs` is five to seven
-/// seconds of a runner; the builtin workloads offer 425 to 15 409.
+/// costs 0.18 to 0.24 µs end to end at the builtin table size on an
+/// AVX-512 host (draw, write the frame, queue, check in place, look up,
+/// fold; ENGINEERING_LOG.md "Host bits eight to a vector"), so
+/// `2²⁴ × 0.24 µs` is about four seconds of a runner; the builtin
+/// workloads offer 425 to 15 409.
 /// In-process callers are not bound by it.
 pub const MAX_OFFERED: u64 = 1 << 24;
 
