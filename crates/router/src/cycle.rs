@@ -74,14 +74,13 @@ impl TableImage {
         routes: &[Route],
         opts: &MicrocodeOptions,
     ) -> Result<Self, SimError> {
-        let routes = routes.iter().copied();
         let in_memory =
             |words| TableImage { kind, words, cam: None, padded_entries: 0, opts: *opts };
         Ok(match kind {
             // Scan-ordered entries padded to a multiple of `opts.unroll`,
             // screened on the word `choose_screen_word` picks.
             TableKind::Sequential => {
-                let table = SequentialTable::from_routes(routes);
+                let table = SequentialTable::from_routes(routes.iter().copied());
                 let mut words = serialize_sequential(&table);
                 pad_sequential_image(&mut words, opts.unroll);
                 TableImage {
@@ -91,21 +90,16 @@ impl TableImage {
                 }
             }
             TableKind::BalancedTree => {
-                in_memory(serialize_tree(&BalancedTreeTable::from_routes(routes)))
+                in_memory(serialize_tree(&BalancedTreeTable::from_routes(routes.iter().copied())))
             }
             TableKind::Patricia => {
-                in_memory(serialize_patricia(&PatriciaTable::from_routes(routes)))
+                in_memory(serialize_patricia(&PatriciaTable::from_routes(routes.iter().copied())))
             }
-            // Nothing in data memory: the table sits behind the RTU.  The
-            // rows are counted before they are loaded, so a full chip is an
-            // error here and not `reload`'s panic.
+            // Nothing in data memory: the table sits behind the RTU, and a
+            // full chip is an error here, not `reload`'s panic.
             TableKind::Cam => {
-                let rows = SequentialTable::from_routes(routes);
-                let mut table = CamTable::new();
-                if rows.len() > table.spec().capacity {
-                    return Err(SimError::TableFull { capacity: table.spec().capacity });
-                }
-                table.reload(rows.entries());
+                let table = CamTable::try_from_routes(routes)
+                    .map_err(|capacity| SimError::TableFull { capacity })?;
                 TableImage { cam: Some(Arc::new(table)), ..in_memory(Vec::new()) }
             }
         })
@@ -444,6 +438,17 @@ mod tests {
 
     fn siblings(n: u16) -> Vec<Route> {
         (0..n).map(|i| route(&format!("2001:db8:{i:x}::/48"), i)).collect()
+    }
+
+    #[test]
+    fn a_cam_image_past_the_chip_is_table_full() {
+        let opts = MicrocodeOptions::default();
+        let capacity = CamTable::new().spec().capacity;
+        let rows = siblings(capacity as u16 + 1);
+        let image = TableImage::new(TableKind::Cam, &rows, &opts);
+        assert_eq!(image.err(), Some(SimError::TableFull { capacity }));
+        let image = TableImage::new(TableKind::Cam, &rows[..capacity], &opts).expect("fits");
+        assert_eq!(image.cam.as_ref().map(|t| t.len()), Some(capacity));
     }
 
     /// Cycles a 1BUS/1FU router over `n` sibling /48s spends on one datagram.

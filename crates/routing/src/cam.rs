@@ -122,9 +122,24 @@ impl CamTable {
     ///
     /// Panics if the routes need more rows than the chip has.
     pub fn from_routes<I: IntoIterator<Item = Route>>(routes: I) -> Self {
+        Self::try_from_routes(&routes.into_iter().collect::<Vec<_>>())
+            .unwrap_or_else(|capacity| panic!("cam capacity {capacity} exceeded"))
+    }
+
+    /// Creates a table holding `routes`, loaded in bulk the way
+    /// [`reload`](LpmTable::reload) loads them, on the paper's default chip.
+    ///
+    /// # Errors
+    ///
+    /// The chip's row count, when the routes need more rows than that (a
+    /// repeated prefix takes one row).
+    pub fn try_from_routes(routes: &[Route]) -> Result<Self, usize> {
         let mut t = Self::new();
-        t.reload(&routes.into_iter().collect::<Vec<_>>());
-        t
+        t.rows.reload(routes);
+        if t.rows.len() > t.spec.capacity {
+            return Err(t.spec.capacity);
+        }
+        Ok(t)
     }
 
     /// The chip parameters.
@@ -146,7 +161,7 @@ impl CamTable {
     /// [`LpmTable::insert`] that reports a full chip instead of panicking:
     /// `Err` hands back the route that needs a row the CAM does not have
     /// (replacing the route of a stored prefix always fits).
-    pub fn try_insert(&mut self, route: Route) -> Result<Option<Route>, Route> {
+    fn try_insert(&mut self, route: Route) -> Result<Option<Route>, Route> {
         if self.rows.len() >= self.spec.capacity && self.rows.get(&route.prefix()).is_none() {
             return Err(route);
         }
@@ -285,6 +300,20 @@ mod tests {
         t.reload(&[r("2001:db8:1::/48", 1), r("2001:db8:2::/48", 2), r("2001:db8:1::/48", 3)]);
         assert_eq!(t.len(), 2);
         t.reload(&[r("2001:db8:1::/48", 1), r("2001:db8:2::/48", 2), r("2001:db8:3::/48", 3)]);
+    }
+
+    #[test]
+    fn try_from_routes_fills_the_chip_and_refuses_one_row_more() {
+        let capacity = CamSpec::paper_default().capacity;
+        let rows: Vec<Route> =
+            (0..=capacity).map(|i| r(&format!("2001:db8:{i:x}::/48"), i as u16)).collect();
+        assert_eq!(CamTable::try_from_routes(&rows).err(), Some(capacity));
+        // Exactly full fits, and a repeated prefix takes no second row.
+        let mut full = rows[..capacity].to_vec();
+        full.push(rows[0]);
+        let t = CamTable::try_from_routes(&full).expect("fits");
+        assert_eq!((t.len(), t.free_rows()), (capacity, 0));
+        assert_eq!(t.rows(), CamTable::from_routes(rows[..capacity].to_vec()).rows());
     }
 
     #[test]

@@ -19,7 +19,7 @@
 use std::error::Error;
 use std::fmt;
 
-use crate::fu::FuKind;
+use crate::fu::{FuKind, FuRef};
 use crate::program::{Guard, Instruction, Move, PortRef, Program, Source};
 
 /// Error produced when assembly text cannot be parsed.
@@ -115,10 +115,10 @@ fn parse_guard(tok: &str, negate: bool, line: usize) -> Result<Guard, AsmError> 
     let (fu, signal) =
         tok.split_once('.').ok_or_else(|| err(line, format!("guard {tok:?} must be fu.signal")))?;
     let (kind, index) = parse_fu(fu, line)?;
-    if !kind.has_guard(signal) {
-        return Err(err(line, format!("{kind} drives no guard signal {signal:?}")));
-    }
-    Ok(Guard::new(kind, index, signal, negate))
+    let signal = kind
+        .find_guard(signal)
+        .ok_or_else(|| err(line, format!("{kind} drives no guard signal {signal:?}")))?;
+    Ok(Guard { fu: FuRef::new(kind, index), signal, negate })
 }
 
 fn parse_source(tok: &str, line: usize) -> Result<Source, AsmError> {
@@ -150,9 +150,9 @@ fn parse_port(tok: &str, line: usize) -> Result<PortRef, AsmError> {
     let (fu, port) =
         tok.split_once('.').ok_or_else(|| err(line, format!("expected fu.port, got {tok:?}")))?;
     let (kind, index) = parse_fu(fu, line)?;
-    let spec =
+    let port =
         kind.find_port(port).ok_or_else(|| err(line, format!("{kind} has no port {port:?}")))?;
-    Ok(PortRef::new(kind, index, spec.name))
+    Ok(PortRef { fu: FuRef::new(kind, index), port })
 }
 
 fn parse_fu(tok: &str, line: usize) -> Result<(FuKind, u8), AsmError> {
@@ -338,7 +338,7 @@ mod tests {
                 let tok = format!("{}0.{}", k.asm_prefix(), p.name);
                 let parsed = parse_port(&tok, 1).unwrap();
                 assert_eq!(parsed.fu.kind, k);
-                assert_eq!(parsed.port, p.name);
+                assert_eq!(parsed.name(), p.name);
             }
         }
     }

@@ -100,7 +100,8 @@ impl CodeBuilder {
     /// Panics if `i >= 16`.
     pub fn reg(&self, i: u8) -> PortRef {
         assert!(i < 16, "register index {i} out of range");
-        PortRef::new(FuKind::Regs, 0, crate::fu::GP_REGISTERS[usize::from(i)])
+        // Register `ri` is port `i` of the register file.
+        PortRef { fu: FuRef::new(FuKind::Regs, 0), port: i }
     }
 
     /// Appends an unguarded move.

@@ -32,66 +32,105 @@ use crate::fu::{FuKind, FuRef};
 use crate::machine::MachineConfig;
 use crate::program::{Guard, Instruction, Move, PortRef, Program, Source};
 
-/// Stable numbering of the sockets and guard signals of one configuration.
+/// Stable numbering of the sockets and guard signals of one configuration:
+/// every port of every FU instance, then every guard signal, kind by kind
+/// in [`FuKind::ALL`] order, instance by instance, in table order.  Ids are
+/// computed, not searched for.
 #[derive(Debug, Clone)]
 pub struct SocketMap {
-    sockets: Vec<PortRef>,
-    guards: Vec<(FuRef, &'static str)>,
+    count: [u8; FuKind::ALL.len()],
+    socket_base: [u64; FuKind::ALL.len()],
+    guard_base: [u64; FuKind::ALL.len()],
+    sockets: u64,
+    guards: u64,
 }
 
 impl SocketMap {
-    /// Enumerates `config`'s sockets (every port of every FU instance, in
-    /// kind/instance/port order) and guard signals.
+    /// Numbers `config`'s sockets and guard signals.
     pub fn new(config: &MachineConfig) -> Self {
-        let mut sockets = Vec::new();
-        let mut guards = Vec::new();
+        let mut map = SocketMap {
+            count: [0; FuKind::ALL.len()],
+            socket_base: [0; FuKind::ALL.len()],
+            guard_base: [0; FuKind::ALL.len()],
+            sockets: 0,
+            guards: 0,
+        };
         for kind in FuKind::ALL {
-            for index in 0..config.fu_count(kind) {
-                let fu = FuRef::new(kind, index);
-                for port in kind.ports() {
-                    sockets.push(PortRef { fu, port: port.name });
-                }
-                for signal in kind.guards() {
-                    guards.push((fu, *signal));
-                }
-            }
+            let (k, count) = (kind as usize, config.fu_count(kind));
+            map.count[k] = count;
+            map.socket_base[k] = map.sockets;
+            map.guard_base[k] = map.guards;
+            map.sockets += u64::from(count) * kind.ports().len() as u64;
+            map.guards += u64::from(count) * kind.guards().len() as u64;
         }
-        SocketMap { sockets, guards }
+        map
     }
 
     /// Number of sockets.
     pub fn socket_count(&self) -> usize {
-        self.sockets.len()
+        self.sockets as usize
     }
 
     /// Bits needed for a socket id.
     pub fn socket_bits(&self) -> u32 {
-        bits_for(self.sockets.len() as u64 - 1)
+        bits_for(self.sockets - 1)
     }
 
     /// Bits needed for the guard field (including the "unguarded" code 0).
     pub fn guard_bits(&self) -> u32 {
-        bits_for(self.guards.len() as u64)
+        bits_for(self.guards)
     }
 
     /// The id of a socket.
     pub fn socket_id(&self, port: &PortRef) -> Option<u64> {
-        self.sockets.iter().position(|p| p == port).map(|i| i as u64)
+        let kind = port.fu.kind;
+        self.id(&self.socket_base, port.fu, port.port, kind.ports().len())
     }
 
     /// The socket with a given id.
     pub fn socket(&self, id: u64) -> Option<PortRef> {
-        self.sockets.get(id as usize).copied()
+        let (fu, port) = self.locate(&self.socket_base, id, |k| k.ports().len())?;
+        Some(PortRef { fu, port })
     }
 
-    /// The id of a guard signal.
-    pub fn guard_id(&self, fu: FuRef, signal: &str) -> Option<u64> {
-        self.guards.iter().position(|(f, s)| *f == fu && *s == signal).map(|i| i as u64)
+    /// The id of guard signal `signal` (an index into `fu.kind.guards()`).
+    pub fn guard_id(&self, fu: FuRef, signal: u8) -> Option<u64> {
+        self.id(&self.guard_base, fu, signal, fu.kind.guards().len())
     }
 
     /// The guard signal with a given id.
-    pub fn guard(&self, id: u64) -> Option<(FuRef, &'static str)> {
-        self.guards.get(id as usize).copied()
+    pub fn guard(&self, id: u64) -> Option<(FuRef, u8)> {
+        self.locate(&self.guard_base, id, |k| k.guards().len())
+    }
+
+    /// Entry `entry` of `fu`, whose kind has `per_fu` entries per instance,
+    /// in the numbering starting at `base`.
+    fn id(
+        &self,
+        base: &[u64; FuKind::ALL.len()],
+        fu: FuRef,
+        entry: u8,
+        per_fu: usize,
+    ) -> Option<u64> {
+        let k = fu.kind as usize;
+        (fu.index < self.count[k] && usize::from(entry) < per_fu)
+            .then(|| base[k] + u64::from(fu.index) * per_fu as u64 + u64::from(entry))
+    }
+
+    /// The inverse of [`SocketMap::id`].
+    fn locate(
+        &self,
+        base: &[u64; FuKind::ALL.len()],
+        id: u64,
+        per_fu: fn(FuKind) -> usize,
+    ) -> Option<(FuRef, u8)> {
+        FuKind::ALL.into_iter().find_map(|kind| {
+            let k = kind as usize;
+            let per_fu = per_fu(kind) as u64;
+            let offset = id.checked_sub(base[k])?;
+            (offset < u64::from(self.count[k]) * per_fu)
+                .then(|| (FuRef::new(kind, (offset / per_fu) as u8), (offset % per_fu) as u8))
+        })
     }
 }
 
@@ -350,6 +389,19 @@ mod tests {
             assert_eq!(map.socket_id(&port), Some(id));
         }
         assert!(map.socket(map.socket_count() as u64).is_none());
+        let guards = (0u64..).take_while(|&id| map.guard(id).is_some()).count();
+        assert_eq!(
+            guards,
+            3 + 3 * 3 + 3 * 2 + 1 + 1,
+            "match, eq/lt/gt, done/zero ×3; hit; pending"
+        );
+        for id in 0..guards as u64 {
+            let (fu, signal) = map.guard(id).expect("dense");
+            assert_eq!(map.guard_id(fu, signal), Some(id));
+        }
+        let cnt3 = FuRef::new(FuKind::Counter, 3);
+        assert_eq!(map.socket_id(&PortRef { fu: cnt3, port: 0 }), None, "no fourth counter");
+        assert_eq!(map.guard_id(FuRef::new(FuKind::Counter, 0), 2), None, "two counter signals");
     }
 
     #[test]

@@ -16,6 +16,12 @@
 //! This module is pure metadata — the behavioural models live in
 //! `taco-sim` — so that the assembler and scheduler can validate programs
 //! without pulling in the simulator.
+//!
+//! Code names a port or guard signal by its index in its kind's table
+//! ([`FuKind::ports`], [`FuKind::guards`]).  Names are looked up only where
+//! text becomes code or code becomes text: the assembler, `Display`, and
+//! the name-taking constructors of [`PortRef`](crate::PortRef) and
+//! [`Guard`](crate::Guard).
 
 use std::fmt;
 use std::str::FromStr;
@@ -81,12 +87,6 @@ pub struct PortSpec {
 const fn port(name: &'static str, dir: PortDir) -> PortSpec {
     PortSpec { name, dir }
 }
-
-/// Names of the sixteen general-purpose registers.
-pub const GP_REGISTERS: [&str; 16] = [
-    "r0", "r1", "r2", "r3", "r4", "r5", "r6", "r7", "r8", "r9", "r10", "r11", "r12", "r13", "r14",
-    "r15",
-];
 
 impl FuKind {
     /// Every FU kind, in display order.
@@ -202,14 +202,15 @@ impl FuKind {
         }
     }
 
-    /// Looks up a port spec by name.
-    pub fn find_port(&self, name: &str) -> Option<PortSpec> {
-        self.ports().iter().copied().find(|p| p.name == name)
+    /// The index in [`FuKind::ports`] of the port called `name` — the one
+    /// name lookup, made where text becomes a [`PortRef`](crate::PortRef).
+    pub fn find_port(&self, name: &str) -> Option<u8> {
+        self.ports().iter().position(|p| p.name == name).map(|i| i as u8)
     }
 
-    /// Returns `true` if this FU drives a guard signal called `name`.
-    pub fn has_guard(&self, name: &str) -> bool {
-        self.guards().contains(&name)
+    /// The index in [`FuKind::guards`] of the signal called `name`.
+    pub fn find_guard(&self, name: &str) -> Option<u8> {
+        self.guards().iter().position(|g| *g == name).map(|i| i as u8)
     }
 
     /// The prefix used in assembly (`mtch0.t`, `cnt2.r`, ...).
@@ -332,25 +333,27 @@ mod tests {
 
     #[test]
     fn find_port_and_guards() {
-        assert_eq!(FuKind::Matcher.find_port("mask").unwrap().dir, PortDir::Operand);
-        assert_eq!(FuKind::Matcher.find_port("t").unwrap().dir, PortDir::Trigger);
-        assert_eq!(FuKind::Matcher.find_port("r").unwrap().dir, PortDir::Result);
-        assert!(FuKind::Matcher.find_port("nope").is_none());
-        assert!(FuKind::Matcher.has_guard("match"));
-        assert!(FuKind::Comparator.has_guard("eq"));
-        assert!(FuKind::Counter.has_guard("done"));
-        assert!(FuKind::Ippu.has_guard("pending"));
-        assert!(!FuKind::Checksum.has_guard("match"));
+        let dir = |name: &str| {
+            Some(FuKind::Matcher.ports()[usize::from(FuKind::Matcher.find_port(name)?)].dir)
+        };
+        assert_eq!(dir("mask"), Some(PortDir::Operand));
+        assert_eq!(dir("t"), Some(PortDir::Trigger));
+        assert_eq!(dir("r"), Some(PortDir::Result));
+        assert_eq!(FuKind::Matcher.find_port("nope"), None);
+        assert_eq!(FuKind::Matcher.find_guard("match"), Some(0));
+        assert_eq!(FuKind::Comparator.find_guard("gt"), Some(2));
+        assert_eq!(FuKind::Counter.find_guard("done"), Some(0));
+        assert_eq!(FuKind::Ippu.find_guard("pending"), Some(0));
+        assert_eq!(FuKind::Checksum.find_guard("match"), None);
     }
 
     #[test]
-    fn register_file_exposes_16_registers() {
+    fn register_n_is_port_n_of_the_register_file() {
         let ports = FuKind::Regs.ports();
         assert_eq!(ports.len(), 16);
         assert!(ports.iter().all(|p| p.dir == PortDir::Both));
-        assert_eq!(GP_REGISTERS.len(), 16);
-        for name in GP_REGISTERS {
-            assert!(FuKind::Regs.find_port(name).is_some(), "{name}");
+        for (i, p) in ports.iter().enumerate() {
+            assert_eq!(p.name, format!("r{i}"));
         }
     }
 

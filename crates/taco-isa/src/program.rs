@@ -9,33 +9,51 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::fu::{FuKind, FuRef, PortDir};
+use crate::fu::{FuKind, FuRef, PortDir, PortSpec};
 
-/// A reference to one FU port, e.g. `mtch0.t`.
+/// A reference to one FU port, e.g. `mtch0.t`: the FU instance plus the
+/// port's index in its kind's [`FuKind::ports`] table.  Equality, ordering,
+/// hashing and [`PortRef::dir`] are integer operations; the name is looked
+/// up only to print it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PortRef {
     /// The FU instance.
     pub fu: FuRef,
-    /// The port name (one of [`FuKind::ports`] for `fu.kind`).
-    pub port: &'static str,
+    /// Index into `fu.kind.ports()`.
+    pub port: u8,
 }
 
 impl PortRef {
-    /// Creates a port reference, validating that the port exists.
+    /// Creates a reference to the port of `kind[index]` called `port`.
     ///
     /// # Panics
     ///
     /// Panics if `kind` has no port called `port` — that is a programming
     /// error in generated code, not a runtime condition.
     pub fn new(kind: FuKind, index: u8, port: &str) -> Self {
-        let spec =
+        let port =
             kind.find_port(port).unwrap_or_else(|| panic!("{kind} has no port named {port:?}"));
-        PortRef { fu: FuRef::new(kind, index), port: spec.name }
+        PortRef { fu: FuRef::new(kind, index), port }
+    }
+
+    /// The port's entry in its kind's table.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the index is past the table, which only a hand-built
+    /// `PortRef` can be (the simulator rejects one before running it).
+    fn spec(&self) -> PortSpec {
+        self.fu.kind.ports()[usize::from(self.port)]
+    }
+
+    /// The port's name (`"t"` for `mtch0.t`).
+    pub fn name(&self) -> &'static str {
+        self.spec().name
     }
 
     /// The direction of this port.
     pub fn dir(&self) -> PortDir {
-        self.fu.kind.find_port(self.port).expect("port validated at construction").dir
+        self.spec().dir
     }
 
     /// Returns `true` if a move may read from this port.
@@ -56,7 +74,10 @@ impl PortRef {
 
 impl fmt::Display for PortRef {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}.{}", self.fu, self.port)
+        match self.fu.kind.ports().get(usize::from(self.port)) {
+            Some(spec) => write!(f, "{}.{}", self.fu, spec.name),
+            None => write!(f, "{}.#{}", self.fu, self.port),
+        }
     }
 }
 
@@ -109,35 +130,46 @@ impl fmt::Display for Source {
 /// The paper's Matcher "reports its result to the Interconnection Network
 /// Controller by means of a result bit signal directly connected between
 /// them"; guards are how programs consume those bits.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Guard {
     /// The FU driving the signal.
     pub fu: FuRef,
-    /// Signal name (one of [`FuKind::guards`]).
-    pub signal: &'static str,
+    /// Index into `fu.kind.guards()`.
+    pub signal: u8,
     /// If `true` the move executes when the signal is *low*.
     pub negate: bool,
 }
 
 impl Guard {
-    /// Creates a guard on `kind[index].signal`.
+    /// Creates a guard on the signal of `kind[index]` called `signal`.
     ///
     /// # Panics
     ///
     /// Panics if the FU kind does not drive a guard signal of that name.
     pub fn new(kind: FuKind, index: u8, signal: &str, negate: bool) -> Self {
-        let canonical = kind
-            .guards()
-            .iter()
-            .find(|g| **g == signal)
+        let signal = kind
+            .find_guard(signal)
             .unwrap_or_else(|| panic!("{kind} drives no guard signal {signal:?}"));
-        Guard { fu: FuRef::new(kind, index), signal: canonical, negate }
+        Guard { fu: FuRef::new(kind, index), signal, negate }
+    }
+
+    /// The signal's name (`"done"` for `?cnt0.done`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the index is past the kind's table (see [`PortRef::name`]).
+    pub fn name(&self) -> &'static str {
+        self.fu.kind.guards()[usize::from(self.signal)]
     }
 }
 
 impl fmt::Display for Guard {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}{}.{}", if self.negate { '!' } else { '?' }, self.fu, self.signal)
+        write!(f, "{}{}.", if self.negate { '!' } else { '?' }, self.fu)?;
+        match self.fu.kind.guards().get(usize::from(self.signal)) {
+            Some(name) => f.write_str(name),
+            None => write!(f, "#{}", self.signal),
+        }
     }
 }
 
@@ -262,14 +294,12 @@ impl Program {
     ///
     /// Returns the offending label name if it is not defined.
     pub fn resolve_labels(&mut self) -> Result<(), String> {
-        let labels = self.labels.clone();
-        for ins in &mut self.instructions {
+        let Program { instructions, labels } = self;
+        for ins in instructions {
             for slot in ins.slots.iter_mut().flatten() {
                 if let Source::Label(name) = &slot.src {
-                    match labels.get(name) {
-                        Some(idx) => slot.src = Source::Imm(*idx as u32),
-                        None => return Err(name.clone()),
-                    }
+                    let target = *labels.get(name).ok_or_else(|| name.clone())?;
+                    slot.src = Source::Imm(target as u32);
                 }
             }
         }
@@ -419,6 +449,15 @@ mod tests {
         assert_eq!(guarded.to_string(), "!cnt0.done cnt0.r -> nc0.pc");
         let lbl = Move::new(Source::Label("loop".into()), PortRef::new(FuKind::Nc, 0, "pc"));
         assert_eq!(lbl.to_string(), "@loop -> nc0.pc");
+    }
+
+    #[test]
+    fn indices_past_the_tables_print_as_numbers() {
+        // Only hand-built references hold one; printing one must not panic.
+        let port = PortRef { fu: FuRef::new(FuKind::Matcher, 0), port: 4 };
+        assert_eq!(port.to_string(), "mtch0.#4");
+        let guard = Guard { fu: FuRef::new(FuKind::Checksum, 1), signal: 0, negate: false };
+        assert_eq!(guard.to_string(), "?csum1.#0");
     }
 
     #[test]

@@ -46,8 +46,8 @@ pub enum SimError {
     InvalidGuard {
         /// The FU the guard samples.
         fu: FuRef,
-        /// The unknown signal name.
-        signal: &'static str,
+        /// The out-of-range index into the kind's guard signals.
+        signal: u8,
     },
     /// A memory access fell outside data memory.
     MemoryOutOfBounds {
@@ -100,11 +100,9 @@ impl fmt::Display for SimError {
                 "instruction {instruction} carries {slots} moves but the machine has {buses} bus(es)"
             ),
             SimError::UnresolvedLabel(l) => write!(f, "unresolved label {l:?}"),
-            SimError::InvalidPort { port, why } => {
-                write!(f, "invalid port reference {}.{}: {why}", port.fu, port.port)
-            }
+            SimError::InvalidPort { port, why } => write!(f, "invalid port reference {port}: {why}"),
             SimError::InvalidGuard { fu, signal } => {
-                write!(f, "{fu} drives no guard signal {signal:?}")
+                write!(f, "{fu} drives no guard signal #{signal}")
             }
             SimError::MemoryOutOfBounds { addr, size } => {
                 write!(f, "memory access at word {addr:#x} outside {size:#x}-word memory")

@@ -717,7 +717,7 @@ pub(crate) fn validate(config: &MachineConfig, program: &Program) -> Result<(), 
                 Ok(())
             };
             check(mv.dst.fu)?;
-            match mv.dst.fu.kind.find_port(mv.dst.port) {
+            match mv.dst.fu.kind.ports().get(usize::from(mv.dst.port)) {
                 None => {
                     return Err(SimError::InvalidPort {
                         port: mv.dst,
@@ -734,7 +734,7 @@ pub(crate) fn validate(config: &MachineConfig, program: &Program) -> Result<(), 
             }
             if let Source::Port(p) = &mv.src {
                 check(p.fu)?;
-                match p.fu.kind.find_port(p.port) {
+                match p.fu.kind.ports().get(usize::from(p.port)) {
                     None => {
                         return Err(SimError::InvalidPort {
                             port: *p,
@@ -752,7 +752,7 @@ pub(crate) fn validate(config: &MachineConfig, program: &Program) -> Result<(), 
             }
             if let Some(g) = &mv.guard {
                 check(g.fu)?;
-                if !g.fu.kind.has_guard(g.signal) {
+                if usize::from(g.signal) >= g.fu.kind.guards().len() {
                     return Err(SimError::InvalidGuard { fu: g.fu, signal: g.signal });
                 }
             }
@@ -1009,7 +1009,8 @@ mod tests {
 
     #[test]
     fn validation_rejects_unknown_destination_port() {
-        let bogus = PortRef { fu: FuRef::new(FuKind::Matcher, 0), port: "bogus" };
+        // The matcher has four ports.
+        let bogus = PortRef { fu: FuRef::new(FuKind::Matcher, 0), port: 4 };
         let prog = raw_program(taco_isa::Move::new(1u32, bogus));
         assert_eq!(
             Processor::new(MachineConfig::new(1), prog).err(),
@@ -1019,7 +1020,7 @@ mod tests {
 
     #[test]
     fn validation_rejects_writing_a_result_port() {
-        let result = PortRef { fu: FuRef::new(FuKind::Matcher, 0), port: "r" };
+        let result = PortRef::new(FuKind::Matcher, 0, "r");
         let prog = raw_program(taco_isa::Move::new(1u32, result));
         assert_eq!(
             Processor::new(MachineConfig::new(1), prog).err(),
@@ -1029,7 +1030,7 @@ mod tests {
 
     #[test]
     fn validation_rejects_reading_a_trigger_port() {
-        let trigger = PortRef { fu: FuRef::new(FuKind::Matcher, 0), port: "t" };
+        let trigger = PortRef::new(FuKind::Matcher, 0, "t");
         let dst = PortRef::new(FuKind::Regs, 0, "r0");
         let prog = raw_program(taco_isa::Move::new(Source::Port(trigger), dst));
         assert_eq!(
@@ -1044,12 +1045,13 @@ mod tests {
     #[test]
     fn validation_rejects_unknown_guard_signal() {
         let dst = PortRef::new(FuKind::Regs, 0, "r0");
+        // The checksum unit drives no guard signal at all.
         let guard =
-            taco_isa::Guard { fu: FuRef::new(FuKind::Checksum, 0), signal: "done", negate: false };
+            taco_isa::Guard { fu: FuRef::new(FuKind::Checksum, 0), signal: 0, negate: false };
         let prog = raw_program(taco_isa::Move::new(1u32, dst).with_guard(guard));
         assert_eq!(
             Processor::new(MachineConfig::new(1), prog).err(),
-            Some(SimError::InvalidGuard { fu: FuRef::new(FuKind::Checksum, 0), signal: "done" })
+            Some(SimError::InvalidGuard { fu: FuRef::new(FuKind::Checksum, 0), signal: 0 })
         );
     }
 

@@ -1,9 +1,10 @@
 //! Pre-decoded move schedules — the one form [`Processor`](crate::Processor)
 //! executes.
 //!
-//! Resolving a move's ports costs a walk of the port vocabulary by name and
-//! a parse of each `"rN"` register name.  None of that depends on machine
-//! state, so [`decode`] does it once per program: every move becomes a flat
+//! Resolving a move's ports costs a range check and a table lookup per port
+//! and guard, and a dispatch on what writing the port does.  None of that
+//! depends on machine state, so [`decode`] does it once per program: every
+//! move becomes a flat
 //! [`DMove`] whose guard, source and destination are slots in the
 //! processor's port file ([`PortMap`]), every trigger gets a pre-assigned
 //! statistics slot, and every instruction carries precomputed RTU-stall and
@@ -19,7 +20,7 @@
 //! instance), and the loop keeps the phase structure and trace-event order
 //! of the instruction words it replaces.  What checks that is the
 //! reference interpreter in `reference.rs`, which executes the words
-//! directly, resolving every port by name through the same [`PortMap`] and
+//! directly, resolving every port through the same [`PortMap`] and
 //! firing the same [`Ports::apply`](crate::units::Ports::apply), but shares
 //! nothing with this module; `tests/step_reference.rs` holds the two to
 //! equal statistics, events and machine state.
@@ -221,7 +222,7 @@ mod tests {
         assert_eq!((dp.moves[0].guard, dp.moves[0].negate, dp.moves[0].op), (0, false, Op::Store));
         assert_eq!((dp.moves[1].src, dp.moves[1].dst), (r13, r13 - 11));
         let cnt0 = FuRef::new(FuKind::Counter, 0);
-        assert_eq!(usize::from(dp.moves[2].guard), map.guard(cnt0, "zero").unwrap());
+        assert_eq!(usize::from(dp.moves[2].guard), map.guard(cnt0, 1).unwrap());
         assert_eq!(usize::from(dp.moves[2].gbase), map.fu(cnt0).unwrap().1);
         assert_eq!(dp.moves[2].op, Op::CounterStop);
         assert!(std::mem::size_of::<DMove>() <= 20);
@@ -237,16 +238,17 @@ mod tests {
             labels: Default::default(),
         };
         let r0 = PortRef::new(FuKind::Regs, 0, "r0");
-        let bad_trigger = PortRef { fu: FuRef::new(FuKind::Checksum, 0), port: "t" };
+        // The checksum unit has three ports.
+        let bad_trigger = PortRef { fu: FuRef::new(FuKind::Checksum, 0), port: 3 };
         assert_eq!(
             decode(&map, &program(Move::new(0u32, bad_trigger))).err(),
             Some(SimError::InvalidPort { port: bad_trigger, why: "no such port on this FU" })
         );
         let shft0 = FuRef::new(FuKind::Shifter, 0);
-        let bad_guard = taco_isa::Guard { fu: shft0, signal: "match", negate: false };
+        let bad_guard = taco_isa::Guard { fu: shft0, signal: 0, negate: false };
         assert_eq!(
             decode(&map, &program(Move::new(0u32, r0).with_guard(bad_guard))).err(),
-            Some(SimError::InvalidGuard { fu: shft0, signal: "match" })
+            Some(SimError::InvalidGuard { fu: shft0, signal: 0 })
         );
     }
 

@@ -89,43 +89,56 @@ fn words(kind: FuKind) -> usize {
     }
 }
 
-/// The write op and word offset of `kind.port`, by name.
-fn port_of(kind: FuKind, port: &str) -> Option<(Op, usize)> {
-    use FuKind::*;
-    Some(match (kind, port) {
-        (Matcher | Comparator | Counter | Checksum | Shifter | Masker | Liu, "r") => (Op::Store, R),
-        (Matcher | Masker, "mask") | (Comparator, "refv") | (Shifter, "amount") => (Op::Store, A),
-        (Matcher, "refv") | (Masker, "value") => (Op::Store, B),
-        (Counter, "stop") => (Op::CounterStop, A),
-        (Matcher, "t") => (Op::Match, 0),
-        (Comparator, "t") => (Op::Compare, 0),
-        (Counter, "tset") => (Op::CntSet, 0),
-        (Counter, "tinc") => (Op::CntInc, 0),
-        (Counter, "tdec") => (Op::CntDec, 0),
-        (Counter, "tadd") => (Op::CntAdd, 0),
-        (Counter, "tsub") => (Op::CntSub, 0),
-        (Checksum, "tclr") => (Op::CsumClr, 0),
-        (Checksum, "tadd") => (Op::CsumAdd, 0),
-        (Shifter, "tshl") => (Op::Shl, 0),
-        (Shifter, "tshr") => (Op::Shr, 0),
-        (Masker, "t") => (Op::Mask, 0),
-        (Liu, "t") => (Op::Liu, 0),
-        (Mmu, "addr") | (Rtu, "k0") | (Ippu, "ptr") | (Oppu, "iface") => (Op::Store, 0),
-        (Mmu, "r") | (Rtu, "k1") | (Ippu, "iface") => (Op::Store, 1),
-        (Rtu, "k2") => (Op::Store, 2),
-        (Rtu, "iface") => (Op::Store, 3),
-        (Rtu, "nh") => (Op::Store, 4),
-        (Mmu, "tread") => (Op::MmuRead, 0),
-        (Mmu, "twrite") => (Op::MmuWrite, 0),
-        (Rtu, "t") => (Op::Rtu, 0),
-        (Ippu, "tpop") => (Op::IppuPop, 0),
-        (Oppu, "t") => (Op::OppuEmit, 0),
-        (Nc, "pc") => (Op::Jump, 0),
-        (Regs, name) => {
-            (Op::Store, name.strip_prefix('r')?.parse().ok().filter(|i| *i < words(Regs))?)
+/// What writing each port of `kind` does and the word it names, in
+/// [`FuKind::ports`] order: the port's own word for a register, operand or
+/// result port, the FU's first word (offset 0) for a trigger.
+fn port_ops(kind: FuKind) -> &'static [(Op, usize)] {
+    use Op::*;
+    /// `regs0.rI` is word `I` of the register file.
+    const REGS: [(Op, usize); 16] = {
+        let mut ops = [(Store, 0); 16];
+        let mut i = 0;
+        while i < ops.len() {
+            ops[i].1 = i;
+            i += 1;
         }
-        _ => return None,
-    })
+        ops
+    };
+    match kind {
+        // mask, refv, t, r
+        FuKind::Matcher => &[(Store, A), (Store, B), (Match, 0), (Store, R)],
+        // refv, t, r
+        FuKind::Comparator => &[(Store, A), (Compare, 0), (Store, R)],
+        // stop, tset, tinc, tdec, tadd, tsub, r
+        FuKind::Counter => &[
+            (CounterStop, A),
+            (CntSet, 0),
+            (CntInc, 0),
+            (CntDec, 0),
+            (CntAdd, 0),
+            (CntSub, 0),
+            (Store, R),
+        ],
+        // tclr, tadd, r
+        FuKind::Checksum => &[(CsumClr, 0), (CsumAdd, 0), (Store, R)],
+        // amount, tshl, tshr, r
+        FuKind::Shifter => &[(Store, A), (Shl, 0), (Shr, 0), (Store, R)],
+        // mask, value, t, r
+        FuKind::Masker => &[(Store, A), (Store, B), (Mask, 0), (Store, R)],
+        // addr, tread, twrite, r
+        FuKind::Mmu => &[(Store, 0), (MmuRead, 0), (MmuWrite, 0), (Store, 1)],
+        // k0, k1, k2, t, iface, nh
+        FuKind::Rtu => &[(Store, 0), (Store, 1), (Store, 2), (Rtu, 0), (Store, 3), (Store, 4)],
+        // t, r
+        FuKind::Liu => &[(Liu, 0), (Store, R)],
+        // tpop, ptr, iface
+        FuKind::Ippu => &[(IppuPop, 0), (Store, 0), (Store, 1)],
+        // iface, t
+        FuKind::Oppu => &[(Store, 0), (OppuEmit, 0)],
+        FuKind::Regs => &REGS,
+        // pc
+        FuKind::Nc => &[(Jump, 0)],
+    }
 }
 
 /// The slot assignment for one machine: FU instances laid out kind by kind
@@ -177,16 +190,19 @@ impl PortMap {
     /// trigger — and the FU's first guard slot.
     pub(crate) fn port(&self, port: PortRef) -> Result<(Op, usize, usize), SimError> {
         let (base, gbase) = self.fu(port.fu)?;
-        let (op, offset) = port_of(port.fu.kind, port.port)
+        let &(op, offset) = port_ops(port.fu.kind)
+            .get(usize::from(port.port))
             .ok_or(SimError::InvalidPort { port, why: "no such port on this FU" })?;
         Ok((op, base + offset, gbase))
     }
 
-    /// The guard slot of `fu.signal`.
-    pub(crate) fn guard(&self, fu: FuRef, signal: &'static str) -> Result<usize, SimError> {
+    /// The guard slot of signal `signal` (an index into `fu.kind.guards()`).
+    pub(crate) fn guard(&self, fu: FuRef, signal: u8) -> Result<usize, SimError> {
         let gbase = self.fu(fu)?.1;
-        let offset = fu.kind.guards().iter().position(|g| *g == signal);
-        Ok(gbase + offset.ok_or(SimError::InvalidGuard { fu, signal })?)
+        if usize::from(signal) >= fu.kind.guards().len() {
+            return Err(SimError::InvalidGuard { fu, signal });
+        }
+        Ok(gbase + usize::from(signal))
     }
 
     /// Power-on contents of both files: zero, except what is true of a
@@ -379,8 +395,9 @@ mod tests {
         for (kind, count) in config.fu_counts() {
             for fu in (0..count).map(|i| FuRef::new(kind, i)) {
                 let (base, gbase) = map.fu(fu).unwrap();
-                for spec in kind.ports() {
-                    let port = PortRef { fu, port: spec.name };
+                assert_eq!(port_ops(kind).len(), kind.ports().len(), "{kind}");
+                for index in 0..kind.ports().len() as u8 {
+                    let port = PortRef { fu, port: index };
                     let (op, slot, _) = map.port(port).unwrap();
                     assert_eq!(op.is_trigger(), port.is_trigger(), "{port}");
                     // Conflict detection compares (op, slot): distinct per port.
@@ -391,9 +408,9 @@ mod tests {
                         assert!(slot < map.file_len && words.insert(slot), "{port} -> {slot}");
                     }
                 }
-                for (i, signal) in kind.guards().iter().enumerate() {
+                for signal in 0..kind.guards().len() as u8 {
                     let slot = map.guard(fu, signal).unwrap();
-                    assert_eq!(slot, gbase + i);
+                    assert_eq!(slot, gbase + usize::from(signal));
                     assert!((1..map.guards_len).contains(&slot) && guards.insert(slot), "{fu}");
                 }
             }
@@ -402,7 +419,8 @@ mod tests {
         // Every word of the file is some port, bar the unused second
         // operand of the two-word datapath units.
         assert!(words.len() <= map.file_len && guards.len() + 1 == map.guards_len);
-        assert!(map.port(PortRef { fu: FuRef::new(FuKind::Regs, 0), port: "r16" }).is_err());
+        assert!(map.port(PortRef { fu: FuRef::new(FuKind::Regs, 0), port: 16 }).is_err());
+        assert!(map.guard(FuRef::new(FuKind::Counter, 0), 2).is_err());
     }
 
     #[test]

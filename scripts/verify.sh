@@ -102,6 +102,15 @@ if grep -rnw 'unsafe' crates src tests examples |
     echo "unsafe only in crates/served/src/poll.rs, crates/router/src/rng.rs, tests/eval_allocs.rs"
     exit 1
 fi
+# PR 26, a port is its FU plus its table index: no scheduler map of hazard
+# lists, no name-matching port decoder, and the name lookups stay at the
+# text boundary (assembler, builder, the name-taking constructors).
+if grep -rnE 'Hazard[S]tate|\bport_[o]f\(|has_[g]uard\(|GP_[R]EGISTERS' crates src tests examples scripts; then exit 1; fi
+if grep -rnE 'find_[p]ort\(|find_[g]uard\(' crates src tests examples benchmarks/src |
+        grep -vE '^crates/taco-isa/src/(fu|program|asm|builder)\.rs:'; then
+    echo "find_port( / find_guard( only in crates/taco-isa/src/{fu,program,asm,builder}.rs"
+    exit 1
+fi
 echo "guards ok"
 
 echo

@@ -1,14 +1,15 @@
 //! Every wire codec round-trips — IPv6 datagrams (with extension headers),
 //! UDP, RIPng, the Internet checksum, the memory word packing and the TACO
-//! assembly format (seeded; see `common/mod.rs`).
+//! assembly format (seeded; see `common/mod.rs`).  The assembly suite draws
+//! its programs from the whole grammar (`common::move_seq`).
 
 mod common;
 
-use common::{addr, bytes, cases, datagram, index, ripng_packet};
+use common::{addr, bytes, cases, datagram, index, machine, move_seq, ripng_packet};
 use taco::ipv6::ripng::RipngPacket;
 use taco::ipv6::udp::UdpDatagram;
 use taco::ipv6::{checksum, Datagram};
-use taco::isa::asm;
+use taco::isa::{asm, schedule, FuKind, FuRef, Guard, MoveSeq, PortRef, Program};
 use taco::router::layout::{datagram_to_words, words_to_bytes};
 
 const SEED: u64 = 0xC0DE_0001;
@@ -83,22 +84,47 @@ fn ripng_round_trips() {
 
 #[test]
 fn asm_print_parse_round_trips() {
-    cases(SEED, CASES, |rng| {
-        // A small but structurally varied program: labels, parallel slots,
-        // idle slots, both immediate spellings, guards of both polarities.
-        let mut text = String::from("start:\n");
-        for line in 0..rng.range_inclusive(1, 12) {
-            let v = rng.next_u32();
-            text.push_str(&match rng.below(5) {
-                0 => format!("{v} -> cnt0.tset | {v} -> cnt1.stop\n"),
-                1 => format!("0x{v:x} -> mask0.mask | ... \n"),
-                2 => "?cnt0.done cnt0.r -> regs0.r3\n".to_owned(),
-                3 => format!("l{line}: mmu0.r -> regs0.r{} | ... | {v} -> mmu0.addr\n", v % 16),
-                _ => "!cnt1.zero @start -> nc0.pc\n".to_owned(),
-            });
+    // Names and indices meet here and only here: every port and signal of
+    // every kind goes name -> index -> name.
+    for kind in FuKind::ALL {
+        let fu = FuRef::new(kind, 0);
+        for (i, spec) in kind.ports().iter().enumerate() {
+            let port = PortRef::new(kind, 0, spec.name);
+            assert_eq!((port.port, port.name()), (i as u8, spec.name), "{kind}");
+            assert_eq!(port.to_string(), format!("{fu}.{}", spec.name));
         }
-        let program = asm::parse(&text).expect("generated text parses");
-        let printed = asm::print(&program);
-        assert_eq!(asm::parse(&printed).expect("printed text parses"), program, "{printed}");
+        for (i, name) in kind.guards().iter().enumerate() {
+            let guard = Guard::new(kind, 0, name, true);
+            assert_eq!((guard.signal, guard.name()), (i as u8, *name), "{kind}");
+            assert_eq!(guard.to_string(), format!("!{fu}.{name}"));
+        }
+    }
+    cases(SEED, CASES, |rng| {
+        let seq = move_seq(rng);
+        let machine = machine(rng);
+        // One move an instruction, then packed with idle slots.
+        for program in [Program::from_moves(&seq, 1), schedule(&seq, &machine)] {
+            let printed = asm::print(&program);
+            assert_eq!(asm::parse(&printed).expect("printed text parses"), program, "{printed}");
+            // The printer writes hex; the parser reads decimal too.
+            let respelled: Vec<String> = printed
+                .split(' ')
+                .map(|token| match token.strip_prefix("0x") {
+                    Some(hex) if rng.chance(0.5) => {
+                        u32::from_str_radix(hex, 16).expect("printed hex").to_string()
+                    }
+                    _ => token.to_owned(),
+                })
+                .collect();
+            let respelled = respelled.join(" ");
+            assert_eq!(asm::parse(&respelled).expect("decimal parses"), program, "{respelled}");
+        }
+        // Scheduling the text's program schedules the sequence.
+        let parsed = asm::parse(&asm::print(&Program::from_moves(&seq, 1))).expect("parses");
+        let reread = MoveSeq {
+            moves: parsed.instructions.iter().flat_map(|ins| ins.moves().cloned()).collect(),
+            labels: parsed.labels,
+        };
+        assert_eq!(schedule(&reread, &machine), schedule(&seq, &machine));
     });
 }

@@ -20,7 +20,10 @@ use taco::eval::{
 use taco::ipv6::exthdr::{FragmentHeader, OptionsHeader, RoutingHeader};
 use taco::ipv6::ripng::{Command, RipngPacket, RouteEntry};
 use taco::ipv6::{Datagram, ExtensionHeader, Ipv6Address, Ipv6Prefix, NextHeader};
-use taco::isa::{SystemConfig, MAX_CORES};
+use taco::isa::{
+    FuKind, FuRef, Guard, MachineConfig, Move, MoveSeq, PortDir, PortRef, Source, SystemConfig,
+    MAX_CORES,
+};
 pub use taco::router::SplitMix64;
 
 /// Names the failing case on the way out of a panicking body.
@@ -275,4 +278,85 @@ pub fn response_lines() -> &'static [String] {
         let dialects = |r: &ApiResponse| [r.to_json(), r.to_json_v2(Some(9)), r.to_json_v2(None)];
         responses.iter().flat_map(dialects).collect()
     })
+}
+
+/// A machine of the shape the paper varies: 1–5 buses, 1–3 of each
+/// replicable unit, 1–2 MMUs.
+pub fn machine(rng: &mut SplitMix64) -> MachineConfig {
+    let replication = rng.range_inclusive(1, 3) as u8;
+    let mut m = MachineConfig::new(rng.range_inclusive(1, 5) as u8)
+        .with_fu_count(FuKind::Mmu, rng.range_inclusive(1, 2) as u8);
+    for kind in FuKind::REPLICABLE {
+        m = m.with_fu_count(kind, replication);
+    }
+    m
+}
+
+/// A uniform port of some instance 0..=3 of `kind` whose direction passes
+/// `dir`, named by its table index.
+fn any_port(rng: &mut SplitMix64, kind: FuKind, dir: fn(PortDir) -> bool) -> PortRef {
+    let ports: Vec<u8> =
+        (0..kind.ports().len() as u8).filter(|&i| dir(kind.ports()[usize::from(i)].dir)).collect();
+    PortRef { fu: FuRef::new(kind, rng.below(4) as u8), port: pick(rng, &ports) }
+}
+
+/// A move sequence drawn from the whole assembly grammar: any port of any
+/// FU kind written, any readable port read, both by table index, on virtual
+/// instances 0..=3; immediates small and wide; guards on any signal of
+/// either polarity; labels defined between moves and at the end, referenced
+/// by jumps and by ordinary moves, and sometimes never defined.
+pub fn move_seq(rng: &mut SplitMix64) -> MoveSeq {
+    let readable: Vec<FuKind> = FuKind::ALL
+        .into_iter()
+        .filter(|k| k.ports().iter().any(|p| matches!(p.dir, PortDir::Result | PortDir::Both)))
+        .collect();
+    let guarded: Vec<FuKind> = FuKind::ALL.into_iter().filter(|k| !k.guards().is_empty()).collect();
+    let label = |rng: &mut SplitMix64| format!("l{}", rng.below(6));
+    let mut seq = MoveSeq::new();
+    for _ in 0..rng.range_inclusive(1, 40) {
+        let name = label(rng);
+        if rng.chance(0.15) && !seq.labels.contains_key(&name) {
+            seq.define_label(name);
+        }
+        // Four registers shared by a quarter of the reads and writes keep
+        // read-after-write, write-after-read and write-after-write pairs
+        // common.
+        let reg = |rng: &mut SplitMix64| PortRef {
+            fu: FuRef::new(FuKind::Regs, 0),
+            port: rng.below(4) as u8,
+        };
+        let dst = match rng.below(20) {
+            0..=2 => PortRef::new(FuKind::Nc, 0, "pc"),
+            3..=7 => reg(rng),
+            _ => {
+                let kind = pick(rng, &FuKind::ALL);
+                any_port(rng, kind, |d| d != PortDir::Result)
+            }
+        };
+        let src = match rng.below(5) {
+            0 if rng.chance(0.5) => Source::Port(reg(rng)),
+            0 | 1 => {
+                let kind = pick(rng, &readable);
+                Source::Port(any_port(rng, kind, |d| matches!(d, PortDir::Result | PortDir::Both)))
+            }
+            2 => Source::Imm(rng.below(16) as u32),
+            3 => Source::Imm(rng.next_u32()),
+            _ => Source::Label(label(rng)),
+        };
+        let mut mv = Move::new(src, dst);
+        if rng.chance(0.3) {
+            let kind = pick(rng, &guarded);
+            mv.guard = Some(Guard {
+                fu: FuRef::new(kind, rng.below(4) as u8),
+                signal: rng.below(kind.guards().len() as u64) as u8,
+                negate: rng.chance(0.5),
+            });
+        }
+        seq.push(mv);
+    }
+    let name = label(rng);
+    if rng.chance(0.3) && !seq.labels.contains_key(&name) {
+        seq.define_label(name);
+    }
+    seq
 }

@@ -8,7 +8,9 @@
 //! round — multiplies the count: the same cells cost 146 / 184 / 210 / 159
 //! allocations before the pieces were shared.
 //!
-//! The last row counts a behavioural scenario per offered datagram.
+//! A cold row counts the first evaluation of a machine the binary has not
+//! compiled microcode for, and the last row counts a behavioural scenario
+//! per offered datagram.
 //!
 //! One test in a binary of its own, so no other test's allocations land in
 //! the window.
@@ -77,6 +79,31 @@ fn a_warm_evaluation_allocates_for_one_router_not_for_its_input() {
         assert!(
             allocations <= ceiling,
             "{kind}: a warm evaluation made {allocations} allocations (ceiling {ceiling})"
+        );
+    }
+
+    // The cold row: the first evaluation of a (kind, machine) this binary
+    // has not compiled, at the 100 entries the warm rows prepared, so what
+    // it adds to a warm evaluation is compiling the microcode: generating,
+    // optimising, scheduling, validating and decoding it.  694 / 518 / 327
+    // / 596 when written; 1114 / 906 / 505 / 941 while ports were named by
+    // string and the scheduler cloned the sequence and built edge lists
+    // and maps per block.
+    let cold_cells = [
+        (TableKind::Sequential, 800),
+        (TableKind::BalancedTree, 600),
+        (TableKind::Cam, 380),
+        (TableKind::Patricia, 690),
+    ];
+    for (kind, ceiling) in cold_cells {
+        let request = EvalRequest::new(ArchConfig::one_bus_one_fu(kind));
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let cold = evaluate_request(&request);
+        let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+        assert_eq!(cold.sim_error, None, "{kind}");
+        assert!(
+            allocations <= ceiling,
+            "{kind}: a cold evaluation made {allocations} allocations (ceiling {ceiling})"
         );
     }
 
