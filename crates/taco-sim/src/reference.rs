@@ -2,8 +2,8 @@
 //! schedule is checked against.
 //!
 //! [`Processor::run_reference`] executes the instruction words themselves,
-//! one per cycle, resolving every port, guard and register name through
-//! the [`PortMap`](crate::units::PortMap) as it goes — none of
+//! one per cycle, resolving every port and guard through the
+//! [`PortMap`](crate::units::PortMap) as it goes — none of
 //! [`sched::decode`](crate::sched)'s work is reused, which is what makes it
 //! an oracle for the decoder and for [`Processor::run_with`]'s loop.  What
 //! it does share is the layout and [`Ports::apply`](crate::units::Ports):
