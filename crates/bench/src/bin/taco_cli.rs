@@ -27,7 +27,7 @@ use taco_bench::cli::{Cli, Parsed};
 use taco_bench::{
     ablation, churn, dse, loadgen, report, scaling, scenarios, table1, trace, tracegen,
 };
-use taco_core::api::{parse_table_kind, ApiRequest, ApiResponse, ConfigSpec, EvalSpec, TraceRef};
+use taco_core::api::{parse_table_kind, ApiRequest, ApiResponse, EvalSpec};
 use taco_core::{ArchConfig, Constraints, FlowTrace, LineRate, SweepSpec};
 use taco_served::{open_request, Server, ServerConfig};
 
@@ -232,17 +232,15 @@ fn submit(rest: Vec<String>) {
         });
         let kind =
             parse_table_kind(args.opt("--kind").unwrap_or("cam")).unwrap_or_else(|e| cli.fail(&e));
-        let mut eval = EvalSpec::new(ConfigSpec::new(kind, 3, 1));
+        let mut eval = EvalSpec::new(ArchConfig::three_bus_one_fu(kind));
         if let Some(n) = entries {
             eval.entries = n;
         }
-        eval.trace = Some(TraceRef::inline(&trace));
+        eval.trace = Some(std::sync::Arc::new(trace));
         check(&exchange_retrying(&addr, &ApiRequest::Eval(eval).to_json()));
     } else if args.flag("--table1") {
         for config in ArchConfig::table1_cells() {
-            let spec =
-                ConfigSpec::from_config(&config).expect("every Table 1 cell is wire-expressible");
-            let mut eval = EvalSpec::new(spec);
+            let mut eval = EvalSpec::new(config);
             if let Some(n) = entries {
                 eval.entries = n;
             }

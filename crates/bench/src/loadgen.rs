@@ -30,15 +30,15 @@ use std::thread;
 use std::time::Instant;
 
 use crate::cli::Cli;
-use taco_core::api::{ApiRequest, ApiResponse, ConfigSpec, Envelope, EvalSpec, WireResponse};
-use taco_core::RoutingTableKind;
+use taco_core::api::{ApiRequest, ApiResponse, Envelope, EvalSpec, WireResponse};
+use taco_core::{ArchConfig, RoutingTableKind};
 use taco_served::{request_lines, Server, ServerConfig, Session};
 use taco_workload::LatencyHistogram;
 
 /// The measured request: a single-bus CAM evaluation, tiny table.  It is
 /// warmed once so every timed request is an inline cache hit.
 fn probe() -> ApiRequest {
-    let mut spec = EvalSpec::new(ConfigSpec::new(RoutingTableKind::Cam, 1, 1));
+    let mut spec = EvalSpec::new(ArchConfig::one_bus_one_fu(RoutingTableKind::Cam));
     spec.entries = 8;
     ApiRequest::Eval(spec)
 }

@@ -106,9 +106,7 @@ pub fn run(args: Vec<String>) {
     // The same name parsers the wire API uses — one validation dialect
     // across the CLI, the daemon and the builder.
     let kind = parse_table_kind(args.pos("kind")).unwrap_or_else(|e| cli.fail(&e));
-    let config = parse_machine_spec(kind, args.pos("config"))
-        .and_then(|spec| spec.to_config().map_err(|e| e.to_string()))
-        .unwrap_or_else(|e| cli.fail(&e));
+    let config = parse_machine_spec(kind, args.pos("config")).unwrap_or_else(|e| cli.fail(&e));
     let entries: usize = args.pos_parsed("entries").unwrap_or_else(|e| cli.fail(&e));
 
     let request = EvalRequest::new(config.clone()).entries(entries);

@@ -15,27 +15,29 @@
 //!   lines, so many requests can be in flight on one persistent connection
 //!   and their (possibly interleaved) streams can be told apart.  The
 //!   request and response kinds are exactly v1's — v2 is v1 plus `"id"`
-//!   plus a persistent connection.  [`WireRequest`]/[`WireResponse`]
-//!   sniff the version and parse either dialect; [`Envelope`] owns the
-//!   spelling of a line's head in both directions.
+//!   plus a persistent connection.  [`ApiRequest::from_wire`] and
+//!   [`WireResponse`] read either dialect; [`Envelope`] owns the spelling
+//!   of a line's head in both directions.
 //!
 //! Every record lists its members once, in wire order, in a `record!` table
 //! beside its type (`table` has the mechanism); the writer and the strict
 //! reader are both expanded from that list.  The
 //! same types also back the in-process entry points: [`EvalSpec`] is the
-//! validated construction path for [`EvalRequest`], and the name-based
+//! validated construction path for [`EvalRequest`] and holds its types,
+//! and the name-based
 //! parsers ([`parse_table_kind`], [`parse_workload_name`],
 //! [`parse_fault_plan_name`], [`parse_machine_spec`]) are the single
 //! source of truth `taco-cli dse`/`trace` and the wire layer share, so
 //! a workload name means the same thing on a command line and on a socket.
 //!
-//! Machine configurations cross the wire as a [`MachineSpec`]: the
-//! per-core [`ConfigSpec`] plus the multi-core [`SystemConfig`] built
-//! from it.  The codec is form-sniffed — a default single-core system
-//! keeps the original flat `{"table":...,"buses":...}` spelling (so every
-//! pre-multicore request line and golden fixture keeps its bytes), and a
-//! non-default system nests the core under a `"core"` member alongside
-//! `"cores"`, `"cache"`, `"interconnect"` and `"coherence"`.
+//! An [`ArchConfig`] crosses the wire in one of two forms, and its codec
+//! tells them apart by the presence of `"core"`: a default single-core
+//! system keeps the original flat `ConfigSpec` spelling
+//! `{"table":...,"buses":...}` (so every pre-multicore request line and
+//! golden fixture keeps its bytes), and any other system nests the core
+//! under a `"core"` member alongside `"cores"`, `"cache"`,
+//! `"interconnect"` and `"coherence"`.  A [`FlowTrace`] crosses it as
+//! one spelling, an inline hex body, in an eval and a sweep alike.
 //!
 //! Parsing is *strict*: unknown fields are rejected (a typo'd option must
 //! not be silently ignored), version mismatches are reported as
@@ -274,15 +276,15 @@ const MACHINE_SPELLINGS: &[(&[&str], u8, u8)] = &[
 
 /// Parses a machine shape (`1x1`, `3x1`, `3x3`, or the Table 1 label
 /// aliases `1BUS/1FU`, `3BUS/1FU`, `3bus/3CNT,3CMP,3M`) into a
-/// single-core [`MachineSpec`] over `kind` — the one shape parser the
+/// single-core [`ArchConfig`] over `kind` — the one shape parser the
 /// wire schema and every `taco-cli` subcommand share.  Compose with
-/// [`MachineSpec::with_system`] to scale the parsed shape to a multi-core
+/// [`ArchConfig::with_system`] to scale the parsed shape to a multi-core
 /// system.  The error message lists every accepted spelling, generated
 /// from the same table the parser matches against.
-pub fn parse_machine_spec(kind: TableKind, shape: &str) -> Result<MachineSpec, String> {
+pub fn parse_machine_spec(kind: TableKind, shape: &str) -> Result<ArchConfig, String> {
     for &(names, buses, replication) in MACHINE_SPELLINGS {
         if names.contains(&shape) {
-            return Ok(MachineSpec::new(ConfigSpec::new(kind, buses, replication)));
+            return Ok(ArchConfig::with_replication(kind, buses, replication));
         }
     }
     let accepted: Vec<&str> =
@@ -345,25 +347,22 @@ scalar!(ApiErrorCode: |v, out| { let _ = write!(out, "\"{}\"", v.as_str()); },
 // Leaf records: config, rate, workload, fault plan, trace.
 // ---------------------------------------------------------------------------
 
-/// The wire shape of an architecture instance: routing-table organisation,
-/// bus count, datapath replication and memory ports.
+/// The flat wire form of a single-core machine: routing-table
+/// organisation, bus count, datapath replication and memory ports.
 ///
 /// This spans every configuration the in-tree generators produce
 /// ([`ArchConfig::with_replication`] composed with
 /// [`ArchConfig::with_memory_ports`]); a hand-built [`MachineConfig`] with
 /// *asymmetric* replication has no wire spelling and
 /// [`ConfigSpec::from_config`] returns `None` for it.
+///
+/// [`MachineConfig`]: taco_isa::MachineConfig
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ConfigSpec {
-    /// Routing-table organisation.
-    pub table: TableKind,
-    /// Data buses (≥ 1).
-    pub buses: u8,
-    /// Instances of each replicable datapath unit (Counter, Comparator,
-    /// Matcher together; ≥ 1).
-    pub replication: u8,
-    /// Data-memory ports (replicated MMU; ≥ 1).
-    pub memory_ports: u8,
+struct ConfigSpec {
+    table: TableKind,
+    buses: u8,
+    replication: u8,
+    memory_ports: u8,
 }
 
 record!(ConfigSpec as "config" { table, buses, replication, memory_ports [or 1], } check |spec| {
@@ -371,16 +370,10 @@ record!(ConfigSpec as "config" { table, buses, replication, memory_ports [or 1],
 });
 
 impl ConfigSpec {
-    /// A spec with one memory port (the default everywhere but the
-    /// memory-port ablation).
-    pub fn new(table: TableKind, buses: u8, replication: u8) -> Self {
-        ConfigSpec { table, buses, replication, memory_ports: 1 }
-    }
-
     /// Builds the architecture instance, validating ranges (a zero bus or
     /// unit count is a structured error here, where the panicking
     /// constructors would abort a server).
-    pub fn to_config(&self) -> Result<ArchConfig, ApiError> {
+    fn to_config(self) -> Result<ArchConfig, ApiError> {
         if self.buses == 0 || self.replication == 0 || self.memory_ports == 0 {
             return Err(ApiError::bad_request(
                 "config: buses, replication and memory_ports must all be >= 1",
@@ -393,16 +386,14 @@ impl ConfigSpec {
         Ok(config)
     }
 
-    /// The wire spelling of `config`, or `None` when the machine is not
+    /// The per-core spelling of `config`, or `None` when the machine is not
     /// expressible (asymmetric replication).
-    pub fn from_config(config: &ArchConfig) -> Option<ConfigSpec> {
+    fn from_config(config: &ArchConfig) -> Option<ConfigSpec> {
         let spec = ConfigSpec::nearest(config);
         // Round-trip check: only machines the spec regenerates exactly are
         // expressible (this is what catches asymmetric replication).
-        match spec.to_config() {
-            Ok(rebuilt) if rebuilt == *config => Some(spec),
-            _ => None,
-        }
+        let rebuilt = spec.to_config().ok()?.with_system(config.system);
+        (rebuilt == *config).then_some(spec)
     }
 
     /// The spec read off `config`'s unit counts, exact or not.
@@ -414,21 +405,9 @@ impl ConfigSpec {
             memory_ports: config.machine.fu_count(taco_isa::FuKind::Mmu),
         }
     }
-
-    /// One-line JSON body (fixed key order).
-    pub fn to_json(&self) -> String {
-        self.encode()
-    }
 }
 
-/// The structured wire shape of a whole machine: one per-core
-/// [`ConfigSpec`] plus the multi-core [`SystemConfig`] built from it.
-///
-/// The codec is **form-sniffed** for compatibility.  A default
-/// (single-core) system serialises as the flat [`ConfigSpec`] form —
-/// byte-identical to the pre-multicore schema, which is what keeps every
-/// v1/v2 golden fixture passing unmodified.  A non-default system nests
-/// the per-core spec under a `"core"` member:
+/// The nested wire form of a machine, for any system but the default one:
 ///
 /// ```json
 /// {"core":{"table":"cam","buses":3,"replication":1,"memory_ports":1},
@@ -436,21 +415,8 @@ impl ConfigSpec {
 ///  "interconnect":{"topology":"mesh","latency":2},"coherence":"mesi"}
 /// ```
 ///
-/// [`MachineSpec::from_json`] sniffs on the presence of `"core"` and
-/// accepts either form; in the nested form `"cores"`, `"cache"`,
-/// `"interconnect"` and `"coherence"` may each be omitted and default to
-/// the single-core system's values.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MachineSpec {
-    /// The per-core machine: table organisation, buses, replication and
-    /// memory ports.
-    pub core: ConfigSpec,
-    /// The system built from the cores: count, private table caches,
-    /// interconnect and coherence protocol.
-    pub system: SystemConfig,
-}
-
-/// [`MachineSpec`]'s nested form.
+/// `"cores"`, `"cache"`, `"interconnect"` and `"coherence"` may each be
+/// omitted and default to the single-core system's values.
 struct NestedMachine {
     core: ConfigSpec,
     system: SystemConfig,
@@ -458,126 +424,62 @@ struct NestedMachine {
 
 record!(NestedMachine as "config" { core, system: Flat, });
 
+// Ranges are checked as they are read: a zero or excess count is a
+// structured error here, where the panicking constructors would abort a
+// server.
 record!(SystemConfig as "config" {
     cores [or 1],
     cache [or CacheConfig::default()],
     interconnect [or InterconnectConfig::default()],
     protocol as "coherence" [or CoherenceProtocol::Mesi],
+} check |system| {
+    if system.cores == 0 || system.cores > MAX_CORES {
+        return Err(ApiError::bad_request(format!(
+            "config: \"cores\" must be 1..={MAX_CORES}, got {}",
+            system.cores
+        )));
+    }
+    if system.cache.lines == 0 || system.cache.line_words == 0 {
+        return Err(ApiError::bad_request(
+            "config: cache \"lines\" and \"line_words\" must both be >= 1",
+        ));
+    }
+    if system.interconnect.latency == 0 {
+        return Err(ApiError::bad_request("config: interconnect \"latency\" must be >= 1"));
+    }
 });
 
 record!(CacheConfig as "config cache" { lines, line_words, });
 
 record!(InterconnectConfig as "config interconnect" { topology, latency, });
 
-/// Whichever form the system calls for: flat for the default system,
-/// nested otherwise; read back by the presence of `"core"`.
-impl Wire for MachineSpec {
+/// A machine in whichever form its system calls for: flat for the default
+/// system, nested otherwise; read back by the presence of `"core"`.
+impl Wire for ArchConfig {
+    /// For the (in-tree-unreachable) case of a hand-built machine with no
+    /// wire form, the nearest spec is written and the round trip is lossy.
     fn put(&self, out: &mut String) {
+        let core = ConfigSpec::nearest(self);
         if self.system.is_default() {
-            self.core.put(out);
+            core.put(out);
         } else {
-            NestedMachine { core: self.core, system: self.system }.put(out);
+            NestedMachine { core, system: self.system }.put(out);
         }
     }
 
     fn get(ctx: &str, name: &str, value: &Json) -> Result<Self, ApiError> {
         if !value.as_object().is_some_and(|m| m.iter().any(|(k, _)| k == "core")) {
-            return ConfigSpec::get(ctx, name, value).map(MachineSpec::new);
+            return ConfigSpec::get(ctx, name, value)?.to_config();
         }
         let NestedMachine { core, system } = NestedMachine::get(ctx, name, value)?;
-        let spec = MachineSpec { core, system };
-        spec.to_config()?; // validate ranges eagerly
-        Ok(spec)
-    }
-}
-
-impl From<ConfigSpec> for MachineSpec {
-    fn from(core: ConfigSpec) -> Self {
-        MachineSpec::new(core)
-    }
-}
-
-/// A report's `config` member: the machine it ran on, as its spec.
-impl Wire for ArchConfig {
-    /// For the (in-tree-unreachable) case of a hand-built machine with no
-    /// wire form, the nearest spec is written and the round trip is lossy.
-    fn put(&self, out: &mut String) {
-        MachineSpec::from_config(self)
-            .unwrap_or(MachineSpec { core: ConfigSpec::nearest(self), system: self.system })
-            .put(out);
-    }
-
-    fn get(ctx: &str, name: &str, value: &Json) -> Result<Self, ApiError> {
-        MachineSpec::get(ctx, name, value)?.to_config()
-    }
-}
-
-impl MachineSpec {
-    /// A single-core (default-system) spec over `core`.
-    pub fn new(core: ConfigSpec) -> Self {
-        MachineSpec { core, system: SystemConfig::default() }
-    }
-
-    /// Returns a copy with the given multi-core system.
-    pub fn with_system(mut self, system: SystemConfig) -> Self {
-        self.system = system;
-        self
-    }
-
-    /// Builds the architecture instance, validating every range (core
-    /// counts, cache geometry and interconnect latency are structured
-    /// errors here, where the panicking constructors would abort a
-    /// server).
-    pub fn to_config(&self) -> Result<ArchConfig, ApiError> {
-        if self.system.cores == 0 || self.system.cores > MAX_CORES {
-            return Err(ApiError::bad_request(format!(
-                "config: \"cores\" must be 1..={MAX_CORES}, got {}",
-                self.system.cores
-            )));
-        }
-        if self.system.cache.lines == 0 || self.system.cache.line_words == 0 {
-            return Err(ApiError::bad_request(
-                "config: cache \"lines\" and \"line_words\" must both be >= 1",
-            ));
-        }
-        if self.system.interconnect.latency == 0 {
-            return Err(ApiError::bad_request("config: interconnect \"latency\" must be >= 1"));
-        }
-        Ok(self.core.to_config()?.with_system(self.system))
-    }
-
-    /// The wire spelling of `config`, or `None` when the per-core machine
-    /// is not expressible (asymmetric replication).
-    pub fn from_config(config: &ArchConfig) -> Option<MachineSpec> {
-        let mut single = config.clone();
-        single.system = SystemConfig::single_core();
-        Some(MachineSpec { core: ConfigSpec::from_config(&single)?, system: config.system })
-    }
-
-    /// One-line JSON body: the flat [`ConfigSpec`] form for a default
-    /// system (pre-multicore bytes preserved), the nested `"core"`-keyed
-    /// form otherwise (fixed key order, every member explicit).
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        self.put(&mut out);
-        out
-    }
-
-    /// Parses either wire form back into a spec: the flat [`ConfigSpec`]
-    /// object, or the nested `"core"`-keyed multicore form (the inverse of
-    /// [`MachineSpec::to_json`]).  Unknown fields and out-of-range values
-    /// are structured `bad_request` errors naming the field.
-    pub fn from_json(json: &str) -> Result<MachineSpec, ApiError> {
-        let value = Json::parse(json)
-            .map_err(|e| ApiError::bad_request(format!("config: invalid JSON: {e}")))?;
-        MachineSpec::get("config", "config", &value)
+        Ok(core.to_config()?.with_system(system))
     }
 }
 
 /// The spec features this build supports — the `"features"` member every
 /// `status_result` carries: the core-count ceiling and the known
 /// interconnect topologies and coherence protocols, generated from the
-/// same constants the [`MachineSpec`] parser accepts.
+/// same constants the machine codec accepts.
 struct Features {
     max_cores: u8,
     topologies: Vec<String>,
@@ -627,20 +529,20 @@ record!(FaultPlan as "faults" {
     repair_retries, flap_every, flap_down_ticks, stall_every_cycles, stall_cycles,
 });
 
-/// Lowercase hex of `bytes` — the wire encoding of an inline flow trace
-/// (hex rather than base64: std-only, trivially greppable, and the traces
-/// small enough to ship inline are small enough to double in size).
-pub(crate) fn hex_encode(bytes: &[u8]) -> String {
-    let mut s = String::with_capacity(bytes.len() * 2);
+/// Appends lowercase hex of `bytes` to `out` — the wire encoding of an
+/// inline flow trace (hex rather than base64: std-only, trivially
+/// greppable, and the traces small enough to ship inline are small enough
+/// to double in size).
+fn hex_encode(bytes: &[u8], out: &mut String) {
+    out.reserve(bytes.len() * 2);
     for &b in bytes {
-        s.push(char::from_digit(u32::from(b >> 4), 16).expect("nibble"));
-        s.push(char::from_digit(u32::from(b & 0xf), 16).expect("nibble"));
+        out.push(char::from_digit(u32::from(b >> 4), 16).expect("nibble"));
+        out.push(char::from_digit(u32::from(b & 0xf), 16).expect("nibble"));
     }
-    s
 }
 
 /// Decodes [`hex_encode`] output (either nibble case accepted).
-pub(crate) fn hex_decode(s: &str) -> Result<Vec<u8>, String> {
+fn hex_decode(s: &str) -> Result<Vec<u8>, String> {
     if !s.len().is_multiple_of(2) {
         return Err(format!("hex body has odd length {}", s.len()));
     }
@@ -659,47 +561,39 @@ pub(crate) fn hex_decode(s: &str) -> Result<Vec<u8>, String> {
         .collect()
 }
 
-/// A flow trace in wire form: the full binary body shipped inline
-/// (hex-encoded).  The daemon reads no file a client names.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TraceRef {
-    /// The [`FlowTrace::to_bytes`] body, hex-encoded.
-    Inline(String),
-}
-
-// Closed: `{"path":…}` is refused for the member it has, not the one it
-// lacks — the daemon opens no file a client names.
-record!(TraceRef as "trace", CLOSED = true => Self::Inline { inline in 0, });
-
-/// A sweep's attached trace: always inline on the wire (the daemon must
-/// receive the records themselves, not a path on the client's filesystem)
-/// and resolved as it is read.
+/// A flow trace on the wire, in an eval and a sweep alike: the
+/// [`FlowTrace::to_bytes`] body, hex-encoded, as the one member of an
+/// `{"inline":…}` object.  The daemon must receive the records themselves:
+/// it reads no file a client names.  The trace is resolved as it is read,
+/// so every failure (bad hex, a corrupt or version-skewed body, a header
+/// sizing more work than one request may) is a structured `trace: …` bad
+/// request at the parse.
 impl Wire for Arc<FlowTrace> {
     fn put(&self, out: &mut String) {
-        TraceRef::inline(self).put(out);
+        out.push_str("{\"inline\":\"");
+        hex_encode(&self.to_bytes(), out);
+        out.push_str("\"}");
     }
 
     fn get(ctx: &str, name: &str, value: &Json) -> Result<Self, ApiError> {
-        TraceRef::get(ctx, name, value)?.resolve().map(Arc::new)
-    }
-}
-
-impl TraceRef {
-    /// The inline wire form of `trace`.
-    pub fn inline(trace: &FlowTrace) -> TraceRef {
-        TraceRef::Inline(hex_encode(&trace.to_bytes()))
-    }
-
-    /// Decodes the referenced trace; every failure (bad hex, a corrupt or
-    /// version-skewed body) is a structured bad request.
-    pub fn resolve(&self) -> Result<FlowTrace, ApiError> {
-        let TraceRef::Inline(hex) = self;
-        let bytes = hex_decode(hex).map_err(|e| ApiError::bad_request(format!("trace: {e}")))?;
-        let trace = FlowTrace::from_bytes(&bytes)
+        if value.as_object().is_none() {
+            return Err(must(ctx, name, "be a JSON object"));
+        }
+        // Closed: `{"path":…}` is refused for the member it has, not for
+        // the one it lacks.
+        let mut f = Fields::new("trace", value)?;
+        let inline = f.get("inline");
+        f.finish()?;
+        let hex = inline
+            .ok_or_else(|| ApiError::bad_request("trace: missing field \"inline\""))?
+            .as_str()
+            .ok_or_else(|| must("trace", "inline", "be a string"))?;
+        let trace = hex_decode(hex)
+            .and_then(|bytes| FlowTrace::from_bytes(&bytes).map_err(|e| e.to_string()))
             .map_err(|e| ApiError::bad_request(format!("trace: {e}")))?;
         // The header's ticks and entries size the replay the records ride on.
         check_workload("trace header", &trace.descriptor())?;
-        Ok(trace)
+        Ok(Arc::new(trace))
     }
 }
 
@@ -818,15 +712,13 @@ fn check_faults(
 
 /// One evaluation, in wire form: the validated front door that the JSON
 /// schema, the CLI and programmatic callers share before an
-/// [`EvalRequest`] is built.
-///
-/// The `trace` member is an **input**: a flow trace ([`TraceRef`]) the
-/// scenario replays verbatim.
+/// [`EvalRequest`] is built.  It holds the request's own types; what it
+/// adds is the checks.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EvalSpec {
     /// The machine under evaluation: per-core shape plus the multi-core
     /// system built from it.
-    pub config: MachineSpec,
+    pub config: ArchConfig,
     /// Line-rate target.
     pub rate: LineRate,
     /// Routing-table size (1 to [`taco_sim::DEFAULT_MEMORY_WORDS`]).
@@ -835,11 +727,12 @@ pub struct EvalSpec {
     pub workload: Option<Workload>,
     /// Optional deterministic fault plan.
     pub faults: Option<FaultPlan>,
-    /// Optional explicit flow trace (inline body), replayed verbatim
-    /// instead of regenerating from the workload descriptor.  When both `workload` and `trace` are present the
-    /// workload must equal the trace's descriptor — a mismatch is a
-    /// structured bad request, not a silent override.
-    pub trace: Option<TraceRef>,
+    /// Optional explicit flow trace, replayed verbatim instead of
+    /// regenerating from the workload descriptor.  When both `workload`
+    /// and `trace` are present the workload must equal the trace's
+    /// descriptor — a mismatch is a structured bad request, not a silent
+    /// override.
+    pub trace: Option<Arc<FlowTrace>>,
 }
 
 record!(EvalSpec as "eval spec" {
@@ -851,11 +744,10 @@ record!(EvalSpec as "eval spec" {
 
 impl EvalSpec {
     /// A spec for `config` with the paper's defaults (10 GbE, 100 entries,
-    /// no workload, no faults).  Accepts a bare
-    /// [`ConfigSpec`] (single-core) or a full [`MachineSpec`].
-    pub fn new(config: impl Into<MachineSpec>) -> Self {
+    /// no workload, no faults).
+    pub fn new(config: ArchConfig) -> Self {
         EvalSpec {
-            config: config.into(),
+            config,
             rate: LineRate::TEN_GBE,
             entries: EvalRequest::DEFAULT_ENTRIES,
             workload: None,
@@ -864,59 +756,47 @@ impl EvalSpec {
         }
     }
 
-    /// Builds the validated [`EvalRequest`], decoding any inline flow
-    /// trace, so a corrupt body rejects the request before any simulation
-    /// runs.
+    /// Builds the validated [`EvalRequest`]: the table size, the fault
+    /// plan's frames over the scenario they ride on, and a workload that
+    /// names anything but the attached trace are bad requests before any
+    /// simulation runs.
     pub fn to_request(&self) -> Result<EvalRequest, ApiError> {
         check_entries("eval spec", "\"entries\"", self.entries as u64)?;
         check_faults("eval spec", self.workload.as_ref(), self.faults.as_ref())?;
-        let mut request =
-            EvalRequest::new(self.config.to_config()?).rate(self.rate).entries(self.entries);
-        if let Some(workload) = self.workload {
-            request = request.workload(workload);
-        }
-        if let Some(faults) = self.faults {
-            request = request.faults(faults);
-        }
-        if let Some(trace_ref) = &self.trace {
-            let trace = trace_ref.resolve()?;
-            if let Some(workload) = self.workload {
-                if workload != trace.descriptor() {
-                    return Err(ApiError::bad_request(
-                        "trace: the request's workload does not match the attached trace's \
-                         descriptor",
-                    ));
-                }
+        let mut workload = self.workload;
+        if let Some(trace) = &self.trace {
+            let descriptor = trace.descriptor();
+            if workload.is_some_and(|w| w != descriptor) {
+                return Err(ApiError::bad_request(
+                    "trace: the request's workload does not match the attached trace's \
+                     descriptor",
+                ));
             }
-            check_faults("eval spec", Some(&trace.descriptor()), self.faults.as_ref())?;
-            request = request.flow_trace(Arc::new(trace));
+            check_faults("eval spec", Some(&descriptor), self.faults.as_ref())?;
+            workload = Some(descriptor);
         }
-        Ok(request)
+        Ok(EvalRequest {
+            config: self.config.clone(),
+            line_rate: self.rate,
+            entries: self.entries,
+            workload,
+            faults: self.faults,
+            flow_trace: self.trace.clone(),
+        })
     }
 
-    /// The wire spelling of `request` (an attached flow trace becomes an
-    /// inline [`TraceRef`]), or `None` when the machine configuration is
-    /// not expressible on the wire.
+    /// The wire spelling of `request`, or `None` when the machine
+    /// configuration is not expressible on the wire.
     pub fn from_request(request: &EvalRequest) -> Option<EvalSpec> {
+        ConfigSpec::from_config(&request.config)?;
         Some(EvalSpec {
-            config: MachineSpec::from_config(&request.config)?,
+            config: request.config.clone(),
             rate: request.line_rate,
             entries: request.entries,
             workload: request.workload,
             faults: request.faults,
-            trace: request.flow_trace.as_ref().map(|t| TraceRef::inline(t)),
+            trace: request.flow_trace.clone(),
         })
-    }
-
-    /// One-line JSON body (fixed key order; `workload`/`faults` omitted
-    /// when absent).
-    pub fn to_json(&self) -> String {
-        self.encode()
-    }
-
-    /// Parses a JSON body produced by [`EvalSpec::to_json`].
-    pub fn from_json(text: &str) -> Result<EvalSpec, ApiError> {
-        EvalSpec::decode(text)
     }
 }
 
@@ -1015,14 +895,6 @@ impl Envelope {
         let id = if id == "null" { None } else { Some(id.parse().ok().filter(|_| canonical)?) };
         Some((Envelope::V2(id), body))
     }
-
-    /// The v2 id, if any.
-    fn id(self) -> Option<u64> {
-        match self {
-            Envelope::V1 => None,
-            Envelope::V2(id) => id,
-        }
-    }
 }
 
 /// Strictly parses one line of either dialect: its envelope, then `T`'s
@@ -1089,41 +961,22 @@ impl ApiRequest {
     /// fields and out-of-range values are [`ApiErrorCode::BadRequest`]; a
     /// wrong `"api_version"` (including `"v2"`) is
     /// [`ApiErrorCode::VersionMismatch`].  Session-aware servers parse
-    /// through [`WireRequest::from_json`] instead.
+    /// through [`ApiRequest::from_wire`] instead.
     pub fn from_json(line: &str) -> Result<ApiRequest, ApiError> {
         match read_line(line)? {
             (Envelope::V1, request) => Ok(request),
             _ => Err(ApiError::version_mismatch(API_VERSION_V2)),
         }
     }
-}
 
-/// A version-sniffed request envelope: the parse every `taco-served`
-/// connection runs on each frame, accepting both dialects.
-///
-/// `id` is `None` for a v1 line (the one-shot dialect has no request
-/// identity) and `Some` for a v2 line (where `"id"` is mandatory) — so
-/// the envelope itself tells the server which session semantics the
-/// client expects.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireRequest {
-    /// The client-chosen request id (v2), or `None` (v1).
-    pub id: Option<u64>,
-    /// The request proper.
-    pub request: ApiRequest,
-}
-
-impl WireRequest {
-    /// Serialises with the dialect implied by `id`.
-    pub fn to_json(&self) -> String {
-        self.id.map_or(Envelope::V1, |id| Envelope::V2(Some(id))).wrap(&self.request.members())
-    }
-
-    /// Strictly parses one request line of either dialect.
-    pub fn from_json(line: &str) -> Result<WireRequest, ApiError> {
+    /// Strictly parses one request line of either dialect — the parse
+    /// every `taco-served` connection runs on each frame.  The envelope
+    /// tells the server which session semantics the client expects:
+    /// [`Envelope::V1`], or [`Envelope::V2`] with the id v2 requires.
+    pub fn from_wire(line: &str) -> Result<(Envelope, ApiRequest), ApiError> {
         match read_line(line)? {
             (Envelope::V2(None), _) => Err(must(ApiRequest::CTX, "id", "be an unsigned integer")),
-            (envelope, request) => Ok(WireRequest { id: envelope.id(), request }),
+            read => Ok(read),
         }
     }
 }
@@ -1290,31 +1143,27 @@ impl ApiResponse {
     }
 }
 
-/// A version-sniffed response envelope, the receive side of a
-/// [`WireRequest`] exchange.
+/// One response line of either dialect, as a client reads it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WireResponse {
-    /// `true` when the line used the v2 envelope (which always carries an
-    /// `"id"` member, possibly `null`).
-    pub v2: bool,
-    /// The echoed request id: `None` for a v1 line, or for a v2 error
-    /// whose offending frame carried no salvageable id (`"id":null`).
-    pub id: Option<u64>,
+    /// The line's head: [`Envelope::V1`], or [`Envelope::V2`] echoing the
+    /// request id — `None` for an error whose offending frame carried no
+    /// salvageable id (`"id":null`).
+    pub envelope: Envelope,
     /// The response proper.
     pub response: ApiResponse,
 }
 
 impl WireResponse {
-    /// Serialises with the dialect selected by `v2`.
+    /// Serialises under the line's own envelope.
     pub fn to_json(&self) -> String {
-        let envelope = if self.v2 { Envelope::V2(self.id) } else { Envelope::V1 };
-        envelope.wrap(&self.response.members())
+        self.envelope.wrap(&self.response.members())
     }
 
     /// Strictly parses one response line of either dialect.
     pub fn from_json(line: &str) -> Result<WireResponse, ApiError> {
         let (envelope, response) = read_line(line)?;
-        Ok(WireResponse { v2: envelope != Envelope::V1, id: envelope.id(), response })
+        Ok(WireResponse { envelope, response })
     }
 }
 
@@ -1324,14 +1173,14 @@ pub(crate) mod tests {
     use taco_isa::MachineConfig;
 
     fn cam_spec() -> EvalSpec {
-        EvalSpec::new(ConfigSpec::new(TableKind::Cam, 3, 1))
+        EvalSpec::new(ArchConfig::three_bus_one_fu(TableKind::Cam))
     }
 
     /// A line's reader: strict parse, then the encoder again.
     pub(crate) type Reread = fn(&str) -> Result<String, ApiError>;
 
     fn reread_request(line: &str) -> Result<String, ApiError> {
-        WireRequest::from_json(line).map(|wire| wire.to_json())
+        ApiRequest::from_wire(line).map(|(envelope, request)| envelope.wrap(&request.members()))
     }
 
     fn reread_response(line: &str) -> Result<String, ApiError> {
@@ -1465,7 +1314,7 @@ pub(crate) mod tests {
         }
         let mut spec = cam_spec();
         spec.entries = 8;
-        spec.trace = Some(TraceRef::inline(&trace));
+        spec.trace = Some(trace.clone());
         requests.push(ApiRequest::Eval(spec));
         requests.push(ApiRequest::Sweep {
             spec: SweepSpec {
@@ -1555,7 +1404,6 @@ pub(crate) mod tests {
             LineRate::MEMBERS,
             Workload::MEMBERS,
             FaultPlan::MEMBERS,
-            TraceRef::MEMBERS,
             EvalSpec::MEMBERS,
             SweepSpec::MEMBERS,
             Constraints::MEMBERS,
@@ -1588,8 +1436,8 @@ pub(crate) mod tests {
         let line = request.to_json();
         assert!(line.contains("\"max_power_w\":null,\"max_area_mm2\":50,"), "{line}");
         assert_eq!(ApiRequest::from_json(&line).unwrap(), request);
-        let wire = WireRequest::from_json(&request.to_json_v2(3)).unwrap();
-        assert_eq!(wire, WireRequest { id: Some(3), request });
+        let wire = ApiRequest::from_wire(&request.to_json_v2(3)).unwrap();
+        assert_eq!(wire, (Envelope::V2(Some(3)), request));
         // Only an absent member takes the designer's default.
         let absent = line.replace("\"max_power_w\":null,", "");
         let ApiRequest::Sweep { constraints, .. } = ApiRequest::from_json(&absent).unwrap() else {
@@ -1645,7 +1493,7 @@ pub(crate) mod tests {
         // and it is refused before the missing `inline` is.
         for bad in ["{\"path\":\"t.bin\"}", "{\"inline\":\"00\",\"path\":\"x\"}"] {
             let value = Json::parse(bad).unwrap();
-            let err = TraceRef::get("eval spec", "trace", &value).expect_err(bad);
+            let err = <Arc<FlowTrace>>::get("eval spec", "trace", &value).expect_err(bad);
             assert!(err.message.contains("unknown field \"path\""), "{bad}: {}", err.message);
         }
     }
@@ -1655,7 +1503,7 @@ pub(crate) mod tests {
         let trace = taco_workload::TraceGen::generate(9, 30, 5, 8);
         let mut spec = cam_spec();
         spec.entries = 8;
-        spec.trace = Some(TraceRef::inline(&trace));
+        spec.trace = Some(Arc::new(trace.clone()));
 
         // A workload equal to the trace's descriptor is accepted...
         spec.workload = Some(trace.descriptor());
@@ -1695,9 +1543,10 @@ pub(crate) mod tests {
             assert!(err.message.contains("\"faults\" injects up to"), "{err}");
         }
         assert!(spec.to_request().is_err());
-        // An eval's trace header is read where the trace is resolved.
+        // An eval's plan is held to its trace's header when the request
+        // is built.
         spec.workload = None;
-        spec.trace = Some(TraceRef::inline(&trace));
+        spec.trace = Some(Arc::new(trace));
         assert!(ApiRequest::from_json(&ApiRequest::Eval(spec.clone()).to_json()).is_ok());
         let err = spec.to_request().expect_err("an over-rate plan");
         assert!(err.message.contains("\"faults\" injects up to"), "{err}");
@@ -1714,7 +1563,7 @@ pub(crate) mod tests {
             let kind = format!("cache_{op}");
             let v1 = ApiRequest::Status.to_json().replace("status", &kind);
             let v2 = ApiRequest::Status.to_json_v2(7).replace("status", &kind);
-            for err in [ApiRequest::from_json(&v1), WireRequest::from_json(&v2).map(|w| w.request)]
+            for err in [ApiRequest::from_json(&v1), ApiRequest::from_wire(&v2).map(|w| w.1)]
                 .map(Result::unwrap_err)
             {
                 assert_eq!(err.code, ApiErrorCode::BadRequest);
@@ -1794,10 +1643,11 @@ pub(crate) mod tests {
         let mut shapes = ArchConfig::table1_cells();
         shapes.push(ArchConfig::with_replication(TableKind::Patricia, 4, 2));
         shapes.push(ArchConfig::with_replication(TableKind::Cam, 2, 1).with_memory_ports(3));
+        shapes.push(shapes[0].clone().with_system(SystemConfig::with_cores(2)));
         for config in shapes {
             let spec = ConfigSpec::from_config(&config)
                 .unwrap_or_else(|| panic!("{} must be expressible", config.label()));
-            assert_eq!(spec.to_config().unwrap(), config);
+            assert_eq!(spec.to_config().unwrap().with_system(config.system), config);
         }
         // Asymmetric replication has no wire spelling.
         let machine = MachineConfig::new(2).with_fu_count(taco_isa::FuKind::Matcher, 2);
@@ -1833,9 +1683,7 @@ pub(crate) mod tests {
             ("3x3", ArchConfig::three_bus_three_fu(TableKind::Cam)),
             ("3bus/3CNT,3CMP,3M", ArchConfig::three_bus_three_fu(TableKind::Cam)),
         ] {
-            let spec = parse_machine_spec(TableKind::Cam, spelling)
-                .unwrap_or_else(|e| panic!("{spelling}: {e}"));
-            assert_eq!(spec.to_config().unwrap(), expected, "{spelling}");
+            assert_eq!(parse_machine_spec(TableKind::Cam, spelling), Ok(expected), "{spelling}");
         }
         let err = parse_machine_spec(TableKind::Cam, "9x9").unwrap_err();
         for &(names, _, _) in MACHINE_SPELLINGS {
@@ -1845,19 +1693,32 @@ pub(crate) mod tests {
         }
     }
 
-    #[test]
-    fn machine_spec_keeps_flat_bytes_for_default_systems() {
-        let spec = MachineSpec::new(ConfigSpec::new(TableKind::Cam, 3, 1));
-        assert_eq!(
-            spec.to_json(),
-            "{\"table\":\"cam\",\"buses\":3,\"replication\":1,\"memory_ports\":1}"
-        );
-        // The flat form parses back through the sniffing entry point.
-        assert_eq!(MachineSpec::from_json(&spec.to_json()).unwrap(), spec);
+    /// A machine as its codec writes it.
+    fn machine_json(config: &ArchConfig) -> String {
+        let mut out = String::new();
+        config.put(&mut out);
+        out
+    }
+
+    /// A machine read through its codec.
+    fn read_machine(text: &str) -> Result<ArchConfig, ApiError> {
+        ArchConfig::get("config", "config", &Json::parse(text).expect("JSON"))
     }
 
     #[test]
-    fn machine_spec_range_checks_name_the_field() {
+    fn machines_keep_flat_bytes_for_default_systems() {
+        let cam = ArchConfig::three_bus_one_fu(TableKind::Cam);
+        let flat = "{\"table\":\"cam\",\"buses\":3,\"replication\":1,\"memory_ports\":1}";
+        assert_eq!(machine_json(&cam), flat);
+        // The flat form parses back through the sniffing entry point.
+        assert_eq!(read_machine(flat), Ok(cam.clone()));
+        let quad = cam.with_system(SystemConfig::with_cores(4));
+        assert!(machine_json(&quad).starts_with("{\"core\":{\"table\""), "{}", machine_json(&quad));
+        assert_eq!(read_machine(&machine_json(&quad)), Ok(quad));
+    }
+
+    #[test]
+    fn machine_range_checks_name_the_field() {
         let core = "\"core\":{\"table\":\"cam\",\"buses\":3,\"replication\":1}";
         for (bad, needle) in [
             (format!("{{{core},\"cores\":0}}"), "cores"),
@@ -1868,16 +1729,15 @@ pub(crate) mod tests {
                 "latency",
             ),
         ] {
-            let err = MachineSpec::from_json(&bad).expect_err(&bad);
+            let err = read_machine(&bad).expect_err(&bad);
             assert_eq!(err.code, ApiErrorCode::BadRequest, "{bad}");
             assert!(err.message.contains(needle), "{needle} missing from {err}");
         }
         // Unknown topologies and protocols list the accepted names.
         let ring = format!("{{{core},\"interconnect\":{{\"topology\":\"ring\",\"latency\":2}}}}");
-        let err = MachineSpec::from_json(&ring).unwrap_err();
+        let err = read_machine(&ring).unwrap_err();
         assert!(err.message.contains("\"topology\" must be one of: shared-bus, mesh"), "{err}");
-        let err =
-            MachineSpec::from_json(&format!("{{{core},\"coherence\":\"moesi\"}}")).unwrap_err();
+        let err = read_machine(&format!("{{{core},\"coherence\":\"moesi\"}}")).unwrap_err();
         assert!(err.message.contains("\"coherence\" must be one of: msi, mesi"), "{err}");
     }
 
@@ -1940,32 +1800,31 @@ pub(crate) mod tests {
 
     #[test]
     fn v2_envelope_round_trips_and_requires_an_id() {
-        let wire = WireRequest { id: Some(7), request: ApiRequest::Status };
-        let line = wire.to_json();
+        let line = ApiRequest::Status.to_json_v2(7);
         assert!(line.starts_with("{\"api_version\":\"v2\",\"id\":7,"), "{line}");
-        assert_eq!(WireRequest::from_json(&line).unwrap(), wire);
-        assert_eq!(WireRequest::from_json(&line).unwrap().to_json(), line);
+        assert_eq!(ApiRequest::from_wire(&line), Ok((Envelope::V2(Some(7)), ApiRequest::Status)));
+        assert_eq!(reread_request(&line).unwrap(), line);
 
         // A v1 line sniffs as id-less through the same entry point.
-        let v1 = WireRequest { id: None, request: ApiRequest::Status };
-        assert_eq!(WireRequest::from_json(&v1.to_json()).unwrap(), v1);
+        let v1 = ApiRequest::Status.to_json();
+        assert_eq!(ApiRequest::from_wire(&v1), Ok((Envelope::V1, ApiRequest::Status)));
 
         // v2 without an id or with a null one, and v1 with one, are all
         // structured errors.
         for bad in ["\"kind\":\"status\"", "\"id\":null,\"kind\":\"status\""] {
-            let err = WireRequest::from_json(&format!("{{\"api_version\":\"v2\",{bad}}}"));
+            let err = ApiRequest::from_wire(&format!("{{\"api_version\":\"v2\",{bad}}}"));
             let err = err.unwrap_err();
             assert_eq!(err.code, ApiErrorCode::BadRequest);
             assert!(err.message.contains("\"id\""), "{err}");
         }
-        let err = WireRequest::from_json("{\"api_version\":\"v1\",\"id\":1,\"kind\":\"status\"}")
+        let err = ApiRequest::from_wire("{\"api_version\":\"v1\",\"id\":1,\"kind\":\"status\"}")
             .unwrap_err();
         assert_eq!(err.code, ApiErrorCode::BadRequest);
         assert!(err.message.contains("unknown field \"id\""), "{err}");
 
         // Unknown versions stay a version mismatch naming both dialects.
         let err =
-            WireRequest::from_json("{\"api_version\":\"v3\",\"kind\":\"status\"}").unwrap_err();
+            ApiRequest::from_wire("{\"api_version\":\"v3\",\"kind\":\"status\"}").unwrap_err();
         assert_eq!(err.code, ApiErrorCode::VersionMismatch);
         assert!(err.message.contains("v1") && err.message.contains("v2"), "{err}");
     }
@@ -1976,7 +1835,7 @@ pub(crate) mod tests {
         let line = response.to_json_v2(None);
         assert!(line.starts_with("{\"api_version\":\"v2\",\"id\":null,"), "{line}");
         let wire = WireResponse::from_json(&line).unwrap();
-        assert!(wire.v2 && wire.id.is_none());
+        assert_eq!(wire.envelope, Envelope::V2(None));
         assert_eq!(wire.response, response);
 
         assert_eq!(salvage_request_id("{\"id\":31,\"kind\":\"nope\""), None);

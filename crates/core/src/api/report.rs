@@ -298,10 +298,8 @@ record!(EvalReport as "report" {
 });
 
 /// Serialises a full report as one line of JSON with a fixed key order;
-/// the machine configuration is written as its [`MachineSpec`] wire form
-/// (flat for single-core systems, nested for multi-core).
-///
-/// [`MachineSpec`]: super::MachineSpec
+/// the machine configuration is written in the form an eval request's
+/// `config` takes (flat for single-core systems, nested for multi-core).
 pub fn report_to_json(report: &EvalReport) -> String {
     report.encode()
 }

@@ -92,13 +92,10 @@ pub(crate) fn get_or<T: Wire>(f: &mut Fields<'_>, name: &str, default: T) -> Res
 pub(crate) trait Record: Sized {
     /// What errors call the object.
     const CTX: &'static str;
-    /// Every member name of the table, in wire order.
+    /// Every member name of the table, in wire order (what the tests hold
+    /// the sample lines to).
+    #[cfg_attr(not(test), allow(dead_code))]
     const MEMBERS: &'static [&'static str];
-    /// Whether a member outside the table is refused before any is read
-    /// (`record!(Type as "ctx", CLOSED = true …)`), not after: a
-    /// `{"path":…}` trace dies naming the member a client hoped would open
-    /// a file, not the one it left out.
-    const CLOSED: bool = false;
 
     /// Writes the members, without braces: a `Flat` record shares its
     /// parent's object.
@@ -141,13 +138,6 @@ impl<T: Record> Wire for T {
             return Err(must(ctx, name, "be a JSON object"));
         }
         let mut f = Fields::new(T::CTX, value)?;
-        if T::CLOSED {
-            let mut known = Fields::new(T::CTX, value)?;
-            for member in T::MEMBERS {
-                known.get(member);
-            }
-            known.finish()?;
-        }
         let record = T::get_members(&mut f)?;
         f.finish()?;
         Ok(record)
@@ -357,9 +347,9 @@ macro_rules! record {
     ($ty:ty as $ctx:literal { $($members:tt)* } $($check:tt)*) => {
         $crate::api::table::record!($ty as $ctx => Self { $($members)* } $($check)*);
     };
-    ($ty:ty as $ctx:literal $(, CLOSED = $closed:literal)? => $($shape:tt)*) => {
+    ($ty:ty as $ctx:literal => $($shape:tt)*) => {
         $crate::api::table::record!(@impl $ty, $ctx, "", |_, _| unreachable!("one shape"),
-            [$($closed)?]; => $($shape)*);
+            []; => $($shape)*);
     };
     ($ty:ty as $ctx:literal by $tagname:literal { $($arms:tt)* }
      else $unknown:expr $(, check |$all:ident| $all_check:block)?) => {
@@ -367,7 +357,7 @@ macro_rules! record {
             [$(|$all| $all_check)?]; $($arms)*);
     };
     (@impl $ty:ty, $ctx:literal, $tagname:literal, $unknown:expr,
-     [$($closed:literal)? $(|$all:ident| $all_check:block)?];
+     [$(|$all:ident| $all_check:block)?];
      $($($tag:literal)? => $($path:ident)::+ {
         $(#$ld:ident: $ldt:ty = $lde:expr,)*
         $($field:ident $(in $pos:tt)? $(as $wire:literal)? $(: $kind:ident)?
@@ -376,7 +366,6 @@ macro_rules! record {
      } $(check |$this:ident| $check:block)? $(,)?)*) => {
         impl $crate::api::table::Record for $ty {
             const CTX: &'static str = $ctx;
-            $(const CLOSED: bool = $closed;)?
             const MEMBERS: &'static [&'static str] = &[$(
                 $(stringify!($ld),)*
                 $($crate::api::table::wire_name!($field $(as $wire)?), $(stringify!($ad),)*)*

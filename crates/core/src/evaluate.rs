@@ -280,7 +280,14 @@ pub fn evaluate_request(request: &EvalRequest) -> EvalReport {
         if config.table != TableKind::Cam {
             break (cycles, util, freq, stats);
         }
-        let next = cam_spec.search_cycles(freq) as u32;
+        // Searching once per datagram past the watchdog is how the run
+        // would end: say so without simulating it.
+        let next = cam_spec.search_cycles(freq);
+        if next.saturating_mul(input.datagrams().len().max(1) as u64) > CYCLE_BUDGET {
+            let latency = u32::try_from(next).unwrap_or(u32::MAX);
+            return error_report(request, latency, SimError::Watchdog { budget: CYCLE_BUDGET });
+        }
+        let next = u32::try_from(next).expect("a latency within the budget fits u32");
         if next == rtu_latency {
             break (cycles, util, freq, stats);
         }

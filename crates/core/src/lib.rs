@@ -56,7 +56,7 @@ pub mod table1;
 
 pub use api::{
     parse_machine_spec, salvage_request_id, ApiError, ApiErrorCode, ApiRequest, ApiResponse,
-    ConfigSpec, EvalSpec, MachineSpec, StatusInfo, TraceRef, WireRequest, WireResponse,
+    EvalSpec, StatusInfo, WireResponse,
 };
 pub use arch::{ArchConfig, RoutingTableKind};
 pub use cache::{EvalCache, SnapshotError, SnapshotStats};

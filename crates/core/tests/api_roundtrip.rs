@@ -11,8 +11,10 @@
 //! stays cheap.  (The root package's `tests/fuzz_wire.rs` runs the same
 //! property over *randomised* specs, and mutates them.)
 
-use taco_core::api::{ApiRequest, ConfigSpec, EvalSpec, MachineSpec, WireRequest};
-use taco_core::{Constraints, FaultPlan, LineRate, RoutingTableKind, SweepSpec, Workload};
+use taco_core::api::{ApiRequest, Envelope, EvalSpec};
+use taco_core::{
+    ArchConfig, Constraints, FaultPlan, LineRate, RoutingTableKind, SweepSpec, Workload,
+};
 use taco_isa::{CacheConfig, CoherenceProtocol, SystemConfig, Topology, MAX_CORES};
 
 const KINDS: [RoutingTableKind; 4] = RoutingTableKind::ALL_KINDS;
@@ -54,7 +56,8 @@ fn every_builtin_eval_combination_round_trips() {
             for rate in RATES {
                 for workload in &workloads {
                     for fault in &faults {
-                        let mut spec = EvalSpec::new(ConfigSpec::new(kind, buses, replication));
+                        let config = ArchConfig::with_replication(kind, buses, replication);
+                        let mut spec = EvalSpec::new(config);
                         spec.rate = rate;
                         spec.entries = 32;
                         spec.workload = *workload;
@@ -79,12 +82,13 @@ fn every_builtin_eval_combination_round_trips() {
 }
 
 #[test]
-fn every_machine_spec_combination_round_trips() {
+fn every_machine_combination_round_trips() {
     // The full multicore cross product: every core count the schema
     // accepts × topology × protocol × table kind × Table-1 shape, each
-    // through MachineSpec → JSON → MachineSpec and a full eval request
-    // cycle.  Non-default cache geometry rides one corner of the grid so
-    // the optional "cache" member is exercised without squaring the size.
+    // through a full eval request cycle, in the nested form exactly when
+    // the system is not the default one.  Non-default cache geometry rides
+    // one corner of the grid so the optional "cache" member is exercised
+    // without squaring the size.
     let mut combinations = 0usize;
     for cores in 1..=MAX_CORES {
         for topology in Topology::ALL {
@@ -97,19 +101,14 @@ fn every_machine_spec_combination_round_trips() {
                             system.cache = CacheConfig { lines: 128, line_words: 8 };
                             system.interconnect.latency = 5;
                         }
-                        let spec = MachineSpec::new(ConfigSpec::new(kind, buses, replication))
+                        let config = ArchConfig::with_replication(kind, buses, replication)
                             .with_system(system);
-                        // Spec-level identity: encode → parse → re-encode.
-                        let json = spec.to_json();
-                        let parsed = MachineSpec::from_json(&json)
-                            .unwrap_or_else(|e| panic!("own form must validate: {e}\n{json}"));
-                        assert_eq!(parsed, spec, "{json}");
-                        assert_eq!(parsed.to_json(), json, "re-encode must be byte-identical");
-                        // Request-level identity: the spec embedded in a
-                        // full eval line survives the wire unchanged.
-                        let mut eval = EvalSpec::new(spec);
+                        let mut eval = EvalSpec::new(config);
                         eval.entries = 32;
-                        assert_round_trip(&ApiRequest::Eval(eval));
+                        let request = ApiRequest::Eval(eval);
+                        let nested = request.to_json().contains("\"config\":{\"core\":{");
+                        assert_eq!(nested, !system.is_default(), "{}", request.to_json());
+                        assert_round_trip(&request);
                         combinations += 1;
                     }
                 }
@@ -126,29 +125,27 @@ fn every_machine_spec_combination_round_trips() {
 }
 
 #[test]
-fn single_core_machine_specs_keep_the_flat_wire_form() {
-    // N=1 equivalence: a single-core MachineSpec must serialise to the
-    // exact flat ConfigSpec bytes the pre-multicore schema wrote, so every
-    // v1/v2 golden fixture (and every cache key derived from request
-    // bytes) is untouched by the redesign.
+fn single_core_machines_keep_the_flat_wire_form() {
+    // N=1 equivalence: a single-core machine must serialise to the exact
+    // flat bytes the pre-multicore schema wrote, so every v1/v2 golden
+    // fixture (and every cache key derived from request bytes) is
+    // untouched by the multicore codec.
     for kind in KINDS {
         for (buses, replication) in SHAPES {
-            let core = ConfigSpec::new(kind, buses, replication);
-            let flat = MachineSpec::new(core);
-            assert_eq!(flat.to_json(), core.to_json(), "single-core must stay flat");
-            assert!(!flat.to_json().contains("\"core\""), "{}", flat.to_json());
+            let config = ArchConfig::with_replication(kind, buses, replication);
+            let flat = format!(
+                "\"config\":{{\"table\":\"{kind}\",\"buses\":{buses},\
+                 \"replication\":{replication},\"memory_ports\":1}},"
+            );
+            let mut eval = EvalSpec::new(config.clone());
+            eval.entries = 32;
+            let line = ApiRequest::Eval(eval.clone()).to_json();
+            assert!(line.contains(&flat), "single-core must stay flat: {line}");
             // An explicit single-core system is the same machine, bytes
             // included.
-            let explicit = MachineSpec::new(core).with_system(SystemConfig::single_core());
-            assert_eq!(explicit.to_json(), core.to_json());
-            // And the eval request around it writes the pre-multicore
-            // line verbatim.
-            let mut old = EvalSpec::new(core);
-            old.entries = 32;
-            let mut new = EvalSpec::new(MachineSpec::new(core));
-            new.entries = 32;
-            assert_eq!(ApiRequest::Eval(new).to_json(), ApiRequest::Eval(old.clone()).to_json());
-            assert_round_trip(&ApiRequest::Eval(old));
+            eval.config = config.with_system(SystemConfig::single_core());
+            assert_eq!(ApiRequest::Eval(eval.clone()).to_json(), line);
+            assert_round_trip(&ApiRequest::Eval(eval));
         }
     }
 }
@@ -187,17 +184,17 @@ fn control_requests_round_trip() {
 /// identity of the request, the id, and the bytes.
 fn assert_round_trip_v2(request: &ApiRequest, id: u64) {
     let line = request.to_json_v2(id);
-    let wire = WireRequest::from_json(&line)
+    let (envelope, parsed) = ApiRequest::from_wire(&line)
         .unwrap_or_else(|e| panic!("own v2 serialisation must parse: {e}\n{line}"));
-    assert_eq!(wire.id, Some(id), "{line}");
-    assert_eq!(&wire.request, request, "{line}");
-    assert_eq!(wire.request.to_json_v2(id), line, "re-serialisation must be byte-identical");
+    assert_eq!(envelope, Envelope::V2(Some(id)), "{line}");
+    assert_eq!(&parsed, request, "{line}");
+    assert_eq!(parsed.to_json_v2(id), line, "re-serialisation must be byte-identical");
 }
 
 /// The v2 wire surface: the v1 kinds, each under a session id.
 #[test]
 fn v2_session_kinds_round_trip() {
-    let eval = EvalSpec::new(ConfigSpec::new(RoutingTableKind::Cam, 3, 1));
+    let eval = EvalSpec::new(ArchConfig::three_bus_one_fu(RoutingTableKind::Cam));
     let sweep = ApiRequest::Sweep {
         spec: SweepSpec::default(),
         rate: LineRate::TEN_GBE,

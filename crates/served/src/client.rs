@@ -4,7 +4,7 @@
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
-use taco_core::api::{ApiRequest, ApiResponse, WireResponse};
+use taco_core::api::{ApiRequest, ApiResponse, Envelope, WireResponse};
 
 /// Connects, sends one request line and returns the reader for the
 /// response stream — the client half of the **v1** protocol, used by the
@@ -93,7 +93,7 @@ impl Session {
         let id = self.send(request)?;
         loop {
             let wire = self.recv()?;
-            if wire.id != Some(id) {
+            if wire.envelope != Envelope::V2(Some(id)) {
                 continue;
             }
             match wire.response {

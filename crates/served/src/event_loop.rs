@@ -15,7 +15,6 @@ use std::time::{Duration, Instant};
 
 use taco_core::api::{
     salvage_request_id, ApiError, ApiRequest, ApiResponse, CacheCounters, Envelope, StatusInfo,
-    WireRequest,
 };
 use taco_core::{
     explore_with, Constraints, EvalRequest, ExploreOptions, LineRate, PointRecord, SweepObserver,
@@ -266,6 +265,18 @@ impl Conn {
 
     fn flushed(&self) -> bool {
         self.wpos == self.wbuf.len()
+    }
+
+    /// Takes the dialect of a frame a fresh (or same-dialect) connection
+    /// accepted: a v1 frame is the connection's only one.
+    fn enter(&mut self, envelope: Envelope) {
+        match envelope {
+            Envelope::V1 => {
+                self.dialect = Some(Dialect::V1);
+                self.read_done = true;
+            }
+            Envelope::V2(_) => self.dialect = Some(Dialect::V2),
+        }
     }
 
     /// Pushes response bytes; returns `false` when the connection's
@@ -568,13 +579,7 @@ impl<'a> EventLoop<'a> {
         }
         let Some(response_body) = self.hit_memo.get(body) else { return false };
         self.memo_hits += 1;
-        match envelope {
-            Envelope::V1 => {
-                conn.dialect = Some(Dialect::V1);
-                conn.read_done = true;
-            }
-            Envelope::V2(_) => conn.dialect = Some(Dialect::V2),
-        }
+        conn.enter(envelope);
         conn.push_response(&envelope.wrap(response_body));
         true
     }
@@ -584,20 +589,10 @@ impl<'a> EventLoop<'a> {
             return;
         }
         match conn.dialect {
-            None => match WireRequest::from_json(line) {
-                Ok(wire) => {
-                    let envelope = match wire.id {
-                        Some(id) => {
-                            conn.dialect = Some(Dialect::V2);
-                            Envelope::V2(Some(id))
-                        }
-                        None => {
-                            conn.dialect = Some(Dialect::V1);
-                            conn.read_done = true;
-                            Envelope::V1
-                        }
-                    };
-                    self.dispatch(conn, token, envelope, wire.request, line);
+            None => match ApiRequest::from_wire(line) {
+                Ok((envelope, request)) => {
+                    conn.enter(envelope);
+                    self.dispatch(conn, token, envelope, request, line);
                 }
                 Err(e) => {
                     // An unparseable first frame never established a
@@ -607,15 +602,13 @@ impl<'a> EventLoop<'a> {
                     conn.closing = true;
                 }
             },
-            Some(Dialect::V2) => match WireRequest::from_json(line) {
-                Ok(WireRequest { id: Some(id), request }) => {
-                    self.dispatch(conn, token, Envelope::V2(Some(id)), request, line);
-                }
-                Ok(WireRequest { id: None, .. }) => {
+            Some(Dialect::V2) => match ApiRequest::from_wire(line) {
+                Ok((Envelope::V1, _)) => {
                     let error =
                         ApiError::bad_request("a v2 session requires \"id\" on every request");
                     self.respond(conn, Envelope::V2(None), &ApiResponse::Error(error));
                 }
+                Ok((envelope, request)) => self.dispatch(conn, token, envelope, request, line),
                 // A malformed frame mid-session answers with the salvaged
                 // id (or null) and keeps the session alive — one bad
                 // request must not kill a multiplexed connection.

@@ -190,8 +190,8 @@ impl Server {
 mod tests {
     use super::*;
     use std::thread;
-    use taco_core::api::{ApiErrorCode, ConfigSpec, EvalSpec};
-    use taco_core::RoutingTableKind;
+    use taco_core::api::{ApiErrorCode, EvalSpec};
+    use taco_core::{ArchConfig, RoutingTableKind};
 
     fn start(config: ServerConfig) -> (SocketAddr, thread::JoinHandle<io::Result<()>>) {
         let server = Server::bind(config).expect("bind loopback");
@@ -260,7 +260,7 @@ mod tests {
             other => panic!("expected status_result, got {other:?}"),
         }
         // The same session keeps answering — persistent by contract.
-        let mut spec = EvalSpec::new(ConfigSpec::new(RoutingTableKind::Cam, 3, 1));
+        let mut spec = EvalSpec::new(ArchConfig::three_bus_one_fu(RoutingTableKind::Cam));
         spec.entries = 8;
         match session.call(&ApiRequest::Eval(spec)).expect("eval") {
             ApiResponse::EvalResult(report) => assert_eq!(report.table_entries, 8),

@@ -12,9 +12,7 @@ use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::thread;
 
-use taco_core::api::{
-    table1_cell_json, ApiErrorCode, ApiRequest, ApiResponse, ConfigSpec, EvalSpec,
-};
+use taco_core::api::{table1_cell_json, ApiErrorCode, ApiRequest, ApiResponse, EvalSpec};
 use taco_core::{ArchConfig, Constraints, LineRate, RoutingTableKind, SweepSpec};
 use taco_served::{open_request, request_lines, Server, ServerConfig};
 
@@ -51,11 +49,7 @@ fn status(addr: SocketAddr) -> taco_core::api::StatusInfo {
 fn table1_requests() -> Vec<String> {
     ArchConfig::table1_cells()
         .into_iter()
-        .map(|config| {
-            let spec =
-                ConfigSpec::from_config(&config).expect("every Table 1 cell is wire-expressible");
-            ApiRequest::Eval(EvalSpec::new(spec)).to_json()
-        })
+        .map(|config| ApiRequest::Eval(EvalSpec::new(config)).to_json())
         .collect()
 }
 
@@ -128,7 +122,7 @@ fn twelve_cell_batch_matches_golden_cold_and_from_persisted_snapshot() {
 
 #[test]
 fn trace_replay_over_the_wire_matches_in_process_replay_byte_for_byte() {
-    use taco_core::{explore, EvalRequest, TraceGen, TraceRef};
+    use taco_core::{explore, EvalRequest, TraceGen};
 
     let trace = TraceGen::generate(404, 80, 12, 8);
 
@@ -140,11 +134,12 @@ fn trace_replay_over_the_wire_matches_in_process_replay_byte_for_byte() {
     let local_json = local.scenario.as_ref().expect("trace metrics").to_json();
 
     let (addr, handle) = start(ServerConfig::default());
-    let mut spec = EvalSpec::new(ConfigSpec::new(RoutingTableKind::Cam, 3, 1));
+    let mut spec = EvalSpec::new(ArchConfig::three_bus_one_fu(RoutingTableKind::Cam));
     spec.entries = 8;
 
     // Inline submission — the wire form `taco-cli submit --trace` sends.
-    spec.trace = Some(TraceRef::inline(&trace));
+    let trace = std::sync::Arc::new(trace);
+    spec.trace = Some(trace.clone());
     let wire_json = |spec: &EvalSpec| {
         let lines = request_lines(addr, &ApiRequest::Eval(spec.clone()).to_json()).expect("eval");
         match ApiResponse::from_json(&lines[0]).expect("parse eval result") {
@@ -163,7 +158,7 @@ fn trace_replay_over_the_wire_matches_in_process_replay_byte_for_byte() {
         replication: vec![1],
         kinds: vec![RoutingTableKind::Cam],
         entries: 8,
-        trace: Some(std::sync::Arc::new(trace)),
+        trace: Some(trace),
         ..SweepSpec::default()
     };
     let local = explore(&sweep_spec, LineRate::TEN_GBE, &Constraints::default());
@@ -188,30 +183,32 @@ fn trace_replay_over_the_wire_matches_in_process_replay_byte_for_byte() {
 
 #[test]
 fn corrupt_wire_traces_are_structured_bad_requests() {
-    use taco_core::TraceRef;
-
     let (addr, handle) = start(ServerConfig::default());
-    let mut spec = EvalSpec::new(ConfigSpec::new(RoutingTableKind::Cam, 3, 1));
+    let mut spec = EvalSpec::new(ArchConfig::three_bus_one_fu(RoutingTableKind::Cam));
     spec.entries = 8;
+    let request = ApiRequest::Eval(spec);
 
-    let expect_bad_request = |spec: &EvalSpec, needle: &str| {
-        let lines = request_lines(addr, &ApiRequest::Eval(spec.clone()).to_json()).expect("eval");
-        match ApiResponse::from_json(&lines[0]).expect("parse error") {
-            ApiResponse::Error(e) => {
-                assert_eq!(e.code, ApiErrorCode::BadRequest);
-                assert!(e.message.contains(needle), "{needle:?} not in {:?}", e.message);
+    // Bad hex in an inline trace, and valid hex that is not a trace body:
+    // refused as the frame is parsed.  A refused first frame sets no
+    // dialect, so a v2 one is answered in v1 and the connection closed.
+    for corrupt in ["zz", "00ff"] {
+        let trace = format!("\"entries\":8,\"trace\":{{\"inline\":\"{corrupt}\"}}");
+        for line in [request.to_json(), request.to_json_v2(3)] {
+            let line = line.replacen("\"entries\":8", &trace, 1);
+            let reader = open_request(addr, &line).expect("eval");
+            reader.get_ref().set_read_timeout(Some(std::time::Duration::from_secs(30))).unwrap();
+            let lines: Vec<String> =
+                std::io::BufRead::lines(reader).collect::<Result<_, _>>().expect("closed");
+            assert_eq!(lines.len(), 1, "{lines:?}");
+            match ApiResponse::from_json(&lines[0]).expect("a v1 error line") {
+                ApiResponse::Error(e) => {
+                    assert_eq!(e.code, ApiErrorCode::BadRequest);
+                    assert!(e.message.starts_with("trace: "), "{line}: {}", e.message);
+                }
+                other => panic!("expected error, got {other:?}"),
             }
-            other => panic!("expected error, got {other:?}"),
         }
-    };
-
-    // Bad hex in an inline trace.
-    spec.trace = Some(TraceRef::Inline("zz".into()));
-    expect_bad_request(&spec, "trace");
-
-    // Valid hex that is not a trace body.
-    spec.trace = Some(TraceRef::Inline("00ff".into()));
-    expect_bad_request(&spec, "trace");
+    }
 
     shut_down(addr);
     handle.join().expect("server thread").expect("clean exit");
@@ -239,7 +236,7 @@ fn over_capacity_submissions_get_a_structured_busy_error() {
         rate: LineRate::TEN_GBE,
         constraints: Constraints::default(),
     };
-    let mut spec = EvalSpec::new(ConfigSpec::new(RoutingTableKind::Cam, 3, 1));
+    let mut spec = EvalSpec::new(ArchConfig::three_bus_one_fu(RoutingTableKind::Cam));
     spec.entries = 8;
     let eval = ApiRequest::Eval(spec).to_json();
 

@@ -13,10 +13,10 @@ use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::thread;
 use std::time::Duration;
 
-use taco_core::api::{ApiErrorCode, ConfigSpec, EvalSpec};
+use taco_core::api::{ApiErrorCode, Envelope, EvalSpec};
 use taco_core::{
-    explore, ApiRequest, ApiResponse, Constraints, LineRate, RoutingTableKind, SweepSpec,
-    WireResponse,
+    explore, ApiRequest, ApiResponse, ArchConfig, Constraints, LineRate, RoutingTableKind,
+    SweepSpec, WireResponse,
 };
 use taco_served::{request_lines, Server, ServerConfig, Session};
 
@@ -35,7 +35,7 @@ fn shut_down(addr: SocketAddr) {
 }
 
 fn small_eval() -> ApiRequest {
-    let mut spec = EvalSpec::new(ConfigSpec::new(RoutingTableKind::Cam, 3, 1));
+    let mut spec = EvalSpec::new(ArchConfig::three_bus_one_fu(RoutingTableKind::Cam));
     spec.entries = 8;
     ApiRequest::Eval(spec)
 }
@@ -113,10 +113,10 @@ fn v2_pipelined_frames_in_one_segment_are_all_answered() {
     let lines: Vec<String> =
         BufReader::new(stream).lines().collect::<Result<_, _>>().expect("responses");
     assert_eq!(lines.len(), 3, "{lines:?}");
-    let mut ids: Vec<Option<u64>> =
-        lines.iter().map(|l| WireResponse::from_json(l).expect("parse").id).collect();
-    ids.sort();
-    assert_eq!(ids, vec![Some(7), Some(8), Some(9)]);
+    let mut ids: Vec<Envelope> =
+        lines.iter().map(|l| WireResponse::from_json(l).expect("parse").envelope).collect();
+    ids.sort_by_key(|envelope| format!("{envelope:?}"));
+    assert_eq!(ids, [7, 8, 9].map(|id| Envelope::V2(Some(id))));
     shut_down(addr);
     handle.join().expect("join").expect("clean exit");
 }
@@ -208,7 +208,7 @@ fn disconnect_with_a_job_in_flight_does_not_wedge_the_slot() {
     // eventually a fresh submission is admitted again.  (The probe point
     // is *outside* the sweep grid — entries differ — so it can only be
     // answered by taking the job slot, never via the inline cache path.)
-    let mut probe = EvalSpec::new(ConfigSpec::new(RoutingTableKind::Cam, 3, 1));
+    let mut probe = EvalSpec::new(ArchConfig::three_bus_one_fu(RoutingTableKind::Cam));
     probe.entries = 16;
     let probe = ApiRequest::Eval(probe).to_json();
     let deadline = std::time::Instant::now() + Duration::from_secs(30);
@@ -250,7 +250,9 @@ fn v2_sweeps_interleave_on_one_session_with_correct_ids() {
     let mut results = std::collections::HashMap::new();
     while results.len() < 2 {
         let wire = session.recv().expect("recv");
-        let id = wire.id.expect("every v2 response echoes an id");
+        let Envelope::V2(Some(id)) = wire.envelope else {
+            panic!("every v2 response echoes an id")
+        };
         assert!(id == first || id == second, "unknown id {id}");
         match wire.response {
             ApiResponse::SweepPoint { total, .. } => {
@@ -282,14 +284,17 @@ fn v2_session_survives_malformed_frames_and_requires_ids() {
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));
     let mut line = String::new();
     reader.read_line(&mut line).expect("first response");
-    assert_eq!(WireResponse::from_json(line.trim_end()).expect("parse").id, Some(1));
+    assert_eq!(
+        WireResponse::from_json(line.trim_end()).expect("parse").envelope,
+        Envelope::V2(Some(1))
+    );
 
     // A malformed frame carrying a salvageable id: the error echoes it.
     stream.write_all(b"{\"id\":42,\"garbage\":true}\n").expect("write");
     line.clear();
     reader.read_line(&mut line).expect("error response");
     let wire = WireResponse::from_json(line.trim_end()).expect("parse");
-    assert_eq!(wire.id, Some(42));
+    assert_eq!(wire.envelope, Envelope::V2(Some(42)));
     assert!(matches!(wire.response, ApiResponse::Error(_)));
 
     // A v1-shaped (id-less) frame mid-session: error with a null id.
@@ -297,7 +302,7 @@ fn v2_session_survives_malformed_frames_and_requires_ids() {
     line.clear();
     reader.read_line(&mut line).expect("error response");
     let wire = WireResponse::from_json(line.trim_end()).expect("parse");
-    assert_eq!(wire.id, None);
+    assert_eq!(wire.envelope, Envelope::V2(None));
     match wire.response {
         ApiResponse::Error(e) => assert_eq!(e.code, ApiErrorCode::BadRequest),
         other => panic!("expected error, got {other:?}"),
@@ -312,7 +317,7 @@ fn v2_session_survives_malformed_frames_and_requires_ids() {
         line.clear();
         reader.read_line(&mut line).expect("eval response");
         let wire = WireResponse::from_json(line.trim_end()).expect("parse");
-        assert_eq!(wire.id, Some(id));
+        assert_eq!(wire.envelope, Envelope::V2(Some(id)));
         assert!(matches!(wire.response, ApiResponse::EvalResult(_)));
     }
     let respelt =
@@ -346,7 +351,7 @@ fn v2_session_survives_malformed_frames_and_requires_ids() {
         line.clear();
         reader.read_line(&mut line).expect("error response");
         let wire = WireResponse::from_json(line.trim_end()).expect("parse");
-        assert_eq!(wire.id, id, "{frame} -> {line}");
+        assert_eq!(wire.envelope, Envelope::V2(id), "{frame} -> {line}");
         match wire.response {
             ApiResponse::Error(e) => assert_eq!(e.code, ApiErrorCode::BadRequest, "{frame}"),
             other => panic!("{frame} must be rejected, got {other:?}"),
@@ -357,7 +362,10 @@ fn v2_session_survives_malformed_frames_and_requires_ids() {
     stream.write_all(format!("{}\n", ApiRequest::Status.to_json_v2(2)).as_bytes()).expect("write");
     line.clear();
     reader.read_line(&mut line).expect("final response");
-    assert_eq!(WireResponse::from_json(line.trim_end()).expect("parse").id, Some(2));
+    assert_eq!(
+        WireResponse::from_json(line.trim_end()).expect("parse").envelope,
+        Envelope::V2(Some(2))
+    );
     shut_down(addr);
     handle.join().expect("join").expect("clean exit");
 }

@@ -35,7 +35,11 @@ echo "== tier-1: deleted names stay deleted =="
 # trace path and the evaluator's Chrome-trace side channel.
 if grep -rnE '[S]tepMode|TACO_STEP_[M]ODE|set_step_[m]ode|parse_machine_[s]hape|sharded_[s]weep|Sweep[S]hard|Shard[R]esult|Cache[E]xport|Cache[I]mport|Cache[S]napshot|Cache[L]oaded|cache_[e]xport|cache_[i]mport' crates src tests examples scripts; then exit 1; fi
 if grep -rnE '[D]atapathFu|\b[D]Src\b|\b[D]Guard\b|\b[D]Dst\b|\b[D]Trig\b|read_[r]esult\(|write_[o]perand\(' crates src tests examples scripts; then exit 1; fi
-if grep -rnE 'crates/[p]roptests|--features [p]roptest|PERF_[G]ATE|BENCH_[s]erved|TraceRef::[P]ath|trace_[e]rror' crates src tests examples scripts; then exit 1; fi
+if grep -rnE 'crates/[p]roptests|--features [p]roptest|PERF_[G]ATE|BENCH_[s]erved|trace_[e]rror' crates src tests examples scripts; then exit 1; fi
+# The wire twins of an evaluation's own types (the machine, the inline
+# trace, the request envelope) are gone; this also keeps the server-side
+# trace path out.
+if grep -rnE '[M]achineSpec|[T]raceRef|[W]ireRequest' crates src tests examples scripts; then exit 1; fi
 # PR 16, one construction path: no per-round build helper, no traced twin
 # of measure, evaluate.rs never builds from routes.
 if grep -rnE 'build_[r]outer|traced_[m]easure' crates src tests examples scripts; then exit 1; fi

@@ -9,13 +9,14 @@
 
 #![allow(dead_code)] // every suite uses its own subset
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use taco::eval::api::{
-    ApiError, ApiRequest, ApiResponse, CacheCounters, ConfigSpec, EvalSpec, StatusInfo, TraceRef,
+    ApiError, ApiRequest, ApiResponse, CacheCounters, Envelope, EvalSpec, StatusInfo,
 };
 use taco::eval::{
-    Constraints, EvalRequest, FaultPlan, LineRate, RoutingTableKind, SweepSpec, TraceGen, Workload,
+    ArchConfig, Constraints, EvalRequest, FaultPlan, LineRate, RoutingTableKind, SweepSpec,
+    TraceGen, Workload,
 };
 use taco::ipv6::exthdr::{FragmentHeader, OptionsHeader, RoutingHeader};
 use taco::ipv6::ripng::{Command, RipngPacket, RouteEntry};
@@ -181,12 +182,63 @@ pub fn datagram(rng: &mut SplitMix64) -> Datagram {
 
 /// Any single-core machine the wire can spell (the multi-core grid is
 /// enumerated in `crates/core/tests/api_roundtrip.rs`).
-fn config(rng: &mut SplitMix64) -> ConfigSpec {
-    ConfigSpec {
-        table: pick(rng, &RoutingTableKind::ALL_KINDS),
-        buses: rng.range_inclusive(1, 8) as u8,
-        replication: rng.range_inclusive(1, 4) as u8,
-        memory_ports: rng.range_inclusive(1, 4) as u8,
+fn config(rng: &mut SplitMix64) -> ArchConfig {
+    let table = pick(rng, &RoutingTableKind::ALL_KINDS);
+    let buses = rng.range_inclusive(1, 8) as u8;
+    let config = ArchConfig::with_replication(table, buses, rng.range_inclusive(1, 4) as u8);
+    match rng.range_inclusive(1, 4) as u8 {
+        1 => config,
+        ports => config.with_memory_ports(ports),
+    }
+}
+
+/// Either dialect's envelope for a request: v1, or v2 under an id at a
+/// boundary of its width.
+pub fn envelope(rng: &mut SplitMix64) -> Envelope {
+    if rng.chance(0.5) {
+        Envelope::V2(Some(pick(rng, &[0, 7, u64::MAX])))
+    } else {
+        Envelope::V1
+    }
+}
+
+/// `request` as one line under `envelope` (a v2 request line carries an id).
+pub fn wire_line(envelope: Envelope, request: &ApiRequest) -> String {
+    match envelope {
+        Envelope::V1 => request.to_json(),
+        Envelope::V2(id) => request.to_json_v2(id.expect("a v2 request carries an id")),
+    }
+}
+
+/// A request line of either dialect, read and written again.
+pub fn reread_request(line: &str) -> Result<String, ApiError> {
+    ApiRequest::from_wire(line).map(|(envelope, request)| wire_line(envelope, &request))
+}
+
+/// The eval line around a machine: everything before its `config` member's
+/// value, and everything after.
+fn around_config() -> (String, String) {
+    let cam = ArchConfig::three_bus_one_fu(RoutingTableKind::Cam);
+    let line = ApiRequest::Eval(EvalSpec::new(cam)).to_json();
+    let (head, rest) = line.split_once("\"config\":").expect("an eval line carries a config");
+    let tail = &rest[rest.find(",\"rate\":").expect("and a rate after it")..];
+    (format!("{head}\"config\":"), tail.to_owned())
+}
+
+/// `config` as the wire writes it: an eval line's `config` member.
+pub fn machine_line(config: &ArchConfig) -> String {
+    let line = ApiRequest::Eval(EvalSpec::new(config.clone())).to_json();
+    let (head, tail) = around_config();
+    line[head.len()..line.len() - tail.len()].to_owned()
+}
+
+/// A machine line read through `ArchConfig`'s codec, as an eval line's
+/// `config` member.
+pub fn read_machine(line: &str) -> Result<ArchConfig, ApiError> {
+    let (head, tail) = around_config();
+    match ApiRequest::from_json(&format!("{head}{line}{tail}"))? {
+        ApiRequest::Eval(spec) => Ok(spec.config),
+        other => panic!("an eval line read as {other:?}"),
     }
 }
 
@@ -212,7 +264,7 @@ pub fn eval(rng: &mut SplitMix64) -> ApiRequest {
         // An inline trace; its descriptor is the only workload it admits.
         let trace = TraceGen::generate(rng.next_u64(), 6, 3, 4);
         spec.workload = rng.chance(0.5).then(|| trace.descriptor());
-        spec.trace = Some(TraceRef::inline(&trace));
+        spec.trace = Some(Arc::new(trace));
     }
     ApiRequest::Eval(spec)
 }
@@ -247,7 +299,7 @@ pub fn sweep(rng: &mut SplitMix64) -> ApiRequest {
 pub fn response_lines() -> &'static [String] {
     static LINES: OnceLock<Vec<String>> = OnceLock::new();
     LINES.get_or_init(|| {
-        let config = ConfigSpec::new(RoutingTableKind::Cam, 3, 1).to_config().expect("valid");
+        let config = ArchConfig::three_bus_one_fu(RoutingTableKind::Cam);
         let cam = |entries| EvalRequest::new(config.clone()).entries(entries);
         let small = Workload::SteadyForward { seed: 3, ticks: 20, packets_per_tick: 4, entries: 8 };
         let plain = cam(8).run();

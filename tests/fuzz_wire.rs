@@ -13,20 +13,20 @@ mod common;
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+use std::sync::Arc;
 use std::time::Duration;
 
 use common::{
-    bytes, cases, corrupt, corrupted, eval, index, pick, response_lines, unicode, SplitMix64,
+    bytes, cases, corrupt, corrupted, envelope, eval, index, pick, reread_request, response_lines,
+    unicode, wire_line, SplitMix64,
 };
 use taco::eval::api::json::Json;
-use taco::eval::api::{
-    ApiErrorCode, ApiRequest, ApiResponse, ConfigSpec, EvalSpec, TraceRef, WireRequest,
-    WireResponse,
-};
+use taco::eval::api::{ApiErrorCode, ApiRequest, ApiResponse, Envelope, EvalSpec, WireResponse};
 use taco::eval::{
-    Constraints, EvalCache, EvalRequest, FaultPlan, FlowTrace, LineRate, RoutingTableKind,
-    SweepSpec, TraceGen, Workload,
+    ArchConfig, Constraints, EvalCache, EvalRequest, FaultPlan, FlowTrace, LineRate,
+    RoutingTableKind, SweepSpec, TraceGen, Workload,
 };
+use taco::isa::{SystemConfig, Topology};
 use taco::served::{Server, ServerConfig};
 use taco_workload::trace::trace_fnv1a64;
 
@@ -49,6 +49,11 @@ fn sweep(rng: &mut SplitMix64) -> ApiRequest {
     request
 }
 
+/// The CAM cell of Table 1's 3BUS/1FU column.
+fn cam() -> ArchConfig {
+    ArchConfig::three_bus_one_fu(RoutingTableKind::Cam)
+}
+
 /// A request line of any kind in either dialect.
 fn request_line(rng: &mut SplitMix64) -> String {
     let request = match rng.below(8) {
@@ -57,7 +62,7 @@ fn request_line(rng: &mut SplitMix64) -> String {
         2 | 3 => sweep(rng),
         _ => eval(rng),
     };
-    WireRequest { id: rng.chance(0.5).then(|| pick(rng, &[0, 7, u64::MAX])), request }.to_json()
+    wire_line(envelope(rng), &request)
 }
 
 /// Number spellings a field is unlikely to expect: the boundaries of every
@@ -150,11 +155,11 @@ fn mutated(rng: &mut SplitMix64, line: &str) -> String {
 }
 
 fn assert_identity(request: &ApiRequest, id: Option<u64>) {
-    let wire = WireRequest { id, request: request.clone() };
-    let line = wire.to_json();
-    let parsed = WireRequest::from_json(&line).unwrap_or_else(|e| panic!("{e}: {line}"));
-    assert_eq!(parsed, wire, "{line}");
-    assert_eq!(parsed.to_json(), line, "re-serialisation drifted");
+    let envelope = id.map_or(Envelope::V1, |id| Envelope::V2(Some(id)));
+    let line = wire_line(envelope, request);
+    let parsed = ApiRequest::from_wire(&line).unwrap_or_else(|e| panic!("{e}: {line}"));
+    assert_eq!(parsed, (envelope, request.clone()), "{line}");
+    assert_eq!(reread_request(&line).as_ref(), Ok(&line), "re-serialisation drifted");
 }
 
 #[test]
@@ -181,7 +186,7 @@ fn arbitrary_input_never_panics_the_strict_parsers() {
         let line = unicode(rng, 200);
         let _ = ApiRequest::from_json(&line);
         let _ = ApiResponse::from_json(&line);
-        let _ = WireRequest::from_json(&line);
+        let _ = ApiRequest::from_wire(&line);
         let _ = WireResponse::from_json(&line);
     });
 }
@@ -191,11 +196,11 @@ fn mutated_requests_parse_to_a_value_or_a_structured_error() {
     cases(SEED, 4 * CASES, |rng| {
         let valid = request_line(rng);
         let line = mutated(rng, &valid);
-        if let Ok(parsed) = WireRequest::from_json(&line) {
+        if let Ok(parsed) = ApiRequest::from_wire(&line) {
             // What was accepted is a value: it has a canonical spelling
             // that reads back as itself.
-            let canonical = parsed.to_json();
-            assert_eq!(WireRequest::from_json(&canonical).as_ref(), Ok(&parsed), "{line}");
+            let canonical = wire_line(parsed.0, &parsed.1);
+            assert_eq!(ApiRequest::from_wire(&canonical).as_ref(), Ok(&parsed), "{line}");
         }
         let _ = ApiRequest::from_json(&line);
         let _ = taco::eval::api::salvage_request_id(&line);
@@ -237,10 +242,10 @@ fn workload_members(request: &mut Json) -> &mut Vec<(String, Json)> {
 fn workloads_round_trip_and_oversize_members_are_refused_by_name() {
     // A table kind the wire spelled through PR 20 is what any unknown kind
     // is: refused naming the member and the accepted names, in both dialects.
-    let cam = ApiRequest::Eval(EvalSpec::new(ConfigSpec::new(RoutingTableKind::Cam, 3, 1)));
-    for line in [cam.to_json(), cam.to_json_v2(7)] {
+    let eval = ApiRequest::Eval(EvalSpec::new(cam()));
+    for line in [eval.to_json(), eval.to_json_v2(7)] {
         let line = line.replacen("\"table\":\"cam\"", "\"table\":\"trie\"", 1);
-        let e = WireRequest::from_json(&line).expect_err("a retired table kind");
+        let e = ApiRequest::from_wire(&line).expect_err("a retired table kind");
         assert_eq!(e.code, ApiErrorCode::BadRequest);
         let names = "\"table\" must be one of: sequential, balanced-tree, cam, patricia";
         assert!(e.message.contains(names), "{e}: {line}");
@@ -255,7 +260,7 @@ fn workloads_round_trip_and_oversize_members_are_refused_by_name() {
         .chain([taco_workload::MAX_OFFERED + 1, GREEDY])
         .collect();
     for workload in Workload::builtin() {
-        let mut spec = EvalSpec::new(ConfigSpec::new(RoutingTableKind::Cam, 3, 1));
+        let mut spec = EvalSpec::new(cam());
         spec.workload = Some(workload);
         // A fault plan's frames ride on the same budget: every builtin plan
         // fits beside every builtin workload, 2^64 - 1 thousandths a tick
@@ -266,7 +271,7 @@ fn workloads_round_trip_and_oversize_members_are_refused_by_name() {
             spec.faults = Some(FaultPlan { hop_limit_zero_per_tick_milli: u64::MAX, ..plan });
             let greedy = ApiRequest::Eval(spec.clone());
             for line in [greedy.to_json(), greedy.to_json_v2(7)] {
-                let e = WireRequest::from_json(&line).expect_err("an over-rate fault plan");
+                let e = ApiRequest::from_wire(&line).expect_err("an over-rate fault plan");
                 assert_eq!(e.code, ApiErrorCode::BadRequest);
                 assert!(e.message.contains("\"faults\""), "{e}: {line}");
             }
@@ -286,14 +291,12 @@ fn workloads_round_trip_and_oversize_members_are_refused_by_name() {
                 for &value in &values {
                     workload_members(&mut json)[at].1 = Json::u64(value);
                     let bent = json.encode();
-                    let parsed = WireRequest::from_json(&bent);
+                    let parsed = ApiRequest::from_wire(&bent);
                     match &parsed {
                         // What is admitted is a value within the bound.
                         Ok(parsed) => {
-                            assert_eq!(
-                                WireRequest::from_json(&parsed.to_json()).as_ref(),
-                                Ok(parsed)
-                            );
+                            let canonical = wire_line(parsed.0, &parsed.1);
+                            assert_eq!(ApiRequest::from_wire(&canonical).as_ref(), Ok(parsed));
                             assert!(shape || value <= taco_workload::MAX_OFFERED, "{bent}");
                         }
                         Err(e) => {
@@ -324,26 +327,63 @@ fn oversize_trace_headers_are_refused_by_name() {
         (fits(4096, 1 << 20, 4), "\"flows\""),
     ];
     for (trace, member) in cases {
-        let mut spec = EvalSpec::new(ConfigSpec::new(RoutingTableKind::Cam, 3, 1));
-        spec.trace = Some(TraceRef::inline(&trace));
-        // An eval resolves its trace before it is queued...
-        let e = spec.to_request().expect_err("over-size header");
-        assert!(e.message.starts_with("trace header: ") && e.message.contains(member), "{e}");
-        // ...a sweep as it is parsed, in either dialect.
+        // An eval and a sweep resolve their trace as it is parsed, in
+        // either dialect.
+        let trace = Arc::new(trace);
+        let mut spec = EvalSpec::new(cam());
+        spec.trace = Some(trace.clone());
         let sweep = ApiRequest::Sweep {
-            spec: SweepSpec { trace: Some(trace.into()), ..SweepSpec::default() },
+            spec: SweepSpec { trace: Some(trace), ..SweepSpec::default() },
             rate: LineRate::TEN_GBE,
             constraints: Constraints::default(),
         };
-        for line in [sweep.to_json(), sweep.to_json_v2(7)] {
-            let e = WireRequest::from_json(&line).expect_err("over-size header");
-            assert!(e.message.starts_with("trace header: ") && e.message.contains(member), "{e}");
+        for request in [ApiRequest::Eval(spec), sweep] {
+            for line in [request.to_json(), request.to_json_v2(7)] {
+                let e = ApiRequest::from_wire(&line).expect_err("over-size header");
+                let named = e.message.starts_with("trace header: ") && e.message.contains(member);
+                assert!(named, "{e}");
+            }
         }
     }
     // The same records under a header within the bounds pass.
-    let mut spec = EvalSpec::new(ConfigSpec::new(RoutingTableKind::Cam, 3, 1));
-    spec.trace = Some(TraceRef::inline(&fits(6, 3, 4)));
+    let mut spec = EvalSpec::new(cam());
+    spec.trace = Some(Arc::new(fits(6, 3, 4)));
+    let line = ApiRequest::Eval(spec.clone()).to_json();
+    assert_eq!(ApiRequest::from_json(&line), Ok(ApiRequest::Eval(spec.clone())));
     assert!(spec.to_request().is_ok());
+}
+
+#[test]
+fn one_trace_has_one_spelling_and_one_refusal_point() {
+    let trace = Arc::new(TraceGen::generate(5, 6, 3, 4));
+    let mut spec = EvalSpec::new(cam());
+    spec.trace = Some(trace.clone());
+    let eval = ApiRequest::Eval(spec).to_json();
+    let sweep = ApiRequest::Sweep {
+        spec: SweepSpec { trace: Some(trace), ..SweepSpec::default() },
+        rate: LineRate::TEN_GBE,
+        constraints: Constraints::default(),
+    }
+    .to_json();
+    // The `"trace"` member, up to the brace that closes it (hex has none).
+    let member = |line: &str| -> String {
+        let at = line.find("\"trace\":").expect("a trace member");
+        line[at..=at + line[at..].find('}').expect("closed")].to_owned()
+    };
+    assert!(member(&eval).starts_with("\"trace\":{\"inline\":\""), "{eval}");
+    assert_eq!(member(&eval), member(&sweep), "an eval and a sweep spell one trace two ways");
+    // A corrupt body is refused as the line is parsed, with one message
+    // whichever request carries it.
+    for corrupt in ["zz", "00ff"] {
+        let bad = format!("\"trace\":{{\"inline\":\"{corrupt}\"}}");
+        let refusals = [&eval, &sweep].map(|line| {
+            let line = line.replacen(&member(line), &bad, 1);
+            ApiRequest::from_json(&line).expect_err("a corrupt trace")
+        });
+        assert_eq!(refusals[0].code, ApiErrorCode::BadRequest);
+        assert!(refusals[0].message.starts_with("trace: "), "{}", refusals[0]);
+        assert_eq!(refusals[0], refusals[1], "{corrupt}");
+    }
 }
 
 /// Header lines of a `taco-flowtrace` file before its binary body.
@@ -379,19 +419,31 @@ fn mutated_flow_traces_parse_to_a_value_or_a_structured_error() {
 
 #[test]
 fn mutated_snapshots_load_whole_or_not_at_all() {
-    // A real snapshot of two entries, written by the cache itself.
+    // A real snapshot written by the cache itself: the twelve Table 1
+    // cells, a scenario, a fault plan and a nested multi-core machine.
     let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
     let path = dir.join(format!("fuzz-wire-{}.snapshot", std::process::id()));
     let cache = EvalCache::new();
-    for entries in [4, 8] {
-        let spec = ConfigSpec::new(RoutingTableKind::Cam, 3, 1);
-        cache.evaluate(&EvalRequest::new(spec.to_config().expect("valid")).entries(entries));
+    let mut requests: Vec<EvalRequest> =
+        ArchConfig::table1_cells().into_iter().map(EvalRequest::new).collect();
+    let small = Workload::SteadyForward { seed: 3, ticks: 20, packets_per_tick: 4, entries: 8 };
+    requests.push(EvalRequest::new(cam()).entries(8).workload(small));
+    requests.push(EvalRequest::new(cam()).entries(8).faults(FaultPlan::storm()));
+    let mesh = SystemConfig::with_cores(2).topology(Topology::Mesh);
+    requests.push(EvalRequest::new(cam().with_system(mesh)).entries(8));
+    for request in &requests {
+        cache.evaluate(request);
     }
     cache.save_snapshot(&path).expect("write snapshot");
     let pristine = std::fs::read_to_string(&path).expect("read snapshot back");
     let (header, body) =
         pristine.split_at(pristine.match_indices('\n').nth(1).expect("header").0 + 1);
-    assert_eq!(EvalCache::new().load_snapshot(&path).expect("pristine loads"), 2);
+    for (kind, needle) in [("scenario", "\"scenario\":{"), ("fault plan", "\"faults\":{")] {
+        assert!(body.contains(needle), "no {kind} entry");
+    }
+    assert!(body.contains("\"core\":{"), "no nested machine");
+    let loaded = EvalCache::new().load_snapshot(&path).expect("pristine loads");
+    assert_eq!(loaded, requests.len() as u64);
 
     cases(SEED, CASES / 2, |rng| {
         // Corrupt the file bytewise, or mutate one entry's JSON and repair
@@ -449,7 +501,7 @@ fn memo_and_strict_paths_answer_mutated_v2_frames_identically() {
         // A body this daemon has not seen: the rate is drawn per case, from
         // 1–10 Gbit/s (terabit rates put the CAM's 40 ns search at tens of
         // thousands of cycles and the cell at seconds).
-        let mut spec = EvalSpec::new(ConfigSpec::new(RoutingTableKind::Cam, 3, 1));
+        let mut spec = EvalSpec::new(cam());
         spec.entries = rng.range_inclusive(1, 16) as usize;
         spec.rate = LineRate::new(1e9 + rng.next_f64() * 9e9, rng.range_inclusive(64, 1500) as u32);
         let request = ApiRequest::Eval(spec);

@@ -2,7 +2,7 @@
 //!
 //! Pins what `taco_core::api` writes — request lines of every kind in both
 //! dialects (seeded, see `common/mod.rs`), one line per builtin workload,
-//! per builtin fault plan and per `MachineSpec` form, response lines of
+//! per builtin fault plan and per machine form, response lines of
 //! every kind, one cache-snapshot entry — as `tests/golden/wire_lines.txt`,
 //! one `label line` pair per line.  Lines that carry a report or an inline
 //! trace are stored as `#<bytes> <fnv1a64>`; a mismatch prints the line the
@@ -23,9 +23,12 @@ mod common;
 
 use std::path::{Path, PathBuf};
 
-use common::{cases, eval, pick, response_lines, sweep};
-use taco::eval::api::{ApiRequest, ConfigSpec, EvalSpec, MachineSpec, WireRequest, WireResponse};
-use taco::eval::{EvalCache, EvalRequest, FaultPlan, RoutingTableKind, Workload};
+use common::{
+    cases, envelope, eval, machine_line, read_machine, reread_request, response_lines, sweep,
+    wire_line,
+};
+use taco::eval::api::{ApiRequest, EvalSpec, WireResponse};
+use taco::eval::{ArchConfig, EvalCache, EvalRequest, FaultPlan, RoutingTableKind, Workload};
 use taco::isa::{CoherenceProtocol, SystemConfig, Topology};
 use taco_workload::trace::trace_fnv1a64;
 
@@ -53,15 +56,15 @@ fn scratch_snapshot() -> PathBuf {
         .join(format!("golden-wire-{}.snapshot", std::process::id()))
 }
 
-fn cam() -> ConfigSpec {
-    ConfigSpec::new(RoutingTableKind::Cam, 3, 1)
+fn cam() -> ArchConfig {
+    ArchConfig::three_bus_one_fu(RoutingTableKind::Cam)
 }
 
 /// The one entry line of a snapshot holding one evaluation.
 fn snapshot_entry() -> String {
     let path = scratch_snapshot();
     let cache = EvalCache::new();
-    cache.evaluate(&EvalRequest::new(cam().to_config().expect("valid")).entries(8));
+    cache.evaluate(&EvalRequest::new(cam()).entries(8));
     cache.save_snapshot(&path).expect("write snapshot");
     let content = std::fs::read_to_string(&path).expect("read snapshot back");
     std::fs::remove_file(&path).ok();
@@ -89,18 +92,14 @@ fn snapshot() -> Vec<(String, Reader, String)> {
     let mut lines = Vec::new();
     let mut case = 0;
     cases(SEED, CASES, |rng| {
-        let id = rng.chance(0.5).then(|| pick(rng, &[0, 7, u64::MAX]));
+        let envelope = envelope(rng);
         let request = match rng.below(8) {
             0 => ApiRequest::Status,
             1 => ApiRequest::Shutdown,
             2..=4 => sweep(rng),
             _ => eval(rng),
         };
-        lines.push((
-            format!("request.{case}"),
-            Reader::Request,
-            WireRequest { id, request }.to_json(),
-        ));
+        lines.push((format!("request.{case}"), Reader::Request, wire_line(envelope, &request)));
         case += 1;
     });
     for workload in Workload::builtin() {
@@ -115,7 +114,7 @@ fn snapshot() -> Vec<(String, Reader, String)> {
         let line = ApiRequest::Eval(spec).to_json_v2(7);
         lines.push((format!("faults.{name}"), Reader::Request, line));
     }
-    let nested = MachineSpec::new(cam()).with_system(
+    let nested = cam().with_system(
         SystemConfig::with_cores(4)
             .topology(Topology::Mesh)
             .protocol(CoherenceProtocol::Msi)
@@ -124,10 +123,9 @@ fn snapshot() -> Vec<(String, Reader, String)> {
     // Members a client may omit: the line pinned is what the codec writes
     // after reading the short form.
     let sparse = "{\"core\":{\"table\":\"cam\",\"buses\":3,\"replication\":1},\"cores\":2}";
-    let sparse = MachineSpec::from_json(sparse).expect("omitted members default");
-    for (form, spec) in [("flat", MachineSpec::new(cam())), ("nested", nested), ("sparse", sparse)]
-    {
-        lines.push((format!("machine.{form}"), Reader::Machine, spec.to_json()));
+    let sparse = read_machine(sparse).expect("omitted members default");
+    for (form, config) in [("flat", cam()), ("nested", nested), ("sparse", sparse)] {
+        lines.push((format!("machine.{form}"), Reader::Machine, machine_line(&config)));
     }
     for (at, line) in response_lines().iter().enumerate() {
         lines.push((format!("response.{at}"), Reader::Response, line.clone()));
@@ -174,9 +172,9 @@ fn wire_lines_match_golden_fixture() {
             continue;
         }
         let reread = match reader {
-            Reader::Request => WireRequest::from_json(line).map(|r| r.to_json()),
+            Reader::Request => reread_request(line),
             Reader::Response => WireResponse::from_json(line).map(|r| r.to_json()),
-            Reader::Machine => MachineSpec::from_json(line).map(|m| m.to_json()),
+            Reader::Machine => read_machine(line).map(|config| machine_line(&config)),
             Reader::Snapshot => Ok(reload_snapshot_entry(line)),
         };
         assert_eq!(reread.as_deref(), Ok(line.as_str()), "{label} does not read back as written");

@@ -4,7 +4,9 @@
 //! keeps CI fast while preserving every ordering the paper reports.)
 
 use taco::eval::{scaling_sweep, table1, ArchConfig, EvalRequest, LineRate};
+use taco::routing::cam::CamSpec;
 use taco::routing::TableKind;
+use taco::sim::SimError;
 
 const ENTRIES: usize = 32;
 
@@ -95,6 +97,33 @@ fn cam_fixed_point_latency_is_consistent() {
         r.rtu_latency_cycles,
         r.required_frequency_hz
     );
+}
+
+#[test]
+fn cam_latency_is_exact_or_the_watchdog_at_any_rate() {
+    // A decade apart from 10 Gbit/s to 10^30 b/s.  Past some rate the 40 ns
+    // search alone, once per datagram, outlasts the simulation watchdog;
+    // the report must say so, never simulate at a latency wrapped to 32
+    // bits.
+    let spec = CamSpec::paper_default();
+    let mut watchdogs = 0;
+    for decade in 10..=30 {
+        let rate = LineRate::new(10f64.powi(decade), 1040);
+        let r = EvalRequest::new(ArchConfig::three_bus_one_fu(TableKind::Cam))
+            .rate(rate)
+            .entries(ENTRIES)
+            .run();
+        match r.sim_error {
+            None => assert_eq!(
+                u64::from(r.rtu_latency_cycles),
+                spec.search_cycles(r.required_frequency_hz),
+                "1e{decade} b/s"
+            ),
+            Some(SimError::Watchdog { .. }) => watchdogs += 1,
+            Some(e) => panic!("1e{decade} b/s: {e}"),
+        }
+    }
+    assert!((1..21).contains(&watchdogs), "{watchdogs} of 21 rates hit the watchdog");
 }
 
 #[test]
