@@ -221,7 +221,7 @@ impl Processor {
         rtu: RtuConfig,
         liu_table: Vec<u32>,
     ) -> Self {
-        let (file, guards) = compiled.map.power_on();
+        let (file, guards) = compiled.map.power_on(compiled.decoded.scratch);
         Processor {
             trigger_counts: vec![0; compiled.decoded.trigger_fus.len()],
             pc: 0,
@@ -448,14 +448,20 @@ impl Processor {
 
     /// The compiled step loop: a walk over the flat [`DecodedProgram`]
     /// built at construction.  Replays the reference interpreter
-    /// ([`Processor::run_reference`]) phase for phase — same stall and
-    /// fault bookkeeping, same read/conflict/write ordering, same trace
+    /// ([`Processor::run_reference`]) cycle for cycle — same stall and
+    /// fault bookkeeping, same read/conflict/write timing, same trace
     /// events in the same order — with all decoding already done.
     ///
-    /// The cycle, PC, halt and stall flags and the move counters live in
-    /// locals while it runs and are folded into `self` once, on every exit
-    /// path; each instruction is executed by the [`instruction`] instance
-    /// for its width.
+    /// It dispatches once per *run*: the straight-line instructions from
+    /// the PC through the next one that holds a jump
+    /// ([`InsMeta::run`](crate::sched::InsMeta::run)).
+    /// Halt, deadline and PC-range checks happen once per run; the deadline
+    /// clamps the run, so the watchdog fires at the exact cycle; an
+    /// instruction that must stall for the RTU, or a cycle the injector
+    /// steals, ends the run there and the next pass of the outer loop
+    /// accounts it.  The cycle, PC, halt and stall flags and the move
+    /// counters live in locals while it runs and are folded into `self`
+    /// once, on every exit path.
     fn compiled_loop<T: Tracer + ?Sized, F: FaultInjector + ?Sized>(
         &mut self,
         budget: u64,
@@ -463,22 +469,19 @@ impl Processor {
         faults: &mut F,
     ) -> Result<(), SimError> {
         let compiled = Arc::clone(&self.compiled);
-        let decoded = &compiled.decoded;
-        let (ins, all_moves) = (&decoded.ins[..], &decoded.moves[..]);
+        let ins = &compiled.decoded.ins[..];
         let len = ins.len();
         let start = self.cycle;
         let deadline = start.saturating_add(budget);
         let (mut cycle, mut pc, mut halted) = (self.cycle, self.pc, self.halted);
         let (mut stall_open, mut fault_open) = (self.stall_open, self.fault_open);
         let (mut stalled, mut stolen) = (0u64, 0u64);
-        let (mut executed, mut squashed) = (0u64, 0u64);
-        // Scratch for instructions wider than the widest array instance;
-        // no workload in BENCHMARK.json has one, so usually not allocated.
-        let wide = if decoded.max_width > 4 { decoded.max_width } else { 0 };
-        let (mut wide_values, mut wide_pass) = (vec![0u32; wide], vec![false; wide]);
+        // Every move of every instruction issued, and those whose guard
+        // failed.
+        let (mut issued, mut squashed) = (0u64, 0u64);
         let mut ports = self.ports();
 
-        let result = loop {
+        let result = 'runs: loop {
             if halted {
                 break Ok(());
             }
@@ -504,9 +507,7 @@ impl Processor {
                     tracer.event(&TraceEvent::FaultStallEnd { cycle });
                 }
             }
-            let meta = ins[pc];
-
-            if meta.rtu_sensitive && cycle < ports.rtu.ready_at {
+            if ins[pc].rtu_sensitive && cycle < ports.rtu.ready_at {
                 if !stall_open {
                     stall_open = true;
                     tracer.event(&TraceEvent::StallBegin { cycle });
@@ -520,40 +521,41 @@ impl Processor {
                 tracer.event(&TraceEvent::StallEnd { cycle });
             }
 
-            let moves = &all_moves[meta.start as usize..meta.end as usize];
-            let mut cx = Cycle {
-                ports: &mut ports,
-                executed: &mut executed,
-                squashed: &mut squashed,
-                compiled: &compiled,
-                may_conflict: meta.may_conflict,
-                cycle,
-                pc,
-            };
-            let jump = match moves.len() {
-                1 => instruction(&mut cx, moves, &mut [0; 1], &mut [false; 1], tracer),
-                2 => instruction(&mut cx, moves, &mut [0; 2], &mut [false; 2], tracer),
-                3 => instruction(&mut cx, moves, &mut [0; 3], &mut [false; 3], tracer),
-                4 => instruction(&mut cx, moves, &mut [0; 4], &mut [false; 4], tracer),
-                n => {
-                    instruction(&mut cx, moves, &mut wide_values[..n], &mut wide_pass[..n], tracer)
+            // --- one run: instructions pc..=last -------------------------
+            let last = pc + (u64::from(ins[pc].run).min(deadline - cycle) as usize) - 1;
+            loop {
+                issued += u64::from(ins[pc].end - ins[pc].start);
+                let jump =
+                    match instruction(&mut ports, &compiled, pc, cycle, &mut squashed, tracer) {
+                        Ok(jump) => jump,
+                        Err(e) => break 'runs Err(e),
+                    };
+                cycle += 1;
+                if pc == last {
+                    // --- PC update ---------------------------------------
+                    match jump {
+                        None => {
+                            pc += 1;
+                            halted = pc >= len;
+                        }
+                        Some(t) if (t as usize) < len => pc = t as usize,
+                        Some(t) if t as usize == len => halted = true,
+                        Some(t) => break 'runs Err(SimError::JumpOutOfRange { target: t, len }),
+                    }
+                    continue 'runs;
                 }
-            };
-
-            // --- PC update -------------------------------------------------
-            let jump = match jump {
-                Ok(jump) => jump,
-                Err(e) => break Err(e),
-            };
-            cycle += 1;
-            match jump {
-                None => {
-                    pc += 1;
-                    halted = pc >= len;
+                pc += 1;
+                // Mid-run, no span is open: the outer loop closed both.
+                if faults.active() && faults.steals_cycle(cycle) {
+                    fault_open = true;
+                    tracer.event(&TraceEvent::FaultStallBegin { cycle });
+                    cycle += 1;
+                    stolen += 1;
+                    continue 'runs;
                 }
-                Some(t) if (t as usize) < len => pc = t as usize,
-                Some(t) if t as usize == len => halted = true,
-                Some(t) => break Err(SimError::JumpOutOfRange { target: t, len }),
+                if ins[pc].rtu_sensitive && cycle < ports.rtu.ready_at {
+                    continue 'runs;
+                }
             }
         };
 
@@ -565,106 +567,135 @@ impl Processor {
         self.stats.cycles += cycle - start;
         self.stats.stall_cycles += stalled;
         self.stats.injected_stall_cycles += stolen;
-        self.stats.moves_executed += executed;
+        self.stats.moves_executed += issued - squashed;
         self.stats.moves_squashed += squashed;
         result
     }
 }
 
-/// What one instruction executes against: the machine, the counters, and
-/// where in the run it is.
-struct Cycle<'a, 'p> {
-    ports: &'a mut Ports<'p>,
-    executed: &'a mut u64,
-    squashed: &'a mut u64,
-    compiled: &'a CompiledProgram,
-    may_conflict: bool,
-    cycle: u64,
-    pc: usize,
-}
-
-/// One instruction word: read phase, conflict check, write phase.  Returns
-/// the jump target a move into `nc0.pc` delivered, if any.
-///
-/// Generic over the scratch that carries sampled values and guard outcomes
-/// from the read phase to the write phase: with `[u32; N]` / `[bool; N]`
-/// every loop below has a constant trip count and the scratch lives in
-/// registers; with slices the same body serves any width.
+/// One instruction word: early reads, then its moves in the execution
+/// order [`crate::sched`] stored them in — guarded stores, copies,
+/// immediates, triggers in bus order, the jump — each reading and writing
+/// in turn.  Returns the target a passing move into `nc0.pc` delivered, if
+/// any.  On an error `squashed` counts every move of the word, as if all
+/// had been read at the start of the cycle.
 #[inline(always)]
-fn instruction<V, P, T>(
-    cx: &mut Cycle<'_, '_>,
-    moves: &[DMove],
-    values: &mut V,
-    pass: &mut P,
+fn instruction<T: Tracer + ?Sized>(
+    ports: &mut Ports<'_>,
+    compiled: &CompiledProgram,
+    pc: usize,
+    cycle: u64,
+    squashed: &mut u64,
     tracer: &mut T,
-) -> Result<Option<u32>, SimError>
-where
-    V: AsMut<[u32]> + ?Sized,
-    P: AsMut<[bool]> + ?Sized,
-    T: Tracer + ?Sized,
-{
-    let values = values.as_mut();
-    let n = values.len();
-    let (moves, pass) = (&moves[..n], &mut pass.as_mut()[..n]);
-    let (cycle, pc) = (cx.cycle, cx.pc as u32);
-
-    // --- read phase -------------------------------------------------------
-    for i in 0..n {
-        let mv = &moves[i];
-        pass[i] = cx.ports.guards[usize::from(mv.guard)] != mv.negate;
-        if pass[i] {
-            values[i] = if mv.src == IMM { mv.imm } else { cx.ports.file[usize::from(mv.src)] };
-            *cx.executed += 1;
-            tracer.event(&TraceEvent::MoveExecuted { cycle, bus: mv.bus, pc });
-        } else {
-            *cx.squashed += 1;
-            tracer.event(&TraceEvent::MoveSquashed { cycle, bus: mv.bus, pc });
+) -> Result<Option<u32>, SimError> {
+    let decoded = &compiled.decoded;
+    let meta = &decoded.ins[pc];
+    let moves = &decoded.moves[meta.start as usize..meta.end as usize];
+    if meta.early_words | meta.early_guards != 0 {
+        let early = &decoded.early[meta.early as usize..];
+        let (words, guards) = early.split_at(usize::from(meta.early_words));
+        for &(from, to) in words {
+            ports.file[usize::from(to)] = ports.file[usize::from(from)];
+        }
+        for &(from, to) in &guards[..usize::from(meta.early_guards)] {
+            ports.guards[usize::from(to)] = ports.guards[usize::from(from)];
         }
     }
-
+    if tracer.enabled() {
+        read_events(moves, ports.guards, cycle, pc, tracer);
+    }
     // Only instructions with statically aliased destinations can conflict
     // dynamically, so the scan is skipped for the (vast) conflict-free
     // majority.
-    if cx.may_conflict {
-        conflict(cx.compiled, moves, cx.ports.guards, cycle, cx.pc)?;
+    if meta.may_conflict {
+        if let Err(e) = conflict(compiled, moves, ports.guards, cycle, pc) {
+            *squashed += count_squashed(moves, ports.guards);
+            return Err(e);
+        }
     }
 
-    // --- write phase: operands and registers first, then triggers ---------
-    for i in 0..n {
-        let mv = &moves[i];
-        if pass[i] && !mv.op.is_trigger() {
-            cx.ports.store(mv.op, usize::from(mv.dst), usize::from(mv.gbase), values[i]);
-        }
-    }
     let mut jump = None;
-    for i in 0..n {
-        let mv = &moves[i];
-        if !pass[i] || !mv.op.is_trigger() {
-            continue;
+    for (i, mv) in moves.iter().enumerate() {
+        let (dst, gbase) = (usize::from(mv.dst), usize::from(mv.gbase));
+        match mv.op {
+            Op::Copy => ports.file[dst] = ports.file[usize::from(mv.src)],
+            Op::Imm => ports.file[dst] = mv.imm,
+            _ if ports.guards[usize::from(mv.guard)] == mv.negate => *squashed += 1,
+            op @ (Op::Store | Op::CounterStop) => {
+                ports.store(op, dst, gbase, value(ports.file, mv))
+            }
+            Op::Jump => jump = Some(value(ports.file, mv)),
+            op => {
+                let fu = mv.fu;
+                tracer.event(&TraceEvent::FuTriggered { cycle, fu });
+                if let Err(e) = ports.apply(op, dst, gbase, value(ports.file, mv), cycle, tracer) {
+                    // A later move whose guard an earlier one may write
+                    // reads an early copy, so the guards still answer as
+                    // they stood at the start of the cycle.
+                    *squashed += count_squashed(&moves[i + 1..], ports.guards);
+                    return Err(e);
+                }
+                // Results become architecturally visible the next cycle —
+                // except RTU lookups, which retire when the interlock opens.
+                let retire =
+                    if op == Op::Rtu { ports.rtu.ready_at.max(cycle + 1) } else { cycle + 1 };
+                tracer.event(&TraceEvent::FuRetired { cycle: retire, fu });
+                ports.trigger_counts[usize::from(mv.slot)] += 1;
+            }
         }
-        if mv.op == Op::Jump {
-            jump = Some(values[i]);
-            continue;
-        }
-        let fu = mv.fu;
-        tracer.event(&TraceEvent::FuTriggered { cycle, fu });
-        let (base, gbase) = (usize::from(mv.dst), usize::from(mv.gbase));
-        cx.ports.apply(mv.op, base, gbase, values[i], cycle, tracer)?;
-        // Results become architecturally visible the next cycle — except
-        // RTU lookups, which retire when the interlock opens.
-        let retire =
-            if mv.op == Op::Rtu { cx.ports.rtu.ready_at.max(cycle + 1) } else { cycle + 1 };
-        tracer.event(&TraceEvent::FuRetired { cycle: retire, fu });
-        cx.ports.trigger_counts[usize::from(mv.slot)] += 1;
     }
     Ok(jump)
 }
 
+/// What a move carries: its immediate, or the word its source names.
+#[inline(always)]
+fn value(file: &[u32], mv: &DMove) -> u32 {
+    if mv.src == IMM {
+        mv.imm
+    } else {
+        file[usize::from(mv.src)]
+    }
+}
+
+/// The read-phase events of one word, in bus order, from the guards at the
+/// start of the cycle — before any move of the word has written.
+fn read_events<T: Tracer + ?Sized>(
+    moves: &[DMove],
+    guards: &[bool],
+    cycle: u64,
+    pc: usize,
+    tracer: &mut T,
+) {
+    let (mut next, pc) = (0, pc as u32);
+    for _ in moves {
+        let mv = moves
+            .iter()
+            .filter(|m| u16::from(m.bus) >= next)
+            .min_by_key(|m| m.bus)
+            .expect("one move per occupied bus");
+        let bus = mv.bus;
+        tracer.event(&if guards[usize::from(mv.guard)] != mv.negate {
+            TraceEvent::MoveExecuted { cycle, bus, pc }
+        } else {
+            TraceEvent::MoveSquashed { cycle, bus, pc }
+        });
+        next = u16::from(bus) + 1;
+    }
+}
+
+/// How many of `moves` fail their guard: what the error paths add to the
+/// squash count for moves they did not reach.
+#[cold]
+#[inline(never)]
+fn count_squashed(moves: &[DMove], guards: &[bool]) -> u64 {
+    moves.iter().filter(|m| guards[usize::from(m.guard)] == m.negate).count() as u64
+}
+
 /// The dynamic conflict scan, out of line: two passing moves of one
-/// instruction wrote the same port.  Runs between the phases, when no
-/// guard has been written yet, and re-derives which moves pass from the
-/// guard file, so the caller's scratch never has its address taken and
-/// can live in registers.
+/// instruction wrote the same port.  Runs before any move writes, and
+/// reports the clash the bus-order scan of the instruction word finds
+/// first: the lowest bus whose port a passing move on a lower bus also
+/// writes.
 #[cold]
 #[inline(never)]
 fn conflict(
@@ -674,22 +705,25 @@ fn conflict(
     cycle: u64,
     pc: usize,
 ) -> Result<(), SimError> {
-    let live = || moves.iter().filter(|m| guards[usize::from(m.guard)] != m.negate);
-    for (i, mv) in live().enumerate() {
-        if live().take(i).any(|e| (e.op, e.dst) == (mv.op, mv.dst)) {
-            return Err(if mv.op == Op::Jump {
-                SimError::DoublePcWrite { cycle }
-            } else {
-                // Recover the original PortRef from the instruction word.
-                let port = compiled.program.instructions[pc].slots[usize::from(mv.bus)]
-                    .as_ref()
-                    .expect("decoded move maps to an occupied slot")
-                    .dst;
-                SimError::PortConflict { port, cycle }
-            });
+    let live = |m: &&DMove| guards[usize::from(m.guard)] != m.negate;
+    let port = |m: &DMove| (m.op.port_op(), m.dst);
+    let clash = moves
+        .iter()
+        .filter(live)
+        .filter(|m| moves.iter().filter(live).any(|e| e.bus < m.bus && port(e) == port(m)))
+        .min_by_key(|m| m.bus);
+    match clash {
+        None => Ok(()),
+        Some(mv) if mv.op == Op::Jump => Err(SimError::DoublePcWrite { cycle }),
+        Some(mv) => {
+            // Recover the original PortRef from the instruction word.
+            let port = compiled.program.instructions[pc].slots[usize::from(mv.bus)]
+                .as_ref()
+                .expect("decoded move maps to an occupied slot")
+                .dst;
+            Err(SimError::PortConflict { port, cycle })
         }
     }
-    Ok(())
 }
 
 /// Validates `program` against `config` (slot widths, FU instance indices,

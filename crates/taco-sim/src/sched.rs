@@ -9,40 +9,69 @@
 //! processor's port file ([`PortMap`]), every trigger gets a pre-assigned
 //! statistics slot, and every instruction carries precomputed RTU-stall and
 //! conflict flags.  The per-cycle work left for `Processor::run_with` is a
-//! guard-bit test, a load and a store per move, with a dispatch on [`Op`]
-//! only where a trigger fires — the "compile, don't interpret" result of
-//! the cycle-accurate-simulator-generation literature, applied to TTA move
+//! dispatch on [`Op`], a load and a store per move, a guard-bit test past
+//! the unguarded stores, and an FU's operation where a trigger fires — the
+//! "compile, don't interpret" result of the
+//! cycle-accurate-simulator-generation literature, applied to TTA move
 //! schedules.
+//!
+//! Three more things are fixed per program and resolved here too:
+//!
+//! * **Groups.** An instruction's moves are stored in execution order:
+//!   guarded stores (with the `cntN.stop` writes), unguarded copies,
+//!   unguarded immediates, triggers in bus order, then the moves into
+//!   `nc0.pc`.  The unguarded plain stores are marked [`Op::Copy`] and
+//!   [`Op::Imm`], so the loop executes a word in one pass with one dispatch
+//!   per move and no guard test on those.  Immediates read nothing, so they
+//!   go last among the stores; guarded stores go first, ahead of the copies
+//!   that often overwrite their source in the same cycle (a software-
+//!   pipelined scan's `?mtch0.match regs0.r14 -> regs0.r10 | cnt0.r ->
+//!   regs0.r14`).
+//! * **Early reads.** Executing the moves one after another is the
+//!   hardware's read-everything-then-write cycle wherever no move reads a
+//!   word or guard bit that an earlier move in that order writes.  Where one
+//!   does (a copy chain `r1 -> r2 | r2 -> r3`, a guard a same-cycle
+//!   `cntN.stop` moves, a trigger reading a result another trigger of the
+//!   word rewrites), `decode` points that move's source or guard at a
+//!   scratch slot past the end of its file and records an early read, which
+//!   the loop copies from the original slot at the start of the
+//!   instruction, before any move writes.
+//! * **Runs.** [`InsMeta::run`] counts the straight-line instructions from
+//!   an instruction through the next one that holds a jump, so the loop
+//!   checks halt, deadline and PC range once per run instead of once per
+//!   cycle.
 //!
 //! Decoding must preserve semantics: conflict detection compares `(op,
 //! dst)`, which is exactly the equality [`taco_isa::PortRef`] has (a port
 //! is its FU's slot plus what writing it does, and singleton FUs have one
-//! instance), and the loop keeps the phase structure and trace-event order
-//! of the instruction words it replaces.  What checks that is the
+//! instance), and the loop keeps the read/write timing and trace-event
+//! order of the instruction words it replaces.  What checks that is the
 //! reference interpreter in `reference.rs`, which executes the words
 //! directly, resolving every port through the same [`PortMap`] and
 //! firing the same [`Ports::apply`](crate::units::Ports::apply), but shares
 //! nothing with this module; `tests/step_reference.rs` holds the two to
 //! equal statistics, events and machine state.
 
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 use taco_isa::{FuKind, FuRef, MachineConfig, Program, Source};
 
 use crate::error::SimError;
-use crate::units::{Op, PortMap};
+use crate::units::{words, Op, PortMap};
 
 /// `DMove::src` of a move whose source is its immediate.
 pub(crate) const IMM: u16 = u16::MAX;
 
 /// One decoded move.  The guard passes iff `guards[guard] != negate`
 /// (slot 0 is constant-true for unguarded moves); the value is `imm` when
-/// `src` is [`IMM`], else `file[src]`; `dst` is the written word for a
-/// plain destination and the FU's first word for a trigger, `gbase` the
-/// FU's first guard slot.  `slot` indexes [`DecodedProgram::trigger_fus`]
-/// (FU triggers only); `fu` (the destination's) and `bus` are kept for
-/// trace events, `bus` also for recovering the original
-/// [`taco_isa::PortRef`] on the cold conflict-error path.
+/// `src` is [`IMM`], else `file[src]`; either slot may be an early read's
+/// scratch slot.  `dst` is the written word for a plain destination and the
+/// FU's first word for a trigger, `gbase` the FU's first guard slot.
+/// `slot` indexes [`DecodedProgram::trigger_fus`] (FU triggers only); `fu`
+/// (the destination's) and `bus` are kept for trace events, `bus` also for
+/// recovering the original [`taco_isa::PortRef`] on the cold
+/// conflict-error path.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct DMove {
     pub imm: u32,
@@ -60,9 +89,18 @@ pub(crate) struct DMove {
 /// Per-instruction metadata precomputed at decode time.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct InsMeta {
-    /// Range of this instruction's moves in [`DecodedProgram::moves`].
+    /// This instruction's moves in [`DecodedProgram::moves`], in execution
+    /// order.
     pub start: u32,
     pub end: u32,
+    /// First of its early reads in [`DecodedProgram::early`]:
+    /// `early_words` port words, then `early_guards` guard bits.
+    pub early: u32,
+    pub early_words: u8,
+    pub early_guards: u8,
+    /// Instructions in the straight-line run from this one through the
+    /// next that holds a move into `nc0.pc`, or through the last.
+    pub run: u32,
     /// Any move reads an RTU result or evaluates an RTU guard — the only
     /// condition under which the interlock can stall this instruction.
     pub rtu_sensitive: bool,
@@ -77,14 +115,19 @@ pub(crate) struct InsMeta {
 /// it while mutating machine state.
 #[derive(Debug)]
 pub(crate) struct DecodedProgram {
+    /// Every instruction's moves, each instruction's in execution order.
     pub moves: Vec<DMove>,
+    /// `(from, to)` slot pairs copied at the start of an instruction, before
+    /// any of its moves writes ([`InsMeta::early`]).
+    pub early: Vec<(u16, u16)>,
     pub ins: Vec<InsMeta>,
     /// Trigger statistics slots: one entry per distinct triggered [`FuRef`],
     /// indexed by [`DMove::slot`].  The compiled loop bumps a flat counter
     /// per slot and folds into the `BTreeMap` stats only on exit.
     pub trigger_fus: Vec<FuRef>,
-    /// Moves in the widest instruction.
-    pub max_width: usize,
+    /// Scratch words and guard bits the early reads need past the end of
+    /// the word file and the guard file.
+    pub scratch: (usize, usize),
 }
 
 /// A program compiled for one machine: validated, pre-decoded and sized.
@@ -127,6 +170,33 @@ impl CompiledProgram {
     }
 }
 
+/// Where a move executes within its instruction: guarded stores (with
+/// every `cntN.stop` write, the one store that does more than store),
+/// unguarded copies, unguarded immediates, triggers, jumps.
+fn group(mv: &DMove) -> u8 {
+    match mv.op {
+        Op::Jump => 4,
+        op if op.is_trigger() => 3,
+        Op::Imm => 2,
+        Op::Copy => 1,
+        _ => 0,
+    }
+}
+
+/// The word and guard slots executing `mv` may write: its destination word
+/// (and, for `cntN.stop`, the counter's guards), or every slot of a
+/// trigger's unit — `units::tests::a_trigger_writes_only_inside_its_unit`
+/// holds [`Ports::apply`](crate::units::Ports::apply) to that.
+fn writes(mv: &DMove) -> (Range<usize>, Range<usize>) {
+    let (dst, gbase) = (usize::from(mv.dst), usize::from(mv.gbase));
+    let guards = gbase..gbase + mv.fu.kind.guards().len();
+    match mv.op {
+        op if op.is_trigger() => (dst..dst + words(mv.fu.kind), guards),
+        Op::CounterStop => (dst..dst + 1, guards),
+        _ => (dst..dst + 1, 0..0),
+    }
+}
+
 /// Decodes `program` into a flat schedule over the port layout `map`.
 ///
 /// # Errors
@@ -137,8 +207,10 @@ impl CompiledProgram {
 /// `validate()` none of them are reachable.
 pub(crate) fn decode(map: &PortMap, program: &Program) -> Result<DecodedProgram, SimError> {
     let mut moves: Vec<DMove> = Vec::new();
+    let mut early: Vec<(u16, u16)> = Vec::new();
     let mut ins = Vec::with_capacity(program.instructions.len());
     let mut trigger_fus: Vec<FuRef> = Vec::new();
+    let mut scratch = (0, 0);
 
     for instruction in &program.instructions {
         let start = moves.len();
@@ -161,7 +233,10 @@ pub(crate) fn decode(map: &PortMap, program: &Program) -> Result<DecodedProgram,
                     (0, map.port(*p)?.1 as u16)
                 }
             };
-            let (op, dst, gbase) = map.port(mv.dst)?;
+            let (mut op, dst, gbase) = map.port(mv.dst)?;
+            if op == Op::Store && guard == 0 {
+                op = if src == IMM { Op::Imm } else { Op::Copy };
+            }
             let mut slot = 0;
             if op.is_trigger() && op != Op::Jump {
                 slot = trigger_fus.iter().position(|f| *f == mv.dst.fu).unwrap_or_else(|| {
@@ -182,20 +257,60 @@ pub(crate) fn decode(map: &PortMap, program: &Program) -> Result<DecodedProgram,
                 bus: bus as u8,
             });
         }
-        let slice = &moves[start..];
-        let may_conflict = slice
-            .iter()
-            .enumerate()
-            .any(|(i, m)| slice[..i].iter().any(|e| (e.op, e.dst) == (m.op, m.dst)));
-        let (start, end) = (start as u32, moves.len() as u32);
-        ins.push(InsMeta { start, end, rtu_sensitive, may_conflict });
+        let word = &mut moves[start..];
+        let port = |m: &DMove| (m.op.port_op(), m.dst);
+        let may_conflict =
+            word.iter().enumerate().any(|(i, m)| word[..i].iter().any(|e| port(e) == port(m)));
+        word.sort_unstable_by_key(|m| (group(m), m.bus));
+        let jumps = word.last().is_some_and(|m| m.op == Op::Jump);
+
+        // Early reads: a source or guard an earlier move in execution order
+        // writes is copied to scratch before the first move runs.
+        let first = early.len();
+        for k in 0..word.len() {
+            let src = usize::from(word[k].src);
+            if word[k].src != IMM && word[..k].iter().any(|e| writes(e).0.contains(&src)) {
+                let to = (map.file_len + early.len() - first) as u16;
+                early.push((word[k].src, to));
+                word[k].src = to;
+            }
+        }
+        let early_words = early.len() - first;
+        for k in 0..word.len() {
+            let guard = usize::from(word[k].guard);
+            if guard != 0 && word[..k].iter().any(|e| writes(e).1.contains(&guard)) {
+                let to = (map.guards_len + early.len() - first - early_words) as u16;
+                early.push((word[k].guard, to));
+                word[k].guard = to;
+            }
+        }
+        let early_guards = early.len() - first - early_words;
+        scratch = (scratch.0.max(early_words), scratch.1.max(early_guards));
+        ins.push(InsMeta {
+            start: start as u32,
+            end: moves.len() as u32,
+            early: first as u32,
+            early_words: early_words as u8,
+            early_guards: early_guards as u8,
+            // A run ends at a jump: 1 here, the rest counted backwards below.
+            run: u32::from(jumps),
+            rtu_sensitive,
+            may_conflict,
+        });
+    }
+    let mut next = 0;
+    for meta in ins.iter_mut().rev() {
+        if meta.run == 0 {
+            meta.run = next + 1;
+        }
+        next = meta.run;
     }
     // Compiled programs are retained for the life of the process; do not
     // retain the vectors' growth slack with them.
     moves.shrink_to_fit();
+    early.shrink_to_fit();
     trigger_fus.shrink_to_fit();
-    let max_width = ins.iter().map(|m| (m.end - m.start) as usize).max().unwrap_or(0);
-    Ok(DecodedProgram { moves, ins, trigger_fus, max_width })
+    Ok(DecodedProgram { moves, early, ins, trigger_fus, scratch })
 }
 
 #[cfg(test)]
@@ -219,7 +334,8 @@ mod tests {
         );
         let r13 = map.port(PortRef::new(FuKind::Regs, 0, "r13")).unwrap().1 as u16;
         assert_eq!((dp.moves[0].imm, dp.moves[0].src, dp.moves[0].dst), (7, IMM, r13));
-        assert_eq!((dp.moves[0].guard, dp.moves[0].negate, dp.moves[0].op), (0, false, Op::Store));
+        assert_eq!((dp.moves[0].guard, dp.moves[0].negate, dp.moves[0].op), (0, false, Op::Imm));
+        assert_eq!(dp.moves[1].op, Op::Copy);
         assert_eq!((dp.moves[1].src, dp.moves[1].dst), (r13, r13 - 11));
         let cnt0 = FuRef::new(FuKind::Counter, 0);
         assert_eq!(usize::from(dp.moves[2].guard), map.guard(cnt0, 1).unwrap());
@@ -276,7 +392,75 @@ mod tests {
         );
         let flags: Vec<bool> = dp.ins.iter().map(|m| m.may_conflict).collect();
         assert_eq!(flags, [false, true, false, true]);
-        assert_eq!(dp.max_width, 2);
+        assert!(dp.ins.iter().all(|m| m.end - m.start == 2));
+    }
+
+    #[test]
+    fn groups_are_in_execution_order() {
+        let (dp, _) = decoded(
+            "0 -> nc0.pc | ?cnt0.zero 2 -> regs0.r1 | 1 -> cnt0.tinc | 3 -> regs0.r2 | \
+             regs0.r5 -> regs0.r3 | 4 -> cnt1.stop | 1 -> csum0.tadd | regs0.r6 -> regs0.r4\n",
+            MachineConfig::new(8).with_fu_count(FuKind::Counter, 2),
+        );
+        let order: Vec<(u8, Op)> = dp.moves.iter().map(|m| (m.bus, m.op)).collect();
+        // Guarded stores and `stop` writes, copies, immediates, triggers in
+        // bus order, the jump.
+        use Op::*;
+        let expected = [
+            (1, Store),
+            (5, CounterStop),
+            (4, Copy),
+            (7, Copy),
+            (3, Imm),
+            (2, CntInc),
+            (6, CsumAdd),
+            (0, Jump),
+        ];
+        assert_eq!(order, expected);
+        let m = dp.ins[0];
+        assert_eq!((m.end - m.start, m.run, m.may_conflict), (8, 1, false));
+        assert_eq!((m.early_words, m.early_guards, dp.scratch), (0, 0, (0, 0)));
+    }
+
+    #[test]
+    fn early_reads_are_exactly_the_same_cycle_hazards() {
+        // (word, early words, early guards): a read of what an earlier move
+        // in execution order writes is early; a read before the write is not.
+        let cases = [
+            ("regs0.r1 -> regs0.r2 | regs0.r2 -> regs0.r3", 1, 0),
+            ("regs0.r2 -> regs0.r3 | regs0.r1 -> regs0.r2", 0, 0),
+            ("regs0.r1 -> regs0.r2 | regs0.r2 -> regs0.r1", 1, 0),
+            ("3 -> cnt0.stop | ?cnt0.done 1 -> regs0.r0", 0, 1),
+            ("1 -> cnt0.tinc | !cnt0.done 0 -> nc0.pc", 0, 1),
+            ("1 -> cnt0.tinc | cnt0.r -> regs0.r0", 0, 0),
+            ("0 -> mmu0.tread | mmu0.r -> csum0.tadd", 1, 0),
+            ("mmu0.r -> csum0.tadd | 0 -> mmu0.tread", 0, 0),
+            ("regs0.r1 -> regs0.r2 | ?cnt0.zero regs0.r2 -> cnt0.tset", 1, 0),
+        ];
+        for (text, words, guards) in cases {
+            let (dp, map) = decoded(&format!("{text}\n"), MachineConfig::new(2));
+            let m = dp.ins[0];
+            assert_eq!((m.early_words, m.early_guards), (words, guards), "{text}");
+            assert_eq!(dp.scratch, (usize::from(words), usize::from(guards)), "{text}");
+            // The early move reads the scratch slot the early read fills.
+            if let Some(&(from, to)) = dp.early.first() {
+                let (file, guard) = (map.file_len as u16, map.guards_len as u16);
+                let reader = dp.moves.iter().find(|m| m.src == to || m.guard == to).unwrap();
+                assert!(to == file || to == guard, "{text}");
+                assert!(from < file && reader.bus == 1, "{text}");
+            }
+        }
+    }
+
+    #[test]
+    fn runs_end_at_the_next_jump() {
+        let (dp, _) = decoded(
+            "1 -> regs0.r0\n2 -> regs0.r1\nl: @l -> nc0.pc\n3 -> regs0.r2\n\
+             ?cnt0.done @l -> nc0.pc\n5 -> regs0.r3\n6 -> regs0.r4\n",
+            MachineConfig::new(1),
+        );
+        let runs: Vec<u32> = dp.ins.iter().map(|m| m.run).collect();
+        assert_eq!(runs, [3, 2, 1, 2, 1, 2, 1]);
     }
 
     #[test]

@@ -145,6 +145,13 @@ pub trait Tracer {
     /// except [`TraceEvent::FuRetired`], which is stamped with the future
     /// cycle its result becomes visible and delivered at trigger time.
     fn event(&mut self, event: &TraceEvent);
+
+    /// Cheap gate for work done only to build events (the step loop's
+    /// read-phase pass); [`NullTracer`] returns `false`, so that work folds
+    /// away.
+    fn enabled(&self) -> bool {
+        true
+    }
 }
 
 /// The zero-cost default: ignores everything.
@@ -158,6 +165,11 @@ pub struct NullTracer;
 impl Tracer for NullTracer {
     #[inline(always)]
     fn event(&mut self, _event: &TraceEvent) {}
+
+    #[inline(always)]
+    fn enabled(&self) -> bool {
+        false
+    }
 }
 
 /// A bounded in-memory event ring: keeps the most recent `capacity`

@@ -115,6 +115,9 @@ if grep -rnE 'find_[p]ort\(|find_[g]uard\(' crates src tests examples benchmarks
     echo "find_port( / find_guard( only in crates/taco-isa/src/{fu,program,asm,builder}.rs"
     exit 1
 fi
+# PR 28, one step-loop body: an instruction is its moves in execution order,
+# not per-width instances with read-phase scratch.
+if grep -rnE 'wide_[v]alues|wide_[p]ass|max_[w]idth' crates src tests examples scripts; then exit 1; fi
 echo "guards ok"
 
 echo

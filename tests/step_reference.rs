@@ -9,15 +9,20 @@
 //! The evaluation pipeline hands the simulator a table kind, a machine, a
 //! route list, an RTU latency, a stall injector and a tracer — the
 //! workload never reaches it — so the matrix is over exactly those, plus
-//! what the step loop itself branches on: the instruction width (one
-//! instance of the loop body per width 1..=4 and a slice instance above),
-//! the port-file layout (replicated FUs, a second memory port) and the
-//! tracer/injector monomorphisation (`run()` is the `NullTracer`/`NoFaults`
-//! instance every benchmark workload executes).
+//! what the step loop itself decides: where a straight-line run ends (at a
+//! jump, the deadline, an RTU stall, a stolen cycle or an error), which
+//! moves of a word read early because a move before them in execution
+//! order writes their source or guard, the port-file layout (replicated
+//! FUs, a second memory port) and the tracer/injector monomorphisation
+//! (`run()` is the `NullTracer`/`NoFaults` instance every benchmark
+//! workload executes; a tracer adds the read-phase event pass).
 
+mod common;
+
+use common::{cases, move_seq, SplitMix64};
 use taco::eval::{benchmark_routes, FaultPlan};
 use taco::ipv6::{Datagram, NextHeader};
-use taco::isa::{asm, FuKind, MachineConfig, PortRef};
+use taco::isa::{asm, schedule, FuKind, MachineConfig, PortRef, Program, Source};
 use taco::router::{CycleRouter, MicrocodeOptions, TrafficGen};
 use taco::routing::{PortId, Route, TableKind};
 use taco::sim::{
@@ -228,8 +233,8 @@ const PROGRAMS: &[&str] = &[
 ",
 ];
 
-/// Five and six moves a word — wider than the widest array instance of the
-/// step loop's body, so the slice instance runs — over two memory ports.
+/// Five and six moves a word over two memory ports, every group in one
+/// word, a jump to exactly `len`.
 const WIDE: &str = "1 -> regs0.r0 | 16 -> mmu0.addr | 17 -> mmu1.addr | 3 -> cnt0.tset | 4 -> cnt0.stop | ?cnt0.done 9 -> regs0.r2
      regs0.r0 -> mmu0.twrite | 8 -> mmu1.twrite | 1 -> cnt0.tinc | cnt0.r -> regs0.r3 | !cnt0.done 5 -> regs0.r4 | 0 -> ippu0.tpop
      17 -> mmu0.addr | 16 -> mmu1.addr | !cnt0.done 7 -> regs0.r5 | 1 -> rtu0.k0 | 2 -> rtu0.k1 | 3 -> rtu0.k2
@@ -245,6 +250,10 @@ fn wide_machine() -> MachineConfig {
 fn load_on(machine: MachineConfig, text: &str, memory_words: u32) -> Processor {
     let mut program = asm::parse(text).expect("assembles");
     program.resolve_labels().expect("labels resolve");
+    load_program(machine, program, memory_words)
+}
+
+fn load_program(machine: MachineConfig, program: Program, memory_words: u32) -> Processor {
     let mut cpu = Processor::with_memory(machine, program, memory_words).expect("validates");
     let mut backend = MapRtu::new();
     backend.insert([1, 2, 3, 4], RtuResult { iface: 9, handle: 1 });
@@ -296,7 +305,7 @@ fn errors_agree_and_leave_the_same_statistics() {
         ("loop: @loop -> nc0.pc\n", 50, SimError::Watchdog { budget: 50 }),
         ("1 -> cnt0.tinc\n9999999 -> mmu0.addr\n0 -> mmu0.tread\n", 10, out_of_bounds.clone()),
     ];
-    // Past the array instances: the conflict is the fifth move's.
+    // The conflict is the fifth move's.
     let wide = "1 -> regs0.r1 | 2 -> regs0.r2 | 3 -> regs0.r0 | 4 -> regs0.r3 | 5 -> regs0.r0\n";
     let wide = (wide_machine(), (wide, 10, SimError::PortConflict { port: r0, cycle: 0 }));
     for (machine, (text, budget, error)) in
@@ -316,4 +325,211 @@ fn errors_agree_and_leave_the_same_statistics() {
         let run: Run<Processor> = |cpu, budget, _, _| cpu.run(budget);
         assert_untraced_agrees(&mut load(text, 16), run, identity, budget, r, text);
     }
+}
+
+// ---------------------------------------------------------------------------
+// Same-cycle hazards and where a run ends.
+// ---------------------------------------------------------------------------
+
+/// Three buses, two memory ports, two counters.
+fn hazard_machine() -> MachineConfig {
+    MachineConfig::new(3).with_fu_count(FuKind::Mmu, 2).with_fu_count(FuKind::Counter, 2)
+}
+
+/// Words whose moves read what a move before them in execution order
+/// writes in the same cycle, each with the registers the hardware's
+/// read-then-write cycle leaves behind.
+const HAZARDS: &[(&str, &[(u8, u32)])] = &[
+    // A copy chain, then a swap each way round.
+    (
+        "1 -> regs0.r1 | 2 -> regs0.r2 | 3 -> regs0.r3
+         regs0.r1 -> regs0.r2 | regs0.r2 -> regs0.r3
+         regs0.r1 -> regs0.r3 | regs0.r3 -> regs0.r1
+         regs0.r2 -> regs0.r4 | regs0.r4 -> regs0.r2
+",
+        &[(1, 2), (2, 0), (3, 1), (4, 1)],
+    ),
+    // A trigger whose source a same-cycle immediate and copy write.
+    (
+        "5 -> regs0.r1 | 6 -> regs0.r2
+         9 -> regs0.r1 | regs0.r1 -> cnt0.tset | regs0.r1 -> regs0.r2
+         regs0.r2 -> cnt1.tset | cnt0.r -> regs0.r4
+         cnt1.r -> regs0.r5
+",
+        &[(1, 9), (2, 5), (4, 5), (5, 5)],
+    ),
+    // Guards a same-cycle `stop` write and trigger move: `done` is true at
+    // power-on, false after the stop write, true again after `tset 3`.
+    (
+        "3 -> cnt0.stop | ?cnt0.done 1 -> regs0.r5
+         3 -> cnt0.tset | !cnt0.done 2 -> regs0.r6 | ?cnt0.done 5 -> cnt1.tset
+         0 -> cnt0.tset | ?cnt0.zero 7 -> regs0.r7 | !cnt0.zero 8 -> cnt1.tadd
+         cnt1.r -> regs0.r8
+",
+        &[(5, 1), (6, 2), (7, 0), (8, 8)],
+    ),
+    // Two memory ports on one word: the write on the lower bus lands
+    // before the read on the higher one, and a read before a write sees
+    // the old word; a trigger reads a result another rewrites.
+    (
+        "16 -> mmu0.addr | 16 -> mmu1.addr
+         42 -> mmu0.twrite | 0 -> mmu1.tread
+         mmu1.r -> regs0.r8 | 0 -> mmu0.tread | 43 -> mmu1.twrite
+         0 -> mmu1.tread | mmu0.r -> cnt0.tset | mmu1.r -> regs0.r10
+         mmu0.r -> regs0.r9 | mmu1.r -> regs0.r11 | cnt0.r -> regs0.r12
+",
+        &[(8, 42), (9, 42), (10, 42), (11, 43), (12, 42)],
+    ),
+    // A jump whose guard and source a trigger and a copy of its word write.
+    (
+        "0 -> cnt0.tset | 1 -> cnt0.stop | 4 -> regs0.r1
+         1 -> cnt0.tinc | regs0.r2 -> regs0.r1 | ?cnt0.done regs0.r1 -> nc0.pc
+         7 -> regs0.r3
+         9 -> regs0.r4
+",
+        &[(1, 0), (3, 7), (4, 9)],
+    ),
+];
+
+#[test]
+fn same_cycle_hazards_read_what_the_cycle_started_with() {
+    for &(text, expected) in HAZARDS {
+        for stall in [None, Some(PeriodicStall::new(3, 1))] {
+            let load = || load_on(hazard_machine(), text, 64);
+            let (mut decoded, mut reference) = (load(), load());
+            let d = observe(&mut decoded, Processor::run_with, identity, 1_000, stall);
+            let r = observe(&mut reference, Processor::run_reference, identity, 1_000, stall);
+            assert_eq!(d, r, "{text}");
+            assert!(d.result.is_ok() && d.halted, "{text}");
+            for &(reg, value) in expected {
+                assert_eq!(d.regs[usize::from(reg)], value, "r{reg}: {text}");
+            }
+        }
+    }
+}
+
+/// Ten straight-line words, then a loop back over the last four twice.
+const STRAIGHT: &str = "1 -> regs0.r1
+     2 -> regs0.r2 | 0 -> cnt0.tset | 2 -> cnt0.stop
+     3 -> regs0.r3
+     4 -> regs0.r4
+     5 -> regs0.r5
+     6 -> regs0.r6
+     back: 1 -> cnt0.tinc | 7 -> regs0.r7
+     8 -> regs0.r8
+     9 -> regs0.r9
+     !cnt0.done @back -> nc0.pc | 10 -> regs0.r10
+";
+
+#[test]
+fn a_budget_ending_inside_a_run_stops_at_its_cycle_and_resumes() {
+    for budget in 1..=18 {
+        for stall in [None, Some(PeriodicStall::new(4, 1))] {
+            let load = || load_on(hazard_machine(), STRAIGHT, 64);
+            let (mut decoded, mut reference) = (load(), load());
+            let d = observe(&mut decoded, Processor::run_with, identity, budget, stall);
+            let r = observe(&mut reference, Processor::run_reference, identity, budget, stall);
+            assert_eq!(d, r, "budget {budget}");
+            if d.result.is_err() {
+                assert_eq!(d.result, Err(SimError::Watchdog { budget }), "budget {budget}");
+                assert_eq!(d.cycles, budget, "budget {budget}");
+            }
+            // Resuming finishes the program on both sides alike.
+            let d = observe(&mut decoded, Processor::run_with, identity, 100, stall);
+            let r = observe(&mut reference, Processor::run_reference, identity, 100, stall);
+            assert_eq!(d, r, "resumed after budget {budget}");
+            assert!(d.halted && d.regs[10] == 10, "budget {budget}");
+        }
+    }
+}
+
+#[test]
+fn a_stall_a_stolen_cycle_or_a_fault_ends_a_run_where_it_happens() {
+    let out_of_bounds = SimError::MemoryOutOfBounds { addr: 9_999_999, size: 64 };
+    let cases = [
+        // The RTU read in the third word of a run stalls there.
+        (
+            "1 -> regs0.r1\n4 -> rtu0.t\n2 -> regs0.r2\nrtu0.iface -> regs0.r0\n3 -> regs0.r3\n",
+            None,
+        ),
+        // The fault in the third word: the trigger after it is never fired
+        // and the squashed moves of the word still count.
+        (
+            "1 -> regs0.r1\n9999999 -> mmu0.addr\n\
+             0 -> mmu0.tread | !cnt0.zero 5 -> cnt1.tadd | ?cnt0.zero 3 -> cnt1.tinc\n\
+             2 -> regs0.r2\n",
+            Some(out_of_bounds),
+        ),
+    ];
+    for (text, error) in cases {
+        for stall in [None, Some(PeriodicStall::new(3, 1)), Some(PeriodicStall::new(7, 2))] {
+            let load = || load_on(hazard_machine(), text, 64);
+            let (mut decoded, mut reference) = (load(), load());
+            let d = observe(&mut decoded, Processor::run_with, identity, 1_000, stall);
+            let r = observe(&mut reference, Processor::run_reference, identity, 1_000, stall);
+            assert_eq!(d, r, "{text}");
+            assert_eq!(d.result.as_ref().err(), error.as_ref(), "{text}");
+            if error.is_none() {
+                assert!(d.stats.stall_cycles > 0, "{text}");
+            } else {
+                assert_eq!((d.stats.moves_squashed, d.pc), (1, 2), "{text}");
+            }
+            assert_eq!(d.stats.injected_stall_cycles > 0, stall.is_some(), "{text}");
+        }
+    }
+    // Stolen cycles land inside the straight-line stretch of `STRAIGHT`.
+    let load = || load_on(hazard_machine(), STRAIGHT, 64);
+    for every in 2..=6 {
+        let stall = Some(PeriodicStall::new(every, 1));
+        let d = observe(&mut load(), Processor::run_with, identity, 1_000, stall);
+        let r = observe(&mut load(), Processor::run_reference, identity, 1_000, stall);
+        assert_eq!(d, r, "every {every}");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Seeded programs from the whole assembly grammar.
+// ---------------------------------------------------------------------------
+
+const SEED: u64 = 0x57E9_0D1F;
+const CASES: u64 = 400;
+
+/// 1–6 buses, 1–3 of each replicable unit, 1–2 memory ports.
+fn any_machine(rng: &mut SplitMix64) -> MachineConfig {
+    let mut machine = MachineConfig::new(rng.range_inclusive(1, 6) as u8)
+        .with_fu_count(FuKind::Mmu, rng.range_inclusive(1, 2) as u8);
+    for kind in FuKind::REPLICABLE {
+        machine = machine.with_fu_count(kind, rng.range_inclusive(1, 3) as u8);
+    }
+    machine
+}
+
+#[test]
+fn scheduled_random_programs_agree_with_the_reference() {
+    cases(SEED, CASES, |rng| {
+        let (seq, machine) = (move_seq(rng), any_machine(rng));
+        let mut program = schedule(&seq, &machine);
+        // A label referenced but never defined names the end: a clean halt.
+        let end = program.instructions.len();
+        let sources = program.instructions.iter().flat_map(|ins| ins.moves());
+        let undefined: Vec<String> = sources
+            .filter_map(|mv| match &mv.src {
+                Source::Label(l) if !program.labels.contains_key(l) => Some(l.clone()),
+                _ => None,
+            })
+            .collect();
+        program.labels.extend(undefined.into_iter().map(|l| (l, end)));
+        program.resolve_labels().expect("every label defined");
+        let text = program.to_string();
+        let stall = rng.chance(0.5).then(|| PeriodicStall::new(rng.range_inclusive(2, 9), 1));
+        let load = || load_program(machine.clone(), program.clone(), 64);
+        let (mut decoded, mut reference) = (load(), load());
+        let d = observe(&mut decoded, Processor::run_with, identity, 2_000, stall);
+        let r = observe(&mut reference, Processor::run_reference, identity, 2_000, stall);
+        assert_eq!(d, r, "{machine}\n{text}");
+        if stall.is_none() {
+            let run: Run<Processor> = |cpu, budget, _, _| cpu.run(budget);
+            assert_untraced_agrees(&mut load(), run, identity, 2_000, r, &text);
+        }
+    });
 }
