@@ -6,8 +6,7 @@
 //! The sweep fans out across all cores (`TACO_THREADS` overrides) through
 //! the process-global evaluation cache, with per-point progress on stderr.
 //! A fault plan defaults the workload to `steady-forward` if `--scenario`
-//! was not given; a core count of 1 collapses the interconnect axes to the
-//! single-core default, exactly as the wire `SweepSpec` does.
+//! was not given.
 
 use crate::cli::{report_cache, write_chrome_trace, Cli};
 use taco_core::api::{parse_fault_plan_name, parse_workload_name};
@@ -15,7 +14,6 @@ use taco_core::{
     explore_with, pool, table1, Constraints, EvalCache, ExploreOptions, LineRate, StderrProgress,
     SweepSpec, Workload,
 };
-use taco_isa::{CoherenceProtocol, Topology, MAX_CORES};
 
 pub fn run(args: Vec<String>) {
     let cli =
@@ -27,13 +25,6 @@ pub fn run(args: Vec<String>) {
             .opt("--max-unrecovered", "N", "disqualify instances leaving more than N faults open")
             .opt("--trace", "FILE", "replay the binary flow trace at FILE on every grid point")
             .opt("--trace-best", "PATH", "write a Chrome trace of the winning point to PATH")
-            .opt("--cores", "LIST", "core counts to sweep, comma-separated (default 1)")
-            .opt(
-                "--topology",
-                "LIST",
-                "interconnects to sweep: shared-bus, mesh (default shared-bus)",
-            )
-            .opt("--coherence", "LIST", "coherence protocols to sweep: msi, mesi (default mesi)")
             .positional("max_power_w", "power constraint, watts", Some("2.0"))
             .positional("max_area_mm2", "area constraint, mm^2", Some("50.0"));
     let args = cli.parse_args_or_exit(args);
@@ -75,40 +66,7 @@ pub fn run(args: Vec<String>) {
         }
         (None, _, w) => w,
     };
-    // The multicore axes resolve through the same name tables the wire
-    // protocol uses, so `dse` and the daemon reject the same spellings.
-    let cores = args
-        .opt_list("--cores", |item| {
-            item.parse::<u8>()
-                .ok()
-                .filter(|&n| (1..=MAX_CORES).contains(&n))
-                .ok_or_else(|| format!("--cores entries must be 1..={MAX_CORES}, got {item:?}"))
-        })
-        .unwrap_or_else(|e| cli.fail(&e))
-        .unwrap_or_else(|| vec![1]);
-    let topologies = args
-        .opt_list("--topology", |item| {
-            Topology::by_name(item).ok_or_else(|| {
-                let names: Vec<&str> = Topology::ALL.iter().map(|t| t.name()).collect();
-                format!("unknown topology {item:?}; expected one of: {}", names.join(", "))
-            })
-        })
-        .unwrap_or_else(|e| cli.fail(&e))
-        .unwrap_or_else(|| vec![Topology::SharedBus]);
-    let protocols = args
-        .opt_list("--coherence", |item| {
-            CoherenceProtocol::by_name(item).ok_or_else(|| {
-                let names: Vec<&str> = CoherenceProtocol::ALL.iter().map(|p| p.name()).collect();
-                format!(
-                    "unknown coherence protocol {item:?}; expected one of: {}",
-                    names.join(", ")
-                )
-            })
-        })
-        .unwrap_or_else(|e| cli.fail(&e))
-        .unwrap_or_else(|| vec![CoherenceProtocol::Mesi]);
-    let spec =
-        SweepSpec { workload, faults, trace, cores, topologies, protocols, ..SweepSpec::default() };
+    let spec = SweepSpec { workload, faults, trace, ..SweepSpec::default() };
 
     println!(
         "design-space exploration: {} buses x {} replications x {} table kinds, {} entries",
@@ -117,15 +75,6 @@ pub fn run(args: Vec<String>) {
         spec.kinds.len(),
         spec.entries
     );
-    if spec.cores != [1] {
-        let names = |items: Vec<String>| items.join(", ");
-        println!(
-            "multicore axes: cores [{}] x topologies [{}] x protocols [{}]",
-            names(spec.cores.iter().map(u8::to_string).collect()),
-            names(spec.topologies.iter().map(|t| t.name().to_owned()).collect()),
-            names(spec.protocols.iter().map(|p| p.name().to_owned()).collect()),
-        );
-    }
     println!(
         "constraints: power <= {max_power_w} W, area <= {max_area_mm2} mm2, target {}",
         LineRate::TEN_GBE

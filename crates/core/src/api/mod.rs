@@ -30,14 +30,10 @@
 //! source of truth `taco-cli dse`/`trace` and the wire layer share, so
 //! a workload name means the same thing on a command line and on a socket.
 //!
-//! An [`ArchConfig`] crosses the wire in one of two forms, and its codec
-//! tells them apart by the presence of `"core"`: a default single-core
-//! system keeps the original flat `ConfigSpec` spelling
-//! `{"table":...,"buses":...}` (so every pre-multicore request line and
-//! golden fixture keeps its bytes), and any other system nests the core
-//! under a `"core"` member alongside `"cores"`, `"cache"`,
-//! `"interconnect"` and `"coherence"`.  A [`FlowTrace`] crosses it as
-//! one spelling, an inline hex body, in an eval and a sweep alike.
+//! An [`ArchConfig`] crosses the wire as one flat object,
+//! `{"table":...,"buses":...,"replication":...,"memory_ports":...}`, and a
+//! [`FlowTrace`] as one spelling, an inline hex body, in an eval and a
+//! sweep alike.
 //!
 //! Parsing is *strict*: unknown fields are rejected (a typo'd option must
 //! not be silently ignored), version mismatches are reported as
@@ -57,9 +53,6 @@ pub use report::{report_from_json, report_to_json, table1_cell_json};
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use taco_isa::{
-    CacheConfig, CoherenceProtocol, InterconnectConfig, SystemConfig, Topology, MAX_CORES,
-};
 use taco_router::traffic::TrafficGen;
 use taco_routing::TableKind;
 use taco_workload::{FaultPlan, FlowTrace, Workload, MAX_FLOW_LEN, MAX_OFFERED};
@@ -276,10 +269,9 @@ const MACHINE_SPELLINGS: &[(&[&str], u8, u8)] = &[
 
 /// Parses a machine shape (`1x1`, `3x1`, `3x3`, or the Table 1 label
 /// aliases `1BUS/1FU`, `3BUS/1FU`, `3bus/3CNT,3CMP,3M`) into a
-/// single-core [`ArchConfig`] over `kind` — the one shape parser the
-/// wire schema and every `taco-cli` subcommand share.  Compose with
-/// [`ArchConfig::with_system`] to scale the parsed shape to a multi-core
-/// system.  The error message lists every accepted spelling, generated
+/// [`ArchConfig`] over `kind` — the one shape parser the wire schema and
+/// every `taco-cli` subcommand share.  The error message lists every
+/// accepted spelling, generated
 /// from the same table the parser matches against.
 pub fn parse_machine_spec(kind: TableKind, shape: &str) -> Result<ArchConfig, String> {
     for &(names, buses, replication) in MACHINE_SPELLINGS {
@@ -333,12 +325,6 @@ fn one_of<T: std::fmt::Display>(names: impl IntoIterator<Item = T>) -> String {
 scalar!(TableKind: |v, out| { let _ = write!(out, "\"{v}\""); },
     |json| json.as_str().and_then(|text| parse_table_kind(text).ok()),
     format_args!("be one of: {} (aliases: seq, tree, pat)", one_of(TableKind::ALL_KINDS)));
-scalar!(Topology: |v, out| { let _ = write!(out, "\"{v}\""); },
-    |json| json.as_str().and_then(Topology::by_name),
-    format_args!("be one of: {} (alias: bus)", one_of(Topology::ALL)));
-scalar!(CoherenceProtocol: |v, out| { let _ = write!(out, "\"{v}\""); },
-    |json| json.as_str().and_then(CoherenceProtocol::by_name),
-    format_args!("be one of: {}", one_of(CoherenceProtocol::ALL)));
 scalar!(ApiErrorCode: |v, out| { let _ = write!(out, "\"{}\"", v.as_str()); },
     |json| json.as_str().and_then(ApiErrorCode::from_str_opt),
     format_args!("be one of: {}", one_of(ApiErrorCode::ALL.map(ApiErrorCode::as_str))));
@@ -347,7 +333,7 @@ scalar!(ApiErrorCode: |v, out| { let _ = write!(out, "\"{}\"", v.as_str()); },
 // Leaf records: config, rate, workload, fault plan, trace.
 // ---------------------------------------------------------------------------
 
-/// The flat wire form of a single-core machine: routing-table
+/// The wire form of a machine: routing-table
 /// organisation, bus count, datapath replication and memory ports.
 ///
 /// This spans every configuration the in-tree generators produce
@@ -386,14 +372,13 @@ impl ConfigSpec {
         Ok(config)
     }
 
-    /// The per-core spelling of `config`, or `None` when the machine is not
+    /// The spelling of `config`, or `None` when the machine is not
     /// expressible (asymmetric replication).
     fn from_config(config: &ArchConfig) -> Option<ConfigSpec> {
         let spec = ConfigSpec::nearest(config);
         // Round-trip check: only machines the spec regenerates exactly are
         // expressible (this is what catches asymmetric replication).
-        let rebuilt = spec.to_config().ok()?.with_system(config.system);
-        (rebuilt == *config).then_some(spec)
+        (spec.to_config().ok()? == *config).then_some(spec)
     }
 
     /// The spec read off `config`'s unit counts, exact or not.
@@ -407,94 +392,16 @@ impl ConfigSpec {
     }
 }
 
-/// The nested wire form of a machine, for any system but the default one:
-///
-/// ```json
-/// {"core":{"table":"cam","buses":3,"replication":1,"memory_ports":1},
-///  "cores":4,"cache":{"lines":64,"line_words":4},
-///  "interconnect":{"topology":"mesh","latency":2},"coherence":"mesi"}
-/// ```
-///
-/// `"cores"`, `"cache"`, `"interconnect"` and `"coherence"` may each be
-/// omitted and default to the single-core system's values.
-struct NestedMachine {
-    core: ConfigSpec,
-    system: SystemConfig,
-}
-
-record!(NestedMachine as "config" { core, system: Flat, });
-
-// Ranges are checked as they are read: a zero or excess count is a
-// structured error here, where the panicking constructors would abort a
-// server.
-record!(SystemConfig as "config" {
-    cores [or 1],
-    cache [or CacheConfig::default()],
-    interconnect [or InterconnectConfig::default()],
-    protocol as "coherence" [or CoherenceProtocol::Mesi],
-} check |system| {
-    if system.cores == 0 || system.cores > MAX_CORES {
-        return Err(ApiError::bad_request(format!(
-            "config: \"cores\" must be 1..={MAX_CORES}, got {}",
-            system.cores
-        )));
-    }
-    if system.cache.lines == 0 || system.cache.line_words == 0 {
-        return Err(ApiError::bad_request(
-            "config: cache \"lines\" and \"line_words\" must both be >= 1",
-        ));
-    }
-    if system.interconnect.latency == 0 {
-        return Err(ApiError::bad_request("config: interconnect \"latency\" must be >= 1"));
-    }
-});
-
-record!(CacheConfig as "config cache" { lines, line_words, });
-
-record!(InterconnectConfig as "config interconnect" { topology, latency, });
-
-/// A machine in whichever form its system calls for: flat for the default
-/// system, nested otherwise; read back by the presence of `"core"`.
+/// A machine is its [`ConfigSpec`].
 impl Wire for ArchConfig {
     /// For the (in-tree-unreachable) case of a hand-built machine with no
     /// wire form, the nearest spec is written and the round trip is lossy.
     fn put(&self, out: &mut String) {
-        let core = ConfigSpec::nearest(self);
-        if self.system.is_default() {
-            core.put(out);
-        } else {
-            NestedMachine { core, system: self.system }.put(out);
-        }
+        ConfigSpec::nearest(self).put(out);
     }
 
     fn get(ctx: &str, name: &str, value: &Json) -> Result<Self, ApiError> {
-        if !value.as_object().is_some_and(|m| m.iter().any(|(k, _)| k == "core")) {
-            return ConfigSpec::get(ctx, name, value)?.to_config();
-        }
-        let NestedMachine { core, system } = NestedMachine::get(ctx, name, value)?;
-        Ok(core.to_config()?.with_system(system))
-    }
-}
-
-/// The spec features this build supports — the `"features"` member every
-/// `status_result` carries: the core-count ceiling and the known
-/// interconnect topologies and coherence protocols, generated from the
-/// same constants the machine codec accepts.
-struct Features {
-    max_cores: u8,
-    topologies: Vec<String>,
-    protocols: Vec<String>,
-}
-
-record!(Features as "status features" { max_cores, topologies, protocols, });
-
-impl Features {
-    fn supported() -> Features {
-        Features {
-            max_cores: MAX_CORES,
-            topologies: Topology::ALL.iter().map(|t| t.name().to_owned()).collect(),
-            protocols: CoherenceProtocol::ALL.iter().map(|p| p.name().to_owned()).collect(),
-        }
+        ConfigSpec::get(ctx, name, value)?.to_config()
     }
 }
 
@@ -716,8 +623,7 @@ fn check_faults(
 /// adds is the checks.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EvalSpec {
-    /// The machine under evaluation: per-core shape plus the multi-core
-    /// system built from it.
+    /// The machine under evaluation.
     pub config: ArchConfig,
     /// Line-rate target.
     pub rate: LineRate,
@@ -804,25 +710,16 @@ impl EvalSpec {
 // Sweeps.
 // ---------------------------------------------------------------------------
 
-// The multicore axes are omitted at their single-core defaults so
-// pre-multicore sweep requests keep their exact bytes (and their cache
-// keys).  Core counts are range-checked here, at the wire boundary:
-// `grid()` feeds them to `SystemConfig::with_cores`, which panics on
-// out-of-range values, so a bad request must die as a structured error
-// long before it can reach the sweep.
+// Counts are range-checked here, at the wire boundary: `grid()` feeds
+// them to constructors that panic on zero, so a bad request must die as a
+// structured error long before it can reach the sweep.
 record!(SweepSpec as "sweep spec" {
     buses, replication, kinds, entries,
-    cores [omit vec![1]],
-    topologies [omit vec![Topology::SharedBus]],
-    protocols [omit vec![CoherenceProtocol::Mesi]],
     workload [omit None], faults [omit None], trace [omit None],
 } check |spec| {
-    for (axis, counts) in
-        [("buses", &spec.buses), ("replication", &spec.replication), ("cores", &spec.cores)]
-    {
-        let max = if axis == "cores" { MAX_CORES } else { u8::MAX };
-        if let Some(bad) = counts.iter().find(|&&n| n == 0 || n > max) {
-            return Err(must("sweep spec", axis, format_args!("hold 1..={max}, got {bad}")));
+    for (axis, counts) in [("buses", &spec.buses), ("replication", &spec.replication)] {
+        if counts.contains(&0) {
+            return Err(must("sweep spec", axis, format_args!("hold 1..={}, got 0", u8::MAX)));
         }
     }
     check_entries("sweep spec", "\"entries\"", spec.entries as u64)?;
@@ -1022,12 +919,7 @@ pub struct CacheCounters {
     pub misses: u64,
 }
 
-// `features` is advisory and written afresh every time, so a reader checks
-// it and keeps nothing; lines from before multicore lack it and still read.
-record!(StatusInfo as "response" {
-    in_flight, queued, max_pending, draining, cache,
-    #features [or None]: Option<Features> = Some(Features::supported()),
-});
+record!(StatusInfo as "response" { in_flight, queued, max_pending, draining, cache, });
 
 record!(CacheCounters as "status cache" { entries, hits, misses, });
 
@@ -1188,16 +1080,8 @@ pub(crate) mod tests {
     }
 
     /// Members a reader may find absent: each has a documented default.
-    /// (`cache` only inside a machine `config`, not on a status line; the
-    /// sweep axes `topologies` and `protocols`, not a status line's lists.)
-    const DEFAULTED: [&str; 19] = [
+    const DEFAULTED: [&str; 12] = [
         "memory_ports",
-        "cores",
-        "cache",
-        "interconnect",
-        "coherence",
-        "topologies",
-        "protocols",
         "workload",
         "faults",
         "trace",
@@ -1208,7 +1092,6 @@ pub(crate) mod tests {
         "max_unrecovered_faults",
         "persisted",
         "cam",
-        "features",
         "scenario",
     ];
 
@@ -1267,15 +1150,9 @@ pub(crate) mod tests {
 
                 let mut without = json.clone();
                 at(&mut without, path).remove(slot);
-                // Two names are optional in one table and required in another.
-                let parent = path.last().map(String::as_str);
-                let defaulted = DEFAULTED.contains(&name.as_str())
-                    && parent != Some("features")
-                    && (name != "cache" || parent == Some("config"));
+                let defaulted = DEFAULTED.contains(&name.as_str());
                 match reread(&without.encode()) {
                     Ok(_) => assert!(defaulted, "{path:?}: {name} is not optional"),
-                    // Without `core` a machine is read as the flat form.
-                    Err(_) if name == "core" => {}
                     Err(e) => {
                         assert!(!defaulted, "{path:?}: {name} has a default: {e}");
                         let missing = format!("missing field {quoted}");
@@ -1305,9 +1182,6 @@ pub(crate) mod tests {
         let mut requests = vec![ApiRequest::Status, ApiRequest::Shutdown];
         for workload in Workload::builtin() {
             let mut spec = cam_spec();
-            spec.config = spec
-                .config
-                .with_system(SystemConfig::with_cores(4).topology(Topology::Mesh).cache(128, 8));
             spec.workload = Some(workload);
             spec.faults = Some(FaultPlan::storm());
             requests.push(ApiRequest::Eval(spec));
@@ -1325,9 +1199,6 @@ pub(crate) mod tests {
                 workload: None,
                 faults: Some(FaultPlan::flaps()),
                 trace: Some(trace),
-                cores: vec![1, 2, 4],
-                topologies: vec![Topology::Mesh, Topology::SharedBus],
-                protocols: vec![CoherenceProtocol::Msi],
             },
             rate: LineRate::GIGE,
             constraints: Constraints {
@@ -1338,10 +1209,10 @@ pub(crate) mod tests {
             },
         });
 
-        let two_cores =
-            ArchConfig::three_bus_one_fu(TableKind::Cam).with_system(SystemConfig::with_cores(2));
-        let feasible =
-            EvalRequest::new(two_cores).entries(8).workload(Workload::steady_forward()).run();
+        let feasible = EvalRequest::new(ArchConfig::three_bus_one_fu(TableKind::Cam))
+            .entries(8)
+            .workload(Workload::steady_forward())
+            .run();
         let infeasible =
             EvalRequest::new(ArchConfig::one_bus_one_fu(TableKind::Sequential)).entries(64).run();
         assert!(feasible.estimate.feasible().is_some_and(|e| e.cam.is_some()));
@@ -1396,11 +1267,6 @@ pub(crate) mod tests {
         let tables: Vec<&[&str]> = vec![
             Envelope::MEMBERS,
             ConfigSpec::MEMBERS,
-            NestedMachine::MEMBERS,
-            SystemConfig::MEMBERS,
-            CacheConfig::MEMBERS,
-            InterconnectConfig::MEMBERS,
-            Features::MEMBERS,
             LineRate::MEMBERS,
             Workload::MEMBERS,
             FaultPlan::MEMBERS,
@@ -1420,7 +1286,7 @@ pub(crate) mod tests {
         ];
         // Not on any line: a report with a `sim_error` does not read back,
         // and a member read `Flat` lends its name to no key.
-        let unseen = ["sim_error", "system", "spec", "info", "error"];
+        let unseen = ["sim_error", "spec", "info", "error"];
         for member in tables.iter().flat_map(|table| table.iter()) {
             assert!(seen.iter().any(|s| s == member) || unseen.contains(member), "{member}");
         }
@@ -1444,47 +1310,6 @@ pub(crate) mod tests {
             panic!("a sweep")
         };
         assert_eq!(constraints, Constraints::default());
-    }
-
-    #[test]
-    fn multicore_sweep_axes_stay_silent_at_their_defaults() {
-        // Default multicore axes leave the wire bytes exactly as v1 wrote
-        // them — no "cores"/"topologies"/"protocols" members appear.
-        let default_axes = ApiRequest::Sweep {
-            spec: SweepSpec { entries: 8, ..SweepSpec::default() },
-            rate: LineRate::TEN_GBE,
-            constraints: Constraints::default(),
-        };
-        let line = default_axes.to_json();
-        for silent in ["\"cores\"", "\"topologies\"", "\"protocols\""] {
-            assert!(!line.contains(silent), "{silent} must be omitted at default: {line}");
-        }
-        assert_eq!(ApiRequest::from_json(&line).unwrap(), default_axes);
-    }
-
-    #[test]
-    fn sweep_multicore_axes_reject_bad_values_structurally() {
-        let sweep = |axes: &str| {
-            let json = format!(
-                "{{\"api_version\":\"v1\",\"kind\":\"sweep\",\"spec\":{{\"buses\":[3],\
-                 \"replication\":[1],\"kinds\":[\"cam\"],\"entries\":8{axes}}},\
-                 \"rate\":{{\"bits_per_second\":10000000000,\"packet_bytes\":1500}}}}"
-            );
-            ApiRequest::from_json(&json)
-        };
-        // A core count past the ceiling must be a structured bad_request
-        // naming the field — never the `with_cores` panic inside `grid()`.
-        let err = sweep(",\"cores\":[2,9]").expect_err("9 cores must be rejected");
-        assert_eq!(err.code, ApiErrorCode::BadRequest);
-        assert!(err.message.contains("\"cores\""), "{}", err.message);
-        assert!(err.message.contains("got 9"), "{}", err.message);
-        let err = sweep(",\"cores\":[0]").expect_err("0 cores must be rejected");
-        assert_eq!(err.code, ApiErrorCode::BadRequest);
-        // Unknown topology and protocol names list the accepted spellings.
-        let err = sweep(",\"topologies\":[\"ring\"]").expect_err("ring must be rejected");
-        assert!(err.message.contains("shared-bus, mesh"), "{}", err.message);
-        let err = sweep(",\"protocols\":[\"moesi\"]").expect_err("moesi must be rejected");
-        assert!(err.message.contains("msi, mesi"), "{}", err.message);
     }
 
     #[test]
@@ -1573,6 +1398,56 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn removed_multicore_members_are_unknown_fields() {
+        // An evaluation is one processor: a machine's `core`, a sweep's
+        // core, topology and protocol axes and a status line's `features`
+        // are members no table has, in either dialect.
+        let eval = ApiRequest::Eval(cam_spec()).to_json();
+        let sweep = ApiRequest::Sweep {
+            spec: SweepSpec { entries: 8, ..SweepSpec::default() },
+            rate: LineRate::TEN_GBE,
+            constraints: Constraints::default(),
+        }
+        .to_json();
+        let status = ApiResponse::Status(StatusInfo {
+            in_flight: 0,
+            queued: 0,
+            max_pending: 4,
+            draining: false,
+            cache: CacheCounters { entries: 0, hits: 0, misses: 0 },
+        })
+        .to_json();
+        let core = "\"core\":{\"table\":\"cam\",\"buses\":3,\"replication\":1}";
+        let with = |line: &str, after: &str, member: &str| {
+            line.replacen(after, &format!("{after},{member}"), 1)
+        };
+        let lines = [
+            ("core", with(&eval, "\"memory_ports\":1", core), reread_request as Reread),
+            ("cores", with(&sweep, "\"entries\":8", "\"cores\":[1,2]"), reread_request),
+            ("topologies", with(&sweep, "\"entries\":8", "\"topologies\":[]"), reread_request),
+            ("protocols", with(&sweep, "\"entries\":8", "\"protocols\":[]"), reread_request),
+            ("features", with(&status, "\"misses\":0}", "\"features\":{}"), reread_response),
+        ];
+        for (member, line, reread) in lines {
+            let v2 = line.replacen("\"v1\"", "\"v2\",\"id\":7", 1);
+            for line in [line, v2] {
+                let err = reread(&line).expect_err(&line);
+                assert_eq!(err.code, ApiErrorCode::BadRequest, "{line}");
+                assert!(err.message.contains(&format!("unknown field {member:?}")), "{err}");
+            }
+        }
+        // The nested machine spelling as a whole reads as a flat one
+        // missing its table.
+        let nested = eval.replace(
+            "\"config\":{\"table\":\"cam\",\"buses\":3,\"replication\":1,\"memory_ports\":1}",
+            &format!("\"config\":{{{core},\"cores\":2}}"),
+        );
+        assert_ne!(nested, eval);
+        let err = reread_request(&nested).expect_err(&nested);
+        assert!(err.message.contains("config: missing field \"table\""), "{err}");
+    }
+
+    #[test]
     fn version_mismatch_is_structured() {
         let line = ApiRequest::Status.to_json().replace("\"v1\"", "\"v0\"");
         let err = ApiRequest::from_json(&line).unwrap_err();
@@ -1643,11 +1518,10 @@ pub(crate) mod tests {
         let mut shapes = ArchConfig::table1_cells();
         shapes.push(ArchConfig::with_replication(TableKind::Patricia, 4, 2));
         shapes.push(ArchConfig::with_replication(TableKind::Cam, 2, 1).with_memory_ports(3));
-        shapes.push(shapes[0].clone().with_system(SystemConfig::with_cores(2)));
         for config in shapes {
             let spec = ConfigSpec::from_config(&config)
                 .unwrap_or_else(|| panic!("{} must be expressible", config.label()));
-            assert_eq!(spec.to_config().unwrap().with_system(config.system), config);
+            assert_eq!(spec.to_config().unwrap(), config);
         }
         // Asymmetric replication has no wire spelling.
         let machine = MachineConfig::new(2).with_fu_count(taco_isa::FuKind::Matcher, 2);
@@ -1710,56 +1584,22 @@ pub(crate) mod tests {
         let cam = ArchConfig::three_bus_one_fu(TableKind::Cam);
         let flat = "{\"table\":\"cam\",\"buses\":3,\"replication\":1,\"memory_ports\":1}";
         assert_eq!(machine_json(&cam), flat);
-        // The flat form parses back through the sniffing entry point.
-        assert_eq!(read_machine(flat), Ok(cam.clone()));
-        let quad = cam.with_system(SystemConfig::with_cores(4));
-        assert!(machine_json(&quad).starts_with("{\"core\":{\"table\""), "{}", machine_json(&quad));
-        assert_eq!(read_machine(&machine_json(&quad)), Ok(quad));
+        assert_eq!(read_machine(flat), Ok(cam));
     }
 
     #[test]
     fn machine_range_checks_name_the_field() {
-        let core = "\"core\":{\"table\":\"cam\",\"buses\":3,\"replication\":1}";
+        let flat = "{\"table\":\"cam\",\"buses\":3,\"replication\":1,\"memory_ports\":1}";
         for (bad, needle) in [
-            (format!("{{{core},\"cores\":0}}"), "cores"),
-            (format!("{{{core},\"cores\":9}}"), "cores"),
-            (format!("{{{core},\"cache\":{{\"lines\":0,\"line_words\":4}}}}"), "lines"),
-            (
-                format!("{{{core},\"interconnect\":{{\"topology\":\"mesh\",\"latency\":0}}}}"),
-                "latency",
-            ),
+            (flat.replace("\"buses\":3", "\"buses\":0"), "buses"),
+            (flat.replace("\"replication\":1", "\"replication\":0"), "replication"),
+            (flat.replace("\"memory_ports\":1", "\"memory_ports\":0"), "memory_ports"),
+            (flat.replace("\"buses\":3", "\"buses\":256"), "\"buses\""),
         ] {
             let err = read_machine(&bad).expect_err(&bad);
             assert_eq!(err.code, ApiErrorCode::BadRequest, "{bad}");
             assert!(err.message.contains(needle), "{needle} missing from {err}");
         }
-        // Unknown topologies and protocols list the accepted names.
-        let ring = format!("{{{core},\"interconnect\":{{\"topology\":\"ring\",\"latency\":2}}}}");
-        let err = read_machine(&ring).unwrap_err();
-        assert!(err.message.contains("\"topology\" must be one of: shared-bus, mesh"), "{err}");
-        let err = read_machine(&format!("{{{core},\"coherence\":\"moesi\"}}")).unwrap_err();
-        assert!(err.message.contains("\"coherence\" must be one of: msi, mesi"), "{err}");
-    }
-
-    #[test]
-    fn status_reports_the_supported_spec_features() {
-        let response = ApiResponse::Status(StatusInfo {
-            in_flight: 0,
-            queued: 0,
-            max_pending: 4,
-            draining: false,
-            cache: CacheCounters { entries: 0, hits: 0, misses: 0 },
-        });
-        let line = response.to_json();
-        let features = ",\"features\":{\"max_cores\":8,\"topologies\":[\"shared-bus\",\"mesh\"],\
-                        \"protocols\":[\"msi\",\"mesi\"]}";
-        assert!(line.contains(features), "{line}");
-        assert!(line.contains(&Features::supported().encode()), "{line}");
-        // A line from a build that knows another topology still reads.
-        let newer = line.replace("\"mesh\"]", "\"mesh\",\"torus\"]");
-        assert_eq!(ApiResponse::from_json(&newer).unwrap(), response);
-        // So does a line from before multicore, which has no `features`.
-        assert_eq!(ApiResponse::from_json(&line.replace(features, "")).unwrap(), response);
     }
 
     #[test]

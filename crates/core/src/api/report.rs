@@ -22,8 +22,7 @@ use taco_estimate::{Estimate, ExternalCam, PhysicalEstimate};
 use taco_isa::{FuKind, FuRef};
 use taco_sim::{SimError, SimStats};
 use taco_workload::{
-    CoherenceStats, FaultMetrics, FlowStats, LatencyHistogram, ScenarioMetrics, Workload,
-    LATENCY_BUCKETS,
+    FaultMetrics, FlowStats, LatencyHistogram, ScenarioMetrics, Workload, LATENCY_BUCKETS,
 };
 
 use super::json::{encode_str, Json};
@@ -183,24 +182,6 @@ fn fault_metrics_from_value(value: &Json) -> Result<FaultMetrics, ApiError> {
     Ok(metrics)
 }
 
-fn coherence_from_value(value: &Json) -> Result<CoherenceStats, ApiError> {
-    let mut f = Fields::new("coherence metrics", value)?;
-    let stats = CoherenceStats {
-        reads: get_member(&mut f, "reads")?,
-        writes: get_member(&mut f, "writes")?,
-        hits: get_member(&mut f, "hits")?,
-        misses: get_member(&mut f, "misses")?,
-        invalidations: get_member(&mut f, "invalidations")?,
-        upgrade_stalls: get_member(&mut f, "upgrade_stalls")?,
-        writebacks: get_member(&mut f, "writebacks")?,
-        stall_cycles: get_member(&mut f, "stall_cycles")?,
-        transactions: get_member(&mut f, "transactions")?,
-        busy_cycles: get_member(&mut f, "busy_cycles")?,
-    };
-    f.finish()?;
-    Ok(stats)
-}
-
 /// Scenario names are `&'static str` on [`ScenarioMetrics`]; resolve a
 /// parsed name back to the builtin's static string.
 fn static_scenario_name(name: &str) -> Result<&'static str, ApiError> {
@@ -233,7 +214,9 @@ fn scenario_from_value(value: &Json) -> Result<ScenarioMetrics, ApiError> {
         table_memory_words: get_member(&mut f, "table_memory_words")?,
         flows: f.get_non_null("flows").map(flow_stats_from_value).transpose()?,
         faults: f.get_non_null("faults").map(fault_metrics_from_value).transpose()?,
-        coherence: f.get_non_null("coherence").map(coherence_from_value).transpose()?,
+        // No evaluation models more than one core, so none writes a
+        // `coherence` section: the member is unknown here.
+        coherence: None,
     };
     f.finish()?;
     Ok(metrics)
@@ -299,7 +282,7 @@ record!(EvalReport as "report" {
 
 /// Serialises a full report as one line of JSON with a fixed key order;
 /// the machine configuration is written in the form an eval request's
-/// `config` takes (flat for single-core systems, nested for multi-core).
+/// `config` takes.
 pub fn report_to_json(report: &EvalReport) -> String {
     report.encode()
 }
@@ -369,18 +352,6 @@ mod tests {
             .faults(FaultPlan::storm())
             .run();
         assert!(report.scenario.as_ref().is_some_and(|s| s.faults.is_some()));
-        roundtrip(&report);
-    }
-
-    #[test]
-    fn multicore_report_round_trips_with_a_nested_config() {
-        let config = ArchConfig::three_bus_one_fu(TableKind::Cam)
-            .with_system(taco_isa::SystemConfig::with_cores(4).topology(taco_isa::Topology::Mesh));
-        let report = EvalRequest::new(config).entries(8).workload(Workload::table_churn()).run();
-        let line = report_to_json(&report);
-        assert!(line.contains("\"label\":\"cam 3BUS/1FU 4c-mesh-mesi\""), "{line}");
-        assert!(line.contains("\"config\":{\"core\":{"), "{line}");
-        assert!(line.contains("\"coherence\":{\"reads\":"), "{line}");
         roundtrip(&report);
     }
 

@@ -16,7 +16,6 @@
 //! field [omit X],         not written when equal to X; absent reads as X
 //! #name: Type = expr,     derived: written from `expr` over the fields,
 //!                         read and type-checked, not stored
-//! #name [or X]: Type = …, derived, and absent reads as X
 //! ```
 //!
 //! A `check |value| { … }` block after the list runs on the value just
@@ -362,7 +361,7 @@ macro_rules! record {
         $(#$ld:ident: $ldt:ty = $lde:expr,)*
         $($field:ident $(in $pos:tt)? $(as $wire:literal)? $(: $kind:ident)?
             $([or $or:expr])? $([omit $omit:expr])?,
-            $(#$ad:ident $([or $ador:expr])?: $adt:ty = $ade:expr,)*)*
+            $(#$ad:ident: $adt:ty = $ade:expr,)*)*
      } $(check |$this:ident| $check:block)? $(,)?)*) => {
         impl $crate::api::table::Record for $ty {
             const CTX: &'static str = $ctx;
@@ -403,7 +402,7 @@ macro_rules! record {
                         $(
                             let $field = get!(f, wire_name!($field $(as $wire)?)
                                 $(, : $kind)? $(, or $or)? $(, omit $omit)?);
-                            $(let $ad: $adt = get!(f, stringify!($ad) $(, or $ador)?);)*
+                            $(let $ad: $adt = get_member(f, stringify!($ad))?;)*
                         )*
                         let value = $($path)::+ { $($($pos:)? $field),* };
                         $({

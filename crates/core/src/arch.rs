@@ -3,7 +3,7 @@
 
 use std::fmt;
 
-use taco_isa::{FuKind, MachineConfig, SystemConfig};
+use taco_isa::{FuKind, MachineConfig};
 use taco_routing::TableKind;
 
 /// Re-export of the routing-table organisation enum under the name the
@@ -19,16 +19,12 @@ pub struct ArchConfig {
     pub machine: MachineConfig,
     /// The routing-table organisation.
     pub table: RoutingTableKind,
-    /// The system built from the cores: count, private table caches,
-    /// interconnect and coherence protocol.  Defaults to a single core,
-    /// which evaluates byte-identically to the pre-multicore path.
-    pub system: SystemConfig,
 }
 
 impl ArchConfig {
-    /// Creates a single-core architecture instance.
+    /// Creates an architecture instance.
     pub fn new(machine: MachineConfig, table: RoutingTableKind) -> Self {
-        ArchConfig { machine, table, system: SystemConfig::default() }
+        ArchConfig { machine, table }
     }
 
     /// The paper's `1BUS/1FU` column for the given table organisation.
@@ -91,16 +87,9 @@ impl ArchConfig {
         self
     }
 
-    /// Returns a copy with the given multi-core [`SystemConfig`].
-    pub fn with_system(mut self, system: SystemConfig) -> Self {
-        self.system = system;
-        self
-    }
-
-    /// A Table 1 style row label, e.g. `cam 3BUS/1FU`; multi-core systems
-    /// append a suffix such as `4c-mesh-mesi`.
+    /// A Table 1 style row label, e.g. `cam 3BUS/1FU`.
     pub fn label(&self) -> String {
-        format!("{} {}{}", self.table, self.machine.label(), self.system.label_suffix())
+        format!("{} {}", self.table, self.machine.label())
     }
 }
 
@@ -145,15 +134,5 @@ mod tests {
             "balanced-tree 3bus/3CNT,3CMP,3M"
         );
         assert_eq!(ArchConfig::one_bus_one_fu(TableKind::Cam).to_string(), "cam 1BUS/1FU");
-    }
-
-    #[test]
-    fn multicore_labels_append_the_system_suffix() {
-        let quad = ArchConfig::three_bus_one_fu(TableKind::Cam)
-            .with_system(SystemConfig::with_cores(4).topology(taco_isa::Topology::Mesh));
-        assert_eq!(quad.label(), "cam 3BUS/1FU 4c-mesh-mesi");
-        // Single-core labels are untouched, whatever the other system
-        // fields say only when they stay default.
-        assert_eq!(ArchConfig::three_bus_one_fu(TableKind::Cam).label(), "cam 3BUS/1FU");
     }
 }

@@ -3,7 +3,6 @@
 //! models.
 
 use taco_estimate::{Estimate, Estimator, ExternalCam};
-use taco_isa::{CoherenceProtocol, SystemConfig, Topology};
 use taco_router::cycle::CycleRouter;
 use taco_routing::cam::CamSpec;
 use taco_routing::{PortId, TableKind};
@@ -186,58 +185,6 @@ fn scenario_service_per_tick(cycles_per_datagram: f64) -> u32 {
     (per_tick as u32).max(1)
 }
 
-/// Per-mille clock overhead the coherence machinery costs each core of a
-/// multi-core system: the shared snooping bus pays arbitration on every
-/// transaction (5% per extra core), a switched mesh only hop latency
-/// (1.5% per extra core), and MSI's extra upgrade transactions add 1% per
-/// extra core over MESI.  All-integer so the scaling is byte-stable.
-fn coherence_overhead_milli(system: &SystemConfig) -> u64 {
-    let extra = u64::from(system.cores.saturating_sub(1));
-    let topology = match system.interconnect.topology {
-        Topology::SharedBus => 50,
-        Topology::Mesh => 15,
-    };
-    let protocol = match system.protocol {
-        CoherenceProtocol::Msi => 10,
-        CoherenceProtocol::Mesi => 0,
-    };
-    (topology + protocol) * extra
-}
-
-/// Table-1-style frequency scaling for an N-core system: the forwarding
-/// load fans out over the cores, so each core needs `1/N` of the
-/// single-core clock — inflated by the coherence overhead of keeping the
-/// shared routing table consistent.  Single-core systems return the input
-/// untouched (bit-for-bit).
-fn system_required_frequency_hz(single_core_hz: f64, system: &SystemConfig) -> f64 {
-    if system.is_single_core() {
-        return single_core_hz;
-    }
-    let overhead = coherence_overhead_milli(system);
-    single_core_hz * (1000 + overhead) as f64 / (1000.0 * f64::from(system.cores))
-}
-
-/// Scales a per-core physical estimate to the N-core system: gates, area
-/// and power replicate per core, plus the same per-mille interconnect
-/// overhead the clock pays (bus wiring or mesh routers are not free).
-/// Single-core systems return the estimate untouched.
-fn system_estimate(per_core: Estimate, system: &SystemConfig) -> Estimate {
-    if system.is_single_core() {
-        return per_core;
-    }
-    match per_core {
-        Estimate::Feasible(mut e) => {
-            let factor =
-                f64::from(system.cores) * (1000 + coherence_overhead_milli(system)) as f64 / 1000.0;
-            e.sized_gates *= factor;
-            e.area_mm2 *= factor;
-            e.power_w *= factor;
-            Estimate::Feasible(e)
-        }
-        infeasible => infeasible,
-    }
-}
-
 /// Evaluates one [`EvalRequest`] — the paper's per-cell methodology, plus
 /// the behavioural scenario replay when the request carries a workload.
 ///
@@ -299,24 +246,15 @@ pub fn evaluate_request(request: &EvalRequest) -> EvalReport {
     // allocates its own tables.
     drop(router);
 
-    // Multi-core scaling: the load fans out over the cores, cutting the
-    // required per-core clock; gates, area and power replicate per core
-    // plus the interconnect overhead.  (The CAM latency fixed point above
-    // converged against the single-core clock — conservative, since the
-    // scaled clock is never higher.)  Single-core systems pass through
-    // both functions bit-for-bit.
-    let freq = system_required_frequency_hz(freq, &config.system);
-
     let mut estimator = Estimator::new().with_program_bits(program_bits);
     if config.table == TableKind::Cam {
         estimator = estimator.with_cam(ExternalCam::micron_harmony());
     }
-    let estimate = system_estimate(estimator.estimate(&config.machine, freq), &config.system);
+    let estimate = estimator.estimate(&config.machine, freq);
 
     let scenario = request.workload.as_ref().map(|workload| {
         let service = scenario_service_per_tick(cycles);
-        let scenario_config =
-            ScenarioConfig::new(config.table).service_per_tick(service).system(config.system);
+        let scenario_config = ScenarioConfig::new(config.table).service_per_tick(service);
         match &request.flow_trace {
             // An attached flow trace is replayed verbatim; the workload
             // descriptor only names its parameters in the report.
@@ -458,68 +396,6 @@ mod tests {
                 < scenario_service_per_tick(cam.cycles_per_datagram)
         );
         assert!(scenario_service_per_tick(f64::INFINITY) >= 1, "budget is never zero");
-    }
-
-    #[test]
-    fn quad_core_cuts_the_required_clock_but_not_to_a_quarter() {
-        let single = report(ArchConfig::three_bus_one_fu(TableKind::Cam), LineRate::TEN_GBE, 64);
-        let quad = EvalRequest::new(
-            ArchConfig::three_bus_one_fu(TableKind::Cam).with_system(SystemConfig::with_cores(4)),
-        )
-        .rate(LineRate::TEN_GBE)
-        .entries(64)
-        .run();
-        assert!(quad.required_frequency_hz < single.required_frequency_hz);
-        assert!(
-            quad.required_frequency_hz > single.required_frequency_hz / 4.0,
-            "coherence overhead must show: {} vs {}",
-            quad.required_frequency_hz,
-            single.required_frequency_hz
-        );
-        // Area and power replicate per core (plus interconnect overhead).
-        let (s, q) = (single.estimate.feasible().unwrap(), quad.estimate.feasible().unwrap());
-        assert!(q.area_mm2 > 3.9 * s.area_mm2, "{} vs {}", q.area_mm2, s.area_mm2);
-        // Per-core measurement columns are unchanged.
-        assert_eq!(quad.cycles_per_datagram, single.cycles_per_datagram);
-    }
-
-    #[test]
-    fn explicit_single_core_system_report_is_identical() {
-        let plain = report(ArchConfig::three_bus_one_fu(TableKind::Cam), LineRate::TEN_GBE, 32);
-        let explicit = EvalRequest::new(
-            ArchConfig::three_bus_one_fu(TableKind::Cam).with_system(SystemConfig::single_core()),
-        )
-        .rate(LineRate::TEN_GBE)
-        .entries(32)
-        .run();
-        assert_eq!(plain, explicit);
-    }
-
-    #[test]
-    fn multicore_workload_carries_the_coherence_section() {
-        let r = EvalRequest::new(
-            ArchConfig::three_bus_one_fu(TableKind::Cam).with_system(SystemConfig::with_cores(2)),
-        )
-        .entries(16)
-        .workload(Workload::table_churn())
-        .run();
-        let sc = r.scenario.as_ref().expect("workload requested");
-        let c = sc.coherence.expect("multicore runs measure coherence");
-        assert!(c.reads > 0, "{}", sc.to_json());
-        assert!(c.invalidations > 0, "churn writes invalidate: {}", sc.to_json());
-    }
-
-    #[test]
-    fn mesh_pays_less_clock_overhead_than_the_shared_bus() {
-        let bus = SystemConfig::with_cores(4);
-        let mesh = SystemConfig::with_cores(4).topology(Topology::Mesh);
-        assert!(coherence_overhead_milli(&mesh) < coherence_overhead_milli(&bus));
-        let f = system_required_frequency_hz(1e9, &mesh);
-        assert!(f < system_required_frequency_hz(1e9, &bus));
-        assert!(f > 1e9 / 4.0);
-        // MSI pays more than MESI on the same fabric.
-        let msi = SystemConfig::with_cores(4).protocol(CoherenceProtocol::Msi);
-        assert!(coherence_overhead_milli(&msi) > coherence_overhead_milli(&bus));
     }
 
     #[test]

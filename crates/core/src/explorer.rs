@@ -11,7 +11,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use taco_isa::{CoherenceProtocol, SystemConfig, Topology};
 use taco_routing::TableKind;
 use taco_workload::{FaultPlan, FlowTrace, Workload};
 
@@ -106,17 +105,6 @@ pub struct SweepSpec {
     /// replays `workload` as named.  One `Arc` is shared by every point —
     /// the grid never clones the records.
     pub trace: Option<Arc<FlowTrace>>,
-    /// Core counts to try (default `[1]`, the paper's single-core space).
-    /// For `1` the topology and protocol axes collapse to one default
-    /// point — a single core generates no coherence traffic, so sweeping
-    /// interconnects under it would evaluate the same machine repeatedly.
-    pub cores: Vec<u8>,
-    /// Interconnect topologies to try for each multi-core count (default
-    /// `[SharedBus]`).
-    pub topologies: Vec<Topology>,
-    /// Coherence protocols to try for each multi-core count (default
-    /// `[Mesi]`).
-    pub protocols: Vec<CoherenceProtocol>,
 }
 
 impl Default for SweepSpec {
@@ -131,9 +119,6 @@ impl Default for SweepSpec {
             workload: None,
             faults: None,
             trace: None,
-            cores: vec![1],
-            topologies: vec![Topology::SharedBus],
-            protocols: vec![CoherenceProtocol::Mesi],
         }
     }
 }
@@ -211,35 +196,16 @@ impl ExploreOptions<'_> {
     }
 }
 
-/// The sweep grid of `spec`, in sweep order (kinds × buses × replication
-/// × cores × topologies × protocols, innermost last) — the order
-/// `Exploration::all` is laid out in.  A single-core count collapses the
-/// topology and protocol axes to one default-system point, so the default
-/// `cores: [1]` spec generates exactly the pre-multicore grid.
+/// The sweep grid of `spec`, in sweep order (kinds × buses ×
+/// replication, innermost last) — the order `Exploration::all` is laid out
+/// in.
 pub fn grid(spec: &SweepSpec) -> Vec<ArchConfig> {
     let mut configs =
         Vec::with_capacity(spec.kinds.len() * spec.buses.len() * spec.replication.len());
     for &kind in &spec.kinds {
         for &buses in &spec.buses {
             for &repl in &spec.replication {
-                let base = ArchConfig::with_replication(kind, buses, repl);
-                for &cores in &spec.cores {
-                    if cores == 1 {
-                        configs.push(base.clone());
-                        continue;
-                    }
-                    for &topology in &spec.topologies {
-                        for &protocol in &spec.protocols {
-                            configs.push(
-                                base.clone().with_system(
-                                    SystemConfig::with_cores(cores)
-                                        .topology(topology)
-                                        .protocol(protocol),
-                                ),
-                            );
-                        }
-                    }
-                }
+                configs.push(ArchConfig::with_replication(kind, buses, repl));
             }
         }
     }
@@ -374,41 +340,17 @@ mod tests {
             workload: None,
             faults: None,
             trace: None,
-            ..SweepSpec::default()
         }
     }
 
     #[test]
-    fn grid_expands_multicore_axes_and_collapses_single_core() {
-        let spec = SweepSpec {
-            buses: vec![3],
-            replication: vec![1],
-            kinds: vec![TableKind::Cam],
-            cores: vec![1, 2],
-            topologies: vec![Topology::SharedBus, Topology::Mesh],
-            protocols: vec![CoherenceProtocol::Msi, CoherenceProtocol::Mesi],
-            ..SweepSpec::default()
-        };
-        let configs = grid(&spec);
-        // cores=1 collapses the 2×2 interconnect axes to one default
-        // point; cores=2 expands them fully: 1 + 4 = 5 grid points.
-        assert_eq!(configs.len(), 5);
-        assert!(configs[0].system.is_default());
-        let labels: Vec<String> = configs[1..].iter().map(|c| c.label()).collect();
-        assert_eq!(
-            labels,
-            [
-                "cam 3BUS/1FU 2c-shared-bus-msi",
-                "cam 3BUS/1FU 2c-shared-bus-mesi",
-                "cam 3BUS/1FU 2c-mesh-msi",
-                "cam 3BUS/1FU 2c-mesh-mesi",
-            ]
-        );
-        // The default spec's multicore axes are the identity: exactly the
-        // pre-multicore grid, byte for byte.
-        let default_grid = grid(&SweepSpec::default());
-        assert!(default_grid.iter().all(|c| c.system.is_default()));
-        assert_eq!(default_grid.len(), 3 * 4 * 3);
+    fn the_default_grid_is_kinds_by_buses_by_replication() {
+        let grid = grid(&SweepSpec::default());
+        assert_eq!(grid.len(), 3 * 4 * 3);
+        assert_eq!(grid[0].label(), "sequential 1BUS/1FU");
+        assert_eq!(grid[1], ArchConfig::with_replication(TableKind::Sequential, 1, 2));
+        assert_eq!(grid[3], ArchConfig::with_replication(TableKind::Sequential, 2, 1));
+        assert_eq!(grid[12].table, TableKind::BalancedTree);
     }
 
     #[test]
@@ -446,7 +388,6 @@ mod tests {
             workload: Some(workload),
             faults: None,
             trace: None,
-            ..SweepSpec::default()
         };
         // A generous physical budget so only the drop bound discriminates;
         // 10 GbE would mark the sequential row NA before drops matter.
@@ -482,7 +423,6 @@ mod tests {
             workload: None,
             faults: None,
             trace: Some(Arc::clone(&trace)),
-            ..SweepSpec::default()
         };
         let ex = explore(&spec, LineRate::GIGE, &Constraints::default());
         assert_eq!(ex.all.len(), 2);

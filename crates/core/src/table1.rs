@@ -59,7 +59,7 @@ pub fn render(reports: &[EvalReport]) -> String {
             r.config.table.to_string()
         };
         let speed = format_frequency(r.required_frequency_hz);
-        let machine = format!("{}{}", r.config.machine.label(), r.config.system.label_suffix());
+        let machine = r.config.machine.label();
         let (area, power) = match &r.estimate {
             Estimate::Feasible(e) => (format!("{:.2}", e.area_mm2), format!("{:.3}", e.power_w)),
             Estimate::Infeasible { .. } => ("NA".to_string(), "NA".to_string()),
@@ -86,7 +86,7 @@ pub fn to_csv(reports: &[EvalReport]) -> String {
 ",
     );
     for r in reports {
-        let machine = format!("{}{}", r.config.machine.label(), r.config.system.label_suffix());
+        let machine = r.config.machine.label();
         let (feasible, area, power) = match &r.estimate {
             Estimate::Feasible(e) => (true, e.area_mm2.to_string(), e.power_w.to_string()),
             Estimate::Infeasible { .. } => (false, String::new(), String::new()),

@@ -15,7 +15,6 @@ use taco_core::api::{ApiRequest, Envelope, EvalSpec};
 use taco_core::{
     ArchConfig, Constraints, FaultPlan, LineRate, RoutingTableKind, SweepSpec, Workload,
 };
-use taco_isa::{CacheConfig, CoherenceProtocol, SystemConfig, Topology, MAX_CORES};
 
 const KINDS: [RoutingTableKind; 4] = RoutingTableKind::ALL_KINDS;
 
@@ -83,71 +82,30 @@ fn every_builtin_eval_combination_round_trips() {
 
 #[test]
 fn every_machine_combination_round_trips() {
-    // The full multicore cross product: every core count the schema
-    // accepts × topology × protocol × table kind × Table-1 shape, each
-    // through a full eval request cycle, in the nested form exactly when
-    // the system is not the default one.  Non-default cache geometry rides
-    // one corner of the grid so the optional "cache" member is exercised
-    // without squaring the size.
+    // Every table kind × machine shape × memory-port count, each through
+    // a full eval request cycle in the one flat form a machine has.
     let mut combinations = 0usize;
-    for cores in 1..=MAX_CORES {
-        for topology in Topology::ALL {
-            for protocol in CoherenceProtocol::ALL {
-                for kind in KINDS {
-                    for (buses, replication) in SHAPES {
-                        let mut system =
-                            SystemConfig::with_cores(cores).topology(topology).protocol(protocol);
-                        if cores == MAX_CORES {
-                            system.cache = CacheConfig { lines: 128, line_words: 8 };
-                            system.interconnect.latency = 5;
-                        }
-                        let config = ArchConfig::with_replication(kind, buses, replication)
-                            .with_system(system);
-                        let mut eval = EvalSpec::new(config);
-                        eval.entries = 32;
-                        let request = ApiRequest::Eval(eval);
-                        let nested = request.to_json().contains("\"config\":{\"core\":{");
-                        assert_eq!(nested, !system.is_default(), "{}", request.to_json());
-                        assert_round_trip(&request);
-                        combinations += 1;
-                    }
+    for kind in KINDS {
+        for (buses, replication) in SHAPES {
+            for memory_ports in 1..=3 {
+                let mut config = ArchConfig::with_replication(kind, buses, replication);
+                if memory_ports > 1 {
+                    config = config.with_memory_ports(memory_ports);
                 }
+                let flat = format!(
+                    "\"config\":{{\"table\":\"{kind}\",\"buses\":{buses},\
+                     \"replication\":{replication},\"memory_ports\":{memory_ports}}},"
+                );
+                let mut eval = EvalSpec::new(config);
+                eval.entries = 32;
+                let request = ApiRequest::Eval(eval);
+                assert!(request.to_json().contains(&flat), "{}", request.to_json());
+                assert_round_trip(&request);
+                combinations += 1;
             }
         }
     }
-    let expected = usize::from(MAX_CORES)
-        * Topology::ALL.len()
-        * CoherenceProtocol::ALL.len()
-        * KINDS.len()
-        * SHAPES.len();
-    assert_eq!(combinations, expected);
-    assert!(combinations >= 8 * 2 * 2 * 4 * 4, "the spec grid shrank: {combinations}");
-}
-
-#[test]
-fn single_core_machines_keep_the_flat_wire_form() {
-    // N=1 equivalence: a single-core machine must serialise to the exact
-    // flat bytes the pre-multicore schema wrote, so every v1/v2 golden
-    // fixture (and every cache key derived from request bytes) is
-    // untouched by the multicore codec.
-    for kind in KINDS {
-        for (buses, replication) in SHAPES {
-            let config = ArchConfig::with_replication(kind, buses, replication);
-            let flat = format!(
-                "\"config\":{{\"table\":\"{kind}\",\"buses\":{buses},\
-                 \"replication\":{replication},\"memory_ports\":1}},"
-            );
-            let mut eval = EvalSpec::new(config.clone());
-            eval.entries = 32;
-            let line = ApiRequest::Eval(eval.clone()).to_json();
-            assert!(line.contains(&flat), "single-core must stay flat: {line}");
-            // An explicit single-core system is the same machine, bytes
-            // included.
-            eval.config = config.with_system(SystemConfig::single_core());
-            assert_eq!(ApiRequest::Eval(eval.clone()).to_json(), line);
-            assert_round_trip(&ApiRequest::Eval(eval));
-        }
-    }
+    assert_eq!(combinations, KINDS.len() * SHAPES.len() * 3);
 }
 
 #[test]

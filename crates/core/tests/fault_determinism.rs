@@ -22,7 +22,6 @@ fn faulted_spec() -> SweepSpec {
         entries: 8,
         workload: Some(small_workload()),
         faults: Some(FaultPlan::storm()),
-        trace: None,
         ..SweepSpec::default()
     }
 }

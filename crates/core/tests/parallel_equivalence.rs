@@ -70,9 +70,6 @@ fn repeated_sweep_hits_the_cache_and_reports_it() {
         replication: vec![1, 2],
         kinds: vec![RoutingTableKind::Cam, RoutingTableKind::BalancedTree],
         entries: 8,
-        workload: None,
-        faults: None,
-        trace: None,
         ..SweepSpec::default()
     };
     let constraints = Constraints::default();
@@ -153,55 +150,6 @@ fn scaling_sweep_parallel_cached_equals_uncached_serial() {
 }
 
 #[test]
-fn multicore_sweep_is_byte_identical_across_threads() {
-    use taco_core::api::report_to_json;
-    use taco_isa::{CoherenceProtocol, Topology};
-    use taco_workload::Workload;
-
-    // A multicore grid with coherence traffic to measure: churn writes on
-    // 1-, 2- and 4-core systems over both interconnects.
-    let spec = SweepSpec {
-        buses: vec![3],
-        replication: vec![1],
-        kinds: vec![RoutingTableKind::Cam],
-        entries: 8,
-        workload: Some(Workload::table_churn()),
-        faults: None,
-        trace: None,
-        cores: vec![1, 2, 4],
-        topologies: vec![Topology::SharedBus, Topology::Mesh],
-        protocols: vec![CoherenceProtocol::Mesi],
-    };
-    let constraints = Constraints::default();
-    let serial = explore_serial(&spec, LineRate::TEN_GBE, &constraints);
-    assert_eq!(serial.all.len(), 5, "1 collapsed + 2x2 multicore points");
-    let parallel = explore_with(
-        &spec,
-        LineRate::TEN_GBE,
-        &constraints,
-        &ExploreOptions { threads: 4, cache: Some(&EvalCache::new()), observer: &Silent },
-    );
-    assert_eq!(serial, parallel, "multicore sweep must not depend on worker count");
-
-    // Byte-identity through the wire serialisation for every multicore
-    // point.
-    for (report, config) in serial.all.iter().zip(grid(&spec)) {
-        let json = report_to_json(report);
-        let fresh = EvalRequest::new(config.clone())
-            .entries(spec.entries)
-            .workload(Workload::table_churn())
-            .run();
-        assert_eq!(report_to_json(&fresh), json, "{config}");
-        if !report.config.system.is_single_core() {
-            let scenario = report.scenario.as_ref().expect("workload attached");
-            let c = scenario.coherence.expect("multicore points measure coherence");
-            assert!(json.contains("\"coherence\":{\"reads\":"), "{json}");
-            assert!(c.reads > 0, "{json}");
-        }
-    }
-}
-
-#[test]
 fn compiled_results_are_thread_count_invariant() {
     use taco_core::pool::ordered_map;
     use taco_core::{evaluate_request, FaultPlan, ScenarioMetrics, Workload};
@@ -250,9 +198,6 @@ fn equal_power_ties_rank_deterministically() {
         replication: vec![1, 1],
         kinds: vec![RoutingTableKind::Cam],
         entries: 8,
-        workload: None,
-        faults: None,
-        trace: None,
         ..SweepSpec::default()
     };
     let constraints = Constraints::default();

@@ -19,8 +19,6 @@ fn scenario_spec() -> SweepSpec {
         kinds: vec![RoutingTableKind::Cam, RoutingTableKind::BalancedTree],
         entries: 8,
         workload: Some(Workload::burst_overload()),
-        faults: None,
-        trace: None,
         ..SweepSpec::default()
     }
 }

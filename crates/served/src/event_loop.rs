@@ -808,11 +808,11 @@ mod tests {
         let (_loop_end, runner_end) = UnixStream::pair().expect("waker pair");
         let (tx, rx) = mpsc::channel();
         let runners = Runners::default();
-        // Zero cores cannot come off the wire (the sweep parser refuses
+        // Zero buses cannot come off the wire (the sweep parser refuses
         // them) and `grid()` panics on them: a stand-in for whatever the
         // evaluator's next reachable panic turns out to be.
         let work = Work::Sweep {
-            spec: SweepSpec { cores: vec![0], ..SweepSpec::default() },
+            spec: SweepSpec { buses: vec![0], ..SweepSpec::default() },
             rate: LineRate::TEN_GBE,
             constraints: Constraints::default(),
         };
@@ -829,7 +829,7 @@ mod tests {
                     "{line}"
                 );
                 assert!(line.contains("\"code\":\"internal\""), "{line}");
-                assert!(line.contains("cores must be"), "{line}");
+                assert!(line.contains("at least one bus"), "{line}");
             }
             _ => panic!("expected one error line, then Done"),
         }

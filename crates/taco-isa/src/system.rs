@@ -9,30 +9,24 @@
 //! compares, and serialises byte-stably — the same contract
 //! `MachineConfig` honours.
 //!
-//! The default system is a single core with no sharing at all, and every
-//! consumer treats that case as the pre-multicore evaluation path:
-//! evaluating a single-core system is byte-identical to evaluating the
-//! bare `MachineConfig`.
+//! The default system is a single core with no sharing at all.  Only the
+//! behavioural scenario harness builds any other: an evaluation is one
+//! processor.
 //!
 //! # Examples
 //!
 //! ```
 //! use taco_isa::{CoherenceProtocol, SystemConfig, Topology};
 //!
-//! let sys = SystemConfig::default();
-//! assert!(sys.is_single_core());
+//! assert_eq!(SystemConfig::default().cores, 1);
 //!
 //! let quad = SystemConfig::with_cores(4)
 //!     .topology(Topology::Mesh)
 //!     .protocol(CoherenceProtocol::Mesi);
 //! assert_eq!(quad.cores, 4);
-//! assert!(!quad.is_single_core());
 //! ```
 
-use std::fmt;
-
-/// Most cores any system configuration may carry (and the ceiling the
-/// evaluation daemon advertises in its feature record).
+/// Most cores any system configuration may carry.
 pub const MAX_CORES: u8 = 8;
 
 /// On-chip interconnect topology connecting the cores.
@@ -47,31 +41,12 @@ pub enum Topology {
 }
 
 impl Topology {
-    /// Every topology, in wire order.
-    pub const ALL: [Topology; 2] = [Topology::SharedBus, Topology::Mesh];
-
-    /// The wire name (`shared-bus`, `mesh`).
+    /// The name (`shared-bus`, `mesh`).
     pub fn name(&self) -> &'static str {
         match self {
             Topology::SharedBus => "shared-bus",
             Topology::Mesh => "mesh",
         }
-    }
-
-    /// Looks a topology up by [`Topology::name`] (the `bus` shorthand is
-    /// accepted for `shared-bus`).
-    pub fn by_name(name: &str) -> Option<Topology> {
-        match name {
-            "shared-bus" | "bus" => Some(Topology::SharedBus),
-            "mesh" => Some(Topology::Mesh),
-            _ => None,
-        }
-    }
-}
-
-impl fmt::Display for Topology {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
     }
 }
 
@@ -84,30 +59,6 @@ pub enum CoherenceProtocol {
     /// MSI plus an Exclusive state: a read miss nobody else holds fills
     /// Exclusive, and the first write upgrades silently.
     Mesi,
-}
-
-impl CoherenceProtocol {
-    /// Every protocol, in wire order.
-    pub const ALL: [CoherenceProtocol; 2] = [CoherenceProtocol::Msi, CoherenceProtocol::Mesi];
-
-    /// The wire name (`msi`, `mesi`).
-    pub fn name(&self) -> &'static str {
-        match self {
-            CoherenceProtocol::Msi => "msi",
-            CoherenceProtocol::Mesi => "mesi",
-        }
-    }
-
-    /// Looks a protocol up by [`CoherenceProtocol::name`].
-    pub fn by_name(name: &str) -> Option<CoherenceProtocol> {
-        CoherenceProtocol::ALL.into_iter().find(|p| p.name() == name)
-    }
-}
-
-impl fmt::Display for CoherenceProtocol {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
 }
 
 /// Shape of each core's private table-line cache.
@@ -172,8 +123,7 @@ pub struct SystemConfig {
 
 impl SystemConfig {
     /// The single-core system: no sharing, no coherence traffic.  This is
-    /// `Default`, and evaluating it is byte-identical to evaluating the
-    /// bare per-core machine.
+    /// `Default`.
     pub fn single_core() -> Self {
         SystemConfig {
             cores: 1,
@@ -205,35 +155,6 @@ impl SystemConfig {
         self.protocol = protocol;
         self
     }
-
-    /// Returns a copy with the given cache shape.
-    pub fn cache(mut self, lines: u16, line_words: u8) -> Self {
-        self.cache = CacheConfig { lines, line_words };
-        self
-    }
-
-    /// Whether this system has exactly one core (no coherence traffic is
-    /// possible, whatever the other fields say).
-    pub fn is_single_core(&self) -> bool {
-        self.cores == 1
-    }
-
-    /// Whether this is exactly the default system — the predicate the wire
-    /// codec uses to keep single-core configurations in the flat
-    /// (pre-multicore) JSON form.
-    pub fn is_default(&self) -> bool {
-        *self == Self::single_core()
-    }
-
-    /// A short suffix such as `4c-mesh-mesi` appended to labels of
-    /// multi-core systems; empty for the default system.
-    pub fn label_suffix(&self) -> String {
-        if self.is_default() {
-            String::new()
-        } else {
-            format!(" {}c-{}-{}", self.cores, self.interconnect.topology, self.protocol)
-        }
-    }
 }
 
 impl Default for SystemConfig {
@@ -248,33 +169,18 @@ mod tests {
 
     #[test]
     fn default_is_single_core() {
-        let sys = SystemConfig::default();
-        assert!(sys.is_single_core());
-        assert!(sys.is_default());
-        assert_eq!(sys.cores, 1);
-        assert_eq!(sys.label_suffix(), "");
+        assert_eq!(SystemConfig::default(), SystemConfig::with_cores(1));
+        assert_eq!(SystemConfig::default().cores, 1);
     }
 
     #[test]
     fn builders_compose() {
-        let sys = SystemConfig::with_cores(4)
-            .topology(Topology::Mesh)
-            .protocol(CoherenceProtocol::Msi)
-            .cache(128, 8);
+        let sys =
+            SystemConfig::with_cores(4).topology(Topology::Mesh).protocol(CoherenceProtocol::Msi);
         assert_eq!(sys.cores, 4);
         assert_eq!(sys.interconnect.topology, Topology::Mesh);
         assert_eq!(sys.protocol, CoherenceProtocol::Msi);
-        assert_eq!(sys.cache.lines, 128);
-        assert_eq!(sys.cache.line_words, 8);
-        assert!(!sys.is_default());
-        assert_eq!(sys.label_suffix(), " 4c-mesh-msi");
-    }
-
-    #[test]
-    fn single_core_with_explicit_fields_is_not_default() {
-        let sys = SystemConfig::with_cores(1).topology(Topology::Mesh);
-        assert!(sys.is_single_core());
-        assert!(!sys.is_default());
+        assert_eq!(sys.cache, CacheConfig::default());
     }
 
     #[test]
@@ -287,18 +193,5 @@ mod tests {
     #[should_panic(expected = "cores must be")]
     fn too_many_cores_rejected() {
         let _ = SystemConfig::with_cores(MAX_CORES + 1);
-    }
-
-    #[test]
-    fn names_round_trip() {
-        for t in Topology::ALL {
-            assert_eq!(Topology::by_name(t.name()), Some(t));
-        }
-        assert_eq!(Topology::by_name("bus"), Some(Topology::SharedBus));
-        assert_eq!(Topology::by_name("ring"), None);
-        for p in CoherenceProtocol::ALL {
-            assert_eq!(CoherenceProtocol::by_name(p.name()), Some(p));
-        }
-        assert_eq!(CoherenceProtocol::by_name("moesi"), None);
     }
 }

@@ -17,9 +17,6 @@ fn main() {
         replication: vec![1, 3],
         kinds: vec![TableKind::BalancedTree, TableKind::Cam],
         entries: 32,
-        workload: None,
-        faults: None,
-        trace: None,
         ..SweepSpec::default()
     };
     let constraints =

@@ -118,6 +118,10 @@ fi
 # PR 28, one step-loop body: an instruction is its moves in execution order,
 # not per-width instances with read-phase scratch.
 if grep -rnE 'wide_[v]alues|wide_[p]ass|max_[w]idth' crates src tests examples scripts; then exit 1; fi
+# An evaluation is one processor: no hand-scaled multi-core clock or
+# estimate, no nested machine spelling, no core count on a machine and no
+# status feature record.
+if grep -rnE 'coherence_overhead_[m]illi|system_required_[f]requency|system_[e]stimate|[N]estedMachine|with_[s]ystem|Features::[s]upported' crates src tests examples scripts; then exit 1; fi
 echo "guards ok"
 
 echo
@@ -128,7 +132,10 @@ echo
 echo "== multicore smoke: 2- and 4-core cells under a hard timeout =="
 # The release-built `scenarios` subcommand re-measures 2- and 4-core cells
 # and checks parallel == serial bytes itself; the timeout turns a coherence
-# livelock into a loud failure here instead of a hung later job.
+# livelock into a loud failure here instead of a hung later job.  The
+# scenario harness's coherence model is all this guards now that an
+# evaluation is one processor; the stage leaves with that model, in the
+# change that also takes it out of the benchmark.
 if ! timeout 180 ./target/release/taco-cli scenarios > /dev/null; then
     echo "multicore scenarios smoke FAILED (non-zero exit or 180 s timeout)"
     exit 1

@@ -26,7 +26,6 @@ use taco::eval::{
     ArchConfig, Constraints, EvalCache, EvalRequest, FaultPlan, FlowTrace, LineRate,
     RoutingTableKind, SweepSpec, TraceGen, Workload,
 };
-use taco::isa::{SystemConfig, Topology};
 use taco::served::{Server, ServerConfig};
 use taco_workload::trace::trace_fnv1a64;
 
@@ -420,7 +419,7 @@ fn mutated_flow_traces_parse_to_a_value_or_a_structured_error() {
 #[test]
 fn mutated_snapshots_load_whole_or_not_at_all() {
     // A real snapshot written by the cache itself: the twelve Table 1
-    // cells, a scenario, a fault plan and a nested multi-core machine.
+    // cells, a scenario and a fault plan.
     let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
     let path = dir.join(format!("fuzz-wire-{}.snapshot", std::process::id()));
     let cache = EvalCache::new();
@@ -429,8 +428,6 @@ fn mutated_snapshots_load_whole_or_not_at_all() {
     let small = Workload::SteadyForward { seed: 3, ticks: 20, packets_per_tick: 4, entries: 8 };
     requests.push(EvalRequest::new(cam()).entries(8).workload(small));
     requests.push(EvalRequest::new(cam()).entries(8).faults(FaultPlan::storm()));
-    let mesh = SystemConfig::with_cores(2).topology(Topology::Mesh);
-    requests.push(EvalRequest::new(cam().with_system(mesh)).entries(8));
     for request in &requests {
         cache.evaluate(request);
     }
@@ -441,7 +438,6 @@ fn mutated_snapshots_load_whole_or_not_at_all() {
     for (kind, needle) in [("scenario", "\"scenario\":{"), ("fault plan", "\"faults\":{")] {
         assert!(body.contains(needle), "no {kind} entry");
     }
-    assert!(body.contains("\"core\":{"), "no nested machine");
     let loaded = EvalCache::new().load_snapshot(&path).expect("pristine loads");
     assert_eq!(loaded, requests.len() as u64);
 

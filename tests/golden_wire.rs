@@ -1,8 +1,8 @@
 //! Golden snapshot of the wire codec's bytes.
 //!
 //! Pins what `taco_core::api` writes — request lines of every kind in both
-//! dialects (seeded, see `common/mod.rs`), one line per builtin workload,
-//! per builtin fault plan and per machine form, response lines of
+//! dialects (seeded, see `common/mod.rs`), one line per builtin workload
+//! and per builtin fault plan, one machine line, response lines of
 //! every kind, one cache-snapshot entry — as `tests/golden/wire_lines.txt`,
 //! one `label line` pair per line.  Lines that carry a report or an inline
 //! trace are stored as `#<bytes> <fnv1a64>`; a mismatch prints the line the
@@ -29,7 +29,6 @@ use common::{
 };
 use taco::eval::api::{ApiRequest, EvalSpec, WireResponse};
 use taco::eval::{ArchConfig, EvalCache, EvalRequest, FaultPlan, RoutingTableKind, Workload};
-use taco::isa::{CoherenceProtocol, SystemConfig, Topology};
 use taco_workload::trace::trace_fnv1a64;
 
 const SEED: u64 = 0x601D_0001;
@@ -114,19 +113,7 @@ fn snapshot() -> Vec<(String, Reader, String)> {
         let line = ApiRequest::Eval(spec).to_json_v2(7);
         lines.push((format!("faults.{name}"), Reader::Request, line));
     }
-    let nested = cam().with_system(
-        SystemConfig::with_cores(4)
-            .topology(Topology::Mesh)
-            .protocol(CoherenceProtocol::Msi)
-            .cache(128, 8),
-    );
-    // Members a client may omit: the line pinned is what the codec writes
-    // after reading the short form.
-    let sparse = "{\"core\":{\"table\":\"cam\",\"buses\":3,\"replication\":1},\"cores\":2}";
-    let sparse = read_machine(sparse).expect("omitted members default");
-    for (form, config) in [("flat", cam()), ("nested", nested), ("sparse", sparse)] {
-        lines.push((format!("machine.{form}"), Reader::Machine, machine_line(&config)));
-    }
+    lines.push(("machine.flat".to_owned(), Reader::Machine, machine_line(&cam())));
     for (at, line) in response_lines().iter().enumerate() {
         lines.push((format!("response.{at}"), Reader::Response, line.clone()));
     }
