@@ -243,7 +243,9 @@ fn span(kind: NextHeader, bytes: &[u8]) -> Result<(u8, usize), ParseError> {
 ///
 /// # Errors
 ///
-/// Truncation and malformed-length errors of the individual headers.
+/// Truncation and malformed-length errors of the individual headers, and
+/// [`ParseError::BadField`] for a hop-by-hop header anywhere but first
+/// (RFC 8200 §4.1), its value the header's byte offset in the chain.
 pub(crate) fn walk_chain<'a>(
     first: NextHeader,
     bytes: &'a [u8],
@@ -252,6 +254,9 @@ pub(crate) fn walk_chain<'a>(
     let mut kind = first;
     let mut offset = 0usize;
     while kind.is_extension() {
+        if kind == NextHeader::HopByHop && offset > 0 {
+            return Err(ParseError::BadField { field: "hop-by-hop offset", value: offset as u64 });
+        }
         let rest = &bytes[offset..];
         let (next, len) = span(kind, rest)?;
         visit(kind, &rest[..len]);
@@ -269,7 +274,8 @@ pub(crate) fn walk_chain<'a>(
 /// # Errors
 ///
 /// Propagates truncation and malformed-length errors from the individual
-/// header codecs.
+/// header codecs; a hop-by-hop header anywhere but first is a
+/// [`ParseError::BadField`].
 pub fn parse_chain(
     first: NextHeader,
     bytes: &[u8],
@@ -384,6 +390,19 @@ mod tests {
         assert!(parsed.is_empty());
         assert_eq!(upper, NextHeader::Icmpv6);
         assert_eq!(consumed, 0);
+    }
+
+    #[test]
+    fn hop_by_hop_comes_first_or_not_at_all() {
+        let hbh = || ExtensionHeader::HopByHop(OptionsHeader::new());
+        let dst = || ExtensionHeader::DestinationOptions(OptionsHeader::new());
+        let (bytes, first) = encode_chain(&[dst(), hbh()], NextHeader::Udp);
+        let err = parse_chain(first, &bytes).unwrap_err();
+        assert_eq!(err, ParseError::BadField { field: "hop-by-hop offset", value: 8 });
+        let (bytes, first) = encode_chain(&[hbh(), hbh()], NextHeader::Udp);
+        assert!(parse_chain(first, &bytes).is_err(), "at most once");
+        let (bytes, first) = encode_chain(&[hbh(), dst()], NextHeader::Udp);
+        assert!(parse_chain(first, &bytes).is_ok());
     }
 
     #[test]
