@@ -109,7 +109,7 @@ pub fn run(args: Vec<String>) {
             m.offered,
             m.forwarded,
             m.dropped(),
-            m.table_updates,
+            m.table_updates(),
         );
     }
 }

@@ -151,8 +151,8 @@ pub fn run(args: Vec<String>) {
             m.dropped(),
             m.max_queue_depth,
             format!("{:.1}", m.latency.mean_milli() as f64 / 1e3),
-            m.table_updates,
-            format!("{:.2}", m.throughput_milli as f64 / 1e3),
+            m.table_updates(),
+            format!("{:.2}", m.throughput_milli() as f64 / 1e3),
         );
     }
     println!();

@@ -87,8 +87,8 @@ pub fn run(args: Vec<String>) {
         exit(1);
     });
     let records = read_back.records().len();
-    if stats.packets as usize != records {
-        eprintln!("tracegen: replay offered {} of {records} trace records", stats.packets);
+    if stats.packets() as usize != records {
+        eprintln!("tracegen: replay offered {} of {records} trace records", stats.packets());
         exit(1);
     }
 

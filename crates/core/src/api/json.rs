@@ -1,11 +1,12 @@
 //! A strict, serde-free JSON value: the parsing half of the wire layer.
 //!
 //! The workspace builds offline and carries no serde, so everything that
-//! *emits* JSON hand-rolls byte-stable strings ([`SimStats::to_json`],
-//! [`ScenarioMetrics::to_json`], the golden Table 1 fixture).  The wire API
-//! needs the other direction too; [`Json`] supplies it as a strict RFC 8259
-//! subset parser — no `NaN`/`Infinity` literals, no trailing commas, no
-//! unquoted keys, no duplicate keys, no trailing garbage.
+//! *emits* JSON writes byte-stable strings itself (the member tables of
+//! this module's siblings, [`ScenarioMetrics::to_json`], the golden Table 1
+//! fixture).  The wire API needs the other direction too; [`Json`]
+//! supplies it as a strict RFC 8259 subset parser — no `NaN`/`Infinity`
+//! literals, no trailing commas, no unquoted keys, no duplicate keys, no
+//! trailing garbage.
 //!
 //! Numbers are kept as their *raw literal text* rather than eagerly
 //! converted to `f64`: a `u64` seed like `18446744073709551615` does not
@@ -16,7 +17,6 @@
 //! exact inverse of its shortest-round-trip `Display`, so finite floats are
 //! bit-exact too).
 //!
-//! [`SimStats::to_json`]: taco_sim::SimStats::to_json
 //! [`ScenarioMetrics::to_json`]: taco_workload::ScenarioMetrics::to_json
 
 use std::fmt::Write as _;

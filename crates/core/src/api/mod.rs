@@ -1095,10 +1095,10 @@ pub(crate) mod tests {
         "scenario",
     ];
 
-    /// Objects the grid does not open: `stats` and `scenario` are written and
-    /// read by the crates below (no member table), and `cell` is derived
-    /// text, read unchecked.
-    const CLOSED: [&str; 3] = ["stats", "scenario", "cell"];
+    /// Objects the grid does not open: `scenario` is written by the crates
+    /// below (no member table), the trigger maps are keyed by FU name, not
+    /// by member, and `cell` is derived text, read unchecked.
+    const CLOSED: [&str; 4] = ["scenario", "fu_triggers", "fu_instance_triggers", "cell"];
 
     /// Every object of `json` not under a [`CLOSED`] member, as the path of
     /// member names that leads to it.
@@ -1279,6 +1279,7 @@ pub(crate) mod tests {
             ApiError::MEMBERS,
             ApiResponse::MEMBERS,
             EvalReport::MEMBERS,
+            taco_sim::SimStats::MEMBERS,
             taco_estimate::Estimate::MEMBERS,
             taco_estimate::PhysicalEstimate::MEMBERS,
             taco_estimate::ExternalCam::MEMBERS,

@@ -18,9 +18,11 @@
 //!                         read and type-checked, not stored
 //! ```
 //!
-//! A `check |value| { … }` block after the list runs on the value just
-//! read, with the derived members still in scope; an enum lists one
-//! member list per variant behind the literal that tags it.
+//! A derived member's `expr` sees the fields; a struct whose table opens
+//! with `|name|` also sees itself as `name`, for what only a method of the
+//! whole value computes.  A `check |value| { … }` block after the list runs
+//! on the value just read, with the derived members still in scope; an
+//! enum lists one member list per variant behind the literal that tags it.
 
 use std::fmt::{Display, Write as _};
 
@@ -336,15 +338,16 @@ macro_rules! get {
 }
 
 /// Expands a member table to `impl Record` (the module docs have the
-/// grammar).  A struct is `record!(Type as "ctx" { members })`, an enum of
+/// grammar).  A struct is `record!(Type as "ctx" { members })` (or
+/// `record!(Type as "ctx" |name| { members })`, naming itself), an enum of
 /// one variant `record!(Type as "ctx" => Self::Variant { members })`, an
 /// enum of several `record!(Type as "ctx" by "tag member" { tag =>
 /// Self::Variant { members } … } else |ctx, tag| error)`, where a variant's
 /// `check` sees that variant's derived members and a `check` after `else`
 /// sees every value.
 macro_rules! record {
-    ($ty:ty as $ctx:literal { $($members:tt)* } $($check:tt)*) => {
-        $crate::api::table::record!($ty as $ctx => Self { $($members)* } $($check)*);
+    ($ty:ty as $ctx:literal $(|$whole:ident|)? { $($members:tt)* } $($check:tt)*) => {
+        $crate::api::table::record!($ty as $ctx => $(|$whole|)? Self { $($members)* } $($check)*);
     };
     ($ty:ty as $ctx:literal => $($shape:tt)*) => {
         $crate::api::table::record!(@impl $ty, $ctx, "", |_, _| unreachable!("one shape"),
@@ -357,7 +360,7 @@ macro_rules! record {
     };
     (@impl $ty:ty, $ctx:literal, $tagname:literal, $unknown:expr,
      [$(|$all:ident| $all_check:block)?];
-     $($($tag:literal)? => $($path:ident)::+ {
+     $($($tag:literal)? => $(|$whole:ident|)? $($path:ident)::+ {
         $(#$ld:ident: $ldt:ty = $lde:expr,)*
         $($field:ident $(in $pos:tt)? $(as $wire:literal)? $(: $kind:ident)?
             $([or $or:expr])? $([omit $omit:expr])?,
@@ -375,6 +378,7 @@ macro_rules! record {
                 use $crate::api::table::{key, put, put_member, wire_name};
                 match self {$(
                     $($path)::+ { $($($pos:)? $field),* } => {
+                        $(let $whole = self;)?
                         $(key(out, $tagname).push_str(stringify!($tag));)?
                         $(put_member::<$ldt>(&$lde, stringify!($ld), out);)*
                         $(

@@ -430,7 +430,7 @@ mod tests {
             let sc = r.scenario.as_ref().expect("trace sweep replays at every point");
             assert_eq!(sc.scenario, "trace-replay");
             let flows = sc.flows.as_ref().expect("trace replay reports per-flow stats");
-            assert_eq!(flows.packets, sc.offered, "every offered datagram came from the trace");
+            assert_eq!(flows.packets(), sc.offered, "every offered datagram came from the trace");
         }
     }
 

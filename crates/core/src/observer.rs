@@ -8,6 +8,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
+use crate::api::table::Wire;
 use crate::evaluate::EvalReport;
 use crate::table1::format_frequency;
 
@@ -110,7 +111,7 @@ impl SweepObserver for StderrProgress {
         );
         if self.verbose {
             line.push_str("  ");
-            line.push_str(&record.report.stats.to_json());
+            record.report.stats.put(&mut line);
         }
         eprintln!("{line}");
     }

@@ -49,7 +49,7 @@ fn table1_block(reports: &[EvalReport]) -> String {
             r.config.table,
             r.config.machine.label(),
             r.cycles_per_datagram,
-            r.bus_utilization * 100.0,
+            r.bus_utilization() * 100.0,
             format_frequency(r.required_frequency_hz),
             r.estimate
         );
@@ -170,7 +170,7 @@ fn checklist(
     let bus_gain = |kind| f(kind, 0) / f(kind, 1);
     let fu_gain = |kind| f(kind, 1) / f(kind, 2);
     let interconnect_helps = |kind| f(kind, 1) < f(kind, 0) && f(kind, 2) <= f(kind, 1) * 1.01;
-    let one_bus_busy = |kind: TableKind| at_1040[row(kind)].bus_utilization;
+    let one_bus_busy = |kind: TableKind| at_1040[row(kind)].bus_utilization();
     let least_busy =
         TableKind::PAPER_KINDS.iter().map(|&kind| one_bus_busy(kind)).fold(f64::INFINITY, f64::min);
     // Growth from 16 to 64 entries on one bus.

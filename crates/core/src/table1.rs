@@ -70,7 +70,7 @@ pub fn render(reports: &[EvalReport]) -> String {
             kind,
             machine,
             speed,
-            r.bus_utilization * 100.0,
+            r.bus_utilization() * 100.0,
             area,
             power
         );
@@ -97,7 +97,7 @@ pub fn to_csv(reports: &[EvalReport]) -> String {
             r.config.table,
             machine,
             r.cycles_per_datagram,
-            r.bus_utilization,
+            r.bus_utilization(),
             r.required_frequency_hz,
             feasible,
             area,

@@ -425,7 +425,6 @@ impl Processor {
         for (slot, fu) in compiled.decoded.trigger_fus.iter().enumerate() {
             let n = std::mem::take(&mut self.trigger_counts[slot]);
             if n > 0 {
-                *self.stats.fu_triggers.entry(fu.kind).or_insert(0) += n;
                 *self.stats.fu_instance_triggers.entry(*fu).or_insert(0) += n;
             }
         }

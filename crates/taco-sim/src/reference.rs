@@ -157,7 +157,6 @@ impl Processor {
                     cycle + 1
                 };
                 tracer.event(&TraceEvent::FuRetired { cycle: retire, fu: dst.fu });
-                *self.stats.fu_triggers.entry(dst.fu.kind).or_insert(0) += 1;
                 *self.stats.fu_instance_triggers.entry(dst.fu).or_insert(0) += 1;
             }
         }

@@ -2,8 +2,10 @@
 //!
 //! "From the high level simulations we obtain performance data such as
 //! clock cycle requirements and module utilization."  [`SimStats`] is that
-//! performance data: total cycles, per-kind trigger counts and dynamic bus
-//! utilisation (a Table 1 column).
+//! performance data: total cycles, per-instance trigger counts and dynamic
+//! bus utilisation (a Table 1 column).  Only counters are stored; every
+//! figure derived from them (utilisation, per-kind triggers) is computed
+//! where it is read.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -24,8 +26,6 @@ pub struct SimStats {
     pub moves_executed: u64,
     /// Moves whose guard failed (they still occupied their bus).
     pub moves_squashed: u64,
-    /// FU triggers fired, per kind.
-    pub fu_triggers: BTreeMap<FuKind, u64>,
     /// FU triggers fired, per instance — the paper's "module utilization"
     /// data.
     pub fu_instance_triggers: BTreeMap<FuRef, u64>,
@@ -50,9 +50,13 @@ impl SimStats {
         self.bus_slots_occupied() as f64 / capacity as f64
     }
 
-    /// Triggers fired by instances of `kind`.
+    /// Triggers fired by instances of `kind`: the sum of their
+    /// [`fu_instance_triggers`](Self::fu_instance_triggers), saturating.
     pub fn triggers(&self, kind: FuKind) -> u64 {
-        self.fu_triggers.get(&kind).copied().unwrap_or(0)
+        self.fu_instance_triggers
+            .iter()
+            .filter(|(fu, _)| fu.kind == kind)
+            .fold(0, |sum, (_, n)| sum.saturating_add(*n))
     }
 
     /// Fraction of cycles in which the given FU instance fired (0..=1) —
@@ -62,51 +66,6 @@ impl SimStats {
             return 0.0;
         }
         self.fu_instance_triggers.get(&fu).copied().unwrap_or(0) as f64 / self.cycles as f64
-    }
-
-    /// Serialises the counters as one line of JSON (hand-rolled — the
-    /// workspace builds offline and carries no serde dependency).
-    ///
-    /// Trigger maps are emitted in `BTreeMap` order, so the output is
-    /// byte-stable for a given run.  This is the record format the sweep
-    /// observer (`taco-core`) attaches to every evaluated design point.
-    pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-
-        // JSON has no NaN/Infinity literals; a non-finite utilization (only
-        // reachable through counter corruption) must degrade to a valid
-        // record, not a line no parser accepts.
-        let utilization = self.bus_utilization();
-        let utilization = if utilization.is_finite() { utilization } else { 0.0 };
-        let mut out = String::with_capacity(256);
-        let _ = write!(
-            out,
-            "{{\"cycles\":{},\"stall_cycles\":{},\"injected_stall_cycles\":{},\
-             \"moves_executed\":{},\
-             \"moves_squashed\":{},\"buses\":{},\"bus_utilization\":{utilization:.6}",
-            self.cycles,
-            self.stall_cycles,
-            self.injected_stall_cycles,
-            self.moves_executed,
-            self.moves_squashed,
-            self.buses,
-        );
-        out.push_str(",\"fu_triggers\":{");
-        for (i, (kind, n)) in self.fu_triggers.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{kind}\":{n}");
-        }
-        out.push_str("},\"fu_instance_triggers\":{");
-        for (i, (fu, n)) in self.fu_instance_triggers.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{fu}\":{n}");
-        }
-        out.push_str("}}");
-        out
     }
 }
 
@@ -151,8 +110,10 @@ mod tests {
     fn trigger_lookup_defaults_to_zero() {
         let mut s = SimStats::default();
         assert_eq!(s.triggers(FuKind::Matcher), 0);
-        s.fu_triggers.insert(FuKind::Matcher, 5);
-        assert_eq!(s.triggers(FuKind::Matcher), 5);
+        s.fu_instance_triggers.insert(FuRef::new(FuKind::Matcher, 0), 5);
+        s.fu_instance_triggers.insert(FuRef::new(FuKind::Matcher, 1), u64::MAX);
+        let sums = (s.triggers(FuKind::Matcher), s.triggers(FuKind::Counter));
+        assert_eq!(sums, (u64::MAX, 0), "the sum over instances saturates");
     }
 
     #[test]
@@ -170,233 +131,5 @@ mod tests {
     fn display_mentions_cycles() {
         let s = SimStats { cycles: 7, buses: 1, ..SimStats::default() };
         assert!(s.to_string().contains("7 cycles"));
-    }
-
-    #[test]
-    fn json_is_stable_and_complete() {
-        let mut s = SimStats {
-            cycles: 10,
-            stall_cycles: 2,
-            moves_executed: 12,
-            moves_squashed: 3,
-            buses: 3,
-            ..SimStats::default()
-        };
-        s.fu_triggers.insert(FuKind::Matcher, 5);
-        s.fu_instance_triggers.insert(FuRef::new(FuKind::Matcher, 0), 5);
-        let json = s.to_json();
-        assert_eq!(json, s.clone().to_json(), "stable");
-        assert!(json.starts_with('{') && json.ends_with('}'), "{json}");
-        assert!(json.contains("\"cycles\":10"), "{json}");
-        assert!(json.contains("\"injected_stall_cycles\":0"), "{json}");
-        assert!(json.contains("\"bus_utilization\":0.500000"), "{json}");
-        assert!(json.contains("\"fu_triggers\":{\"Matcher\":5}"), "{json}");
-        assert!(json.contains(":5}"), "{json}");
-        // No pretty-printing: the record must stay a single line.
-        assert!(!json.contains('\n'));
-    }
-
-    #[test]
-    fn empty_stats_serialise_to_empty_maps() {
-        let json = SimStats::default().to_json();
-        assert!(json.contains("\"fu_triggers\":{}"), "{json}");
-        assert!(json.contains("\"fu_instance_triggers\":{}"), "{json}");
-    }
-
-    /// A strict RFC 8259 subset parser (objects, strings, numbers), enough
-    /// to reject unquoted keys, `NaN`, `Infinity`, trailing commas and
-    /// truncated records.  Hand-rolled because the workspace carries no
-    /// serde; returns the byte offset that failed.
-    fn validate_json(s: &str) -> Result<(), usize> {
-        let b = s.as_bytes();
-        let mut i = 0usize;
-
-        fn skip_ws(b: &[u8], i: &mut usize) {
-            while *i < b.len() && matches!(b[*i], b' ' | b'\t' | b'\n' | b'\r') {
-                *i += 1;
-            }
-        }
-        fn string(b: &[u8], i: &mut usize) -> Result<(), usize> {
-            if b.get(*i) != Some(&b'"') {
-                return Err(*i);
-            }
-            *i += 1;
-            while let Some(&c) = b.get(*i) {
-                match c {
-                    b'"' => {
-                        *i += 1;
-                        return Ok(());
-                    }
-                    b'\\' => *i += 2, // any escape shape is fine for this subset
-                    0x00..=0x1f => return Err(*i),
-                    _ => *i += 1,
-                }
-            }
-            Err(*i)
-        }
-        fn number(b: &[u8], i: &mut usize) -> Result<(), usize> {
-            let start = *i;
-            if b.get(*i) == Some(&b'-') {
-                *i += 1;
-            }
-            let digits = |b: &[u8], i: &mut usize| {
-                let from = *i;
-                while b.get(*i).is_some_and(u8::is_ascii_digit) {
-                    *i += 1;
-                }
-                *i > from
-            };
-            if !digits(b, i) {
-                return Err(start);
-            }
-            if b.get(*i) == Some(&b'.') {
-                *i += 1;
-                if !digits(b, i) {
-                    return Err(*i);
-                }
-            }
-            if matches!(b.get(*i), Some(b'e' | b'E')) {
-                *i += 1;
-                if matches!(b.get(*i), Some(b'+' | b'-')) {
-                    *i += 1;
-                }
-                if !digits(b, i) {
-                    return Err(*i);
-                }
-            }
-            Ok(())
-        }
-        fn value(b: &[u8], i: &mut usize) -> Result<(), usize> {
-            skip_ws(b, i);
-            match b.get(*i) {
-                Some(b'{') => {
-                    *i += 1;
-                    skip_ws(b, i);
-                    if b.get(*i) == Some(&b'}') {
-                        *i += 1;
-                        return Ok(());
-                    }
-                    loop {
-                        skip_ws(b, i);
-                        string(b, i)?;
-                        skip_ws(b, i);
-                        if b.get(*i) != Some(&b':') {
-                            return Err(*i);
-                        }
-                        *i += 1;
-                        value(b, i)?;
-                        skip_ws(b, i);
-                        match b.get(*i) {
-                            Some(b',') => *i += 1,
-                            Some(b'}') => {
-                                *i += 1;
-                                return Ok(());
-                            }
-                            _ => return Err(*i),
-                        }
-                    }
-                }
-                Some(b'[') => {
-                    *i += 1;
-                    skip_ws(b, i);
-                    if b.get(*i) == Some(&b']') {
-                        *i += 1;
-                        return Ok(());
-                    }
-                    loop {
-                        value(b, i)?;
-                        skip_ws(b, i);
-                        match b.get(*i) {
-                            Some(b',') => *i += 1,
-                            Some(b']') => {
-                                *i += 1;
-                                return Ok(());
-                            }
-                            _ => return Err(*i),
-                        }
-                    }
-                }
-                Some(b'"') => string(b, i),
-                Some(b't') if b[*i..].starts_with(b"true") => {
-                    *i += 4;
-                    Ok(())
-                }
-                Some(b'f') if b[*i..].starts_with(b"false") => {
-                    *i += 5;
-                    Ok(())
-                }
-                Some(b'n') if b[*i..].starts_with(b"null") => {
-                    *i += 4;
-                    Ok(())
-                }
-                _ => number(b, i),
-            }
-        }
-
-        value(b, &mut i)?;
-        skip_ws(b, &mut i);
-        if i == b.len() {
-            Ok(())
-        } else {
-            Err(i)
-        }
-    }
-
-    #[test]
-    fn the_validator_itself_rejects_garbage() {
-        assert!(validate_json("{\"a\":1}").is_ok());
-        assert!(validate_json("{\"a\":[1,2.5,-3e4],\"b\":{}}").is_ok());
-        for bad in
-            ["{a:1}", "{\"a\":NaN}", "{\"a\":inf}", "{\"a\":1,}", "{\"a\":1", "{\"a\":01x}", ""]
-        {
-            assert!(validate_json(bad).is_err(), "{bad:?} must be rejected");
-        }
-    }
-
-    #[test]
-    fn every_stats_record_parses_as_strict_json() {
-        let mut populated = SimStats {
-            cycles: 12345,
-            stall_cycles: 67,
-            moves_executed: 89,
-            moves_squashed: 10,
-            buses: 3,
-            ..SimStats::default()
-        };
-        for (i, kind) in FuKind::ALL.iter().enumerate() {
-            populated.fu_triggers.insert(*kind, i as u64);
-            populated.fu_instance_triggers.insert(FuRef::new(*kind, 0), i as u64);
-            populated.fu_instance_triggers.insert(FuRef::new(*kind, 1), i as u64 + 1);
-        }
-        let extreme = SimStats {
-            cycles: u64::MAX,
-            stall_cycles: u64::MAX,
-            moves_executed: u64::MAX,
-            moves_squashed: u64::MAX,
-            buses: u8::MAX,
-            ..SimStats::default()
-        };
-        for stats in [SimStats::default(), populated, extreme] {
-            let json = stats.to_json();
-            if let Err(at) = validate_json(&json) {
-                panic!("invalid JSON at byte {at}: {}", &json[at.saturating_sub(20)..]);
-            }
-            // Value position only — "LocalInfoUnit" legitimately contains
-            // "Inf" as key text.
-            for poison in [":NaN", ":inf", ":Inf", ":-inf", ":-Inf"] {
-                assert!(!json.contains(poison), "{poison} in {json}");
-            }
-        }
-    }
-
-    #[test]
-    fn non_finite_utilization_degrades_to_zero_in_json() {
-        // No counter combination reaches this through the public API, but
-        // the serialiser must never emit a literal no parser accepts.
-        let s = SimStats { cycles: 10, buses: 3, ..SimStats::default() };
-        assert!(s.bus_utilization().is_finite());
-        let json = s.to_json();
-        assert!(validate_json(&json).is_ok());
-        assert!(json.contains("\"bus_utilization\":0.000000"), "{json}");
     }
 }

@@ -666,7 +666,6 @@ impl Harness {
             while next < records.len() && u64::from(records[next].tick) + base <= self.tick {
                 let r = &records[next];
                 *per_flow.entry(r.flow_id).or_insert(0) += 1;
-                stats.packets += 1;
                 match r.payload_len {
                     0..=127 => stats.small += 1,
                     128..=768 => stats.medium += 1,
@@ -861,7 +860,6 @@ impl Harness {
                         }
                     }
                     ArrivalKind::Update => {
-                        self.metrics.table_updates += 1;
                         self.metrics.update_latency.record(latency);
                         if let Some(c) = &mut self.coherence {
                             c.update(table_words);
@@ -875,7 +873,6 @@ impl Harness {
                         }
                     }
                     ArrivalKind::Repair { injected } => {
-                        self.metrics.table_updates += 1;
                         self.metrics.update_latency.record(latency);
                         if let Some(c) = &mut self.coherence {
                             c.update(table_words);
@@ -913,8 +910,6 @@ impl Harness {
         let overflow: u64 = self.router.cards().iter().map(|c| c.dropped_overflow()).sum();
         self.metrics.dropped_overflow = overflow - self.overflow_baseline;
         self.metrics.final_backlog = self.router.pending() as u64;
-        self.metrics.throughput_milli =
-            (self.metrics.forwarded * 1000).checked_div(self.metrics.ticks).unwrap_or(0);
         if let Some(f) = self.faults.take() {
             let mut m = f.metrics;
             // Whatever is still outstanding when the scenario ends never
@@ -1193,7 +1188,7 @@ mod tests {
             },
             &ScenarioConfig::new(TableKind::Cam),
         );
-        assert!(m.table_updates >= 4, "{}", m.to_json());
+        assert!(m.table_updates() >= 4, "{}", m.to_json());
         assert!(m.forwarded > 0, "{}", m.to_json());
         assert!(m.ripng_sent > 0, "{}", m.to_json());
         // The cold start drops more than steady state would.
@@ -1224,7 +1219,7 @@ mod tests {
             },
             &ScenarioConfig::new(TableKind::Sequential),
         );
-        assert!(churned.table_updates > calm.table_updates);
+        assert!(churned.table_updates() > calm.table_updates());
         assert!(
             churned.dropped_no_route > calm.dropped_no_route,
             "withdrawing half the table must cost forwards: {} vs {}",
@@ -1317,7 +1312,7 @@ mod tests {
     fn mixed_plane_exercises_both_planes() {
         let m = run_scenario(&Workload::mixed_plane(), &ScenarioConfig::new(TableKind::Cam));
         assert!(m.forwarded > 0, "{}", m.to_json());
-        assert!(m.table_updates > 0, "withdraw/re-advertise storms: {}", m.to_json());
+        assert!(m.table_updates() > 0, "withdraw/re-advertise storms: {}", m.to_json());
         // Withdrawn slices must cost forwards while they are out.
         assert!(m.dropped_no_route > 0, "{}", m.to_json());
         assert!(m.flows.is_none(), "only trace replays carry a flow section");
@@ -1333,7 +1328,7 @@ mod tests {
         let m = run_scenario(&w, &cfg);
         let f = m.flows.expect("trace replays carry a flow section");
         assert!(f.flows > 0 && f.flows <= 32, "{}", m.to_json());
-        assert_eq!(f.packets, m.offered, "{}", m.to_json());
+        assert_eq!(f.packets(), m.offered, "{}", m.to_json());
         assert!(f.small > 0, "{}", m.to_json());
         assert!(m.forwarded > 0, "{}", m.to_json());
         assert_eq!(m.to_json(), run_scenario(&w, &cfg).to_json());

@@ -61,7 +61,7 @@ fn main() {
                 "  {label}: {} flows, {} packets (sizes {} small / {} medium / {} large, \
                  longest flow {} packets)",
                 flows.flows,
-                flows.packets,
+                flows.packets(),
                 flows.small,
                 flows.medium,
                 flows.large,
@@ -81,6 +81,6 @@ fn print_row(label: &str, workload: &str, report: &taco::eval::EvalReport) {
         s.dropped(),
         s.max_queue_depth,
         s.latency.mean_milli() as f64 / 1000.0,
-        s.table_updates,
+        s.table_updates(),
     );
 }

@@ -122,6 +122,10 @@ if grep -rnE 'wide_[v]alues|wide_[p]ass|max_[w]idth' crates src tests examples s
 # estimate, no nested machine spelling, no core count on a machine and no
 # status feature record.
 if grep -rnE 'coherence_overhead_[m]illi|system_required_[f]requency|system_[e]stimate|[N]estedMachine|with_[s]ystem|Features::[s]upported' crates src tests examples scripts; then exit 1; fi
+# A report stores each number once: no stored copy of a figure its counters
+# give, no hand-written stats writer or reader beside `SimStats`'s one member
+# table, no test-only JSON validator.  `\b` keeps `flow_stats_from_value`.
+if grep -rnE '\bstats_[f]rom_value|validate_[j]son|pub (fu_[t]riggers|throughput_[m]illi|table_[u]pdates|bus_[u]tilization|[p]ackets):' crates src tests examples scripts; then exit 1; fi
 echo "guards ok"
 
 echo

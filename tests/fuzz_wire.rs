@@ -422,6 +422,7 @@ fn mutated_snapshots_load_whole_or_not_at_all() {
     // cells, a scenario and a fault plan.
     let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
     let path = dir.join(format!("fuzz-wire-{}.snapshot", std::process::id()));
+    let resaved = path.with_extension("resaved");
     let cache = EvalCache::new();
     let mut requests: Vec<EvalRequest> =
         ArchConfig::table1_cells().into_iter().map(EvalRequest::new).collect();
@@ -460,13 +461,18 @@ fn mutated_snapshots_load_whole_or_not_at_all() {
         std::fs::write(&path, content).expect("write mutated snapshot");
         let cache = EvalCache::new();
         match cache.load_snapshot(&path) {
-            Ok(loaded) => assert!(cache.len() as u64 <= loaded, "more entries than lines"),
+            Ok(loaded) => {
+                assert!(cache.len() as u64 <= loaded, "more entries than lines");
+                // Whatever loaded is a value: every report in it writes again.
+                cache.save_snapshot(&resaved).expect("a loaded snapshot saves again");
+            }
             Err(_) => {
                 assert!(cache.is_empty(), "a rejected snapshot must leave the cache untouched")
             }
         }
     });
     std::fs::remove_file(&path).ok();
+    std::fs::remove_file(&resaved).ok();
 }
 
 /// Cases of the differential: each simulates one small CAM cell and makes

@@ -49,9 +49,6 @@ fn replication_spreads_matcher_load_across_instances() {
     assert!(m(&wide, 0) > 0, "{:?}", wide.fu_instance_triggers);
     assert!(m(&wide, 1) > 0, "{:?}", wide.fu_instance_triggers);
     assert!(m(&wide, 2) > 0, "{:?}", wide.fu_instance_triggers);
-    // Per-kind totals agree with per-instance sums.
-    let total: u64 = (0..3).map(|i| m(&wide, i)).sum();
-    assert_eq!(total, wide.triggers(FuKind::Matcher));
 }
 
 #[test]
