@@ -4,6 +4,7 @@
 #
 #   scripts/mutants.sh          every patch
 #   scripts/mutants.sh 02       the patches whose names start with 02
+#   scripts/mutants.sh 06 07    those starting with 06, then with 07
 #
 # A patch's first line is `# tests: <cargo test arguments>`; the diff
 # follows (git apply skips the header).  Each patch is applied to a scratch
@@ -26,8 +27,12 @@ tree="$work/tree"
 git worktree add --detach --quiet "$tree" HEAD
 trap 'git worktree remove --force "$tree"; rm -rf "$work"' EXIT
 
+patches=()
+for prefix in "${@:-}"; do
+    patches+=("scripts/mutants/$prefix"*.patch)
+done
 status=0
-for patch in "scripts/mutants/${1:-}"*.patch; do
+for patch in "${patches[@]}"; do
     name=$(basename "$patch" .patch)
     header=$(head -n 1 "$patch")
     if [[ "$header" != "# tests: "* ]]; then
