@@ -1531,6 +1531,17 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn a_unit_count_of_one_has_the_default_machines_wire_form() {
+        let config = ArchConfig::three_bus_one_fu(TableKind::Cam).with_memory_ports(1);
+        assert_eq!(config, ArchConfig::three_bus_one_fu(TableKind::Cam));
+        let request = EvalRequest::new(config.clone());
+        let spec = EvalSpec::from_request(&request).expect("a 3BUS/1FU machine has a wire form");
+        let line = ApiRequest::Eval(spec.clone()).to_json();
+        assert_eq!(ApiRequest::from_json(&line), Ok(ApiRequest::Eval(spec)));
+        assert_eq!(line, ApiRequest::Eval(cam_spec()).to_json());
+    }
+
+    #[test]
     fn name_parsers_list_alternatives() {
         assert_eq!(parse_table_kind("tree"), Ok(TableKind::BalancedTree));
         assert_eq!(parse_table_kind("patricia"), Ok(TableKind::Patricia));

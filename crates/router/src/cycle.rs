@@ -7,10 +7,10 @@
 //! resulting cycle counts are the raw material of the paper's Table 1.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use taco_ipv6::Datagram;
-use taco_isa::{opt, schedule, MachineConfig};
+use taco_isa::{opt, schedule, MachineConfig, MoveSeq};
 use taco_routing::{
     BalancedTreeTable, CamTable, LpmTable, PatriciaTable, PortId, Route, SequentialTable, TableKind,
 };
@@ -119,34 +119,58 @@ pub struct CycleRouter {
     malformed_rejected: u64,
 }
 
-/// Cache key for compiled forwarding programs: the microcode is a pure
-/// function of the table kind, the machine shape, the generator options and
-/// one size parameter (the padded entry count for the sequential scan, zero
-/// for the fixed-shape engines).
-type ProgramKey = (TableKind, MachineConfig, MicrocodeOptions, usize);
+/// Level one of the compiled-program cache: what the microcode generator
+/// reads — the table kind, its one size parameter (the padded entry count
+/// for the sequential scan, zero for the fixed-shape engines) and the
+/// generator options.  Nothing about the machine.
+type SeqKey = (TableKind, usize, MicrocodeOptions);
 
-fn program_cache() -> &'static Mutex<HashMap<ProgramKey, Arc<CompiledProgram>>> {
-    static CACHE: OnceLock<Mutex<HashMap<ProgramKey, Arc<CompiledProgram>>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
+/// One level-one entry: the generated and optimised sequence, and under it
+/// level two, the scheduled and decoded program of every machine compiled
+/// from it.
+struct Microcode {
+    seq: Arc<MoveSeq>,
+    programs: HashMap<MachineConfig, Arc<CompiledProgram>>,
+}
+
+/// The process-wide compiled-program cache, locked.  A generator that
+/// panics (on options outside its range) does so inside `or_insert_with`,
+/// before anything is inserted, so a cache poisoned by it is consistent and
+/// is used as it is.
+fn program_cache() -> MutexGuard<'static, HashMap<SeqKey, Microcode>> {
+    static CACHE: OnceLock<Mutex<HashMap<SeqKey, Microcode>>> = OnceLock::new();
+    CACHE.get_or_init(|| Mutex::new(HashMap::new())).lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Returns the compiled program for `image` on `config` — scheduled,
-/// label-resolved, validated and pre-decoded — generating (and memoizing)
-/// it on first use.  Scheduling, optimising and decoding microcode costs
-/// far more than a simulator run over a handful of datagrams, and every
-/// evaluation builds its router from one of the same few (kind, machine,
-/// options) triples, so the hit rate is high and the cache stays small.
-/// The entries are immutable and shared by `Arc`.
+/// label-resolved, validated and pre-decoded — compiling (and memoizing)
+/// it on first use.  Compiling microcode costs far more than a simulator
+/// run over a handful of datagrams, and every evaluation builds its router
+/// from one of the same few (kind, machine, options) triples, so the hit
+/// rate is high and the cache stays small.  The entries are immutable and
+/// shared by `Arc`.
+///
+/// A design point pays only for the stages its machine changes: the
+/// sequence is generated and optimised once per level-one key, under the
+/// lock, and every machine after the first only schedules and decodes it,
+/// outside the lock.  A hit borrows `config`; only a miss clones it.
 fn compiled_program(
     config: &MachineConfig,
     image: &TableImage,
 ) -> Result<Arc<CompiledProgram>, SimError> {
-    let key = (image.kind, config.clone(), image.opts, image.padded_entries);
-    if let Some(p) = program_cache().lock().expect("program cache poisoned").get(&key) {
-        return Ok(Arc::clone(p));
-    }
-    let mut seq = program_for(image.kind, image.padded_entries, &image.opts);
-    opt::optimize(&mut seq);
+    let key = (image.kind, image.padded_entries, image.opts);
+    let seq = {
+        let mut cache = program_cache();
+        let microcode = cache.entry(key).or_insert_with(|| {
+            let mut seq = program_for(image.kind, image.padded_entries, &image.opts);
+            opt::optimize(&mut seq);
+            Microcode { seq: Arc::new(seq), programs: HashMap::new() }
+        });
+        if let Some(p) = microcode.programs.get(config) {
+            return Ok(Arc::clone(p));
+        }
+        Arc::clone(&microcode.seq)
+    };
     let mut program = schedule(&seq, config);
     program.resolve_labels().map_err(SimError::UnresolvedLabel)?;
     debug_assert_eq!(
@@ -156,9 +180,9 @@ fn compiled_program(
         image.kind
     );
     let compiled = CompiledProgram::compile(config.clone(), Arc::new(program))?;
-    Ok(Arc::clone(
-        program_cache().lock().expect("program cache poisoned").entry(key).or_insert(compiled),
-    ))
+    let mut cache = program_cache();
+    let programs = &mut cache.get_mut(&key).expect("level one is never evicted").programs;
+    Ok(Arc::clone(programs.entry(config.clone()).or_insert(compiled)))
 }
 
 impl CycleRouter {
@@ -602,6 +626,42 @@ mod tests {
             std::ptr::eq(a.processor().program(), b.processor().program()),
             "same (kind, machine, options, size) must hit the program cache"
         );
+    }
+
+    #[test]
+    fn table1_generates_one_sequence_per_table_and_schedules_it_per_machine() {
+        // No other test here builds a router with two lanes, so the
+        // level-one keys holding `unroll: 2` are this test's.
+        let opts = MicrocodeOptions { unroll: 2, ..MicrocodeOptions::default() };
+        let machines = [
+            MachineConfig::one_bus_one_fu(),
+            MachineConfig::three_bus_one_fu(),
+            MachineConfig::three_bus_three_fu(),
+        ];
+        for kind in TableKind::ALL_KINDS {
+            for machine in &machines {
+                CycleRouter::for_kind(kind, machine, &nested_routes(), 1, &opts).unwrap();
+            }
+        }
+        let cache = program_cache();
+        let ours: Vec<&Microcode> =
+            cache.iter().filter(|((_, _, o), _)| o.unroll == 2).map(|(_, m)| m).collect();
+        assert_eq!(ours.len(), TableKind::ALL_KINDS.len(), "one generated sequence per table");
+        assert!(ours.iter().all(|m| m.programs.len() == machines.len()), "one program per machine");
+    }
+
+    #[test]
+    fn a_generator_that_panics_leaves_the_cache_usable() {
+        let four_lanes = MicrocodeOptions { unroll: 4, ..MicrocodeOptions::default() };
+        let config = MachineConfig::three_bus_one_fu();
+        let built = std::panic::catch_unwind(|| {
+            CycleRouter::for_kind(TableKind::Sequential, &config, &nested_routes(), 1, &four_lanes)
+        });
+        assert!(built.is_err(), "the scan has at most three lanes");
+        let mut r = seq_router(config);
+        r.enqueue(PortId(0), &dgram("2001:db8:aa::5", 64)).unwrap();
+        r.run(1_000_000).unwrap();
+        assert_eq!(r.forwarded()[0].0, PortId(2));
     }
 
     #[test]

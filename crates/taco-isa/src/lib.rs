@@ -66,7 +66,7 @@ pub mod system;
 pub mod verify;
 
 pub use builder::{CodeBuilder, FuHandle};
-pub use encode::{decode, encode, CodeError, EncodedProgram, SocketMap};
+pub use encode::{decode, encode, CodeError, EncodedProgram, SlotLayout, SocketMap};
 pub use fu::{FuKind, FuRef, PortDir, PortSpec};
 pub use machine::MachineConfig;
 pub use opt::{bypass, eliminate_dead_moves, eliminate_dead_moves_with, optimize, optimize_with};

@@ -5,7 +5,6 @@
 //! transport capacity of the instances."  A [`MachineConfig`] is exactly
 //! that: a bus count plus an instance count per FU kind.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::fu::FuKind;
@@ -29,10 +28,15 @@ use crate::fu::FuKind;
 /// assert_eq!(m.fu_count(FuKind::Matcher), 3);
 /// assert_eq!(m.fu_count(FuKind::Mmu), 1);
 /// ```
+///
+/// Two configurations are equal exactly when they have the same bus count
+/// and the same [`MachineConfig::fu_count`] for every kind: the counts are
+/// stored densely, one per kind, so an explicit count of 1 is the default.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct MachineConfig {
     buses: u8,
-    fu_counts: BTreeMap<FuKind, u8>,
+    /// Instances per kind, indexed in [`FuKind::ALL`] order.
+    fu_counts: [u8; FuKind::ALL.len()],
 }
 
 impl MachineConfig {
@@ -44,7 +48,7 @@ impl MachineConfig {
     /// Panics if `buses` is zero.
     pub fn new(buses: u8) -> Self {
         assert!(buses > 0, "a tta needs at least one bus");
-        MachineConfig { buses, fu_counts: BTreeMap::new() }
+        MachineConfig { buses, fu_counts: [1; FuKind::ALL.len()] }
     }
 
     /// The paper's baseline: one bus, one FU of each type.
@@ -83,7 +87,7 @@ impl MachineConfig {
             count == 1 || FuKind::REPLICABLE.contains(&kind) || Self::is_scalable_datapath(kind),
             "{kind} cannot be replicated"
         );
-        self.fu_counts.insert(kind, count);
+        self.fu_counts[kind as usize] = count;
         self
     }
 
@@ -98,7 +102,7 @@ impl MachineConfig {
 
     /// Number of instances of `kind` in this configuration.
     pub fn fu_count(&self, kind: FuKind) -> u8 {
-        self.fu_counts.get(&kind).copied().unwrap_or(1)
+        self.fu_counts[kind as usize]
     }
 
     /// Iterates over `(kind, count)` for every FU kind.
@@ -125,16 +129,15 @@ impl MachineConfig {
     /// A short identifier such as `3bus/3CNT,3CMP,3M` in the style of the
     /// paper's Table 1 row labels.
     pub fn label(&self) -> String {
-        let mut replicated: Vec<(&FuKind, &u8)> =
-            self.fu_counts.iter().filter(|(_, &c)| c > 1).collect();
+        let mut replicated: Vec<(FuKind, u8)> = self.fu_counts().filter(|&(_, c)| c > 1).collect();
         // Table 1 lists counters, comparers, matchers in that order.
-        let rank = |k: &FuKind| match k {
+        let rank = |k: FuKind| match k {
             FuKind::Counter => 0,
             FuKind::Comparator => 1,
             FuKind::Matcher => 2,
             _ => 3,
         };
-        replicated.sort_by_key(|(k, _)| rank(k));
+        replicated.sort_by_key(|&(k, _)| rank(k));
         let extras: Vec<String> = replicated
             .into_iter()
             .map(|(k, c)| {
@@ -221,6 +224,29 @@ mod tests {
     fn fu_counts_iterates_all_kinds() {
         let m = MachineConfig::default();
         assert_eq!(m.fu_counts().count(), FuKind::ALL.len());
+    }
+
+    #[test]
+    fn an_explicit_count_of_one_is_the_default_machine() {
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::{Hash, Hasher};
+        let hash = |m: &MachineConfig| {
+            let mut h = DefaultHasher::new();
+            m.hash(&mut h);
+            h.finish()
+        };
+        let plain = MachineConfig::new(3);
+        let explicit = MachineConfig::new(3).with_fu_count(FuKind::Mmu, 1);
+        assert_eq!(explicit, plain);
+        assert_eq!(hash(&explicit), hash(&plain));
+        // Set and reset: the last count wins, as `fu_count` reports it.
+        let reset = MachineConfig::three_bus_three_fu()
+            .with_fu_count(FuKind::Counter, 1)
+            .with_fu_count(FuKind::Comparator, 1)
+            .with_fu_count(FuKind::Matcher, 1);
+        assert_eq!(reset, plain);
+        assert_eq!(hash(&reset), hash(&plain));
+        assert_ne!(MachineConfig::new(3).with_fu_count(FuKind::Mmu, 2), plain);
     }
 
     #[test]

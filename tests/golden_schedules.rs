@@ -11,9 +11,15 @@
 //! prints moves a line; a change that must not move one (a faster
 //! scheduler, another port representation) passes this file untouched.
 //!
+//! At every point the size a compiled program counts
+//! (`CompiledProgram::program_bits`) is the size of the image
+//! `taco_isa::encode` builds.
+//!
 //! A second test holds `schedule` to the per-move dependence-edge
 //! formulation of the same hazard rules on sequences drawn from the whole
-//! assembly grammar (seeded; see `common/mod.rs`).
+//! assembly grammar (seeded; see `common/mod.rs`).  A third holds every
+//! router the compiled-program cache builds to a from-scratch compile of
+//! its machine.
 //!
 //! To regenerate after an intentional change:
 //!
@@ -28,14 +34,20 @@ mod common;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 use common::{cases, machine, move_seq};
 use taco::isa::{
-    asm, optimize, schedule, FuKind, FuRef, Instruction, MachineConfig, Move, MoveSeq, PortDir,
-    PortRef, Program, Source,
+    asm, encode, optimize, schedule, FuKind, FuRef, Instruction, MachineConfig, Move, MoveSeq,
+    PortDir, PortRef, Program, Source,
 };
-use taco::router::microcode::{checksum_program, program_for, MicrocodeOptions};
-use taco::routing::TableKind;
+use taco::router::layout::{serialize_sequential, SEQ_ENTRY_WORDS};
+use taco::router::microcode::{
+    checksum_program, choose_screen_word, pad_sequential_image, program_for, MicrocodeOptions,
+};
+use taco::router::CycleRouter;
+use taco::routing::{PortId, Route, SequentialTable, TableKind};
+use taco::sim::CompiledProgram;
 
 const FIXTURE: &str = "tests/golden/schedules.txt";
 
@@ -65,10 +77,11 @@ fn machines() -> Vec<MachineConfig> {
 }
 
 /// One fixture line: the point's name, then what `optimize` + `schedule`
-/// made of `seq` on `machine`.
+/// made of `seq` on `machine`.  Also holds the size the compiled program
+/// counts to the size of the image the encoder builds.
 fn line(out: &mut String, name: &str, mut seq: MoveSeq, machine: &MachineConfig) {
     optimize(&mut seq);
-    let program = schedule(&seq, machine);
+    let mut program = schedule(&seq, machine);
     let mut text = asm::print(&program);
     for (label, index) in &program.labels {
         writeln!(text, "{label}={index}").expect("write to string");
@@ -81,6 +94,12 @@ fn line(out: &mut String, name: &str, mut seq: MoveSeq, machine: &MachineConfig)
         fnv1a64(text.as_bytes())
     )
     .expect("write to string");
+
+    program.resolve_labels().expect("generated labels resolve");
+    let encoded = encode(&program, machine).expect("scheduled microcode encodes").total_bits();
+    let compiled = CompiledProgram::compile(machine.clone(), Arc::new(program))
+        .expect("scheduled microcode compiles");
+    assert_eq!(compiled.program_bits(), encoded, "{name} @{machine}: counted vs encoded size");
 }
 
 /// The whole fixture text, one line per grid point.
@@ -256,4 +275,80 @@ fn the_one_pass_schedule_is_the_edge_list_schedule() {
         let (seq, machine) = (move_seq(rng), machine(rng));
         assert_eq!(schedule(&seq, &machine), edge_list_schedule(&seq, &machine), "{machine}");
     });
+}
+
+/// `n` sibling /48s, each on its own port.
+fn sibling_routes(n: u16) -> Vec<Route> {
+    (0..n)
+        .map(|i| {
+            let prefix = format!("2001:db8:{i:x}::/48").parse().expect("a prefix");
+            Route::new(prefix, "fe80::1".parse().expect("an address"), PortId(i), 1)
+        })
+        .collect()
+}
+
+/// What `kind`'s microcode generator is given for `routes` under `opts`:
+/// the padded entry count and the screening word for the sequential scan,
+/// nothing else for the fixed-shape engines.
+fn generator_input(
+    kind: TableKind,
+    routes: &[Route],
+    opts: MicrocodeOptions,
+) -> (usize, MicrocodeOptions) {
+    if kind != TableKind::Sequential {
+        return (0, opts);
+    }
+    let table = SequentialTable::from_routes(routes.iter().copied());
+    let mut image = serialize_sequential(&table);
+    pad_sequential_image(&mut image, opts.unroll);
+    let screen_word = choose_screen_word(&table);
+    (image.len() / SEQ_ENTRY_WORDS as usize, MicrocodeOptions { screen_word, ..opts })
+}
+
+#[test]
+fn every_router_runs_what_a_fresh_compile_of_its_machine_makes() {
+    // Two tables whose sequential scans differ only in their padded size,
+    // so a cache that ignored the size would hand the second the first's
+    // program.
+    let tables = [sibling_routes(5), sibling_routes(40)];
+    let [small, large] = tables
+        .each_ref()
+        .map(|routes| generator_input(TableKind::Sequential, routes, MicrocodeOptions::default()));
+    assert_ne!(small.0, large.0);
+    assert_eq!(small.1, large.1);
+    // No other test in this binary builds a router and the two passes'
+    // options differ, so each pass's first machine generates the sequence
+    // every later one reuses: a 1-bus machine in one order, a 5-bus one in
+    // the other.
+    let machines = machines();
+    let passes = [
+        (MicrocodeOptions { unroll: 1, ..MicrocodeOptions::default() }, false),
+        (MicrocodeOptions { unroll: 2, ..MicrocodeOptions::default() }, true),
+    ];
+    for kind in TableKind::ALL_KINDS {
+        for (opts, reverse) in passes {
+            let mut order: Vec<&MachineConfig> = machines.iter().collect();
+            if reverse {
+                order.reverse();
+            }
+            for machine in order {
+                for routes in &tables {
+                    let router = CycleRouter::for_kind(kind, machine, routes, 1, &opts)
+                        .unwrap_or_else(|e| panic!("{kind} @{machine}: {e}"));
+                    let (entries, opts) = generator_input(kind, routes, opts);
+                    let mut seq = program_for(kind, entries, &opts);
+                    optimize(&mut seq);
+                    let mut fresh = schedule(&seq, machine);
+                    fresh.resolve_labels().expect("generated labels resolve");
+                    assert!(
+                        *router.processor().program() == fresh,
+                        "{kind} n={} unroll={} @{machine}: the cached program is not a fresh \
+                         compile's",
+                        routes.len(),
+                        opts.unroll
+                    );
+                }
+            }
+        }
+    }
 }
