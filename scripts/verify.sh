@@ -126,6 +126,12 @@ if grep -rnE 'coherence_overhead_[m]illi|system_required_[f]requency|system_[e]s
 # give, no hand-written stats writer or reader beside `SimStats`'s one member
 # table, no test-only JSON validator.  `\b` keeps `flow_stats_from_value`.
 if grep -rnE '\bstats_[f]rom_value|validate_[j]son|pub (fu_[t]riggers|throughput_[m]illi|table_[u]pdates|bus_[u]tilization|[p]ackets):' crates src tests examples scripts; then exit 1; fi
+# A design point compiles only what its machine changes: a compiled program
+# counts its image size from the encoder's field layout while it decodes,
+# so no product crate but `taco-isa` calls the encoder, and no size cell is
+# filled on first use.
+if grep -rnE 'isa::[e]ncode\(' crates/*/src | grep -v '^crates/taco-isa/'; then exit 1; fi
+if grep -rnE 'Once(Lock|Cell)<[u]64>' crates src; then exit 1; fi
 echo "guards ok"
 
 echo
