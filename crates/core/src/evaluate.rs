@@ -117,13 +117,16 @@ fn stall_injector(faults: Option<&FaultPlan>) -> Option<taco_sim::PeriodicStall>
 /// router must be freshly built or re-armed.  With [`NullTracer`] (and no
 /// fault plan) this is exactly `router.run`: the tracer and injector
 /// monomorphise to nothing.
-fn measure<T: Tracer + ?Sized>(
+pub(crate) fn measure<T: Tracer + ?Sized>(
     router: &mut CycleRouter,
     input: &PreparedInput,
     faults: Option<&FaultPlan>,
     tracer: &mut T,
 ) -> Result<(f64, SimStats), SimError> {
-    router.enqueue_batch(input.datagrams().iter().map(|d| (PortId(0), d)))?;
+    router.reserve(input.frames().len());
+    for (words, byte_len) in input.frames() {
+        router.enqueue_words(PortId(0), words, *byte_len)?;
+    }
     let stats = match stall_injector(faults) {
         Some(mut injector) => router.run_with(CYCLE_BUDGET, tracer, &mut injector)?,
         None => router.run_with(CYCLE_BUDGET, tracer, &mut NoFaults)?,
@@ -232,7 +235,7 @@ pub fn evaluate_request(request: &EvalRequest) -> EvalReport {
         // Searching once per datagram past the watchdog is how the run
         // would end: say so without simulating it.
         let next = cam_spec.search_cycles(freq);
-        if next.saturating_mul(input.datagrams().len().max(1) as u64) > CYCLE_BUDGET {
+        if next.saturating_mul(input.frames().len().max(1) as u64) > CYCLE_BUDGET {
             let latency = u32::try_from(next).unwrap_or(u32::MAX);
             return error_report(request, latency, SimError::Watchdog { budget: CYCLE_BUDGET });
         }

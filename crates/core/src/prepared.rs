@@ -1,7 +1,7 @@
 //! What an evaluation's input costs to prepare, paid once per table size
 //! instead of once per design point.
 //!
-//! Routes, measurement datagrams and the serialised table depend on the
+//! Routes, measurement frames and the serialised table depend on the
 //! table size (and, for the table, the organisation) — never on the machine
 //! shape, the line rate or the CAM latency.  A 36-point sweep, the twelve
 //! Table 1 cells and every [`EvalCache`](crate::EvalCache) miss at one size
@@ -13,6 +13,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use taco_ipv6::{Datagram, NextHeader};
 use taco_router::cycle::{CycleRouter, TableImage};
+use taco_router::layout::datagram_to_words;
 use taco_router::microcode::MicrocodeOptions;
 use taco_router::traffic::TrafficGen;
 use taco_routing::{Route, SequentialTable, TableKind};
@@ -64,13 +65,18 @@ fn measurement_datagrams(routes: &[Route]) -> Vec<Datagram> {
         .collect()
 }
 
+/// One measurement datagram as the router's data memory holds it: its wire
+/// bytes packed into big-endian words, and its wire length.
+pub(crate) type Frame = (Vec<u32>, usize);
+
 /// Everything an evaluation at one table size needs before a machine shape
-/// is chosen: the benchmark routes, the measurement datagrams, and — filled
-/// on first use per organisation — the serialised table.  Immutable.
+/// is chosen: the benchmark routes, the measurement datagrams packed into
+/// frames, and — filled on first use per organisation — the serialised
+/// table.  Immutable.
 #[derive(Debug)]
 pub(crate) struct PreparedInput {
     entries: usize,
-    datagrams: Vec<Datagram>,
+    frames: Vec<Frame>,
     routes: Vec<Route>,
     images: [OnceLock<Result<TableImage, SimError>>; TableKind::ALL_KINDS.len()],
 }
@@ -80,7 +86,10 @@ impl PreparedInput {
         let routes = benchmark_routes(entries);
         PreparedInput {
             entries,
-            datagrams: measurement_datagrams(&routes),
+            frames: measurement_datagrams(&routes)
+                .iter()
+                .map(|d| (datagram_to_words(d), d.wire_len()))
+                .collect(),
             routes,
             images: Default::default(),
         }
@@ -112,9 +121,9 @@ impl PreparedInput {
         })
     }
 
-    /// The measurement datagrams, in enqueue order.
-    pub(crate) fn datagrams(&self) -> &[Datagram] {
-        &self.datagrams
+    /// The measurement frames, in enqueue order.
+    pub(crate) fn frames(&self) -> &[Frame] {
+        &self.frames
     }
 
     /// Builds the cycle router for `config` over this input's table, with
@@ -145,6 +154,35 @@ mod tests {
         let b = benchmark_routes(50);
         assert_eq!(a, b);
         assert_eq!(a.len(), 50);
+    }
+
+    #[test]
+    fn the_frames_are_the_measurement_datagrams_packed() {
+        use taco_routing::PortId;
+        use taco_sim::NullTracer;
+
+        let input = PreparedInput::new(40);
+        let datagrams = measurement_datagrams(&input.routes);
+        assert_eq!(input.frames().len(), MEASURE_DATAGRAMS);
+        for (frame, d) in input.frames().iter().zip(&datagrams) {
+            assert_eq!(frame, &(datagram_to_words(d), d.wire_len()));
+        }
+        // The microcode reads only header words, so a corrupt payload word
+        // would move no cycle count: compare what the router forwards.
+        for kind in TableKind::ALL_KINDS {
+            let config = ArchConfig::three_bus_one_fu(kind);
+            let mut framed = input.router(&config, 1).expect("builds");
+            let (_, framed_stats) =
+                crate::evaluate::measure(&mut framed, &input, None, &mut NullTracer).expect("runs");
+            let mut batched = input.router(&config, 1).expect("builds");
+            batched.enqueue_batch(datagrams.iter().map(|d| (PortId(0), d))).expect("fits");
+            assert_eq!(framed_stats, batched.run(50_000_000).expect("runs"), "{kind}");
+            let bytes = |router: &CycleRouter| -> Vec<(PortId, Vec<u8>)> {
+                router.forwarded().iter().map(|(port, d)| (*port, d.to_bytes())).collect()
+            };
+            assert_eq!(bytes(&framed).len(), MEASURE_DATAGRAMS, "{kind}");
+            assert_eq!(bytes(&framed), bytes(&batched), "{kind}");
+        }
     }
 
     #[test]

@@ -15,8 +15,12 @@ pub fn open_request(
     request_line: &str,
 ) -> io::Result<BufReader<TcpStream>> {
     let mut stream = TcpStream::connect(addr)?;
-    stream.write_all(request_line.as_bytes())?;
-    stream.write_all(b"\n")?;
+    // One write, so the line and its newline leave as one segment and the
+    // daemon frames the request in one poll pass.
+    let mut line = String::with_capacity(request_line.len() + 1);
+    line.push_str(request_line);
+    line.push('\n');
+    stream.write_all(line.as_bytes())?;
     stream.flush()?;
     Ok(BufReader::new(stream))
 }

@@ -349,6 +349,9 @@ struct EventLoop<'a> {
     /// status report's cache hits (a memo hit *is* a cache hit, served
     /// one layer earlier).
     memo_hits: u64,
+    /// Where every readable connection's bytes land before they join its
+    /// `rbuf`: one buffer for the loop, not one zeroed per read.
+    read_buf: Box<[u8]>,
 }
 
 impl<'a> EventLoop<'a> {
@@ -365,6 +368,7 @@ impl<'a> EventLoop<'a> {
             flush_deadline: None,
             hit_memo: HashMap::new(),
             memo_hits: 0,
+            read_buf: vec![0; 64 * 1024].into_boxed_slice(),
         }
     }
 
@@ -477,16 +481,15 @@ impl<'a> EventLoop<'a> {
 
     fn handle_read(&mut self, token: u64) {
         let Some(mut conn) = self.conns.remove(&token) else { return };
-        let mut buf = [0u8; 64 * 1024];
         let mut eof = false;
         loop {
-            match conn.stream.read(&mut buf) {
+            match conn.stream.read(&mut self.read_buf) {
                 Ok(0) => {
                     eof = true;
                     break;
                 }
                 Ok(n) => {
-                    conn.rbuf.extend_from_slice(&buf[..n]);
+                    conn.rbuf.extend_from_slice(&self.read_buf[..n]);
                     // Yield to frame processing before pulling more than a
                     // frame's worth — bounds memory per read pass.
                     if conn.rbuf.len() > self.shared.max_frame {

@@ -115,6 +115,16 @@ impl DataMemory {
         }
     }
 
+    /// Materialises every word below `end` (clamped to the memory size), so
+    /// writes and loads below it never grow the memory again.  The new
+    /// words are zero, as they already read.
+    pub fn reserve_to(&mut self, end: u32) {
+        let end = end.min(self.size) as usize;
+        if end > self.words.len() {
+            self.words.resize(end, 0);
+        }
+    }
+
     /// Reads `len` words starting at `addr`.
     ///
     /// # Errors
@@ -181,6 +191,7 @@ mod tests {
         b.write(3, 5).unwrap();
         b.write(20, 0).unwrap();
         b.load(24, &[0, 0]).unwrap();
+        b.reserve_to(u32::MAX);
         assert_eq!(a, b);
         b.write(31, 1).unwrap();
         assert_ne!(a, b);

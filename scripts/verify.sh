@@ -132,6 +132,13 @@ if grep -rnE '\bstats_[f]rom_value|validate_[j]son|pub (fu_[t]riggers|throughput
 # filled on first use.
 if grep -rnE 'isa::[e]ncode\(' crates/*/src | grep -v '^crates/taco-isa/'; then exit 1; fi
 if grep -rnE 'Once(Lock|Cell)<[u]64>' crates src; then exit 1; fi
+# A sweep point pays only for its router and its simulation: the
+# measurement datagrams are packed into frames once per prepared input, so
+# an evaluation enqueues words and never serialises a datagram.
+if grep -nE 'enqueue_[b]atch\(|datagram_[t]o_words|bytes_[t]o_words|\.to_[b]ytes\(' crates/core/src/evaluate.rs; then
+    echo "evaluate.rs enqueues PreparedInput's packed frames, never a datagram"
+    exit 1
+fi
 echo "guards ok"
 
 echo

@@ -1,11 +1,11 @@
 //! Heap allocations of one warm `evaluate_request`, counted — the
 //! stopwatch-free regression gate for "evaluate once per input".
 //!
-//! With the routes, datagrams, table image and compiled program shared, a
-//! warm evaluation allocates for one router (data memory, machine state),
-//! the datagram words it enqueues per fixed-point round, and its report.
-//! Rebuilding any of the shared pieces per evaluation — or the router per
-//! round — multiplies the count: the same cells cost 146 / 184 / 210 / 159
+//! With the routes, packed measurement frames, table image and compiled
+//! program shared, a warm evaluation allocates for one router (data memory,
+//! sized once, and machine state) and its report.  Rebuilding any of the
+//! shared pieces per evaluation — or the router per round, or a frame per
+//! enqueue — multiplies the count: the same cells cost 146 / 184 / 210 / 159
 //! allocations before the pieces were shared.
 //!
 //! A cold row counts the first evaluation of a machine the binary has not
@@ -58,16 +58,20 @@ static GLOBAL: Counting = Counting;
 
 #[test]
 fn a_warm_evaluation_allocates_for_one_router_not_for_its_input() {
-    // Ceilings, not exact counts (34 / 34 / 64 / 34 when written): headroom
-    // for the standard library, not for regenerated routes or datagrams, a
-    // rebuilt or re-serialised table, or a re-decoded program — each costs
-    // more than the whole margin.  The CAM cell pays its datagram words
-    // once per fixed-point round.
+    // Ceilings, not exact counts (13 / 13 / 23 / 13 when written): headroom
+    // for the standard library, not for regenerated routes or re-packed
+    // datagrams, a rebuilt or re-serialised table, or a re-decoded program —
+    // each costs more than the whole margin.  The CAM cell re-arms its
+    // router once per further fixed-point round, which powers its machine
+    // state on again and collects another run's statistics, but packs no
+    // datagram again.  They read 30 / 30 / 56 / 30 (34 / 34 / 64 / 34
+    // earlier) while every enqueue serialised and packed its datagram and
+    // data memory grew as the slots reached past it.
     let cells = [
-        (TableKind::Sequential, 45),
-        (TableKind::BalancedTree, 45),
-        (TableKind::Cam, 80),
-        (TableKind::Patricia, 45),
+        (TableKind::Sequential, 18),
+        (TableKind::BalancedTree, 18),
+        (TableKind::Cam, 30),
+        (TableKind::Patricia, 18),
     ];
     for (kind, ceiling) in cells {
         let request = EvalRequest::new(ArchConfig::three_bus_one_fu(kind));
@@ -87,8 +91,9 @@ fn a_warm_evaluation_allocates_for_one_router_not_for_its_input() {
     // it adds to a warm evaluation is compiling the microcode for the new
     // machine: scheduling, validating and decoding it.  The warm rows'
     // 3BUS/1FU machine already generated and optimised the sequence, which
-    // depends on the table alone.  632 / 451 / 281 / 541 when written; 692
-    // / 516 / 323 / 594 while every machine generated and optimised its own
+    // depends on the table alone.  615 / 434 / 248 / 524 since the
+    // measurement frames are packed with the input; 632 / 451 / 281 / 541
+    // when written; 692 / 516 / 323 / 594 while every machine generated and optimised its own
     // sequence and the first size query encoded the program; 1114 / 906 /
     // 505 / 941 while ports were named by string and the scheduler cloned
     // the sequence and built edge lists and maps per block.
