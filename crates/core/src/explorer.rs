@@ -166,7 +166,8 @@ impl Exploration {
 /// `TACO_THREADS`), the process-global [`EvalCache`], no output.
 #[derive(Clone, Copy)]
 pub struct ExploreOptions<'a> {
-    /// Worker threads for the grid fan-out (`1` = serial, inline).
+    /// Threads for the grid fan-out, the caller included (`1` = serial,
+    /// inline).
     pub threads: usize,
     /// Evaluation memo to consult and fill; `None` evaluates every point
     /// from scratch.

@@ -19,8 +19,9 @@
 //! Simulation-heavy work (cache-miss evals, sweeps) is queued to a small
 //! pool of **runner threads**, which stream response lines back to the
 //! loop over a channel and wake it through a socketpair.  A sweep fans
-//! out over [`ServerConfig::threads`] pool workers inside its runner —
-//! the only way a sweep is parallelised.
+//! out over [`ServerConfig::threads`] pool threads inside its runner, the
+//! runner itself being one of them — the only way a sweep is
+//! parallelised.
 //!
 //! # Wire dialects
 //!
@@ -85,8 +86,8 @@ pub struct ServerConfig {
     /// [`Server::bind`], written on graceful shutdown.  `None` serves
     /// from a cold cache and persists nothing.
     pub snapshot: Option<PathBuf>,
-    /// Worker threads for sweep fan-out (`0` = one per core, the
-    /// [`pool::default_threads`] rule).
+    /// Threads for sweep fan-out, the job's runner included (`0` = one per
+    /// core, the [`pool::default_threads`] rule).
     pub threads: usize,
     /// Largest accepted request frame in bytes; a connection exceeding it
     /// gets a structured `bad_request` and is closed.  Values below 1 KiB
