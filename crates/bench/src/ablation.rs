@@ -49,8 +49,13 @@ fn auto_word(routes: &[Route]) -> u8 {
 /// Datagrams per measurement run, as `taco_core`'s measurement workload.
 const DATAGRAMS: u32 = 8;
 
-/// Cycles per datagram of the scan built with exactly `opts` on `config`.
-fn measure(config: &MachineConfig, routes: &[Route], opts: &MicrocodeOptions) -> f64 {
+/// Cycles per datagram of the scan built with exactly `opts` on `config`,
+/// and the `(pointer, interface)` pairs the run output.
+fn measure(
+    config: &MachineConfig,
+    routes: &[Route],
+    opts: &MicrocodeOptions,
+) -> (f64, Vec<(u32, u32)>) {
     // The router is built by hand because `TableImage::new` would re-tune
     // the screen word this ablation has to force; nothing else differs from
     // the product path (`taco_router::cycle::compiled_program`, then
@@ -69,7 +74,9 @@ fn measure(config: &MachineConfig, routes: &[Route], opts: &MicrocodeOptions) ->
 
     let mut gen = TrafficGen::new(0x0DA7A, 4);
     let deepest = *table.entries().last().expect("non-empty");
-    for _ in 0..DATAGRAMS {
+    // The slots `CycleRouter` loads a batch into: one each, above the image.
+    let slots = layout::dgram_base(layout::TABLE_BASE + image.len() as u32);
+    for i in 0..DATAGRAMS {
         let d = Datagram::builder(
             "2001:db8:ffff::1".parse().expect("valid"),
             gen.addr_in(&deepest.prefix()),
@@ -78,11 +85,12 @@ fn measure(config: &MachineConfig, routes: &[Route], opts: &MicrocodeOptions) ->
         .payload(NextHeader::Udp, vec![0u8; 32])
         .build();
         let words = layout::datagram_to_words(&d);
-        let addr = layout::dgram_slot(0);
+        let addr = slots + i * layout::DGRAM_SLOT_WORDS;
         cpu.memory_mut().load(addr, &words).expect("fits");
         cpu.push_input(addr, 0);
     }
-    cpu.run(50_000_000).expect("halts").cycles as f64 / f64::from(DATAGRAMS)
+    let cycles = cpu.run(50_000_000).expect("halts").cycles;
+    (cycles as f64 / f64::from(DATAGRAMS), cpu.drain_outputs())
 }
 
 /// One grid cell: the machine, the table and the options it is built with.
@@ -101,7 +109,7 @@ fn print_grid(
     let threads = pool::default_threads();
     let started = Instant::now();
     let results = pool::ordered_map(cells, threads, |_, (config, routes, opts)| {
-        measure(config, routes, opts)
+        measure(config, routes, opts).0
     });
     eprintln!(
         "{label}: {} cells on {threads} worker thread(s), {:.1} ms",
@@ -203,12 +211,14 @@ pub fn run(args: Vec<String>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
     use taco_core::{ArchConfig, EvalRequest};
     use taco_routing::TableKind;
 
     /// The cells the unroll grid shares with Table 1 — unroll 3, the
     /// auto-chosen screen word, the three paper machine shapes — are the
-    /// product path's numbers exactly, not a second measurement of them.
+    /// product path's numbers exactly, not a second measurement of them,
+    /// and they forward all eight datagrams, each from its own slot.
     #[test]
     fn the_shared_cells_are_table_1s() {
         let routes = benchmark_routes(ENTRIES);
@@ -219,12 +229,11 @@ mod tests {
             ArchConfig::three_bus_three_fu(TableKind::Sequential),
         ] {
             let report = EvalRequest::new(config.clone()).entries(ENTRIES).run();
-            assert_eq!(
-                measure(&config.machine, &routes, &opts),
-                report.cycles_per_datagram,
-                "{}",
-                config.label()
-            );
+            let (cycles, outputs) = measure(&config.machine, &routes, &opts);
+            assert_eq!(cycles, report.cycles_per_datagram, "{}", config.label());
+            let pointers: BTreeSet<u32> = outputs.iter().map(|&(ptr, _)| ptr).collect();
+            assert_eq!(outputs.len(), DATAGRAMS as usize, "{}", config.label());
+            assert_eq!(pointers.len(), DATAGRAMS as usize, "{}", config.label());
         }
     }
 }

@@ -49,8 +49,6 @@ pub enum ParseError {
         /// Protocol whose checksum failed.
         what: &'static str,
     },
-    /// An unknown or unsupported next-header value terminated parsing.
-    UnsupportedHeader(u8),
 }
 
 impl fmt::Display for ParseError {
@@ -69,7 +67,6 @@ impl fmt::Display for ParseError {
                 write!(f, "payload length {declared} disagrees with buffer size {actual}")
             }
             ParseError::BadChecksum { what } => write!(f, "{what} checksum verification failed"),
-            ParseError::UnsupportedHeader(h) => write!(f, "unsupported next-header value {h}"),
         }
     }
 }
@@ -90,7 +87,6 @@ mod tests {
             ParseError::BadPrefixLen(200),
             ParseError::LengthMismatch { declared: 10, actual: 4 },
             ParseError::BadChecksum { what: "udp" },
-            ParseError::UnsupportedHeader(250),
         ];
         for c in cases {
             let s = c.to_string();

@@ -206,13 +206,6 @@ impl Ipv6Header {
         b[24..40].copy_from_slice(&self.dst.octets());
         b
     }
-
-    /// The first 32-bit word of the header (version / class / flow label),
-    /// as the TACO Matcher sees it when validating the version field.
-    pub fn first_word(&self) -> u32 {
-        let b = self.to_bytes();
-        u32::from_be_bytes([b[0], b[1], b[2], b[3]])
-    }
 }
 
 #[cfg(test)]

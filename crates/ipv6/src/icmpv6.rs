@@ -1,13 +1,13 @@
-//! ICMPv6 (RFC 2463) — the error and diagnostic messages a router emits.
+//! ICMPv6 (RFC 2463) — the error messages a router emits.
 //!
-//! The forwarding path needs exactly four behaviours: *destination
-//! unreachable / no route* when the lookup fails, *time exceeded* when the
-//! hop limit expires, *parameter problem* for malformed headers, and echo
-//! request/reply so the router itself is pingable.
+//! The forwarding path writes exactly two: *destination unreachable / no
+//! route* when the lookup fails and *time exceeded* when the hop limit
+//! expires, each as one wire frame ([`unreachable_frame`],
+//! [`time_exceeded_frame`]).  It reads none: a malformed datagram is
+//! dropped silently, and ping is beyond the control plane modelled here.
 
 use crate::addr::Ipv6Address;
 use crate::checksum::pseudo_header_checksum;
-use crate::error::ParseError;
 use crate::header::{Ipv6Header, NextHeader};
 
 /// Protocol number of ICMPv6 in the IPv6 next-header field.
@@ -52,7 +52,8 @@ impl From<UnreachableCode> for u8 {
     }
 }
 
-/// The ICMPv6 messages understood by the router.
+/// The two ICMPv6 error messages the router emits, as values: the reference
+/// the frame writers below are tested against.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Icmpv6Message {
     /// Type 1: the datagram could not be delivered. Carries as much of the
@@ -68,124 +69,28 @@ pub enum Icmpv6Message {
         /// Leading bytes of the invoking datagram.
         invoking: Vec<u8>,
     },
-    /// Type 4: a field in the invoking packet was unusable.
-    ParameterProblem {
-        /// Problem code (0 = erroneous header field).
-        code: u8,
-        /// Byte offset of the problem within the invoking packet.
-        pointer: u32,
-        /// Leading bytes of the invoking datagram.
-        invoking: Vec<u8>,
-    },
-    /// Type 128: echo request.
-    EchoRequest {
-        /// Identifier to match replies to requests.
-        id: u16,
-        /// Sequence number.
-        seq: u16,
-        /// Arbitrary data echoed back.
-        data: Vec<u8>,
-    },
-    /// Type 129: echo reply.
-    EchoReply {
-        /// Identifier copied from the request.
-        id: u16,
-        /// Sequence number copied from the request.
-        seq: u16,
-        /// Data copied from the request.
-        data: Vec<u8>,
-    },
 }
 
 impl Icmpv6Message {
-    /// The ICMPv6 type number of this message.
+    /// The ICMPv6 type and code of this message.
     pub fn type_code(&self) -> (u8, u8) {
         match self {
             Icmpv6Message::DestinationUnreachable { code, .. } => (1, (*code).into()),
             Icmpv6Message::TimeExceeded { .. } => (3, 0),
-            Icmpv6Message::ParameterProblem { code, .. } => (4, *code),
-            Icmpv6Message::EchoRequest { .. } => (128, 0),
-            Icmpv6Message::EchoReply { .. } => (129, 0),
         }
-    }
-
-    /// Returns `true` for error messages (type < 128).
-    pub fn is_error(&self) -> bool {
-        self.type_code().0 < 128
     }
 
     /// Serializes the message, computing the checksum over the pseudo-header
     /// formed from `src`/`dst`.
     pub fn to_bytes(&self, src: &Ipv6Address, dst: &Ipv6Address) -> Vec<u8> {
         let (ty, code) = self.type_code();
-        let mut out = vec![ty, code, 0, 0];
-        match self {
-            Icmpv6Message::DestinationUnreachable { invoking, .. }
-            | Icmpv6Message::TimeExceeded { invoking } => {
-                out.extend_from_slice(&[0u8; 4]); // unused
-                out.extend_from_slice(invoking);
-            }
-            Icmpv6Message::ParameterProblem { pointer, invoking, .. } => {
-                out.extend_from_slice(&pointer.to_be_bytes());
-                out.extend_from_slice(invoking);
-            }
-            Icmpv6Message::EchoRequest { id, seq, data }
-            | Icmpv6Message::EchoReply { id, seq, data } => {
-                out.extend_from_slice(&id.to_be_bytes());
-                out.extend_from_slice(&seq.to_be_bytes());
-                out.extend_from_slice(data);
-            }
-        }
+        let (Icmpv6Message::DestinationUnreachable { invoking, .. }
+        | Icmpv6Message::TimeExceeded { invoking }) = self;
+        let mut out = vec![ty, code, 0, 0, 0, 0, 0, 0]; // checksum below; 4 unused
+        out.extend_from_slice(invoking);
         let c = pseudo_header_checksum(src, dst, PROTOCOL, &out);
         out[2..4].copy_from_slice(&c.to_be_bytes());
         out
-    }
-
-    /// Parses and checksum-verifies a message.
-    ///
-    /// # Errors
-    ///
-    /// * [`ParseError::Truncated`] if shorter than the 8-byte minimum;
-    /// * [`ParseError::BadChecksum`] on verification failure;
-    /// * [`ParseError::UnsupportedHeader`] for message types the router does
-    ///   not implement.
-    pub fn parse(bytes: &[u8], src: &Ipv6Address, dst: &Ipv6Address) -> Result<Self, ParseError> {
-        if bytes.len() < 8 {
-            return Err(ParseError::Truncated {
-                what: "icmpv6 message",
-                needed: 8,
-                got: bytes.len(),
-            });
-        }
-        if pseudo_header_checksum(src, dst, PROTOCOL, bytes) != 0 {
-            return Err(ParseError::BadChecksum { what: "icmpv6" });
-        }
-        let ty = bytes[0];
-        let code = bytes[1];
-        let body = &bytes[4..];
-        match ty {
-            1 => Ok(Icmpv6Message::DestinationUnreachable {
-                code: code.into(),
-                invoking: body[4..].to_vec(),
-            }),
-            3 => Ok(Icmpv6Message::TimeExceeded { invoking: body[4..].to_vec() }),
-            4 => Ok(Icmpv6Message::ParameterProblem {
-                code,
-                pointer: u32::from_be_bytes([body[0], body[1], body[2], body[3]]),
-                invoking: body[4..].to_vec(),
-            }),
-            128 | 129 => {
-                let id = u16::from_be_bytes([body[0], body[1]]);
-                let seq = u16::from_be_bytes([body[2], body[3]]);
-                let data = body[4..].to_vec();
-                Ok(if ty == 128 {
-                    Icmpv6Message::EchoRequest { id, seq, data }
-                } else {
-                    Icmpv6Message::EchoReply { id, seq, data }
-                })
-            }
-            other => Err(ParseError::UnsupportedHeader(other)),
-        }
     }
 }
 
@@ -249,64 +154,6 @@ mod tests {
     }
 
     #[test]
-    fn echo_round_trip() {
-        let (s, d) = addrs();
-        let m = Icmpv6Message::EchoRequest { id: 77, seq: 3, data: vec![1, 2, 3] };
-        let bytes = m.to_bytes(&s, &d);
-        assert_eq!(Icmpv6Message::parse(&bytes, &s, &d).unwrap(), m);
-    }
-
-    #[test]
-    fn error_messages_round_trip() {
-        let (s, d) = addrs();
-        let cases = vec![
-            Icmpv6Message::DestinationUnreachable {
-                code: UnreachableCode::NoRoute,
-                invoking: vec![6u8; 48],
-            },
-            Icmpv6Message::TimeExceeded { invoking: vec![7u8; 40] },
-            Icmpv6Message::ParameterProblem { code: 0, pointer: 6, invoking: vec![8u8; 40] },
-        ];
-        for m in cases {
-            let bytes = m.to_bytes(&s, &d);
-            assert_eq!(Icmpv6Message::parse(&bytes, &s, &d).unwrap(), m);
-            assert!(m.is_error());
-        }
-    }
-
-    #[test]
-    fn echo_is_not_error() {
-        let m = Icmpv6Message::EchoReply { id: 0, seq: 0, data: vec![] };
-        assert!(!m.is_error());
-        assert_eq!(m.type_code(), (129, 0));
-    }
-
-    #[test]
-    fn corrupted_message_fails_checksum() {
-        let (s, d) = addrs();
-        let mut bytes =
-            Icmpv6Message::EchoRequest { id: 1, seq: 1, data: vec![5] }.to_bytes(&s, &d);
-        bytes[8] ^= 0x01;
-        assert_eq!(
-            Icmpv6Message::parse(&bytes, &s, &d).unwrap_err(),
-            ParseError::BadChecksum { what: "icmpv6" }
-        );
-    }
-
-    #[test]
-    fn unknown_type_rejected() {
-        let (s, d) = addrs();
-        // Hand-build a type-200 message with a valid checksum.
-        let mut bytes = vec![200u8, 0, 0, 0, 0, 0, 0, 0];
-        let c = pseudo_header_checksum(&s, &d, PROTOCOL, &bytes);
-        bytes[2..4].copy_from_slice(&c.to_be_bytes());
-        assert_eq!(
-            Icmpv6Message::parse(&bytes, &s, &d).unwrap_err(),
-            ParseError::UnsupportedHeader(200)
-        );
-    }
-
-    #[test]
     fn unreachable_code_round_trip() {
         for v in 0..=255u8 {
             assert_eq!(u8::from(UnreachableCode::from(v)), v);
@@ -341,6 +188,8 @@ mod tests {
                     .build();
                 assert_eq!(frame, wrapped.to_bytes());
                 assert_eq!(frame.len(), frame_len);
+                // The ICMP part verifies: its checksum sums it to zero.
+                assert_eq!(pseudo_header_checksum(&s, &d, PROTOCOL, &frame[Ipv6Header::LEN..]), 0);
             }
         }
     }

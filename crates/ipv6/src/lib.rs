@@ -10,15 +10,18 @@
 //!
 //! * [`Ipv6Address`] / [`Ipv6Prefix`] — 128-bit addresses and CIDR prefixes
 //!   with the bit-level accessors the longest-prefix-match engines need;
-//! * [`Ipv6Header`] and the extension-header chain ([`exthdr`]) — parse and
-//!   build, including the variable-length chains that motivated the paper's
-//!   decision to copy whole datagrams into processor memory;
-//! * [`Datagram`] — a full packet with builder-style construction, and
-//!   [`DatagramView`] — the same checks over a frame left where it is;
+//! * [`Ipv6Header`] — the fixed header, parsed and built;
+//! * [`exthdr`] — the one validator of the variable-length extension chains
+//!   that motivated the paper's decision to copy whole datagrams into
+//!   processor memory; a chain is checked and carried as bytes, never
+//!   decoded, since the router interprets none of its headers;
+//! * [`Datagram`] — a full packet, parsed from a frame or built, that
+//!   serialises back to the frame it came from, and [`DatagramView`] — the
+//!   same checks over a frame left where it is;
 //! * [`checksum`] — the RFC 1071 Internet checksum and the IPv6 pseudo-header
 //!   sum used by UDP and ICMPv6 (the TACO `Checksum` functional unit computes
 //!   exactly this);
-//! * [`udp::UdpDatagram`] and [`icmpv6`] messages;
+//! * [`udp::UdpDatagram`] and the [`icmpv6`] error frames the router writes;
 //! * [`ripng`] — the RIPng message codec used by the routing engine.
 //!
 //! # Examples
@@ -55,7 +58,6 @@ pub mod udp;
 
 pub use addr::Ipv6Address;
 pub use error::ParseError;
-pub use exthdr::{ExtensionHeader, FragmentHeader, OptionsHeader, RoutingHeader};
 pub use header::{Ipv6Header, NextHeader};
 pub use packet::{Datagram, DatagramBuilder, DatagramView};
 pub use prefix::Ipv6Prefix;

@@ -98,11 +98,6 @@ pub fn words_to_bytes(words: &[u32], byte_len: usize) -> Vec<u8> {
     out
 }
 
-/// Word address of datagram slot `i` of a buffer area at [`DGRAM_BASE`].
-pub fn dgram_slot(i: u32) -> u32 {
-    DGRAM_BASE + i * DGRAM_SLOT_WORDS
-}
-
 /// First word address of the datagram buffer area above a table image that
 /// ends at `image_end`: [`DGRAM_BASE`], or the next slot boundary past the
 /// image when the image reaches beyond it (more than 7936 words — 661
@@ -387,7 +382,6 @@ mod tests {
         );
         let img_end = TABLE_BASE + serialize_sequential(&t).len() as u32;
         assert!(img_end < DGRAM_BASE, "table image ({img_end:#x}) runs into datagram area");
-        assert_eq!(dgram_slot(2), DGRAM_BASE + 1024);
         assert_eq!(dgram_base(img_end), DGRAM_BASE);
     }
 

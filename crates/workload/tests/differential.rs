@@ -10,8 +10,7 @@
 //! simulator.  Traffic is seeded from each workload's own seed, so the
 //! whole suite is reproducible bit for bit.
 
-use taco_ipv6::exthdr::{FragmentHeader, OptionsHeader, RoutingHeader};
-use taco_ipv6::{Datagram, ExtensionHeader, NextHeader};
+use taco_ipv6::{Datagram, Ipv6Header, NextHeader};
 use taco_isa::MachineConfig;
 use taco_router::{
     CycleRouter, DropReason, ForwardDecision, MicrocodeOptions, ReferenceRouter, SplitMix64,
@@ -272,6 +271,30 @@ fn edge_datagrams_classify_as_the_rfc_says() {
             .payload(NextHeader::Udp, vec![tag])
             .build()
     };
+    // The paper keeps whole datagrams in memory because of extension
+    // headers: the fast path reads the destination at its fixed offset and
+    // forwards the chain untouched (outputs are matched by bytes).  A
+    // hop-by-hop header (one PadN), a type 0 routing header with one
+    // address left and a fragment at offset 4 with more to come.
+    let chain = [
+        &[43u8, 0, 1, 4, 0, 0, 0, 0][..],
+        &[44, 2, 0, 1, 0, 0, 0, 0],
+        &[7; 16],
+        &[17, 0, 0, 0x21, 0, 0, 0, 99],
+    ]
+    .concat();
+    let payload = [0xab; 32];
+    let header = Ipv6Header {
+        traffic_class: 0,
+        flow_label: 0,
+        payload_len: (chain.len() + payload.len()) as u16,
+        next_header: NextHeader::HopByHop,
+        hop_limit: 9,
+        src,
+        dst: "2001:db8:aa::42".parse().unwrap(),
+    };
+    let chained = Datagram::parse(&[&header.to_bytes()[..], &chain, &payload].concat())
+        .expect("a legal chain");
     let traffic = vec![
         dgram("2001:db8:5::1", 0, 0),   // expires: ICMP time exceeded
         dgram("2001:db8:5::1", 1, 1),   // expires: would not survive the decrement
@@ -280,20 +303,7 @@ fn edge_datagrams_classify_as_the_rfc_says() {
         dgram("9999::1", 64, 4),        // no route: ICMP destination unreachable
         dgram("ff02::1", 64, 5),        // unserved multicast: silent drop
         dgram("2001:db8:5::1", 255, 6), // the largest hop limit decrements like any other
-        // The paper keeps whole datagrams in memory because of extension
-        // headers: the fast path reads the destination at its fixed offset
-        // and forwards the chain untouched (outputs are matched by bytes).
-        Datagram::builder(src, "2001:db8:aa::42".parse().unwrap())
-            .hop_limit(9)
-            .extension(ExtensionHeader::HopByHop(OptionsHeader::new()))
-            .extension(ExtensionHeader::Routing(RoutingHeader {
-                routing_type: 0,
-                segments_left: 1,
-                addresses: vec![[7u8; 16]],
-            }))
-            .extension(ExtensionHeader::Fragment(FragmentHeader { offset: 4, more: true, id: 99 }))
-            .payload(NextHeader::Udp, vec![0xab; 32])
-            .build(),
+        chained,                        // the chain rides along untouched: port 2
     ];
     let expected = vec![
         Verdict::Dropped { icmp_error: true },

@@ -18,7 +18,9 @@ const CASES: u64 = 256;
 #[test]
 fn datagram_bytes_round_trip() {
     cases(SEED, CASES, |rng| {
-        let d = datagram(rng);
+        let frame = datagram(rng);
+        let d = Datagram::parse(&frame).expect("a well-formed frame parses");
+        assert_eq!(d.to_bytes(), frame);
         assert_eq!(Datagram::parse(&d.to_bytes()).expect("reparse"), d);
     });
 }
@@ -26,9 +28,9 @@ fn datagram_bytes_round_trip() {
 #[test]
 fn datagram_word_packing_round_trips() {
     cases(SEED, CASES, |rng| {
-        let d = datagram(rng);
-        let bytes = words_to_bytes(&datagram_to_words(&d), d.wire_len());
-        assert_eq!(Datagram::parse(&bytes).expect("reparse"), d);
+        let frame = datagram(rng);
+        let d = Datagram::parse(&frame).expect("a well-formed frame parses");
+        assert_eq!(words_to_bytes(&datagram_to_words(&d), d.wire_len()), frame);
     });
 }
 

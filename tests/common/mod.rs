@@ -18,9 +18,8 @@ use taco::eval::{
     ArchConfig, Constraints, EvalRequest, FaultPlan, LineRate, RoutingTableKind, SweepSpec,
     TraceGen, Workload,
 };
-use taco::ipv6::exthdr::{FragmentHeader, OptionsHeader, RoutingHeader};
 use taco::ipv6::ripng::{Command, RipngPacket, RouteEntry};
-use taco::ipv6::{Datagram, ExtensionHeader, Ipv6Address, Ipv6Prefix, NextHeader};
+use taco::ipv6::{Ipv6Address, Ipv6Header, Ipv6Prefix, NextHeader};
 use taco::isa::{FuKind, FuRef, Guard, MachineConfig, Move, MoveSeq, PortDir, PortRef, Source};
 pub use taco::router::SplitMix64;
 
@@ -138,49 +137,75 @@ pub fn ripng_packet(rng: &mut SplitMix64) -> RipngPacket {
     RipngPacket { command, entries }
 }
 
-/// One extension header in canonical form (what `encode_chain` emits and
-/// `parse_chain` returns unchanged): options bodies are a single
-/// experimental TLV, type 0x3e.
-fn extension(rng: &mut SplitMix64) -> ExtensionHeader {
-    let options = |rng: &mut SplitMix64| {
-        let body = bytes(rng, 15);
-        let mut tlv = vec![0x3e, body.len() as u8];
-        tlv.extend(body);
-        OptionsHeader { options: tlv }
-    };
-    match rng.below(4) {
-        0 => ExtensionHeader::HopByHop(options(rng)),
-        1 => ExtensionHeader::DestinationOptions(options(rng)),
-        2 => ExtensionHeader::Routing(RoutingHeader {
-            routing_type: 0,
-            segments_left: rng.next_u64() as u8,
-            addresses: (0..rng.below(3)).map(|_| octets(rng)).collect(),
-        }),
-        _ => ExtensionHeader::Fragment(FragmentHeader {
-            offset: rng.below(8192) as u16,
-            more: rng.chance(0.5),
-            id: rng.next_u32(),
-        }),
+/// Option TLVs filling exactly `len` bytes (RFC 8200 §4.2): Pad1 runs,
+/// PadN and options of any other type, in any order.
+fn options(rng: &mut SplitMix64, len: usize) -> Vec<u8> {
+    let mut out = Vec::with_capacity(len);
+    while out.len() < len {
+        let room = len - out.len();
+        if room == 1 || rng.chance(0.3) {
+            out.push(0); // Pad1
+            continue;
+        }
+        let body = index(rng, room - 1);
+        let kind = if rng.chance(0.3) { 1 } else { rng.range_inclusive(2, 255) as u8 };
+        out.extend([kind, body as u8]);
+        let at = out.len();
+        out.resize(at + body, 0);
+        if kind != 1 {
+            rng.fill_bytes(&mut out[at..]);
+        }
     }
+    out
 }
 
-/// A well-formed datagram: any addresses, class, flow label and hop limit,
-/// up to two extension headers in any order but a hop-by-hop one only
-/// first (RFC 8200 §4.1), up to 127 payload bytes.
-pub fn datagram(rng: &mut SplitMix64) -> Datagram {
-    let mut builder = Datagram::builder(addr(rng), addr(rng))
-        .traffic_class(rng.next_u64() as u8)
-        .flow_label(rng.below(1 << 20) as u32)
-        .hop_limit(rng.next_u64() as u8);
-    for at in 0..rng.below(3) {
-        builder = builder.extension(match extension(rng) {
-            ExtensionHeader::HopByHop(options) if at > 0 => {
-                ExtensionHeader::DestinationOptions(options)
-            }
-            header => header,
-        });
+/// One extension header of type `kind` whose next-header byte is `next`:
+/// an options header of one to four 8-byte units of TLVs, a routing header
+/// of any type and segment count with up to four units of body, or a
+/// fragment header with any offset, flags and identification.
+fn extension(rng: &mut SplitMix64, kind: NextHeader, next: NextHeader) -> Vec<u8> {
+    let units = match kind {
+        NextHeader::Fragment => 0,
+        NextHeader::Routing => 2 * rng.below(3) as u8,
+        _ => rng.below(4) as u8,
+    };
+    let mut header = vec![next.into(), units];
+    if matches!(kind, NextHeader::HopByHop | NextHeader::DestinationOptions) {
+        header.extend(options(rng, 6 + 8 * usize::from(units)));
+    } else {
+        header.resize(8 + 8 * usize::from(units), 0);
+        rng.fill_bytes(&mut header[2..]);
     }
-    builder.payload(NextHeader::Udp, bytes(rng, 127)).build()
+    header
+}
+
+/// A well-formed datagram's wire frame: any addresses, class, flow label
+/// and hop limit, up to three extension headers of any legal shape in any
+/// order but a hop-by-hop one only first (RFC 8200 §4.1), up to 127 UDP
+/// payload bytes.
+pub fn datagram(rng: &mut SplitMix64) -> Vec<u8> {
+    use NextHeader::{DestinationOptions, Fragment, HopByHop, Routing, Udp};
+    let kinds: Vec<NextHeader> = (0..rng.below(4))
+        .map(|at| match at {
+            0 => pick(rng, &[HopByHop, DestinationOptions, Routing, Fragment]),
+            _ => pick(rng, &[DestinationOptions, Routing, Fragment]),
+        })
+        .collect();
+    let mut chain = Vec::new();
+    for (at, &kind) in kinds.iter().enumerate() {
+        chain.extend(extension(rng, kind, kinds.get(at + 1).copied().unwrap_or(Udp)));
+    }
+    let payload = bytes(rng, 127);
+    let header = Ipv6Header {
+        traffic_class: rng.next_u64() as u8,
+        flow_label: rng.below(1 << 20) as u32,
+        payload_len: (chain.len() + payload.len()) as u16,
+        next_header: kinds.first().copied().unwrap_or(Udp),
+        hop_limit: rng.next_u64() as u8,
+        src: addr(rng),
+        dst: addr(rng),
+    };
+    [&header.to_bytes()[..], &chain, &payload].concat()
 }
 
 /// Any machine the wire can spell.
