@@ -139,6 +139,10 @@ if grep -nE 'enqueue_[b]atch\(|datagram_[t]o_words|bytes_[t]o_words|\.to_[b]ytes
     echo "evaluate.rs enqueues PreparedInput's packed frames, never a datagram"
     exit 1
 fi
+# An extension chain is the bytes it arrived in: no typed header model
+# beside the one walker (`exthdr::walk_chain`), no ICMPv6 parser and none
+# of the messages only it produced.
+if grep -rnE '[O]ptionsHeader|[R]outingHeader|[F]ragmentHeader|[E]xtensionHeader|parse_[c]hain|encode_[c]hain|Echo[R]equest|Parameter[P]roblem' crates src tests examples scripts; then exit 1; fi
 echo "guards ok"
 
 echo
