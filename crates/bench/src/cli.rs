@@ -32,7 +32,7 @@ pub struct Cli {
 
 /// The outcome of a successful parse: either the user asked for help, or
 /// the arguments resolved against the declaration.
-pub enum Parse {
+pub(crate) enum Parse {
     /// `--help`/`-h` was given; the caller should print [`Cli::help`].
     Help,
     /// Every argument resolved.
@@ -68,14 +68,19 @@ impl Cli {
     /// Declares a positional argument.  With a default it may be omitted;
     /// without one it is required.  Declaration order is argv order, and
     /// required positionals must precede defaulted ones.
-    pub fn positional(mut self, name: &'static str, help: &str, default: Option<&str>) -> Cli {
+    pub(crate) fn positional(
+        mut self,
+        name: &'static str,
+        help: &str,
+        default: Option<&str>,
+    ) -> Cli {
         self.positionals.push((name, help.to_owned(), default.map(str::to_owned)));
         self
     }
 
     /// The one-line synopsis, e.g.
     /// `usage: taco-cli table1 [options] [entries] [packet_bytes]`.
-    pub fn usage(&self) -> String {
+    pub(crate) fn usage(&self) -> String {
         let mut s = format!("usage: {}", self.name);
         if !self.flags.is_empty() || !self.opts.is_empty() {
             s.push_str(" [options]");
@@ -94,7 +99,7 @@ impl Cli {
     }
 
     /// The full generated help page.
-    pub fn help(&self) -> String {
+    pub(crate) fn help(&self) -> String {
         let mut s = format!("{} — {}\n\n{}\n", self.name, self.about, self.usage());
         if !self.positionals.is_empty() {
             s.push_str("\narguments:\n");
@@ -129,7 +134,7 @@ impl Cli {
 
     /// Resolves `args` (without the program name) against the declaration.
     /// Pure: errors come back as a message, help as [`Parse::Help`].
-    pub fn try_parse<I>(&self, args: I) -> Result<Parse, String>
+    pub(crate) fn try_parse<I>(&self, args: I) -> Result<Parse, String>
     where
         I: IntoIterator<Item = String>,
     {
@@ -208,7 +213,7 @@ impl Parsed {
     }
 
     /// The raw value of a positional (its default when omitted).
-    pub fn pos(&self, name: &str) -> &str {
+    pub(crate) fn pos(&self, name: &str) -> &str {
         self.positionals
             .iter()
             .find(|(n, _)| *n == name)
@@ -217,7 +222,7 @@ impl Parsed {
     }
 
     /// A positional parsed to `T`, with a readable error.
-    pub fn pos_parsed<T: FromStr>(&self, name: &str) -> Result<T, String> {
+    pub(crate) fn pos_parsed<T: FromStr>(&self, name: &str) -> Result<T, String> {
         parse_value(name, self.pos(name))
     }
 
@@ -228,7 +233,7 @@ impl Parsed {
 
     /// A comma-separated option read item by item (each trimmed) with
     /// `parse`, failing on the first item it rejects; `None` when absent.
-    pub fn opt_list<T>(
+    pub(crate) fn opt_list<T>(
         &self,
         name: &str,
         parse: impl Fn(&str) -> Result<T, String>,
@@ -240,12 +245,12 @@ impl Parsed {
 }
 
 /// Parses `raw` as `T`, naming `what` in the error message.
-pub fn parse_value<T: FromStr>(what: &str, raw: &str) -> Result<T, String> {
+pub(crate) fn parse_value<T: FromStr>(what: &str, raw: &str) -> Result<T, String> {
     raw.parse().map_err(|_| format!("{what}: cannot parse {raw:?}"))
 }
 
 /// The process-global evaluation cache's tally, on stderr.
-pub fn report_cache() {
+pub(crate) fn report_cache() {
     let cache = EvalCache::global();
     eprintln!(
         "evaluation cache: {} hits, {} misses, {} points stored",
@@ -259,7 +264,7 @@ pub fn report_cache() {
 /// timeline JSON (Perfetto, `chrome://tracing`) to `path`.  Through
 /// [`trace_request`], not the cache: a cache hit has no simulation to
 /// observe.
-pub fn write_chrome_trace(request: &EvalRequest, path: &str) -> Result<(), String> {
+pub(crate) fn write_chrome_trace(request: &EvalRequest, path: &str) -> Result<(), String> {
     let mut chrome = ChromeTracer::new(request.config.machine.buses());
     let stats =
         trace_request(request, &mut chrome).map_err(|e| format!("traced replay failed: {e}"))?;

@@ -66,24 +66,8 @@ impl Json {
         Json::Num(v.to_string())
     }
 
-    /// A number value from an `f64` using the shortest-round-trip
-    /// `Display`; non-finite values become [`Json::Null`] (JSON has no
-    /// `Infinity`/`NaN` literals — the wire layer's documented convention).
-    pub fn f64(v: f64) -> Json {
-        if v.is_finite() {
-            Json::Num(format!("{v}"))
-        } else {
-            Json::Null
-        }
-    }
-
-    /// A string value.
-    pub fn str(v: impl Into<String>) -> Json {
-        Json::Str(v.into())
-    }
-
     /// The string payload, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
+    pub(crate) fn as_str(&self) -> Option<&str> {
         match self {
             Json::Str(s) => Some(s),
             _ => None,
@@ -91,7 +75,7 @@ impl Json {
     }
 
     /// The boolean payload, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
+    pub(crate) fn as_bool(&self) -> Option<bool> {
         match self {
             Json::Bool(b) => Some(*b),
             _ => None,
@@ -100,7 +84,7 @@ impl Json {
 
     /// The number as an exact unsigned integer (rejects fractions,
     /// exponents, signs and anything beyond `u64::MAX`).
-    pub fn as_u64(&self) -> Option<u64> {
+    pub(crate) fn as_u64(&self) -> Option<u64> {
         match self {
             Json::Num(raw) => raw.parse().ok(),
             _ => None,
@@ -111,7 +95,7 @@ impl Json {
     /// literal).  A literal too large for the type (`1e400`) is not a
     /// number here: infinity is spelled `null` on the wire, and reading it
     /// from a numeral would give values the encoder cannot write back.
-    pub fn as_f64(&self) -> Option<f64> {
+    pub(crate) fn as_f64(&self) -> Option<f64> {
         match self {
             Json::Num(raw) => raw.parse().ok().filter(|v: &f64| v.is_finite()),
             _ => None,
@@ -119,7 +103,7 @@ impl Json {
     }
 
     /// The elements, if this is an array.
-    pub fn as_array(&self) -> Option<&[Json]> {
+    pub(crate) fn as_array(&self) -> Option<&[Json]> {
         match self {
             Json::Arr(items) => Some(items),
             _ => None,
@@ -127,7 +111,7 @@ impl Json {
     }
 
     /// The members in source order, if this is an object.
-    pub fn as_object(&self) -> Option<&[(String, Json)]> {
+    pub(crate) fn as_object(&self) -> Option<&[(String, Json)]> {
         match self {
             Json::Obj(members) => Some(members),
             _ => None,
@@ -135,7 +119,7 @@ impl Json {
     }
 
     /// `true` for [`Json::Null`].
-    pub fn is_null(&self) -> bool {
+    pub(crate) fn is_null(&self) -> bool {
         matches!(self, Json::Null)
     }
 
@@ -504,24 +488,22 @@ mod tests {
 
     #[test]
     fn floats_round_trip_exactly() {
-        for x in [0.1, 1.0 / 3.0, 32602163.461538464, 1e-300, 123456789.12345679] {
-            let v = Json::f64(x);
-            let back = Json::parse(&v.encode()).unwrap().as_f64().unwrap();
+        // The wire writes a float as its shortest-round-trip `Display`.
+        for x in [0.1f64, 1.0 / 3.0, 32602163.461538464, 1e-300, 123456789.12345679] {
+            let back = Json::parse(&format!("{x}")).unwrap().as_f64().unwrap();
             assert_eq!(back.to_bits(), x.to_bits(), "{x}");
         }
-        assert!(Json::f64(f64::INFINITY).is_null());
-        assert!(Json::f64(f64::NAN).is_null());
     }
 
     #[test]
     fn strings_escape_and_unescape() {
-        let v = Json::str("a\"b\\c\nd\te\u{1}f");
+        let v = Json::Str("a\"b\\c\nd\te\u{1}f".into());
         let enc = v.encode();
         assert_eq!(enc, "\"a\\\"b\\\\c\\nd\\te\\u0001f\"");
         assert_eq!(Json::parse(&enc).unwrap(), v);
         // Unicode escapes, including a surrogate pair.
-        assert_eq!(Json::parse("\"\\u00e9\"").unwrap(), Json::str("é"));
-        assert_eq!(Json::parse("\"\\ud83d\\ude00\"").unwrap(), Json::str("😀"));
+        assert_eq!(Json::parse("\"\\u00e9\"").unwrap(), Json::Str("é".into()));
+        assert_eq!(Json::parse("\"\\ud83d\\ude00\"").unwrap(), Json::Str("😀".into()));
         assert!(Json::parse("\"\\ud83d\"").is_err(), "lone high surrogate");
     }
 

@@ -66,11 +66,11 @@ use json::Json;
 use table::{must, record, scalar, unknown_tag, Bound, Raw, Record, Wire};
 
 /// The one-shot wire schema version (one request per connection).
-pub const API_VERSION: &str = "v1";
+pub(crate) const API_VERSION: &str = "v1";
 
 /// The multiplexed session schema version (persistent connections, every
 /// request id-tagged).
-pub const API_VERSION_V2: &str = "v2";
+pub(crate) const API_VERSION_V2: &str = "v2";
 
 /// Machine-readable failure classes, the `"code"` field of an error
 /// response.
@@ -94,7 +94,7 @@ impl ApiErrorCode {
     /// Every machine code, in wire-spelling order — the single exhaustive
     /// list the server, `taco-cli` and the round-trip tests share, so a
     /// new code cannot exist without a wire spelling and a parse.
-    pub const ALL: [ApiErrorCode; 5] = [
+    pub(crate) const ALL: [ApiErrorCode; 5] = [
         ApiErrorCode::BadRequest,
         ApiErrorCode::VersionMismatch,
         ApiErrorCode::Busy,
@@ -120,7 +120,7 @@ impl ApiErrorCode {
     }
 
     /// Parses a wire spelling back to a code.
-    pub fn from_str_opt(s: &str) -> Option<ApiErrorCode> {
+    pub(crate) fn from_str_opt(s: &str) -> Option<ApiErrorCode> {
         ApiErrorCode::ALL.into_iter().find(|code| code.as_str() == s)
     }
 }
@@ -143,7 +143,7 @@ impl ApiError {
 
     /// A [`ApiErrorCode::VersionMismatch`] error naming the found version
     /// and the supported ones.
-    pub fn version_mismatch(found: &str) -> Self {
+    pub(crate) fn version_mismatch(found: &str) -> Self {
         ApiError {
             code: ApiErrorCode::VersionMismatch,
             message: format!(
@@ -305,7 +305,7 @@ pub fn parse_fault_plan_name(name: &str) -> Result<FaultPlan, String> {
 /// Validates a line rate the way [`LineRate::new`] does, as a `Result`
 /// instead of a panic — the construction path wire requests and CLI flags
 /// share.
-pub fn validated_rate(bits_per_second: f64, packet_bytes: u32) -> Result<LineRate, String> {
+pub(crate) fn validated_rate(bits_per_second: f64, packet_bytes: u32) -> Result<LineRate, String> {
     if !(bits_per_second.is_normal() && bits_per_second > 0.0) {
         return Err(format!("rate must be a positive finite number, got {bits_per_second}"));
     }
@@ -1163,7 +1163,7 @@ pub(crate) mod tests {
                 if name != "cell" {
                     let mut bent = json.clone();
                     at(&mut bent, path)[slot].1 = match value {
-                        Json::Bool(_) => Json::str("x"),
+                        Json::Bool(_) => Json::Str("x".into()),
                         _ => Json::Bool(true),
                     };
                     let e = reread(&bent.encode()).expect_err("a value of the wrong type");

@@ -23,7 +23,7 @@ pub struct ArchConfig {
 
 impl ArchConfig {
     /// Creates an architecture instance.
-    pub fn new(machine: MachineConfig, table: RoutingTableKind) -> Self {
+    pub(crate) fn new(machine: MachineConfig, table: RoutingTableKind) -> Self {
         ArchConfig { machine, table }
     }
 

@@ -224,7 +224,7 @@ impl EvalCache {
         (report, false)
     }
 
-    /// Lookups answered from the map since creation (or [`Self::reset_counters`]).
+    /// Lookups answered from the map since creation.
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }
@@ -242,18 +242,6 @@ impl EvalCache {
     /// `true` if nothing has been cached yet.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Drops every stored result (counters are kept; pair with
-    /// [`Self::reset_counters`] for a full reset).
-    pub fn clear(&self) {
-        self.reports.lock().expect("cache lock").clear();
-    }
-
-    /// Zeroes the hit/miss counters.
-    pub fn reset_counters(&self) {
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
     }
 
     /// Writes every cached report to `path` as a versioned, checksummed
@@ -486,20 +474,6 @@ mod tests {
         assert_eq!(warm.load_snapshot_str(&body).expect("load"), 1);
         let (_, desc_hit) = warm.evaluate_recorded(&descriptor);
         assert!(desc_hit);
-    }
-
-    #[test]
-    fn clear_and_reset() {
-        let cache = EvalCache::new();
-        let req = request(ArchConfig::three_bus_one_fu(TableKind::Cam), LineRate::TEN_GBE, 8);
-        cache.evaluate(&req);
-        cache.clear();
-        assert!(cache.is_empty());
-        cache.reset_counters();
-        assert_eq!((cache.hits(), cache.misses()), (0, 0));
-        // After clearing, the same point misses again.
-        let (_, hit) = cache.evaluate_recorded(&req);
-        assert!(!hit);
     }
 
     #[test]

@@ -58,7 +58,7 @@ impl Default for Constraints {
 impl Constraints {
     /// Returns `true` if `report` fits the constraints (infeasible clocks
     /// never fit, and scenario drops beyond the bound disqualify).
-    pub fn admits(&self, report: &EvalReport) -> bool {
+    pub(crate) fn admits(&self, report: &EvalReport) -> bool {
         let physical = match report.estimate.feasible() {
             Some(e) => e.power_w <= self.max_power_w && e.area_mm2 <= self.max_area_mm2,
             None => false,

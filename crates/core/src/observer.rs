@@ -5,7 +5,6 @@
 //! in [`StderrProgress`] so long sweeps show what they are doing (and what
 //! the evaluation cache is saving) without polluting the stdout tables.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use crate::api::table::Wire;
@@ -74,7 +73,6 @@ impl SweepObserver for Silent {}
 pub struct StderrProgress {
     /// Also print the per-point `SimStats` JSON record.
     pub verbose: bool,
-    points_seen: AtomicU64,
 }
 
 impl StderrProgress {
@@ -85,18 +83,12 @@ impl StderrProgress {
 
     /// A reporter that appends the `SimStats` JSON record to every line.
     pub fn verbose() -> Self {
-        StderrProgress { verbose: true, points_seen: AtomicU64::new(0) }
-    }
-
-    /// Points reported so far (monotone; used by tests).
-    pub fn points_seen(&self) -> u64 {
-        self.points_seen.load(Ordering::Relaxed)
+        StderrProgress { verbose: true }
     }
 }
 
 impl SweepObserver for StderrProgress {
     fn on_point(&self, record: &PointRecord<'_>) {
-        self.points_seen.fetch_add(1, Ordering::Relaxed);
         let wall_ms = record.wall.as_secs_f64() * 1e3;
         let outcome = if record.cache_hit { "hit " } else { "miss" };
         let width = record.total.to_string().len();
@@ -135,7 +127,7 @@ mod tests {
     use taco_routing::TableKind;
 
     #[test]
-    fn stderr_progress_counts_points() {
+    fn stderr_progress_writes_a_point_and_a_summary() {
         let report =
             EvalRequest::new(ArchConfig::three_bus_one_fu(TableKind::Cam)).entries(8).run();
         let obs = StderrProgress::verbose();
@@ -148,7 +140,6 @@ mod tests {
         };
         obs.on_point(&record);
         obs.on_summary(&SweepSummary { points: 1, cache_hits: 0, admitted: 1, wall_ms: 5 });
-        assert_eq!(obs.points_seen(), 1);
     }
 
     #[test]

@@ -51,7 +51,7 @@ impl LineRate {
     }
 
     /// Packets per second at this rate.
-    pub fn packets_per_second(&self) -> f64 {
+    pub(crate) fn packets_per_second(&self) -> f64 {
         self.bits_per_second / (8.0 * f64::from(self.packet_bytes))
     }
 

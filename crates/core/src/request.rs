@@ -66,7 +66,7 @@ pub struct EvalRequest {
 
 impl EvalRequest {
     /// The paper-default table size (its "maximum size of 100 entries").
-    pub const DEFAULT_ENTRIES: usize = 100;
+    pub(crate) const DEFAULT_ENTRIES: usize = 100;
 
     /// A request for `config` with the paper's defaults: 10 GbE,
     /// [`Self::DEFAULT_ENTRIES`] routing-table entries, no workload.

@@ -61,16 +61,6 @@ impl Ipv6Address {
         Ipv6Address(o)
     }
 
-    /// Creates an address from eight 16-bit segments, most significant first
-    /// (the grouping used by the textual representation).
-    pub fn from_segments(segs: [u16; 8]) -> Self {
-        let mut o = [0u8; 16];
-        for (i, s) in segs.iter().enumerate() {
-            o[i * 2..i * 2 + 2].copy_from_slice(&s.to_be_bytes());
-        }
-        Ipv6Address(o)
-    }
-
     /// Returns the 16 raw octets in network order.
     pub const fn octets(&self) -> [u8; 16] {
         self.0
@@ -90,14 +80,6 @@ impl Ipv6Address {
         w
     }
 
-    /// Returns the address as eight 16-bit segments, most significant first.
-    pub fn to_segments(self) -> [u16; 8] {
-        let mut s = [0u16; 8];
-        for (i, item) in s.iter_mut().enumerate() {
-            *item = u16::from_be_bytes([self.0[i * 2], self.0[i * 2 + 1]]);
-        }
-        s
-    }
 
     /// Returns bit `index` of the address, where bit 0 is the most
     /// significant bit of the first octet.
@@ -153,11 +135,6 @@ impl Ipv6Address {
     /// Returns `true` for the unspecified address `::`.
     pub fn is_unspecified(&self) -> bool {
         *self == Self::UNSPECIFIED
-    }
-
-    /// Returns `true` for the loopback address `::1`.
-    pub fn is_loopback(&self) -> bool {
-        *self == Self::LOOPBACK
     }
 
     /// Returns a copy with all bits after the first `len` bits cleared.
@@ -260,13 +237,6 @@ mod tests {
     }
 
     #[test]
-    fn segments_round_trip() {
-        let addr = a("1:2:3:4:5:6:7:8");
-        assert_eq!(addr.to_segments(), [1, 2, 3, 4, 5, 6, 7, 8]);
-        assert_eq!(Ipv6Address::from_segments(addr.to_segments()), addr);
-    }
-
-    #[test]
     fn bit_extraction_msb_first() {
         let addr = a("8000::"); // only bit 0 set
         assert!(addr.bit(0));
@@ -306,7 +276,6 @@ mod tests {
         assert!(a("fe80::1").is_link_local());
         assert!(!a("fec0::1").is_link_local());
         assert!(Ipv6Address::UNSPECIFIED.is_unspecified());
-        assert!(Ipv6Address::LOOPBACK.is_loopback());
     }
 
     #[test]

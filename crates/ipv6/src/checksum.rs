@@ -33,7 +33,7 @@ impl Checksum {
     }
 
     /// Adds a 16-bit word to the running sum.
-    pub fn add_u16(&mut self, word: u16) {
+    pub(crate) fn add_u16(&mut self, word: u16) {
         self.sum += u32::from(word);
     }
 
@@ -61,7 +61,7 @@ impl Checksum {
     ///
     /// `upper_len` is the upper-layer packet length and `next_header` the
     /// final next-header value (e.g. 17 for UDP, 58 for ICMPv6).
-    pub fn add_pseudo_header(
+    pub(crate) fn add_pseudo_header(
         &mut self,
         src: &Ipv6Address,
         dst: &Ipv6Address,

@@ -35,8 +35,6 @@ pub enum NextHeader {
 impl NextHeader {
     /// UDP, spelled the way the builder API reads best.
     pub const UDP: NextHeader = NextHeader::Udp;
-    /// ICMPv6, spelled the way the builder API reads best.
-    pub const ICMPV6: NextHeader = NextHeader::Icmpv6;
 
     /// Returns `true` for values that introduce an extension header that the
     /// router must walk past to find the upper-layer protocol.

@@ -11,9 +11,9 @@ use crate::checksum::pseudo_header_checksum;
 use crate::header::{Ipv6Header, NextHeader};
 
 /// Protocol number of ICMPv6 in the IPv6 next-header field.
-pub const PROTOCOL: u8 = 58;
+pub(crate) const PROTOCOL: u8 = 58;
 
-/// Codes for [`Icmpv6Message::DestinationUnreachable`].
+/// Codes of a *destination unreachable* error (ICMPv6 type 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum UnreachableCode {
     /// No route to destination (code 0) — the routing-table miss case.
@@ -52,48 +52,6 @@ impl From<UnreachableCode> for u8 {
     }
 }
 
-/// The two ICMPv6 error messages the router emits, as values: the reference
-/// the frame writers below are tested against.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Icmpv6Message {
-    /// Type 1: the datagram could not be delivered. Carries as much of the
-    /// invoking packet as fits.
-    DestinationUnreachable {
-        /// Reason code.
-        code: UnreachableCode,
-        /// Leading bytes of the invoking datagram.
-        invoking: Vec<u8>,
-    },
-    /// Type 3 code 0: hop limit exceeded in transit.
-    TimeExceeded {
-        /// Leading bytes of the invoking datagram.
-        invoking: Vec<u8>,
-    },
-}
-
-impl Icmpv6Message {
-    /// The ICMPv6 type and code of this message.
-    pub fn type_code(&self) -> (u8, u8) {
-        match self {
-            Icmpv6Message::DestinationUnreachable { code, .. } => (1, (*code).into()),
-            Icmpv6Message::TimeExceeded { .. } => (3, 0),
-        }
-    }
-
-    /// Serializes the message, computing the checksum over the pseudo-header
-    /// formed from `src`/`dst`.
-    pub fn to_bytes(&self, src: &Ipv6Address, dst: &Ipv6Address) -> Vec<u8> {
-        let (ty, code) = self.type_code();
-        let (Icmpv6Message::DestinationUnreachable { invoking, .. }
-        | Icmpv6Message::TimeExceeded { invoking }) = self;
-        let mut out = vec![ty, code, 0, 0, 0, 0, 0, 0]; // checksum below; 4 unused
-        out.extend_from_slice(invoking);
-        let c = pseudo_header_checksum(src, dst, PROTOCOL, &out);
-        out[2..4].copy_from_slice(&c.to_be_bytes());
-        out
-    }
-}
-
 /// The RFC 2463 limit on the invoking bytes an error quotes: what fits in a
 /// 1280-byte minimum-MTU IPv6 packet with the ICMPv6 error wrapped around
 /// it (40-byte IPv6 header + 8-byte ICMP prologue).
@@ -108,9 +66,9 @@ pub fn time_exceeded_frame(src: &Ipv6Address, dst: &Ipv6Address, invoking: &[u8]
 /// A *destination unreachable* error about `invoking`, from `src` to `dst`,
 /// as one complete wire frame: the fixed header (hop limit 64), the ICMPv6
 /// prologue and the invoking bytes up to the RFC 2463 limit, written once
-/// into one buffer.  Byte for byte what wrapping
-/// [`Icmpv6Message::to_bytes`] of the truncated invoking bytes in a
-/// [`Datagram`](crate::Datagram) serialises to.
+/// into one buffer.  Byte for byte what a [`Datagram`](crate::Datagram)
+/// wrapping the message built from the truncated invoking bytes serialises
+/// to (the tests build it from an `Icmpv6Message` value).
 pub fn unreachable_frame(
     src: &Ipv6Address,
     dst: &Ipv6Address,
@@ -148,6 +106,48 @@ fn error_frame(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The two ICMPv6 error messages the router emits, as values: the reference
+    /// the frame writers above are tested against.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    enum Icmpv6Message {
+        /// Type 1: the datagram could not be delivered. Carries as much of the
+        /// invoking packet as fits.
+        DestinationUnreachable {
+            /// Reason code.
+            code: UnreachableCode,
+            /// Leading bytes of the invoking datagram.
+            invoking: Vec<u8>,
+        },
+        /// Type 3 code 0: hop limit exceeded in transit.
+        TimeExceeded {
+            /// Leading bytes of the invoking datagram.
+            invoking: Vec<u8>,
+        },
+    }
+
+    impl Icmpv6Message {
+        /// The ICMPv6 type and code of this message.
+        fn type_code(&self) -> (u8, u8) {
+            match self {
+                Icmpv6Message::DestinationUnreachable { code, .. } => (1, (*code).into()),
+                Icmpv6Message::TimeExceeded { .. } => (3, 0),
+            }
+        }
+
+        /// Serializes the message, computing the checksum over the pseudo-header
+        /// formed from `src`/`dst`.
+        fn to_bytes(&self, src: &Ipv6Address, dst: &Ipv6Address) -> Vec<u8> {
+            let (ty, code) = self.type_code();
+            let (Icmpv6Message::DestinationUnreachable { invoking, .. }
+            | Icmpv6Message::TimeExceeded { invoking }) = self;
+            let mut out = vec![ty, code, 0, 0, 0, 0, 0, 0]; // checksum below; 4 unused
+            out.extend_from_slice(invoking);
+            let c = pseudo_header_checksum(src, dst, PROTOCOL, &out);
+            out[2..4].copy_from_slice(&c.to_be_bytes());
+            out
+        }
+    }
 
     fn addrs() -> (Ipv6Address, Ipv6Address) {
         ("2001:db8::1".parse().unwrap(), "2001:db8::2".parse().unwrap())

@@ -147,7 +147,6 @@ impl Datagram {
         DatagramBuilder {
             src,
             dst,
-            traffic_class: 0,
             flow_label: 0,
             hop_limit: 64,
             upper: NextHeader::NoNextHeader,
@@ -209,7 +208,6 @@ impl Datagram {
 pub struct DatagramBuilder {
     src: Ipv6Address,
     dst: Ipv6Address,
-    traffic_class: u8,
     flow_label: u32,
     hop_limit: u8,
     upper: NextHeader,
@@ -217,12 +215,6 @@ pub struct DatagramBuilder {
 }
 
 impl DatagramBuilder {
-    /// Sets the traffic class (default 0).
-    pub fn traffic_class(mut self, tc: u8) -> Self {
-        self.traffic_class = tc;
-        self
-    }
-
     /// Sets the flow label (default 0).
     ///
     /// # Panics
@@ -249,7 +241,7 @@ impl DatagramBuilder {
     /// Finishes the datagram, computing `payload_len` and `next_header`.
     pub fn build(self) -> Datagram {
         let header = Ipv6Header {
-            traffic_class: self.traffic_class,
+            traffic_class: 0,
             flow_label: self.flow_label,
             payload_len: self.payload.len() as u16,
             next_header: self.upper,

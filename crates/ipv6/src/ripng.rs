@@ -19,7 +19,7 @@ pub const PORT: u16 = 521;
 pub const INFINITY_METRIC: u8 = 16;
 
 /// Marker metric identifying a next-hop RTE (RFC 2080 §2.1.1).
-pub const NEXT_HOP_METRIC: u8 = 0xff;
+pub(crate) const NEXT_HOP_METRIC: u8 = 0xff;
 
 /// RIPng command field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -64,7 +64,7 @@ pub struct RouteEntry {
 
 impl RouteEntry {
     /// Wire length of one RTE: 20 bytes.
-    pub const LEN: usize = 20;
+    pub(crate) const LEN: usize = 20;
 
     /// Creates an ordinary route entry.
     ///
@@ -153,7 +153,7 @@ pub struct RipngPacket {
 
 impl RipngPacket {
     /// RIPng protocol version implemented here.
-    pub const VERSION: u8 = 1;
+    pub(crate) const VERSION: u8 = 1;
 
     /// Builds the canonical "send me your whole table" request
     /// (RFC 2080 §2.4.1: one RTE with the zero prefix and infinity metric).

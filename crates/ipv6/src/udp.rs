@@ -8,7 +8,7 @@ use crate::checksum::pseudo_header_checksum;
 use crate::error::ParseError;
 
 /// Protocol number of UDP in the IPv6 next-header field.
-pub const PROTOCOL: u8 = 17;
+pub(crate) const PROTOCOL: u8 = 17;
 
 /// The 8-byte UDP header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -25,14 +25,14 @@ pub struct UdpHeader {
 
 impl UdpHeader {
     /// Wire length of the UDP header: 8 bytes.
-    pub const LEN: usize = 8;
+    pub(crate) const LEN: usize = 8;
 
     /// Parses the header from the front of `bytes`.
     ///
     /// # Errors
     ///
     /// Returns [`ParseError::Truncated`] if fewer than 8 bytes are available.
-    pub fn parse(bytes: &[u8]) -> Result<Self, ParseError> {
+    pub(crate) fn parse(bytes: &[u8]) -> Result<Self, ParseError> {
         if bytes.len() < Self::LEN {
             return Err(ParseError::Truncated {
                 what: "udp header",
@@ -49,7 +49,7 @@ impl UdpHeader {
     }
 
     /// Serializes the header.
-    pub fn to_bytes(&self) -> [u8; Self::LEN] {
+    pub(crate) fn to_bytes(self) -> [u8; Self::LEN] {
         let mut b = [0u8; Self::LEN];
         b[0..2].copy_from_slice(&self.src_port.to_be_bytes());
         b[2..4].copy_from_slice(&self.dst_port.to_be_bytes());

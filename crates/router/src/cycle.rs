@@ -30,7 +30,7 @@ use crate::microcode::{choose_screen_word, pad_sequential_image, program_for, Mi
 /// The table is shared, so every router built from one [`TableImage`]
 /// searches the same copy.
 #[derive(Debug)]
-pub struct CamBackend(pub Arc<CamTable>);
+pub(crate) struct CamBackend(pub Arc<CamTable>);
 
 impl RtuBackend for CamBackend {
     fn lookup(&self, key: [u32; 4]) -> Option<RtuResult> {
@@ -258,11 +258,6 @@ impl CycleRouter {
             self.processor.memory_mut().load(addr, zeros).expect("slot was loaded before");
         }
         self.malformed_rejected = 0;
-    }
-
-    /// The table organisation this instance implements.
-    pub fn kind(&self) -> TableKind {
-        self.kind
     }
 
     /// The underlying simulator, for fine-grained inspection.
@@ -515,7 +510,7 @@ mod tests {
     fn every_kind_forwards_longest_match() {
         for kind in TableKind::ALL_KINDS {
             let mut r = router(kind, MachineConfig::three_bus_one_fu(), &nested_routes());
-            assert_eq!(r.kind(), kind);
+            assert_eq!(r.kind, kind);
             r.enqueue(PortId(0), &dgram("2001:db8:aa::5", 64)).unwrap();
             r.enqueue(PortId(0), &dgram("2001:db8:bb::5", 64)).unwrap();
             r.enqueue(PortId(0), &dgram("9999::1", 64)).unwrap();

@@ -18,7 +18,7 @@ pub const TABLE_BASE: u32 = 0x100;
 
 /// First word address of the datagram buffer area, for table images that
 /// end below it (see [`dgram_base`]).
-pub const DGRAM_BASE: u32 = 0x2000;
+pub(crate) const DGRAM_BASE: u32 = 0x2000;
 
 /// Words reserved per buffered datagram (2 KiB — enough for any packet the
 /// paper's line cards deliver on Ethernet).
@@ -34,20 +34,17 @@ pub const SEQ_ENTRY_WORDS: u32 = 12;
 /// Words per balanced-tree node:
 /// `[key0, key1, key2, key3, left, right, iface, handle]`, where `left` and
 /// `right` are absolute word addresses or [`NULL_PTR`].
-pub const TREE_NODE_WORDS: u32 = 8;
+pub(crate) const TREE_NODE_WORDS: u32 = 8;
 
 /// Null child pointer in tree nodes.
-pub const NULL_PTR: u32 = 0xffff_ffff;
+pub(crate) const NULL_PTR: u32 = 0xffff_ffff;
 
 /// Interface value meaning "no route" in table images and RTU results.
-pub const MISS_IFACE: u32 = 0xffff_ffff;
+pub(crate) const MISS_IFACE: u32 = 0xffff_ffff;
 
 /// Word offset of the destination address inside a buffered datagram
 /// (bytes 24–39 of the IPv6 header).
 pub const DST_ADDR_WORD: u32 = 6;
-
-/// Word offset of the `payload len | next header | hop limit` word.
-pub const HOP_LIMIT_WORD: u32 = 1;
 
 /// Packs a datagram into big-endian 32-bit words (zero-padded tail).
 ///
@@ -74,7 +71,7 @@ pub fn datagram_to_words(d: &Datagram) -> Vec<u32> {
 /// Packs raw wire bytes into big-endian 32-bit words (zero-padded tail) —
 /// the same image [`datagram_to_words`] produces, without requiring the
 /// bytes to parse (fault injection feeds malformed frames through here).
-pub fn bytes_to_words(bytes: &[u8]) -> Vec<u32> {
+pub(crate) fn bytes_to_words(bytes: &[u8]) -> Vec<u32> {
     bytes
         .chunks(4)
         .map(|c| {
@@ -137,7 +134,7 @@ pub fn serialize_sequential(table: &SequentialTable) -> Vec<u32> {
 /// the best candidate and descend right; the candidate's `iface`/`handle`
 /// answer the lookup ([`MISS_IFACE`] for segments not covered by any
 /// route).
-pub fn serialize_tree(table: &BalancedTreeTable) -> Vec<u32> {
+pub(crate) fn serialize_tree(table: &BalancedTreeTable) -> Vec<u32> {
     struct Seg {
         key: [u32; 4],
         iface: u32,
@@ -201,12 +198,6 @@ pub fn serialize_tree(table: &BalancedTreeTable) -> Vec<u32> {
     out
 }
 
-/// Depth of the serialised balanced BST for `n` segments — the worst-case
-/// node count a descent visits.
-pub fn tree_depth(n_segments: usize) -> u32 {
-    (usize::BITS - n_segments.leading_zeros()).max(1)
-}
-
 /// Words per PATRICIA node:
 /// `[left, right, iface, handle, branch_off, branch_mask, mask0, pfx0,
 /// mask1, pfx1, mask2, pfx2, mask3, pfx3, 0, 0]`.
@@ -217,7 +208,7 @@ pub fn tree_depth(n_segments: usize) -> u32 {
 /// interleaved mask/prefix pairs let the walk verify the *whole* node
 /// prefix — path compression skips bits, so the descent path does not
 /// imply them.
-pub const PAT_NODE_WORDS: u32 = 16;
+pub(crate) const PAT_NODE_WORDS: u32 = 16;
 
 /// Serialises a PATRICIA table into its memory image, rooted at
 /// [`TABLE_BASE`].
@@ -226,7 +217,7 @@ pub const PAT_NODE_WORDS: u32 = 16;
 /// destination (mismatch ends the walk), remembers the last
 /// route-carrying node (`iface != MISS_IFACE`), and descends by the bit
 /// `branch_off`/`branch_mask` select; a null child ends the walk.
-pub fn serialize_patricia(table: &taco_routing::PatriciaTable) -> Vec<u32> {
+pub(crate) fn serialize_patricia(table: &taco_routing::PatriciaTable) -> Vec<u32> {
     let addr_of = |idx: Option<usize>| -> u32 {
         match idx {
             Some(i) => TABLE_BASE + i as u32 * PAT_NODE_WORDS,
@@ -287,7 +278,8 @@ mod tests {
             .payload(NextHeader::Udp, vec![0u8; 8])
             .build();
         let words = datagram_to_words(&d);
-        assert_eq!(words[HOP_LIMIT_WORD as usize] & 0xff, 64);
+        // Word 1 is `payload len | next header | hop limit`.
+        assert_eq!(words[1] & 0xff, 64);
         assert_eq!(words[DST_ADDR_WORD as usize], 0xaaaa_bbbb);
         assert_eq!(words[DST_ADDR_WORD as usize + 3], 0x0000_00cc);
     }
@@ -323,14 +315,6 @@ mod tests {
         assert_eq!(left[0], 0);
         assert_eq!(left[6], MISS_IFACE);
         assert_eq!(img[5], NULL_PTR); // root has no right child
-    }
-
-    #[test]
-    fn tree_depth_bounds() {
-        assert_eq!(tree_depth(1), 1);
-        assert_eq!(tree_depth(2), 2);
-        assert_eq!(tree_depth(201), 8);
-        assert_eq!(tree_depth(3), 2);
     }
 
     #[test]

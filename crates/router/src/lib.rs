@@ -54,7 +54,7 @@ pub mod rng;
 pub mod router;
 pub mod traffic;
 
-pub use cycle::{CamBackend, CycleRouter};
+pub use cycle::CycleRouter;
 pub use linecard::LineCard;
 pub use microcode::MicrocodeOptions;
 pub use reference::{DropReason, ForwardDecision, ForwardingStats, ReferenceRouter};

@@ -21,7 +21,7 @@ use taco_ipv6::Datagram;
 use taco_routing::PortId;
 
 /// Default Ethernet MTU in bytes.
-pub const DEFAULT_MTU: usize = 1500;
+pub(crate) const DEFAULT_MTU: usize = 1500;
 
 /// One line card: a router port with input and output buffers.
 #[derive(Debug, Clone)]
@@ -32,7 +32,6 @@ pub struct LineCard {
     link_up: bool,
     input: VecDeque<Vec<u8>>,
     output: Vec<Vec<u8>>,
-    dropped_oversize: u64,
     dropped_overflow: u64,
     dropped_link_down: u64,
     polled: u64,
@@ -47,7 +46,6 @@ impl Default for LineCard {
             link_up: true,
             input: VecDeque::new(),
             output: Vec::new(),
-            dropped_oversize: 0,
             dropped_overflow: 0,
             dropped_link_down: 0,
             polled: 0,
@@ -58,38 +56,26 @@ impl Default for LineCard {
 impl LineCard {
     /// Creates a line card for `port` with the default Ethernet MTU and an
     /// unbounded input buffer.
-    pub fn new(port: PortId) -> Self {
+    pub(crate) fn new(port: PortId) -> Self {
         LineCard { port, ..LineCard::default() }
-    }
-
-    /// Creates a line card with an explicit MTU.
-    pub fn with_mtu(port: PortId, mtu: usize) -> Self {
-        LineCard { port, mtu, ..LineCard::default() }
     }
 
     /// Bounds the input buffer to `capacity` datagrams; arrivals beyond it
     /// are tail-dropped (counted by [`LineCard::dropped_overflow`]).  Real
     /// cards have finite ingress FIFOs — this is what makes overload
     /// scenarios measure drops instead of growing an infinite queue.
-    pub fn with_capacity(mut self, capacity: usize) -> Self {
-        self.capacity = capacity;
-        self
-    }
-
-    /// Sets the input-buffer bound on an existing card (see
-    /// [`LineCard::with_capacity`]); already-queued datagrams are kept even
-    /// if they exceed the new bound.
+    /// Already-queued datagrams are kept even if they exceed the new bound.
     pub fn set_capacity(&mut self, capacity: usize) {
         self.capacity = capacity;
     }
 
     /// The port this card serves.
-    pub fn port(&self) -> PortId {
+    pub(crate) fn port(&self) -> PortId {
         self.port
     }
 
     /// The configured MTU in bytes.
-    pub fn mtu(&self) -> usize {
+    pub(crate) fn mtu(&self) -> usize {
         self.mtu
     }
 
@@ -111,7 +97,6 @@ impl LineCard {
             return false;
         }
         if bytes.len() > self.mtu {
-            self.dropped_oversize += 1;
             return false;
         }
         if self.input.len() >= self.capacity {
@@ -123,7 +108,7 @@ impl LineCard {
     }
 
     /// The processor polls the input buffer (the iPPU's scan).
-    pub fn poll_input(&mut self) -> Option<Vec<u8>> {
+    pub(crate) fn poll_input(&mut self) -> Option<Vec<u8>> {
         let d = self.input.pop_front();
         if d.is_some() {
             self.polled += 1;
@@ -135,11 +120,6 @@ impl LineCard {
     /// by [`LineCard::dropped_link_down`]) until it comes back up.
     pub fn set_link_up(&mut self, up: bool) {
         self.link_up = up;
-    }
-
-    /// Whether the link currently has carrier.
-    pub fn link_up(&self) -> bool {
-        self.link_up
     }
 
     /// Frames refused while the link was down.
@@ -154,7 +134,7 @@ impl LineCard {
 
     /// The processor writes a finished frame to the output buffer (the
     /// oPPU's drain).
-    pub fn transmit(&mut self, frame: Vec<u8>) {
+    pub(crate) fn transmit(&mut self, frame: Vec<u8>) {
         self.output.push(frame);
     }
 
@@ -173,16 +153,6 @@ impl LineCard {
     /// tick's transmissions reuse the allocation instead of regrowing it.
     pub fn clear_transmitted(&mut self) {
         self.output.clear();
-    }
-
-    /// Oversize datagrams rejected at ingress.
-    pub fn dropped_oversize(&self) -> u64 {
-        self.dropped_oversize
-    }
-
-    /// Input-buffer capacity in datagrams (`usize::MAX` when unbounded).
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Datagrams tail-dropped because the input buffer was full.
@@ -229,15 +199,13 @@ mod tests {
         assert!(lc.receive_raw(garbage.clone()));
         assert_eq!(lc.poll_input(), Some(garbage));
         // The MTU check still applies to raw bytes.
-        let mut small = LineCard::with_mtu(PortId(1), 8);
-        assert!(!small.receive_raw(vec![0u8; 9]));
-        assert_eq!(small.dropped_oversize(), 1);
+        assert!(!lc.receive_raw(vec![0u8; DEFAULT_MTU + 1]));
+        assert_eq!(lc.pending(), 0);
     }
 
     #[test]
     fn down_link_refuses_all_input() {
         let mut lc = LineCard::new(PortId(0));
-        assert!(lc.link_up());
         lc.set_link_up(false);
         assert!(!lc.receive(&dgram(1)));
         assert!(!lc.receive_raw(vec![1, 2, 3]));
@@ -250,10 +218,9 @@ mod tests {
 
     #[test]
     fn oversize_dropped() {
-        let mut lc = LineCard::with_mtu(PortId(1), 100);
-        assert!(!lc.receive(&dgram(200)));
+        let mut lc = LineCard::new(PortId(1));
+        assert!(!lc.receive(&dgram(DEFAULT_MTU)));
         assert!(lc.receive(&dgram(10)));
-        assert_eq!(lc.dropped_oversize(), 1);
         assert_eq!(lc.pending(), 1);
     }
 
@@ -276,12 +243,12 @@ mod tests {
         let lc = LineCard::new(PortId(3));
         assert_eq!(lc.port(), PortId(3));
         assert_eq!(lc.mtu(), DEFAULT_MTU);
-        assert_eq!(lc.capacity(), usize::MAX);
     }
 
     #[test]
     fn bounded_buffer_tail_drops() {
-        let mut lc = LineCard::new(PortId(4)).with_capacity(2);
+        let mut lc = LineCard::new(PortId(4));
+        lc.set_capacity(2);
         assert!(lc.receive(&dgram(1)));
         assert!(lc.receive(&dgram(2)));
         assert!(!lc.receive(&dgram(3)));

@@ -125,7 +125,7 @@ impl<T: LpmTable> ReferenceRouter<T> {
     }
 
     /// Mutable access to the forwarding table.
-    pub fn table_mut(&mut self) -> &mut T {
+    pub(crate) fn table_mut(&mut self) -> &mut T {
         &mut self.table
     }
 

@@ -73,7 +73,7 @@ impl SplitMix64 {
     /// # Panics
     ///
     /// Panics if `n` exceeds 128.
-    pub fn coin_tosses(&mut self, n: u32) -> u128 {
+    pub(crate) fn coin_tosses(&mut self, n: u32) -> u128 {
         assert!(n <= 128, "{n} tosses do not fit a u128");
         #[cfg(target_arch = "x86_64")]
         if avx512::detected() {
@@ -87,11 +87,6 @@ impl SplitMix64 {
     /// [`coin_tosses`](Self::coin_tosses) one step at a time.
     fn coin_tosses_fold(&mut self, n: u32) -> u128 {
         (0..n).fold(0u128, |tosses, _| tosses << 1 | u128::from(!self.next_u64() >> 63))
-    }
-
-    /// The next 32 uniformly distributed bits (the high half of a step).
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
     }
 
     /// Fills `buf` with uniformly distributed bytes.

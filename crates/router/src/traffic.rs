@@ -32,7 +32,7 @@ impl TrafficGen {
 
     /// A random global-unicast prefix with length in `16..=64` (multiples
     /// of 4, like real allocations).
-    pub fn prefix(&mut self) -> Ipv6Prefix {
+    pub(crate) fn prefix(&mut self) -> Ipv6Prefix {
         let len = (self.rng.range_inclusive(4, 16) * 4) as u8;
         let mut octets = [0u8; 16];
         self.rng.fill_bytes(&mut octets);
@@ -73,7 +73,7 @@ impl TrafficGen {
     /// /32 provider allocations, with a long tail of intermediate
     /// aggregates and a few short RIR super-blocks).  Weights are
     /// per-mille so the distribution is integer-exact and reproducible.
-    pub fn bgp_prefix_len(&mut self) -> u8 {
+    pub(crate) fn bgp_prefix_len(&mut self) -> u8 {
         const LENGTH_MASS: [(u8, u16); 17] = [
             (48, 470),
             (32, 130),
@@ -105,7 +105,7 @@ impl TrafficGen {
 
     /// A BGP-shaped global-unicast prefix: length from
     /// [`TrafficGen::bgp_prefix_len`], address in `2000::/3`.
-    pub fn bgp_prefix(&mut self) -> Ipv6Prefix {
+    pub(crate) fn bgp_prefix(&mut self) -> Ipv6Prefix {
         let len = self.bgp_prefix_len();
         let mut octets = [0u8; 16];
         self.rng.fill_bytes(&mut octets);
@@ -178,7 +178,7 @@ impl TrafficGen {
     }
 
     /// A random link-local address (`fe80::/64` host part).
-    pub fn link_local(&mut self) -> Ipv6Address {
+    pub(crate) fn link_local(&mut self) -> Ipv6Address {
         let mut octets = [0u8; 16];
         self.rng.fill_bytes(&mut octets[8..]);
         octets[0] = 0xfe;
@@ -196,7 +196,7 @@ impl TrafficGen {
 
     /// A destination drawn from `routes` with probability `hit_ratio`,
     /// otherwise a (very likely) unrouted address in `4000::/4`.
-    pub fn destination(&mut self, routes: &[Route], hit_ratio: f64) -> Ipv6Address {
+    pub(crate) fn destination(&mut self, routes: &[Route], hit_ratio: f64) -> Ipv6Address {
         if !routes.is_empty() && self.rng.chance(hit_ratio) {
             let r = routes[self.rng.below(routes.len() as u64) as usize];
             self.addr_in(&r.prefix())
@@ -218,12 +218,6 @@ impl TrafficGen {
         let hop_limit = self.rng.range_inclusive(2, 255) as u8;
         let flow_label = self.rng.below(1 << 20) as u32;
         data_frame(Ipv6Address::new(src), dst, hop_limit, flow_label, payload_len)
-    }
-
-    /// A forwarding datagram to `dst` with `payload_len` payload bytes:
-    /// [`TrafficGen::frame`], parsed.
-    pub fn datagram(&mut self, dst: Ipv6Address, payload_len: usize) -> Datagram {
-        parsed(&self.frame(dst, payload_len))
     }
 
     /// One arrival of a forwarding workload over `routes`: the port it
@@ -475,9 +469,6 @@ mod tests {
             "the stream moved"
         );
         let dst = g.destination(&routes, 0.9);
-        // The frame writer and the datagram it parses to: one draw, one
-        // image.
-        let mut again = g.clone();
         let frame = g.frame(dst, 8);
         assert_eq!(
             hex(&frame),
@@ -485,8 +476,6 @@ mod tests {
              2eec825a95d43bbe6b1b878c7d45c69f0000000000000000",
             "the stream moved"
         );
-        assert_eq!(again.datagram(dst, 8).to_bytes(), frame);
-        assert_eq!(again.rng, g.rng, "datagram() draws what frame() draws");
     }
 
     #[test]

@@ -16,7 +16,7 @@ use std::ops::{Index, IndexMut};
 
 /// A flat node store with index links and slot reuse.
 #[derive(Debug, Clone)]
-pub struct Arena<T> {
+pub(crate) struct Arena<T> {
     slots: Vec<T>,
     /// Indices of released slots, reused by the next allocations.
     free: Vec<usize>,
@@ -24,13 +24,13 @@ pub struct Arena<T> {
 
 impl<T: Default> Arena<T> {
     /// Creates an arena whose root (slot 0) is `root`.
-    pub fn with_root(root: T) -> Self {
+    pub(crate) fn with_root(root: T) -> Self {
         Arena { slots: vec![root], free: Vec::new() }
     }
 
     /// Stores `value`, reusing a released slot when one is available, and
     /// returns its index.
-    pub fn alloc(&mut self, value: T) -> usize {
+    pub(crate) fn alloc(&mut self, value: T) -> usize {
         match self.free.pop() {
             Some(slot) => {
                 self.slots[slot] = value;
@@ -45,7 +45,7 @@ impl<T: Default> Arena<T> {
 
     /// Returns `idx` to the free list, resetting the slot so stale data
     /// cannot leak into serialisation views.  The root is never released.
-    pub fn release(&mut self, idx: usize) {
+    pub(crate) fn release(&mut self, idx: usize) {
         debug_assert!(idx != 0, "the root slot is never released");
         self.slots[idx] = T::default();
         self.free.push(idx);
@@ -54,23 +54,18 @@ impl<T: Default> Arena<T> {
     /// Total number of slots, including free-listed ones — the size metric
     /// the scaling ablation and the memory-footprint model report.  Under
     /// churn this stays bounded because released slots are reused.
-    pub fn slot_count(&self) -> usize {
+    pub(crate) fn slot_count(&self) -> usize {
         self.slots.len()
-    }
-
-    /// Slots currently sitting on the free list, awaiting reuse.
-    pub fn free_count(&self) -> usize {
-        self.free.len()
     }
 
     /// Iterates every slot (live and released) in index order — released
     /// slots read as `T::default()`.
-    pub fn iter(&self) -> std::slice::Iter<'_, T> {
+    pub(crate) fn iter(&self) -> std::slice::Iter<'_, T> {
         self.slots.iter()
     }
 
     /// Drops every node and the free list, reinstalling `root` at slot 0.
-    pub fn reset(&mut self, root: T) {
+    pub(crate) fn reset(&mut self, root: T) {
         self.slots.clear();
         self.slots.push(root);
         self.free.clear();
@@ -102,10 +97,10 @@ mod tests {
         let y = a.alloc(20);
         assert_eq!((x, y), (1, 2));
         a.release(x);
-        assert_eq!(a.free_count(), 1);
+        assert_eq!(a.free.len(), 1);
         assert_eq!(a[x], 0, "released slots are reset to default");
         assert_eq!(a.alloc(30), x, "the free slot is reused before growing");
-        assert_eq!((a.slot_count(), a.free_count()), (3, 0));
+        assert_eq!((a.slot_count(), a.free.len()), (3, 0));
         assert_eq!((a[0], a[1], a[2]), (0, 30, 20));
     }
 
@@ -115,6 +110,6 @@ mod tests {
         a.alloc(1);
         a.release(1);
         a.reset(9);
-        assert_eq!((a.slot_count(), a.free_count(), a[0]), (1, 0, 9));
+        assert_eq!((a.slot_count(), a.free.len(), a[0]), (1, 0, 9));
     }
 }

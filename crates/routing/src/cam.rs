@@ -112,7 +112,7 @@ impl CamTable {
     }
 
     /// Creates an empty table with explicit chip parameters.
-    pub fn with_spec(spec: CamSpec) -> Self {
+    pub(crate) fn with_spec(spec: CamSpec) -> Self {
         CamTable { spec, rows: SequentialTable::new() }
     }
 
@@ -121,7 +121,7 @@ impl CamTable {
     /// # Panics
     ///
     /// Panics if the routes need more rows than the chip has.
-    pub fn from_routes<I: IntoIterator<Item = Route>>(routes: I) -> Self {
+    pub(crate) fn from_routes<I: IntoIterator<Item = Route>>(routes: I) -> Self {
         Self::try_from_routes(&routes.into_iter().collect::<Vec<_>>())
             .unwrap_or_else(|capacity| panic!("cam capacity {capacity} exceeded"))
     }
@@ -145,17 +145,6 @@ impl CamTable {
     /// The chip parameters.
     pub fn spec(&self) -> &CamSpec {
         &self.spec
-    }
-
-    /// Remaining free rows.
-    pub fn free_rows(&self) -> usize {
-        self.spec.capacity.saturating_sub(self.rows.len())
-    }
-
-    /// The rows in CAM priority order — the image the router would program
-    /// into the chip.
-    pub fn rows(&self) -> &[Route] {
-        self.rows.entries()
     }
 
     /// [`LpmTable::insert`] that reports a full chip instead of panicking:
@@ -270,7 +259,7 @@ mod tests {
         let t = CamTable::from_routes([r("::/0", 0), r("2001:db8::/32", 1), r("2001:db8::/64", 2)]);
         assert_eq!(t.lookup(&a("2001:db8::1")).route().unwrap().interface(), PortId(2));
         assert_eq!(t.lookup(&a("2001:db8:1::1")).route().unwrap().interface(), PortId(1));
-        let lens: Vec<u8> = t.rows().iter().map(|x| x.prefix().len()).collect();
+        let lens: Vec<u8> = t.rows.entries().iter().map(|x| x.prefix().len()).collect();
         assert_eq!(lens, vec![64, 32, 0]);
     }
 
@@ -312,8 +301,9 @@ mod tests {
         let mut full = rows[..capacity].to_vec();
         full.push(rows[0]);
         let t = CamTable::try_from_routes(&full).expect("fits");
-        assert_eq!((t.len(), t.free_rows()), (capacity, 0));
-        assert_eq!(t.rows(), CamTable::from_routes(rows[..capacity].to_vec()).rows());
+        assert_eq!(t.len(), capacity);
+        let table = CamTable::from_routes(rows[..capacity].to_vec());
+        assert_eq!(t.rows.entries(), table.rows.entries());
     }
 
     #[test]
@@ -337,9 +327,7 @@ mod tests {
     }
 
     #[test]
-    fn spec_display_and_free_rows() {
-        let t = CamTable::new();
-        assert!(t.spec().to_string().contains("136-bit"));
-        assert_eq!(t.free_rows(), t.spec().capacity);
+    fn spec_display() {
+        assert!(CamTable::new().spec().to_string().contains("136-bit"));
     }
 }

@@ -36,19 +36,9 @@ impl SimTime {
         SimTime(s * 1000)
     }
 
-    /// Milliseconds since the start of the simulation.
-    pub const fn as_millis(&self) -> u64 {
-        self.0
-    }
-
     /// Whole seconds since the start of the simulation.
     pub const fn as_secs(&self) -> u64 {
         self.0 / 1000
-    }
-
-    /// Saturating difference `self - earlier`.
-    pub fn since(&self, earlier: SimTime) -> SimTime {
-        SimTime(self.0.saturating_sub(earlier.0))
     }
 }
 
@@ -87,9 +77,9 @@ mod tests {
 
     #[test]
     fn construction_and_accessors() {
-        assert_eq!(SimTime::from_secs(2).as_millis(), 2000);
+        assert_eq!(SimTime::from_secs(2), SimTime::from_millis(2000));
         assert_eq!(SimTime::from_millis(2500).as_secs(), 2);
-        assert_eq!(SimTime::ZERO.as_millis(), 0);
+        assert_eq!(SimTime::ZERO, SimTime::from_millis(0));
     }
 
     #[test]
@@ -102,14 +92,6 @@ mod tests {
         let mut c = a;
         c += b;
         assert_eq!(c, SimTime::from_millis(1250));
-    }
-
-    #[test]
-    fn since_saturates() {
-        let early = SimTime::from_secs(1);
-        let late = SimTime::from_secs(5);
-        assert_eq!(late.since(early), SimTime::from_secs(4));
-        assert_eq!(early.since(late), SimTime::ZERO);
     }
 
     #[test]

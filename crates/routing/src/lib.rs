@@ -56,7 +56,6 @@ pub mod sequential;
 pub mod table;
 pub mod tree;
 
-pub use arena::Arena;
 pub use cam::{CamSpec, CamTable};
 pub use clock::SimTime;
 pub use patricia::PatriciaTable;

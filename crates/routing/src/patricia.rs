@@ -80,13 +80,8 @@ impl PatriciaTable {
     /// Total number of arena slots, including free-listed ones.  Bounded
     /// by `2n − 1` live nodes for `n` routes (plus the root), and bounded
     /// under churn because pruned slots are reused.
-    pub fn node_count(&self) -> usize {
+    pub(crate) fn node_count(&self) -> usize {
         self.nodes.slot_count()
-    }
-
-    /// Arena slots currently sitting on the free list, awaiting reuse.
-    pub fn free_count(&self) -> usize {
-        self.nodes.free_count()
     }
 
     /// Flattened view of the node arena for serialisation into processor
@@ -303,6 +298,13 @@ mod tests {
         s.parse().unwrap()
     }
 
+    /// Arena slots on the free list: past the root, a live node carries a
+    /// route or a child (a node with neither is pruned), and a released
+    /// slot reads as an empty node.
+    fn free_slots(t: &PatriciaTable) -> usize {
+        t.flat_nodes().skip(1).filter(|(_, route, l, r)| (route, l, r) == (&None, &None, &None)).count()
+    }
+
     #[test]
     fn empty_misses() {
         let t = PatriciaTable::new();
@@ -405,14 +407,14 @@ mod tests {
         assert_eq!(t.node_count(), 4);
         t.remove(&"2001:db8:aaab::/48".parse().unwrap());
         // The leaf goes, and the now one-child routeless fork is spliced out.
-        assert_eq!(t.free_count(), 2, "leaf and dead fork both reclaimed");
+        assert_eq!(free_slots(&t), 2, "leaf and dead fork both reclaimed");
         assert_eq!(t.lookup(&a("2001:db8:aaaa::1")).route().unwrap().interface(), PortId(1));
         // The freed slots are drained before the arena grows: the next two
         // routes need three nodes (a fork and two leaves) but only one
         // fresh slot.
         t.insert(r("fe80::/10", 3));
         t.insert(r("fec0::/10", 4));
-        assert_eq!((t.node_count(), t.free_count()), (5, 0));
+        assert_eq!((t.node_count(), free_slots(&t)), (5, 0));
         assert_eq!(t.lookup(&a("fec0::9")).route().unwrap().interface(), PortId(4));
     }
 
@@ -422,7 +424,7 @@ mod tests {
         t.insert(r("2001:db8::/32", 1));
         t.insert(r("2001:db8::/48", 2));
         t.remove(&"2001:db8::/48".parse().unwrap());
-        assert_eq!(t.free_count(), 1, "only the /48 leaf is pruned");
+        assert_eq!(free_slots(&t), 1, "only the /48 leaf is pruned");
         assert_eq!(t.lookup(&a("2001:db8::1")).route().unwrap().interface(), PortId(1));
         // Removing an interior route keeps the node while children need it.
         let mut t = PatriciaTable::from_routes([r("2001:db8::/32", 1), r("2001:db8::/48", 2)]);
@@ -524,9 +526,9 @@ mod tests {
     fn clear_resets_the_free_list() {
         let mut t = PatriciaTable::from_routes([r("2001:db8::/32", 1), r("2001:db9::/32", 2)]);
         t.remove(&"2001:db8::/32".parse().unwrap());
-        assert!(t.free_count() > 0);
+        assert!(free_slots(&t) > 0);
         t.clear();
-        assert_eq!((t.node_count(), t.free_count(), t.len()), (1, 0, 0));
+        assert_eq!((t.node_count(), free_slots(&t), t.len()), (1, 0, 0));
         t.insert(r("8000::/1", 4));
         assert_eq!(t.lookup(&a("9000::1")).route().unwrap().interface(), PortId(4));
     }

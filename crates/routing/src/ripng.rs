@@ -140,7 +140,7 @@ pub struct RipngEngine {
     /// cleared with the flags.  While it is clear there is no triggered
     /// update to build.
     dirty: bool,
-    /// Timer constants, overridable for accelerated tests.
+    /// Protocol timers: the RFC 2080 defaults, shortened by the tests.
     update_interval: SimTime,
     route_timeout: SimTime,
     gc_interval: SimTime,
@@ -180,19 +180,6 @@ impl RipngEngine {
             }
         }
         engine
-    }
-
-    /// Replaces the protocol timers — useful for accelerated tests.
-    pub fn with_timers(
-        mut self,
-        update_interval: SimTime,
-        route_timeout: SimTime,
-        gc_interval: SimTime,
-    ) -> Self {
-        self.update_interval = update_interval;
-        self.route_timeout = route_timeout;
-        self.gc_interval = gc_interval;
-        self
     }
 
     /// The configured interfaces.
@@ -547,6 +534,13 @@ mod tests {
         ])
     }
 
+    /// [`engine_two_ports`] with its protocol timers replaced.
+    fn accelerated(update: SimTime, timeout: SimTime, gc: SimTime) -> RipngEngine {
+        let mut e = engine_two_ports();
+        (e.update_interval, e.route_timeout, e.gc_interval) = (update, timeout, gc);
+        e
+    }
+
     fn response(entries: Vec<RouteEntry>) -> RipngPacket {
         RipngPacket { command: Command::Response, entries }
     }
@@ -696,11 +690,7 @@ mod tests {
 
     #[test]
     fn route_timeout_and_garbage_collection() {
-        let mut e = engine_two_ports().with_timers(
-            SimTime::from_secs(30),
-            SimTime::from_secs(180),
-            SimTime::from_secs(120),
-        );
+        let mut e = engine_two_ports();
         e.handle_response(
             PortId(0),
             ll("fe80::2"),
@@ -874,7 +864,7 @@ mod tests {
     fn triggered_updates_skip_idle_ticks_and_keep_interface_order() {
         // Periodic timer pushed out of the way so only triggered updates
         // can answer a tick.
-        let mut e = engine_two_ports().with_timers(
+        let mut e = accelerated(
             SimTime::from_secs(10_000),
             SimTime::from_secs(180),
             SimTime::from_secs(120),
@@ -1009,7 +999,7 @@ mod tests {
                 millis(&mut rng, &[300, 1500, 2000]),
                 millis(&mut rng, &[0, 300, 900, 2500]),
             );
-            let mut gated = engine_two_ports().with_timers(timers.0, timers.1, timers.2);
+            let mut gated = accelerated(timers.0, timers.1, timers.2);
             let mut walked = gated.clone();
             let mut now = SimTime::ZERO;
             // Neighbours go quiet for stretches, so routes age out.
@@ -1051,7 +1041,7 @@ mod tests {
 
     #[test]
     fn next_deadline_is_lowered_when_armed_and_exact_after_a_scan() {
-        let mut e = engine_two_ports().with_timers(
+        let mut e = accelerated(
             SimTime::from_millis(700),
             SimTime::from_millis(300),
             SimTime::from_millis(300),

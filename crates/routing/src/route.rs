@@ -48,18 +48,18 @@ impl Route {
     }
 
     /// Creates a directly connected route (next hop unspecified, metric 1).
-    pub fn connected(prefix: Ipv6Prefix, interface: PortId) -> Self {
+    pub(crate) fn connected(prefix: Ipv6Prefix, interface: PortId) -> Self {
         Route { prefix, next_hop: Ipv6Address::UNSPECIFIED, interface, metric: 1, route_tag: 0 }
     }
 
     /// Returns a copy with the given route tag.
-    pub fn with_route_tag(mut self, tag: u16) -> Self {
+    pub(crate) fn with_route_tag(mut self, tag: u16) -> Self {
         self.route_tag = tag;
         self
     }
 
     /// Returns a copy with the given metric.
-    pub fn with_metric(mut self, metric: u8) -> Self {
+    pub(crate) fn with_metric(mut self, metric: u8) -> Self {
         self.metric = metric;
         self
     }

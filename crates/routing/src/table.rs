@@ -91,12 +91,12 @@ pub struct Lookup {
 
 impl Lookup {
     /// A lookup that found `route` after `steps` probes.
-    pub fn hit(route: Route, steps: u32) -> Self {
+    pub(crate) fn hit(route: Route, steps: u32) -> Self {
         Lookup { route: Some(route), steps }
     }
 
     /// A lookup that found nothing after `steps` probes.
-    pub fn miss(steps: u32) -> Self {
+    pub(crate) fn miss(steps: u32) -> Self {
         Lookup { route: None, steps }
     }
 

@@ -92,14 +92,8 @@ impl BalancedTreeTable {
 
     /// Number of segments in the search structure (`2n+1` worst case for
     /// `n` prefixes).
-    pub fn segment_count(&self) -> usize {
+    pub(crate) fn segment_count(&self) -> usize {
         self.segments.len()
-    }
-
-    /// Depth of the balanced search tree — the worst-case number of probes
-    /// per lookup.
-    pub fn depth(&self) -> u32 {
-        (usize::BITS - self.segments.len().leading_zeros()).max(1)
     }
 
     /// The segments as `(start, route)` pairs in address order — the layout
@@ -306,8 +300,9 @@ mod tests {
         );
         let l = t.lookup(&a("2001:db8:40::1"));
         assert!(l.is_hit());
-        assert!(l.steps() <= t.depth());
-        assert!(t.depth() <= 8, "depth {} for 100 entries", t.depth());
+        // The implicit balanced BST over at most 201 segments is 8 deep.
+        let depth = usize::BITS - t.segment_count().leading_zeros();
+        assert!(l.steps() <= depth && depth <= 8, "{} steps, depth {depth}", l.steps());
     }
 
     #[test]

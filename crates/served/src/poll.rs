@@ -12,21 +12,21 @@
 use std::io;
 
 /// Data may be read without blocking.
-pub const POLLIN: i16 = 0x001;
+pub(crate) const POLLIN: i16 = 0x001;
 /// Data may be written without blocking.
-pub const POLLOUT: i16 = 0x004;
+pub(crate) const POLLOUT: i16 = 0x004;
 /// Error condition (always polled, returned in `revents` only).
-pub const POLLERR: i16 = 0x008;
+pub(crate) const POLLERR: i16 = 0x008;
 /// Peer hung up (always polled, returned in `revents` only).
-pub const POLLHUP: i16 = 0x010;
+pub(crate) const POLLHUP: i16 = 0x010;
 /// The descriptor is not open (always polled, returned in `revents` only).
-pub const POLLNVAL: i16 = 0x020;
+pub(crate) const POLLNVAL: i16 = 0x020;
 
 /// One descriptor's interest set and readiness result — layout-compatible
 /// with POSIX `struct pollfd`.
 #[repr(C)]
 #[derive(Debug, Clone, Copy)]
-pub struct PollFd {
+pub(crate) struct PollFd {
     /// The file descriptor to watch.
     pub fd: i32,
     /// Requested events ([`POLLIN`] / [`POLLOUT`]).
@@ -37,26 +37,20 @@ pub struct PollFd {
 
 impl PollFd {
     /// An interest entry for `fd` with `revents` cleared.
-    pub fn new(fd: i32, events: i16) -> PollFd {
+    pub(crate) fn new(fd: i32, events: i16) -> PollFd {
         PollFd { fd, events, revents: 0 }
     }
 
     /// `true` if any of `mask`'s bits came back in `revents`.
-    pub fn has(&self, mask: i16) -> bool {
+    pub(crate) fn has(&self, mask: i16) -> bool {
         self.revents & mask != 0
     }
 
     /// `true` if the descriptor is readable — or in an error/hangup state,
     /// which a reader must also consume (the read will report the EOF or
     /// error).
-    pub fn readable(&self) -> bool {
+    pub(crate) fn readable(&self) -> bool {
         self.has(POLLIN | POLLERR | POLLHUP | POLLNVAL)
-    }
-
-    /// `true` if the descriptor accepts writes (or errored, which a write
-    /// attempt will surface).
-    pub fn writable(&self) -> bool {
-        self.has(POLLOUT | POLLERR | POLLHUP | POLLNVAL)
     }
 }
 
@@ -69,7 +63,7 @@ extern "C" {
 /// Blocks until at least one entry is ready or `timeout_ms` elapses
 /// (`-1` = wait forever; `0` = poll and return).  Returns the number of
 /// ready entries; `EINTR` is retried internally.
-pub fn wait(fds: &mut [PollFd], timeout_ms: i32) -> io::Result<usize> {
+pub(crate) fn wait(fds: &mut [PollFd], timeout_ms: i32) -> io::Result<usize> {
     loop {
         // SAFETY: `fds` is a valid, exclusively borrowed slice of
         // `#[repr(C)]` pollfd-layout structs for the duration of the call,
@@ -117,6 +111,6 @@ mod tests {
         let (a, _b) = UnixStream::pair().expect("socketpair");
         let mut fds = [PollFd::new(a.as_raw_fd(), POLLOUT)];
         assert_eq!(wait(&mut fds, 1000).expect("poll"), 1);
-        assert!(fds[0].writable());
+        assert!(fds[0].has(POLLOUT));
     }
 }

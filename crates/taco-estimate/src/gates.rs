@@ -11,7 +11,7 @@ use taco_isa::{FuKind, MachineConfig};
 
 /// NAND2-equivalent gate count of one instance of `kind` (excluding its
 /// sockets, which are charged per port by [`interconnect_gates`]).
-pub fn fu_gates(kind: FuKind) -> u32 {
+pub(crate) fn fu_gates(kind: FuKind) -> u32 {
     match kind {
         FuKind::Matcher => 1_200,    // two 32-bit operand regs + masked XOR tree
         FuKind::Comparator => 1_000, // operand reg + magnitude comparator
@@ -31,7 +31,7 @@ pub fn fu_gates(kind: FuKind) -> u32 {
 
 /// Gates of the interconnection network: the network controller core, the
 /// per-bus drivers/arbitration, and one socket per FU port instance.
-pub fn interconnect_gates(config: &MachineConfig) -> u32 {
+pub(crate) fn interconnect_gates(config: &MachineConfig) -> u32 {
     const NC_BASE: u32 = 2_500;
     const PER_BUS: u32 = 1_500;
     const PER_SOCKET: u32 = 80;
@@ -39,7 +39,7 @@ pub fn interconnect_gates(config: &MachineConfig) -> u32 {
 }
 
 /// Total logic gates of a configuration (FUs + interconnect, no SRAM).
-pub fn total_gates(config: &MachineConfig) -> u32 {
+pub(crate) fn total_gates(config: &MachineConfig) -> u32 {
     let fus: u32 = config.fu_counts().map(|(kind, count)| fu_gates(kind) * u32::from(count)).sum();
     fus + interconnect_gates(config)
 }

@@ -34,6 +34,5 @@ pub mod gates;
 pub mod model;
 pub mod tech;
 
-pub use gates::{fu_gates, interconnect_gates, total_gates};
 pub use model::{Estimate, Estimator, ExternalCam, PhysicalEstimate};
 pub use tech::Technology;

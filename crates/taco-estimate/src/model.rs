@@ -155,12 +155,6 @@ impl Estimator {
         self
     }
 
-    /// Sets the on-chip SRAM budget in KiB.
-    pub fn with_sram_kib(mut self, kib: u32) -> Self {
-        self.sram_kib = kib;
-        self
-    }
-
     /// Sets the program-store image size in bits (from
     /// `taco_isa::encode`), adding its area to the estimate.
     pub fn with_program_bits(mut self, bits: u64) -> Self {
@@ -172,11 +166,6 @@ impl Estimator {
     pub fn with_cam(mut self, cam: ExternalCam) -> Self {
         self.cam = Some(cam);
         self
-    }
-
-    /// The technology in use.
-    pub fn technology(&self) -> &Technology {
-        &self.tech
     }
 
     /// The highest clock this estimator will call feasible.
@@ -308,8 +297,8 @@ mod tests {
 
     #[test]
     fn sram_budget_affects_area() {
-        let small = Estimator::new().with_sram_kib(8).estimate(&config(), 100e6);
-        let big = Estimator::new().with_sram_kib(128).estimate(&config(), 100e6);
+        let small = Estimator { sram_kib: 8, ..Estimator::new() }.estimate(&config(), 100e6);
+        let big = Estimator { sram_kib: 128, ..Estimator::new() }.estimate(&config(), 100e6);
         assert!(big.feasible().unwrap().area_mm2 > small.feasible().unwrap().area_mm2);
     }
 

@@ -80,7 +80,7 @@ impl Technology {
     ///
     /// Returns `None` when `freq_hz` is at or above the ceiling (Table 1's
     /// "NA" entries).
-    pub fn sizing_factor(&self, freq_hz: f64) -> Option<f64> {
+    pub(crate) fn sizing_factor(&self, freq_hz: f64) -> Option<f64> {
         if !(0.0..self.max_freq_hz).contains(&freq_hz) {
             return None;
         }

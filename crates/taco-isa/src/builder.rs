@@ -35,7 +35,6 @@ use crate::program::{Guard, Move, MoveSeq, PortRef, Source};
 pub struct CodeBuilder {
     seq: MoveSeq,
     next_virtual: std::collections::BTreeMap<FuKind, u8>,
-    next_label: u32,
 }
 
 /// A handle to one (virtual or physical) FU instance, for building port and
@@ -46,11 +45,6 @@ pub struct FuHandle {
 }
 
 impl FuHandle {
-    /// The underlying FU reference.
-    pub fn fu_ref(&self) -> FuRef {
-        self.fu
-    }
-
     /// A reference to port `name` of this instance.
     ///
     /// # Panics
@@ -129,13 +123,6 @@ impl CodeBuilder {
         self.seq.define_label(name);
     }
 
-    /// Generates a fresh label name (`.L0`, `.L1`, ...) without defining it.
-    pub fn fresh_label(&mut self, hint: &str) -> String {
-        let name = format!("L{}_{hint}", self.next_label);
-        self.next_label += 1;
-        name
-    }
-
     /// Appends an unconditional jump to `label`.
     pub fn jump(&mut self, label: impl Into<String>) {
         self.seq.push(Move::new(Source::Label(label.into()), PortRef::new(FuKind::Nc, 0, "pc")));
@@ -155,16 +142,6 @@ impl CodeBuilder {
         self.jump_if(guard, label);
     }
 
-    /// Number of moves emitted so far.
-    pub fn len(&self) -> usize {
-        self.seq.len()
-    }
-
-    /// Returns `true` if nothing has been emitted.
-    pub fn is_empty(&self) -> bool {
-        self.seq.is_empty()
-    }
-
     /// Finishes and returns the move sequence.
     pub fn finish(self) -> MoveSeq {
         self.seq
@@ -181,9 +158,9 @@ mod tests {
         let m0 = b.alloc(FuKind::Matcher);
         let m1 = b.alloc(FuKind::Matcher);
         let c0 = b.alloc(FuKind::Counter);
-        assert_eq!(m0.fu_ref().index, 0);
-        assert_eq!(m1.fu_ref().index, 1);
-        assert_eq!(c0.fu_ref().index, 0);
+        assert_eq!(m0, b.fu(FuKind::Matcher, 0));
+        assert_eq!(m1, b.fu(FuKind::Matcher, 1));
+        assert_eq!(c0, b.fu(FuKind::Counter, 0));
     }
 
     #[test]
@@ -226,20 +203,11 @@ mod tests {
     }
 
     #[test]
-    fn fresh_labels_are_unique() {
+    fn len_counts_moves_not_labels() {
         let mut b = CodeBuilder::new();
-        let l1 = b.fresh_label("loop");
-        let l2 = b.fresh_label("loop");
-        assert_ne!(l1, l2);
-    }
-
-    #[test]
-    fn len_tracks_moves_not_labels() {
-        let mut b = CodeBuilder::new();
-        assert!(b.is_empty());
         b.label("x");
-        assert!(b.is_empty());
         b.mv(1u32, b.reg(0));
-        assert_eq!(b.len(), 1);
+        b.label("y");
+        assert_eq!(b.finish().len(), 1);
     }
 }

@@ -67,39 +67,39 @@ impl SocketMap {
     }
 
     /// Number of sockets.
-    pub fn socket_count(&self) -> usize {
+    pub(crate) fn socket_count(&self) -> usize {
         self.sockets as usize
     }
 
     /// Bits needed for a socket id.
-    pub fn socket_bits(&self) -> u32 {
+    pub(crate) fn socket_bits(&self) -> u32 {
         bits_for(self.sockets - 1)
     }
 
     /// Bits needed for the guard field (including the "unguarded" code 0).
-    pub fn guard_bits(&self) -> u32 {
+    pub(crate) fn guard_bits(&self) -> u32 {
         bits_for(self.guards)
     }
 
     /// The id of a socket.
-    pub fn socket_id(&self, port: &PortRef) -> Option<u64> {
+    pub(crate) fn socket_id(&self, port: &PortRef) -> Option<u64> {
         let kind = port.fu.kind;
         self.id(&self.socket_base, port.fu, port.port, kind.ports().len())
     }
 
     /// The socket with a given id.
-    pub fn socket(&self, id: u64) -> Option<PortRef> {
+    pub(crate) fn socket(&self, id: u64) -> Option<PortRef> {
         let (fu, port) = self.locate(&self.socket_base, id, |k| k.ports().len())?;
         Some(PortRef { fu, port })
     }
 
     /// The id of guard signal `signal` (an index into `fu.kind.guards()`).
-    pub fn guard_id(&self, fu: FuRef, signal: u8) -> Option<u64> {
+    pub(crate) fn guard_id(&self, fu: FuRef, signal: u8) -> Option<u64> {
         self.id(&self.guard_base, fu, signal, fu.kind.guards().len())
     }
 
     /// The guard signal with a given id.
-    pub fn guard(&self, id: u64) -> Option<(FuRef, u8)> {
+    pub(crate) fn guard(&self, id: u64) -> Option<(FuRef, u8)> {
         self.locate(&self.guard_base, id, |k| k.guards().len())
     }
 
@@ -162,7 +162,7 @@ impl SlotLayout {
 
     /// Width of one slot in bits: `dst`, `src`, `is_imm`, `guard`,
     /// `negate` and `valid`.
-    pub fn slot_bits(&self) -> u32 {
+    pub(crate) fn slot_bits(&self) -> u32 {
         self.socket_bits + self.src_bits + 1 + self.guard_bits + 1 + 1
     }
 
@@ -195,12 +195,12 @@ pub struct EncodedProgram {
 
 impl EncodedProgram {
     /// Width of one full instruction word in bits (`buses × slot_bits`).
-    pub fn instruction_bits(&self) -> u32 {
+    pub(crate) fn instruction_bits(&self) -> u32 {
         u32::from(self.buses) * self.slot_bits
     }
 
     /// Number of instructions.
-    pub fn instruction_count(&self) -> usize {
+    pub(crate) fn instruction_count(&self) -> usize {
         self.slots.len() / usize::from(self.buses)
     }
 

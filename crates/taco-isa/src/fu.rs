@@ -204,17 +204,17 @@ impl FuKind {
 
     /// The index in [`FuKind::ports`] of the port called `name` — the one
     /// name lookup, made where text becomes a [`PortRef`](crate::PortRef).
-    pub fn find_port(&self, name: &str) -> Option<u8> {
+    pub(crate) fn find_port(&self, name: &str) -> Option<u8> {
         self.ports().iter().position(|p| p.name == name).map(|i| i as u8)
     }
 
     /// The index in [`FuKind::guards`] of the signal called `name`.
-    pub fn find_guard(&self, name: &str) -> Option<u8> {
+    pub(crate) fn find_guard(&self, name: &str) -> Option<u8> {
         self.guards().iter().position(|g| *g == name).map(|i| i as u8)
     }
 
     /// The prefix used in assembly (`mtch0.t`, `cnt2.r`, ...).
-    pub fn asm_prefix(&self) -> &'static str {
+    pub(crate) fn asm_prefix(&self) -> &'static str {
         match self {
             FuKind::Matcher => "mtch",
             FuKind::Comparator => "cmp",

@@ -69,10 +69,8 @@ pub use builder::{CodeBuilder, FuHandle};
 pub use encode::{decode, encode, CodeError, EncodedProgram, SlotLayout, SocketMap};
 pub use fu::{FuKind, FuRef, PortDir, PortSpec};
 pub use machine::MachineConfig;
-pub use opt::{bypass, eliminate_dead_moves, eliminate_dead_moves_with, optimize, optimize_with};
+pub use opt::{optimize, optimize_with};
 pub use program::{Guard, Instruction, Move, MoveSeq, PortRef, Program, Source};
 pub use sched::schedule;
-pub use system::{
-    CacheConfig, CoherenceProtocol, InterconnectConfig, SystemConfig, Topology, MAX_CORES,
-};
+pub use system::{CacheConfig, CoherenceProtocol, InterconnectConfig, SystemConfig, Topology};
 pub use verify::{validate_schedule, ScheduleViolation};

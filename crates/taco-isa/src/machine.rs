@@ -110,16 +110,6 @@ impl MachineConfig {
         FuKind::ALL.into_iter().map(|k| (k, self.fu_count(k)))
     }
 
-    /// Total number of FU instances (excluding the network controller,
-    /// which is the interconnect itself).
-    pub fn total_fus(&self) -> u32 {
-        FuKind::ALL
-            .into_iter()
-            .filter(|k| *k != FuKind::Nc)
-            .map(|k| u32::from(self.fu_count(k)))
-            .sum()
-    }
-
     /// Total number of sockets: one per FU port instance, the quantity the
     /// physical estimation model charges interconnect area for.
     pub fn total_sockets(&self) -> u32 {
@@ -214,9 +204,7 @@ mod tests {
     #[test]
     fn totals() {
         let one = MachineConfig::one_bus_one_fu();
-        assert_eq!(one.total_fus(), 12); // 13 kinds minus the NC
         let three = MachineConfig::three_bus_three_fu();
-        assert_eq!(three.total_fus(), 18); // +2 each of CNT, CMP, M
         assert!(three.total_sockets() > one.total_sockets());
     }
 

@@ -10,10 +10,9 @@
 //! * [`bypass`] — copy propagation through general-purpose registers: the
 //!   pair `x -> regs0.rN; regs0.rN -> y` becomes `x -> regs0.rN; x -> y`,
 //!   making the temporary candidate for removal;
-//! * [`eliminate_dead_moves`] — removes register writes that are
-//!   unconditionally overwritten before any read; with a live-out policy
-//!   ([`eliminate_dead_moves_with`]) it also removes writes no caller will
-//!   ever observe.
+//! * [`eliminate_dead_moves_with`] — removes register writes that are
+//!   unconditionally overwritten before any read and, under its live-out
+//!   policy, writes no caller will ever observe.
 //!
 //! Both transformations are deliberately conservative (they never change
 //! observable FU or memory state), so they can run before [`schedule`]
@@ -35,7 +34,7 @@ use crate::program::{MoveSeq, PortRef, Source};
 /// result register would have been overwritten).
 ///
 /// Returns the number of moves rewritten.
-pub fn bypass(seq: &mut MoveSeq) -> usize {
+pub(crate) fn bypass(seq: &mut MoveSeq) -> usize {
     let label_positions: BTreeSet<usize> = seq.labels.values().copied().collect();
     let mut rewritten = 0usize;
 
@@ -97,26 +96,22 @@ pub fn bypass(seq: &mut MoveSeq) -> usize {
     rewritten
 }
 
-/// Removes dead register writes, treating **every** register as live at
-/// program end (registers are architectural state a caller may observe).
+/// Removes dead register writes.
 ///
 /// A write is dead when, scanning forward within its basic block, an
 /// unguarded write to the same register occurs before any read of it and
-/// before any label or control transfer.
+/// before any label or control transfer.  A register write that survives
+/// to the end of the program is kept only if `live_out` returns `true` for
+/// it: `|_| true` treats every register as architectural state a caller may
+/// observe, and code generators that know their ABI (e.g. "only r2 carries
+/// the result") get the paper's full "easy removing of registers that are
+/// no longer in use".
 ///
 /// Returns the number of moves removed.
-pub fn eliminate_dead_moves(seq: &mut MoveSeq) -> usize {
-    eliminate_dead_moves_with(seq, |_| true)
-}
-
-/// Like [`eliminate_dead_moves`], with an explicit live-out policy: a
-/// register write that survives to the end of the program is kept only if
-/// `live_out` returns `true` for it.  Code generators that know their ABI
-/// (e.g. "only r2 carries the result") get the paper's full "easy removing
-/// of registers that are no longer in use".
-///
-/// Returns the number of moves removed.
-pub fn eliminate_dead_moves_with(seq: &mut MoveSeq, live_out: impl Fn(PortRef) -> bool) -> usize {
+pub(crate) fn eliminate_dead_moves_with(
+    seq: &mut MoveSeq,
+    live_out: impl Fn(PortRef) -> bool,
+) -> usize {
     let label_positions: BTreeSet<usize> = seq.labels.values().copied().collect();
 
     let mut removed = 0usize;
@@ -168,7 +163,7 @@ pub fn eliminate_dead_moves_with(seq: &mut MoveSeq, live_out: impl Fn(PortRef) -
     removed
 }
 
-/// Runs [`bypass`] and [`eliminate_dead_moves`] to a fixed point, returning
+/// Runs [`bypass`] and [`eliminate_dead_moves_with`] to a fixed point, returning
 /// the total number of moves removed.  Every register is treated as live at
 /// program end; see [`optimize_with`] when the ABI is known.
 pub fn optimize(seq: &mut MoveSeq) -> usize {
@@ -273,7 +268,7 @@ mod tests {
         b.mv(b.reg(7), cnt.port("tinc"));
         b.jump("after");
         let mut seq = b.finish();
-        assert_eq!(eliminate_dead_moves(&mut seq), 1);
+        assert_eq!(eliminate_dead_moves_with(&mut seq, |_| true), 1);
         assert_eq!(seq.len(), 3);
         assert_eq!(seq.labels["after"], 1);
         assert_eq!(seq.moves[0].src, Source::Imm(2)); // the surviving write
@@ -285,7 +280,7 @@ mod tests {
         b.mv(1u32, b.reg(0));
         b.mv(b.reg(0), b.reg(1)); // r1 is an architectural output
         let mut seq = b.finish();
-        assert_eq!(eliminate_dead_moves(&mut seq), 0);
+        assert_eq!(eliminate_dead_moves_with(&mut seq, |_| true), 0);
         // With an explicit ABI that keeps nothing, both become removable
         // (the r1 write first, then the now-unread r0 write on a rerun).
         assert_eq!(optimize_with(&mut seq, |_| false), 2);
@@ -300,7 +295,7 @@ mod tests {
         b.mv(2u32, b.reg(0));
         b.jump("entry");
         let mut seq = b.finish();
-        assert_eq!(eliminate_dead_moves(&mut seq), 0);
+        assert_eq!(eliminate_dead_moves_with(&mut seq, |_| true), 0);
     }
 
     #[test]
@@ -311,7 +306,7 @@ mod tests {
         b.mv_if(cnt.guard("done"), 2u32, b.reg(0)); // may not execute
         b.mv(b.reg(0), cnt.port("tset"));
         let mut seq = b.finish();
-        assert_eq!(eliminate_dead_moves(&mut seq), 0);
+        assert_eq!(eliminate_dead_moves_with(&mut seq, |_| true), 0);
     }
 
     #[test]
@@ -321,7 +316,7 @@ mod tests {
         b.mv(1u32, cnt.port("tinc"));
         b.mv(2u32, cnt.port("stop"));
         let mut seq = b.finish();
-        assert_eq!(eliminate_dead_moves(&mut seq), 0);
+        assert_eq!(eliminate_dead_moves_with(&mut seq, |_| true), 0);
         assert_eq!(seq.len(), 2);
     }
 

@@ -57,12 +57,12 @@ impl PortRef {
     }
 
     /// Returns `true` if a move may read from this port.
-    pub fn is_readable(&self) -> bool {
+    pub(crate) fn is_readable(&self) -> bool {
         matches!(self.dir(), PortDir::Result | PortDir::Both)
     }
 
     /// Returns `true` if a move may write to this port.
-    pub fn is_writable(&self) -> bool {
+    pub(crate) fn is_writable(&self) -> bool {
         matches!(self.dir(), PortDir::Operand | PortDir::Trigger | PortDir::Both)
     }
 
@@ -95,7 +95,7 @@ pub enum Source {
 
 impl Source {
     /// Returns the port if this source reads one.
-    pub fn port(&self) -> Option<PortRef> {
+    pub(crate) fn port(&self) -> Option<PortRef> {
         match self {
             Source::Port(p) => Some(*p),
             _ => None,
@@ -307,7 +307,7 @@ impl Program {
     }
 
     /// Total number of move slots across all instructions (occupied or not).
-    pub fn slot_capacity(&self) -> usize {
+    pub(crate) fn slot_capacity(&self) -> usize {
         self.instructions.iter().map(|i| i.slots.len()).sum()
     }
 

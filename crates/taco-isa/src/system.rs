@@ -27,7 +27,7 @@
 //! ```
 
 /// Most cores any system configuration may carry.
-pub const MAX_CORES: u8 = 8;
+pub(crate) const MAX_CORES: u8 = 8;
 
 /// On-chip interconnect topology connecting the cores.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -72,7 +72,7 @@ pub struct CacheConfig {
 
 impl CacheConfig {
     /// The default cache: 64 lines of 4 words each.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         CacheConfig { lines: 64, line_words: 4 }
     }
 }
@@ -95,7 +95,7 @@ pub struct InterconnectConfig {
 
 impl InterconnectConfig {
     /// The default interconnect: a shared bus, 2 cycles per transaction.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         InterconnectConfig { topology: Topology::SharedBus, latency: 2 }
     }
 }
@@ -124,7 +124,7 @@ pub struct SystemConfig {
 impl SystemConfig {
     /// The single-core system: no sharing, no coherence traffic.  This is
     /// `Default`.
-    pub fn single_core() -> Self {
+    pub(crate) fn single_core() -> Self {
         SystemConfig {
             cores: 1,
             cache: CacheConfig::default(),

@@ -16,7 +16,7 @@ use taco_isa::CoherenceProtocol;
 
 /// State of one cached table line, per core.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum LineState {
+pub(crate) enum LineState {
     /// Not present (or invalidated by a remote write).
     #[default]
     Invalid,
@@ -31,31 +31,20 @@ pub enum LineState {
 
 impl LineState {
     /// Whether a local read hits in this state.
-    pub fn readable(&self) -> bool {
+    pub(crate) fn readable(&self) -> bool {
         !matches!(self, LineState::Invalid)
     }
 
     /// Whether a local write hits in this state without an upgrade
     /// transaction.
-    pub fn writable(&self) -> bool {
+    pub(crate) fn writable(&self) -> bool {
         matches!(self, LineState::Modified | LineState::Exclusive)
     }
 }
 
-/// What a coherence transaction asked the rest of the system to do.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SnoopEffect {
-    /// Remote copies (if any) downgrade to [`LineState::Shared`]; a
-    /// remote [`LineState::Modified`] copy writes back first.
-    Downgrade,
-    /// Remote copies invalidate; a remote [`LineState::Modified`] copy
-    /// writes back first.
-    Invalidate,
-}
-
 /// The state a read miss fills into, given whether any other core holds
 /// the line: MESI grants Exclusive on a sole copy, MSI never does.
-pub fn read_fill_state(protocol: CoherenceProtocol, shared_elsewhere: bool) -> LineState {
+pub(crate) fn read_fill_state(protocol: CoherenceProtocol, shared_elsewhere: bool) -> LineState {
     match (protocol, shared_elsewhere) {
         (_, true) => LineState::Shared,
         (CoherenceProtocol::Mesi, false) => LineState::Exclusive,
@@ -93,18 +82,6 @@ pub struct CoherenceStats {
     pub busy_cycles: u64,
 }
 
-impl CoherenceStats {
-    /// Total accesses (reads + writes).
-    pub fn accesses(&self) -> u64 {
-        self.reads + self.writes
-    }
-
-    /// Hit rate in per-mille (integer; 0 when no accesses were made).
-    pub fn hit_rate_milli(&self) -> u64 {
-        (self.hits * 1000).checked_div(self.accesses()).unwrap_or(0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,15 +101,5 @@ mod tests {
         assert!(!LineState::Shared.writable());
         assert!(LineState::Exclusive.writable());
         assert!(LineState::Modified.writable());
-    }
-
-    #[test]
-    fn hit_rate_is_integer_per_mille() {
-        let mut s = CoherenceStats::default();
-        assert_eq!(s.hit_rate_milli(), 0);
-        s.reads = 3;
-        s.hits = 2;
-        assert_eq!(s.accesses(), 3);
-        assert_eq!(s.hit_rate_milli(), 666);
     }
 }

@@ -54,12 +54,12 @@ pub mod stats;
 pub mod trace;
 mod units;
 
-pub use coherence::{CoherenceStats, LineState};
+pub use coherence::CoherenceStats;
 pub use error::SimError;
 pub use memory::DataMemory;
 pub use multicore::MulticoreSim;
 pub use processor::{FaultInjector, NoFaults, PeriodicStall, Processor, DEFAULT_MEMORY_WORDS};
-pub use rtu::{MapRtu, NullRtu, RtuBackend, RtuConfig, RtuResult};
+pub use rtu::{MapRtu, RtuBackend, RtuConfig, RtuResult};
 pub use sched::CompiledProgram;
 pub use stats::SimStats;
 pub use trace::{ChromeTracer, NullTracer, RingTracer, TraceCounters, TraceEvent, Tracer};

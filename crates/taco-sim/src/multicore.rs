@@ -89,11 +89,6 @@ impl MulticoreSim {
         }
     }
 
-    /// The system configuration this simulator models.
-    pub fn system(&self) -> &SystemConfig {
-        &self.system
-    }
-
     /// Core count.
     pub fn cores(&self) -> usize {
         self.caches.len()
@@ -283,7 +278,7 @@ mod tests {
             }
         }
         let s = sim.stats();
-        assert_eq!(s.hits + s.misses, s.accesses());
+        assert_eq!(s.hits + s.misses, s.reads + s.writes);
     }
 
     #[test]
@@ -377,7 +372,7 @@ mod tests {
         let mut sim = MulticoreSim::new(sys(2));
         sim.read(0, 4);
         sim.reset_stats();
-        assert_eq!(sim.stats().accesses(), 0);
+        assert_eq!(sim.stats().reads + sim.stats().writes, 0);
         assert_eq!(sim.read(0, 4), 0, "cache stayed warm across the reset");
     }
 }

@@ -23,7 +23,7 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use taco_isa::{FuKind, FuRef, Guard, MachineConfig, PortRef, Program};
+use taco_isa::{FuKind, FuRef, MachineConfig, Program};
 
 use crate::error::SimError;
 use crate::memory::DataMemory;
@@ -118,12 +118,13 @@ impl FaultInjector for PeriodicStall {
 /// let mut prog = asm::parse(
 ///     "        0 -> cnt0.tset | 5 -> cnt0.stop\n\
 ///      loop:   1 -> cnt0.tinc\n\
-///              !cnt0.done @loop -> nc0.pc\n",
+///              !cnt0.done @loop -> nc0.pc\n\
+///              cnt0.r -> regs0.r1\n",
 /// )?;
 /// prog.resolve_labels().map_err(|l| format!("undefined label {l}"))?;
 /// let mut cpu = Processor::new(MachineConfig::three_bus_one_fu(), prog)?;
 /// let stats = cpu.run(1_000)?;
-/// assert_eq!(cpu.fu_result(taco_isa::FuKind::Counter, 0, "r")?, 5);
+/// assert_eq!(cpu.reg(1), 5);
 /// assert!(stats.cycles > 5);
 /// # Ok(())
 /// # }
@@ -241,11 +242,6 @@ impl Processor {
         }
     }
 
-    /// The architecture this processor instantiates.
-    pub fn config(&self) -> &MachineConfig {
-        &self.compiled.config
-    }
-
     /// The loaded program.
     pub fn program(&self) -> &Program {
         &self.compiled.program
@@ -282,12 +278,6 @@ impl Processor {
         self.rtu.config.latency = latency;
     }
 
-    /// Sets the Local Information Unit contents (the router's own
-    /// addresses, port count, …).
-    pub fn set_local_info(&mut self, table: Vec<u32>) {
-        self.liu_table = table;
-    }
-
     /// Queues a pending datagram `(memory pointer, input interface)` at the
     /// iPPU, as a line card would.
     pub fn push_input(&mut self, ptr: u32, iface: u32) {
@@ -295,11 +285,6 @@ impl Processor {
         let ippu = FuRef::new(FuKind::Ippu, 0);
         let pending = self.compiled.map.fu(ippu).expect("every machine has one iPPU").1;
         self.guards[pending] = true;
-    }
-
-    /// Number of datagrams still waiting at the iPPU.
-    pub fn pending_inputs(&self) -> usize {
-        self.ippu_queue.len()
     }
 
     /// Datagrams emitted through the oPPU as `(memory pointer, output
@@ -340,31 +325,6 @@ impl Processor {
         self.compiled.map.fu(regs).expect("every machine has one register file").0 + usize::from(i)
     }
 
-    /// Reads an FU result register by kind/instance/port, for assertions.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidFuIndex`] for instances the configuration
-    /// lacks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `kind` has no port called `port`.
-    pub fn fu_result(&self, kind: FuKind, index: u8, port: &str) -> Result<u32, SimError> {
-        Ok(self.file[self.compiled.map.port(PortRef::new(kind, index, port))?.1])
-    }
-
-    /// Samples a guard signal, for assertions; `false` for an instance the
-    /// configuration lacks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `kind` drives no guard signal called `signal`.
-    pub fn guard_value(&self, kind: FuKind, index: u8, signal: &str) -> bool {
-        let g = Guard::new(kind, index, signal, false);
-        self.compiled.map.guard(g.fu, g.signal).is_ok_and(|slot| self.guards[slot])
-    }
-
     /// Elapsed cycles.
     pub fn cycles(&self) -> u64 {
         self.cycle
@@ -373,11 +333,6 @@ impl Processor {
     /// Current program counter.
     pub fn pc(&self) -> usize {
         self.pc
-    }
-
-    /// Returns `true` once the program has halted.
-    pub fn is_halted(&self) -> bool {
-        self.halted
     }
 
     /// Statistics collected so far.
@@ -728,12 +683,23 @@ fn conflict(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use taco_isa::{asm, Instruction, Source};
+    use taco_isa::{asm, Guard, Instruction, PortRef, Source};
 
     fn load(text: &str, config: MachineConfig) -> Processor {
         let mut prog = asm::parse(text).unwrap();
         prog.resolve_labels().unwrap();
         Processor::new(config, prog).unwrap()
+    }
+
+    /// An FU result register by kind/instance/port.
+    fn fu_result(p: &Processor, kind: FuKind, index: u8, port: &str) -> Result<u32, SimError> {
+        Ok(p.file[p.compiled.map.port(PortRef::new(kind, index, port))?.1])
+    }
+
+    /// A guard signal; `false` for an instance the configuration lacks.
+    fn guard_value(p: &Processor, kind: FuKind, index: u8, signal: &str) -> bool {
+        let g = Guard::new(kind, index, signal, false);
+        p.compiled.map.guard(g.fu, g.signal).is_ok_and(|slot| p.guards[slot])
     }
 
     #[test]
@@ -742,7 +708,7 @@ mod tests {
         p.run(10).unwrap();
         assert_eq!((p.reg(0), p.reg(1)), (7, 9));
         assert_eq!(p.cycles(), 2);
-        assert!(p.is_halted());
+        assert!(p.halted);
     }
 
     #[test]
@@ -752,7 +718,7 @@ mod tests {
             MachineConfig::new(3),
         );
         let stats = p.run(100).unwrap();
-        assert_eq!(p.fu_result(FuKind::Counter, 0, "r").unwrap(), 5);
+        assert_eq!(fu_result(&p, FuKind::Counter, 0, "r").unwrap(), 5);
         // 1 setup + 5 × (inc + branch) cycles.
         assert_eq!(stats.cycles, 11);
         assert_eq!(stats.triggers(FuKind::Counter), 6);
@@ -765,7 +731,7 @@ mod tests {
         let mut p = load("9 -> cnt0.tset | cnt0.r -> regs0.r0\n", MachineConfig::new(2));
         p.run(10).unwrap();
         assert_eq!(p.reg(0), 0); // old value
-        assert_eq!(p.fu_result(FuKind::Counter, 0, "r").unwrap(), 9);
+        assert_eq!(fu_result(&p, FuKind::Counter, 0, "r").unwrap(), 9);
     }
 
     #[test]
@@ -819,7 +785,7 @@ mod tests {
             let mut backend = MapRtu::new();
             backend.insert([1, 0, 0, 9], RtuResult { iface: 4, handle: 2 });
             cpu.set_rtu(RtuConfig::new(Box::new(backend)).with_latency(3));
-            cpu.set_local_info(vec![0x11, 0x22]);
+            cpu.liu_table = vec![0x11, 0x22];
             cpu.memory_mut().write(7, 0xabcd).unwrap();
             cpu
         };
@@ -850,10 +816,10 @@ mod tests {
             MachineConfig::new(1),
         );
         p.push_input(0x100, 2);
-        assert_eq!(p.pending_inputs(), 1);
+        assert_eq!(p.ippu_queue.len(), 1);
         p.run(10).unwrap();
         assert_eq!(p.outputs(), &[(0x100, 2)]);
-        assert_eq!(p.pending_inputs(), 0);
+        assert_eq!(p.ippu_queue.len(), 0);
     }
 
     #[test]
@@ -880,7 +846,7 @@ mod tests {
         p.set_rtu(RtuConfig::new(Box::new(backend)).with_latency(5));
         let stats = p.run(100).unwrap();
         assert_eq!(p.reg(0), 9);
-        assert!(p.guard_value(FuKind::Rtu, 0, "hit"));
+        assert!(guard_value(&p, FuKind::Rtu, 0, "hit"));
         // Trigger at cycle 3 (0-based), ready at 3+5=8; the read would have
         // been cycle 4, so it stalls 4 cycles.
         assert_eq!(stats.stall_cycles, 4);
@@ -891,13 +857,13 @@ mod tests {
         let mut p = load("4 -> rtu0.t\n?rtu0.hit 1 -> regs0.r0\n", MachineConfig::new(1));
         p.run(10).unwrap();
         assert_eq!(p.reg(0), 0);
-        assert_eq!(p.fu_result(FuKind::Rtu, 0, "iface").unwrap(), u32::MAX);
+        assert_eq!(fu_result(&p, FuKind::Rtu, 0, "iface").unwrap(), u32::MAX);
     }
 
     #[test]
     fn liu_serves_local_info() {
         let mut p = load("1 -> liu0.t\nliu0.r -> regs0.r0\n", MachineConfig::new(1));
-        p.set_local_info(vec![0x11, 0x22, 0x33]);
+        p.liu_table = vec![0x11, 0x22, 0x33];
         p.run(10).unwrap();
         assert_eq!(p.reg(0), 0x22);
     }
@@ -907,7 +873,7 @@ mod tests {
         let mut p = load("2 -> nc0.pc\n1 -> regs0.r0\n", MachineConfig::new(1));
         p.run(10).unwrap();
         assert_eq!(p.reg(0), 0); // skipped
-        assert!(p.is_halted());
+        assert!(p.halted);
     }
 
     #[test]
@@ -1083,28 +1049,28 @@ mod tests {
     #[test]
     fn power_on_state_matches_the_combinational_reads_it_replaced() {
         let mut p = load("0 -> ippu0.tpop\n", MachineConfig::three_bus_three_fu());
-        let pending = |p: &Processor| p.guard_value(FuKind::Ippu, 0, "pending");
+        let pending = |p: &Processor| guard_value(p, FuKind::Ippu, 0, "pending");
         for check in 0..2 {
             for i in 0..3 {
                 // 0 == stop and 0 == 0 on a zeroed counter; !0 & 0xffff.
-                assert!(p.guard_value(FuKind::Counter, i, "done"), "{check}");
-                assert!(p.guard_value(FuKind::Counter, i, "zero"), "{check}");
-                assert!(!p.guard_value(FuKind::Matcher, i, "match"), "{check}");
+                assert!(guard_value(&p, FuKind::Counter, i, "done"), "{check}");
+                assert!(guard_value(&p, FuKind::Counter, i, "zero"), "{check}");
+                assert!(!guard_value(&p, FuKind::Matcher, i, "match"), "{check}");
             }
-            assert_eq!(p.fu_result(FuKind::Checksum, 0, "r"), Ok(0xffff), "{check}");
-            assert!(!pending(&p) && !p.guard_value(FuKind::Rtu, 0, "hit"), "{check}");
+            assert_eq!(fu_result(&p, FuKind::Checksum, 0, "r"), Ok(0xffff), "{check}");
+            assert!(!pending(&p) && !guard_value(&p, FuKind::Rtu, 0, "hit"), "{check}");
             // `pending` follows the queue: two pushes, one pop, a reset.
             p.push_input(0x40, 1);
             p.push_input(0x80, 2);
             assert!(pending(&p));
             p.run(10).unwrap();
-            assert!(pending(&p) && p.pending_inputs() == 1);
+            assert!(pending(&p) && p.ippu_queue.len() == 1);
             p.reset();
         }
         p.push_input(0x40, 1);
         p.run(10).unwrap();
         assert!(!pending(&p));
-        assert!(!p.guard_value(FuKind::Counter, 3, "done")); // no such instance
+        assert!(!guard_value(&p, FuKind::Counter, 3, "done")); // no such instance
     }
 
     #[test]
@@ -1173,7 +1139,7 @@ mod determinism_tests {
             let mut p = Processor::new(MachineConfig::new(3), prog).unwrap();
             p.push_input(0x99, 1);
             p.run(1_000).unwrap();
-            (p.stats().clone(), p.reg(0), p.reg(1), p.pending_inputs())
+            (p.stats().clone(), p.reg(0), p.reg(1), p.ippu_queue.len())
         };
         assert_eq!(run(), run());
     }
@@ -1217,7 +1183,7 @@ mod fault_tests {
         // len >= every would freeze forever; the clamp must prevent that.
         let mut plan = PeriodicStall::new(3, 99);
         p.run_with(10_000, &mut NullTracer, &mut plan).unwrap();
-        assert!(p.is_halted());
+        assert!(p.halted);
     }
 
     #[test]
@@ -1257,6 +1223,17 @@ mod event_trace_tests {
     use crate::trace::{RingTracer, TraceCounters, TraceEvent};
     use taco_isa::asm;
 
+    /// The counters of `stats` an event stream determines.
+    fn counted_by_the_loop(stats: &SimStats) -> TraceCounters {
+        TraceCounters {
+            moves_executed: stats.moves_executed,
+            moves_squashed: stats.moves_squashed,
+            stall_cycles: stats.stall_cycles,
+            injected_stall_cycles: stats.injected_stall_cycles,
+            fu_instance_triggers: stats.fu_instance_triggers.clone(),
+        }
+    }
+
     fn load(text: &str, config: MachineConfig) -> Processor {
         let mut prog = asm::parse(text).unwrap();
         prog.resolve_labels().unwrap();
@@ -1280,7 +1257,7 @@ mod event_trace_tests {
         assert!(stats.stall_cycles > 0);
         assert!(stats.moves_squashed > 0);
         let replayed = TraceCounters::from_events(ring.events());
-        assert_eq!(replayed, TraceCounters::from_stats(&stats));
+        assert_eq!(replayed, counted_by_the_loop(&stats));
     }
 
     #[test]
@@ -1322,7 +1299,7 @@ mod event_trace_tests {
         assert_eq!(plain.reg(0), traced.reg(0));
         assert_eq!(
             TraceCounters::from_events(ring.events()),
-            TraceCounters::from_stats(&traced_stats)
+            counted_by_the_loop(&traced_stats)
         );
     }
 }

@@ -33,7 +33,7 @@ pub trait RtuBackend: fmt::Debug {
 
 /// A backend that always misses — the power-on default.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NullRtu;
+pub(crate) struct NullRtu;
 
 impl RtuBackend for NullRtu {
     fn lookup(&self, _key: [u32; 4]) -> Option<RtuResult> {

@@ -36,7 +36,7 @@ pub struct SimStats {
 impl SimStats {
     /// Occupied bus slots: every move occupies its bus whether or not its
     /// guard passed.
-    pub fn bus_slots_occupied(&self) -> u64 {
+    pub(crate) fn bus_slots_occupied(&self) -> u64 {
         self.moves_executed.saturating_add(self.moves_squashed)
     }
 

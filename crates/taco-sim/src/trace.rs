@@ -1,11 +1,11 @@
 //! Cycle-level event tracing.
 //!
 //! The paper reads *module utilization* and bus occupancy out of its
-//! SystemC model; [`SimStats`] keeps the end-of-run aggregates, but some
-//! questions need the time axis back: *when* was a bus busy, which FU
-//! stalled a datagram, how long did one datagram sit in flight?  A
-//! [`Tracer`] answers those by observing every scheduling event the
-//! [`Processor`](crate::Processor) makes, at cycle granularity.
+//! SystemC model; [`SimStats`](crate::SimStats) keeps the end-of-run
+//! aggregates, but some questions need the time axis back: *when* was a
+//! bus busy, which FU stalled a datagram, how long did one datagram sit
+//! in flight?  A [`Tracer`] answers those by observing every scheduling
+//! event the [`Processor`](crate::Processor) makes, at cycle granularity.
 //!
 //! Tracing follows Reshadi & Dutt's rule for generated cycle-accurate
 //! simulators: instrumentation must vanish from the hot path when it is
@@ -19,7 +19,7 @@
 //! * [`NullTracer`] — the zero-cost default;
 //! * [`RingTracer`] — a bounded in-memory ring of [`TraceEvent`]s, for
 //!   tests and ASCII rendering (and the [`TraceCounters`] reconciliation
-//!   with [`SimStats`]);
+//!   with [`SimStats`](crate::SimStats));
 //! * [`ChromeTracer`] — streams the run as Chrome `about://tracing` JSON,
 //!   one "thread" per bus and per FU instance, loadable in Perfetto.
 
@@ -29,7 +29,6 @@ use std::fmt::Write as _;
 
 use taco_isa::FuRef;
 
-use crate::stats::SimStats;
 
 /// One cycle-level scheduling event.
 ///
@@ -208,7 +207,7 @@ impl RingTracer {
 
     /// Events evicted because the ring was full.  Zero means the capture
     /// is complete and [`TraceCounters::from_events`] reconciles exactly
-    /// with the run's [`SimStats`].
+    /// with the run's [`SimStats`](crate::SimStats).
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
@@ -234,7 +233,7 @@ impl Tracer for RingTracer {
 }
 
 /// The counter projection a trace can be replayed into — exactly the
-/// [`SimStats`] fields an event stream determines.
+/// [`SimStats`](crate::SimStats) fields an event stream determines.
 ///
 /// This is the reconciliation contract the property tests pin down: for a
 /// complete capture (no ring evictions), replaying the events reproduces
@@ -288,17 +287,6 @@ impl TraceCounters {
             }
         }
         counters
-    }
-
-    /// Projects the same counters out of a [`SimStats`], for comparison.
-    pub fn from_stats(stats: &SimStats) -> Self {
-        TraceCounters {
-            moves_executed: stats.moves_executed,
-            moves_squashed: stats.moves_squashed,
-            stall_cycles: stats.stall_cycles,
-            injected_stall_cycles: stats.injected_stall_cycles,
-            fu_instance_triggers: stats.fu_instance_triggers.clone(),
-        }
     }
 }
 
@@ -559,16 +547,6 @@ mod tests {
     fn replay_ignores_an_open_stall() {
         let events = [TraceEvent::StallBegin { cycle: 7 }];
         assert_eq!(TraceCounters::from_events(&events).stall_cycles, 0);
-    }
-
-    #[test]
-    fn stats_projection_round_trips() {
-        let mut stats = SimStats { moves_executed: 3, moves_squashed: 1, ..SimStats::default() };
-        stats.stall_cycles = 4;
-        stats.fu_instance_triggers.insert(fu(1), 9);
-        let projected = TraceCounters::from_stats(&stats);
-        assert_eq!(projected.moves_executed, 3);
-        assert_eq!(projected.fu_instance_triggers.get(&fu(1)), Some(&9));
     }
 
     #[test]

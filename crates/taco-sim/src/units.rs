@@ -371,34 +371,40 @@ mod tests {
     use crate::trace::NullTracer;
     use crate::Processor;
     use std::collections::BTreeSet;
-    use taco_isa::Program;
+    use taco_isa::{Guard, Program};
 
-    /// One power-on machine driven move by move, ports named as in assembly.
+    /// One power-on machine driven move by move, ports named as in assembly,
+    /// with a two-word local-information table.
     struct Bench(Processor);
+
+    const LOCAL_INFO: [u32; 2] = [0xaaaa, 0xbbbb];
 
     impl Bench {
         fn new() -> Self {
-            let mut cpu = Processor::new(MachineConfig::new(1), Program::new()).unwrap();
-            cpu.set_local_info(vec![0xaaaa, 0xbbbb]);
-            Bench(cpu)
+            Bench(Processor::new(MachineConfig::new(1), Program::new()).unwrap())
         }
 
         fn mv(&mut self, v: u32, kind: FuKind, port: &str) {
             let (op, slot, gbase) =
                 self.0.compiled().map.port(PortRef::new(kind, 0, port)).unwrap();
+            let mut ports = self.0.ports();
+            ports.liu_table = &LOCAL_INFO;
             if op.is_trigger() {
-                self.0.ports().apply(op, slot, gbase, v, 0, &mut NullTracer).unwrap();
+                ports.apply(op, slot, gbase, v, 0, &mut NullTracer).unwrap();
             } else {
-                self.0.ports().store(op, slot, gbase, v);
+                ports.store(op, slot, gbase, v);
             }
         }
 
-        fn r(&self, kind: FuKind) -> u32 {
-            self.0.fu_result(kind, 0, "r").unwrap()
+        fn r(&mut self, kind: FuKind) -> u32 {
+            let slot = self.0.compiled().map.port(PortRef::new(kind, 0, "r")).unwrap().1;
+            self.0.ports().file[slot]
         }
 
-        fn guard(&self, kind: FuKind, signal: &str) -> bool {
-            self.0.guard_value(kind, 0, signal)
+        fn guard(&mut self, kind: FuKind, signal: &str) -> bool {
+            let g = Guard::new(kind, 0, signal, false);
+            let slot = self.0.compiled().map.guard(g.fu, g.signal).unwrap();
+            self.0.ports().guards[slot]
         }
     }
 
@@ -444,7 +450,6 @@ mod tests {
         // What the early-read rule of `sched::decode` assumes of a trigger.
         let config = MachineConfig::three_bus_three_fu().with_fu_count(FuKind::Mmu, 2);
         let mut cpu = Processor::new(config.clone(), Program::new()).unwrap();
-        cpu.set_local_info(vec![7, 8, 9]);
         for (kind, count) in config.fu_counts() {
             for fu in (0..count).map(|i| FuRef::new(kind, i)) {
                 for port in (0..kind.ports().len() as u8).map(|port| PortRef { fu, port }) {
@@ -454,6 +459,7 @@ mod tests {
                     }
                     cpu.push_input(0x40, 1);
                     let mut ports = cpu.ports();
+                    ports.liu_table = &[7, 8, 9];
                     for (i, w) in ports.file.iter_mut().enumerate() {
                         *w = (i as u32 * 37) % 512;
                     }
@@ -492,39 +498,39 @@ mod tests {
     #[test]
     fn comparator_latches_relations() {
         let mut b = Bench::new();
-        let relations = |b: &Bench| ["eq", "lt", "gt"].map(|s| b.guard(FuKind::Comparator, s));
+        let relations = |b: &mut Bench| ["eq", "lt", "gt"].map(|s| b.guard(FuKind::Comparator, s));
         b.mv(100, FuKind::Comparator, "refv");
         b.mv(100, FuKind::Comparator, "t");
-        assert_eq!(relations(&b), [true, false, false]);
+        assert_eq!(relations(&mut b), [true, false, false]);
         b.mv(99, FuKind::Comparator, "t");
-        assert_eq!(relations(&b), [false, true, false]);
+        assert_eq!(relations(&mut b), [false, true, false]);
         b.mv(101, FuKind::Comparator, "t");
         // Rewriting refv does not change latched guards.
         b.mv(0, FuKind::Comparator, "refv");
-        assert_eq!((relations(&b), b.r(FuKind::Comparator)), ([false, false, true], 101));
+        assert_eq!((relations(&mut b), b.r(FuKind::Comparator)), ([false, false, true], 101));
     }
 
     #[test]
     fn counter_operations_and_guards() {
         let mut b = Bench::new();
         let guards =
-            |b: &Bench| (b.guard(FuKind::Counter, "done"), b.guard(FuKind::Counter, "zero"));
-        assert_eq!(guards(&b), (true, true)); // power-on: 0 == stop, 0 == 0
+            |b: &mut Bench| (b.guard(FuKind::Counter, "done"), b.guard(FuKind::Counter, "zero"));
+        assert_eq!(guards(&mut b), (true, true)); // power-on: 0 == stop, 0 == 0
         b.mv(3, FuKind::Counter, "stop");
-        assert_eq!(guards(&b), (false, true)); // `done` follows a stop write
+        assert_eq!(guards(&mut b), (false, true)); // `done` follows a stop write
         for _ in 0..3 {
             b.mv(0, FuKind::Counter, "tinc");
         }
-        assert_eq!((guards(&b), b.r(FuKind::Counter)), ((true, false), 3));
+        assert_eq!((guards(&mut b), b.r(FuKind::Counter)), ((true, false), 3));
         b.mv(10, FuKind::Counter, "tadd");
         assert_eq!(b.r(FuKind::Counter), 13);
         b.mv(13, FuKind::Counter, "tsub");
-        assert_eq!(guards(&b), (false, true));
+        assert_eq!(guards(&mut b), (false, true));
         b.mv(0, FuKind::Counter, "tdec");
         assert_eq!(b.r(FuKind::Counter), u32::MAX); // wrapping
         b.mv(u32::MAX, FuKind::Counter, "stop");
         b.mv(7, FuKind::Counter, "tset");
-        assert_eq!((guards(&b), b.r(FuKind::Counter)), ((false, false), 7));
+        assert_eq!((guards(&mut b), b.r(FuKind::Counter)), ((false, false), 7));
     }
 
     #[test]

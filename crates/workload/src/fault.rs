@@ -109,7 +109,7 @@ impl FaultPlan {
     }
 
     /// Routing-table entry corruption with repair latency only.
-    pub const fn corruption() -> Self {
+    pub(crate) const fn corruption() -> Self {
         FaultPlan { corrupt_every: 10, repair_ticks: 5, repair_retries: 3, ..Self::none() }
     }
 
@@ -151,15 +151,6 @@ impl FaultPlan {
     /// The same plan under a different seed.
     pub fn with_seed(self, seed: u64) -> Self {
         FaultPlan { seed, ..self }
-    }
-
-    /// True when the plan injects nothing at all.
-    pub fn is_none(&self) -> bool {
-        self.malformed_per_tick_milli == 0
-            && self.hop_limit_zero_per_tick_milli == 0
-            && self.corrupt_every == 0
-            && self.flap_every == 0
-            && self.stall_every_cycles == 0
     }
 }
 
@@ -204,7 +195,7 @@ impl FaultMetrics {
     }
 
     /// Stable JSON (integers only, fixed key order).
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         format!(
             concat!(
                 "{{\"injected_malformed\":{},\"injected_hop_limit\":{},",
@@ -235,16 +226,9 @@ mod tests {
     fn builtin_plans_resolve_by_name() {
         for (name, plan) in FaultPlan::builtin() {
             assert_eq!(FaultPlan::by_name(name), Some(plan));
-            assert!(!plan.is_none(), "{name} must inject something");
+            assert_ne!(plan.with_seed(0), FaultPlan::none().with_seed(0), "{name} injects nothing");
         }
         assert_eq!(FaultPlan::by_name("no-such-plan"), None);
-    }
-
-    #[test]
-    fn the_empty_plan_is_none() {
-        assert!(FaultPlan::none().is_none());
-        assert!(FaultPlan::default().is_none());
-        assert!(!FaultPlan::storm().is_none());
     }
 
     #[test]

@@ -40,15 +40,10 @@ pub mod scenario;
 pub mod trace;
 
 pub use fault::{FaultMetrics, FaultPlan, DEFAULT_FAULT_SEED};
-pub use metrics::{
-    coherence_to_json, FlowStats, LatencyHistogram, ScenarioMetrics, LATENCY_BUCKETS,
-};
+pub use metrics::{FlowStats, LatencyHistogram, ScenarioMetrics, LATENCY_BUCKETS};
 pub use scenario::{
     run_scenario, run_scenario_with_faults, run_trace_replay, ScenarioConfig, Workload,
-    DEFAULT_SEED, MAX_OFFERED, PORTS, TICK_MILLIS,
+    DEFAULT_SEED, MAX_OFFERED, PORTS,
 };
 pub use taco_sim::CoherenceStats;
-pub use trace::{
-    FlowTrace, TraceFormatError, TraceGen, TraceRecord, MAX_FLOW_LEN, MAX_PAYLOAD, RECORD_BYTES,
-    TRACE_MAGIC, TRACE_VERSION,
-};
+pub use trace::{FlowTrace, TraceFormatError, TraceGen, TraceRecord, MAX_FLOW_LEN};

@@ -85,11 +85,6 @@ impl LatencyHistogram {
         self.buckets.iter().fold(0, |sum, b| sum.saturating_add(*b))
     }
 
-    /// Sum of all sample latencies in ticks.
-    pub fn total_ticks(&self) -> u64 {
-        self.total
-    }
-
     /// Largest sample seen.
     pub fn max(&self) -> u64 {
         self.max
@@ -122,7 +117,7 @@ impl LatencyHistogram {
     /// # Panics
     ///
     /// Panics if `p > 100`.
-    pub fn percentile(&self, p: u64) -> u64 {
+    pub(crate) fn percentile(&self, p: u64) -> u64 {
         assert!(p <= 100, "percentile {p} out of range");
         let count = self.count();
         if count == 0 {
@@ -215,7 +210,7 @@ impl FlowStats {
     }
 
     /// Stable JSON (integers only, fixed key order).
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(self) -> String {
         let FlowStats { flows, max_flow_len, small, medium, large } = self;
         let packets = self.packets();
         format!(
@@ -279,7 +274,7 @@ pub struct ScenarioMetrics {
 
 /// Serialises a [`CoherenceStats`] record with a fixed key order (the
 /// `coherence` section of the scenario JSON).
-pub fn coherence_to_json(c: &CoherenceStats) -> String {
+pub(crate) fn coherence_to_json(c: &CoherenceStats) -> String {
     format!(
         "{{\"reads\":{},\"writes\":{},\"hits\":{},\"misses\":{},\
          \"invalidations\":{},\"upgrade_stalls\":{},\"writebacks\":{},\
@@ -301,7 +296,7 @@ impl ScenarioMetrics {
     /// The record of a run that has measured nothing yet: the four
     /// identifying members as given, every counter zero, every optional
     /// section absent.
-    pub fn new(scenario: &'static str, kind: TableKind, seed: u64, ticks: u64) -> Self {
+    pub(crate) fn new(scenario: &'static str, kind: TableKind, seed: u64, ticks: u64) -> Self {
         ScenarioMetrics {
             scenario,
             kind,
@@ -477,7 +472,7 @@ mod tests {
         for t in [0, 1, 5, 100, 1 << 40] {
             h.record(t);
         }
-        let rebuilt = LatencyHistogram::from_parts(*h.buckets(), h.total_ticks(), h.max());
+        let rebuilt = LatencyHistogram::from_parts(*h.buckets(), h.total, h.max());
         assert_eq!(rebuilt, h);
         assert_eq!(rebuilt.p99(), h.p99());
         assert_eq!(rebuilt.mean_milli(), h.mean_milli());
@@ -509,7 +504,7 @@ mod tests {
         let mut sat = LatencyHistogram::new();
         sat.record(u64::MAX);
         sat.record(u64::MAX);
-        assert_eq!(sat.total_ticks(), u64::MAX);
+        assert_eq!(sat.total, u64::MAX);
         assert_eq!(sat.mean_milli(), u64::MAX);
     }
 

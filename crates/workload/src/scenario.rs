@@ -33,7 +33,7 @@ use crate::trace::{FlowTrace, TraceGen, TraceRecord};
 pub const PORTS: u16 = 4;
 
 /// Simulated duration of one engine tick in milliseconds.
-pub const TICK_MILLIS: u64 = 100;
+pub(crate) const TICK_MILLIS: u64 = 100;
 
 /// Fraction of data destinations that hit the routing table.
 const HIT_RATIO: f64 = 0.9;
@@ -257,7 +257,7 @@ impl Workload {
     }
 
     /// The default `ripng-convergence` scenario.
-    pub fn ripng_convergence() -> Workload {
+    pub(crate) fn ripng_convergence() -> Workload {
         Workload::RipngConvergence {
             seed: DEFAULT_SEED,
             ticks: 300,

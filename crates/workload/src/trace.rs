@@ -30,17 +30,17 @@ use taco_routing::Route;
 use crate::scenario::{Workload, PORTS};
 
 /// Magic first line of the binary format.
-pub const TRACE_MAGIC: &str = "taco-flowtrace";
+pub(crate) const TRACE_MAGIC: &str = "taco-flowtrace";
 
 /// Current format version.
-pub const TRACE_VERSION: u32 = 1;
+pub(crate) const TRACE_VERSION: u32 = 1;
 
 /// Encoded size of one [`TraceRecord`], in bytes.
-pub const RECORD_BYTES: usize = 44;
+pub(crate) const RECORD_BYTES: usize = 44;
 
 /// Largest payload a record may carry (jumbo-frame bound); anything
 /// larger is a corrupt record, not a datagram.
-pub const MAX_PAYLOAD: u16 = 9216;
+pub(crate) const MAX_PAYLOAD: u16 = 9216;
 
 /// Salt mixed into the trace seed to derive the routing table the trace's
 /// destinations were drawn against.  Part of the format: replaying a
@@ -69,7 +69,7 @@ pub struct TraceRecord {
 
 impl TraceRecord {
     /// Encodes the record to its fixed-width little-endian form.
-    pub fn to_bytes(&self) -> [u8; RECORD_BYTES] {
+    pub(crate) fn to_bytes(self) -> [u8; RECORD_BYTES] {
         let mut b = [0u8; RECORD_BYTES];
         b[0..4].copy_from_slice(&self.tick.to_le_bytes());
         b[4] = self.linecard;
@@ -189,7 +189,7 @@ impl From<std::io::Error> for TraceFormatError {
 }
 
 /// Shorthand for trace operations.
-pub type TraceResult<T> = Result<T, TraceFormatError>;
+pub(crate) type TraceResult<T> = Result<T, TraceFormatError>;
 
 /// FNV-1a 64-bit over `bytes` — the checksum and digest function of the
 /// trace format, and the `EvalCache` snapshot's checksum.
@@ -221,26 +221,6 @@ pub struct FlowTrace {
 }
 
 impl FlowTrace {
-    /// Builds a trace from explicit records, validating and sorting them
-    /// exactly as the binary reader would.
-    pub fn from_records(
-        seed: u64,
-        ticks: u32,
-        flows: u32,
-        entries: u32,
-        mut records: Vec<TraceRecord>,
-    ) -> TraceResult<FlowTrace> {
-        records.sort_by_key(|r| r.tick);
-        let body: Vec<u8> = records.iter().flat_map(|r| r.to_bytes()).collect();
-        // Round-trip through the decoder so hand-built records obey the
-        // same range rules as file-loaded ones.
-        for (i, chunk) in body.chunks_exact(RECORD_BYTES).enumerate() {
-            TraceRecord::from_bytes(chunk.try_into().expect("exact chunk"), i, ticks)?;
-        }
-        let digest = trace_fnv1a64(&body);
-        Ok(FlowTrace { seed, ticks, flows, entries, records, digest })
-    }
-
     /// The records, sorted by tick.
     pub fn records(&self) -> &[TraceRecord] {
         &self.records
@@ -264,7 +244,7 @@ impl FlowTrace {
 
     /// The routing table this trace's destinations were drawn against —
     /// replay seeds the router with exactly this table.
-    pub fn table(&self) -> Vec<Route> {
+    pub(crate) fn table(&self) -> Vec<Route> {
         trace_table(self.seed, self.entries)
     }
 
@@ -383,7 +363,7 @@ impl FlowTrace {
 /// The routing table a trace's destinations were drawn against: derived
 /// from `(seed, entries)` through [`TABLE_SALT`], so the trace file alone
 /// (whose header carries both) fully determines the replay.
-pub fn trace_table(seed: u64, entries: u32) -> Vec<Route> {
+pub(crate) fn trace_table(seed: u64, entries: u32) -> Vec<Route> {
     TrafficGen::new(seed ^ TABLE_SALT, PORTS).table(entries as usize, false)
 }
 
@@ -416,7 +396,7 @@ pub const MAX_FLOW_LEN: u32 = (2 << FLOW_OCTAVES) - 1;
 
 impl TraceGen {
     /// A generator over `seed`'s stream.
-    pub fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         TraceGen { rng: SplitMix64::new(seed) }
     }
 
@@ -676,7 +656,7 @@ mod tests {
         // An out-of-range linecard.
         let mut records: Vec<TraceRecord> = t.records().to_vec();
         records[3].linecard = 200;
-        match FlowTrace::from_records(t.seed, t.ticks, t.flows, t.entries, records) {
+        match reparse(&t, records) {
             Err(TraceFormatError::BadRecord { message, .. }) => {
                 assert!(message.contains("linecard"), "{message}");
             }
@@ -685,10 +665,7 @@ mod tests {
         // A tick beyond the horizon.
         let mut records: Vec<TraceRecord> = t.records().to_vec();
         records[0].tick = t.ticks + 5;
-        assert!(matches!(
-            FlowTrace::from_records(t.seed, t.ticks, t.flows, t.entries, records),
-            Err(TraceFormatError::BadRecord { .. })
-        ));
+        assert!(matches!(reparse(&t, records), Err(TraceFormatError::BadRecord { .. })));
         // A corrupt pad byte in the raw bytes.
         let mut bytes = t.to_bytes();
         let body_start = bytes.len() - t.records().len() * RECORD_BYTES;
@@ -708,6 +685,11 @@ mod tests {
         }
     }
 
+    /// `t`'s header over `records`, through the binary writer and reader.
+    fn reparse(t: &FlowTrace, records: Vec<TraceRecord>) -> TraceResult<FlowTrace> {
+        FlowTrace::from_bytes(&FlowTrace { records, ..t.clone() }.to_bytes())
+    }
+
     /// Replaces the checksum line's value without a regex dependency.
     fn regex_free_checksum_swap(header: &str, sum: u64) -> String {
         let mut out = String::new();
@@ -720,16 +702,6 @@ mod tests {
             out.push('\n');
         }
         out
-    }
-
-    #[test]
-    fn from_records_round_trips_the_generator() {
-        let t = reference();
-        let rebuilt =
-            FlowTrace::from_records(t.seed, t.ticks, t.flows, t.entries, t.records().to_vec())
-                .expect("valid records");
-        assert_eq!(rebuilt, t);
-        assert_eq!(rebuilt.digest(), t.digest());
     }
 
     #[test]

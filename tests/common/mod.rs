@@ -420,7 +420,7 @@ pub fn move_seq(rng: &mut SplitMix64) -> MoveSeq {
                 Source::Port(any_port(rng, kind, |d| matches!(d, PortDir::Result | PortDir::Both)))
             }
             2 => Source::Imm(rng.below(16) as u32),
-            3 => Source::Imm(rng.next_u32()),
+            3 => Source::Imm((rng.next_u64() >> 32) as u32),
             _ => Source::Label(label(rng)),
         };
         let mut mv = Move::new(src, dst);

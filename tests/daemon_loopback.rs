@@ -123,7 +123,12 @@ fn status_table1_poison_lines_status_shutdown() {
     });
     let greedy_workload = ApiRequest::Eval(greedy.clone()).to_json();
     greedy.workload = None;
-    let endless = FlowTrace::from_records(1, u32::MAX, 1, 8, Vec::new()).expect("no records");
+    let header = format!(
+        "taco-flowtrace v1\nseed 1\nticks {}\nflows 1\nentries 8\nrecords 0\nchecksum {:016x}\n",
+        u32::MAX,
+        trace_fnv1a64(&[])
+    );
+    let endless = FlowTrace::from_bytes(header.as_bytes()).expect("no records");
     greedy.trace = Some(std::sync::Arc::new(endless));
     let greedy_trace = ApiRequest::Eval(greedy).to_json();
     // 2^63 thousandths of a malformed frame a tick: the plan's own loop,

@@ -315,9 +315,17 @@ fn workloads_round_trip_and_oversize_members_are_refused_by_name() {
 
 #[test]
 fn oversize_trace_headers_are_refused_by_name() {
-    let record = TraceGen::generate(3, 6, 3, 4).records()[0];
-    let fits = |ticks, flows, entries| {
-        FlowTrace::from_records(3, ticks, flows, entries, vec![record]).expect("valid records")
+    // The generator's first record under each header.
+    let generated = TraceGen::generate(3, 6, 3, 4);
+    let bytes = generated.to_bytes();
+    let record = &bytes[bytes.len() - 44 * generated.records().len()..][..44];
+    let fits = |ticks: u32, flows: u32, entries: u32| {
+        let header = format!(
+            "taco-flowtrace v1\nseed 3\nticks {ticks}\nflows {flows}\nentries {entries}\n\
+             records 1\nchecksum {:016x}\n",
+            trace_fnv1a64(record)
+        );
+        FlowTrace::from_bytes(&[header.as_bytes(), record].concat()).expect("valid records")
     };
     let cases = [
         (fits(u32::MAX, 3, 4), "\"ticks\""),

@@ -45,7 +45,6 @@ struct Observed {
     forwarded: Vec<(PortId, Vec<u8>)>,
     pc: usize,
     cycles: u64,
-    halted: bool,
     malformed: u64,
 }
 
@@ -62,7 +61,6 @@ fn run_and_observe(router: &mut CycleRouter, datagrams: &[Datagram], budget: u64
         forwarded: router.forwarded().into_iter().map(|(p, d)| (p, d.to_bytes())).collect(),
         pc: cpu.pc(),
         cycles: cpu.cycles(),
-        halted: cpu.is_halted(),
         malformed: router.malformed_rejected(),
     }
 }

@@ -170,7 +170,7 @@ fn a_chain_parses_only_if_its_hop_by_hop_header_is_first() {
 fn udp_parse_never_panics() {
     cases(SEED, CASES, |rng| {
         let ends = [addr(rng), addr(rng)];
-        let ports = rng.next_u32();
+        let ports = (rng.next_u64() >> 32) as u32;
         let valid = UdpDatagram::new(
             ports as u16,
             (ports >> 16) as u16,
@@ -241,7 +241,7 @@ fn address_parse_never_panics() {
 #[test]
 fn words_to_bytes_handles_any_length() {
     cases(SEED, CASES, |rng| {
-        let words: Vec<u32> = (0..rng.below(64)).map(|_| rng.next_u32()).collect();
+        let words: Vec<u32> = (0..rng.below(64)).map(|_| (rng.next_u64() >> 32) as u32).collect();
         let len = index(rng, 512);
         let out = words_to_bytes(&words, len);
         assert_eq!(out.len(), len.min(words.len() * 4));
