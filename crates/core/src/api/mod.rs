@@ -48,7 +48,7 @@ pub mod json;
 mod report;
 pub(crate) mod table;
 
-pub use report::{report_from_json, report_to_json, table1_cell_json};
+pub use report::table1_cell_json;
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -1024,9 +1024,9 @@ impl ApiResponse {
     /// Strictly parses one **v1** response line.
     ///
     /// `eval_result`/`sweep_result` payloads are only parseable when their
-    /// reports are (reports carrying a `sim_error` are one-way, see
-    /// [`report_from_json`]).  Session-aware clients parse through
-    /// [`WireResponse::from_json`] instead.
+    /// reports are (reports carrying a `sim_error` are one-way).
+    /// Session-aware clients parse through [`WireResponse::from_json`]
+    /// instead.
     pub fn from_json(line: &str) -> Result<ApiResponse, ApiError> {
         match read_line(line)? {
             (Envelope::V1, response) => Ok(response),

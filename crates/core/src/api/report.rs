@@ -31,7 +31,7 @@ use taco_workload::{
 };
 
 use super::json::{encode_str, Json};
-use super::table::{get_member, must, put_member, record, Bound, Record, Wire};
+use super::table::{get_member, must, put_member, record, Bound, Wire};
 use super::{ApiError, Fields};
 use crate::evaluate::EvalReport;
 
@@ -275,44 +275,26 @@ record!(EvalReport as "report" {
     }
 });
 
-/// Serialises a full report as one line of JSON with a fixed key order;
-/// the machine configuration is written in the form an eval request's
-/// `config` takes.
-pub fn report_to_json(report: &EvalReport) -> String {
-    report.encode()
-}
-
-/// Parses a report line produced by [`report_to_json`] back into an
-/// [`EvalReport`].
-///
-/// # Errors
-///
-/// A structured [`ApiError`] for malformed JSON, unknown or missing
-/// fields, or a report carrying a `sim_error` (one-way, see the module
-/// docs).
-pub fn report_from_json(text: &str) -> Result<EvalReport, ApiError> {
-    EvalReport::decode(text)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::table::Record;
     use crate::arch::ArchConfig;
     use crate::request::EvalRequest;
     use taco_routing::TableKind;
     use taco_workload::FaultPlan;
 
     fn roundtrip(report: &EvalReport) {
-        let line = report_to_json(report);
+        let line = report.encode();
         assert!(!line.contains('\n'), "single line: {line}");
-        let parsed = report_from_json(&line).unwrap_or_else(|e| panic!("{e}: {line}"));
+        let parsed = EvalReport::decode(&line).unwrap_or_else(|e| panic!("{e}: {line}"));
         assert_eq!(&parsed, report);
-        assert_eq!(report_to_json(&parsed), line, "serialisation is a fixed point");
+        assert_eq!(parsed.encode(), line, "serialisation is a fixed point");
     }
 
     /// The report `line` reads back as, written again.
     fn reencode(line: &str) -> String {
-        report_to_json(&report_from_json(line).unwrap_or_else(|e| panic!("{e}: {line}")))
+        EvalReport::decode(line).unwrap_or_else(|e| panic!("{e}: {line}")).encode()
     }
 
     /// Sets every member named `name`, at any depth, to `to` of its value.
@@ -412,7 +394,7 @@ mod tests {
             assert_eq!(SimStats::decode(&json).as_ref(), Ok(&stats), "{json}");
             let report = EvalReport { stats, ..report.clone() };
             roundtrip(&report);
-            assert_derived_agree(&report_to_json(&report));
+            assert_derived_agree(&report.encode());
         }
         let empty = SimStats::default().encode();
         let zero = "\"bus_utilization\":0.000000,\"fu_triggers\":{},\"fu_instance_triggers\":{}}";
@@ -463,7 +445,7 @@ mod tests {
         }
         for report in [overload, replay] {
             roundtrip(&report);
-            let line = report_to_json(&report);
+            let line = report.encode();
             assert_derived_agree(&line);
 
             // Every counter a derived member sums at its ceiling: the sums
@@ -512,9 +494,9 @@ mod tests {
         if report.sim_error.is_none() {
             report.sim_error = Some(taco_sim::SimError::UnresolvedLabel("loop".into()));
         }
-        let line = report_to_json(&report);
+        let line = report.encode();
         assert!(line.contains("\"sim_error\":"), "{line}");
-        let err = report_from_json(&line).unwrap_err();
+        let err = EvalReport::decode(&line).unwrap_err();
         assert!(err.message.contains("one-way"), "{err}");
     }
 
@@ -539,8 +521,8 @@ mod tests {
     fn label_config_mismatch_is_rejected() {
         let report =
             EvalRequest::new(ArchConfig::three_bus_one_fu(TableKind::Cam)).entries(8).run();
-        let line = report_to_json(&report).replace("\"table\":\"cam\"", "\"table\":\"patricia\"");
-        let err = report_from_json(&line).unwrap_err();
+        let line = report.encode().replace("\"table\":\"cam\"", "\"table\":\"patricia\"");
+        let err = EvalReport::decode(&line).unwrap_err();
         assert!(err.message.contains("label"), "{err}");
     }
 }

@@ -80,7 +80,6 @@ impl Ipv6Address {
         w
     }
 
-
     /// Returns bit `index` of the address, where bit 0 is the most
     /// significant bit of the first octet.
     ///

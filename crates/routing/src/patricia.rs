@@ -302,7 +302,10 @@ mod tests {
     /// route or a child (a node with neither is pruned), and a released
     /// slot reads as an empty node.
     fn free_slots(t: &PatriciaTable) -> usize {
-        t.flat_nodes().skip(1).filter(|(_, route, l, r)| (route, l, r) == (&None, &None, &None)).count()
+        t.flat_nodes()
+            .skip(1)
+            .filter(|(_, route, l, r)| (route, l, r) == (&None, &None, &None))
+            .count()
     }
 
     #[test]

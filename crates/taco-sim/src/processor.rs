@@ -1297,9 +1297,6 @@ mod event_trace_tests {
         let traced_stats = traced.run_with(1_000, &mut ring, &mut NoFaults).unwrap();
         assert_eq!(plain_stats, traced_stats);
         assert_eq!(plain.reg(0), traced.reg(0));
-        assert_eq!(
-            TraceCounters::from_events(ring.events()),
-            counted_by_the_loop(&traced_stats)
-        );
+        assert_eq!(TraceCounters::from_events(ring.events()), counted_by_the_loop(&traced_stats));
     }
 }

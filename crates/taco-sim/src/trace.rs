@@ -29,7 +29,6 @@ use std::fmt::Write as _;
 
 use taco_isa::FuRef;
 
-
 /// One cycle-level scheduling event.
 ///
 /// Cycles are the simulator's own counter ([`Processor::cycles`]); bus

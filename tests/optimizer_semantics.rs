@@ -51,8 +51,13 @@ fn op(rng: &mut SplitMix64) -> Op {
     let fu = |rng: &mut SplitMix64| rng.below(3) as u8;
     // Small values as often as wide ones: a masked or compared zero is a
     // different path from a masked or compared 0x9e3779b9.
-    let word =
-        |rng: &mut SplitMix64| if rng.chance(0.25) { rng.below(4) as u32 } else { (rng.next_u64() >> 32) as u32 };
+    let word = |rng: &mut SplitMix64| {
+        if rng.chance(0.25) {
+            rng.below(4) as u32
+        } else {
+            (rng.next_u64() >> 32) as u32
+        }
+    };
     match rng.below(9) {
         0 => Op::LoadImm { reg: reg(rng), value: word(rng) },
         1 => Op::CounterAdd { fu: fu(rng), base: reg(rng), add: word(rng), out: reg(rng) },
