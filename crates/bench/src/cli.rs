@@ -8,7 +8,7 @@
 //!   *loud* — a one-line error plus the usage synopsis, exit code 2 —
 //!   instead of the old silent fall-back-to-default behaviour.
 //!
-//! The parse step ([`Cli::try_parse`]) is pure (no process exit, no IO),
+//! The parse step (`Cli::try_parse`) is pure (no process exit, no IO),
 //! which is what the unit tests drive; subcommands use the
 //! [`Cli::parse_args_or_exit`] wrapper.  Below the parser sit the two
 //! things more than one subcommand does after parsing: the evaluation
@@ -177,7 +177,7 @@ impl Cli {
         Ok(Parse::Args(Parsed { flags, opts, positionals }))
     }
 
-    /// [`Cli::try_parse`] over the arguments left once the subcommand is
+    /// `Cli::try_parse` over the arguments left once the subcommand is
     /// peeled off, with the standard exits: help → stdout + exit 0, errors →
     /// stderr + exit 2.
     pub fn parse_args_or_exit(&self, args: Vec<String>) -> Parsed {

@@ -12,8 +12,8 @@
 //! converted to `f64`: a `u64` seed like `18446744073709551615` does not
 //! survive a round-trip through `f64`, and the byte-identity contract of
 //! the wire layer ("same value in, same bytes out") demands exactness for
-//! integers of any magnitude.  [`Json::as_u64`] parses the raw text as an
-//! integer; [`Json::as_f64`] parses it as a float (Rust's `FromStr` is the
+//! integers of any magnitude.  `Json::as_u64` parses the raw text as an
+//! integer; `Json::as_f64` parses it as a float (Rust's `FromStr` is the
 //! exact inverse of its shortest-round-trip `Display`, so finite floats are
 //! bit-exact too).
 //!

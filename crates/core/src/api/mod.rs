@@ -5,12 +5,12 @@
 //! cache snapshot entry, a client response — is one line of strict JSON
 //! with an explicit `"api_version"` field.  Two schema versions coexist:
 //!
-//! * [`API_VERSION`] (`"v1"`) is the original one-shot dialect — one
+//! * `API_VERSION` (`"v1"`) is the original one-shot dialect — one
 //!   request per connection, responses in submission order, no request
 //!   identity.  [`ApiRequest::from_json`]/[`ApiResponse::from_json`] speak
 //!   it and reject everything else, which is what keeps the golden daemon
 //!   fixtures byte-stable.
-//! * [`API_VERSION_V2`] (`"v2"`) is the multiplexed session dialect: every
+//! * `API_VERSION_V2` (`"v2"`) is the multiplexed session dialect: every
 //!   request carries a client-chosen `"id"` echoed on all of its response
 //!   lines, so many requests can be in flight on one persistent connection
 //!   and their (possibly interleaved) streams can be told apart.  The

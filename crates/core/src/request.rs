@@ -69,7 +69,7 @@ impl EvalRequest {
     pub(crate) const DEFAULT_ENTRIES: usize = 100;
 
     /// A request for `config` with the paper's defaults: 10 GbE,
-    /// [`Self::DEFAULT_ENTRIES`] routing-table entries, no workload.
+    /// `Self::DEFAULT_ENTRIES` routing-table entries, no workload.
     pub fn new(config: ArchConfig) -> Self {
         EvalRequest {
             config,

@@ -58,7 +58,7 @@ pub struct RouteEntry {
     pub prefix: Ipv6Prefix,
     /// Route tag, carried unchanged across routers.
     pub route_tag: u16,
-    /// Metric `1..=16`, or [`NEXT_HOP_METRIC`] for a next-hop RTE.
+    /// Metric `1..=16`, or `NEXT_HOP_METRIC` for a next-hop RTE.
     pub metric: u8,
 }
 

@@ -96,7 +96,7 @@ pub fn words_to_bytes(words: &[u32], byte_len: usize) -> Vec<u8> {
 }
 
 /// First word address of the datagram buffer area above a table image that
-/// ends at `image_end`: [`DGRAM_BASE`], or the next slot boundary past the
+/// ends at `image_end`: `DGRAM_BASE`, or the next slot boundary past the
 /// image when the image reaches beyond it (more than 7936 words — 661
 /// sequential entries), so a datagram is never written over table entries.
 pub fn dgram_base(image_end: u32) -> u32 {

@@ -325,7 +325,7 @@ pub fn choose_screen_word(table: &taco_routing::SequentialTable) -> u8 {
 
 /// Pads a sequential table image to a multiple of `unroll` entries with
 /// never-matching sentinel entries (full mask, all-ones prefix,
-/// [`MISS_IFACE`]); the all-ones destination is the all-nodes multicast
+/// `MISS_IFACE`); the all-ones destination is the all-nodes multicast
 /// group, which a router never looks up.
 pub fn pad_sequential_image(image: &mut Vec<u32>, unroll: u8) {
     let stride = SEQ_ENTRY_WORDS as usize;
@@ -344,7 +344,7 @@ pub fn pad_sequential_image(image: &mut Vec<u32>, unroll: u8) {
 }
 
 /// Generates the forwarding program for a **balanced-tree** routing table
-/// serialised by [`serialize_tree`](crate::layout::serialize_tree).
+/// serialised by `serialize_tree`.
 ///
 /// The descent is a genuine loop (the paper's logarithmic search): at each
 /// node the 128-bit key is compared word by word with early exit; keys
@@ -423,7 +423,7 @@ pub fn tree_program(_opts: &MicrocodeOptions) -> MoveSeq {
 }
 
 /// Generates the forwarding program for a **PATRICIA** routing table
-/// serialised by [`serialize_patricia`](crate::layout::serialize_patricia)
+/// serialised by `serialize_patricia`
 /// — path-compressed per Click's `BSDIP6Lookup` ("fast database updates,
 /// O(W) lookups").
 ///
@@ -583,8 +583,9 @@ pub fn program_for(kind: TableKind, entries: usize, opts: &MicrocodeOptions) -> 
 /// This is the TACO `Checksum` functional unit doing the job it exists
 /// for — the UDP/ICMPv6 sums of the router's control plane.  The fast
 /// path never needs it (IPv6 removed the header checksum, as the paper's
-/// FU inventory reflects), so the routine is exercised by the slow-path
-/// tests and the `quickstart` example rather than by Table 1.
+/// FU inventory reflects), so no evaluation runs it: the module's tests
+/// hold it to `taco_ipv6::checksum`, and `tests/golden_schedules.rs`
+/// digests its schedules, rather than Table 1.
 pub fn checksum_program(start: u32, words: u32) -> MoveSeq {
     let mut b = CodeBuilder::new();
     let mmu = b.fu(FuKind::Mmu, 0);

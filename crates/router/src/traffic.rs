@@ -222,7 +222,7 @@ impl TrafficGen {
 
     /// One arrival of a forwarding workload over `routes`: the port it
     /// arrives on and its wire frame.  Draws, in this order, the
-    /// destination ([`TrafficGen::destination`]), the port, and the
+    /// destination (`TrafficGen::destination`), the port, and the
     /// frame's own fields ([`TrafficGen::frame`]).
     pub fn forwarding_frame(
         &mut self,
@@ -312,7 +312,7 @@ impl TrafficGen {
 }
 
 /// `prefix`'s network bits followed by `128 - len` fair-coin host bits from
-/// `rng`, most significant host bit first: one [`SplitMix64::coin_tosses`]
+/// `rng`, most significant host bit first: one `SplitMix64::coin_tosses`
 /// call ORed into the `u128` form of the address.  Neither side needs a
 /// mask — a prefix's stored address is canonical (host bits zero) and the
 /// sampler leaves the bits above its `n` zero.  The one way to draw host

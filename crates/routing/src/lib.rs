@@ -18,7 +18,7 @@
 //! plus the path-compressed [`PatriciaTable`] radix tree that scales
 //! longest-prefix match to internet-size (BGP, ~200k-prefix) tables.  Every
 //! engine must produce identical longest-prefix-match answers; PATRICIA
-//! keeps its nodes in the [`arena::Arena`] free-list store so route churn
+//! keeps its nodes in the `arena::Arena` free-list store so route churn
 //! keeps its memory bounded.
 //!
 //! All engines implement [`LpmTable`] and report the number of elementary

@@ -15,7 +15,7 @@
 //! length.  Descent tests one bit per node but must verify the *whole*
 //! node prefix against the address — the skipped bits are not implied by
 //! the path — and the deepest verified route wins.  Nodes live in the
-//! shared [`Arena`]: removal prunes empty leaves and splices out
+//! shared `Arena`: removal prunes empty leaves and splices out
 //! routeless one-child interior nodes, returning slots to the free list
 //! so churn keeps the arena bounded.
 

@@ -38,13 +38,16 @@
 //!
 //! Admission control is unchanged from the one-shot daemon: beyond
 //! [`ServerConfig::max_pending`] queued-or-running jobs, submissions are
-//! rejected with a structured [`ApiErrorCode::Busy`] error instead of
-//! queueing without bound; on [`ApiRequest::Shutdown`] the daemon drains
-//! in-flight jobs, persists the cache snapshot and exits gracefully.
+//! rejected with a structured
+//! [`ApiErrorCode::Busy`](taco_core::api::ApiErrorCode::Busy) error instead
+//! of queueing without bound; on
+//! [`ApiRequest::Shutdown`](taco_core::api::ApiRequest::Shutdown) the
+//! daemon drains in-flight jobs, persists the cache snapshot and exits
+//! gracefully.
 //!
 //! Responses are byte-stable by construction (see
-//! [`ApiResponse::to_json`]), so clients may pin them against golden
-//! fixtures regardless of cache state.
+//! [`ApiResponse::to_json`](taco_core::api::ApiResponse::to_json)), so
+//! clients may pin them against golden fixtures regardless of cache state.
 //!
 //! ```no_run
 //! use taco_served::{request_lines, Server, ServerConfig};
@@ -66,8 +69,6 @@ use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 
-#[allow(unused_imports)] // doc links
-use taco_core::api::{ApiErrorCode, ApiRequest, ApiResponse};
 use taco_core::{pool, EvalCache};
 
 pub use client::{open_request, request_lines, Session};
@@ -191,7 +192,7 @@ impl Server {
 mod tests {
     use super::*;
     use std::thread;
-    use taco_core::api::{ApiErrorCode, EvalSpec};
+    use taco_core::api::{ApiErrorCode, ApiRequest, ApiResponse, EvalSpec};
     use taco_core::{ArchConfig, RoutingTableKind};
 
     fn start(config: ServerConfig) -> (SocketAddr, thread::JoinHandle<io::Result<()>>) {

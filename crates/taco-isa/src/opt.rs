@@ -7,10 +7,10 @@
 //! of registers that are no longer in use".  This module implements the two
 //! that shrink move counts directly:
 //!
-//! * [`bypass`] — copy propagation through general-purpose registers: the
+//! * `bypass` — copy propagation through general-purpose registers: the
 //!   pair `x -> regs0.rN; regs0.rN -> y` becomes `x -> regs0.rN; x -> y`,
 //!   making the temporary candidate for removal;
-//! * [`eliminate_dead_moves_with`] — removes register writes that are
+//! * `eliminate_dead_moves_with` — removes register writes that are
 //!   unconditionally overwritten before any read and, under its live-out
 //!   policy, writes no caller will ever observe.
 //!
@@ -163,14 +163,14 @@ pub(crate) fn eliminate_dead_moves_with(
     removed
 }
 
-/// Runs [`bypass`] and [`eliminate_dead_moves_with`] to a fixed point, returning
+/// Runs `bypass` and `eliminate_dead_moves_with` to a fixed point, returning
 /// the total number of moves removed.  Every register is treated as live at
 /// program end; see [`optimize_with`] when the ABI is known.
 pub fn optimize(seq: &mut MoveSeq) -> usize {
     optimize_with(seq, |_| true)
 }
 
-/// Runs [`bypass`] and [`eliminate_dead_moves_with`] to a fixed point under
+/// Runs `bypass` and `eliminate_dead_moves_with` to a fixed point under
 /// an explicit live-out policy, returning the total number of moves
 /// removed.
 pub fn optimize_with(seq: &mut MoveSeq, live_out: impl Fn(PortRef) -> bool) -> usize {

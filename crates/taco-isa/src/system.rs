@@ -111,7 +111,7 @@ impl Default for InterconnectConfig {
 /// `protocol` over `interconnect`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SystemConfig {
-    /// Core count (1..=[`MAX_CORES`]).
+    /// Core count (1..=`MAX_CORES`).
     pub cores: u8,
     /// Private per-core table cache shape.
     pub cache: CacheConfig,
@@ -138,7 +138,7 @@ impl SystemConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `cores` is zero or above [`MAX_CORES`].
+    /// Panics if `cores` is zero or above `MAX_CORES`.
     pub fn with_cores(cores: u8) -> Self {
         assert!((1..=MAX_CORES).contains(&cores), "cores must be 1..={MAX_CORES}");
         SystemConfig { cores, ..Self::single_core() }

@@ -692,12 +692,12 @@ mod tests {
     }
 
     /// An FU result register by kind/instance/port.
-    fn fu_result(p: &Processor, kind: FuKind, index: u8, port: &str) -> Result<u32, SimError> {
+    fn read_port(p: &Processor, kind: FuKind, index: u8, port: &str) -> Result<u32, SimError> {
         Ok(p.file[p.compiled.map.port(PortRef::new(kind, index, port))?.1])
     }
 
     /// A guard signal; `false` for an instance the configuration lacks.
-    fn guard_value(p: &Processor, kind: FuKind, index: u8, signal: &str) -> bool {
+    fn read_guard(p: &Processor, kind: FuKind, index: u8, signal: &str) -> bool {
         let g = Guard::new(kind, index, signal, false);
         p.compiled.map.guard(g.fu, g.signal).is_ok_and(|slot| p.guards[slot])
     }
@@ -718,7 +718,7 @@ mod tests {
             MachineConfig::new(3),
         );
         let stats = p.run(100).unwrap();
-        assert_eq!(fu_result(&p, FuKind::Counter, 0, "r").unwrap(), 5);
+        assert_eq!(read_port(&p, FuKind::Counter, 0, "r").unwrap(), 5);
         // 1 setup + 5 × (inc + branch) cycles.
         assert_eq!(stats.cycles, 11);
         assert_eq!(stats.triggers(FuKind::Counter), 6);
@@ -731,7 +731,7 @@ mod tests {
         let mut p = load("9 -> cnt0.tset | cnt0.r -> regs0.r0\n", MachineConfig::new(2));
         p.run(10).unwrap();
         assert_eq!(p.reg(0), 0); // old value
-        assert_eq!(fu_result(&p, FuKind::Counter, 0, "r").unwrap(), 9);
+        assert_eq!(read_port(&p, FuKind::Counter, 0, "r").unwrap(), 9);
     }
 
     #[test]
@@ -846,7 +846,7 @@ mod tests {
         p.set_rtu(RtuConfig::new(Box::new(backend)).with_latency(5));
         let stats = p.run(100).unwrap();
         assert_eq!(p.reg(0), 9);
-        assert!(guard_value(&p, FuKind::Rtu, 0, "hit"));
+        assert!(read_guard(&p, FuKind::Rtu, 0, "hit"));
         // Trigger at cycle 3 (0-based), ready at 3+5=8; the read would have
         // been cycle 4, so it stalls 4 cycles.
         assert_eq!(stats.stall_cycles, 4);
@@ -857,7 +857,7 @@ mod tests {
         let mut p = load("4 -> rtu0.t\n?rtu0.hit 1 -> regs0.r0\n", MachineConfig::new(1));
         p.run(10).unwrap();
         assert_eq!(p.reg(0), 0);
-        assert_eq!(fu_result(&p, FuKind::Rtu, 0, "iface").unwrap(), u32::MAX);
+        assert_eq!(read_port(&p, FuKind::Rtu, 0, "iface").unwrap(), u32::MAX);
     }
 
     #[test]
@@ -1049,16 +1049,16 @@ mod tests {
     #[test]
     fn power_on_state_matches_the_combinational_reads_it_replaced() {
         let mut p = load("0 -> ippu0.tpop\n", MachineConfig::three_bus_three_fu());
-        let pending = |p: &Processor| guard_value(p, FuKind::Ippu, 0, "pending");
+        let pending = |p: &Processor| read_guard(p, FuKind::Ippu, 0, "pending");
         for check in 0..2 {
             for i in 0..3 {
                 // 0 == stop and 0 == 0 on a zeroed counter; !0 & 0xffff.
-                assert!(guard_value(&p, FuKind::Counter, i, "done"), "{check}");
-                assert!(guard_value(&p, FuKind::Counter, i, "zero"), "{check}");
-                assert!(!guard_value(&p, FuKind::Matcher, i, "match"), "{check}");
+                assert!(read_guard(&p, FuKind::Counter, i, "done"), "{check}");
+                assert!(read_guard(&p, FuKind::Counter, i, "zero"), "{check}");
+                assert!(!read_guard(&p, FuKind::Matcher, i, "match"), "{check}");
             }
-            assert_eq!(fu_result(&p, FuKind::Checksum, 0, "r"), Ok(0xffff), "{check}");
-            assert!(!pending(&p) && !guard_value(&p, FuKind::Rtu, 0, "hit"), "{check}");
+            assert_eq!(read_port(&p, FuKind::Checksum, 0, "r"), Ok(0xffff), "{check}");
+            assert!(!pending(&p) && !read_guard(&p, FuKind::Rtu, 0, "hit"), "{check}");
             // `pending` follows the queue: two pushes, one pop, a reset.
             p.push_input(0x40, 1);
             p.push_input(0x80, 2);
@@ -1070,7 +1070,7 @@ mod tests {
         p.push_input(0x40, 1);
         p.run(10).unwrap();
         assert!(!pending(&p));
-        assert!(!guard_value(&p, FuKind::Counter, 3, "done")); // no such instance
+        assert!(!read_guard(&p, FuKind::Counter, 3, "done")); // no such instance
     }
 
     #[test]

@@ -155,7 +155,7 @@ impl FaultPlan {
 }
 
 /// What a faulted replay injected, what the router detected, and how
-/// recovery went.  All-integer, so [`FaultMetrics::to_json`] is byte-stable
+/// recovery went.  All-integer, so `FaultMetrics::to_json` is byte-stable
 /// across platforms and thread counts.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FaultMetrics {

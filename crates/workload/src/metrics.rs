@@ -142,7 +142,7 @@ impl LatencyHistogram {
         self.max
     }
 
-    /// Median latency bound ([`percentile`](Self::percentile) at 50).
+    /// Median latency bound (`percentile` at 50).
     pub fn p50(&self) -> u64 {
         self.percentile(50)
     }

@@ -49,7 +49,7 @@ pub(crate) const MAX_PAYLOAD: u16 = 9216;
 const TABLE_SALT: u64 = 0x7AC0_F10D;
 
 /// One replayed datagram: arrival tick, arrival linecard, flow identity,
-/// payload size and the address pair.  Encodes to [`RECORD_BYTES`]
+/// payload size and the address pair.  Encodes to `RECORD_BYTES`
 /// little-endian bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceRecord {
@@ -57,7 +57,7 @@ pub struct TraceRecord {
     pub tick: u32,
     /// Arrival linecard (must be `< PORTS`).
     pub linecard: u8,
-    /// Payload bytes of the datagram (≤ [`MAX_PAYLOAD`]).
+    /// Payload bytes of the datagram (≤ `MAX_PAYLOAD`).
     pub payload_len: u16,
     /// Flow this datagram belongs to.
     pub flow_id: u32,
