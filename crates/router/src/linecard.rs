@@ -20,14 +20,13 @@ use std::collections::VecDeque;
 use taco_ipv6::Datagram;
 use taco_routing::PortId;
 
-/// Default Ethernet MTU in bytes.
-pub(crate) const DEFAULT_MTU: usize = 1500;
+/// Every card's MTU in bytes: Ethernet's.
+pub(crate) const MTU: usize = 1500;
 
 /// One line card: a router port with input and output buffers.
 #[derive(Debug, Clone)]
 pub struct LineCard {
     port: PortId,
-    mtu: usize,
     capacity: usize,
     link_up: bool,
     input: VecDeque<Vec<u8>>,
@@ -41,7 +40,6 @@ impl Default for LineCard {
     fn default() -> Self {
         LineCard {
             port: PortId::default(),
-            mtu: DEFAULT_MTU,
             capacity: usize::MAX,
             link_up: true,
             input: VecDeque::new(),
@@ -54,7 +52,7 @@ impl Default for LineCard {
 }
 
 impl LineCard {
-    /// Creates a line card for `port` with the default Ethernet MTU and an
+    /// Creates a line card for `port` with the Ethernet MTU and an
     /// unbounded input buffer.
     pub(crate) fn new(port: PortId) -> Self {
         LineCard { port, ..LineCard::default() }
@@ -74,11 +72,6 @@ impl LineCard {
         self.port
     }
 
-    /// The configured MTU in bytes.
-    pub(crate) fn mtu(&self) -> usize {
-        self.mtu
-    }
-
     /// `datagram` arrives from the wire: [`LineCard::receive_raw`] of its
     /// wire image.
     pub fn receive(&mut self, datagram: &Datagram) -> bool {
@@ -96,7 +89,7 @@ impl LineCard {
             self.dropped_link_down += 1;
             return false;
         }
-        if bytes.len() > self.mtu {
+        if bytes.len() > MTU {
             return false;
         }
         if self.input.len() >= self.capacity {
@@ -199,7 +192,7 @@ mod tests {
         assert!(lc.receive_raw(garbage.clone()));
         assert_eq!(lc.poll_input(), Some(garbage));
         // The MTU check still applies to raw bytes.
-        assert!(!lc.receive_raw(vec![0u8; DEFAULT_MTU + 1]));
+        assert!(!lc.receive_raw(vec![0u8; MTU + 1]));
         assert_eq!(lc.pending(), 0);
     }
 
@@ -219,7 +212,7 @@ mod tests {
     #[test]
     fn oversize_dropped() {
         let mut lc = LineCard::new(PortId(1));
-        assert!(!lc.receive(&dgram(DEFAULT_MTU)));
+        assert!(!lc.receive(&dgram(MTU)));
         assert!(lc.receive(&dgram(10)));
         assert_eq!(lc.pending(), 1);
     }
@@ -242,7 +235,6 @@ mod tests {
     fn accessors() {
         let lc = LineCard::new(PortId(3));
         assert_eq!(lc.port(), PortId(3));
-        assert_eq!(lc.mtu(), DEFAULT_MTU);
     }
 
     #[test]

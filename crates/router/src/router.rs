@@ -16,7 +16,7 @@ use taco_ipv6::{Datagram, Ipv6Address, NextHeader};
 use taco_routing::ripng::{InterfaceConfig, RipngEngine};
 use taco_routing::{LpmTable, PortId, SimTime};
 
-use crate::linecard::LineCard;
+use crate::linecard::{LineCard, MTU};
 use crate::reference::{DropReason, ForwardDecision, ReferenceRouter};
 use crate::traffic::ripng_datagram;
 
@@ -235,8 +235,7 @@ impl<T: LpmTable> Router<T> {
             .find(|i| i.port == port)
             .map(|i| i.address)
             .unwrap_or(Ipv6Address::UNSPECIFIED);
-        let mtu = self.card(port).mtu();
-        let per_packet = RipngPacket::max_entries_for_mtu(mtu).max(1);
+        let per_packet = RipngPacket::max_entries_for_mtu(MTU).max(1);
 
         let mut chunks: Vec<RipngPacket> = if packet.entries.len() <= per_packet {
             vec![packet.clone()]
