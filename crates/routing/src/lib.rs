@@ -18,7 +18,7 @@
 //! plus the path-compressed [`PatriciaTable`] radix tree that scales
 //! longest-prefix match to internet-size (BGP, ~200k-prefix) tables.  Every
 //! engine must produce identical longest-prefix-match answers; PATRICIA
-//! keeps its nodes in the `arena::Arena` free-list store so route churn
+//! keeps its nodes in an arena free-list store so route churn
 //! keeps its memory bounded.
 //!
 //! All engines implement [`LpmTable`] and report the number of elementary
@@ -46,7 +46,7 @@
 //! # }
 //! ```
 
-pub mod arena;
+mod arena;
 pub mod cam;
 pub mod clock;
 pub mod patricia;

@@ -13,7 +13,7 @@
 //! # Architecture
 //!
 //! A single **event-loop thread** owns the listener and every connection,
-//! multiplexed over a libc-free [`poll(2)`](poll) wrapper on non-blocking
+//! multiplexed over a libc-free `poll(2)` wrapper on non-blocking
 //! sockets.  Cheap requests — `status`, cache-hit evaluations — are
 //! answered inline by the loop without occupying a job slot.
 //! Simulation-heavy work (cache-miss evals, sweeps) is queued to a small
@@ -63,7 +63,7 @@
 
 mod client;
 mod event_loop;
-pub mod poll;
+mod poll;
 
 use std::io;
 use std::net::{SocketAddr, TcpListener};

@@ -11,7 +11,7 @@
 //! the technology's ceiling — infeasibility (the "NA" cells of Table 1).
 //!
 //! The model is first-order by design: per-module gate budgets
-//! ([`gates`]), a standard-cell [`Technology`] profile (default: the
+//! (`gates.rs`), a standard-cell [`Technology`] profile (default: the
 //! paper's 0.18 µm node with its ~1 GHz ceiling), a gate-sizing factor that
 //! diverges as the clock approaches the ceiling, and the textbook dynamic
 //! power relation `P = α·C·V²·f`.  All constants are calibration
@@ -30,7 +30,7 @@
 //! assert!(e.total_power_w() > 10.0 * e.power_w);
 //! ```
 
-pub mod gates;
+mod gates;
 pub mod model;
 pub mod tech;
 
