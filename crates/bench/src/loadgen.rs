@@ -31,14 +31,14 @@ use std::time::Instant;
 
 use crate::cli::Cli;
 use taco_core::api::{ApiRequest, ApiResponse, Envelope, EvalSpec, WireResponse};
-use taco_core::{ArchConfig, RoutingTableKind};
+use taco_core::{ArchConfig, TableKind};
 use taco_served::{request_lines, Server, ServerConfig, Session};
 use taco_workload::LatencyHistogram;
 
 /// The measured request: a single-bus CAM evaluation, tiny table.  It is
 /// warmed once so every timed request is an inline cache hit.
 fn probe() -> ApiRequest {
-    let mut spec = EvalSpec::new(ArchConfig::one_bus_one_fu(RoutingTableKind::Cam));
+    let mut spec = EvalSpec::new(ArchConfig::one_bus_one_fu(TableKind::Cam));
     spec.entries = 8;
     ApiRequest::Eval(spec)
 }

@@ -6,10 +6,6 @@ use std::fmt;
 use taco_isa::{FuKind, MachineConfig};
 use taco_routing::TableKind;
 
-/// Re-export of the routing-table organisation enum under the name the
-/// evaluation API uses.
-pub type RoutingTableKind = TableKind;
-
 /// One row-by-column cell of the paper's design space: *how the routing
 /// table is implemented* × *how much interconnect and datapath the
 /// processor has*.
@@ -18,27 +14,27 @@ pub struct ArchConfig {
     /// The TTA resources of one core.
     pub machine: MachineConfig,
     /// The routing-table organisation.
-    pub table: RoutingTableKind,
+    pub table: TableKind,
 }
 
 impl ArchConfig {
     /// Creates an architecture instance.
-    pub(crate) fn new(machine: MachineConfig, table: RoutingTableKind) -> Self {
+    pub(crate) fn new(machine: MachineConfig, table: TableKind) -> Self {
         ArchConfig { machine, table }
     }
 
     /// The paper's `1BUS/1FU` column for the given table organisation.
-    pub fn one_bus_one_fu(table: RoutingTableKind) -> Self {
+    pub fn one_bus_one_fu(table: TableKind) -> Self {
         Self::new(MachineConfig::one_bus_one_fu(), table)
     }
 
     /// The paper's `3BUS/1FU` column.
-    pub fn three_bus_one_fu(table: RoutingTableKind) -> Self {
+    pub fn three_bus_one_fu(table: TableKind) -> Self {
         Self::new(MachineConfig::three_bus_one_fu(), table)
     }
 
     /// The paper's `3bus/3CNT,3CMP,3M` column.
-    pub fn three_bus_three_fu(table: RoutingTableKind) -> Self {
+    pub fn three_bus_three_fu(table: TableKind) -> Self {
         Self::new(MachineConfig::three_bus_three_fu(), table)
     }
 
@@ -65,7 +61,7 @@ impl ArchConfig {
     /// # Panics
     ///
     /// Panics if `buses` or `replication` is zero.
-    pub fn with_replication(table: RoutingTableKind, buses: u8, replication: u8) -> Self {
+    pub fn with_replication(table: TableKind, buses: u8, replication: u8) -> Self {
         let mut machine = MachineConfig::new(buses);
         if replication > 1 {
             for kind in FuKind::REPLICABLE {

@@ -201,10 +201,10 @@ fn scenario_service_per_tick(cycles_per_datagram: f64) -> u32 {
 /// # Examples
 ///
 /// ```
-/// use taco_core::{evaluate_request, ArchConfig, EvalRequest, RoutingTableKind};
+/// use taco_core::{evaluate_request, ArchConfig, EvalRequest, TableKind};
 ///
 /// let report = evaluate_request(
-///     &EvalRequest::new(ArchConfig::three_bus_one_fu(RoutingTableKind::Cam)),
+///     &EvalRequest::new(ArchConfig::three_bus_one_fu(TableKind::Cam)),
 /// );
 /// assert!(report.is_feasible());
 /// assert!(report.required_frequency_hz < 200e6); // tens of MHz, as in the paper

@@ -312,18 +312,9 @@ pub fn explore_serial(
 /// the pair is what Table 1 prints for the same machine and size.  Sizes
 /// are evaluated in parallel and memoised in the global [`EvalCache`].
 pub fn scaling_sweep(config: &ArchConfig, sizes: &[usize]) -> Vec<(usize, f64)> {
-    scaling_sweep_with(config, sizes, &ExploreOptions::default())
-}
-
-/// [`scaling_sweep`] with explicit threads/cache (the observer is unused).
-pub fn scaling_sweep_with(
-    config: &ArchConfig,
-    sizes: &[usize],
-    opts: &ExploreOptions<'_>,
-) -> Vec<(usize, f64)> {
-    pool::ordered_map(sizes, opts.threads, |_, &n| {
+    pool::ordered_map(sizes, pool::default_threads(), |_, &n| {
         let request = EvalRequest::new(config.clone()).rate(LineRate::TEN_GBE).entries(n);
-        (n, opts.evaluate(&request).0.cycles_per_datagram)
+        (n, EvalCache::global().evaluate(&request).cycles_per_datagram)
     })
 }
 

@@ -29,13 +29,13 @@
 //! # Examples
 //!
 //! ```
-//! use taco_core::{ArchConfig, EvalRequest, RoutingTableKind};
+//! use taco_core::{ArchConfig, EvalRequest, TableKind};
 //!
 //! // The paper's headline finding, reproduced in four lines: a CAM-backed
 //! // routing table turns an impossible clock requirement into tens of MHz.
 //! // (The request defaults are the paper's: 10 GbE, 100 table entries.)
-//! let seq = EvalRequest::new(ArchConfig::one_bus_one_fu(RoutingTableKind::Sequential)).run();
-//! let cam = EvalRequest::new(ArchConfig::three_bus_one_fu(RoutingTableKind::Cam)).run();
+//! let seq = EvalRequest::new(ArchConfig::one_bus_one_fu(TableKind::Sequential)).run();
+//! let cam = EvalRequest::new(ArchConfig::three_bus_one_fu(TableKind::Cam)).run();
 //! assert!(!seq.is_feasible());
 //! assert!(cam.is_feasible());
 //! assert!(cam.required_frequency_hz < seq.required_frequency_hz / 10.0);
@@ -58,18 +58,19 @@ pub use api::{
     parse_machine_spec, salvage_request_id, ApiError, ApiErrorCode, ApiRequest, ApiResponse,
     EvalSpec, StatusInfo, WireResponse,
 };
-pub use arch::{ArchConfig, RoutingTableKind};
+pub use arch::ArchConfig;
 pub use cache::{EvalCache, SnapshotError, SnapshotStats};
 pub use evaluate::{evaluate_request, trace_request, EvalReport};
 pub use explorer::{
-    explore, explore_serial, explore_with, grid, rank_reports, scaling_sweep, scaling_sweep_with,
-    Constraints, Exploration, ExploreOptions, SweepSpec,
+    explore, explore_serial, explore_with, grid, rank_reports, scaling_sweep, Constraints,
+    Exploration, ExploreOptions, SweepSpec,
 };
 pub use observer::{PointRecord, Silent, StderrProgress, SweepObserver, SweepSummary};
 pub use prepared::benchmark_routes;
 pub use rate::LineRate;
 pub use request::EvalRequest;
 pub use table1::table1;
+pub use taco_routing::TableKind;
 pub use taco_workload::{
     FaultMetrics, FaultPlan, FlowStats, FlowTrace, ScenarioMetrics, TraceFormatError, TraceGen,
     Workload, DEFAULT_FAULT_SEED,

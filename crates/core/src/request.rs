@@ -10,15 +10,15 @@
 //! # Examples
 //!
 //! ```
-//! use taco_core::{ArchConfig, EvalRequest, LineRate, RoutingTableKind, Workload};
+//! use taco_core::{ArchConfig, EvalRequest, LineRate, TableKind, Workload};
 //!
 //! // The paper's defaults (10 GbE, 100 entries) need no overrides.
-//! let cam = EvalRequest::new(ArchConfig::three_bus_one_fu(RoutingTableKind::Cam)).run();
+//! let cam = EvalRequest::new(ArchConfig::three_bus_one_fu(TableKind::Cam)).run();
 //! assert!(cam.is_feasible());
 //!
 //! // A custom point: gigabit line rate, small table, with a behavioural
 //! // burst scenario replayed on the instance.
-//! let report = EvalRequest::new(ArchConfig::three_bus_one_fu(RoutingTableKind::Cam))
+//! let report = EvalRequest::new(ArchConfig::three_bus_one_fu(TableKind::Cam))
 //!     .rate(LineRate::GIGE)
 //!     .entries(16)
 //!     .workload(Workload::burst_overload())

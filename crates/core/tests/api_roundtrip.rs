@@ -12,11 +12,9 @@
 //! property over *randomised* specs, and mutates them.)
 
 use taco_core::api::{ApiRequest, Envelope, EvalSpec};
-use taco_core::{
-    ArchConfig, Constraints, FaultPlan, LineRate, RoutingTableKind, SweepSpec, Workload,
-};
+use taco_core::{ArchConfig, Constraints, FaultPlan, LineRate, SweepSpec, TableKind, Workload};
 
-const KINDS: [RoutingTableKind; 4] = RoutingTableKind::ALL_KINDS;
+const KINDS: [TableKind; 4] = TableKind::ALL_KINDS;
 
 /// The machine shapes of Table 1 plus an asymmetric-ish corner (4 buses,
 /// 2× replication) the paper never builds.
@@ -152,7 +150,7 @@ fn assert_round_trip_v2(request: &ApiRequest, id: u64) {
 /// The v2 wire surface: the v1 kinds, each under a session id.
 #[test]
 fn v2_session_kinds_round_trip() {
-    let eval = EvalSpec::new(ArchConfig::three_bus_one_fu(RoutingTableKind::Cam));
+    let eval = EvalSpec::new(ArchConfig::three_bus_one_fu(TableKind::Cam));
     let sweep = ApiRequest::Sweep {
         spec: SweepSpec::default(),
         rate: LineRate::TEN_GBE,

@@ -7,7 +7,7 @@
 
 use taco_core::{
     explore_with, ArchConfig, Constraints, EvalCache, EvalRequest, ExploreOptions, FaultPlan,
-    LineRate, RoutingTableKind, Silent, SweepSpec, Workload,
+    LineRate, Silent, SweepSpec, TableKind, Workload,
 };
 
 fn small_workload() -> Workload {
@@ -18,7 +18,7 @@ fn faulted_spec() -> SweepSpec {
     SweepSpec {
         buses: vec![1, 3],
         replication: vec![1],
-        kinds: vec![RoutingTableKind::Cam, RoutingTableKind::BalancedTree],
+        kinds: vec![TableKind::Cam, TableKind::BalancedTree],
         entries: 8,
         workload: Some(small_workload()),
         faults: Some(FaultPlan::storm()),
@@ -66,7 +66,7 @@ fn cached_faulted_points_round_trip_bytes() {
 
 #[test]
 fn storm_injects_and_the_metrics_say_so() {
-    let report = EvalRequest::new(ArchConfig::three_bus_one_fu(RoutingTableKind::Cam))
+    let report = EvalRequest::new(ArchConfig::three_bus_one_fu(TableKind::Cam))
         .entries(8)
         .workload(small_workload())
         .faults(FaultPlan::storm())
@@ -85,7 +85,7 @@ fn storm_injects_and_the_metrics_say_so() {
 
 #[test]
 fn fault_free_requests_carry_no_fault_section() {
-    let report = EvalRequest::new(ArchConfig::three_bus_one_fu(RoutingTableKind::Cam))
+    let report = EvalRequest::new(ArchConfig::three_bus_one_fu(TableKind::Cam))
         .entries(8)
         .workload(small_workload())
         .run();
@@ -98,7 +98,7 @@ fn fault_free_requests_carry_no_fault_section() {
 #[test]
 fn same_plan_reproduces_and_a_new_seed_does_not() {
     let request = |plan: FaultPlan| {
-        EvalRequest::new(ArchConfig::three_bus_one_fu(RoutingTableKind::Cam))
+        EvalRequest::new(ArchConfig::three_bus_one_fu(TableKind::Cam))
             .entries(8)
             .workload(small_workload())
             .faults(plan)
@@ -120,7 +120,7 @@ fn same_plan_reproduces_and_a_new_seed_does_not() {
 
 #[test]
 fn injected_stalls_lengthen_the_measured_run() {
-    let base = EvalRequest::new(ArchConfig::three_bus_one_fu(RoutingTableKind::Cam)).entries(8);
+    let base = EvalRequest::new(ArchConfig::three_bus_one_fu(TableKind::Cam)).entries(8);
     let clean = base.clone().run();
     let stalled = base.faults(FaultPlan::stalls()).run();
     assert!(stalled.stats.injected_stall_cycles > 0);

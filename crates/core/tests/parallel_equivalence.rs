@@ -12,9 +12,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use taco_core::{
-    explore_serial, explore_with, grid, scaling_sweep_with, ArchConfig, Constraints, EvalCache,
-    EvalRequest, ExploreOptions, LineRate, PointRecord, RoutingTableKind, Silent, SweepObserver,
-    SweepSpec, SweepSummary,
+    explore_serial, explore_with, grid, scaling_sweep, ArchConfig, Constraints, EvalCache,
+    EvalRequest, ExploreOptions, LineRate, PointRecord, Silent, SweepObserver, SweepSpec,
+    SweepSummary, TableKind,
 };
 
 /// Captures everything the explorer reports, for assertions.
@@ -68,7 +68,7 @@ fn repeated_sweep_hits_the_cache_and_reports_it() {
     let spec = SweepSpec {
         buses: vec![1, 3],
         replication: vec![1, 2],
-        kinds: vec![RoutingTableKind::Cam, RoutingTableKind::BalancedTree],
+        kinds: vec![TableKind::Cam, TableKind::BalancedTree],
         entries: 8,
         ..SweepSpec::default()
     };
@@ -125,28 +125,21 @@ fn cached_report_equals_fresh_evaluate_for_every_default_grid_point() {
 
 #[test]
 fn scaling_sweep_parallel_cached_equals_uncached_serial() {
-    let config = ArchConfig::three_bus_one_fu(RoutingTableKind::Cam);
+    let config = ArchConfig::three_bus_one_fu(TableKind::Cam);
     let sizes = [4usize, 8, 16, 32];
-    let cache = EvalCache::new();
-    let serial = scaling_sweep_with(
-        &config,
-        &sizes,
-        &ExploreOptions { threads: 1, cache: None, observer: &Silent },
-    );
-    let parallel = scaling_sweep_with(
-        &config,
-        &sizes,
-        &ExploreOptions { threads: 4, cache: Some(&cache), observer: &Silent },
-    );
-    assert_eq!(serial, parallel);
-    // Repeat is all hits.
-    let again = scaling_sweep_with(
-        &config,
-        &sizes,
-        &ExploreOptions { threads: 4, cache: Some(&cache), observer: &Silent },
-    );
-    assert_eq!(serial, again);
-    assert_eq!(cache.hits(), sizes.len() as u64);
+    let serial: Vec<(usize, f64)> = sizes
+        .iter()
+        .map(|&n| {
+            let request = EvalRequest::new(config.clone()).rate(LineRate::TEN_GBE).entries(n);
+            (n, request.run().cycles_per_datagram)
+        })
+        .collect();
+    assert_eq!(scaling_sweep(&config, &sizes), serial);
+    // Repeat is all hits.  Other tests share the global cache and only
+    // ever add to its counter, so the repeat's hits are a lower bound.
+    let hits = EvalCache::global().hits();
+    assert_eq!(scaling_sweep(&config, &sizes), serial);
+    assert!(EvalCache::global().hits() >= hits + sizes.len() as u64);
 }
 
 #[test]
@@ -158,7 +151,7 @@ fn compiled_results_are_thread_count_invariant() {
     // enough for debug builds, then a stratified sample: every 5th cell
     // walks all kinds, workloads and presets across the run.
     let mut cells = Vec::new();
-    for kind in RoutingTableKind::ALL_KINDS {
+    for kind in TableKind::ALL_KINDS {
         for workload in Workload::builtin() {
             let plans = FaultPlan::builtin().into_iter().map(|(name, plan)| (name, Some(plan)));
             for (fault_name, plan) in std::iter::once(("none", None)).chain(plans) {
@@ -196,7 +189,7 @@ fn equal_power_ties_rank_deterministically() {
     let spec = SweepSpec {
         buses: vec![3, 3],
         replication: vec![1, 1],
-        kinds: vec![RoutingTableKind::Cam],
+        kinds: vec![TableKind::Cam],
         entries: 8,
         ..SweepSpec::default()
     };

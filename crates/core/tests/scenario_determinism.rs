@@ -7,8 +7,8 @@
 use std::sync::Arc;
 
 use taco_core::{
-    explore_with, Constraints, EvalCache, EvalRequest, ExploreOptions, LineRate, RoutingTableKind,
-    Silent, SweepSpec, Workload,
+    explore_with, Constraints, EvalCache, EvalRequest, ExploreOptions, LineRate, Silent, SweepSpec,
+    TableKind, Workload,
 };
 use taco_workload::TraceGen;
 
@@ -16,7 +16,7 @@ fn scenario_spec() -> SweepSpec {
     SweepSpec {
         buses: vec![1, 3],
         replication: vec![1],
-        kinds: vec![RoutingTableKind::Cam, RoutingTableKind::BalancedTree],
+        kinds: vec![TableKind::Cam, TableKind::BalancedTree],
         entries: 8,
         workload: Some(Workload::burst_overload()),
         ..SweepSpec::default()
@@ -104,7 +104,7 @@ fn latency_percentiles_are_integers_in_stable_json() {
 
 #[test]
 fn percentiles_are_ordered_and_bounded_by_max() {
-    let request = EvalRequest::new(taco_core::ArchConfig::three_bus_one_fu(RoutingTableKind::Cam))
+    let request = EvalRequest::new(taco_core::ArchConfig::three_bus_one_fu(TableKind::Cam))
         .entries(8)
         .workload(Workload::burst_overload());
     let report = request.run();
@@ -120,7 +120,7 @@ fn percentiles_are_ordered_and_bounded_by_max() {
 fn same_seed_reproduces_the_run_and_a_new_seed_does_not() {
     let base = Workload::burst_overload();
     let request = |w: Workload| {
-        EvalRequest::new(taco_core::ArchConfig::three_bus_one_fu(RoutingTableKind::Cam))
+        EvalRequest::new(taco_core::ArchConfig::three_bus_one_fu(TableKind::Cam))
             .entries(8)
             .workload(w)
     };

@@ -16,7 +16,7 @@ use taco_routing::{
 };
 use taco_sim::{
     CompiledProgram, FaultInjector, Processor, RtuBackend, RtuConfig, RtuResult, SimError,
-    SimStats, Tracer, DEFAULT_MEMORY_WORDS,
+    SimStats, Tracer,
 };
 
 use crate::layout::{
@@ -208,7 +208,7 @@ impl CycleRouter {
         rtu_latency: u32,
     ) -> Result<Self, SimError> {
         let compiled = compiled_program(config, image)?;
-        let mut processor = Processor::instantiate(compiled, DEFAULT_MEMORY_WORDS);
+        let mut processor = Processor::instantiate(compiled);
         processor.memory_mut().load(TABLE_BASE, &image.words)?;
         if let Some(table) = &image.cam {
             let backend = Box::new(CamBackend(Arc::clone(table)));

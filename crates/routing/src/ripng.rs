@@ -27,6 +27,12 @@ use crate::clock::SimTime;
 use crate::route::{PortId, Route};
 use crate::table::LpmTable;
 
+/// RFC 2080 §2.3's protocol timers: periodic updates, route timeout and
+/// garbage collection.
+const UPDATE_INTERVAL: SimTime = SimTime::from_secs(30);
+const ROUTE_TIMEOUT: SimTime = SimTime::from_secs(180);
+const GC_INTERVAL: SimTime = SimTime::from_secs(120);
+
 /// Static configuration of one router interface.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InterfaceConfig {
@@ -140,16 +146,12 @@ pub struct RipngEngine {
     /// cleared with the flags.  While it is clear there is no triggered
     /// update to build.
     dirty: bool,
-    /// Protocol timers: the RFC 2080 defaults, shortened by the tests.
-    update_interval: SimTime,
-    route_timeout: SimTime,
-    gc_interval: SimTime,
 }
 
 impl RipngEngine {
-    /// Creates an engine with the RFC 2080 default timers (30 s updates,
-    /// 180 s timeout, 120 s garbage collection) and installs the connected
-    /// routes of `interfaces`.
+    /// Creates an engine with the RFC 2080 timers (30 s updates, 180 s
+    /// timeout, 120 s garbage collection) and installs the connected routes
+    /// of `interfaces`.
     pub fn new(interfaces: Vec<InterfaceConfig>) -> Self {
         let mut engine = RipngEngine {
             interfaces,
@@ -159,9 +161,6 @@ impl RipngEngine {
             route_changes: 0,
             next_deadline: None,
             dirty: false,
-            update_interval: SimTime::from_secs(30),
-            route_timeout: SimTime::from_secs(180),
-            gc_interval: SimTime::from_secs(120),
         };
         for iface in &engine.interfaces {
             for prefix in &iface.connected {
@@ -263,7 +262,7 @@ impl RipngEngine {
         }
 
         if any_changed {
-            self.triggered_updates(now)
+            self.triggered_updates()
         } else {
             Vec::new()
         }
@@ -273,7 +272,7 @@ impl RipngEngine {
     /// Returns `true` if the RIB changed.
     fn consider(&mut self, candidate: Route, from: Ipv6Address, now: SimTime) -> bool {
         let prefix = candidate.prefix();
-        let expires_at = now + self.route_timeout;
+        let expires_at = now + ROUTE_TIMEOUT;
         match self.rib.get_mut(&prefix) {
             None => {
                 if candidate.metric() >= INFINITY_METRIC {
@@ -313,7 +312,7 @@ impl RipngEngine {
                         if went_dead {
                             self.stats.routes_expired += 1;
                             existing.expires_at = None;
-                            let gc_at = now + self.gc_interval;
+                            let gc_at = now + GC_INTERVAL;
                             existing.gc_at = Some(gc_at);
                             lower(&mut self.next_deadline, gc_at);
                         } else {
@@ -399,7 +398,7 @@ impl RipngEngine {
         let mut out = Vec::new();
         if now >= self.next_periodic {
             // Periodic update.
-            self.next_periodic = now + self.update_interval;
+            self.next_periodic = now + UPDATE_INTERVAL;
             for iface in &self.interfaces {
                 let entries = self.advertisement_for(iface.port, true);
                 if !entries.is_empty() {
@@ -410,16 +409,14 @@ impl RipngEngine {
             self.clear_changed();
         } else {
             // Triggered updates for changed routes.
-            out.extend(self.triggered_updates(now));
+            out.extend(self.triggered_updates());
         }
         out
     }
 
     /// The timer scan: marks overdue routes dead, drops long-dead ones, and
     /// leaves both gates exact — `next_deadline` the earliest timer still
-    /// armed, `dirty` whether a route that is still there is flagged (a
-    /// zero garbage-collection interval deletes a route on the tick that
-    /// flagged it).
+    /// armed, `dirty` whether a route that is still there is flagged.
     fn run_timers(&mut self, now: SimTime) {
         // 1. Timeout: mark overdue routes dead.
         for rib_route in self.rib.values_mut() {
@@ -427,7 +424,7 @@ impl RipngEngine {
                 if now >= t {
                     rib_route.route = rib_route.route.with_metric(INFINITY_METRIC);
                     rib_route.expires_at = None;
-                    rib_route.gc_at = Some(now + self.gc_interval);
+                    rib_route.gc_at = Some(now + GC_INTERVAL);
                     rib_route.changed = true;
                     self.stats.routes_expired += 1;
                     self.route_changes += 1;
@@ -455,7 +452,7 @@ impl RipngEngine {
     /// Builds triggered updates (changed routes only) and clears the change
     /// flags.  Nothing flagged — every idle tick — costs one test of
     /// `dirty`.
-    fn triggered_updates(&mut self, _now: SimTime) -> Vec<(PortId, RipngPacket)> {
+    fn triggered_updates(&mut self) -> Vec<(PortId, RipngPacket)> {
         if !self.dirty {
             return Vec::new();
         }
@@ -532,13 +529,6 @@ mod tests {
                 vec!["2001:db8:b::/48".parse().unwrap()],
             ),
         ])
-    }
-
-    /// [`engine_two_ports`] with its protocol timers replaced.
-    fn accelerated(update: SimTime, timeout: SimTime, gc: SimTime) -> RipngEngine {
-        let mut e = engine_two_ports();
-        (e.update_interval, e.route_timeout, e.gc_interval) = (update, timeout, gc);
-        e
     }
 
     fn response(entries: Vec<RouteEntry>) -> RipngPacket {
@@ -862,14 +852,8 @@ mod tests {
 
     #[test]
     fn triggered_updates_skip_idle_ticks_and_keep_interface_order() {
-        // Periodic timer pushed out of the way so only triggered updates
-        // can answer a tick.
-        let mut e = accelerated(
-            SimTime::from_secs(10_000),
-            SimTime::from_secs(180),
-            SimTime::from_secs(120),
-        );
-        e.tick(SimTime::ZERO);
+        let mut e = engine_two_ports();
+        e.tick(SimTime::ZERO); // the first periodic update; the next is due at 30 s
         let learned = e.handle_response(
             PortId(0),
             ll("fe80::2"),
@@ -883,6 +867,11 @@ mod tests {
         assert!(e.tick(SimTime::from_secs(3)).is_empty(), "nothing flagged, nothing sent");
         assert_eq!(e.stats().triggered_updates_sent, 2);
 
+        // Periodic updates up to 180 s put the next one at 210 s, so only a
+        // triggered update can answer the ticks in between.
+        for at in (30..=180).step_by(30) {
+            assert_eq!(e.tick(SimTime::from_secs(at)).len(), 2, "periodic at {at} s");
+        }
         // Both routes time out on one tick: one update per interface, in
         // interface order, each carrying both routes at infinity.
         let out = e.tick(SimTime::from_secs(182));
@@ -929,7 +918,7 @@ mod tests {
                     if now >= t {
                         rib_route.route = rib_route.route.with_metric(INFINITY_METRIC);
                         rib_route.expires_at = None;
-                        rib_route.gc_at = Some(now + self.gc_interval);
+                        rib_route.gc_at = Some(now + GC_INTERVAL);
                         rib_route.changed = true;
                         self.stats.routes_expired += 1;
                         self.route_changes += 1;
@@ -942,7 +931,7 @@ mod tests {
 
             let mut out = Vec::new();
             if now >= self.next_periodic {
-                self.next_periodic = now + self.update_interval;
+                self.next_periodic = now + UPDATE_INTERVAL;
                 for iface in &self.interfaces {
                     let entries = self.advertisement_for(iface.port, true);
                     if !entries.is_empty() {
@@ -979,9 +968,9 @@ mod tests {
     #[test]
     fn gated_tick_equals_the_walk_on_every_tick() {
         // Three neighbours on two ports advertise, withdraw, re-advertise
-        // and fall silent over six prefixes, under timers short enough
-        // that timeouts, garbage collection (a zero interval included) and
-        // periodic updates all fire many times in a 120-step history.
+        // and fall silent over six prefixes, with ticks far enough apart
+        // that timeouts, garbage collection and periodic updates all fire
+        // many times in a 120-step history.
         let neighbours = [(0u16, "fe80::2"), (0, "fe80::3"), (1, "fe80::4")];
         let prefixes: Vec<Ipv6Prefix> =
             (0..6).map(|i| p(&format!("2001:db8:{:x}::/48", 0xc0 + i))).collect();
@@ -991,15 +980,7 @@ mod tests {
         let mut seen = [0u64; 4];
         for case in 0..GATE_CASES {
             let mut rng = Rng(GATE_SEED ^ case);
-            let millis = |rng: &mut Rng, choices: &[u64]| {
-                SimTime::from_millis(choices[rng.below(choices.len() as u64) as usize])
-            };
-            let timers = (
-                millis(&mut rng, &[500, 700, 5000]),
-                millis(&mut rng, &[300, 1500, 2000]),
-                millis(&mut rng, &[0, 300, 900, 2500]),
-            );
-            let mut gated = accelerated(timers.0, timers.1, timers.2);
+            let mut gated = engine_two_ports();
             let mut walked = gated.clone();
             let mut now = SimTime::ZERO;
             // Neighbours go quiet for stretches, so routes age out.
@@ -1007,7 +988,7 @@ mod tests {
             for step in 0..120 {
                 let at = format!("seed {GATE_SEED:#x}, case {case}, step {step}, {now}");
                 if rng.below(12) == 0 {
-                    silent_until = now + SimTime::from_millis(rng.below(4000));
+                    silent_until = now + SimTime::from_secs(rng.below(400));
                 }
                 if now >= silent_until && rng.below(3) != 0 {
                     let (port, from) = neighbours[rng.below(3) as usize];
@@ -1031,7 +1012,7 @@ mod tests {
                 assert_eq!(gated.route_changes(), walked.route_changes(), "{at}");
                 assert_eq!(gated.stats(), walked.stats(), "{at}");
                 assert_eq!(gated.rib, walked.rib, "{at}: RIB");
-                now += SimTime::from_millis(rng.below(5) * 100);
+                now += SimTime::from_secs(rng.below(5) * 10);
             }
             seen[2] += gated.stats().routes_expired;
             seen[3] += gated.stats().routes_deleted;
@@ -1041,24 +1022,21 @@ mod tests {
 
     #[test]
     fn next_deadline_is_lowered_when_armed_and_exact_after_a_scan() {
-        let mut e = accelerated(
-            SimTime::from_millis(700),
-            SimTime::from_millis(300),
-            SimTime::from_millis(300),
-        );
+        let mut e = engine_two_ports();
         e.handle_response(
             PortId(0),
             ll("fe80::2"),
             &response(vec![RouteEntry::new(p("2001:db8:c::/48"), 0, 1)]),
             SimTime::ZERO,
         );
-        assert_eq!(e.next_deadline, Some(SimTime::from_millis(300)));
-        e.tick(SimTime::from_millis(299));
+        assert_eq!(e.next_deadline, Some(ROUTE_TIMEOUT));
+        e.tick(SimTime::from_millis(179_999));
         assert_eq!(e.stats().routes_expired, 0);
-        e.tick(SimTime::from_millis(300));
+        e.tick(ROUTE_TIMEOUT);
         assert_eq!(e.stats().routes_expired, 1);
-        assert_eq!(e.next_deadline, Some(SimTime::from_millis(600)), "exact after the scan");
-        e.tick(SimTime::from_millis(600));
+        let collect_at = ROUTE_TIMEOUT + GC_INTERVAL;
+        assert_eq!(e.next_deadline, Some(collect_at), "exact after the scan");
+        e.tick(collect_at);
         assert_eq!(e.stats().routes_deleted, 1);
         assert_eq!(e.next_deadline, None, "no timer left armed");
         assert!(!e.dirty);

@@ -23,6 +23,10 @@ use taco_core::{
 
 use crate::{poll, Shared};
 
+/// Largest accepted request frame in bytes (8 MiB); a connection exceeding
+/// it gets a structured `bad_request` and is closed.
+const MAX_FRAME: usize = 8 << 20;
+
 /// A connection whose outgoing buffer grows past this bound is dropped:
 /// the client is not reading, and the daemon must not buffer an unbounded
 /// result set for it.
@@ -492,7 +496,7 @@ impl<'a> EventLoop<'a> {
                     conn.rbuf.extend_from_slice(&self.read_buf[..n]);
                     // Yield to frame processing before pulling more than a
                     // frame's worth — bounds memory per read pass.
-                    if conn.rbuf.len() > self.shared.max_frame {
+                    if conn.rbuf.len() > MAX_FRAME {
                         break;
                     }
                 }
@@ -531,7 +535,7 @@ impl<'a> EventLoop<'a> {
             match conn.rbuf.iter().position(|&b| b == b'\n') {
                 Some(pos) => {
                     let frame: Vec<u8> = conn.rbuf.drain(..=pos).collect();
-                    if frame.len() > self.shared.max_frame {
+                    if frame.len() > MAX_FRAME {
                         self.reject_oversized(conn);
                         continue;
                     }
@@ -539,7 +543,7 @@ impl<'a> EventLoop<'a> {
                     self.handle_frame(conn, token, &line);
                 }
                 None => {
-                    if conn.rbuf.len() > self.shared.max_frame {
+                    if conn.rbuf.len() > MAX_FRAME {
                         self.reject_oversized(conn);
                     }
                     return;
@@ -555,10 +559,8 @@ impl<'a> EventLoop<'a> {
             Some(Dialect::V2) => Envelope::V2(None),
             _ => Envelope::V1,
         };
-        let error = ApiError::bad_request(format!(
-            "request frame exceeds the {}-byte limit",
-            self.shared.max_frame
-        ));
+        let error =
+            ApiError::bad_request(format!("request frame exceeds the {}-byte limit", MAX_FRAME));
         self.respond(conn, envelope, &ApiResponse::Error(error));
         conn.discarding = true;
         conn.read_done = false;

@@ -90,23 +90,13 @@ pub struct ServerConfig {
     /// Threads for sweep fan-out, the job's runner included (`0` = one per
     /// core, the [`pool::default_threads`] rule).
     pub threads: usize,
-    /// Largest accepted request frame in bytes; a connection exceeding it
-    /// gets a structured `bad_request` and is closed.  Values below 1 KiB
-    /// are treated as 1 KiB.
-    pub max_frame: usize,
 }
 
 impl Default for ServerConfig {
     /// Loopback on an ephemeral port, 4 job slots, no snapshot, all
-    /// cores, 8 MiB frames.
+    /// cores.
     fn default() -> Self {
-        ServerConfig {
-            addr: "127.0.0.1:0".to_owned(),
-            max_pending: 4,
-            snapshot: None,
-            threads: 0,
-            max_frame: 8 << 20,
-        }
+        ServerConfig { addr: "127.0.0.1:0".to_owned(), max_pending: 4, snapshot: None, threads: 0 }
     }
 }
 
@@ -115,7 +105,6 @@ struct Shared {
     cache: EvalCache,
     max_pending: usize,
     threads: usize,
-    max_frame: usize,
     snapshot: Option<PathBuf>,
     addr: SocketAddr,
 }
@@ -164,7 +153,6 @@ impl Server {
                 cache,
                 max_pending: config.max_pending.max(1),
                 threads,
-                max_frame: config.max_frame.max(1 << 10),
                 snapshot: config.snapshot,
                 addr,
             },
@@ -193,7 +181,7 @@ mod tests {
     use super::*;
     use std::thread;
     use taco_core::api::{ApiErrorCode, ApiRequest, ApiResponse, EvalSpec};
-    use taco_core::{ArchConfig, RoutingTableKind};
+    use taco_core::{ArchConfig, TableKind};
 
     fn start(config: ServerConfig) -> (SocketAddr, thread::JoinHandle<io::Result<()>>) {
         let server = Server::bind(config).expect("bind loopback");
@@ -262,7 +250,7 @@ mod tests {
             other => panic!("expected status_result, got {other:?}"),
         }
         // The same session keeps answering — persistent by contract.
-        let mut spec = EvalSpec::new(ArchConfig::three_bus_one_fu(RoutingTableKind::Cam));
+        let mut spec = EvalSpec::new(ArchConfig::three_bus_one_fu(TableKind::Cam));
         spec.entries = 8;
         match session.call(&ApiRequest::Eval(spec)).expect("eval") {
             ApiResponse::EvalResult(report) => assert_eq!(report.table_entries, 8),

@@ -13,7 +13,7 @@ use std::path::{Path, PathBuf};
 use std::thread;
 
 use taco_core::api::{table1_cell_json, ApiErrorCode, ApiRequest, ApiResponse, EvalSpec};
-use taco_core::{ArchConfig, Constraints, LineRate, RoutingTableKind, SweepSpec};
+use taco_core::{ArchConfig, Constraints, LineRate, SweepSpec, TableKind};
 use taco_served::{open_request, request_lines, Server, ServerConfig};
 
 fn temp_dir(test: &str) -> PathBuf {
@@ -127,14 +127,14 @@ fn trace_replay_over_the_wire_matches_in_process_replay_byte_for_byte() {
     let trace = TraceGen::generate(404, 80, 12, 8);
 
     // The in-process reference replay of the same trace.
-    let local = EvalRequest::new(ArchConfig::three_bus_one_fu(RoutingTableKind::Cam))
+    let local = EvalRequest::new(ArchConfig::three_bus_one_fu(TableKind::Cam))
         .entries(8)
         .flow_trace(std::sync::Arc::new(trace.clone()))
         .run();
     let local_json = local.scenario.as_ref().expect("trace metrics").to_json();
 
     let (addr, handle) = start(ServerConfig::default());
-    let mut spec = EvalSpec::new(ArchConfig::three_bus_one_fu(RoutingTableKind::Cam));
+    let mut spec = EvalSpec::new(ArchConfig::three_bus_one_fu(TableKind::Cam));
     spec.entries = 8;
 
     // Inline submission — the wire form `taco-cli submit --trace` sends.
@@ -156,7 +156,7 @@ fn trace_replay_over_the_wire_matches_in_process_replay_byte_for_byte() {
     let sweep_spec = SweepSpec {
         buses: vec![1, 3],
         replication: vec![1],
-        kinds: vec![RoutingTableKind::Cam],
+        kinds: vec![TableKind::Cam],
         entries: 8,
         trace: Some(trace),
         ..SweepSpec::default()
@@ -184,7 +184,7 @@ fn trace_replay_over_the_wire_matches_in_process_replay_byte_for_byte() {
 #[test]
 fn corrupt_wire_traces_are_structured_bad_requests() {
     let (addr, handle) = start(ServerConfig::default());
-    let mut spec = EvalSpec::new(ArchConfig::three_bus_one_fu(RoutingTableKind::Cam));
+    let mut spec = EvalSpec::new(ArchConfig::three_bus_one_fu(TableKind::Cam));
     spec.entries = 8;
     let request = ApiRequest::Eval(spec);
 
@@ -229,14 +229,14 @@ fn over_capacity_submissions_get_a_structured_busy_error() {
         spec: SweepSpec {
             buses: vec![1, 3],
             replication: vec![1],
-            kinds: vec![RoutingTableKind::Sequential],
+            kinds: vec![TableKind::Sequential],
             entries: 4096,
             ..SweepSpec::default()
         },
         rate: LineRate::TEN_GBE,
         constraints: Constraints::default(),
     };
-    let mut spec = EvalSpec::new(ArchConfig::three_bus_one_fu(RoutingTableKind::Cam));
+    let mut spec = EvalSpec::new(ArchConfig::three_bus_one_fu(TableKind::Cam));
     spec.entries = 8;
     let eval = ApiRequest::Eval(spec).to_json();
 
@@ -313,7 +313,7 @@ fn shutdown_drains_in_flight_work_before_acknowledging() {
         spec: SweepSpec {
             buses: vec![3],
             replication: vec![1],
-            kinds: vec![RoutingTableKind::Cam, RoutingTableKind::BalancedTree],
+            kinds: vec![TableKind::Cam, TableKind::BalancedTree],
             entries: 8,
             ..SweepSpec::default()
         },

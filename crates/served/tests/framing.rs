@@ -6,7 +6,7 @@
 //! never end, clients that vanish mid-request — because the event loop's
 //! correctness lives exactly in those seams.  The golden-byte protocol
 //! assertions live in `daemon.rs`; this file may start servers with
-//! non-default limits.
+//! non-default admission limits.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
@@ -15,10 +15,13 @@ use std::time::Duration;
 
 use taco_core::api::{ApiErrorCode, Envelope, EvalSpec};
 use taco_core::{
-    explore, ApiRequest, ApiResponse, ArchConfig, Constraints, LineRate, RoutingTableKind,
-    SweepSpec, WireResponse,
+    explore, ApiRequest, ApiResponse, ArchConfig, Constraints, LineRate, SweepSpec, TableKind,
+    WireResponse,
 };
 use taco_served::{request_lines, Server, ServerConfig, Session};
+
+/// The daemon's request-frame bound in bytes.
+const MAX_FRAME: usize = 8 << 20;
 
 fn start(config: ServerConfig) -> (SocketAddr, thread::JoinHandle<std::io::Result<()>>) {
     let server = Server::bind(config).expect("bind loopback");
@@ -35,7 +38,7 @@ fn shut_down(addr: SocketAddr) {
 }
 
 fn small_eval() -> ApiRequest {
-    let mut spec = EvalSpec::new(ArchConfig::three_bus_one_fu(RoutingTableKind::Cam));
+    let mut spec = EvalSpec::new(ArchConfig::three_bus_one_fu(TableKind::Cam));
     spec.entries = 8;
     ApiRequest::Eval(spec)
 }
@@ -44,7 +47,7 @@ fn tiny_sweep() -> SweepSpec {
     SweepSpec {
         buses: vec![1, 3],
         replication: vec![1],
-        kinds: vec![RoutingTableKind::Cam, RoutingTableKind::BalancedTree],
+        kinds: vec![TableKind::Cam, TableKind::BalancedTree],
         entries: 8,
         ..SweepSpec::default()
     }
@@ -127,9 +130,9 @@ fn v2_pipelined_frames_in_one_segment_are_all_answered() {
 
 #[test]
 fn oversized_terminated_frame_is_rejected_with_a_structured_error() {
-    let (addr, handle) = start(ServerConfig { max_frame: 1 << 10, ..ServerConfig::default() });
+    let (addr, handle) = start(ServerConfig::default());
     let mut stream = TcpStream::connect(addr).expect("connect");
-    let frame = format!("{{\"padding\":\"{}\"}}\n", "x".repeat(4 << 10));
+    let frame = format!("{{\"padding\":\"{}\"}}\n", "x".repeat(MAX_FRAME));
     stream.write_all(frame.as_bytes()).expect("write");
     stream.flush().expect("flush");
     let lines: Vec<String> =
@@ -148,11 +151,11 @@ fn oversized_terminated_frame_is_rejected_with_a_structured_error() {
 
 #[test]
 fn endless_unterminated_frame_is_rejected_before_the_newline() {
-    let (addr, handle) = start(ServerConfig { max_frame: 1 << 10, ..ServerConfig::default() });
+    let (addr, handle) = start(ServerConfig::default());
     let mut stream = TcpStream::connect(addr).expect("connect");
     // No newline at all: the daemon must bound its buffer, not wait
     // forever for a terminator that never comes.
-    let endless = "y".repeat(64 << 10);
+    let endless = "y".repeat(MAX_FRAME + (64 << 10));
     // The server may close mid-write once the bound trips; both a clean
     // write and a pipe error are acceptable here.
     let _ = stream.write_all(endless.as_bytes());
@@ -208,7 +211,7 @@ fn disconnect_with_a_job_in_flight_does_not_wedge_the_slot() {
     // eventually a fresh submission is admitted again.  (The probe point
     // is *outside* the sweep grid — entries differ — so it can only be
     // answered by taking the job slot, never via the inline cache path.)
-    let mut probe = EvalSpec::new(ArchConfig::three_bus_one_fu(RoutingTableKind::Cam));
+    let mut probe = EvalSpec::new(ArchConfig::three_bus_one_fu(TableKind::Cam));
     probe.entries = 16;
     let probe = ApiRequest::Eval(probe).to_json();
     let deadline = std::time::Instant::now() + Duration::from_secs(30);
@@ -383,7 +386,7 @@ fn patricia_sweep_is_byte_identical_to_the_local_explorer() {
     let spec = SweepSpec {
         buses: vec![1, 3],
         replication: vec![1],
-        kinds: vec![RoutingTableKind::Patricia, RoutingTableKind::Cam],
+        kinds: vec![TableKind::Patricia, TableKind::Cam],
         entries: 8,
         ..SweepSpec::default()
     };
@@ -398,7 +401,7 @@ fn patricia_sweep_is_byte_identical_to_the_local_explorer() {
         other => panic!("expected sweep_result, got {other:?}"),
     };
     assert_eq!(reports.len(), 4);
-    assert!(reports.iter().any(|r| r.config.table == RoutingTableKind::Patricia));
+    assert!(reports.iter().any(|r| r.config.table == TableKind::Patricia));
     let serialise = |reports: &[taco_core::EvalReport]| -> String {
         reports.iter().map(taco_core::api::table1_cell_json).collect::<Vec<_>>().join("\n")
     };

@@ -115,6 +115,9 @@ impl fmt::Display for Estimate {
     }
 }
 
+/// On-chip buffer SRAM in KiB: the datagram memory of the paper's router.
+const SRAM_KIB: f64 = 32.0;
+
 /// The system-level physical estimator (the paper's Matlab model).
 ///
 /// # Examples
@@ -134,9 +137,6 @@ impl fmt::Display for Estimate {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Estimator {
     tech: Technology,
-    /// On-chip buffer SRAM, KiB (the datagram memory of the paper's
-    /// router).
-    sram_kib: u32,
     /// Program-store image size in bits (0 = not modelled).
     program_bits: u64,
     cam: Option<ExternalCam>,
@@ -146,7 +146,7 @@ impl Estimator {
     /// An estimator for the paper's 0.18 µm node with a 32 KiB datagram
     /// buffer and no external CAM.
     pub fn new() -> Self {
-        Estimator { tech: Technology::cmos_180nm(), sram_kib: 32, program_bits: 0, cam: None }
+        Estimator { tech: Technology::cmos_180nm(), program_bits: 0, cam: None }
     }
 
     /// Replaces the technology profile.
@@ -190,13 +190,13 @@ impl Estimator {
         let sized_gates = gates * sizing;
 
         let logic_area = sized_gates * self.tech.gate_area_mm2;
-        let sram_area = f64::from(self.sram_kib) * self.tech.sram_mm2_per_kib;
+        let sram_area = SRAM_KIB * self.tech.sram_mm2_per_kib;
         let rom_area = self.program_bits as f64 / (8.0 * 1024.0) * self.tech.rom_mm2_per_kib;
         let area_mm2 = logic_area + sram_area + rom_area;
 
         let vdd2 = self.tech.vdd * self.tech.vdd;
         let logic_cap = sized_gates * self.tech.cap_per_gate_f * self.tech.activity;
-        let sram_cap = f64::from(self.sram_kib) * self.tech.sram_cap_per_kib_f;
+        let sram_cap = SRAM_KIB * self.tech.sram_cap_per_kib_f;
         let power_w = (logic_cap + sram_cap) * vdd2 * freq_hz;
 
         Estimate::Feasible(PhysicalEstimate {
@@ -296,10 +296,12 @@ mod tests {
     }
 
     #[test]
-    fn sram_budget_affects_area() {
-        let small = Estimator { sram_kib: 8, ..Estimator::new() }.estimate(&config(), 100e6);
-        let big = Estimator { sram_kib: 128, ..Estimator::new() }.estimate(&config(), 100e6);
-        assert!(big.feasible().unwrap().area_mm2 > small.feasible().unwrap().area_mm2);
+    fn the_datagram_buffer_adds_its_area() {
+        let free = Technology { sram_mm2_per_kib: 0.0, ..Technology::cmos_180nm() };
+        let without = Estimator::new().with_technology(free).estimate(&config(), 100e6);
+        let with = Estimator::new().estimate(&config(), 100e6);
+        let delta = with.feasible().unwrap().area_mm2 - without.feasible().unwrap().area_mm2;
+        assert!((delta - SRAM_KIB * 0.05).abs() < 1e-9, "{delta}");
     }
 
     // The monotonicity and threshold properties of this model over random

@@ -48,6 +48,8 @@ pub enum FuKind {
     /// paper's third case).
     Rtu,
     /// Local Information Unit: the router's own addresses and port count.
+    /// No generated program reads it, so the simulator models it as an
+    /// empty table whose every read is zero; it still counts in the gates.
     Liu,
     /// Input preprocessing unit: scans line-card input buffers, queues
     /// pointers to pending datagrams; drives the `pending` guard.

@@ -144,7 +144,6 @@ pub struct Processor {
     rtu: RtuState,
     ippu_queue: VecDeque<(u32, u32)>,
     oppu_out: Vec<(u32, u32)>,
-    liu_table: Vec<u32>,
     stats: SimStats,
     stall_open: bool,
     fault_open: bool,
@@ -166,21 +165,7 @@ impl Processor {
     /// * [`SimError::InvalidFuIndex`] if the program references FU instances
     ///   the configuration lacks.
     pub fn new(config: MachineConfig, program: Program) -> Result<Self, SimError> {
-        Self::with_memory(config, program, DEFAULT_MEMORY_WORDS)
-    }
-
-    /// Like [`Processor::new`] with an explicit memory size in words.
-    ///
-    /// # Errors
-    ///
-    /// See [`Processor::new`].
-    pub fn with_memory(
-        config: MachineConfig,
-        program: Program,
-        memory_words: u32,
-    ) -> Result<Self, SimError> {
-        let compiled = CompiledProgram::compile(config, Arc::new(program))?;
-        Ok(Self::instantiate(compiled, memory_words))
+        Self::new_shared(config, Arc::new(program))
     }
 
     /// Like [`Processor::new`] but sharing an already-built program:
@@ -193,35 +178,30 @@ impl Processor {
     /// See [`Processor::new`].
     pub fn new_shared(config: MachineConfig, program: Arc<Program>) -> Result<Self, SimError> {
         let compiled = CompiledProgram::compile(config, program)?;
-        Ok(Self::instantiate(compiled, DEFAULT_MEMORY_WORDS))
+        Ok(Self::instantiate(compiled))
     }
 
-    /// A powered-on processor executing `compiled`, with `memory_words` of
-    /// zeroed data memory, an always-missing RTU and an empty LIU.
-    pub fn instantiate(compiled: Arc<CompiledProgram>, memory_words: u32) -> Self {
-        Self::power_on(compiled, DataMemory::new(memory_words), RtuConfig::default(), Vec::new())
+    /// A powered-on processor executing `compiled`, with
+    /// [`DEFAULT_MEMORY_WORDS`] of zeroed data memory and an always-missing
+    /// RTU.  The LIU is an empty table: every read of it returns zero.
+    pub fn instantiate(compiled: Arc<CompiledProgram>) -> Self {
+        Self::power_on(compiled, DataMemory::new(DEFAULT_MEMORY_WORDS), RtuConfig::default())
     }
 
     /// Returns the machine to its power-on state — PC, cycle count,
     /// registers, FU state, iPPU queue, oPPU output and statistics — while
     /// keeping what was *loaded into* it: the program, the data-memory
-    /// contents, the RTU backend and latency, and the local-info table.
+    /// contents and the RTU backend and latency.
     pub fn reset(&mut self) {
         let mem = std::mem::replace(&mut self.mem, DataMemory::new(0));
         let rtu = std::mem::take(&mut self.rtu.config);
-        let liu_table = std::mem::take(&mut self.liu_table);
-        *self = Self::power_on(Arc::clone(&self.compiled), mem, rtu, liu_table);
+        *self = Self::power_on(Arc::clone(&self.compiled), mem, rtu);
     }
 
     /// The one place a `Processor` is assembled: [`Processor::instantiate`]
     /// and [`Processor::reset`] both come through here, so a field added
     /// later cannot be initialised by one and forgotten by the other.
-    fn power_on(
-        compiled: Arc<CompiledProgram>,
-        mem: DataMemory,
-        rtu: RtuConfig,
-        liu_table: Vec<u32>,
-    ) -> Self {
+    fn power_on(compiled: Arc<CompiledProgram>, mem: DataMemory, rtu: RtuConfig) -> Self {
         let (file, guards) = compiled.map.power_on(compiled.decoded.scratch);
         Processor {
             trigger_counts: vec![0; compiled.decoded.trigger_fus.len()],
@@ -234,7 +214,6 @@ impl Processor {
             rtu: RtuState { ready_at: 0, config: rtu },
             ippu_queue: VecDeque::new(),
             oppu_out: Vec::new(),
-            liu_table,
             stats: SimStats { buses: compiled.config.buses(), ..SimStats::default() },
             stall_open: false,
             fault_open: false,
@@ -395,7 +374,6 @@ impl Processor {
             rtu: &mut self.rtu,
             ippu_queue: &mut self.ippu_queue,
             oppu_out: &mut self.oppu_out,
-            liu_table: &self.liu_table,
             trigger_counts: &mut self.trigger_counts,
         }
     }
@@ -761,10 +739,10 @@ mod tests {
 
     #[test]
     fn memory_fault_surfaces() {
-        let mut prog = asm::parse("0 -> mmu0.tread\n").unwrap();
-        prog.resolve_labels().unwrap();
-        let mut p = Processor::with_memory(MachineConfig::new(1), prog, 0).unwrap();
-        assert!(matches!(p.run(10), Err(SimError::MemoryOutOfBounds { .. })));
+        let text = format!("{DEFAULT_MEMORY_WORDS} -> mmu0.addr\n0 -> mmu0.tread\n");
+        let mut p = load(&text, MachineConfig::new(1));
+        let size = DEFAULT_MEMORY_WORDS;
+        assert_eq!(p.run(10), Err(SimError::MemoryOutOfBounds { addr: size, size }));
     }
 
     #[test]
@@ -777,15 +755,14 @@ mod tests {
                     ippu0.ptr -> oppu0.t | 9 -> rtu0.t\n\
                     rtu0.iface -> regs0.r5 | 1 -> liu0.t\n\
                     liu0.r -> regs0.r6 | 20 -> mmu0.addr\n\
-                    regs0.r6 -> mmu0.twrite | ?cnt0.done 1 -> regs0.r7\n";
+                    regs0.r5 -> mmu0.twrite | ?cnt0.done 1 -> regs0.r7\n";
         let build = || {
             let mut prog = asm::parse(text).unwrap();
             prog.resolve_labels().unwrap();
-            let mut cpu = Processor::with_memory(MachineConfig::new(2), prog, 32).unwrap();
+            let mut cpu = Processor::new(MachineConfig::new(2), prog).unwrap();
             let mut backend = MapRtu::new();
             backend.insert([1, 0, 0, 9], RtuResult { iface: 4, handle: 2 });
             cpu.set_rtu(RtuConfig::new(Box::new(backend)).with_latency(3));
-            cpu.liu_table = vec![0x11, 0x22];
             cpu.memory_mut().write(7, 0xabcd).unwrap();
             cpu
         };
@@ -793,13 +770,13 @@ mod tests {
         used.push_input(0x40, 2);
         used.push_input(0x50, 3); // left pending: the program pops once
         let first = used.run(100).unwrap();
-        assert!(first.stall_cycles > 0 && used.reg(5) == 4 && used.reg(6) == 0x22);
-        assert_eq!(used.memory().read(20).unwrap(), 0x22);
+        assert!(first.stall_cycles > 0 && used.reg(5) == 4 && used.reg(6) == 0);
+        assert_eq!(used.memory().read(20).unwrap(), 4);
 
         used.reset();
         // Data memory is contents, not machine state: the write survives.
         let mut fresh = build();
-        fresh.memory_mut().write(20, 0x22).unwrap();
+        fresh.memory_mut().write(20, 4).unwrap();
         assert_eq!(format!("{used:?}"), format!("{fresh:?}"), "a field survived reset");
 
         // ... and the machine runs again exactly as the first time.
@@ -861,11 +838,12 @@ mod tests {
     }
 
     #[test]
-    fn liu_serves_local_info() {
+    fn liu_reads_zero() {
+        // No program loads the local-information table, so it is empty.
         let mut p = load("1 -> liu0.t\nliu0.r -> regs0.r0\n", MachineConfig::new(1));
-        p.liu_table = vec![0x11, 0x22, 0x33];
+        p.set_reg(0, 0x22);
         p.run(10).unwrap();
-        assert_eq!(p.reg(0), 0x22);
+        assert_eq!(p.reg(0), 0);
     }
 
     #[test]

@@ -251,7 +251,6 @@ pub(crate) struct Ports<'a> {
     pub rtu: &'a mut RtuState,
     pub ippu_queue: &'a mut VecDeque<(u32, u32)>,
     pub oppu_out: &'a mut Vec<(u32, u32)>,
-    pub liu_table: &'a [u32],
     /// Fires per [`DMove::slot`](crate::sched::DMove), bumped by the step
     /// loop and folded into the statistics when a run ends.
     pub trigger_counts: &'a mut [u64],
@@ -283,7 +282,7 @@ impl Ports<'_> {
         cycle: u64,
         tracer: &mut T,
     ) -> Result<(), SimError> {
-        let Ports { file, guards, mem, rtu, ippu_queue, oppu_out, liu_table, .. } = self;
+        let Ports { file, guards, mem, rtu, ippu_queue, oppu_out, .. } = self;
         match op {
             Op::Copy | Op::Imm | Op::Store | Op::CounterStop | Op::Jump => {
                 unreachable!("{op:?} is not an FU trigger")
@@ -358,8 +357,9 @@ impl Ports<'_> {
             Op::Shr => file[base + R] = v >> (file[base + A] & 31),
             // Bitfield insert.
             Op::Mask => file[base + R] = (v & !file[base + A]) | (file[base + B] & file[base + A]),
-            // A ROM of router-local words; out of range reads zero.
-            Op::Liu => file[base + R] = liu_table.get(v as usize).copied().unwrap_or(0),
+            // A ROM of router-local words that no program loads: every
+            // read returns zero.
+            Op::Liu => file[base + R] = 0,
         }
         Ok(())
     }
@@ -373,11 +373,8 @@ mod tests {
     use std::collections::BTreeSet;
     use taco_isa::{Guard, Program};
 
-    /// One power-on machine driven move by move, ports named as in assembly,
-    /// with a two-word local-information table.
+    /// One power-on machine driven move by move, ports named as in assembly.
     struct Bench(Processor);
-
-    const LOCAL_INFO: [u32; 2] = [0xaaaa, 0xbbbb];
 
     impl Bench {
         fn new() -> Self {
@@ -388,7 +385,6 @@ mod tests {
             let (op, slot, gbase) =
                 self.0.compiled().map.port(PortRef::new(kind, 0, port)).unwrap();
             let mut ports = self.0.ports();
-            ports.liu_table = &LOCAL_INFO;
             if op.is_trigger() {
                 ports.apply(op, slot, gbase, v, 0, &mut NullTracer).unwrap();
             } else {
@@ -459,7 +455,6 @@ mod tests {
                     }
                     cpu.push_input(0x40, 1);
                     let mut ports = cpu.ports();
-                    ports.liu_table = &[7, 8, 9];
                     for (i, w) in ports.file.iter_mut().enumerate() {
                         *w = (i as u32 * 37) % 512;
                     }
@@ -563,9 +558,11 @@ mod tests {
         b.mv(0x1234_5678, FuKind::Masker, "t");
         assert_eq!(b.r(FuKind::Masker), 0x1234_4278);
 
+        // The LIU is an empty table: a trigger overwrites its result with
+        // zero at any index.
+        let slot = b.0.compiled().map.port(PortRef::new(FuKind::Liu, 0, "r")).unwrap().1;
+        b.0.ports().file[slot] = 0xbbbb;
         b.mv(1, FuKind::Liu, "t");
-        assert_eq!(b.r(FuKind::Liu), 0xbbbb);
-        b.mv(99, FuKind::Liu, "t"); // out of range reads zero
         assert_eq!(b.r(FuKind::Liu), 0);
     }
 }

@@ -18,7 +18,7 @@
 
 use std::sync::Arc;
 
-use taco::eval::{ArchConfig, EvalRequest, RoutingTableKind, TraceGen, Workload};
+use taco::eval::{ArchConfig, EvalRequest, TableKind, TraceGen, Workload};
 
 /// Generator parameters for the reference trace.  Documented in
 /// EXPERIMENTS.md next to the table these rows feed.
@@ -29,9 +29,9 @@ const TABLE_ENTRIES: u32 = 100;
 
 fn main() {
     let kinds = [
-        ("sequential 3BUS/1FU", RoutingTableKind::Sequential),
-        ("balanced tree 3BUS/1FU", RoutingTableKind::BalancedTree),
-        ("CAM 3BUS/1FU", RoutingTableKind::Cam),
+        ("sequential 3BUS/1FU", TableKind::Sequential),
+        ("balanced tree 3BUS/1FU", TableKind::BalancedTree),
+        ("CAM 3BUS/1FU", TableKind::Cam),
     ];
     let trace = Arc::new(TraceGen::generate(TRACE_SEED, TRACE_TICKS, TRACE_FLOWS, TABLE_ENTRIES));
     println!(

@@ -22,9 +22,9 @@
 //! default three-bus configuration:
 //!
 //! ```
-//! use taco::eval::{ArchConfig, EvalRequest, LineRate, RoutingTableKind};
+//! use taco::eval::{ArchConfig, EvalRequest, LineRate, TableKind};
 //!
-//! let config = ArchConfig::three_bus_one_fu(RoutingTableKind::Cam);
+//! let config = ArchConfig::three_bus_one_fu(TableKind::Cam);
 //! let report = EvalRequest::new(config).rate(LineRate::TEN_GBE).entries(100).run();
 //! assert!(report.required_frequency_hz > 0.0);
 //! ```

@@ -15,8 +15,8 @@ use taco::eval::api::{
     ApiError, ApiRequest, ApiResponse, CacheCounters, Envelope, EvalSpec, StatusInfo,
 };
 use taco::eval::{
-    ArchConfig, Constraints, EvalRequest, FaultPlan, LineRate, RoutingTableKind, SweepSpec,
-    TraceGen, Workload,
+    ArchConfig, Constraints, EvalRequest, FaultPlan, LineRate, SweepSpec, TableKind, TraceGen,
+    Workload,
 };
 use taco::ipv6::ripng::{Command, RipngPacket, RouteEntry};
 use taco::ipv6::{Ipv6Address, Ipv6Header, Ipv6Prefix, NextHeader};
@@ -210,7 +210,7 @@ pub fn datagram(rng: &mut SplitMix64) -> Vec<u8> {
 
 /// Any machine the wire can spell.
 fn config(rng: &mut SplitMix64) -> ArchConfig {
-    let table = pick(rng, &RoutingTableKind::ALL_KINDS);
+    let table = pick(rng, &TableKind::ALL_KINDS);
     let buses = rng.range_inclusive(1, 8) as u8;
     let config = ArchConfig::with_replication(table, buses, rng.range_inclusive(1, 4) as u8);
     match rng.range_inclusive(1, 4) as u8 {
@@ -245,7 +245,7 @@ pub fn reread_request(line: &str) -> Result<String, ApiError> {
 /// The eval line around a machine: everything before its `config` member's
 /// value, and everything after.
 fn around_config() -> (String, String) {
-    let cam = ArchConfig::three_bus_one_fu(RoutingTableKind::Cam);
+    let cam = ArchConfig::three_bus_one_fu(TableKind::Cam);
     let line = ApiRequest::Eval(EvalSpec::new(cam)).to_json();
     let (head, rest) = line.split_once("\"config\":").expect("an eval line carries a config");
     let tail = &rest[rest.find(",\"rate\":").expect("and a rate after it")..];
@@ -327,7 +327,7 @@ pub fn sweep(rng: &mut SplitMix64) -> ApiRequest {
 pub fn response_lines() -> &'static [String] {
     static LINES: OnceLock<Vec<String>> = OnceLock::new();
     LINES.get_or_init(|| {
-        let config = ArchConfig::three_bus_one_fu(RoutingTableKind::Cam);
+        let config = ArchConfig::three_bus_one_fu(TableKind::Cam);
         let cam = |entries| EvalRequest::new(config.clone()).entries(entries);
         let small = Workload::SteadyForward { seed: 3, ticks: 20, packets_per_tick: 4, entries: 8 };
         let plain = cam(8).run();

@@ -16,8 +16,8 @@ use std::time::Duration;
 
 use taco::eval::api::{ApiRequest, ApiResponse, EvalSpec, StatusInfo};
 use taco::eval::{
-    ArchConfig, Constraints, EvalCache, EvalRequest, FaultPlan, FlowTrace, LineRate,
-    RoutingTableKind, SnapshotError, SweepSpec, Workload,
+    ArchConfig, Constraints, EvalCache, EvalRequest, FaultPlan, FlowTrace, LineRate, SnapshotError,
+    SweepSpec, TableKind, Workload,
 };
 use taco::served::{open_request, Server, ServerConfig};
 use taco_workload::trace::trace_fnv1a64;
@@ -51,7 +51,7 @@ fn status(addr: SocketAddr) -> StatusInfo {
 }
 
 fn cam_eval(entries: usize) -> String {
-    let mut spec = EvalSpec::new(ArchConfig::three_bus_one_fu(RoutingTableKind::Cam));
+    let mut spec = EvalSpec::new(ArchConfig::three_bus_one_fu(TableKind::Cam));
     spec.entries = entries;
     ApiRequest::Eval(spec).to_json()
 }
@@ -60,7 +60,7 @@ fn cam_sweep(entries: usize) -> String {
     let spec = SweepSpec {
         buses: vec![3],
         replication: vec![1],
-        kinds: vec![RoutingTableKind::Cam],
+        kinds: vec![TableKind::Cam],
         entries,
         ..SweepSpec::default()
     };
@@ -114,7 +114,7 @@ fn status_table1_poison_lines_status_shutdown() {
     // A kind the wire spelled through PR 20 is what any unknown kind is.
     let trie_eval = cam_eval(8).replacen("\"table\":\"cam\"", "\"table\":\"trie\"", 1);
     let four_kinds = "\\\"table\\\" must be one of: sequential, balanced-tree, cam, patricia";
-    let mut greedy = EvalSpec::new(ArchConfig::three_bus_one_fu(RoutingTableKind::Cam));
+    let mut greedy = EvalSpec::new(ArchConfig::three_bus_one_fu(TableKind::Cam));
     greedy.workload = Some(Workload::SteadyForward {
         seed: 1,
         ticks: u32::MAX,
@@ -133,7 +133,7 @@ fn status_table1_poison_lines_status_shutdown() {
     let greedy_trace = ApiRequest::Eval(greedy).to_json();
     // 2^63 thousandths of a malformed frame a tick: the plan's own loop,
     // which no workload member sizes.
-    let mut stormy = EvalSpec::new(ArchConfig::three_bus_one_fu(RoutingTableKind::Cam));
+    let mut stormy = EvalSpec::new(ArchConfig::three_bus_one_fu(TableKind::Cam));
     stormy.workload = Some(Workload::steady_forward());
     stormy.faults = Some(FaultPlan { malformed_per_tick_milli: 1 << 63, ..FaultPlan::none() });
     let greedy_faults = ApiRequest::Eval(stormy).to_json();
@@ -174,7 +174,7 @@ fn a_snapshot_holding_a_trie_entry_is_refused_whole_and_the_daemon_boots_cold() 
     // reads and one whose table kind it no longer has, under a valid
     // checksum.
     let cache = EvalCache::new();
-    for kind in [RoutingTableKind::Cam, RoutingTableKind::Patricia] {
+    for kind in [TableKind::Cam, TableKind::Patricia] {
         cache.evaluate(&EvalRequest::new(ArchConfig::three_bus_one_fu(kind)).entries(8));
     }
     let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"))

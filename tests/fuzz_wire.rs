@@ -23,8 +23,8 @@ use common::{
 use taco::eval::api::json::Json;
 use taco::eval::api::{ApiErrorCode, ApiRequest, ApiResponse, Envelope, EvalSpec, WireResponse};
 use taco::eval::{
-    ArchConfig, Constraints, EvalCache, EvalRequest, FaultPlan, FlowTrace, LineRate,
-    RoutingTableKind, SweepSpec, TraceGen, Workload,
+    ArchConfig, Constraints, EvalCache, EvalRequest, FaultPlan, FlowTrace, LineRate, SweepSpec,
+    TableKind, TraceGen, Workload,
 };
 use taco::served::{Server, ServerConfig};
 use taco_workload::trace::trace_fnv1a64;
@@ -50,7 +50,7 @@ fn sweep(rng: &mut SplitMix64) -> ApiRequest {
 
 /// The CAM cell of Table 1's 3BUS/1FU column.
 fn cam() -> ArchConfig {
-    ArchConfig::three_bus_one_fu(RoutingTableKind::Cam)
+    ArchConfig::three_bus_one_fu(TableKind::Cam)
 }
 
 /// A request line of any kind in either dialect.

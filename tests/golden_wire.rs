@@ -28,7 +28,7 @@ use common::{
     wire_line,
 };
 use taco::eval::api::{ApiRequest, EvalSpec, WireResponse};
-use taco::eval::{ArchConfig, EvalCache, EvalRequest, FaultPlan, RoutingTableKind, Workload};
+use taco::eval::{ArchConfig, EvalCache, EvalRequest, FaultPlan, TableKind, Workload};
 use taco_workload::trace::trace_fnv1a64;
 
 const SEED: u64 = 0x601D_0001;
@@ -56,7 +56,7 @@ fn scratch_snapshot() -> PathBuf {
 }
 
 fn cam() -> ArchConfig {
-    ArchConfig::three_bus_one_fu(RoutingTableKind::Cam)
+    ArchConfig::three_bus_one_fu(TableKind::Cam)
 }
 
 /// The one entry line of a snapshot holding one evaluation.

@@ -27,7 +27,7 @@ use taco::router::{CycleRouter, MicrocodeOptions, TrafficGen};
 use taco::routing::{PortId, Route, TableKind};
 use taco::sim::{
     FaultInjector, MapRtu, NoFaults, PeriodicStall, Processor, RingTracer, RtuConfig, RtuResult,
-    SimError, SimStats, TraceEvent,
+    SimError, SimStats, TraceEvent, DEFAULT_MEMORY_WORDS,
 };
 
 /// One way of running a machine to completion.
@@ -243,14 +243,14 @@ fn wide_machine() -> MachineConfig {
     MachineConfig::new(6).with_fu_count(FuKind::Mmu, 2)
 }
 
-fn load_on(machine: MachineConfig, text: &str, memory_words: u32) -> Processor {
+fn load_on(machine: MachineConfig, text: &str) -> Processor {
     let mut program = asm::parse(text).expect("assembles");
     program.resolve_labels().expect("labels resolve");
-    load_program(machine, program, memory_words)
+    load_program(machine, program)
 }
 
-fn load_program(machine: MachineConfig, program: Program, memory_words: u32) -> Processor {
-    let mut cpu = Processor::with_memory(machine, program, memory_words).expect("validates");
+fn load_program(machine: MachineConfig, program: Program) -> Processor {
+    let mut cpu = Processor::new(machine, program).expect("validates");
     let mut backend = MapRtu::new();
     backend.insert([1, 2, 3, 4], RtuResult { iface: 9, handle: 1 });
     cpu.set_rtu(RtuConfig::new(Box::new(backend)).with_latency(5));
@@ -267,9 +267,9 @@ fn identity(cpu: &Processor) -> &Processor {
 fn hand_written_programs_agree_and_resume_cleanly() {
     let narrow = PROGRAMS.iter().map(|text| (MachineConfig::new(2), *text));
     for (machine, text) in narrow.chain([(wide_machine(), WIDE)]) {
-        let load = |text, words| load_on(machine.clone(), text, words);
+        let load = |text| load_on(machine.clone(), text);
         for stall in [None, Some(PeriodicStall::new(5, 2))] {
-            let (mut decoded, mut reference) = (load(text, 1 << 16), load(text, 1 << 16));
+            let (mut decoded, mut reference) = (load(text), load(text));
             let d = observe(&mut decoded, Processor::run_with, identity, 10_000, stall);
             let r = observe(&mut reference, Processor::run_reference, identity, 10_000, stall);
             assert_eq!(d, r, "{text}");
@@ -283,7 +283,7 @@ fn hand_written_programs_agree_and_resume_cleanly() {
             assert_eq!((&again.result, &again.stats), (&r.result, &r.stats), "{text}");
             if stall.is_none() {
                 let run: Run<Processor> = |cpu, budget, _, _| cpu.run(budget);
-                assert_untraced_agrees(&mut load(text, 1 << 16), run, identity, 10_000, r, text);
+                assert_untraced_agrees(&mut load(text), run, identity, 10_000, r, text);
             }
         }
     }
@@ -292,7 +292,7 @@ fn hand_written_programs_agree_and_resume_cleanly() {
 #[test]
 fn errors_agree_and_leave_the_same_statistics() {
     let r0 = PortRef::new(FuKind::Regs, 0, "r0");
-    let out_of_bounds = SimError::MemoryOutOfBounds { addr: 9_999_999, size: 16 };
+    let out_of_bounds = SimError::MemoryOutOfBounds { addr: 9_999_999, size: DEFAULT_MEMORY_WORDS };
     let cases = [
         ("1 -> regs0.r0 | 2 -> regs0.r0\n", 10, SimError::PortConflict { port: r0, cycle: 0 }),
         ("0 -> nc0.pc | 0 -> nc0.pc\n", 10, SimError::DoublePcWrite { cycle: 0 }),
@@ -306,8 +306,8 @@ fn errors_agree_and_leave_the_same_statistics() {
     for (machine, (text, budget, error)) in
         cases.into_iter().map(|case| (MachineConfig::new(2), case)).chain([wide])
     {
-        let load = |text, words| load_on(machine.clone(), text, words);
-        let (mut decoded, mut reference) = (load(text, 16), load(text, 16));
+        let load = |text| load_on(machine.clone(), text);
+        let (mut decoded, mut reference) = (load(text), load(text));
         let d = observe(&mut decoded, Processor::run_with, identity, budget, None);
         let r = observe(&mut reference, Processor::run_reference, identity, budget, None);
         assert_eq!(d, r, "{text}");
@@ -318,7 +318,7 @@ fn errors_agree_and_leave_the_same_statistics() {
             assert_eq!(d.stats.triggers(FuKind::Counter), 1);
         }
         let run: Run<Processor> = |cpu, budget, _, _| cpu.run(budget);
-        assert_untraced_agrees(&mut load(text, 16), run, identity, budget, r, text);
+        assert_untraced_agrees(&mut load(text), run, identity, budget, r, text);
     }
 }
 
@@ -390,7 +390,7 @@ const HAZARDS: &[(&str, &[(u8, u32)])] = &[
 fn same_cycle_hazards_read_what_the_cycle_started_with() {
     for &(text, expected) in HAZARDS {
         for stall in [None, Some(PeriodicStall::new(3, 1))] {
-            let load = || load_on(hazard_machine(), text, 64);
+            let load = || load_on(hazard_machine(), text);
             let (mut decoded, mut reference) = (load(), load());
             let d = observe(&mut decoded, Processor::run_with, identity, 1_000, stall);
             let r = observe(&mut reference, Processor::run_reference, identity, 1_000, stall);
@@ -420,7 +420,7 @@ const STRAIGHT: &str = "1 -> regs0.r1
 fn a_budget_ending_inside_a_run_stops_at_its_cycle_and_resumes() {
     for budget in 1..=18 {
         for stall in [None, Some(PeriodicStall::new(4, 1))] {
-            let load = || load_on(hazard_machine(), STRAIGHT, 64);
+            let load = || load_on(hazard_machine(), STRAIGHT);
             let (mut decoded, mut reference) = (load(), load());
             let d = observe(&mut decoded, Processor::run_with, identity, budget, stall);
             let r = observe(&mut reference, Processor::run_reference, identity, budget, stall);
@@ -440,7 +440,7 @@ fn a_budget_ending_inside_a_run_stops_at_its_cycle_and_resumes() {
 
 #[test]
 fn a_stall_a_stolen_cycle_or_a_fault_ends_a_run_where_it_happens() {
-    let out_of_bounds = SimError::MemoryOutOfBounds { addr: 9_999_999, size: 64 };
+    let out_of_bounds = SimError::MemoryOutOfBounds { addr: 9_999_999, size: DEFAULT_MEMORY_WORDS };
     let cases = [
         // The RTU read in the third word of a run stalls there.
         (
@@ -458,7 +458,7 @@ fn a_stall_a_stolen_cycle_or_a_fault_ends_a_run_where_it_happens() {
     ];
     for (text, error) in cases {
         for stall in [None, Some(PeriodicStall::new(3, 1)), Some(PeriodicStall::new(7, 2))] {
-            let load = || load_on(hazard_machine(), text, 64);
+            let load = || load_on(hazard_machine(), text);
             let (mut decoded, mut reference) = (load(), load());
             let d = observe(&mut decoded, Processor::run_with, identity, 1_000, stall);
             let r = observe(&mut reference, Processor::run_reference, identity, 1_000, stall);
@@ -473,7 +473,7 @@ fn a_stall_a_stolen_cycle_or_a_fault_ends_a_run_where_it_happens() {
         }
     }
     // Stolen cycles land inside the straight-line stretch of `STRAIGHT`.
-    let load = || load_on(hazard_machine(), STRAIGHT, 64);
+    let load = || load_on(hazard_machine(), STRAIGHT);
     for every in 2..=6 {
         let stall = Some(PeriodicStall::new(every, 1));
         let d = observe(&mut load(), Processor::run_with, identity, 1_000, stall);
@@ -517,7 +517,7 @@ fn scheduled_random_programs_agree_with_the_reference() {
         program.resolve_labels().expect("every label defined");
         let text = program.to_string();
         let stall = rng.chance(0.5).then(|| PeriodicStall::new(rng.range_inclusive(2, 9), 1));
-        let load = || load_program(machine.clone(), program.clone(), 64);
+        let load = || load_program(machine.clone(), program.clone());
         let (mut decoded, mut reference) = (load(), load());
         let d = observe(&mut decoded, Processor::run_with, identity, 2_000, stall);
         let r = observe(&mut reference, Processor::run_reference, identity, 2_000, stall);
