@@ -115,9 +115,12 @@ pub fn render() -> String {
     let _ = writeln!(
         out,
         "# TACO IPv6 reproduction report (generated)\n\n\
-         Technology ceiling: {:.0} MHz (0.18 um).  All numbers measured by cycle-accurate\n\
-         simulation ({ENTRIES}-entry tables); see EXPERIMENTS.md for the paper-vs-measured\n\
-         discussion, which quotes the marked blocks of this report verbatim.",
+         Technology ceiling: {:.0} MHz (0.18 um).  Cycles per datagram and bus\n\
+         utilisation are simulated cycle by cycle ({ENTRIES}-entry tables); the required\n\
+         clock is derived from the cycles and the packet rate; the estimate column (area,\n\
+         power, NA) and the ceiling are modelled by taco-estimate's first-order model.\n\
+         See EXPERIMENTS.md for the paper-vs-measured discussion, which quotes the marked\n\
+         blocks of this report verbatim.",
         Estimator::new().max_frequency_hz() / 1e6
     );
 
