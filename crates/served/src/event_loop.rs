@@ -560,7 +560,7 @@ impl<'a> EventLoop<'a> {
             _ => Envelope::V1,
         };
         let error =
-            ApiError::bad_request(format!("request frame exceeds the {}-byte limit", MAX_FRAME));
+            ApiError::bad_request(format!("request frame exceeds the {MAX_FRAME}-byte limit"));
         self.respond(conn, envelope, &ApiResponse::Error(error));
         conn.discarding = true;
         conn.read_done = false;
