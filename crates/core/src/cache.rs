@@ -213,13 +213,25 @@ impl EvalCache {
     /// [`EvalCache::evaluate`], also reporting whether the result came from
     /// the cache (`true` = hit) — the flag sweep observers record.
     pub fn evaluate_recorded(&self, request: &EvalRequest) -> (EvalReport, bool) {
+        self.evaluate_recorded_by(request, evaluate_request)
+    }
+
+    /// [`EvalCache::evaluate_recorded`] with a miss answered by `evaluate`,
+    /// which must return what [`evaluate_request`] would: a batch answers
+    /// its misses from one block profile per table
+    /// ([`SweepPricer`](crate::price::SweepPricer)).
+    pub(crate) fn evaluate_recorded_by(
+        &self,
+        request: &EvalRequest,
+        evaluate: impl FnOnce(&EvalRequest) -> EvalReport,
+    ) -> (EvalReport, bool) {
         let key = EvalKey::new(request);
         if let Some(report) = self.reports.lock().expect("cache lock").get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return (report.clone(), true);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let report = evaluate_request(request);
+        let report = evaluate(request);
         self.reports.lock().expect("cache lock").insert(key, report.clone());
         (report, false)
     }

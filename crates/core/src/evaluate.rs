@@ -17,7 +17,7 @@ use crate::rate::LineRate;
 use crate::request::EvalRequest;
 
 /// Simulation watchdog per evaluation.
-const CYCLE_BUDGET: u64 = 50_000_000;
+pub(crate) const CYCLE_BUDGET: u64 = 50_000_000;
 
 /// Seconds of wall time one behavioural scenario tick represents when a
 /// workload is attached to a request: the per-tick service budget is the
@@ -101,7 +101,7 @@ impl std::fmt::Display for EvalReport {
 /// Builds the transient-stall injector a fault plan asks for, if any; the
 /// fault-free path never constructs one, so it keeps the exact pre-fault
 /// `run()` entry point (the `NullTracer` monomorphisation discipline).
-fn stall_injector(faults: Option<&FaultPlan>) -> Option<taco_sim::PeriodicStall> {
+pub(crate) fn stall_injector(faults: Option<&FaultPlan>) -> Option<taco_sim::PeriodicStall> {
     let plan = faults?;
     if plan.stall_every_cycles == 0 {
         return None;
@@ -190,13 +190,57 @@ fn scenario_service_per_tick(cycles_per_datagram: f64) -> u32 {
     (per_tick as u32).max(1)
 }
 
-/// Evaluates one [`EvalRequest`] — the paper's per-cell methodology, plus
-/// the behavioural scenario replay when the request carries a workload.
+/// What a cell's fixed point settles on: the RTU latency, the cycles per
+/// datagram measured at it, the clock they require and the measurement's
+/// counters.
+pub(crate) struct Measurement {
+    rtu_latency: u32,
+    cycles: f64,
+    freq: f64,
+    stats: SimStats,
+}
+
+/// The paper's per-cell fixed point over `run`, which measures the cell at
+/// one RTU latency and returns cycles per datagram with the run's counters.
 ///
 /// For the CAM organisation the RTU latency depends on the clock and the
 /// clock depends on the measured cycles (which include RTU stalls), so the
-/// evaluation iterates the pair to a fixed point; it converges in a few
-/// rounds because the latency is quantised to whole cycles.
+/// pair is iterated; it converges in a few rounds because the latency is
+/// quantised to whole cycles.  The other organisations measure once.  An
+/// error carries the latency it struck at.
+pub(crate) fn converge<E: From<SimError>>(
+    request: &EvalRequest,
+    frames: usize,
+    mut run: impl FnMut(u32) -> Result<(f64, SimStats), E>,
+) -> Result<Measurement, (u32, E)> {
+    let cam_spec = CamSpec::paper_default();
+    let mut rtu_latency = 1u32;
+    loop {
+        let (cycles, stats) = run(rtu_latency).map_err(|e| (rtu_latency, e))?;
+        let freq = request.line_rate.required_frequency_hz(cycles);
+        if request.config.table != TableKind::Cam {
+            return Ok(Measurement { rtu_latency, cycles, freq, stats });
+        }
+        // Searching once per datagram past the watchdog is how the run
+        // would end: say so without simulating it.
+        let next = cam_spec.search_cycles(freq);
+        if next.saturating_mul(frames.max(1) as u64) > CYCLE_BUDGET {
+            let latency = u32::try_from(next).unwrap_or(u32::MAX);
+            return Err((latency, SimError::Watchdog { budget: CYCLE_BUDGET }.into()));
+        }
+        let next = u32::try_from(next).expect("a latency within the budget fits u32");
+        if next == rtu_latency {
+            return Ok(Measurement { rtu_latency, cycles, freq, stats });
+        }
+        rtu_latency = next;
+    }
+}
+
+/// Evaluates one [`EvalRequest`] — the paper's per-cell methodology, plus
+/// the behavioural scenario replay when the request carries a workload.
+///
+/// The cell is stepped on the cycle-accurate router at each round of the
+/// RTU latency fixed point ([`converge`]).
 ///
 /// # Examples
 ///
@@ -210,55 +254,47 @@ fn scenario_service_per_tick(cycles_per_datagram: f64) -> u32 {
 /// assert!(report.required_frequency_hz < 200e6); // tens of MHz, as in the paper
 /// ```
 pub fn evaluate_request(request: &EvalRequest) -> EvalReport {
-    let config = &request.config;
-    let faults = request.faults.as_ref();
     let input = PreparedInput::shared(request.entries);
-    let cam_spec = CamSpec::paper_default();
 
     // One router per evaluation: the fixed point re-arms it and the program
     // store is charged from it.
-    let mut rtu_latency = 1u32;
-    let mut router = match input.router(config, rtu_latency) {
+    let mut router = match input.router(&request.config, 1) {
         Ok(router) => router,
-        Err(e) => return error_report(request, rtu_latency, e),
+        Err(e) => return error_report(request, 1, e),
     };
     let program_bits = router.program_bits();
-    let (cycles, freq, stats) = loop {
-        let (cycles, stats) = match measure(&mut router, &input, faults, &mut NullTracer) {
-            Ok(m) => m,
-            Err(e) => return error_report(request, rtu_latency, e),
-        };
-        let freq = request.line_rate.required_frequency_hz(cycles);
-        if config.table != TableKind::Cam {
-            break (cycles, freq, stats);
+    let mut armed = 1;
+    let measured = converge(request, input.frames().len(), |latency| {
+        if latency != armed {
+            router.rearm(latency);
+            armed = latency;
         }
-        // Searching once per datagram past the watchdog is how the run
-        // would end: say so without simulating it.
-        let next = cam_spec.search_cycles(freq);
-        if next.saturating_mul(input.frames().len().max(1) as u64) > CYCLE_BUDGET {
-            let latency = u32::try_from(next).unwrap_or(u32::MAX);
-            return error_report(request, latency, SimError::Watchdog { budget: CYCLE_BUDGET });
-        }
-        let next = u32::try_from(next).expect("a latency within the budget fits u32");
-        if next == rtu_latency {
-            break (cycles, freq, stats);
-        }
-        rtu_latency = next;
-        router.rearm(rtu_latency);
-    };
+        measure(&mut router, &input, request.faults.as_ref(), &mut NullTracer)
+    });
 
     // The router is not needed past this point; the scenario replay below
     // allocates its own tables.
     drop(router);
+    match measured {
+        Ok(measurement) => report(request, program_bits, measurement),
+        Err((latency, e)) => error_report(request, latency, e),
+    }
+}
 
+/// The report on a measured cell: the physical estimate at the clock it
+/// requires and, when the request carries a workload, the behavioural
+/// replay at the service budget its cycles earn.
+pub(crate) fn report(request: &EvalRequest, program_bits: u64, m: Measurement) -> EvalReport {
+    let config = &request.config;
+    let faults = request.faults.as_ref();
     let mut estimator = Estimator::new().with_program_bits(program_bits);
     if config.table == TableKind::Cam {
         estimator = estimator.with_cam(ExternalCam::micron_harmony());
     }
-    let estimate = estimator.estimate(&config.machine, freq);
+    let estimate = estimator.estimate(&config.machine, m.freq);
 
     let scenario = request.workload.as_ref().map(|workload| {
-        let service = scenario_service_per_tick(cycles);
+        let service = scenario_service_per_tick(m.cycles);
         let scenario_config = ScenarioConfig::new(config.table).service_per_tick(service);
         match &request.flow_trace {
             // An attached flow trace is replayed verbatim; the workload
@@ -272,12 +308,12 @@ pub fn evaluate_request(request: &EvalRequest) -> EvalReport {
         config: config.clone(),
         line_rate: request.line_rate,
         table_entries: request.entries,
-        cycles_per_datagram: cycles,
-        required_frequency_hz: freq,
-        rtu_latency_cycles: rtu_latency,
+        cycles_per_datagram: m.cycles,
+        required_frequency_hz: m.freq,
+        rtu_latency_cycles: m.rtu_latency,
         program_bits,
         estimate,
-        stats,
+        stats: m.stats,
         scenario,
         sim_error: None,
     }

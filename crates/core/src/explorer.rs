@@ -19,6 +19,7 @@ use crate::cache::EvalCache;
 use crate::evaluate::{evaluate_request, EvalReport};
 use crate::observer::{PointRecord, Silent, SweepObserver, SweepSummary};
 use crate::pool;
+use crate::price::SweepPricer;
 use crate::rate::LineRate;
 use crate::request::EvalRequest;
 
@@ -188,11 +189,12 @@ impl Default for ExploreOptions<'_> {
 
 impl ExploreOptions<'_> {
     /// One evaluation through this run's memo, with its hit flag — or from
-    /// scratch (never a hit) when the run has no memo.
-    fn evaluate(&self, request: &EvalRequest) -> (EvalReport, bool) {
+    /// scratch (never a hit) when the run has no memo.  A miss is priced
+    /// by `pricer`.
+    fn evaluate(&self, pricer: &SweepPricer, request: &EvalRequest) -> (EvalReport, bool) {
         match self.cache {
-            Some(cache) => cache.evaluate_recorded(request),
-            None => (evaluate_request(request), false),
+            Some(cache) => cache.evaluate_recorded_by(request, |r| pricer.evaluate(r)),
+            None => (pricer.evaluate(request), false),
         }
     }
 }
@@ -243,9 +245,12 @@ pub fn rank_reports(all: &[EvalReport], constraints: &Constraints) -> Vec<usize>
 ///
 /// Points are fanned out across all cores (override with the
 /// `TACO_THREADS` environment variable) and answered from the
-/// process-global [`EvalCache`] where possible; results land by sweep
-/// index, so the outcome is identical to the serial sweep — see
-/// [`explore_serial`] and the `parallel_matches_serial` equivalence test.
+/// process-global [`EvalCache`] where possible.  A point the cache misses
+/// is priced from its table's block profile, recorded by stepping the
+/// table once per sweep (the `price` module says why that is exact and
+/// when a point is stepped instead).  Results land by sweep index, so the
+/// outcome is identical to the serial, stepped sweep — see
+/// [`explore_serial`] and the `parallel_equivalence` oracle tests.
 pub fn explore(spec: &SweepSpec, line_rate: LineRate, constraints: &Constraints) -> Exploration {
     explore_with(spec, line_rate, constraints, &ExploreOptions::default())
 }
@@ -261,10 +266,11 @@ pub fn explore_with(
     let configs = grid(spec);
     let total = configs.len();
     let sweep_hits = AtomicUsize::new(0);
+    let pricer = SweepPricer::new(&configs, spec.entries);
 
     let all: Vec<EvalReport> = pool::ordered_map(&configs, opts.threads, |index, config| {
         let point_started = Instant::now();
-        let (report, cache_hit) = opts.evaluate(&spec.request(config, line_rate));
+        let (report, cache_hit) = opts.evaluate(&pricer, &spec.request(config, line_rate));
         if cache_hit {
             sweep_hits.fetch_add(1, Ordering::Relaxed);
         }
@@ -282,14 +288,17 @@ pub fn explore_with(
     opts.observer.on_summary(&SweepSummary {
         points: total,
         cache_hits: sweep_hits.load(Ordering::Relaxed),
+        tables_stepped: pricer.tables_stepped(),
+        points_priced: pricer.points_priced(),
         admitted: admitted.len(),
         wall_ms: started.elapsed().as_millis(),
     });
     Exploration { all, admitted }
 }
 
-/// The reference implementation: one thread, no cache, no observer — the
-/// loop the parallel sweep must be byte-identical to.
+/// The reference implementation: one thread, no cache, no observer, every
+/// point stepped — the oracle the parallel, priced sweep must be
+/// byte-identical to.
 pub fn explore_serial(
     spec: &SweepSpec,
     line_rate: LineRate,

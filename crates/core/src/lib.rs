@@ -49,6 +49,7 @@ pub mod explorer;
 pub mod observer;
 pub mod pool;
 mod prepared;
+mod price;
 pub mod rate;
 pub mod report;
 pub mod request;

@@ -36,6 +36,11 @@ pub struct SweepSummary {
     pub points: usize,
     /// How many of them were answered from the cache.
     pub cache_hits: usize,
+    /// Routing tables stepped once to record the block profile the other
+    /// points were priced from.
+    pub tables_stepped: usize,
+    /// Points priced from a profile rather than stepped.
+    pub points_priced: usize,
     /// How many survived the designer's constraints.
     pub admitted: usize,
     /// Total sweep wall time in milliseconds.
@@ -64,7 +69,7 @@ impl SweepObserver for Silent {}
 /// ```text
 /// [ 7/36] cam 3BUS/1FU                  41 MHz  miss   312.4 ms
 /// [ 8/36] cam 3BUS/1FU                  41 MHz  hit      0.0 ms
-/// sweep: 36 points (12 cache hits), 5 admitted, 3.21 s
+/// sweep: 36 points (12 cache hits, 3 tables stepped, 24 priced), 5 admitted, 3.21 s
 /// ```
 ///
 /// Pass `verbose = true` to append each point's simulator counters as JSON
@@ -110,9 +115,11 @@ impl SweepObserver for StderrProgress {
 
     fn on_summary(&self, summary: &SweepSummary) {
         eprintln!(
-            "sweep: {} points ({} cache hits), {} admitted, {:.2} s",
+            "sweep: {} points ({} cache hits, {} tables stepped, {} priced), {} admitted, {:.2} s",
             summary.points,
             summary.cache_hits,
+            summary.tables_stepped,
+            summary.points_priced,
             summary.admitted,
             summary.wall_ms as f64 / 1e3,
         );
@@ -139,13 +146,27 @@ mod tests {
             wall: Duration::from_millis(5),
         };
         obs.on_point(&record);
-        obs.on_summary(&SweepSummary { points: 1, cache_hits: 0, admitted: 1, wall_ms: 5 });
+        obs.on_summary(&SweepSummary {
+            points: 1,
+            cache_hits: 0,
+            tables_stepped: 1,
+            points_priced: 1,
+            admitted: 1,
+            wall_ms: 5,
+        });
     }
 
     #[test]
     fn silent_observer_is_a_no_op() {
         // Nothing to assert beyond "it compiles and runs": the default
         // methods must not panic on an empty summary.
-        Silent.on_summary(&SweepSummary { points: 0, cache_hits: 0, admitted: 0, wall_ms: 0 });
+        Silent.on_summary(&SweepSummary {
+            points: 0,
+            cache_hits: 0,
+            tables_stepped: 0,
+            points_priced: 0,
+            admitted: 0,
+            wall_ms: 0,
+        });
     }
 }

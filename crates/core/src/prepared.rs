@@ -136,11 +136,17 @@ impl PreparedInput {
         config: &ArchConfig,
         rtu_latency: u32,
     ) -> Result<CycleRouter, SimError> {
-        let kind = config.table;
+        CycleRouter::from_image(&config.machine, self.image(config.table)?, rtu_latency)
+    }
+
+    /// The serialised `kind` table over this input's routes, built on first
+    /// use; [`SimError::TableFull`] when it does not fit the CAM.
+    pub(crate) fn image(&self, kind: TableKind) -> Result<&TableImage, SimError> {
         let at = TableKind::ALL_KINDS.iter().position(|k| *k == kind).expect("every kind listed");
-        let image = self.images[at]
-            .get_or_init(|| TableImage::new(kind, &self.routes, &MicrocodeOptions::default()));
-        CycleRouter::from_image(&config.machine, image.as_ref().map_err(Clone::clone)?, rtu_latency)
+        self.images[at]
+            .get_or_init(|| TableImage::new(kind, &self.routes, &MicrocodeOptions::default()))
+            .as_ref()
+            .map_err(Clone::clone)
     }
 }
 

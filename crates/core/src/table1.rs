@@ -7,6 +7,7 @@ use taco_estimate::Estimate;
 use crate::arch::ArchConfig;
 use crate::cache::EvalCache;
 use crate::evaluate::EvalReport;
+use crate::price::SweepPricer;
 use crate::rate::LineRate;
 use crate::request::EvalRequest;
 
@@ -21,12 +22,18 @@ use crate::request::EvalRequest;
 /// Cells are answered from the process-global [`EvalCache`]: the paper's
 /// nine Table 1 points are a subset of the default exploration grid, so a
 /// sweep that already ran in this process makes most of this call
-/// (nearly) free.
+/// (nearly) free.  The cells it misses are priced as a sweep prices its
+/// points: each table is stepped once.
 pub fn table1(line_rate: LineRate, entries: usize) -> Vec<EvalReport> {
     let cache = EvalCache::global();
-    ArchConfig::table1_cells()
-        .iter()
-        .map(|c| cache.evaluate(&EvalRequest::new(c.clone()).rate(line_rate).entries(entries)))
+    let cells = ArchConfig::table1_cells();
+    let pricer = SweepPricer::new(&cells, entries);
+    cells
+        .into_iter()
+        .map(|c| {
+            let request = EvalRequest::new(c).rate(line_rate).entries(entries);
+            cache.evaluate_recorded_by(&request, |r| pricer.evaluate(r)).0
+        })
         .collect()
 }
 

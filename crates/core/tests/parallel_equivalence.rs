@@ -6,15 +6,20 @@
 //! 2. a repeated sweep is answered from the evaluation cache, observable
 //!    through the `SweepObserver` records;
 //! 3. a cached `EvalReport` is indistinguishable from a fresh
-//!    `evaluate()` for every point in the default grid.
+//!    `evaluate()` for every point in the default grid;
+//! 4. the priced sweep, which steps each table once and prices every point
+//!    from its block profile, is equal to the stepped serial sweep — every
+//!    report, the ranking and the cache counters — over table sizes, every
+//!    kind, six bus counts, four replication factors, four line rates and
+//!    a fault plan with and without injected stalls.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use taco_core::{
     explore_serial, explore_with, grid, scaling_sweep, ArchConfig, Constraints, EvalCache,
-    EvalRequest, ExploreOptions, LineRate, PointRecord, Silent, SweepObserver, SweepSpec,
-    SweepSummary, TableKind,
+    EvalRequest, ExploreOptions, FaultPlan, LineRate, PointRecord, Silent, SweepObserver,
+    SweepSpec, SweepSummary, TableKind,
 };
 
 /// Captures everything the explorer reports, for assertions.
@@ -37,6 +42,17 @@ impl SweepObserver for Recorder {
 
     fn on_summary(&self, summary: &SweepSummary) {
         self.summaries.lock().unwrap().push(summary.clone());
+    }
+}
+
+/// Keeps the sweep summaries alone: an oracle sweep may report points that
+/// do not simulate.
+#[derive(Default)]
+struct Summaries(Mutex<Vec<SweepSummary>>);
+
+impl SweepObserver for Summaries {
+    fn on_summary(&self, summary: &SweepSummary) {
+        self.0.lock().unwrap().push(summary.clone());
     }
 }
 
@@ -207,4 +223,77 @@ fn equal_power_ties_rank_deterministically() {
         v
     };
     assert_eq!(ex.admitted, sorted);
+}
+
+/// The oracle grid at one table size: every kind, buses 1–6, replication
+/// 1–4.
+fn oracle_spec(entries: usize, faults: Option<FaultPlan>) -> SweepSpec {
+    SweepSpec {
+        buses: (1..=6).collect(),
+        replication: (1..=4).collect(),
+        kinds: TableKind::ALL_KINDS.to_vec(),
+        entries,
+        faults,
+        ..SweepSpec::default()
+    }
+}
+
+/// Sweeps `spec` priced on a fresh cache and stepped by `explore_serial`,
+/// demands equal reports, ranking and exact cache counters (every point one
+/// miss, then every point one hit on a repeat), and returns the priced
+/// sweep's summary.
+fn priced_equals_stepped(spec: &SweepSpec, rate: LineRate) -> SweepSummary {
+    let constraints = Constraints::default();
+    let stepped = explore_serial(spec, rate, &constraints);
+    let cache = EvalCache::new();
+    let summaries = Summaries::default();
+    let opts = ExploreOptions { threads: 2, cache: Some(&cache), observer: &summaries };
+    let priced = explore_with(spec, rate, &constraints, &opts);
+    let points = grid(spec).len();
+    assert_eq!(priced.all.len(), points);
+    for (priced, stepped) in priced.all.iter().zip(&stepped.all) {
+        assert_eq!(priced, stepped, "{} at {} entries, {rate}", stepped.config, spec.entries);
+    }
+    assert_eq!(priced.admitted, stepped.admitted, "ranking at {} entries, {rate}", spec.entries);
+    assert_eq!((cache.misses(), cache.hits()), (points as u64, 0));
+
+    assert_eq!(explore_with(spec, rate, &constraints, &opts), priced);
+    assert_eq!((cache.misses(), cache.hits()), (points as u64, points as u64));
+    let summaries = summaries.0.lock().unwrap();
+    assert_eq!((summaries[1].tables_stepped, summaries[1].points_priced), (0, 0), "all hits");
+    summaries[0].clone()
+}
+
+/// So fast a line that the CAM's search takes longer than the watchdog
+/// allows.
+const WATCHDOG_RATE: LineRate = LineRate { bits_per_second: 1e16, packet_bytes: 84 };
+
+#[test]
+fn priced_sweep_equals_the_stepped_oracle_at_every_size_and_line_rate() {
+    let rates = [LineRate::TEN_GBE, LineRate::GIGE, LineRate::TEN_GBE_MIN_FRAMES, WATCHDOG_RATE];
+    for entries in [1, 8, 100, 1024] {
+        let spec = oracle_spec(entries, None);
+        let points = grid(&spec).len();
+        for rate in rates {
+            let summary = priced_equals_stepped(&spec, rate);
+            // Each table is stepped once and every point is priced from it,
+            // but for CAM points whose search outlasts the watchdog: those
+            // are stepped, and report it.
+            let stepped =
+                if rate == WATCHDOG_RATE { points / TableKind::ALL_KINDS.len() } else { 0 };
+            let label = format!("{entries} entries, {rate}");
+            assert_eq!(summary.tables_stepped, TableKind::ALL_KINDS.len(), "{label}");
+            assert_eq!(summary.points_priced, points - stepped, "{label}");
+        }
+    }
+}
+
+#[test]
+fn a_plan_that_injects_stalls_is_stepped_and_one_that_does_not_is_priced() {
+    let points = grid(&oracle_spec(8, None)).len();
+    let stalls =
+        priced_equals_stepped(&oracle_spec(8, Some(FaultPlan::stalls())), LineRate::TEN_GBE);
+    assert_eq!((stalls.tables_stepped, stalls.points_priced), (0, 0));
+    let flaps = priced_equals_stepped(&oracle_spec(8, Some(FaultPlan::flaps())), LineRate::TEN_GBE);
+    assert_eq!((flaps.tables_stepped, flaps.points_priced), (TableKind::ALL_KINDS.len(), points));
 }

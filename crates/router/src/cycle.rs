@@ -10,7 +10,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use taco_ipv6::Datagram;
-use taco_isa::{opt, schedule, MachineConfig, MoveSeq};
+use taco_isa::{opt, schedule, FuKind, FuRef, MachineConfig, MoveSeq, Source};
 use taco_routing::{
     BalancedTreeTable, CamTable, LpmTable, PatriciaTable, PortId, Route, SequentialTable, TableKind,
 };
@@ -106,6 +106,49 @@ impl TableImage {
     }
 }
 
+impl TableImage {
+    /// The program [`CycleRouter::from_image`] runs for this image on
+    /// `config` — scheduled, label-resolved and decoded — from the same
+    /// compiled-program cache, without building a router.
+    ///
+    /// # Errors
+    ///
+    /// The construction errors of [`CycleRouter::from_image`] that come
+    /// from the program: it does not fit or does not validate on `config`.
+    pub fn compiled(&self, config: &MachineConfig) -> Result<Arc<CompiledProgram>, SimError> {
+        compiled_program(config, self)
+    }
+
+    /// `config` with at least one unit per virtual instance this image's
+    /// microcode names, for every kind a machine may replicate — the
+    /// machine [`schedule`] folds no unit on.
+    pub fn unfolded(&self, config: &MachineConfig) -> MachineConfig {
+        let seq = Arc::clone(&level_one(&mut program_cache(), self).seq);
+        let mut named = [0u8; FuKind::ALL.len()];
+        let mut name = |fu: FuRef| {
+            let count = &mut named[fu.kind as usize];
+            *count = (*count).max(fu.index.saturating_add(1));
+        };
+        for mv in &seq.moves {
+            name(mv.dst.fu);
+            if let Source::Port(p) = &mv.src {
+                name(p.fu);
+            }
+            if let Some(g) = &mv.guard {
+                name(g.fu);
+            }
+        }
+        FuKind::ALL.into_iter().fold(config.clone(), |machine, kind| {
+            let count = named[kind as usize];
+            if count > machine.fu_count(kind) && MachineConfig::can_replicate(kind) {
+                machine.with_fu_count(kind, count)
+            } else {
+                machine
+            }
+        })
+    }
+}
+
 /// A ready-to-run cycle-accurate router instance.
 #[derive(Debug)]
 pub struct CycleRouter {
@@ -142,6 +185,16 @@ fn program_cache() -> MutexGuard<'static, HashMap<SeqKey, Microcode>> {
     CACHE.get_or_init(|| Mutex::new(HashMap::new())).lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// The level-one entry for `image`: its sequence generated and optimised
+/// on first use.
+fn level_one<'a>(cache: &'a mut HashMap<SeqKey, Microcode>, image: &TableImage) -> &'a Microcode {
+    cache.entry((image.kind, image.padded_entries, image.opts)).or_insert_with(|| {
+        let mut seq = program_for(image.kind, image.padded_entries, &image.opts);
+        opt::optimize(&mut seq);
+        Microcode { seq: Arc::new(seq), programs: HashMap::new() }
+    })
+}
+
 /// Returns the compiled program for `image` on `config` — scheduled,
 /// label-resolved, validated and pre-decoded — compiling (and memoizing)
 /// it on first use.  Compiling microcode costs far more than a simulator
@@ -161,11 +214,7 @@ fn compiled_program(
     let key = (image.kind, image.padded_entries, image.opts);
     let seq = {
         let mut cache = program_cache();
-        let microcode = cache.entry(key).or_insert_with(|| {
-            let mut seq = program_for(image.kind, image.padded_entries, &image.opts);
-            opt::optimize(&mut seq);
-            Microcode { seq: Arc::new(seq), programs: HashMap::new() }
-        });
+        let microcode = level_one(&mut cache, image);
         if let Some(p) = microcode.programs.get(config) {
             return Ok(Arc::clone(p));
         }

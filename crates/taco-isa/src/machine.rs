@@ -83,16 +83,17 @@ impl MachineConfig {
     /// `count > 1`.
     pub fn with_fu_count(mut self, kind: FuKind, count: u8) -> Self {
         assert!(count > 0, "fu count must be positive");
-        assert!(
-            count == 1 || FuKind::REPLICABLE.contains(&kind) || Self::is_scalable_datapath(kind),
-            "{kind} cannot be replicated"
-        );
+        assert!(count == 1 || Self::can_replicate(kind), "{kind} cannot be replicated");
         self.fu_counts[kind as usize] = count;
         self
     }
 
-    fn is_scalable_datapath(kind: FuKind) -> bool {
-        matches!(kind, FuKind::Checksum | FuKind::Shifter | FuKind::Masker | FuKind::Mmu)
+    /// `true` for the kinds [`MachineConfig::with_fu_count`] accepts more
+    /// than one instance of: the paper's replicable units and the scalable
+    /// datapath (checksum, shifter, masker, MMU).
+    pub fn can_replicate(kind: FuKind) -> bool {
+        FuKind::REPLICABLE.contains(&kind)
+            || matches!(kind, FuKind::Checksum | FuKind::Shifter | FuKind::Masker | FuKind::Mmu)
     }
 
     /// Number of data buses (the maximum number of moves per cycle).

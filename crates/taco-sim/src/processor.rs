@@ -456,6 +456,7 @@ impl Processor {
             // --- one run: instructions pc..=last -------------------------
             let last = pc + (u64::from(ins[pc].run).min(deadline - cycle) as usize) - 1;
             loop {
+                tracer.issued(pc);
                 issued += u64::from(ins[pc].end - ins[pc].start);
                 let jump =
                     match instruction(&mut ports, &compiled, pc, cycle, &mut squashed, tracer) {
@@ -700,6 +701,37 @@ mod tests {
         // 1 setup + 5 × (inc + branch) cycles.
         assert_eq!(stats.cycles, 11);
         assert_eq!(stats.triggers(FuKind::Counter), 6);
+    }
+
+    #[test]
+    fn the_issue_hook_counts_every_word_issued_and_no_stalled_cycle() {
+        use crate::rtu::{MapRtu, RtuConfig};
+        /// Words issued per instruction index.
+        struct Issued(Vec<u64>);
+        impl Tracer for Issued {
+            fn event(&mut self, _event: &TraceEvent) {}
+            fn issued(&mut self, pc: usize) {
+                self.0[pc] += 1;
+            }
+        }
+        let text = "0 -> cnt0.tset | 3 -> cnt0.stop\nloop: 1 -> cnt0.tinc\n\
+                    1 -> rtu0.t\nrtu0.iface -> regs0.r0\n!cnt0.done @loop -> nc0.pc\n";
+        let run = |reference: bool| {
+            let mut p = load(text, MachineConfig::new(2));
+            p.set_rtu(RtuConfig::new(Box::new(MapRtu::default())).with_latency(4));
+            let mut issued = Issued(vec![0; p.program().instructions.len()]);
+            let stats = if reference {
+                p.run_reference(100, &mut issued, &mut NoFaults)
+            } else {
+                p.run_with(100, &mut issued, &mut NoFaults)
+            };
+            (issued.0, stats.unwrap())
+        };
+        let (compiled, stats) = run(false);
+        assert_eq!(compiled, [1, 3, 3, 3, 3]);
+        assert_eq!(compiled.iter().sum::<u64>(), stats.cycles - stats.stall_cycles);
+        assert_eq!(stats.stall_cycles, 3 * 3);
+        assert_eq!(run(true).0, compiled, "the reference interpreter issues the same words");
     }
 
     #[test]

@@ -95,6 +95,7 @@ impl Processor {
         }
 
         // --- read phase ---------------------------------------------------
+        tracer.issued(self.pc);
         let mut writes: Vec<(PortRef, u32)> = Vec::new();
         for (bus, mv) in ins.slots.iter().enumerate().filter_map(|(b, s)| Some((b, s.as_ref()?))) {
             let pass = match &mv.guard {

@@ -163,6 +163,11 @@ impl CompiledProgram {
         Ok(Arc::new(CompiledProgram { config, program, map, decoded }))
     }
 
+    /// The scheduled program this was compiled from.
+    pub fn program(&self) -> &Program {
+        &self.program
+    }
+
     /// Encoded program-image size in bits (instruction store + literal
     /// pool) — what the area estimate charges the program store, and what
     /// [`taco_isa::EncodedProgram::total_bits`] reports for the same

@@ -150,6 +150,13 @@ pub trait Tracer {
     fn enabled(&self) -> bool {
         true
     }
+
+    /// Called once per instruction word the processor issues (never for a
+    /// stalled or stolen cycle), with the word's index: the hook a block
+    /// profile counts visits with.  Every shipped tracer keeps this empty
+    /// default, so for [`NullTracer`] it monomorphises to nothing.
+    #[inline(always)]
+    fn issued(&mut self, _pc: usize) {}
 }
 
 /// The zero-cost default: ignores everything.
