@@ -206,14 +206,11 @@ pub(crate) struct SweepPricer {
 impl SweepPricer {
     /// A pricer for requests over `configs` at `entries` table entries.
     pub(crate) fn new(configs: &[ArchConfig], entries: usize) -> Self {
-        let largest = |count: &dyn Fn(&MachineConfig) -> u8| {
-            configs.iter().map(|c| count(&c.machine)).max().unwrap_or(1)
-        };
-        let floor = FuKind::ALL
-            .into_iter()
-            .fold(MachineConfig::new(largest(&MachineConfig::buses)), |floor, kind| {
-                floor.with_fu_count(kind, largest(&|m| m.fu_count(kind)))
-            });
+        let buses = configs.iter().map(|c| c.machine.buses()).max().unwrap_or(1);
+        let floor = FuKind::ALL.into_iter().fold(MachineConfig::new(buses), |floor, kind| {
+            let count = configs.iter().map(|c| c.machine.fu_count(kind)).max().unwrap_or(1);
+            floor.with_fu_count(kind, count)
+        });
         SweepPricer {
             entries,
             floor,
@@ -246,8 +243,8 @@ impl SweepPricer {
         debug_assert_eq!(request.entries, self.entries, "one pricer serves one table size");
         let input = self.input.get_or_init(|| PreparedInput::shared(self.entries));
         let profile = self.profile(input, request.config.table)?;
-        let compiled = input.image(request.config.table).ok()?.compiled(&request.config.machine);
-        let compiled = compiled.ok()?;
+        let image = input.image(request.config.table).ok()?;
+        let compiled = image.compiled(&request.config.machine).ok()?;
         let measured = converge(request, input.frames().len(), |latency| {
             let stats =
                 profile.price(&compiled, &request.config.machine, latency).ok_or(Unpriced)?;

@@ -104,9 +104,7 @@ impl TableImage {
             }
         })
     }
-}
 
-impl TableImage {
     /// The program [`CycleRouter::from_image`] runs for this image on
     /// `config` — scheduled, label-resolved and decoded — from the same
     /// compiled-program cache, without building a router.
@@ -187,7 +185,10 @@ fn program_cache() -> MutexGuard<'static, HashMap<SeqKey, Microcode>> {
 
 /// The level-one entry for `image`: its sequence generated and optimised
 /// on first use.
-fn level_one<'a>(cache: &'a mut HashMap<SeqKey, Microcode>, image: &TableImage) -> &'a Microcode {
+fn level_one<'a>(
+    cache: &'a mut HashMap<SeqKey, Microcode>,
+    image: &TableImage,
+) -> &'a mut Microcode {
     cache.entry((image.kind, image.padded_entries, image.opts)).or_insert_with(|| {
         let mut seq = program_for(image.kind, image.padded_entries, &image.opts);
         opt::optimize(&mut seq);
@@ -211,7 +212,6 @@ fn compiled_program(
     config: &MachineConfig,
     image: &TableImage,
 ) -> Result<Arc<CompiledProgram>, SimError> {
-    let key = (image.kind, image.padded_entries, image.opts);
     let seq = {
         let mut cache = program_cache();
         let microcode = level_one(&mut cache, image);
@@ -230,7 +230,7 @@ fn compiled_program(
     );
     let compiled = CompiledProgram::compile(config.clone(), Arc::new(program))?;
     let mut cache = program_cache();
-    let programs = &mut cache.get_mut(&key).expect("level one is never evicted").programs;
+    let programs = &mut level_one(&mut cache, image).programs;
     Ok(Arc::clone(programs.entry(config.clone()).or_insert(compiled)))
 }
 

@@ -13,7 +13,7 @@ use std::path::{Path, PathBuf};
 use std::thread;
 
 use taco_core::api::{table1_cell_json, ApiErrorCode, ApiRequest, ApiResponse, EvalSpec};
-use taco_core::{ArchConfig, Constraints, LineRate, SweepSpec, TableKind};
+use taco_core::{ArchConfig, Constraints, FaultPlan, LineRate, SweepSpec, TableKind};
 use taco_served::{open_request, request_lines, Server, ServerConfig};
 
 fn temp_dir(test: &str) -> PathBuf {
@@ -225,12 +225,16 @@ fn over_capacity_submissions_get_a_structured_busy_error() {
     // Two sequential-scan points over a large table: the second point
     // simulates for long enough (hundreds of milliseconds in a debug
     // build) that a loopback submission races well inside its window.
+    // The injected stalls make the sweep step every point instead of
+    // pricing it from the table's block profile, which would leave no
+    // window.
     let sweep = ApiRequest::Sweep {
         spec: SweepSpec {
             buses: vec![1, 3],
             replication: vec![1],
             kinds: vec![TableKind::Sequential],
             entries: 4096,
+            faults: Some(FaultPlan::stalls()),
             ..SweepSpec::default()
         },
         rate: LineRate::TEN_GBE,

@@ -14,9 +14,10 @@
 # the tests that killed it and exits non-zero when a mutant survives or a
 # patch no longer applies.
 #
-# Not part of verify.sh: every mutant costs an incremental debug rebuild.
-# The four step-loop mutants take about 20 s together on a 2-vCPU host with
-# a warm CARGO_TARGET_DIR, about a minute with an empty one.
+# verify.sh runs every patch as its last stage.  Each mutant costs an
+# incremental debug rebuild: the four step-loop mutants take about 20 s
+# together on a 2-vCPU host with a warm CARGO_TARGET_DIR, about a minute
+# with an empty one.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 root=$PWD

@@ -282,4 +282,13 @@ done
 echo "benchmark smoke ok"
 
 echo
+echo "== mutants: every committed mutation must be killed =="
+# scripts/mutants.sh applies each scripts/mutants/NN-name.patch to a
+# scratch worktree of HEAD and fails on a survivor, a patch that no longer
+# applies or one that does not build, so "tier-1 fails when the system is
+# broken" is checked here rather than by hand.  It mutates HEAD: commit
+# first.
+scripts/mutants.sh
+
+echo
 echo "== verify passed =="
