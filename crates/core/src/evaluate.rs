@@ -272,8 +272,8 @@ pub fn evaluate_request(request: &EvalRequest) -> EvalReport {
         measure(&mut router, &input, request.faults.as_ref(), &mut NullTracer)
     });
 
-    // The router is not needed past this point; the scenario replay below
-    // allocates its own tables.
+    // The router is not needed past this point; the scenario replay in
+    // `report` allocates its own tables.
     drop(router);
     match measured {
         Ok(measurement) => report(request, program_bits, measurement),
