@@ -8,12 +8,18 @@
 //! A fault plan defaults the workload to `steady-forward` if `--scenario`
 //! was not given.
 
+use std::collections::BTreeMap;
+
 use crate::cli::{report_cache, write_chrome_trace, Cli};
 use taco_core::api::{parse_fault_plan_name, parse_workload_name};
 use taco_core::{
-    explore_with, pool, table1, Constraints, EvalCache, ExploreOptions, LineRate, StderrProgress,
-    SweepSpec, Workload,
+    benchmark_routes, explore_with, pool, table1, ArchConfig, Constraints, EvalCache,
+    ExploreOptions, LineRate, StderrProgress, SweepSpec, Workload,
 };
+use taco_isa::FuKind;
+use taco_router::cycle::TableImage;
+use taco_router::microcode::MicrocodeOptions;
+use taco_sim::SimError;
 
 pub fn run(args: Vec<String>) {
     let cli =
@@ -152,11 +158,43 @@ pub fn run(args: Vec<String>) {
 
     // The replication heuristic of the paper's future-work tool: where does
     // the winning configuration's microcode put its trigger pressure?
-    let opts = taco_router::microcode::MicrocodeOptions::default();
-    let seq = taco_router::microcode::program_for(best.config.table, spec.entries, &opts);
-    let program = taco_isa::schedule(&seq, &best.config.machine);
-    let mut pressure: Vec<(taco_isa::FuKind, usize)> = program.fu_pressure().into_iter().collect();
+    let pressure = trigger_pressure(&best.config, spec.entries)
+        .expect("an admitted point compiled when it was evaluated");
+    let mut pressure: Vec<(FuKind, usize)> = pressure.into_iter().collect();
     pressure.sort_by_key(|(_, n)| std::cmp::Reverse(*n));
     let summary: Vec<String> = pressure.iter().take(4).map(|(k, n)| format!("{k} x{n}")).collect();
     println!("static FU trigger pressure (replication candidates first): {}", summary.join(", "));
+}
+
+/// Triggers per FU kind in the program `config` runs over the
+/// `entries`-entry benchmark table: the optimised, padded and screened
+/// program the evaluation measured, compiled through the same cache.
+fn trigger_pressure(
+    config: &ArchConfig,
+    entries: usize,
+) -> Result<BTreeMap<FuKind, usize>, SimError> {
+    let image =
+        TableImage::new(config.table, &benchmark_routes(entries), &MicrocodeOptions::default())?;
+    Ok(image.compiled(&config.machine)?.program().fu_pressure())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use taco_core::TableKind;
+    use taco_router::cycle::CycleRouter;
+
+    /// The hint reads the program a router runs, not a re-generation
+    /// without the optimiser, the entry padding or the screen word.
+    #[test]
+    fn the_pressure_is_the_evaluated_programs() {
+        let routes = benchmark_routes(100);
+        for kind in TableKind::ALL_KINDS {
+            let config = ArchConfig::three_bus_one_fu(kind);
+            let opts = MicrocodeOptions::default();
+            let router = CycleRouter::for_kind(kind, &config.machine, &routes, 1, &opts).unwrap();
+            let evaluated = router.processor().program().fu_pressure();
+            assert_eq!(trigger_pressure(&config, 100), Ok(evaluated), "{kind}");
+        }
+    }
 }

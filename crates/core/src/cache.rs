@@ -217,9 +217,8 @@ impl EvalCache {
     }
 
     /// [`EvalCache::evaluate_recorded`] with a miss answered by `evaluate`,
-    /// which must return what [`evaluate_request`] would: a batch answers
-    /// its misses from one block profile per table
-    /// ([`SweepPricer`](crate::price::SweepPricer)).
+    /// which must return what [`evaluate_request`] would: a batch prices
+    /// its misses from its prepared input's block profiles.
     pub(crate) fn evaluate_recorded_by(
         &self,
         request: &EvalRequest,

@@ -101,7 +101,7 @@ impl std::fmt::Display for EvalReport {
 /// Builds the transient-stall injector a fault plan asks for, if any; the
 /// fault-free path never constructs one, so it keeps the exact pre-fault
 /// `run()` entry point (the `NullTracer` monomorphisation discipline).
-pub(crate) fn stall_injector(faults: Option<&FaultPlan>) -> Option<taco_sim::PeriodicStall> {
+fn stall_injector(faults: Option<&FaultPlan>) -> Option<taco_sim::PeriodicStall> {
     let plan = faults?;
     if plan.stall_every_cycles == 0 {
         return None;
@@ -114,7 +114,7 @@ pub(crate) fn stall_injector(faults: Option<&FaultPlan>) -> Option<taco_sim::Per
 
 /// Runs the measurement workload through `router` under `tracer`, returning
 /// cycles per datagram with the raw simulator counters alongside.  The
-/// router must be freshly built or re-armed.  With [`NullTracer`] (and no
+/// router must be freshly built.  With [`NullTracer`] (and no
 /// fault plan) this is exactly `router.run`: the tracer and injector
 /// monomorphise to nothing.
 pub(crate) fn measure<T: Tracer + ?Sized>(
@@ -193,7 +193,7 @@ fn scenario_service_per_tick(cycles_per_datagram: f64) -> u32 {
 /// What a cell's fixed point settles on: the RTU latency, the cycles per
 /// datagram measured at it, the clock they require and the measurement's
 /// counters.
-pub(crate) struct Measurement {
+struct Measurement {
     rtu_latency: u32,
     cycles: f64,
     freq: f64,
@@ -208,11 +208,11 @@ pub(crate) struct Measurement {
 /// pair is iterated; it converges in a few rounds because the latency is
 /// quantised to whole cycles.  The other organisations measure once.  An
 /// error carries the latency it struck at.
-pub(crate) fn converge<E: From<SimError>>(
+fn converge(
     request: &EvalRequest,
     frames: usize,
-    mut run: impl FnMut(u32) -> Result<(f64, SimStats), E>,
-) -> Result<Measurement, (u32, E)> {
+    mut run: impl FnMut(u32) -> Result<(f64, SimStats), SimError>,
+) -> Result<Measurement, (u32, SimError)> {
     let cam_spec = CamSpec::paper_default();
     let mut rtu_latency = 1u32;
     loop {
@@ -226,7 +226,7 @@ pub(crate) fn converge<E: From<SimError>>(
         let next = cam_spec.search_cycles(freq);
         if next.saturating_mul(frames.max(1) as u64) > CYCLE_BUDGET {
             let latency = u32::try_from(next).unwrap_or(u32::MAX);
-            return Err((latency, SimError::Watchdog { budget: CYCLE_BUDGET }.into()));
+            return Err((latency, SimError::Watchdog { budget: CYCLE_BUDGET }));
         }
         let next = u32::try_from(next).expect("a latency within the budget fits u32");
         if next == rtu_latency {
@@ -239,8 +239,8 @@ pub(crate) fn converge<E: From<SimError>>(
 /// Evaluates one [`EvalRequest`] — the paper's per-cell methodology, plus
 /// the behavioural scenario replay when the request carries a workload.
 ///
-/// The cell is stepped on the cycle-accurate router at each round of the
-/// RTU latency fixed point ([`converge`]).
+/// The cell is stepped on a fresh cycle-accurate router at each round of
+/// the RTU latency fixed point ([`converge`]).
 ///
 /// # Examples
 ///
@@ -254,37 +254,50 @@ pub(crate) fn converge<E: From<SimError>>(
 /// assert!(report.required_frequency_hz < 200e6); // tens of MHz, as in the paper
 /// ```
 pub fn evaluate_request(request: &EvalRequest) -> EvalReport {
-    let input = PreparedInput::shared(request.entries);
+    evaluate_prepared(request, &PreparedInput::shared(request.entries), false).0
+}
 
-    // One router per evaluation: the fixed point re-arms it and the program
-    // store is charged from it.
-    let mut router = match input.router(&request.config, 1) {
-        Ok(router) => router,
-        Err(e) => return error_report(request, 1, e),
+/// The one evaluation: `request` over `input`, its program store charged
+/// from the compiled program and its fixed point run by [`converge`].  A
+/// `batched` caller — a sweep, the Table 1 cells — prices each round from
+/// the input's block profile where that is exact; every other round is
+/// stepped on a fresh router at the round's RTU latency.  Returns the
+/// report and whether every round was priced.
+pub(crate) fn evaluate_prepared(
+    request: &EvalRequest,
+    input: &PreparedInput,
+    batched: bool,
+) -> (EvalReport, bool) {
+    let config = &request.config;
+    let compiled = match input.image(config.table).and_then(|image| image.compiled(&config.machine))
+    {
+        Ok(compiled) => compiled,
+        Err(e) => return (error_report(request, 1, e), false),
     };
-    let program_bits = router.program_bits();
-    let mut armed = 1;
+    let profile = match stall_injector(request.faults.as_ref()) {
+        None if batched => input.profile(config.table),
+        _ => None,
+    };
+    let mut stepped = false;
     let measured = converge(request, input.frames().len(), |latency| {
-        if latency != armed {
-            router.rearm(latency);
-            armed = latency;
+        if let Some(priced) = profile.and_then(|p| p.price(&compiled, &config.machine, latency)) {
+            return Ok(priced);
         }
-        measure(&mut router, &input, request.faults.as_ref(), &mut NullTracer)
+        stepped = true;
+        let mut router = input.router(config, latency)?;
+        measure(&mut router, input, request.faults.as_ref(), &mut NullTracer)
     });
-
-    // The router is not needed past this point; the scenario replay in
-    // `report` allocates its own tables.
-    drop(router);
-    match measured {
-        Ok(measurement) => report(request, program_bits, measurement),
+    let report = match measured {
+        Ok(measurement) => report(request, compiled.program_bits(), measurement),
         Err((latency, e)) => error_report(request, latency, e),
-    }
+    };
+    (report, profile.is_some() && !stepped)
 }
 
 /// The report on a measured cell: the physical estimate at the clock it
 /// requires and, when the request carries a workload, the behavioural
 /// replay at the service budget its cycles earn.
-pub(crate) fn report(request: &EvalRequest, program_bits: u64, m: Measurement) -> EvalReport {
+fn report(request: &EvalRequest, program_bits: u64, m: Measurement) -> EvalReport {
     let config = &request.config;
     let faults = request.faults.as_ref();
     let mut estimator = Estimator::new().with_program_bits(program_bits);

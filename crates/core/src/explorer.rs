@@ -8,7 +8,7 @@
 //! pipeline, filter by the designer's constraints, and rank what survives.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use taco_routing::TableKind;
@@ -16,10 +16,10 @@ use taco_workload::{FaultPlan, FlowTrace, Workload};
 
 use crate::arch::ArchConfig;
 use crate::cache::EvalCache;
-use crate::evaluate::{evaluate_request, EvalReport};
+use crate::evaluate::{evaluate_prepared, evaluate_request, EvalReport};
 use crate::observer::{PointRecord, Silent, SweepObserver, SweepSummary};
 use crate::pool;
-use crate::price::SweepPricer;
+use crate::prepared::PreparedInput;
 use crate::rate::LineRate;
 use crate::request::EvalRequest;
 
@@ -189,12 +189,16 @@ impl Default for ExploreOptions<'_> {
 
 impl ExploreOptions<'_> {
     /// One evaluation through this run's memo, with its hit flag — or from
-    /// scratch (never a hit) when the run has no memo.  A miss is priced
-    /// by `pricer`.
-    fn evaluate(&self, pricer: &SweepPricer, request: &EvalRequest) -> (EvalReport, bool) {
+    /// scratch (never a hit) when the run has no memo.  A miss is answered
+    /// by `evaluate`.
+    fn evaluate(
+        &self,
+        request: &EvalRequest,
+        evaluate: impl FnOnce(&EvalRequest) -> EvalReport,
+    ) -> (EvalReport, bool) {
         match self.cache {
-            Some(cache) => cache.evaluate_recorded_by(request, |r| pricer.evaluate(r)),
-            None => (pricer.evaluate(request), false),
+            Some(cache) => cache.evaluate_recorded_by(request, evaluate),
+            None => (evaluate(request), false),
         }
     }
 }
@@ -246,10 +250,10 @@ pub fn rank_reports(all: &[EvalReport], constraints: &Constraints) -> Vec<usize>
 /// Points are fanned out across all cores (override with the
 /// `TACO_THREADS` environment variable) and answered from the
 /// process-global [`EvalCache`] where possible.  A point the cache misses
-/// is priced from its table's block profile, recorded by stepping the
-/// table once per sweep (the `price` module says why that is exact and
-/// when a point is stepped instead).  Results land by sweep index, so the
-/// outcome is identical to the serial, stepped sweep — see
+/// is priced from its table's block profile, recorded once per prepared
+/// input by stepping the table (the `price` module says why that is exact
+/// and when a round is stepped instead).  Results land by sweep index, so
+/// the outcome is identical to the serial, stepped sweep — see
 /// [`explore_serial`] and the `parallel_equivalence` oracle tests.
 pub fn explore(spec: &SweepSpec, line_rate: LineRate, constraints: &Constraints) -> Exploration {
     explore_with(spec, line_rate, constraints, &ExploreOptions::default())
@@ -266,11 +270,20 @@ pub fn explore_with(
     let configs = grid(spec);
     let total = configs.len();
     let sweep_hits = AtomicUsize::new(0);
-    let pricer = SweepPricer::new(&configs, spec.entries);
+    let points_priced = AtomicUsize::new(0);
+    let input = OnceLock::new();
+    let evaluate = |request: &EvalRequest| {
+        let input = input.get_or_init(|| PreparedInput::shared(spec.entries));
+        let (report, priced) = evaluate_prepared(request, input, true);
+        if priced {
+            points_priced.fetch_add(1, Ordering::Relaxed);
+        }
+        report
+    };
 
     let all: Vec<EvalReport> = pool::ordered_map(&configs, opts.threads, |index, config| {
         let point_started = Instant::now();
-        let (report, cache_hit) = opts.evaluate(&pricer, &spec.request(config, line_rate));
+        let (report, cache_hit) = opts.evaluate(&spec.request(config, line_rate), evaluate);
         if cache_hit {
             sweep_hits.fetch_add(1, Ordering::Relaxed);
         }
@@ -288,8 +301,7 @@ pub fn explore_with(
     opts.observer.on_summary(&SweepSummary {
         points: total,
         cache_hits: sweep_hits.load(Ordering::Relaxed),
-        tables_stepped: pricer.tables_stepped(),
-        points_priced: pricer.points_priced(),
+        points_priced: points_priced.load(Ordering::Relaxed),
         admitted: admitted.len(),
         wall_ms: started.elapsed().as_millis(),
     });

@@ -1,9 +1,10 @@
 //! What an evaluation's input costs to prepare, paid once per table size
 //! instead of once per design point.
 //!
-//! Routes, measurement frames and the serialised table depend on the
-//! table size (and, for the table, the organisation) — never on the machine
-//! shape, the line rate or the CAM latency.  A 36-point sweep, the twelve
+//! Routes, measurement frames, the serialised table and its block profile
+//! depend on the table size (and, for the table and its profile, the
+//! organisation) — never on the machine shape, the line rate or the CAM
+//! latency.  A 36-point sweep, the twelve
 //! Table 1 cells and every [`EvalCache`](crate::EvalCache) miss at one size
 //! therefore share one [`PreparedInput`], held in a small process-wide
 //! memo with the same lifetime model as the compiled-program cache in
@@ -20,6 +21,7 @@ use taco_routing::{Route, SequentialTable, TableKind};
 use taco_sim::SimError;
 
 use crate::arch::ArchConfig;
+use crate::price::BlockProfile;
 
 /// Number of measurement datagrams per evaluation (amortises the once-off
 /// envelope of a batch run).
@@ -72,13 +74,14 @@ pub(crate) type Frame = (Vec<u32>, usize);
 /// Everything an evaluation at one table size needs before a machine shape
 /// is chosen: the benchmark routes, the measurement datagrams packed into
 /// frames, and — filled on first use per organisation — the serialised
-/// table.  Immutable.
+/// table and its block profile.  Immutable.
 #[derive(Debug)]
 pub(crate) struct PreparedInput {
     entries: usize,
     frames: Vec<Frame>,
     routes: Vec<Route>,
     images: [OnceLock<Result<TableImage, SimError>>; TableKind::ALL_KINDS.len()],
+    profiles: [OnceLock<Option<BlockProfile>>; TableKind::ALL_KINDS.len()],
 }
 
 impl PreparedInput {
@@ -92,6 +95,7 @@ impl PreparedInput {
                 .collect(),
             routes,
             images: Default::default(),
+            profiles: Default::default(),
         }
     }
 
@@ -142,12 +146,23 @@ impl PreparedInput {
     /// The serialised `kind` table over this input's routes, built on first
     /// use; [`SimError::TableFull`] when it does not fit the CAM.
     pub(crate) fn image(&self, kind: TableKind) -> Result<&TableImage, SimError> {
-        let at = TableKind::ALL_KINDS.iter().position(|k| *k == kind).expect("every kind listed");
-        self.images[at]
+        self.images[slot(kind)]
             .get_or_init(|| TableImage::new(kind, &self.routes, &MicrocodeOptions::default()))
             .as_ref()
             .map_err(Clone::clone)
     }
+
+    /// The `kind` table's block profile over this input, recorded on first
+    /// use; `None` when the table does not step to the end on its unfolded
+    /// machine.
+    pub(crate) fn profile(&self, kind: TableKind) -> Option<&BlockProfile> {
+        self.profiles[slot(kind)].get_or_init(|| BlockProfile::record(self, kind)).as_ref()
+    }
+}
+
+/// Where `kind`'s image and profile sit in a [`PreparedInput`].
+fn slot(kind: TableKind) -> usize {
+    TableKind::ALL_KINDS.iter().position(|k| *k == kind).expect("every kind listed")
 }
 
 #[cfg(test)]

@@ -1,9 +1,8 @@
 //! Pricing a design point from its table's block profile instead of
 //! stepping it.
 //!
-//! A sweep evaluates many machines over one routing table and one
-//! measurement input, and what the microcode does with that input does not
-//! depend on the machine:
+//! What the microcode does with one measurement input does not depend on
+//! the machine:
 //!
 //! * `taco_isa::schedule` works per basic block — blocks end at labels and
 //!   after control transfers, and never exchange moves — so every machine's
@@ -17,29 +16,27 @@
 //!
 //! So a [`BlockProfile`] — each block's visit count, each virtual unit's
 //! trigger count, the move counts and the forwarded datagrams — recorded by
-//! stepping the table once, on a machine that folds no unit and at RTU
-//! latency 1 (where no interlock stalls), prices any machine exactly:
-//! cycles are Σ visits × block length plus the RTU stalls, and triggers
-//! fold onto physical units by `index % count`, as `schedule` folds them.
-//! Where that argument does not hold the point is stepped, as
-//! [`evaluate_request`] steps it ([`SweepPricer::evaluate`] says when).
+//! stepping the table once, on the machine that folds no unit
+//! (`TableImage::unfolded`) and at RTU latency 1 (where no interlock
+//! stalls), prices any machine exactly: cycles are Σ visits × block length
+//! plus the RTU stalls, and triggers fold onto physical units by
+//! `index % count`, as `schedule` folds them.  A profile depends only on
+//! the table, so it is recorded once per prepared input, beside the table
+//! image.  Where the argument does not hold for a fixed-point round,
+//! [`BlockProfile::price`] says so and the round is stepped.
 //! `explore_serial` steps every point, and is the oracle the priced sweep
 //! is held to.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use taco_isa::{FuKind, FuRef, Instruction, MachineConfig, Move, Program, Source};
 use taco_routing::TableKind;
-use taco_sim::{CompiledProgram, SimError, SimStats, TraceEvent, Tracer};
+use taco_sim::{CompiledProgram, SimStats, TraceEvent, Tracer};
 
 use crate::arch::ArchConfig;
-use crate::evaluate::{
-    converge, evaluate_request, measure, report, stall_injector, EvalReport, CYCLE_BUDGET,
-};
+use crate::evaluate::{measure, CYCLE_BUDGET};
 use crate::prepared::PreparedInput;
-use crate::request::EvalRequest;
 
 /// What stepping one table once over the measurement input observed, in
 /// the terms every machine shares.
@@ -104,7 +101,7 @@ fn reads_rtu(mv: &Move) -> bool {
 
 /// The RTU interlock's stall cycles per visit of `block` at `latency`: the
 /// first word after an unguarded trigger that reads the RTU, `d` words
-/// later, waits `latency − d` cycles.  `None`, so the point is stepped,
+/// later, waits `latency − d` cycles.  `None`, so the round is stepped,
 /// where that would not be exact: a guarded trigger (whether it fires is
 /// data), a second trigger in the block, or a search still pending when the
 /// block ends.
@@ -125,11 +122,13 @@ fn rtu_stall(block: &[Instruction], latency: u32) -> Option<u64> {
 }
 
 impl BlockProfile {
-    /// Steps `input` once through the `kind` table on `machine` (at RTU
-    /// latency 1), counting block visits; `None` when the run fails, so
-    /// every point of the table is stepped and reports the failure itself.
-    fn record(input: &PreparedInput, kind: TableKind, machine: &MachineConfig) -> Option<Self> {
-        let mut router = input.router(&ArchConfig::new(machine.clone(), kind), 1).ok()?;
+    /// Steps `input` once through the `kind` table on its unfolded machine
+    /// at RTU latency 1, counting block visits; `None` when the table does
+    /// not build or the run fails, so every round of the table's points is
+    /// stepped and reports the failure itself.
+    pub(crate) fn record(input: &PreparedInput, kind: TableKind) -> Option<Self> {
+        let machine = input.image(kind).ok()?.unfolded();
+        let mut router = input.router(&ArchConfig::new(machine, kind), 1).ok()?;
         let program = Arc::clone(router.processor().compiled());
         let mut issued = IssueCounter(vec![0; program.program().instructions.len()]);
         let (_, stats) = measure(&mut router, input, None, &mut issued).ok()?;
@@ -142,15 +141,16 @@ impl BlockProfile {
         })
     }
 
-    /// The counters stepping `compiled` (scheduled for `machine`) over the
-    /// profiled input at `rtu_latency` returns; `None` where the price
-    /// would not be exact.
-    fn price(
+    /// Cycles per datagram and the counters stepping `compiled` (scheduled
+    /// for `machine`) over the profiled input at `rtu_latency` returns;
+    /// `None`, so the round is stepped, where the price would not be exact
+    /// or the run comes within half of the watchdog.
+    pub(crate) fn price(
         &self,
         compiled: &CompiledProgram,
         machine: &MachineConfig,
         rtu_latency: u32,
-    ) -> Option<SimStats> {
+    ) -> Option<(f64, SimStats)> {
         let program = compiled.program();
         let starts = block_starts(program);
         if starts.len() != self.visits.len() {
@@ -162,120 +162,25 @@ impl BlockProfile {
             issued += visits * (end - start) as u64;
             stalled += visits * rtu_stall(&program.instructions[start..end], rtu_latency)?;
         }
+        let cycles = issued + stalled;
+        if cycles > CYCLE_BUDGET / 2 {
+            return None;
+        }
         let mut fu_instance_triggers = BTreeMap::new();
         for &(fu, passes) in &self.triggers {
             let unit = FuRef::new(fu.kind, fu.index % machine.fu_count(fu.kind));
             *fu_instance_triggers.entry(unit).or_insert(0) += passes;
         }
-        Some(SimStats {
-            cycles: issued + stalled,
+        let stats = SimStats {
+            cycles,
             stall_cycles: stalled,
             injected_stall_cycles: 0,
             moves_executed: self.moves_executed,
             moves_squashed: self.moves_squashed,
             fu_instance_triggers,
             buses: machine.buses(),
-        })
-    }
-}
-
-/// A point the profile does not price exactly: it is stepped.
-struct Unpriced;
-
-impl From<SimError> for Unpriced {
-    fn from(_: SimError) -> Self {
-        Unpriced
-    }
-}
-
-/// Answers a batch of requests over one table size — a sweep's grid, the
-/// Table 1 cells — stepping each table once and pricing every point from
-/// its profile.  Profiles live as long as the pricer, and one is recorded
-/// only for a table whose points are evaluated.
-pub(crate) struct SweepPricer {
-    entries: usize,
-    /// Every kind's unit count and the bus count, each the batch's largest:
-    /// the floor of the machine a profile is recorded on.
-    floor: MachineConfig,
-    input: OnceLock<Arc<PreparedInput>>,
-    profiles: [OnceLock<Option<BlockProfile>>; TableKind::ALL_KINDS.len()],
-    tables_stepped: AtomicUsize,
-    points_priced: AtomicUsize,
-}
-
-impl SweepPricer {
-    /// A pricer for requests over `configs` at `entries` table entries.
-    pub(crate) fn new(configs: &[ArchConfig], entries: usize) -> Self {
-        let buses = configs.iter().map(|c| c.machine.buses()).max().unwrap_or(1);
-        let floor = FuKind::ALL.into_iter().fold(MachineConfig::new(buses), |floor, kind| {
-            let count = configs.iter().map(|c| c.machine.fu_count(kind)).max().unwrap_or(1);
-            floor.with_fu_count(kind, count)
-        });
-        SweepPricer {
-            entries,
-            floor,
-            input: OnceLock::new(),
-            profiles: Default::default(),
-            tables_stepped: AtomicUsize::new(0),
-            points_priced: AtomicUsize::new(0),
-        }
-    }
-
-    /// What [`evaluate_request`] answers for `request`, priced from its
-    /// table's profile.  The point is stepped instead when its fault plan
-    /// injects stalls, when the table or the point fails to compile or
-    /// simulate, when an RTU search is guarded or still pending at a block
-    /// boundary, or when the priced run comes within half of the watchdog.
-    pub(crate) fn evaluate(&self, request: &EvalRequest) -> EvalReport {
-        match self.price(request) {
-            Some(report) => {
-                self.points_priced.fetch_add(1, Ordering::Relaxed);
-                report
-            }
-            None => evaluate_request(request),
-        }
-    }
-
-    fn price(&self, request: &EvalRequest) -> Option<EvalReport> {
-        if stall_injector(request.faults.as_ref()).is_some() {
-            return None;
-        }
-        debug_assert_eq!(request.entries, self.entries, "one pricer serves one table size");
-        let input = self.input.get_or_init(|| PreparedInput::shared(self.entries));
-        let profile = self.profile(input, request.config.table)?;
-        let image = input.image(request.config.table).ok()?;
-        let compiled = image.compiled(&request.config.machine).ok()?;
-        let measured = converge(request, input.frames().len(), |latency| {
-            let stats =
-                profile.price(&compiled, &request.config.machine, latency).ok_or(Unpriced)?;
-            if stats.cycles > CYCLE_BUDGET / 2 {
-                return Err(Unpriced);
-            }
-            Ok((stats.cycles as f64 / profile.forwarded as f64, stats))
-        });
-        Some(report(request, compiled.program_bits(), measured.ok()?))
-    }
-
-    /// `kind`'s profile, recorded on first use on the machine that folds
-    /// none of its units.
-    fn profile(&self, input: &PreparedInput, kind: TableKind) -> Option<&BlockProfile> {
-        let at = TableKind::ALL_KINDS.iter().position(|k| *k == kind).expect("every kind listed");
-        let profile = self.profiles[at].get_or_init(|| {
-            let machine = input.image(kind).ok()?.unfolded(&self.floor);
-            self.tables_stepped.fetch_add(1, Ordering::Relaxed);
-            BlockProfile::record(input, kind, &machine)
-        });
-        profile.as_ref()
-    }
-
-    /// Tables stepped to record a profile.
-    pub(crate) fn tables_stepped(&self) -> usize {
-        self.tables_stepped.load(Ordering::Relaxed)
-    }
-
-    /// Points answered from a profile rather than stepped.
-    pub(crate) fn points_priced(&self) -> usize {
-        self.points_priced.load(Ordering::Relaxed)
+        };
+        Some((cycles as f64 / self.forwarded as f64, stats))
     }
 }
 

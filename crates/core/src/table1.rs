@@ -1,13 +1,14 @@
 //! Regeneration of the paper's Table 1.
 
 use std::fmt::Write as _;
+use std::sync::OnceLock;
 
 use taco_estimate::Estimate;
 
 use crate::arch::ArchConfig;
 use crate::cache::EvalCache;
-use crate::evaluate::EvalReport;
-use crate::price::SweepPricer;
+use crate::evaluate::{evaluate_prepared, EvalReport};
+use crate::prepared::PreparedInput;
 use crate::rate::LineRate;
 use crate::request::EvalRequest;
 
@@ -23,16 +24,20 @@ use crate::request::EvalRequest;
 /// nine Table 1 points are a subset of the default exploration grid, so a
 /// sweep that already ran in this process makes most of this call
 /// (nearly) free.  The cells it misses are priced as a sweep prices its
-/// points: each table is stepped once.
+/// points, from the block profile of each table.
 pub fn table1(line_rate: LineRate, entries: usize) -> Vec<EvalReport> {
     let cache = EvalCache::global();
-    let cells = ArchConfig::table1_cells();
-    let pricer = SweepPricer::new(&cells, entries);
-    cells
+    let input = OnceLock::new();
+    ArchConfig::table1_cells()
         .into_iter()
         .map(|c| {
             let request = EvalRequest::new(c).rate(line_rate).entries(entries);
-            cache.evaluate_recorded_by(&request, |r| pricer.evaluate(r)).0
+            cache
+                .evaluate_recorded_by(&request, |r| {
+                    let input = input.get_or_init(|| PreparedInput::shared(entries));
+                    evaluate_prepared(r, input, true).0
+                })
+                .0
         })
         .collect()
 }

@@ -7,11 +7,13 @@
 //!    through the `SweepObserver` records;
 //! 3. a cached `EvalReport` is indistinguishable from a fresh
 //!    `evaluate()` for every point in the default grid;
-//! 4. the priced sweep, which steps each table once and prices every point
-//!    from its block profile, is equal to the stepped serial sweep — every
-//!    report, the ranking and the cache counters — over table sizes, every
-//!    kind, six bus counts, four replication factors, four line rates and
-//!    a fault plan with and without injected stalls.
+//! 4. the priced sweep, which prices every point from its table's block
+//!    profile (recorded once per prepared input), is equal to the stepped
+//!    serial sweep — every report, the ranking and the cache counters —
+//!    over table sizes, every kind, six bus counts, four replication
+//!    factors, four line rates and a fault plan with and without injected
+//!    stalls, and a repeated sweep on a fresh cache prices again from the
+//!    same profiles.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -260,7 +262,7 @@ fn priced_equals_stepped(spec: &SweepSpec, rate: LineRate) -> SweepSummary {
     assert_eq!(explore_with(spec, rate, &constraints, &opts), priced);
     assert_eq!((cache.misses(), cache.hits()), (points as u64, points as u64));
     let summaries = summaries.0.lock().unwrap();
-    assert_eq!((summaries[1].tables_stepped, summaries[1].points_priced), (0, 0), "all hits");
+    assert_eq!(summaries[1].points_priced, 0, "all hits");
     summaries[0].clone()
 }
 
@@ -275,16 +277,24 @@ fn priced_sweep_equals_the_stepped_oracle_at_every_size_and_line_rate() {
         let spec = oracle_spec(entries, None);
         let points = grid(&spec).len();
         for rate in rates {
+            // Every round of every point is priced, the CAM points whose
+            // search outlasts the watchdog included: their one round is
+            // priced and the fixed point stops before a second.
             let summary = priced_equals_stepped(&spec, rate);
-            // Each table is stepped once and every point is priced from it,
-            // but for CAM points whose search outlasts the watchdog: those
-            // are stepped, and report it.
-            let stepped =
-                if rate == WATCHDOG_RATE { points / TableKind::ALL_KINDS.len() } else { 0 };
-            let label = format!("{entries} entries, {rate}");
-            assert_eq!(summary.tables_stepped, TableKind::ALL_KINDS.len(), "{label}");
-            assert_eq!(summary.points_priced, points - stepped, "{label}");
+            assert_eq!(summary.points_priced, points, "{entries} entries, {rate}");
         }
+    }
+}
+
+#[test]
+fn a_second_sweep_on_a_fresh_cache_prices_every_point_again() {
+    // The profiles belong to the prepared input, not to the sweep that
+    // recorded them: a narrow sweep first, then the whole grid at the same
+    // size, each on its own cache.
+    let narrow = SweepSpec { buses: vec![1], replication: vec![1], ..oracle_spec(16, None) };
+    for spec in [narrow, oracle_spec(16, None)] {
+        let summary = priced_equals_stepped(&spec, LineRate::TEN_GBE);
+        assert_eq!(summary.points_priced, grid(&spec).len());
     }
 }
 
@@ -293,7 +303,7 @@ fn a_plan_that_injects_stalls_is_stepped_and_one_that_does_not_is_priced() {
     let points = grid(&oracle_spec(8, None)).len();
     let stalls =
         priced_equals_stepped(&oracle_spec(8, Some(FaultPlan::stalls())), LineRate::TEN_GBE);
-    assert_eq!((stalls.tables_stepped, stalls.points_priced), (0, 0));
+    assert_eq!(stalls.points_priced, 0);
     let flaps = priced_equals_stepped(&oracle_spec(8, Some(FaultPlan::flaps())), LineRate::TEN_GBE);
-    assert_eq!((flaps.tables_stepped, flaps.points_priced), (TableKind::ALL_KINDS.len(), points));
+    assert_eq!(flaps.points_priced, points);
 }

@@ -117,10 +117,10 @@ impl TableImage {
         compiled_program(config, self)
     }
 
-    /// `config` with at least one unit per virtual instance this image's
+    /// The 1-bus machine with one unit per virtual instance this image's
     /// microcode names, for every kind a machine may replicate — the
     /// machine [`schedule`] folds no unit on.
-    pub fn unfolded(&self, config: &MachineConfig) -> MachineConfig {
+    pub fn unfolded(&self) -> MachineConfig {
         let seq = Arc::clone(&level_one(&mut program_cache(), self).seq);
         let mut named = [0u8; FuKind::ALL.len()];
         let mut name = |fu: FuRef| {
@@ -136,7 +136,7 @@ impl TableImage {
                 name(g.fu);
             }
         }
-        FuKind::ALL.into_iter().fold(config.clone(), |machine, kind| {
+        FuKind::ALL.into_iter().fold(MachineConfig::new(1), |machine, kind| {
             let count = named[kind as usize];
             if count > machine.fu_count(kind) && MachineConfig::can_replicate(kind) {
                 machine.with_fu_count(kind, count)
@@ -150,7 +150,6 @@ impl TableImage {
 /// A ready-to-run cycle-accurate router instance.
 #[derive(Debug)]
 pub struct CycleRouter {
-    kind: TableKind,
     processor: Processor,
     /// Where the table image ends; datagram slot 0 starts at or above it
     /// (see [`dgram_base`]).
@@ -264,7 +263,6 @@ impl CycleRouter {
             processor.set_rtu(RtuConfig::new(backend).with_latency(rtu_latency));
         }
         Ok(CycleRouter {
-            kind: image.kind,
             processor,
             image_end: TABLE_BASE
                 .saturating_add(u32::try_from(image.words.len()).unwrap_or(u32::MAX)),
@@ -291,33 +289,9 @@ impl CycleRouter {
         Self::from_image(config, &TableImage::new(kind, routes, opts)?, rtu_latency)
     }
 
-    /// Re-arms the router for another run with a new RTU search latency:
-    /// the processor is reset to power-on, the datagram slots are cleared
-    /// and released, and the table image (or CAM table) stays loaded — the
-    /// state [`CycleRouter::from_image`] would return for `rtu_latency`,
-    /// without rebuilding anything.  This is what the CAM latency fixed
-    /// point iterates on.
-    pub fn rearm(&mut self, rtu_latency: u32) {
-        self.processor.reset();
-        if self.kind == TableKind::Cam {
-            self.processor.set_rtu_latency(rtu_latency);
-        }
-        for (addr, words, _) in self.slots.drain(..) {
-            let zeros = &[0u32; DGRAM_SLOT_WORDS as usize][..words as usize];
-            self.processor.memory_mut().load(addr, zeros).expect("slot was loaded before");
-        }
-        self.malformed_rejected = 0;
-    }
-
     /// The underlying simulator, for fine-grained inspection.
     pub fn processor(&self) -> &Processor {
         &self.processor
-    }
-
-    /// Encoded size in bits of the program this router runs (instruction
-    /// store + literal pool), computed once per compiled program.
-    pub fn program_bits(&self) -> u64 {
-        self.processor.compiled().program_bits()
     }
 
     /// Address of datagram slot `index`, counted from the first slot above
@@ -559,7 +533,6 @@ mod tests {
     fn every_kind_forwards_longest_match() {
         for kind in TableKind::ALL_KINDS {
             let mut r = router(kind, MachineConfig::three_bus_one_fu(), &nested_routes());
-            assert_eq!(r.kind, kind);
             r.enqueue(PortId(0), &dgram("2001:db8:aa::5", 64)).unwrap();
             r.enqueue(PortId(0), &dgram("2001:db8:bb::5", 64)).unwrap();
             r.enqueue(PortId(0), &dgram("9999::1", 64)).unwrap();

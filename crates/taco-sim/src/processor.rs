@@ -185,23 +185,6 @@ impl Processor {
     /// [`DEFAULT_MEMORY_WORDS`] of zeroed data memory and an always-missing
     /// RTU.  The LIU is an empty table: every read of it returns zero.
     pub fn instantiate(compiled: Arc<CompiledProgram>) -> Self {
-        Self::power_on(compiled, DataMemory::new(DEFAULT_MEMORY_WORDS), RtuConfig::default())
-    }
-
-    /// Returns the machine to its power-on state — PC, cycle count,
-    /// registers, FU state, iPPU queue, oPPU output and statistics — while
-    /// keeping what was *loaded into* it: the program, the data-memory
-    /// contents and the RTU backend and latency.
-    pub fn reset(&mut self) {
-        let mem = std::mem::replace(&mut self.mem, DataMemory::new(0));
-        let rtu = std::mem::take(&mut self.rtu.config);
-        *self = Self::power_on(Arc::clone(&self.compiled), mem, rtu);
-    }
-
-    /// The one place a `Processor` is assembled: [`Processor::instantiate`]
-    /// and [`Processor::reset`] both come through here, so a field added
-    /// later cannot be initialised by one and forgotten by the other.
-    fn power_on(compiled: Arc<CompiledProgram>, mem: DataMemory, rtu: RtuConfig) -> Self {
         let (file, guards) = compiled.map.power_on(compiled.decoded.scratch);
         Processor {
             trigger_counts: vec![0; compiled.decoded.trigger_fus.len()],
@@ -210,8 +193,8 @@ impl Processor {
             cycle: 0,
             file,
             guards,
-            mem,
-            rtu: RtuState { ready_at: 0, config: rtu },
+            mem: DataMemory::new(DEFAULT_MEMORY_WORDS),
+            rtu: RtuState { ready_at: 0, config: RtuConfig::default() },
             ippu_queue: VecDeque::new(),
             oppu_out: Vec::new(),
             stats: SimStats { buses: compiled.config.buses(), ..SimStats::default() },
@@ -245,16 +228,6 @@ impl Processor {
     /// Installs the Routing Table Unit's backend and latency.
     pub fn set_rtu(&mut self, config: RtuConfig) {
         self.rtu.config = config;
-    }
-
-    /// Changes the installed RTU's search latency, keeping its backend.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `latency` is zero.
-    pub fn set_rtu_latency(&mut self, latency: u32) {
-        assert!(latency >= 1, "rtu latency must be at least one cycle");
-        self.rtu.config.latency = latency;
     }
 
     /// Queues a pending datagram `(memory pointer, input interface)` at the
@@ -778,47 +751,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_restores_power_on_state_and_keeps_what_was_loaded() {
-        use crate::rtu::{MapRtu, RtuResult};
-        // Touches every kind of volatile state: registers, a counter, an
-        // MMU port, the RTU (with a stall), the LIU, both PPUs, a squash.
-        let text = "0 -> ippu0.tpop | 3 -> cnt0.stop\n\
-                    ippu0.iface -> oppu0.iface | 1 -> rtu0.k0\n\
-                    ippu0.ptr -> oppu0.t | 9 -> rtu0.t\n\
-                    rtu0.iface -> regs0.r5 | 1 -> liu0.t\n\
-                    liu0.r -> regs0.r6 | 20 -> mmu0.addr\n\
-                    regs0.r5 -> mmu0.twrite | ?cnt0.done 1 -> regs0.r7\n";
-        let build = || {
-            let mut prog = asm::parse(text).unwrap();
-            prog.resolve_labels().unwrap();
-            let mut cpu = Processor::new(MachineConfig::new(2), prog).unwrap();
-            let mut backend = MapRtu::new();
-            backend.insert([1, 0, 0, 9], RtuResult { iface: 4, handle: 2 });
-            cpu.set_rtu(RtuConfig::new(Box::new(backend)).with_latency(3));
-            cpu.memory_mut().write(7, 0xabcd).unwrap();
-            cpu
-        };
-        let mut used = build();
-        used.push_input(0x40, 2);
-        used.push_input(0x50, 3); // left pending: the program pops once
-        let first = used.run(100).unwrap();
-        assert!(first.stall_cycles > 0 && used.reg(5) == 4 && used.reg(6) == 0);
-        assert_eq!(used.memory().read(20).unwrap(), 4);
-
-        used.reset();
-        // Data memory is contents, not machine state: the write survives.
-        let mut fresh = build();
-        fresh.memory_mut().write(20, 4).unwrap();
-        assert_eq!(format!("{used:?}"), format!("{fresh:?}"), "a field survived reset");
-
-        // ... and the machine runs again exactly as the first time.
-        used.push_input(0x40, 2);
-        used.push_input(0x50, 3);
-        assert_eq!(used.run(100).unwrap(), first);
-        assert_eq!(used.outputs(), &[(0x40, 2)]);
-    }
-
-    #[test]
     fn ippu_and_oppu_flow() {
         let mut p = load(
             "0 -> ippu0.tpop\nippu0.iface -> oppu0.iface\nippu0.ptr -> oppu0.t\n",
@@ -1069,13 +1001,14 @@ mod tests {
             }
             assert_eq!(read_port(&p, FuKind::Checksum, 0, "r"), Ok(0xffff), "{check}");
             assert!(!pending(&p) && !read_guard(&p, FuKind::Rtu, 0, "hit"), "{check}");
-            // `pending` follows the queue: two pushes, one pop, a reset.
+            // `pending` follows the queue: two pushes, one pop, then a
+            // fresh processor on the same program.
             p.push_input(0x40, 1);
             p.push_input(0x80, 2);
             assert!(pending(&p));
             p.run(10).unwrap();
             assert!(pending(&p) && p.ippu_queue.len() == 1);
-            p.reset();
+            p = Processor::instantiate(Arc::clone(p.compiled()));
         }
         p.push_input(0x40, 1);
         p.run(10).unwrap();

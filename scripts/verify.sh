@@ -150,6 +150,10 @@ if grep -rnE 'from_[s]egments|to_[s]egments|is_[l]oopback|ICMP[V]6|HOP_LIMIT_[W]
 # A setting exists only where product code varies it: the values only
 # tests ever set are constants now, and the table kind has one name.
 if grep -rnE 'liu_[t]able|sram_[k]ib|max_[f]rame|with_[m]emory\(|scaling_sweep_[w]ith|RoutingTable[K]ind|self\.(update_[i]nterval|route_[t]imeout|gc_[i]nterval)' crates src tests examples scripts; then exit 1; fi
+# One way to evaluate a point: no per-call pricer or its tables-stepped
+# count, and nothing re-arms a router or resets a processor; a stepped
+# round builds a fresh router at its own RTU latency.
+if grep -rnE 'Sweep[P]ricer|tables_[s]tepped|\b[r]earm\(|set_rtu_[l]atency|Processor::[r]eset|processor\.[r]eset\(' crates src tests examples scripts; then exit 1; fi
 echo "guards ok"
 
 echo
