@@ -187,22 +187,6 @@ impl Default for ExploreOptions<'_> {
     }
 }
 
-impl ExploreOptions<'_> {
-    /// One evaluation through this run's memo, with its hit flag — or from
-    /// scratch (never a hit) when the run has no memo.  A miss is answered
-    /// by `evaluate`.
-    fn evaluate(
-        &self,
-        request: &EvalRequest,
-        evaluate: impl FnOnce(&EvalRequest) -> EvalReport,
-    ) -> (EvalReport, bool) {
-        match self.cache {
-            Some(cache) => cache.evaluate_recorded_by(request, evaluate),
-            None => (evaluate(request), false),
-        }
-    }
-}
-
 /// The sweep grid of `spec`, in sweep order (kinds × buses ×
 /// replication, innermost last) — the order `Exploration::all` is laid out
 /// in.
@@ -283,7 +267,12 @@ pub fn explore_with(
 
     let all: Vec<EvalReport> = pool::ordered_map(&configs, opts.threads, |index, config| {
         let point_started = Instant::now();
-        let (report, cache_hit) = opts.evaluate(&spec.request(config, line_rate), evaluate);
+        let request = spec.request(config, line_rate);
+        // Through this run's memo, or from scratch (never a hit) without one.
+        let (report, cache_hit) = match opts.cache {
+            Some(cache) => cache.evaluate_recorded_by(&request, evaluate),
+            None => (evaluate(&request), false),
+        };
         if cache_hit {
             sweep_hits.fetch_add(1, Ordering::Relaxed);
         }

@@ -66,7 +66,7 @@ impl SweepObserver for Silent {}
 ///
 /// ```text
 /// [ 7/36] cam 3BUS/1FU                  41 MHz  miss   312.4 ms
-/// [ 8/36] cam 3BUS/1FU                  41 MHz  hit      0.0 ms
+/// [ 8/36] cam 3BUS/1FU                  41 MHz  miss     0.1 ms
 /// sweep: 36 points (0 cache hits, 36 priced), 5 admitted, 3.21 s
 /// ```
 ///

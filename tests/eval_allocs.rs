@@ -58,13 +58,14 @@ static GLOBAL: Counting = Counting;
 
 #[test]
 fn a_warm_evaluation_allocates_for_one_router_not_for_its_input() {
-    // Ceilings, not exact counts (13 / 13 / 23 / 13 when written): headroom
-    // for the standard library, not for regenerated routes or re-packed
-    // datagrams, a rebuilt or re-serialised table, or a re-decoded program —
-    // each costs more than the whole margin.  The CAM cell re-arms its
-    // router once per further fixed-point round, which powers its machine
-    // state on again and collects another run's statistics, but packs no
-    // datagram again.  They read 30 / 30 / 56 / 30 (34 / 34 / 64 / 34
+    // Ceilings, not exact counts (13 / 13 / 28 / 13 now): headroom for the
+    // standard library, not for regenerated routes or re-packed datagrams,
+    // a rebuilt or re-serialised table, or a re-decoded program — each
+    // costs more than the whole margin.  The CAM cell builds a fresh router
+    // for its second fixed-point round, which powers a machine on and
+    // collects another run's statistics, but packs no datagram again and
+    // compiles nothing.  They read 13 / 13 / 23 / 13 while that round
+    // re-armed the first router, and 30 / 30 / 56 / 30 (34 / 34 / 64 / 34
     // earlier) while every enqueue serialised and packed its datagram and
     // data memory grew as the slots reached past it.
     let cells = [
@@ -91,7 +92,8 @@ fn a_warm_evaluation_allocates_for_one_router_not_for_its_input() {
     // it adds to a warm evaluation is compiling the microcode for the new
     // machine: scheduling, validating and decoding it.  The warm rows'
     // 3BUS/1FU machine already generated and optimised the sequence, which
-    // depends on the table alone.  615 / 434 / 248 / 524 since the
+    // depends on the table alone.  615 / 434 / 253 / 524 since a stepped
+    // round builds a fresh router; 615 / 434 / 248 / 524 since the
     // measurement frames are packed with the input; 632 / 451 / 281 / 541
     // when written; 692 / 516 / 323 / 594 while every machine generated and optimised its own
     // sequence and the first size query encoded the program; 1114 / 906 /
