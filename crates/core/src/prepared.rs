@@ -4,11 +4,10 @@
 //! Routes, measurement frames, the serialised table and its block profile
 //! depend on the table size (and, for the table and its profile, the
 //! organisation) — never on the machine shape, the line rate or the CAM
-//! latency.  A 36-point sweep, the twelve
-//! Table 1 cells and every [`EvalCache`](crate::EvalCache) miss at one size
-//! therefore share one [`PreparedInput`], held in a small process-wide
-//! memo with the same lifetime model as the compiled-program cache in
-//! `taco_router::cycle`.
+//! latency.  A 36-point sweep, the twelve Table 1 cells and every
+//! [`EvalCache`](crate::EvalCache) miss at one size therefore share one
+//! [`PreparedInput`], held in a small process-wide memo with the same
+//! lifetime model as the compiled-program cache in `taco_router::cycle`.
 
 use std::sync::{Arc, Mutex, OnceLock};
 
