@@ -13,6 +13,7 @@ use taco_workload::{
 
 use crate::arch::ArchConfig;
 use crate::prepared::PreparedInput;
+use crate::price::BlockProfile;
 use crate::rate::LineRate;
 use crate::request::EvalRequest;
 
@@ -139,11 +140,13 @@ pub(crate) fn measure<T: Tracer + ?Sized>(
 /// way to a timeline of an evaluation (a [`taco_sim::ChromeTracer`] for
 /// Perfetto, a [`taco_sim::RingTracer`] for `taco-cli trace`'s strip).
 ///
-/// Evaluates the request first (through the global cache, so repeat traces
-/// of an already-swept point cost one extra simulation, not two) to learn
-/// the converged RTU latency, then replays that exact measurement run — same
-/// prepared input, same budget, same injected stalls — with `tracer`
-/// observing.
+/// Evaluates the request first (through the global cache, its rounds priced
+/// like any evaluation's) to learn the converged RTU latency, then steps
+/// that exact measurement run — same prepared input, same budget, same
+/// injected stalls — with `tracer` observing.  A timeline is one of the four
+/// jobs that still step, with recording a block profile, a round the
+/// profile refuses to price and a fault plan that injects stalls; so a
+/// trace costs one simulation, plus the profile's on a cold input.
 ///
 /// # Errors
 ///
@@ -239,8 +242,12 @@ fn converge(
 /// Evaluates one [`EvalRequest`] — the paper's per-cell methodology, plus
 /// the behavioural scenario replay when the request carries a workload.
 ///
-/// The cell is stepped on a fresh cycle-accurate router at each round of
-/// the RTU latency fixed point ([`converge`]).
+/// Each round of the RTU latency fixed point ([`converge`]) is priced from
+/// the block profile of the request's table, recorded once per prepared
+/// input by stepping the table (the `price` module says why that is exact).
+/// A round is stepped on a fresh cycle-accurate router instead when the
+/// profile refuses to price it, or when the request's fault plan injects
+/// stalls.
 ///
 /// # Examples
 ///
@@ -254,29 +261,45 @@ fn converge(
 /// assert!(report.required_frequency_hz < 200e6); // tens of MHz, as in the paper
 /// ```
 pub fn evaluate_request(request: &EvalRequest) -> EvalReport {
-    evaluate_prepared(request, &PreparedInput::shared(request.entries), false).0
+    evaluate_prepared(request, &PreparedInput::shared(request.entries)).0
 }
 
-/// The one evaluation: `request` over `input`, its program store charged
-/// from the compiled program and its fixed point run by [`converge`].  A
-/// `batched` caller — a sweep, the Table 1 cells — prices each round from
-/// the input's block profile where that is exact; every other round is
-/// stepped on a fresh router at the round's RTU latency.  Returns the
-/// report and whether every round was priced.
+/// [`evaluate_request`] with every round stepped on a fresh router and no
+/// profile consulted: the oracle `explore_serial` answers with.
+pub(crate) fn evaluate_stepped(request: &EvalRequest) -> EvalReport {
+    evaluate_with(request, &PreparedInput::shared(request.entries), None).0
+}
+
+/// `request` over `input`, each round priced from the input's block profile
+/// for the request's table where that is exact.  Injected stalls land at
+/// cycles no price follows, so a plan that injects them is stepped.
+/// Returns the report and whether every round was priced.
 pub(crate) fn evaluate_prepared(
     request: &EvalRequest,
     input: &PreparedInput,
-    batched: bool,
+) -> (EvalReport, bool) {
+    let profile = match stall_injector(request.faults.as_ref()) {
+        None => input.profile(request.config.table),
+        Some(_) => None,
+    };
+    evaluate_with(request, input, profile)
+}
+
+/// The one evaluation: `request` over `input`, its program store charged
+/// from the compiled program and its fixed point run by [`converge`].  Each
+/// round is priced from `profile` where that is exact and stepped on a
+/// fresh router at the round's RTU latency otherwise.  Returns the report
+/// and whether every round was priced.
+fn evaluate_with(
+    request: &EvalRequest,
+    input: &PreparedInput,
+    profile: Option<&BlockProfile>,
 ) -> (EvalReport, bool) {
     let config = &request.config;
     let compiled = match input.image(config.table).and_then(|image| image.compiled(&config.machine))
     {
         Ok(compiled) => compiled,
         Err(e) => return (error_report(request, 1, e), false),
-    };
-    let profile = match stall_injector(request.faults.as_ref()) {
-        None if batched => input.profile(config.table),
-        _ => None,
     };
     let mut stepped = false;
     let measured = converge(request, input.frames().len(), |latency| {

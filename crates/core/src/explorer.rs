@@ -16,7 +16,7 @@ use taco_workload::{FaultPlan, FlowTrace, Workload};
 
 use crate::arch::ArchConfig;
 use crate::cache::EvalCache;
-use crate::evaluate::{evaluate_prepared, evaluate_request, EvalReport};
+use crate::evaluate::{evaluate_prepared, evaluate_stepped, EvalReport};
 use crate::observer::{PointRecord, Silent, SweepObserver, SweepSummary};
 use crate::pool;
 use crate::prepared::PreparedInput;
@@ -258,7 +258,7 @@ pub fn explore_with(
     let input = OnceLock::new();
     let evaluate = |request: &EvalRequest| {
         let input = input.get_or_init(|| PreparedInput::shared(spec.entries));
-        let (report, priced) = evaluate_prepared(request, input, true);
+        let (report, priced) = evaluate_prepared(request, input);
         if priced {
             points_priced.fetch_add(1, Ordering::Relaxed);
         }
@@ -307,7 +307,7 @@ pub fn explore_serial(
 ) -> Exploration {
     let all: Vec<EvalReport> = grid(spec)
         .iter()
-        .map(|config| evaluate_request(&spec.request(config, line_rate)))
+        .map(|config| evaluate_stepped(&spec.request(config, line_rate)))
         .collect();
     let admitted = rank_reports(&all, constraints);
     Exploration { all, admitted }

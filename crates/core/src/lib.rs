@@ -10,8 +10,9 @@
 //!
 //! 1. [`ArchConfig`] names an architecture instance: a TTA machine
 //!    configuration × a routing-table organisation;
-//! 2. [`EvalRequest::run`] (backed by [`evaluate_request()`]) runs the
-//!    cycle-accurate router for the instance (`taco-router` + `taco-sim`),
+//! 2. [`EvalRequest::run`] (backed by [`evaluate_request()`]) measures the
+//!    instance on the cycle-accurate router (`taco-router` + `taco-sim`),
+//!    priced from the block profile one stepped run of its table recorded,
 //!    converts measured cycles-per-datagram into the minimum clock for a
 //!    [`LineRate`] target, and feeds that clock to the physical estimator
 //!    (`taco-estimate`) — producing an [`EvalReport`] with required speed,

@@ -8,6 +8,12 @@
 //! [`EvalCache`](crate::EvalCache) miss at one size therefore share one
 //! [`PreparedInput`], held in a small process-wide memo with the same
 //! lifetime model as the compiled-program cache in `taco_router::cycle`.
+//!
+//! Every evaluation prices its rounds from the profile, so recording it is
+//! the one stepped run an input's table pays.  A round the profile refuses,
+//! a fault plan that injects stalls and a trace step again; an input above
+//! the memo's size limit is not kept, so it records its profiles again on
+//! every evaluation.
 
 use std::sync::{Arc, Mutex, OnceLock};
 

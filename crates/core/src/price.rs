@@ -22,10 +22,15 @@
 //! plus the RTU stalls, and triggers fold onto physical units by
 //! `index % count`, as `schedule` folds them.  A profile depends only on
 //! the table, so it is recorded once per prepared input, beside the table
-//! image.  Where the argument does not hold for a fixed-point round,
-//! [`BlockProfile::price`] says so and the round is stepped.
-//! `explore_serial` steps every point, and is the oracle the priced sweep
-//! is held to.
+//! image, and every evaluation — a single `evaluate_request`, a sweep point,
+//! a Table 1 cell — prices its fixed-point rounds from it.
+//!
+//! Stepping stays for four jobs: recording a profile; a round where the
+//! argument does not hold, which [`BlockProfile::price`] refuses; a fault
+//! plan that injects stalls, whose cycles no price follows; and
+//! `trace_request`'s timeline.  `explore_serial` steps every round and
+//! never consults a profile: it is the oracle the priced evaluations are
+//! held to.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;

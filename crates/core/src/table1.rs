@@ -1,4 +1,10 @@
 //! Regeneration of the paper's Table 1.
+//!
+//! Each cell is one evaluation, its fixed-point rounds priced from the block
+//! profile of its table (recorded once per prepared input), as every
+//! evaluation's are.  Only recording that profile, a round the profile
+//! refuses, a fault plan that injects stalls and a trace step the cell on
+//! the cycle-accurate router.
 
 use std::fmt::Write as _;
 use std::sync::OnceLock;
@@ -35,7 +41,7 @@ pub fn table1(line_rate: LineRate, entries: usize) -> Vec<EvalReport> {
             cache
                 .evaluate_recorded_by(&request, |r| {
                     let input = input.get_or_init(|| PreparedInput::shared(entries));
-                    evaluate_prepared(r, input, true).0
+                    evaluate_prepared(r, input).0
                 })
                 .0
         })

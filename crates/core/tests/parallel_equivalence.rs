@@ -307,3 +307,24 @@ fn a_plan_that_injects_stalls_is_stepped_and_one_that_does_not_is_priced() {
     let flaps = priced_equals_stepped(&oracle_spec(8, Some(FaultPlan::flaps())), LineRate::TEN_GBE);
     assert_eq!(flaps.points_priced, points);
 }
+
+#[test]
+fn a_single_evaluation_equals_the_stepped_oracle() {
+    // `evaluate_request` prices each round from its input's block profile
+    // (the first evaluation at a size records it); `explore_serial` steps
+    // every round and never consults a profile.
+    for entries in [8, 100] {
+        for faults in [None, Some(FaultPlan::stalls())] {
+            let spec = oracle_spec(entries, faults);
+            let stepped = explore_serial(&spec, LineRate::TEN_GBE, &Constraints::default());
+            for stepped in &stepped.all {
+                let mut request = EvalRequest::new(stepped.config.clone()).entries(entries);
+                if let Some(plan) = faults {
+                    request = request.faults(plan);
+                }
+                let report = taco_core::evaluate_request(&request);
+                assert_eq!(&report, stepped, "{} at {entries} entries", stepped.config);
+            }
+        }
+    }
+}

@@ -1,12 +1,14 @@
 //! Heap allocations of one warm `evaluate_request`, counted — the
-//! stopwatch-free regression gate for "evaluate once per input".
+//! stopwatch-free regression gate for "evaluate once per input" and for
+//! "price a single evaluation from its table's block profile".
 //!
-//! With the routes, packed measurement frames, table image and compiled
-//! program shared, a warm evaluation allocates for one router (data memory,
-//! sized once, and machine state) and its report.  Rebuilding any of the
-//! shared pieces per evaluation — or the router per round, or a frame per
-//! enqueue — multiplies the count: the same cells cost 146 / 184 / 210 / 159
-//! allocations before the pieces were shared.
+//! With the routes, packed measurement frames, table image, compiled
+//! program and block profile shared, a warm evaluation prices every round
+//! and allocates for its report alone.  Stepping a round again builds a
+//! router (data memory and machine state) and more than doubles the count;
+//! rebuilding any of the shared pieces per evaluation multiplies it: the
+//! same cells cost 146 / 184 / 210 / 159 allocations before the pieces were
+//! shared.
 //!
 //! A cold row counts the first evaluation of a machine the binary has not
 //! compiled microcode for, and the last row counts a behavioural scenario
@@ -58,21 +60,21 @@ static GLOBAL: Counting = Counting;
 
 #[test]
 fn a_warm_evaluation_allocates_for_one_router_not_for_its_input() {
-    // Ceilings, not exact counts (13 / 13 / 28 / 13 now): headroom for the
-    // standard library, not for regenerated routes or re-packed datagrams,
-    // a rebuilt or re-serialised table, or a re-decoded program — each
-    // costs more than the whole margin.  The CAM cell builds a fresh router
-    // for its second fixed-point round, which powers a machine on and
-    // collects another run's statistics, but packs no datagram again and
-    // compiles nothing.  They read 13 / 13 / 23 / 13 while that round
-    // re-armed the first router, and 30 / 30 / 56 / 30 (34 / 34 / 64 / 34
-    // earlier) while every enqueue serialised and packed its datagram and
-    // data memory grew as the slots reached past it.
+    // Ceilings, not exact counts (5 / 5 / 8 / 4 now): headroom for the
+    // standard library, not for a stepped round, regenerated routes or
+    // re-packed datagrams, a rebuilt or re-serialised table, a re-recorded
+    // profile or a re-decoded program — each costs more than the whole
+    // margin.  They read 13 / 13 / 28 / 13 while every round was stepped on
+    // a fresh router (the CAM's second fixed-point round powering a second
+    // machine on), 13 / 13 / 23 / 13 while that round re-armed the first
+    // router, and 30 / 30 / 56 / 30 (34 / 34 / 64 / 34 earlier) while every
+    // enqueue serialised and packed its datagram and data memory grew as
+    // the slots reached past it.
     let cells = [
-        (TableKind::Sequential, 18),
-        (TableKind::BalancedTree, 18),
-        (TableKind::Cam, 30),
-        (TableKind::Patricia, 18),
+        (TableKind::Sequential, 9),
+        (TableKind::BalancedTree, 9),
+        (TableKind::Cam, 12),
+        (TableKind::Patricia, 9),
     ];
     for (kind, ceiling) in cells {
         let request = EvalRequest::new(ArchConfig::three_bus_one_fu(kind));
@@ -92,13 +94,15 @@ fn a_warm_evaluation_allocates_for_one_router_not_for_its_input() {
     // it adds to a warm evaluation is compiling the microcode for the new
     // machine: scheduling, validating and decoding it.  The warm rows'
     // 3BUS/1FU machine already generated and optimised the sequence, which
-    // depends on the table alone.  615 / 434 / 253 / 524 since a stepped
-    // round builds a fresh router; 615 / 434 / 248 / 524 since the
-    // measurement frames are packed with the input; 632 / 451 / 281 / 541
-    // when written; 692 / 516 / 323 / 594 while every machine generated and optimised its own
-    // sequence and the first size query encoded the program; 1114 / 906 /
-    // 505 / 941 while ports were named by string and the scheduler cloned
-    // the sequence and built edge lists and maps per block.
+    // depends on the table alone, and recorded the table's profile.  607 /
+    // 426 / 233 / 515 since the rounds are priced; 615 / 434 / 253 / 524
+    // while they were stepped on a fresh router; 615 / 434 / 248 / 524
+    // since the measurement frames are packed with the input; 632 / 451 /
+    // 281 / 541 when written; 692 / 516 / 323 / 594 while every machine
+    // generated and optimised its own sequence and the first size query
+    // encoded the program; 1114 / 906 / 505 / 941 while ports were named by
+    // string and the scheduler cloned the sequence and built edge lists and
+    // maps per block.
     let cold_cells = [
         (TableKind::Sequential, 725),
         (TableKind::BalancedTree, 525),
