@@ -154,6 +154,9 @@ if grep -rnE 'liu_[t]able|sram_[k]ib|max_[f]rame|with_[m]emory\(|scaling_sweep_[
 # count, and nothing re-arms a router or resets a processor; a stepped
 # round builds a fresh router at its own RTU latency.
 if grep -rnE 'Sweep[P]ricer|tables_[s]tepped|\b[r]earm\(|set_rtu_[l]atency|Processor::[r]eset|processor\.[r]eset\(' crates src tests examples scripts; then exit 1; fi
+# Every evaluation is priced from its table's block profile, chosen in one
+# place: the skeleton takes no flag saying whether its caller is a batch.
+if grep -rnE '[b]atched: bool' crates/core/src; then exit 1; fi
 echo "guards ok"
 
 echo
