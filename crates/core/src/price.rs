@@ -36,10 +36,10 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use taco_isa::{FuKind, FuRef, Instruction, MachineConfig, Move, Program, Source};
+use taco_router::cycle::CycleRouter;
 use taco_routing::TableKind;
 use taco_sim::{CompiledProgram, SimStats, TraceEvent, Tracer};
 
-use crate::arch::ArchConfig;
 use crate::evaluate::{measure, CYCLE_BUDGET};
 use crate::prepared::PreparedInput;
 
@@ -132,8 +132,7 @@ impl BlockProfile {
     /// not build or the run fails, so every round of the table's points is
     /// stepped and reports the failure itself.
     pub(crate) fn record(input: &PreparedInput, kind: TableKind) -> Option<Self> {
-        let machine = input.image(kind).ok()?.unfolded();
-        let mut router = input.router(&ArchConfig::new(machine, kind), 1).ok()?;
+        let mut router = CycleRouter::unfolded(input.image(kind).ok()?).ok()?;
         let program = Arc::clone(router.processor().compiled());
         let mut issued = IssueCounter(vec![0; program.program().instructions.len()]);
         let (_, stats) = measure(&mut router, input, None, &mut issued).ok()?;

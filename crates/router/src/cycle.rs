@@ -120,7 +120,7 @@ impl TableImage {
     /// The 1-bus machine with one unit per virtual instance this image's
     /// microcode names, for every kind a machine may replicate — the
     /// machine [`schedule`] folds no unit on.
-    pub fn unfolded(&self) -> MachineConfig {
+    pub(crate) fn unfolded(&self) -> MachineConfig {
         let seq = Arc::clone(&level_one(&mut program_cache(), self).seq);
         let mut named = [0u8; FuKind::ALL.len()];
         let mut name = |fu: FuRef| {
@@ -197,7 +197,7 @@ fn level_one<'a>(
 
 /// Returns the compiled program for `image` on `config` — scheduled,
 /// label-resolved, validated and pre-decoded — compiling (and memoizing)
-/// it on first use.  Compiling microcode costs far more than a simulator
+/// it on first use ([`compile`]).  Compiling microcode costs far more than a simulator
 /// run over a handful of datagrams, and every evaluation builds its router
 /// from one of the same few (kind, machine, options) triples, so the hit
 /// rate is high and the cache stays small.  The entries are immutable and
@@ -211,14 +211,19 @@ fn compiled_program(
     config: &MachineConfig,
     image: &TableImage,
 ) -> Result<Arc<CompiledProgram>, SimError> {
-    let seq = {
-        let mut cache = program_cache();
-        let microcode = level_one(&mut cache, image);
-        if let Some(p) = microcode.programs.get(config) {
-            return Ok(Arc::clone(p));
-        }
-        Arc::clone(&microcode.seq)
-    };
+    if let Some(p) = level_one(&mut program_cache(), image).programs.get(config) {
+        return Ok(Arc::clone(p));
+    }
+    let compiled = compile(config, image)?;
+    let mut cache = program_cache();
+    let programs = &mut level_one(&mut cache, image).programs;
+    Ok(Arc::clone(programs.entry(config.clone()).or_insert(compiled)))
+}
+
+/// Schedules `image`'s cached sequence for `config` and compiles it, without
+/// looking the machine up in, or adding it to, level two.
+fn compile(config: &MachineConfig, image: &TableImage) -> Result<Arc<CompiledProgram>, SimError> {
+    let seq = Arc::clone(&level_one(&mut program_cache(), image).seq);
     let mut program = schedule(&seq, config);
     program.resolve_labels().map_err(SimError::UnresolvedLabel)?;
     debug_assert_eq!(
@@ -227,10 +232,7 @@ fn compiled_program(
         "generated {} microcode failed structural validation",
         image.kind
     );
-    let compiled = CompiledProgram::compile(config.clone(), Arc::new(program))?;
-    let mut cache = program_cache();
-    let programs = &mut level_one(&mut cache, image).programs;
-    Ok(Arc::clone(programs.entry(config.clone()).or_insert(compiled)))
+    CompiledProgram::compile(config.clone(), Arc::new(program))
 }
 
 impl CycleRouter {
@@ -255,7 +257,28 @@ impl CycleRouter {
         image: &TableImage,
         rtu_latency: u32,
     ) -> Result<Self, SimError> {
-        let compiled = compiled_program(config, image)?;
+        Self::load(compiled_program(config, image)?, image, rtu_latency)
+    }
+
+    /// [`CycleRouter::from_image`] at RTU latency 1 on the 1-bus machine
+    /// with one unit per virtual instance the image's microcode names (the
+    /// machine [`schedule`] folds no unit on), where a table's block profile
+    /// is recorded.  No evaluation runs that machine, so its program is
+    /// compiled for this router alone and the cache does not keep it.
+    ///
+    /// # Errors
+    ///
+    /// See [`CycleRouter::from_image`].
+    pub fn unfolded(image: &TableImage) -> Result<Self, SimError> {
+        Self::load(compile(&image.unfolded(), image)?, image, 1)
+    }
+
+    /// `compiled` powered on over `image`: the body of both constructors.
+    fn load(
+        compiled: Arc<CompiledProgram>,
+        image: &TableImage,
+        rtu_latency: u32,
+    ) -> Result<Self, SimError> {
         let mut processor = Processor::instantiate(compiled);
         processor.memory_mut().load(TABLE_BASE, &image.words)?;
         if let Some(table) = &image.cam {
