@@ -197,11 +197,11 @@ fn level_one<'a>(
 
 /// Returns the compiled program for `image` on `config` — scheduled,
 /// label-resolved, validated and pre-decoded — compiling (and memoizing)
-/// it on first use ([`compile`]).  Compiling microcode costs far more than a simulator
-/// run over a handful of datagrams, and every evaluation builds its router
-/// from one of the same few (kind, machine, options) triples, so the hit
-/// rate is high and the cache stays small.  The entries are immutable and
-/// shared by `Arc`.
+/// it on first use ([`compile`]).  Compiling microcode costs far more than
+/// a simulator run over a handful of datagrams, and every evaluation builds
+/// its router from one of the same few (kind, machine, options) triples, so
+/// the hit rate is high and the cache stays small.  The entries are
+/// immutable and shared by `Arc`.
 ///
 /// A design point pays only for the stages its machine changes: the
 /// sequence is generated and optimised once per level-one key, under the
