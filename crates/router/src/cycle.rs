@@ -117,9 +117,9 @@ impl TableImage {
         compiled_program(config, self)
     }
 
-    /// The 1-bus machine with one unit per virtual instance this image's
-    /// microcode names, for every kind a machine may replicate — the
-    /// machine [`schedule`] folds no unit on.
+    /// The [`UNFOLDED_BUSES`]-bus machine with one unit per virtual instance
+    /// this image's microcode names, for every kind a machine may replicate
+    /// — the machine [`schedule`] folds no unit on.
     pub(crate) fn unfolded(&self) -> MachineConfig {
         let seq = Arc::clone(&level_one(&mut program_cache(), self).seq);
         let mut named = [0u8; FuKind::ALL.len()];
@@ -136,7 +136,7 @@ impl TableImage {
                 name(g.fu);
             }
         }
-        FuKind::ALL.into_iter().fold(MachineConfig::new(1), |machine, kind| {
+        FuKind::ALL.into_iter().fold(MachineConfig::new(UNFOLDED_BUSES), |machine, kind| {
             let count = named[kind as usize];
             if count > machine.fu_count(kind) && MachineConfig::can_replicate(kind) {
                 machine.with_fu_count(kind, count)
@@ -158,6 +158,13 @@ pub struct CycleRouter {
     slots: Vec<(u32, u32, usize)>,
     malformed_rejected: u64,
 }
+
+/// Buses of the machine a block profile is recorded on.  How often a block
+/// runs does not depend on the bus count, only how long it is, so the
+/// widest machine of the default sweep records in fewer cycles than one
+/// bus would, which a one-shot evaluation of a sequential table pays in
+/// full.
+const UNFOLDED_BUSES: u8 = 4;
 
 /// Level one of the compiled-program cache: what the microcode generator
 /// reads — the table kind, its one size parameter (the padded entry count
@@ -260,10 +267,9 @@ impl CycleRouter {
         Self::load(compiled_program(config, image)?, image, rtu_latency)
     }
 
-    /// [`CycleRouter::from_image`] at RTU latency 1 on the 1-bus machine
-    /// with one unit per virtual instance the image's microcode names (the
-    /// machine [`schedule`] folds no unit on), where a table's block profile
-    /// is recorded.  No evaluation runs that machine, so its program is
+    /// [`CycleRouter::from_image`] at RTU latency 1 on the four-bus machine
+    /// with one unit per virtual instance the image's microcode names (the machine [`schedule`] folds no unit on), where a
+    /// table's block profile is recorded.  No evaluation runs that machine, so its program is
     /// compiled for this router alone and the cache does not keep it.
     ///
     /// # Errors
