@@ -1,8 +1,12 @@
 //! Memoisation of architecture evaluations.
 //!
-//! One [`EvalRequest::run`] call runs a cycle-accurate simulation, so
-//! sweep throughput — not single-run accuracy — is what limits
-//! design-space exploration at scale.  Every evaluation is a pure
+//! One [`EvalRequest::run`] call prices each fixed-point round from its
+//! table's block profile: microseconds once the prepared input for that
+//! table size is warm, while the first evaluation at a new size prepares
+//! the input and steps its profile (a few hundred microseconds at 100
+//! entries, one to two milliseconds at a thousand).  A fault plan that
+//! injects stalls steps every round, and a workload adds its scenario
+//! run.  Every evaluation is a pure
 //! function of its [`EvalRequest`]: the benchmark routes, the measurement
 //! traffic, the simulator and the scenario engine are all deterministic.
 //! That makes the result safely memoisable, and repeated points across
@@ -11,11 +15,11 @@
 //! subcommands evaluate exactly once per process.
 //!
 //! The cache is a mutexed map, not a lock-free structure: the lock is held
-//! only for lookups and inserts (microseconds), never across a simulation
-//! (milliseconds to seconds), so contention is negligible next to the work
-//! being saved.  Two threads racing on the *same* missing key may both
-//! simulate it — the loser's insert simply overwrites with an identical
-//! value, which is benign and keeps the hot path lock-free during compute.
+//! only for lookups and inserts, never across an evaluation, so
+//! contention is negligible next to the work being saved.  Two threads
+//! racing on the *same* missing key may both evaluate it — the loser's
+//! insert simply overwrites with an identical value, which is benign and
+//! keeps the hot path lock-free during compute.
 
 use std::collections::HashMap;
 use std::path::Path;

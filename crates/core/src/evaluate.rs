@@ -6,7 +6,7 @@ use taco_estimate::{Estimate, Estimator, ExternalCam};
 use taco_router::cycle::CycleRouter;
 use taco_routing::cam::CamSpec;
 use taco_routing::{PortId, TableKind};
-use taco_sim::{NoFaults, NullTracer, SimError, SimStats, Tracer};
+use taco_sim::{NullTracer, PeriodicStall, SimError, SimStats, Tracer};
 use taco_workload::{
     run_scenario_with_faults, run_trace_replay, FaultPlan, ScenarioConfig, ScenarioMetrics,
 };
@@ -99,15 +99,14 @@ impl std::fmt::Display for EvalReport {
     }
 }
 
-/// Builds the transient-stall injector a fault plan asks for, if any; the
-/// fault-free path never constructs one, so it keeps the exact pre-fault
-/// `run()` entry point (the `NullTracer` monomorphisation discipline).
-fn stall_injector(faults: Option<&FaultPlan>) -> Option<taco_sim::PeriodicStall> {
+/// The transient stall a fault plan asks for, if any: `None` without a
+/// plan or when the plan's stall period is zero.
+fn stall_injector(faults: Option<&FaultPlan>) -> Option<PeriodicStall> {
     let plan = faults?;
     if plan.stall_every_cycles == 0 {
         return None;
     }
-    Some(taco_sim::PeriodicStall::new(
+    Some(PeriodicStall::new(
         u64::from(plan.stall_every_cycles),
         u64::from(plan.stall_cycles.max(1)),
     ))
@@ -115,9 +114,8 @@ fn stall_injector(faults: Option<&FaultPlan>) -> Option<taco_sim::PeriodicStall>
 
 /// Runs the measurement workload through `router` under `tracer`, returning
 /// cycles per datagram with the raw simulator counters alongside.  The
-/// router must be freshly built.  With [`NullTracer`] (and no
-/// fault plan) this is exactly `router.run`: the tracer and injector
-/// monomorphise to nothing.
+/// router must be freshly built.  With [`NullTracer`] and no fault plan
+/// this is exactly `router.run`: the tracer monomorphises to nothing.
 pub(crate) fn measure<T: Tracer + ?Sized>(
     router: &mut CycleRouter,
     input: &PreparedInput,
@@ -128,10 +126,7 @@ pub(crate) fn measure<T: Tracer + ?Sized>(
     for (words, byte_len) in input.frames() {
         router.enqueue_words(PortId(0), words, *byte_len)?;
     }
-    let stats = match stall_injector(faults) {
-        Some(mut injector) => router.run_with(CYCLE_BUDGET, tracer, &mut injector)?,
-        None => router.run_with(CYCLE_BUDGET, tracer, &mut NoFaults)?,
-    };
+    let stats = router.run_with(CYCLE_BUDGET, tracer, stall_injector(faults))?;
     let n = router.processor().outputs().len().max(1);
     Ok((stats.cycles as f64 / n as f64, stats))
 }

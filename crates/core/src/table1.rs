@@ -7,14 +7,12 @@
 //! the cycle-accurate router.
 
 use std::fmt::Write as _;
-use std::sync::OnceLock;
 
 use taco_estimate::Estimate;
 
 use crate::arch::ArchConfig;
 use crate::cache::EvalCache;
-use crate::evaluate::{evaluate_prepared, EvalReport};
-use crate::prepared::PreparedInput;
+use crate::evaluate::EvalReport;
 use crate::rate::LineRate;
 use crate::request::EvalRequest;
 
@@ -33,18 +31,9 @@ use crate::request::EvalRequest;
 /// points, from the block profile of each table.
 pub fn table1(line_rate: LineRate, entries: usize) -> Vec<EvalReport> {
     let cache = EvalCache::global();
-    let input = OnceLock::new();
     ArchConfig::table1_cells()
         .into_iter()
-        .map(|c| {
-            let request = EvalRequest::new(c).rate(line_rate).entries(entries);
-            cache
-                .evaluate_recorded_by(&request, |r| {
-                    let input = input.get_or_init(|| PreparedInput::shared(entries));
-                    evaluate_prepared(r, input).0
-                })
-                .0
-        })
+        .map(|c| cache.evaluate(&EvalRequest::new(c).rate(line_rate).entries(entries)))
         .collect()
 }
 

@@ -15,13 +15,13 @@ use taco_routing::{
     BalancedTreeTable, CamTable, LpmTable, PatriciaTable, PortId, Route, SequentialTable, TableKind,
 };
 use taco_sim::{
-    CompiledProgram, FaultInjector, Processor, RtuBackend, RtuConfig, RtuResult, SimError,
+    CompiledProgram, PeriodicStall, Processor, RtuBackend, RtuConfig, RtuResult, SimError,
     SimStats, Tracer,
 };
 
 use crate::layout::{
-    bytes_to_words, datagram_to_words, dgram_base, serialize_patricia, serialize_sequential,
-    serialize_tree, words_to_bytes, DGRAM_SLOT_WORDS, SEQ_ENTRY_WORDS, TABLE_BASE,
+    datagram_to_words, dgram_base, serialize_patricia, serialize_sequential, serialize_tree,
+    words_to_bytes, DGRAM_SLOT_WORDS, SEQ_ENTRY_WORDS, TABLE_BASE,
 };
 use crate::microcode::{choose_screen_word, pad_sequential_image, program_for, MicrocodeOptions};
 
@@ -154,9 +154,8 @@ pub struct CycleRouter {
     /// Where the table image ends; datagram slot 0 starts at or above it
     /// (see [`dgram_base`]).
     image_end: u32,
-    /// `(address, words loaded, wire bytes)` per enqueued datagram.
-    slots: Vec<(u32, u32, usize)>,
-    malformed_rejected: u64,
+    /// `(address, wire bytes)` per enqueued datagram.
+    slots: Vec<(u32, usize)>,
 }
 
 /// Buses of the machine a block profile is recorded on.  How often a block
@@ -296,7 +295,6 @@ impl CycleRouter {
             image_end: TABLE_BASE
                 .saturating_add(u32::try_from(image.words.len()).unwrap_or(u32::MAX)),
             slots: Vec::new(),
-            malformed_rejected: 0,
         })
     }
 
@@ -373,39 +371,11 @@ impl CycleRouter {
         self.enqueue_words(port, &datagram_to_words(datagram), datagram.wire_len())
     }
 
-    /// Queues raw wire bytes — possibly malformed — the way a line card
-    /// would.  The paper's cards "provide fully assembled decapsulated IPv6
-    /// datagrams", so frames no card could ever hand over (shorter than the
-    /// 40-byte fixed header, or whose declared payload length disagrees
-    /// with the frame length) are rejected here and counted by
-    /// [`CycleRouter::malformed_rejected`], returning `Ok(false)`.
-    /// Length-consistent frames enter the pipeline, where the microcode's
-    /// version screen drops anything that is not IPv6; returns `Ok(true)`.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the frame exceeds a buffer slot (see
-    /// [`CycleRouter::enqueue`]).
-    pub fn enqueue_raw(&mut self, port: PortId, bytes: &[u8]) -> Result<bool, SimError> {
-        if bytes.len() < 40 {
-            self.malformed_rejected += 1;
-            return Ok(false);
-        }
-        let declared = usize::from(u16::from_be_bytes([bytes[4], bytes[5]]));
-        if bytes.len() != 40 + declared {
-            self.malformed_rejected += 1;
-            return Ok(false);
-        }
-        self.enqueue_words(port, &bytes_to_words(bytes), bytes.len())?;
-        Ok(true)
-    }
-
     /// Copies a datagram already packed into big-endian words (as
     /// [`datagram_to_words`] packs it) into the next buffer slot and queues
     /// it at the iPPU as having arrived on `port`; `byte_len` is its wire
-    /// length.  [`CycleRouter::enqueue`] and [`CycleRouter::enqueue_raw`]
-    /// pack and call this; a caller that enqueues one datagram many times
-    /// packs it once.
+    /// length.  [`CycleRouter::enqueue`] packs and calls this; a caller
+    /// that enqueues one datagram many times packs it once.
     ///
     /// # Errors
     ///
@@ -426,13 +396,8 @@ impl CycleRouter {
         }
         self.processor.memory_mut().load(addr, words)?;
         self.processor.push_input(addr, u32::from(port.0));
-        self.slots.push((addr, words.len() as u32, byte_len));
+        self.slots.push((addr, byte_len));
         Ok(())
-    }
-
-    /// Frames [`CycleRouter::enqueue_raw`] refused at the card.
-    pub fn malformed_rejected(&self) -> u64 {
-        self.malformed_rejected
     }
 
     /// Runs until the program halts (batch mode drains the input queue and
@@ -446,19 +411,19 @@ impl CycleRouter {
     }
 
     /// Like [`CycleRouter::run`], reporting cycle-level events to `tracer`
-    /// (see [`taco_sim::trace`]) with `faults` injecting transient bus/FU
-    /// stalls (see [`taco_sim::FaultInjector`]).
+    /// (see [`taco_sim::trace`]) with `stalls` stealing transient bus/FU
+    /// stall cycles (see [`PeriodicStall`]).
     ///
     /// # Errors
     ///
     /// See [`CycleRouter::run`].
-    pub fn run_with<T: Tracer + ?Sized, F: FaultInjector + ?Sized>(
+    pub fn run_with<T: Tracer + ?Sized>(
         &mut self,
         budget: u64,
         tracer: &mut T,
-        faults: &mut F,
+        stalls: Option<PeriodicStall>,
     ) -> Result<SimStats, SimError> {
-        self.processor.run_with(budget, tracer, faults)
+        self.processor.run_with(budget, tracer, stalls)
     }
 
     /// [`CycleRouter::run_with`] on the simulator's reference interpreter
@@ -468,13 +433,13 @@ impl CycleRouter {
     /// # Errors
     ///
     /// See [`CycleRouter::run`].
-    pub fn run_reference<T: Tracer + ?Sized, F: FaultInjector + ?Sized>(
+    pub fn run_reference<T: Tracer + ?Sized>(
         &mut self,
         budget: u64,
         tracer: &mut T,
-        faults: &mut F,
+        stalls: Option<PeriodicStall>,
     ) -> Result<SimStats, SimError> {
-        self.processor.run_reference(budget, tracer, faults)
+        self.processor.run_reference(budget, tracer, stalls)
     }
 
     /// Forwarded datagrams in emission order, parsed back out of data
@@ -490,10 +455,10 @@ impl CycleRouter {
             .outputs()
             .iter()
             .map(|&(ptr, iface)| {
-                let &(addr, _, byte_len) = self
+                let &(addr, byte_len) = self
                     .slots
                     .iter()
-                    .find(|(a, ..)| *a == ptr)
+                    .find(|(a, _)| *a == ptr)
                     .unwrap_or_else(|| panic!("oppu emitted unknown pointer {ptr:#x}"));
                 let words = self
                     .processor
@@ -511,6 +476,7 @@ impl CycleRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layout::bytes_to_words;
     use taco_ipv6::NextHeader;
 
     fn route(p: &str, port: u16) -> Route {
@@ -587,28 +553,22 @@ mod tests {
     }
 
     #[test]
-    fn raw_frames_screened_at_card_then_version_checked_by_microcode() {
+    fn the_microcode_drops_a_frame_with_a_bad_version() {
         let mut r = seq_router(MachineConfig::three_bus_one_fu());
-        // Truncated or length-inconsistent frames never leave a real line
-        // card; the card-level screen refuses them.
-        assert_eq!(r.enqueue_raw(PortId(0), &[0xff; 12]), Ok(false));
-        let mut lying = dgram("2001:db8::5", 64).to_bytes();
-        lying.truncate(lying.len() - 4); // length field now over-claims
-        assert_eq!(r.enqueue_raw(PortId(0), &lying), Ok(false));
-        assert_eq!(r.malformed_rejected(), 2);
-        // A length-consistent frame with a bad version nibble reaches the
-        // pipeline, where the microcode's version screen drops it.
+        let enqueue = |r: &mut CycleRouter, bytes: &[u8]| {
+            r.enqueue_words(PortId(0), &bytes_to_words(bytes), bytes.len()).unwrap();
+        };
+        // A frame whose version nibble is not 6 reaches the pipeline, where
+        // the microcode's version screen drops it.
         let mut bad_version = dgram("2001:db8::5", 64).to_bytes();
         bad_version[0] = (bad_version[0] & 0x0f) | (4 << 4);
-        assert_eq!(r.enqueue_raw(PortId(0), &bad_version), Ok(true));
-        // A well-formed frame through the raw path still forwards.
-        let good = dgram("2001:db8:aa::5", 64).to_bytes();
-        assert_eq!(r.enqueue_raw(PortId(0), &good), Ok(true));
+        enqueue(&mut r, &bad_version);
+        // A well-formed frame behind it still forwards.
+        enqueue(&mut r, &dgram("2001:db8:aa::5", 64).to_bytes());
         r.run(1_000_000).unwrap();
         let out = r.forwarded();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].0, PortId(2));
-        assert_eq!(r.malformed_rejected(), 2);
     }
 
     #[test]

@@ -70,8 +70,8 @@ pub fn datagram_to_words(d: &Datagram) -> Vec<u32> {
 
 /// Packs raw wire bytes into big-endian 32-bit words (zero-padded tail) —
 /// the same image [`datagram_to_words`] produces, without requiring the
-/// bytes to parse (fault injection feeds malformed frames through here).
-pub(crate) fn bytes_to_words(bytes: &[u8]) -> Vec<u32> {
+/// bytes to parse.
+pub fn bytes_to_words(bytes: &[u8]) -> Vec<u32> {
     bytes
         .chunks(4)
         .map(|c| {

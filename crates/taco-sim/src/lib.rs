@@ -58,7 +58,7 @@ pub use coherence::CoherenceStats;
 pub use error::SimError;
 pub use memory::DataMemory;
 pub use multicore::MulticoreSim;
-pub use processor::{FaultInjector, NoFaults, PeriodicStall, Processor, DEFAULT_MEMORY_WORDS};
+pub use processor::{PeriodicStall, Processor, DEFAULT_MEMORY_WORDS};
 pub use rtu::{MapRtu, RtuBackend, RtuConfig, RtuResult};
 pub use sched::CompiledProgram;
 pub use stats::SimStats;

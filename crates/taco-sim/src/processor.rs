@@ -38,48 +38,16 @@ use crate::units::{Op, Ports, RtuState};
 #[path = "reference.rs"]
 mod reference;
 
-/// Decides, cycle by cycle, whether a transient hardware fault steals the
-/// cycle — modelling bus glitches or FU brown-outs that freeze the
-/// interconnection network for a beat without corrupting state.
-///
-/// The injector is consulted *before* the instruction issues; a stolen
-/// cycle behaves exactly like an RTU interlock stall (PC and architectural
-/// state untouched) but is accounted separately in
-/// [`SimStats::injected_stall_cycles`](crate::SimStats).  Injectors must be
-/// deterministic functions of the cycle number for replays to reproduce.
-pub trait FaultInjector {
-    /// Cheap gate the hot loop checks first; [`NoFaults`] returns `false`
-    /// so the entire fault path folds away.
-    fn active(&self) -> bool {
-        true
-    }
-
-    /// Returns `true` if the fault steals `cycle`.
-    fn steals_cycle(&mut self, cycle: u64) -> bool;
-}
-
-/// The no-fault injector: never steals a cycle.  Monomorphising the step
-/// loop with this (as [`Processor::run`] does) keeps
-/// the fault-free path as fast as before the fault subsystem existed —
-/// the same discipline [`NullTracer`] applies to tracing.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoFaults;
-
-impl FaultInjector for NoFaults {
-    #[inline(always)]
-    fn active(&self) -> bool {
-        false
-    }
-
-    #[inline(always)]
-    fn steals_cycle(&mut self, _cycle: u64) -> bool {
-        false
-    }
-}
-
 /// A deterministic periodic stall: steals the first `len` cycles of every
-/// `every`-cycle window.  `len` is clamped below `every` so the processor
-/// always makes forward progress.
+/// `every`-cycle window, modelling bus glitches or FU brown-outs that
+/// freeze the interconnection network for a beat without corrupting state.
+/// `len` is clamped below `every` so the processor always makes forward
+/// progress.
+///
+/// A run consults it *before* each instruction issues; a stolen cycle
+/// behaves exactly like an RTU interlock stall (PC and architectural state
+/// untouched) but is accounted separately in
+/// [`SimStats::injected_stall_cycles`](crate::SimStats).
 #[derive(Debug, Clone, Copy)]
 pub struct PeriodicStall {
     every: u64,
@@ -96,10 +64,10 @@ impl PeriodicStall {
         assert!(every > 0, "stall period must be positive");
         PeriodicStall { every, len: len.min(every - 1) }
     }
-}
 
-impl FaultInjector for PeriodicStall {
-    fn steals_cycle(&mut self, cycle: u64) -> bool {
+    /// Returns `true` if the stall steals `cycle`.
+    #[inline]
+    pub fn steals(&self, cycle: u64) -> bool {
         cycle % self.every < self.len
     }
 }
@@ -300,13 +268,12 @@ impl Processor {
     /// jumps, plus [`SimError::Watchdog`] if the program has not halted
     /// within `budget` cycles.
     pub fn run(&mut self, budget: u64) -> Result<SimStats, SimError> {
-        self.run_with(budget, &mut NullTracer, &mut NoFaults)
+        self.run_with(budget, &mut NullTracer, None)
     }
 
     /// [`Processor::run`] reporting cycle-level events to `tracer`, with
-    /// `faults` injecting transient stall cycles (see [`FaultInjector`]).
-    /// Generic over both, so [`NullTracer`] and [`NoFaults`] monomorphise
-    /// to nothing.
+    /// `stalls` stealing transient stall cycles (see [`PeriodicStall`]).
+    /// Generic over the tracer, so [`NullTracer`] monomorphises to nothing.
     ///
     /// The flat per-slot trigger counters are folded into the `BTreeMap`
     /// statistics on every exit path, so stats stay complete even when the
@@ -315,13 +282,13 @@ impl Processor {
     /// # Errors
     ///
     /// See [`Processor::run`].
-    pub fn run_with<T: Tracer + ?Sized, F: FaultInjector + ?Sized>(
+    pub fn run_with<T: Tracer + ?Sized>(
         &mut self,
         budget: u64,
         tracer: &mut T,
-        faults: &mut F,
+        stalls: Option<PeriodicStall>,
     ) -> Result<SimStats, SimError> {
-        let result = self.compiled_loop(budget, tracer, faults);
+        let result = self.compiled_loop(budget, tracer, stalls);
         self.fold_trigger_counts();
         result?;
         Ok(self.stats.clone())
@@ -362,16 +329,16 @@ impl Processor {
     /// ([`InsMeta::run`](crate::sched::InsMeta::run)).
     /// Halt, deadline and PC-range checks happen once per run; the deadline
     /// clamps the run, so the watchdog fires at the exact cycle; an
-    /// instruction that must stall for the RTU, or a cycle the injector
+    /// instruction that must stall for the RTU, or a cycle the stall
     /// steals, ends the run there and the next pass of the outer loop
     /// accounts it.  The cycle, PC, halt and stall flags and the move
     /// counters live in locals while it runs and are folded into `self`
     /// once, on every exit path.
-    fn compiled_loop<T: Tracer + ?Sized, F: FaultInjector + ?Sized>(
+    fn compiled_loop<T: Tracer + ?Sized>(
         &mut self,
         budget: u64,
         tracer: &mut T,
-        faults: &mut F,
+        stalls: Option<PeriodicStall>,
     ) -> Result<(), SimError> {
         let compiled = Arc::clone(&self.compiled);
         let ins = &compiled.decoded.ins[..];
@@ -397,8 +364,8 @@ impl Processor {
                 halted = true;
                 break Ok(());
             }
-            if faults.active() {
-                if faults.steals_cycle(cycle) {
+            if let Some(stalls) = stalls {
+                if stalls.steals(cycle) {
                     if !fault_open {
                         fault_open = true;
                         tracer.event(&TraceEvent::FaultStallBegin { cycle });
@@ -452,7 +419,7 @@ impl Processor {
                 }
                 pc += 1;
                 // Mid-run, no span is open: the outer loop closed both.
-                if faults.active() && faults.steals_cycle(cycle) {
+                if stalls.is_some_and(|s| s.steals(cycle)) {
                     fault_open = true;
                     tracer.event(&TraceEvent::FaultStallBegin { cycle });
                     cycle += 1;
@@ -694,9 +661,9 @@ mod tests {
             p.set_rtu(RtuConfig::new(Box::new(MapRtu::default())).with_latency(4));
             let mut issued = Issued(vec![0; p.program().instructions.len()]);
             let stats = if reference {
-                p.run_reference(100, &mut issued, &mut NoFaults)
+                p.run_reference(100, &mut issued, None)
             } else {
-                p.run_with(100, &mut issued, &mut NoFaults)
+                p.run_with(100, &mut issued, None)
             };
             (issued.0, stats.unwrap())
         };
@@ -1111,8 +1078,8 @@ mod fault_tests {
         let mut clean = load(LOOP);
         let clean_stats = clean.run(1_000).unwrap();
         let mut faulty = load(LOOP);
-        let mut plan = PeriodicStall::new(4, 1);
-        let faulty_stats = faulty.run_with(1_000, &mut NullTracer, &mut plan).unwrap();
+        let plan = Some(PeriodicStall::new(4, 1));
+        let faulty_stats = faulty.run_with(1_000, &mut NullTracer, plan).unwrap();
         assert_eq!(clean.reg(0), faulty.reg(0)); // same architectural result
         assert!(faulty_stats.injected_stall_cycles > 0);
         assert_eq!(clean_stats.injected_stall_cycles, 0);
@@ -1124,17 +1091,17 @@ mod fault_tests {
     fn periodic_stall_always_makes_progress() {
         let mut p = load(LOOP);
         // len >= every would freeze forever; the clamp must prevent that.
-        let mut plan = PeriodicStall::new(3, 99);
-        p.run_with(10_000, &mut NullTracer, &mut plan).unwrap();
+        let plan = Some(PeriodicStall::new(3, 99));
+        p.run_with(10_000, &mut NullTracer, plan).unwrap();
         assert!(p.halted);
     }
 
     #[test]
     fn fault_spans_are_balanced_in_the_trace() {
         let mut p = load(LOOP);
-        let mut plan = PeriodicStall::new(5, 2);
+        let plan = Some(PeriodicStall::new(5, 2));
         let mut ring = RingTracer::new(4096);
-        let stats = p.run_with(1_000, &mut ring, &mut plan).unwrap();
+        let stats = p.run_with(1_000, &mut ring, plan).unwrap();
         let begins = ring
             .events()
             .iter()
@@ -1152,8 +1119,8 @@ mod fault_tests {
     fn fault_replay_is_deterministic() {
         let run = || {
             let mut p = load(LOOP);
-            let mut plan = PeriodicStall::new(7, 3);
-            let stats = p.run_with(1_000, &mut NullTracer, &mut plan).unwrap();
+            let plan = Some(PeriodicStall::new(7, 3));
+            let stats = p.run_with(1_000, &mut NullTracer, plan).unwrap();
             (stats, p.reg(0))
         };
         assert_eq!(run(), run());
@@ -1195,7 +1162,7 @@ mod event_trace_tests {
         );
         p.set_rtu(RtuConfig::new(Box::new(backend)).with_latency(5));
         let mut ring = RingTracer::new(4096);
-        let stats = p.run_with(100, &mut ring, &mut NoFaults).unwrap();
+        let stats = p.run_with(100, &mut ring, None).unwrap();
         assert!(ring.is_complete());
         assert!(stats.stall_cycles > 0);
         assert!(stats.moves_squashed > 0);
@@ -1211,7 +1178,7 @@ mod event_trace_tests {
         );
         p.push_input(0x100, 2);
         let mut ring = RingTracer::new(64);
-        p.run_with(10, &mut ring, &mut NoFaults).unwrap();
+        p.run_with(10, &mut ring, None).unwrap();
         let begins: Vec<_> = ring
             .events()
             .iter()
@@ -1237,7 +1204,7 @@ mod event_trace_tests {
         let plain_stats = plain.run(1_000).unwrap();
         let mut traced = load(text, MachineConfig::new(3));
         let mut ring = RingTracer::new(4096);
-        let traced_stats = traced.run_with(1_000, &mut ring, &mut NoFaults).unwrap();
+        let traced_stats = traced.run_with(1_000, &mut ring, None).unwrap();
         assert_eq!(plain_stats, traced_stats);
         assert_eq!(plain.reg(0), traced.reg(0));
         assert_eq!(TraceCounters::from_events(ring.events()), counted_by_the_loop(&traced_stats));

@@ -13,14 +13,14 @@
 //! workspace outside tests calls it, and no option selects it.
 //! `tests/step_reference.rs` (root package) drives both forms over real
 //! microcode and hand-written programs and demands equal statistics, event
-//! streams and machine state, so the tracer and injector parameters stay —
+//! streams and machine state, so the tracer and stall parameters stay —
 //! event order and stall accounting are what it checks.
 
 use std::sync::Arc;
 
 use taco_isa::{FuKind, Instruction, PortRef, Source};
 
-use super::{FaultInjector, Processor};
+use super::{PeriodicStall, Processor};
 use crate::error::SimError;
 use crate::sched::CompiledProgram;
 use crate::stats::SimStats;
@@ -33,11 +33,11 @@ impl Processor {
     /// # Errors
     ///
     /// See [`Processor::run`].
-    pub fn run_reference<T: Tracer + ?Sized, F: FaultInjector + ?Sized>(
+    pub fn run_reference<T: Tracer + ?Sized>(
         &mut self,
         budget: u64,
         tracer: &mut T,
-        faults: &mut F,
+        stalls: Option<PeriodicStall>,
     ) -> Result<SimStats, SimError> {
         let compiled = Arc::clone(&self.compiled);
         let program = &compiled.program;
@@ -47,7 +47,7 @@ impl Processor {
                 return Err(SimError::Watchdog { budget });
             }
             match program.instructions.get(self.pc) {
-                Some(ins) => self.reference_cycle(&compiled, ins, tracer, faults)?,
+                Some(ins) => self.reference_cycle(&compiled, ins, tracer, stalls)?,
                 None => self.halted = true,
             }
         }
@@ -55,15 +55,15 @@ impl Processor {
     }
 
     /// One cycle: a stolen or stalled beat, or one instruction word.
-    fn reference_cycle<T: Tracer + ?Sized, F: FaultInjector + ?Sized>(
+    fn reference_cycle<T: Tracer + ?Sized>(
         &mut self,
         compiled: &CompiledProgram,
         ins: &Instruction,
         tracer: &mut T,
-        faults: &mut F,
+        stalls: Option<PeriodicStall>,
     ) -> Result<(), SimError> {
-        if faults.active() {
-            if faults.steals_cycle(self.cycle) {
+        if let Some(stalls) = stalls {
+            if stalls.steals(self.cycle) {
                 if !self.fault_open {
                     self.fault_open = true;
                     tracer.event(&TraceEvent::FaultStallBegin { cycle: self.cycle });

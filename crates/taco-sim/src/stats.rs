@@ -19,8 +19,8 @@ pub struct SimStats {
     pub cycles: u64,
     /// Cycles spent stalled waiting for the Routing Table Unit.
     pub stall_cycles: u64,
-    /// Cycles stolen by an injected transient fault (zero unless a
-    /// [`FaultInjector`](crate::FaultInjector) was attached to the run).
+    /// Cycles stolen by an injected transient fault (zero unless the run
+    /// was given a [`PeriodicStall`](crate::PeriodicStall)).
     pub injected_stall_cycles: u64,
     /// Moves whose guard passed (or that had no guard).
     pub moves_executed: u64,

@@ -85,7 +85,7 @@ pub enum TraceEvent {
         cycle: u64,
     },
     /// An injected transient fault started stealing cycles (see
-    /// [`FaultInjector`](crate::FaultInjector)).
+    /// [`PeriodicStall`](crate::PeriodicStall)).
     FaultStallBegin {
         /// First stolen cycle.
         cycle: u64,

@@ -157,6 +157,9 @@ if grep -rnE 'Sweep[P]ricer|tables_[s]tepped|\b[r]earm\(|set_rtu_[l]atency|Proce
 # Every evaluation is priced from its table's block profile, chosen in one
 # place: the skeleton takes no flag saying whether its caller is a batch.
 if grep -rnE '[b]atched: bool' crates/core/src; then exit 1; fi
+# A run takes an optional periodic stall, not an injector trait with a null
+# implementation, and the cycle router has no raw-frame card screen.
+if grep -rnE '[F]aultInjector|[N]oFaults|steals_[c]ycle|enqueue_[r]aw|malformed_[r]ejected' crates src tests examples scripts; then exit 1; fi
 echo "guards ok"
 
 echo

@@ -20,9 +20,7 @@ use taco::isa::{
     decode, encode, optimize, schedule, validate_schedule, CodeBuilder, FuKind, MachineConfig,
     MoveSeq, Program,
 };
-use taco::sim::{
-    MapRtu, NoFaults, Processor, RingTracer, RtuConfig, RtuResult, SimStats, TraceCounters,
-};
+use taco::sim::{MapRtu, Processor, RingTracer, RtuConfig, RtuResult, SimStats, TraceCounters};
 
 const SEED: u64 = 0x0097_0001;
 const CASES: u64 = 128;
@@ -287,7 +285,7 @@ fn run_scheduled(
 ) -> (SimStats, Processor) {
     let mut cpu = processor(machine, schedule(&build(ops), machine), rtu_latency);
     let stats = match ring {
-        Some(ring) => cpu.run_with(1_000_000, ring, &mut NoFaults),
+        Some(ring) => cpu.run_with(1_000_000, ring, None),
         None => cpu.run(1_000_000),
     };
     (stats.expect("straight-line code halts"), cpu)

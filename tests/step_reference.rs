@@ -13,9 +13,9 @@
 //! jump, the deadline, an RTU stall, a stolen cycle or an error), which
 //! moves of a word read early because a move before them in execution
 //! order writes their source or guard, the port-file layout (replicated
-//! FUs, a second memory port) and the tracer/injector monomorphisation
-//! (`run()` is the `NullTracer`/`NoFaults` instance every benchmark
-//! workload executes; a tracer adds the read-phase event pass).
+//! FUs, a second memory port), the tracer monomorphisation (`run()` is
+//! the `NullTracer` instance with no stall; a tracer adds the read-phase
+//! event pass) and whether a periodic stall is given.
 
 mod common;
 
@@ -26,17 +26,12 @@ use taco::isa::{asm, schedule, FuKind, MachineConfig, PortRef, Program, Source};
 use taco::router::{CycleRouter, MicrocodeOptions, TrafficGen};
 use taco::routing::{PortId, Route, TableKind};
 use taco::sim::{
-    FaultInjector, MapRtu, NoFaults, PeriodicStall, Processor, RingTracer, RtuConfig, RtuResult,
-    SimError, SimStats, TraceEvent, DEFAULT_MEMORY_WORDS,
+    MapRtu, PeriodicStall, Processor, RingTracer, RtuConfig, RtuResult, SimError, SimStats,
+    TraceEvent, DEFAULT_MEMORY_WORDS,
 };
 
 /// One way of running a machine to completion.
-type Run<M> = fn(
-    &mut M,
-    u64,
-    &mut RingTracer,
-    &mut (dyn FaultInjector + 'static),
-) -> Result<SimStats, SimError>;
+type Run<M> = fn(&mut M, u64, &mut RingTracer, Option<PeriodicStall>) -> Result<SimStats, SimError>;
 
 /// Everything a run leaves behind that a caller can see.
 #[derive(Debug, PartialEq)]
@@ -58,10 +53,7 @@ fn observe<M>(
     stall: Option<PeriodicStall>,
 ) -> Observed {
     let mut ring = RingTracer::new(1 << 22);
-    let result = match stall {
-        Some(mut stall) => run(machine, budget, &mut ring, &mut stall),
-        None => run(machine, budget, &mut ring, &mut NoFaults),
-    };
+    let result = run(machine, budget, &mut ring, stall);
     assert!(ring.is_complete(), "capture evicted {} events", ring.dropped());
     let cpu = cpu(machine);
     Observed {
