@@ -70,6 +70,17 @@ impl PeriodicStall {
     pub fn steals(&self, cycle: u64) -> bool {
         cycle % self.every < self.len
     }
+
+    /// Cycles from `cycle`, which the stall does not steal, to the next one
+    /// it does.
+    #[inline]
+    fn free_from(&self, cycle: u64) -> u64 {
+        if self.len == 0 {
+            u64::MAX
+        } else {
+            self.every - cycle % self.every
+        }
+    }
 }
 
 /// A simulated TACO processor.
@@ -327,11 +338,11 @@ impl Processor {
     /// It dispatches once per *run*: the straight-line instructions from
     /// the PC through the next one that holds a jump
     /// ([`InsMeta::run`](crate::sched::InsMeta::run)).
-    /// Halt, deadline and PC-range checks happen once per run; the deadline
-    /// clamps the run, so the watchdog fires at the exact cycle; an
-    /// instruction that must stall for the RTU, or a cycle the stall
-    /// steals, ends the run there and the next pass of the outer loop
-    /// accounts it.  The cycle, PC, halt and stall flags and the move
+    /// Halt, deadline, PC-range and stall checks happen once per run; the
+    /// deadline and the next cycle the stall steals clamp the run, so the
+    /// watchdog fires and the stall begins at the exact cycle; an
+    /// instruction that must stall for the RTU ends the run there.  The
+    /// next pass of the outer loop accounts a stalled or stolen cycle.  The cycle, PC, halt and stall flags and the move
     /// counters live in locals while it runs and are folded into `self`
     /// once, on every exit path.
     fn compiled_loop<T: Tracer + ?Sized>(
@@ -364,6 +375,7 @@ impl Processor {
                 halted = true;
                 break Ok(());
             }
+            let mut room = deadline - cycle;
             if let Some(stalls) = stalls {
                 if stalls.steals(cycle) {
                     if !fault_open {
@@ -378,6 +390,7 @@ impl Processor {
                     fault_open = false;
                     tracer.event(&TraceEvent::FaultStallEnd { cycle });
                 }
+                room = room.min(stalls.free_from(cycle));
             }
             if ins[pc].rtu_sensitive && cycle < ports.rtu.ready_at {
                 if !stall_open {
@@ -394,7 +407,7 @@ impl Processor {
             }
 
             // --- one run: instructions pc..=last -------------------------
-            let last = pc + (u64::from(ins[pc].run).min(deadline - cycle) as usize) - 1;
+            let last = pc + (u64::from(ins[pc].run).min(room) as usize) - 1;
             loop {
                 tracer.issued(pc);
                 issued += u64::from(ins[pc].end - ins[pc].start);
@@ -418,14 +431,6 @@ impl Processor {
                     continue 'runs;
                 }
                 pc += 1;
-                // Mid-run, no span is open: the outer loop closed both.
-                if stalls.is_some_and(|s| s.steals(cycle)) {
-                    fault_open = true;
-                    tracer.event(&TraceEvent::FaultStallBegin { cycle });
-                    cycle += 1;
-                    stolen += 1;
-                    continue 'runs;
-                }
                 if ins[pc].rtu_sensitive && cycle < ports.rtu.ready_at {
                     continue 'runs;
                 }
