@@ -71,15 +71,12 @@ impl PeriodicStall {
         cycle % self.every < self.len
     }
 
-    /// Cycles from `cycle`, which the stall does not steal, to the next one
+    /// Cycles from `cycle` to the end of its window: from a cycle the stall
+    /// does not steal, at most that many words issue before the next one
     /// it does.
     #[inline]
     fn free_from(&self, cycle: u64) -> u64 {
-        if self.len == 0 {
-            u64::MAX
-        } else {
-            self.every - cycle % self.every
-        }
+        self.every - cycle % self.every
     }
 }
 
@@ -342,9 +339,10 @@ impl Processor {
     /// deadline and the next cycle the stall steals clamp the run, so the
     /// watchdog fires and the stall begins at the exact cycle; an
     /// instruction that must stall for the RTU ends the run there.  The
-    /// next pass of the outer loop accounts a stalled or stolen cycle.  The cycle, PC, halt and stall flags and the move
-    /// counters live in locals while it runs and are folded into `self`
-    /// once, on every exit path.
+    /// next pass of the outer loop accounts a stalled or stolen cycle.
+    /// The cycle, PC, halt and stall flags and the move counters live in
+    /// locals while it runs and are folded into `self` once, on every exit
+    /// path.
     fn compiled_loop<T: Tracer + ?Sized>(
         &mut self,
         budget: u64,
