@@ -27,8 +27,8 @@ use taco_bench::cli::{Cli, Parsed};
 use taco_bench::{
     ablation, churn, dse, loadgen, report, scaling, scenarios, table1, trace, tracegen,
 };
-use taco_core::api::{parse_table_kind, ApiRequest, ApiResponse, EvalSpec};
-use taco_core::{ArchConfig, Constraints, FlowTrace, LineRate, SweepSpec};
+use taco_core::api::{parse_table_kind, ApiRequest, ApiResponse};
+use taco_core::{ArchConfig, Constraints, EvalRequest, FlowTrace, LineRate, SweepSpec};
 use taco_served::{open_request, Server, ServerConfig};
 
 const STATUS: &str = "print the daemon's queue and cache statistics";
@@ -232,18 +232,14 @@ fn submit(rest: Vec<String>) {
         });
         let kind =
             parse_table_kind(args.opt("--kind").unwrap_or("cam")).unwrap_or_else(|e| cli.fail(&e));
-        let mut eval = EvalSpec::new(ArchConfig::three_bus_one_fu(kind));
-        if let Some(n) = entries {
-            eval.entries = n;
-        }
-        eval.trace = Some(std::sync::Arc::new(trace));
+        let mut eval = EvalRequest::new(ArchConfig::three_bus_one_fu(kind))
+            .flow_trace(std::sync::Arc::new(trace));
+        eval.entries = entries.unwrap_or(eval.entries);
         check(&exchange_retrying(&addr, &ApiRequest::Eval(eval).to_json()));
     } else if args.flag("--table1") {
         for config in ArchConfig::table1_cells() {
-            let mut eval = EvalSpec::new(config);
-            if let Some(n) = entries {
-                eval.entries = n;
-            }
+            let mut eval = EvalRequest::new(config);
+            eval.entries = entries.unwrap_or(eval.entries);
             check(&exchange_retrying(&addr, &ApiRequest::Eval(eval).to_json()));
         }
     } else if args.flag("--sweep") {

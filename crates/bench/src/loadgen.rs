@@ -30,17 +30,15 @@ use std::thread;
 use std::time::Instant;
 
 use crate::cli::Cli;
-use taco_core::api::{ApiRequest, ApiResponse, Envelope, EvalSpec, WireResponse};
-use taco_core::{ArchConfig, TableKind};
+use taco_core::api::{ApiRequest, ApiResponse, Envelope, WireResponse};
+use taco_core::{ArchConfig, EvalRequest, TableKind};
 use taco_served::{request_lines, Server, ServerConfig, Session};
 use taco_workload::LatencyHistogram;
 
 /// The measured request: a single-bus CAM evaluation, tiny table.  It is
 /// warmed once so every timed request is an inline cache hit.
 fn probe() -> ApiRequest {
-    let mut spec = EvalSpec::new(ArchConfig::one_bus_one_fu(TableKind::Cam));
-    spec.entries = 8;
-    ApiRequest::Eval(spec)
+    ApiRequest::Eval(EvalRequest::new(ArchConfig::one_bus_one_fu(TableKind::Cam)).entries(8))
 }
 
 fn start_server() -> (SocketAddr, thread::JoinHandle<std::io::Result<()>>) {

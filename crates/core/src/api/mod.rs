@@ -21,10 +21,10 @@
 //!
 //! Every record lists its members once, in wire order, in a `record!` table
 //! beside its type (`table` has the mechanism); the writer and the strict
-//! reader are both expanded from that list.  The
-//! same types also back the in-process entry points: [`EvalSpec`] is the
-//! validated construction path for [`EvalRequest`] and holds its types,
-//! and the name-based
+//! reader are both expanded from that list.  A
+//! record is the in-process type it spells: an eval line reads as the
+//! [`EvalRequest`] that is evaluated, cached and persisted, checked as it
+//! is read, and the name-based
 //! parsers ([`parse_table_kind`], [`parse_workload_name`],
 //! [`parse_fault_plan_name`], [`parse_machine_spec`]) are the single
 //! source of truth `taco-cli dse`/`trace` and the wire layer share, so
@@ -505,7 +505,7 @@ impl Wire for Arc<FlowTrace> {
 }
 
 // ---------------------------------------------------------------------------
-// EvalSpec: the validated construction path for one evaluation.
+// Evaluations and sweeps: the range rules and the two request tables.
 // ---------------------------------------------------------------------------
 
 /// Refuses a table size no evaluation can use: zero, or more entries than
@@ -617,98 +617,35 @@ fn check_faults(
     Ok(())
 }
 
-/// One evaluation, in wire form: the validated front door that the JSON
-/// schema, the CLI and programmatic callers share before an
-/// [`EvalRequest`] is built.  It holds the request's own types; what it
-/// adds is the checks.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EvalSpec {
-    /// The machine under evaluation.
-    pub config: ArchConfig,
-    /// Line-rate target.
-    pub rate: LineRate,
-    /// Routing-table size (1 to [`taco_sim::DEFAULT_MEMORY_WORDS`]).
-    pub entries: usize,
-    /// Optional behavioural workload.
-    pub workload: Option<Workload>,
-    /// Optional deterministic fault plan.
-    pub faults: Option<FaultPlan>,
-    /// Optional explicit flow trace, replayed verbatim instead of
-    /// regenerating from the workload descriptor.  When both `workload`
-    /// and `trace` are present the workload must equal the trace's
-    /// descriptor — a mismatch is a structured bad request, not a silent
-    /// override.
-    pub trace: Option<Arc<FlowTrace>>,
-}
-
-record!(EvalSpec as "eval spec" {
-    config, rate, entries, workload [omit None], faults [omit None], trace [omit None],
-} check |spec| {
-    check_entries("eval spec", "\"entries\"", spec.entries as u64)?;
-    check_faults("eval spec", spec.workload.as_ref(), spec.faults.as_ref())?;
+// The trace is the one replay an eval with both members runs: a workload
+// beside it must be the trace's own descriptor, and a plan's frames are
+// held to the scenario the trace sizes as well.
+record!(EvalRequest as "eval spec" {
+    config, line_rate as "rate", entries, workload [omit None], faults [omit None],
+    flow_trace as "trace" [omit None],
+} check |request| {
+    check_entries("eval spec", "\"entries\"", request.entries as u64)?;
+    check_faults("eval spec", request.workload.as_ref(), request.faults.as_ref())?;
+    if let Some(trace) = &request.flow_trace {
+        let descriptor = trace.descriptor();
+        if request.workload.is_some_and(|w| w != descriptor) {
+            return Err(ApiError::bad_request(
+                "trace: the request's workload does not match the attached trace's descriptor",
+            ));
+        }
+        check_faults("eval spec", Some(&descriptor), request.faults.as_ref())?;
+    }
 });
 
-impl EvalSpec {
-    /// A spec for `config` with the paper's defaults (10 GbE, 100 entries,
-    /// no workload, no faults).
-    pub fn new(config: ArchConfig) -> Self {
-        EvalSpec {
-            config,
-            rate: LineRate::TEN_GBE,
-            entries: EvalRequest::DEFAULT_ENTRIES,
-            workload: None,
-            faults: None,
-            trace: None,
-        }
-    }
+/// The retired name of an evaluation request, which `benchmarks/` spells.
+pub type EvalSpec = EvalRequest;
 
-    /// Builds the validated [`EvalRequest`]: the table size, the fault
-    /// plan's frames over the scenario they ride on, and a workload that
-    /// names anything but the attached trace are bad requests before any
-    /// simulation runs.
-    pub fn to_request(&self) -> Result<EvalRequest, ApiError> {
-        check_entries("eval spec", "\"entries\"", self.entries as u64)?;
-        check_faults("eval spec", self.workload.as_ref(), self.faults.as_ref())?;
-        let mut workload = self.workload;
-        if let Some(trace) = &self.trace {
-            let descriptor = trace.descriptor();
-            if workload.is_some_and(|w| w != descriptor) {
-                return Err(ApiError::bad_request(
-                    "trace: the request's workload does not match the attached trace's \
-                     descriptor",
-                ));
-            }
-            check_faults("eval spec", Some(&descriptor), self.faults.as_ref())?;
-            workload = Some(descriptor);
-        }
-        Ok(EvalRequest {
-            config: self.config.clone(),
-            line_rate: self.rate,
-            entries: self.entries,
-            workload,
-            faults: self.faults,
-            flow_trace: self.trace.clone(),
-        })
-    }
-
-    /// The wire spelling of `request`, or `None` when the machine
-    /// configuration is not expressible on the wire.
-    pub fn from_request(request: &EvalRequest) -> Option<EvalSpec> {
-        ConfigSpec::from_config(&request.config)?;
-        Some(EvalSpec {
-            config: request.config.clone(),
-            rate: request.line_rate,
-            entries: request.entries,
-            workload: request.workload,
-            faults: request.faults,
-            trace: request.flow_trace.clone(),
-        })
+impl EvalRequest {
+    /// `request`, or `None` when its machine has no wire spelling.
+    pub fn from_request(request: &EvalRequest) -> Option<EvalRequest> {
+        ConfigSpec::from_config(&request.config).map(|_| request.clone())
     }
 }
-
-// ---------------------------------------------------------------------------
-// Sweeps.
-// ---------------------------------------------------------------------------
 
 // Counts are range-checked here, at the wire boundary: `grid()` feeds
 // them to constructors that panic on zero, so a bad request must die as a
@@ -813,7 +750,7 @@ fn read_line<T: Record>(line: &str) -> Result<(Envelope, T), ApiError> {
 #[derive(Debug, Clone, PartialEq)]
 pub enum ApiRequest {
     /// Evaluate a single architecture instance.
-    Eval(EvalSpec),
+    Eval(EvalRequest),
     /// Run a whole sweep as one batch job.
     Sweep {
         /// The exploration grid.
@@ -832,7 +769,7 @@ pub enum ApiRequest {
 
 // The same kinds in either dialect; an `eval` stays flat.
 record!(ApiRequest as "request" by "kind" {
-    "eval" => Self::Eval { spec in 0: Flat, },
+    "eval" => Self::Eval { request in 0: Flat, },
     "sweep" => Self::Sweep { spec, rate, constraints [or Constraints::default()], },
     "status" => Self::Status {},
     "shutdown" => Self::Shutdown {},
@@ -1064,8 +1001,8 @@ pub(crate) mod tests {
     use super::*;
     use taco_isa::MachineConfig;
 
-    fn cam_spec() -> EvalSpec {
-        EvalSpec::new(ArchConfig::three_bus_one_fu(TableKind::Cam))
+    fn cam_request() -> EvalRequest {
+        EvalRequest::new(ArchConfig::three_bus_one_fu(TableKind::Cam))
     }
 
     /// A line's reader: strict parse, then the encoder again.
@@ -1181,15 +1118,12 @@ pub(crate) mod tests {
         let trace = Arc::new(taco_workload::TraceGen::generate(9, 30, 5, 8));
         let mut requests = vec![ApiRequest::Status, ApiRequest::Shutdown];
         for workload in Workload::builtin() {
-            let mut spec = cam_spec();
+            let mut spec = cam_request();
             spec.workload = Some(workload);
             spec.faults = Some(FaultPlan::storm());
             requests.push(ApiRequest::Eval(spec));
         }
-        let mut spec = cam_spec();
-        spec.entries = 8;
-        spec.trace = Some(trace.clone());
-        requests.push(ApiRequest::Eval(spec));
+        requests.push(ApiRequest::Eval(cam_request().entries(8).flow_trace(trace.clone())));
         requests.push(ApiRequest::Sweep {
             spec: SweepSpec {
                 buses: vec![1, 3],
@@ -1270,7 +1204,7 @@ pub(crate) mod tests {
             LineRate::MEMBERS,
             Workload::MEMBERS,
             FaultPlan::MEMBERS,
-            EvalSpec::MEMBERS,
+            EvalRequest::MEMBERS,
             SweepSpec::MEMBERS,
             Constraints::MEMBERS,
             ApiRequest::MEMBERS,
@@ -1287,7 +1221,7 @@ pub(crate) mod tests {
         ];
         // Not on any line: a report with a `sim_error` does not read back,
         // and a member read `Flat` lends its name to no key.
-        let unseen = ["sim_error", "spec", "info", "error"];
+        let unseen = ["sim_error", "request", "info", "error"];
         for member in tables.iter().flat_map(|table| table.iter()) {
             assert!(seen.iter().any(|s| s == member) || unseen.contains(member), "{member}");
         }
@@ -1326,25 +1260,41 @@ pub(crate) mod tests {
 
     #[test]
     fn trace_workload_mismatch_is_a_structured_bad_request() {
-        let trace = taco_workload::TraceGen::generate(9, 30, 5, 8);
-        let mut spec = cam_spec();
-        spec.entries = 8;
-        spec.trace = Some(Arc::new(trace.clone()));
+        let trace = Arc::new(taco_workload::TraceGen::generate(9, 30, 5, 8));
+        let built = cam_request().entries(8).flow_trace(trace.clone());
+        let cache = crate::cache::EvalCache::new();
+        let report = cache.evaluate(&built);
 
-        // A workload equal to the trace's descriptor is accepted...
-        spec.workload = Some(trace.descriptor());
-        assert!(spec.to_request().is_ok());
+        // A line carrying only the trace is the builder's request, and
+        // finds the entry the builder's request filled.
+        let line = ApiRequest::Eval(built.clone()).to_json();
+        assert!(line.contains("\"trace\"") && !line.contains("\"workload\""), "{line}");
+        let ApiRequest::Eval(decoded) = ApiRequest::from_json(&line).unwrap() else {
+            panic!("an eval")
+        };
+        assert_eq!(decoded, built);
+        assert_eq!(cache.lookup_recorded(&decoded).as_ref(), Some(&report));
 
-        // ...any other workload is rejected, not silently overridden.
-        spec.workload = Some(Workload::burst_overload());
-        let err = spec.to_request().expect_err("mismatched workload must be rejected");
+        // A workload equal to the trace's descriptor is accepted, and is
+        // the same evaluation...
+        let mut spelled = built;
+        spelled.workload = Some(trace.descriptor());
+        let line = ApiRequest::Eval(spelled.clone()).to_json();
+        assert_eq!(ApiRequest::from_json(&line), Ok(ApiRequest::Eval(spelled.clone())));
+        assert_eq!(cache.lookup_recorded(&spelled).as_ref(), Some(&report));
+
+        // ...any other workload is refused at the parse, not silently
+        // overridden.
+        spelled.workload = Some(Workload::burst_overload());
+        let line = ApiRequest::Eval(spelled).to_json();
+        let err = ApiRequest::from_json(&line).expect_err("mismatched workload must be rejected");
         assert_eq!(err.code, ApiErrorCode::BadRequest);
         assert!(err.message.contains("descriptor"), "{}", err.message);
     }
 
     #[test]
     fn a_fault_plan_counts_against_the_offered_budget() {
-        let mut spec = cam_spec();
+        let mut spec = cam_request();
         spec.workload = Some(Workload::steady_forward());
         for (_, plan) in FaultPlan::builtin() {
             for workload in Workload::builtin() {
@@ -1368,17 +1318,15 @@ pub(crate) mod tests {
             let err = ApiRequest::from_json(&line).expect_err("an over-rate plan");
             assert!(err.message.contains("\"faults\" injects up to"), "{err}");
         }
-        assert!(spec.to_request().is_err());
-        // An eval's plan is held to its trace's header when the request
-        // is built.
+        // An eval's plan is held to its trace's header as well.
         spec.workload = None;
-        spec.trace = Some(Arc::new(trace));
-        assert!(ApiRequest::from_json(&ApiRequest::Eval(spec.clone()).to_json()).is_ok());
-        let err = spec.to_request().expect_err("an over-rate plan");
+        spec.flow_trace = Some(Arc::new(trace));
+        let err = ApiRequest::from_json(&ApiRequest::Eval(spec.clone()).to_json())
+            .expect_err("an over-rate plan");
         assert!(err.message.contains("\"faults\" injects up to"), "{err}");
         // Without a scenario a plan injects no frames.
-        spec.trace = None;
-        assert!(spec.to_request().is_ok());
+        spec.flow_trace = None;
+        assert!(ApiRequest::from_json(&ApiRequest::Eval(spec).to_json()).is_ok());
     }
 
     #[test]
@@ -1403,7 +1351,7 @@ pub(crate) mod tests {
         // An evaluation is one processor: a machine's `core`, a sweep's
         // core, topology and protocol axes and a status line's `features`
         // are members no table has, in either dialect.
-        let eval = ApiRequest::Eval(cam_spec()).to_json();
+        let eval = ApiRequest::Eval(cam_request()).to_json();
         let sweep = ApiRequest::Sweep {
             spec: SweepSpec { entries: 8, ..SweepSpec::default() },
             rate: LineRate::TEN_GBE,
@@ -1481,9 +1429,7 @@ pub(crate) mod tests {
         // before a runner generates a million routes to find that out.
         let max = taco_sim::DEFAULT_MEMORY_WORDS as usize;
         for (entries, ok) in [(0, false), (max, true), (max + 1, false), (1 << 40, false)] {
-            let mut spec = cam_spec();
-            spec.entries = entries;
-            assert_eq!(spec.to_request().is_ok(), ok, "{entries}");
+            let spec = cam_request().entries(entries);
             let sweep = ApiRequest::Sweep {
                 spec: SweepSpec { entries, ..SweepSpec::default() },
                 rate: LineRate::TEN_GBE,
@@ -1500,7 +1446,7 @@ pub(crate) mod tests {
             }
         }
 
-        let line = ApiRequest::Eval(cam_spec()).to_json().replace("\"buses\":3", "\"buses\":0");
+        let line = ApiRequest::Eval(cam_request()).to_json().replace("\"buses\":3", "\"buses\":0");
         let err = ApiRequest::from_json(&line).unwrap_err();
         assert_eq!(err.code, ApiErrorCode::BadRequest);
     }
@@ -1535,10 +1481,10 @@ pub(crate) mod tests {
         let config = ArchConfig::three_bus_one_fu(TableKind::Cam).with_memory_ports(1);
         assert_eq!(config, ArchConfig::three_bus_one_fu(TableKind::Cam));
         let request = EvalRequest::new(config.clone());
-        let spec = EvalSpec::from_request(&request).expect("a 3BUS/1FU machine has a wire form");
+        let spec = EvalRequest::from_request(&request).expect("a 3BUS/1FU machine has a wire form");
         let line = ApiRequest::Eval(spec.clone()).to_json();
         assert_eq!(ApiRequest::from_json(&line), Ok(ApiRequest::Eval(spec)));
-        assert_eq!(line, ApiRequest::Eval(cam_spec()).to_json());
+        assert_eq!(line, ApiRequest::Eval(cam_request()).to_json());
     }
 
     #[test]

@@ -30,14 +30,13 @@ use taco_workload::trace::trace_fnv1a64;
 use taco_workload::{FaultPlan, Workload};
 
 use crate::api::table::{record, Record};
-use crate::api::EvalSpec;
 use crate::arch::ArchConfig;
 use crate::evaluate::{evaluate_request, EvalReport};
 use crate::rate::LineRate;
 use crate::request::EvalRequest;
 
 /// Full evaluation key: the architecture instance, the routing-table size,
-/// the line-rate target, the attached workload and the fault plan, if any.
+/// the line-rate target, the scenario and the fault plan, if any.
 /// The rate's `f64` component is keyed by bit pattern — line rates are
 /// constructed from literals, not arithmetic, so bitwise equality is the
 /// right notion here; workloads and fault plans are all-integer by design,
@@ -64,7 +63,7 @@ impl EvalKey {
             entries: request.entries,
             rate_bits: request.line_rate.bits_per_second.to_bits(),
             packet_bytes: request.line_rate.packet_bytes,
-            workload: request.workload,
+            workload: request.scenario(),
             faults: request.faults,
             trace_digest: request.flow_trace.as_ref().map_or(0, |t| t.digest()),
         }
@@ -97,7 +96,7 @@ const SNAPSHOT_VERSION: &str = "v1";
 
 /// One snapshot line: an evaluation's request beside its report.
 struct SnapshotEntry {
-    request: EvalSpec,
+    request: EvalRequest,
     report: EvalReport,
 }
 
@@ -290,12 +289,10 @@ impl EvalCache {
                 // Entries keyed to an explicit flow trace cannot be rebuilt
                 // from the key alone (the records live outside the cache),
                 // so they are process-local: skipped on export, recounted.
-                let spec = if report.sim_error.is_none() && key.trace_digest == 0 {
-                    EvalSpec::from_request(&key.to_request())
-                } else {
-                    None
-                };
-                match spec {
+                let request = (report.sim_error.is_none() && key.trace_digest == 0)
+                    .then(|| EvalRequest::from_request(&key.to_request()))
+                    .flatten();
+                match request {
                     Some(request) => {
                         lines.push(SnapshotEntry { request, report: report.clone() }.encode())
                     }
@@ -366,7 +363,7 @@ impl EvalCache {
         for (i, line) in body.lines().enumerate() {
             let file_line = i + 3;
             let entry = SnapshotEntry::decode(line)
-                .and_then(|entry| Ok((EvalKey::new(&entry.request.to_request()?), entry.report)))
+                .map(|entry| (EvalKey::new(&entry.request), entry.report))
                 .map_err(|e| SnapshotError::Entry { line: file_line, message: e.to_string() })?;
             entries.push(entry);
         }

@@ -324,14 +324,13 @@ fn report(request: &EvalRequest, program_bits: u64, m: Measurement) -> EvalRepor
     }
     let estimate = estimator.estimate(&config.machine, m.freq);
 
-    let scenario = request.workload.as_ref().map(|workload| {
+    let scenario = request.scenario().map(|workload| {
         let service = scenario_service_per_tick(m.cycles);
         let scenario_config = ScenarioConfig::new(config.table).service_per_tick(service);
         match &request.flow_trace {
-            // An attached flow trace is replayed verbatim; the workload
-            // descriptor only names its parameters in the report.
+            // An attached flow trace is replayed verbatim.
             Some(trace) => run_trace_replay(trace, &scenario_config, faults),
-            None => run_scenario_with_faults(workload, &scenario_config, faults),
+            None => run_scenario_with_faults(&workload, &scenario_config, faults),
         }
     });
 

@@ -58,7 +58,7 @@ pub mod table1;
 
 pub use api::{
     parse_machine_spec, salvage_request_id, ApiError, ApiErrorCode, ApiRequest, ApiResponse,
-    EvalSpec, StatusInfo, WireResponse,
+    StatusInfo, WireResponse,
 };
 pub use arch::ArchConfig;
 pub use cache::{EvalCache, SnapshotError, SnapshotStats};

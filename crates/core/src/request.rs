@@ -49,18 +49,18 @@ pub struct EvalRequest {
     pub entries: usize,
     /// Optional behavioural scenario to replay on the instance; its
     /// metrics land in [`EvalReport::scenario`] and feed the explorer's
-    /// drop constraint.
+    /// drop constraint.  An attached flow trace replaces it with the
+    /// trace's descriptor ([`EvalRequest::scenario`]).
     pub workload: Option<Workload>,
     /// Optional deterministic fault plan: injects malformed datagrams,
     /// hop-limit storms, table corruption, link flaps (scenario replay) and
     /// transient stalls (cycle-accurate measurement).  Part of the cache
     /// key — a faulted evaluation is a different result.
     pub faults: Option<FaultPlan>,
-    /// Optional explicit flow trace to replay.  When present (and the
-    /// workload is a trace replay), the scenario replays these records
-    /// verbatim instead of regenerating from the descriptor; the trace
-    /// digest **is** part of the cache key.  `Arc` keeps the request cheap
-    /// to clone even for large traces.
+    /// Optional explicit flow trace to replay.  When present, the scenario
+    /// replays these records verbatim, and its descriptor is the workload;
+    /// the trace digest **is** part of the cache key.  `Arc` keeps the
+    /// request cheap to clone even for large traces.
     pub flow_trace: Option<Arc<FlowTrace>>,
 }
 
@@ -112,13 +112,16 @@ impl EvalRequest {
         self
     }
 
-    /// Attaches an explicit flow trace and sets the workload to its
-    /// descriptor, so the replay uses these records verbatim while the
-    /// report still names the trace's parameters.
+    /// Attaches an explicit flow trace: the replay uses these records
+    /// verbatim, and the trace's descriptor is the scenario.
     pub fn flow_trace(mut self, trace: Arc<FlowTrace>) -> Self {
-        self.workload = Some(trace.descriptor());
         self.flow_trace = Some(trace);
         self
+    }
+
+    /// The scenario replayed: an attached trace's descriptor, else the workload.
+    pub(crate) fn scenario(&self) -> Option<Workload> {
+        self.flow_trace.as_ref().map(|trace| trace.descriptor()).or(self.workload)
     }
 
     /// Runs the full co-analysis pipeline for this request.

@@ -11,8 +11,10 @@
 //! stays cheap.  (The root package's `tests/fuzz_wire.rs` runs the same
 //! property over *randomised* specs, and mutates them.)
 
-use taco_core::api::{ApiRequest, Envelope, EvalSpec};
-use taco_core::{ArchConfig, Constraints, FaultPlan, LineRate, SweepSpec, TableKind, Workload};
+use taco_core::api::{ApiRequest, Envelope};
+use taco_core::{
+    ArchConfig, Constraints, EvalRequest, FaultPlan, LineRate, SweepSpec, TableKind, Workload,
+};
 
 const KINDS: [TableKind; 4] = TableKind::ALL_KINDS;
 
@@ -54,8 +56,8 @@ fn every_builtin_eval_combination_round_trips() {
                 for workload in &workloads {
                     for fault in &faults {
                         let config = ArchConfig::with_replication(kind, buses, replication);
-                        let mut spec = EvalSpec::new(config);
-                        spec.rate = rate;
+                        let mut spec = EvalRequest::new(config);
+                        spec.line_rate = rate;
                         spec.entries = 32;
                         spec.workload = *workload;
                         spec.faults = *fault;
@@ -94,7 +96,7 @@ fn every_machine_combination_round_trips() {
                     "\"config\":{{\"table\":\"{kind}\",\"buses\":{buses},\
                      \"replication\":{replication},\"memory_ports\":{memory_ports}}},"
                 );
-                let mut eval = EvalSpec::new(config);
+                let mut eval = EvalRequest::new(config);
                 eval.entries = 32;
                 let request = ApiRequest::Eval(eval);
                 assert!(request.to_json().contains(&flat), "{}", request.to_json());
@@ -150,7 +152,7 @@ fn assert_round_trip_v2(request: &ApiRequest, id: u64) {
 /// The v2 wire surface: the v1 kinds, each under a session id.
 #[test]
 fn v2_session_kinds_round_trip() {
-    let eval = EvalSpec::new(ArchConfig::three_bus_one_fu(TableKind::Cam));
+    let eval = EvalRequest::new(ArchConfig::three_bus_one_fu(TableKind::Cam));
     let sweep = ApiRequest::Sweep {
         spec: SweepSpec::default(),
         rate: LineRate::TEN_GBE,

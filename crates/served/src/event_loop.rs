@@ -651,27 +651,22 @@ impl<'a> EventLoop<'a> {
                     self.shutdown_to = Some((token, envelope));
                 }
             }
-            ApiRequest::Eval(spec) => match spec.to_request() {
-                Err(e) => self.respond(conn, envelope, &ApiResponse::Error(e)),
-                Ok(eval_request) => {
-                    // The inline fast path: a cache hit is answered by the
-                    // loop itself without consuming a job slot.  The
-                    // serialised body is remembered so the next identical
-                    // request short-circuits in `try_memo`.
-                    match self.shared.cache.lookup_recorded(&eval_request) {
-                        Some(report) => {
-                            let body = ApiResponse::EvalResult(Box::new(report)).body_json();
-                            if let Some((_, key)) = Envelope::split(raw) {
-                                if self.hit_memo.len() >= HIT_MEMO_BOUND {
-                                    self.hit_memo.clear();
-                                }
-                                self.hit_memo.insert(key.to_owned(), body.clone());
-                            }
-                            conn.push_response(&envelope.wrap(&body));
+            // The inline fast path: a cache hit is answered by the loop
+            // itself without consuming a job slot.  The serialised body is
+            // remembered so the next identical request short-circuits in
+            // `try_memo`.
+            ApiRequest::Eval(request) => match self.shared.cache.lookup_recorded(&request) {
+                Some(report) => {
+                    let body = ApiResponse::EvalResult(Box::new(report)).body_json();
+                    if let Some((_, key)) = Envelope::split(raw) {
+                        if self.hit_memo.len() >= HIT_MEMO_BOUND {
+                            self.hit_memo.clear();
                         }
-                        None => self.enqueue(conn, token, envelope, Work::Eval(eval_request)),
+                        self.hit_memo.insert(key.to_owned(), body.clone());
                     }
+                    conn.push_response(&envelope.wrap(&body));
                 }
+                None => self.enqueue(conn, token, envelope, Work::Eval(request)),
             },
             ApiRequest::Sweep { spec, rate, constraints } => {
                 self.enqueue(conn, token, envelope, Work::Sweep { spec, rate, constraints });

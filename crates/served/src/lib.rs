@@ -180,8 +180,8 @@ impl Server {
 mod tests {
     use super::*;
     use std::thread;
-    use taco_core::api::{ApiErrorCode, ApiRequest, ApiResponse, EvalSpec};
-    use taco_core::{ArchConfig, TableKind};
+    use taco_core::api::{ApiErrorCode, ApiRequest, ApiResponse};
+    use taco_core::{ArchConfig, EvalRequest, TableKind};
 
     fn start(config: ServerConfig) -> (SocketAddr, thread::JoinHandle<io::Result<()>>) {
         let server = Server::bind(config).expect("bind loopback");
@@ -250,9 +250,8 @@ mod tests {
             other => panic!("expected status_result, got {other:?}"),
         }
         // The same session keeps answering — persistent by contract.
-        let mut spec = EvalSpec::new(ArchConfig::three_bus_one_fu(TableKind::Cam));
-        spec.entries = 8;
-        match session.call(&ApiRequest::Eval(spec)).expect("eval") {
+        let request = EvalRequest::new(ArchConfig::three_bus_one_fu(TableKind::Cam)).entries(8);
+        match session.call(&ApiRequest::Eval(request)).expect("eval") {
             ApiResponse::EvalResult(report) => assert_eq!(report.table_entries, 8),
             other => panic!("expected eval_result, got {other:?}"),
         }

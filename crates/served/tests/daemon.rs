@@ -12,8 +12,8 @@ use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::thread;
 
-use taco_core::api::{table1_cell_json, ApiErrorCode, ApiRequest, ApiResponse, EvalSpec};
-use taco_core::{ArchConfig, Constraints, FaultPlan, LineRate, SweepSpec, TableKind};
+use taco_core::api::{table1_cell_json, ApiErrorCode, ApiRequest, ApiResponse};
+use taco_core::{ArchConfig, Constraints, EvalRequest, FaultPlan, LineRate, SweepSpec, TableKind};
 use taco_served::{open_request, request_lines, Server, ServerConfig};
 
 fn temp_dir(test: &str) -> PathBuf {
@@ -49,7 +49,7 @@ fn status(addr: SocketAddr) -> taco_core::api::StatusInfo {
 fn table1_requests() -> Vec<String> {
     ArchConfig::table1_cells()
         .into_iter()
-        .map(|config| ApiRequest::Eval(EvalSpec::new(config)).to_json())
+        .map(|config| ApiRequest::Eval(EvalRequest::new(config)).to_json())
         .collect()
 }
 
@@ -122,7 +122,7 @@ fn twelve_cell_batch_matches_golden_cold_and_from_persisted_snapshot() {
 
 #[test]
 fn trace_replay_over_the_wire_matches_in_process_replay_byte_for_byte() {
-    use taco_core::{explore, EvalRequest, TraceGen};
+    use taco_core::{explore, TraceGen};
 
     let trace = TraceGen::generate(404, 80, 12, 8);
 
@@ -134,13 +134,13 @@ fn trace_replay_over_the_wire_matches_in_process_replay_byte_for_byte() {
     let local_json = local.scenario.as_ref().expect("trace metrics").to_json();
 
     let (addr, handle) = start(ServerConfig::default());
-    let mut spec = EvalSpec::new(ArchConfig::three_bus_one_fu(TableKind::Cam));
+    let mut spec = EvalRequest::new(ArchConfig::three_bus_one_fu(TableKind::Cam));
     spec.entries = 8;
 
     // Inline submission — the wire form `taco-cli submit --trace` sends.
     let trace = std::sync::Arc::new(trace);
-    spec.trace = Some(trace.clone());
-    let wire_json = |spec: &EvalSpec| {
+    spec.flow_trace = Some(trace.clone());
+    let wire_json = |spec: &EvalRequest| {
         let lines = request_lines(addr, &ApiRequest::Eval(spec.clone()).to_json()).expect("eval");
         match ApiResponse::from_json(&lines[0]).expect("parse eval result") {
             ApiResponse::EvalResult(report) => {
@@ -184,29 +184,38 @@ fn trace_replay_over_the_wire_matches_in_process_replay_byte_for_byte() {
 #[test]
 fn corrupt_wire_traces_are_structured_bad_requests() {
     let (addr, handle) = start(ServerConfig::default());
-    let mut spec = EvalSpec::new(ArchConfig::three_bus_one_fu(TableKind::Cam));
+    let mut spec = EvalRequest::new(ArchConfig::three_bus_one_fu(TableKind::Cam));
     spec.entries = 8;
     let request = ApiRequest::Eval(spec);
 
-    // Bad hex in an inline trace, and valid hex that is not a trace body:
-    // refused as the frame is parsed.  A refused first frame sets no
-    // dialect, so a v2 one is answered in v1 and the connection closed.
-    for corrupt in ["zz", "00ff"] {
-        let trace = format!("\"entries\":8,\"trace\":{{\"inline\":\"{corrupt}\"}}");
-        for line in [request.to_json(), request.to_json_v2(3)] {
-            let line = line.replacen("\"entries\":8", &trace, 1);
-            let reader = open_request(addr, &line).expect("eval");
-            reader.get_ref().set_read_timeout(Some(std::time::Duration::from_secs(30))).unwrap();
-            let lines: Vec<String> =
-                std::io::BufRead::lines(reader).collect::<Result<_, _>>().expect("closed");
-            assert_eq!(lines.len(), 1, "{lines:?}");
-            match ApiResponse::from_json(&lines[0]).expect("a v1 error line") {
-                ApiResponse::Error(e) => {
-                    assert_eq!(e.code, ApiErrorCode::BadRequest);
-                    assert!(e.message.starts_with("trace: "), "{line}: {}", e.message);
-                }
-                other => panic!("expected error, got {other:?}"),
+    // Bad hex in an inline trace, valid hex that is not a trace body, and
+    // a workload that is not the trace's descriptor: refused as the frame
+    // is parsed.  A refused first frame sets no dialect, so a v2 one is
+    // answered in v1 and the connection closed.
+    let corrupt = ["zz", "00ff"].map(|hex| {
+        let trace = format!("\"entries\":8,\"trace\":{{\"inline\":\"{hex}\"}}");
+        [request.to_json(), request.to_json_v2(3)]
+            .map(|line| line.replacen("\"entries\":8", &trace, 1))
+    });
+    let trace = std::sync::Arc::new(taco_core::TraceGen::generate(9, 30, 5, 8));
+    let mut mismatched =
+        EvalRequest::new(ArchConfig::three_bus_one_fu(TableKind::Cam)).entries(8).flow_trace(trace);
+    mismatched.workload = Some(taco_core::Workload::burst_overload());
+    let mismatched = ApiRequest::Eval(mismatched);
+    for line in
+        corrupt.into_iter().flatten().chain([mismatched.to_json(), mismatched.to_json_v2(3)])
+    {
+        let reader = open_request(addr, &line).expect("eval");
+        reader.get_ref().set_read_timeout(Some(std::time::Duration::from_secs(30))).unwrap();
+        let lines: Vec<String> =
+            std::io::BufRead::lines(reader).collect::<Result<_, _>>().expect("closed");
+        assert_eq!(lines.len(), 1, "{lines:?}");
+        match ApiResponse::from_json(&lines[0]).expect("a v1 error line") {
+            ApiResponse::Error(e) => {
+                assert_eq!(e.code, ApiErrorCode::BadRequest);
+                assert!(e.message.starts_with("trace: "), "{line}: {}", e.message);
             }
+            other => panic!("expected error, got {other:?}"),
         }
     }
 
@@ -240,7 +249,7 @@ fn over_capacity_submissions_get_a_structured_busy_error() {
         rate: LineRate::TEN_GBE,
         constraints: Constraints::default(),
     };
-    let mut spec = EvalSpec::new(ArchConfig::three_bus_one_fu(TableKind::Cam));
+    let mut spec = EvalRequest::new(ArchConfig::three_bus_one_fu(TableKind::Cam));
     spec.entries = 8;
     let eval = ApiRequest::Eval(spec).to_json();
 

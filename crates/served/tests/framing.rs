@@ -13,10 +13,10 @@ use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::thread;
 use std::time::Duration;
 
-use taco_core::api::{ApiErrorCode, Envelope, EvalSpec};
+use taco_core::api::{ApiErrorCode, Envelope};
 use taco_core::{
-    explore, ApiRequest, ApiResponse, ArchConfig, Constraints, LineRate, SweepSpec, TableKind,
-    WireResponse,
+    explore, ApiRequest, ApiResponse, ArchConfig, Constraints, EvalRequest, LineRate, SweepSpec,
+    TableKind, WireResponse,
 };
 use taco_served::{request_lines, Server, ServerConfig, Session};
 
@@ -38,7 +38,7 @@ fn shut_down(addr: SocketAddr) {
 }
 
 fn small_eval() -> ApiRequest {
-    let mut spec = EvalSpec::new(ArchConfig::three_bus_one_fu(TableKind::Cam));
+    let mut spec = EvalRequest::new(ArchConfig::three_bus_one_fu(TableKind::Cam));
     spec.entries = 8;
     ApiRequest::Eval(spec)
 }
@@ -211,7 +211,7 @@ fn disconnect_with_a_job_in_flight_does_not_wedge_the_slot() {
     // eventually a fresh submission is admitted again.  (The probe point
     // is *outside* the sweep grid — entries differ — so it can only be
     // answered by taking the job slot, never via the inline cache path.)
-    let mut probe = EvalSpec::new(ArchConfig::three_bus_one_fu(TableKind::Cam));
+    let mut probe = EvalRequest::new(ArchConfig::three_bus_one_fu(TableKind::Cam));
     probe.entries = 16;
     let probe = ApiRequest::Eval(probe).to_json();
     let deadline = std::time::Instant::now() + Duration::from_secs(30);

@@ -11,9 +11,7 @@
 
 use std::sync::{Arc, OnceLock};
 
-use taco::eval::api::{
-    ApiError, ApiRequest, ApiResponse, CacheCounters, Envelope, EvalSpec, StatusInfo,
-};
+use taco::eval::api::{ApiError, ApiRequest, ApiResponse, CacheCounters, Envelope, StatusInfo};
 use taco::eval::{
     ArchConfig, Constraints, EvalRequest, FaultPlan, LineRate, SweepSpec, TableKind, TraceGen,
     Workload,
@@ -246,7 +244,7 @@ pub fn reread_request(line: &str) -> Result<String, ApiError> {
 /// value, and everything after.
 fn around_config() -> (String, String) {
     let cam = ArchConfig::three_bus_one_fu(TableKind::Cam);
-    let line = ApiRequest::Eval(EvalSpec::new(cam)).to_json();
+    let line = ApiRequest::Eval(EvalRequest::new(cam)).to_json();
     let (head, rest) = line.split_once("\"config\":").expect("an eval line carries a config");
     let tail = &rest[rest.find(",\"rate\":").expect("and a rate after it")..];
     (format!("{head}\"config\":"), tail.to_owned())
@@ -254,7 +252,7 @@ fn around_config() -> (String, String) {
 
 /// `config` as the wire writes it: an eval line's `config` member.
 pub fn machine_line(config: &ArchConfig) -> String {
-    let line = ApiRequest::Eval(EvalSpec::new(config.clone())).to_json();
+    let line = ApiRequest::Eval(EvalRequest::new(config.clone())).to_json();
     let (head, tail) = around_config();
     line[head.len()..line.len() - tail.len()].to_owned()
 }
@@ -283,15 +281,15 @@ fn scenario(rng: &mut SplitMix64) -> (Option<Workload>, Option<FaultPlan>) {
 }
 
 pub fn eval(rng: &mut SplitMix64) -> ApiRequest {
-    let mut spec = EvalSpec::new(config(rng));
-    spec.rate = rate(rng);
+    let mut spec = EvalRequest::new(config(rng));
+    spec.line_rate = rate(rng);
     spec.entries = rng.range_inclusive(1, 65_536) as usize;
     (spec.workload, spec.faults) = scenario(rng);
     if rng.below(4) == 0 {
         // An inline trace; its descriptor is the only workload it admits.
         let trace = TraceGen::generate(rng.next_u64(), 6, 3, 4);
         spec.workload = rng.chance(0.5).then(|| trace.descriptor());
-        spec.trace = Some(Arc::new(trace));
+        spec.flow_trace = Some(Arc::new(trace));
     }
     ApiRequest::Eval(spec)
 }

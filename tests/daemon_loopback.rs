@@ -14,7 +14,7 @@ use std::io::BufRead;
 use std::net::SocketAddr;
 use std::time::Duration;
 
-use taco::eval::api::{ApiRequest, ApiResponse, EvalSpec, StatusInfo};
+use taco::eval::api::{ApiRequest, ApiResponse, StatusInfo};
 use taco::eval::{
     ArchConfig, Constraints, EvalCache, EvalRequest, FaultPlan, FlowTrace, LineRate, SnapshotError,
     SweepSpec, TableKind, Workload,
@@ -51,7 +51,7 @@ fn status(addr: SocketAddr) -> StatusInfo {
 }
 
 fn cam_eval(entries: usize) -> String {
-    let mut spec = EvalSpec::new(ArchConfig::three_bus_one_fu(TableKind::Cam));
+    let mut spec = EvalRequest::new(ArchConfig::three_bus_one_fu(TableKind::Cam));
     spec.entries = entries;
     ApiRequest::Eval(spec).to_json()
 }
@@ -87,7 +87,7 @@ fn status_table1_poison_lines_status_shutdown() {
     let cells = ArchConfig::table1_cells();
     assert_eq!(golden.lines().count(), cells.len());
     for (config, cell) in cells.iter().zip(golden.lines()) {
-        let lines = exchange(addr, &ApiRequest::Eval(EvalSpec::new(config.clone())).to_json());
+        let lines = exchange(addr, &ApiRequest::Eval(EvalRequest::new(config.clone())).to_json());
         assert_eq!(lines.len(), 1, "an eval answers with exactly one line");
         let head = format!("{{\"api_version\":\"v1\",\"kind\":\"eval_result\",\"cell\":{cell},");
         assert!(lines[0].starts_with(&head), "{} drifted from the fixture: {}", config, lines[0]);
@@ -114,7 +114,7 @@ fn status_table1_poison_lines_status_shutdown() {
     // A kind the wire spelled through PR 20 is what any unknown kind is.
     let trie_eval = cam_eval(8).replacen("\"table\":\"cam\"", "\"table\":\"trie\"", 1);
     let four_kinds = "\\\"table\\\" must be one of: sequential, balanced-tree, cam, patricia";
-    let mut greedy = EvalSpec::new(ArchConfig::three_bus_one_fu(TableKind::Cam));
+    let mut greedy = EvalRequest::new(ArchConfig::three_bus_one_fu(TableKind::Cam));
     greedy.workload = Some(Workload::SteadyForward {
         seed: 1,
         ticks: u32::MAX,
@@ -129,11 +129,11 @@ fn status_table1_poison_lines_status_shutdown() {
         trace_fnv1a64(&[])
     );
     let endless = FlowTrace::from_bytes(header.as_bytes()).expect("no records");
-    greedy.trace = Some(std::sync::Arc::new(endless));
+    greedy.flow_trace = Some(std::sync::Arc::new(endless));
     let greedy_trace = ApiRequest::Eval(greedy).to_json();
     // 2^63 thousandths of a malformed frame a tick: the plan's own loop,
     // which no workload member sizes.
-    let mut stormy = EvalSpec::new(ArchConfig::three_bus_one_fu(TableKind::Cam));
+    let mut stormy = EvalRequest::new(ArchConfig::three_bus_one_fu(TableKind::Cam));
     stormy.workload = Some(Workload::steady_forward());
     stormy.faults = Some(FaultPlan { malformed_per_tick_milli: 1 << 63, ..FaultPlan::none() });
     let greedy_faults = ApiRequest::Eval(stormy).to_json();

@@ -21,7 +21,7 @@ use common::{
     unicode, wire_line, SplitMix64,
 };
 use taco::eval::api::json::Json;
-use taco::eval::api::{ApiErrorCode, ApiRequest, ApiResponse, Envelope, EvalSpec, WireResponse};
+use taco::eval::api::{ApiErrorCode, ApiRequest, ApiResponse, Envelope, WireResponse};
 use taco::eval::{
     ArchConfig, Constraints, EvalCache, EvalRequest, FaultPlan, FlowTrace, LineRate, SweepSpec,
     TableKind, TraceGen, Workload,
@@ -241,7 +241,7 @@ fn workload_members(request: &mut Json) -> &mut Vec<(String, Json)> {
 fn workloads_round_trip_and_oversize_members_are_refused_by_name() {
     // A table kind the wire spelled through PR 20 is what any unknown kind
     // is: refused naming the member and the accepted names, in both dialects.
-    let eval = ApiRequest::Eval(EvalSpec::new(cam()));
+    let eval = ApiRequest::Eval(EvalRequest::new(cam()));
     for line in [eval.to_json(), eval.to_json_v2(7)] {
         let line = line.replacen("\"table\":\"cam\"", "\"table\":\"trie\"", 1);
         let e = ApiRequest::from_wire(&line).expect_err("a retired table kind");
@@ -259,7 +259,7 @@ fn workloads_round_trip_and_oversize_members_are_refused_by_name() {
         .chain([taco_workload::MAX_OFFERED + 1, GREEDY])
         .collect();
     for workload in Workload::builtin() {
-        let mut spec = EvalSpec::new(cam());
+        let mut spec = EvalRequest::new(cam());
         spec.workload = Some(workload);
         // A fault plan's frames ride on the same budget: every builtin plan
         // fits beside every builtin workload, 2^64 - 1 thousandths a tick
@@ -337,8 +337,8 @@ fn oversize_trace_headers_are_refused_by_name() {
         // An eval and a sweep resolve their trace as it is parsed, in
         // either dialect.
         let trace = Arc::new(trace);
-        let mut spec = EvalSpec::new(cam());
-        spec.trace = Some(trace.clone());
+        let mut spec = EvalRequest::new(cam());
+        spec.flow_trace = Some(trace.clone());
         let sweep = ApiRequest::Sweep {
             spec: SweepSpec { trace: Some(trace), ..SweepSpec::default() },
             rate: LineRate::TEN_GBE,
@@ -352,19 +352,18 @@ fn oversize_trace_headers_are_refused_by_name() {
             }
         }
     }
-    // The same records under a header within the bounds pass.
-    let mut spec = EvalSpec::new(cam());
-    spec.trace = Some(Arc::new(fits(6, 3, 4)));
-    let line = ApiRequest::Eval(spec.clone()).to_json();
-    assert_eq!(ApiRequest::from_json(&line), Ok(ApiRequest::Eval(spec.clone())));
-    assert!(spec.to_request().is_ok());
+    // The same records under a header within the bounds pass: the line
+    // reads as the builder's request.
+    let request = EvalRequest::new(cam()).flow_trace(Arc::new(fits(6, 3, 4)));
+    let line = ApiRequest::Eval(request.clone()).to_json();
+    assert_eq!(ApiRequest::from_json(&line), Ok(ApiRequest::Eval(request)));
 }
 
 #[test]
 fn one_trace_has_one_spelling_and_one_refusal_point() {
     let trace = Arc::new(TraceGen::generate(5, 6, 3, 4));
-    let mut spec = EvalSpec::new(cam());
-    spec.trace = Some(trace.clone());
+    let mut spec = EvalRequest::new(cam());
+    spec.flow_trace = Some(trace.clone());
     let eval = ApiRequest::Eval(spec).to_json();
     let sweep = ApiRequest::Sweep {
         spec: SweepSpec { trace: Some(trace), ..SweepSpec::default() },
@@ -511,9 +510,10 @@ fn memo_and_strict_paths_answer_mutated_v2_frames_identically() {
         // A body this daemon has not seen: the rate is drawn per case, from
         // 1–10 Gbit/s (terabit rates put the CAM's 40 ns search at tens of
         // thousands of cycles and the cell at seconds).
-        let mut spec = EvalSpec::new(cam());
+        let mut spec = EvalRequest::new(cam());
         spec.entries = rng.range_inclusive(1, 16) as usize;
-        spec.rate = LineRate::new(1e9 + rng.next_f64() * 9e9, rng.range_inclusive(64, 1500) as u32);
+        spec.line_rate =
+            LineRate::new(1e9 + rng.next_f64() * 9e9, rng.range_inclusive(64, 1500) as u32);
         let request = ApiRequest::Eval(spec);
         let canonical = request.to_json_v2(5);
         let body =

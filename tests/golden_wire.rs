@@ -27,7 +27,7 @@ use common::{
     cases, envelope, eval, machine_line, read_machine, reread_request, response_lines, sweep,
     wire_line,
 };
-use taco::eval::api::{ApiRequest, EvalSpec, WireResponse};
+use taco::eval::api::{ApiRequest, WireResponse};
 use taco::eval::{ArchConfig, EvalCache, EvalRequest, FaultPlan, TableKind, Workload};
 use taco_workload::trace::trace_fnv1a64;
 
@@ -102,13 +102,13 @@ fn snapshot() -> Vec<(String, Reader, String)> {
         case += 1;
     });
     for workload in Workload::builtin() {
-        let mut spec = EvalSpec::new(cam());
+        let mut spec = EvalRequest::new(cam());
         spec.workload = Some(workload);
         let line = ApiRequest::Eval(spec).to_json();
         lines.push((format!("workload.{}", workload.name()), Reader::Request, line));
     }
     for (name, plan) in FaultPlan::builtin() {
-        let mut spec = EvalSpec::new(cam());
+        let mut spec = EvalRequest::new(cam());
         spec.faults = Some(plan);
         let line = ApiRequest::Eval(spec).to_json_v2(7);
         lines.push((format!("faults.{name}"), Reader::Request, line));
