@@ -160,7 +160,14 @@ if grep -rnE '[b]atched: bool' crates/core/src; then exit 1; fi
 # A run takes an optional periodic stall, not an injector trait with a null
 # implementation, and the cycle router has no raw-frame card screen.
 if grep -rnE '[F]aultInjector|[N]oFaults|steals_[c]ycle|enqueue_[r]aw|malformed_[r]ejected' crates src tests examples scripts; then exit 1; fi
+# An evaluation request is its own wire record: no wire twin of it, and
+# its checks run once, as the line is parsed.
+if grep -rnE '[p]ub struct EvalSpec|EvalSpec::[n]ew\(' crates src tests examples scripts; then exit 1; fi
 echo "guards ok"
+
+echo
+echo "== product lines in crates/*/src (each file's lines before its first #[cfg(test)]) =="
+awk 'FNR == 1 { product = 1 } /#\[cfg\(test\)\]/ { product = 0 } product { n++ } END { print n }' $(find crates/*/src -name '*.rs')
 
 echo
 echo "== release binary =="
