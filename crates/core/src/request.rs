@@ -50,7 +50,7 @@ pub struct EvalRequest {
     /// Optional behavioural scenario to replay on the instance; its
     /// metrics land in [`EvalReport::scenario`] and feed the explorer's
     /// drop constraint.  An attached flow trace replaces it with the
-    /// trace's descriptor ([`EvalRequest::scenario`]).
+    /// trace's descriptor.
     pub workload: Option<Workload>,
     /// Optional deterministic fault plan: injects malformed datagrams,
     /// hop-limit storms, table corruption, link flaps (scenario replay) and
