@@ -68,7 +68,7 @@ use crate::rate::LineRate;
 use crate::request::EvalRequest;
 use json::Json;
 use names::{one_of, validated_rate};
-use rules::{check_entries, check_faults, check_workload};
+use rules::{check_descriptor, check_entries, check_faults, check_workload};
 use table::{must, record, scalar, unknown_tag, Bound, Raw, Record, Wire};
 
 /// The one-shot wire schema version (one request per connection).
@@ -313,12 +313,7 @@ record!(EvalRequest as "eval spec" {
     check_entries("eval spec", "\"entries\"", request.entries as u64)?;
     check_faults("eval spec", request.workload.as_ref(), request.faults.as_ref())?;
     if let Some(trace) = &request.flow_trace {
-        let descriptor = trace.descriptor();
-        if request.workload.is_some_and(|w| w != descriptor) {
-            return Err(ApiError::bad_request(
-                "trace: the request's workload does not match the attached trace's descriptor",
-            ));
-        }
+        let descriptor = check_descriptor(request.workload, trace)?;
         check_faults("eval spec", Some(&descriptor), request.faults.as_ref())?;
     }
 });
@@ -335,7 +330,9 @@ impl EvalRequest {
 
 // Counts are range-checked here, at the wire boundary: `grid()` feeds
 // them to constructors that panic on zero, so a bad request must die as a
-// structured error long before it can reach the sweep.
+// structured error long before it can reach the sweep.  A trace is every
+// point's replay, so a workload beside it is held to the trace's
+// descriptor as an eval's is.
 record!(SweepSpec as "sweep spec" {
     buses, replication, kinds, entries,
     workload [omit None], faults [omit None], trace [omit None],
@@ -346,7 +343,10 @@ record!(SweepSpec as "sweep spec" {
         }
     }
     check_entries("sweep spec", "\"entries\"", spec.entries as u64)?;
-    let scenario = spec.trace.as_ref().map(|t| t.descriptor()).or(spec.workload);
+    let scenario = match &spec.trace {
+        Some(trace) => Some(check_descriptor(spec.workload, trace)?),
+        None => spec.workload,
+    };
     check_faults("sweep spec", scenario.as_ref(), spec.faults.as_ref())?;
 });
 
@@ -976,6 +976,36 @@ pub(crate) mod tests {
         let err = ApiRequest::from_json(&line).expect_err("mismatched workload must be rejected");
         assert_eq!(err.code, ApiErrorCode::BadRequest);
         assert!(err.message.contains("descriptor"), "{}", err.message);
+    }
+
+    #[test]
+    fn a_sweep_trace_refuses_a_mismatched_workload_as_an_eval_does() {
+        let trace = Arc::new(taco_workload::TraceGen::generate(9, 30, 5, 8));
+        let sweep = |workload| ApiRequest::Sweep {
+            spec: SweepSpec {
+                entries: 8,
+                workload,
+                trace: Some(trace.clone()),
+                ..SweepSpec::default()
+            },
+            rate: LineRate::TEN_GBE,
+            constraints: Constraints::default(),
+        };
+        // Without a workload, or with the trace's own descriptor, the line
+        // is the sweep it spells.
+        for workload in [None, Some(trace.descriptor())] {
+            let line = sweep(workload).to_json();
+            assert_eq!(ApiRequest::from_json(&line), Ok(sweep(workload)), "{line}");
+        }
+        // Any other workload is refused with the eval's message, not
+        // silently dropped for the trace's.
+        let eval = cam_request().flow_trace(trace.clone()).workload(Workload::burst_overload());
+        let eval_err = ApiRequest::from_json(&ApiRequest::Eval(eval).to_json()).unwrap_err();
+        let line = sweep(Some(Workload::burst_overload())).to_json();
+        let err = ApiRequest::from_json(&line).expect_err("mismatched workload must be rejected");
+        assert_eq!(err.code, ApiErrorCode::BadRequest);
+        assert!(err.message.contains("descriptor"), "{}", err.message);
+        assert_eq!(err, eval_err);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The range rules: how much work one request may ask a runner for.
 
 use taco_router::traffic::TrafficGen;
-use taco_workload::{FaultPlan, Workload, MAX_FLOW_LEN, MAX_OFFERED};
+use taco_workload::{FaultPlan, FlowTrace, Workload, MAX_FLOW_LEN, MAX_OFFERED};
 
 use super::{ApiError, ConfigSpec};
 use crate::arch::ArchConfig;
@@ -107,6 +107,22 @@ pub(super) fn check_workload(ctx: &str, workload: &Workload) -> Result<u64, ApiE
         )));
     }
     Ok(offered)
+}
+
+/// The scenario a request that attaches `trace` replays: the trace's
+/// descriptor, refused when the request also names a `workload` that is
+/// not that descriptor (it would be dropped without a word).
+pub(super) fn check_descriptor(
+    workload: Option<Workload>,
+    trace: &FlowTrace,
+) -> Result<Workload, ApiError> {
+    let descriptor = trace.descriptor();
+    if workload.is_some_and(|w| w != descriptor) {
+        return Err(ApiError::bad_request(
+            "trace: the request's workload does not match the attached trace's descriptor",
+        ));
+    }
+    Ok(descriptor)
 }
 
 /// Refuses a fault plan whose injected frames take the scenario it rides

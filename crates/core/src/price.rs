@@ -19,11 +19,13 @@
 //! stepping the table once, on the machine that folds no unit
 //! (`TableImage::unfolded`) and at RTU latency 1 (where no interlock
 //! stalls), prices any machine exactly: cycles are Σ visits × block length
-//! plus the RTU stalls, and triggers fold onto physical units by
-//! `index % count`, as `schedule` folds them.  A profile depends only on
-//! the table, so it is recorded once per prepared input, beside the table
-//! image, and every evaluation — a single `evaluate_request`, a sweep point,
-//! a Table 1 cell — prices its fixed-point rounds from it.
+//! plus the RTU stalls, both read from the block summary the point's
+//! compiled program carries (`CompiledProgram::blocks`), and triggers fold
+//! onto physical units by `index % count`, as `schedule` folds them.  A
+//! profile depends only on the table, so it is recorded once per prepared
+//! input, beside the table image, and every evaluation — a single
+//! `evaluate_request`, a sweep point, a Table 1 cell — prices its
+//! fixed-point rounds from it.
 //!
 //! Stepping stays for four jobs: recording a profile; a round where the
 //! argument does not hold, which [`BlockProfile::price`] refuses; a fault
@@ -35,7 +37,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use taco_isa::{FuKind, FuRef, Instruction, MachineConfig, Move, Program, Source};
+use taco_isa::{FuKind, FuRef, MachineConfig};
 use taco_router::cycle::CycleRouter;
 use taco_routing::TableKind;
 use taco_sim::{CompiledProgram, SimStats, TraceEvent, Tracer};
@@ -49,8 +51,10 @@ use crate::prepared::PreparedInput;
 pub(crate) struct BlockProfile {
     /// Visits per basic block, in program order.
     visits: Vec<u64>,
-    /// Passing triggers per virtual unit instance.
-    triggers: Vec<(FuRef, u64)>,
+    /// Passing triggers per virtual unit instance: per kind, in
+    /// [`FuKind::ALL`] order, indexed by virtual index (0 for an index the
+    /// run never triggered).
+    triggers: [Vec<u64>; FuKind::ALL.len()],
     moves_executed: u64,
     moves_squashed: u64,
     /// Datagrams forwarded (at least 1): what cycles per datagram divides
@@ -73,59 +77,6 @@ impl Tracer for IssueCounter {
     }
 }
 
-/// Where `program`'s basic blocks start: instruction 0, every label target
-/// and the word after each one that holds a jump.
-fn block_starts(program: &Program) -> Vec<usize> {
-    let len = program.instructions.len();
-    let after_jumps = program
-        .instructions
-        .iter()
-        .enumerate()
-        .filter(|(_, ins)| ins.moves().any(Move::is_control_transfer))
-        .map(|(at, _)| at + 1);
-    let mut starts: Vec<usize> = std::iter::once(0)
-        .chain(program.labels.values().copied())
-        .chain(after_jumps)
-        .filter(|&at| at < len)
-        .collect();
-    starts.sort_unstable();
-    starts.dedup();
-    starts
-}
-
-/// A move that triggers the RTU's search.
-fn triggers_rtu(mv: &Move) -> bool {
-    mv.dst.fu.kind == FuKind::Rtu && mv.dst.is_trigger()
-}
-
-/// A move that reads an RTU result or guard: what the interlock stalls.
-fn reads_rtu(mv: &Move) -> bool {
-    matches!(&mv.src, Source::Port(p) if p.fu.kind == FuKind::Rtu)
-        || mv.guard.is_some_and(|g| g.fu.kind == FuKind::Rtu)
-}
-
-/// The RTU interlock's stall cycles per visit of `block` at `latency`: the
-/// first word after an unguarded trigger that reads the RTU, `d` words
-/// later, waits `latency − d` cycles.  `None`, so the round is stepped,
-/// where that would not be exact: a guarded trigger (whether it fires is
-/// data), a second trigger in the block, or a search still pending when the
-/// block ends.
-fn rtu_stall(block: &[Instruction], latency: u32) -> Option<u64> {
-    let mut triggers = block.iter().enumerate().filter(|(_, ins)| ins.moves().any(triggers_rtu));
-    let Some((at, ins)) = triggers.next() else {
-        return Some(0);
-    };
-    if triggers.next().is_some() || ins.moves().any(|mv| triggers_rtu(mv) && mv.guard.is_some()) {
-        return None;
-    }
-    let latency = u64::from(latency);
-    match block[at + 1..].iter().position(|ins| ins.moves().any(reads_rtu)) {
-        Some(waits) => Some(latency.saturating_sub(waits as u64 + 1)),
-        None if (block.len() - at) as u64 >= latency => Some(0),
-        None => None,
-    }
-}
-
 impl BlockProfile {
     /// Steps `input` once through the `kind` table on its unfolded machine
     /// at RTU latency 1, counting block visits; `None` when the table does
@@ -136,9 +87,21 @@ impl BlockProfile {
         let program = Arc::clone(router.processor().compiled());
         let mut issued = IssueCounter(vec![0; program.program().instructions.len()]);
         let (_, stats) = measure(&mut router, input, None, &mut issued).ok()?;
+        let mut triggers: [Vec<u64>; FuKind::ALL.len()] = Default::default();
+        for (fu, passes) in stats.fu_instance_triggers {
+            let counts = &mut triggers[fu.kind as usize];
+            counts.resize(counts.len().max(usize::from(fu.index) + 1), 0);
+            counts[usize::from(fu.index)] = passes;
+        }
+        // A block's visits are its first word's issues.
+        let starts = program.blocks().iter().scan(0, |at, block| {
+            let start = *at;
+            *at += block.words() as usize;
+            Some(start)
+        });
         Some(BlockProfile {
-            visits: block_starts(program.program()).iter().map(|&at| issued.0[at]).collect(),
-            triggers: stats.fu_instance_triggers.into_iter().collect(),
+            visits: starts.map(|at| issued.0[at]).collect(),
+            triggers,
             moves_executed: stats.moves_executed,
             moves_squashed: stats.moves_squashed,
             forwarded: router.processor().outputs().len().max(1),
@@ -155,25 +118,18 @@ impl BlockProfile {
         machine: &MachineConfig,
         rtu_latency: u32,
     ) -> Option<(f64, SimStats)> {
-        let program = compiled.program();
-        let starts = block_starts(program);
-        if starts.len() != self.visits.len() {
+        let blocks = compiled.blocks();
+        if blocks.len() != self.visits.len() {
             return None;
         }
-        let ends = starts.iter().skip(1).copied().chain([program.instructions.len()]);
         let (mut issued, mut stalled) = (0u64, 0u64);
-        for ((&start, end), &visits) in starts.iter().zip(ends).zip(&self.visits) {
-            issued += visits * (end - start) as u64;
-            stalled += visits * rtu_stall(&program.instructions[start..end], rtu_latency)?;
+        for (block, &visits) in blocks.iter().zip(&self.visits) {
+            issued += visits * u64::from(block.words());
+            stalled += visits * block.stall(rtu_latency)?;
         }
         let cycles = issued + stalled;
         if cycles > CYCLE_BUDGET / 2 {
             return None;
-        }
-        let mut fu_instance_triggers = BTreeMap::new();
-        for &(fu, passes) in &self.triggers {
-            let unit = FuRef::new(fu.kind, fu.index % machine.fu_count(fu.kind));
-            *fu_instance_triggers.entry(unit).or_insert(0) += passes;
         }
         let stats = SimStats {
             cycles,
@@ -181,62 +137,134 @@ impl BlockProfile {
             injected_stall_cycles: 0,
             moves_executed: self.moves_executed,
             moves_squashed: self.moves_squashed,
-            fu_instance_triggers,
+            fu_instance_triggers: self.fold(machine),
             buses: machine.buses(),
         };
         Some((cycles as f64 / self.forwarded as f64, stats))
+    }
+
+    /// The virtual units' triggers on `machine`'s physical units, folded by
+    /// `index % count` as `schedule` folds them: unit `u` of a kind with
+    /// `count` units sums virtual units `u`, `u + count`, …  One pass over
+    /// each kind's counts meets the physical units in key order, and each
+    /// that any trigger landed on is inserted once.
+    fn fold(&self, machine: &MachineConfig) -> BTreeMap<FuRef, u64> {
+        let mut folded = BTreeMap::new();
+        for (kind, counts) in FuKind::ALL.into_iter().zip(&self.triggers) {
+            let count = usize::from(machine.fu_count(kind));
+            for unit in 0..count.min(counts.len()) {
+                let passes = counts[unit..].iter().step_by(count).sum();
+                if passes > 0 {
+                    folded.insert(FuRef::new(kind, unit as u8), passes);
+                }
+            }
+        }
+        folded
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use taco_isa::asm;
+    use taco_isa::{Instruction, Move, Program, Source};
 
-    fn program(text: &str) -> Program {
-        let mut program = asm::parse(text).unwrap();
-        program.resolve_labels().unwrap();
-        program
+    use crate::explorer::{grid, SweepSpec};
+
+    // The instruction-level definitions the compiled programs' block
+    // summaries are held to: what `price` walked on every call before the
+    // summary was built once per compile.
+
+    /// Where `program`'s basic blocks start: instruction 0, every label
+    /// target and the word after each one that holds a jump.
+    fn block_starts(program: &Program) -> Vec<usize> {
+        let len = program.instructions.len();
+        let after_jumps = program
+            .instructions
+            .iter()
+            .enumerate()
+            .filter(|(_, ins)| ins.moves().any(Move::is_control_transfer))
+            .map(|(at, _)| at + 1);
+        let mut starts: Vec<usize> = std::iter::once(0)
+            .chain(program.labels.values().copied())
+            .chain(after_jumps)
+            .filter(|&at| at < len)
+            .collect();
+        starts.sort_unstable();
+        starts.dedup();
+        starts
+    }
+
+    /// A move that triggers the RTU's search.
+    fn triggers_rtu(mv: &Move) -> bool {
+        mv.dst.fu.kind == FuKind::Rtu && mv.dst.is_trigger()
+    }
+
+    /// A move that reads an RTU result or guard: what the interlock stalls.
+    fn reads_rtu(mv: &Move) -> bool {
+        matches!(&mv.src, Source::Port(p) if p.fu.kind == FuKind::Rtu)
+            || mv.guard.is_some_and(|g| g.fu.kind == FuKind::Rtu)
+    }
+
+    /// The RTU interlock's stall cycles per visit of `block` at `latency`:
+    /// the first word after an unguarded trigger that reads the RTU, `d`
+    /// words later, waits `latency − d` cycles.  `None` where that would
+    /// not be exact: a guarded trigger, a second trigger in the block, or a
+    /// search still pending when the block ends.
+    fn rtu_stall(block: &[Instruction], latency: u32) -> Option<u64> {
+        let mut triggers =
+            block.iter().enumerate().filter(|(_, ins)| ins.moves().any(triggers_rtu));
+        let Some((at, ins)) = triggers.next() else {
+            return Some(0);
+        };
+        if triggers.next().is_some() || ins.moves().any(|mv| triggers_rtu(mv) && mv.guard.is_some())
+        {
+            return None;
+        }
+        let latency = u64::from(latency);
+        match block[at + 1..].iter().position(|ins| ins.moves().any(reads_rtu)) {
+            Some(waits) => Some(latency.saturating_sub(waits as u64 + 1)),
+            None if (block.len() - at) as u64 >= latency => Some(0),
+            None => None,
+        }
     }
 
     #[test]
-    fn blocks_start_at_zero_at_labels_and_after_jumps() {
-        let p = program(
-            "1 -> regs0.r0\n2 -> regs0.r1\nl: 3 -> regs0.r2\n?cnt0.done @l -> nc0.pc\n\
-             4 -> regs0.r3\n@end -> nc0.pc\n5 -> regs0.r4\nend:\n",
-        );
-        assert_eq!(block_starts(&p), [0, 2, 4, 6]);
-        assert_eq!(block_starts(&Program::new()), Vec::<usize>::new());
-    }
-
-    #[test]
-    fn an_rtu_stall_runs_to_the_first_word_that_reads_the_search() {
-        let block = |text: &str| program(text).instructions;
-        // The read two words after the trigger waits latency − 2.
-        let b =
-            block("1 -> rtu0.t\n0 -> regs0.r0\nrtu0.iface -> regs0.r1\n?rtu0.hit 1 -> regs0.r2\n");
-        assert_eq!(rtu_stall(&b, 1), Some(0));
-        assert_eq!(rtu_stall(&b, 2), Some(0));
-        assert_eq!(rtu_stall(&b, 5), Some(3));
-        // A word that reads the RTU before the trigger waits for nothing.
-        let b = block("rtu0.iface -> regs0.r1\n1 -> rtu0.t\n?rtu0.hit 1 -> regs0.r2\n");
-        assert_eq!(rtu_stall(&b, 4), Some(3));
-        assert_eq!(rtu_stall(&block("1 -> regs0.r0\n"), 9), Some(0));
-    }
-
-    #[test]
-    fn a_search_the_price_cannot_follow_is_stepped() {
-        let block = |text: &str| program(text).instructions;
-        // Guarded: whether it fires is data.
-        let guarded = block("?cnt0.done 1 -> rtu0.t\nrtu0.iface -> regs0.r1\n");
-        assert_eq!(rtu_stall(&guarded, 1), None);
-        // Two searches in one block.
-        let twice =
-            block("1 -> rtu0.t\nrtu0.iface -> regs0.r1\n2 -> rtu0.t\nrtu0.iface -> regs0.r1\n");
-        assert_eq!(rtu_stall(&twice, 1), None);
-        // Unread at the block's end: pending only if the latency outlasts it.
-        let unread = block("1 -> rtu0.t\n0 -> regs0.r0\n");
-        assert_eq!(rtu_stall(&unread, 2), Some(0));
-        assert_eq!(rtu_stall(&unread, 3), None);
+    fn every_oracle_program_s_block_summary_is_its_instruction_level_blocks() {
+        // The 96-point oracle grid of `parallel_equivalence`: every kind,
+        // buses 1–6, replication 1–4.
+        let spec = SweepSpec {
+            buses: (1..=6).collect(),
+            replication: (1..=4).collect(),
+            kinds: TableKind::ALL_KINDS.to_vec(),
+            ..SweepSpec::default()
+        };
+        let (mut programs, mut searches) = (0, 0);
+        for entries in [8, 100] {
+            let input = PreparedInput::shared(entries);
+            for config in grid(&spec) {
+                let image = input.image(config.table).expect("the table builds");
+                let compiled = image.compiled(&config.machine).expect("the program compiles");
+                let program = compiled.program();
+                let starts = block_starts(program);
+                let ends = starts.iter().skip(1).copied().chain([program.instructions.len()]);
+                let blocks = compiled.blocks();
+                assert_eq!(blocks.len(), starts.len(), "{config} at {entries} entries");
+                for ((start, end), block) in starts.iter().copied().zip(ends).zip(blocks) {
+                    let words = &program.instructions[start..end];
+                    assert_eq!(block.words() as usize, words.len(), "{config}, block at {start}");
+                    for latency in 1..=64 {
+                        assert_eq!(
+                            block.stall(latency),
+                            rtu_stall(words, latency),
+                            "{config} at {entries} entries, block at {start}, latency {latency}"
+                        );
+                    }
+                    searches += usize::from(words.iter().any(|w| w.moves().any(triggers_rtu)));
+                }
+                programs += 1;
+            }
+        }
+        assert_eq!(programs, 2 * grid(&spec).len());
+        assert!(searches > 0, "no block of the grid triggers the RTU");
     }
 }

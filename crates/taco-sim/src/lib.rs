@@ -43,6 +43,7 @@
 //! # }
 //! ```
 
+mod blocks;
 pub mod coherence;
 pub mod error;
 pub mod memory;
@@ -54,6 +55,7 @@ pub mod stats;
 pub mod trace;
 mod units;
 
+pub use blocks::Block;
 pub use coherence::CoherenceStats;
 pub use error::SimError;
 pub use memory::DataMemory;

@@ -59,6 +59,7 @@ use taco_isa::{
     FuKind, FuRef, MachineConfig, PortDir, PortRef, Program, SlotLayout, SocketMap, Source,
 };
 
+use crate::blocks::{summarise, Block};
 use crate::error::SimError;
 use crate::units::{words, Op, PortMap};
 
@@ -134,25 +135,28 @@ pub(crate) struct DecodedProgram {
     pub image_bits: u64,
 }
 
-/// A program compiled for one machine: validated, pre-decoded and sized.
+/// A program compiled for one machine: validated, pre-decoded, sized and
+/// cut into summarised basic blocks.
 ///
 /// Everything [`Processor`](crate::Processor) construction used to redo per
 /// instance — structural validation, decoding, and (for callers that charge
 /// the program store) the encoded image size — is a pure function of
 /// `(config, program)`, so [`CompiledProgram::compile`] does it in one walk
 /// and the result is shared behind an `Arc` by every processor instantiated
-/// from it ([`Processor::instantiate`](crate::Processor::instantiate)).
+/// from it ([`Processor::instantiate`](crate::Processor::instantiate)).  So
+/// is the block summary a price is summed over.
 #[derive(Debug)]
 pub struct CompiledProgram {
     pub(crate) config: MachineConfig,
     pub(crate) program: Arc<Program>,
     pub(crate) map: PortMap,
     pub(crate) decoded: DecodedProgram,
+    blocks: Box<[Block]>,
 }
 
 impl CompiledProgram {
-    /// Validates `program` against `config`, pre-decodes it and sizes its
-    /// encoded image.
+    /// Validates `program` against `config`, pre-decodes it, sizes its
+    /// encoded image and summarises its basic blocks.
     ///
     /// # Errors
     ///
@@ -160,7 +164,14 @@ impl CompiledProgram {
     pub fn compile(config: MachineConfig, program: Arc<Program>) -> Result<Arc<Self>, SimError> {
         let map = PortMap::new(&config);
         let decoded = decode(&config, &map, &program)?;
-        Ok(Arc::new(CompiledProgram { config, program, map, decoded }))
+        let blocks = summarise(&program);
+        Ok(Arc::new(CompiledProgram { config, program, map, decoded, blocks }))
+    }
+
+    /// The program's basic blocks in program order, each with its length
+    /// and RTU shape.
+    pub fn blocks(&self) -> &[Block] {
+        &self.blocks
     }
 
     /// The scheduled program this was compiled from.

@@ -163,6 +163,15 @@ if grep -rnE '[F]aultInjector|[N]oFaults|steals_[c]ycle|enqueue_[r]aw|malformed_
 # An evaluation request is its own wire record: no wire twin of it, and
 # its checks run once, as the line is parsed.
 if grep -rnE '[p]ub struct EvalSpec|EvalSpec::[n]ew\(' crates src tests examples scripts; then exit 1; fi
+# A price is a sum over the block summary a compile builds once: no product
+# code re-derives block starts or a block's RTU stall (the instruction-level
+# definitions live on below price.rs's `#[cfg(test)]` as the reference).
+if awk 'FNR == 1 { product = 1 } /#\[cfg\(test\)\]/ { product = 0 }
+        product && /block_[s]tarts\(|rtu_[s]tall\(/ { print FILENAME ":" FNR ": " $0; found = 1 }
+        END { exit !found }' $(find crates/*/src -name '*.rs'); then
+    echo "blocks are summarised once, by taco_sim's CompiledProgram::compile"
+    exit 1
+fi
 echo "guards ok"
 
 echo

@@ -3,8 +3,8 @@
 //! "price a single evaluation from its table's block profile".
 //!
 //! With the routes, packed measurement frames, table image, compiled
-//! program and block profile shared, a warm evaluation prices every round
-//! and allocates for its report alone.  Stepping a round again builds a
+//! program with its block summary and the block profile shared, a warm
+//! evaluation prices every round and allocates for its report alone.  Stepping a round again builds a
 //! router (data memory and machine state) and more than doubles the count;
 //! rebuilding any of the shared pieces per evaluation multiplies it: the
 //! same cells cost 146 / 184 / 210 / 159 allocations before the pieces were
@@ -60,21 +60,24 @@ static GLOBAL: Counting = Counting;
 
 #[test]
 fn a_warm_evaluation_allocates_for_one_router_not_for_its_input() {
-    // Ceilings, not exact counts (5 / 5 / 8 / 4 now): headroom for the
-    // standard library, not for a stepped round, regenerated routes or
-    // re-packed datagrams, a rebuilt or re-serialised table, a re-recorded
-    // profile or a re-decoded program — each costs more than the whole
-    // margin.  They read 13 / 13 / 28 / 13 while every round was stepped on
-    // a fresh router (the CAM's second fixed-point round powering a second
-    // machine on), 13 / 13 / 23 / 13 while that round re-armed the first
-    // router, and 30 / 30 / 56 / 30 (34 / 34 / 64 / 34 earlier) while every
-    // enqueue serialised and packed its datagram and data memory grew as
-    // the slots reached past it.
+    // The ceilings are the counts (1 / 1 / 2 / 1): a priced round
+    // allocates the one node of its folded trigger map and nothing else
+    // (the CAM prices two rounds), so any allocation a round adds — a
+    // per-call `Vec` in the price, a stepped round, regenerated routes or
+    // re-packed datagrams, a rebuilt table, a re-recorded profile or a
+    // re-decoded program — fails here.  They read 5 / 5 / 8 / 4 (ceilings
+    // 9 / 9 / 12 / 9) while every priced round re-derived its program's
+    // block starts into a growing `Vec`, 13 / 13 / 28 / 13 while every
+    // round was stepped on a fresh router (the CAM's second fixed-point
+    // round powering a second machine on), 13 / 13 / 23 / 13 while that
+    // round re-armed the first router, and 30 / 30 / 56 / 30 (34 / 34 / 64
+    // / 34 earlier) while every enqueue serialised and packed its datagram
+    // and data memory grew as the slots reached past it.
     let cells = [
-        (TableKind::Sequential, 9),
-        (TableKind::BalancedTree, 9),
-        (TableKind::Cam, 12),
-        (TableKind::Patricia, 9),
+        (TableKind::Sequential, 1),
+        (TableKind::BalancedTree, 1),
+        (TableKind::Cam, 2),
+        (TableKind::Patricia, 1),
     ];
     for (kind, ceiling) in cells {
         let request = EvalRequest::new(ArchConfig::three_bus_one_fu(kind));
@@ -94,8 +97,10 @@ fn a_warm_evaluation_allocates_for_one_router_not_for_its_input() {
     // it adds to a warm evaluation is compiling the microcode for the new
     // machine: scheduling, validating and decoding it.  The warm rows'
     // 3BUS/1FU machine already generated and optimised the sequence, which
-    // depends on the table alone, and recorded the table's profile.  607 /
-    // 426 / 233 / 515 since the rounds are priced; 615 / 434 / 253 / 524
+    // depends on the table alone, and recorded the table's profile.  608 /
+    // 428 / 230 / 517 since a compile summarises the program's blocks and a
+    // price no longer walks them; 607 / 426 / 233 / 515 since the rounds
+    // are priced; 615 / 434 / 253 / 524
     // while they were stepped on a fresh router; 615 / 434 / 248 / 524
     // since the measurement frames are packed with the input; 632 / 451 /
     // 281 / 541 when written; 692 / 516 / 323 / 594 while every machine
