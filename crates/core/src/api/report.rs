@@ -25,7 +25,7 @@ use std::fmt::Write as _;
 
 use taco_estimate::{Estimate, ExternalCam, PhysicalEstimate};
 use taco_isa::{FuKind, FuRef};
-use taco_sim::{SimError, SimStats};
+use taco_sim::{SimError, SimStats, TriggerCounts};
 use taco_workload::{
     FaultMetrics, FlowStats, LatencyHistogram, ScenarioMetrics, Workload, LATENCY_BUCKETS,
 };
@@ -64,48 +64,55 @@ record!(Estimate as "estimate" by "feasible" {
     false => Self::Infeasible { required_hz: Bound, achievable_hz, },
 } else |ctx, _| must(ctx, "feasible", "be a boolean"));
 
-/// The key of a trigger map: an FU kind, or one instance of one.
-trait FuKey: Ord + std::fmt::Display + Sized {
-    /// The key a wire name spells, if any.
-    fn named(name: &str) -> Option<Self>;
-}
-
-impl FuKey for FuKind {
-    fn named(name: &str) -> Option<Self> {
-        FuKind::ALL.into_iter().find(|kind| kind.to_string() == name)
-    }
-}
-
-impl FuKey for FuRef {
-    fn named(name: &str) -> Option<Self> {
-        // Instance keys are `<asm_prefix><index>`; prefixes contain no digits.
-        let split = name.find(|c: char| c.is_ascii_digit()).unwrap_or(name.len());
-        let (prefix, index) = name.split_at(split);
-        Some(FuRef::new(FuKind::from_asm_prefix(prefix)?, index.parse().ok()?))
-    }
-}
-
-/// Trigger counts as one object, keyed by the FU's name in map order.
-impl<K: FuKey> Wire for BTreeMap<K, u64> {
+/// Trigger counts as one object, per FU kind keyed by the kind's name.
+impl Wire for BTreeMap<FuKind, u64> {
     fn put(&self, out: &mut String) {
-        out.push('{');
-        for (fu, n) in self {
-            put_member(n, &fu.to_string(), out);
-        }
-        out.push('}');
+        put_counts(self.iter().map(|(kind, &n)| (kind, n)), out);
     }
 
     fn get(ctx: &str, name: &str, value: &Json) -> Result<Self, ApiError> {
-        let members = value.as_object().ok_or_else(|| must(ctx, name, "be a JSON object"))?;
-        members
-            .iter()
-            .map(|(key, n)| {
-                let fu = K::named(key)
-                    .ok_or_else(|| must(ctx, name, format!("name FUs, not {key:?}")))?;
-                Ok((fu, u64::get(ctx, name, n)?))
-            })
-            .collect()
+        get_counts(ctx, name, value, |key| FuKind::ALL.into_iter().find(|k| k.to_string() == key))
     }
+}
+
+/// Trigger counts as one object, per unit keyed by its own spelling.
+impl Wire for TriggerCounts {
+    fn put(&self, out: &mut String) {
+        put_counts(self.iter(), out);
+    }
+
+    fn get(ctx: &str, name: &str, value: &Json) -> Result<Self, ApiError> {
+        get_counts(ctx, name, value, unit_named)
+    }
+}
+
+/// The unit `<asm_prefix><index>` names, the index as `Display` writes it:
+/// `cnt00` names no unit, so no two keys of an object name one.
+fn unit_named(key: &str) -> Option<FuRef> {
+    let (prefix, index) = key.split_at(key.find(|c: char| c.is_ascii_digit())?);
+    let fu = FuRef::new(FuKind::from_asm_prefix(prefix)?, index.parse().ok()?);
+    (index == "0" || !index.starts_with('0')).then_some(fu)
+}
+
+fn put_counts<K: std::fmt::Display>(counts: impl Iterator<Item = (K, u64)>, out: &mut String) {
+    out.push('{');
+    counts.for_each(|(key, n)| put_member(&n, &key.to_string(), out));
+    out.push('}');
+}
+
+/// The object `value`'s members, each key read by `named`.
+fn get_counts<K, C: FromIterator<(K, u64)>>(
+    ctx: &str,
+    name: &str,
+    value: &Json,
+    named: impl Fn(&str) -> Option<K>,
+) -> Result<C, ApiError> {
+    let members = value.as_object().ok_or_else(|| must(ctx, name, "be a JSON object"))?;
+    let member = |(key, n): &(String, Json)| {
+        let fu = named(key).ok_or_else(|| must(ctx, name, format!("name FUs, not {key:?}")))?;
+        Ok((fu, u64::get(ctx, name, n)?))
+    };
+    members.iter().map(member).collect()
 }
 
 /// A ratio of counters written to six decimals, as the sweep observer's
@@ -128,8 +135,10 @@ impl Wire for Ratio {
 record!(SimStats as "stats" |stats| {
     cycles, stall_cycles, injected_stall_cycles, moves_executed, moves_squashed, buses,
     #bus_utilization: Ratio = Ratio(stats.bus_utilization()),
-    #fu_triggers: BTreeMap<FuKind, u64> =
-        fu_instance_triggers.keys().map(|fu| (fu.kind, stats.triggers(fu.kind))).collect(),
+    #fu_triggers: BTreeMap<FuKind, u64> = fu_instance_triggers
+        .iter()
+        .map(|(fu, _)| (fu.kind, fu_instance_triggers.of_kind(fu.kind)))
+        .collect(),
     fu_instance_triggers,
 });
 
@@ -335,7 +344,7 @@ mod tests {
         assert_eq!(get(&report, "bus_utilization"), &Json::Num(format!("{util}")), "{line}");
         let mut per_kind = BTreeMap::new();
         for (fu, n) in get(stats, "fu_instance_triggers").as_object().unwrap() {
-            let kind = FuRef::named(fu).expect("an FU instance").kind.to_string();
+            let kind = unit_named(fu).expect("an FU instance").kind.to_string();
             *per_kind.entry(kind).or_insert(0) += u128::from(n.as_u64().unwrap());
         }
         let per_kind: BTreeMap<_, _> = per_kind.into_iter().map(|(k, n)| (k, sat(n))).collect();
@@ -377,8 +386,8 @@ mod tests {
             ..SimStats::default()
         };
         for (i, kind) in FuKind::ALL.into_iter().enumerate() {
-            populated.fu_instance_triggers.insert(FuRef::new(kind, 0), i as u64);
-            populated.fu_instance_triggers.insert(FuRef::new(kind, 1), i as u64 + 1);
+            populated.fu_instance_triggers.add(FuRef::new(kind, 0), i as u64);
+            populated.fu_instance_triggers.add(FuRef::new(kind, 1), i as u64 + 1);
         }
         let extreme = SimStats {
             cycles: u64::MAX,
@@ -386,7 +395,10 @@ mod tests {
             injected_stall_cycles: u64::MAX,
             moves_executed: u64::MAX,
             moves_squashed: u64::MAX,
-            fu_instance_triggers: FuKind::ALL.map(|k| (FuRef::new(k, u8::MAX), u64::MAX)).into(),
+            fu_instance_triggers: FuKind::ALL
+                .map(|k| (FuRef::new(k, u8::MAX), u64::MAX))
+                .into_iter()
+                .collect(),
             buses: u8::MAX,
         };
         for stats in [SimStats::default(), populated, extreme] {
@@ -402,6 +414,32 @@ mod tests {
     }
 
     #[test]
+    fn a_unit_has_one_spelling() {
+        for fu in FuKind::ALL.into_iter().flat_map(|k| [0, 1, 10, 255].map(|i| FuRef::new(k, i))) {
+            assert_eq!(unit_named(&fu.to_string()), Some(fu), "{fu}");
+        }
+        for key in ["cnt00", "cnt01", "cnt007", "cnt", "cnt256", "cnt-1", "cnt+1", "Counter0", ""] {
+            assert_eq!(unit_named(key), None, "{key:?}");
+        }
+    }
+
+    #[test]
+    fn a_second_spelling_of_a_unit_is_refused_in_either_order() {
+        let report =
+            EvalRequest::new(ArchConfig::three_bus_one_fu(TableKind::Sequential)).entries(8).run();
+        let line = report.encode();
+        let passes = report.stats.fu_instance_triggers.get(FuRef::new(FuKind::Counter, 0));
+        let cnt0 = format!("\"cnt0\":{passes}");
+        assert!(passes > 0 && line.contains(&cnt0), "{line}");
+        for both in [format!("{cnt0},\"cnt00\":7"), format!("\"cnt00\":7,{cnt0}")] {
+            let err = EvalReport::decode(&line.replacen(&cnt0, &both, 1)).unwrap_err();
+            assert_eq!(err.code, crate::api::ApiErrorCode::BadRequest, "{both}");
+            assert!(err.message.contains("\"cnt00\""), "{both}: {}", err.message);
+        }
+        roundtrip(&report);
+    }
+
+    #[test]
     fn widest_machine_report_round_trips() {
         // `fu_instance_triggers` is the one object that grows with the
         // machine, and only by the instances the microcode triggers — well
@@ -410,7 +448,7 @@ mod tests {
             ArchConfig::with_replication(TableKind::Sequential, 255, 255).with_memory_ports(255);
         let report = EvalRequest::new(config).entries(64).run();
         assert!(report.is_feasible());
-        let instances = report.stats.fu_instance_triggers.len();
+        let instances = report.stats.fu_instance_triggers.iter().len();
         assert!(instances < 64, "{instances} triggered instances (22 when written)");
         roundtrip(&report);
     }

@@ -30,41 +30,42 @@ pub(crate) const CYCLE_BUDGET: u64 = 50_000_000;
 const SCENARIO_TICK_SECONDS: f64 = 10e-6;
 
 /// The co-analysis result for one architecture instance — one cell of
-/// Table 1.
+/// Table 1.  Each result member says what kind of number it is:
+/// *simulated* (stepped), *priced* (the same, from a block profile, held
+/// equal to stepping by `parallel_equivalence`), *derived* or *modelled*.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EvalReport {
-    /// The evaluated instance.
+    /// The evaluated instance (request).
     pub config: ArchConfig,
-    /// The line-rate target the requirement was computed against.
+    /// The line-rate target the requirement was computed against (request).
     pub line_rate: LineRate,
-    /// Routing-table size used for the measurement.
+    /// Routing-table size used for the measurement (request).
     pub table_entries: usize,
-    /// Measured cycles per forwarded datagram (worst-case-biased workload);
-    /// infinite when the instance could not be simulated at all (see
-    /// [`EvalReport::sim_error`]).
+    /// *Simulated or priced*: cycles per forwarded datagram (worst-case-
+    /// biased workload); infinite when the instance could not be simulated
+    /// at all (see [`EvalReport::sim_error`]).
     pub cycles_per_datagram: f64,
-    /// Minimum clock frequency to sustain the line rate.
+    /// *Derived*: minimum clock frequency to sustain the line rate.
     pub required_frequency_hz: f64,
-    /// RTU (CAM) search latency in cycles at that frequency (1 for the
-    /// microcoded table organisations, which do not use the RTU).
+    /// *Derived*: RTU (CAM) search latency in cycles at that frequency, the
+    /// CAM's fixed point (1 for the microcoded organisations).
     pub rtu_latency_cycles: u32,
-    /// Encoded program-image size in bits (instruction store + literal
-    /// pool), as charged to the area estimate.
+    /// *Derived*: encoded program-image size in bits (instruction store +
+    /// literal pool), as charged to the area estimate.
     pub program_bits: u64,
-    /// Physical estimate at the required frequency ("NA" above the
-    /// technology ceiling).
+    /// *Modelled*: physical estimate at the required frequency ("NA" above
+    /// the technology ceiling).
     pub estimate: Estimate,
-    /// Raw simulator counters from the measurement run (the final
-    /// fixed-point iteration for the CAM organisation) — the "performance
-    /// data" the paper reads off its SystemC model, kept so sweep
-    /// observers can serialise it per design point.
+    /// *Simulated or priced*: the measurement run's counters (the CAM's last
+    /// fixed-point round) — the "performance data" the paper reads off its
+    /// SystemC model.
     pub stats: SimStats,
-    /// Behavioural scenario metrics, present when the request attached a
-    /// [`Workload`](taco_workload::Workload) and the measurement succeeded.
+    /// *Simulated*: behavioural scenario metrics, when the request attached
+    /// a [`Workload`](taco_workload::Workload) and the measurement succeeded.
     pub scenario: Option<ScenarioMetrics>,
-    /// The structured simulator error that aborted the measurement, if
-    /// any.  A report carrying one is infeasible by construction: the
-    /// instance cannot execute its own microcode, so no clock rescues it.
+    /// *Simulated*: the structured simulator error that aborted the
+    /// measurement, if any; such a report is infeasible by construction, as
+    /// no clock rescues an instance that cannot execute its own microcode.
     pub sim_error: Option<SimError>,
 }
 

@@ -21,7 +21,7 @@
 //! stalls), prices any machine exactly: cycles are Σ visits × block length
 //! plus the RTU stalls, both read from the block summary the point's
 //! compiled program carries (`CompiledProgram::blocks`), and triggers fold
-//! onto physical units by `index % count`, as `schedule` folds them.  A
+//! onto physical units by `MachineConfig::fold`, as `schedule` folds them.  A
 //! profile depends only on the table, so it is recorded once per prepared
 //! input, beside the table image, and every evaluation — a single
 //! `evaluate_request`, a sweep point, a Table 1 cell — prices its
@@ -34,13 +34,12 @@
 //! never consults a profile: it is the oracle the priced evaluations are
 //! held to.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use taco_isa::{FuKind, FuRef, MachineConfig};
+use taco_isa::MachineConfig;
 use taco_router::cycle::CycleRouter;
 use taco_routing::TableKind;
-use taco_sim::{CompiledProgram, SimStats, TraceEvent, Tracer};
+use taco_sim::{CompiledProgram, SimStats, TraceEvent, Tracer, TriggerCounts};
 
 use crate::evaluate::{measure, CYCLE_BUDGET};
 use crate::prepared::PreparedInput;
@@ -51,10 +50,9 @@ use crate::prepared::PreparedInput;
 pub(crate) struct BlockProfile {
     /// Visits per basic block, in program order.
     visits: Vec<u64>,
-    /// Passing triggers per virtual unit instance: per kind, in
-    /// [`FuKind::ALL`] order, indexed by virtual index (0 for an index the
-    /// run never triggered).
-    triggers: [Vec<u64>; FuKind::ALL.len()],
+    /// Passing triggers per virtual unit instance: the unfolded run's
+    /// record, one entry per virtual unit that fired.
+    triggers: TriggerCounts,
     moves_executed: u64,
     moves_squashed: u64,
     /// Datagrams forwarded (at least 1): what cycles per datagram divides
@@ -87,12 +85,6 @@ impl BlockProfile {
         let program = Arc::clone(router.processor().compiled());
         let mut issued = IssueCounter(vec![0; program.program().instructions.len()]);
         let (_, stats) = measure(&mut router, input, None, &mut issued).ok()?;
-        let mut triggers: [Vec<u64>; FuKind::ALL.len()] = Default::default();
-        for (fu, passes) in stats.fu_instance_triggers {
-            let counts = &mut triggers[fu.kind as usize];
-            counts.resize(counts.len().max(usize::from(fu.index) + 1), 0);
-            counts[usize::from(fu.index)] = passes;
-        }
         // A block's visits are its first word's issues.
         let starts = program.blocks().iter().scan(0, |at, block| {
             let start = *at;
@@ -101,7 +93,7 @@ impl BlockProfile {
         });
         Some(BlockProfile {
             visits: starts.map(|at| issued.0[at]).collect(),
-            triggers,
+            triggers: stats.fu_instance_triggers,
             moves_executed: stats.moves_executed,
             moves_squashed: stats.moves_squashed,
             forwarded: router.processor().outputs().len().max(1),
@@ -131,42 +123,25 @@ impl BlockProfile {
         if cycles > CYCLE_BUDGET / 2 {
             return None;
         }
+        // The virtual units' triggers, folded as `schedule` folds them.
+        let folded = self.triggers.iter().map(|(fu, n)| (machine.fold(fu), n));
         let stats = SimStats {
             cycles,
             stall_cycles: stalled,
             injected_stall_cycles: 0,
             moves_executed: self.moves_executed,
             moves_squashed: self.moves_squashed,
-            fu_instance_triggers: self.fold(machine),
+            fu_instance_triggers: folded.collect(),
             buses: machine.buses(),
         };
         Some((cycles as f64 / self.forwarded as f64, stats))
-    }
-
-    /// The virtual units' triggers on `machine`'s physical units, folded by
-    /// `index % count` as `schedule` folds them: unit `u` of a kind with
-    /// `count` units sums virtual units `u`, `u + count`, …  One pass over
-    /// each kind's counts meets the physical units in key order, and each
-    /// that any trigger landed on is inserted once.
-    fn fold(&self, machine: &MachineConfig) -> BTreeMap<FuRef, u64> {
-        let mut folded = BTreeMap::new();
-        for (kind, counts) in FuKind::ALL.into_iter().zip(&self.triggers) {
-            let count = usize::from(machine.fu_count(kind));
-            for unit in 0..count.min(counts.len()) {
-                let passes = counts[unit..].iter().step_by(count).sum();
-                if passes > 0 {
-                    folded.insert(FuRef::new(kind, unit as u8), passes);
-                }
-            }
-        }
-        folded
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use taco_isa::{Instruction, Move, Program, Source};
+    use taco_isa::{FuKind, Instruction, Move, Program, Source};
 
     use crate::explorer::{grid, SweepSpec};
 

@@ -7,7 +7,7 @@
 
 use std::fmt;
 
-use crate::fu::FuKind;
+use crate::fu::{FuKind, FuRef};
 
 /// One TACO architecture instance.
 ///
@@ -109,6 +109,16 @@ impl MachineConfig {
     /// Iterates over `(kind, count)` for every FU kind.
     pub fn fu_counts(&self) -> impl Iterator<Item = (FuKind, u8)> + '_ {
         FuKind::ALL.into_iter().map(|k| (k, self.fu_count(k)))
+    }
+
+    /// Every FU instance, in [`FuRef`] order.
+    pub fn units(&self) -> impl Iterator<Item = FuRef> + '_ {
+        self.fu_counts().flat_map(|(kind, count)| (0..count).map(move |i| FuRef::new(kind, i)))
+    }
+
+    /// The instance a virtual one folds onto: `index % count` of its kind.
+    pub fn fold(&self, fu: FuRef) -> FuRef {
+        FuRef::new(fu.kind, fu.index % self.fu_count(fu.kind))
     }
 
     /// Total number of sockets: one per FU port instance, the quantity the

@@ -10,9 +10,9 @@
 //! [`MachineConfig`]:
 //!
 //! 1. **FU allocation** — virtual FU instances used by the code generator
-//!    are folded onto the physical instances (`virtual index mod physical
-//!    count`), so the same source code speeds up when the architecture gets
-//!    more Matchers/Counters/Comparators;
+//!    are folded onto the physical instances ([`MachineConfig::fold`]:
+//!    `virtual index mod physical count`), so the same source code speeds up
+//!    when the architecture gets more Matchers/Counters/Comparators;
 //! 2. **list scheduling** — moves are packed into instruction words, at most
 //!    one move per bus per cycle, honouring the TTA hazard rules below.
 //!
@@ -53,7 +53,7 @@
 //! its port's.
 
 use crate::encode::SocketMap;
-use crate::fu::{FuKind, FuRef, PortDir};
+use crate::fu::PortDir;
 use crate::machine::MachineConfig;
 use crate::program::{Guard, Instruction, Move, MoveSeq, PortRef, Program, Source};
 
@@ -67,10 +67,7 @@ pub fn schedule(seq: &MoveSeq, config: &MachineConfig) -> Program {
     let sockets = SocketMap::new(config);
     let buses = config.buses();
     let mut state = BlockState::new(sockets.socket_count());
-    // Virtual instances fold onto physical ones by `index mod count`.
-    let counts = FuKind::ALL.map(|kind| config.fu_count(kind));
-    let fold = |fu: FuRef| FuRef::new(fu.kind, fu.index % counts[fu.kind as usize]);
-    let fold_port = |p: PortRef| PortRef { fu: fold(p.fu), ..p };
+    let fold_port = |p: PortRef| PortRef { fu: config.fold(p.fu), ..p };
 
     // Label positions inside the sequence, ascending: each starts a block,
     // and `label_base[i]` is where the block at `label_at[i]` begins.
@@ -97,7 +94,7 @@ pub fn schedule(seq: &MoveSeq, config: &MachineConfig) -> Program {
                 other => other.clone(),
             },
             dst: fold_port(mv.dst),
-            guard: mv.guard.map(|g| Guard { fu: fold(g.fu), ..g }),
+            guard: mv.guard.map(|g| Guard { fu: config.fold(g.fu), ..g }),
         };
         let (cycle, bus) = state.place(&sockets, &mv, buses);
         // A move lands at most one cycle past the block's last instruction.

@@ -63,5 +63,5 @@ pub use multicore::MulticoreSim;
 pub use processor::{PeriodicStall, Processor, DEFAULT_MEMORY_WORDS};
 pub use rtu::{MapRtu, RtuBackend, RtuConfig, RtuResult};
 pub use sched::CompiledProgram;
-pub use stats::SimStats;
+pub use stats::{SimStats, TriggerCounts};
 pub use trace::{ChromeTracer, NullTracer, RingTracer, TraceCounters, TraceEvent, Tracer};

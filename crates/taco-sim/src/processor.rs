@@ -163,7 +163,7 @@ impl Processor {
     pub fn instantiate(compiled: Arc<CompiledProgram>) -> Self {
         let (file, guards) = compiled.map.power_on(compiled.decoded.scratch);
         Processor {
-            trigger_counts: vec![0; compiled.decoded.trigger_fus.len()],
+            trigger_counts: vec![0; compiled.config.units().count()],
             pc: 0,
             halted: false,
             cycle: 0,
@@ -283,9 +283,9 @@ impl Processor {
     /// `stalls` stealing transient stall cycles (see [`PeriodicStall`]).
     /// Generic over the tracer, so [`NullTracer`] monomorphises to nothing.
     ///
-    /// The flat per-slot trigger counters are folded into the `BTreeMap`
-    /// statistics on every exit path, so stats stay complete even when the
-    /// run errors out mid-cycle.
+    /// The flat per-unit trigger counters, numbered in the machine's unit
+    /// order, are the record's units that fired on every exit path, so
+    /// stats stay complete even when the run errors out mid-cycle.
     ///
     /// # Errors
     ///
@@ -297,19 +297,10 @@ impl Processor {
         stalls: Option<PeriodicStall>,
     ) -> Result<SimStats, SimError> {
         let result = self.compiled_loop(budget, tracer, stalls);
-        self.fold_trigger_counts();
+        let counts = self.compiled.config.units().zip(self.trigger_counts.iter().copied());
+        self.stats.fu_instance_triggers = counts.filter(|&(_, n)| n > 0).collect();
         result?;
         Ok(self.stats.clone())
-    }
-
-    fn fold_trigger_counts(&mut self) {
-        let compiled = Arc::clone(&self.compiled);
-        for (slot, fu) in compiled.decoded.trigger_fus.iter().enumerate() {
-            let n = std::mem::take(&mut self.trigger_counts[slot]);
-            if n > 0 {
-                *self.stats.fu_instance_triggers.entry(*fu).or_insert(0) += n;
-            }
-        }
     }
 
     /// The machine state a move can touch, as disjoint borrows: what the
@@ -643,7 +634,7 @@ mod tests {
         assert_eq!(read_port(&p, FuKind::Counter, 0, "r").unwrap(), 5);
         // 1 setup + 5 × (inc + branch) cycles.
         assert_eq!(stats.cycles, 11);
-        assert_eq!(stats.triggers(FuKind::Counter), 6);
+        assert_eq!(stats.fu_instance_triggers.of_kind(FuKind::Counter), 6);
     }
 
     #[test]
@@ -955,7 +946,7 @@ mod tests {
             MachineConfig::new(3),
         );
         let stats = p.run(100_000).unwrap();
-        assert_eq!((stats.triggers(FuKind::Checksum), p.reg(0)), (40_001, 0));
+        assert_eq!((stats.fu_instance_triggers.of_kind(FuKind::Checksum), p.reg(0)), (40_001, 0));
     }
 
     #[test]

@@ -158,7 +158,7 @@ impl Processor {
                     cycle + 1
                 };
                 tracer.event(&TraceEvent::FuRetired { cycle: retire, fu: dst.fu });
-                *self.stats.fu_instance_triggers.entry(dst.fu).or_insert(0) += 1;
+                self.stats.fu_instance_triggers.add(dst.fu, 1);
             }
         }
 

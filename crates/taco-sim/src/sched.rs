@@ -71,10 +71,10 @@ pub(crate) const IMM: u16 = u16::MAX;
 /// `src` is [`IMM`], else `file[src]`; either slot may be an early read's
 /// scratch slot.  `dst` is the written word for a plain destination and the
 /// FU's first word for a trigger, `gbase` the FU's first guard slot.
-/// `slot` indexes [`DecodedProgram::trigger_fus`] (FU triggers only); `fu`
-/// (the destination's) and `bus` are kept for trace events, `bus` also for
-/// recovering the original [`taco_isa::PortRef`] on the cold
-/// conflict-error path.
+/// `slot`, the destination's place in [`MachineConfig::units`], indexes the
+/// step loop's trigger counters; `fu` (the destination's) and `bus` are kept
+/// for trace events, `bus` also for recovering the original
+/// [`taco_isa::PortRef`] on the cold conflict-error path.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct DMove {
     pub imm: u32,
@@ -124,10 +124,6 @@ pub(crate) struct DecodedProgram {
     /// any of its moves writes ([`InsMeta::early`]).
     pub early: Vec<(u16, u16)>,
     pub ins: Vec<InsMeta>,
-    /// Trigger statistics slots: one entry per distinct triggered [`FuRef`],
-    /// indexed by [`DMove::slot`].  The compiled loop bumps a flat counter
-    /// per slot and folds into the `BTreeMap` stats only on exit.
-    pub trigger_fus: Vec<FuRef>,
     /// Scratch words and guard bits the early reads need past the end of
     /// the word file and the guard file.
     pub scratch: (usize, usize),
@@ -260,9 +256,9 @@ pub(crate) fn decode(
     let mut moves: Vec<DMove> = Vec::with_capacity(program.move_count());
     let mut early: Vec<(u16, u16)> = Vec::new();
     let mut ins = Vec::with_capacity(program.instructions.len());
-    let mut trigger_fus: Vec<FuRef> = Vec::new();
     let mut scratch = (0, 0);
     let mut literals: Vec<u32> = Vec::new();
+    let first_unit = FuKind::ALL.map(|kind| config.units().take_while(|u| u.kind < kind).count());
 
     for (idx, instruction) in program.instructions.iter().enumerate() {
         if instruction.slots.len() > usize::from(config.buses()) {
@@ -303,20 +299,13 @@ pub(crate) fn decode(
             if op == Op::Store && guard == 0 {
                 op = if src == IMM { Op::Imm } else { Op::Copy };
             }
-            let mut slot = 0;
-            if op.is_trigger() && op != Op::Jump {
-                slot = trigger_fus.iter().position(|f| *f == mv.dst.fu).unwrap_or_else(|| {
-                    trigger_fus.push(mv.dst.fu);
-                    trigger_fus.len() - 1
-                });
-            }
             moves.push(DMove {
                 imm,
                 src,
                 guard: guard as u16,
                 dst: dst as u16,
                 gbase: gbase as u16,
-                slot: slot as u16,
+                slot: (first_unit[mv.dst.fu.kind as usize] + usize::from(mv.dst.fu.index)) as u16,
                 fu: mv.dst.fu,
                 op,
                 negate,
@@ -374,14 +363,13 @@ pub(crate) fn decode(
     // Compiled programs are retained for the life of the process; do not
     // retain the vectors' growth slack with them (`moves` has none).
     early.shrink_to_fit();
-    trigger_fus.shrink_to_fit();
     // Every immediate widens the encoder's `src` field; only distinct ones
     // take a place in its literal pool.
     let layout = SlotLayout::new(&SocketMap::new(config), literals.len() as u64);
     literals.sort_unstable();
     literals.dedup();
     let image_bits = layout.image_bits(ins.len(), config.buses(), literals.len());
-    Ok(DecodedProgram { moves, early, ins, trigger_fus, scratch, image_bits })
+    Ok(DecodedProgram { moves, early, ins, scratch, image_bits })
 }
 
 #[cfg(test)]
@@ -535,12 +523,15 @@ mod tests {
 
     #[test]
     fn trigger_slots_are_per_fu_instance() {
-        let (dp, _) =
-            decoded("1 -> cnt0.tinc\n2 -> cnt0.tadd\n0 -> csum0.tclr\n", MachineConfig::new(1));
-        // Two distinct FUs triggered -> two slots; the counter's two
-        // trigger ports share its slot.
-        assert_eq!(dp.trigger_fus.len(), 2);
-        assert_eq!(dp.trigger_fus[0], FuRef::new(FuKind::Counter, 0));
-        assert_eq!(dp.trigger_fus[1], FuRef::new(FuKind::Checksum, 0));
+        let machine = MachineConfig::new(1).with_fu_count(FuKind::Counter, 2);
+        let (dp, _) = decoded("1 -> cnt1.tinc\n2 -> cnt1.tadd\n0 -> csum0.tclr\n", machine.clone());
+        // A trigger's slot is its unit's place among the machine's units
+        // (FuRef order); the counter's two trigger ports share its slot.
+        let units: Vec<FuRef> = machine.units().collect();
+        let slots: Vec<u16> = dp.moves.iter().map(|m| m.slot).collect();
+        let unit = |fu| units.iter().position(|&u| u == fu).unwrap() as u16;
+        let (cnt1, csum0) = (FuRef::new(FuKind::Counter, 1), FuRef::new(FuKind::Checksum, 0));
+        assert_eq!(slots, [unit(cnt1), unit(cnt1), unit(csum0)]);
+        assert_eq!(slots[0], 3, "a matcher, a comparator and the first counter come before it");
     }
 }

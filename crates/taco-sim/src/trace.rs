@@ -23,7 +23,6 @@
 //! * [`ChromeTracer`] — streams the run as Chrome `about://tracing` JSON,
 //!   one "thread" per bus and per FU instance, loadable in Perfetto.
 
-use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 
@@ -259,7 +258,7 @@ pub struct TraceCounters {
     /// runs, keeping the reconciliation exact).
     pub injected_stall_cycles: u64,
     /// Trigger counts per FU instance.
-    pub fu_instance_triggers: BTreeMap<FuRef, u64>,
+    pub fu_instance_triggers: crate::TriggerCounts,
 }
 
 impl TraceCounters {
@@ -273,7 +272,7 @@ impl TraceCounters {
                 TraceEvent::MoveExecuted { .. } => counters.moves_executed += 1,
                 TraceEvent::MoveSquashed { .. } => counters.moves_squashed += 1,
                 TraceEvent::FuTriggered { fu, .. } => {
-                    *counters.fu_instance_triggers.entry(fu).or_insert(0) += 1;
+                    counters.fu_instance_triggers.add(fu, 1);
                 }
                 TraceEvent::StallBegin { cycle } => open_stall = Some(cycle),
                 TraceEvent::StallEnd { cycle } => {
@@ -546,7 +545,7 @@ mod tests {
         assert_eq!(counters.moves_executed, 2);
         assert_eq!(counters.moves_squashed, 1);
         assert_eq!(counters.stall_cycles, 3);
-        assert_eq!(counters.fu_instance_triggers.get(&fu(0)), Some(&2));
+        assert_eq!(counters.fu_instance_triggers.iter().collect::<Vec<_>>(), [(fu(0), 2)]);
     }
 
     #[test]

@@ -89,11 +89,11 @@ fn cycle_accurate_router() -> Result<(), Box<dyn std::error::Error>> {
         );
         // The paper's per-module utilization data, busiest units first.
         let mut modules: Vec<_> = stats.fu_instance_triggers.iter().collect();
-        modules.sort_by_key(|(_, n)| std::cmp::Reverse(**n));
+        modules.sort_by_key(|&(_, n)| std::cmp::Reverse(n));
         let line: Vec<String> = modules
             .iter()
             .take(5)
-            .map(|(fu, _)| format!("{fu} {:.0}%", stats.module_utilization(**fu) * 100.0))
+            .map(|&(fu, _)| format!("{fu} {:.0}%", stats.module_utilization(fu) * 100.0))
             .collect();
         println!("    module utilization: {}", line.join(", "));
     }

@@ -163,6 +163,9 @@ if grep -rnE '[F]aultInjector|[N]oFaults|steals_[c]ycle|enqueue_[r]aw|malformed_
 # An evaluation request is its own wire record: no wire twin of it, and
 # its checks run once, as the line is parsed.
 if grep -rnE '[p]ub struct EvalSpec|EvalSpec::[n]ew\(' crates src tests examples scripts; then exit 1; fi
+# Per-instance trigger counts have one layout, `TriggerCounts`, from the
+# step loop to the wire, and one fold rule, `MachineConfig::fold`.
+if grep -rnE 'BTreeMap<FuRef|trigger_[f]us|fold_trigger_[c]ounts|\bFu[K]ey\b' crates src tests examples; then exit 1; fi
 # A price is a sum over the block summary a compile builds once: no product
 # code re-derives block starts or a block's RTU stall (the instruction-level
 # definitions live on below price.rs's `#[cfg(test)]` as the reference).

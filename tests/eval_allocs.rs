@@ -61,8 +61,9 @@ static GLOBAL: Counting = Counting;
 #[test]
 fn a_warm_evaluation_allocates_for_one_router_not_for_its_input() {
     // The ceilings are the counts (1 / 1 / 2 / 1): a priced round
-    // allocates the one node of its folded trigger map and nothing else
-    // (the CAM prices two rounds), so any allocation a round adds — a
+    // allocates the one `Vec` of its folded trigger record (one node of a
+    // trigger map until the record had one layout) and nothing else (the
+    // CAM prices two rounds), so any allocation a round adds — a
     // per-call `Vec` in the price, a stepped round, regenerated routes or
     // re-packed datagrams, a rebuilt table, a re-recorded profile or a
     // re-decoded program — fails here.  They read 5 / 5 / 8 / 4 (ceilings
@@ -97,9 +98,11 @@ fn a_warm_evaluation_allocates_for_one_router_not_for_its_input() {
     // it adds to a warm evaluation is compiling the microcode for the new
     // machine: scheduling, validating and decoding it.  The warm rows'
     // 3BUS/1FU machine already generated and optimised the sequence, which
-    // depends on the table alone, and recorded the table's profile.  608 /
-    // 428 / 230 / 517 since a compile summarises the program's blocks and a
-    // price no longer walks them; 607 / 426 / 233 / 515 since the rounds
+    // depends on the table alone, and recorded the table's profile.  605 /
+    // 425 / 228 / 514 since a decode numbers trigger counters by the
+    // machine's units instead of growing a list of the units it meets; 608
+    // / 428 / 230 / 517 since a compile summarises the program's blocks and
+    // a price no longer walks them; 607 / 426 / 233 / 515 since the rounds
     // are priced; 615 / 434 / 253 / 524
     // while they were stepped on a fresh router; 615 / 434 / 248 / 524
     // since the measurement frames are packed with the input; 632 / 451 /

@@ -19,7 +19,8 @@
 //! formulation of the same hazard rules on sequences drawn from the whole
 //! assembly grammar (seeded; see `common/mod.rs`).  A third holds every
 //! router the compiled-program cache builds to a from-scratch compile of
-//! its machine.
+//! its machine, and a fourth holds every move `schedule` places on the
+//! oracle grid's machines to the unit `MachineConfig::fold` names.
 //!
 //! To regenerate after an intentional change:
 //!
@@ -31,15 +32,16 @@
 
 mod common;
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use common::{cases, machine, move_seq};
+use taco::eval::{benchmark_routes, grid, SweepSpec};
 use taco::isa::{
-    asm, encode, optimize, schedule, FuKind, FuRef, Instruction, MachineConfig, Move, MoveSeq,
-    PortDir, PortRef, Program, Source,
+    asm, encode, optimize, schedule, FuKind, FuRef, Guard, Instruction, MachineConfig, Move,
+    MoveSeq, PortDir, PortRef, Program, Source,
 };
 use taco::router::layout::{serialize_sequential, SEQ_ENTRY_WORDS};
 use taco::router::microcode::{
@@ -197,10 +199,10 @@ fn edge_list_schedule(seq: &MoveSeq, config: &MachineConfig) -> Program {
 
 fn edge_list_block(block: &[Move], buses: u8) -> Vec<Instruction> {
     let mut edges: Vec<Vec<(usize, usize)>> = vec![Vec::new(); block.len()];
-    let mut last_trigger: BTreeMap<FuRef, usize> = BTreeMap::new();
-    let mut last_write: BTreeMap<PortRef, usize> = BTreeMap::new();
-    let mut reads_since_write: BTreeMap<PortRef, Vec<usize>> = BTreeMap::new();
-    let mut fu_reads: BTreeMap<FuRef, Vec<usize>> = BTreeMap::new();
+    let mut last_trigger: HashMap<FuRef, usize> = HashMap::new();
+    let mut last_write: HashMap<PortRef, usize> = HashMap::new();
+    let mut reads_since_write: HashMap<PortRef, Vec<usize>> = HashMap::new();
+    let mut fu_reads: HashMap<FuRef, Vec<usize>> = HashMap::new();
     for (j, mv) in block.iter().enumerate() {
         let mut dep = |i: Option<&usize>, d: usize| edges[j].extend(i.map(|&i| (i, d)));
         if let Source::Port(p) = &mv.src {
@@ -351,4 +353,61 @@ fn every_router_runs_what_a_fresh_compile_of_its_machine_makes() {
             }
         }
     }
+}
+
+/// `mv` with every unit it names folded onto `machine`.
+fn folded(mv: &Move, machine: &MachineConfig) -> Move {
+    let port = |p: PortRef| PortRef { fu: machine.fold(p.fu), ..p };
+    Move {
+        src: match &mv.src {
+            Source::Port(p) => Source::Port(port(*p)),
+            other => other.clone(),
+        },
+        dst: port(mv.dst),
+        guard: mv.guard.map(|g| Guard { fu: machine.fold(g.fu), ..g }),
+    }
+}
+
+#[test]
+fn every_scheduled_move_of_the_oracle_grid_names_its_machine_s_fold() {
+    // The programs of `parallel_equivalence`'s 96-point oracle grid (every
+    // kind, buses 1–6, replication 1–4) at its four table sizes: each
+    // word's moves, printed and sorted, are the sequence's folded by
+    // `MachineConfig::fold`, and each names a unit the machine has.
+    let mut moved = 0;
+    for entries in [1, 8, 100, 1024] {
+        let routes = benchmark_routes(entries);
+        for kind in TableKind::ALL_KINDS {
+            let (size, opts) = generator_input(kind, &routes, MicrocodeOptions::default());
+            let mut seq = program_for(kind, size, &opts);
+            optimize(&mut seq);
+            for config in grid(&SweepSpec {
+                buses: (1..=6).collect(),
+                replication: (1..=4).collect(),
+                kinds: vec![kind],
+                ..SweepSpec::default()
+            }) {
+                let machine = &config.machine;
+                let program = schedule(&seq, machine);
+                let mut scheduled: Vec<String> = program
+                    .instructions
+                    .iter()
+                    .flat_map(Instruction::moves)
+                    .map(Move::to_string)
+                    .collect();
+                let mut expected: Vec<String> =
+                    seq.moves.iter().map(|mv| folded(mv, machine).to_string()).collect();
+                scheduled.sort_unstable();
+                expected.sort_unstable();
+                assert_eq!(scheduled, expected, "{config} at {entries} entries");
+                for fu in
+                    program.instructions.iter().flat_map(Instruction::moves).map(|mv| mv.dst.fu)
+                {
+                    assert!(fu.index < machine.fu_count(fu.kind), "{config}: {fu}");
+                }
+                moved += seq.moves.iter().filter(|mv| machine.fold(mv.dst.fu) != mv.dst.fu).count();
+            }
+        }
+    }
+    assert!(moved > 0, "no move of the grid is folded onto another unit");
 }

@@ -39,9 +39,8 @@ fn replication_spreads_matcher_load_across_instances() {
     let narrow = run(&MachineConfig::three_bus_one_fu());
     let wide = run(&MachineConfig::three_bus_three_fu());
 
-    let m = |s: &taco::sim::SimStats, i: u8| {
-        s.fu_instance_triggers.get(&FuRef::new(FuKind::Matcher, i)).copied().unwrap_or(0)
-    };
+    let m =
+        |s: &taco::sim::SimStats, i: u8| s.fu_instance_triggers.get(FuRef::new(FuKind::Matcher, i));
     // One instance carries everything on the narrow machine…
     assert!(m(&narrow, 0) > 0);
     assert_eq!(m(&narrow, 1), 0);

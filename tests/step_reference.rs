@@ -307,7 +307,7 @@ fn errors_agree_and_leave_the_same_statistics() {
         // The counter trigger before the memory fault must already be
         // folded into the decoded side's statistics when the error surfaces.
         if error == out_of_bounds {
-            assert_eq!(d.stats.triggers(FuKind::Counter), 1);
+            assert_eq!(d.stats.fu_instance_triggers.of_kind(FuKind::Counter), 1);
         }
         let run: Run<Processor> = |cpu, budget, _, _| cpu.run(budget);
         assert_untraced_agrees(&mut load(text), run, identity, budget, r, text);
