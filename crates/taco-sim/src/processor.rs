@@ -283,8 +283,8 @@ impl Processor {
     /// `stalls` stealing transient stall cycles (see [`PeriodicStall`]).
     /// Generic over the tracer, so [`NullTracer`] monomorphises to nothing.
     ///
-    /// The flat per-unit trigger counters, numbered in the machine's unit
-    /// order, are the record's units that fired on every exit path, so
+    /// On every exit path the trigger record is rebuilt from the per-unit
+    /// counters (numbered in the machine's unit order, so in key order), and
     /// stats stay complete even when the run errors out mid-cycle.
     ///
     /// # Errors

@@ -78,11 +78,12 @@ impl TriggerCounts {
         self.0.iter().copied()
     }
 
-    /// Counts `n` more triggers of `fu`, giving it an entry if it has none.
+    /// Counts `n` more triggers of `fu`, giving it an entry if it has none;
+    /// searched from the end, as records are built in or near key order.
     pub fn add(&mut self, fu: FuRef, n: u64) {
-        match self.0.binary_search_by_key(&fu, |&(unit, _)| unit) {
-            Ok(at) => self.0[at].1 += n,
-            Err(at) => self.0.insert(at, (fu, n)),
+        match self.0.iter().rposition(|&(unit, _)| unit <= fu) {
+            Some(at) if self.0[at].0 == fu => self.0[at].1 += n,
+            at => self.0.insert(at.map_or(0, |at| at + 1), (fu, n)),
         }
     }
 }

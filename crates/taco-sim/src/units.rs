@@ -251,8 +251,8 @@ pub(crate) struct Ports<'a> {
     pub rtu: &'a mut RtuState,
     pub ippu_queue: &'a mut VecDeque<(u32, u32)>,
     pub oppu_out: &'a mut Vec<(u32, u32)>,
-    /// Fires per [`DMove::slot`](crate::sched::DMove), bumped by the step
-    /// loop and folded into the statistics when a run ends.
+    /// Fires per unit ([`DMove::slot`](crate::sched::DMove)), bumped by the
+    /// step loop and read into the statistics when a run ends.
     pub trigger_counts: &'a mut [u64],
 }
 
