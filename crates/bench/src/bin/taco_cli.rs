@@ -95,7 +95,7 @@ fn serve(rest: Vec<String>) {
         .opt("--addr", "ADDR", "address to listen on; port 0 picks an ephemeral port")
         .opt("--max-pending", "N", "job slots before submissions get a structured busy error")
         .opt("--snapshot", "PATH", "cache snapshot to load on boot and persist on shutdown")
-        .opt("--threads", "N", "sweep worker threads (0 = one per core)");
+        .opt("--threads", "N", "at most N sweep threads, the runner included (0 = one per core)");
     let args = cli.parse_args_or_exit(rest);
     let mut config = ServerConfig::default();
     if let Some(addr) = args.opt("--addr") {

@@ -236,15 +236,16 @@ fn scenario_from_value(value: &Json) -> Result<ScenarioMetrics, ApiError> {
 }
 
 /// The record `taco-workload` writes itself, all-integer and byte-stable:
-/// embedded as it is, read back by the decoders above.
-impl Wire for ScenarioMetrics {
+/// embedded as it is, read back by the decoders above.  A report holds it
+/// boxed, so a report without one stays small.
+impl Wire for Box<ScenarioMetrics> {
     fn put(&self, out: &mut String) {
         out.push_str(&self.to_json());
     }
 
     fn get(ctx: &str, name: &str, value: &Json) -> Result<Self, ApiError> {
         value.as_object().ok_or_else(|| must(ctx, name, "be a JSON object"))?;
-        scenario_from_value(value)
+        scenario_from_value(value).map(Box::new)
     }
 }
 

@@ -238,6 +238,12 @@ impl EvalCache {
         (report, false)
     }
 
+    /// Makes room for `additional` more reports, so a sweep that fills a
+    /// fresh cache sizes its map once instead of re-hashing it as it grows.
+    pub(crate) fn reserve(&self, additional: usize) {
+        self.reports.lock().expect("cache lock").reserve(additional);
+    }
+
     /// Lookups answered from the map since creation.
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)

@@ -62,7 +62,9 @@ pub struct EvalReport {
     pub stats: SimStats,
     /// *Simulated*: behavioural scenario metrics, when the request attached
     /// a [`Workload`](taco_workload::Workload) and the measurement succeeded.
-    pub scenario: Option<ScenarioMetrics>,
+    /// Boxed: most reports carry none, and a report is cloned into and out
+    /// of every cache.
+    pub scenario: Option<Box<ScenarioMetrics>>,
     /// *Simulated*: the structured simulator error that aborted the
     /// measurement, if any; such a report is infeasible by construction, as
     /// no clock rescues an instance that cannot execute its own microcode.
@@ -345,7 +347,7 @@ fn report(request: &EvalRequest, program_bits: u64, m: Measurement) -> EvalRepor
         program_bits,
         estimate,
         stats: m.stats,
-        scenario,
+        scenario: scenario.map(Box::new),
         sim_error: None,
     }
 }

@@ -163,12 +163,13 @@ impl Exploration {
 
 /// Knobs for a sweep run: parallelism, memoisation and observability.
 ///
-/// The [`Default`] is what the public entry points use — all cores (or
-/// `TACO_THREADS`), the process-global [`EvalCache`], no output.
+/// The [`Default`] is what the public entry points use — at most all cores
+/// (or `TACO_THREADS`), the process-global [`EvalCache`], no output.
 #[derive(Clone, Copy)]
 pub struct ExploreOptions<'a> {
-    /// Threads for the grid fan-out, the caller included (`1` = serial,
-    /// inline).
+    /// The most threads for the grid fan-out, the caller included (`1` =
+    /// serial, inline); helpers spawn only when the points left outlast
+    /// their spawn, so a priced sweep runs on the caller alone.
     pub threads: usize,
     /// Evaluation memo to consult and fill; `None` evaluates every point
     /// from scratch.
@@ -231,7 +232,7 @@ pub fn rank_reports(all: &[EvalReport], constraints: &Constraints) -> Vec<usize>
 
 /// Runs the sweep: evaluate every grid point, filter, rank.
 ///
-/// Points are fanned out across all cores (override with the
+/// Points are fanned out across at most all cores (override with the
 /// `TACO_THREADS` environment variable) and answered from the
 /// process-global [`EvalCache`] where possible.  A point the cache misses
 /// is priced from its table's block profile, recorded once per prepared
@@ -265,6 +266,9 @@ pub fn explore_with(
         report
     };
 
+    if let Some(cache) = opts.cache {
+        cache.reserve(total);
+    }
     let all: Vec<EvalReport> = pool::ordered_map(&configs, opts.threads, |index, config| {
         let point_started = Instant::now();
         let request = spec.request(config, line_rate);
@@ -434,6 +438,21 @@ mod tests {
             let flows = sc.flows.as_ref().expect("trace replay reports per-flow stats");
             assert_eq!(flows.packets(), sc.offered, "every offered datagram came from the trace");
         }
+    }
+
+    #[test]
+    fn a_fresh_cache_misses_once_per_point_and_then_hits_once_per_point() {
+        let cache = EvalCache::new();
+        let opts = ExploreOptions { threads: 2, cache: Some(&cache), observer: &Silent };
+        let sweep = || {
+            explore_with(&SweepSpec::default(), LineRate::TEN_GBE, &Constraints::default(), &opts)
+        };
+        let first = sweep();
+        let points = first.all.len() as u64;
+        assert_eq!((cache.misses(), cache.hits()), (points, 0), "a fresh cache");
+        let second = sweep();
+        assert_eq!((cache.misses(), cache.hits()), (points, points), "a warm cache");
+        assert_eq!(second, first);
     }
 
     #[test]

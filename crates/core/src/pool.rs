@@ -11,20 +11,25 @@
 //!   serial one and `Exploration::all` keeps the sweep-order contract.
 //!
 //! Work is distributed dynamically (an atomic cursor), which keeps cores
-//! busy even though grid points vary wildly in cost (a 1-bus sequential
-//! scan simulates ~50× longer than a 3-bus CAM lookup).
+//! busy even though items vary wildly in cost (a point that steps its
+//! table takes milliseconds, a priced one under a microsecond).  For the
+//! same reason the helpers are spawned only once the caller's own pace
+//! says the work left outlasts their spawn: a priced sweep runs on the
+//! caller alone.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
 /// Environment variable overriding the thread count, the caller's thread
-/// included (so `N` spawns `N − 1` workers).  Must be a positive
+/// included: at most `N` threads, so at most `N − 1` helpers, spawned only
+/// when the work outlasts their spawn.  Must be a positive
 /// integer when set; anything else (including `0`) aborts at startup —
 /// a user who typed `TACO_THREADS=1O` wants an error, not a silent sweep
 /// at some other parallelism.
 pub const THREADS_ENV: &str = "TACO_THREADS";
 
-/// The thread count used by the high-level sweep entry points: the
+/// The most threads the high-level sweep entry points use: the
 /// `TACO_THREADS` environment variable if set to a positive integer,
 /// otherwise [`std::thread::available_parallelism`].
 ///
@@ -61,17 +66,26 @@ fn threads_from(var: Option<&str>) -> Result<usize, String> {
     }
 }
 
-/// Applies `f` to every item on up to `threads` threads — the caller and
-/// `threads − 1` scoped workers — and returns the results **in input
-/// order**.
+/// How much work must be left before helpers pay for themselves: two
+/// spawn-and-join round trips of one scoped thread, which measured 44 µs
+/// each on a 2-vCPU host.  Below it the caller finishes alone sooner than
+/// a helper could start and be joined.
+const SPAWN_WORTH: Duration = Duration::from_micros(100);
+
+/// Applies `f` to every item on at most `threads` threads — the caller and
+/// up to `threads − 1` scoped helpers — and returns the results **in
+/// input order**.
 ///
-/// `f` receives `(index, &item)`.  Every thread runs the same loop, the
-/// caller included, so with `threads <= 1` (or fewer than two items) no
-/// thread is spawned and the loop on the caller's thread is exactly the
-/// serial one.
+/// `f` receives `(index, &item)`.  The caller starts alone.  After each
+/// item it predicts the work left from its own pace (elapsed time ÷ items
+/// done × items left); once that reaches [`SPAWN_WORTH`] it spawns the
+/// helpers, and from then on every thread runs the same loop.  So a map
+/// whose items take a microsecond spawns nothing, one whose first item
+/// takes a millisecond spawns after it, and with `threads <= 1` the
+/// caller's loop is exactly the serial one.
 ///
-/// Panics in `f` — on a worker or in the caller's share — propagate to the
-/// caller once every worker has joined (the guarantee
+/// Panics in `f` — on a helper or in the caller's share — propagate to the
+/// caller once every helper has joined (the guarantee
 /// `std::thread::scope` provides).
 pub fn ordered_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
 where
@@ -81,26 +95,40 @@ where
 {
     let threads = threads.max(1).min(items.len());
     let cursor = AtomicUsize::new(0);
+    let claim = || {
+        let i = cursor.fetch_add(1, Ordering::Relaxed);
+        (i < items.len()).then_some(i)
+    };
     let collected: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(items.len()));
+    let keep = |local: &mut Vec<(usize, R)>| {
+        collected.lock().expect("no thread panics while holding").append(local);
+    };
     let work = || {
-        let mut local: Vec<(usize, R)> = Vec::new();
-        loop {
-            let i = cursor.fetch_add(1, Ordering::Relaxed);
-            if i >= items.len() {
-                break;
-            }
+        let mut local = Vec::new();
+        while let Some(i) = claim() {
             local.push((i, f(i, &items[i])));
         }
-        collected.lock().expect("no worker panics while holding").append(&mut local);
+        keep(&mut local);
     };
     std::thread::scope(|scope| {
-        for _ in 1..threads {
-            scope.spawn(work);
+        let started = Instant::now();
+        let mut mine = Vec::new();
+        while let Some(i) = claim() {
+            mine.push((i, f(i, &items[i])));
+            // Alone so far, so the caller has done every claimed item.
+            let (done, left) = (i as u128 + 1, (items.len() - i - 1) as u128);
+            if threads > 1 && started.elapsed().as_nanos() * left >= SPAWN_WORTH.as_nanos() * done {
+                for _ in 1..threads {
+                    scope.spawn(work);
+                }
+                break;
+            }
         }
+        keep(&mut mine);
         work();
     });
 
-    let mut tagged = collected.into_inner().expect("workers joined");
+    let mut tagged = collected.into_inner().expect("every thread joined");
     debug_assert_eq!(tagged.len(), items.len());
     tagged.sort_unstable_by_key(|&(i, _)| i);
     tagged.into_iter().map(|(_, r)| r).collect()
@@ -179,15 +207,50 @@ mod tests {
         resolve_threads(Some("0"));
     }
 
-    /// The ids of the threads that ran `threads` items, each item waiting
-    /// on a barrier of `threads`, so every thread holds exactly one item.
+    /// A barrier that gives up: [`Gate::wait`] returns once `size` threads
+    /// have arrived and panics after ten seconds, so a pool that never
+    /// spawns its helpers fails a test instead of hanging it.
+    struct Gate {
+        arrived: AtomicUsize,
+        size: usize,
+    }
+
+    impl Gate {
+        fn new(size: usize) -> Self {
+            Gate { arrived: AtomicUsize::new(0), size }
+        }
+
+        fn wait(&self) {
+            self.arrived.fetch_add(1, Ordering::SeqCst);
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while self.arrived.load(Ordering::SeqCst) < self.size {
+                assert!(Instant::now() < deadline, "fewer than {} threads ever arrived", self.size);
+                std::thread::sleep(Duration::from_micros(50));
+            }
+        }
+    }
+
+    /// An item slow enough that the caller's pace calls for helpers.
+    fn slow_item() {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    /// The ids of the threads that ran items `1..=threads`: item 0 is slow,
+    /// so the helpers spawn after it, and each later item waits at a gate
+    /// of `threads`, so every thread holds exactly one.
     fn ids_of_threads_running(threads: usize) -> Vec<std::thread::ThreadId> {
-        let barrier = std::sync::Barrier::new(threads);
-        let items = vec![(); threads];
-        ordered_map(&items, threads, |_, _| {
-            barrier.wait();
+        let gate = Gate::new(threads);
+        let items = vec![(); threads + 1];
+        let mut ids = ordered_map(&items, threads, |i, _| {
+            if i == 0 {
+                slow_item();
+            } else {
+                gate.wait();
+            }
             std::thread::current().id()
-        })
+        });
+        assert_eq!(ids.remove(0), std::thread::current().id(), "the caller starts alone");
+        ids
     }
 
     #[test]
@@ -205,18 +268,45 @@ mod tests {
     }
 
     #[test]
+    fn fast_items_spawn_no_helper() {
+        let caller = std::thread::current().id();
+        let ids = ordered_map(&[(); 16], 4, |_, _| std::thread::current().id());
+        assert!(ids.iter().all(|&id| id == caller), "a helper ran a fast item: {ids:?}");
+    }
+
+    #[test]
+    fn no_helper_runs_beside_the_first_item() {
+        // The first item waits for a second one to start; a helper spawned
+        // before it ended would start one.
+        let started = AtomicUsize::new(0);
+        ordered_map(&[(); 8], 2, |i, _| {
+            started.fetch_add(1, Ordering::SeqCst);
+            if i == 0 {
+                let deadline = Instant::now() + Duration::from_millis(20);
+                while Instant::now() < deadline && started.load(Ordering::SeqCst) == 1 {
+                    std::thread::sleep(Duration::from_micros(50));
+                }
+                assert_eq!(started.load(Ordering::SeqCst), 1, "a helper ran beside the first item");
+            }
+        });
+    }
+
+    #[test]
     fn a_panic_in_the_callers_share_waits_for_the_worker() {
         use std::sync::atomic::AtomicBool;
         let caller = std::thread::current().id();
-        let barrier = std::sync::Barrier::new(2);
+        let gate = Gate::new(2);
         let worker_finished = AtomicBool::new(false);
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            ordered_map(&[(), ()], 2, |_, _| {
-                barrier.wait();
+            ordered_map(&[(), (), ()], 2, |i, _| {
+                if i == 0 {
+                    return slow_item();
+                }
+                gate.wait();
                 if std::thread::current().id() == caller {
                     panic!("the caller's share");
                 }
-                std::thread::sleep(std::time::Duration::from_millis(50));
+                std::thread::sleep(Duration::from_millis(50));
                 worker_finished.store(true, Ordering::SeqCst);
             })
         }));

@@ -190,7 +190,8 @@ fn compiled_results_are_thread_count_invariant() {
     let fingerprint = |request: &EvalRequest| {
         let report = evaluate_request(request);
         assert!(report.sim_error.is_none(), "{request:?} failed: {report}");
-        let scenario = report.scenario.as_ref().map_or_else(String::new, ScenarioMetrics::to_json);
+        let scenario =
+            report.scenario.as_deref().map_or_else(String::new, ScenarioMetrics::to_json);
         (scenario, report.stats)
     };
     let serial = ordered_map(&cells, 1, |_, (_, request)| fingerprint(request));

@@ -87,8 +87,8 @@ pub struct ServerConfig {
     /// [`Server::bind`], written on graceful shutdown.  `None` serves
     /// from a cold cache and persists nothing.
     pub snapshot: Option<PathBuf>,
-    /// Threads for sweep fan-out, the job's runner included (`0` = one per
-    /// core, the [`pool::default_threads`] rule).
+    /// At most this many threads for sweep fan-out, the job's runner
+    /// included (`0` = one per core, the [`pool::default_threads`] rule).
     pub threads: usize,
 }
 

@@ -494,7 +494,10 @@ fn instruction<T: Tracer + ?Sized>(
             Op::Jump => jump = Some(value(ports.file, mv)),
             op => {
                 let fu = mv.fu;
+                // Counted where the event is emitted, so a trigger that
+                // faults is in the stats as it is in the trace.
                 tracer.event(&TraceEvent::FuTriggered { cycle, fu });
+                ports.trigger_counts[usize::from(mv.slot)] += 1;
                 if let Err(e) = ports.apply(op, dst, gbase, value(ports.file, mv), cycle, tracer) {
                     // A later move whose guard an earlier one may write
                     // reads an early copy, so the guards still answer as
@@ -507,7 +510,6 @@ fn instruction<T: Tracer + ?Sized>(
                 let retire =
                     if op == Op::Rtu { ports.rtu.ready_at.max(cycle + 1) } else { cycle + 1 };
                 tracer.event(&TraceEvent::FuRetired { cycle: retire, fu });
-                ports.trigger_counts[usize::from(mv.slot)] += 1;
             }
         }
     }

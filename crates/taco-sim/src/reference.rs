@@ -148,6 +148,7 @@ impl Processor {
                 jump = Some(value);
             } else {
                 tracer.event(&TraceEvent::FuTriggered { cycle, fu: dst.fu });
+                self.stats.fu_instance_triggers.add(dst.fu, 1);
                 let (op, base, gbase) = compiled.map.port(dst)?;
                 self.ports().apply(op, base, gbase, value, cycle, tracer)?;
                 // Results become architecturally visible the next cycle —
@@ -158,7 +159,6 @@ impl Processor {
                     cycle + 1
                 };
                 tracer.event(&TraceEvent::FuRetired { cycle: retire, fu: dst.fu });
-                self.stats.fu_instance_triggers.add(dst.fu, 1);
             }
         }
 

@@ -20,6 +20,7 @@ use taco::ipv6::ripng::{Command, RipngPacket, RouteEntry};
 use taco::ipv6::{Ipv6Address, Ipv6Header, Ipv6Prefix, NextHeader};
 use taco::isa::{FuKind, FuRef, Guard, MachineConfig, Move, MoveSeq, PortDir, PortRef, Source};
 pub use taco::router::SplitMix64;
+use taco::sim::{SimStats, TraceCounters};
 
 /// Names the failing case on the way out of a panicking body.
 struct Case {
@@ -44,6 +45,19 @@ pub fn cases(seed: u64, cases: u64, mut body: impl FnMut(&mut SplitMix64)) {
     for case in 0..cases {
         let _named_on_panic = Case { seed, case };
         body(&mut SplitMix64::new(seed ^ case));
+    }
+}
+
+/// The counters of `stats` an event stream determines: what
+/// `TraceCounters::from_events` gives back for a complete capture of the
+/// run, whether it ended cleanly or in an error.
+pub fn counted_by_the_loop(stats: &SimStats) -> TraceCounters {
+    TraceCounters {
+        moves_executed: stats.moves_executed,
+        moves_squashed: stats.moves_squashed,
+        stall_cycles: stats.stall_cycles,
+        injected_stall_cycles: stats.injected_stall_cycles,
+        fu_instance_triggers: stats.fu_instance_triggers.clone(),
     }
 }
 

@@ -12,7 +12,8 @@
 //!
 //! A cold row counts the first evaluation of a machine the binary has not
 //! compiled microcode for, and the last row counts a behavioural scenario
-//! per offered datagram.
+//! per offered datagram.  The report's own size is held beside them, as
+//! every cache copies it.
 //!
 //! One test in a binary of its own, so no other test's allocations land in
 //! the window.
@@ -20,7 +21,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use taco::eval::{evaluate_request, ArchConfig, EvalRequest, Workload};
+use taco::eval::{evaluate_request, ArchConfig, EvalReport, EvalRequest, Workload};
 use taco::routing::TableKind;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
@@ -60,6 +61,12 @@ static GLOBAL: Counting = Counting;
 
 #[test]
 fn a_warm_evaluation_allocates_for_one_router_not_for_its_input() {
+    // Every cache hit, insert and re-hash copies a report: 248 bytes since
+    // its scenario metrics are boxed, 1 000 while every report held them
+    // inline, though most carry none.
+    let bytes = std::mem::size_of::<EvalReport>();
+    assert!(bytes <= 256, "an EvalReport is {bytes} bytes (ceiling 256)");
+
     // The ceilings are the counts (1 / 1 / 2 / 1): a priced round
     // allocates the one `Vec` of its folded trigger record (one node of a
     // trigger map until the record had one layout) and nothing else (the

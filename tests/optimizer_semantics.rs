@@ -15,7 +15,7 @@
 
 mod common;
 
-use common::{cases, SplitMix64};
+use common::{cases, counted_by_the_loop, SplitMix64};
 use taco::isa::{
     decode, encode, optimize, schedule, validate_schedule, CodeBuilder, FuKind, MachineConfig,
     MoveSeq, Program,
@@ -289,17 +289,6 @@ fn run_scheduled(
         None => cpu.run(1_000_000),
     };
     (stats.expect("straight-line code halts"), cpu)
-}
-
-/// The counters of `stats` an event stream determines.
-fn counted_by_the_loop(stats: &SimStats) -> TraceCounters {
-    TraceCounters {
-        moves_executed: stats.moves_executed,
-        moves_squashed: stats.moves_squashed,
-        stall_cycles: stats.stall_cycles,
-        injected_stall_cycles: stats.injected_stall_cycles,
-        fu_instance_triggers: stats.fu_instance_triggers.clone(),
-    }
 }
 
 #[test]

@@ -19,7 +19,7 @@
 
 mod common;
 
-use common::{cases, move_seq, SplitMix64};
+use common::{cases, counted_by_the_loop, move_seq, SplitMix64};
 use taco::eval::{benchmark_routes, FaultPlan};
 use taco::ipv6::{Datagram, NextHeader};
 use taco::isa::{asm, schedule, FuKind, MachineConfig, PortRef, Program, Source};
@@ -27,7 +27,7 @@ use taco::router::{CycleRouter, MicrocodeOptions, TrafficGen};
 use taco::routing::{PortId, Route, TableKind};
 use taco::sim::{
     MapRtu, PeriodicStall, Processor, RingTracer, RtuConfig, RtuResult, SimError, SimStats,
-    TraceEvent, DEFAULT_MEMORY_WORDS,
+    TraceCounters, TraceEvent, DEFAULT_MEMORY_WORDS,
 };
 
 /// One way of running a machine to completion.
@@ -304,6 +304,9 @@ fn errors_agree_and_leave_the_same_statistics() {
         let r = observe(&mut reference, Processor::run_reference, identity, budget, None);
         assert_eq!(d, r, "{text}");
         assert_eq!(d.result, Err(error.clone()), "{text}");
+        // An error ends the run, not its bookkeeping: replaying the
+        // events gives back the statistics.
+        assert_eq!(TraceCounters::from_events(&d.events), counted_by_the_loop(&d.stats), "{text}");
         // The counter trigger before the memory fault must already be
         // folded into the decoded side's statistics when the error surfaces.
         if error == out_of_bounds {
@@ -311,6 +314,20 @@ fn errors_agree_and_leave_the_same_statistics() {
         }
         let run: Run<Processor> = |cpu, budget, _, _| cpu.run(budget);
         assert_untraced_agrees(&mut load(text), run, identity, budget, r, text);
+    }
+}
+
+#[test]
+fn a_trigger_that_faults_is_counted_as_it_is_traced() {
+    let text = "4000000000 -> mmu0.addr\n0 -> mmu0.tread\n";
+    let error = SimError::MemoryOutOfBounds { addr: 4_000_000_000, size: DEFAULT_MEMORY_WORDS };
+    let runs: [Run<Processor>; 2] = [Processor::run_with, Processor::run_reference];
+    for run in runs {
+        let mut cpu = load_on(MachineConfig::new(2), text);
+        let seen = observe(&mut cpu, run, identity, 10, None);
+        assert_eq!(seen.result, Err(error.clone()));
+        assert_eq!(seen.stats.fu_instance_triggers.of_kind(FuKind::Mmu), 1);
+        assert_eq!(TraceCounters::from_events(&seen.events), counted_by_the_loop(&seen.stats));
     }
 }
 
