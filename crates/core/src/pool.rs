@@ -67,7 +67,7 @@ fn threads_from(var: Option<&str>) -> Result<usize, String> {
 }
 
 /// How much work must be left before helpers pay for themselves: two
-/// spawn-and-join round trips of one scoped thread, which measured 44 µs
+/// spawn-and-join round trips of one scoped thread, which measured 44–58 µs
 /// each on a 2-vCPU host.  Below it the caller finishes alone sooner than
 /// a helper could start and be joined.
 const SPAWN_WORTH: Duration = Duration::from_micros(100);
