@@ -12,7 +12,7 @@ use taco_workload::{
 };
 
 use crate::arch::ArchConfig;
-use crate::prepared::PreparedInput;
+use crate::prepared::{unfit, PreparedInput, MEASURE_DATAGRAMS};
 use crate::price::BlockProfile;
 use crate::rate::LineRate;
 use crate::request::EvalRequest;
@@ -125,13 +125,27 @@ pub(crate) fn measure<T: Tracer + ?Sized>(
     faults: Option<&FaultPlan>,
     tracer: &mut T,
 ) -> Result<(f64, SimStats), SimError> {
-    router.reserve(input.frames().len());
-    for (words, byte_len) in input.frames() {
-        router.enqueue_words(PortId(0), words, *byte_len)?;
-    }
-    let stats = router.run_with(CYCLE_BUDGET, tracer, stall_injector(faults))?;
+    let stats = run_frames(router, input, MEASURE_DATAGRAMS, tracer, stall_injector(faults))?;
     let n = router.processor().outputs().len().max(1);
     Ok((stats.cycles as f64 / n as f64, stats))
+}
+
+/// Enqueues `datagrams` copies of `input`'s measurement frame on the fresh
+/// `router` and runs it to the end under `tracer`, with `stalls` stealing
+/// cycles: a measurement, or one run of a profile's recording.
+pub(crate) fn run_frames<T: Tracer + ?Sized>(
+    router: &mut CycleRouter,
+    input: &PreparedInput,
+    datagrams: usize,
+    tracer: &mut T,
+    stalls: Option<PeriodicStall>,
+) -> Result<SimStats, SimError> {
+    let (words, byte_len) = input.frame();
+    router.reserve(datagrams);
+    for _ in 0..datagrams {
+        router.enqueue_words(PortId(0), words, *byte_len)?;
+    }
+    router.run_with(CYCLE_BUDGET, tracer, stalls)
 }
 
 /// Re-runs `request`'s measurement under an arbitrary [`Tracer`] — the one
@@ -211,7 +225,6 @@ struct Measurement {
 /// error carries the latency it struck at.
 fn converge(
     request: &EvalRequest,
-    frames: usize,
     mut run: impl FnMut(u32) -> Result<(f64, SimStats), SimError>,
 ) -> Result<Measurement, (u32, SimError)> {
     let cam_spec = CamSpec::paper_default();
@@ -225,7 +238,7 @@ fn converge(
         // Searching once per datagram past the watchdog is how the run
         // would end: say so without simulating it.
         let next = cam_spec.search_cycles(freq);
-        if next.saturating_mul(frames.max(1) as u64) > CYCLE_BUDGET {
+        if next.saturating_mul(MEASURE_DATAGRAMS as u64) > CYCLE_BUDGET {
             let latency = u32::try_from(next).unwrap_or(u32::MAX);
             return Err((latency, SimError::Watchdog { budget: CYCLE_BUDGET }));
         }
@@ -245,7 +258,9 @@ fn converge(
 /// input by stepping the table (the `price` module says why that is exact).
 /// A round is stepped on a fresh cycle-accurate router instead when the
 /// profile refuses to price it, or when the request's fault plan injects
-/// stalls.
+/// stalls.  A table that cannot fit on any machine, where its size alone
+/// says so, is refused before anything is prepared, with the report
+/// evaluating it would give.
 ///
 /// # Examples
 ///
@@ -259,7 +274,16 @@ fn converge(
 /// assert!(report.required_frequency_hz < 200e6); // tens of MHz, as in the paper
 /// ```
 pub fn evaluate_request(request: &EvalRequest) -> EvalReport {
-    evaluate_prepared(request, &PreparedInput::shared(request.entries)).0
+    refused(request)
+        .unwrap_or_else(|| evaluate_prepared(request, &PreparedInput::shared(request.entries)).0)
+}
+
+/// The report on a request whose table cannot fit on any machine, where
+/// the table size alone says so ([`unfit`]): what evaluating it would
+/// report, field for field, without preparing an input for it.
+pub(crate) fn refused(request: &EvalRequest) -> Option<EvalReport> {
+    let error = unfit(request.config.table, request.entries)?;
+    Some(error_report(request, 1, error))
 }
 
 /// [`evaluate_request`] with every round stepped on a fresh router and no
@@ -300,7 +324,7 @@ fn evaluate_with(
         Err(e) => return (error_report(request, 1, e), false),
     };
     let mut stepped = false;
-    let measured = converge(request, input.frames().len(), |latency| {
+    let measured = converge(request, |latency| {
         if let Some(priced) = profile.and_then(|p| p.price(&compiled, &config.machine, latency)) {
             return Ok(priced);
         }

@@ -16,7 +16,7 @@ use taco_workload::{FaultPlan, FlowTrace, Workload};
 
 use crate::arch::ArchConfig;
 use crate::cache::EvalCache;
-use crate::evaluate::{evaluate_prepared, evaluate_stepped, EvalReport};
+use crate::evaluate::{evaluate_prepared, evaluate_stepped, refused, EvalReport};
 use crate::observer::{PointRecord, Silent, SweepObserver, SweepSummary};
 use crate::pool;
 use crate::prepared::PreparedInput;
@@ -258,6 +258,9 @@ pub fn explore_with(
     let points_priced = AtomicUsize::new(0);
     let input = OnceLock::new();
     let evaluate = |request: &EvalRequest| {
+        if let Some(report) = refused(request) {
+            return report;
+        }
         let input = input.get_or_init(|| PreparedInput::shared(spec.entries));
         let (report, priced) = evaluate_prepared(request, input);
         if priced {

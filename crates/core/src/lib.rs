@@ -69,6 +69,7 @@ pub use explorer::{
 };
 pub use observer::{PointRecord, Silent, StderrProgress, SweepObserver, SweepSummary};
 pub use prepared::benchmark_routes;
+pub use price::{profile_pair, BlockProfile};
 pub use rate::LineRate;
 pub use request::EvalRequest;
 pub use table1::table1;

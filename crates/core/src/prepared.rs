@@ -9,19 +9,28 @@
 //! [`PreparedInput`], held in a small process-wide memo with the same
 //! lifetime model as the compiled-program cache in `taco_router::cycle`.
 //!
-//! Every evaluation prices its rounds from the profile, so recording it is
-//! the one stepped run an input's table pays.  A round the profile refuses,
-//! a fault plan that injects stalls and a trace step again; an input above
-//! the memo's size limit is not kept, so it records its profiles again on
-//! every evaluation.
+//! The measurement input is one worst-case datagram enqueued
+//! [`MEASURE_DATAGRAMS`] times, so a profile is recorded from an empty run
+//! and a one-datagram run and extrapolated (the `price` module says why
+//! that is exact).  Every evaluation prices its rounds from the profile, so
+//! those two short runs are the stepping an input's table pays.  A round
+//! the profile refuses, a fault plan that injects stalls and a trace step
+//! all eight datagrams again; an input above the memo's size limit is not
+//! kept, so it records its profiles again on every evaluation.
+//!
+//! Some tables cannot fit whatever the machine: a CAM table past the chip's
+//! rows, a sequential image that leaves no room for the eight datagram
+//! slots above it.  [`unfit`] works those out from the table size alone, so
+//! such an evaluation is refused before an input is prepared for it.
 
 use std::sync::{Arc, Mutex, OnceLock};
 
-use taco_ipv6::{Datagram, NextHeader};
-use taco_router::cycle::{CycleRouter, TableImage};
-use taco_router::layout::datagram_to_words;
-use taco_router::microcode::MicrocodeOptions;
+use taco_ipv6::{Datagram, Ipv6Header, NextHeader};
+use taco_router::cycle::{check_fit, CycleRouter, TableImage};
+use taco_router::layout::{datagram_to_words, SEQ_ENTRY_WORDS};
+use taco_router::microcode::{padded_entries, MicrocodeOptions};
 use taco_router::traffic::TrafficGen;
+use taco_routing::cam::CamSpec;
 use taco_routing::{Route, SequentialTable, TableKind};
 use taco_sim::SimError;
 
@@ -30,7 +39,14 @@ use crate::price::BlockProfile;
 
 /// Number of measurement datagrams per evaluation (amortises the once-off
 /// envelope of a batch run).
-const MEASURE_DATAGRAMS: usize = 8;
+pub(crate) const MEASURE_DATAGRAMS: usize = 8;
+
+/// UDP payload bytes of the measurement datagram.
+const MEASURE_PAYLOAD_BYTES: usize = 32;
+
+/// Words the measurement frame packs into, known before any input is
+/// prepared: a fixed header and payload, whatever the destination.
+const MEASURE_FRAME_WORDS: usize = (Ipv6Header::LEN + MEASURE_PAYLOAD_BYTES).div_ceil(4);
 
 /// Prepared inputs the memo keeps, most recently used first.  A sweep or
 /// Table 1 uses one size, the scaling ablations walk a handful in order, so
@@ -53,37 +69,59 @@ pub fn benchmark_routes(entries: usize) -> Vec<Route> {
     gen.table(entries, false)
 }
 
-/// The measurement workload: every datagram's destination matches the entry
-/// the sequential scan reaches *last*, so each organisation is charged its
-/// worst case — the "required speed" of Table 1 must *guarantee* line rate,
-/// not merely sustain it on friendly traffic.
-fn measurement_datagrams(routes: &[Route]) -> Vec<Datagram> {
+/// The measurement datagram, enqueued [`MEASURE_DATAGRAMS`] times: its
+/// destination matches the entry the sequential scan reaches *last*, so
+/// each organisation is charged its worst case — the "required speed" of
+/// Table 1 must *guarantee* line rate, not merely sustain it on friendly
+/// traffic.  Eight copies of one datagram take eight times one datagram's
+/// path, which is what lets a profile be recorded from one.
+fn measurement_datagram(routes: &[Route]) -> Datagram {
     let mut gen = TrafficGen::new(0x0DA7A, 4);
     let table = SequentialTable::from_routes(routes.iter().copied());
     let deepest = *table.entries().last().expect("non-empty table");
-    (0..MEASURE_DATAGRAMS)
-        .map(|_| {
-            let dst = gen.addr_in(&deepest.prefix());
-            Datagram::builder("2001:db8:ffff::1".parse().expect("valid"), dst)
-                .hop_limit(64)
-                .payload(NextHeader::Udp, vec![0u8; 32])
-                .build()
-        })
-        .collect()
+    Datagram::builder("2001:db8:ffff::1".parse().expect("valid"), gen.addr_in(&deepest.prefix()))
+        .hop_limit(64)
+        .payload(NextHeader::Udp, vec![0u8; MEASURE_PAYLOAD_BYTES])
+        .build()
 }
 
-/// One measurement datagram as the router's data memory holds it: its wire
+/// The measurement datagram as the router's data memory holds it: its wire
 /// bytes packed into big-endian words, and its wire length.
 pub(crate) type Frame = (Vec<u32>, usize);
 
+/// The error an evaluation of an `entries`-entry `kind` table ends in on
+/// any machine, where the table size alone decides it: a CAM table past
+/// the chip's rows ([`TableImage::new`]'s [`SimError::TableFull`]), or a
+/// sequential image that, with the measurement slots above it, overruns
+/// data memory ([`check_fit`]).  `None` where the table fits, and for the
+/// tree and PATRICIA, whose image size depends on the routes' shape.
+///
+/// Exact because the benchmark routes are `entries` distinct prefixes, the
+/// image is the first thing an evaluation builds and the generated
+/// program compiles on every machine, so what fails first is the table.
+pub(crate) fn unfit(kind: TableKind, entries: usize) -> Option<SimError> {
+    match kind {
+        TableKind::Cam => {
+            let capacity = CamSpec::paper_default().capacity;
+            (entries > capacity).then_some(SimError::TableFull { capacity })
+        }
+        TableKind::Sequential => {
+            let padded = padded_entries(entries, MicrocodeOptions::default().unroll);
+            let words = padded * SEQ_ENTRY_WORDS as usize;
+            check_fit(words, MEASURE_DATAGRAMS, MEASURE_FRAME_WORDS).err()
+        }
+        TableKind::BalancedTree | TableKind::Patricia => None,
+    }
+}
+
 /// Everything an evaluation at one table size needs before a machine shape
-/// is chosen: the benchmark routes, the measurement datagrams packed into
-/// frames, and — filled on first use per organisation — the serialised
+/// is chosen: the benchmark routes, the measurement datagram packed into a
+/// frame, and — filled on first use per organisation — the serialised
 /// table and its block profile.  Immutable.
 #[derive(Debug)]
 pub(crate) struct PreparedInput {
     entries: usize,
-    frames: Vec<Frame>,
+    frame: Frame,
     routes: Vec<Route>,
     images: [OnceLock<Result<TableImage, SimError>>; TableKind::ALL_KINDS.len()],
     profiles: [OnceLock<Option<BlockProfile>>; TableKind::ALL_KINDS.len()],
@@ -92,12 +130,10 @@ pub(crate) struct PreparedInput {
 impl PreparedInput {
     fn new(entries: usize) -> Self {
         let routes = benchmark_routes(entries);
+        let datagram = measurement_datagram(&routes);
         PreparedInput {
             entries,
-            frames: measurement_datagrams(&routes)
-                .iter()
-                .map(|d| (datagram_to_words(d), d.wire_len()))
-                .collect(),
+            frame: (datagram_to_words(&datagram), datagram.wire_len()),
             routes,
             images: Default::default(),
             profiles: Default::default(),
@@ -130,9 +166,9 @@ impl PreparedInput {
         })
     }
 
-    /// The measurement frames, in enqueue order.
-    pub(crate) fn frames(&self) -> &[Frame] {
-        &self.frames
+    /// The measurement frame, enqueued [`MEASURE_DATAGRAMS`] times.
+    pub(crate) fn frame(&self) -> &Frame {
+        &self.frame
     }
 
     /// Builds the cycle router for `config` over this input's table, with
@@ -183,16 +219,14 @@ mod tests {
     }
 
     #[test]
-    fn the_frames_are_the_measurement_datagrams_packed() {
+    fn the_frame_is_the_measurement_datagram_packed() {
         use taco_routing::PortId;
         use taco_sim::NullTracer;
 
         let input = PreparedInput::new(40);
-        let datagrams = measurement_datagrams(&input.routes);
-        assert_eq!(input.frames().len(), MEASURE_DATAGRAMS);
-        for (frame, d) in input.frames().iter().zip(&datagrams) {
-            assert_eq!(frame, &(datagram_to_words(d), d.wire_len()));
-        }
+        let datagram = measurement_datagram(&input.routes);
+        assert_eq!(input.frame(), &(datagram_to_words(&datagram), datagram.wire_len()));
+        assert_eq!(input.frame().0.len(), MEASURE_FRAME_WORDS);
         // The microcode reads only header words, so a corrupt payload word
         // would move no cycle count: compare what the router forwards.
         for kind in TableKind::ALL_KINDS {
@@ -201,7 +235,8 @@ mod tests {
             let (_, framed_stats) =
                 crate::evaluate::measure(&mut framed, &input, None, &mut NullTracer).expect("runs");
             let mut batched = input.router(&config, 1).expect("builds");
-            batched.enqueue_batch(datagrams.iter().map(|d| (PortId(0), d))).expect("fits");
+            let batch = std::iter::repeat_n((PortId(0), &datagram), MEASURE_DATAGRAMS);
+            batched.enqueue_batch(batch).expect("fits");
             assert_eq!(framed_stats, batched.run(50_000_000).expect("runs"), "{kind}");
             let bytes = |router: &CycleRouter| -> Vec<(PortId, Vec<u8>)> {
                 router.forwarded().iter().map(|(port, d)| (*port, d.to_bytes())).collect()

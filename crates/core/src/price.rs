@@ -16,9 +16,9 @@
 //!
 //! So a [`BlockProfile`] — each block's visit count, each virtual unit's
 //! trigger count, the move counts and the forwarded datagrams — recorded by
-//! stepping the table once, on the machine that folds no unit
-//! (`TableImage::unfolded`) and at RTU latency 1 (where no interlock
-//! stalls), prices any machine exactly: cycles are Σ visits × block length
+//! stepping the table on the machine that folds no unit
+//! (`TableImage::unfolded_program`) and at RTU latency 1 (where no
+//! interlock stalls), prices any machine exactly: cycles are Σ visits × block length
 //! plus the RTU stalls, both read from the block summary the point's
 //! compiled program carries (`CompiledProgram::blocks`), and triggers fold
 //! onto physical units by `MachineConfig::fold`, as `schedule` folds them.  A
@@ -26,6 +26,16 @@
 //! input, beside the table image, and every evaluation — a single
 //! `evaluate_request`, a sweep point, a Table 1 cell — prices its
 //! fixed-point rounds from it.
+//!
+//! The measurement input is one datagram enqueued eight times, and each
+//! copy takes the same path through the microcode, so every count is the
+//! batch envelope plus eight times one datagram's path.  A recording
+//! therefore steps one datagram and an empty run, on one compiled program,
+//! and extrapolates each count as `empty + 8 × (one − empty)`: a few
+//! hundred cycles instead of eight datagrams' worth.  It refuses, as
+//! stepping eight would fail, where the eight datagram slots do not fit
+//! above the table image.  `tests/profile_extrapolation.rs` holds the
+//! extrapolation equal to a recording that steps all eight.
 //!
 //! Stepping stays for four jobs: recording a profile; a round where the
 //! argument does not hold, which [`BlockProfile::price`] refuses; a fault
@@ -41,13 +51,13 @@ use taco_router::cycle::CycleRouter;
 use taco_routing::TableKind;
 use taco_sim::{CompiledProgram, SimStats, TraceEvent, Tracer, TriggerCounts};
 
-use crate::evaluate::{measure, CYCLE_BUDGET};
-use crate::prepared::PreparedInput;
+use crate::evaluate::{run_frames, CYCLE_BUDGET};
+use crate::prepared::{PreparedInput, MEASURE_DATAGRAMS};
 
-/// What stepping one table once over the measurement input observed, in
-/// the terms every machine shares.
-#[derive(Debug)]
-pub(crate) struct BlockProfile {
+/// What stepping one table over the measurement input observes, in the
+/// terms every machine shares.
+#[derive(Debug, PartialEq)]
+pub struct BlockProfile {
     /// Visits per basic block, in program order.
     visits: Vec<u64>,
     /// Passing triggers per virtual unit instance: the unfolded run's
@@ -55,9 +65,51 @@ pub(crate) struct BlockProfile {
     triggers: TriggerCounts,
     moves_executed: u64,
     moves_squashed: u64,
-    /// Datagrams forwarded (at least 1): what cycles per datagram divides
-    /// by.
-    forwarded: usize,
+    /// Datagrams forwarded; cycles per datagram divide by at least 1.
+    forwarded: u64,
+}
+
+/// The `kind` table's block profile over the `entries`-entry measurement
+/// input twice: as every evaluation records it, from an empty and a
+/// one-datagram run, and recorded by stepping all eight measurement
+/// datagrams; `None` where the table refuses to record.  Only tests call
+/// it: `tests/profile_extrapolation.rs` holds the two equal.
+pub fn profile_pair(kind: TableKind, entries: usize) -> Option<(BlockProfile, BlockProfile)> {
+    let input = PreparedInput::shared(entries);
+    let eight = recorder(&input, kind)?(MEASURE_DATAGRAMS)?;
+    Some((BlockProfile::record(&input, kind)?, eight))
+}
+
+/// Steps the given number of measurement datagrams through the `kind`
+/// table over `input` on one compiled unfolded program, at RTU latency 1,
+/// and returns what each run observed; `None` where the table does not
+/// build, its program does not compile, or eight datagrams would not fit
+/// above the image, and the recorder's own `None` where a run fails.
+fn recorder(
+    input: &PreparedInput,
+    kind: TableKind,
+) -> Option<impl Fn(usize) -> Option<BlockProfile> + '_> {
+    let image = input.image(kind).ok()?;
+    image.check_fit(MEASURE_DATAGRAMS, input.frame().0.len()).ok()?;
+    let program = image.unfolded_program().ok()?;
+    Some(move |datagrams| {
+        let mut router = CycleRouter::unfolded(Arc::clone(&program), image).ok()?;
+        let mut issued = IssueCounter(vec![0; program.program().instructions.len()]);
+        let stats = run_frames(&mut router, input, datagrams, &mut issued, None).ok()?;
+        // A block's visits are its first word's issues.
+        let starts = program.blocks().iter().scan(0, |at, block| {
+            let start = *at;
+            *at += block.words() as usize;
+            Some(start)
+        });
+        Some(BlockProfile {
+            visits: starts.map(|at| issued.0[at]).collect(),
+            triggers: stats.fu_instance_triggers,
+            moves_executed: stats.moves_executed,
+            moves_squashed: stats.moves_squashed,
+            forwarded: router.processor().outputs().len() as u64,
+        })
+    })
 }
 
 /// Counts the words the step loop issues, per instruction index.
@@ -76,27 +128,23 @@ impl Tracer for IssueCounter {
 }
 
 impl BlockProfile {
-    /// Steps `input` once through the `kind` table on its unfolded machine
-    /// at RTU latency 1, counting block visits; `None` when the table does
-    /// not build or the run fails, so every round of the table's points is
-    /// stepped and reports the failure itself.
+    /// The `kind` table's profile over `input`'s eight measurement
+    /// datagrams, from an empty run and a one-datagram run, each count
+    /// extrapolated as `empty + 8 × (one − empty)`; `None` when the table
+    /// does not build, eight datagrams would not fit above it or a run
+    /// fails, so every round of the table's points is stepped and reports
+    /// the failure itself.
     pub(crate) fn record(input: &PreparedInput, kind: TableKind) -> Option<Self> {
-        let mut router = CycleRouter::unfolded(input.image(kind).ok()?).ok()?;
-        let program = Arc::clone(router.processor().compiled());
-        let mut issued = IssueCounter(vec![0; program.program().instructions.len()]);
-        let (_, stats) = measure(&mut router, input, None, &mut issued).ok()?;
-        // A block's visits are its first word's issues.
-        let starts = program.blocks().iter().scan(0, |at, block| {
-            let start = *at;
-            *at += block.words() as usize;
-            Some(start)
-        });
+        let step = recorder(input, kind)?;
+        let (empty, one) = (step(0)?, step(1)?);
+        let eight = |empty: u64, one: u64| empty + MEASURE_DATAGRAMS as u64 * (one - empty);
+        let triggers = one.triggers.iter().map(|(fu, n)| (fu, eight(empty.triggers.get(fu), n)));
         Some(BlockProfile {
-            visits: starts.map(|at| issued.0[at]).collect(),
-            triggers: stats.fu_instance_triggers,
-            moves_executed: stats.moves_executed,
-            moves_squashed: stats.moves_squashed,
-            forwarded: router.processor().outputs().len().max(1),
+            visits: empty.visits.iter().zip(&one.visits).map(|(&e, &o)| eight(e, o)).collect(),
+            triggers: triggers.collect(),
+            moves_executed: eight(empty.moves_executed, one.moves_executed),
+            moves_squashed: eight(empty.moves_squashed, one.moves_squashed),
+            forwarded: eight(empty.forwarded, one.forwarded),
         })
     }
 
@@ -134,7 +182,7 @@ impl BlockProfile {
             fu_instance_triggers: folded.collect(),
             buses: machine.buses(),
         };
-        Some((cycles as f64 / self.forwarded as f64, stats))
+        Some((cycles as f64 / self.forwarded.max(1) as f64, stats))
     }
 }
 

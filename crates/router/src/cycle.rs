@@ -15,8 +15,8 @@ use taco_routing::{
     BalancedTreeTable, CamTable, LpmTable, PatriciaTable, PortId, Route, SequentialTable, TableKind,
 };
 use taco_sim::{
-    CompiledProgram, PeriodicStall, Processor, RtuBackend, RtuConfig, RtuResult, SimError,
-    SimStats, Tracer,
+    CompiledProgram, DataMemory, PeriodicStall, Processor, RtuBackend, RtuConfig, RtuResult,
+    SimError, SimStats, Tracer, DEFAULT_MEMORY_WORDS,
 };
 
 use crate::layout::{
@@ -117,10 +117,34 @@ impl TableImage {
         compiled_program(config, self)
     }
 
+    /// Whether [`CycleRouter::from_image`] over this image and then
+    /// `datagrams` calls of [`CycleRouter::enqueue_words`] with `frame_words`
+    /// words each would all succeed, from [`check_fit`]'s arithmetic alone.
+    ///
+    /// # Errors
+    ///
+    /// See [`check_fit`].
+    pub fn check_fit(&self, datagrams: usize, frame_words: usize) -> Result<(), SimError> {
+        check_fit(self.words.len(), datagrams, frame_words)
+    }
+
+    /// This image's microcode scheduled for the machine [`schedule`] folds
+    /// no unit on, where a table's block profile is recorded
+    /// ([`CycleRouter::unfolded`]).  No evaluation runs that machine, so the
+    /// program is compiled for the caller alone and the cache does not
+    /// keep it.
+    ///
+    /// # Errors
+    ///
+    /// See [`TableImage::compiled`].
+    pub fn unfolded_program(&self) -> Result<Arc<CompiledProgram>, SimError> {
+        compile(&self.unfolded(), self)
+    }
+
     /// The [`UNFOLDED_BUSES`]-bus machine with one unit per virtual instance
     /// this image's microcode names, for every kind a machine may replicate
     /// — the machine [`schedule`] folds no unit on.
-    pub(crate) fn unfolded(&self) -> MachineConfig {
+    fn unfolded(&self) -> MachineConfig {
         let seq = Arc::clone(&level_one(&mut program_cache(), self).seq);
         let mut named = [0u8; FuKind::ALL.len()];
         let mut name = |fu: FuRef| {
@@ -241,6 +265,46 @@ fn compile(config: &MachineConfig, image: &TableImage) -> Result<Arc<CompiledPro
     CompiledProgram::compile(config.clone(), Arc::new(program))
 }
 
+/// Where a table image of `image_words` words ends in data memory.
+fn image_end(image_words: usize) -> u32 {
+    TABLE_BASE.saturating_add(u32::try_from(image_words).unwrap_or(u32::MAX))
+}
+
+/// Address of datagram slot `index` above a table image ending at
+/// `image_end`.
+fn slot_addr(image_end: u32, index: usize) -> u32 {
+    dgram_base(image_end)
+        .saturating_add(u32::try_from(index).unwrap_or(u32::MAX).saturating_mul(DGRAM_SLOT_WORDS))
+}
+
+/// Whether a datagram of `len` words fits the slot at `addr` in `memory`:
+/// no longer than a slot, and inside memory.
+fn slot_fits(memory: &DataMemory, addr: u32, len: usize) -> Result<(), SimError> {
+    if len > DGRAM_SLOT_WORDS as usize {
+        let addr = addr.saturating_add(len as u32);
+        return Err(SimError::MemoryOutOfBounds { addr, size: memory.size() });
+    }
+    memory.fits(addr, len)
+}
+
+/// Whether a router over a table image of `image_words` words
+/// ([`CycleRouter::from_image`]) takes `datagrams` frames of `frame_words`
+/// words each ([`CycleRouter::enqueue_words`]), worked out without
+/// building either: the image must fit data memory at [`TABLE_BASE`], and
+/// each frame its slot above the image.  The two check the same bounds in
+/// the same order, so an error here is the first of theirs, fields
+/// included — which lets a caller refuse a table it has not built yet.
+///
+/// # Errors
+///
+/// [`SimError::MemoryOutOfBounds`] where the image or a frame does not fit.
+pub fn check_fit(image_words: usize, datagrams: usize, frame_words: usize) -> Result<(), SimError> {
+    let memory = DataMemory::new(DEFAULT_MEMORY_WORDS);
+    memory.fits(TABLE_BASE, image_words)?;
+    let end = image_end(image_words);
+    (0..datagrams).try_for_each(|k| slot_fits(&memory, slot_addr(end, k), frame_words))
+}
+
 impl CycleRouter {
     /// Builds a router over `image` on the machine `config` — the one
     /// construction path: the compiled program comes from the process-wide
@@ -266,16 +330,15 @@ impl CycleRouter {
         Self::load(compiled_program(config, image)?, image, rtu_latency)
     }
 
-    /// [`CycleRouter::from_image`] at RTU latency 1 on the four-bus machine
-    /// with one unit per virtual instance the image's microcode names (the machine [`schedule`] folds no unit on), where a
-    /// table's block profile is recorded.  No evaluation runs that machine, so its program is
-    /// compiled for this router alone and the cache does not keep it.
+    /// A router over `image` at RTU latency 1 running `program`, the
+    /// image's [`TableImage::unfolded_program`], where a table's block
+    /// profile is recorded.  The runs of one recording share one program.
     ///
     /// # Errors
     ///
     /// See [`CycleRouter::from_image`].
-    pub fn unfolded(image: &TableImage) -> Result<Self, SimError> {
-        Self::load(compile(&image.unfolded(), image)?, image, 1)
+    pub fn unfolded(program: Arc<CompiledProgram>, image: &TableImage) -> Result<Self, SimError> {
+        Self::load(program, image, 1)
     }
 
     /// `compiled` powered on over `image`: the body of both constructors.
@@ -290,12 +353,7 @@ impl CycleRouter {
             let backend = Box::new(CamBackend(Arc::clone(table)));
             processor.set_rtu(RtuConfig::new(backend).with_latency(rtu_latency));
         }
-        Ok(CycleRouter {
-            processor,
-            image_end: TABLE_BASE
-                .saturating_add(u32::try_from(image.words.len()).unwrap_or(u32::MAX)),
-            slots: Vec::new(),
-        })
+        Ok(CycleRouter { processor, image_end: image_end(image.words.len()), slots: Vec::new() })
     }
 
     /// Builds a router for any table organisation from a plain route list:
@@ -324,9 +382,7 @@ impl CycleRouter {
     /// Address of datagram slot `index`, counted from the first slot above
     /// the table image.
     fn slot_addr(&self, index: usize) -> u32 {
-        dgram_base(self.image_end).saturating_add(
-            u32::try_from(index).unwrap_or(u32::MAX).saturating_mul(DGRAM_SLOT_WORDS),
-        )
+        slot_addr(self.image_end, index)
     }
 
     /// Sizes data memory to the end of the slot the `count`-th next
@@ -388,12 +444,7 @@ impl CycleRouter {
     ) -> Result<(), SimError> {
         let addr = self.slot_addr(self.slots.len());
         assert!(addr >= self.image_end, "datagram slot {addr:#x} intersects the table image");
-        if words.len() as u32 > DGRAM_SLOT_WORDS {
-            return Err(SimError::MemoryOutOfBounds {
-                addr: addr.saturating_add(words.len() as u32),
-                size: self.processor.memory().size(),
-            });
-        }
+        slot_fits(self.processor.memory(), addr, words.len())?;
         self.processor.memory_mut().load(addr, words)?;
         self.processor.push_input(addr, u32::from(port.0));
         self.slots.push((addr, byte_len));
@@ -718,6 +769,33 @@ mod tests {
         single.enqueue(PortId(1), &d2).unwrap();
         assert_eq!(batched.run(1_000_000).unwrap(), single.run(1_000_000).unwrap());
         assert_eq!(batched.forwarded(), single.forwarded());
+    }
+
+    #[test]
+    fn check_fit_is_the_first_error_building_and_enqueueing_returns() {
+        let frame = datagram_to_words(&dgram("2001:db8::5", 64));
+        let byte_len = dgram("2001:db8::5", 64).wire_len();
+        let mut outcomes = Vec::new();
+        // Eight slots fit, then the eighth, the first slot and the image
+        // itself stop fitting, 3-lane padding included.
+        for n in [5097, 5098, 5397, 5398, 5439, 5440] {
+            let image = TableImage::new(TableKind::Sequential, &siblings(n), &Default::default())
+                .expect("in-memory images always build");
+            let built = CycleRouter::from_image(&MachineConfig::three_bus_one_fu(), &image, 1)
+                .and_then(|mut r| {
+                    (0..8).try_for_each(|_| r.enqueue_words(PortId(0), &frame, byte_len))
+                });
+            assert_eq!(image.check_fit(8, frame.len()), built, "n={n}");
+            outcomes.push(built);
+        }
+        // The first slot past memory starts at its end, whichever it is, so
+        // every slot that does not fit fails at one address.
+        outcomes.dedup();
+        assert_eq!(outcomes.len(), 3, "{outcomes:?}");
+        // A frame longer than its slot.
+        let long = vec![0; DGRAM_SLOT_WORDS as usize + 1];
+        let mut r = seq_router(MachineConfig::three_bus_one_fu());
+        assert_eq!(check_fit(36, 1, long.len()), r.enqueue_words(PortId(0), &long, 4 * long.len()));
     }
 
     #[test]

@@ -323,15 +323,20 @@ pub fn choose_screen_word(table: &taco_routing::SequentialTable) -> u8 {
     best.0
 }
 
+/// The entries a sequential image of `entries` routes holds once
+/// [`pad_sequential_image`] has padded it for `unroll` lanes: the next
+/// multiple of `unroll`, and at least one lane's worth.
+pub fn padded_entries(entries: usize, unroll: u8) -> usize {
+    entries.div_ceil(usize::from(unroll)).max(1) * usize::from(unroll)
+}
+
 /// Pads a sequential table image to a multiple of `unroll` entries with
 /// never-matching sentinel entries (full mask, all-ones prefix,
 /// `MISS_IFACE`); the all-ones destination is the all-nodes multicast
 /// group, which a router never looks up.
 pub fn pad_sequential_image(image: &mut Vec<u32>, unroll: u8) {
-    let stride = SEQ_ENTRY_WORDS as usize;
-    let entries = image.len() / stride;
-    let target = entries.div_ceil(usize::from(unroll)).max(1) * usize::from(unroll);
-    for _ in entries..target {
+    let entries = image.len() / SEQ_ENTRY_WORDS as usize;
+    for _ in entries..padded_entries(entries, unroll) {
         for _ in 0..4 {
             image.push(0xffff_ffff); // mask
             image.push(0xffff_ffff); // prefix
@@ -671,6 +676,7 @@ mod tests {
         let mut empty = Vec::new();
         pad_sequential_image(&mut empty, 3);
         assert_eq!(empty.len(), 3 * stride);
+        assert_eq!([0, 6, 7].map(|n| padded_entries(n, 3)), [3, 6, 9]);
     }
 
     #[test]

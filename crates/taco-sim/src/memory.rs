@@ -102,16 +102,25 @@ impl DataMemory {
     ///
     /// [`SimError::MemoryOutOfBounds`] if the block does not fit.
     pub fn load(&mut self, addr: u32, data: &[u32]) -> Result<(), SimError> {
-        let start = addr as usize;
-        match start.checked_add(data.len()) {
-            Some(end) if end <= self.size as usize => {
-                if end > self.words.len() {
-                    self.words.resize(end, 0);
-                }
-                self.words[start..end].copy_from_slice(data);
-                Ok(())
-            }
-            _ => Err(self.out_of_bounds(addr.saturating_add(data.len() as u32))),
+        self.fits(addr, data.len())?;
+        let (start, end) = (addr as usize, addr as usize + data.len());
+        if end > self.words.len() {
+            self.words.resize(end, 0);
+        }
+        self.words[start..end].copy_from_slice(data);
+        Ok(())
+    }
+
+    /// Whether a block of `len` words fits at `addr`: the error
+    /// [`DataMemory::load`] returns there, without loading anything.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::MemoryOutOfBounds`] if the block does not fit.
+    pub fn fits(&self, addr: u32, len: usize) -> Result<(), SimError> {
+        match (addr as usize).checked_add(len) {
+            Some(end) if end <= self.size as usize => Ok(()),
+            _ => Err(self.out_of_bounds(addr.saturating_add(len as u32))),
         }
     }
 
@@ -170,7 +179,9 @@ mod tests {
         assert_eq!(*m.read_block(2, 3).unwrap(), [1, 2, 3]);
         assert_eq!(*m.read_block(4, 4).unwrap(), [3, 0, 0, 0]);
         assert_eq!(*m.read_block(6, 2).unwrap(), [0, 0]);
-        assert!(m.load(6, &[1, 2, 3]).is_err());
+        assert_eq!(m.fits(5, 3), Ok(()));
+        assert_eq!(m.fits(6, 3), Err(SimError::MemoryOutOfBounds { addr: 9, size: 8 }));
+        assert_eq!(m.load(6, &[1, 2, 3]), m.fits(6, 3));
         assert!(m.read_block(7, 2).is_err());
     }
 
@@ -178,6 +189,7 @@ mod tests {
     fn overflowing_block_does_not_panic() {
         let mut m = DataMemory::new(8);
         assert!(m.load(u32::MAX, &[1]).is_err());
+        assert!(m.fits(u32::MAX, usize::MAX).is_err());
         assert!(m.read_block(u32::MAX, 2).is_err());
     }
 

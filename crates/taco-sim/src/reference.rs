@@ -42,23 +42,27 @@ impl Processor {
         let compiled = Arc::clone(&self.compiled);
         let program = &compiled.program;
         let start = self.cycle;
+        // One word's passing moves, reused by every word of the run.
+        let mut writes = Vec::new();
         while !self.halted {
             if self.cycle - start >= budget {
                 return Err(SimError::Watchdog { budget });
             }
             match program.instructions.get(self.pc) {
-                Some(ins) => self.reference_cycle(&compiled, ins, tracer, stalls)?,
+                Some(ins) => self.reference_cycle(&compiled, ins, &mut writes, tracer, stalls)?,
                 None => self.halted = true,
             }
         }
         Ok(self.stats.clone())
     }
 
-    /// One cycle: a stolen or stalled beat, or one instruction word.
+    /// One cycle: a stolen or stalled beat, or one instruction word, whose
+    /// passing moves collect in `writes`.
     fn reference_cycle<T: Tracer + ?Sized>(
         &mut self,
         compiled: &CompiledProgram,
         ins: &Instruction,
+        writes: &mut Vec<(PortRef, u32)>,
         tracer: &mut T,
         stalls: Option<PeriodicStall>,
     ) -> Result<(), SimError> {
@@ -96,7 +100,7 @@ impl Processor {
 
         // --- read phase ---------------------------------------------------
         tracer.issued(self.pc);
-        let mut writes: Vec<(PortRef, u32)> = Vec::new();
+        writes.clear();
         for (bus, mv) in ins.slots.iter().enumerate().filter_map(|(b, s)| Some((b, s.as_ref()?))) {
             let pass = match &mv.guard {
                 None => true,

@@ -16,20 +16,18 @@ use taco::router::traffic::TrafficGen;
 use taco::routing::{PortId, Route, SequentialTable, TableKind};
 use taco::sim::{SimError, SimStats};
 
-/// The measurement workload, rebuilt from public pieces: eight datagrams
-/// addressed to the entry the sequential scan reaches last.
+/// The measurement workload, rebuilt from public pieces: one datagram
+/// addressed to the entry the sequential scan reaches last, eight times.
 fn measurement_datagrams(routes: &[Route]) -> Vec<Datagram> {
     let mut gen = TrafficGen::new(0x0DA7A, 4);
     let table = SequentialTable::from_routes(routes.iter().copied());
     let deepest = *table.entries().last().expect("non-empty table");
-    (0..8)
-        .map(|_| {
-            Datagram::builder("2001:db8:ffff::1".parse().unwrap(), gen.addr_in(&deepest.prefix()))
-                .hop_limit(64)
-                .payload(NextHeader::Udp, vec![0u8; 32])
-                .build()
-        })
-        .collect()
+    let datagram =
+        Datagram::builder("2001:db8:ffff::1".parse().unwrap(), gen.addr_in(&deepest.prefix()))
+            .hop_limit(64)
+            .payload(NextHeader::Udp, vec![0u8; 32])
+            .build();
+    vec![datagram; 8]
 }
 
 /// One measurement on a router built from scratch at `rtu_latency`.
