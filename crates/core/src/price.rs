@@ -18,8 +18,8 @@
 //! trigger count, the move counts and the forwarded datagrams — recorded by
 //! stepping the table on the machine that folds no unit
 //! (`TableImage::unfolded_program`) and at RTU latency 1 (where no
-//! interlock stalls), prices any machine exactly: cycles are Σ visits × block length
-//! plus the RTU stalls, both read from the block summary the point's
+//! interlock stalls), prices any machine exactly: cycles are Σ visits ×
+//! block length plus the RTU stalls, both read from the block summary the point's
 //! compiled program carries (`CompiledProgram::blocks`), and triggers fold
 //! onto physical units by `MachineConfig::fold`, as `schedule` folds them.  A
 //! profile depends only on the table, so it is recorded once per prepared
@@ -31,10 +31,10 @@
 //! copy takes the same path through the microcode, so every count is the
 //! batch envelope plus eight times one datagram's path.  A recording
 //! therefore steps one datagram and an empty run, on one compiled program,
-//! and extrapolates each count as `empty + 8 × (one − empty)`: a few
-//! hundred cycles instead of eight datagrams' worth.  It refuses, as
-//! stepping eight would fail, where the eight datagram slots do not fit
-//! above the table image.  `tests/profile_extrapolation.rs` holds the
+//! and extrapolates each count as `empty + 8 × (one − empty)`: about an
+//! eighth of the cycles stepping all eight takes.  It refuses where the
+//! eight datagram slots do not fit above the table image, as stepping
+//! eight fails there.  `tests/profile_extrapolation.rs` holds the
 //! extrapolation equal to a recording that steps all eight.
 //!
 //! Stepping stays for four jobs: recording a profile; a round where the

@@ -266,12 +266,14 @@ fn compile(config: &MachineConfig, image: &TableImage) -> Result<Arc<CompiledPro
 }
 
 /// Where a table image of `image_words` words ends in data memory.
+#[inline]
 fn image_end(image_words: usize) -> u32 {
     TABLE_BASE.saturating_add(u32::try_from(image_words).unwrap_or(u32::MAX))
 }
 
 /// Address of datagram slot `index` above a table image ending at
 /// `image_end`.
+#[inline]
 fn slot_addr(image_end: u32, index: usize) -> u32 {
     dgram_base(image_end)
         .saturating_add(u32::try_from(index).unwrap_or(u32::MAX).saturating_mul(DGRAM_SLOT_WORDS))
@@ -279,6 +281,7 @@ fn slot_addr(image_end: u32, index: usize) -> u32 {
 
 /// Whether a datagram of `len` words fits the slot at `addr` in `memory`:
 /// no longer than a slot, and inside memory.
+#[inline]
 fn slot_fits(memory: &DataMemory, addr: u32, len: usize) -> Result<(), SimError> {
     if len > DGRAM_SLOT_WORDS as usize {
         let addr = addr.saturating_add(len as u32);
@@ -298,6 +301,7 @@ fn slot_fits(memory: &DataMemory, addr: u32, len: usize) -> Result<(), SimError>
 /// # Errors
 ///
 /// [`SimError::MemoryOutOfBounds`] where the image or a frame does not fit.
+#[inline]
 pub fn check_fit(image_words: usize, datagrams: usize, frame_words: usize) -> Result<(), SimError> {
     let memory = DataMemory::new(DEFAULT_MEMORY_WORDS);
     memory.fits(TABLE_BASE, image_words)?;

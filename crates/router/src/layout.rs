@@ -99,6 +99,7 @@ pub fn words_to_bytes(words: &[u32], byte_len: usize) -> Vec<u8> {
 /// ends at `image_end`: `DGRAM_BASE`, or the next slot boundary past the
 /// image when the image reaches beyond it (more than 7936 words — 661
 /// sequential entries), so a datagram is never written over table entries.
+#[inline]
 pub fn dgram_base(image_end: u32) -> u32 {
     DGRAM_BASE
         .max(image_end.saturating_add(DGRAM_SLOT_WORDS - 1) / DGRAM_SLOT_WORDS * DGRAM_SLOT_WORDS)

@@ -326,6 +326,7 @@ pub fn choose_screen_word(table: &taco_routing::SequentialTable) -> u8 {
 /// The entries a sequential image of `entries` routes holds once
 /// [`pad_sequential_image`] has padded it for `unroll` lanes: the next
 /// multiple of `unroll`, and at least one lane's worth.
+#[inline]
 pub fn padded_entries(entries: usize, unroll: u8) -> usize {
     entries.div_ceil(usize::from(unroll)).max(1) * usize::from(unroll)
 }

@@ -117,6 +117,7 @@ impl DataMemory {
     /// # Errors
     ///
     /// [`SimError::MemoryOutOfBounds`] if the block does not fit.
+    #[inline]
     pub fn fits(&self, addr: u32, len: usize) -> Result<(), SimError> {
         match (addr as usize).checked_add(len) {
             Some(end) if end <= self.size as usize => Ok(()),
