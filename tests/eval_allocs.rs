@@ -2,7 +2,7 @@
 //! stopwatch-free regression gate for "evaluate once per input" and for
 //! "price a single evaluation from its table's block profile".
 //!
-//! With the routes, packed measurement frames, table image, compiled
+//! With the routes, packed measurement frame, table image, compiled
 //! program with its block summary and the block profile shared, a warm
 //! evaluation prices every round and allocates for its report alone.  Stepping a round again builds a
 //! router (data memory and machine state) and more than doubles the count;
