@@ -1,34 +1,54 @@
-//! The decoded schedule against the reference interpreter.
+//! The step loop against its recorded behaviour.
 //!
-//! `Processor::run_with` executes the schedule `sched::decode` produced at
-//! construction; `Processor::run_reference` executes the instruction words
-//! themselves and shares nothing with the decoder.  Every input here runs
-//! once on each and must leave the same result (or error), statistics,
-//! trace-event stream, program counter, registers and oPPU output behind.
+//! `Processor::run_with` executes the moves `sched::decode` resolved at
+//! construction.  Every input here runs on it once, and what the run leaves
+//! behind — the result or error, the statistics, a digest of the
+//! trace-event stream, the program counter, the registers and the oPPU
+//! output — must equal its line of `tests/golden/step_matrix.txt`.  The
+//! fixture was recorded while a reference interpreter, which executed the
+//! instruction words themselves and shared nothing with the decoder, still
+//! stood beside the loop and agreed with it on every line.
 //!
 //! The evaluation pipeline hands the simulator a table kind, a machine, a
 //! route list, an RTU latency, a stall injector and a tracer — the
 //! workload never reaches it — so the matrix is over exactly those, plus
-//! what the step loop itself decides: where a straight-line run ends (at a
-//! jump, the deadline, an RTU stall, a stolen cycle or an error), which
-//! moves of a word read early because a move before them in execution
-//! order writes their source or guard, the port-file layout (replicated
-//! FUs, a second memory port), the tracer monomorphisation (`run()` is
-//! the `NullTracer` instance with no stall; a tracer adds the read-phase
-//! event pass) and whether a periodic stall is given.
+//! what the step loop itself decides: where a run ends (the deadline, an
+//! RTU stall, a stolen cycle or an error), which moves of a word read what
+//! another move of the word writes in the same cycle, the port-file layout
+//! (replicated FUs, a second memory port), the tracer monomorphisation
+//! (`run()` is the `NullTracer` instance with no stall) and whether a
+//! periodic stall is given.
+//!
+//! To regenerate after an intentional change:
+//!
+//! ```text
+//! BLESS=1 cargo test --test step_reference
+//! ```
+//!
+//! then review the fixture diff like any other code change.
 
 mod common;
+
+use std::path::PathBuf;
+use std::sync::Mutex;
 
 use common::{cases, counted_by_the_loop, move_seq, SplitMix64};
 use taco::eval::{benchmark_routes, FaultPlan};
 use taco::ipv6::{Datagram, NextHeader};
-use taco::isa::{asm, schedule, FuKind, MachineConfig, PortRef, Program, Source};
+use taco::isa::{asm, schedule, FuKind, FuRef, MachineConfig, PortRef, Program, Source};
 use taco::router::{CycleRouter, MicrocodeOptions, TrafficGen};
 use taco::routing::{PortId, Route, TableKind};
 use taco::sim::{
     MapRtu, PeriodicStall, Processor, RingTracer, RtuConfig, RtuResult, SimError, SimStats,
     TraceCounters, TraceEvent, DEFAULT_MEMORY_WORDS,
 };
+
+const FIXTURE: &str = "tests/golden/step_matrix.txt";
+
+/// The fixture's sections in file order, one per test below; each line
+/// starts with its section's name.
+const SECTIONS: [&str; 8] =
+    ["microcode", "program", "error", "fault", "hazard", "budget", "end", "random"];
 
 /// One way of running a machine to completion.
 type Run<M> = fn(&mut M, u64, &mut RingTracer, Option<PeriodicStall>) -> Result<SimStats, SimError>;
@@ -68,6 +88,94 @@ fn observe<M>(
 }
 
 // ---------------------------------------------------------------------------
+// The fixture: one line per observed run.
+// ---------------------------------------------------------------------------
+
+/// 64-bit FNV-1a over `words`' little-endian bytes, continuing from `hash`.
+fn fnv1a64(hash: u64, words: impl IntoIterator<Item = u64>) -> u64 {
+    words
+        .into_iter()
+        .flat_map(u64::to_le_bytes)
+        .fold(hash, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// An event as three words: its variant, its cycle and its other fields.
+fn event_words(event: &TraceEvent) -> [u64; 3] {
+    let unit = |fu: FuRef| (fu.kind as u64) << 8 | u64::from(fu.index);
+    let pair = |a: u32, b: u32| u64::from(a) << 32 | u64::from(b);
+    match *event {
+        TraceEvent::MoveExecuted { cycle, bus, pc } => [0, cycle, pair(bus.into(), pc)],
+        TraceEvent::MoveSquashed { cycle, bus, pc } => [1, cycle, pair(bus.into(), pc)],
+        TraceEvent::FuTriggered { cycle, fu } => [2, cycle, unit(fu)],
+        TraceEvent::FuRetired { cycle, fu } => [3, cycle, unit(fu)],
+        TraceEvent::StallBegin { cycle } => [4, cycle, 0],
+        TraceEvent::StallEnd { cycle } => [5, cycle, 0],
+        TraceEvent::FaultStallBegin { cycle } => [6, cycle, 0],
+        TraceEvent::FaultStallEnd { cycle } => [7, cycle, 0],
+        TraceEvent::DatagramBegin { cycle, ptr, iface } => [8, cycle, pair(ptr, iface)],
+        TraceEvent::DatagramEnd { cycle, ptr, iface } => [9, cycle, pair(ptr, iface)],
+    }
+}
+
+/// The fixture line of `seen`: section and label, then the result or
+/// error, the statistics (`SimStats`'s own `Debug` spelling), the event
+/// count and digest, the program counter, a digest of the registers and
+/// the oPPU output.
+fn line(section: &str, label: &str, seen: &Observed) -> String {
+    let result = match &seen.result {
+        Ok(_) => "ok".to_string(),
+        Err(e) => format!("{e:?}"),
+    };
+    let events = fnv1a64(FNV_OFFSET, seen.events.iter().flat_map(event_words));
+    let regs = fnv1a64(FNV_OFFSET, seen.regs.map(u64::from));
+    format!(
+        "{section} {label}\t{result}\t{:?}\tevents {} {events:016x}\tpc {}\tregs {regs:016x}\tout {:?}",
+        seen.stats,
+        seen.events.len(),
+        seen.pc,
+        seen.outputs,
+    )
+}
+
+/// The section a fixture line belongs to: its first word.
+fn section_of(line: &str) -> &str {
+    line.split(' ').next().unwrap_or_default()
+}
+
+/// Serialises the sections' writes to the fixture under `BLESS`.
+static BLESSING: Mutex<()> = Mutex::new(());
+
+/// Holds `lines` (each starting `"{section} "`) to the fixture's lines of
+/// `section`, in order; under `BLESS`, writes them there instead.
+fn check(section: &str, lines: &[String]) {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(FIXTURE);
+    if std::env::var_os("BLESS").is_some() {
+        let _one_writer = BLESSING.lock().unwrap_or_else(|e| e.into_inner());
+        let old = std::fs::read_to_string(&path).unwrap_or_default();
+        let mut all: Vec<&str> = old.lines().filter(|l| section_of(l) != section).collect();
+        all.extend(lines.iter().map(String::as_str));
+        all.sort_by_key(|l| SECTIONS.iter().position(|&s| s == section_of(l)));
+        std::fs::write(&path, all.join("\n") + "\n").expect("write fixture");
+        eprintln!("blessed {} {section} lines of {FIXTURE}", lines.len());
+        return;
+    }
+    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!("missing fixture {FIXTURE} ({e}); regenerate with BLESS=1 cargo test --test step_reference")
+    });
+    let want: Vec<&str> = golden.lines().filter(|l| section_of(l) == section).collect();
+    for (got, want) in lines.iter().zip(&want) {
+        assert_eq!(
+            got, want,
+            "a run drifted from its recorded line; if the change is intentional, regenerate \
+             with BLESS=1 and review the diff"
+        );
+    }
+    assert_eq!(lines.len(), want.len(), "the {section} section has a different number of runs");
+}
+
+// ---------------------------------------------------------------------------
 // Real microcode: every table kind x Table 1 machine x table size x injector.
 // ---------------------------------------------------------------------------
 
@@ -96,22 +204,31 @@ fn traffic(routes: &[Route]) -> Vec<Datagram> {
     out
 }
 
-/// `run()` on a third, identically built machine must leave what the
-/// reference left, minus the event stream it does not record.
+/// `run()` on a second, identically built machine must leave what the
+/// traced run left, minus the event stream it does not record.
 fn assert_untraced_agrees<M>(
     machine: &mut M,
     run: Run<M>,
     cpu: fn(&M) -> &Processor,
     budget: u64,
-    mut reference: Observed,
+    traced: &Observed,
     label: &str,
 ) {
-    reference.events.clear();
-    assert_eq!(observe(machine, run, cpu, budget, None), reference, "run(): {label}");
+    let untraced = observe(machine, run, cpu, budget, None);
+    assert!(untraced.events.is_empty(), "run(): {label}");
+    let Observed { result, stats, cycles, pc, regs, outputs, .. } = traced;
+    let traced = (result, stats, cycles, pc, regs, outputs);
+    let Observed { result, stats, cycles, pc, regs, outputs, .. } = &untraced;
+    assert_eq!((result, stats, cycles, pc, regs, outputs), traced, "run(): {label}");
 }
 
-fn forwarded_bytes(router: &CycleRouter) -> Vec<(u16, Vec<u8>)> {
-    router.forwarded().iter().map(|(port, d)| (port.0, d.to_bytes())).collect()
+/// Forwarded datagrams as one digest over their ports and bytes.
+fn forwarded_digest(router: &CycleRouter) -> u64 {
+    router.forwarded().iter().fold(FNV_OFFSET, |h, (port, d)| {
+        let bytes = d.to_bytes();
+        let words = bytes.chunks(8).map(|c| c.iter().rev().fold(0, |w, &b| w << 8 | u64::from(b)));
+        fnv1a64(h, [u64::from(port.0), bytes.len() as u64].into_iter().chain(words))
+    })
 }
 
 #[test]
@@ -127,6 +244,7 @@ fn every_kind_machine_size_and_injector_agrees_on_real_microcode() {
     ];
     let plan = FaultPlan::stalls();
     let stalls = PeriodicStall::new(plan.stall_every_cycles.into(), plan.stall_cycles.into());
+    let mut lines = Vec::new();
     for entries in [10, 100] {
         let routes = benchmark_routes(entries);
         let traffic = traffic(&routes);
@@ -160,7 +278,12 @@ fn every_kind_machine_size_and_injector_agrees_on_real_microcode() {
                         stall,
                     );
                     assert_eq!(d, r, "{label}");
-                    assert_eq!(forwarded_bytes(&decoded), forwarded_bytes(&reference), "{label}");
+                    assert_eq!(forwarded_digest(&decoded), forwarded_digest(&reference), "{label}");
+                    let forwarded = forwarded_digest(&decoded);
+                    lines.push(format!(
+                        "{}\tforwarded {forwarded:016x}",
+                        line("microcode", &label, &d)
+                    ));
 
                     // Not vacuous: the run halted, forwarded the three hits
                     // in order and dropped the rest, and the injector bit.
@@ -173,12 +296,13 @@ fn every_kind_machine_size_and_injector_agrees_on_real_microcode() {
                     if stall.is_none() {
                         let run: Run<CycleRouter> = |m, budget, _, _| m.run(budget);
                         let cpu = CycleRouter::processor;
-                        assert_untraced_agrees(&mut build(), run, cpu, 50_000_000, r, &label);
+                        assert_untraced_agrees(&mut build(), run, cpu, 50_000_000, &d, &label);
                     }
                 }
             }
         }
     }
+    check("microcode", &lines);
 }
 
 // ---------------------------------------------------------------------------
@@ -221,8 +345,8 @@ const PROGRAMS: &[&str] = &[
 ",
 ];
 
-/// Five and six moves a word over two memory ports, every group in one
-/// word, a jump to exactly `len`.
+/// Five and six moves a word over two memory ports, stores, triggers and
+/// a jump in one word, a jump to exactly `len`.
 const WIDE: &str = "1 -> regs0.r0 | 16 -> mmu0.addr | 17 -> mmu1.addr | 3 -> cnt0.tset | 4 -> cnt0.stop | ?cnt0.done 9 -> regs0.r2
      regs0.r0 -> mmu0.twrite | 8 -> mmu1.twrite | 1 -> cnt0.tinc | cnt0.r -> regs0.r3 | !cnt0.done 5 -> regs0.r4 | 0 -> ippu0.tpop
      17 -> mmu0.addr | 16 -> mmu1.addr | !cnt0.done 7 -> regs0.r5 | 1 -> rtu0.k0 | 2 -> rtu0.k1 | 3 -> rtu0.k2
@@ -258,7 +382,8 @@ fn identity(cpu: &Processor) -> &Processor {
 #[test]
 fn hand_written_programs_agree_and_resume_cleanly() {
     let narrow = PROGRAMS.iter().map(|text| (MachineConfig::new(2), *text));
-    for (machine, text) in narrow.chain([(wide_machine(), WIDE)]) {
+    let mut lines = Vec::new();
+    for (i, (machine, text)) in narrow.chain([(wide_machine(), WIDE)]).enumerate() {
         let load = |text| load_on(machine.clone(), text);
         for stall in [None, Some(PeriodicStall::new(5, 2))] {
             let (mut decoded, mut reference) = (load(text), load(text));
@@ -266,19 +391,20 @@ fn hand_written_programs_agree_and_resume_cleanly() {
             let r = observe(&mut reference, Processor::run_reference, identity, 10_000, stall);
             assert_eq!(d, r, "{text}");
             assert!(d.result.is_ok(), "{text}"); // `Ok` only once the program halts
+            lines.push(line("program", &format!("{i} stall={}", stall.is_some()), &d));
 
-            // A second run on the halted processor changes nothing on
-            // either side.
+            // A second run on the halted processor changes nothing.
             let again = observe(&mut decoded, Processor::run_with, identity, 10_000, stall);
             assert_eq!((&again.result, &again.stats), (&d.result, &d.stats), "{text}");
             let again = observe(&mut reference, Processor::run_reference, identity, 10_000, stall);
             assert_eq!((&again.result, &again.stats), (&r.result, &r.stats), "{text}");
             if stall.is_none() {
                 let run: Run<Processor> = |cpu, budget, _, _| cpu.run(budget);
-                assert_untraced_agrees(&mut load(text), run, identity, 10_000, r, text);
+                assert_untraced_agrees(&mut load(text), run, identity, 10_000, &d, text);
             }
         }
     }
+    check("program", &lines);
 }
 
 #[test]
@@ -295,8 +421,9 @@ fn errors_agree_and_leave_the_same_statistics() {
     // The conflict is the fifth move's.
     let wide = "1 -> regs0.r1 | 2 -> regs0.r2 | 3 -> regs0.r0 | 4 -> regs0.r3 | 5 -> regs0.r0\n";
     let wide = (wide_machine(), (wide, 10, SimError::PortConflict { port: r0, cycle: 0 }));
-    for (machine, (text, budget, error)) in
-        cases.into_iter().map(|case| (MachineConfig::new(2), case)).chain([wide])
+    let mut lines = Vec::new();
+    for (i, (machine, (text, budget, error))) in
+        cases.into_iter().map(|case| (MachineConfig::new(2), case)).chain([wide]).enumerate()
     {
         let load = |text| load_on(machine.clone(), text);
         let (mut decoded, mut reference) = (load(text), load(text));
@@ -304,17 +431,19 @@ fn errors_agree_and_leave_the_same_statistics() {
         let r = observe(&mut reference, Processor::run_reference, identity, budget, None);
         assert_eq!(d, r, "{text}");
         assert_eq!(d.result, Err(error.clone()), "{text}");
+        lines.push(line("error", &i.to_string(), &d));
         // An error ends the run, not its bookkeeping: replaying the
         // events gives back the statistics.
         assert_eq!(TraceCounters::from_events(&d.events), counted_by_the_loop(&d.stats), "{text}");
         // The counter trigger before the memory fault must already be
-        // folded into the decoded side's statistics when the error surfaces.
+        // folded into the statistics when the error surfaces.
         if error == out_of_bounds {
             assert_eq!(d.stats.fu_instance_triggers.of_kind(FuKind::Counter), 1);
         }
         let run: Run<Processor> = |cpu, budget, _, _| cpu.run(budget);
-        assert_untraced_agrees(&mut load(text), run, identity, budget, r, text);
+        assert_untraced_agrees(&mut load(text), run, identity, budget, &d, text);
     }
+    check("error", &lines);
 }
 
 #[test]
@@ -322,13 +451,17 @@ fn a_trigger_that_faults_is_counted_as_it_is_traced() {
     let text = "4000000000 -> mmu0.addr\n0 -> mmu0.tread\n";
     let error = SimError::MemoryOutOfBounds { addr: 4_000_000_000, size: DEFAULT_MEMORY_WORDS };
     let runs: [Run<Processor>; 2] = [Processor::run_with, Processor::run_reference];
+    let mut lines = Vec::new();
     for run in runs {
         let mut cpu = load_on(MachineConfig::new(2), text);
         let seen = observe(&mut cpu, run, identity, 10, None);
         assert_eq!(seen.result, Err(error.clone()));
         assert_eq!(seen.stats.fu_instance_triggers.of_kind(FuKind::Mmu), 1);
         assert_eq!(TraceCounters::from_events(&seen.events), counted_by_the_loop(&seen.stats));
+        lines.push(line("fault", "mmu0.tread", &seen));
     }
+    assert_eq!(lines[0], lines[1]);
+    check("fault", &lines[..1]);
 }
 
 // ---------------------------------------------------------------------------
@@ -340,9 +473,9 @@ fn hazard_machine() -> MachineConfig {
     MachineConfig::new(3).with_fu_count(FuKind::Mmu, 2).with_fu_count(FuKind::Counter, 2)
 }
 
-/// Words whose moves read what a move before them in execution order
-/// writes in the same cycle, each with the registers the hardware's
-/// read-then-write cycle leaves behind.
+/// Words whose moves read what another move of the word writes in the
+/// same cycle, each with the registers the hardware's read-then-write
+/// cycle leaves behind.
 const HAZARDS: &[(&str, &[(u8, u32)])] = &[
     // A copy chain, then a swap each way round.
     (
@@ -397,7 +530,8 @@ const HAZARDS: &[(&str, &[(u8, u32)])] = &[
 
 #[test]
 fn same_cycle_hazards_read_what_the_cycle_started_with() {
-    for &(text, expected) in HAZARDS {
+    let mut lines = Vec::new();
+    for (i, &(text, expected)) in HAZARDS.iter().enumerate() {
         for stall in [None, Some(PeriodicStall::new(3, 1))] {
             let load = || load_on(hazard_machine(), text);
             let (mut decoded, mut reference) = (load(), load());
@@ -408,8 +542,10 @@ fn same_cycle_hazards_read_what_the_cycle_started_with() {
             for &(reg, value) in expected {
                 assert_eq!(d.regs[usize::from(reg)], value, "r{reg}: {text}");
             }
+            lines.push(line("hazard", &format!("{i} stall={}", stall.is_some()), &d));
         }
     }
+    check("hazard", &lines);
 }
 
 /// Ten straight-line words, then a loop back over the last four twice.
@@ -427,8 +563,10 @@ const STRAIGHT: &str = "1 -> regs0.r1
 
 #[test]
 fn a_budget_ending_inside_a_run_stops_at_its_cycle_and_resumes() {
+    let mut lines = Vec::new();
     for budget in 1..=18 {
         for stall in [None, Some(PeriodicStall::new(4, 1))] {
+            let label = format!("{budget} stall={}", stall.is_some());
             let load = || load_on(hazard_machine(), STRAIGHT);
             let (mut decoded, mut reference) = (load(), load());
             let d = observe(&mut decoded, Processor::run_with, identity, budget, stall);
@@ -438,20 +576,23 @@ fn a_budget_ending_inside_a_run_stops_at_its_cycle_and_resumes() {
                 assert_eq!(d.result, Err(SimError::Watchdog { budget }), "budget {budget}");
                 assert_eq!(d.cycles, budget, "budget {budget}");
             }
-            // Resuming finishes the program on both sides alike.
+            lines.push(line("budget", &label, &d));
+            // Resuming finishes the program.
             let d = observe(&mut decoded, Processor::run_with, identity, 100, stall);
             let r = observe(&mut reference, Processor::run_reference, identity, 100, stall);
             assert_eq!(d, r, "resumed after budget {budget}");
             assert!(d.result.is_ok() && d.regs[10] == 10, "budget {budget}");
+            lines.push(line("budget", &format!("{label} resumed"), &d));
         }
     }
+    check("budget", &lines);
 }
 
 #[test]
 fn a_stall_a_stolen_cycle_or_a_fault_ends_a_run_where_it_happens() {
     let out_of_bounds = SimError::MemoryOutOfBounds { addr: 9_999_999, size: DEFAULT_MEMORY_WORDS };
     let cases = [
-        // The RTU read in the third word of a run stalls there.
+        // The RTU read in the third word of a straight line stalls there.
         (
             "1 -> regs0.r1\n4 -> rtu0.t\n2 -> regs0.r2\nrtu0.iface -> regs0.r0\n3 -> regs0.r3\n",
             None,
@@ -465,8 +606,12 @@ fn a_stall_a_stolen_cycle_or_a_fault_ends_a_run_where_it_happens() {
             Some(out_of_bounds),
         ),
     ];
-    for (text, error) in cases {
-        for stall in [None, Some(PeriodicStall::new(3, 1)), Some(PeriodicStall::new(7, 2))] {
+    let mut lines = Vec::new();
+    for (i, (text, error)) in cases.into_iter().enumerate() {
+        for (s, stall) in [None, Some(PeriodicStall::new(3, 1)), Some(PeriodicStall::new(7, 2))]
+            .into_iter()
+            .enumerate()
+        {
             let load = || load_on(hazard_machine(), text);
             let (mut decoded, mut reference) = (load(), load());
             let d = observe(&mut decoded, Processor::run_with, identity, 1_000, stall);
@@ -479,6 +624,7 @@ fn a_stall_a_stolen_cycle_or_a_fault_ends_a_run_where_it_happens() {
                 assert_eq!((d.stats.moves_squashed, d.pc), (1, 2), "{text}");
             }
             assert_eq!(d.stats.injected_stall_cycles > 0, stall.is_some(), "{text}");
+            lines.push(line("end", &format!("{i} stall {s}"), &d));
         }
     }
     // Stolen cycles land inside the straight-line stretch of `STRAIGHT`.
@@ -488,7 +634,9 @@ fn a_stall_a_stolen_cycle_or_a_fault_ends_a_run_where_it_happens() {
         let d = observe(&mut load(), Processor::run_with, identity, 1_000, stall);
         let r = observe(&mut load(), Processor::run_reference, identity, 1_000, stall);
         assert_eq!(d, r, "every {every}");
+        lines.push(line("end", &format!("straight every {every}"), &d));
     }
+    check("end", &lines);
 }
 
 // ---------------------------------------------------------------------------
@@ -510,6 +658,7 @@ fn any_machine(rng: &mut SplitMix64) -> MachineConfig {
 
 #[test]
 fn scheduled_random_programs_agree_with_the_reference() {
+    let mut lines = Vec::new();
     cases(SEED, CASES, |rng| {
         let (seq, machine) = (move_seq(rng), any_machine(rng));
         let mut program = schedule(&seq, &machine);
@@ -531,9 +680,11 @@ fn scheduled_random_programs_agree_with_the_reference() {
         let d = observe(&mut decoded, Processor::run_with, identity, 2_000, stall);
         let r = observe(&mut reference, Processor::run_reference, identity, 2_000, stall);
         assert_eq!(d, r, "{machine}\n{text}");
+        lines.push(line("random", &lines.len().to_string(), &d));
         if stall.is_none() {
             let run: Run<Processor> = |cpu, budget, _, _| cpu.run(budget);
-            assert_untraced_agrees(&mut load(), run, identity, 2_000, r, &text);
+            assert_untraced_agrees(&mut load(), run, identity, 2_000, &d, &text);
         }
     });
+    check("random", &lines);
 }
