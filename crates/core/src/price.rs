@@ -118,10 +118,6 @@ struct IssueCounter(Vec<u64>);
 impl Tracer for IssueCounter {
     fn event(&mut self, _event: &TraceEvent) {}
 
-    fn enabled(&self) -> bool {
-        false
-    }
-
     fn issued(&mut self, pc: usize) {
         self.0[pc] += 1;
     }

@@ -481,22 +481,6 @@ impl CycleRouter {
         self.processor.run_with(budget, tracer, stalls)
     }
 
-    /// [`CycleRouter::run_with`] on the simulator's reference interpreter
-    /// ([`Processor::run_reference`]) — how tests reach the oracle on real
-    /// microcode; nothing else calls it.
-    ///
-    /// # Errors
-    ///
-    /// See [`CycleRouter::run`].
-    pub fn run_reference<T: Tracer + ?Sized>(
-        &mut self,
-        budget: u64,
-        tracer: &mut T,
-        stalls: Option<PeriodicStall>,
-    ) -> Result<SimStats, SimError> {
-        self.processor.run_reference(budget, tracer, stalls)
-    }
-
     /// Forwarded datagrams in emission order, parsed back out of data
     /// memory, as `(output port, datagram)` pairs.
     ///

@@ -33,11 +33,6 @@ use crate::stats::SimStats;
 use crate::trace::{NullTracer, TraceEvent, Tracer};
 use crate::units::{Op, Ports, RtuState};
 
-// A child module, so the reference interpreter sees the same private
-// machine state as the loop it checks and nothing else in the crate does.
-#[path = "reference.rs"]
-mod reference;
-
 /// A deterministic periodic stall: steals the first `len` cycles of every
 /// `every`-cycle window, modelling bus glitches or FU brown-outs that
 /// freeze the interconnection network for a beat without corrupting state.
@@ -69,14 +64,6 @@ impl PeriodicStall {
     #[inline]
     pub fn steals(&self, cycle: u64) -> bool {
         cycle % self.every < self.len
-    }
-
-    /// Cycles from `cycle` to the end of its window: from a cycle the stall
-    /// does not steal, at most that many words issue before the next one
-    /// it does.
-    #[inline]
-    fn free_from(&self, cycle: u64) -> u64 {
-        self.every - cycle % self.every
     }
 }
 
@@ -161,7 +148,7 @@ impl Processor {
     /// [`DEFAULT_MEMORY_WORDS`] of zeroed data memory and an always-missing
     /// RTU.  The LIU is an empty table: every read of it returns zero.
     pub fn instantiate(compiled: Arc<CompiledProgram>) -> Self {
-        let (file, guards) = compiled.map.power_on(compiled.decoded.scratch);
+        let (file, guards) = compiled.map.power_on();
         Processor {
             trigger_counts: vec![0; compiled.config.units().count()],
             pc: 0,
@@ -283,9 +270,19 @@ impl Processor {
     /// `stalls` stealing transient stall cycles (see [`PeriodicStall`]).
     /// Generic over the tracer, so [`NullTracer`] monomorphises to nothing.
     ///
-    /// On every exit path the trigger record is rebuilt from the per-unit
-    /// counters (numbered in the machine's unit order, so in key order), and
-    /// stats stay complete even when the run errors out mid-cycle.
+    /// This is the step loop, the one place instruction words execute.
+    /// Each cycle is stolen, stalled for the RTU or issues the word at the
+    /// PC, whose moves [`sched::decode`](crate::sched) resolved to port-file
+    /// slots and stored in bus order.  An issued word is the hardware's
+    /// cycle: a read phase samples every move's guard and source as the
+    /// cycle starts, then (after the conflict check, where two moves share
+    /// a destination) the passing stores land in bus order, then the
+    /// passing triggers fire and the jump is taken, in bus order, and the
+    /// PC moves on.  The cycle, PC, stall flags and move counters live in
+    /// locals while it runs and are folded into `self` on every exit path;
+    /// so is the trigger record, rebuilt from the per-unit counters
+    /// (numbered in the machine's unit order, so in key order).  Stats stay
+    /// complete even when the run errors out mid-cycle.
     ///
     /// # Errors
     ///
@@ -296,64 +293,21 @@ impl Processor {
         tracer: &mut T,
         stalls: Option<PeriodicStall>,
     ) -> Result<SimStats, SimError> {
-        let result = self.compiled_loop(budget, tracer, stalls);
-        let counts = self.compiled.config.units().zip(self.trigger_counts.iter().copied());
-        self.stats.fu_instance_triggers = counts.filter(|&(_, n)| n > 0).collect();
-        result?;
-        Ok(self.stats.clone())
-    }
-
-    /// The machine state a move can touch, as disjoint borrows: what the
-    /// step loop and the reference interpreter both execute against.
-    pub(crate) fn ports(&mut self) -> Ports<'_> {
-        Ports {
-            file: &mut self.file,
-            guards: &mut self.guards,
-            mem: &mut self.mem,
-            rtu: &mut self.rtu,
-            ippu_queue: &mut self.ippu_queue,
-            oppu_out: &mut self.oppu_out,
-            trigger_counts: &mut self.trigger_counts,
-        }
-    }
-
-    /// The compiled step loop: a walk over the flat [`DecodedProgram`]
-    /// built at construction.  Replays the reference interpreter
-    /// ([`Processor::run_reference`]) cycle for cycle — same stall and
-    /// fault bookkeeping, same read/conflict/write timing, same trace
-    /// events in the same order — with all decoding already done.
-    ///
-    /// It dispatches once per *run*: the straight-line instructions from
-    /// the PC through the next one that holds a jump
-    /// ([`InsMeta::run`](crate::sched::InsMeta::run)).
-    /// Halt, deadline, PC-range and stall checks happen once per run; the
-    /// deadline and the next cycle the stall steals clamp the run, so the
-    /// watchdog fires and the stall begins at the exact cycle; an
-    /// instruction that must stall for the RTU ends the run there.  The
-    /// next pass of the outer loop accounts a stalled or stolen cycle.
-    /// The cycle, PC, halt and stall flags and the move counters live in
-    /// locals while it runs and are folded into `self` once, on every exit
-    /// path.
-    fn compiled_loop<T: Tracer + ?Sized>(
-        &mut self,
-        budget: u64,
-        tracer: &mut T,
-        stalls: Option<PeriodicStall>,
-    ) -> Result<(), SimError> {
         let compiled = Arc::clone(&self.compiled);
-        let ins = &compiled.decoded.ins[..];
-        let len = ins.len();
+        let decoded = &compiled.decoded;
+        let len = decoded.ins.len();
         let start = self.cycle;
         let deadline = start.saturating_add(budget);
         let (mut cycle, mut pc, mut halted) = (self.cycle, self.pc, self.halted);
         let (mut stall_open, mut fault_open) = (self.stall_open, self.fault_open);
         let (mut stalled, mut stolen) = (0u64, 0u64);
-        // Every move of every instruction issued, and those whose guard
-        // failed.
+        // Every move of every word issued, and those whose guard failed.
         let (mut issued, mut squashed) = (0u64, 0u64);
+        // The issuing word's `(passes, value)` per move, from its read phase.
+        let mut reads = [(false, 0u32); u8::MAX as usize];
         let mut ports = self.ports();
 
-        let result = 'runs: loop {
+        let result = 'cycles: loop {
             if halted {
                 break Ok(());
             }
@@ -364,7 +318,6 @@ impl Processor {
                 halted = true;
                 break Ok(());
             }
-            let mut room = deadline - cycle;
             if let Some(stalls) = stalls {
                 if stalls.steals(cycle) {
                     if !fault_open {
@@ -379,9 +332,9 @@ impl Processor {
                     fault_open = false;
                     tracer.event(&TraceEvent::FaultStallEnd { cycle });
                 }
-                room = room.min(stalls.free_from(cycle));
             }
-            if ins[pc].rtu_sensitive && cycle < ports.rtu.ready_at {
+            let meta = &decoded.ins[pc];
+            if meta.rtu_sensitive && cycle < ports.rtu.ready_at {
                 if !stall_open {
                     stall_open = true;
                     tracer.event(&TraceEvent::StallBegin { cycle });
@@ -395,34 +348,76 @@ impl Processor {
                 tracer.event(&TraceEvent::StallEnd { cycle });
             }
 
-            // --- one run: instructions pc..=last -------------------------
-            let last = pc + (u64::from(ins[pc].run).min(room) as usize) - 1;
-            loop {
-                tracer.issued(pc);
-                issued += u64::from(ins[pc].end - ins[pc].start);
-                let jump =
-                    match instruction(&mut ports, &compiled, pc, cycle, &mut squashed, tracer) {
-                        Ok(jump) => jump,
-                        Err(e) => break 'runs Err(e),
-                    };
-                cycle += 1;
-                if pc == last {
-                    // --- PC update ---------------------------------------
-                    match jump {
-                        None => {
-                            pc += 1;
-                            halted = pc >= len;
+            // --- read phase: every guard and source as the cycle starts ----
+            tracer.issued(pc);
+            let moves = &decoded.moves[meta.start as usize..meta.end as usize];
+            issued += moves.len() as u64;
+            for (read, mv) in reads.iter_mut().zip(moves) {
+                let passes = ports.guards[usize::from(mv.guard)] != mv.negate;
+                let value = if mv.src == IMM { mv.imm } else { ports.file[usize::from(mv.src)] };
+                *read = (passes, value);
+                squashed += u64::from(!passes);
+                let (bus, pc) = (mv.bus, pc as u32);
+                tracer.event(&if passes {
+                    TraceEvent::MoveExecuted { cycle, bus, pc }
+                } else {
+                    TraceEvent::MoveSquashed { cycle, bus, pc }
+                });
+            }
+            let reads = &reads[..moves.len()];
+            // Only words with statically aliased destinations can conflict
+            // dynamically, so the (vast) conflict-free majority skips the scan.
+            if meta.may_conflict {
+                if let Err(e) = conflict(&compiled.program, moves, reads, cycle, pc) {
+                    break Err(e);
+                }
+            }
+
+            // --- write phase: stores, then triggers and the jump ------------
+            for (mv, &(passes, value)) in moves.iter().zip(reads) {
+                if passes && !mv.op.is_trigger() {
+                    ports.store(mv.op, usize::from(mv.dst), usize::from(mv.gbase), value);
+                }
+            }
+            let mut jump = None;
+            for (mv, &(passes, value)) in moves.iter().zip(reads) {
+                match mv.op {
+                    _ if !passes => {}
+                    Op::Store | Op::CounterStop => {}
+                    Op::Jump => jump = Some(value),
+                    op => {
+                        let fu = mv.fu;
+                        // Counted where the event is emitted, so a trigger
+                        // that faults is in the stats as it is in the trace.
+                        tracer.event(&TraceEvent::FuTriggered { cycle, fu });
+                        ports.trigger_counts[usize::from(mv.slot)] += 1;
+                        let (dst, gbase) = (usize::from(mv.dst), usize::from(mv.gbase));
+                        if let Err(e) = ports.apply(op, dst, gbase, value, cycle, tracer) {
+                            break 'cycles Err(e);
                         }
-                        Some(t) if (t as usize) < len => pc = t as usize,
-                        Some(t) if t as usize == len => halted = true,
-                        Some(t) => break 'runs Err(SimError::JumpOutOfRange { target: t, len }),
+                        // Results become architecturally visible the next
+                        // cycle — except RTU lookups, which retire when the
+                        // interlock opens.
+                        let retire = if op == Op::Rtu {
+                            ports.rtu.ready_at.max(cycle + 1)
+                        } else {
+                            cycle + 1
+                        };
+                        tracer.event(&TraceEvent::FuRetired { cycle: retire, fu });
                     }
-                    continue 'runs;
                 }
-                pc += 1;
-                if ins[pc].rtu_sensitive && cycle < ports.rtu.ready_at {
-                    continue 'runs;
+            }
+
+            // --- PC update -------------------------------------------------
+            cycle += 1;
+            match jump {
+                None => {
+                    pc += 1;
+                    halted = pc >= len;
                 }
+                Some(t) if (t as usize) < len => pc = t as usize,
+                Some(t) if t as usize == len => halted = true,
+                Some(t) => break Err(SimError::JumpOutOfRange { target: t, len }),
             }
         };
 
@@ -436,163 +431,56 @@ impl Processor {
         self.stats.injected_stall_cycles += stolen;
         self.stats.moves_executed += issued - squashed;
         self.stats.moves_squashed += squashed;
-        result
+        let counts = self.compiled.config.units().zip(self.trigger_counts.iter().copied());
+        self.stats.fu_instance_triggers = counts.filter(|&(_, n)| n > 0).collect();
+        result?;
+        Ok(self.stats.clone())
     }
-}
 
-/// One instruction word: early reads, then its moves in the execution
-/// order [`crate::sched`] stored them in — guarded stores, copies,
-/// immediates, triggers in bus order, the jump — each reading and writing
-/// in turn.  Returns the target a passing move into `nc0.pc` delivered, if
-/// any.  On an error `squashed` counts every move of the word, as if all
-/// had been read at the start of the cycle.
-#[inline(always)]
-fn instruction<T: Tracer + ?Sized>(
-    ports: &mut Ports<'_>,
-    compiled: &CompiledProgram,
-    pc: usize,
-    cycle: u64,
-    squashed: &mut u64,
-    tracer: &mut T,
-) -> Result<Option<u32>, SimError> {
-    let decoded = &compiled.decoded;
-    let meta = &decoded.ins[pc];
-    let moves = &decoded.moves[meta.start as usize..meta.end as usize];
-    if meta.early_words | meta.early_guards != 0 {
-        let early = &decoded.early[meta.early as usize..];
-        let (words, guards) = early.split_at(usize::from(meta.early_words));
-        for &(from, to) in words {
-            ports.file[usize::from(to)] = ports.file[usize::from(from)];
-        }
-        for &(from, to) in &guards[..usize::from(meta.early_guards)] {
-            ports.guards[usize::from(to)] = ports.guards[usize::from(from)];
+    /// The machine state a move can touch, as disjoint borrows.
+    pub(crate) fn ports(&mut self) -> Ports<'_> {
+        Ports {
+            file: &mut self.file,
+            guards: &mut self.guards,
+            mem: &mut self.mem,
+            rtu: &mut self.rtu,
+            ippu_queue: &mut self.ippu_queue,
+            oppu_out: &mut self.oppu_out,
+            trigger_counts: &mut self.trigger_counts,
         }
     }
-    if tracer.enabled() {
-        read_events(moves, ports.guards, cycle, pc, tracer);
-    }
-    // Only instructions with statically aliased destinations can conflict
-    // dynamically, so the scan is skipped for the (vast) conflict-free
-    // majority.
-    if meta.may_conflict {
-        if let Err(e) = conflict(compiled, moves, ports.guards, cycle, pc) {
-            *squashed += count_squashed(moves, ports.guards);
-            return Err(e);
-        }
-    }
-
-    let mut jump = None;
-    for (i, mv) in moves.iter().enumerate() {
-        let (dst, gbase) = (usize::from(mv.dst), usize::from(mv.gbase));
-        match mv.op {
-            Op::Copy => ports.file[dst] = ports.file[usize::from(mv.src)],
-            Op::Imm => ports.file[dst] = mv.imm,
-            _ if ports.guards[usize::from(mv.guard)] == mv.negate => *squashed += 1,
-            op @ (Op::Store | Op::CounterStop) => {
-                ports.store(op, dst, gbase, value(ports.file, mv))
-            }
-            Op::Jump => jump = Some(value(ports.file, mv)),
-            op => {
-                let fu = mv.fu;
-                // Counted where the event is emitted, so a trigger that
-                // faults is in the stats as it is in the trace.
-                tracer.event(&TraceEvent::FuTriggered { cycle, fu });
-                ports.trigger_counts[usize::from(mv.slot)] += 1;
-                if let Err(e) = ports.apply(op, dst, gbase, value(ports.file, mv), cycle, tracer) {
-                    // A later move whose guard an earlier one may write
-                    // reads an early copy, so the guards still answer as
-                    // they stood at the start of the cycle.
-                    *squashed += count_squashed(&moves[i + 1..], ports.guards);
-                    return Err(e);
-                }
-                // Results become architecturally visible the next cycle —
-                // except RTU lookups, which retire when the interlock opens.
-                let retire =
-                    if op == Op::Rtu { ports.rtu.ready_at.max(cycle + 1) } else { cycle + 1 };
-                tracer.event(&TraceEvent::FuRetired { cycle: retire, fu });
-            }
-        }
-    }
-    Ok(jump)
 }
 
-/// What a move carries: its immediate, or the word its source names.
-#[inline(always)]
-fn value(file: &[u32], mv: &DMove) -> u32 {
-    if mv.src == IMM {
-        mv.imm
-    } else {
-        file[usize::from(mv.src)]
-    }
-}
-
-/// The read-phase events of one word, in bus order, from the guards at the
-/// start of the cycle — before any move of the word has written.
-fn read_events<T: Tracer + ?Sized>(
-    moves: &[DMove],
-    guards: &[bool],
-    cycle: u64,
-    pc: usize,
-    tracer: &mut T,
-) {
-    let (mut next, pc) = (0, pc as u32);
-    for _ in moves {
-        let mv = moves
-            .iter()
-            .filter(|m| u16::from(m.bus) >= next)
-            .min_by_key(|m| m.bus)
-            .expect("one move per occupied bus");
-        let bus = mv.bus;
-        tracer.event(&if guards[usize::from(mv.guard)] != mv.negate {
-            TraceEvent::MoveExecuted { cycle, bus, pc }
-        } else {
-            TraceEvent::MoveSquashed { cycle, bus, pc }
-        });
-        next = u16::from(bus) + 1;
-    }
-}
-
-/// How many of `moves` fail their guard: what the error paths add to the
-/// squash count for moves they did not reach.
-#[cold]
-#[inline(never)]
-fn count_squashed(moves: &[DMove], guards: &[bool]) -> u64 {
-    moves.iter().filter(|m| guards[usize::from(m.guard)] == m.negate).count() as u64
-}
-
-/// The dynamic conflict scan, out of line: two passing moves of one
-/// instruction wrote the same port.  Runs before any move writes, and
-/// reports the clash the bus-order scan of the instruction word finds
-/// first: the lowest bus whose port a passing move on a lower bus also
-/// writes.
+/// The dynamic conflict scan, out of line: two passing moves of one word
+/// write the same port.  Runs after the read phase, before any move
+/// writes, and reports the first move in bus order whose port a passing
+/// move on a lower bus also writes.
 #[cold]
 #[inline(never)]
 fn conflict(
-    compiled: &CompiledProgram,
+    program: &Program,
     moves: &[DMove],
-    guards: &[bool],
+    reads: &[(bool, u32)],
     cycle: u64,
     pc: usize,
 ) -> Result<(), SimError> {
-    let live = |m: &&DMove| guards[usize::from(m.guard)] != m.negate;
-    let port = |m: &DMove| (m.op.port_op(), m.dst);
-    let clash = moves
-        .iter()
-        .filter(live)
-        .filter(|m| moves.iter().filter(live).any(|e| e.bus < m.bus && port(e) == port(m)))
-        .min_by_key(|m| m.bus);
-    match clash {
-        None => Ok(()),
-        Some(mv) if mv.op == Op::Jump => Err(SimError::DoublePcWrite { cycle }),
-        Some(mv) => {
-            // Recover the original PortRef from the instruction word.
-            let port = compiled.program.instructions[pc].slots[usize::from(mv.bus)]
-                .as_ref()
-                .expect("decoded move maps to an occupied slot")
-                .dst;
-            Err(SimError::PortConflict { port, cycle })
-        }
+    let port = |i: usize| (moves[i].op, moves[i].dst);
+    let live = |i: &usize| reads[*i].0;
+    let Some(clash) =
+        (0..moves.len()).filter(live).find(|&i| (0..i).filter(live).any(|e| port(e) == port(i)))
+    else {
+        return Ok(());
+    };
+    let mv = &moves[clash];
+    if mv.op == Op::Jump {
+        return Err(SimError::DoublePcWrite { cycle });
     }
+    // Recover the original PortRef from the instruction word.
+    let port = program.instructions[pc].slots[usize::from(mv.bus)]
+        .as_ref()
+        .expect("decoded move maps to an occupied slot")
+        .dst;
+    Err(SimError::PortConflict { port, cycle })
 }
 
 #[cfg(test)]
@@ -652,22 +540,13 @@ mod tests {
         }
         let text = "0 -> cnt0.tset | 3 -> cnt0.stop\nloop: 1 -> cnt0.tinc\n\
                     1 -> rtu0.t\nrtu0.iface -> regs0.r0\n!cnt0.done @loop -> nc0.pc\n";
-        let run = |reference: bool| {
-            let mut p = load(text, MachineConfig::new(2));
-            p.set_rtu(RtuConfig::new(Box::new(MapRtu::default())).with_latency(4));
-            let mut issued = Issued(vec![0; p.program().instructions.len()]);
-            let stats = if reference {
-                p.run_reference(100, &mut issued, None)
-            } else {
-                p.run_with(100, &mut issued, None)
-            };
-            (issued.0, stats.unwrap())
-        };
-        let (compiled, stats) = run(false);
-        assert_eq!(compiled, [1, 3, 3, 3, 3]);
-        assert_eq!(compiled.iter().sum::<u64>(), stats.cycles - stats.stall_cycles);
+        let mut p = load(text, MachineConfig::new(2));
+        p.set_rtu(RtuConfig::new(Box::new(MapRtu::default())).with_latency(4));
+        let mut issued = Issued(vec![0; p.program().instructions.len()]);
+        let stats = p.run_with(100, &mut issued, None).unwrap();
+        assert_eq!(issued.0, [1, 3, 3, 3, 3]);
+        assert_eq!(issued.0.iter().sum::<u64>(), stats.cycles - stats.stall_cycles);
         assert_eq!(stats.stall_cycles, 3 * 3);
-        assert_eq!(run(true).0, compiled, "the reference interpreter issues the same words");
     }
 
     #[test]
@@ -692,6 +571,49 @@ mod tests {
         assert_eq!(p.reg(0), 0); // squashed: done was still false
         assert_eq!(p.reg(1), 2); // one cycle later it is true
         assert_eq!(p.stats().moves_squashed, 1);
+    }
+
+    #[test]
+    fn a_copy_chain_reads_the_registers_the_cycle_started_with() {
+        let mut p = load(
+            "1 -> regs0.r1 | 2 -> regs0.r2 | 3 -> regs0.r3\n\
+             regs0.r1 -> regs0.r2 | regs0.r2 -> regs0.r3\n",
+            MachineConfig::new(3),
+        );
+        p.run(10).unwrap();
+        // r3 gets r2's old value, not the r1 copied into r2 on bus 0.
+        assert_eq!((p.reg(1), p.reg(2), p.reg(3)), (1, 1, 2));
+    }
+
+    #[test]
+    fn a_guard_reads_the_done_bit_the_cycle_started_with() {
+        // `done` (count == stop) is true at power-on; the `stop` write on
+        // bus 0 clears it, but only for the next cycle's guards.
+        let mut p = load(
+            "3 -> cnt0.stop | ?cnt0.done 1 -> regs0.r5 | !cnt0.done 2 -> regs0.r6\n",
+            MachineConfig::new(3),
+        );
+        let stats = p.run(10).unwrap();
+        assert_eq!((p.reg(5), p.reg(6)), (1, 0));
+        assert_eq!((stats.moves_executed, stats.moves_squashed), (2, 1));
+        assert!(!read_guard(&p, FuKind::Counter, 0, "done"));
+        assert!(read_guard(&p, FuKind::Counter, 0, "zero"));
+    }
+
+    #[test]
+    fn a_trigger_reads_the_result_the_cycle_started_with() {
+        // cnt1 is set from cnt0's result while cnt0 is set anew in the
+        // same word, on the bus before it.
+        let mut p = load(
+            "7 -> cnt0.tset\n\
+             9 -> cnt0.tset | cnt0.r -> cnt1.tset\n\
+             cnt1.r -> regs0.r1 | cnt0.r -> regs0.r2\n",
+            MachineConfig::new(2).with_fu_count(FuKind::Counter, 2),
+        );
+        p.run(10).unwrap();
+        assert_eq!((p.reg(1), p.reg(2)), (7, 9));
+        assert_eq!(read_port(&p, FuKind::Counter, 1, "r"), Ok(7));
+        assert!(!read_guard(&p, FuKind::Counter, 1, "zero"));
     }
 
     #[test]

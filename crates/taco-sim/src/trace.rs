@@ -143,13 +143,6 @@ pub trait Tracer {
     /// cycle its result becomes visible and delivered at trigger time.
     fn event(&mut self, event: &TraceEvent);
 
-    /// Cheap gate for work done only to build events (the step loop's
-    /// read-phase pass); [`NullTracer`] returns `false`, so that work folds
-    /// away.
-    fn enabled(&self) -> bool {
-        true
-    }
-
     /// Called once per instruction word the processor issues (never for a
     /// stalled or stolen cycle), with the word's index: the hook a block
     /// profile counts visits with.  Every shipped tracer keeps this empty
@@ -169,11 +162,6 @@ pub struct NullTracer;
 impl Tracer for NullTracer {
     #[inline(always)]
     fn event(&mut self, _event: &TraceEvent) {}
-
-    #[inline(always)]
-    fn enabled(&self) -> bool {
-        false
-    }
 }
 
 /// A bounded in-memory event ring: keeps the most recent `capacity`

@@ -9,8 +9,7 @@
 //! where they are read.  [`PortMap`] assigns the slots from a
 //! [`MachineConfig`]; [`Op`] says what writing a port does; and
 //! [`Ports::store`] / [`Ports::apply`] are the one copy of every FU's
-//! behaviour, called by the decoded loop and by the reference interpreter
-//! alike.
+//! behaviour, called by the step loop.
 //!
 //! All units follow the TACO contract: operands are plain registers, a write
 //! to a trigger register performs the whole operation in one cycle, and the
@@ -31,11 +30,6 @@ use crate::trace::{TraceEvent, Tracer};
 #[repr(u8)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum Op {
-    /// An unguarded [`Op::Store`] of a port's word, as
-    /// [`sched::decode`](crate::sched) marks it; no port maps to it.
-    Copy,
-    /// An unguarded [`Op::Store`] of an immediate, likewise.
-    Imm,
     /// A register or operand port: `file[dst] = v`.
     Store,
     /// `cntN.stop`: a store that also moves the counter's `done` guard.
@@ -67,12 +61,6 @@ impl Op {
     #[inline(always)]
     pub(crate) fn is_trigger(self) -> bool {
         self >= Op::Jump
-    }
-
-    /// What the move does to its port: a copy or an immediate is a store.
-    /// Two moves write one port iff their `(port_op, dst)` are equal.
-    pub(crate) fn port_op(self) -> Op {
-        self.max(Op::Store)
     }
 }
 
@@ -217,12 +205,10 @@ impl PortMap {
     }
 
     /// Power-on contents of both files: zero, except what is true of a
-    /// zeroed machine — `cnt.r == stop`, `cnt.r == 0`, `csum.r == !0 & 0xffff`
-    /// — followed by `scratch` words and guard bits for a decoded
-    /// program's early reads.
-    pub(crate) fn power_on(&self, scratch: (usize, usize)) -> (Vec<u32>, Vec<bool>) {
-        let mut file = vec![0; self.file_len + scratch.0];
-        let mut guards = vec![false; self.guards_len + scratch.1];
+    /// zeroed machine — `cnt.r == stop`, `cnt.r == 0`, `csum.r == !0 & 0xffff`.
+    pub(crate) fn power_on(&self) -> (Vec<u32>, Vec<bool>) {
+        let mut file = vec![0; self.file_len];
+        let mut guards = vec![false; self.guards_len];
         guards[0] = true;
         let counters = self.gbase[FuKind::Counter as usize];
         guards[counters..counters + 2 * usize::from(self.count[FuKind::Counter as usize])]
@@ -284,7 +270,7 @@ impl Ports<'_> {
     ) -> Result<(), SimError> {
         let Ports { file, guards, mem, rtu, ippu_queue, oppu_out, .. } = self;
         match op {
-            Op::Copy | Op::Imm | Op::Store | Op::CounterStop | Op::Jump => {
+            Op::Store | Op::CounterStop | Op::Jump => {
                 unreachable!("{op:?} is not an FU trigger")
             }
             Op::MmuRead => file[base + 1] = mem.read(file[base])?,
@@ -443,7 +429,8 @@ mod tests {
 
     #[test]
     fn a_trigger_writes_only_inside_its_unit() {
-        // What the early-read rule of `sched::decode` assumes of a trigger.
+        // What firing a word's triggers one after another in bus order
+        // assumes: no trigger writes what another unit's trigger reads.
         let config = MachineConfig::three_bus_three_fu().with_fu_count(FuKind::Mmu, 2);
         let mut cpu = Processor::new(config.clone(), Program::new()).unwrap();
         for (kind, count) in config.fu_counts() {

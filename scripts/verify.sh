@@ -166,6 +166,10 @@ if grep -rnE '[p]ub struct EvalSpec|EvalSpec::[n]ew\(' crates src tests examples
 # Per-instance trigger counts have one layout, `TriggerCounts`, from the
 # step loop to the wire, and one fold rule, `MachineConfig::fold`.
 if grep -rnE 'BTreeMap<FuRef|trigger_[f]us|fold_trigger_[c]ounts|\bFu[K]ey\b' crates src tests examples; then exit 1; fi
+# One step loop: `Processor::run_with` executes the hardware's two-phase
+# word over moves decoded once, in bus order; no interpreter beside it, no
+# run-at-a-time dispatch, no early reads and no tracer gate.
+if grep -rnE 'run_[r]eference|compiled_[l]oop|free_[f]rom|early_[w]ords|Op::[C]opy|Op::[I]mm|fn [e]nabled\(' crates src tests examples scripts; then exit 1; fi
 # A price is a sum over the block summary a compile builds once: no product
 # code re-derives block starts or a block's RTU stall (the instruction-level
 # definitions live on below price.rs's `#[cfg(test)]` as the reference).

@@ -262,24 +262,15 @@ fn every_kind_machine_size_and_injector_agrees_on_real_microcode() {
                             .expect("traffic fits the buffer area");
                         router
                     };
-                    let (mut decoded, mut reference) = (build(), build());
+                    let mut router = build();
                     let d = observe(
-                        &mut decoded,
+                        &mut router,
                         CycleRouter::run_with,
                         CycleRouter::processor,
                         50_000_000,
                         stall,
                     );
-                    let r = observe(
-                        &mut reference,
-                        CycleRouter::run_reference,
-                        CycleRouter::processor,
-                        50_000_000,
-                        stall,
-                    );
-                    assert_eq!(d, r, "{label}");
-                    assert_eq!(forwarded_digest(&decoded), forwarded_digest(&reference), "{label}");
-                    let forwarded = forwarded_digest(&decoded);
+                    let forwarded = forwarded_digest(&router);
                     lines.push(format!(
                         "{}\tforwarded {forwarded:016x}",
                         line("microcode", &label, &d)
@@ -386,18 +377,14 @@ fn hand_written_programs_agree_and_resume_cleanly() {
     for (i, (machine, text)) in narrow.chain([(wide_machine(), WIDE)]).enumerate() {
         let load = |text| load_on(machine.clone(), text);
         for stall in [None, Some(PeriodicStall::new(5, 2))] {
-            let (mut decoded, mut reference) = (load(text), load(text));
-            let d = observe(&mut decoded, Processor::run_with, identity, 10_000, stall);
-            let r = observe(&mut reference, Processor::run_reference, identity, 10_000, stall);
-            assert_eq!(d, r, "{text}");
+            let mut cpu = load(text);
+            let d = observe(&mut cpu, Processor::run_with, identity, 10_000, stall);
             assert!(d.result.is_ok(), "{text}"); // `Ok` only once the program halts
             lines.push(line("program", &format!("{i} stall={}", stall.is_some()), &d));
 
             // A second run on the halted processor changes nothing.
-            let again = observe(&mut decoded, Processor::run_with, identity, 10_000, stall);
+            let again = observe(&mut cpu, Processor::run_with, identity, 10_000, stall);
             assert_eq!((&again.result, &again.stats), (&d.result, &d.stats), "{text}");
-            let again = observe(&mut reference, Processor::run_reference, identity, 10_000, stall);
-            assert_eq!((&again.result, &again.stats), (&r.result, &r.stats), "{text}");
             if stall.is_none() {
                 let run: Run<Processor> = |cpu, budget, _, _| cpu.run(budget);
                 assert_untraced_agrees(&mut load(text), run, identity, 10_000, &d, text);
@@ -426,10 +413,8 @@ fn errors_agree_and_leave_the_same_statistics() {
         cases.into_iter().map(|case| (MachineConfig::new(2), case)).chain([wide]).enumerate()
     {
         let load = |text| load_on(machine.clone(), text);
-        let (mut decoded, mut reference) = (load(text), load(text));
-        let d = observe(&mut decoded, Processor::run_with, identity, budget, None);
-        let r = observe(&mut reference, Processor::run_reference, identity, budget, None);
-        assert_eq!(d, r, "{text}");
+        let mut cpu = load(text);
+        let d = observe(&mut cpu, Processor::run_with, identity, budget, None);
         assert_eq!(d.result, Err(error.clone()), "{text}");
         lines.push(line("error", &i.to_string(), &d));
         // An error ends the run, not its bookkeeping: replaying the
@@ -450,18 +435,12 @@ fn errors_agree_and_leave_the_same_statistics() {
 fn a_trigger_that_faults_is_counted_as_it_is_traced() {
     let text = "4000000000 -> mmu0.addr\n0 -> mmu0.tread\n";
     let error = SimError::MemoryOutOfBounds { addr: 4_000_000_000, size: DEFAULT_MEMORY_WORDS };
-    let runs: [Run<Processor>; 2] = [Processor::run_with, Processor::run_reference];
-    let mut lines = Vec::new();
-    for run in runs {
-        let mut cpu = load_on(MachineConfig::new(2), text);
-        let seen = observe(&mut cpu, run, identity, 10, None);
-        assert_eq!(seen.result, Err(error.clone()));
-        assert_eq!(seen.stats.fu_instance_triggers.of_kind(FuKind::Mmu), 1);
-        assert_eq!(TraceCounters::from_events(&seen.events), counted_by_the_loop(&seen.stats));
-        lines.push(line("fault", "mmu0.tread", &seen));
-    }
-    assert_eq!(lines[0], lines[1]);
-    check("fault", &lines[..1]);
+    let mut cpu = load_on(MachineConfig::new(2), text);
+    let seen = observe(&mut cpu, Processor::run_with, identity, 10, None);
+    assert_eq!(seen.result, Err(error));
+    assert_eq!(seen.stats.fu_instance_triggers.of_kind(FuKind::Mmu), 1);
+    assert_eq!(TraceCounters::from_events(&seen.events), counted_by_the_loop(&seen.stats));
+    check("fault", &[line("fault", "mmu0.tread", &seen)]);
 }
 
 // ---------------------------------------------------------------------------
@@ -534,10 +513,8 @@ fn same_cycle_hazards_read_what_the_cycle_started_with() {
     for (i, &(text, expected)) in HAZARDS.iter().enumerate() {
         for stall in [None, Some(PeriodicStall::new(3, 1))] {
             let load = || load_on(hazard_machine(), text);
-            let (mut decoded, mut reference) = (load(), load());
-            let d = observe(&mut decoded, Processor::run_with, identity, 1_000, stall);
-            let r = observe(&mut reference, Processor::run_reference, identity, 1_000, stall);
-            assert_eq!(d, r, "{text}");
+            let mut cpu = load();
+            let d = observe(&mut cpu, Processor::run_with, identity, 1_000, stall);
             assert!(d.result.is_ok(), "{text}"); // `Ok` only once the program halts
             for &(reg, value) in expected {
                 assert_eq!(d.regs[usize::from(reg)], value, "r{reg}: {text}");
@@ -568,19 +545,15 @@ fn a_budget_ending_inside_a_run_stops_at_its_cycle_and_resumes() {
         for stall in [None, Some(PeriodicStall::new(4, 1))] {
             let label = format!("{budget} stall={}", stall.is_some());
             let load = || load_on(hazard_machine(), STRAIGHT);
-            let (mut decoded, mut reference) = (load(), load());
-            let d = observe(&mut decoded, Processor::run_with, identity, budget, stall);
-            let r = observe(&mut reference, Processor::run_reference, identity, budget, stall);
-            assert_eq!(d, r, "budget {budget}");
+            let mut cpu = load();
+            let d = observe(&mut cpu, Processor::run_with, identity, budget, stall);
             if d.result.is_err() {
                 assert_eq!(d.result, Err(SimError::Watchdog { budget }), "budget {budget}");
                 assert_eq!(d.cycles, budget, "budget {budget}");
             }
             lines.push(line("budget", &label, &d));
             // Resuming finishes the program.
-            let d = observe(&mut decoded, Processor::run_with, identity, 100, stall);
-            let r = observe(&mut reference, Processor::run_reference, identity, 100, stall);
-            assert_eq!(d, r, "resumed after budget {budget}");
+            let d = observe(&mut cpu, Processor::run_with, identity, 100, stall);
             assert!(d.result.is_ok() && d.regs[10] == 10, "budget {budget}");
             lines.push(line("budget", &format!("{label} resumed"), &d));
         }
@@ -613,10 +586,8 @@ fn a_stall_a_stolen_cycle_or_a_fault_ends_a_run_where_it_happens() {
             .enumerate()
         {
             let load = || load_on(hazard_machine(), text);
-            let (mut decoded, mut reference) = (load(), load());
-            let d = observe(&mut decoded, Processor::run_with, identity, 1_000, stall);
-            let r = observe(&mut reference, Processor::run_reference, identity, 1_000, stall);
-            assert_eq!(d, r, "{text}");
+            let mut cpu = load();
+            let d = observe(&mut cpu, Processor::run_with, identity, 1_000, stall);
             assert_eq!(d.result.as_ref().err(), error.as_ref(), "{text}");
             if error.is_none() {
                 assert!(d.stats.stall_cycles > 0, "{text}");
@@ -632,8 +603,6 @@ fn a_stall_a_stolen_cycle_or_a_fault_ends_a_run_where_it_happens() {
     for every in 2..=6 {
         let stall = Some(PeriodicStall::new(every, 1));
         let d = observe(&mut load(), Processor::run_with, identity, 1_000, stall);
-        let r = observe(&mut load(), Processor::run_reference, identity, 1_000, stall);
-        assert_eq!(d, r, "every {every}");
         lines.push(line("end", &format!("straight every {every}"), &d));
     }
     check("end", &lines);
@@ -676,10 +645,8 @@ fn scheduled_random_programs_agree_with_the_reference() {
         let text = program.to_string();
         let stall = rng.chance(0.5).then(|| PeriodicStall::new(rng.range_inclusive(2, 9), 1));
         let load = || load_program(machine.clone(), program.clone());
-        let (mut decoded, mut reference) = (load(), load());
-        let d = observe(&mut decoded, Processor::run_with, identity, 2_000, stall);
-        let r = observe(&mut reference, Processor::run_reference, identity, 2_000, stall);
-        assert_eq!(d, r, "{machine}\n{text}");
+        let mut cpu = load();
+        let d = observe(&mut cpu, Processor::run_with, identity, 2_000, stall);
         lines.push(line("random", &lines.len().to_string(), &d));
         if stall.is_none() {
             let run: Run<Processor> = |cpu, budget, _, _| cpu.run(budget);
