@@ -57,9 +57,13 @@ fn measure(
     opts: &MicrocodeOptions,
 ) -> (f64, Vec<(u32, u32)>) {
     // The router is built by hand because `TableImage::new` would re-tune
-    // the screen word this ablation has to force; nothing else differs from
-    // the product path (`taco_router::cycle::compiled_program`, then
-    // `taco_core`'s `evaluate.rs::measure`).
+    // the screen word this ablation has to force.  The input differs too:
+    // this steps one run over eight datagrams drawn towards the deepest
+    // entry, where the product path prices its rounds from a profile
+    // stepped over one such datagram enqueued eight times (`taco_core`'s
+    // `prepared.rs` and `price.rs`).  Every datagram takes the deepest
+    // entry's path either way, so the cycles per datagram agree
+    // (`tests::the_shared_cells_are_table_1s`).
     let table = SequentialTable::from_routes(routes.iter().copied());
     let mut image = layout::serialize_sequential(&table);
     taco_router::microcode::pad_sequential_image(&mut image, opts.unroll);

@@ -17,9 +17,8 @@
 //! Decoding must preserve semantics: conflict detection compares `(op,
 //! dst)`, which is exactly the equality [`taco_isa::PortRef`] has (a port
 //! is its FU's slot plus what writing it does, and singleton FUs have one
-//! instance).  `tests/step_reference.rs` holds the loop to the statistics,
-//! event streams and machine state a reference interpreter of the
-//! instruction words recorded in `tests/golden/step_matrix.txt`.
+//! instance).  `tests/step_reference.rs` holds the loop's statistics,
+//! event streams and machine state to `tests/golden/step_matrix.txt`.
 
 use std::sync::Arc;
 

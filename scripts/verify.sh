@@ -115,8 +115,7 @@ if grep -rnE 'find_[p]ort\(|find_[g]uard\(' crates src tests examples benchmarks
     echo "find_port( / find_guard( only in crates/taco-isa/src/{fu,program,asm,builder}.rs"
     exit 1
 fi
-# PR 28, one step-loop body: an instruction is its moves in execution order,
-# not per-width instances with read-phase scratch.
+# One step-loop body: no per-width instances of it.
 if grep -rnE 'wide_[v]alues|wide_[p]ass|max_[w]idth' crates src tests examples scripts; then exit 1; fi
 # An evaluation is one processor: no hand-scaled multi-core clock or
 # estimate, no nested machine spelling, no core count on a machine and no
