@@ -77,8 +77,7 @@ pub fn benchmark_routes(entries: usize) -> Vec<Route> {
 /// path, which is what lets a profile be recorded from one.
 fn measurement_datagram(routes: &[Route]) -> Datagram {
     let mut gen = TrafficGen::new(0x0DA7A, 4);
-    let table = SequentialTable::from_routes(routes.iter().copied());
-    let deepest = *table.entries().last().expect("non-empty table");
+    let deepest = SequentialTable::scanned_last(routes).expect("non-empty table");
     Datagram::builder("2001:db8:ffff::1".parse().expect("valid"), gen.addr_in(&deepest.prefix()))
         .hop_limit(64)
         .payload(NextHeader::Udp, vec![0u8; MEASURE_PAYLOAD_BYTES])
@@ -243,6 +242,21 @@ mod tests {
             };
             assert_eq!(bytes(&framed).len(), MEASURE_DATAGRAMS, "{kind}");
             assert_eq!(bytes(&framed), bytes(&batched), "{kind}");
+        }
+    }
+
+    #[test]
+    fn the_measurement_datagram_targets_the_entry_the_scan_reaches_last() {
+        let sizes =
+            (1..=MEMO_MAX_ENTRIES + 1).step_by(23).chain([MEMO_MAX_ENTRIES, MEMO_MAX_ENTRIES + 1]);
+        for entries in sizes {
+            let routes = benchmark_routes(entries);
+            // The reference: the table the scan walks, built whole.
+            let table = SequentialTable::from_routes(routes.iter().copied());
+            let last = *table.entries().last().expect("non-empty table");
+            assert_eq!(SequentialTable::scanned_last(&routes), Some(last), "n={entries}");
+            let dst = measurement_datagram(&routes).header().dst;
+            assert!(last.prefix().contains(&dst), "n={entries}: {dst} outside {}", last.prefix());
         }
     }
 

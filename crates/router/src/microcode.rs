@@ -301,23 +301,28 @@ pub fn sequential_program(entries: usize, opts: &MicrocodeOptions) -> MoveSeq {
 
 /// Picks the screening word for [`sequential_program`]: the address word
 /// with the most distinct `(mask, prefix)` pairs across the table's
-/// entries, i.e. the one most likely to reject a non-matching entry.
+/// entries, i.e. the one most likely to reject a non-matching entry (the
+/// lowest such word on a tie).  Each pair is packed into one `u64` key and
+/// the words are counted in one reused buffer; once a word has a distinct
+/// pair per entry no later word can beat it, so the count stops there.
 pub fn choose_screen_word(table: &taco_routing::SequentialTable) -> u8 {
+    let entries = table.entries();
+    let mut keys = Vec::with_capacity(entries.len());
     let mut best = (0u8, 0usize);
     for w in 0..4u8 {
-        let mut values: Vec<(u32, u32)> = table
-            .entries()
-            .iter()
-            .map(|r| {
-                let mask = r.prefix().mask_words()[usize::from(w)];
-                let pfx = r.prefix().addr().to_words()[usize::from(w)];
-                (mask, pfx)
-            })
-            .collect();
-        values.sort_unstable();
-        values.dedup();
-        if values.len() > best.1 {
-            best = (w, values.len());
+        keys.clear();
+        keys.extend(entries.iter().map(|r| {
+            let mask = r.prefix().mask_words()[usize::from(w)];
+            let pfx = r.prefix().addr().to_words()[usize::from(w)];
+            u64::from(mask) << 32 | u64::from(pfx)
+        }));
+        keys.sort_unstable();
+        keys.dedup();
+        if keys.len() > best.1 {
+            best = (w, keys.len());
+        }
+        if best.1 == entries.len() {
+            break;
         }
     }
     best.0
@@ -685,6 +690,77 @@ mod tests {
         let seq = sequential_program(3, &MicrocodeOptions::default());
         let prog = scheduled(&seq, &MachineConfig::three_bus_one_fu());
         assert_eq!(prog.labels["end"], prog.instructions.len());
+    }
+
+    /// Distinct `(mask, prefix)` pairs per address word, as the screening
+    /// pick first counted them: one collected, sorted and deduplicated
+    /// vector of pairs per word.
+    fn pair_counts(table: &taco_routing::SequentialTable) -> [usize; 4] {
+        [0u8, 1, 2, 3].map(|w| {
+            let mut values: Vec<(u32, u32)> = table
+                .entries()
+                .iter()
+                .map(|r| {
+                    let mask = r.prefix().mask_words()[usize::from(w)];
+                    let pfx = r.prefix().addr().to_words()[usize::from(w)];
+                    (mask, pfx)
+                })
+                .collect();
+            values.sort_unstable();
+            values.dedup();
+            values.len()
+        })
+    }
+
+    /// Cases and seed of the property below; case `n` draws from
+    /// `SplitMix64::new(SCREEN_SEED ^ n)` and a failure names it.
+    const SCREEN_CASES: u64 = 600;
+    const SCREEN_SEED: u64 = 0x5C4E_E450;
+
+    #[test]
+    fn the_packed_screen_pick_is_the_first_word_with_the_most_pairs() {
+        use taco_ipv6::{Ipv6Address, Ipv6Prefix};
+        use taco_routing::{PortId, Route, SequentialTable};
+
+        use crate::rng::SplitMix64;
+
+        // /0, /128 and the lengths either side of a word boundary are drawn
+        // on purpose; addresses scatter below a random depth around three
+        // anchors, so words repeat across entries and counts tie.
+        const LENS: [u8; 12] = [0, 1, 31, 32, 33, 63, 64, 65, 96, 127, 128, 128];
+        let (mut ties, mut ties_below_full) = (0, 0);
+        for case in 0..SCREEN_CASES {
+            let mut rng = SplitMix64::new(SCREEN_SEED ^ case);
+            let wide = |rng: &mut SplitMix64| {
+                u128::from(rng.next_u64()) << 64 | u128::from(rng.next_u64())
+            };
+            let anchors = [wide(&mut rng), wide(&mut rng), wide(&mut rng)];
+            let n = rng.below(40) as usize;
+            let routes: Vec<Route> = (0..n)
+                .map(|_| {
+                    let anchor = anchors[rng.below(3) as usize];
+                    let flip = wide(&mut rng).checked_shr(rng.below(129) as u32).unwrap_or(0);
+                    let len = match rng.below(3) {
+                        0 => rng.below(129) as u8,
+                        _ => LENS[rng.below(LENS.len() as u64) as usize],
+                    };
+                    let addr = Ipv6Address::new((anchor ^ flip).to_be_bytes());
+                    let prefix = Ipv6Prefix::new(addr, len).expect("len <= 128");
+                    Route::new(prefix, Ipv6Address::UNSPECIFIED, PortId(1), 1)
+                })
+                .collect();
+            let table = SequentialTable::from_routes(routes);
+            let counts = pair_counts(&table);
+            let most = *counts.iter().max().expect("four words");
+            let first = counts.iter().position(|&c| c == most).expect("a maximum") as u8;
+            let at = format!("seed {SCREEN_SEED:#x}, case {case}, counts {counts:?}");
+            assert_eq!(choose_screen_word(&table), first, "{at}");
+            if counts.iter().filter(|&&c| c == most).count() > 1 {
+                ties += 1;
+                ties_below_full += usize::from(most < table.entries().len());
+            }
+        }
+        assert!(ties > 100 && ties_below_full > 50, "ties {ties}, below full {ties_below_full}");
     }
 
     #[test]

@@ -7,6 +7,8 @@
 //! datagrams, and RIPng control traffic — everything the routers (both
 //! cycle-accurate and behavioural) consume.
 
+use std::collections::HashSet;
+
 use taco_ipv6::ripng::{Command, RipngPacket, RouteEntry};
 use taco_ipv6::{Datagram, Ipv6Address, Ipv6Header, Ipv6Prefix, NextHeader};
 use taco_routing::{PortId, Route};
@@ -44,7 +46,7 @@ impl TrafficGen {
     /// default route), with next hops on random ports.
     pub fn table(&mut self, n: usize, with_default: bool) -> Vec<Route> {
         let mut routes = Vec::with_capacity(n + 1);
-        let mut seen = std::collections::BTreeSet::new();
+        let mut seen = HashSet::with_capacity(n);
         while routes.len() < n {
             let p = self.prefix();
             if !seen.insert(p) {
@@ -130,7 +132,7 @@ impl TrafficGen {
             })
             .collect();
         let mut routes = Vec::with_capacity(n + 1);
-        let mut seen = std::collections::BTreeSet::new();
+        let mut seen = HashSet::with_capacity(n);
         // The providers announce their own /32 aggregates alongside the
         // customer more-specifics, so the blocks enter the table first.
         for block in blocks.iter().take(n) {

@@ -5,7 +5,7 @@
 //! in the number of entries, which is why this organisation demands a 6 GHz
 //! clock in the single-bus configuration of Table 1.
 
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 
 use taco_ipv6::{Ipv6Address, Ipv6Prefix};
 
@@ -52,9 +52,12 @@ pub struct SequentialTable {
     keys: Vec<(u128, u128)>,
 }
 
-/// Scan order: descending prefix length, then ascending prefix.
-fn scan_order(a: &Ipv6Prefix, b: &Ipv6Prefix) -> Ordering {
-    b.len().cmp(&a.len()).then_with(|| a.cmp(b))
+/// Scan order as one integer key: descending prefix length, then ascending
+/// network (a canonical prefix's network is its address as a big-endian
+/// `u128`, so this is the prefix order within one length).  The one place
+/// the order is written.
+fn scan_key(prefix: &Ipv6Prefix) -> (Reverse<u8>, u128) {
+    (Reverse(prefix.len()), u128::from_be_bytes(prefix.addr().octets()))
 }
 
 /// `prefix` as a scan row: its network and its mask, native order.
@@ -83,8 +86,16 @@ impl SequentialTable {
         &self.entries
     }
 
+    /// The route [`from_routes`](Self::from_routes) over `routes` would
+    /// scan last — its `entries().last()` — without building the table:
+    /// the greatest scan key, the latest of equal prefixes.  `None` when
+    /// `routes` is empty.
+    pub fn scanned_last(routes: &[Route]) -> Option<Route> {
+        routes.iter().copied().max_by_key(|r| scan_key(&r.prefix()))
+    }
+
     fn position(&self, prefix: &Ipv6Prefix) -> Result<usize, usize> {
-        self.entries.binary_search_by(|r| scan_order(&r.prefix(), prefix))
+        self.entries.binary_search_by_key(&scan_key(prefix), |r| scan_key(&r.prefix()))
     }
 }
 
@@ -164,7 +175,7 @@ impl FromIterator<Route> for SequentialTable {
 impl Extend<Route> for SequentialTable {
     fn extend<I: IntoIterator<Item = Route>>(&mut self, iter: I) {
         self.entries.extend(iter);
-        self.entries.sort_by(|a, b| scan_order(&a.prefix(), &b.prefix()));
+        self.entries.sort_by_cached_key(|r| scan_key(&r.prefix()));
         self.entries.dedup_by(|later, kept| {
             let same = later.prefix() == kept.prefix();
             if same {
@@ -331,13 +342,15 @@ mod tests {
                             }
                         }
                         t.reload(&routes);
+                        let last = t.entries.last().copied();
+                        assert_eq!(SequentialTable::scanned_last(&routes), last, "{at}: last");
                         model = routes.iter().map(|r| (r.prefix(), *r)).collect();
                     }
                 }
                 assert!(
                     t.entries
                         .windows(2)
-                        .all(|w| scan_order(&w[0].prefix(), &w[1].prefix()).is_lt()),
+                        .all(|w| scan_key(&w[0].prefix()) < scan_key(&w[1].prefix())),
                     "{at}: scan order, no repeats"
                 );
                 let mut held = t.routes();
