@@ -187,6 +187,11 @@ awk 'FNR == 1 { product = 1 } /#\[cfg\(test\)\]/ { product = 0 } product { n++ }
 echo
 echo "== release binary =="
 cargo build --release --offline -q -p taco-bench
+# cargo wrote the binary under CARGO_TARGET_DIR when it is set (a relative
+# one is relative to this, the repo root), so the smokes run it from there.
+target="${CARGO_TARGET_DIR:-target}"
+[[ "$target" == /* ]] || target="$PWD/$target"
+taco_cli="$target/release/taco-cli"
 
 echo
 echo "== multicore smoke: 2- and 4-core cells under a hard timeout =="
@@ -196,7 +201,7 @@ echo "== multicore smoke: 2- and 4-core cells under a hard timeout =="
 # scenario harness's coherence model is all this guards now that an
 # evaluation is one processor; the stage leaves with that model, in the
 # change that also takes it out of the benchmark.
-if ! timeout 180 ./target/release/taco-cli scenarios > /dev/null; then
+if ! timeout 180 "$taco_cli" scenarios > /dev/null; then
     echo "multicore scenarios smoke FAILED (non-zero exit or 180 s timeout)"
     exit 1
 fi
@@ -218,7 +223,7 @@ churn_baseline=scripts/churn-smoke-baseline.json
 if [[ "${CHURN_GATE:-on}" == "off" ]]; then
     echo "CHURN_GATE=off: skipped"
 else
-    if ! churn_actual=$(timeout 300 ./target/release/taco-cli churn --json); then
+    if ! churn_actual=$(timeout 300 "$taco_cli" churn --json); then
         echo "churn gate FAILED (unbounded arena, non-zero exit, or 300 s timeout)"
         exit 1
     fi
@@ -241,7 +246,7 @@ echo "== daemon smoke: ephemeral-port serve / status / shutdown =="
 # well-formed v1 line, and shut down cleanly (exit code 0 both sides).
 smoke_dir=$(mktemp -d)
 trap 'rm -rf "$smoke_dir"' EXIT
-./target/release/taco-cli serve --addr 127.0.0.1:0 > "$smoke_dir/serve.out" &
+"$taco_cli" serve --addr 127.0.0.1:0 > "$smoke_dir/serve.out" &
 serve_pid=$!
 addr=
 for _ in $(seq 1 50); do
@@ -254,7 +259,7 @@ if [[ -z "$addr" ]]; then
     kill "$serve_pid" 2>/dev/null || true
     exit 1
 fi
-status_line=$(./target/release/taco-cli status --addr "$addr")
+status_line=$("$taco_cli" status --addr "$addr")
 case "$status_line" in
     '{"api_version":"v1","kind":"status_result",'*) ;;
     *)
@@ -263,7 +268,7 @@ case "$status_line" in
         exit 1
         ;;
 esac
-./target/release/taco-cli shutdown --addr "$addr" > /dev/null
+"$taco_cli" shutdown --addr "$addr" > /dev/null
 wait "$serve_pid"
 echo "daemon smoke ok: $addr answered $status_line"
 
@@ -274,7 +279,7 @@ echo "== tracegen smoke: generate / write / read / replay =="
 # self-checks digests and packet accounting — any failure is a non-zero
 # exit.  The hard timeout turns a generator or replay livelock into a
 # loud failure instead of a hung CI job.
-if ! timeout 120 ./target/release/taco-cli tracegen --seed 7 --ticks 4000 --flows 128 --entries 256; then
+if ! timeout 120 "$taco_cli" tracegen --seed 7 --ticks 4000 --flows 128 --entries 256; then
     echo "tracegen smoke FAILED (non-zero exit or 120 s timeout)"
     exit 1
 fi
@@ -288,7 +293,7 @@ echo "== loadgen smoke: concurrent one-shot and session clients =="
 # event-loop deadlock — a reader waiting on a writer that will never
 # flush — into a loud failure instead of a hung CI job.  The rates it
 # prints are one uncalibrated run; benchmarks/run.sh is the stopwatch.
-if ! timeout 120 ./target/release/taco-cli loadgen --clients 8,64,256 --requests 200 > /dev/null; then
+if ! timeout 120 "$taco_cli" loadgen --clients 8,64,256 --requests 200 > /dev/null; then
     echo "loadgen smoke FAILED (non-zero exit or 120 s deadlock timeout)"
     exit 1
 fi
