@@ -9,19 +9,29 @@
 # A patch's first line is `# tests: <cargo test arguments>`; the diff
 # follows (git apply skips the header).  Each patch is applied to a scratch
 # `git worktree` of HEAD (so commit first: uncommitted edits are not
-# mutated) that shares CARGO_TARGET_DIR, so only the mutated crate and its
-# dependents rebuild between mutants.  The script prints each mutant with
-# the tests that killed it and exits non-zero when a mutant survives or a
-# patch no longer applies.
+# mutated) that builds in `mutants/` under CARGO_TARGET_DIR (default
+# target/), so only the mutated crate and its dependents rebuild between
+# mutants.  The script prints each mutant with the tests that killed it and
+# exits non-zero when a mutant survives or a patch no longer applies.
+#
+# The mutants never build where a checkout builds: cargo names a
+# workspace's artifacts by paths relative to its root and reuses them while
+# they are newer than the sources, so a checkout sharing the mutants'
+# directory would run a mutated crate, or a test binary whose fixtures are
+# read from the deleted worktree, on its next build.
 #
 # verify.sh runs every patch as its last stage.  Each mutant costs an
 # incremental debug rebuild: the eight step-loop mutants (02, 03, 04, 34,
 # 35, 39, 43, 46) take about 30 s together on a 2-vCPU host with a warm
-# CARGO_TARGET_DIR, and all forty-five about four minutes from an empty one.
+# mutants/ directory, and all forty-seven about four minutes from an empty
+# one.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 root=$PWD
-export CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-$root/target}"
+# A relative CARGO_TARGET_DIR is relative to the repo root, as in verify.sh.
+target="${CARGO_TARGET_DIR:-target}"
+[[ "$target" == /* ]] || target="$root/$target"
+export CARGO_TARGET_DIR="$target/mutants"
 
 work=$(mktemp -d "${TMPDIR:-/tmp}/mutants.XXXXXX")
 tree="$work/tree"
