@@ -175,7 +175,7 @@ impl FromIterator<Route> for SequentialTable {
 impl Extend<Route> for SequentialTable {
     fn extend<I: IntoIterator<Item = Route>>(&mut self, iter: I) {
         self.entries.extend(iter);
-        self.entries.sort_by_cached_key(|r| scan_key(&r.prefix()));
+        self.entries.sort_by_key(|r| scan_key(&r.prefix()));
         self.entries.dedup_by(|later, kept| {
             let same = later.prefix() == kept.prefix();
             if same {
