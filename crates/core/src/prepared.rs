@@ -18,6 +18,15 @@
 //! all eight datagrams again; an input above the memo's size limit is not
 //! kept, so it records its profiles again on every evaluation.
 //!
+//! A fresh size does each host-side step of its preparation once.  The
+//! routes are drawn against a hash set, of which only `insert`'s answers
+//! are read, so the routes do not depend on the hasher.  The measurement
+//! datagram's target is picked from the routes by the sequential scan's
+//! own key ([`SequentialTable::scanned_last`]) without building a table,
+//! and the sequential image sorts the routes once, by that key.  What a
+//! fresh size still pays for is stepping the profile's two recording runs,
+//! compiling its programs and, for the tree, building the table.
+//!
 //! Some tables cannot fit whatever the machine: a CAM table past the chip's
 //! rows, a sequential image that leaves no room for the eight datagram
 //! slots above it.  [`unfit`] works those out from the table size alone, so
