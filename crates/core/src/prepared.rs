@@ -23,9 +23,13 @@
 //! are read, so the routes do not depend on the hasher.  The measurement
 //! datagram's target is picked from the routes by the sequential scan's
 //! own key ([`SequentialTable::scanned_last`]) without building a table,
-//! and the sequential image sorts the routes once, by that key.  What a
-//! fresh size still pays for is stepping the profile's two recording runs,
-//! compiling its programs and, for the tree, building the table.
+//! and the sequential image sorts the routes once, by that key.  A fresh
+//! size compiles no microcode: every table of a kind runs its machine's one
+//! template from the program cache in `taco_router::cycle`, a sequential
+//! image with its two size immediates patched in, and the image keeps what
+//! it was given per machine.  What a fresh size still pays for is stepping
+//! the profile's two recording runs, copying and patching the templates of
+//! a sequential table and, for the tree, building the table.
 //!
 //! Some tables cannot fit whatever the machine: a CAM table past the chip's
 //! rows, a sequential image that leaves no room for the eight datagram

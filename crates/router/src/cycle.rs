@@ -10,7 +10,9 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use taco_ipv6::Datagram;
-use taco_isa::{opt, schedule, FuKind, FuRef, MachineConfig, MoveSeq, Source};
+use taco_isa::{
+    opt, schedule, FuKind, FuRef, Instruction, MachineConfig, MoveSeq, Program, Source,
+};
 use taco_routing::{
     BalancedTreeTable, CamTable, LpmTable, PatriciaTable, PortId, Route, SequentialTable, TableKind,
 };
@@ -23,7 +25,9 @@ use crate::layout::{
     datagram_to_words, dgram_base, serialize_patricia, serialize_sequential, serialize_tree,
     words_to_bytes, DGRAM_SLOT_WORDS, SEQ_ENTRY_WORDS, TABLE_BASE,
 };
-use crate::microcode::{choose_screen_word, pad_sequential_image, program_for, MicrocodeOptions};
+use crate::microcode::{
+    choose_screen_word, pad_sequential_image, template_for, MicrocodeOptions, ScanBounds,
+};
 
 /// The Routing Table Unit backend that wraps the CAM model: keys are the
 /// four destination-address words, answers carry the output interface.
@@ -44,19 +48,24 @@ impl RtuBackend for CamBackend {
 
 /// A routing table prepared for one organisation's cycle router: the words
 /// loaded at [`TABLE_BASE`] (or, for the CAM, the shared behavioural table
-/// behind the RTU) plus the generator options tuned to it.  Immutable and
-/// independent of the machine shape, so one image serves every design
-/// point that sweeps over the same table ([`CycleRouter::from_image`]).
+/// behind the RTU) plus the generator options tuned to it, and the programs
+/// compiled for it so far.  Independent of the machine shape, so one image
+/// serves every design point that sweeps over the same table
+/// ([`CycleRouter::from_image`]).
 #[derive(Debug)]
 pub struct TableImage {
     kind: TableKind,
     words: Vec<u32>,
     cam: Option<Arc<CamTable>>,
-    /// Sequential scan only: the entry count after padding to the unroll
-    /// factor — the size parameter of its microcode.  Zero otherwise.
-    padded_entries: usize,
+    /// Sequential scan only: the size immediates of its microcode, for the
+    /// entry count after padding to the unroll factor.
+    bounds: Option<ScanBounds>,
     /// `opts` with the sequential screening word chosen from the table.
     opts: MicrocodeOptions,
+    /// This image's program for each machine it was compiled for: the
+    /// machine's template from the process-wide cache, with this table's
+    /// `bounds` patched in for a sequential scan.
+    programs: Mutex<HashMap<MachineConfig, Arc<CompiledProgram>>>,
 }
 
 impl TableImage {
@@ -74,8 +83,14 @@ impl TableImage {
         routes: &[Route],
         opts: &MicrocodeOptions,
     ) -> Result<Self, SimError> {
-        let in_memory =
-            |words| TableImage { kind, words, cam: None, padded_entries: 0, opts: *opts };
+        let in_memory = |words| TableImage {
+            kind,
+            words,
+            cam: None,
+            bounds: None,
+            opts: *opts,
+            programs: Mutex::default(),
+        };
         Ok(match kind {
             // Scan-ordered entries padded to a multiple of `opts.unroll`,
             // screened on the word `choose_screen_word` picks.
@@ -83,8 +98,9 @@ impl TableImage {
                 let table = SequentialTable::from_routes(routes.iter().copied());
                 let mut words = serialize_sequential(&table);
                 pad_sequential_image(&mut words, opts.unroll);
+                let padded = words.len() / SEQ_ENTRY_WORDS as usize;
                 TableImage {
-                    padded_entries: words.len() / SEQ_ENTRY_WORDS as usize,
+                    bounds: Some(ScanBounds::of(padded, opts.unroll)),
                     opts: MicrocodeOptions { screen_word: choose_screen_word(&table), ..*opts },
                     ..in_memory(words)
                 }
@@ -106,15 +122,25 @@ impl TableImage {
     }
 
     /// The program [`CycleRouter::from_image`] runs for this image on
-    /// `config` — scheduled, label-resolved and decoded — from the same
-    /// compiled-program cache, without building a router.
+    /// `config` — scheduled, label-resolved and decoded — without building
+    /// a router.  The first call per machine takes the machine's template
+    /// from the process-wide compiled-program cache and, for a sequential
+    /// scan, patches this table's two size immediates into it; the image
+    /// keeps the result, so every later call is one lookup.  Filling it runs
+    /// outside the image's lock, so threads sharing an image compile
+    /// different machines at once.
     ///
     /// # Errors
     ///
     /// The construction errors of [`CycleRouter::from_image`] that come
     /// from the program: it does not fit or does not validate on `config`.
     pub fn compiled(&self, config: &MachineConfig) -> Result<Arc<CompiledProgram>, SimError> {
-        compiled_program(config, self)
+        let programs = || self.programs.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(p) = programs().get(config) {
+            return Ok(Arc::clone(p));
+        }
+        let program = sized_program(config, self.kind, &self.opts, self.bounds)?;
+        Ok(Arc::clone(programs().entry(config.clone()).or_insert(program)))
     }
 
     /// Whether [`CycleRouter::from_image`] over this image and then
@@ -130,22 +156,22 @@ impl TableImage {
 
     /// This image's microcode scheduled for the machine [`schedule`] folds
     /// no unit on, where a table's block profile is recorded
-    /// ([`CycleRouter::unfolded`]).  No evaluation runs that machine, so the
-    /// program is compiled for the caller alone and the cache does not
-    /// keep it.
+    /// ([`CycleRouter::unfolded`]): [`TableImage::compiled`] for that
+    /// machine, so its template is compiled once per kind and options like
+    /// any machine's, and a fresh sequential size only patches it.
     ///
     /// # Errors
     ///
     /// See [`TableImage::compiled`].
     pub fn unfolded_program(&self) -> Result<Arc<CompiledProgram>, SimError> {
-        compile(&self.unfolded(), self)
+        self.compiled(&self.unfolded())
     }
 
     /// The [`UNFOLDED_BUSES`]-bus machine with one unit per virtual instance
     /// this image's microcode names, for every kind a machine may replicate
     /// — the machine [`schedule`] folds no unit on.
     fn unfolded(&self) -> MachineConfig {
-        let seq = Arc::clone(&level_one(&mut program_cache(), self).seq);
+        let seq = Arc::clone(&level_one(&mut program_cache(), self.kind, &self.opts).seq);
         let mut named = [0u8; FuKind::ALL.len()];
         let mut name = |fu: FuRef| {
             let count = &mut named[fu.kind as usize];
@@ -190,45 +216,57 @@ pub struct CycleRouter {
 const UNFOLDED_BUSES: u8 = 4;
 
 /// Level one of the compiled-program cache: what the microcode generator
-/// reads — the table kind, its one size parameter (the padded entry count
-/// for the sequential scan, zero for the fixed-shape engines) and the
-/// generator options.  Nothing about the machine.
-type SeqKey = (TableKind, usize, MicrocodeOptions);
+/// reads — the table kind and the generator options.  Nothing about the
+/// table's size, which a sequential image patches in ([`ScanBounds`]), and
+/// nothing about the machine.
+type TemplateKey = (TableKind, MicrocodeOptions);
 
-/// One level-one entry: the generated and optimised sequence, and under it
-/// level two, the scheduled and decoded program of every machine compiled
-/// from it.
+/// One level-one entry: the generated and optimised size-free sequence, and
+/// under it level two, the template of every machine compiled from it.
 struct Microcode {
     seq: Arc<MoveSeq>,
-    programs: HashMap<MachineConfig, Arc<CompiledProgram>>,
+    programs: HashMap<MachineConfig, Template>,
 }
 
-/// The process-wide compiled-program cache, locked.  A generator that
-/// panics (on options outside its range) does so inside `or_insert_with`,
-/// before anything is inserted, so a cache poisoned by it is consistent and
-/// is used as it is.
-fn program_cache() -> MutexGuard<'static, HashMap<SeqKey, Microcode>> {
-    static CACHE: OnceLock<Mutex<HashMap<SeqKey, Microcode>>> = OnceLock::new();
+/// A program every table of one kind and options runs on one machine,
+/// once its own size is patched in: scheduled, label-resolved, validated
+/// and pre-decoded.
+struct Template {
+    program: Arc<CompiledProgram>,
+    /// For the sequential scan, where in `program` its [`ScanBounds`] sit:
+    /// the indices of the two moves that held the stand-ins.
+    bounds_at: Option<[usize; 2]>,
+}
+
+/// The process-wide compiled-program cache, locked.  It holds templates
+/// only, so it is bounded by kinds × options × machines whatever the table
+/// sizes evaluated; each sized program lives with its [`TableImage`].  A
+/// generator that panics (on options outside its range) does so inside
+/// `or_insert_with`, before anything is inserted, so a cache poisoned by it
+/// is consistent and is used as it is.
+fn program_cache() -> MutexGuard<'static, HashMap<TemplateKey, Microcode>> {
+    static CACHE: OnceLock<Mutex<HashMap<TemplateKey, Microcode>>> = OnceLock::new();
     CACHE.get_or_init(|| Mutex::new(HashMap::new())).lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// The level-one entry for `image`: its sequence generated and optimised
-/// on first use.
+/// The level-one entry for a `kind` table under `opts`: its size-free
+/// sequence generated and optimised on first use.
 fn level_one<'a>(
-    cache: &'a mut HashMap<SeqKey, Microcode>,
-    image: &TableImage,
+    cache: &'a mut HashMap<TemplateKey, Microcode>,
+    kind: TableKind,
+    opts: &MicrocodeOptions,
 ) -> &'a mut Microcode {
-    cache.entry((image.kind, image.padded_entries, image.opts)).or_insert_with(|| {
-        let mut seq = program_for(image.kind, image.padded_entries, &image.opts);
+    cache.entry((kind, *opts)).or_insert_with(|| {
+        let mut seq = template_for(kind, opts);
         opt::optimize(&mut seq);
         Microcode { seq: Arc::new(seq), programs: HashMap::new() }
     })
 }
 
-/// Returns the compiled program for `image` on `config` — scheduled,
-/// label-resolved, validated and pre-decoded — compiling (and memoizing)
-/// it on first use ([`compile`]).  Compiling microcode costs far more than
-/// a simulator run over a handful of datagrams, and every evaluation builds
+/// The program of a `kind` table under `opts` on `config`, with `bounds`
+/// patched in for a sequential scan, from the machine's template — compiled
+/// (and memoized) on first use.  Compiling microcode costs far more than a
+/// simulator run over a handful of datagrams, and every evaluation builds
 /// its router from one of the same few (kind, machine, options) triples, so
 /// the hit rate is high and the cache stays small.  The entries are
 /// immutable and shared by `Arc`.
@@ -236,33 +274,64 @@ fn level_one<'a>(
 /// A design point pays only for the stages its machine changes: the
 /// sequence is generated and optimised once per level-one key, under the
 /// lock, and every machine after the first only schedules and decodes it,
-/// outside the lock.  A hit borrows `config`; only a miss clones it.
-fn compiled_program(
+/// outside the lock.  A fresh table size pays for neither: it copies the
+/// template and patches two moves.  The table that compiles a template
+/// patches it where it lies and shares it with the cache, so a template
+/// carries some table's bounds, and every other table overwrites them.
+fn sized_program(
     config: &MachineConfig,
-    image: &TableImage,
+    kind: TableKind,
+    opts: &MicrocodeOptions,
+    bounds: Option<ScanBounds>,
 ) -> Result<Arc<CompiledProgram>, SimError> {
-    if let Some(p) = level_one(&mut program_cache(), image).programs.get(config) {
-        return Ok(Arc::clone(p));
-    }
-    let compiled = compile(config, image)?;
-    let mut cache = program_cache();
-    let programs = &mut level_one(&mut cache, image).programs;
-    Ok(Arc::clone(programs.entry(config.clone()).or_insert(compiled)))
-}
-
-/// Schedules `image`'s cached sequence for `config` and compiles it, without
-/// looking the machine up in, or adding it to, level two.
-fn compile(config: &MachineConfig, image: &TableImage) -> Result<Arc<CompiledProgram>, SimError> {
-    let seq = Arc::clone(&level_one(&mut program_cache(), image).seq);
+    let patch = |program: &mut Arc<CompiledProgram>, at: Option<[usize; 2]>| {
+        if let (Some(at), Some(bounds)) = (at, bounds) {
+            let values = bounds.values();
+            CompiledProgram::patch(program, &[(at[0], values[0]), (at[1], values[1])]);
+        }
+    };
+    let cached = {
+        let mut cache = program_cache();
+        let microcode = level_one(&mut cache, kind, opts);
+        match microcode.programs.get(config) {
+            Some(template) => Ok((Arc::clone(&template.program), template.bounds_at)),
+            None => Err(Arc::clone(&microcode.seq)),
+        }
+    };
+    let seq = match cached {
+        Ok((mut program, bounds_at)) => {
+            patch(&mut program, bounds_at);
+            return Ok(program);
+        }
+        Err(seq) => seq,
+    };
     let mut program = schedule(&seq, config);
     program.resolve_labels().map_err(SimError::UnresolvedLabel)?;
     debug_assert_eq!(
         taco_isa::validate_schedule(&program, config),
         Ok(()),
-        "generated {} microcode failed structural validation",
-        image.kind
+        "generated {kind} microcode failed structural validation"
     );
-    CompiledProgram::compile(config.clone(), Arc::new(program))
+    let bounds_at = bounds.map(|_| stand_in_moves(&program));
+    let mut compiled = CompiledProgram::compile(config.clone(), Arc::new(program))?;
+    patch(&mut compiled, bounds_at);
+    let mut cache = program_cache();
+    let programs = &mut level_one(&mut cache, kind, opts).programs;
+    let template = Template { program: Arc::clone(&compiled), bounds_at };
+    programs.entry(config.clone()).or_insert(template);
+    Ok(compiled)
+}
+
+/// The index, in program order, of the one move of `program` that holds
+/// each of [`ScanBounds::STAND_INS`].
+fn stand_in_moves(program: &Program) -> [usize; 2] {
+    ScanBounds::STAND_INS.values().map(|stand_in| {
+        let mut at = program.instructions.iter().flat_map(Instruction::moves).enumerate();
+        let mut holding = at.by_ref().filter(|(_, mv)| mv.src == Source::Imm(stand_in));
+        let (first, _) = holding.next().expect("a sequential template holds each stand-in");
+        assert!(holding.next().is_none(), "stand-in {stand_in:#x} is another literal too");
+        first
+    })
 }
 
 /// Where a table image of `image_words` words ends in data memory.
@@ -311,8 +380,8 @@ pub fn check_fit(image_words: usize, datagrams: usize, frame_words: usize) -> Re
 
 impl CycleRouter {
     /// Builds a router over `image` on the machine `config` — the one
-    /// construction path: the compiled program comes from the process-wide
-    /// cache, the image words are loaded at [`TABLE_BASE`], a CAM image's
+    /// construction path: the compiled program is the image's
+    /// ([`TableImage::compiled`]), the image words are loaded at [`TABLE_BASE`], a CAM image's
     /// table goes behind the RTU with `rtu_latency` cycles of search
     /// latency (`ceil(40 ns × f_clk)` for the paper's part — see
     /// [`CamSpec::search_cycles`]; ignored by the other organisations), and
@@ -331,7 +400,7 @@ impl CycleRouter {
         image: &TableImage,
         rtu_latency: u32,
     ) -> Result<Self, SimError> {
-        Self::load(compiled_program(config, image)?, image, rtu_latency)
+        Self::load(image.compiled(config)?, image, rtu_latency)
     }
 
     /// A router over `image` at RTU latency 1 running `program`, the
@@ -517,6 +586,7 @@ mod tests {
     use super::*;
     use crate::layout::bytes_to_words;
     use taco_ipv6::NextHeader;
+    use taco_isa::Move;
 
     fn route(p: &str, port: u16) -> Route {
         Route::new(p.parse().unwrap(), "fe80::1".parse().unwrap(), PortId(port), 1)
@@ -692,20 +762,27 @@ mod tests {
     }
 
     #[test]
-    fn identical_configurations_share_one_scheduled_program() {
+    fn routers_over_one_image_share_its_program() {
         let config = MachineConfig::three_bus_one_fu();
-        let a = seq_router(config.clone());
-        let b = seq_router(config);
+        let image =
+            TableImage::new(TableKind::Sequential, &nested_routes(), &MicrocodeOptions::default())
+                .expect("an in-memory image");
+        let a = CycleRouter::from_image(&config, &image, 1).unwrap();
+        let b = CycleRouter::from_image(&config, &image, 1).unwrap();
         assert!(
             std::ptr::eq(a.processor().program(), b.processor().program()),
-            "same (kind, machine, options, size) must hit the program cache"
+            "one image compiles each machine once"
         );
+        // Another image of the same table patches the same template alike.
+        let c = seq_router(config);
+        assert_eq!(a.processor().program(), c.processor().program());
     }
 
     #[test]
-    fn table1_generates_one_sequence_per_table_and_schedules_it_per_machine() {
+    fn table1_generates_one_template_per_table_and_schedules_it_per_machine() {
         // No other test here builds a router with two lanes, so the
-        // level-one keys holding `unroll: 2` are this test's.
+        // level-one keys holding `unroll: 2` are this test's.  Every size
+        // of a table kind shares its one template per machine.
         let opts = MicrocodeOptions { unroll: 2, ..MicrocodeOptions::default() };
         let machines = [
             MachineConfig::one_bus_one_fu(),
@@ -713,13 +790,16 @@ mod tests {
             MachineConfig::three_bus_three_fu(),
         ];
         for kind in TableKind::ALL_KINDS {
-            for machine in &machines {
-                CycleRouter::for_kind(kind, machine, &nested_routes(), 1, &opts).unwrap();
+            // Sibling /48s screen on word 1 at every size from two entries.
+            for n in [2, 5, 50] {
+                for machine in &machines {
+                    CycleRouter::for_kind(kind, machine, &siblings(n), 1, &opts).unwrap();
+                }
             }
         }
         let cache = program_cache();
         let ours: Vec<&Microcode> =
-            cache.iter().filter(|((_, _, o), _)| o.unroll == 2).map(|(_, m)| m).collect();
+            cache.iter().filter(|((_, o), _)| o.unroll == 2).map(|(_, m)| m).collect();
         assert_eq!(ours.len(), TableKind::ALL_KINDS.len(), "one generated sequence per table");
         assert!(ours.iter().all(|m| m.programs.len() == machines.len()), "one program per machine");
     }
@@ -739,11 +819,35 @@ mod tests {
     }
 
     #[test]
-    fn different_table_sizes_get_different_sequential_programs() {
+    fn different_table_sizes_patch_two_moves_of_one_template() {
         let config = MachineConfig::three_bus_one_fu();
-        let a = router(TableKind::Sequential, config.clone(), &[route("2001:db8::/32", 1)]);
-        let b = router(TableKind::Sequential, config, &siblings(50));
-        assert!(!std::ptr::eq(a.processor().program(), b.processor().program()));
+        let images = [siblings(5), siblings(50), siblings(7)].map(|routes| {
+            TableImage::new(TableKind::Sequential, &routes, &MicrocodeOptions::default())
+                .expect("an in-memory image")
+        });
+        let opts = images[0].opts;
+        assert!(images.iter().all(|image| image.opts == opts));
+        let template = || {
+            let mut cache = program_cache();
+            let microcode = level_one(&mut cache, TableKind::Sequential, &opts);
+            Arc::clone(&microcode.programs.get(&config).expect("compiled").program)
+        };
+        let moves = |p: &CompiledProgram| -> Vec<Move> {
+            p.program().instructions.iter().flat_map(|i| i.moves().cloned()).collect()
+        };
+        let first = images[0].compiled(&config).unwrap();
+        let shared = template();
+        for image in &images[1..] {
+            let sized = image.compiled(&config).unwrap();
+            let patched: Vec<Source> = moves(&sized)
+                .into_iter()
+                .zip(moves(&first))
+                .filter(|(a, b)| a != b)
+                .map(|(a, _)| a.src)
+                .collect();
+            assert_eq!(patched.len(), 2, "the block count and the table's end: {patched:?}");
+        }
+        assert!(Arc::ptr_eq(&shared, &template()), "one template whatever the size");
     }
 
     #[test]

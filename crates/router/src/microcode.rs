@@ -178,18 +178,58 @@ fn envelope_epilogue(b: &mut CodeBuilder) {
 /// The table image must be padded to a multiple of `unroll` entries with
 /// never-matching sentinels — [`pad_sequential_image`] does that.
 ///
+/// The table's size reaches the program only as the two immediates of
+/// [`ScanBounds`].
+///
 /// # Panics
 ///
 /// Panics if `opts.unroll` is not in `1..=3` (the register map supports at
 /// most three lanes) or `opts.screen_word` is not in `0..=3`.
 pub fn sequential_program(entries: usize, opts: &MicrocodeOptions) -> MoveSeq {
+    scan_program(ScanBounds::of(entries, opts.unroll), opts)
+}
+
+/// The two immediates through which a sequential table's size reaches its
+/// program: the block count the screen pass compares its counter with, and
+/// the address where the verify pass finds the table ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ScanBounds {
+    blocks: u32,
+    table_limit: u32,
+}
+
+impl ScanBounds {
+    /// What a size-free program ([`template_for`]) carries in their place:
+    /// two values no program of the generator holds otherwise (no data
+    /// address, mask or code address comes near them), so each marks the
+    /// one move a size is patched into.
+    pub(crate) const STAND_INS: ScanBounds =
+        ScanBounds { blocks: u32::MAX - 1, table_limit: u32::MAX - 2 };
+
+    /// The bounds of a scan over `entries` entries in blocks of `unroll`
+    /// lanes.
+    pub(crate) fn of(entries: usize, unroll: u8) -> Self {
+        let blocks = entries.div_ceil(usize::from(unroll)).max(1) as u32;
+        ScanBounds {
+            blocks,
+            table_limit: TABLE_BASE + blocks * u32::from(unroll) * SEQ_ENTRY_WORDS,
+        }
+    }
+
+    /// The two immediates, the block count first.
+    pub(crate) fn values(self) -> [u32; 2] {
+        [self.blocks, self.table_limit]
+    }
+}
+
+/// [`sequential_program`]'s body, bounded by `bounds`.
+fn scan_program(bounds: ScanBounds, opts: &MicrocodeOptions) -> MoveSeq {
     assert!((1..=3).contains(&opts.unroll), "unroll must be 1..=3");
     assert!(opts.screen_word <= 3, "screen word must be 0..=3");
     let screen_off = 2 * u32::from(opts.screen_word); // word w lives at +2w
     let unroll = usize::from(opts.unroll);
-    let blocks = entries.div_ceil(unroll).max(1) as u32;
+    let ScanBounds { blocks, table_limit } = bounds;
     let stride = SEQ_ENTRY_WORDS;
-    let table_limit = TABLE_BASE + blocks * opts.unroll as u32 * stride;
 
     let mut b = CodeBuilder::new();
     envelope_prologue(&mut b);
@@ -584,6 +624,20 @@ pub fn program_for(kind: TableKind, entries: usize, opts: &MicrocodeOptions) -> 
         TableKind::BalancedTree => tree_program(opts),
         TableKind::Cam => cam_program(opts),
         TableKind::Patricia => patricia_program(opts),
+    }
+}
+
+/// The program of every `kind` table of any size: [`program_for`]'s, with
+/// the sequential scan's [`ScanBounds`] left as their stand-ins for each
+/// table to patch in its own.
+///
+/// # Panics
+///
+/// See [`sequential_program`].
+pub(crate) fn template_for(kind: TableKind, opts: &MicrocodeOptions) -> MoveSeq {
+    match kind {
+        TableKind::Sequential => scan_program(ScanBounds::STAND_INS, opts),
+        _ => program_for(kind, 0, opts),
     }
 }
 

@@ -74,7 +74,7 @@ pub(crate) struct InsMeta {
 /// A program pre-decoded against a machine's port layout.  Immutable once
 /// built; the processor shares it behind an `Arc` so the hot loop can walk
 /// it while mutating machine state.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct DecodedProgram {
     /// Every instruction's moves, each instruction's in bus order.
     pub moves: Vec<DMove>,
@@ -93,7 +93,7 @@ pub(crate) struct DecodedProgram {
 /// and the result is shared behind an `Arc` by every processor instantiated
 /// from it ([`Processor::instantiate`](crate::Processor::instantiate)).  So
 /// is the block summary a price is summed over.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct CompiledProgram {
     pub(crate) config: MachineConfig,
     pub(crate) program: Arc<Program>,
@@ -127,6 +127,11 @@ impl CompiledProgram {
         &self.program
     }
 
+    /// The machine this was compiled for.
+    pub fn config(&self) -> &MachineConfig {
+        &self.config
+    }
+
     /// Encoded program-image size in bits (instruction store + literal
     /// pool) — what the area estimate charges the program store, and what
     /// [`taco_isa::EncodedProgram::total_bits`] reports for the same
@@ -134,6 +139,38 @@ impl CompiledProgram {
     /// the image.
     pub fn program_bits(&self) -> u64 {
         self.decoded.image_bits
+    }
+
+    /// Rewrites the immediate of move `at` to `value` for each `(at,
+    /// value)` pair of `patch`, in the scheduled program and its decoded
+    /// moves alike, and sizes the image again; `at` counts the program's
+    /// moves in order, a word's in bus order.  Scheduling, validation,
+    /// decoding and the block summary read no immediate's value, so a
+    /// program compiled once and patched is the program a compile of the
+    /// patched values makes.  Only the literal pool counts values: a value
+    /// equal to another literal shares its place.  What `program` shares
+    /// with another handle is copied first; one nobody else holds is
+    /// patched where it lies.
+    ///
+    /// # Panics
+    ///
+    /// If a move `at` does not exist or does not move an immediate.
+    pub fn patch(program: &mut Arc<Self>, patch: &[(usize, u32)]) {
+        let this = Arc::make_mut(program);
+        let scheduled = Arc::make_mut(&mut this.program);
+        let mut patched = 0;
+        // The decoded moves are the occupied slots, in the same order.
+        let slots = scheduled.instructions.iter_mut().flat_map(|i| i.slots.iter_mut().flatten());
+        for ((at, mv), dmove) in slots.enumerate().zip(&mut this.decoded.moves) {
+            let Some(&(_, value)) = patch.iter().find(|&&(k, _)| k == at) else { continue };
+            let Source::Imm(imm) = &mut mv.src else { panic!("move {at} ({mv}) is no immediate") };
+            *imm = value;
+            dmove.imm = value;
+            patched += 1;
+        }
+        assert_eq!(patched, patch.len(), "a patch of {patch:?} names a move the program lacks");
+        let decoded = &mut this.decoded;
+        decoded.image_bits = image_bits(&this.config, &decoded.moves, decoded.ins.len());
     }
 }
 
@@ -158,9 +195,8 @@ fn checked_port(
 }
 
 /// Validates `program` against `config` and decodes it into a flat schedule
-/// over the port layout `map`, in one walk that also counts the size of its
-/// encoded image ([`SlotLayout`]: instruction words plus a pool of its
-/// distinct literals).
+/// over the port layout `map`, and counts the size of its encoded image
+/// ([`image_bits`]).
 ///
 /// Screening every port and guard here is what lets the execution core
 /// return structured [`SimError`]s instead of panicking: microcode built by
@@ -180,7 +216,6 @@ pub(crate) fn decode(
 ) -> Result<DecodedProgram, SimError> {
     let mut moves: Vec<DMove> = Vec::with_capacity(program.move_count());
     let mut ins = Vec::with_capacity(program.instructions.len());
-    let mut literals: Vec<u32> = Vec::new();
     let first_unit = FuKind::ALL.map(|kind| config.units().take_while(|u| u.kind < kind).count());
 
     for (idx, instruction) in program.instructions.iter().enumerate() {
@@ -198,10 +233,7 @@ pub(crate) fn decode(
         {
             let (op, dst, gbase) = checked_port(map, mv.dst, true)?;
             let (imm, src) = match &mv.src {
-                Source::Imm(v) => {
-                    literals.push(*v);
-                    (*v, IMM)
-                }
+                Source::Imm(v) => (*v, IMM),
                 Source::Port(p) => {
                     rtu_sensitive |= p.fu.kind == FuKind::Rtu;
                     (0, checked_port(map, *p, false)?.1 as u16)
@@ -243,13 +275,21 @@ pub(crate) fn decode(
             may_conflict,
         });
     }
+    let image_bits = image_bits(config, &moves, ins.len());
+    Ok(DecodedProgram { moves, ins, image_bits })
+}
+
+/// Size in bits of the encoded image of `instructions` words holding the
+/// decoded `moves` on `config` ([`SlotLayout`]): the instruction words plus
+/// a pool of the distinct literals.
+fn image_bits(config: &MachineConfig, moves: &[DMove], instructions: usize) -> u64 {
+    let mut literals: Vec<u32> = moves.iter().filter(|m| m.src == IMM).map(|m| m.imm).collect();
     // Every immediate widens the encoder's `src` field; only distinct ones
     // take a place in its literal pool.
     let layout = SlotLayout::new(&SocketMap::new(config), literals.len() as u64);
     literals.sort_unstable();
     literals.dedup();
-    let image_bits = layout.image_bits(ins.len(), config.buses(), literals.len());
-    Ok(DecodedProgram { moves, ins, image_bits })
+    layout.image_bits(instructions, config.buses(), literals.len())
 }
 
 #[cfg(test)]

@@ -144,7 +144,7 @@ fn port_ops(kind: FuKind) -> &'static [(Op, usize)] {
 /// in [`FuKind::ALL`] order, guard slot 0 reserved as the constant `true`
 /// unguarded moves test.  At most 255 instances of a kind keep every slot
 /// far below `u16::MAX`, which the `u16` fields of a `DMove` rely on.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct PortMap {
     base: [usize; FuKind::ALL.len()],
     gbase: [usize; FuKind::ALL.len()],

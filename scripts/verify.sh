@@ -178,6 +178,9 @@ if awk 'FNR == 1 { product = 1 } /#\[cfg\(test\)\]/ { product = 0 }
     echo "blocks are summarised once, by taco_sim's CompiledProgram::compile"
     exit 1
 fi
+# A table's size is a patch of its program, not a program: no program-cache
+# key carries the size, and nothing compiles a program per table size.
+if grep -rnE '[S]eqKey|compiled_[p]rogram\(|(self|image)\.padded_[e]ntries' crates src tests examples scripts; then exit 1; fi
 echo "guards ok"
 
 echo

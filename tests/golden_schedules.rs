@@ -19,8 +19,10 @@
 //! formulation of the same hazard rules on sequences drawn from the whole
 //! assembly grammar (seeded; see `common/mod.rs`).  A third holds every
 //! router the compiled-program cache builds to a from-scratch compile of
-//! its machine, and a fourth holds every move `schedule` places on the
-//! oracle grid's machines to the unit `MachineConfig::fold` names.
+//! its machine, a fourth holds every sequential table size's patched
+//! template to a from-scratch compile of that size, and a fifth holds every
+//! move `schedule` places on the oracle grid's machines to the unit
+//! `MachineConfig::fold` names.
 //!
 //! To regenerate after an intentional change:
 //!
@@ -32,24 +34,28 @@
 
 mod common;
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use common::{cases, machine, move_seq};
 use taco::eval::{benchmark_routes, grid, SweepSpec};
+use taco::ipv6::{Datagram, NextHeader};
 use taco::isa::{
     asm, encode, optimize, schedule, FuKind, FuRef, Guard, Instruction, MachineConfig, Move,
     MoveSeq, PortDir, PortRef, Program, Source,
 };
-use taco::router::layout::{serialize_sequential, SEQ_ENTRY_WORDS};
+use taco::router::cycle::TableImage;
+use taco::router::layout::{serialize_sequential, SEQ_ENTRY_WORDS, TABLE_BASE};
 use taco::router::microcode::{
-    checksum_program, choose_screen_word, pad_sequential_image, program_for, MicrocodeOptions,
+    checksum_program, choose_screen_word, pad_sequential_image, padded_entries, program_for,
+    MicrocodeOptions,
 };
+use taco::router::traffic::TrafficGen;
 use taco::router::CycleRouter;
 use taco::routing::{PortId, Route, SequentialTable, TableKind};
-use taco::sim::CompiledProgram;
+use taco::sim::{CompiledProgram, SimStats};
 
 const FIXTURE: &str = "tests/golden/schedules.txt";
 
@@ -353,6 +359,117 @@ fn every_router_runs_what_a_fresh_compile_of_its_machine_makes() {
             }
         }
     }
+}
+
+/// The measurement datagram of a table over `routes`, built as an
+/// evaluation builds it: its destination lies in the entry the sequential
+/// scan reaches last, so the scan runs to that entry and its verify pass
+/// reads to the end of the table.
+fn measurement_datagram(routes: &[Route]) -> Datagram {
+    let last = SequentialTable::scanned_last(routes).expect("a non-empty table");
+    Datagram::builder(
+        "2001:db8:ffff::1".parse().expect("an address"),
+        TrafficGen::new(0x0DA7A, 4).addr_in(&last.prefix()),
+    )
+    .hop_limit(64)
+    .payload(NextHeader::Udp, vec![0; 32])
+    .build()
+}
+
+/// What `program` does with one measurement datagram over `image` — the
+/// run a block profile is recorded from.
+fn step(program: &Arc<CompiledProgram>, image: &TableImage, datagram: &Datagram) -> SimStats {
+    let mut router = CycleRouter::unfolded(Arc::clone(program), image).expect("the router builds");
+    router.enqueue(PortId(0), datagram).expect("one datagram fits");
+    router.run(50_000_000).expect("the datagram runs to its end")
+}
+
+#[test]
+fn every_sequential_size_runs_what_a_fresh_compile_of_its_size_makes() {
+    // A sequential table's size reaches its program only as two immediates
+    // (the block count and the table's end), which each image patches into
+    // its machine's one template.  Held here to a fresh compile of the
+    // sequence generated for that size, on Table 1's machines and the
+    // machine a profile is recorded on: every 23rd size up to the largest
+    // prepared input and one past it, and every size whose block count or
+    // table end equals another literal of the program (its literal pool is
+    // one entry shorter than the template's).
+    let opts = MicrocodeOptions::default();
+    let unroll = usize::from(opts.unroll);
+    let bounds = |n: usize| {
+        let padded = padded_entries(n, opts.unroll);
+        [(padded / unroll) as u32, TABLE_BASE + padded as u32 * SEQ_ENTRY_WORDS]
+    };
+    let compile = |seq: &MoveSeq, machine: &MachineConfig| {
+        let mut program = schedule(seq, machine);
+        program.resolve_labels().expect("generated labels resolve");
+        CompiledProgram::compile(machine.clone(), Arc::new(program)).expect("it compiles")
+    };
+    let literals = |program: &Program| -> Vec<u32> {
+        let moves = program.instructions.iter().flat_map(Instruction::moves);
+        moves.filter_map(|mv| if let Source::Imm(v) = mv.src { Some(v) } else { None }).collect()
+    };
+    let mut machines = vec![
+        MachineConfig::one_bus_one_fu(),
+        MachineConfig::three_bus_one_fu(),
+        MachineConfig::three_bus_three_fu(),
+    ];
+    let largest = 2049;
+    let routes = benchmark_routes(largest);
+    let image = TableImage::new(TableKind::Sequential, &routes, &opts).expect("an image");
+    machines.push(image.unfolded_program().expect("it compiles").config().clone());
+
+    // Every literal of a program but its two bounds: a fresh compile at the
+    // largest size, whose bounds no other literal equals, less those.
+    let (entries, tuned) = generator_input(TableKind::Sequential, &routes, opts);
+    let mut seq = program_for(TableKind::Sequential, entries, &tuned);
+    optimize(&mut seq);
+    let distinct = |values: Vec<u32>| values.into_iter().collect::<BTreeSet<u32>>();
+    let mut others = BTreeSet::new();
+    let mut full_pools = Vec::new();
+    for machine in &machines {
+        let mut values = literals(compile(&seq, machine).program());
+        full_pools.push(distinct(values.clone()).len());
+        for bound in bounds(largest) {
+            let at = values.iter().position(|&v| v == bound).expect("the bound is a literal");
+            values.swap_remove(at);
+        }
+        assert!(values.iter().all(|v| !bounds(largest).contains(v)), "{machine}");
+        others.extend(values);
+    }
+    let mut sizes: Vec<usize> = (1..=largest).step_by(23).chain([2048, largest]).collect();
+    let colliding: BTreeSet<usize> = (1..=largest)
+        .filter(|&n| bounds(n).iter().any(|b| others.contains(b)))
+        .map(|n| padded_entries(n, opts.unroll))
+        .collect();
+    assert!(colliding.len() >= 10, "sizes whose bounds are other literals: {colliding:?}");
+    sizes.extend(&colliding);
+
+    let mut shorter_pools = 0;
+    for n in sizes {
+        let routes = benchmark_routes(n);
+        let image = TableImage::new(TableKind::Sequential, &routes, &opts).expect("an image");
+        let datagram = measurement_datagram(&routes);
+        let (entries, tuned) = generator_input(TableKind::Sequential, &routes, opts);
+        let mut seq = program_for(TableKind::Sequential, entries, &tuned);
+        optimize(&mut seq);
+        for (i, machine) in machines.iter().enumerate() {
+            let at = format!("n={n} @{machine}");
+            let patched = match i {
+                3 => image.unfolded_program(),
+                _ => image.compiled(machine),
+            }
+            .expect("it compiles");
+            let fresh = compile(&seq, machine);
+            assert!(patched.program() == fresh.program(), "{at}: the program");
+            assert_eq!(patched.blocks(), fresh.blocks(), "{at}: the block summary");
+            assert_eq!(patched.program_bits(), fresh.program_bits(), "{at}: the image size");
+            let stats = step(&patched, &image, &datagram);
+            assert_eq!(stats, step(&fresh, &image, &datagram), "{at}: the measurement run");
+            shorter_pools += usize::from(distinct(literals(fresh.program())).len() < full_pools[i]);
+        }
+    }
+    assert!(shorter_pools >= colliding.len(), "{shorter_pools} shorter pools");
 }
 
 /// `mv` with every unit it names folded onto `machine`.
