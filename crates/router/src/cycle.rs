@@ -276,8 +276,9 @@ fn level_one<'a>(
 /// lock, and every machine after the first only schedules and decodes it,
 /// outside the lock.  A fresh table size pays for neither: it copies the
 /// template and patches two moves.  The table that compiles a template
-/// patches it where it lies and shares it with the cache, so a template
-/// carries some table's bounds, and every other table overwrites them.
+/// patches it where it lies and shares it with the cache, so a cold
+/// machine costs one compile and no copy; a template therefore carries
+/// some table's bounds, which every other table overwrites.
 fn sized_program(
     config: &MachineConfig,
     kind: TableKind,
@@ -290,21 +291,16 @@ fn sized_program(
             CompiledProgram::patch(program, &[(at[0], values[0]), (at[1], values[1])]);
         }
     };
-    let cached = {
+    let (seq, template) = {
         let mut cache = program_cache();
         let microcode = level_one(&mut cache, kind, opts);
-        match microcode.programs.get(config) {
-            Some(template) => Ok((Arc::clone(&template.program), template.bounds_at)),
-            None => Err(Arc::clone(&microcode.seq)),
-        }
+        let template = microcode.programs.get(config);
+        (Arc::clone(&microcode.seq), template.map(|t| (Arc::clone(&t.program), t.bounds_at)))
     };
-    let seq = match cached {
-        Ok((mut program, bounds_at)) => {
-            patch(&mut program, bounds_at);
-            return Ok(program);
-        }
-        Err(seq) => seq,
-    };
+    if let Some((mut program, bounds_at)) = template {
+        patch(&mut program, bounds_at);
+        return Ok(program);
+    }
     let mut program = schedule(&seq, config);
     program.resolve_labels().map_err(SimError::UnresolvedLabel)?;
     debug_assert_eq!(
@@ -326,8 +322,8 @@ fn sized_program(
 /// each of [`ScanBounds::STAND_INS`].
 fn stand_in_moves(program: &Program) -> [usize; 2] {
     ScanBounds::STAND_INS.values().map(|stand_in| {
-        let mut at = program.instructions.iter().flat_map(Instruction::moves).enumerate();
-        let mut holding = at.by_ref().filter(|(_, mv)| mv.src == Source::Imm(stand_in));
+        let moves = program.instructions.iter().flat_map(Instruction::moves);
+        let mut holding = moves.enumerate().filter(|(_, mv)| mv.src == Source::Imm(stand_in));
         let (first, _) = holding.next().expect("a sequential template holds each stand-in");
         assert!(holding.next().is_none(), "stand-in {stand_in:#x} is another literal too");
         first

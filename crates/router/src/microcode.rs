@@ -178,8 +178,10 @@ fn envelope_epilogue(b: &mut CodeBuilder) {
 /// The table image must be padded to a multiple of `unroll` entries with
 /// never-matching sentinels — [`pad_sequential_image`] does that.
 ///
-/// The table's size reaches the program only as the two immediates of
-/// [`ScanBounds`].
+/// The table's size reaches the program only as two immediates, the block
+/// count and the table's end, so one program compiled with stand-ins there
+/// serves every size once its own two are patched in
+/// ([`TableImage::compiled`](crate::cycle::TableImage::compiled)).
 ///
 /// # Panics
 ///
@@ -200,9 +202,9 @@ pub(crate) struct ScanBounds {
 
 impl ScanBounds {
     /// What a size-free program ([`template_for`]) carries in their place:
-    /// two values no program of the generator holds otherwise (no data
-    /// address, mask or code address comes near them), so each marks the
-    /// one move a size is patched into.
+    /// two values no program of the generator holds otherwise (above every
+    /// data address, and equal to no mask, sentinel or code address), so
+    /// each marks the one move a size is patched into.
     pub(crate) const STAND_INS: ScanBounds =
         ScanBounds { blocks: u32::MAX - 1, table_limit: u32::MAX - 2 };
 

@@ -17,9 +17,10 @@ use taco_routing::{PortId, Route};
 use crate::rng::SplitMix64;
 
 /// The set a table draw checks its prefixes against.  Only `insert`'s
-/// answer is read, so the hasher moves no drawn route, and the drawn
-/// prefixes are random bits already: a multiply-and-rotate fold of the
-/// words hashes them in a fraction of the default keyed hasher's time.
+/// answer is read, so the hasher moves no drawn route.  The prefixes are
+/// the generator's own seeded random bits, never input from outside the
+/// program, so an unkeyed fold of their words (a fraction of the default
+/// keyed hasher's time) risks no crafted collisions.
 type Drawn = HashSet<Ipv6Prefix, BuildHasherDefault<FoldHasher>>;
 
 /// A fixed, unkeyed hasher: each word folded in by a rotate, an exclusive
