@@ -377,11 +377,11 @@ pub fn check_fit(image_words: usize, datagrams: usize, frame_words: usize) -> Re
 impl CycleRouter {
     /// Builds a router over `image` on the machine `config` — the one
     /// construction path: the compiled program is the image's
-    /// ([`TableImage::compiled`]), the image words are loaded at [`TABLE_BASE`], a CAM image's
-    /// table goes behind the RTU with `rtu_latency` cycles of search
-    /// latency (`ceil(40 ns × f_clk)` for the paper's part — see
-    /// [`CamSpec::search_cycles`]; ignored by the other organisations), and
-    /// the datagram slots start above the image.
+    /// ([`TableImage::compiled`]), the image words are loaded at
+    /// [`TABLE_BASE`], a CAM image's table goes behind the RTU with
+    /// `rtu_latency` cycles of search latency (`ceil(40 ns × f_clk)` for the
+    /// paper's part — see [`CamSpec::search_cycles`]; ignored by the other
+    /// organisations), and the datagram slots start above the image.
     ///
     /// # Errors
     ///

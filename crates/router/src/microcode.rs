@@ -194,7 +194,7 @@ pub fn sequential_program(entries: usize, opts: &MicrocodeOptions) -> MoveSeq {
 /// The two immediates through which a sequential table's size reaches its
 /// program: the block count the screen pass compares its counter with, and
 /// the address where the verify pass finds the table ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct ScanBounds {
     blocks: u32,
     table_limit: u32,

@@ -43,14 +43,6 @@ impl Hasher for FoldHasher {
         }
     }
 
-    fn write_u8(&mut self, n: u8) {
-        self.fold(u64::from(n));
-    }
-
-    fn write_usize(&mut self, n: usize) {
-        self.fold(n as u64);
-    }
-
     fn finish(&self) -> u64 {
         self.0
     }
