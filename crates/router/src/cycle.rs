@@ -10,9 +10,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use taco_ipv6::Datagram;
-use taco_isa::{
-    opt, schedule, FuKind, FuRef, Instruction, MachineConfig, MoveSeq, Program, Source,
-};
+use taco_isa::{opt, schedule, FuKind, FuRef, MachineConfig, MoveSeq, Program, Source};
 use taco_routing::{
     BalancedTreeTable, CamTable, LpmTable, PatriciaTable, PortId, Route, SequentialTable, TableKind,
 };
@@ -276,21 +274,16 @@ fn level_one<'a>(
 /// lock, and every machine after the first only schedules and decodes it,
 /// outside the lock.  A fresh table size pays for neither: it copies the
 /// template and patches two moves.  The table that compiles a template
-/// patches it where it lies and shares it with the cache, so a cold
-/// machine costs one compile and no copy; a template therefore carries
-/// some table's bounds, which every other table overwrites.
+/// writes its own bounds over the stand-ins before decoding it and shares
+/// the result with the cache, so a cold machine costs one compile and no
+/// copy; a template therefore carries some table's bounds, which every
+/// other table overwrites.
 fn sized_program(
     config: &MachineConfig,
     kind: TableKind,
     opts: &MicrocodeOptions,
     bounds: Option<ScanBounds>,
 ) -> Result<Arc<CompiledProgram>, SimError> {
-    let patch = |program: &mut Arc<CompiledProgram>, at: Option<[usize; 2]>| {
-        if let (Some(at), Some(bounds)) = (at, bounds) {
-            let values = bounds.values();
-            CompiledProgram::patch(program, &[(at[0], values[0]), (at[1], values[1])]);
-        }
-    };
     let (seq, template) = {
         let mut cache = program_cache();
         let microcode = level_one(&mut cache, kind, opts);
@@ -298,7 +291,10 @@ fn sized_program(
         (Arc::clone(&microcode.seq), template.map(|t| (Arc::clone(&t.program), t.bounds_at)))
     };
     if let Some((mut program, bounds_at)) = template {
-        patch(&mut program, bounds_at);
+        if let (Some(at), Some(bounds)) = (bounds_at, bounds) {
+            let [blocks, table_limit] = bounds.values();
+            CompiledProgram::patch(&mut program, &[(at[0], blocks), (at[1], table_limit)]);
+        }
         return Ok(program);
     }
     let mut program = schedule(&seq, config);
@@ -308,9 +304,8 @@ fn sized_program(
         Ok(()),
         "generated {kind} microcode failed structural validation"
     );
-    let bounds_at = bounds.map(|_| stand_in_moves(&program));
-    let mut compiled = CompiledProgram::compile(config.clone(), Arc::new(program))?;
-    patch(&mut compiled, bounds_at);
+    let bounds_at = bounds.map(|bounds| write_bounds(&mut program, bounds));
+    let compiled = CompiledProgram::compile(config.clone(), Arc::new(program))?;
     let mut cache = program_cache();
     let programs = &mut level_one(&mut cache, kind, opts).programs;
     let template = Template { program: Arc::clone(&compiled), bounds_at };
@@ -318,16 +313,25 @@ fn sized_program(
     Ok(compiled)
 }
 
-/// The index, in program order, of the one move of `program` that holds
-/// each of [`ScanBounds::STAND_INS`].
-fn stand_in_moves(program: &Program) -> [usize; 2] {
-    ScanBounds::STAND_INS.values().map(|stand_in| {
-        let moves = program.instructions.iter().flat_map(Instruction::moves);
-        let mut holding = moves.enumerate().filter(|(_, mv)| mv.src == Source::Imm(stand_in));
-        let (first, _) = holding.next().expect("a sequential template holds each stand-in");
-        assert!(holding.next().is_none(), "stand-in {stand_in:#x} is another literal too");
-        first
-    })
+/// Writes `bounds` over the [`ScanBounds::STAND_INS`] of `program`, a
+/// sequential template as scheduled, and returns the indices, in program
+/// order, of the two moves that held them.
+///
+/// # Panics
+///
+/// If a stand-in is not the immediate of exactly one move.
+fn write_bounds(program: &mut Program, bounds: ScanBounds) -> [usize; 2] {
+    let stand_ins = ScanBounds::STAND_INS.values();
+    let mut at = [None; 2];
+    let moves = program.instructions.iter_mut().flat_map(|i| i.slots.iter_mut().flatten());
+    for (index, mv) in moves.enumerate() {
+        let Source::Imm(value) = &mut mv.src else { continue };
+        if let Some(k) = stand_ins.iter().position(|stand_in| stand_in == value) {
+            assert!(at[k].replace(index).is_none(), "stand-in {value:#x} is another literal too");
+            *value = bounds.values()[k];
+        }
+    }
+    at.map(|at| at.expect("a sequential template holds each stand-in"))
 }
 
 /// Where a table image of `image_words` words ends in data memory.

@@ -149,8 +149,7 @@ impl CompiledProgram {
     /// program compiled once and patched is the program a compile of the
     /// patched values makes.  Only the literal pool counts values: a value
     /// equal to another literal shares its place.  What `program` shares
-    /// with another handle is copied first; one nobody else holds is
-    /// patched where it lies.
+    /// with another handle is copied first.
     ///
     /// # Panics
     ///
