@@ -135,7 +135,7 @@ pub fn serialize_sequential(table: &SequentialTable) -> Vec<u32> {
 /// the best candidate and descend right; the candidate's `iface`/`handle`
 /// answer the lookup ([`MISS_IFACE`] for segments not covered by any
 /// route).
-pub(crate) fn serialize_tree(table: &BalancedTreeTable) -> Vec<u32> {
+pub fn serialize_tree(table: &BalancedTreeTable) -> Vec<u32> {
     struct Seg {
         key: [u32; 4],
         iface: u32,

@@ -12,9 +12,10 @@ use taco::estimate::{Estimator, ExternalCam};
 use taco::eval::{benchmark_routes, evaluate_request, ArchConfig, EvalReport, EvalRequest};
 use taco::ipv6::{Datagram, NextHeader};
 use taco::router::cycle::CycleRouter;
+use taco::router::layout::serialize_tree;
 use taco::router::microcode::MicrocodeOptions;
 use taco::router::traffic::TrafficGen;
-use taco::routing::{PortId, Route, SequentialTable, TableKind};
+use taco::routing::{BalancedTreeTable, PortId, Route, SequentialTable, TableKind};
 use taco::sim::{SimError, SimStats};
 
 /// The measurement workload, rebuilt from public pieces: one datagram
@@ -175,5 +176,44 @@ fn the_route_draws_reproduce_their_known_digests() {
         let routes = TrafficGen::new(11, 4).bgp_table(entries, true);
         assert_eq!(routes.len(), entries + 1);
         assert_eq!(route_digest(&routes), digest, "bgp_table({entries})");
+    }
+}
+
+/// 64-bit FNV-1a over `words`, each as its little-endian bytes, in order.
+fn word_digest(words: &[u32]) -> u64 {
+    let bytes = words.iter().flat_map(|w| w.to_le_bytes());
+    bytes.fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
+/// The balanced tree built over each pinned route draw above is pinned by
+/// its segment count and its serialised image's digest, so a change to how
+/// the tree stores its routes or cuts its segments cannot move a word of
+/// what the microcode walks.  The BGP-shaped tables nest every prefix
+/// inside their default route.
+#[test]
+fn the_tree_images_reproduce_their_known_digests() {
+    let image = |routes: Vec<Route>| {
+        let table = BalancedTreeTable::from_routes(routes);
+        (table.segments().count(), word_digest(&serialize_tree(&table)))
+    };
+    let known = [
+        (1, 3, 0x2670_e9b0_46f7_ff42),
+        (100, 201, 0x3a71_1d12_8f92_ba97),
+        (1024, 2049, 0x2fe4_13db_ca9f_54be),
+        (2048, 4091, 0x074b_c1d3_5a2b_1718),
+        (3000, 5978, 0x2d8f_3238_d5ff_79f5),
+    ];
+    for (entries, segments, digest) in known {
+        assert_eq!(
+            image(benchmark_routes(entries)),
+            (segments, digest),
+            "benchmark_routes({entries})"
+        );
+    }
+    for (entries, segments, digest) in
+        [(100, 194, 0xcfa1_15d0_baf4_837b), (10_000, 19_468, 0x199e_3124_0dfa_7086)]
+    {
+        let routes = TrafficGen::new(11, 4).bgp_table(entries, true);
+        assert_eq!(image(routes), (segments, digest), "bgp_table({entries})");
     }
 }
