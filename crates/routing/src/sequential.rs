@@ -10,7 +10,7 @@ use std::cmp::Reverse;
 use taco_ipv6::{Ipv6Address, Ipv6Prefix};
 
 use crate::route::Route;
-use crate::table::{Lookup, LpmTable, TableKind};
+use crate::table::{sort_keeping_last, Lookup, LpmTable, TableKind};
 
 /// A linear-scan longest-prefix-match table.
 ///
@@ -167,22 +167,12 @@ impl FromIterator<Route> for SequentialTable {
 }
 
 /// The bulk load behind [`from_routes`](SequentialTable::from_routes) and
-/// [`reload`](LpmTable::reload): the state of one `insert` per route, built
-/// by one stable sort into scan order and one in-place dedup.  Equal
-/// prefixes keep their arrival order through the sort (the held entry
-/// first), so the last of each run is the route the inserts would have
-/// left, and it is written into the run's kept slot.
+/// [`reload`](LpmTable::reload): the state of one `insert` per route, by
+/// `sort_keeping_last` in scan order, then the scan rows.
 impl Extend<Route> for SequentialTable {
     fn extend<I: IntoIterator<Item = Route>>(&mut self, iter: I) {
         self.entries.extend(iter);
-        self.entries.sort_by_key(|r| scan_key(&r.prefix()));
-        self.entries.dedup_by(|later, kept| {
-            let same = later.prefix() == kept.prefix();
-            if same {
-                *kept = *later;
-            }
-            same
-        });
+        sort_keeping_last(&mut self.entries, scan_key);
         self.keys.clear();
         self.keys.extend(self.entries.iter().map(|r| key(&r.prefix())));
     }

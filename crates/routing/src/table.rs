@@ -182,6 +182,25 @@ pub trait LpmTable {
     fn memory_words(&self) -> usize;
 }
 
+/// The bulk load behind the sequential and balanced-tree tables'
+/// `from_routes` and [`reload`](LpmTable::reload): `routes` left as one
+/// [`insert`](LpmTable::insert) per route would leave them, in `key`
+/// order, by one stable sort and one in-place dedup.  `key` must order
+/// prefixes one-to-one, so a run of equal keys is a run of one prefix;
+/// the sort keeps the run in arrival order (a table's held route first),
+/// so its last route is the one the inserts would have left, and it is
+/// written into the run's kept slot.
+pub(crate) fn sort_keeping_last<K: Ord>(routes: &mut Vec<Route>, key: impl Fn(&Ipv6Prefix) -> K) {
+    routes.sort_by_key(|r| key(&r.prefix()));
+    routes.dedup_by(|later, kept| {
+        let same = later.prefix() == kept.prefix();
+        if same {
+            *kept = *later;
+        }
+        same
+    });
+}
+
 impl LpmTable for Box<dyn LpmTable> {
     fn kind(&self) -> TableKind {
         (**self).kind()

@@ -15,14 +15,15 @@
 //! The price is exactly the one the paper calls out: inserting or deleting a
 //! prefix changes the segment structure, so mutations rebuild the search
 //! tree.  The paper argues this is acceptable because "routing table updates
-//! appear once in 2 minutes" once a topology stabilises.
-
-use std::collections::BTreeMap;
+//! appear once in 2 minutes" once a topology stabilises.  The routes are
+//! kept in [`Ipv6Prefix`] order, which is interval order (start, then the
+//! outer interval first), so a bulk load is one sort and every rebuild is
+//! one linear sweep.
 
 use taco_ipv6::{Ipv6Address, Ipv6Prefix};
 
 use crate::route::Route;
-use crate::table::{Lookup, LpmTable, TableKind};
+use crate::table::{sort_keeping_last, Lookup, LpmTable, TableKind};
 
 fn addr_to_u128(a: &Ipv6Address) -> u128 {
     u128::from_be_bytes(a.octets())
@@ -68,8 +69,8 @@ struct Segment {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct BalancedTreeTable {
-    /// Authoritative route set, keyed by prefix.
-    routes: BTreeMap<Ipv6Prefix, Route>,
+    /// Authoritative route set, one per prefix, in [`Ipv6Prefix`] order.
+    routes: Vec<Route>,
     /// Segments sorted by start address; an implicit perfectly balanced BST.
     segments: Vec<Segment>,
 }
@@ -80,13 +81,11 @@ impl BalancedTreeTable {
         Self::default()
     }
 
-    /// Creates a table from an iterator of routes.
+    /// Creates a table from an iterator of routes (later duplicates replace
+    /// earlier ones, as with repeated [`LpmTable::insert`] calls).
     pub fn from_routes<I: IntoIterator<Item = Route>>(routes: I) -> Self {
         let mut t = Self::new();
-        for r in routes {
-            t.routes.insert(r.prefix(), r);
-        }
-        t.rebuild();
+        t.load(routes);
         t
     }
 
@@ -102,64 +101,63 @@ impl BalancedTreeTable {
         self.segments.iter().map(|s| (Ipv6Address::new(s.start.to_be_bytes()), s.route.as_ref()))
     }
 
+    fn position(&self, prefix: &Ipv6Prefix) -> Result<usize, usize> {
+        self.routes.binary_search_by_key(prefix, |r| r.prefix())
+    }
+
+    /// Adds `routes` as one `insert` each would, with one sort and one
+    /// rebuild.
+    fn load(&mut self, routes: impl IntoIterator<Item = Route>) {
+        self.routes.extend(routes);
+        sort_keeping_last(&mut self.routes, |p| *p);
+        self.rebuild();
+    }
+
     /// Recomputes the segment structure from the authoritative route set.
     ///
     /// This is the "much more complex" mutation cost of the paper.  Prefix
     /// intervals form a laminar family (two prefixes either nest or are
-    /// disjoint), so a single sweep with a nesting stack yields every
-    /// segment's longest covering prefix in O(n log n).  Every single
+    /// disjoint), and the routes are held in interval order, so one linear
+    /// sweep with a nesting stack cuts every segment in address order: a
+    /// prefix's start opens one labelled with it, and the address after an
+    /// enclosed prefix ends opens one labelled with the prefix around it.
+    /// A cut at an address a segment already starts at relabels that
+    /// segment, so the innermost prefix there wins.  Every single
     /// [`insert`](LpmTable::insert)/[`remove`](LpmTable::remove) pays it in
     /// full, so whoever replaces the whole route set goes through
-    /// [`reload`](LpmTable::reload) — one rebuild, not one per route.
+    /// [`reload`](LpmTable::reload) — one sort and one rebuild, not one
+    /// rebuild per route.
     ///
     /// An empty route set has no segments at all, however it was reached.
     fn rebuild(&mut self) {
-        if self.routes.is_empty() {
-            self.segments.clear();
-            return;
-        }
-        let mut points: Vec<u128> = vec![0];
-        for p in self.routes.keys() {
-            let (lo, hi) = prefix_interval(p);
-            points.push(lo);
-            if hi != u128::MAX {
-                points.push(hi + 1);
+        fn cut(segments: &mut Vec<Segment>, start: u128, route: Option<Route>) {
+            match segments.last_mut() {
+                Some(last) if last.start == start => last.route = route,
+                _ => segments.push(Segment { start, route }),
             }
         }
-        points.sort_unstable();
-        points.dedup();
-
-        // Intervals ordered by start, outer (larger) before the inner ones
-        // sharing it: sweeping in this order keeps the innermost active
-        // prefix — the longest match — on top of the stack.
-        let mut ordered: Vec<(u128, u128, Route)> = self
-            .routes
-            .iter()
-            .map(|(p, r)| {
-                let (lo, hi) = prefix_interval(p);
-                (lo, hi, *r)
-            })
-            .collect();
-        ordered.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)));
-
-        let mut active: Vec<(u128, Route)> = Vec::new(); // (end, route), innermost last
-        let mut next = 0usize;
-        self.segments = points
-            .into_iter()
-            .map(|start| {
-                while active.last().is_some_and(|&(end, _)| end < start) {
-                    active.pop();
-                }
-                while next < ordered.len() && ordered[next].0 <= start {
-                    let (_, end, route) = ordered[next];
-                    next += 1;
-                    if end >= start {
-                        active.push((end, route));
-                    }
-                }
-                Segment { start, route: active.last().map(|&(_, r)| r) }
-            })
-            .collect();
+        self.segments.clear();
+        if self.routes.is_empty() {
+            return;
+        }
+        self.segments.push(Segment { start: 0, route: None });
+        // (end, route) of every prefix holding the sweep's address,
+        // innermost last.
+        let mut open: Vec<(u128, Route)> = Vec::new();
+        for route in &self.routes {
+            let (start, end) = prefix_interval(&route.prefix());
+            while let Some(&(closed, _)) = open.last().filter(|&&(e, _)| e < start) {
+                open.pop();
+                cut(&mut self.segments, closed + 1, open.last().map(|&(_, r)| r));
+            }
+            cut(&mut self.segments, start, Some(*route));
+            open.push((end, *route));
+        }
+        while let Some((closed, _)) = open.pop() {
+            if closed != u128::MAX {
+                cut(&mut self.segments, closed + 1, open.last().map(|&(_, r)| r));
+            }
+        }
     }
 }
 
@@ -169,17 +167,21 @@ impl LpmTable for BalancedTreeTable {
     }
 
     fn insert(&mut self, route: Route) -> Option<Route> {
-        let old = self.routes.insert(route.prefix(), route);
+        let old = match self.position(&route.prefix()) {
+            Ok(i) => Some(std::mem::replace(&mut self.routes[i], route)),
+            Err(i) => {
+                self.routes.insert(i, route);
+                None
+            }
+        };
         self.rebuild();
         old
     }
 
     fn remove(&mut self, prefix: &Ipv6Prefix) -> Option<Route> {
-        let old = self.routes.remove(prefix);
-        if old.is_some() {
-            self.rebuild();
-        }
-        old
+        let old = self.routes.remove(self.position(prefix).ok()?);
+        self.rebuild();
+        Some(old)
     }
 
     fn lookup(&self, addr: &Ipv6Address) -> Lookup {
@@ -210,7 +212,7 @@ impl LpmTable for BalancedTreeTable {
     }
 
     fn get(&self, prefix: &Ipv6Prefix) -> Option<Route> {
-        self.routes.get(prefix).copied()
+        self.position(prefix).ok().map(|i| self.routes[i])
     }
 
     fn len(&self) -> usize {
@@ -218,7 +220,7 @@ impl LpmTable for BalancedTreeTable {
     }
 
     fn routes(&self) -> Vec<Route> {
-        self.routes.values().copied().collect()
+        self.routes.clone()
     }
 
     fn clear(&mut self) {
@@ -227,8 +229,8 @@ impl LpmTable for BalancedTreeTable {
     }
 
     fn reload(&mut self, routes: &[Route]) {
-        self.routes = routes.iter().map(|r| (r.prefix(), *r)).collect();
-        self.rebuild();
+        self.routes.clear();
+        self.load(routes.iter().copied());
     }
 
     fn memory_words(&self) -> usize {
@@ -246,8 +248,11 @@ impl FromIterator<Route> for BalancedTreeTable {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
     use crate::route::PortId;
+    use crate::test_rng::Rng;
 
     fn r(p: &str, port: u16) -> Route {
         Route::new(p.parse().unwrap(), "fe80::1".parse().unwrap(), PortId(port), 1)
@@ -369,5 +374,171 @@ mod tests {
         let t = BalancedTreeTable::from_routes([r("8000::/1", 1)]);
         let starts: Vec<_> = t.segments().map(|(s, _)| s).collect();
         assert_eq!(starts, vec![a("::"), a("8000::")]);
+    }
+
+    /// The segments as the two-sort build cut them before the one sweep,
+    /// from `routes` in any order, one per prefix: every boundary collected,
+    /// sorted and deduplicated, then the intervals sorted by start, outer
+    /// first, and swept against the boundaries.
+    fn two_sort_segments(routes: &[Route]) -> Vec<Segment> {
+        if routes.is_empty() {
+            return Vec::new();
+        }
+        let mut points: Vec<u128> = vec![0];
+        for r in routes {
+            let (lo, hi) = prefix_interval(&r.prefix());
+            points.push(lo);
+            if hi != u128::MAX {
+                points.push(hi + 1);
+            }
+        }
+        points.sort_unstable();
+        points.dedup();
+        let mut ordered: Vec<(u128, u128, Route)> = routes
+            .iter()
+            .map(|r| {
+                let (lo, hi) = prefix_interval(&r.prefix());
+                (lo, hi, *r)
+            })
+            .collect();
+        ordered.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)));
+        let mut active: Vec<(u128, Route)> = Vec::new();
+        let mut next = 0usize;
+        points
+            .into_iter()
+            .map(|start| {
+                while active.last().is_some_and(|&(end, _)| end < start) {
+                    active.pop();
+                }
+                while next < ordered.len() && ordered[next].0 <= start {
+                    let (_, end, route) = ordered[next];
+                    next += 1;
+                    if end >= start {
+                        active.push((end, route));
+                    }
+                }
+                Segment { start, route: active.last().map(|&(_, r)| r) }
+            })
+            .collect()
+    }
+
+    /// Seed of the two properties below; case `n` runs over `Rng(SEED ^ n)`
+    /// and a failure names it.
+    const SEED: u64 = 0x7EE5_0052;
+
+    /// A route around one of `anchors`: its bits past a random point
+    /// scrambled, under a length drawn mostly from the lengths where
+    /// intervals nest, share a start or end where the next starts; /0 and
+    /// /128 on purpose, and the anchors include the first and last address.
+    fn nested_route(rng: &mut Rng, anchors: &[u128]) -> Route {
+        const LENS: [u8; 12] = [0, 1, 2, 3, 16, 32, 47, 48, 64, 126, 127, 128];
+        let wide = u128::from(rng.next_u64()) << 64 | u128::from(rng.next_u64());
+        let flip = wide.checked_shr(rng.below(129) as u32).unwrap_or(0);
+        let anchor = anchors[rng.below(anchors.len() as u64) as usize];
+        let len = match rng.below(3) {
+            0 => rng.below(129) as u8,
+            _ => LENS[rng.below(LENS.len() as u64) as usize],
+        };
+        let prefix = Ipv6Prefix::new(Ipv6Address::new((anchor ^ flip).to_be_bytes()), len).unwrap();
+        Route::new(prefix, "fe80::1".parse().unwrap(), PortId(rng.below(64) as u16), 1)
+    }
+
+    fn anchors(rng: &mut Rng) -> Vec<u128> {
+        let wide = |rng: &mut Rng| u128::from(rng.next_u64()) << 64 | u128::from(rng.next_u64());
+        vec![0, u128::MAX, wide(rng), wide(rng), wide(rng)]
+    }
+
+    #[test]
+    fn the_sweep_cuts_the_segments_the_two_sort_build_cut() {
+        // Cases holding ::/0, a /128, two prefixes with one start, and an
+        // end whose successor is another prefix's start.
+        let mut seen = [0u32; 4];
+        for case in 0..3_000u64 {
+            let mut rng = Rng(SEED ^ case);
+            let anchors = anchors(&mut rng);
+            let mut routes: Vec<Route> =
+                (0..rng.below(40)).map(|_| nested_route(&mut rng, &anchors)).collect();
+            // Repeat some prefixes under another port: the last one holds.
+            for _ in 0..rng.below(4) {
+                if let Some(&again) = routes.get(rng.below(40) as usize) {
+                    routes.push(Route::new(again.prefix(), again.next_hop(), PortId(99), 2));
+                }
+            }
+            let model: BTreeMap<Ipv6Prefix, Route> =
+                routes.iter().map(|r| (r.prefix(), *r)).collect();
+            let held: Vec<Route> = model.values().copied().collect();
+            let t = BalancedTreeTable::from_routes(routes.iter().copied());
+            assert_eq!(t.routes(), held, "case {case}: routes");
+            assert_eq!(t.segments, two_sort_segments(&held), "case {case}: segments");
+
+            let intervals: Vec<(u128, u128)> =
+                held.iter().map(|r| prefix_interval(&r.prefix())).collect();
+            let lens = || held.iter().map(|r| r.prefix().len());
+            let shared_start = intervals.windows(2).any(|w| w[0].0 == w[1].0);
+            let touching = intervals
+                .iter()
+                .any(|&(_, hi)| intervals.iter().any(|&(lo, _)| hi.checked_add(1) == Some(lo)));
+            for (count, case_has) in seen.iter_mut().zip([
+                lens().any(|l| l == 0),
+                lens().any(|l| l == 128),
+                shared_start,
+                touching,
+            ]) {
+                *count += u32::from(case_has);
+            }
+        }
+        assert!(
+            seen.iter().all(|&n| n > 1_000),
+            "cases with /0, /128, one start, touching: {seen:?}"
+        );
+    }
+
+    #[test]
+    fn every_history_keeps_the_model_and_its_segments() {
+        for case in 0..256u64 {
+            let mut rng = Rng(SEED ^ case);
+            let anchors = anchors(&mut rng);
+            let mut t = BalancedTreeTable::new();
+            // What one `insert` per route leaves, per prefix.
+            let mut model = BTreeMap::new();
+            for step in 0..60 {
+                let at = format!("seed {SEED:#x}, case {case}, step {step}");
+                let probe = match rng.below(10) {
+                    0..=5 => {
+                        let r = nested_route(&mut rng, &anchors);
+                        assert_eq!(t.insert(r), model.insert(r.prefix(), r), "{at}: insert");
+                        r.prefix()
+                    }
+                    6 | 7 => {
+                        // Half the removals name a held prefix.
+                        let prefix = match t.routes.len() {
+                            n if n > 0 && rng.below(2) == 0 => {
+                                t.routes[rng.below(n as u64) as usize].prefix()
+                            }
+                            _ => nested_route(&mut rng, &anchors).prefix(),
+                        };
+                        assert_eq!(t.remove(&prefix), model.remove(&prefix), "{at}: remove");
+                        prefix
+                    }
+                    _ => {
+                        let mut routes: Vec<Route> =
+                            (0..rng.below(24)).map(|_| nested_route(&mut rng, &anchors)).collect();
+                        for _ in 0..rng.below(4) {
+                            if let Some(&again) = routes.get(rng.below(24) as usize) {
+                                routes.push(again.with_metric(2));
+                            }
+                        }
+                        t.reload(&routes);
+                        model = routes.iter().map(|r| (r.prefix(), *r)).collect();
+                        nested_route(&mut rng, &anchors).prefix()
+                    }
+                };
+                assert_eq!(t.get(&probe), model.get(&probe).copied(), "{at}: get");
+                assert_eq!(t.len(), model.len(), "{at}: len");
+                let held: Vec<Route> = model.values().copied().collect();
+                assert_eq!(t.routes(), held, "{at}: routes");
+                assert_eq!(t.segments, two_sort_segments(&held), "{at}: segments");
+            }
+        }
     }
 }
