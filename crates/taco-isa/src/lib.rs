@@ -72,5 +72,5 @@ pub use machine::MachineConfig;
 pub use opt::{optimize, optimize_with};
 pub use program::{Guard, Instruction, Move, MoveSeq, PortRef, Program, Source};
 pub use sched::schedule;
-pub use system::{CacheConfig, CoherenceProtocol, InterconnectConfig, SystemConfig, Topology};
+pub use system::{SystemConfig, Topology};
 pub use verify::{validate_schedule, ScheduleViolation};

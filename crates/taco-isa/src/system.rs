@@ -4,10 +4,11 @@
 //! A [`MachineConfig`](crate::MachineConfig) describes one TACO core; a
 //! [`SystemConfig`] describes the *system* built from N such cores sharing
 //! the routing table through private per-core caches kept consistent by a
-//! snooping coherence protocol over an on-chip interconnect.  Every field
-//! is a small integer or a closed enum so a system configuration hashes,
-//! compares, and serialises byte-stably — the same contract
-//! `MachineConfig` honours.
+//! snooping MESI protocol over an on-chip interconnect.  The cache shape and
+//! the interconnect's speed are the coherence model's constants; what a
+//! caller picks is the core count and the topology.  Every field is a small
+//! integer or a closed enum so a system configuration hashes, compares, and
+//! serialises byte-stably — the same contract `MachineConfig` honours.
 //!
 //! The default system is a single core with no sharing at all.  Only the
 //! behavioural scenario harness builds any other: an evaluation is one
@@ -16,13 +17,11 @@
 //! # Examples
 //!
 //! ```
-//! use taco_isa::{CoherenceProtocol, SystemConfig, Topology};
+//! use taco_isa::{SystemConfig, Topology};
 //!
 //! assert_eq!(SystemConfig::default().cores, 1);
 //!
-//! let quad = SystemConfig::with_cores(4)
-//!     .topology(Topology::Mesh)
-//!     .protocol(CoherenceProtocol::Mesi);
+//! let quad = SystemConfig::with_cores(4).topology(Topology::Mesh);
 //! assert_eq!(quad.cores, 4);
 //! ```
 
@@ -50,116 +49,38 @@ impl Topology {
     }
 }
 
-/// Cache-coherence protocol run by the private table caches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum CoherenceProtocol {
-    /// Modified/Shared/Invalid: every read miss fills Shared, so the first
-    /// write to any line always pays an upgrade transaction.
-    Msi,
-    /// MSI plus an Exclusive state: a read miss nobody else holds fills
-    /// Exclusive, and the first write upgrades silently.
-    Mesi,
-}
-
-/// Shape of each core's private table-line cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct CacheConfig {
-    /// Direct-mapped line slots per core.
-    pub lines: u16,
-    /// Table words per cache line.
-    pub line_words: u8,
-}
-
-impl CacheConfig {
-    /// The default cache: 64 lines of 4 words each.
-    pub(crate) fn new() -> Self {
-        CacheConfig { lines: 64, line_words: 4 }
-    }
-}
-
-impl Default for CacheConfig {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Interconnect shape and speed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct InterconnectConfig {
-    /// How the cores are wired together.
-    pub topology: Topology,
-    /// Cycles per bus transaction ([`Topology::SharedBus`]) or per mesh
-    /// hop ([`Topology::Mesh`]).
-    pub latency: u8,
-}
-
-impl InterconnectConfig {
-    /// The default interconnect: a shared bus, 2 cycles per transaction.
-    pub(crate) fn new() -> Self {
-        InterconnectConfig { topology: Topology::SharedBus, latency: 2 }
-    }
-}
-
-impl Default for InterconnectConfig {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// A multi-core TACO system: N identical cores, each with a private
-/// [`CacheConfig`] cache over the shared routing table, kept coherent by
-/// `protocol` over `interconnect`.
+/// A multi-core TACO system: N identical cores, each with a private cache
+/// over the shared routing table, kept coherent over `topology`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SystemConfig {
     /// Core count (1..=`MAX_CORES`).
     pub cores: u8,
-    /// Private per-core table cache shape.
-    pub cache: CacheConfig,
-    /// On-chip interconnect.
-    pub interconnect: InterconnectConfig,
-    /// Coherence protocol.
-    pub protocol: CoherenceProtocol,
+    /// How the cores are wired together.
+    pub topology: Topology,
 }
 
 impl SystemConfig {
-    /// The single-core system: no sharing, no coherence traffic.  This is
-    /// `Default`.
-    pub(crate) fn single_core() -> Self {
-        SystemConfig {
-            cores: 1,
-            cache: CacheConfig::default(),
-            interconnect: InterconnectConfig::default(),
-            protocol: CoherenceProtocol::Mesi,
-        }
-    }
-
-    /// A `cores`-core system with the default cache, interconnect and
-    /// protocol.
+    /// A `cores`-core system on a shared bus.
     ///
     /// # Panics
     ///
     /// Panics if `cores` is zero or above `MAX_CORES`.
     pub fn with_cores(cores: u8) -> Self {
         assert!((1..=MAX_CORES).contains(&cores), "cores must be 1..={MAX_CORES}");
-        SystemConfig { cores, ..Self::single_core() }
+        SystemConfig { cores, topology: Topology::SharedBus }
     }
 
-    /// Returns a copy with `topology` (keeping the latency).
+    /// Returns a copy with `topology`.
     pub fn topology(mut self, topology: Topology) -> Self {
-        self.interconnect.topology = topology;
-        self
-    }
-
-    /// Returns a copy with `protocol`.
-    pub fn protocol(mut self, protocol: CoherenceProtocol) -> Self {
-        self.protocol = protocol;
+        self.topology = topology;
         self
     }
 }
 
+/// The single-core system: no sharing, no coherence traffic.
 impl Default for SystemConfig {
     fn default() -> Self {
-        Self::single_core()
+        Self::with_cores(1)
     }
 }
 
@@ -175,12 +96,9 @@ mod tests {
 
     #[test]
     fn builders_compose() {
-        let sys =
-            SystemConfig::with_cores(4).topology(Topology::Mesh).protocol(CoherenceProtocol::Msi);
+        let sys = SystemConfig::with_cores(4).topology(Topology::Mesh);
         assert_eq!(sys.cores, 4);
-        assert_eq!(sys.interconnect.topology, Topology::Mesh);
-        assert_eq!(sys.protocol, CoherenceProtocol::Msi);
-        assert_eq!(sys.cache, CacheConfig::default());
+        assert_eq!(sys.topology, Topology::Mesh);
     }
 
     #[test]

@@ -1,18 +1,14 @@
-//! Cache-coherence protocol machinery: line states, the MESI/MSI
-//! transition function, and the all-integer statistics record.
+//! Cache-coherence protocol machinery: MESI line states and the
+//! all-integer statistics record.
 //!
 //! The protocol is a *snooping* one: every miss and every upgrade becomes
 //! a transaction on the system interconnect, observed by every other
-//! core's cache.  The transition function here is pure — it computes the
-//! next state of the requesting line and says which remote copies must be
-//! invalidated or downgraded — while the interconnect cost model lives in
+//! core's cache.  The transitions and the interconnect cost model live in
 //! [`multicore`](crate::multicore).
 //!
 //! Everything is integer arithmetic over closed enums, so a replay of the
 //! same access stream produces the same statistics byte for byte on any
 //! platform.
-
-use taco_isa::CoherenceProtocol;
 
 /// State of one cached table line, per core.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -22,7 +18,7 @@ pub(crate) enum LineState {
     Invalid,
     /// Clean, possibly held by other cores too.
     Shared,
-    /// Clean and provably the only copy (MESI only): the next local write
+    /// Clean and provably the only copy: the next local write
     /// upgrades silently, with no bus transaction.
     Exclusive,
     /// Dirty sole copy.
@@ -39,16 +35,6 @@ impl LineState {
     /// transaction.
     pub(crate) fn writable(&self) -> bool {
         matches!(self, LineState::Modified | LineState::Exclusive)
-    }
-}
-
-/// The state a read miss fills into, given whether any other core holds
-/// the line: MESI grants Exclusive on a sole copy, MSI never does.
-pub(crate) fn read_fill_state(protocol: CoherenceProtocol, shared_elsewhere: bool) -> LineState {
-    match (protocol, shared_elsewhere) {
-        (_, true) => LineState::Shared,
-        (CoherenceProtocol::Mesi, false) => LineState::Exclusive,
-        (CoherenceProtocol::Msi, false) => LineState::Shared,
     }
 }
 
@@ -85,14 +71,6 @@ pub struct CoherenceStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fill_states_follow_the_protocol() {
-        assert_eq!(read_fill_state(CoherenceProtocol::Mesi, false), LineState::Exclusive);
-        assert_eq!(read_fill_state(CoherenceProtocol::Mesi, true), LineState::Shared);
-        assert_eq!(read_fill_state(CoherenceProtocol::Msi, false), LineState::Shared);
-        assert_eq!(read_fill_state(CoherenceProtocol::Msi, true), LineState::Shared);
-    }
 
     #[test]
     fn state_predicates() {

@@ -3,17 +3,16 @@
 //!
 //! [`MulticoreSim`] replays a stream of per-core table-line accesses
 //! (reads from forwarding lookups, writes from routing-table updates)
-//! through N direct-mapped private caches running the
-//! [`CoherenceProtocol`](taco_isa::CoherenceProtocol) of the system
-//! configuration.  Every miss, upgrade and invalidation becomes a
-//! transaction on the configured interconnect:
+//! through N direct-mapped private caches of `CACHE_LINES` lines of
+//! `LINE_WORDS` words, kept coherent by MESI.  Every miss, upgrade and
+//! invalidation becomes a transaction on the configured interconnect:
 //!
 //! * [`Topology::SharedBus`] — one snooping bus.  A transaction occupies
-//!   the bus for `latency` cycles, and a core whose transaction finds the
+//!   the bus for `LATENCY` cycles, and a core whose transaction finds the
 //!   bus busy stalls until it frees (arbitration is in request order,
 //!   which is the replay order — deterministic by construction).
 //! * [`Topology::Mesh`] — a switched 2D mesh laid out on a near-square
-//!   grid.  A transaction pays Manhattan-distance hop latency to its
+//!   grid.  A transaction pays `LATENCY` per Manhattan-distance hop to its
 //!   supplier (another core's cache, or the memory controller at node 0)
 //!   and never serialises against other traffic.
 //!
@@ -36,7 +35,17 @@
 
 use taco_isa::{SystemConfig, Topology};
 
-use crate::coherence::{read_fill_state, CoherenceStats, LineState};
+use crate::coherence::{CoherenceStats, LineState};
+
+/// Direct-mapped line slots in each core's private table cache.
+const CACHE_LINES: usize = 64;
+
+/// Table words per cache line.
+const LINE_WORDS: u64 = 4;
+
+/// Cycles per bus transaction ([`Topology::SharedBus`]) or per mesh hop
+/// ([`Topology::Mesh`]).
+const LATENCY: u64 = 2;
 
 /// One direct-mapped cache slot: which line it holds, in which state.
 #[derive(Debug, Clone, Copy, Default)]
@@ -57,7 +66,7 @@ enum Supplier {
 /// The N-core coherence simulator.
 #[derive(Debug, Clone)]
 pub struct MulticoreSim {
-    system: SystemConfig,
+    topology: Topology,
     /// `caches[core][set]`.
     caches: Vec<Vec<CacheEntry>>,
     /// Logical clock: advances one cycle per access, so bus occupancy
@@ -74,14 +83,13 @@ impl MulticoreSim {
     /// Builds the system: every cache starts cold (all lines Invalid).
     pub fn new(system: SystemConfig) -> Self {
         let cores = usize::from(system.cores.max(1));
-        let sets = usize::from(system.cache.lines.max(1));
         let mut cols = 1u64;
         while cols * cols < cores as u64 {
             cols += 1;
         }
         MulticoreSim {
-            system,
-            caches: vec![vec![CacheEntry::default(); sets]; cores],
+            topology: system.topology,
+            caches: vec![vec![CacheEntry::default(); CACHE_LINES]; cores],
             now: 0,
             bus_free_at: 0,
             mesh_cols: cols,
@@ -106,7 +114,7 @@ impl MulticoreSim {
     }
 
     fn line_of(&self, word_addr: u64) -> u64 {
-        word_addr / u64::from(self.system.cache.line_words.max(1))
+        word_addr / LINE_WORDS
     }
 
     fn set_of(&self, line: u64) -> usize {
@@ -126,13 +134,12 @@ impl MulticoreSim {
     /// the transaction must touch (supplier or invalidation target).
     fn transact(&mut self, core: usize, reach: Supplier) -> u64 {
         self.stats.transactions += 1;
-        let latency = u64::from(self.system.interconnect.latency.max(1));
-        match self.system.interconnect.topology {
+        match self.topology {
             Topology::SharedBus => {
                 let wait = self.bus_free_at.saturating_sub(self.now);
-                self.bus_free_at = self.bus_free_at.max(self.now) + latency;
-                self.stats.busy_cycles += latency;
-                wait + latency
+                self.bus_free_at = self.bus_free_at.max(self.now) + LATENCY;
+                self.stats.busy_cycles += LATENCY;
+                wait + LATENCY
             }
             Topology::Mesh => {
                 let dest = match reach {
@@ -141,7 +148,7 @@ impl MulticoreSim {
                 };
                 // +1: entering the network costs one hop even to an
                 // adjacent node (or the local memory port at node 0).
-                let cost = latency * (self.hops(core as u64, dest) + 1);
+                let cost = LATENCY * (self.hops(core as u64, dest) + 1);
                 self.stats.busy_cycles += cost;
                 cost
             }
@@ -198,7 +205,8 @@ impl MulticoreSim {
         }
         let supplier = self.farthest(core, &holders);
         let stall = extra + self.transact(core, supplier);
-        let fill = read_fill_state(self.system.protocol, !holders.is_empty());
+        // MESI grants Exclusive on a sole copy.
+        let fill = if holders.is_empty() { LineState::Exclusive } else { LineState::Shared };
         self.caches[core][set] = CacheEntry { tag: line, state: fill };
         self.stats.stall_cycles += stall;
         stall
@@ -215,7 +223,7 @@ impl MulticoreSim {
         let local_hit = entry.state.readable() && entry.tag == line;
         if local_hit && entry.state.writable() {
             // Modified stays Modified; Exclusive upgrades silently (the
-            // MESI payoff — MSI never reaches this state from a fill).
+            // MESI payoff).
             self.stats.hits += 1;
             self.caches[core][set].state = LineState::Modified;
             return 0;
@@ -249,8 +257,6 @@ impl MulticoreSim {
 
 #[cfg(test)]
 mod tests {
-    use taco_isa::CoherenceProtocol;
-
     use super::*;
 
     fn sys(cores: u8) -> SystemConfig {
@@ -283,18 +289,10 @@ mod tests {
 
     #[test]
     fn mesi_grants_exclusive_and_upgrades_silently() {
-        let mut sim = MulticoreSim::new(sys(2).protocol(CoherenceProtocol::Mesi));
+        let mut sim = MulticoreSim::new(sys(2));
         sim.read(0, 4); // sole copy → Exclusive
         assert_eq!(sim.write(0, 4), 0, "E→M is silent");
         assert_eq!(sim.stats().upgrade_stalls, 0);
-    }
-
-    #[test]
-    fn msi_pays_the_upgrade_mesi_avoids() {
-        let mut sim = MulticoreSim::new(sys(2).protocol(CoherenceProtocol::Msi));
-        sim.read(0, 4); // MSI fills Shared even as sole copy
-        assert!(sim.write(0, 4) > 0, "S→M needs an upgrade transaction");
-        assert_eq!(sim.stats().upgrade_stalls, 1);
     }
 
     #[test]

@@ -1400,23 +1400,6 @@ mod tests {
     }
 
     #[test]
-    fn mesi_never_pays_more_upgrades_than_msi() {
-        use taco_isa::CoherenceProtocol;
-        let mesi = ScenarioConfig::new(TableKind::Cam)
-            .system(SystemConfig::with_cores(2).protocol(CoherenceProtocol::Mesi));
-        let msi = ScenarioConfig::new(TableKind::Cam)
-            .system(SystemConfig::with_cores(2).protocol(CoherenceProtocol::Msi));
-        let a = run_scenario(&churny(), &mesi).coherence.unwrap();
-        let b = run_scenario(&churny(), &msi).coherence.unwrap();
-        assert!(
-            a.upgrade_stalls <= b.upgrade_stalls,
-            "{} vs {}",
-            a.upgrade_stalls,
-            b.upgrade_stalls
-        );
-    }
-
-    #[test]
     fn mixed_plane_is_a_coherence_scenario() {
         let cfg = ScenarioConfig::new(TableKind::Cam).system(SystemConfig::with_cores(2));
         let m = run_scenario(&Workload::mixed_plane(), &cfg);

@@ -181,6 +181,10 @@ fi
 # A table's size is a patch of its program, not a program: no program-cache
 # key carries the size, and nothing compiles a program per table size.
 if grep -rnE '[S]eqKey|compiled_[p]rogram\(|(self|image)\.padded_[e]ntries' crates src tests examples scripts; then exit 1; fi
+# The multi-core settings no caller varied are the coherence model's
+# constants: no protocol choice (the model is MESI), no cache shape and no
+# interconnect latency on a system configuration.
+if grep -rnE '[C]oherenceProtocol|[C]acheConfig|[I]nterconnectConfig|read_fill_[s]tate' crates src tests examples scripts; then exit 1; fi
 echo "guards ok"
 
 echo
