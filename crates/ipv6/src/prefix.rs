@@ -129,8 +129,10 @@ impl From<Ipv6Address> for Ipv6Prefix {
     }
 }
 
-/// Orders prefixes by address first, then by length — the order used by the
-/// balanced-tree routing table.
+/// Orders prefixes by address first, then by length: the order the
+/// balanced-tree routing table stores its routes in.  For canonical prefixes
+/// it is interval order, by start and then the enclosing interval first,
+/// which is the order the table's segment sweep visits them in.
 impl PartialOrd for Ipv6Prefix {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))

@@ -23,7 +23,7 @@
 # verify.sh runs every patch as its last stage.  Each mutant costs an
 # incremental debug rebuild: the eight step-loop mutants (02, 03, 04, 34,
 # 35, 39, 43, 46) take about 30 s together on a 2-vCPU host with a warm
-# mutants/ directory, and all forty-seven about three minutes from an empty
+# mutants/ directory, and all forty-nine about three minutes from an empty
 # one.
 set -euo pipefail
 cd "$(dirname "$0")/.."
