@@ -50,13 +50,6 @@ fn line(envelope: Envelope, response: &ApiResponse) -> String {
     envelope.wrap(&response.body_json())
 }
 
-/// A connection's sniffed dialect (decided by its first frame).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Dialect {
-    V1,
-    V2,
-}
-
 /// One admitted job, handed from the event loop to a runner thread.
 struct Job {
     token: u64,
@@ -103,15 +96,13 @@ pub(crate) fn run(listener: &TcpListener, shared: &Shared) -> io::Result<()> {
     loop_waker.set_nonblocking(true)?;
     runner_waker.set_nonblocking(true)?;
     let runner_count = shared.threads.min(shared.max_pending).max(1);
-    let wakers =
-        (0..runner_count).map(|_| runner_waker.try_clone()).collect::<io::Result<Vec<_>>>()?;
     let (tx, rx) = mpsc::channel::<LoopMsg>();
     let runners = Runners::default();
     thread::scope(|s| {
-        for waker in wakers {
+        for _ in 0..runner_count {
             let tx = tx.clone();
-            let runners = &runners;
-            s.spawn(move || run_jobs(runners, shared, &tx, &waker));
+            let (runners, waker) = (&runners, &runner_waker);
+            s.spawn(move || run_jobs(runners, shared, &tx, waker));
         }
         drop(tx);
         let result = EventLoop::new(shared, &runners).serve(listener, &rx, &loop_waker);
@@ -221,6 +212,27 @@ fn execute(shared: &Shared, job: &Job, tx: &Sender<LoopMsg>, waker: &UnixStream)
 // The event loop: sockets, framing, dispatch.
 // ---------------------------------------------------------------------------
 
+/// Where a connection is in its life.  The loop reads only `Open` and
+/// `Discarding` connections.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Phase {
+    /// Reading request frames: a fresh connection or a v2 session.
+    Open,
+    /// Reading no more: dropped once nothing is owed and the buffer is
+    /// flushed.  A v1 frame, an unparseable first frame, the peer's EOF
+    /// and the daemon's stop all lead here.
+    Closing,
+    /// A framing violation: keep *reading* but discard the bytes until the
+    /// peer closes.  Closing with unread bytes in the receive queue would
+    /// send an RST that can destroy the error response in flight, so once
+    /// nothing is owed and the buffer is flushed the write side is shut
+    /// (FIN after the error, `fin_sent`), and the connection is dropped at
+    /// the peer's own EOF.
+    Discarding { fin_sent: bool },
+    /// A buffer overflow or a write error: dropped at the next reap.
+    Dead,
+}
+
 /// One client connection's loop-side state.
 struct Conn {
     stream: TcpStream,
@@ -230,24 +242,12 @@ struct Conn {
     /// written).
     wbuf: Vec<u8>,
     wpos: usize,
-    /// Decided by the first frame; `None` until then.
-    dialect: Option<Dialect>,
-    /// Queued/running jobs whose response lines will still arrive.
-    pending_jobs: usize,
-    /// Close once the write buffer drains and no jobs are pending.
-    closing: bool,
-    /// Stop reading (one-shot request consumed or peer EOF).
-    read_done: bool,
-    /// Framing violation: keep *reading* but discard the bytes until the
-    /// peer closes.  Closing with unread bytes in the receive queue would
-    /// send an RST that can destroy the error response in flight, so the
-    /// connection half-closes (FIN after the flushed error) and drains
-    /// instead.
-    discarding: bool,
-    /// The write side has been shut down (discarding connections only).
-    fin_sent: bool,
-    /// A fatal buffer overflow or write error: drop at the next reap.
-    dead: bool,
+    phase: Phase,
+    /// A v2 frame was accepted: every later frame must carry an id.
+    session: bool,
+    /// Answers still to come: queued or running jobs, plus a shutdown ack
+    /// not yet written.
+    owed: usize,
 }
 
 impl Conn {
@@ -257,13 +257,9 @@ impl Conn {
             rbuf: Vec::new(),
             wbuf: Vec::new(),
             wpos: 0,
-            dialect: None,
-            pending_jobs: 0,
-            closing: false,
-            read_done: false,
-            discarding: false,
-            fin_sent: false,
-            dead: false,
+            phase: Phase::Open,
+            session: false,
+            owed: 0,
         }
     }
 
@@ -275,58 +271,71 @@ impl Conn {
     /// accepted: a v1 frame is the connection's only one.
     fn enter(&mut self, envelope: Envelope) {
         match envelope {
-            Envelope::V1 => {
-                self.dialect = Some(Dialect::V1);
-                self.read_done = true;
-            }
-            Envelope::V2(_) => self.dialect = Some(Dialect::V2),
+            Envelope::V1 => self.phase = Phase::Closing,
+            Envelope::V2(_) => self.session = true,
         }
     }
 
-    /// Pushes response bytes; returns `false` when the connection's
-    /// buffer bound is exceeded (the caller drops the connection).
-    fn push_line(&mut self, line: &str) -> bool {
+    /// A frame (or an unterminated prefix) beyond the size bound: answer
+    /// with a structured error and stop reading this connection.
+    fn reject_oversized(&mut self) {
+        let envelope = if self.session { Envelope::V2(None) } else { Envelope::V1 };
+        let error =
+            ApiError::bad_request(format!("request frame exceeds the {MAX_FRAME}-byte limit"));
+        self.phase = Phase::Discarding { fin_sent: false };
+        self.respond(envelope, &ApiResponse::Error(error));
+        self.rbuf.clear();
+    }
+
+    /// Buffers one response line; past the buffer bound the client is not
+    /// reading, and the connection is dropped.  The bytes go out in the
+    /// loop's end-of-pass flush, so a pipelined batch of requests is
+    /// answered with one write, not one write per response.
+    fn push(&mut self, line: &str) {
         if self.wbuf.len() - self.wpos + line.len() + 1 > MAX_WRITE_BUFFER {
-            return false;
+            self.phase = Phase::Dead;
+            return;
         }
         self.wbuf.extend_from_slice(line.as_bytes());
         self.wbuf.push(b'\n');
-        true
     }
 
-    /// Pushes one complete response line and, for one-shot connections
-    /// with nothing else pending, schedules the close.  The bytes go out
-    /// in the loop's end-of-pass flush, so a pipelined batch of requests
-    /// is answered with one write, not one write per response.
-    fn push_response(&mut self, line: &str) {
-        if !self.push_line(line) {
-            self.dead = true;
-            return;
-        }
-        if self.dialect != Some(Dialect::V2) && self.pending_jobs == 0 {
-            self.closing = true;
-            self.read_done = true;
-        }
+    fn respond(&mut self, envelope: Envelope, response: &ApiResponse) {
+        self.push(&line(envelope, response));
     }
 
-    /// Writes as much buffered output as the socket accepts right now;
-    /// returns `false` on a connection-fatal write error.
-    fn try_flush(&mut self) -> bool {
-        while self.wpos < self.wbuf.len() {
+    /// Writes as much buffered output as the socket accepts right now; a
+    /// connection-fatal write error kills the connection.
+    fn flush(&mut self) {
+        while self.phase != Phase::Dead && !self.flushed() {
             match self.stream.write(&self.wbuf[self.wpos..]) {
-                Ok(0) => return false,
+                Ok(0) => self.phase = Phase::Dead,
                 Ok(n) => self.wpos += n,
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => return false,
+                Err(_) => self.phase = Phase::Dead,
             }
         }
         if self.flushed() {
             self.wbuf.clear();
             self.wpos = 0;
         }
-        true
     }
+}
+
+/// Where the daemon is in its life.
+enum Life {
+    Serving,
+    /// A `shutdown` was accepted: new jobs are refused, and once the jobs
+    /// in flight finish the ack goes to the requester `(token, envelope)`.
+    Draining {
+        ack: (u64, Envelope),
+    },
+    /// Acked: stop accepting, flush what remains until `deadline`, then
+    /// return.
+    Stopping {
+        deadline: Instant,
+    },
 }
 
 struct EventLoop<'a> {
@@ -341,11 +350,7 @@ struct EventLoop<'a> {
     next_token: u64,
     /// Jobs admitted and not yet completed (queued + running).
     in_flight: usize,
-    draining: bool,
-    /// Post-ack: stop accepting, flush what remains, then return.
-    stopping: bool,
-    shutdown_to: Option<(u64, Envelope)>,
-    flush_deadline: Option<Instant>,
+    life: Life,
     /// Serialised-response memo for inline cache hits (see
     /// [`HIT_MEMO_BOUND`]).
     hit_memo: HashMap<String, String>,
@@ -366,10 +371,7 @@ impl<'a> EventLoop<'a> {
             conns: BTreeMap::new(),
             next_token: 0,
             in_flight: 0,
-            draining: false,
-            stopping: false,
-            shutdown_to: None,
-            flush_deadline: None,
+            life: Life::Serving,
             hit_memo: HashMap::new(),
             memo_hits: 0,
             read_buf: vec![0; 64 * 1024].into_boxed_slice(),
@@ -389,14 +391,15 @@ impl<'a> EventLoop<'a> {
             // entry — the waker fires when their lines arrive.
             let mut fds = vec![poll::PollFd::new(waker.as_raw_fd(), poll::POLLIN)];
             let mut targets = vec![None];
-            if !self.stopping {
+            let stopping = matches!(self.life, Life::Stopping { .. });
+            if !stopping {
                 fds.push(poll::PollFd::new(listener.as_raw_fd(), poll::POLLIN));
                 targets.push(None);
             }
             let listener_slot = fds.len() - 1;
             for (&token, conn) in &self.conns {
                 let mut events = 0;
-                if !conn.read_done {
+                if matches!(conn.phase, Phase::Open | Phase::Discarding { .. }) {
                     events |= poll::POLLIN;
                 }
                 if !conn.flushed() {
@@ -407,14 +410,14 @@ impl<'a> EventLoop<'a> {
                     targets.push(Some(token));
                 }
             }
-            let timeout = if self.stopping { 50 } else { -1 };
+            let timeout = if stopping { 50 } else { -1 };
             poll::wait(&mut fds, timeout)?;
 
             if fds[0].readable() {
                 drain_waker(waker);
             }
             self.drain_msgs(rx);
-            if !self.stopping && fds[listener_slot].readable() {
+            if !stopping && fds[listener_slot].readable() {
                 self.accept_all(listener);
             }
             for (fd, target) in fds.iter().zip(&targets).skip(1) {
@@ -427,10 +430,8 @@ impl<'a> EventLoop<'a> {
             self.reap();
             self.advance_shutdown();
             self.flush_all();
-            if self.stopping {
-                let all_flushed = self.conns.is_empty();
-                let expired = self.flush_deadline.is_some_and(|d| Instant::now() >= d);
-                if all_flushed || expired {
+            if let Life::Stopping { deadline } = self.life {
+                if self.conns.is_empty() || Instant::now() >= deadline {
                     return Ok(());
                 }
             }
@@ -442,22 +443,16 @@ impl<'a> EventLoop<'a> {
     fn drain_msgs(&mut self, rx: &Receiver<LoopMsg>) {
         while let Ok(msg) = rx.try_recv() {
             match msg {
+                // An overflowing connection dies here; its job still drains.
                 LoopMsg::Line { token, line } => {
                     if let Some(conn) = self.conns.get_mut(&token) {
-                        if !conn.push_line(&line) {
-                            // Overflow: the client is not reading; drop it
-                            // at the next reap (the job still drains).
-                            conn.dead = true;
-                        }
+                        conn.push(&line);
                     }
                 }
                 LoopMsg::Done { token } => {
                     self.in_flight -= 1;
                     if let Some(conn) = self.conns.get_mut(&token) {
-                        conn.pending_jobs -= 1;
-                        if conn.pending_jobs == 0 && conn.dialect == Some(Dialect::V1) {
-                            conn.closing = true;
-                        }
+                        conn.owed -= 1;
                     }
                 }
             }
@@ -511,22 +506,17 @@ impl<'a> EventLoop<'a> {
         }
         self.process_frames(&mut conn, token);
         if eof {
-            conn.read_done = true;
-            if conn.pending_jobs == 0 && conn.flushed() {
+            if conn.phase == Phase::Dead || conn.owed == 0 && conn.flushed() {
                 return; // peer gone, nothing left to deliver
             }
-            conn.closing = true;
+            conn.phase = Phase::Closing;
         }
         self.conns.insert(token, conn);
     }
 
     fn process_frames(&mut self, conn: &mut Conn, token: u64) {
         loop {
-            if conn.discarding {
-                conn.rbuf.clear();
-                return;
-            }
-            if conn.read_done {
+            if conn.phase != Phase::Open {
                 // One-shot request consumed (or framing violation): any
                 // pipelined extra bytes are discarded by contract.
                 conn.rbuf.clear();
@@ -536,7 +526,7 @@ impl<'a> EventLoop<'a> {
                 Some(pos) => {
                     let frame: Vec<u8> = conn.rbuf.drain(..=pos).collect();
                     if frame.len() > MAX_FRAME {
-                        self.reject_oversized(conn);
+                        conn.reject_oversized();
                         continue;
                     }
                     let line = String::from_utf8_lossy(&frame).trim_end().to_owned();
@@ -544,7 +534,7 @@ impl<'a> EventLoop<'a> {
                 }
                 None => {
                     if conn.rbuf.len() > MAX_FRAME {
-                        self.reject_oversized(conn);
+                        conn.reject_oversized();
                     }
                     return;
                 }
@@ -552,105 +542,79 @@ impl<'a> EventLoop<'a> {
         }
     }
 
-    /// A frame (or an unterminated prefix) beyond the size bound: answer
-    /// with a structured error and stop reading this connection.
-    fn reject_oversized(&mut self, conn: &mut Conn) {
-        let envelope = match conn.dialect {
-            Some(Dialect::V2) => Envelope::V2(None),
-            _ => Envelope::V1,
-        };
-        let error =
-            ApiError::bad_request(format!("request frame exceeds the {MAX_FRAME}-byte limit"));
-        self.respond(conn, envelope, &ApiResponse::Error(error));
-        conn.discarding = true;
-        conn.read_done = false;
-        conn.closing = true;
-        conn.rbuf.clear();
-    }
-
     /// The inline fast path: a request line in the encoder's own spelling
     /// ([`Envelope::split`]) whose body is already in the hit memo is
     /// answered without parsing or re-serialising anything.  Returns
-    /// `false` when the slow path must run (unknown body, an envelope in
-    /// any other spelling, or a dialect the connection must not speak).
-    fn try_memo(&mut self, conn: &mut Conn, line: &str) -> bool {
-        let Some((envelope, body)) = Envelope::split(line) else { return false };
-        // Dialect discipline matches the slow path: a v2 session rejects
+    /// `false` when the slow path must run (unknown body, or a dialect the
+    /// connection must not speak).
+    fn try_memo(&mut self, conn: &mut Conn, envelope: Envelope, body: &str) -> bool {
+        // The memo keeps the slow path's dialect rule: a v2 session rejects
         // id-less frames, a fresh connection may speak either.
-        match (conn.dialect, envelope) {
-            (None | Some(Dialect::V1), Envelope::V1) => {}
-            (None | Some(Dialect::V2), Envelope::V2(Some(_))) => {}
-            _ => return false,
+        if envelope == Envelope::V2(None) || conn.session && envelope == Envelope::V1 {
+            return false;
         }
         let Some(response_body) = self.hit_memo.get(body) else { return false };
         self.memo_hits += 1;
         conn.enter(envelope);
-        conn.push_response(&envelope.wrap(response_body));
+        conn.push(&envelope.wrap(response_body));
         true
     }
 
+    /// Answers one frame of an `Open` connection.  The envelope is split
+    /// once: the memo is tried with its body, and a cache hit on the slow
+    /// path files its answer under that same body.
     fn handle_frame(&mut self, conn: &mut Conn, token: u64, line: &str) {
-        if self.try_memo(conn, line) {
-            return;
+        let split = Envelope::split(line);
+        if let Some((envelope, body)) = split {
+            if self.try_memo(conn, envelope, body) {
+                return;
+            }
         }
-        match conn.dialect {
-            None => match ApiRequest::from_wire(line) {
-                Ok((envelope, request)) => {
-                    conn.enter(envelope);
-                    self.dispatch(conn, token, envelope, request, line);
-                }
-                Err(e) => {
-                    // An unparseable first frame never established a
-                    // dialect: answer in v1 (the sniff default) and close.
-                    self.respond(conn, Envelope::V1, &ApiResponse::Error(e));
-                    conn.read_done = true;
-                    conn.closing = true;
-                }
-            },
-            Some(Dialect::V2) => match ApiRequest::from_wire(line) {
-                Ok((Envelope::V1, _)) => {
-                    let error =
-                        ApiError::bad_request("a v2 session requires \"id\" on every request");
-                    self.respond(conn, Envelope::V2(None), &ApiResponse::Error(error));
-                }
-                Ok((envelope, request)) => self.dispatch(conn, token, envelope, request, line),
-                // A malformed frame mid-session answers with the salvaged
-                // id (or null) and keeps the session alive — one bad
-                // request must not kill a multiplexed connection.
-                Err(e) => {
-                    let envelope = Envelope::V2(salvage_request_id(line));
-                    self.respond(conn, envelope, &ApiResponse::Error(e));
-                }
-            },
-            // One-shot connections consume exactly one frame; extras were
-            // already discarded by `process_frames`.
-            Some(Dialect::V1) => {}
+        match ApiRequest::from_wire(line) {
+            Ok((Envelope::V1, _)) if conn.session => {
+                let error = ApiError::bad_request("a v2 session requires \"id\" on every request");
+                conn.respond(Envelope::V2(None), &ApiResponse::Error(error));
+            }
+            Ok((envelope, request)) => {
+                conn.enter(envelope);
+                self.dispatch(conn, token, envelope, request, split.map(|(_, body)| body));
+            }
+            // A malformed frame mid-session answers with the salvaged id
+            // (or null) and keeps the session alive — one bad request must
+            // not kill a multiplexed connection.
+            Err(e) if conn.session => {
+                conn.respond(Envelope::V2(salvage_request_id(line)), &ApiResponse::Error(e));
+            }
+            // An unparseable first frame never established a dialect:
+            // answer in v1 (the sniff default) and close.
+            Err(e) => {
+                conn.phase = Phase::Closing;
+                conn.respond(Envelope::V1, &ApiResponse::Error(e));
+            }
         }
     }
 
+    /// Runs one parsed request; `memo_key` is its body in the encoder's
+    /// spelling, when the line was in it.
     fn dispatch(
         &mut self,
         conn: &mut Conn,
         token: u64,
         envelope: Envelope,
         request: ApiRequest,
-        raw: &str,
+        memo_key: Option<&str>,
     ) {
         match request {
-            ApiRequest::Status => {
-                let status = self.status();
-                self.respond(conn, envelope, &ApiResponse::Status(status));
-            }
-            ApiRequest::Shutdown => {
-                if self.draining {
-                    self.respond(conn, envelope, &ApiResponse::Error(ApiError::shutting_down()));
-                } else {
-                    // The ack is written once the drain completes — see
-                    // `advance_shutdown`.
-                    self.draining = true;
-                    self.shutdown_to = Some((token, envelope));
+            ApiRequest::Status => conn.respond(envelope, &ApiResponse::Status(self.status())),
+            // The ack is owed until the drain completes — see
+            // `advance_shutdown`.
+            ApiRequest::Shutdown => match self.life {
+                Life::Serving => {
+                    conn.owed += 1;
+                    self.life = Life::Draining { ack: (token, envelope) };
                 }
-            }
+                _ => conn.respond(envelope, &ApiResponse::Error(ApiError::shutting_down())),
+            },
             // The inline fast path: a cache hit is answered by the loop
             // itself without consuming a job slot.  The serialised body is
             // remembered so the next identical request short-circuits in
@@ -658,13 +622,13 @@ impl<'a> EventLoop<'a> {
             ApiRequest::Eval(request) => match self.shared.cache.lookup_recorded(&request) {
                 Some(report) => {
                     let body = ApiResponse::EvalResult(Box::new(report)).body_json();
-                    if let Some((_, key)) = Envelope::split(raw) {
+                    if let Some(key) = memo_key {
                         if self.hit_memo.len() >= HIT_MEMO_BOUND {
                             self.hit_memo.clear();
                         }
                         self.hit_memo.insert(key.to_owned(), body.clone());
                     }
-                    conn.push_response(&envelope.wrap(&body));
+                    conn.push(&envelope.wrap(&body));
                 }
                 None => self.enqueue(conn, token, envelope, Work::Eval(request)),
             },
@@ -676,8 +640,8 @@ impl<'a> EventLoop<'a> {
 
     /// Admission control for simulation-heavy jobs.
     fn enqueue(&mut self, conn: &mut Conn, token: u64, envelope: Envelope, work: Work) {
-        if self.draining {
-            self.respond(conn, envelope, &ApiResponse::Error(ApiError::shutting_down()));
+        if !matches!(self.life, Life::Serving) {
+            conn.respond(envelope, &ApiResponse::Error(ApiError::shutting_down()));
             return;
         }
         if self.in_flight >= self.shared.max_pending {
@@ -685,18 +649,13 @@ impl<'a> EventLoop<'a> {
                 "{} of {} job slots in use; retry after a slot drains",
                 self.in_flight, self.shared.max_pending
             );
-            self.respond(conn, envelope, &ApiResponse::Error(ApiError::busy(message)));
+            conn.respond(envelope, &ApiResponse::Error(ApiError::busy(message)));
             return;
         }
         self.in_flight += 1;
-        conn.pending_jobs += 1;
+        conn.owed += 1;
         self.runners.queue.lock().unwrap().jobs.push_back(Job { token, envelope, work });
         self.runners.work.notify_one();
-    }
-
-    /// Pushes one inline response line (see [`Conn::push_response`]).
-    fn respond(&mut self, conn: &mut Conn, envelope: Envelope, response: &ApiResponse) {
-        conn.push_response(&line(envelope, response));
     }
 
     fn status(&self) -> StatusInfo {
@@ -704,7 +663,7 @@ impl<'a> EventLoop<'a> {
             in_flight: self.in_flight as u64,
             queued: self.runners.queue.lock().unwrap().jobs.len() as u64,
             max_pending: self.shared.max_pending as u64,
-            draining: self.draining,
+            draining: !matches!(self.life, Life::Serving),
             cache: CacheCounters {
                 entries: self.shared.cache.len() as u64,
                 hits: self.shared.cache.hits() + self.memo_hits,
@@ -718,9 +677,7 @@ impl<'a> EventLoop<'a> {
     /// per response) coalesces a pipelined batch into a single write.
     fn flush_all(&mut self) {
         for conn in self.conns.values_mut() {
-            if !conn.dead && !conn.flushed() && !conn.try_flush() {
-                conn.dead = true;
-            }
+            conn.flush();
         }
     }
 
@@ -731,25 +688,27 @@ impl<'a> EventLoop<'a> {
     /// queue would turn into an RST that can destroy the response.
     fn reap(&mut self) {
         self.conns.retain(|_, conn| {
-            if conn.dead {
-                return false;
-            }
-            let delivered = conn.closing && conn.pending_jobs == 0 && conn.flushed();
-            if delivered && conn.discarding && !conn.read_done {
-                if !conn.fin_sent {
-                    conn.fin_sent = true;
-                    let _ = conn.stream.shutdown(std::net::Shutdown::Write);
+            let delivered = conn.owed == 0 && conn.flushed();
+            match &mut conn.phase {
+                Phase::Open => true,
+                Phase::Closing => !delivered,
+                Phase::Discarding { fin_sent } => {
+                    if delivered && !*fin_sent {
+                        *fin_sent = true;
+                        let _ = conn.stream.shutdown(std::net::Shutdown::Write);
+                    }
+                    true // keep draining until the peer closes
                 }
-                return true; // keep draining until the peer closes
+                Phase::Dead => false,
             }
-            !delivered
         });
     }
 
     /// Once a requested drain completes: persist the snapshot, ack the
     /// shutdown, stop accepting and enter the flush phase.
     fn advance_shutdown(&mut self) {
-        if !self.draining || self.stopping || self.in_flight != 0 {
+        let Life::Draining { ack: (token, envelope) } = self.life else { return };
+        if self.in_flight != 0 {
             return;
         }
         // Snapshot failures degrade to `persisted: null` plus a warning —
@@ -766,20 +725,16 @@ impl<'a> EventLoop<'a> {
                 }
             }
         });
-        if let Some((token, envelope)) = self.shutdown_to.take() {
-            if let Some(mut conn) = self.conns.remove(&token) {
-                self.respond(&mut conn, envelope, &ApiResponse::ShutdownAck { persisted });
-                conn.closing = true;
-                conn.read_done = true;
-                self.conns.insert(token, conn);
+        for conn in self.conns.values_mut() {
+            if conn.phase != Phase::Dead {
+                conn.phase = Phase::Closing;
             }
         }
-        for conn in self.conns.values_mut() {
-            conn.read_done = true;
-            conn.closing = true;
+        if let Some(conn) = self.conns.get_mut(&token) {
+            conn.owed -= 1;
+            conn.respond(envelope, &ApiResponse::ShutdownAck { persisted });
         }
-        self.stopping = true;
-        self.flush_deadline = Some(Instant::now() + SHUTDOWN_FLUSH_DEADLINE);
+        self.life = Life::Stopping { deadline: Instant::now() + SHUTDOWN_FLUSH_DEADLINE };
         self.reap();
     }
 }

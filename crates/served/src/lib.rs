@@ -23,6 +23,20 @@
 //! runner itself being one of them — the only way a sweep is
 //! parallelised.
 //!
+//! The loop keeps one state per connection and one for the daemon.  A
+//! connection is *open* (reading frames: fresh, or a v2 session),
+//! *closing* (reading no more, dropped once nothing is owed and its output
+//! is flushed), *discarding* (after an oversized frame: the error goes
+//! out, then a FIN, and input is thrown away until the peer closes) or
+//! *dead* (an overflowing buffer or a failed write).  What it is *owed* —
+//! its queued or running jobs plus a shutdown ack not yet written — keeps
+//! a closing connection alive, so a client that half-closes after its
+//! request still gets every line of the answer.  The daemon is *serving*,
+//! then *draining* once a `shutdown` is accepted (new jobs are refused;
+//! when the jobs in flight finish, the snapshot is saved and the ack
+//! written), then *stopping* (no accepting; output is flushed for at most
+//! ten seconds before [`Server::run`] returns).
+//!
 //! # Wire dialects
 //!
 //! Each connection's first frame is version-sniffed:

@@ -234,6 +234,65 @@ fn disconnect_with_a_job_in_flight_does_not_wedge_the_slot() {
 }
 
 // ---------------------------------------------------------------------------
+// Half-closed requesters: a client that shuts its write side after one
+// request is still owed every line of its answer.
+// ---------------------------------------------------------------------------
+
+/// Sends one request line, shuts the write side and reads to EOF.
+fn half_closed(addr: SocketAddr, request: &str) -> Vec<String> {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.write_all(format!("{request}\n").as_bytes()).expect("write");
+    stream.shutdown(Shutdown::Write).expect("half-close");
+    BufReader::new(stream).lines().collect::<Result<_, _>>().expect("responses")
+}
+
+#[test]
+fn half_closed_v1_shutdown_gets_its_ack() {
+    let (addr, handle) = start(ServerConfig::default());
+    let lines = half_closed(addr, &ApiRequest::Shutdown.to_json());
+    assert_eq!(lines.len(), 1, "{lines:?}");
+    let ack = ApiResponse::from_json(&lines[0]).expect("parse");
+    assert!(matches!(ack, ApiResponse::ShutdownAck { .. }), "{ack:?}");
+    handle.join().expect("join").expect("clean exit");
+}
+
+#[test]
+fn half_closed_v2_shutdown_gets_its_ack() {
+    let (addr, handle) = start(ServerConfig::default());
+    let lines = half_closed(addr, &ApiRequest::Shutdown.to_json_v2(7));
+    assert_eq!(lines.len(), 1, "{lines:?}");
+    let wire = WireResponse::from_json(&lines[0]).expect("parse");
+    assert_eq!(wire.envelope, Envelope::V2(Some(7)));
+    assert!(matches!(wire.response, ApiResponse::ShutdownAck { .. }), "{:?}", wire.response);
+    handle.join().expect("join").expect("clean exit");
+}
+
+#[test]
+fn half_closed_v1_status_gets_its_answer() {
+    let (addr, handle) = start(ServerConfig::default());
+    let lines = half_closed(addr, &ApiRequest::Status.to_json());
+    assert_eq!(lines.len(), 1, "{lines:?}");
+    assert!(matches!(ApiResponse::from_json(&lines[0]).expect("parse"), ApiResponse::Status(_)));
+    shut_down(addr);
+    handle.join().expect("join").expect("clean exit");
+}
+
+#[test]
+fn half_closed_v1_cache_miss_eval_gets_its_answer() {
+    let (addr, handle) = start(ServerConfig::default());
+    let mut request = EvalRequest::new(ArchConfig::three_bus_one_fu(TableKind::Cam));
+    request.entries = 16;
+    let lines = half_closed(addr, &ApiRequest::Eval(request).to_json());
+    assert_eq!(lines.len(), 1, "{lines:?}");
+    match ApiResponse::from_json(&lines[0]).expect("parse") {
+        ApiResponse::EvalResult(report) => assert_eq!(report.table_entries, 16),
+        other => panic!("expected eval_result, got {other:?}"),
+    }
+    shut_down(addr);
+    handle.join().expect("join").expect("clean exit");
+}
+
+// ---------------------------------------------------------------------------
 // v2 session semantics.
 // ---------------------------------------------------------------------------
 

@@ -23,8 +23,12 @@
 # verify.sh runs every patch as its last stage.  Each mutant costs an
 # incremental debug rebuild: the eight step-loop mutants (02, 03, 04, 34,
 # 35, 39, 43, 46) take about 30 s together on a 2-vCPU host with a warm
-# mutants/ directory, and all forty-nine about three minutes from an empty
-# one.
+# mutants/ directory, and all fifty about three minutes from an empty one.
+#
+# A mutant's tests run under a ten-minute timeout, after its build: a
+# mutant that hangs them (a daemon that never sends its FIN, say, under a
+# test that reads to EOF) is reported as killed by timeout, so this script
+# and verify.sh finish either way.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 root=$PWD
@@ -57,16 +61,27 @@ for patch in "${patches[@]}"; do
         status=1
         continue
     fi
-    if log=$(cd "$tree" && cargo test --offline -q "${tests[@]}" 2>&1); then
+    code=0
+    if (cd "$tree" && cargo test --offline -q --no-run "${tests[@]}") > /dev/null 2>&1; then
+        log=$(cd "$tree" && timeout 600 cargo test --offline -q "${tests[@]}" 2>&1) || code=$?
+    else
+        code=build
+    fi
+    case $code in
+    0)
         echo "$name: SURVIVED ${tests[*]}"
         status=1
-    elif grep -q '^error: could not compile' <<< "$log"; then
+        ;;
+    build)
         echo "$name: does not build, so it tests nothing"
         status=1
-    else
+        ;;
+    124) echo "$name: killed by timeout (600 s)" ;;
+    *)
         killed=$(sed -n '/^failures:$/,/^test result/s/^    \([a-z_:0-9]*\)$/\1/p' <<< "$log" | sort -u | tr '\n' ' ')
         echo "$name: killed by $killed"
-    fi
+        ;;
+    esac
     git -C "$tree" checkout --quiet -- .
 done
 exit "$status"

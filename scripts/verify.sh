@@ -185,6 +185,11 @@ if grep -rnE '[S]eqKey|compiled_[p]rogram\(|(self|image)\.padded_[e]ntries' crat
 # constants: no protocol choice (the model is MESI), no cache shape and no
 # interconnect latency on a system configuration.
 if grep -rnE '[C]oherenceProtocol|[C]acheConfig|[I]nterconnectConfig|read_fill_[s]tate' crates src tests examples scripts; then exit 1; fi
+# The event loop's lifecycle is states, one per connection and one for the
+# daemon: no dialect beside a phase and a session bit, no per-flag reading
+# or job count beside what a connection is owed, and no shutdown requester
+# or flush deadline beside the daemon's life.
+if grep -rnE '\b[D]ialect\b|read_[d]one|pending_[j]obs|shutdown_[t]o|flush_[d]eadline' crates/served/src; then exit 1; fi
 echo "guards ok"
 
 echo
