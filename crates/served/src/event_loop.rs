@@ -391,8 +391,8 @@ impl<'a> EventLoop<'a> {
             // entry — the waker fires when their lines arrive.
             let mut fds = vec![poll::PollFd::new(waker.as_raw_fd(), poll::POLLIN)];
             let mut targets = vec![None];
-            let stopping = matches!(self.life, Life::Stopping { .. });
-            if !stopping {
+            let accepting = !matches!(self.life, Life::Stopping { .. });
+            if accepting {
                 fds.push(poll::PollFd::new(listener.as_raw_fd(), poll::POLLIN));
                 targets.push(None);
             }
@@ -410,14 +410,14 @@ impl<'a> EventLoop<'a> {
                     targets.push(Some(token));
                 }
             }
-            let timeout = if stopping { 50 } else { -1 };
+            let timeout = if accepting { -1 } else { 50 };
             poll::wait(&mut fds, timeout)?;
 
             if fds[0].readable() {
                 drain_waker(waker);
             }
             self.drain_msgs(rx);
-            if !stopping && fds[listener_slot].readable() {
+            if accepting && fds[listener_slot].readable() {
                 self.accept_all(listener);
             }
             for (fd, target) in fds.iter().zip(&targets).skip(1) {
