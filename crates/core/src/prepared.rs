@@ -38,7 +38,7 @@
 
 use std::sync::{Arc, Mutex, OnceLock};
 
-use taco_ipv6::{Datagram, Ipv6Header, NextHeader};
+use taco_ipv6::{Datagram, Ipv6Address, Ipv6Header, NextHeader};
 use taco_router::cycle::{check_fit, CycleRouter, TableImage};
 use taco_router::layout::{datagram_to_words, SEQ_ENTRY_WORDS};
 use taco_router::microcode::{padded_entries, MicrocodeOptions};
@@ -133,6 +133,9 @@ pub(crate) fn unfit(kind: TableKind, entries: usize) -> Option<SimError> {
 #[derive(Debug)]
 pub(crate) struct PreparedInput {
     entries: usize,
+    /// The measurement datagram's destination, where a sequential scan's
+    /// screen pass stops ([`TableImage::scan_stop`]).
+    destination: Ipv6Address,
     frame: Frame,
     routes: Vec<Route>,
     images: [OnceLock<Result<TableImage, SimError>>; TableKind::ALL_KINDS.len()],
@@ -145,6 +148,7 @@ impl PreparedInput {
         let datagram = measurement_datagram(&routes);
         PreparedInput {
             entries,
+            destination: datagram.header().dst,
             frame: (datagram_to_words(&datagram), datagram.wire_len()),
             routes,
             images: Default::default(),
@@ -176,6 +180,11 @@ impl PreparedInput {
             memo.insert(0, Arc::clone(&fresh));
             fresh
         })
+    }
+
+    /// The measurement datagram's destination.
+    pub(crate) fn destination(&self) -> Ipv6Address {
+        self.destination
     }
 
     /// The measurement frame, enqueued [`MEASURE_DATAGRAMS`] times.

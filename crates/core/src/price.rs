@@ -47,7 +47,7 @@
 use std::sync::Arc;
 
 use taco_isa::MachineConfig;
-use taco_router::cycle::CycleRouter;
+use taco_router::cycle::{CycleRouter, TableImage};
 use taco_routing::TableKind;
 use taco_sim::{CompiledProgram, SimStats, TraceEvent, Tracer, TriggerCounts};
 
@@ -70,31 +70,33 @@ pub struct BlockProfile {
 }
 
 /// The `kind` table's block profile over the `entries`-entry measurement
-/// input twice: as every evaluation records it, from an empty and a
-/// one-datagram run, and recorded by stepping all eight measurement
-/// datagrams; `None` where the table refuses to record.  Only tests call
+/// input twice: as every evaluation records it ([`BlockProfile::record`]),
+/// and recorded by stepping all eight measurement datagrams over the whole
+/// table; each `None` where that path refuses to record.  Only tests call
 /// it: `tests/profile_extrapolation.rs` holds the two equal.
-pub fn profile_pair(kind: TableKind, entries: usize) -> Option<(BlockProfile, BlockProfile)> {
+pub fn profile_pair(
+    kind: TableKind,
+    entries: usize,
+) -> (Option<BlockProfile>, Option<BlockProfile>) {
     let input = PreparedInput::shared(entries);
-    let eight = recorder(&input, kind)?(MEASURE_DATAGRAMS)?;
-    Some((BlockProfile::record(&input, kind)?, eight))
+    let eight =
+        input.image(kind).ok().and_then(|image| recorder(&input, image)?(MEASURE_DATAGRAMS));
+    (BlockProfile::record(&input, kind), eight)
 }
 
-/// Steps the given number of measurement datagrams through the `kind`
-/// table over `input` on one compiled unfolded program, at RTU latency 1,
-/// and returns what each run observed; `None` where the table does not
-/// build, its program does not compile, or eight datagrams would not fit
-/// above the image, and the recorder's own `None` where a run fails.
-fn recorder(
-    input: &PreparedInput,
-    kind: TableKind,
-) -> Option<impl Fn(usize) -> Option<BlockProfile> + '_> {
-    let image = input.image(kind).ok()?;
-    image.check_fit(MEASURE_DATAGRAMS, input.frame().0.len()).ok()?;
+/// Steps the given number of measurement datagrams through `image` on one
+/// compiled unfolded program, at RTU latency 1, and returns what each run
+/// observed; `None` where the program does not compile, and the
+/// recorder's own `None` where a run fails (the datagrams do not fit above
+/// the image, say).
+fn recorder<'a>(
+    input: &'a PreparedInput,
+    image: &'a TableImage,
+) -> Option<impl Fn(usize) -> Option<BlockProfile> + 'a> {
     let program = image.unfolded_program().ok()?;
     Some(move |datagrams| {
         let mut router = CycleRouter::unfolded(Arc::clone(&program), image).ok()?;
-        let mut issued = IssueCounter(vec![0; program.program().instructions.len()]);
+        let mut issued = IssueCounter(vec![0; program.word_count()]);
         let stats = run_frames(&mut router, input, datagrams, &mut issued, None).ok()?;
         // A block's visits are its first word's issues.
         let starts = program.blocks().iter().scan(0, |at, block| {
@@ -126,22 +128,48 @@ impl Tracer for IssueCounter {
 impl BlockProfile {
     /// The `kind` table's profile over `input`'s eight measurement
     /// datagrams, from an empty run and a one-datagram run, each count
-    /// extrapolated as `empty + 8 × (one − empty)`; `None` when the table
-    /// does not build, eight datagrams would not fit above it or a run
-    /// fails, so every round of the table's points is stepped and reports
-    /// the failure itself.
+    /// extrapolated as `empty + 8 × (one − empty)`.  The one-datagram run
+    /// steps only the table's tail from the block where the screen pass
+    /// stops, `h` ([`TableImage::scan_stop`], 0 for a kind with no screen),
+    /// plus one miss block more, and counts the whole table's run as
+    /// `one(tail(h)) + h × (one(tail(h − 1)) − one(tail(h)))`
+    /// ([`TableImage::tail`] says why that is exact).  `None` when the
+    /// table does not build, eight datagrams would not fit above the whole
+    /// image or a run fails, so every round of the table's points is
+    /// stepped and reports the failure itself.
     pub(crate) fn record(input: &PreparedInput, kind: TableKind) -> Option<Self> {
-        let step = recorder(input, kind)?;
-        let (empty, one) = (step(0)?, step(1)?);
-        let eight = |empty: u64, one: u64| empty + MEASURE_DATAGRAMS as u64 * (one - empty);
-        let triggers = one.triggers.iter().map(|(fu, n)| (fu, eight(empty.triggers.get(fu), n)));
-        Some(BlockProfile {
-            visits: empty.visits.iter().zip(&one.visits).map(|(&e, &o)| eight(e, o)).collect(),
+        let image = input.image(kind).ok()?;
+        image.check_fit(MEASURE_DATAGRAMS, input.frame().0.len()).ok()?;
+        let stop = image.scan_stop(input.destination());
+        let tail;
+        let stepped = if stop == 0 {
+            image
+        } else {
+            tail = image.tail(stop);
+            &tail
+        };
+        let step = recorder(input, stepped)?;
+        let (empty, mut one) = (step(0)?, step(1)?);
+        if stop > 0 {
+            let one_more_miss = recorder(input, &image.tail(stop - 1))?(1)?;
+            one = one.extrapolate(&one_more_miss, stop as u64);
+        }
+        Some(empty.extrapolate(&one, MEASURE_DATAGRAMS as u64))
+    }
+
+    /// Each count of `self` plus `times` × (`to`'s − `self`'s): the run
+    /// that repeats `times` over what `to` adds to `self`.  `to`'s path
+    /// holds `self`'s, so it fires every unit `self` fires.
+    fn extrapolate(&self, to: &Self, times: u64) -> Self {
+        let at = |from: u64, to: u64| from + times * (to - from);
+        let triggers = to.triggers.iter().map(|(fu, n)| (fu, at(self.triggers.get(fu), n)));
+        BlockProfile {
+            visits: self.visits.iter().zip(&to.visits).map(|(&e, &o)| at(e, o)).collect(),
             triggers: triggers.collect(),
-            moves_executed: eight(empty.moves_executed, one.moves_executed),
-            moves_squashed: eight(empty.moves_squashed, one.moves_squashed),
-            forwarded: eight(empty.forwarded, one.forwarded),
-        })
+            moves_executed: at(self.moves_executed, to.moves_executed),
+            moves_squashed: at(self.moves_squashed, to.moves_squashed),
+            forwarded: at(self.forwarded, to.forwarded),
+        }
     }
 
     /// Cycles per datagram and the counters stepping `compiled` (scheduled

@@ -9,7 +9,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
-use taco_ipv6::Datagram;
+use taco_ipv6::{Datagram, Ipv6Address};
 use taco_isa::{opt, schedule, FuKind, FuRef, MachineConfig, MoveSeq, Program, Source};
 use taco_routing::{
     BalancedTreeTable, CamTable, LpmTable, PatriciaTable, PortId, Route, SequentialTable, TableKind,
@@ -150,6 +150,58 @@ impl TableImage {
     /// See [`check_fit`].
     pub fn check_fit(&self, datagrams: usize, frame_words: usize) -> Result<(), SimError> {
         check_fit(self.words.len(), datagrams, frame_words)
+    }
+
+    /// The scan block at which the screen pass stops for a datagram to
+    /// `destination`: the first block with an entry whose screening pair
+    /// matches it (the matcher's rule: the destination's screening word
+    /// and the entry's prefix word are equal under the entry's mask word),
+    /// or the last block where none does.  0 for a kind with no screen
+    /// pass.  One pass over the image's screening words, sentinels
+    /// included.
+    pub fn scan_stop(&self, destination: Ipv6Address) -> usize {
+        let Some(bounds) = self.bounds else { return 0 };
+        let word = usize::from(self.opts.screen_word);
+        let dst = destination.to_words()[word];
+        let mut entries = self.words.chunks_exact(SEQ_ENTRY_WORDS as usize);
+        let hit = entries.position(|entry| {
+            let (mask, prefix) = (entry[2 * word], entry[2 * word + 1]);
+            dst & mask == prefix & mask
+        });
+        let last = bounds.values()[0] as usize - 1;
+        hit.map_or(last, |entry| entry / usize::from(self.opts.unroll))
+    }
+
+    /// This sequential image from scan block `block` on, as a table of its
+    /// own loaded at [`TABLE_BASE`]: the same words and options (so the
+    /// same screening word, whatever its own entries would choose) and its
+    /// own [`ScanBounds`], patched into the template like any size's.
+    ///
+    /// A datagram whose screen pass stops at block `h` runs every block
+    /// before it as a miss — the same words, each lane's guarded record
+    /// squashed, the verify branch not taken, the block counter stepped
+    /// and a jump back — and from block `h` on reads only those entries,
+    /// at the same offsets from the lane pointers.  So its run over the
+    /// image is its run over `tail(h)` plus `h` times what `tail(h − 1)`
+    /// adds to it, count for count.
+    ///
+    /// # Panics
+    ///
+    /// If the image has no scan pass or `block` is not one of its blocks.
+    pub fn tail(&self, block: usize) -> TableImage {
+        let bounds = self.bounds.expect("only a sequential image has a scan");
+        assert!(block < bounds.values()[0] as usize, "the scan has no block {block}");
+        let block_words = usize::from(self.opts.unroll) * SEQ_ENTRY_WORDS as usize;
+        let words = self.words[block * block_words..].to_vec();
+        let entries = words.len() / SEQ_ENTRY_WORDS as usize;
+        TableImage {
+            kind: self.kind,
+            words,
+            cam: None,
+            bounds: Some(ScanBounds::of(entries, self.opts.unroll)),
+            opts: self.opts,
+            programs: Mutex::default(),
+        }
     }
 
     /// This image's microcode scheduled for the machine [`schedule`] folds
@@ -585,6 +637,7 @@ impl CycleRouter {
 mod tests {
     use super::*;
     use crate::layout::bytes_to_words;
+    use crate::microcode::padded_entries;
     use taco_ipv6::NextHeader;
     use taco_isa::Move;
 
@@ -848,6 +901,76 @@ mod tests {
             assert_eq!(patched.len(), 2, "the block count and the table's end: {patched:?}");
         }
         assert!(Arc::ptr_eq(&shared, &template()), "one template whatever the size");
+    }
+
+    #[test]
+    fn the_scan_stops_at_the_first_block_whose_screening_pair_matches() {
+        use crate::rng::SplitMix64;
+        use crate::traffic::TrafficGen;
+        use taco_ipv6::Ipv6Prefix;
+
+        const SEED: u64 = 0x5CA7_5709;
+        const CASES: usize = 200;
+        let mut rng = SplitMix64::new(SEED);
+        let mut gen = TrafficGen::new(SEED, 4);
+        let (mut stops_past_zero, mut sentinel_hits, mut misses) = (0, 0, 0);
+        for case in 0..CASES {
+            // Few distinct values per word, so screening pairs collide, and
+            // lengths from /0 to /128.
+            let word = |rng: &mut SplitMix64| [0x2001_0db8, 0x2001_0db9][rng.below(2) as usize];
+            let address = |rng: &mut SplitMix64| {
+                let words =
+                    [word(rng), rng.below(4) as u32, rng.below(3) as u32, rng.below(2) as u32];
+                Ipv6Address::from_words(words)
+            };
+            let routes: Vec<Route> = (0..rng.range_inclusive(1, 24))
+                .map(|i| {
+                    let len = match rng.below(4) {
+                        0 => 0,
+                        1 => 128,
+                        _ => rng.below(129) as u8,
+                    };
+                    let prefix = Ipv6Prefix::new(address(&mut rng), len).expect("a length");
+                    Route::new(prefix, "fe80::1".parse().unwrap(), PortId((i % 4) as u16), 1)
+                })
+                .collect();
+            let table = SequentialTable::from_routes(routes.iter().copied());
+            let entries = table.entries();
+            for unroll in 1..=3 {
+                let opts = MicrocodeOptions { unroll, ..MicrocodeOptions::default() };
+                let image = TableImage::new(TableKind::Sequential, &routes, &opts).expect("built");
+                let screen = usize::from(image.opts.screen_word);
+                let padded = padded_entries(entries.len(), unroll);
+                let last = padded / usize::from(unroll) - 1;
+                let inside = entries[rng.below(entries.len() as u64) as usize].prefix();
+                let destinations =
+                    [gen.addr_in(&inside), address(&mut rng), Ipv6Address::from_words([!0; 4])];
+                for dst in destinations {
+                    // The reference: the routes in scan order, then the
+                    // sentinels (full mask, all-ones prefix) padding them.
+                    let d = dst.to_words()[screen];
+                    let hit = entries.iter().position(|r| {
+                        let mask = r.prefix().mask_words()[screen];
+                        d & mask == r.prefix().addr().to_words()[screen] & mask
+                    });
+                    let sentinel = (padded > entries.len() && d == !0).then_some(entries.len());
+                    sentinel_hits += usize::from(hit.is_none() && sentinel.is_some());
+                    misses += usize::from(hit.or(sentinel).is_none());
+                    let expected = hit.or(sentinel).map_or(last, |e| e / usize::from(unroll));
+                    assert_eq!(
+                        image.scan_stop(dst),
+                        expected,
+                        "case {case}, unroll {unroll}, {dst}"
+                    );
+                    stops_past_zero += usize::from(expected > 0);
+                }
+            }
+        }
+        assert!(stops_past_zero > CASES, "{stops_past_zero} stops past block 0");
+        assert!(sentinel_hits > 0 && misses > 0, "{sentinel_hits} sentinel hits, {misses} misses");
+        // Kinds with no screen pass stop at block 0.
+        let image = TableImage::new(TableKind::Patricia, &nested_routes(), &Default::default());
+        assert_eq!(image.expect("built").scan_stop(Ipv6Address::from_words([!0; 4])), 0);
     }
 
     #[test]

@@ -169,7 +169,7 @@ impl Processor {
 
     /// The loaded program.
     pub fn program(&self) -> &Program {
-        &self.compiled.program
+        self.compiled.program()
     }
 
     /// The compiled handle this processor was instantiated from.
@@ -368,7 +368,7 @@ impl Processor {
             // Only words with statically aliased destinations can conflict
             // dynamically, so the (vast) conflict-free majority skips the scan.
             if meta.may_conflict {
-                if let Err(e) = conflict(&compiled.program, moves, reads, cycle, pc) {
+                if let Err(e) = conflict(&compiled.scheduled, moves, reads, cycle, pc) {
                     break Err(e);
                 }
             }
@@ -475,7 +475,8 @@ fn conflict(
     if mv.op == Op::Jump {
         return Err(SimError::DoublePcWrite { cycle });
     }
-    // Recover the original PortRef from the instruction word.
+    // Recover the original PortRef from the instruction word (a patch
+    // rewrites immediates only, so the scheduled program's word names it).
     let port = program.instructions[pc].slots[usize::from(mv.bus)]
         .as_ref()
         .expect("decoded move maps to an occupied slot")

@@ -20,7 +20,7 @@
 //! instance).  `tests/step_reference.rs` holds the loop's statistics,
 //! event streams and machine state to `tests/golden/step_matrix.txt`.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use taco_isa::{
     FuKind, FuRef, MachineConfig, PortDir, PortRef, Program, SlotLayout, SocketMap, Source,
@@ -96,7 +96,14 @@ pub(crate) struct DecodedProgram {
 #[derive(Debug, Clone)]
 pub struct CompiledProgram {
     pub(crate) config: MachineConfig,
-    pub(crate) program: Arc<Program>,
+    /// The scheduled program this was compiled from, shared with every
+    /// program patched from it: a patch rewrites the decoded moves alone,
+    /// and nothing but an immediate's value tells the two apart.
+    pub(crate) scheduled: Arc<Program>,
+    /// For a patched program, `scheduled` with the decoded moves'
+    /// immediates written in, made on its first read
+    /// ([`CompiledProgram::program`]); `None` where nothing was patched.
+    patched: Option<OnceLock<Program>>,
     pub(crate) map: PortMap,
     pub(crate) decoded: DecodedProgram,
     blocks: Box<[Block]>,
@@ -113,7 +120,14 @@ impl CompiledProgram {
         let map = PortMap::new(&config);
         let decoded = decode(&config, &map, &program)?;
         let blocks = summarise(&program);
-        Ok(Arc::new(CompiledProgram { config, program, map, decoded, blocks }))
+        Ok(Arc::new(CompiledProgram {
+            config,
+            scheduled: program,
+            patched: None,
+            map,
+            decoded,
+            blocks,
+        }))
     }
 
     /// The program's basic blocks in program order, each with its length
@@ -122,9 +136,28 @@ impl CompiledProgram {
         &self.blocks
     }
 
-    /// The scheduled program this was compiled from.
+    /// The scheduled program this was compiled from, with any patched
+    /// immediates written in.  A patched program's copy is made on the
+    /// first call: no evaluation and no recording reads it, only the
+    /// decoded moves, the block summary and the size.
     pub fn program(&self) -> &Program {
-        &self.program
+        let Some(patched) = &self.patched else { return &self.scheduled };
+        patched.get_or_init(|| {
+            let mut program = Program::clone(&self.scheduled);
+            // The decoded moves are the occupied slots, in the same order.
+            let slots = program.instructions.iter_mut().flat_map(|i| i.slots.iter_mut().flatten());
+            for (mv, dmove) in slots.zip(&self.decoded.moves) {
+                if let Source::Imm(value) = &mut mv.src {
+                    *value = dmove.imm;
+                }
+            }
+            program
+        })
+    }
+
+    /// The number of instruction words, from the decoded program.
+    pub fn word_count(&self) -> usize {
+        self.decoded.ins.len()
     }
 
     /// The machine this was compiled for.
@@ -142,32 +175,29 @@ impl CompiledProgram {
     }
 
     /// Rewrites the immediate of move `at` to `value` for each `(at,
-    /// value)` pair of `patch`, in the scheduled program and its decoded
-    /// moves alike, and sizes the image again; `at` counts the program's
-    /// moves in order, a word's in bus order.  Scheduling, validation,
-    /// decoding and the block summary read no immediate's value, so a
-    /// program compiled once and patched is the program a compile of the
-    /// patched values makes.  Only the literal pool counts values: a value
-    /// equal to another literal shares its place.  What `program` shares
-    /// with another handle is copied first.
+    /// value)` pair of `patch` in the decoded moves, and sizes the image
+    /// again; `at` counts the program's moves in order, a word's in bus
+    /// order.  Scheduling, validation, decoding and the block summary read
+    /// no immediate's value, so a program compiled once and patched is the
+    /// program a compile of the patched values makes.  Only the literal
+    /// pool counts values: a value equal to another literal shares its
+    /// place.  The scheduled program stays shared; [`CompiledProgram::program`]
+    /// writes the patched values into a copy of it when it is first read.
+    /// What `program` shares with another handle is copied first.
     ///
     /// # Panics
     ///
     /// If a move `at` does not exist or does not move an immediate.
     pub fn patch(program: &mut Arc<Self>, patch: &[(usize, u32)]) {
         let this = Arc::make_mut(program);
-        let scheduled = Arc::make_mut(&mut this.program);
-        let mut patched = 0;
-        // The decoded moves are the occupied slots, in the same order.
-        let slots = scheduled.instructions.iter_mut().flat_map(|i| i.slots.iter_mut().flatten());
-        for ((at, mv), dmove) in slots.enumerate().zip(&mut this.decoded.moves) {
-            let Some(&(_, value)) = patch.iter().find(|&&(k, _)| k == at) else { continue };
-            let Source::Imm(imm) = &mut mv.src else { panic!("move {at} ({mv}) is no immediate") };
-            *imm = value;
+        let moves = &mut this.decoded.moves;
+        for &(at, value) in patch {
+            let Some(dmove) = moves.get_mut(at) else { panic!("the program has no move {at}") };
+            // A compiled program has no label left, so `IMM` is an immediate.
+            assert!(dmove.src == IMM, "move {at} is no immediate");
             dmove.imm = value;
-            patched += 1;
         }
-        assert_eq!(patched, patch.len(), "a patch of {patch:?} names a move the program lacks");
+        this.patched = Some(OnceLock::new());
         let decoded = &mut this.decoded;
         decoded.image_bits = image_bits(&this.config, &decoded.moves, decoded.ins.len());
     }

@@ -11,7 +11,8 @@
 //! shared.
 //!
 //! A cold row counts the first evaluation of a machine the binary has not
-//! compiled microcode for, and the last row counts a behavioural scenario
+//! compiled microcode for, a fresh-size row the first evaluation of a table
+//! size it has not prepared, and the last row counts a behavioural scenario
 //! per offered datagram.  The report's own size is held beside them, as
 //! every cache copies it.
 //!
@@ -133,6 +134,32 @@ fn a_warm_evaluation_allocates_for_one_router_not_for_its_input() {
         assert!(
             allocations <= ceiling,
             "{kind}: a cold evaluation made {allocations} allocations (ceiling {ceiling})"
+        );
+    }
+
+    // The fresh-size row: the first 3BUS/1FU sequential evaluation at a
+    // size this binary has not prepared, after the rows above evaluated 100
+    // entries, so every template it runs is compiled.  It prepares the
+    // input (routes, frame, image), patches the two programs it runs (its
+    // machine's and the unfolded one a profile is recorded on) and records
+    // the profile: an empty run and one datagram over the table's tail from
+    // the block where the screen pass stops, and one datagram over that
+    // tail and one block more, each tail an image with its own patched
+    // unfolded program.  90 / 90 when written; 60 / 60 with only the
+    // copy-free patch, where the recording stepped the whole table; 218 /
+    // 218 while every patch also copied the template's scheduled program,
+    // one allocation per instruction word.  The ceilings leave a fifth.
+    for (entries, ceiling) in [(256, 110), (1024, 110)] {
+        let request =
+            EvalRequest::new(ArchConfig::three_bus_one_fu(TableKind::Sequential)).entries(entries);
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let fresh = evaluate_request(&request);
+        let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+        assert_eq!(fresh.sim_error, None, "{entries} entries");
+        assert!(
+            allocations <= ceiling,
+            "a fresh sequential size of {entries} entries made {allocations} allocations \
+             (ceiling {ceiling})"
         );
     }
 
