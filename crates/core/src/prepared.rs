@@ -12,11 +12,18 @@
 //! The measurement input is one worst-case datagram enqueued
 //! [`MEASURE_DATAGRAMS`] times, so a profile is recorded from an empty run
 //! and a one-datagram run and extrapolated (the `price` module says why
-//! that is exact).  Every evaluation prices its rounds from the profile, so
-//! those two short runs are the stepping an input's table pays.  A round
-//! the profile refuses, a fault plan that injects stalls and a trace step
-//! all eight datagrams again; an input above the memo's size limit is not
-//! kept, so it records its profiles again on every evaluation.
+//! that is exact).  For a sequential table the one-datagram run covers only
+//! the table's tail: the input keeps the datagram's destination, the image
+//! finds the block where the screen pass stops for it
+//! ([`TableImage::scan_stop`]), and the recording steps the tail from that
+//! block and the tail one block longer, and counts every earlier block as
+//! the miss block the two differ by.  Every evaluation prices its rounds
+//! from the profile, so those short runs are the stepping an input's table
+//! pays: at 1 024 entries a few hundred cycles, where the whole scan is
+//! 5 514.  A round the profile refuses, a fault plan that injects stalls
+//! and a trace step all eight datagrams over the whole table again; an
+//! input above the memo's size limit is not kept, so it records its
+//! profiles again on every evaluation.
 //!
 //! A fresh size does each host-side step of its preparation once.  The
 //! routes are drawn against a hash set, of which only `insert`'s answers
@@ -27,9 +34,12 @@
 //! size compiles no microcode: every table of a kind runs its machine's one
 //! template from the program cache in `taco_router::cycle`, a sequential
 //! image with its two size immediates patched in, and the image keeps what
-//! it was given per machine.  What a fresh size still pays for is stepping
-//! the profile's two recording runs, copying and patching the templates of
-//! a sequential table and, for the tree, building the table.
+//! it was given per machine.  A patch copies no program: it rewrites the
+//! two immediates in the decoded moves, which is all a priced evaluation
+//! and a recording read.  What a fresh size still pays for is drawing the
+//! routes, building and serialising the table, the recording's short runs
+//! (two tail images and their patched unfolded programs, for a sequential
+//! table) and copying the decoded moves of each program it patches.
 //!
 //! Some tables cannot fit whatever the machine: a CAM table past the chip's
 //! rows, a sequential image that leaves no room for the eight datagram

@@ -33,9 +33,25 @@
 //! therefore steps one datagram and an empty run, on one compiled program,
 //! and extrapolates each count as `empty + 8 × (one − empty)`: about an
 //! eighth of the cycles stepping all eight takes.  It refuses where the
-//! eight datagram slots do not fit above the table image, as stepping
-//! eight fails there.  `tests/profile_extrapolation.rs` holds the
-//! extrapolation equal to a recording that steps all eight.
+//! eight datagram slots do not fit above the whole table image, as
+//! stepping eight fails there.
+//!
+//! A sequential datagram's path is shorter to step than its scan.  The
+//! screen pass stops at the first block `h` where a lane's screening pair
+//! matches (`TableImage::scan_stop`).  Every block before it is a miss and
+//! runs the same words with the same guard outcomes — each lane's guarded
+//! record squashed, the verify branch not taken, the block counter stepped
+//! and a jump back to the scan — and from block `h` on the path reads only
+//! the entries there and after, at the same offsets from the lane
+//! pointers.  So with `tail(h)` the image's words from block `h` on, loaded
+//! as a table of its own (`TableImage::tail`), `one(image) = one(tail(h))
+//! + h × (one(tail(h − 1)) − one(tail(h)))`, count for count.  The
+//! recording steps those two tails, not the table, whose scan is 5 514
+//! cycles at 1 024 entries.  A kind with no screen pass has `h = 0` and
+//! steps its whole table, once.  `tests/profile_extrapolation.rs` holds the
+//! recording equal to stepping all eight datagrams over the whole table,
+//! for every kind and, for the sequential scan, at 100 sizes up to its fit
+//! boundary.
 //!
 //! Stepping stays for four jobs: recording a profile; a round where the
 //! argument does not hold, which [`BlockProfile::price`] refuses; a fault

@@ -638,7 +638,9 @@ mod tests {
     use super::*;
     use crate::layout::bytes_to_words;
     use crate::microcode::padded_entries;
-    use taco_ipv6::NextHeader;
+    use crate::rng::SplitMix64;
+    use crate::traffic::TrafficGen;
+    use taco_ipv6::{Ipv6Prefix, NextHeader};
     use taco_isa::Move;
 
     fn route(p: &str, port: u16) -> Route {
@@ -903,37 +905,43 @@ mod tests {
         assert!(Arc::ptr_eq(&shared, &template()), "one template whatever the size");
     }
 
+    /// An address whose words take few distinct values, so screening pairs
+    /// collide.
+    fn clustered_address(rng: &mut SplitMix64) -> Ipv6Address {
+        let word0 = [0x2001_0db8, 0x2001_0db9][rng.below(2) as usize];
+        Ipv6Address::from_words([
+            word0,
+            rng.below(4) as u32,
+            rng.below(3) as u32,
+            rng.below(2) as u32,
+        ])
+    }
+
+    /// Up to 24 routes to clustered prefixes from /0 to /128, a quarter of
+    /// each.
+    fn seeded_routes(rng: &mut SplitMix64) -> Vec<Route> {
+        (0..rng.range_inclusive(1, 24))
+            .map(|i| {
+                let len = match rng.below(4) {
+                    0 => 0,
+                    1 => 128,
+                    _ => rng.below(129) as u8,
+                };
+                let prefix = Ipv6Prefix::new(clustered_address(rng), len).expect("a length");
+                Route::new(prefix, "fe80::1".parse().unwrap(), PortId((i % 4) as u16), 1)
+            })
+            .collect()
+    }
+
     #[test]
     fn the_scan_stops_at_the_first_block_whose_screening_pair_matches() {
-        use crate::rng::SplitMix64;
-        use crate::traffic::TrafficGen;
-        use taco_ipv6::Ipv6Prefix;
-
         const SEED: u64 = 0x5CA7_5709;
         const CASES: usize = 200;
         let mut rng = SplitMix64::new(SEED);
         let mut gen = TrafficGen::new(SEED, 4);
         let (mut stops_past_zero, mut sentinel_hits, mut misses) = (0, 0, 0);
         for case in 0..CASES {
-            // Few distinct values per word, so screening pairs collide, and
-            // lengths from /0 to /128.
-            let word = |rng: &mut SplitMix64| [0x2001_0db8, 0x2001_0db9][rng.below(2) as usize];
-            let address = |rng: &mut SplitMix64| {
-                let words =
-                    [word(rng), rng.below(4) as u32, rng.below(3) as u32, rng.below(2) as u32];
-                Ipv6Address::from_words(words)
-            };
-            let routes: Vec<Route> = (0..rng.range_inclusive(1, 24))
-                .map(|i| {
-                    let len = match rng.below(4) {
-                        0 => 0,
-                        1 => 128,
-                        _ => rng.below(129) as u8,
-                    };
-                    let prefix = Ipv6Prefix::new(address(&mut rng), len).expect("a length");
-                    Route::new(prefix, "fe80::1".parse().unwrap(), PortId((i % 4) as u16), 1)
-                })
-                .collect();
+            let routes = seeded_routes(&mut rng);
             let table = SequentialTable::from_routes(routes.iter().copied());
             let entries = table.entries();
             for unroll in 1..=3 {
@@ -943,9 +951,8 @@ mod tests {
                 let padded = padded_entries(entries.len(), unroll);
                 let last = padded / usize::from(unroll) - 1;
                 let inside = entries[rng.below(entries.len() as u64) as usize].prefix();
-                let destinations =
-                    [gen.addr_in(&inside), address(&mut rng), Ipv6Address::from_words([!0; 4])];
-                for dst in destinations {
+                let all_ones = Ipv6Address::from_words([!0; 4]);
+                for dst in [gen.addr_in(&inside), clustered_address(&mut rng), all_ones] {
                     // The reference: the routes in scan order, then the
                     // sentinels (full mask, all-ones prefix) padding them.
                     let d = dst.to_words()[screen];
@@ -957,11 +964,8 @@ mod tests {
                     sentinel_hits += usize::from(hit.is_none() && sentinel.is_some());
                     misses += usize::from(hit.or(sentinel).is_none());
                     let expected = hit.or(sentinel).map_or(last, |e| e / usize::from(unroll));
-                    assert_eq!(
-                        image.scan_stop(dst),
-                        expected,
-                        "case {case}, unroll {unroll}, {dst}"
-                    );
+                    let at = format!("case {case}, unroll {unroll}, {dst}");
+                    assert_eq!(image.scan_stop(dst), expected, "{at}");
                     stops_past_zero += usize::from(expected > 0);
                 }
             }
@@ -971,6 +975,71 @@ mod tests {
         // Kinds with no screen pass stop at block 0.
         let image = TableImage::new(TableKind::Patricia, &nested_routes(), &Default::default());
         assert_eq!(image.expect("built").scan_stop(Ipv6Address::from_words([!0; 4])), 0);
+    }
+
+    #[test]
+    fn a_run_over_the_image_is_its_tail_plus_the_miss_blocks_before_it() {
+        // Each count of a one-datagram run over the whole image equals the
+        // run over `tail(h)` plus `h` times what `tail(h − 1)` adds to it,
+        // wherever the screen pass stops: a hit with blocks after it, a
+        // miss, a sentinel.
+        const SEED: u64 = 0x7A11_5EED;
+        const CASES: usize = 60;
+        let mut rng = SplitMix64::new(SEED);
+        let mut gen = TrafficGen::new(SEED, 4);
+        let run = |image: &TableImage, dst: Ipv6Address| {
+            let mut router =
+                CycleRouter::from_image(&MachineConfig::three_bus_one_fu(), image, 1).unwrap();
+            let datagram = Datagram::builder("2001:db8:99::1".parse().unwrap(), dst)
+                .hop_limit(64)
+                .payload(NextHeader::Udp, vec![0; 16])
+                .build();
+            router.enqueue(PortId(0), &datagram).unwrap();
+            let stats = router.run(1_000_000).unwrap();
+            let ports: Vec<PortId> = router.forwarded().into_iter().map(|(p, _)| p).collect();
+            (stats, ports)
+        };
+        let (mut before_last, mut stops_past_zero) = (0, 0);
+        for case in 0..CASES {
+            let routes = seeded_routes(&mut rng);
+            let entries = SequentialTable::from_routes(routes.iter().copied()).entries().to_vec();
+            for unroll in 1..=3 {
+                let opts = MicrocodeOptions { unroll, ..MicrocodeOptions::default() };
+                let image = TableImage::new(TableKind::Sequential, &routes, &opts).expect("built");
+                let last = image.bounds.expect("a scan").values()[0] as usize - 1;
+                let inside = entries[rng.below(entries.len() as u64) as usize].prefix();
+                for dst in [gen.addr_in(&inside), clustered_address(&mut rng)] {
+                    let at = format!("case {case}, unroll {unroll}, {dst}");
+                    let stop = image.scan_stop(dst);
+                    let (whole, ports) = run(&image, dst);
+                    if stop == 0 {
+                        assert_eq!(run(&image.tail(0), dst), (whole, ports), "{at}");
+                        continue;
+                    }
+                    let (tail, tail_ports) = run(&image.tail(stop), dst);
+                    let (more, _) = run(&image.tail(stop - 1), dst);
+                    let n = stop as u64;
+                    let at_n = |t: u64, m: u64| t + n * (m - t);
+                    let triggers = more.fu_instance_triggers.iter();
+                    let triggers = triggers
+                        .map(|(fu, m)| (fu, at_n(tail.fu_instance_triggers.get(fu), m)))
+                        .collect();
+                    let counted = SimStats {
+                        cycles: at_n(tail.cycles, more.cycles),
+                        moves_executed: at_n(tail.moves_executed, more.moves_executed),
+                        moves_squashed: at_n(tail.moves_squashed, more.moves_squashed),
+                        fu_instance_triggers: triggers,
+                        ..tail
+                    };
+                    assert_eq!(counted, whole, "{at}: stops at block {stop} of {}", last + 1);
+                    assert_eq!(tail_ports, ports, "{at}");
+                    before_last += usize::from(stop < last);
+                    stops_past_zero += 1;
+                }
+            }
+        }
+        assert!(before_last > 20, "{before_last} stops before the last block");
+        assert!(stops_past_zero > CASES, "{stops_past_zero} stops past block 0");
     }
 
     #[test]

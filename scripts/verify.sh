@@ -181,6 +181,17 @@ fi
 # A table's size is a patch of its program, not a program: no program-cache
 # key carries the size, and nothing compiles a program per table size.
 if grep -rnE '[S]eqKey|compiled_[p]rogram\(|(self|image)\.padded_[e]ntries' crates src tests examples scripts; then exit 1; fi
+# A patch copies no program and a recording reads the decoded one: no
+# taco-sim product code takes a scheduled `Program` for its own to rewrite
+# it (a patched program's copy is made when something reads it), and the
+# recorder in price.rs sizes its issue counts from the decoded words.
+if awk 'FNR == 1 { product = 1 } /#\[cfg\(test\)\]/ { product = 0 }
+        product && /make_[m]ut\(&mut [[:alnum:]_.]*(program|scheduled)\)|program\(\)\.[i]nstructions/ {
+            print FILENAME ":" FNR ": " $0; found = 1 }
+        END { exit !found }' $(find crates/taco-sim/src -name '*.rs') crates/core/src/price.rs; then
+    echo "a patch rewrites the decoded moves only, and the recorder counts decoded words"
+    exit 1
+fi
 # The multi-core settings no caller varied are the coherence model's
 # constants: no protocol choice (the model is MESI), no cache shape and no
 # interconnect latency on a system configuration.
