@@ -44,8 +44,9 @@
 //! and a jump back to the scan — and from block `h` on the path reads only
 //! the entries there and after, at the same offsets from the lane
 //! pointers.  So with `tail(h)` the image's words from block `h` on, loaded
-//! as a table of its own (`TableImage::tail`), `one(image) = one(tail(h))
-//! + h × (one(tail(h − 1)) − one(tail(h)))`, count for count.  The
+//! as a table of its own (`TableImage::tail`),
+//! `one(image) = one(tail(h)) + h × (one(tail(h − 1)) − one(tail(h)))`,
+//! count for count.  The
 //! recording steps those two tails, not the table, whose scan is 5 514
 //! cycles at 1 024 entries.  A kind with no screen pass has `h = 0` and
 //! steps its whole table, once.  `tests/profile_extrapolation.rs` holds the
