@@ -190,9 +190,8 @@ impl CompiledProgram {
     /// If a move `at` does not exist or does not move an immediate.
     pub fn patch(program: &mut Arc<Self>, patch: &[(usize, u32)]) {
         let this = Arc::make_mut(program);
-        let moves = &mut this.decoded.moves;
         for &(at, value) in patch {
-            let Some(dmove) = moves.get_mut(at) else { panic!("the program has no move {at}") };
+            let dmove = &mut this.decoded.moves[at];
             // A compiled program has no label left, so `IMM` is an immediate.
             assert!(dmove.src == IMM, "move {at} is no immediate");
             dmove.imm = value;
