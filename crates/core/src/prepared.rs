@@ -19,8 +19,8 @@
 //! block and the tail one block longer, and counts every earlier block as
 //! the miss block the two differ by.  Every evaluation prices its rounds
 //! from the profile, so those short runs are the stepping an input's table
-//! pays: at 1 024 entries a few hundred cycles, where the whole scan is
-//! 5 514.  A round the profile refuses, a fault plan that injects stalls
+//! pays: at 1 024 entries 1 + 58 + 74 cycles on the unfolded machine,
+//! where the whole scan is 5 514.  A round the profile refuses, a fault plan that injects stalls
 //! and a trace step all eight datagrams over the whole table again; an
 //! input above the memo's size limit is not kept, so it records its
 //! profiles again on every evaluation.

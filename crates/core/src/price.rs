@@ -46,10 +46,9 @@
 //! pointers.  So with `tail(h)` the image's words from block `h` on, loaded
 //! as a table of its own (`TableImage::tail`),
 //! `one(image) = one(tail(h)) + h × (one(tail(h − 1)) − one(tail(h)))`,
-//! count for count.  The
-//! recording steps those two tails, not the table, whose scan is 5 514
-//! cycles at 1 024 entries.  A kind with no screen pass has `h = 0` and
-//! steps its whole table, once.  `tests/profile_extrapolation.rs` holds the
+//! count for count.  The recording steps those two tails, not the table,
+//! whose scan is 5 514 cycles at 1 024 entries.  A kind with no screen pass
+//! has `h = 0` and steps its whole table, once.  `tests/profile_extrapolation.rs` holds the
 //! recording equal to stepping all eight datagrams over the whole table,
 //! for every kind and, for the sequential scan, at 100 sizes up to its fit
 //! boundary.

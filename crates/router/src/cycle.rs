@@ -163,8 +163,7 @@ impl TableImage {
         let Some(bounds) = self.bounds else { return 0 };
         let word = usize::from(self.opts.screen_word);
         let dst = destination.to_words()[word];
-        let mut entries = self.words.chunks_exact(SEQ_ENTRY_WORDS as usize);
-        let hit = entries.position(|entry| {
+        let hit = self.words.chunks_exact(SEQ_ENTRY_WORDS as usize).position(|entry| {
             let (mask, prefix) = (entry[2 * word], entry[2 * word + 1]);
             dst & mask == prefix & mask
         });
