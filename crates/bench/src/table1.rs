@@ -13,6 +13,9 @@ pub fn run(args: Vec<String>) {
         .positional("packet_bytes", "assumed bytes per packet", Some("1040"));
     let args = cli.parse_args_or_exit(args);
     let entries: usize = args.pos_parsed("entries").unwrap_or_else(|e| cli.fail(&e));
+    if entries == 0 {
+        cli.fail("entries must be at least 1");
+    }
     let packet_bytes: u32 = args.pos_parsed("packet_bytes").unwrap_or_else(|e| cli.fail(&e));
     let rate = LineRate::new(10e9, packet_bytes);
     let reports = table1::table1(rate, entries);

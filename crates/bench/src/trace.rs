@@ -108,6 +108,9 @@ pub fn run(args: Vec<String>) {
     let kind = parse_table_kind(args.pos("kind")).unwrap_or_else(|e| cli.fail(&e));
     let config = parse_machine_spec(kind, args.pos("config")).unwrap_or_else(|e| cli.fail(&e));
     let entries: usize = args.pos_parsed("entries").unwrap_or_else(|e| cli.fail(&e));
+    if entries == 0 {
+        cli.fail("entries must be at least 1");
+    }
 
     let request = EvalRequest::new(config.clone()).entries(entries);
     let report = request.run();

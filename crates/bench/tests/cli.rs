@@ -1,6 +1,7 @@
 //! The `taco-cli` dispatcher, driven as a process: every subcommand is
 //! reachable and answers `--help`, a wrong or missing subcommand exits 2
-//! with the overview, and `report [SECTION]` prints the fixture's bytes.
+//! with the overview, `report [SECTION]` prints the fixture's bytes, and a
+//! zero-entry table is a usage error.
 
 use std::process::{Command, Output};
 
@@ -84,5 +85,18 @@ fn report_prints_the_fixture_and_each_of_its_sections() {
     assert!(nonsense.stdout.is_empty());
     for name in SECTIONS {
         assert!(stderr(&nonsense).contains(name), "the error does not name {name}");
+    }
+}
+
+#[test]
+fn a_zero_entry_table_is_a_usage_error() {
+    for args in
+        [&["table1", "0"][..], &["trace", "cam", "3x1", "0"], &["tracegen", "--entries", "0"]]
+    {
+        let output = taco_cli(args);
+        assert_eq!(output.status.code(), Some(2), "{args:?}");
+        assert!(output.stdout.is_empty(), "{args:?}");
+        assert!(stderr(&output).contains("at least 1"), "{args:?}: {}", stderr(&output));
+        assert!(stderr(&output).contains("usage: taco-cli"), "{args:?}");
     }
 }

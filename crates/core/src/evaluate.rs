@@ -41,9 +41,10 @@ pub struct EvalReport {
     pub line_rate: LineRate,
     /// Routing-table size used for the measurement (request).
     pub table_entries: usize,
-    /// *Simulated or priced*: cycles per forwarded datagram (worst-case-
-    /// biased workload); infinite when the instance could not be simulated
-    /// at all (see [`EvalReport::sim_error`]).
+    /// *Simulated or priced*: cycles per forwarded measurement datagram (to
+    /// the entry the sequential scan reaches last, through the shortest
+    /// verify: no organisation's costliest path); infinite when the
+    /// instance could not be simulated at all (see [`EvalReport::sim_error`]).
     pub cycles_per_datagram: f64,
     /// *Derived*: minimum clock frequency to sustain the line rate.
     pub required_frequency_hz: f64,

@@ -9,20 +9,24 @@
 //! [`PreparedInput`], held in a small process-wide memo with the same
 //! lifetime model as the compiled-program cache in `taco_router::cycle`.
 //!
-//! The measurement input is one worst-case datagram enqueued
-//! [`MEASURE_DATAGRAMS`] times, so a profile is recorded from an empty run
+//! The measurement input is one datagram enqueued [`MEASURE_DATAGRAMS`]
+//! times, to the entry the sequential scan reaches last through the
+//! shortest verify: its screen pass stops in the last block, which verifies
+//! one entry.  It is no kind's costliest path: at 100 entries a
+//! destination that screen-matches the first entry and matches no route
+//! costs 3.2–3.3× its sequential cycles, and sampled ones up to 1.2–1.4×
+//! its tree and PATRICIA cycles.  A profile is recorded from an empty run
 //! and a one-datagram run and extrapolated (the `price` module says why
-//! that is exact).  For a sequential table the one-datagram run covers only
-//! the table's tail: the input keeps the datagram's destination, the image
-//! finds the block where the screen pass stops for it
-//! ([`TableImage::scan_stop`]), and the recording steps the tail from that
-//! block and the tail one block longer, and counts every earlier block as
-//! the miss block the two differ by.  Every evaluation prices its rounds
-//! from the profile, so those short runs are the stepping an input's table
-//! pays: at 1 024 entries 1 + 58 + 74 cycles on the unfolded machine,
-//! where the whole scan is 5 514.  A round the profile refuses, a fault plan that injects stalls
-//! and a trace step all eight datagrams over the whole table again; an
-//! input above the memo's size limit is not kept, so it records its
+//! that is exact).  For a sequential table the one-datagram run steps two
+//! windows of the image: its words from the block where the screen pass
+//! stops for the kept destination ([`TableImage::scan_stop`]) and from one
+//! block earlier, counting every earlier block as the miss block the two
+//! differ by.  Every evaluation prices its rounds from the profile, so
+//! those short runs are the stepping an input's table pays: at 1 024
+//! entries 1 + 58 + 74 cycles on the unfolded machine, where the whole
+//! scan is 5 514.  A round the profile refuses, a fault plan that injects
+//! stalls and a trace step all eight datagrams over the whole table again;
+//! an input above the memo's size limit is not kept, so it records its
 //! profiles again on every evaluation.
 //!
 //! A fresh size does each host-side step of its preparation once.  The
@@ -38,8 +42,8 @@
 //! two immediates in the decoded moves, which is all a priced evaluation
 //! and a recording read.  What a fresh size still pays for is drawing the
 //! routes, building and serialising the table, the recording's short runs
-//! (two tail images and their patched unfolded programs, for a sequential
-//! table) and copying the decoded moves of each program it patches.
+//! and copying the decoded moves of each program it patches (a sequential
+//! window's too).
 //!
 //! Some tables cannot fit whatever the machine: a CAM table past the chip's
 //! rows, a sequential image that leaves no room for the eight datagram
@@ -93,11 +97,11 @@ pub fn benchmark_routes(entries: usize) -> Vec<Route> {
 }
 
 /// The measurement datagram, enqueued [`MEASURE_DATAGRAMS`] times: its
-/// destination matches the entry the sequential scan reaches *last*, so
-/// each organisation is charged its worst case — the "required speed" of
-/// Table 1 must *guarantee* line rate, not merely sustain it on friendly
-/// traffic.  Eight copies of one datagram take eight times one datagram's
-/// path, which is what lets a profile be recorded from one.
+/// destination matches the entry the sequential scan reaches *last*,
+/// through the shortest verify, so Table 1's "required speed" is this
+/// datagram's, not each organisation's costliest path's (the module doc
+/// gives the gap).  Eight copies of one datagram take eight times one
+/// datagram's path, which is what lets a profile be recorded from one.
 fn measurement_datagram(routes: &[Route]) -> Datagram {
     let mut gen = TrafficGen::new(0x0DA7A, 4);
     let deepest = SequentialTable::scanned_last(routes).expect("non-empty table");

@@ -43,12 +43,14 @@
 //! record squashed, the verify branch not taken, the block counter stepped
 //! and a jump back to the scan — and from block `h` on the path reads only
 //! the entries there and after, at the same offsets from the lane
-//! pointers.  So with `tail(h)` the image's words from block `h` on, loaded
-//! as a table of its own (`TableImage::tail`),
-//! `one(image) = one(tail(h)) + h × (one(tail(h − 1)) − one(tail(h)))`,
-//! count for count.  The recording steps those two tails, not the table,
-//! whose scan is 5 514 cycles at 1 024 entries.  A kind with no screen pass
-//! has `h = 0` and steps its whole table, once.  `tests/profile_extrapolation.rs` holds the
+//! pointers.  So with `window(h)` the image's own words from block `h` on,
+//! run by the template with the window's scan bounds patched in
+//! (`TableImage::unfolded_program`, `CycleRouter::unfolded`),
+//! `one(image) = one(window(h)) + h × (one(window(h − 1)) − one(window(h)))`,
+//! count for count.  The recording steps those two windows, not the
+//! table's scan (5 514 cycles at 1 024 entries).  A kind with no screen
+//! pass has `h = 0`, whose window is the whole image.
+//! `tests/profile_extrapolation.rs` holds the
 //! recording equal to stepping all eight datagrams over the whole table,
 //! for every kind and, for the sequential scan, at 100 sizes up to its fit
 //! boundary.
@@ -96,22 +98,23 @@ pub fn profile_pair(
 ) -> (Option<BlockProfile>, Option<BlockProfile>) {
     let input = PreparedInput::shared(entries);
     let eight =
-        input.image(kind).ok().and_then(|image| recorder(&input, image)?(MEASURE_DATAGRAMS));
+        input.image(kind).ok().and_then(|image| recorder(&input, image, 0)?(MEASURE_DATAGRAMS));
     (BlockProfile::record(&input, kind), eight)
 }
 
-/// Steps the given number of measurement datagrams through `image` on one
-/// compiled unfolded program, at RTU latency 1, and returns what each run
-/// observed; `None` where the program does not compile, and the
-/// recorder's own `None` where a run fails (the datagrams do not fit above
-/// the image, say).
+/// Steps the given number of measurement datagrams through window `block`
+/// of `image` (the whole image at 0) on one compiled unfolded program, at
+/// RTU latency 1, and returns what each run observed; `None` where the
+/// program does not compile, and the recorder's own `None` where a run
+/// fails (the datagrams do not fit above the window, say).
 fn recorder<'a>(
     input: &'a PreparedInput,
     image: &'a TableImage,
+    block: usize,
 ) -> Option<impl Fn(usize) -> Option<BlockProfile> + 'a> {
-    let program = image.unfolded_program().ok()?;
+    let program = image.unfolded_program(block).ok()?;
     Some(move |datagrams| {
-        let mut router = CycleRouter::unfolded(Arc::clone(&program), image).ok()?;
+        let mut router = CycleRouter::unfolded(Arc::clone(&program), image, block).ok()?;
         let mut issued = IssueCounter(vec![0; program.word_count()]);
         let stats = run_frames(&mut router, input, datagrams, &mut issued, None).ok()?;
         // A block's visits are its first word's issues.
@@ -145,29 +148,22 @@ impl BlockProfile {
     /// The `kind` table's profile over `input`'s eight measurement
     /// datagrams, from an empty run and a one-datagram run, each count
     /// extrapolated as `empty + 8 × (one − empty)`.  The one-datagram run
-    /// steps only the table's tail from the block where the screen pass
+    /// steps only the image's window from the block where the screen pass
     /// stops, `h` ([`TableImage::scan_stop`], 0 for a kind with no screen),
-    /// plus one miss block more, and counts the whole table's run as
-    /// `one(tail(h)) + h × (one(tail(h − 1)) − one(tail(h)))`
-    /// ([`TableImage::tail`] says why that is exact).  `None` when the
-    /// table does not build, eight datagrams would not fit above the whole
-    /// image or a run fails, so every round of the table's points is
-    /// stepped and reports the failure itself.
+    /// and the window one block longer, and counts the whole table's run as
+    /// `one(window(h)) + h × (one(window(h − 1)) − one(window(h)))` (the
+    /// module doc says why that is exact).  `None` when the table does not
+    /// build, eight datagrams would not fit above the whole image or a run
+    /// fails, so every round of the table's points is stepped and reports
+    /// the failure itself.
     pub(crate) fn record(input: &PreparedInput, kind: TableKind) -> Option<Self> {
         let image = input.image(kind).ok()?;
         image.check_fit(MEASURE_DATAGRAMS, input.frame().0.len()).ok()?;
         let stop = image.scan_stop(input.destination());
-        let tail;
-        let stepped = if stop == 0 {
-            image
-        } else {
-            tail = image.tail(stop);
-            &tail
-        };
-        let step = recorder(input, stepped)?;
+        let step = recorder(input, image, stop)?;
         let (empty, mut one) = (step(0)?, step(1)?);
         if stop > 0 {
-            let one_more_miss = recorder(input, &image.tail(stop - 1))?(1)?;
+            let one_more_miss = recorder(input, image, stop - 1)?(1)?;
             one = one.extrapolate(&one_more_miss, stop as u64);
         }
         Some(empty.extrapolate(&one, MEASURE_DATAGRAMS as u64))

@@ -45,7 +45,9 @@ pub struct EvalRequest {
     pub config: ArchConfig,
     /// The line-rate target the required clock is computed against.
     pub line_rate: LineRate,
-    /// Routing-table size used for the measurement.
+    /// Routing-table size used for the measurement; at least 1, since the
+    /// measurement datagram targets one of the table's entries (an
+    /// evaluation of 0 panics, and the wire refuses 0 as a `bad_request`).
     pub entries: usize,
     /// Optional behavioural scenario to replay on the instance; its
     /// metrics land in [`EvalReport::scenario`] and feed the explorer's
@@ -87,7 +89,7 @@ impl EvalRequest {
         self
     }
 
-    /// Overrides the routing-table size.
+    /// Overrides the routing-table size, at least 1 (see the field).
     pub fn entries(mut self, entries: usize) -> Self {
         self.entries = entries;
         self

@@ -10,7 +10,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use taco_ipv6::{Datagram, Ipv6Address};
-use taco_isa::{opt, schedule, FuKind, FuRef, MachineConfig, MoveSeq, Program, Source};
+use taco_isa::{opt, schedule, MachineConfig, MoveSeq, Program, Source};
 use taco_routing::{
     BalancedTreeTable, CamTable, LpmTable, PatriciaTable, PortId, Route, SequentialTable, TableKind,
 };
@@ -55,14 +55,11 @@ pub struct TableImage {
     kind: TableKind,
     words: Vec<u32>,
     cam: Option<Arc<CamTable>>,
-    /// Sequential scan only: the size immediates of its microcode, for the
-    /// entry count after padding to the unroll factor.
-    bounds: Option<ScanBounds>,
     /// `opts` with the sequential screening word chosen from the table.
     opts: MicrocodeOptions,
     /// This image's program for each machine it was compiled for: the
     /// machine's template from the process-wide cache, with this table's
-    /// `bounds` patched in for a sequential scan.
+    /// [`ScanBounds`] patched in for a sequential scan.
     programs: Mutex<HashMap<MachineConfig, Arc<CompiledProgram>>>,
 }
 
@@ -81,14 +78,8 @@ impl TableImage {
         routes: &[Route],
         opts: &MicrocodeOptions,
     ) -> Result<Self, SimError> {
-        let in_memory = |words| TableImage {
-            kind,
-            words,
-            cam: None,
-            bounds: None,
-            opts: *opts,
-            programs: Mutex::default(),
-        };
+        let in_memory =
+            |words| TableImage { kind, words, cam: None, opts: *opts, programs: Mutex::default() };
         Ok(match kind {
             // Scan-ordered entries padded to a multiple of `opts.unroll`,
             // screened on the word `choose_screen_word` picks.
@@ -96,9 +87,7 @@ impl TableImage {
                 let table = SequentialTable::from_routes(routes.iter().copied());
                 let mut words = serialize_sequential(&table);
                 pad_sequential_image(&mut words, opts.unroll);
-                let padded = words.len() / SEQ_ENTRY_WORDS as usize;
                 TableImage {
-                    bounds: Some(ScanBounds::of(padded, opts.unroll)),
                     opts: MicrocodeOptions { screen_word: choose_screen_word(&table), ..*opts },
                     ..in_memory(words)
                 }
@@ -137,7 +126,7 @@ impl TableImage {
         if let Some(p) = programs().get(config) {
             return Ok(Arc::clone(p));
         }
-        let program = sized_program(config, self.kind, &self.opts, self.bounds)?;
+        let program = sized_program(config, self.kind, &self.opts, self.bounds(0))?;
         Ok(Arc::clone(programs().entry(config.clone()).or_insert(program)))
     }
 
@@ -160,7 +149,7 @@ impl TableImage {
     /// pass.  One pass over the image's screening words, sentinels
     /// included.
     pub fn scan_stop(&self, destination: Ipv6Address) -> usize {
-        let Some(bounds) = self.bounds else { return 0 };
+        let Some(bounds) = self.bounds(0) else { return 0 };
         let word = usize::from(self.opts.screen_word);
         let dst = destination.to_words()[word];
         let hit = self.words.chunks_exact(SEQ_ENTRY_WORDS as usize).position(|entry| {
@@ -171,79 +160,59 @@ impl TableImage {
         hit.map_or(last, |entry| entry / usize::from(self.opts.unroll))
     }
 
-    /// This sequential image from scan block `block` on, as a table of its
-    /// own loaded at [`TABLE_BASE`]: the same words and options (so the
-    /// same screening word, whatever its own entries would choose) and its
-    /// own [`ScanBounds`], patched into the template like any size's.
-    ///
-    /// A datagram whose screen pass stops at block `h` runs every block
-    /// before it as a miss — the same words, each lane's guarded record
-    /// squashed, the verify branch not taken, the block counter stepped
-    /// and a jump back — and from block `h` on reads only those entries,
-    /// at the same offsets from the lane pointers.  So its run over the
-    /// image is its run over `tail(h)` plus `h` times what `tail(h − 1)`
-    /// adds to it, count for count.
-    ///
-    /// # Panics
-    ///
-    /// If the image has no scan pass or `block` is not one of its blocks.
-    pub fn tail(&self, block: usize) -> TableImage {
-        let bounds = self.bounds.expect("only a sequential image has a scan");
-        assert!(block < bounds.values()[0] as usize, "the scan has no block {block}");
-        let block_words = usize::from(self.opts.unroll) * SEQ_ENTRY_WORDS as usize;
-        let words = self.words[block * block_words..].to_vec();
-        let entries = words.len() / SEQ_ENTRY_WORDS as usize;
-        TableImage {
-            kind: self.kind,
-            words,
-            cam: None,
-            bounds: Some(ScanBounds::of(entries, self.opts.unroll)),
-            opts: self.opts,
-            programs: Mutex::default(),
-        }
+    /// Window `block` of this image: its words from that scan block on,
+    /// which a router loads at [`TABLE_BASE`] like a table of their own
+    /// ([`CycleRouter::unfolded`]).  Window 0 is the whole image, for every
+    /// kind.  Panics if `block` is past 0 and not a block of the scan.
+    fn window(&self, block: usize) -> &[u32] {
+        let start = block * usize::from(self.opts.unroll) * SEQ_ENTRY_WORDS as usize;
+        let scanned = self.kind == TableKind::Sequential && start < self.words.len();
+        assert!(block == 0 || scanned, "the {} image has no scan block {block}", self.kind);
+        &self.words[start..]
     }
 
-    /// This image's microcode scheduled for the machine [`schedule`] folds
-    /// no unit on, where a table's block profile is recorded
-    /// ([`CycleRouter::unfolded`]): [`TableImage::compiled`] for that
-    /// machine, so its template is compiled once per kind and options like
-    /// any machine's, and a fresh sequential size only patches it.
+    /// The [`ScanBounds`] of a scan over window `block`'s entries; `None`
+    /// for a kind with no scan.
+    fn bounds(&self, block: usize) -> Option<ScanBounds> {
+        let entries = self.window(block).len() / SEQ_ENTRY_WORDS as usize;
+        (self.kind == TableKind::Sequential).then(|| ScanBounds::of(entries, self.opts.unroll))
+    }
+
+    /// This image's program over window `block` on the machine
+    /// [`schedule`] folds no unit on, where a block profile is recorded
+    /// ([`CycleRouter::unfolded`]): at block 0 [`TableImage::compiled`] for
+    /// that machine, which the image keeps, and past it the machine's
+    /// template with the window's bounds patched in, which nothing keeps.
+    /// Panics where [`CycleRouter::unfolded`] does.
     ///
     /// # Errors
     ///
     /// See [`TableImage::compiled`].
-    pub fn unfolded_program(&self) -> Result<Arc<CompiledProgram>, SimError> {
-        self.compiled(&self.unfolded())
-    }
-
-    /// The [`UNFOLDED_BUSES`]-bus machine with one unit per virtual instance
-    /// this image's microcode names, for every kind a machine may replicate
-    /// — the machine [`schedule`] folds no unit on.
-    fn unfolded(&self) -> MachineConfig {
-        let seq = Arc::clone(&level_one(&mut program_cache(), self.kind, &self.opts).seq);
-        let mut named = [0u8; FuKind::ALL.len()];
-        let mut name = |fu: FuRef| {
-            let count = &mut named[fu.kind as usize];
-            *count = (*count).max(fu.index.saturating_add(1));
-        };
-        for mv in &seq.moves {
-            name(mv.dst.fu);
-            if let Source::Port(p) = &mv.src {
-                name(p.fu);
-            }
-            if let Some(g) = &mv.guard {
-                name(g.fu);
-            }
+    pub fn unfolded_program(&self, block: usize) -> Result<Arc<CompiledProgram>, SimError> {
+        let machine = level_one(&mut program_cache(), self.kind, &self.opts).unfolded.clone();
+        if block == 0 {
+            return self.compiled(&machine);
         }
-        FuKind::ALL.into_iter().fold(MachineConfig::new(UNFOLDED_BUSES), |machine, kind| {
-            let count = named[kind as usize];
-            if count > machine.fu_count(kind) && MachineConfig::can_replicate(kind) {
-                machine.with_fu_count(kind, count)
-            } else {
-                machine
-            }
-        })
+        sized_program(&machine, self.kind, &self.opts, self.bounds(block))
     }
+}
+
+/// The [`UNFOLDED_BUSES`]-bus machine with one unit per virtual instance
+/// `seq` names, for every kind a machine may replicate — the machine
+/// [`schedule`] folds no unit on.
+fn unfolded(seq: &MoveSeq) -> MachineConfig {
+    let named = seq.moves.iter().flat_map(|mv| {
+        let src = if let Source::Port(p) = &mv.src { Some(p.fu) } else { None };
+        [Some(mv.dst.fu), src, mv.guard.map(|g| g.fu)]
+    });
+    named.flatten().fold(MachineConfig::new(UNFOLDED_BUSES), |machine, fu| {
+        let count = fu.index.saturating_add(1);
+        if count > machine.fu_count(fu.kind) && MachineConfig::can_replicate(fu.kind) {
+            machine.with_fu_count(fu.kind, count)
+        } else {
+            machine
+        }
+    })
 }
 
 /// A ready-to-run cycle-accurate router instance.
@@ -270,10 +239,12 @@ const UNFOLDED_BUSES: u8 = 4;
 /// nothing about the machine.
 type TemplateKey = (TableKind, MicrocodeOptions);
 
-/// One level-one entry: the generated and optimised size-free sequence, and
-/// under it level two, the template of every machine compiled from it.
+/// One level-one entry: the generated and optimised size-free sequence, the
+/// machine that folds none of its units, and under it level two, the
+/// template of every machine compiled from it.
 struct Microcode {
     seq: Arc<MoveSeq>,
+    unfolded: MachineConfig,
     programs: HashMap<MachineConfig, Template>,
 }
 
@@ -299,7 +270,8 @@ fn program_cache() -> MutexGuard<'static, HashMap<TemplateKey, Microcode>> {
 }
 
 /// The level-one entry for a `kind` table under `opts`: its size-free
-/// sequence generated and optimised on first use.
+/// sequence generated and optimised on first use, and its unfolded machine
+/// read from it then.
 fn level_one<'a>(
     cache: &'a mut HashMap<TemplateKey, Microcode>,
     kind: TableKind,
@@ -308,7 +280,7 @@ fn level_one<'a>(
     cache.entry((kind, *opts)).or_insert_with(|| {
         let mut seq = template_for(kind, opts);
         opt::optimize(&mut seq);
-        Microcode { seq: Arc::new(seq), programs: HashMap::new() }
+        Microcode { unfolded: unfolded(&seq), seq: Arc::new(seq), programs: HashMap::new() }
     })
 }
 
@@ -452,33 +424,46 @@ impl CycleRouter {
         image: &TableImage,
         rtu_latency: u32,
     ) -> Result<Self, SimError> {
-        Self::load(image.compiled(config)?, image, rtu_latency)
+        Self::load(image.compiled(config)?, image, 0, rtu_latency)
     }
 
-    /// A router over `image` at RTU latency 1 running `program`, the
-    /// image's [`TableImage::unfolded_program`], where a table's block
-    /// profile is recorded.  The runs of one recording share one program.
+    /// A router over window `block` of `image` at RTU latency 1 running
+    /// `program`, the image's [`TableImage::unfolded_program`] for that
+    /// window, where a table's block profile is recorded.  The runs over
+    /// one window share one program.
     ///
     /// # Errors
     ///
     /// See [`CycleRouter::from_image`].
-    pub fn unfolded(program: Arc<CompiledProgram>, image: &TableImage) -> Result<Self, SimError> {
-        Self::load(program, image, 1)
+    ///
+    /// # Panics
+    ///
+    /// If `block` is past 0 and not a block of a sequential scan.
+    pub fn unfolded(
+        program: Arc<CompiledProgram>,
+        image: &TableImage,
+        block: usize,
+    ) -> Result<Self, SimError> {
+        Self::load(program, image, block, 1)
     }
 
-    /// `compiled` powered on over `image`: the body of both constructors.
+    /// `compiled` powered on over window `block` of `image`, its words at
+    /// [`TABLE_BASE`] and the datagram slots above them: the body of both
+    /// constructors.
     fn load(
         compiled: Arc<CompiledProgram>,
         image: &TableImage,
+        block: usize,
         rtu_latency: u32,
     ) -> Result<Self, SimError> {
+        let words = image.window(block);
         let mut processor = Processor::instantiate(compiled);
-        processor.memory_mut().load(TABLE_BASE, &image.words)?;
+        processor.memory_mut().load(TABLE_BASE, words)?;
         if let Some(table) = &image.cam {
             let backend = Box::new(CamBackend(Arc::clone(table)));
             processor.set_rtu(RtuConfig::new(backend).with_latency(rtu_latency));
         }
-        Ok(CycleRouter { processor, image_end: image_end(image.words.len()), slots: Vec::new() })
+        Ok(CycleRouter { processor, image_end: image_end(words.len()), slots: Vec::new() })
     }
 
     /// Builds a router for any table organisation from a plain route list:
@@ -982,16 +967,15 @@ mod tests {
     #[test]
     fn a_run_over_the_image_is_its_tail_plus_the_miss_blocks_before_it() {
         // Each count of a one-datagram run over the whole image equals the
-        // run over `tail(h)` plus `h` times what `tail(h − 1)` adds to it,
-        // wherever the screen pass stops: a hit with blocks after it, a
+        // run over window `h` plus `h` times what window `h − 1` adds to
+        // it, wherever the screen pass stops: a hit with blocks after it, a
         // miss, a sentinel.
         const SEED: u64 = 0x7A11_5EED;
         const CASES: usize = 60;
         let mut rng = SplitMix64::new(SEED);
         let mut gen = TrafficGen::new(SEED, 4);
-        let run = |image: &TableImage, dst: Ipv6Address| {
-            let mut router =
-                CycleRouter::from_image(&MachineConfig::three_bus_one_fu(), image, 1).unwrap();
+        let config = MachineConfig::three_bus_one_fu();
+        let run = |mut router: CycleRouter, dst: Ipv6Address| {
             let datagram = Datagram::builder("2001:db8:99::1".parse().unwrap(), dst)
                 .hop_limit(64)
                 .payload(NextHeader::Udp, vec![0; 16])
@@ -1001,6 +985,13 @@ mod tests {
             let ports: Vec<PortId> = router.forwarded().into_iter().map(|(p, _)| p).collect();
             (stats, ports)
         };
+        // The window's bounds patched into the template afresh, at block 0
+        // too, so window 0 is held to the image's own program.
+        let window = |image: &TableImage, block: usize| {
+            let bounds = image.bounds(block);
+            let program = sized_program(&config, image.kind, &image.opts, bounds).unwrap();
+            CycleRouter::load(program, image, block, 1).unwrap()
+        };
         let (mut before_last, mut stops_past_zero) = (0, 0);
         for case in 0..CASES {
             let routes = seeded_routes(&mut rng);
@@ -1008,18 +999,19 @@ mod tests {
             for unroll in [1, 3] {
                 let opts = MicrocodeOptions { unroll, ..MicrocodeOptions::default() };
                 let image = TableImage::new(TableKind::Sequential, &routes, &opts).expect("built");
-                let last = image.bounds.expect("a scan").values()[0] as usize - 1;
+                let last = image.bounds(0).expect("a scan").values()[0] as usize - 1;
                 let inside = entries[rng.below(entries.len() as u64) as usize].prefix();
                 for dst in [gen.addr_in(&inside), clustered_address(&mut rng)] {
                     let at = format!("case {case}, unroll {unroll}, {dst}");
                     let stop = image.scan_stop(dst);
-                    let (whole, ports) = run(&image, dst);
+                    let (whole, ports) =
+                        run(CycleRouter::from_image(&config, &image, 1).unwrap(), dst);
                     if stop == 0 {
-                        assert_eq!(run(&image.tail(0), dst), (whole, ports), "{at}");
+                        assert_eq!(run(window(&image, 0), dst), (whole, ports), "{at}");
                         continue;
                     }
-                    let (tail, tail_ports) = run(&image.tail(stop), dst);
-                    let (more, _) = run(&image.tail(stop - 1), dst);
+                    let (tail, tail_ports) = run(window(&image, stop), dst);
+                    let (more, _) = run(window(&image, stop - 1), dst);
                     let n = stop as u64;
                     let at_n = |t: u64, m: u64| t + n * (m - t);
                     let triggers = more.fu_instance_triggers.iter();

@@ -201,6 +201,9 @@ if grep -rnE '[C]oherenceProtocol|[C]acheConfig|[I]nterconnectConfig|read_fill_[
 # or job count beside what a connection is owed, and no shutdown requester
 # or flush deadline beside the daemon's life.
 if grep -rnE '\b[D]ialect\b|read_[d]one|pending_[j]obs|shutdown_[t]o|flush_[d]eadline' crates/served/src; then exit 1; fi
+# A recording steps windows of its table's one image: no image is cut from
+# another, so `TableImage::new` is the only way to a table image.
+if grep -rnE 'TableImage::[t]ail|fn [t]ail\(' crates/router/src; then exit 1; fi
 echo "guards ok"
 
 echo

@@ -140,16 +140,18 @@ fn a_warm_evaluation_allocates_for_one_router_not_for_its_input() {
     // The fresh-size row: the first 3BUS/1FU sequential evaluation at a
     // size this binary has not prepared, after the rows above evaluated 100
     // entries, so every template it runs is compiled.  It prepares the
-    // input (routes, frame, image), patches the two programs it runs (its
-    // machine's and the unfolded one a profile is recorded on) and records
-    // the profile: an empty run and one datagram over the table's tail from
-    // the block where the screen pass stops, and one datagram over that
-    // tail and one block more, each tail an image with its own patched
-    // unfolded program.  90 / 90 when written; 60 / 60 with only the
-    // copy-free patch, where the recording stepped the whole table; 218 /
-    // 218 while every patch also copied the template's scheduled program,
-    // one allocation per instruction word.  The ceilings leave a fifth.
-    for (entries, ceiling) in [(256, 110), (1024, 110)] {
+    // input (routes, frame, image), patches the program its machine runs
+    // and records the profile: an empty run and one datagram over the
+    // image's window from the block where the screen pass stops, and one
+    // datagram over the window one block longer, each window run by the
+    // unfolded template with its own bounds patched in, over the image's
+    // own words.  86 / 86 since the windows borrow the image; 90 / 90 when
+    // written, while each window was a one-use image with its own copy of
+    // the words and its own program map; 60 / 60 with only the copy-free
+    // patch, where the recording stepped the whole table; 218 / 218 while
+    // every patch also copied the template's scheduled program, one
+    // allocation per instruction word.  The ceilings leave a fifth.
+    for (entries, ceiling) in [(256, 103), (1024, 103)] {
         let request =
             EvalRequest::new(ArchConfig::three_bus_one_fu(TableKind::Sequential)).entries(entries);
         let before = ALLOCATIONS.load(Ordering::Relaxed);

@@ -379,7 +379,8 @@ fn measurement_datagram(routes: &[Route]) -> Datagram {
 /// What `program` does with one measurement datagram over `image` — the
 /// run a block profile is recorded from.
 fn step(program: &Arc<CompiledProgram>, image: &TableImage, datagram: &Datagram) -> SimStats {
-    let mut router = CycleRouter::unfolded(Arc::clone(program), image).expect("the router builds");
+    let mut router =
+        CycleRouter::unfolded(Arc::clone(program), image, 0).expect("the router builds");
     router.enqueue(PortId(0), datagram).expect("one datagram fits");
     router.run(50_000_000).expect("the datagram runs to its end")
 }
@@ -417,7 +418,7 @@ fn every_sequential_size_runs_what_a_fresh_compile_of_its_size_makes() {
     let largest = 2049;
     let routes = benchmark_routes(largest);
     let image = TableImage::new(TableKind::Sequential, &routes, &opts).expect("an image");
-    machines.push(image.unfolded_program().expect("it compiles").config().clone());
+    machines.push(image.unfolded_program(0).expect("it compiles").config().clone());
 
     // Every literal of a program but its two bounds: a fresh compile at the
     // largest size, whose bounds no other literal equals, less those.
@@ -456,7 +457,7 @@ fn every_sequential_size_runs_what_a_fresh_compile_of_its_size_makes() {
         for (i, machine) in machines.iter().enumerate() {
             let at = format!("n={n} @{machine}");
             let patched = match i {
-                3 => image.unfolded_program(),
+                3 => image.unfolded_program(0),
                 _ => image.compiled(machine),
             }
             .expect("it compiles");
